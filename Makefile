@@ -29,7 +29,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -69,6 +69,22 @@ bench-json:
 	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelLayoutGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkKernelRepeatsGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
 	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkFrameEncodeDecode' ./internal/mpinet ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
+
+# bench-e2e-smoke is one traced end-to-end benchmark run
+# (benchmark/README.md) of the partition-rich loopback-TCP workload. It
+# fails unless every inference passed its checks and the run issued at
+# most 210 model-parameter probes per inference: the count repeats
+# exactly (205 — 2 iterations x 6 scalars x 17 SetShared->Evaluate pairs
+# + the initial push; 349 before a golden-section step stopped
+# re-probing the point it keeps, docs/PERFORMANCE.md §7), so unlike a
+# time it can gate.
+bench-e2e-smoke:
+	@out=$$(bash benchmark/run.sh --workload parts-gamma-tcp --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
+	case "$$out" in *'"correct":true'*) ;; *) echo "bench-e2e-smoke: run not correct: $$out"; exit 1;; esac && \
+	probes=$$(printf '%s' "$$out" | sed -n 's/.*"engine\.evaluate_probe\.calls":{"value":\([0-9]*\).*/\1/p') && \
+	{ test -n "$$probes" && test "$$probes" -le 210 || \
+		{ echo "bench-e2e-smoke: engine.evaluate_probe.calls = '$$probes' per inference, want <= 210"; exit 1; }; } && \
+	echo "bench-e2e-smoke: correct, $$probes model-parameter probes per inference OK"
 
 # smoke-net runs a real multi-process decentralized inference over
 # loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then
@@ -174,7 +190,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

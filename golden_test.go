@@ -1,0 +1,222 @@
+package examl
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"sync"
+	"testing"
+
+	"repro/internal/msa"
+	"repro/internal/seqgen"
+)
+
+// The golden-trajectory net (ROADMAP 3a): small fixed-seed inferences
+// whose per-iteration lnL bit patterns, final lnL bits, and final Newick
+// digest are checked in. A change that promises "same bits, less work"
+// is proven against this file instead of against a retained copy of the
+// code it replaced. The file is regenerated only by a change that means
+// to move a trajectory: EXAML_UPDATE_GOLDEN=1 go test -run Golden .
+const goldenPath = "testdata/golden_trajectories.json"
+
+type goldenRecord struct {
+	Name string `json:"name"`
+	// LnLBits is the final log likelihood as a Float64bits hex string.
+	LnLBits string `json:"lnl_bits"`
+	// TreeSHA256 is the digest of the final Newick string.
+	TreeSHA256 string `json:"tree_sha256"`
+	// IterLnLBits holds the lnL bits reported after every outer
+	// search iteration.
+	IterLnLBits []string `json:"iter_lnl_bits"`
+}
+
+type goldenCase struct {
+	name string
+	cfg  Config
+	tcp  bool
+}
+
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	for _, scheme := range []Scheme{Decentralized, ForkJoin} {
+		for _, rm := range []RateModel{GAMMA, PSR} {
+			for _, perPart := range []bool{false, true} {
+				for _, threads := range []int{1, 2} {
+					bl := "joint"
+					if perPart {
+						bl = "M"
+					}
+					cases = append(cases, goldenCase{
+						name: fmt.Sprintf("%v/%v/%s/T%d", scheme, rm, bl, threads),
+						cfg: Config{
+							Scheme: scheme, RateModel: rm, PerPartitionBranchLengths: perPart,
+							Threads: threads, Ranks: 2, Seed: 11, MaxIterations: 2,
+						},
+					})
+				}
+			}
+		}
+	}
+	cases = append(cases, goldenCase{
+		name: "decentralized/GAMMA/joint/T1/tcp",
+		cfg:  Config{Seed: 11, MaxIterations: 2},
+		tcp:  true,
+	})
+	return cases
+}
+
+// goldenDataset is 9 taxa × {700, 60, 60} bp: one partition large enough
+// to split into several thread blocks and to stay out of the fused
+// small-partition batch, two that are batched. Every fifth character of
+// the simulated alignment is overwritten with a cycling IUPAC code so
+// all 15 tip states reach the kernels' tip tables.
+func goldenDataset() (*Dataset, error) {
+	res, err := seqgen.Generate(seqgen.Config{
+		NTaxa: 9,
+		Specs: []seqgen.Spec{
+			{Name: "big", NSites: 700, Alpha: 0.6, GapProb: 0.02},
+			{Name: "small0", NSites: 60, Alpha: 1.2, GapProb: 0.01},
+			{Name: "small1", NSites: 60, Alpha: 0.4, GapProb: 0.01},
+		},
+		Seed: 77,
+	})
+	if err != nil {
+		return nil, err
+	}
+	k := 0
+	for _, seq := range res.Alignment.Seqs {
+		for j := range seq {
+			if (k+j)%5 == 0 {
+				seq[j] = msa.State(1 + (k+j/5)%15)
+			}
+		}
+		k++
+	}
+	d, err := msa.Compress(res.Alignment, res.Partitions)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{d: d}, nil
+}
+
+func bitsHex(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+
+// goldenRun executes one case and returns its record. Every rank replica
+// reports each iteration; they must all report the same bits.
+func goldenRun(t *testing.T, d *Dataset, c goldenCase) goldenRecord {
+	t.Helper()
+	var (
+		mu    sync.Mutex
+		iters []string
+	)
+	cfg := c.cfg
+	cfg.OnProgress = func(iter int, lnL float64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for len(iters) < iter {
+			iters = append(iters, "")
+		}
+		b := bitsHex(lnL)
+		if iters[iter-1] != "" && iters[iter-1] != b {
+			t.Errorf("%s: replicas disagree at iteration %d: %s vs %s", c.name, iter, iters[iter-1], b)
+		}
+		iters[iter-1] = b
+	}
+	var res *Result
+	if c.tcp {
+		const size = 2
+		addr := reserveLoopbackAddr(t)
+		outs := make([]*NetResult, size)
+		errs := make([]error, size)
+		var wg sync.WaitGroup
+		for r := 0; r < size; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				outs[r], errs[r] = InferNet(d, cfg, NetConfig{Rank: r, Size: size, Addr: addr, Nonce: 4545})
+			}(r)
+		}
+		wg.Wait()
+		for r := 0; r < size; r++ {
+			if errs[r] != nil {
+				t.Fatalf("%s: rank %d: %v", c.name, r, errs[r])
+			}
+		}
+		res = outs[0].Result
+		if o := outs[1].Result; math.Float64bits(o.LogLikelihood) != math.Float64bits(res.LogLikelihood) || o.Tree != res.Tree {
+			t.Errorf("%s: TCP ranks disagree", c.name)
+		}
+	} else {
+		var err error
+		res, err = Infer(d, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	return goldenRecord{
+		Name:        c.name,
+		LnLBits:     bitsHex(res.LogLikelihood),
+		TreeSHA256:  fmt.Sprintf("%x", sha256.Sum256([]byte(res.Tree))),
+		IterLnLBits: iters,
+	}
+}
+
+// TestGoldenTrajectories asserts every case of the matrix — both
+// engines × Γ/PSR × joint/-M branch lengths × T∈{1,2}, plus one 2-rank
+// loopback-TCP run — reproduces its checked-in trajectory bit for bit.
+func TestGoldenTrajectories(t *testing.T) {
+	d, err := goldenDataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := goldenCases()
+	if os.Getenv("EXAML_UPDATE_GOLDEN") != "" {
+		recs := make([]goldenRecord, len(cases))
+		for i, c := range cases {
+			recs[i] = goldenRun(t, d, c)
+		}
+		out, err := json.MarshalIndent(recs, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d cases)", goldenPath, len(recs))
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenRecord
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("%s holds %d cases, the matrix has %d", goldenPath, len(want), len(cases))
+	}
+	for i, c := range cases {
+		c, w := c, want[i]
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && c.tcp {
+				t.Skip("loopback network case")
+			}
+			got := goldenRun(t, d, c)
+			if got.Name != w.Name {
+				t.Fatalf("case order changed: file has %q here", w.Name)
+			}
+			if got.LnLBits != w.LnLBits {
+				t.Errorf("final lnL bits %s, golden %s", got.LnLBits, w.LnLBits)
+			}
+			if got.TreeSHA256 != w.TreeSHA256 {
+				t.Errorf("final tree digest %s, golden %s", got.TreeSHA256, w.TreeSHA256)
+			}
+			if fmt.Sprint(got.IterLnLBits) != fmt.Sprint(w.IterLnLBits) {
+				t.Errorf("per-iteration lnL bits %v, golden %v", got.IterLnLBits, w.IterLnLBits)
+			}
+		})
+	}
+}

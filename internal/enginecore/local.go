@@ -153,20 +153,18 @@ func (l *Local) Close() {
 		l.poolStats = nil
 	}
 	if l.rec != nil {
-		var fp likelihood.FastPathStats
+		var perf telemetry.KernelPerf
 		for _, k := range l.Kernels {
 			s := k.FastPath()
-			fp.NewviewTipTip += s.NewviewTipTip
-			fp.NewviewTipInner += s.NewviewTipInner
-			fp.NewviewInner += s.NewviewInner
-			fp.EvaluateTip += s.EvaluateTip
-			fp.EvaluateGeneric += s.EvaluateGeneric
-			fp.PrepareTip += s.PrepareTip
-			fp.PrepareGeneric += s.PrepareGeneric
-			fp.PCacheHits += s.PCacheHits
-			fp.PCacheMisses += s.PCacheMisses
+			perf.FastOps += s.FastOps()
+			perf.GenericOps += s.GenericOps()
+			perf.PCacheHits += s.PCacheHits
+			perf.PCacheMisses += s.PCacheMisses
+			perf.TipTipNewviews += s.NewviewTipTip
+			perf.PairTableEntries += s.PairTableEntries
+			perf.TipTableEntries += s.TipTableEntries
 		}
-		l.rec.SetKernelPerf(fp.FastOps(), fp.GenericOps(), fp.PCacheHits, fp.PCacheMisses)
+		l.rec.SetKernelPerf(perf)
 		var repComputed, repSaved int64
 		for _, k := range l.Kernels {
 			rs := k.RepeatStats()

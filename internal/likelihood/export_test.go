@@ -1,0 +1,24 @@
+package likelihood
+
+import "math"
+
+// PoisonTipTables sizes every tip lookup table for the kernel's current
+// category count and overwrites all of their entries — tip tables, pair
+// table and its scale counts, prep tables — with NaN (scale counts with a
+// huge value). The next fill repairs only the entries its masks cover,
+// so a kernel that reads any other entry produces a visibly wrong result.
+func (k *Kernel) PoisonTipTables() {
+	cats := len(k.par.CatRates)
+	p, q := k.prepTabScratch()
+	for _, tab := range [][]float64{k.tipTabScratch(0, cats), k.tipTabScratch(1, cats), k.pairTabScratch(cats), p, q} {
+		for i := range tab {
+			tab[i] = math.NaN()
+		}
+	}
+	for i := range k.pairScaleScr {
+		k.pairScaleScr[i] = 1 << 20
+	}
+}
+
+// TipMask returns the state mask of a taxon's row of the kernel's slice.
+func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMask[taxon] }

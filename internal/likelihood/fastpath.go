@@ -1,6 +1,9 @@
 package likelihood
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file holds the kernel fast-path layer (docs/PERFORMANCE.md): the
 // keyed P-matrix cache and the tip-state lookup tables that specialize
@@ -11,7 +14,11 @@ import "math"
 //     the same (branch length, parameter generation) key, and
 //   - every tip-table entry is computed by the very expression the
 //     generic per-site loop would evaluate inline, so a table read yields
-//     the same bits as the computation it replaces.
+//     the same bits as the computation it replaces. Only the entries a
+//     kernel can read are produced: a table is indexed by the states of
+//     the tip operand's own row of this slice, so each fill walks the
+//     row's state mask (Kernel.tipMask) and leaves every other code's
+//     entry untouched — typically 4–5 of 16 codes, ~20 of 256 code pairs.
 //
 // Neither switch may therefore change a single bit of any CLV, likelihood
 // or derivative (asserted by fastpath_test.go), which keeps the repo-wide
@@ -40,6 +47,11 @@ type FastPathStats struct {
 	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
 	// activity; a reset drops the whole cache after a parameter change.
 	PCacheHits, PCacheMisses, PCacheResets int64
+	// TipTableEntries counts the ambiguity codes the tip-table and
+	// prep-table fills produced entries for (of 16 per fill);
+	// PairTableEntries the code pairs the tip-tip pair-table fills
+	// produced (of 256 per fill; one fill per Γ NewviewTipTip).
+	TipTableEntries, PairTableEntries int64
 }
 
 // FastOps returns the number of kernel calls that took a specialized
@@ -127,18 +139,21 @@ func (k *Kernel) tipTabScratch(i, cats int) []float64 {
 	return k.tipTabScr[i]
 }
 
-// fillTipTable precomputes, for every (category, ambiguity code) pair,
-// the P·tipVec product vector the Newview/Evaluate inner loops need:
+// fillTipTable precomputes, for every category and every ambiguity code
+// in mask, the P·tipVec product vector the Newview/Evaluate inner loops
+// need:
 //
 //	dst[(c·16+code)·4+x] = Σ_y pm[c][x·4+y] · tipVec[code][y]
 //
 // The sum is written as the exact four-term expression the generic
 // per-site loop evaluates, so reading the table is bit-identical to
 // computing the product inline.
-func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64) {
+func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16) {
+	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
 	for c := range pm {
 		pc := &pm[c]
-		for code := 0; code < 16; code++ {
+		for m := mask; m != 0; m &= m - 1 {
+			code := bits.TrailingZeros16(m)
 			v := &k.tipVec[code]
 			off := (c*16 + code) * ns
 			for x := 0; x < ns; x++ {
@@ -159,8 +174,8 @@ func (k *Kernel) pairTabScratch(cats int) []float64 {
 	return k.pairTabScr
 }
 
-// fillPairTable composes two tip tables into the full per-(codeA, codeB)
-// CLV column a tip-tip site with that code pair would get, scaling
+// fillPairTable composes two tip tables into the full CLV column a
+// tip-tip site gets for every code pair (ca ∈ maskA, cb ∈ maskB), scaling
 // decision included:
 //
 //	dst[((ca·16+cb)·C + c)·4+x] = tabA[(c·16+ca)·4+x] · tabB[(c·16+cb)·4+x]
@@ -172,9 +187,12 @@ func (k *Kernel) pairTabScratch(cats int) []float64 {
 // collapses to a 4·C-double copy plus one int32 store — every double
 // having been produced by the same operations, on the same operands, in
 // the same order as the generic per-site loop.
-func (k *Kernel) fillPairTable(dst []float64, dsc *[256]int32, tabA, tabB []float64, cats int) {
-	for ca := 0; ca < 16; ca++ {
-		for cb := 0; cb < 16; cb++ {
+func (k *Kernel) fillPairTable(dst []float64, dsc *[256]int32, tabA, tabB []float64, cats int, maskA, maskB uint16) {
+	k.fp.PairTableEntries += int64(bits.OnesCount16(maskA) * bits.OnesCount16(maskB))
+	for ma := maskA; ma != 0; ma &= ma - 1 {
+		ca := bits.TrailingZeros16(ma)
+		for mb := maskB; mb != 0; mb &= mb - 1 {
+			cb := bits.TrailingZeros16(mb)
 			poff := (ca*16 + cb) * cats * ns
 			needScale := true
 			for c := 0; c < cats; c++ {
@@ -211,12 +229,14 @@ func (k *Kernel) prepTabScratch() (p, q []float64) {
 }
 
 // fillPrepTipP precomputes the p-side sum-table coefficient for every
-// ambiguity code: dst[code·4+k] = Σ_x π_x·tipVec[code][x]·U[x·4+k],
+// ambiguity code in mask: dst[code·4+k] = Σ_x π_x·tipVec[code][x]·U[x·4+k],
 // written as the exact expression of the generic loop.
-func (k *Kernel) fillPrepTipP(dst []float64) {
+func (k *Kernel) fillPrepTipP(dst []float64, mask uint16) {
+	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
-	for code := 0; code < 16; code++ {
+	for m := mask; m != 0; m &= m - 1 {
+		code := bits.TrailingZeros16(m)
 		vp := &k.tipVec[code]
 		off := code * ns
 		for kk := 0; kk < ns; kk++ {
@@ -227,10 +247,12 @@ func (k *Kernel) fillPrepTipP(dst []float64) {
 }
 
 // fillPrepTipQ precomputes the q-side sum-table coefficient for every
-// ambiguity code: dst[code·4+k] = Σ_y U⁻¹[k·4+y]·tipVec[code][y].
-func (k *Kernel) fillPrepTipQ(dst []float64) {
+// ambiguity code in mask: dst[code·4+k] = Σ_y U⁻¹[k·4+y]·tipVec[code][y].
+func (k *Kernel) fillPrepTipQ(dst []float64, mask uint16) {
+	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
 	e := k.par.Eigen
-	for code := 0; code < 16; code++ {
+	for m := mask; m != 0; m &= m - 1 {
+		code := bits.TrailingZeros16(m)
 		vq := &k.tipVec[code]
 		off := code * ns
 		for kk := 0; kk < ns; kk++ {

@@ -135,3 +135,35 @@ func TestPCacheInvalidatedByModelChange(t *testing.T) {
 		t.Errorf("post-rebuild lnL bits %x != fresh kernel %x", got, want)
 	}
 }
+
+// TestPCacheSurvivesNoOpParameterPush: re-applying the parameter values
+// a kernel already holds (what SetShared does for every partition a
+// probe did not move) re-derives nothing, so the P-matrix cache keeps
+// serving — no reset, no new miss — while a real change still resets it.
+func TestPCacheSurvivesNoOpParameterPush(t *testing.T) {
+	f, _ := fastFixture(t, model.Gamma, 0, true)
+	want := math.Float64bits(f.evalAt(f.tree.Tip(0)))
+	warm := f.kern.FastPath()
+
+	if err := f.par.DecodeShared(f.par.EncodeShared()); err != nil {
+		t.Fatal(err)
+	}
+	got := math.Float64bits(f.evalAt(f.tree.Tip(0)))
+	fp := f.kern.FastPath()
+	if got != want {
+		t.Errorf("replay after a no-op push: lnL bits %x != %x", got, want)
+	}
+	if fp.PCacheResets != warm.PCacheResets || fp.PCacheMisses != warm.PCacheMisses || fp.PCacheHits == warm.PCacheHits {
+		t.Errorf("no-op push disturbed the P-matrix cache: %+v -> %+v", warm, fp)
+	}
+
+	shared := f.par.EncodeShared()
+	shared[model.SharedAlpha] *= 1.25
+	if err := f.par.DecodeShared(shared); err != nil {
+		t.Fatal(err)
+	}
+	f.evalAt(f.tree.Tip(0))
+	if after := f.kern.FastPath(); after.PCacheResets != fp.PCacheResets+1 {
+		t.Errorf("α change reset the cache %d times, want 1", after.PCacheResets-fp.PCacheResets)
+	}
+}

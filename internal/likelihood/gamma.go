@@ -39,11 +39,11 @@ func (k *Kernel) newviewGamma(dst int32, a, b NodeRef, ta, tb float64) {
 			k.fp.NewviewTipInner++
 			if oa.tips != nil {
 				ra.tabA = k.tipTabScratch(0, gammaCats)
-				k.fillTipTable(ra.tabA, pa)
+				k.fillTipTable(ra.tabA, pa, oa.mask)
 			}
 			if ob.tips != nil {
 				ra.tabB = k.tipTabScratch(1, gammaCats)
-				k.fillTipTable(ra.tabB, pb)
+				k.fillTipTable(ra.tabB, pb, ob.mask)
 			}
 			ra.op, ra.overReps = opNvGammaTipInner, true
 		} else {
@@ -62,22 +62,22 @@ func (k *Kernel) newviewGamma(dst int32, a, b NodeRef, ta, tb float64) {
 	if k.fastOn && tipTip {
 		k.fp.NewviewTipTip++
 		tabA := k.tipTabScratch(0, gammaCats)
-		k.fillTipTable(tabA, pa)
+		k.fillTipTable(tabA, pa, oa.mask)
 		tabB := k.tipTabScratch(1, gammaCats)
-		k.fillTipTable(tabB, pb)
+		k.fillTipTable(tabB, pb, ob.mask)
 		ra.pair = k.pairTabScratch(gammaCats)
-		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats)
+		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats, oa.mask, ob.mask)
 		ra.op, ra.overReps = opNvGammaTipTip, false
 	} else if k.fastOn && (oa.tips != nil || ob.tips != nil) {
 		k.fp.NewviewTipInner++
 		ra.tabA, ra.tabB = nil, nil
 		if oa.tips != nil {
 			ra.tabA = k.tipTabScratch(0, gammaCats)
-			k.fillTipTable(ra.tabA, pa)
+			k.fillTipTable(ra.tabA, pa, oa.mask)
 		}
 		if ob.tips != nil {
 			ra.tabB = k.tipTabScratch(1, gammaCats)
-			k.fillTipTable(ra.tabB, pb)
+			k.fillTipTable(ra.tabB, pb, ob.mask)
 		}
 		ra.op, ra.overReps = opNvGammaTipInner, false
 	} else {
@@ -254,7 +254,7 @@ func (k *Kernel) evaluateGamma(p, q NodeRef, t float64) float64 {
 	if k.fastOn && oq.tips != nil {
 		k.fp.EvaluateTip++
 		ra.tabB = k.tipTabScratch(1, gammaCats)
-		k.fillTipTable(ra.tabB, pm)
+		k.fillTipTable(ra.tabB, pm, oq.mask)
 		ra.op, ra.overReps = opEvalGammaTip, false
 	} else {
 		k.fp.EvaluateGeneric++
@@ -361,10 +361,10 @@ func (k *Kernel) prepareDerivativesGamma(p, q NodeRef) {
 		k.fp.PrepareTip++
 		tabP, tabQ := k.prepTabScratch()
 		if op.tips != nil {
-			k.fillPrepTipP(tabP)
+			k.fillPrepTipP(tabP, op.mask)
 		}
 		if oq.tips != nil {
-			k.fillPrepTipQ(tabQ)
+			k.fillPrepTipQ(tabQ, oq.mask)
 		}
 		ra.tabA, ra.tabB = tabP, tabQ
 		ra.op = opPrepGammaFast

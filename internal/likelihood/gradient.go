@@ -72,7 +72,7 @@ type GradStep struct {
 func (k *Kernel) gradOperand(r GradRef) operand {
 	switch r.Kind {
 	case GradTipKind:
-		return operand{tips: k.data.Tips[r.Idx]}
+		return operand{tips: k.data.Tips[r.Idx], mask: k.tipMask[r.Idx]}
 	case GradInnerKind:
 		return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
 	default:
@@ -138,22 +138,22 @@ func (k *Kernel) newviewOuterGamma(dst int32, a, b GradRef, ta, tb float64) {
 	if k.fastOn && oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
 		tabA := k.tipTabScratch(0, gammaCats)
-		k.fillTipTable(tabA, pa)
+		k.fillTipTable(tabA, pa, oa.mask)
 		tabB := k.tipTabScratch(1, gammaCats)
-		k.fillTipTable(tabB, pb)
+		k.fillTipTable(tabB, pb, ob.mask)
 		ra.pair = k.pairTabScratch(gammaCats)
-		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats)
+		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats, oa.mask, ob.mask)
 		ra.op, ra.overReps = opNvGammaTipTip, false
 	} else if k.fastOn && (oa.tips != nil || ob.tips != nil) {
 		k.fp.NewviewTipInner++
 		ra.tabA, ra.tabB = nil, nil
 		if oa.tips != nil {
 			ra.tabA = k.tipTabScratch(0, gammaCats)
-			k.fillTipTable(ra.tabA, pa)
+			k.fillTipTable(ra.tabA, pa, oa.mask)
 		}
 		if ob.tips != nil {
 			ra.tabB = k.tipTabScratch(1, gammaCats)
-			k.fillTipTable(ra.tabB, pb)
+			k.fillTipTable(ra.tabB, pb, ob.mask)
 		}
 		ra.op, ra.overReps = opNvGammaTipInner, false
 	} else {
@@ -184,11 +184,11 @@ func (k *Kernel) newviewOuterPSR(dst int32, a, b GradRef, ta, tb float64) {
 		ra.tabA, ra.tabB = nil, nil
 		if oa.tips != nil {
 			ra.tabA = k.tipTabScratch(0, nc)
-			k.fillTipTable(ra.tabA, pa)
+			k.fillTipTable(ra.tabA, pa, oa.mask)
 		}
 		if ob.tips != nil {
 			ra.tabB = k.tipTabScratch(1, nc)
-			k.fillTipTable(ra.tabB, pb)
+			k.fillTipTable(ra.tabB, pb, ob.mask)
 		}
 		ra.op = opNvPSRFast
 	} else {
@@ -280,10 +280,10 @@ func (k *Kernel) branchGradientGamma(p, q GradRef, t float64) (d1, d2 float64) {
 		k.fp.PrepareTip++
 		tabP, tabQ := k.prepTabScratch()
 		if op.tips != nil {
-			k.fillPrepTipP(tabP)
+			k.fillPrepTipP(tabP, op.mask)
 		}
 		if oq.tips != nil {
-			k.fillPrepTipQ(tabQ)
+			k.fillPrepTipQ(tabQ, oq.mask)
 		}
 		ra.tabA, ra.tabB = tabP, tabQ
 		ra.op = opGradGammaFast
@@ -328,10 +328,10 @@ func (k *Kernel) branchGradientPSR(p, q GradRef, t float64) (d1, d2 float64) {
 		k.fp.PrepareTip++
 		tabP, tabQ := k.prepTabScratch()
 		if op.tips != nil {
-			k.fillPrepTipP(tabP)
+			k.fillPrepTipP(tabP, op.mask)
 		}
 		if oq.tips != nil {
-			k.fillPrepTipQ(tabQ)
+			k.fillPrepTipQ(tabQ, oq.mask)
 		}
 		ra.tabA, ra.tabB = tabP, tabQ
 		ra.op = opGradPSRFast

@@ -99,6 +99,11 @@ type Kernel struct {
 
 	// tipVec[state][x] is the 0/1 tip likelihood lookup.
 	tipVec [16][ns]float64
+	// tipMask[taxon] has bit s set when the taxon's row of this slice
+	// contains state s. The tip lookup tables (fastpath.go) are only ever
+	// indexed by states of the operand's own row, so their fills skip
+	// every code outside the mask.
+	tipMask []uint16
 
 	// sum table for Derivatives: Γ: [pattern][category][eig]; PSR:
 	// [pattern][eig]; plus the per-pattern category rate view.
@@ -195,10 +200,12 @@ func (k *Kernel) SetPool(p *threadpool.Pool) { k.pool = p }
 // Threads reports the kernel's intra-rank concurrency.
 func (k *Kernel) Threads() int { return k.pool.Threads() }
 
-// operand is a resolved kernel argument: tips for a tip reference,
-// clv (+scale) for an inner CLV slot. Workers only read operands.
+// operand is a resolved kernel argument: tips (+ the row's state mask)
+// for a tip reference, clv (+scale) for an inner CLV slot. Workers only
+// read operands.
 type operand struct {
 	tips  []msa.State
+	mask  uint16
 	clv   []float64
 	scale []int32
 }
@@ -206,7 +213,7 @@ type operand struct {
 // operand resolves a NodeRef against the kernel's state.
 func (k *Kernel) operand(r NodeRef) operand {
 	if r.Tip {
-		return operand{tips: k.data.Tips[r.Idx]}
+		return operand{tips: k.data.Tips[r.Idx], mask: k.tipMask[r.Idx]}
 	}
 	return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
 }
@@ -276,6 +283,12 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 	}
 	for s := msa.State(1); s <= 15; s++ {
 		k.tipVec[s] = s.TipVector()
+	}
+	k.tipMask = make([]uint16, len(data.Tips))
+	for taxon, row := range data.Tips {
+		for _, s := range row {
+			k.tipMask[taxon] |= 1 << s
+		}
 	}
 	return k, nil
 }

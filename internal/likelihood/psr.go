@@ -34,11 +34,11 @@ func (k *Kernel) newviewPSR(dst int32, a, b NodeRef, ta, tb float64) {
 		ra.tabA, ra.tabB = nil, nil
 		if oa.tips != nil {
 			ra.tabA = k.tipTabScratch(0, nc)
-			k.fillTipTable(ra.tabA, pa)
+			k.fillTipTable(ra.tabA, pa, oa.mask)
 		}
 		if ob.tips != nil {
 			ra.tabB = k.tipTabScratch(1, nc)
-			k.fillTipTable(ra.tabB, pb)
+			k.fillTipTable(ra.tabB, pb, ob.mask)
 		}
 		ra.op = opNvPSRFast
 	} else {
@@ -181,7 +181,7 @@ func (k *Kernel) evaluatePSR(p, q NodeRef, t float64) float64 {
 	if k.fastOn && oq.tips != nil {
 		k.fp.EvaluateTip++
 		ra.tabB = k.tipTabScratch(1, len(k.par.CatRates))
-		k.fillTipTable(ra.tabB, pm)
+		k.fillTipTable(ra.tabB, pm, oq.mask)
 		ra.op, ra.overReps = opEvalPSRTip, false
 	} else {
 		k.fp.EvaluateGeneric++
@@ -275,10 +275,10 @@ func (k *Kernel) prepareDerivativesPSR(p, q NodeRef) {
 		k.fp.PrepareTip++
 		tabP, tabQ := k.prepTabScratch()
 		if op.tips != nil {
-			k.fillPrepTipP(tabP)
+			k.fillPrepTipP(tabP, op.mask)
 		}
 		if oq.tips != nil {
-			k.fillPrepTipQ(tabQ)
+			k.fillPrepTipQ(tabQ, oq.mask)
 		}
 		ra.tabA, ra.tabB = tabP, tabQ
 		ra.op = opPrepPSRFast

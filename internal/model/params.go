@@ -42,6 +42,13 @@ type Params struct {
 	// safer than threading explicit invalidation calls through every
 	// parameter-mutation site.
 	gen uint64
+
+	// eigenRates/eigenFreqs are the inputs Eigen was last derived from and
+	// gammaAlpha the α the Γ CatRates were derived from; Rebuild compares
+	// against them to re-derive only what a change actually touched.
+	eigenRates [NumRates]float64
+	eigenFreqs [msa.NumStates]float64
+	gammaAlpha float64
 }
 
 // Generation returns the parameter revision counter. Two calls returning
@@ -77,23 +84,32 @@ func NewParams(het Heterogeneity, freqs [msa.NumStates]float64, nLocalPatterns i
 	return p, nil
 }
 
-// Rebuild recomputes the derived quantities (eigensystem; Γ category
-// means) after a parameter change. PSR category rates are maintained by
-// the quantization pipeline, not here.
+// Rebuild brings the derived quantities up to date after a parameter
+// change, re-deriving only what the change touched: the eigensystem when
+// Rates or Freqs differ from the values it was decomposed from, the Γ
+// category means when Alpha differs from the shape they were computed
+// for. Both derivations are pure functions of those inputs, so skipping
+// one whose inputs are unchanged leaves exactly the doubles a full
+// recomputation would produce. The generation advances (and the kernels'
+// P-matrix caches reset) only when something was re-derived. PSR category
+// rates are maintained by the quantization pipeline, not here.
 func (p *Params) Rebuild() error {
-	e, err := NewEigen(p.Rates, p.Freqs)
-	if err != nil {
-		return err
+	if p.Eigen == nil || p.Rates != p.eigenRates || p.Freqs != p.eigenFreqs {
+		e, err := NewEigen(p.Rates, p.Freqs)
+		if err != nil {
+			return err
+		}
+		p.Eigen, p.eigenRates, p.eigenFreqs = e, p.Rates, p.Freqs
+		p.gen++
 	}
-	p.Eigen = e
-	if p.Het == Gamma {
+	if p.Het == Gamma && (p.CatRates == nil || p.Alpha != p.gammaAlpha) {
 		means, err := DiscreteGammaMeans(p.Alpha, GammaCategories)
 		if err != nil {
 			return err
 		}
-		p.CatRates = means
+		p.CatRates, p.gammaAlpha = means, p.Alpha
+		p.gen++
 	}
-	p.gen++
 	return nil
 }
 
@@ -167,11 +183,17 @@ func (p *Params) AppendShared(out []float64) []float64 {
 	return append(out, p.Rates[:]...)
 }
 
-// SharedLen is the number of doubles EncodeShared produces.
-const SharedLen = 1 + NumRates
+// Layout of the EncodeShared vector: α at SharedAlpha, exchangeability r
+// at SharedRates+r, SharedLen doubles in all.
+const (
+	SharedAlpha = 0
+	SharedRates = 1
+	SharedLen   = 1 + NumRates
+)
 
-// DecodeShared applies a flattened parameter vector and rebuilds the
-// derived state.
+// DecodeShared applies a flattened parameter vector and brings the
+// derived state up to date (Rebuild); applying the values already held is
+// a no-op that leaves the generation untouched.
 func (p *Params) DecodeShared(v []float64) error {
 	if len(v) != SharedLen {
 		return fmt.Errorf("model: shared vector has %d entries, want %d", len(v), SharedLen)

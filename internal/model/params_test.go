@@ -127,3 +127,123 @@ func TestParamsCheckCatchesCorruption(t *testing.T) {
 		t.Error("negative category rate accepted")
 	}
 }
+
+// TestRebuildIsIncremental pins what Rebuild re-derives: the eigensystem
+// only when Rates or Freqs changed, the Γ category means only when Alpha
+// changed, the generation only when either did — and that whatever it
+// keeps equals what a from-scratch derivation of the same values gives.
+func TestRebuildIsIncremental(t *testing.T) {
+	p, err := NewParams(Gamma, UniformFreqs(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// α only: same Eigen object, new category rates, new generation.
+	eig, cats, gen := p.Eigen, p.CatRates, p.Generation()
+	p.Alpha = 0.37
+	if err := p.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Eigen != eig {
+		t.Error("α-only change re-derived the eigensystem")
+	}
+	if &p.CatRates[0] == &cats[0] || p.CatRates[0] == cats[0] {
+		t.Error("α-only change kept the Γ category rates")
+	}
+	if p.Generation() == gen {
+		t.Error("α-only change kept the generation")
+	}
+
+	// Rate only: new Eigen, same category-rate slice.
+	eig, cats, gen = p.Eigen, p.CatRates, p.Generation()
+	p.Rates[2] = 2.5
+	if err := p.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Eigen == eig || p.Eigen.Vals == eig.Vals {
+		t.Error("rate-only change kept the eigensystem")
+	}
+	if &p.CatRates[0] != &cats[0] {
+		t.Error("rate-only change re-derived the Γ category rates")
+	}
+	if p.Generation() == gen {
+		t.Error("rate-only change kept the generation")
+	}
+
+	// No change: nothing moves, through Rebuild and through DecodeShared.
+	eig, cats, gen = p.Eigen, p.CatRates, p.Generation()
+	if err := p.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DecodeShared(p.EncodeShared()); err != nil {
+		t.Fatal(err)
+	}
+	if p.Eigen != eig || &p.CatRates[0] != &cats[0] || p.Generation() != gen {
+		t.Error("no-op Rebuild/DecodeShared touched derived state or the generation")
+	}
+
+	// Changed frequencies (what a bootstrap resample brings) re-derive
+	// the eigensystem.
+	p.Freqs = [4]float64{0.1, 0.2, 0.3, 0.4}
+	if err := p.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Eigen == eig || p.Generation() == gen {
+		t.Error("changed frequencies kept the eigensystem")
+	}
+
+	// The incrementally maintained state is what a fresh Params derives
+	// from the same values, bit for bit.
+	fresh, err := NewParams(Gamma, p.Freqs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.DecodeShared(p.EncodeShared()); err != nil {
+		t.Fatal(err)
+	}
+	if *fresh.Eigen != *p.Eigen {
+		t.Error("incremental eigensystem differs from a fresh derivation")
+	}
+	for i := range p.CatRates {
+		if math.Float64bits(fresh.CatRates[i]) != math.Float64bits(p.CatRates[i]) {
+			t.Error("incremental Γ rates differ from a fresh derivation")
+		}
+	}
+
+	// A clone owns its derived state: mutating and rebuilding it leaves
+	// the original alone, and an unchanged clone has nothing to rebuild.
+	c := p.Clone()
+	if c.Eigen == p.Eigen {
+		t.Fatal("clone shares the eigensystem")
+	}
+	ceig, cgen := c.Eigen, c.Generation()
+	if err := c.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Eigen != ceig || c.Generation() != cgen {
+		t.Error("unchanged clone rebuilt")
+	}
+	c.Rates[0] = 3
+	c.Alpha = 2
+	if err := c.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Eigen == ceig || c.Generation() == cgen {
+		t.Error("mutated clone did not rebuild")
+	}
+	if p.Rates[0] == 3 || *p.Eigen == *c.Eigen || p.CatRates[0] == c.CatRates[0] {
+		t.Error("rebuilding the clone changed the original")
+	}
+
+	// A rejected value reports an error and stays pending: the next
+	// Rebuild sees it again instead of trusting stale derived state.
+	p.Alpha = -1
+	if p.Rebuild() == nil || p.Rebuild() == nil {
+		t.Error("invalid α accepted")
+	}
+	p.Alpha = 0.5
+	p.Rates[1] = math.NaN()
+	if p.Rebuild() == nil || p.Rebuild() == nil {
+		t.Error("NaN rate accepted")
+	}
+}

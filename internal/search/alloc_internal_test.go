@@ -145,3 +145,39 @@ func TestGrowSemantics(t *testing.T) {
 		t.Error("grow regrew within capacity by reallocating")
 	}
 }
+
+// TestProbeSharedAllocatesOnlyTheDescriptor pins the model-parameter
+// probe path: pushing the candidate matrix (reused row headers over one
+// flat buffer), saving and restoring the authoritative values, and
+// copying the result out allocate nothing — a probe costs exactly the
+// allocations of the traversal descriptor it builds.
+func TestProbeSharedAllocatesOnlyTheDescriptor(t *testing.T) {
+	s, _ := stubSearcher(t)
+	cols := []int{model.SharedAlpha}
+	xs := make([]float64, s.nPart)
+	for i := range xs {
+		xs[i] = 0.5
+	}
+	var dst []float64
+	probe := func() {
+		if _, err := s.probeShared(cols, xs, &dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // size the scratch
+	build := testing.AllocsPerRun(20, func() { traversal.Build(s.Tree, s.Tree.Tip(0), true) })
+	if got := testing.AllocsPerRun(20, probe); got != build {
+		t.Errorf("probeShared allocates %v per call, traversal.Build alone %v", got, build)
+	}
+	first := &s.sharedRows[0][0]
+	s.pushShared()
+	if &s.sharedRows[0][0] != first || &s.shared[0] != first {
+		t.Error("pushShared replaced the shared-parameter buffer")
+	}
+	// Snapshot callers keep their own copy.
+	snap := s.Snapshot(1)
+	snap.Shared[0][0] = 99
+	if s.shared[0] == 99 {
+		t.Error("Snapshot aliases the searcher's shared matrix")
+	}
+}

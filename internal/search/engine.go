@@ -1,8 +1,8 @@
 // Package search implements the RAxML-style maximum-likelihood tree search
-// — branch-length smoothing with Newton–Raphson, lockstep Brent
-// optimization of per-partition model parameters, PSR per-site rate
-// optimization, and lazy-SPR topology rearrangements — written once
-// against the Engine interface.
+// — branch-length smoothing with Newton–Raphson, lockstep fixed-count
+// golden-section optimization of per-partition model parameters, PSR
+// per-site rate optimization, and lazy-SPR topology rearrangements —
+// written once against the Engine interface.
 //
 // This single-source property is the paper's "exactly the same tree search
 // algorithm" guarantee: the fork-join engine runs this code on the master
@@ -53,7 +53,9 @@ type Engine interface {
 	AllBranchDerivatives(plan *traversal.GradPlan) []float64
 
 	// SetShared applies per-partition shared parameters (α + GTR rates,
-	// model.SharedLen doubles per partition) to all ranks' kernels.
+	// model.SharedLen doubles per partition) to all ranks' kernels. The
+	// engine copies what it needs before returning: the caller reuses
+	// the rows for its next proposal.
 	SetShared(params [][]float64)
 
 	// OptimizeSiteRates runs the PSR per-site-rate pipeline using the

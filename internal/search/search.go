@@ -131,8 +131,15 @@ type Searcher struct {
 	eng  Engine
 	cfg  Config
 
-	nPart          int
-	shared         []*model.Params // authoritative α/GTR per partition
+	nPart int
+	// shared is the authoritative per-partition (α + GTR rates) matrix,
+	// row-major with model.SharedLen doubles per partition; sharedRows are
+	// the row headers into it that SetShared receives. The searcher keeps
+	// only these free parameters: the derived state (eigensystems, Γ
+	// category rates) lives in the engines' kernels, the one place that
+	// reads it.
+	shared         []float64
+	sharedRows     [][]float64
 	lnL            float64
 	perPart        []float64
 	startIteration int
@@ -160,11 +167,20 @@ type Searcher struct {
 	// the cached per-partition vector — is copied into searcher-owned
 	// storage. Keeps the steady-state optimization loops
 	// allocation-free (docs/PERFORMANCE.md; asserted by alloc tests).
-	brTs, brLo, brHi                          []float64
-	brDone                                    []bool
-	optA, optB, optX1, optX2, optBest, optCur []float64
-	probeSaved                                []float64
-	probeF1, probeF2, probeFBest, probeFCur   []float64
+	brTs, brLo, brHi []float64
+	brDone           []bool
+	// Golden-section state of optimizeSharedScalar: bracket ends, the two
+	// interior points, the per-step probe vector and which point each of
+	// its entries is, the closing candidates, and the probed columns.
+	optA, optB, optX1, optX2 []float64
+	optNew, optBest, optCur  []float64
+	optNewIs1                []bool
+	optCols                  []int
+	// probeSaved holds the authoritative matrix while a probe's
+	// candidates occupy it; probeF* are the kept copies of probe results.
+	probeSaved                  []float64
+	probeF1, probeF2, probeFNew []float64
+	probeFBest, probeFCur       []float64
 
 	// Batched-gradient smoother state (smoothSweep): per-(class, branch)
 	// Newton brackets and trial lengths, per-branch change flags, the
@@ -249,23 +265,30 @@ func NewSearcher(eng Engine, d *msa.Dataset, cfg Config) (*Searcher, error) {
 	s := &Searcher{Tree: tr, eng: eng, cfg: cfg, nPart: d.NPartitions()}
 	s.dirty = make([]bool, tr.NInner())
 	s.modelDirty = true // fresh kernels hold no CLVs; first evaluation must be full
-	for pi := 0; pi < s.nPart; pi++ {
-		par, err := model.NewParams(cfg.Het, cfg.Subst.InitialFreqs(d.Parts[pi].Freqs), 0)
-		if err != nil {
-			return nil, err
-		}
-		s.shared = append(s.shared, par)
-	}
 	if cfg.Restore != nil {
 		if len(cfg.Restore.Shared) != s.nPart {
 			return nil, fmt.Errorf("search: checkpoint has %d partitions, dataset %d", len(cfg.Restore.Shared), s.nPart)
 		}
-		for pi, row := range cfg.Restore.Shared {
-			if err := s.shared[pi].DecodeShared(row); err != nil {
+		s.startIteration = cfg.Restore.Iteration
+	}
+	s.shared = make([]float64, 0, s.nPart*model.SharedLen)
+	for pi := 0; pi < s.nPart; pi++ {
+		// A full Params validates the partition's frequencies and any
+		// restored row once; only its free parameters are kept.
+		par, err := model.NewParams(cfg.Het, cfg.Subst.InitialFreqs(d.Parts[pi].Freqs), 0)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.Restore != nil {
+			if err := par.DecodeShared(cfg.Restore.Shared[pi]); err != nil {
 				return nil, fmt.Errorf("search: restore partition %d: %w", pi, err)
 			}
 		}
-		s.startIteration = cfg.Restore.Iteration
+		s.shared = par.AppendShared(s.shared)
+	}
+	s.sharedRows = make([][]float64, s.nPart)
+	for pi := range s.sharedRows {
+		s.sharedRows[pi] = s.shared[pi*model.SharedLen : (pi+1)*model.SharedLen : (pi+1)*model.SharedLen]
 	}
 	return s, nil
 }
@@ -283,20 +306,21 @@ func (s *Searcher) Snapshot(iteration int) *checkpoint.State {
 	}
 }
 
-// sharedMatrix flattens the authoritative parameters for SetShared.
+// sharedMatrix returns a copy of the authoritative parameter matrix for
+// callers that keep it (checkpoints, the final result).
 func (s *Searcher) sharedMatrix() [][]float64 {
 	out := make([][]float64, s.nPart)
-	for i, p := range s.shared {
-		out[i] = p.EncodeShared()
+	for i, row := range s.sharedRows {
+		out[i] = append([]float64(nil), row...)
 	}
 	return out
 }
 
-// pushShared ships the current parameters to the engine. Every push may
-// change quantities all CLVs depend on, so the next full-tree evaluation
-// must rebuild them.
+// pushShared ships the current parameters to the engine, which copies
+// them before returning. Every push may change quantities all CLVs
+// depend on, so the next full-tree evaluation must rebuild them.
 func (s *Searcher) pushShared() {
-	s.eng.SetShared(s.sharedMatrix())
+	s.eng.SetShared(s.sharedRows)
 	s.modelDirty = true
 }
 
@@ -363,7 +387,9 @@ func (s *Searcher) Run() (*Result, error) {
 
 		for r := 0; r < s.cfg.ModelOptRounds; r++ {
 			s.cfg.Telemetry.Inc(telemetry.CounterModelOptRounds, 1)
-			s.optimizeModel()
+			if err := s.optimizeModel(); err != nil {
+				return nil, err
+			}
 		}
 		s.smoothAll(s.cfg.SmoothPasses)
 		cur := s.evaluateFull()
@@ -801,13 +827,12 @@ func (s *Searcher) markGradStale(changed, skip []bool) {
 // proposals: one parallel region evaluates one candidate vector for every
 // partition at once, the design the paper's reference [23] mandates for
 // partitioned parallel efficiency).
-func (s *Searcher) optimizeModel() {
+func (s *Searcher) optimizeModel() error {
 	if s.cfg.Het == model.Gamma {
-		s.optimizeSharedScalar(
-			func(p *model.Params) float64 { return p.Alpha },
-			func(p *model.Params, v float64) { p.Alpha = v },
-			model.MinAlpha, model.MaxAlpha,
-		)
+		s.optCols = append(s.optCols[:0], model.SharedAlpha)
+		if err := s.optimizeSharedScalar(s.optCols, model.MinAlpha, model.MaxAlpha); err != nil {
+			return err
+		}
 	} else {
 		d := traversal.Build(s.Tree, s.Tree.Tip(0), true)
 		scales := s.eng.OptimizeSiteRates(d)
@@ -826,60 +851,87 @@ func (s *Searcher) optimizeModel() {
 	// GTR, a single tied transition group for K80/HKY, none for JC), all
 	// partitions in lockstep.
 	for _, group := range s.cfg.Subst.FreeRateGroups() {
-		g := group
-		s.optimizeSharedScalar(
-			func(p *model.Params) float64 { return p.Rates[g[0]] },
-			func(p *model.Params, v float64) {
-				for _, ri := range g {
-					p.Rates[ri] = v
-				}
-			},
-			model.MinRate, model.MaxRate,
-		)
+		s.optCols = s.optCols[:0]
+		for _, ri := range group {
+			s.optCols = append(s.optCols, model.SharedRates+ri)
+		}
+		if err := s.optimizeSharedScalar(s.optCols, model.MinRate, model.MaxRate); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// optimizeSharedScalar runs a lockstep golden-section/Brent-style search
-// over one scalar parameter of every partition simultaneously. Each probe
-// of the objective costs exactly one full traversal plus one evaluation
-// region returning per-partition likelihoods.
-func (s *Searcher) optimizeSharedScalar(get func(*model.Params) float64, set func(*model.Params, float64), lo, hi float64) {
-	const probes = 12 // golden-section iterations; deterministic count
+// optimizeSharedScalar runs a lockstep golden-section search with a fixed
+// iteration count over one scalar parameter of every partition
+// simultaneously; cols are the columns of the shared matrix the scalar
+// occupies (one, or a tied rate group). Each probe of the objective costs
+// one SetShared, one full traversal and one evaluation region returning
+// per-partition likelihoods.
+//
+// A golden-section step keeps one of its two interior points, and with
+// it that point's value: partition i's slot of Evaluate is a pure
+// function of partition i's parameters and the tree, which is fixed
+// here, so evaluating the kept point again would return the bits already
+// held (docs/DETERMINISM.md §4). Each iteration therefore issues ONE
+// probe, whose vector carries for every partition whichever of its two
+// points is new — 2 + 12 probes for the search, 2 for the closing
+// best-vs-current comparison.
+func (s *Searcher) optimizeSharedScalar(cols []int, lo, hi float64) error {
+	const steps = 12 // golden-section iterations; deterministic count
 	invPhi := (math.Sqrt(5) - 1) / 2
 
 	a := grow(&s.optA, s.nPart)
 	b := grow(&s.optB, s.nPart)
 	x1 := grow(&s.optX1, s.nPart)
 	x2 := grow(&s.optX2, s.nPart)
-	for i, p := range s.shared {
-		cur := get(p)
+	xNew := grow(&s.optNew, s.nPart)
+	newIs1 := growBool(&s.optNewIs1, s.nPart)
+	cur := grow(&s.optCur, s.nPart)
+	for i, row := range s.sharedRows {
+		cur[i] = row[cols[0]]
 		// Local bracket around the current value, clipped to bounds.
-		a[i] = math.Max(lo, cur*0.2)
-		b[i] = math.Min(hi, math.Max(cur*5, cur+1))
+		a[i] = math.Max(lo, cur[i]*0.2)
+		b[i] = math.Min(hi, math.Max(cur[i]*5, cur[i]+1))
 		x1[i] = b[i] - invPhi*(b[i]-a[i])
 		x2[i] = a[i] + invPhi*(b[i]-a[i])
 	}
-	f1 := s.probeShared(set, x1, &s.probeF1)
-	f2 := s.probeShared(set, x2, &s.probeF2)
-	for it := 0; it < probes; it++ {
-		for i := range s.shared {
+	f1, err := s.probeShared(cols, x1, &s.probeF1)
+	if err != nil {
+		return err
+	}
+	f2, err := s.probeShared(cols, x2, &s.probeF2)
+	if err != nil {
+		return err
+	}
+	for it := 0; it < steps; it++ {
+		for i := range x1 {
 			if f1[i] >= f2[i] { // maximize
 				b[i] = x2[i]
-				x2[i] = x1[i]
+				x2[i], f2[i] = x1[i], f1[i]
 				x1[i] = b[i] - invPhi*(b[i]-a[i])
+				xNew[i], newIs1[i] = x1[i], true
 			} else {
 				a[i] = x1[i]
-				x1[i] = x2[i]
+				x1[i], f1[i] = x2[i], f2[i]
 				x2[i] = a[i] + invPhi*(b[i]-a[i])
+				xNew[i], newIs1[i] = x2[i], false
 			}
 		}
-		// Re-probe both points (2 regions per iteration, vectors of p
-		// values each — coordinated across partitions).
-		f1 = s.probeShared(set, x1, &s.probeF1)
-		f2 = s.probeShared(set, x2, &s.probeF2)
+		fNew, err := s.probeShared(cols, xNew, &s.probeFNew)
+		if err != nil {
+			return err
+		}
+		for i, f := range fNew {
+			if newIs1[i] {
+				f1[i] = f
+			} else {
+				f2[i] = f
+			}
+		}
 	}
 	best := grow(&s.optBest, s.nPart)
-	for i := range s.shared {
+	for i := range best {
 		if f1[i] >= f2[i] {
 			best[i] = x1[i]
 		} else {
@@ -888,54 +940,57 @@ func (s *Searcher) optimizeSharedScalar(get func(*model.Params) float64, set fun
 	}
 	// Keep the new value only where it actually improves on the current
 	// one (final verification probe).
-	fBest := s.probeShared(set, best, &s.probeFBest)
-	cur := grow(&s.optCur, s.nPart)
-	for i, p := range s.shared {
-		cur[i] = get(p)
+	fBest, err := s.probeShared(cols, best, &s.probeFBest)
+	if err != nil {
+		return err
 	}
-	fCur := s.probeShared(set, cur, &s.probeFCur)
-	for i, p := range s.shared {
+	fCur, err := s.probeShared(cols, cur, &s.probeFCur)
+	if err != nil {
+		return err
+	}
+	for i, row := range s.sharedRows {
 		if fBest[i] > fCur[i] {
-			set(p, best[i])
-		}
-		if err := p.Rebuild(); err != nil {
-			panic(fmt.Sprintf("search: rebuild params: %v", err))
+			for _, c := range cols {
+				row[c] = best[i]
+			}
 		}
 	}
 	s.pushShared()
 	s.evaluateFull()
+	return nil
 }
 
-// probeShared evaluates the per-partition lnL with candidate values
-// applied to every partition: one SetShared broadcast + one full traversal
-// + one evaluation region. The result is copied into *dst (resized as
-// needed), because the engine's result slice is only valid until its
-// next call and the golden-section loop keeps two probes alive at once.
-func (s *Searcher) probeShared(set func(*model.Params, float64), xs []float64, dst *[]float64) []float64 {
-	saved := s.probeSaved[:0]
-	for _, p := range s.shared {
-		saved = p.AppendShared(saved)
-	}
-	s.probeSaved = saved
-	for i, p := range s.shared {
-		set(p, xs[i])
-		if err := p.Rebuild(); err != nil {
-			panic(fmt.Sprintf("search: rebuild params: %v", err))
+// probeShared evaluates the per-partition lnL with candidate xs[i]
+// written into columns cols of every partition i: one SetShared
+// broadcast + one full traversal + one evaluation region. The
+// authoritative matrix is restored before returning (the engine's
+// kernels are updated again on the next push). The result is copied into
+// *dst (resized as needed), because the engine's result slice is only
+// valid until its next call and the golden-section loop keeps several
+// probes alive at once. A partition whose likelihood comes back NaN — an
+// engine that could not evaluate the candidate — fails the search: NaN
+// compares false against everything, so the bracket update would
+// otherwise walk on silently in an arbitrary direction.
+func (s *Searcher) probeShared(cols []int, xs []float64, dst *[]float64) ([]float64, error) {
+	s.cfg.Telemetry.Inc(telemetry.CounterModelProbes, 1)
+	s.probeSaved = append(s.probeSaved[:0], s.shared...)
+	for i, row := range s.sharedRows {
+		for _, c := range cols {
+			row[c] = xs[i]
 		}
 	}
 	s.pushShared()
 	d := traversal.Build(s.Tree, s.Tree.Tip(0), true)
 	out := s.eng.Evaluate(d)
-	// Restore the authoritative copies (the engine's kernels are updated
-	// again on the next push).
-	for i, p := range s.shared {
-		if err := p.DecodeShared(saved[i*model.SharedLen : (i+1)*model.SharedLen]); err != nil {
-			panic(fmt.Sprintf("search: restore params: %v", err))
-		}
-	}
+	copy(s.shared, s.probeSaved)
 	res := grow(dst, len(out))
 	copy(res, out)
-	return res
+	for i, v := range res {
+		if v != v {
+			return nil, fmt.Errorf("search: partition %d: log likelihood is NaN with shared-parameter columns %v set to %g", i, cols, xs[i])
+		}
+	}
+	return res, nil
 }
 
 // ---------- SPR topology moves ----------

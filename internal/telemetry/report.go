@@ -37,6 +37,13 @@ type RankStats struct {
 	GenericOps   int64 `json:"generic_ops,omitempty"`
 	PCacheHits   int64 `json:"pcache_hits,omitempty"`
 	PCacheMisses int64 `json:"pcache_misses,omitempty"`
+	// TipTipNewviews/PairTableEntries/TipTableEntries describe the
+	// rank's tip lookup-table fills: tip-tip newview calls (one pair
+	// table each under Γ), the code pairs those tables held, and the
+	// codes the tip and prep tables held.
+	TipTipNewviews   int64 `json:"tiptip_newviews,omitempty"`
+	PairTableEntries int64 `json:"pair_table_entries,omitempty"`
+	TipTableEntries  int64 `json:"tip_table_entries,omitempty"`
 	// RepeatColsComputed/RepeatColsSaved are the rank's site-repeat
 	// compression counters: CLV pattern columns computed at
 	// representative sites vs materialized by copy (docs/PERFORMANCE.md).
@@ -123,6 +130,14 @@ type Report struct {
 	// PCacheHitRate is P-matrix cache hits over lookups, summed across
 	// ranks (0 when the cache saw no lookups).
 	PCacheHitRate float64 `json:"pcache_hit_rate"`
+	// PairEntriesPerTipTipNewview is the mean number of code pairs a
+	// tip-tip pair table is filled with (of 256), summed across ranks
+	// (0 when no pair table was built — PSR has none).
+	PairEntriesPerTipTipNewview float64 `json:"pair_entries_per_tiptip_newview"`
+	// ModelProbesPerRound is model-parameter probes (SetShared + full
+	// traversal + evaluation) per model-optimization round, from rank 0
+	// (0 when no round ran).
+	ModelProbesPerRound float64 `json:"model_probes_per_round"`
 	// RepeatShare is the fraction of compressed-Newview CLV columns
 	// materialized by copy rather than computed, summed across ranks
 	// (0 when the compressed path never ran).
@@ -155,7 +170,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	}
 	var sumCompute, sumComm, maxCompute int64
 	var poolRuns, poolBlocks int64
-	var fastOps, genericOps, pcHits, pcMiss int64
+	var fastOps, genericOps, pcHits, pcMiss, tipTips, pairEntries int64
 	var repComputed, repSaved int64
 	var batchDisp, batchKern int64
 	poolThreads := 0
@@ -171,10 +186,14 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			PoolThreads:   r.poolThreads,
 			PoolRuns:      r.poolRuns,
 			PoolBlocks:    r.poolBlocks,
-			FastPathOps:   r.fastOps,
-			GenericOps:    r.genericOps,
-			PCacheHits:    r.pcacheHits,
-			PCacheMisses:  r.pcacheMiss,
+			FastPathOps:   r.perf.FastOps,
+			GenericOps:    r.perf.GenericOps,
+			PCacheHits:    r.perf.PCacheHits,
+			PCacheMisses:  r.perf.PCacheMisses,
+
+			TipTipNewviews:   r.perf.TipTipNewviews,
+			PairTableEntries: r.perf.PairTableEntries,
+			TipTableEntries:  r.perf.TipTableEntries,
 
 			RepeatColsComputed: r.repColsComputed,
 			RepeatColsSaved:    r.repColsSaved,
@@ -193,10 +212,12 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		if r.poolThreads > poolThreads {
 			poolThreads = r.poolThreads
 		}
-		fastOps += r.fastOps
-		genericOps += r.genericOps
-		pcHits += r.pcacheHits
-		pcMiss += r.pcacheMiss
+		fastOps += r.perf.FastOps
+		genericOps += r.perf.GenericOps
+		pcHits += r.perf.PCacheHits
+		pcMiss += r.perf.PCacheMisses
+		tipTips += r.perf.TipTipNewviews
+		pairEntries += r.perf.PairTableEntries
 		repComputed += r.repColsComputed
 		repSaved += r.repColsSaved
 		batchDisp += r.batchDispatches
@@ -207,6 +228,12 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	}
 	if tot := pcHits + pcMiss; tot > 0 {
 		rep.PCacheHitRate = float64(pcHits) / float64(tot)
+	}
+	if pairEntries > 0 {
+		rep.PairEntriesPerTipTipNewview = float64(pairEntries) / float64(tipTips)
+	}
+	if rounds := c.recs[0].counters[CounterModelOptRounds]; rounds > 0 {
+		rep.ModelProbesPerRound = float64(c.recs[0].counters[CounterModelProbes]) / float64(rounds)
 	}
 	if tot := repComputed + repSaved; tot > 0 {
 		rep.RepeatShare = float64(repSaved) / float64(tot)
@@ -327,6 +354,12 @@ func (r *Report) String() string {
 	}
 	if r.PCacheHitRate > 0 {
 		fmt.Fprintf(&b, "  P-matrix cache hit rate                %8.3f\n", r.PCacheHitRate)
+	}
+	if r.PairEntriesPerTipTipNewview > 0 {
+		fmt.Fprintf(&b, "  pair-table entries / tip-tip newview   %8.1f\n", r.PairEntriesPerTipTipNewview)
+	}
+	if r.ModelProbesPerRound > 0 {
+		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)
 	}
 	if r.RepeatShare > 0 {
 		fmt.Fprintf(&b, "  site-repeat CLV columns saved          %8.3f\n", r.RepeatShare)

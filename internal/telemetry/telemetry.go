@@ -82,6 +82,9 @@ const (
 	CounterIterations Counter = iota
 	// CounterModelOptRounds is model-parameter optimization rounds.
 	CounterModelOptRounds
+	// CounterModelProbes is model-parameter probes: SetShared + full
+	// traversal + evaluation regions issued by the golden-section loops.
+	CounterModelProbes
 	// CounterNewtonIters is Newton steps over all branch visits.
 	CounterNewtonIters
 	// CounterSPRRounds is completed lazy-SPR sweeps.
@@ -120,6 +123,8 @@ func (c Counter) String() string {
 		return "iterations"
 	case CounterModelOptRounds:
 		return "model-opt-rounds"
+	case CounterModelProbes:
+		return "model-probes"
 	case CounterNewtonIters:
 		return "newton-iterations"
 	case CounterSPRRounds:
@@ -285,10 +290,8 @@ type Recorder struct {
 	poolRuns, poolBlocks int64
 
 	// Kernel fast-path counters (harvested once at engine close, like the
-	// pool counters): specialized vs generic kernel dispatches and
-	// P-matrix cache activity.
-	fastOps, genericOps    int64
-	pcacheHits, pcacheMiss int64
+	// pool counters).
+	perf KernelPerf
 
 	// Site-repeat counters (harvested once at engine close): CLV pattern
 	// columns computed at representative sites vs materialized by copy
@@ -396,20 +399,31 @@ func (r *Recorder) SetPool(threads int, runs, blocks int64) {
 	r.poolBlocks = blocks
 }
 
-// SetKernelPerf records the rank's kernel fast-path and P-matrix cache
-// counters (harvested once, when the rank's engine closes) and emits a
-// "perf" JSONL event carrying them.
-func (r *Recorder) SetKernelPerf(fastOps, genericOps, pcacheHits, pcacheMiss int64) {
+// KernelPerf is one rank's kernel fast-path summary, summed over its
+// kernels: specialized vs generic kernel dispatches, P-matrix cache
+// activity, and how much of the tip lookup tables the fills produced.
+type KernelPerf struct {
+	FastOps, GenericOps      int64
+	PCacheHits, PCacheMisses int64
+	// TipTipNewviews is the number of tip-tip newview calls (each builds
+	// one pair table under Γ); PairTableEntries the code pairs those
+	// tables held; TipTableEntries the ambiguity codes the tip and prep
+	// tables held.
+	TipTipNewviews, PairTableEntries, TipTableEntries int64
+}
+
+// SetKernelPerf records the rank's kernel fast-path counters (harvested
+// once, when the rank's engine closes) and emits a "perf" JSONL event
+// carrying them.
+func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	if r == nil {
 		return
 	}
-	r.fastOps = fastOps
-	r.genericOps = genericOps
-	r.pcacheHits = pcacheHits
-	r.pcacheMiss = pcacheMiss
+	r.perf = p
 	if c := r.col; c != nil {
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d%s}",
-			r.rank, fastOps, genericOps, pcacheHits, pcacheMiss, c.jobFrag)
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"model_probes\":%d%s}",
+			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
+			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, r.counters[CounterModelProbes], c.jobFrag)
 	}
 }
 

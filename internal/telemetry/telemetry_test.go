@@ -23,7 +23,7 @@ func TestNilSafety(t *testing.T) {
 	r.EndCollective(0, ct)
 	r.Inc(CounterIterations, 1)
 	r.SetPool(4, 10, 40)
-	r.SetKernelPerf(1, 2, 3, 4)
+	r.SetKernelPerf(KernelPerf{FastOps: 1, GenericOps: 2, PCacheHits: 3, PCacheMisses: 4})
 	if r.ComputeNS() != 0 || r.CollectiveNS() != 0 {
 		t.Fatalf("nil recorder accumulated time")
 	}
@@ -140,10 +140,12 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, 1, &trace)
-	c.Recorder(0).SetKernelPerf(30, 10, 8, 2)
-	c.Recorder(1).SetKernelPerf(50, 10, 12, 8)
+	c.Recorder(0).SetKernelPerf(KernelPerf{FastOps: 30, GenericOps: 10, PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90})
+	c.Recorder(1).SetKernelPerf(KernelPerf{FastOps: 50, GenericOps: 10, PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30})
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
+	c.Recorder(0).Inc(CounterModelOptRounds, 2)
+	c.Recorder(0).Inc(CounterModelProbes, 192)
 
 	rep := c.Finalize(time.Millisecond, 1, []string{"x"}, []int64{0}, []int64{0})
 	if rep.PerRank[0].FastPathOps != 30 || rep.PerRank[0].PCacheHits != 8 {
@@ -158,12 +160,18 @@ func TestKernelPerfReport(t *testing.T) {
 	if want := 20.0 / 30.0; rep.PCacheHitRate != want {
 		t.Fatalf("P-cache hit rate %v, want %v", rep.PCacheHitRate, want)
 	}
+	if want := 80.0 / 5.0; rep.PairEntriesPerTipTipNewview != want || rep.PerRank[0].TipTableEntries != 90 {
+		t.Fatalf("pair entries per tip-tip newview %v, want %v; rank 0 %+v", rep.PairEntriesPerTipTipNewview, want, rep.PerRank[0])
+	}
+	if rep.ModelProbesPerRound != 96 || rep.Counters["model-probes"] != 192 {
+		t.Fatalf("model probes per round %v, counters %v", rep.ModelProbesPerRound, rep.Counters)
+	}
 	if rep.Counters["traversal-steps"] != 40 || rep.Counters["traversal-steps-skipped"] != 25 {
 		t.Fatalf("traversal counters: %v", rep.Counters)
 	}
 
 	text := rep.String()
-	for _, want := range []string{"fast-path share", "cache hit rate", "traversal-steps-skipped"} {
+	for _, want := range []string{"fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "traversal-steps-skipped"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
