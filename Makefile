@@ -29,7 +29,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke fuzz-smoke smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -73,18 +73,31 @@ bench-json:
 # bench-e2e-smoke is one traced end-to-end benchmark run
 # (benchmark/README.md) of the partition-rich loopback-TCP workload. It
 # fails unless every inference passed its checks and the run issued at
-# most 210 model-parameter probes per inference: the count repeats
-# exactly (205 — 2 iterations x 6 scalars x 17 SetShared->Evaluate pairs
-# + the initial push; 349 before a golden-section step stopped
-# re-probing the point it keeps, docs/PERFORMANCE.md §7), so unlike a
-# time it can gate.
+# most 198 model-parameter probes and at most SMOKE_MAX_COLLECTIVES
+# collectives per inference. Both counts repeat exactly, so unlike a
+# time they can gate: 193 probes (2 iterations x 6 scalars x 16
+# SetShared->Evaluate pairs + the initial push; 205 before the closing
+# best probe went, 349 before a golden-section step stopped re-probing
+# the point it keeps, docs/PERFORMANCE.md §7) and 331.5
+# collectives (1098 before an SPR prune point scored all its candidates
+# through one, docs/PERFORMANCE.md §8; the gate is that count + 10 %).
+SMOKE_MAX_COLLECTIVES = 364
 bench-e2e-smoke:
 	@out=$$(bash benchmark/run.sh --workload parts-gamma-tcp --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
 	case "$$out" in *'"correct":true'*) ;; *) echo "bench-e2e-smoke: run not correct: $$out"; exit 1;; esac && \
 	probes=$$(printf '%s' "$$out" | sed -n 's/.*"engine\.evaluate_probe\.calls":{"value":\([0-9]*\).*/\1/p') && \
-	{ test -n "$$probes" && test "$$probes" -le 210 || \
-		{ echo "bench-e2e-smoke: engine.evaluate_probe.calls = '$$probes' per inference, want <= 210"; exit 1; }; } && \
-	echo "bench-e2e-smoke: correct, $$probes model-parameter probes per inference OK"
+	{ test -n "$$probes" && test "$$probes" -le 198 || \
+		{ echo "bench-e2e-smoke: engine.evaluate_probe.calls = '$$probes' per inference, want <= 198"; exit 1; }; } && \
+	colls=$$(printf '%s' "$$out" | sed -n 's/.*"mpi\.collectives":{"value":\([0-9]*\).*/\1/p') && \
+	{ test -n "$$colls" && test "$$colls" -le $(SMOKE_MAX_COLLECTIVES) || \
+		{ echo "bench-e2e-smoke: mpi.collectives = '$$colls' per inference, want <= $(SMOKE_MAX_COLLECTIVES)"; exit 1; }; } && \
+	echo "bench-e2e-smoke: correct, $$probes model-parameter probes and $$colls collectives per inference OK"
+
+# fuzz-smoke gives every native fuzz target a short pass over its seed
+# corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
+# sent must fail with an error, never a panic.
+fuzz-smoke:
+	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeInsertPlan$$' -fuzztime 10s
 
 # smoke-net runs a real multi-process decentralized inference over
 # loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then
@@ -190,7 +203,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke fuzz-smoke race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

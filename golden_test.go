@@ -36,6 +36,12 @@ type goldenCase struct {
 	name string
 	cfg  Config
 	tcp  bool
+	// taxa selects the dataset (goldenDataset): 9 for the matrix.
+	taxa int
+	// group names the cases that must agree with each other bit for bit:
+	// one model and linkage setting across schemes, thread counts and
+	// transports (docs/DETERMINISM.md).
+	group string
 }
 
 func goldenCases() []goldenCase {
@@ -49,7 +55,9 @@ func goldenCases() []goldenCase {
 						bl = "M"
 					}
 					cases = append(cases, goldenCase{
-						name: fmt.Sprintf("%v/%v/%s/T%d", scheme, rm, bl, threads),
+						name:  fmt.Sprintf("%v/%v/%s/T%d", scheme, rm, bl, threads),
+						group: fmt.Sprintf("%v/%s", rm, bl),
+						taxa:  9,
 						cfg: Config{
 							Scheme: scheme, RateModel: rm, PerPartitionBranchLengths: perPart,
 							Threads: threads, Ranks: 2, Seed: 11, MaxIterations: 2,
@@ -60,21 +68,32 @@ func goldenCases() []goldenCase {
 		}
 	}
 	cases = append(cases, goldenCase{
-		name: "decentralized/GAMMA/joint/T1/tcp",
-		cfg:  Config{Seed: 11, MaxIterations: 2},
-		tcp:  true,
+		name:  "decentralized/GAMMA/joint/T1/tcp",
+		group: "GAMMA/joint",
+		cfg:   Config{Seed: 11, MaxIterations: 2},
+		tcp:   true,
+		taxa:  9,
+	})
+	// On 9 taxa no SPR candidate lies deeper than 3 edges from a prune
+	// point. 24 taxa put radius-5 candidates on both sides of a merged
+	// edge.
+	cases = append(cases, goldenCase{
+		name:  "decentralized/GAMMA/joint/T1/24taxa",
+		group: "24taxa",
+		cfg:   Config{Ranks: 2, Seed: 11, MaxIterations: 2},
+		taxa:  24,
 	})
 	return cases
 }
 
-// goldenDataset is 9 taxa × {700, 60, 60} bp: one partition large enough
+// goldenDataset is nTaxa × {700, 60, 60} bp: one partition large enough
 // to split into several thread blocks and to stay out of the fused
 // small-partition batch, two that are batched. Every fifth character of
 // the simulated alignment is overwritten with a cycling IUPAC code so
 // all 15 tip states reach the kernels' tip tables.
-func goldenDataset() (*Dataset, error) {
+func goldenDataset(nTaxa int) (*Dataset, error) {
 	res, err := seqgen.Generate(seqgen.Config{
-		NTaxa: 9,
+		NTaxa: nTaxa,
 		Specs: []seqgen.Spec{
 			{Name: "big", NSites: 700, Alpha: 0.6, GapProb: 0.02},
 			{Name: "small0", NSites: 60, Alpha: 1.2, GapProb: 0.01},
@@ -165,17 +184,23 @@ func goldenRun(t *testing.T, d *Dataset, c goldenCase) goldenRecord {
 
 // TestGoldenTrajectories asserts every case of the matrix — both
 // engines × Γ/PSR × joint/-M branch lengths × T∈{1,2}, plus one 2-rank
-// loopback-TCP run — reproduces its checked-in trajectory bit for bit.
+// loopback-TCP run and one 24-taxon run — reproduces its checked-in
+// trajectory bit for bit, and that the checked-in trajectories of one
+// group are the same trajectory.
 func TestGoldenTrajectories(t *testing.T) {
-	d, err := goldenDataset()
-	if err != nil {
-		t.Fatal(err)
+	datasets := map[int]*Dataset{}
+	for _, n := range []int{9, 24} {
+		d, err := goldenDataset(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasets[n] = d
 	}
 	cases := goldenCases()
 	if os.Getenv("EXAML_UPDATE_GOLDEN") != "" {
 		recs := make([]goldenRecord, len(cases))
 		for i, c := range cases {
-			recs[i] = goldenRun(t, d, c)
+			recs[i] = goldenRun(t, datasets[c.taxa], c)
 		}
 		out, err := json.MarshalIndent(recs, "", "  ")
 		if err != nil {
@@ -198,13 +223,23 @@ func TestGoldenTrajectories(t *testing.T) {
 	if len(want) != len(cases) {
 		t.Fatalf("%s holds %d cases, the matrix has %d", goldenPath, len(want), len(cases))
 	}
+	first := map[string]goldenRecord{}
+	for i, c := range cases {
+		w := want[i]
+		w.Name = ""
+		if f, ok := first[c.group]; !ok {
+			first[c.group] = w
+		} else if fmt.Sprint(f) != fmt.Sprint(w) {
+			t.Errorf("%s: golden record differs from the first of group %s", c.name, c.group)
+		}
+	}
 	for i, c := range cases {
 		c, w := c, want[i]
 		t.Run(c.name, func(t *testing.T) {
 			if testing.Short() && c.tcp {
 				t.Skip("loopback network case")
 			}
-			got := goldenRun(t, d, c)
+			got := goldenRun(t, datasets[c.taxa], c)
 			if got.Name != w.Name {
 				t.Fatalf("case order changed: file has %q here", w.Name)
 			}

@@ -65,6 +65,15 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg Engine
 	desc := traversal.Build(tr, edge, true)
 	ts := []float64{0.1}
 	plan, _ := traversal.BuildGradient(tr, nil)
+	// One SPR prune point's insertion plan, built on a clone so the
+	// descriptors above keep describing tr.
+	pruned := tr.Clone()
+	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins traversal.InsertPlan
+	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
 
 	// Warm-up: populate the P-matrix cache at the exact branch
 	// lengths the measured loop uses, grow every scratch arena, and
@@ -74,6 +83,7 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg Engine
 		eng.PrepareBranch(desc)
 		eng.BranchDerivatives(ts)
 		eng.AllBranchDerivatives(plan)
+		eng.ScoreInsertions(&ins)
 	}
 
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -81,6 +91,7 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg Engine
 		eng.PrepareBranch(desc)
 		eng.BranchDerivatives(ts)
 		eng.AllBranchDerivatives(plan)
+		eng.ScoreInsertions(&ins)
 	}); allocs != 0 {
 		t.Errorf("%v: steady-state engine cycle allocates %.1f times per run", het, allocs)
 	}

@@ -161,6 +161,20 @@ func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	return e.allreduce(vec, mpi.ClassBranchLength)
 }
 
+// ScoreInsertions implements search.Engine: the plan's traversals and
+// one insertion + evaluation per candidate locally, then ONE wide
+// Allreduce of candidates·partitions log likelihoods — a whole SPR prune
+// point in a single collective where per-candidate scoring paid one
+// Allreduce per regraft (docs/PERFORMANCE.md §8). The returned slice is
+// reused by the next call.
+func (e *Engine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
+	vec := e.local.ScoreInsertionsLocal(plan)
+	if e.comm.Rank() == 0 {
+		e.comm.Meter().AddRegion(mpi.ClassLikelihoodEval)
+	}
+	return e.allreduce(vec, mpi.ClassLikelihoodEval)
+}
+
 // SetShared implements search.Engine: every rank computed the identical
 // parameter trajectory, so this is a purely local apply — the fork-join
 // broadcast the de-centralized scheme eliminates.

@@ -35,10 +35,20 @@ import (
 const DefaultBatchSites = 256
 
 // batchOp selects the per-kernel operation a batched dispatch runs.
-// The dispatch arguments are staged in Local fields (bDesc, bPlan,
-// bTs, …) so the pool closure can be built once and reused — keeping
-// the steady-state optimization loops allocation-free.
+// The dispatch arguments are staged in Local.bArgs so the pool closure
+// can be built once and reused — keeping the steady-state optimization
+// loops allocation-free.
 type batchOp int
+
+// batchArgs are the operands of one batched dispatch; each batchOp reads
+// the ones it needs.
+type batchArgs struct {
+	desc   *traversal.Descriptor
+	grad   *traversal.GradPlan
+	ins    *traversal.InsertPlan
+	ts     []float64
+	byPart bool // ts is indexed by partition, not linkage class
+}
 
 const (
 	batchTraverse batchOp = iota
@@ -47,6 +57,7 @@ const (
 	batchDeriv
 	batchGradient
 	batchSiteRates
+	batchInsertions
 )
 
 // SetLayout switches every local kernel between the SoA (default) and
@@ -120,11 +131,11 @@ func (l *Local) isBatched(i int) bool {
 // The caller folds the slots of batched kernels in kernel-index order,
 // interleaved with the serially computed large kernels — reproducing
 // the unbatched accumulation order exactly.
-func (l *Local) dispatchBatch(op batchOp, d *traversal.Descriptor, plan *traversal.GradPlan, ts []float64, byPart bool, stride int, class telemetry.KernelClass) []float64 {
+func (l *Local) dispatchBatch(op batchOp, args batchArgs, stride int, class telemetry.KernelClass) []float64 {
 	if len(l.batched) == 0 {
 		return nil
 	}
-	l.bOp, l.bDesc, l.bPlan, l.bTs, l.bByPart = op, d, plan, ts, byPart
+	l.bOp, l.bArgs = op, args
 	var out []float64
 	if stride > 0 {
 		out = scratchVec(&l.batchScr, stride*len(l.Kernels))
@@ -149,25 +160,25 @@ func (l *Local) runBatchItem(j int) {
 	cls := l.ClassOf(p)
 	switch l.bOp {
 	case batchTraverse:
-		k.Traverse(l.bDesc.Steps[cls])
+		k.Traverse(l.bArgs.desc.Steps[cls])
 	case batchEvaluate:
-		d := l.bDesc
+		d := l.bArgs.desc
 		k.Traverse(d.Steps[cls])
 		l.bOut[i] = k.Evaluate(d.P, d.Q, d.T[cls])
 	case batchPrepare:
-		d := l.bDesc
+		d := l.bArgs.desc
 		k.Traverse(d.Steps[cls])
 		k.PrepareDerivatives(d.P, d.Q)
 	case batchDeriv:
 		idx := cls
-		if l.bByPart {
+		if l.bArgs.byPart {
 			idx = p
 		}
-		a, b := k.Derivatives(l.bTs[idx])
+		a, b := k.Derivatives(l.bArgs.ts[idx])
 		l.bOut[2*i] = a
 		l.bOut[2*i+1] = b
 	case batchGradient:
-		plan := l.bPlan
+		plan := l.bArgs.grad
 		nB := plan.NBranches()
 		k.TraverseOuter(plan.Pre[cls])
 		base := i * 2 * nB
@@ -184,8 +195,11 @@ func (l *Local) runBatchItem(j int) {
 			l.bOut[base+b] = d1
 			l.bOut[base+nB+b] = d2
 		}
+	case batchInsertions:
+		plan := l.bArgs.ins
+		scoreInsertions(k, plan, cls, l.bOut[i*plan.NCandidates():], 1)
 	case batchSiteRates:
-		d := l.bDesc
+		d := l.bArgs.desc
 		optimizeKernelSiteRates(k, d.Steps[cls], d.P, d.Q, d.T[cls])
 		const cells = model.MaxPSRCategories
 		par := k.Params()

@@ -50,7 +50,7 @@ type Local struct {
 	// steady-state optimization loops allocation-free
 	// (docs/PERFORMANCE.md; asserted by alloc tests in both engines).
 	evalScr, derivScr, perPartScr, srStatsScr []float64
-	gradScr, gradPPScr                        []float64
+	gradScr, gradPPScr, insScr                []float64
 
 	// Fused small-partition batching state (batch.go): the site
 	// threshold, the fused kernel indices (and a per-kernel membership
@@ -61,10 +61,7 @@ type Local struct {
 	batched    []int
 	inBatch    []bool
 	bOp        batchOp
-	bDesc      *traversal.Descriptor
-	bPlan      *traversal.GradPlan
-	bTs        []float64
-	bByPart    bool
+	bArgs      batchArgs
 	bOut       []float64
 	batchScr   []float64
 	batchFn    func(i int)
@@ -198,7 +195,7 @@ func (l *Local) ClassOf(part int) int {
 // fused small partitions in one pool dispatch, the rest serially over
 // the shared pool.
 func (l *Local) Traverse(d *traversal.Descriptor) {
-	l.dispatchBatch(batchTraverse, d, nil, nil, false, 0, telemetry.KernelNewview)
+	l.dispatchBatch(batchTraverse, batchArgs{desc: d}, 0, telemetry.KernelNewview)
 	t := l.rec.Begin()
 	for i, k := range l.Kernels {
 		if l.isBatched(i) {
@@ -213,7 +210,7 @@ func (l *Local) Traverse(d *traversal.Descriptor) {
 // per-partition log-likelihood vector (zeros for unowned partitions).
 // The returned slice is reused by the next EvaluateLocal call.
 func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
-	out := l.dispatchBatch(batchEvaluate, d, nil, nil, false, 1, telemetry.KernelEvaluate)
+	out := l.dispatchBatch(batchEvaluate, batchArgs{desc: d}, 1, telemetry.KernelEvaluate)
 	vec := scratchVec(&l.evalScr, l.NPart)
 	for i, k := range l.Kernels {
 		if l.isBatched(i) {
@@ -233,7 +230,7 @@ func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
 
 // PrepareLocal traverses and builds the derivative sum tables.
 func (l *Local) PrepareLocal(d *traversal.Descriptor) {
-	l.dispatchBatch(batchPrepare, d, nil, nil, false, 0, telemetry.KernelDerivatives)
+	l.dispatchBatch(batchPrepare, batchArgs{desc: d}, 0, telemetry.KernelDerivatives)
 	for i, k := range l.Kernels {
 		if l.isBatched(i) {
 			continue
@@ -252,7 +249,7 @@ func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 // [d1_0..d1_{C-1}, d2_0..d2_{C-1}]. The returned slice is reused by the
 // next DerivativesLocal call.
 func (l *Local) DerivativesLocal(ts []float64) []float64 {
-	out := l.dispatchBatch(batchDeriv, nil, nil, ts, false, 2, telemetry.KernelDerivatives)
+	out := l.dispatchBatch(batchDeriv, batchArgs{ts: ts}, 2, telemetry.KernelDerivatives)
 	t := l.rec.Begin()
 	classes := l.BLClasses()
 	vec := scratchVec(&l.derivScr, 2*classes)
@@ -279,7 +276,7 @@ func (l *Local) DerivativesLocal(ts []float64) []float64 {
 // partition count. The returned slice is reused by the next
 // DerivativesPerPartition call.
 func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
-	out := l.dispatchBatch(batchDeriv, nil, nil, ts, true, 2, telemetry.KernelDerivatives)
+	out := l.dispatchBatch(batchDeriv, batchArgs{ts: ts, byPart: true}, 2, telemetry.KernelDerivatives)
 	t := l.rec.Begin()
 	vec := scratchVec(&l.perPartScr, 2*l.NPart)
 	for i, k := range l.Kernels {
@@ -307,7 +304,7 @@ func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
 func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 	classes := l.BLClasses()
 	nB := plan.NBranches()
-	out := l.dispatchBatch(batchGradient, nil, plan, nil, false, 2*nB, telemetry.KernelDerivatives)
+	out := l.dispatchBatch(batchGradient, batchArgs{grad: plan}, 2*nB, telemetry.KernelDerivatives)
 	vec := scratchVec(&l.gradScr, 2*classes*nB)
 	for i, k := range l.Kernels {
 		cls := l.ClassOf(l.PartIdx[i])
@@ -352,7 +349,7 @@ func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 // call.
 func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []float64 {
 	nB := plan.NBranches()
-	out := l.dispatchBatch(batchGradient, nil, plan, nil, false, 2*nB, telemetry.KernelDerivatives)
+	out := l.dispatchBatch(batchGradient, batchArgs{grad: plan}, 2*nB, telemetry.KernelDerivatives)
 	vec := scratchVec(&l.gradPPScr, 2*l.NPart*nB)
 	for i, k := range l.Kernels {
 		p := l.PartIdx[i]
@@ -390,6 +387,53 @@ func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []flo
 	return vec
 }
 
+// ScoreInsertionsLocal executes the insertion plan on every local kernel
+// and returns the local log likelihood of every candidate insertion per
+// partition, candidate-major: candidate i's partition p is at
+// [i·NPart+p] (zeros for unowned partitions). One call replaces one
+// EvaluateLocal per candidate (docs/PERFORMANCE.md §8). The returned
+// slice is reused by the next call.
+func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
+	nC := plan.NCandidates()
+	out := l.dispatchBatch(batchInsertions, batchArgs{ins: plan}, nC, telemetry.KernelEvaluate)
+	vec := scratchVec(&l.insScr, nC*l.NPart)
+	for i, k := range l.Kernels {
+		p := l.PartIdx[i]
+		if l.isBatched(i) {
+			for c := 0; c < nC; c++ {
+				vec[c*l.NPart+p] += out[i*nC+c]
+			}
+			continue
+		}
+		// One span, one class: the plan's traversals and the per-candidate
+		// insertions interleave too finely to time apart, and the batched
+		// dispatch above cannot split them either.
+		t := l.rec.Begin()
+		scoreInsertions(k, plan, l.ClassOf(p), vec[p:], l.NPart)
+		l.rec.EndKernel(telemetry.KernelEvaluate, t)
+	}
+	return vec
+}
+
+// scoreInsertions executes the plan on one kernel and adds candidate c's
+// log likelihood to out[c·stride].
+func scoreInsertions(k *likelihood.Kernel, plan *traversal.InsertPlan, cls int, out []float64, stride int) {
+	k.Traverse(plan.Post[cls])
+	k.TraverseOuter(plan.Pre[cls])
+	for c := range plan.Far {
+		out[c*stride] += scoreInsertion(k, plan, cls, c)
+	}
+}
+
+// scoreInsertion computes candidate c's inserted vertex into the plan's
+// scratch slot — the Newview a traversal of the regrafted tree ends
+// with — and evaluates across the subtree's branch.
+func scoreInsertion(k *likelihood.Kernel, plan *traversal.InsertPlan, cls, c int) float64 {
+	near, half := likelihood.GradOuter(plan.Pre[cls][c].Dst), plan.Half[cls][c]
+	k.NewviewOuter(likelihood.GradStep{Dst: plan.Scratch, A: near, B: plan.Far[c], TA: half, TB: half})
+	return k.EvaluateGrad(likelihood.GradOuter(plan.Scratch), plan.Sub, plan.SubT[cls])
+}
+
 // SetSharedLocal applies the per-partition (α + GTR) matrix to the local
 // kernels.
 func (l *Local) SetSharedLocal(params [][]float64) error {
@@ -410,7 +454,7 @@ func SiteRateCells(nPart int) int { return 2 * model.MaxPSRCategories * nPart }
 // partition: rate·weight sums then weight sums).
 func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 	const cells = model.MaxPSRCategories
-	out := l.dispatchBatch(batchSiteRates, d, nil, nil, false, 2*cells, telemetry.KernelSiteRates)
+	out := l.dispatchBatch(batchSiteRates, batchArgs{desc: d}, 2*cells, telemetry.KernelSiteRates)
 	t := l.rec.Begin()
 	stats := scratchVec(&l.srStatsScr, SiteRateCells(l.NPart))
 	for i, k := range l.Kernels {

@@ -41,12 +41,22 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 		desc := traversal.Build(tr, edge, true)
 		ts := []float64{0.1}
 		plan, _ := traversal.BuildGradient(tr, nil)
+		// One SPR prune point's insertion plan, built on a clone so the
+		// descriptors above keep describing tr.
+		pruned := tr.Clone()
+		ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ins traversal.InsertPlan
+		ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
 
 		for i := 0; i < 2; i++ {
 			eng.Evaluate(desc)
 			eng.PrepareBranch(desc)
 			eng.BranchDerivatives(ts)
 			eng.AllBranchDerivatives(plan)
+			eng.ScoreInsertions(&ins)
 		}
 
 		if allocs := testing.AllocsPerRun(50, func() {
@@ -54,8 +64,45 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			eng.PrepareBranch(desc)
 			eng.BranchDerivatives(ts)
 			eng.AllBranchDerivatives(plan)
+			eng.ScoreInsertions(&ins)
 		}); allocs != 0 {
 			t.Errorf("%v: steady-state master cycle allocates %.1f times per run", het, allocs)
 		}
+	}
+}
+
+// TestWorkerRefusesInsertionPlanForAnotherTree: a frame that decodes but
+// addresses slots its worker's tree does not have (here: a real plan of
+// a larger tree) ends the worker with an error before any kernel indexes
+// or grows a buffer from it.
+func TestWorkerRefusesInsertionPlanForAnotherTree(t *testing.T) {
+	d := makeDataset(t, 8, 2, 60, 3)
+	counts := make([]int, d.NPartitions())
+	for i, p := range d.Parts {
+		counts[i] = p.NPatterns()
+	}
+	assign, err := distrib.Compute(distrib.Cyclic, counts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := makeDataset(t, 20, 1, 20, 4)
+	tr := tree.NewRandom(big.Names, 1, rand.New(rand.NewSource(5)))
+	ps, err := tr.Prune(tr.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins traversal.InsertPlan
+	ins.Build(tr, ps, ps.CandidateEdges(1, 5), nil)
+
+	world := mpi.NewWorld(2)
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(world.Comm(1), d, assign, EngineConfig{Het: model.Gamma, Subst: model.GTR})
+	}()
+	master := world.Comm(0)
+	master.BcastBytes(0, []byte{opScoreInsertions}, mpi.ClassControl)
+	master.BcastBytes(0, ins.Encode(), mpi.ClassTraversal)
+	if err := <-done; err == nil {
+		t.Fatal("worker executed an insertion plan built for a 20-taxon tree on 8 taxa")
 	}
 }

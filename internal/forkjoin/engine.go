@@ -41,6 +41,7 @@ const (
 	// opAllBranchDerivs is appended after opShutdown so every pre-existing
 	// opcode keeps its wire byte.
 	opAllBranchDerivs
+	opScoreInsertions
 )
 
 // EngineConfig mirrors decentral.EngineConfig.
@@ -288,6 +289,27 @@ func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	return res
 }
 
+// ScoreInsertions implements search.Engine: one plan broadcast, the
+// plan's traversals and one insertion + evaluation per candidate
+// everywhere, one Reduce of candidates·partitions log likelihoods — a
+// whole SPR prune point in a single fork-join region instead of one
+// descriptor broadcast per regraft. Like the gradient plan this is a
+// new protocol, so the plan is encoded once with no partition-count
+// padding.
+func (e *Engine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
+	e.comm.Meter().AddRegion(mpi.ClassLikelihoodEval)
+	e.command(opScoreInsertions)
+	if e.comm.Size() == 1 {
+		// No worker would receive the frame: meter its size and skip the
+		// encoding, keeping the single-rank hot path allocation-free.
+		e.comm.MeterOp(mpi.ClassTraversal, plan.WireSize())
+	} else {
+		e.comm.BcastBytes(0, plan.Encode(), mpi.ClassTraversal)
+	}
+	vec := e.local.ScoreInsertionsLocal(plan)
+	return e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassLikelihoodEval)
+}
+
 // grow returns (*buf)[:n], reallocating only when capacity is short, and
 // zeroes the returned prefix.
 func grow(buf *[]float64, n int) []float64 {
@@ -369,6 +391,7 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 		buf := comm.BcastBytes(0, nil, mpi.ClassTraversal)
 		return traversal.Decode(buf)
 	}
+	var insPlan traversal.InsertPlan // decoded into, slices reused
 	for {
 		op := comm.BcastBytes(0, nil, mpi.ClassControl)
 		if len(op) != 1 {
@@ -429,6 +452,15 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 				return err
 			}
 			comm.Reduce(0, local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)
+
+		case opScoreInsertions:
+			if err := insPlan.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal)); err != nil {
+				return err
+			}
+			if err := insPlan.Validate(local.NInner + 2); err != nil {
+				return err
+			}
+			comm.Reduce(0, local.ScoreInsertionsLocal(&insPlan), mpi.OpSum, mpi.ClassLikelihoodEval)
 
 		case opShutdown:
 			return nil

@@ -237,13 +237,8 @@ func (k *Kernel) newviewGammaTipInnerBlock(dclv []float64, dscale []int32, oa, o
 // Only the far operand q needs the P product, so the fast path dispatches
 // on q being a tip.
 func (k *Kernel) evaluateGamma(p, q NodeRef, t float64) float64 {
-	pm := k.probMatricesFor(t, 0)
-	catW := k.par.CatWeight()
-
 	op, oq := k.operand(p), k.operand(q)
-	ra := &k.ra
-	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, pm, catW
-	ra.parts = k.blocks()
+	k.stageEvaluateGamma(op, oq, t)
 	if cls, reps, n, ok := k.evalClasses(p, q, op, oq); ok {
 		// Compressed path: one site-lnl per repeat class at the class's
 		// representative site, then a per-site weighted sum (repeats.go).
@@ -251,10 +246,25 @@ func (k *Kernel) evaluateGamma(p, q NodeRef, t float64) float64 {
 		k.flops.Evaluate += int64(n) * gammaCats
 		return total
 	}
-	if k.fastOn && oq.tips != nil {
+	return k.runEvaluateGamma()
+}
+
+// stageEvaluateGamma stages the operands of an evaluation across a
+// branch of length t.
+func (k *Kernel) stageEvaluateGamma(op, oq operand, t float64) {
+	ra := &k.ra
+	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, k.probMatricesFor(t, 0), k.par.CatWeight()
+	ra.parts = k.blocks()
+}
+
+// runEvaluateGamma runs the plain (uncompressed) evaluation staged by
+// stageEvaluateGamma.
+func (k *Kernel) runEvaluateGamma() float64 {
+	ra := &k.ra
+	if k.fastOn && ra.ob.tips != nil {
 		k.fp.EvaluateTip++
 		ra.tabB = k.tipTabScratch(1, gammaCats)
-		k.fillTipTable(ra.tabB, pm, oq.mask)
+		k.fillTipTable(ra.tabB, ra.pa, ra.ob.mask)
 		ra.op, ra.overReps = opEvalGammaTip, false
 	} else {
 		k.fp.EvaluateGeneric++

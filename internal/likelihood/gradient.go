@@ -125,6 +125,23 @@ func (k *Kernel) TraverseOuter(steps []GradStep) {
 	}
 }
 
+// EvaluateGrad is Evaluate over GradRef operands: the weighted log
+// likelihood for a virtual root on a branch of length t between p (the
+// near vector) and q (the far one, which takes the P product), either
+// of which may be a tip, a post-order CLV or an outer vector. It runs
+// Evaluate's plain block workers, so on operands holding the same bytes
+// it returns Evaluate's bits; like NewviewOuter it never takes the
+// repeats overlay, which is bit-invisible (docs/DETERMINISM.md §5).
+func (k *Kernel) EvaluateGrad(p, q GradRef, t float64) float64 {
+	op, oq := k.gradOperand(p), k.gradOperand(q)
+	if k.par.Het == model.Gamma {
+		k.stageEvaluateGamma(op, oq, t)
+		return k.runEvaluateGamma()
+	}
+	k.stageEvaluatePSR(op, oq, t)
+	return k.runEvaluatePSR()
+}
+
 // newviewOuterGamma mirrors newviewGamma's plain (non-repeats) staging.
 func (k *Kernel) newviewOuterGamma(dst int32, a, b GradRef, ta, tb float64) {
 	pa := k.probMatricesFor(ta, 0)

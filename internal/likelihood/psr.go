@@ -167,21 +167,32 @@ func (k *Kernel) newviewPSRFastBlock(dclv []float64, dscale []int32, oa, ob oper
 // evaluatePSR returns the weighted log likelihood for a virtual root on
 // (p, q) with branch length t.
 func (k *Kernel) evaluatePSR(p, q NodeRef, t float64) float64 {
-	pm := k.probMatricesFor(t, 0)
-
 	op, oq := k.operand(p), k.operand(q)
-	ra := &k.ra
-	ra.oa, ra.ob, ra.pa = op, oq, pm
-	ra.parts = k.blocks()
+	k.stageEvaluatePSR(op, oq, t)
 	if cls, reps, n, ok := k.evalClasses(p, q, op, oq); ok {
 		total := k.evaluateRepeats(opEvalPSRLnlReps, cls, reps, n)
 		k.flops.Evaluate += int64(n)
 		return total
 	}
-	if k.fastOn && oq.tips != nil {
+	return k.runEvaluatePSR()
+}
+
+// stageEvaluatePSR stages the operands of an evaluation across a branch
+// of length t.
+func (k *Kernel) stageEvaluatePSR(op, oq operand, t float64) {
+	ra := &k.ra
+	ra.oa, ra.ob, ra.pa = op, oq, k.probMatricesFor(t, 0)
+	ra.parts = k.blocks()
+}
+
+// runEvaluatePSR runs the plain (uncompressed) evaluation staged by
+// stageEvaluatePSR.
+func (k *Kernel) runEvaluatePSR() float64 {
+	ra := &k.ra
+	if k.fastOn && ra.ob.tips != nil {
 		k.fp.EvaluateTip++
 		ra.tabB = k.tipTabScratch(1, len(k.par.CatRates))
-		k.fillTipTable(ra.tabB, pm, oq.mask)
+		k.fillTipTable(ra.tabB, ra.pa, ra.ob.mask)
 		ra.op, ra.overReps = opEvalPSRTip, false
 	} else {
 		k.fp.EvaluateGeneric++

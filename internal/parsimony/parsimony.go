@@ -92,11 +92,28 @@ func Score(t *tree.Tree, d *Data) int64 {
 }
 
 // Builder incrementally constructs and refines trees by parsimony.
+//
+// Candidate insertions are scored from directional Fitch sets. For a
+// half-node h, set(h) is the first-pass Fitch set of the part of the
+// tree on h's side of its edge: a tip's states, or for an inner vertex
+// the combination of the two sets that look at it from its other two
+// edges. The Fitch length does not depend on where the tree is rooted,
+// so rooting the tree with subtree set S inserted into edge e at the
+// new vertex gives
+//
+//	L = L(tree without S) + L(S) + Σ w·[fitch(set(e), set(e.Back)) ∩ S = ∅]
+//
+// and only the last term depends on e: O(patterns) per candidate once
+// the sets are in place, where a Fitch pass over the regrafted tree is
+// O(taxa × patterns).
 type Builder struct {
 	data *Data
 	rng  *rand.Rand
 	// blClasses configures the branch-length classes of produced trees.
 	blClasses int
+	// sets[h.ID] backs set(h) for inner half-nodes, allocated on first
+	// use and overwritten by every pass.
+	sets [][]msa.State
 }
 
 // NewBuilder prepares a builder over the dataset.
@@ -110,6 +127,70 @@ func NewBuilder(d *msa.Dataset, blClasses int, seed int64) (*Builder, error) {
 	return &Builder{data: NewData(d), rng: rand.New(rand.NewSource(seed)), blClasses: blClasses}, nil
 }
 
+// set returns the directional Fitch set stored for h.
+func (b *Builder) set(h *tree.Node) []msa.State {
+	if h.IsTip() {
+		return b.data.Tips[h.TaxonID]
+	}
+	return b.sets[h.ID]
+}
+
+// combine computes set(h) for an inner half-node from the sets looking
+// at h's vertex across its other two edges, which must be in place.
+func (b *Builder) combine(h *tree.Node) {
+	if b.sets[h.ID] == nil {
+		b.sets[h.ID] = make([]msa.State, b.data.NPatterns())
+	}
+	out, x, y := b.sets[h.ID], b.set(h.Next.Back), b.set(h.Next.Next.Back)
+	for i := range out {
+		if inter := x[i] & y[i]; inter != 0 {
+			out[i] = inter
+		} else {
+			out[i] = x[i] | y[i]
+		}
+	}
+}
+
+// down computes set(h) bottom-up over the whole part of the tree on h's
+// side of its edge.
+func (b *Builder) down(h *tree.Node) {
+	if h.IsTip() {
+		return
+	}
+	b.down(h.Next.Back)
+	b.down(h.Next.Next.Back)
+	b.combine(h)
+}
+
+// up computes the sets that look back toward m.Back's parent: m's own
+// and those of every edge beyond it. set(m.Back) and everything below
+// it come from a down pass, set of m's rootward neighbor from the
+// caller.
+func (b *Builder) up(m *tree.Node) {
+	b.combine(m)
+	if c := m.Back; !c.IsTip() {
+		b.up(c.Next)
+		b.up(c.Next.Next)
+	}
+}
+
+// insertionCost returns the e-dependent term of the length of the tree
+// with subtree set s inserted into the edge at e.
+func (b *Builder) insertionCost(e *tree.Node, s []msa.State) int64 {
+	x, y := b.set(e), b.set(e.Back)
+	var cost int64
+	for i, w := range b.data.Weights {
+		root := x[i] & y[i]
+		if root == 0 {
+			root = x[i] | y[i]
+		}
+		if root&s[i] == 0 {
+			cost += int64(w)
+		}
+	}
+	return cost
+}
+
 // Stepwise builds a tree by randomized stepwise addition: taxa are added
 // in random order, each at the edge that minimizes the Fitch score.
 // Deterministic given the builder's seed.
@@ -118,6 +199,7 @@ func (b *Builder) Stepwise() *tree.Tree {
 	order := b.rng.Perm(n)
 
 	t := tree.New(b.data.Names, b.blClasses)
+	b.sets = make([][]msa.State, len(t.HalfNodes))
 	ring := t.InnerRing(0)
 	t.Connect(ring, t.Tip(order[0]), tree.DefaultBranchLength)
 	t.Connect(ring.Next, t.Tip(order[1]), tree.DefaultBranchLength)
@@ -129,32 +211,25 @@ func (b *Builder) Stepwise() *tree.Tree {
 
 	for k := 3; k < n; k++ {
 		taxon := order[k]
-		v := t.InnerRing(k - 2)
-		bestScore := int64(-1)
+		// Both directional sets of every live edge, rooted next to the
+		// first taxon: one pass down to it, one back up from it.
+		root := t.Tip(order[0]).Back
+		b.down(root)
+		b.up(root.Next)
+		b.up(root.Next.Next)
+		tips := b.data.Tips[taxon]
+		bestCost := int64(-1)
 		bestEdge := -1
 		for ei, e := range live {
-			// Try inserting at edge e.
-			a, bb := e, e.Back
-			br := tree.Disconnect(a)
-			t.ConnectBranch(a, v.Next, br)
-			t.Connect(v.Next.Next, bb, tree.DefaultBranchLength)
-			t.Connect(v, t.Tip(taxon), tree.DefaultBranchLength)
-
-			s := b.scorePartial(t, taxon)
-			if bestScore < 0 || s < bestScore {
-				bestScore = s
+			if c := b.insertionCost(e, tips); bestCost < 0 || c < bestCost {
+				bestCost = c
 				bestEdge = ei
 			}
-
-			// Undo.
-			tree.Disconnect(v)
-			tree.Disconnect(v.Next.Next)
-			br2 := tree.Disconnect(v.Next)
-			t.ConnectBranch(a, bb, br2)
 		}
-		// Apply the best insertion permanently.
-		e := live[bestEdge]
-		a, bb := e, e.Back
+		// Insert at the first edge of minimal score.
+		v := t.InnerRing(k - 2)
+		a := live[bestEdge]
+		bb := a.Back
 		br := tree.Disconnect(a)
 		t.ConnectBranch(a, v.Next, br)
 		t.Connect(v.Next.Next, bb, tree.DefaultBranchLength)
@@ -164,79 +239,53 @@ func (b *Builder) Stepwise() *tree.Tree {
 	return t
 }
 
-// scorePartial scores the partially built tree (taxa not yet attached are
-// simply absent from it): a full Fitch pass rooted next to the just-added
-// taxon.
-func (b *Builder) scorePartial(t *tree.Tree, rootTaxon int) int64 {
-	np := b.data.NPatterns()
-	var mutations int64
-	var down func(n *tree.Node) []msa.State
-	down = func(n *tree.Node) []msa.State {
-		if n.IsTip() {
-			return b.data.Tips[n.TaxonID]
-		}
-		a := down(n.Next.Back)
-		bb := down(n.Next.Next.Back)
-		out := make([]msa.State, np)
-		for i := 0; i < np; i++ {
-			inter := a[i] & bb[i]
-			if inter == 0 {
-				out[i] = a[i] | bb[i]
-				mutations += int64(b.data.Weights[i])
-			} else {
-				out[i] = inter
-			}
-		}
-		return out
-	}
-	root := t.Tip(rootTaxon)
-	up := down(root.Back)
-	tips := b.data.Tips[rootTaxon]
-	for i := 0; i < np; i++ {
-		if up[i]&tips[i] == 0 {
-			mutations += int64(b.data.Weights[i])
-		}
-	}
-	return mutations
-}
-
 // SPRRounds hill-climbs the tree with parsimony-scored SPR moves until no
 // move within the radius improves the score or maxRounds is exhausted.
 // Returns the final score.
-func (b *Builder) SPRRounds(t *tree.Tree, radius, maxRounds int) int64 {
+func (b *Builder) SPRRounds(t *tree.Tree, radius, maxRounds int) (int64, error) {
+	if len(b.sets) != len(t.HalfNodes) {
+		b.sets = make([][]msa.State, len(t.HalfNodes))
+	}
 	cur := Score(t, b.data)
+	ps := new(tree.PrunedSubtree)
+	var candidates []*tree.Node
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for v := 0; v < t.NInner(); v++ {
 			for _, p := range t.InnerRing(v).Ring() {
-				ps, err := t.Prune(p)
-				if err != nil {
+				if err := t.PruneInto(ps, p); err != nil {
 					continue
 				}
-				candidates := ps.CandidateEdges(1, radius)
+				// One pass down to the merged edge from either side and
+				// into the subtree. Putting the subtree back where it was
+				// costs what the merged edge costs, which gives the
+				// candidate-independent part of every score.
+				q, r := ps.MergedEdge()
+				b.down(q)
+				b.down(r)
+				b.down(p.Back)
+				sub := b.set(p.Back)
+				base := cur - b.insertionCost(q, sub)
+				candidates = ps.AppendCandidateEdges(candidates[:0], 1, radius)
 				bestScore := cur
 				bestIdx := -1
 				for i, e := range candidates {
-					if err := t.Regraft(ps, e); err != nil {
-						panic(fmt.Sprintf("parsimony: regraft: %v", err))
-					}
-					s := Score(t, b.data)
-					if s < bestScore {
+					// Candidates come parents first, so the set looking
+					// back from e's rootward neighbor is already there.
+					b.combine(e)
+					if s := base + b.insertionCost(e, sub); s < bestScore {
 						bestScore = s
 						bestIdx = i
-					}
-					if err := t.RemoveRegraft(ps); err != nil {
-						panic(fmt.Sprintf("parsimony: remove: %v", err))
 					}
 				}
 				if bestIdx >= 0 {
 					if err := t.Regraft(ps, candidates[bestIdx]); err != nil {
-						panic(fmt.Sprintf("parsimony: apply: %v", err))
+						return 0, fmt.Errorf("parsimony: apply: %w", err)
 					}
 					cur = bestScore
 					improved = true
 				} else if err := t.Restore(ps); err != nil {
-					panic(fmt.Sprintf("parsimony: restore: %v", err))
+					return 0, fmt.Errorf("parsimony: restore: %w", err)
 				}
 			}
 		}
@@ -244,7 +293,7 @@ func (b *Builder) SPRRounds(t *tree.Tree, radius, maxRounds int) int64 {
 			break
 		}
 	}
-	return cur
+	return cur, nil
 }
 
 // Build produces a refined parsimony starting tree: randomized stepwise
@@ -255,7 +304,10 @@ func Build(d *msa.Dataset, blClasses int, seed int64) (*tree.Tree, int64, error)
 		return nil, 0, err
 	}
 	t := b.Stepwise()
-	score := b.SPRRounds(t, 5, 3)
+	score, err := b.SPRRounds(t, 5, 3)
+	if err != nil {
+		return nil, 0, err
+	}
 	if err := t.Check(); err != nil {
 		return nil, 0, fmt.Errorf("parsimony: built tree invalid: %w", err)
 	}

@@ -138,7 +138,10 @@ func TestSPRRoundsImprove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := b.SPRRounds(tr, 6, 5)
+	after, err := b.SPRRounds(tr, 6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}

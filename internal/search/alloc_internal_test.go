@@ -18,6 +18,7 @@ type stubEngine struct {
 	out   []float64
 	der   [2]float64
 	grad  []float64
+	ins   []float64
 }
 
 func (e *stubEngine) NPartitions() int                    { return e.nPart }
@@ -52,6 +53,20 @@ func (e *stubEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	for b := 0; b < nB; b++ {
 		vec[b] = -(plan.T[0][b] - 0.1)
 		vec[nB+b] = -1
+	}
+	return vec
+}
+
+func (e *stubEngine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
+	// Every insertion far below any current score: no prune point
+	// verifies anything. Reused scratch, like the real engines.
+	n := plan.NCandidates() * e.nPart
+	if cap(e.ins) < n {
+		e.ins = make([]float64, n)
+	}
+	vec := e.ins[:n]
+	for i := range vec {
+		vec[i] = -1e6
 	}
 	return vec
 }
@@ -179,5 +194,33 @@ func TestProbeSharedAllocatesOnlyTheDescriptor(t *testing.T) {
 	snap.Shared[0][0] = 99
 	if s.shared[0] == 99 {
 		t.Error("Snapshot aliases the searcher's shared matrix")
+	}
+}
+
+// TestRejectedPrunePointAllocatesNothing pins the SPR path's share of
+// the allocation-free guarantee: pruning, enumerating the candidates,
+// building their insertion plan, reading the scores and restoring the
+// subtree reuse searcher-owned buffers, so a warm prune point that
+// verifies nothing allocates nothing on the search side.
+func TestRejectedPrunePointAllocatesNothing(t *testing.T) {
+	s, _ := stubSearcher(t)
+	cur := s.evaluateFull()
+	sweep := func() {
+		for v := 0; v < s.Tree.NInner(); v++ {
+			p := s.Tree.InnerRing(v)
+			for k := 0; k < 3; k, p = k+1, p.Next {
+				improved, _, err := s.tryPrunePoint(p, 5, cur)
+				if err != nil || improved {
+					t.Fatalf("prune point %d: improved %v, err %v", p.ID, improved, err)
+				}
+			}
+		}
+	}
+	sweep() // size the buffers
+	if got := testing.AllocsPerRun(5, sweep); got != 0 {
+		t.Errorf("a sweep of rejected prune points allocates %v times", got)
+	}
+	if err := s.Tree.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -52,6 +52,18 @@ type Engine interface {
 	// slice is only valid until the engine's next call.
 	AllBranchDerivatives(plan *traversal.GradPlan) []float64
 
+	// ScoreInsertions executes the insertion plan of one SPR prune
+	// point — its post-order and pre-order steps, then per candidate
+	// edge one insertion and one evaluation — and returns the global
+	// per-partition log likelihood of every candidate insertion:
+	// candidate i's partition p is at [i*NPartitions()+p]. The whole
+	// call is one parallel region whatever the candidate count, and
+	// each slot holds the bits Evaluate would return for a forced full
+	// traversal of the tree with the subtree regrafted into candidate i
+	// (docs/DETERMINISM.md §9). Like every engine result, the slice is
+	// only valid until the engine's next call.
+	ScoreInsertions(plan *traversal.InsertPlan) []float64
+
 	// SetShared applies per-partition shared parameters (α + GTR rates,
 	// model.SharedLen doubles per partition) to all ranks' kernels. The
 	// engine copies what it needs before returning: the caller reuses

@@ -1,0 +1,362 @@
+package search_test
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/decentral"
+	"repro/internal/distrib"
+	"repro/internal/enginecore"
+	"repro/internal/forkjoin"
+	"repro/internal/model"
+	"repro/internal/mpi"
+	"repro/internal/msa"
+	"repro/internal/search"
+	"repro/internal/seqgen"
+	"repro/internal/traversal"
+	"repro/internal/tree"
+)
+
+// The insertion-score oracle (ROADMAP 3b): no copy of the per-candidate
+// scoring this PR deleted is kept. Every score the search computes from
+// an edge's two directional vectors is compared, bit for bit, with what
+// a second engine returns for a forced full traversal of a clone of the
+// tree with the subtree actually regrafted there.
+
+// oracleDataset is 12 taxa × {1200, 90} bp: per rank of two, one
+// partition of several thread blocks that stays on the worker pool and
+// one that is fused into the small-partition batch.
+func oracleDataset(t testing.TB) *msa.Dataset {
+	t.Helper()
+	res, err := seqgen.Generate(seqgen.Config{
+		NTaxa: 12,
+		Specs: []seqgen.Spec{
+			{Name: "big", NSites: 1200, Alpha: 0.7, GapProb: 0.02},
+			{Name: "small", NSites: 90, Alpha: 1.1, GapProb: 0.02},
+		},
+		Seed: 41,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := msa.Compress(res.Alignment, res.Partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func cyclicAssignment(t testing.TB, d *msa.Dataset, ranks int) *distrib.Assignment {
+	t.Helper()
+	counts := make([]int, d.NPartitions())
+	for i, p := range d.Parts {
+		counts[i] = p.NPatterns()
+	}
+	assign, err := distrib.Compute(distrib.Cyclic, counts, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return assign
+}
+
+// mirrorEngine forwards every call that changes model state inside the
+// engine to a twin as well, so the twin holds the same parameters (and,
+// under PSR, the same per-site rates) whenever it is asked to evaluate.
+type mirrorEngine struct {
+	search.Engine
+	twin search.Engine
+}
+
+func (m *mirrorEngine) SetShared(params [][]float64) {
+	m.Engine.SetShared(params)
+	m.twin.SetShared(params)
+}
+
+func (m *mirrorEngine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
+	m.twin.OptimizeSiteRates(d)
+	return m.Engine.OptimizeSiteRates(d)
+}
+
+// checkAgainstTwin is the insertion hook: regraft for real, clone, undo,
+// and ask the twin for a forced full evaluation of the clone.
+func checkAgainstTwin(t *testing.T, label string, s *search.Searcher, twin search.Engine, checked *int) func(*tree.PrunedSubtree, []*tree.Node, []float64) {
+	return func(ps *tree.PrunedSubtree, cands []*tree.Node, scores []float64) {
+		nPart := twin.NPartitions()
+		if len(scores) != len(cands)*nPart {
+			t.Errorf("%s: %d scores for %d candidates x %d partitions", label, len(scores), len(cands), nPart)
+			return
+		}
+		for i, e := range cands {
+			if err := s.Tree.Regraft(ps, e); err != nil {
+				t.Error(err)
+				return
+			}
+			clone := s.Tree.Clone()
+			if err := s.Tree.RemoveRegraft(ps); err != nil {
+				t.Error(err)
+				return
+			}
+			want := twin.Evaluate(traversal.Build(clone, clone.Node(ps.Root.ID), true))
+			for p, w := range want {
+				if got := scores[i*nPart+p]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Errorf("%s: candidate %d partition %d: score %.17g, forced evaluation of the regrafted tree %.17g", label, i, p, got, w)
+				}
+			}
+			*checked++
+		}
+	}
+}
+
+func TestInsertionScoresEqualForcedEvaluation(t *testing.T) {
+	d := oracleDataset(t)
+	const ranks = 2
+	assign := cyclicAssignment(t, d, ranks)
+	for _, scheme := range []string{"decentral", "forkjoin"} {
+		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+			for _, perPart := range []bool{false, true} {
+				for _, threads := range []int{1, 2} {
+					for _, aos := range []bool{false, true} {
+						label := fmt.Sprintf("%s/%v/M=%v/T%d/aos=%v", scheme, het, perPart, threads, aos)
+						scfg := search.Config{Het: het, PerPartitionBranches: perPart, Seed: 5, MaxIterations: 1}
+						checked := make([]int, ranks)
+						// run is one rank's searcher over its engine, every
+						// score checked against that rank's twin.
+						run := func(rank int, eng, twin search.Engine) {
+							s, err := search.NewSearcher(&mirrorEngine{Engine: eng, twin: twin}, d, scfg)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							s.SetInsertionHook(checkAgainstTwin(t, label, s, twin, &checked[rank]))
+							if _, err := s.Run(); err != nil {
+								t.Errorf("%s: %v", label, err)
+							}
+						}
+						// The twin always runs the default layout on one
+						// thread: both are bit-invisible, and only the
+						// scheme and the rank count shape a sum.
+						wA, wB := mpi.NewWorld(ranks), mpi.NewWorld(ranks)
+						if scheme == "decentral" {
+							wA.Run(func(c *mpi.Comm) {
+								eng, err := decentral.NewEngine(c, d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos})
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								defer eng.Close()
+								twin, err := decentral.NewEngine(wB.Comm(c.Rank()), d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart})
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								defer twin.Close()
+								run(c.Rank(), eng, twin)
+							})
+						} else {
+							cfgA := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos}
+							cfgB := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart}
+							wA.Run(func(c *mpi.Comm) {
+								if c.Rank() != 0 {
+									var wg sync.WaitGroup
+									wg.Add(1)
+									go func() {
+										defer wg.Done()
+										if err := forkjoin.RunWorker(wB.Comm(c.Rank()), d, assign, cfgB); err != nil {
+											t.Error(err)
+										}
+									}()
+									if err := forkjoin.RunWorker(c, d, assign, cfgA); err != nil {
+										t.Error(err)
+									}
+									wg.Wait()
+									return
+								}
+								eng, err := forkjoin.NewMaster(c, d, assign, cfgA)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								defer eng.Close()
+								twin, err := forkjoin.NewMaster(wB.Comm(0), d, assign, cfgB)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								defer twin.Close()
+								run(0, eng, twin)
+							})
+						}
+						if checked[0] == 0 {
+							t.Errorf("%s: no candidate was checked", label)
+						}
+						if scheme == "decentral" && checked[1] != checked[0] {
+							t.Errorf("%s: rank 1 checked %d candidates, rank 0 %d", label, checked[1], checked[0])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// localEngine is one serial rank without a communicator: the rank-local
+// halves of every operation, with the kernels in reach of the test.
+type localEngine struct {
+	t *testing.T
+	l *enginecore.Local
+	// prepares counts PrepareBranch calls: only an SPR verification
+	// issues them here.
+	prepares int
+	// outerClobbered is set by an insertion plan and cleared by the next
+	// gradient plan that recomputes every outer vector.
+	outerClobbered bool
+}
+
+func newLocalEngine(t *testing.T, d *msa.Dataset) *localEngine {
+	t.Helper()
+	l, err := enginecore.NewLocal(d, cyclicAssignment(t, d, 1), 0, model.Gamma, model.GTR, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &localEngine{t: t, l: l}
+}
+
+func (e *localEngine) NPartitions() int                           { return e.l.NPart }
+func (e *localEngine) BLClasses() int                             { return e.l.BLClasses() }
+func (e *localEngine) Traverse(d *traversal.Descriptor)           { e.l.Traverse(d) }
+func (e *localEngine) Close()                                     { e.l.Close() }
+func (e *localEngine) Evaluate(d *traversal.Descriptor) []float64 { return e.l.EvaluateLocal(d) }
+
+func (e *localEngine) PrepareBranch(d *traversal.Descriptor) {
+	e.prepares++
+	e.l.PrepareLocal(d)
+}
+
+func (e *localEngine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
+	out := e.l.DerivativesLocal(ts)
+	return out[:len(ts)], out[len(ts):]
+}
+
+func (e *localEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
+	if e.outerClobbered && !plan.Reuse {
+		if got, want := len(plan.Pre[0]), plan.NBranches()-1; got != want {
+			e.t.Errorf("first gradient plan after an insertion plan recomputes %d of %d outer vectors", got, want)
+		}
+		e.outerClobbered = false
+	}
+	return e.l.AllBranchDerivativesLocal(plan)
+}
+
+func (e *localEngine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
+	e.outerClobbered = true
+	return e.l.ScoreInsertionsLocal(plan)
+}
+
+func (e *localEngine) SetShared(params [][]float64) {
+	if err := e.l.SetSharedLocal(params); err != nil {
+		e.t.Fatal(err)
+	}
+}
+
+func (e *localEngine) OptimizeSiteRates(*traversal.Descriptor) []float64 {
+	e.t.Fatal("localEngine is Γ only")
+	return nil
+}
+
+// TestRejectedPrunePointLeavesValidCLVs pins what scoring may touch: a
+// prune point that verified nothing wrote only vectors that are valid
+// for the restored tree, so every slot not marked dirty holds the bytes
+// a forced traversal toward its orientation computes.
+func TestRejectedPrunePointLeavesValidCLVs(t *testing.T) {
+	d := makeDataset(t, 14, 2, 150, 8)
+	eng, ref := newLocalEngine(t, d), newLocalEngine(t, d)
+	defer eng.Close()
+	defer ref.Close()
+	s, err := search.NewSearcher(eng, d, search.Config{Het: model.Gamma, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := s.Prepare()
+	n := s.Tree.NTaxa()
+	unverified := 0
+	for v := 0; v < s.Tree.NInner(); v++ {
+		for _, p := range s.Tree.InnerRing(v).Ring() {
+			before := eng.prepares
+			improved, lnl, err := s.TryPrunePoint(p, 5, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if improved {
+				cur = lnl
+			}
+			if eng.prepares != before {
+				continue
+			}
+			unverified++
+			for slot, dirty := range s.Dirty() {
+				if dirty {
+					continue
+				}
+				clone := s.Tree.Clone()
+				x := tree.XNode(clone.Node(n + 3*slot))
+				ref.Traverse(traversal.Build(clone, x, true))
+				for ki, k := range eng.l.Kernels {
+					if got, want := k.CLVDigest(slot), ref.l.Kernels[ki].CLVDigest(slot); got != want {
+						t.Fatalf("prune point %d: clean slot %d kernel %d: digest %x, forced traversal %x", p.ID, slot, ki, got, want)
+					}
+				}
+			}
+		}
+	}
+	if unverified == 0 {
+		t.Fatal("every prune point verified something: nothing was checked")
+	}
+}
+
+// TestSmootherRecomputesOuterVectorsAfterSPR pins why an insertion plan
+// may overwrite the smoother's outer slots: the first sweep after an SPR
+// round never reuses them.
+func TestSmootherRecomputesOuterVectorsAfterSPR(t *testing.T) {
+	d := makeDataset(t, 10, 2, 80, 6)
+	eng := newLocalEngine(t, d)
+	s, err := search.NewSearcher(eng, d, search.Config{Het: model.Gamma, Seed: 9, MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.outerClobbered {
+		t.Error("no gradient plan followed the last insertion plan")
+	}
+}
+
+// TestRunFailsOnBrokenTreeSurgery: a prune point whose tree cannot be put
+// back together fails the run with an error, not the process with a
+// panic. The hook regrafts the subtree behind the search's back, so the
+// restore (or the regraft of the best candidate) that follows must fail.
+func TestRunFailsOnBrokenTreeSurgery(t *testing.T) {
+	d := makeDataset(t, 9, 2, 60, 3)
+	eng := newLocalEngine(t, d)
+	s, err := search.NewSearcher(eng, d, search.Config{Het: model.Gamma, Seed: 4, MaxIterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetInsertionHook(func(ps *tree.PrunedSubtree, cands []*tree.Node, _ []float64) {
+		if err := s.Tree.Regraft(ps, cands[0]); err != nil {
+			t.Error(err)
+		}
+	})
+	res, err := s.Run()
+	if err == nil {
+		t.Fatalf("run succeeded with lnL %v on a tree whose surgery was sabotaged", res.LnL)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "search: restore") && !strings.Contains(msg, "search: regraft best") {
+		t.Errorf("error %q does not name the failed tree operation", msg)
+	}
+}

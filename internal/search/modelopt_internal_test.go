@@ -110,9 +110,10 @@ func goldenSectionReference(f func(float64) float64, cur, lo, hi float64) float6
 }
 
 // TestOptimizeSharedScalarProbeCount pins the cost of optimizing one
-// scalar — 2 + 12 + 2 probes and one closing full evaluation, each a
+// scalar — 2 + 12 + 1 probes and one closing full evaluation, each a
 // SetShared immediately followed by one Evaluate — and that carrying a
-// kept point's value instead of re-probing it lands on exactly the
+// kept point's value instead of re-probing it (the closing best point
+// included) lands on exactly the
 // parameter the evaluate-both-points loop finds, for brackets shrinking
 // either way.
 func TestOptimizeSharedScalarProbeCount(t *testing.T) {
@@ -122,7 +123,7 @@ func TestOptimizeSharedScalarProbeCount(t *testing.T) {
 		if err := s.optimizeSharedScalar(cols, model.MinAlpha, model.MaxAlpha); err != nil {
 			t.Fatal(err)
 		}
-		const pairs = 2 + 12 + 2 + 1
+		const pairs = 2 + 12 + 1 + 1
 		if got, want := string(eng.calls), strings.Repeat("SE", pairs); got != want {
 			t.Errorf("%d partitions: engine saw %q, want %d SetShared→Evaluate pairs", nPart, got, pairs)
 		}

@@ -154,9 +154,10 @@ type Searcher struct {
 	// parameter or site-rate change invalidated every CLV.
 	modelDirty bool
 	// touched records the CLV slots written between beginTouch/endTouch —
-	// the slots an SPR prune point's trials and verification clobbered,
-	// which become dirty when the move is rejected (the restored topology
-	// invalidates them) and before the verification's exact evaluation.
+	// the slots an SPR prune point's verification wrote for the regrafted
+	// tree, which become dirty when the move is rejected (the restored
+	// topology invalidates them) and before the verification's exact
+	// evaluation.
 	touched  []bool
 	touching bool
 
@@ -171,16 +172,16 @@ type Searcher struct {
 	brDone           []bool
 	// Golden-section state of optimizeSharedScalar: bracket ends, the two
 	// interior points, the per-step probe vector and which point each of
-	// its entries is, the closing candidates, and the probed columns.
+	// its entries is, the current values, and the probed columns.
 	optA, optB, optX1, optX2 []float64
-	optNew, optBest, optCur  []float64
+	optNew, optCur           []float64
 	optNewIs1                []bool
 	optCols                  []int
 	// probeSaved holds the authoritative matrix while a probe's
 	// candidates occupy it; probeF* are the kept copies of probe results.
 	probeSaved                  []float64
 	probeF1, probeF2, probeFNew []float64
-	probeFBest, probeFCur       []float64
+	probeFCur                   []float64
 
 	// Batched-gradient smoother state (smoothSweep): per-(class, branch)
 	// Newton brackets and trial lengths, per-branch change flags, the
@@ -193,6 +194,18 @@ type Searcher struct {
 	gradOracleTs           []float64
 	gradEdgeIdx            []int32
 	gradEmptyPre           [][]likelihood.GradStep
+
+	// SPR prune-point state (tryPrunePoint): the prune record, the
+	// candidate edges, their insertion plan, and the attachment-branch
+	// lengths a verification saves — reused, so a prune point that
+	// verifies nothing allocates nothing.
+	pruned      tree.PrunedSubtree
+	sprCands    []*tree.Node
+	insPlan     traversal.InsertPlan
+	savedAttach []float64
+	// insertionHook, when set, sees every prune point's candidates and
+	// their scores while the subtree is still pruned (the oracle tests).
+	insertionHook func(ps *tree.PrunedSubtree, cands []*tree.Node, scores []float64)
 }
 
 // grow returns *buf resized to n, reallocating only on growth. Contents
@@ -395,7 +408,10 @@ func (s *Searcher) Run() (*Result, error) {
 		cur := s.evaluateFull()
 
 		if !s.cfg.SkipTopology {
-			cur = s.sprRound(s.cfg.SPRRadius)
+			var err error
+			if cur, err = s.sprRound(s.cfg.SPRRadius); err != nil {
+				return nil, err
+			}
 		}
 
 		if s.cfg.OnIteration != nil {
@@ -875,7 +891,7 @@ func (s *Searcher) optimizeModel() error {
 // here, so evaluating the kept point again would return the bits already
 // held (docs/DETERMINISM.md §4). Each iteration therefore issues ONE
 // probe, whose vector carries for every partition whichever of its two
-// points is new — 2 + 12 probes for the search, 2 for the closing
+// points is new — 2 + 12 probes for the search, 1 for the closing
 // best-vs-current comparison.
 func (s *Searcher) optimizeSharedScalar(cols []int, lo, hi float64) error {
 	const steps = 12 // golden-section iterations; deterministic count
@@ -930,28 +946,22 @@ func (s *Searcher) optimizeSharedScalar(cols []int, lo, hi float64) error {
 			}
 		}
 	}
-	best := grow(&s.optBest, s.nPart)
-	for i := range best {
-		if f1[i] >= f2[i] {
-			best[i] = x1[i]
-		} else {
-			best[i] = x2[i]
-		}
-	}
-	// Keep the new value only where it actually improves on the current
-	// one (final verification probe).
-	fBest, err := s.probeShared(cols, best, &s.probeFBest)
-	if err != nil {
-		return err
-	}
+	// Keep the better interior point only where it actually improves on
+	// the current value. Its likelihood is the one the loop holds for it —
+	// the same slot purity that lets a step keep a point's value — so the
+	// closing comparison probes the current value alone.
 	fCur, err := s.probeShared(cols, cur, &s.probeFCur)
 	if err != nil {
 		return err
 	}
 	for i, row := range s.sharedRows {
-		if fBest[i] > fCur[i] {
+		best, fBest := x1[i], f1[i]
+		if f1[i] < f2[i] {
+			best, fBest = x2[i], f2[i]
+		}
+		if fBest > fCur[i] {
 			for _, c := range cols {
-				row[c] = best[i]
+				row[c] = best
 			}
 		}
 	}
@@ -996,144 +1006,133 @@ func (s *Searcher) probeShared(cols []int, xs []float64, dst *[]float64) ([]floa
 // ---------- SPR topology moves ----------
 
 // sprRound performs one lazy-SPR sweep: every inner vertex's subtree is
-// pruned, reinserted into every edge within the radius, trial-scored with
-// one evaluation region each, and the best trial per prune point is
-// verified exactly (local branch optimization + full evaluation) and kept
-// if it improves the current score. Returns the final lnL.
-func (s *Searcher) sprRound(radius int) float64 {
+// pruned, all its reinsertions within the radius are scored in one
+// evaluation region per prune point, and the best one is verified
+// exactly (local branch optimization + full evaluation) and kept if it
+// improves the current score. Returns the final lnL.
+func (s *Searcher) sprRound(radius int) (float64, error) {
 	s.cfg.Telemetry.Inc(telemetry.CounterSPRRounds, 1)
 	cur := s.evaluateFull()
 	for v := 0; v < s.Tree.NInner(); v++ {
-		for _, pruneAt := range s.Tree.InnerRing(v).Ring() {
-			improved, newLnL := s.tryPrunePoint(pruneAt, radius, cur)
+		pruneAt := s.Tree.InnerRing(v)
+		for k := 0; k < 3; k, pruneAt = k+1, pruneAt.Next {
+			improved, newLnL, err := s.tryPrunePoint(pruneAt, radius, cur)
+			if err != nil {
+				return 0, err
+			}
 			if improved {
 				cur = newLnL
 			}
 		}
 	}
-	return cur
+	return cur, nil
 }
 
-// tryPrunePoint evaluates all insertions of the subtree pruned at p.
-func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, float64) {
+// tryPrunePoint scores all insertions of the subtree pruned at p and
+// verifies the best. Every score is the exact likelihood of its
+// regrafted tree at the split branch lengths Regraft assigns — the bits
+// a forced full evaluation of that tree returns (DETERMINISM.md §9) —
+// computed without regrafting: one insertion plan, one engine call. A
+// failed tree operation is an invariant violation the caller cannot
+// repair; it fails the search instead of the process.
+func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, float64, error) {
 	// The old attachment neighbors (joined into one edge by Prune); floods
 	// start here when a move away from them is accepted.
 	oldLeft, oldRight := p.Next.Back, p.Next.Next.Back
-	ps, err := s.Tree.Prune(p)
-	if err != nil {
-		return false, cur
+	ps := &s.pruned
+	if err := s.Tree.PruneInto(ps, p); err != nil {
+		return false, cur, nil
 	}
 	s.cfg.Telemetry.Inc(telemetry.CounterSPRPrunes, 1)
-	// Record every CLV slot the trials and the verification write; on the
-	// reject path those slots are stale for the restored topology.
-	s.beginTouch()
-	defer s.endTouch()
-	candidates := ps.CandidateEdges(1, radius)
+	s.sprCands = ps.AppendCandidateEdges(s.sprCands[:0], 1, radius)
+	candidates := s.sprCands
 	if len(candidates) == 0 {
 		if err := s.Tree.Restore(ps); err != nil {
-			panic(fmt.Sprintf("search: restore: %v", err))
+			return false, cur, fmt.Errorf("search: restore: %w", err)
 		}
-		return false, cur
+		return false, cur, nil
+	}
+	dirty := s.dirty
+	if s.cfg.ForceFullTraversals {
+		dirty = nil
+	}
+	s.insPlan.Build(s.Tree, ps, candidates, dirty)
+	s.cfg.Telemetry.Inc(telemetry.CounterSPRInsertionPlans, 1)
+	s.cfg.Telemetry.Inc(telemetry.CounterSPRCandidatesScored, int64(len(candidates)))
+	scores := s.eng.ScoreInsertions(&s.insPlan)
+	if s.insertionHook != nil {
+		s.insertionHook(ps, candidates, scores)
 	}
 	bestTrial := math.Inf(-1)
 	bestIdx := -1
-	for i, e := range candidates {
-		s.cfg.Telemetry.Inc(telemetry.CounterSPRRegrafts, 1)
-		if err := s.Tree.Regraft(ps, e); err != nil {
-			panic(fmt.Sprintf("search: regraft: %v", err))
-		}
-		trial := s.trialScore(p)
-		if trial > bestTrial {
+	for i := range candidates {
+		if trial := sum(scores[i*s.nPart : (i+1)*s.nPart]); trial > bestTrial {
 			bestTrial = trial
 			bestIdx = i
 		}
-		if err := s.Tree.RemoveRegraft(ps); err != nil {
-			panic(fmt.Sprintf("search: remove regraft: %v", err))
-		}
 	}
-	// Verify the best trial exactly if it is promising.
 	if bestIdx >= 0 && bestTrial > cur-1.0 {
-		if err := s.Tree.Regraft(ps, candidates[bestIdx]); err != nil {
-			panic(fmt.Sprintf("search: regraft best: %v", err))
-		}
-		// The subtree's attachment edge (p, p.Back) survives a later
-		// Restore, so save its lengths before optimizing them.
-		savedAttach := append([]float64(nil), p.Branch.Lengths...)
-		// Locally optimize the three branches around the insertion point.
-		s.updateBranch(p)
-		s.updateBranch(p.Next)
-		s.updateBranch(p.Next.Next)
-		// The exact evaluation must leave the engine byte-identical to a
-		// forced full traversal: everything the trials clobbered plus
-		// everything the topology change and the three re-optimized
-		// branches invalidated has to be recomputed.
-		s.markTouchedDirty()
-		s.markMoveStale(p, oldLeft, oldRight)
-		exact := s.evaluateFullAt(p)
-		if exact > cur+1e-9 {
-			s.cfg.Telemetry.Inc(telemetry.CounterSPRImprovements, 1)
-			return true, exact
-		}
-		copy(p.Branch.Lengths, savedAttach)
-		if err := s.Tree.RemoveRegraft(ps); err != nil {
-			panic(fmt.Sprintf("search: undo best: %v", err))
+		improved, exact, err := s.verifyInsertion(ps, candidates[bestIdx], oldLeft, oldRight, cur)
+		if improved || err != nil {
+			return improved, exact, err
 		}
 	}
 	if err := s.Tree.Restore(ps); err != nil {
-		panic(fmt.Sprintf("search: restore: %v", err))
+		return false, cur, fmt.Errorf("search: restore: %w", err)
 	}
-	// CLVs touched during trials (and by a rejected verification) are
-	// stale for the restored topology; mark them so the next full-tree
-	// evaluation recomputes them. The topology itself is back to the
-	// pre-prune state, so no flood is needed. Return the unchanged score.
-	s.markTouchedDirty()
-	return false, cur
+	return false, cur, nil
 }
 
-// trialScore computes the lazy (approximate) score of the current
-// insertion of p: orient the insertion-edge endpoints, force-recompute p's
-// vertex, and evaluate across the edge to the pruned subtree.
-func (s *Searcher) trialScore(p *tree.Node) float64 {
-	classes := s.Tree.BLClasses
-	d := &traversal.Descriptor{
-		P: traversal.Ref(s.Tree, p),
-		Q: traversal.Ref(s.Tree, p.Back),
-		T: make([]float64, classes),
+// verifyInsertion regrafts the pruned subtree into e, optimizes the
+// three branches around the insertion point, and evaluates exactly. An
+// insertion that does not beat cur is taken out again, leaving the tree
+// pruned.
+func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e, oldLeft, oldRight *tree.Node, cur float64) (bool, float64, error) {
+	s.cfg.Telemetry.Inc(telemetry.CounterSPRVerifications, 1)
+	p := ps.Root
+	if err := s.Tree.Regraft(ps, e); err != nil {
+		return false, cur, fmt.Errorf("search: regraft best: %w", err)
 	}
-	d.Steps = make([][]likelihood.Step, classes)
-	base := traversal.Orient(s.Tree, p.Next.Back, 0, false, nil)
-	base = traversal.Orient(s.Tree, p.Next.Next.Back, 0, false, base)
-	base = traversal.Orient(s.Tree, p.Back, 0, false, base)
-	tree.OrientX(p)
-	base = append(base, likelihood.Step{
-		Dst: traversal.Slot(s.Tree, p),
-		A:   traversal.Ref(s.Tree, p.Next.Back),
-		B:   traversal.Ref(s.Tree, p.Next.Next.Back),
-		TA:  p.Next.Length(0),
-		TB:  p.Next.Next.Length(0),
-	})
-	d.Steps[0] = base
-	d.T[0] = p.Length(0)
-	for c := 1; c < classes; c++ {
-		cs := make([]likelihood.Step, len(base))
-		copy(cs, base)
-		for i := range cs {
-			v := s.Tree.HalfNodes[s.Tree.NTaxa()+3*int(cs[i].Dst)]
-			x := tree.XNode(v)
-			cs[i].TA = x.Next.Length(c)
-			cs[i].TB = x.Next.Next.Length(c)
-		}
-		d.Steps[c] = cs
-		d.T[c] = p.Length(c)
+	// Scoring wrote no CLV slot. From here every slot a descriptor writes
+	// holds a vector of the regrafted tree: record them, they are stale
+	// for the restored topology if the move is rejected.
+	s.beginTouch()
+	defer s.endTouch()
+	// The subtree's attachment edge (p, p.Back) survives a later
+	// Restore, so save its lengths before optimizing them.
+	s.savedAttach = append(s.savedAttach[:0], p.Branch.Lengths...)
+	// p's slot holds what an earlier prune point left there: turn its
+	// orientation away so the first traversal computes it for this
+	// insertion.
+	tree.OrientX(p.Next)
+	s.updateBranch(p)
+	s.updateBranch(p.Next)
+	s.updateBranch(p.Next.Next)
+	// The exact evaluation must leave the engine byte-identical to a
+	// forced full traversal: everything the three optimizations wrote
+	// plus everything the topology change and the re-optimized branches
+	// invalidated has to be recomputed.
+	s.markTouchedDirty()
+	s.markMoveStale(p, oldLeft, oldRight)
+	exact := s.evaluateFullAt(p)
+	if exact > cur+1e-9 {
+		s.cfg.Telemetry.Inc(telemetry.CounterSPRImprovements, 1)
+		return true, exact, nil
 	}
-	s.noteSteps(d)
-	return sum(s.eng.Evaluate(d))
+	copy(p.Branch.Lengths, s.savedAttach)
+	if err := s.Tree.RemoveRegraft(ps); err != nil {
+		return false, cur, fmt.Errorf("search: undo best: %w", err)
+	}
+	// The topology goes back to the pre-prune state, so no flood is
+	// needed: only the slots the rejected verification wrote are stale.
+	s.markTouchedDirty()
+	return false, cur, nil
 }
 
 // ---------- incremental-traversal bookkeeping ----------
 
 // beginTouch starts recording the CLV slots descriptors write (one SPR
-// prune point's churn); endTouch stops recording. No-ops with
+// verification's churn); endTouch stops recording. No-ops with
 // incremental reuse disabled.
 func (s *Searcher) beginTouch() {
 	if s.cfg.ForceFullTraversals {
@@ -1161,9 +1160,9 @@ func (s *Searcher) noteSteps(d *traversal.Descriptor) {
 }
 
 // markTouchedDirty marks every slot written since beginTouch as dirty:
-// their bytes derive from trial topologies or stale operands, so the
-// next full-tree evaluation must recompute them to stay byte-identical
-// to the forced path.
+// their bytes derive from the regrafted topology, so the next full-tree
+// evaluation must recompute them to stay byte-identical to the forced
+// path.
 func (s *Searcher) markTouchedDirty() {
 	if s.cfg.ForceFullTraversals || s.touched == nil {
 		return

@@ -138,6 +138,11 @@ type Report struct {
 	// traversal + evaluation) per model-optimization round, from rank 0
 	// (0 when no round ran).
 	ModelProbesPerRound float64 `json:"model_probes_per_round"`
+	// CandidatesPerPrunePoint is SPR regraft candidates scored per
+	// insertion plan, from rank 0: what one engine call and one
+	// collective of the topology search carry (docs/PERFORMANCE.md §8;
+	// 0 when no plan ran).
+	CandidatesPerPrunePoint float64 `json:"candidates_per_prune_point"`
 	// RepeatShare is the fraction of compressed-Newview CLV columns
 	// materialized by copy rather than computed, summed across ranks
 	// (0 when the compressed path never ran).
@@ -232,9 +237,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	if pairEntries > 0 {
 		rep.PairEntriesPerTipTipNewview = float64(pairEntries) / float64(tipTips)
 	}
-	if rounds := c.recs[0].counters[CounterModelOptRounds]; rounds > 0 {
-		rep.ModelProbesPerRound = float64(c.recs[0].counters[CounterModelProbes]) / float64(rounds)
-	}
+	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
+	rep.CandidatesPerPrunePoint = ratio(c.recs[0].counters[CounterSPRCandidatesScored], c.recs[0].counters[CounterSPRInsertionPlans])
 	if tot := repComputed + repSaved; tot > 0 {
 		rep.RepeatShare = float64(repSaved) / float64(tot)
 	}
@@ -344,7 +348,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  comm fraction (collective/(coll+comp)) %8.3f\n", r.CommFraction)
 	fmt.Fprintf(&b, "  collective rate                        %8.1f ops/s\n", r.CollectivesPerSec)
 	if r.CollectivesPerIteration > 0 {
-		fmt.Fprintf(&b, "  collectives per iteration              %8.1f\n", r.CollectivesPerIteration)
+		fmt.Fprintf(&b, "  collectives / iteration                %8.1f\n", r.CollectivesPerIteration)
 	}
 	if r.PoolUtilization > 0 {
 		fmt.Fprintf(&b, "  thread-pool block utilization          %8.3f\n", r.PoolUtilization)
@@ -360,6 +364,9 @@ func (r *Report) String() string {
 	}
 	if r.ModelProbesPerRound > 0 {
 		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)
+	}
+	if r.CandidatesPerPrunePoint > 0 {
+		fmt.Fprintf(&b, "  candidates / prune point               %8.1f\n", r.CandidatesPerPrunePoint)
 	}
 	if r.RepeatShare > 0 {
 		fmt.Fprintf(&b, "  site-repeat CLV columns saved          %8.3f\n", r.RepeatShare)

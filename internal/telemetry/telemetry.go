@@ -91,8 +91,15 @@ const (
 	CounterSPRRounds
 	// CounterSPRPrunes is subtree prune attempts.
 	CounterSPRPrunes
-	// CounterSPRRegrafts is trial re-insertions scored.
-	CounterSPRRegrafts
+	// CounterSPRInsertionPlans is insertion plans executed: prune points
+	// that had candidates, one engine call and one collective each.
+	CounterSPRInsertionPlans
+	// CounterSPRCandidatesScored is regraft candidates scored by those
+	// plans.
+	CounterSPRCandidatesScored
+	// CounterSPRVerifications is best candidates verified exactly (three
+	// branch optimizations + one full evaluation each).
+	CounterSPRVerifications
 	// CounterSPRImprovements is accepted (verified) SPR moves.
 	CounterSPRImprovements
 	// CounterTraversalSteps is CLV recomputation steps actually scheduled
@@ -131,8 +138,12 @@ func (c Counter) String() string {
 		return "spr-rounds"
 	case CounterSPRPrunes:
 		return "spr-prunes"
-	case CounterSPRRegrafts:
-		return "spr-regrafts"
+	case CounterSPRInsertionPlans:
+		return "spr-insertion-plans"
+	case CounterSPRCandidatesScored:
+		return "spr-candidates-scored"
+	case CounterSPRVerifications:
+		return "spr-verifications"
 	case CounterSPRImprovements:
 		return "spr-improvements"
 	case CounterTraversalSteps:
@@ -412,18 +423,35 @@ type KernelPerf struct {
 	TipTipNewviews, PairTableEntries, TipTableEntries int64
 }
 
+// ratio returns a/b, 0 when b is 0.
+func ratio(a, b int64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
 // SetKernelPerf records the rank's kernel fast-path counters (harvested
 // once, when the rank's engine closes) and emits a "perf" JSONL event
-// carrying them.
+// carrying them, the rank's model-probe and SPR counters, and the two
+// ratios read first when a run is slow: candidates scored per prune
+// point and this rank's collectives per completed iteration.
 func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	if r == nil {
 		return
 	}
 	r.perf = p
 	if c := r.col; c != nil {
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"model_probes\":%d%s}",
+		var collectives int64
+		for _, n := range r.collOps {
+			collectives += n
+		}
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"model_probes\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
-			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, r.counters[CounterModelProbes], c.jobFrag)
+			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, r.counters[CounterModelProbes],
+			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
+			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
+			jsonFloat(ratio(collectives, r.counters[CounterIterations])), c.jobFrag)
 	}
 }
 

@@ -145,7 +145,10 @@ func TestKernelPerfReport(t *testing.T) {
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
 	c.Recorder(0).Inc(CounterModelOptRounds, 2)
-	c.Recorder(0).Inc(CounterModelProbes, 192)
+	c.Recorder(0).Inc(CounterModelProbes, 180)
+	c.Recorder(0).Inc(CounterSPRInsertionPlans, 10)
+	c.Recorder(0).Inc(CounterSPRCandidatesScored, 175)
+	c.Recorder(0).Inc(CounterSPRVerifications, 3)
 
 	rep := c.Finalize(time.Millisecond, 1, []string{"x"}, []int64{0}, []int64{0})
 	if rep.PerRank[0].FastPathOps != 30 || rep.PerRank[0].PCacheHits != 8 {
@@ -163,15 +166,18 @@ func TestKernelPerfReport(t *testing.T) {
 	if want := 80.0 / 5.0; rep.PairEntriesPerTipTipNewview != want || rep.PerRank[0].TipTableEntries != 90 {
 		t.Fatalf("pair entries per tip-tip newview %v, want %v; rank 0 %+v", rep.PairEntriesPerTipTipNewview, want, rep.PerRank[0])
 	}
-	if rep.ModelProbesPerRound != 96 || rep.Counters["model-probes"] != 192 {
+	if rep.ModelProbesPerRound != 90 || rep.Counters["model-probes"] != 180 {
 		t.Fatalf("model probes per round %v, counters %v", rep.ModelProbesPerRound, rep.Counters)
+	}
+	if rep.CandidatesPerPrunePoint != 17.5 || rep.Counters["spr-candidates-scored"] != 175 || rep.Counters["spr-verifications"] != 3 {
+		t.Fatalf("candidates per prune point %v, counters %v", rep.CandidatesPerPrunePoint, rep.Counters)
 	}
 	if rep.Counters["traversal-steps"] != 40 || rep.Counters["traversal-steps-skipped"] != 25 {
 		t.Fatalf("traversal counters: %v", rep.Counters)
 	}
 
 	text := rep.String()
-	for _, want := range []string{"fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "traversal-steps-skipped"} {
+	for _, want := range []string{"fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "candidates / prune point", "traversal-steps-skipped"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -185,8 +191,10 @@ func TestKernelPerfReport(t *testing.T) {
 		}
 		if ev["ev"] == "perf" {
 			perfEvents++
-			if _, ok := ev["fast_ops"]; !ok {
-				t.Fatalf("perf event missing fast_ops: %v", ev)
+			for _, field := range []string{"fast_ops", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+				if _, ok := ev[field]; !ok {
+					t.Fatalf("perf event missing %s: %v", field, ev)
+				}
 			}
 		}
 	}

@@ -187,22 +187,25 @@ func fillClasses(t *tree.Tree, p *tree.Node, base []likelihood.Step) *Descriptor
 	d.Steps[0] = base
 	d.T[0] = p.Length(0)
 	for c := 1; c < t.BLClasses; c++ {
-		cs := make([]likelihood.Step, len(base))
-		copy(cs, base)
-		for i := range cs {
-			// Re-read the class-c lengths from the tree: the step's Dst
-			// identifies the inner vertex whose ring supplies them.
-			v := t.HalfNodes[t.NTaxa()+3*int(cs[i].Dst)]
-			// Locate the ring member holding the X bit (the one the step
-			// computed); its two siblings carry the child branches.
-			x := tree.XNode(v)
-			cs[i].TA = x.Next.Length(c)
-			cs[i].TB = x.Next.Next.Length(c)
-		}
-		d.Steps[c] = cs
+		d.Steps[c] = classSteps(t, base, c, nil)
 		d.T[c] = p.Length(c)
 	}
 	return d
+}
+
+// classSteps appends to dst the class-0 schedule base with its branch
+// lengths re-read from the tree for linkage class c.
+func classSteps(t *tree.Tree, base []likelihood.Step, c int, dst []likelihood.Step) []likelihood.Step {
+	for _, s := range base {
+		// The step's Dst identifies the inner vertex whose ring supplies
+		// the lengths: the ring member holding the X bit is the one the
+		// step computed, its two siblings carry the child branches.
+		x := tree.XNode(t.HalfNodes[t.NTaxa()+3*int(s.Dst)])
+		s.TA = x.Next.Length(c)
+		s.TB = x.Next.Next.Length(c)
+		dst = append(dst, s)
+	}
+	return dst
 }
 
 // WireSize returns the number of bytes Encode produces — the quantity the

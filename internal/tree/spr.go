@@ -16,8 +16,10 @@ type PrunedSubtree struct {
 	// Restore can reinstate the exact original lengths.
 	leftBranch, rightBranch *Branch
 	// mergedBranch is the branch record of the (origLeft, origRight) edge
-	// created by the prune.
+	// created by the prune. Restore unwires it from the tree and sets
+	// mergedFree, so the next PruneInto may write it again.
 	mergedBranch *Branch
+	mergedFree   bool
 	// insertBranch is the original branch record of the edge split by the
 	// most recent Regraft, so RemoveRegraft can reinstate it exactly.
 	insertBranch *Branch
@@ -32,35 +34,56 @@ type PrunedSubtree struct {
 // The move mirrors removeNodeBIG in the RAxML family and is the first half
 // of an SPR (subtree pruning and regrafting) rearrangement.
 func (t *Tree) Prune(p *Node) (*PrunedSubtree, error) {
+	ps := &PrunedSubtree{}
+	if err := t.PruneInto(ps, p); err != nil {
+		return nil, err
+	}
+	return ps, nil
+}
+
+// PruneInto is Prune recording into a caller-owned ps, so a search that
+// prunes at every inner half-node allocates nothing for the prune points
+// it restores: the merged edge's branch record is reused from ps's
+// previous prune if Restore took it out of the tree. After a move that
+// was kept instead the tree owns that record, and a new one is made.
+func (t *Tree) PruneInto(ps *PrunedSubtree, p *Node) error {
 	if p.IsTip() {
-		return nil, fmt.Errorf("tree: cannot prune at a tip half-node")
+		return fmt.Errorf("tree: cannot prune at a tip half-node")
 	}
 	q := p.Next.Back
 	r := p.Next.Next.Back
 	if q == nil || r == nil {
-		return nil, fmt.Errorf("tree: prune point already detached")
+		return fmt.Errorf("tree: prune point already detached")
 	}
-	ps := &PrunedSubtree{
-		Root:        p,
-		origLeft:    q,
-		origRight:   r,
-		leftBranch:  p.Next.Branch,
-		rightBranch: p.Next.Next.Branch,
+	merged := ps.mergedBranch
+	if !ps.mergedFree || len(merged.Lengths) != t.BLClasses {
+		merged = &Branch{Lengths: make([]float64, t.BLClasses)}
 	}
-	merged := make([]float64, t.BLClasses)
+	*ps = PrunedSubtree{
+		Root:         p,
+		origLeft:     q,
+		origRight:    r,
+		leftBranch:   p.Next.Branch,
+		rightBranch:  p.Next.Next.Branch,
+		mergedBranch: merged,
+	}
 	for c := 0; c < t.BLClasses; c++ {
 		v := ps.leftBranch.Lengths[c] + ps.rightBranch.Lengths[c]
 		if v > MaxBranchLength {
 			v = MaxBranchLength
 		}
-		merged[c] = v
+		merged.Lengths[c] = v
 	}
 	Disconnect(p.Next)
 	Disconnect(p.Next.Next)
-	ps.mergedBranch = &Branch{Lengths: merged}
-	t.ConnectBranch(q, r, ps.mergedBranch)
-	return ps, nil
+	t.ConnectBranch(q, r, merged)
+	return nil
 }
+
+// MergedEdge returns the two ends of the edge the prune created: the
+// half-nodes of the remaining tree the pruning point's ring neighbors
+// were attached to.
+func (ps *PrunedSubtree) MergedEdge() (q, r *Node) { return ps.origLeft, ps.origRight }
 
 // Regraft inserts the pruned subtree into the edge at e (between e and
 // e.Back), splitting that edge's lengths in half on both sides. e must not
@@ -106,6 +129,7 @@ func (t *Tree) Restore(ps *PrunedSubtree) error {
 	Disconnect(ps.origLeft)
 	t.ConnectBranch(p.Next, ps.origLeft, ps.leftBranch)
 	t.ConnectBranch(p.Next.Next, ps.origRight, ps.rightBranch)
+	ps.mergedFree = true
 	return nil
 }
 
@@ -136,28 +160,35 @@ func (t *Tree) RemoveRegraft(ps *PrunedSubtree) error {
 // closer than minRadius (1-based distance from the merged edge) are also
 // skipped, mirroring the RAxML search's minimum rearrangement setting.
 func (ps *PrunedSubtree) CandidateEdges(minRadius, radius int) []*Node {
-	var out []*Node
-	var collect func(m *Node, depth int)
-	collect = func(m *Node, depth int) {
-		if depth > radius {
-			return
-		}
-		if depth >= minRadius {
-			out = append(out, m)
-		}
-		b := m.Back
-		if !b.IsTip() {
-			collect(b.Next, depth+1)
-			collect(b.Next.Next, depth+1)
-		}
-	}
-	for _, side := range []*Node{ps.origLeft, ps.origRight} {
+	return ps.AppendCandidateEdges(nil, minRadius, radius)
+}
+
+// AppendCandidateEdges appends CandidateEdges(minRadius, radius) to dst.
+// The order is pre-order from the merged edge, left side first: a
+// candidate always follows the candidate between it and the merged edge.
+func (ps *PrunedSubtree) AppendCandidateEdges(dst []*Node, minRadius, radius int) []*Node {
+	for _, side := range [2]*Node{ps.origLeft, ps.origRight} {
 		if !side.IsTip() {
-			collect(side.Next, 1)
-			collect(side.Next.Next, 1)
+			dst = appendEdgesBelow(dst, side.Next, 1, minRadius, radius)
+			dst = appendEdgesBelow(dst, side.Next.Next, 1, minRadius, radius)
 		}
 	}
-	return out
+	return dst
+}
+
+// appendEdgesBelow collects m's edge and the edges beyond it, depth-first.
+func appendEdgesBelow(dst []*Node, m *Node, depth, minRadius, radius int) []*Node {
+	if depth > radius {
+		return dst
+	}
+	if depth >= minRadius {
+		dst = append(dst, m)
+	}
+	if b := m.Back; !b.IsTip() {
+		dst = appendEdgesBelow(dst, b.Next, depth+1, minRadius, radius)
+		dst = appendEdgesBelow(dst, b.Next.Next, depth+1, minRadius, radius)
+	}
+	return dst
 }
 
 // SubtreeTaxa returns the taxon IDs in the subtree seen from n through its

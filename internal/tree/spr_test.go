@@ -191,3 +191,62 @@ func TestRandomSPRStormPreservesInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneIntoReusesOnlyAFreeMergedBranch: one PrunedSubtree serves a
+// whole sweep of prune points. A restored prune gives its merged-edge
+// record back (the next PruneInto allocates nothing); a kept move leaves
+// the record wired into the tree, and the next PruneInto must not write
+// through it.
+func TestPruneIntoReusesOnlyAFreeMergedBranch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := NewRandom(taxaNames(14), 2, rng)
+	var ps PrunedSubtree
+	p := pickPrunable(tr, rng)
+	if err := tr.PruneInto(&ps, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Restore(&ps); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if tr.PruneInto(&ps, p) != nil || tr.Restore(&ps) != nil {
+			t.Fatal("prune/restore failed")
+		}
+	}); n != 0 {
+		t.Errorf("prune + restore through a reused record allocates %v times", n)
+	}
+
+	// Keep SPR moves, reusing ps throughout, and compare against a clone
+	// taken after each move: later prunes must leave kept edges alone.
+	for moves := 0; moves < 20; {
+		p := pickPrunable(tr, rng)
+		if err := tr.PruneInto(&ps, p); err != nil {
+			t.Fatal(err)
+		}
+		cands := ps.CandidateEdges(1, 4)
+		if len(cands) == 0 {
+			if err := tr.Restore(&ps); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := tr.Regraft(&ps, cands[rng.Intn(len(cands))]); err != nil {
+			t.Fatal(err)
+		}
+		moves++
+		kept := tr.Newick()
+		q := pickPrunable(tr, rng)
+		if err := tr.PruneInto(&ps, q); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Restore(&ps); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Newick(); got != kept {
+			t.Fatalf("a prune after a kept move changed the tree\nbefore: %s\nafter:  %s", kept, got)
+		}
+	}
+}
