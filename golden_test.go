@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -122,6 +123,30 @@ func goldenDataset(nTaxa int) (*Dataset, error) {
 
 func bitsHex(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
+// parentFinalLnL is each group's final log likelihood at the commit before
+// ISSUE 16 replaced the fixed-count golden section by the lockstep Brent
+// search — the one change so far that moved every trajectory through the
+// model optimiser. The regenerated file is held against it: a different
+// optimiser may land a little lower after two iterations, it may not land
+// somewhere else.
+var parentFinalLnL = map[string]float64{
+	"GAMMA/joint": -5751.517521805343,
+	"GAMMA/M":     -5735.56800771922,
+	"PSR/joint":   -5212.584326897341,
+	"PSR/M":       -5202.595858251162,
+	"24taxa":      -15121.023830501916,
+}
+
+// lnLOfBits reverses bitsHex.
+func lnLOfBits(t *testing.T, hex string) float64 {
+	t.Helper()
+	b, err := strconv.ParseUint(hex, 16, 64)
+	if err != nil {
+		t.Fatalf("lnL bits %q: %v", hex, err)
+	}
+	return math.Float64frombits(b)
+}
+
 // goldenRun executes one case and returns its record. Every rank replica
 // reports each iteration; they must all report the same bits.
 func goldenRun(t *testing.T, d *Dataset, c goldenCase) goldenRecord {
@@ -224,6 +249,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		t.Fatalf("%s holds %d cases, the matrix has %d", goldenPath, len(want), len(cases))
 	}
 	first := map[string]goldenRecord{}
+	var sum, parentSum float64
 	for i, c := range cases {
 		w := want[i]
 		w.Name = ""
@@ -232,6 +258,19 @@ func TestGoldenTrajectories(t *testing.T) {
 		} else if fmt.Sprint(f) != fmt.Sprint(w) {
 			t.Errorf("%s: golden record differs from the first of group %s", c.name, c.group)
 		}
+		// Quality guard on the checked-in file itself: no case ends more
+		// than half a log unit below where the golden-section optimiser
+		// ended, and all of them together no more than 1e-5 of the total
+		// (thirty times inside what the benchmark allows neg_lnl_rel).
+		lnL, parent := lnLOfBits(t, w.LnLBits), parentFinalLnL[c.group]
+		if lnL < parent-0.5 {
+			t.Errorf("%s: golden final lnL %.4f is more than 0.5 below the %.4f of the golden-section optimiser", c.name, lnL, parent)
+		}
+		sum += lnL
+		parentSum += parent
+	}
+	if sum < parentSum+1e-5*parentSum {
+		t.Errorf("golden final lnLs sum to %.4f, the golden-section optimiser's to %.4f: more than 1e-5 lower", sum, parentSum)
 	}
 	for i, c := range cases {
 		c, w := c, want[i]

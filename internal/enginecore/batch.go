@@ -163,6 +163,9 @@ func (l *Local) runBatchItem(j int) {
 		k.Traverse(l.bArgs.desc.Steps[cls])
 	case batchEvaluate:
 		d := l.bArgs.desc
+		if d.Active != nil && !d.Active[p] {
+			return
+		}
 		k.Traverse(d.Steps[cls])
 		l.bOut[i] = k.Evaluate(d.P, d.Q, d.T[cls])
 	case batchPrepare:
@@ -200,7 +203,7 @@ func (l *Local) runBatchItem(j int) {
 		scoreInsertions(k, plan, cls, l.bOut[i*plan.NCandidates():], 1)
 	case batchSiteRates:
 		d := l.bArgs.desc
-		optimizeKernelSiteRates(k, d.Steps[cls], d.P, d.Q, d.T[cls])
+		siteRateArgs{k, d.Steps[cls], d.P, d.Q, d.T[cls]}.optimize(0, k.NPatterns())
 		const cells = model.MaxPSRCategories
 		par := k.Params()
 		sumR, sumW := model.AccumulateRateCells(par.SiteRates, k.Data().Weights, cells)

@@ -66,6 +66,12 @@ type Local struct {
 	batchScr   []float64
 	batchFn    func(i int)
 
+	// srArgs stages the operands of the threaded per-site rate loop and
+	// srFn is the one closure handed to the pool for it, so the loop
+	// allocates nothing.
+	srArgs siteRateArgs
+	srFn   func(blk, lo, hi int)
+
 	batchDispatches, batchKernels int64
 }
 
@@ -110,6 +116,7 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, het model.Heterog
 		l.PartIdx = append(l.PartIdx, partIdx[i])
 	}
 	l.batchFn = l.runBatchItem
+	l.srFn = func(_, lo, hi int) { l.srArgs.optimize(lo, hi) }
 	l.SetBatchSites(DefaultBatchSites)
 	return l, nil
 }
@@ -208,11 +215,17 @@ func (l *Local) Traverse(d *traversal.Descriptor) {
 
 // EvaluateLocal traverses and evaluates, returning the local
 // per-partition log-likelihood vector (zeros for unowned partitions).
-// The returned slice is reused by the next EvaluateLocal call.
+// A kernel whose partition the descriptor masks out (d.Active) is not
+// touched at all — no traversal, no P-matrices, no tip tables — and its
+// slot stays 0. The returned slice is reused by the next EvaluateLocal
+// call.
 func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
 	out := l.dispatchBatch(batchEvaluate, batchArgs{desc: d}, 1, telemetry.KernelEvaluate)
 	vec := scratchVec(&l.evalScr, l.NPart)
 	for i, k := range l.Kernels {
+		if d.Active != nil && !d.Active[l.PartIdx[i]] {
+			continue
+		}
 		if l.isBatched(i) {
 			vec[l.PartIdx[i]] += out[i]
 			continue
@@ -466,8 +479,12 @@ func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 			}
 			continue
 		}
+		// Sites are independent and nothing is reduced, so the pattern
+		// blocks go to the pool as they are: same rates at every thread
+		// count.
 		cls := l.ClassOf(l.PartIdx[i])
-		optimizeKernelSiteRates(k, d.Steps[cls], d.P, d.Q, d.T[cls])
+		l.srArgs = siteRateArgs{k, d.Steps[cls], d.P, d.Q, d.T[cls]}
+		l.pool.Run(k.NPatterns(), l.srFn)
 		par := k.Params()
 		sumR, sumW := model.AccumulateRateCells(par.SiteRates, k.Data().Weights, cells)
 		for c := 0; c < cells; c++ {
@@ -479,20 +496,29 @@ func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 	return stats
 }
 
-// optimizeKernelSiteRates Brent-optimizes every local pattern's rate.
-func optimizeKernelSiteRates(k *likelihood.Kernel, steps []likelihood.Step, p, q likelihood.NodeRef, rootT float64) {
-	par := k.Params()
-	for i := range par.SiteRates {
+// siteRateArgs are the operands of one kernel's per-site rate
+// optimization: the full-tree schedule and the evaluation edge.
+type siteRateArgs struct {
+	k     *likelihood.Kernel
+	steps []likelihood.Step
+	p, q  likelihood.NodeRef
+	rootT float64
+}
+
+// optimize Brent-optimizes the rates of local patterns [lo, hi).
+func (a siteRateArgs) optimize(lo, hi int) {
+	par := a.k.Params()
+	for i := lo; i < hi; i++ {
 		neg := func(r float64) float64 {
-			return -k.EvaluateSiteAtRate(steps, p, q, rootT, i, r)
+			return -a.k.EvaluateSiteAtRate(a.steps, a.p, a.q, a.rootT, i, r)
 		}
 		cur := par.SiteRates[i]
-		lo := math.Max(model.MinSiteRate, cur/8)
-		hi := math.Min(model.MaxSiteRate, cur*8)
-		if hi <= lo {
-			hi = model.MaxSiteRate
+		rLo := math.Max(model.MinSiteRate, cur/8)
+		rHi := math.Min(model.MaxSiteRate, cur*8)
+		if rHi <= rLo {
+			rHi = model.MaxSiteRate
 		}
-		x, fx := numutil.Brent(neg, lo, hi, 1e-3, 24)
+		x, fx := numutil.Brent(neg, rLo, rHi, 1e-3, 24)
 		if fx <= neg(cur) {
 			par.SiteRates[i] = x
 		}

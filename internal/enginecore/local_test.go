@@ -8,7 +8,11 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/model"
 	"repro/internal/msa"
+	"repro/internal/numutil"
 	"repro/internal/seqgen"
+	"repro/internal/threadpool"
+	"repro/internal/traversal"
+	"repro/internal/tree"
 )
 
 func makeLocal(t *testing.T, nTaxa, nParts, geneLen int, het model.Heterogeneity, perPart bool, ranks, rank int) (*Local, *msa.Dataset) {
@@ -137,5 +141,152 @@ func TestResolveSiteRatesEmptyPartitions(t *testing.T) {
 	}
 	if len(res.CatRates[0]) != 0 {
 		t.Fatal("categories invented for empty stats")
+	}
+}
+
+// mixedLocal is one rank over 12 taxa × {1100, 70} bp: a partition of
+// several pattern blocks that stays on the worker pool and one that is
+// fused into the small-partition batch.
+func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tree.Tree) {
+	t.Helper()
+	res, err := seqgen.Generate(seqgen.Config{
+		NTaxa: 12,
+		Specs: []seqgen.Spec{
+			{Name: "big", NSites: 1100, Alpha: 0.7, GapProb: 0.02},
+			{Name: "small", NSites: 70, Alpha: 1.1, GapProb: 0.02},
+		},
+		Seed: 19,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := msa.Compress(res.Alignment, res.Partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, d.NPartitions())
+	for i, p := range d.Parts {
+		counts[i] = p.NPatterns()
+	}
+	assign, err := distrib.Compute(distrib.Cyclic, counts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLocal(d, assign, 0, het, model.GTR, false, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	if l.BatchedKernels() != 1 || threadpool.NumBlocks(l.Kernels[0].NPatterns()) < 3 {
+		t.Fatalf("want one batched kernel and one of at least 3 blocks; got %d batched, %d patterns", l.BatchedKernels(), l.Kernels[0].NPatterns())
+	}
+	return l, tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(8)))
+}
+
+// TestSiteRatesSameBitsAtEveryThreadCount: the per-site rate loop runs
+// over the pool's pattern blocks; sites are independent and nothing is
+// reduced, so every rate and every cell statistic is the bit pattern the
+// serial loop over all patterns produces — which is written out here, the
+// way the loop read before it was threaded.
+func TestSiteRatesSameBitsAtEveryThreadCount(t *testing.T) {
+	ref, tr := mixedLocal(t, model.PSR, 1)
+	d := traversal.Build(tr, tr.Tip(0), true)
+	for _, k := range ref.Kernels {
+		par := k.Params()
+		for i := range par.SiteRates {
+			neg := func(r float64) float64 { return -k.EvaluateSiteAtRate(d.Steps[0], d.P, d.Q, d.T[0], i, r) }
+			cur := par.SiteRates[i]
+			lo, hi := math.Max(model.MinSiteRate, cur/8), math.Min(model.MaxSiteRate, cur*8)
+			if hi <= lo {
+				hi = model.MaxSiteRate
+			}
+			x, fx := numutil.Brent(neg, lo, hi, 1e-3, 24)
+			if fx <= neg(cur) {
+				par.SiteRates[i] = x
+			}
+		}
+	}
+	var serialStats []float64
+	for _, threads := range []int{1, 2, 4} {
+		l, _ := mixedLocal(t, model.PSR, threads)
+		l.OptimizeSiteRatesLocal(d)
+		moved := 0
+		for ki, k := range l.Kernels {
+			want := ref.Kernels[ki].Params().SiteRates
+			for i, r := range k.Params().SiteRates {
+				if math.Float64bits(r) != math.Float64bits(want[i]) {
+					t.Fatalf("T=%d kernel %d site %d: rate %.17g, serial loop %.17g", threads, ki, i, r, want[i])
+				}
+				if r != 1 {
+					moved++
+				}
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("T=%d: no rate moved off its start", threads)
+		}
+		// A second call starts from the optimized rates: it exercises the
+		// loop from a state where neighbouring sites differ.
+		again := l.OptimizeSiteRatesLocal(d)
+		if threads == 1 {
+			serialStats = append(serialStats, again...)
+			continue
+		}
+		for i := range again {
+			if math.Float64bits(again[i]) != math.Float64bits(serialStats[i]) {
+				t.Fatalf("T=%d: second-call cell statistic %d differs from T=1", threads, i)
+			}
+		}
+	}
+}
+
+// TestSiteRateLoopAllocatesNothing: on a serial rank the threaded loop's
+// staged arguments and cached pool closure add no allocation to a
+// site-rate call, whose only ones are the two cell-statistics slices
+// model.AccumulateRateCells returns per kernel.
+func TestSiteRateLoopAllocatesNothing(t *testing.T) {
+	l, tr := mixedLocal(t, model.PSR, 1)
+	d := traversal.Build(tr, tr.Tip(0), true)
+	l.OptimizeSiteRatesLocal(d)
+	if got, want := testing.AllocsPerRun(3, func() { l.OptimizeSiteRatesLocal(d) }), float64(2*len(l.Kernels)); got != want {
+		t.Errorf("OptimizeSiteRatesLocal allocates %v times per call, want %v", got, want)
+	}
+}
+
+// TestEvaluateSkipsMaskedPartitions: a partition the descriptor masks out
+// costs nothing and keeps everything — its kernel's CLVs are not touched
+// (here: still never computed), its result slot is 0 — while the others
+// return the bits an unmasked evaluation returns, on the pooled and on
+// the batched path alike.
+func TestEvaluateSkipsMaskedPartitions(t *testing.T) {
+	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+		for _, threads := range []int{1, 2} {
+			full, tr := mixedLocal(t, het, threads)
+			d := traversal.Build(tr, tr.Tip(0), true)
+			want := append([]float64(nil), full.EvaluateLocal(d)...)
+			for masked := 0; masked < 2; masked++ {
+				l, _ := mixedLocal(t, het, threads)
+				md := *d
+				md.Active = []bool{masked != 0, masked != 1}
+				got := l.EvaluateLocal(&md)
+				for p := range got {
+					if p == masked {
+						if got[p] != 0 {
+							t.Errorf("%v T=%d: masked partition %d returned %v", het, threads, p, got[p])
+						}
+					} else if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+						t.Errorf("%v T=%d: partition %d = %.17g beside a masked one, %.17g unmasked", het, threads, p, got[p], want[p])
+					}
+				}
+				for ki, k := range l.Kernels {
+					for slot := 0; slot < l.NInner; slot++ {
+						computed := k.CLVDigest(slot) != 0
+						if computed == (l.PartIdx[ki] == masked) {
+							t.Fatalf("%v T=%d: partition %d masked, kernel %d slot %d computed: %v", het, threads, masked, ki, slot, computed)
+						}
+					}
+				}
+			}
+		}
 	}
 }

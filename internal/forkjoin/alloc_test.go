@@ -106,3 +106,43 @@ func TestWorkerRefusesInsertionPlanForAnotherTree(t *testing.T) {
 		t.Fatal("worker executed an insertion plan built for a 20-taxon tree on 8 taxa")
 	}
 }
+
+// TestWorkerRefusesDescriptorForAnotherRun: a descriptor frame that decodes
+// but does not fit the worker — slots of a larger tree, or a mask over
+// another partition count — ends the worker with an error before any
+// kernel indexes a buffer, a schedule or the mask from it.
+func TestWorkerRefusesDescriptorForAnotherRun(t *testing.T) {
+	d := makeDataset(t, 8, 2, 60, 3)
+	counts := make([]int, d.NPartitions())
+	for i, p := range d.Parts {
+		counts[i] = p.NPatterns()
+	}
+	assign, err := distrib.Compute(distrib.Cyclic, counts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := func(desc *traversal.Descriptor) *traversal.Descriptor {
+		desc.T = append(desc.T, desc.T[0])
+		desc.Steps = append(desc.Steps, desc.Steps[0])
+		return desc
+	}
+	big := makeDataset(t, 20, 1, 20, 4)
+	bigTree := tree.NewRandom(big.Names, 1, rand.New(rand.NewSource(5)))
+	otherTree := pad(traversal.Build(bigTree, bigTree.Tip(0), true))
+	tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
+	otherMask := pad(traversal.Build(tr, tr.Tip(0), true))
+	otherMask.Active = []bool{true, false, true}
+	for what, desc := range map[string]*traversal.Descriptor{"a 20-taxon tree": otherTree, "3 partitions": otherMask} {
+		world := mpi.NewWorld(2)
+		done := make(chan error, 1)
+		go func() {
+			done <- RunWorker(world.Comm(1), d, assign, EngineConfig{Het: model.Gamma, Subst: model.GTR})
+		}()
+		master := world.Comm(0)
+		master.BcastBytes(0, []byte{opEvaluate}, mpi.ClassControl)
+		master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
+		if err := <-done; err == nil {
+			t.Errorf("worker on 8 taxa and 2 partitions executed a descriptor for %s", what)
+		}
+	}
+}

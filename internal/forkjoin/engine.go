@@ -172,10 +172,11 @@ func (e *Engine) padDescriptor(d *traversal.Descriptor) *traversal.Descriptor {
 		return d
 	}
 	padded := &traversal.Descriptor{
-		P:     d.P,
-		Q:     d.Q,
-		T:     make([]float64, e.local.NPart),
-		Steps: make([][]likelihood.Step, e.local.NPart),
+		P:      d.P,
+		Q:      d.Q,
+		T:      make([]float64, e.local.NPart),
+		Steps:  make([][]likelihood.Step, e.local.NPart),
+		Active: d.Active,
 	}
 	for c := 0; c < e.local.NPart; c++ {
 		padded.T[c] = d.T[0]
@@ -388,8 +389,11 @@ func RunWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg Engine
 // points.
 func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 	recvDescriptor := func() (*traversal.Descriptor, error) {
-		buf := comm.BcastBytes(0, nil, mpi.ClassTraversal)
-		return traversal.Decode(buf)
+		d, err := traversal.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal))
+		if err != nil {
+			return nil, err
+		}
+		return d, d.Validate(local.NInner+2, local.NPart)
 	}
 	var insPlan traversal.InsertPlan // decoded into, slices reused
 	for {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/msa"
+	"repro/internal/threadpool"
 )
 
 // Step is one entry of a traversal descriptor: "recompute the CLV at inner
@@ -77,7 +78,9 @@ func (k *Kernel) Derivatives(t float64) (d1, d2 float64) {
 //
 // The traversal must cover every inner vertex the root edge depends on
 // (a full post-order traversal is always safe). The kernel's stored CLVs
-// are not modified.
+// are not modified, and the working set is the scratch of the site's
+// pattern block (threadpool.BlockSize): calls for sites of different
+// blocks may run concurrently, calls within one block may not.
 func (k *Kernel) EvaluateSiteAtRate(steps []Step, p, q NodeRef, rootT float64, site int, rate float64) float64 {
 	if site < 0 || site >= k.nPat {
 		panic(fmt.Sprintf("likelihood: site %d out of range", site))
@@ -87,12 +90,9 @@ func (k *Kernel) EvaluateSiteAtRate(steps []Step, p, q NodeRef, rootT float64, s
 	// call since the traversal may not cover every slot. This runs once
 	// per (site, rate) probe in the PSR rate-optimization inner loop, so
 	// it must not allocate.
-	if cap(k.siteVecScr) < k.nInner {
-		k.siteVecScr = make([][ns]float64, k.nInner)
-		k.siteScaleScr = make([]int32, k.nInner)
-	}
-	vec := k.siteVecScr[:k.nInner]
-	scales := k.siteScaleScr[:k.nInner]
+	blk := site / threadpool.BlockSize
+	vec := k.siteVecScr[blk*k.nInner : (blk+1)*k.nInner]
+	scales := k.siteScaleScr[blk*k.nInner : (blk+1)*k.nInner]
 	for i := range vec {
 		vec[i] = [ns]float64{}
 		scales[i] = 0

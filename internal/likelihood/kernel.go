@@ -181,8 +181,9 @@ type Kernel struct {
 	ra      runArgs
 	blockFn func(blk, lo, hi int)
 
-	// siteVecScr/siteScaleScr are EvaluateSiteAtRate's per-site
-	// pruning scratch (the PSR site-rate inner loop).
+	// siteVecScr/siteScaleScr are EvaluateSiteAtRate's per-site pruning
+	// scratch (the PSR site-rate inner loop): nInner entries per pattern
+	// block, so sites of different blocks can be evaluated concurrently.
 	siteVecScr   [][ns]float64
 	siteScaleScr []int32
 
@@ -281,6 +282,8 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		pcOn:   true,
 		repOn:  true,
 	}
+	k.siteVecScr = make([][ns]float64, threadpool.NumBlocks(k.nPat)*nInner)
+	k.siteScaleScr = make([]int32, len(k.siteVecScr))
 	for s := msa.State(1); s <= 15; s++ {
 		k.tipVec[s] = s.TipVector()
 	}

@@ -161,28 +161,34 @@ func TestGrowSemantics(t *testing.T) {
 	}
 }
 
-// TestProbeSharedAllocatesOnlyTheDescriptor pins the model-parameter
-// probe path: pushing the candidate matrix (reused row headers over one
-// flat buffer), saving and restoring the authoritative values, and
-// copying the result out allocate nothing — a probe costs exactly the
-// allocations of the traversal descriptor it builds.
-func TestProbeSharedAllocatesOnlyTheDescriptor(t *testing.T) {
+// TestProbeSharedAllocatesNothing pins the model-parameter probe path:
+// pushing the matrix (reused row headers over one flat buffer), stamping
+// the round's descriptor with the probe's mask and reading the engine's
+// result allocate nothing — the descriptor is built once per round, not
+// per probe.
+func TestProbeSharedAllocatesNothing(t *testing.T) {
 	s, _ := stubSearcher(t)
-	cols := []int{model.SharedAlpha}
-	xs := make([]float64, s.nPart)
-	for i := range xs {
-		xs[i] = 0.5
+	if err := s.optimizeModel(); err != nil { // builds the round's descriptor
+		t.Fatal(err)
 	}
-	var dst []float64
+	cols := []int{model.SharedAlpha}
+	mask := make([]bool, s.nPart)
+	mask[0] = true
 	probe := func() {
-		if _, err := s.probeShared(cols, xs, &dst); err != nil {
+		if _, err := s.probeShared(cols, mask, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	probe() // size the scratch
-	build := testing.AllocsPerRun(20, func() { traversal.Build(s.Tree, s.Tree.Tip(0), true) })
-	if got := testing.AllocsPerRun(20, probe); got != build {
-		t.Errorf("probeShared allocates %v per call, traversal.Build alone %v", got, build)
+	if got := testing.AllocsPerRun(20, probe); got != 0 {
+		t.Errorf("probeShared allocates %v times per call", got)
+	}
+	round := func() {
+		if err := s.optimizeSharedScalar(cols, model.MinAlpha, model.MaxAlpha); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(5, round); got != 0 {
+		t.Errorf("a scalar search allocates %v times", got)
 	}
 	first := &s.sharedRows[0][0]
 	s.pushShared()

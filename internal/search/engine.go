@@ -1,8 +1,8 @@
 // Package search implements the RAxML-style maximum-likelihood tree search
-// — branch-length smoothing with Newton–Raphson, lockstep fixed-count
-// golden-section optimization of per-partition model parameters, PSR
-// per-site rate optimization, and lazy-SPR topology rearrangements —
-// written once against the Engine interface.
+// — branch-length smoothing with Newton–Raphson, lockstep Brent
+// optimization of per-partition model parameters that converges per
+// partition, PSR per-site rate optimization, and lazy-SPR topology
+// rearrangements — written once against the Engine interface.
 //
 // This single-source property is the paper's "exactly the same tree search
 // algorithm" guarantee: the fork-join engine runs this code on the master
@@ -29,7 +29,10 @@ type Engine interface {
 	Traverse(d *traversal.Descriptor)
 
 	// Evaluate executes the descriptor and returns the global
-	// per-partition log likelihoods at its virtual root edge.
+	// per-partition log likelihoods at its virtual root edge. When the
+	// descriptor carries an active-partition mask, only the marked
+	// partitions are traversed and evaluated; the other slots of the
+	// result are meaningless and the partitions' CLVs stay as they are.
 	Evaluate(d *traversal.Descriptor) []float64
 
 	// PrepareBranch executes the descriptor and builds the derivative

@@ -23,3 +23,12 @@ func (s *Searcher) TryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 
 // Dirty exposes the dirty-slot overlay.
 func (s *Searcher) Dirty() []bool { return s.dirty }
+
+// OptimizeModel exposes one model-parameter round.
+func (s *Searcher) OptimizeModel() error { return s.optimizeModel() }
+
+// Held exposes the per-partition log likelihoods the searcher holds.
+func (s *Searcher) Held() []float64 { return s.perPart }
+
+// Shared returns a copy of the shared-parameter matrix.
+func (s *Searcher) Shared() [][]float64 { return s.sharedMatrix() }

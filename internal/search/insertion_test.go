@@ -80,6 +80,69 @@ func (m *mirrorEngine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	return m.Engine.OptimizeSiteRates(d)
 }
 
+// withTwin runs body on every rank that drives a searcher — each rank
+// under the de-centralized scheme, the master under fork-join — of a
+// two-rank world, with that rank's engine and a twin of the same scheme
+// over a second world. The twin always runs the default layout on one
+// thread: both are bit-invisible, and only the scheme and the rank count
+// shape a sum.
+func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogeneity, perPart bool, threads int, aos bool, body func(rank int, eng, twin search.Engine)) {
+	t.Helper()
+	const ranks = 2
+	assign := cyclicAssignment(t, d, ranks)
+	wA, wB := mpi.NewWorld(ranks), mpi.NewWorld(ranks)
+	if scheme == "decentral" {
+		wA.Run(func(c *mpi.Comm) {
+			eng, err := decentral.NewEngine(c, d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer eng.Close()
+			twin, err := decentral.NewEngine(wB.Comm(c.Rank()), d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer twin.Close()
+			body(c.Rank(), eng, twin)
+		})
+		return
+	}
+	cfgA := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos}
+	cfgB := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart}
+	wA.Run(func(c *mpi.Comm) {
+		if c.Rank() != 0 {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := forkjoin.RunWorker(wB.Comm(c.Rank()), d, assign, cfgB); err != nil {
+					t.Error(err)
+				}
+			}()
+			if err := forkjoin.RunWorker(c, d, assign, cfgA); err != nil {
+				t.Error(err)
+			}
+			wg.Wait()
+			return
+		}
+		eng, err := forkjoin.NewMaster(c, d, assign, cfgA)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer eng.Close()
+		twin, err := forkjoin.NewMaster(wB.Comm(0), d, assign, cfgB)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer twin.Close()
+		body(0, eng, twin)
+	})
+}
+
 // checkAgainstTwin is the insertion hook: regraft for real, clone, undo,
 // and ask the twin for a forced full evaluation of the clone.
 func checkAgainstTwin(t *testing.T, label string, s *search.Searcher, twin search.Engine, checked *int) func(*tree.PrunedSubtree, []*tree.Node, []float64) {
@@ -113,7 +176,6 @@ func checkAgainstTwin(t *testing.T, label string, s *search.Searcher, twin searc
 func TestInsertionScoresEqualForcedEvaluation(t *testing.T) {
 	d := oracleDataset(t)
 	const ranks = 2
-	assign := cyclicAssignment(t, d, ranks)
 	for _, scheme := range []string{"decentral", "forkjoin"} {
 		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 			for _, perPart := range []bool{false, true} {
@@ -135,60 +197,7 @@ func TestInsertionScoresEqualForcedEvaluation(t *testing.T) {
 								t.Errorf("%s: %v", label, err)
 							}
 						}
-						// The twin always runs the default layout on one
-						// thread: both are bit-invisible, and only the
-						// scheme and the rank count shape a sum.
-						wA, wB := mpi.NewWorld(ranks), mpi.NewWorld(ranks)
-						if scheme == "decentral" {
-							wA.Run(func(c *mpi.Comm) {
-								eng, err := decentral.NewEngine(c, d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos})
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								defer eng.Close()
-								twin, err := decentral.NewEngine(wB.Comm(c.Rank()), d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart})
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								defer twin.Close()
-								run(c.Rank(), eng, twin)
-							})
-						} else {
-							cfgA := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos}
-							cfgB := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart}
-							wA.Run(func(c *mpi.Comm) {
-								if c.Rank() != 0 {
-									var wg sync.WaitGroup
-									wg.Add(1)
-									go func() {
-										defer wg.Done()
-										if err := forkjoin.RunWorker(wB.Comm(c.Rank()), d, assign, cfgB); err != nil {
-											t.Error(err)
-										}
-									}()
-									if err := forkjoin.RunWorker(c, d, assign, cfgA); err != nil {
-										t.Error(err)
-									}
-									wg.Wait()
-									return
-								}
-								eng, err := forkjoin.NewMaster(c, d, assign, cfgA)
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								defer eng.Close()
-								twin, err := forkjoin.NewMaster(wB.Comm(0), d, assign, cfgB)
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								defer twin.Close()
-								run(0, eng, twin)
-							})
-						}
+						withTwin(t, d, scheme, het, perPart, threads, aos, run)
 						if checked[0] == 0 {
 							t.Errorf("%s: no candidate was checked", label)
 						}
@@ -215,9 +224,9 @@ type localEngine struct {
 	outerClobbered bool
 }
 
-func newLocalEngine(t *testing.T, d *msa.Dataset) *localEngine {
+func newLocalEngine(t *testing.T, d *msa.Dataset, het model.Heterogeneity, perPart bool, threads int) *localEngine {
 	t.Helper()
-	l, err := enginecore.NewLocal(d, cyclicAssignment(t, d, 1), 0, model.Gamma, model.GTR, false, 1)
+	l, err := enginecore.NewLocal(d, cyclicAssignment(t, d, 1), 0, het, model.GTR, perPart, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +270,12 @@ func (e *localEngine) SetShared(params [][]float64) {
 	}
 }
 
-func (e *localEngine) OptimizeSiteRates(*traversal.Descriptor) []float64 {
-	e.t.Fatal("localEngine is Γ only")
-	return nil
+// OptimizeSiteRates is the PSR pipeline of a world of one rank: nothing to
+// reduce between the local statistics and their resolution.
+func (e *localEngine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
+	res := enginecore.ResolveSiteRates(e.l.OptimizeSiteRatesLocal(d), e.l.NPart, e.l.PerPartBranches)
+	e.l.ApplySiteRates(res)
+	return res.Scale
 }
 
 // TestRejectedPrunePointLeavesValidCLVs pins what scoring may touch: a
@@ -272,7 +284,7 @@ func (e *localEngine) OptimizeSiteRates(*traversal.Descriptor) []float64 {
 // a forced traversal toward its orientation computes.
 func TestRejectedPrunePointLeavesValidCLVs(t *testing.T) {
 	d := makeDataset(t, 14, 2, 150, 8)
-	eng, ref := newLocalEngine(t, d), newLocalEngine(t, d)
+	eng, ref := newLocalEngine(t, d, model.Gamma, false, 1), newLocalEngine(t, d, model.Gamma, false, 1)
 	defer eng.Close()
 	defer ref.Close()
 	s, err := search.NewSearcher(eng, d, search.Config{Het: model.Gamma, Seed: 3})
@@ -321,7 +333,7 @@ func TestRejectedPrunePointLeavesValidCLVs(t *testing.T) {
 // round never reuses them.
 func TestSmootherRecomputesOuterVectorsAfterSPR(t *testing.T) {
 	d := makeDataset(t, 10, 2, 80, 6)
-	eng := newLocalEngine(t, d)
+	eng := newLocalEngine(t, d, model.Gamma, false, 1)
 	s, err := search.NewSearcher(eng, d, search.Config{Het: model.Gamma, Seed: 9, MaxIterations: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +353,7 @@ func TestSmootherRecomputesOuterVectorsAfterSPR(t *testing.T) {
 // restore (or the regraft of the best candidate) that follows must fail.
 func TestRunFailsOnBrokenTreeSurgery(t *testing.T) {
 	d := makeDataset(t, 9, 2, 60, 3)
-	eng := newLocalEngine(t, d)
+	eng := newLocalEngine(t, d, model.Gamma, false, 1)
 	s, err := search.NewSearcher(eng, d, search.Config{Het: model.Gamma, Seed: 4, MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/msa"
+	"repro/internal/numutil"
 	"repro/internal/parsimony"
 	"repro/internal/telemetry"
 	"repro/internal/traversal"
@@ -137,7 +138,9 @@ type Searcher struct {
 	// the row headers into it that SetShared receives. The searcher keeps
 	// only these free parameters: the derived state (eigensystems, Γ
 	// category rates) lives in the engines' kernels, the one place that
-	// reads it.
+	// reads it. While optimizeSharedScalar searches a scalar, its columns
+	// mirror what the engine was last told instead; they hold the accepted
+	// values again when it returns.
 	shared         []float64
 	sharedRows     [][]float64
 	lnL            float64
@@ -161,27 +164,22 @@ type Searcher struct {
 	touched  []bool
 	touching bool
 
-	// Reusable buffers for the Newton and golden-section loops and for
-	// per-probe copies of engine results. Engine result slices are only
-	// valid until the engine's next call (enginecore.Local), so any
-	// result that must survive one — the paired golden-section probes,
-	// the cached per-partition vector — is copied into searcher-owned
-	// storage. Keeps the steady-state optimization loops
-	// allocation-free (docs/PERFORMANCE.md; asserted by alloc tests).
+	// Reusable buffers for the Newton loops and the cached per-partition
+	// vector. Engine result slices are only valid until the engine's next
+	// call (enginecore.Local), so a result that must survive one is copied
+	// into searcher-owned storage. Keeps the steady-state optimization
+	// loops allocation-free (docs/PERFORMANCE.md; asserted by alloc tests).
 	brTs, brLo, brHi []float64
 	brDone           []bool
-	// Golden-section state of optimizeSharedScalar: bracket ends, the two
-	// interior points, the per-step probe vector and which point each of
-	// its entries is, the current values, and the probed columns.
-	optA, optB, optX1, optX2 []float64
-	optNew, optCur           []float64
-	optNewIs1                []bool
-	optCols                  []int
-	// probeSaved holds the authoritative matrix while a probe's
-	// candidates occupy it; probeF* are the kept copies of probe results.
-	probeSaved                  []float64
-	probeF1, probeF2, probeFNew []float64
-	probeFCur                   []float64
+	// Model-parameter search state (optimizeModel): one Brent search per
+	// partition, the probed columns, and the forced full-tree descriptor
+	// every probe of one round executes — built once per round, because
+	// the tree is fixed for the round, and re-stamped per probe with the
+	// mask of the partitions whose candidate changed.
+	optSearch []scalarSearch
+	optCols   []int
+	optMask   []bool
+	probeDesc *traversal.Descriptor
 
 	// Batched-gradient smoother state (smoothSweep): per-(class, branch)
 	// Newton brackets and trial lengths, per-branch change flags, the
@@ -838,18 +836,84 @@ func (s *Searcher) markGradStale(changed, skip []bool) {
 
 // ---------- model parameter optimization ----------
 
+// The model-parameter search: constants, not knobs (docs/PERFORMANCE.md §9).
+const (
+	// scalarXTol is Brent's relative x tolerance.
+	scalarXTol = 1e-3
+	// scalarFlatLnL is the observed likelihood change below which a
+	// parabolic probe counts as flat; two in a row stop a partition.
+	scalarFlatLnL = 1e-3
+	// scalarMaxProbes bounds the SetShared→Evaluate pairs one scalar may
+	// cost: each partition's search gets one fewer, the last one settles.
+	scalarMaxProbes = 14
+)
+
+// scalarSearch is one partition's search over one scalar parameter:
+// Brent's method maximizing that partition's log likelihood from the
+// current value, whose likelihood the caller already holds. It stops on
+// Brent's own x tolerance, on flatness — two consecutive parabolic probes
+// that each changed the partition's likelihood by less than scalarFlatLnL
+// (observed changes: a parabola through a wide bracket predicts "flat"
+// where the surface is not) — or when the probe budget is spent. A
+// partition's sequence of probes depends on nothing but its own objective:
+// running the searches of many partitions in lockstep changes what a probe
+// costs, never what any of them finds.
+type scalarSearch struct {
+	br     numutil.BrentStepper
+	probes int
+	flat   int
+	done   bool
+}
+
+func (q *scalarSearch) start(lo, hi, x, lnL float64) {
+	*q = scalarSearch{}
+	q.br.Start(lo, hi, x, -lnL, scalarXTol)
+}
+
+// next returns the value to probe next; false ends the search for good.
+func (q *scalarSearch) next() (float64, bool) {
+	if !q.done && q.flat < 2 && q.probes < scalarMaxProbes-1 {
+		if u, ok := q.br.Next(); ok {
+			return u, true
+		}
+	}
+	q.done = true
+	return 0, false
+}
+
+// report takes the partition's log likelihood at the value next returned.
+func (q *scalarSearch) report(lnL float64) {
+	_, before := q.br.Best()
+	q.br.Report(-lnL)
+	q.probes++
+	if q.br.Parabolic() && math.Abs(-lnL-before) < scalarFlatLnL {
+		q.flat++
+	} else {
+		q.flat = 0
+	}
+}
+
+// best returns the best value probed (the starting value when nothing
+// beat it) and the log likelihood held for it.
+func (q *scalarSearch) best() (x, lnL float64) {
+	x, f := q.br.Best()
+	return x, -f
+}
+
 // optimizeModel optimizes the rate-heterogeneity parameters and the GTR
 // exchangeabilities of all partitions simultaneously (coordinated
-// proposals: one parallel region evaluates one candidate vector for every
-// partition at once, the design the paper's reference [23] mandates for
-// partitioned parallel efficiency).
+// proposals: one parallel region evaluates one candidate for every
+// partition still searching, the design the paper's reference [23]
+// mandates for partitioned parallel efficiency).
+//
+// A round pays one opening evaluation. Every scalar after that starts
+// from per-partition likelihoods the round already holds: partition i's
+// slot of Evaluate is a pure function of partition i's parameters and the
+// tree, which is fixed here (docs/DETERMINISM.md §4), so the values one
+// scalar ends with are the values the next one starts from.
 func (s *Searcher) optimizeModel() error {
-	if s.cfg.Het == model.Gamma {
-		s.optCols = append(s.optCols[:0], model.SharedAlpha)
-		if err := s.optimizeSharedScalar(s.optCols, model.MinAlpha, model.MaxAlpha); err != nil {
-			return err
-		}
-	} else {
+	groups := s.cfg.Subst.FreeRateGroups()
+	if s.cfg.Het != model.Gamma {
 		d := traversal.Build(s.Tree, s.Tree.Tip(0), true)
 		scales := s.eng.OptimizeSiteRates(d)
 		for c, f := range scales {
@@ -862,11 +926,22 @@ func (s *Searcher) optimizeModel() error {
 		// New per-site rates plus globally rescaled branch lengths
 		// invalidate every CLV.
 		s.modelDirty = true
+		if len(groups) == 0 {
+			return nil
+		}
+	}
+	s.evaluateFull()
+	s.probeDesc = traversal.Build(s.Tree, s.Tree.Tip(0), true)
+	if s.cfg.Het == model.Gamma {
+		s.optCols = append(s.optCols[:0], model.SharedAlpha)
+		if err := s.optimizeSharedScalar(s.optCols, model.MinAlpha, model.MaxAlpha); err != nil {
+			return err
+		}
 	}
 	// Exchangeabilities: one free rate group at a time (5 singletons for
 	// GTR, a single tied transition group for K80/HKY, none for JC), all
 	// partitions in lockstep.
-	for _, group := range s.cfg.Subst.FreeRateGroups() {
+	for _, group := range groups {
 		s.optCols = s.optCols[:0]
 		for _, ri := range group {
 			s.optCols = append(s.optCols, model.SharedRates+ri)
@@ -878,129 +953,101 @@ func (s *Searcher) optimizeModel() error {
 	return nil
 }
 
-// optimizeSharedScalar runs a lockstep golden-section search with a fixed
-// iteration count over one scalar parameter of every partition
-// simultaneously; cols are the columns of the shared matrix the scalar
-// occupies (one, or a tied rate group). Each probe of the objective costs
-// one SetShared, one full traversal and one evaluation region returning
-// per-partition likelihoods.
+// optimizeSharedScalar runs one Brent search per partition, in lockstep,
+// over one scalar parameter; cols are the columns of the shared matrix the
+// scalar occupies (one, or a tied rate group). It starts from s.perPart,
+// the likelihoods held for the current values, and leaves there the
+// likelihoods held for the accepted ones.
 //
-// A golden-section step keeps one of its two interior points, and with
-// it that point's value: partition i's slot of Evaluate is a pure
-// function of partition i's parameters and the tree, which is fixed
-// here, so evaluating the kept point again would return the bits already
-// held (docs/DETERMINISM.md §4). Each iteration therefore issues ONE
-// probe, whose vector carries for every partition whichever of its two
-// points is new — 2 + 12 probes for the search, 1 for the closing
-// best-vs-current comparison.
+// Each step is one probe — one SetShared, one forced traversal and one
+// evaluation region — over only the partitions whose value changes: those
+// still searching, at their next candidate, and those that stopped on a
+// candidate other than their best, back at their best. While the scalar is
+// being searched the shared matrix mirrors what the engine was last told,
+// so a partition that takes no part in a probe is pushed the value its
+// CLVs were computed from (a no-op in the kernel), skipped by the
+// descriptor's mask, and costs nothing. The loop ends when no value is
+// left to change: every partition's parameters and CLVs are then those of
+// its accepted value, exactly as a push and a forced full evaluation of
+// the accepted matrix would leave them — without that evaluation when the
+// last probes already were at the accepted values.
 func (s *Searcher) optimizeSharedScalar(cols []int, lo, hi float64) error {
-	const steps = 12 // golden-section iterations; deterministic count
-	invPhi := (math.Sqrt(5) - 1) / 2
-
-	a := grow(&s.optA, s.nPart)
-	b := grow(&s.optB, s.nPart)
-	x1 := grow(&s.optX1, s.nPart)
-	x2 := grow(&s.optX2, s.nPart)
-	xNew := grow(&s.optNew, s.nPart)
-	newIs1 := growBool(&s.optNewIs1, s.nPart)
-	cur := grow(&s.optCur, s.nPart)
+	if cap(s.optSearch) < s.nPart {
+		s.optSearch = make([]scalarSearch, s.nPart)
+	}
+	qs := s.optSearch[:s.nPart]
+	mask := growBool(&s.optMask, s.nPart)
 	for i, row := range s.sharedRows {
-		cur[i] = row[cols[0]]
 		// Local bracket around the current value, clipped to bounds.
-		a[i] = math.Max(lo, cur[i]*0.2)
-		b[i] = math.Min(hi, math.Max(cur[i]*5, cur[i]+1))
-		x1[i] = b[i] - invPhi*(b[i]-a[i])
-		x2[i] = a[i] + invPhi*(b[i]-a[i])
+		cur := row[cols[0]]
+		qs[i].start(math.Max(lo, cur*0.2), math.Min(hi, math.Max(cur*5, cur+1)), cur, s.perPart[i])
 	}
-	f1, err := s.probeShared(cols, x1, &s.probeF1)
-	if err != nil {
-		return err
-	}
-	f2, err := s.probeShared(cols, x2, &s.probeF2)
-	if err != nil {
-		return err
-	}
-	for it := 0; it < steps; it++ {
-		for i := range x1 {
-			if f1[i] >= f2[i] { // maximize
-				b[i] = x2[i]
-				x2[i], f2[i] = x1[i], f1[i]
-				x1[i] = b[i] - invPhi*(b[i]-a[i])
-				xNew[i], newIs1[i] = x1[i], true
-			} else {
-				a[i] = x1[i]
-				x1[i], f1[i] = x2[i], f2[i]
-				x2[i] = a[i] + invPhi*(b[i]-a[i])
-				xNew[i], newIs1[i] = x2[i], false
+	for {
+		n := 0
+		for i, row := range s.sharedRows {
+			q := &qs[i]
+			x, searching := q.next()
+			if !searching {
+				x, _ = q.best()
+			}
+			mask[i] = searching || math.Float64bits(x) != math.Float64bits(row[cols[0]])
+			if mask[i] {
+				n++
+				for _, c := range cols {
+					row[c] = x
+				}
 			}
 		}
-		fNew, err := s.probeShared(cols, xNew, &s.probeFNew)
+		if n == 0 {
+			break
+		}
+		out, err := s.probeShared(cols, mask, n)
 		if err != nil {
+			// Leave the matrix at the best values found, none of them the
+			// candidate that failed; the engine holds something else.
+			for i, row := range s.sharedRows {
+				x, _ := qs[i].best()
+				for _, c := range cols {
+					row[c] = x
+				}
+			}
+			s.modelDirty = true
 			return err
 		}
-		for i, f := range fNew {
-			if newIs1[i] {
-				f1[i] = f
-			} else {
-				f2[i] = f
+		for i := range qs {
+			if !qs[i].done {
+				qs[i].report(out[i])
 			}
 		}
 	}
-	// Keep the better interior point only where it actually improves on
-	// the current value. Its likelihood is the one the loop holds for it —
-	// the same slot purity that lets a step keep a point's value — so the
-	// closing comparison probes the current value alone.
-	fCur, err := s.probeShared(cols, cur, &s.probeFCur)
-	if err != nil {
-		return err
+	for i := range qs {
+		_, s.perPart[i] = qs[i].best()
 	}
-	for i, row := range s.sharedRows {
-		best, fBest := x1[i], f1[i]
-		if f1[i] < f2[i] {
-			best, fBest = x2[i], f2[i]
-		}
-		if fBest > fCur[i] {
-			for _, c := range cols {
-				row[c] = best
-			}
-		}
-	}
-	s.pushShared()
-	s.evaluateFull()
+	s.lnL = sum(s.perPart)
 	return nil
 }
 
-// probeShared evaluates the per-partition lnL with candidate xs[i]
-// written into columns cols of every partition i: one SetShared
-// broadcast + one full traversal + one evaluation region. The
-// authoritative matrix is restored before returning (the engine's
-// kernels are updated again on the next push). The result is copied into
-// *dst (resized as needed), because the engine's result slice is only
-// valid until its next call and the golden-section loop keeps several
-// probes alive at once. A partition whose likelihood comes back NaN — an
-// engine that could not evaluate the candidate — fails the search: NaN
-// compares false against everything, so the bracket update would
-// otherwise walk on silently in an arbitrary direction.
-func (s *Searcher) probeShared(cols []int, xs []float64, dst *[]float64) ([]float64, error) {
+// probeShared pushes the shared matrix, whose columns cols carry this
+// probe's candidates, and evaluates the partitions mask marks (n of them)
+// by a forced full traversal: one SetShared broadcast + one evaluation
+// region. The result is the engine's own slice, valid until
+// its next call, and only the marked slots mean anything. A marked
+// partition whose likelihood comes back NaN — an engine that could not
+// evaluate the candidate — fails the search: NaN compares false against
+// everything, so Brent's bracket update would otherwise walk on silently
+// in an arbitrary direction.
+func (s *Searcher) probeShared(cols []int, mask []bool, n int) ([]float64, error) {
 	s.cfg.Telemetry.Inc(telemetry.CounterModelProbes, 1)
-	s.probeSaved = append(s.probeSaved[:0], s.shared...)
-	for i, row := range s.sharedRows {
-		for _, c := range cols {
-			row[c] = xs[i]
+	s.cfg.Telemetry.Inc(telemetry.CounterModelPartitionEvals, int64(n))
+	s.eng.SetShared(s.sharedRows)
+	s.probeDesc.Active = mask
+	out := s.eng.Evaluate(s.probeDesc)
+	for i, v := range out {
+		if mask[i] && v != v {
+			return nil, fmt.Errorf("search: partition %d: log likelihood is NaN with shared-parameter columns %v set to %g", i, cols, s.sharedRows[i][cols[0]])
 		}
 	}
-	s.pushShared()
-	d := traversal.Build(s.Tree, s.Tree.Tip(0), true)
-	out := s.eng.Evaluate(d)
-	copy(s.shared, s.probeSaved)
-	res := grow(dst, len(out))
-	copy(res, out)
-	for i, v := range res {
-		if v != v {
-			return nil, fmt.Errorf("search: partition %d: log likelihood is NaN with shared-parameter columns %v set to %g", i, cols, xs[i])
-		}
-	}
-	return res, nil
+	return out, nil
 }
 
 // ---------- SPR topology moves ----------

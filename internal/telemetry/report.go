@@ -134,10 +134,15 @@ type Report struct {
 	// tip-tip pair table is filled with (of 256), summed across ranks
 	// (0 when no pair table was built — PSR has none).
 	PairEntriesPerTipTipNewview float64 `json:"pair_entries_per_tiptip_newview"`
-	// ModelProbesPerRound is model-parameter probes (SetShared + full
+	// ModelProbesPerRound is model-parameter probes (SetShared + forced
 	// traversal + evaluation) per model-optimization round, from rank 0
 	// (0 when no round ran).
 	ModelProbesPerRound float64 `json:"model_probes_per_round"`
+	// ActivePartitionsPerProbe is the mean number of partitions a
+	// model-parameter probe evaluated, from rank 0: converged partitions
+	// drop out of the probes (docs/PERFORMANCE.md §9; 0 when no probe
+	// ran).
+	ActivePartitionsPerProbe float64 `json:"active_partitions_per_probe"`
 	// CandidatesPerPrunePoint is SPR regraft candidates scored per
 	// insertion plan, from rank 0: what one engine call and one
 	// collective of the topology search carry (docs/PERFORMANCE.md §8;
@@ -238,6 +243,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		rep.PairEntriesPerTipTipNewview = float64(pairEntries) / float64(tipTips)
 	}
 	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
+	rep.ActivePartitionsPerProbe = ratio(c.recs[0].counters[CounterModelPartitionEvals], c.recs[0].counters[CounterModelProbes])
 	rep.CandidatesPerPrunePoint = ratio(c.recs[0].counters[CounterSPRCandidatesScored], c.recs[0].counters[CounterSPRInsertionPlans])
 	if tot := repComputed + repSaved; tot > 0 {
 		rep.RepeatShare = float64(repSaved) / float64(tot)
@@ -364,6 +370,9 @@ func (r *Report) String() string {
 	}
 	if r.ModelProbesPerRound > 0 {
 		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)
+	}
+	if r.ActivePartitionsPerProbe > 0 {
+		fmt.Fprintf(&b, "  active partitions / probe              %8.1f\n", r.ActivePartitionsPerProbe)
 	}
 	if r.CandidatesPerPrunePoint > 0 {
 		fmt.Fprintf(&b, "  candidates / prune point               %8.1f\n", r.CandidatesPerPrunePoint)

@@ -82,9 +82,14 @@ const (
 	CounterIterations Counter = iota
 	// CounterModelOptRounds is model-parameter optimization rounds.
 	CounterModelOptRounds
-	// CounterModelProbes is model-parameter probes: SetShared + full
-	// traversal + evaluation regions issued by the golden-section loops.
+	// CounterModelProbes is model-parameter probes: SetShared + forced
+	// traversal + evaluation regions issued by the lockstep Brent search.
 	CounterModelProbes
+	// CounterModelPartitionEvals is the partitions those probes evaluated:
+	// a probe covers only the partitions whose candidate changed
+	// (docs/PERFORMANCE.md §9), so this over model-probes is the mean
+	// probe width.
+	CounterModelPartitionEvals
 	// CounterNewtonIters is Newton steps over all branch visits.
 	CounterNewtonIters
 	// CounterSPRRounds is completed lazy-SPR sweeps.
@@ -132,6 +137,8 @@ func (c Counter) String() string {
 		return "model-opt-rounds"
 	case CounterModelProbes:
 		return "model-probes"
+	case CounterModelPartitionEvals:
+		return "model-partition-evals"
 	case CounterNewtonIters:
 		return "newton-iterations"
 	case CounterSPRRounds:
@@ -446,9 +453,9 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 		for _, n := range r.collOps {
 			collectives += n
 		}
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"model_probes\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
-			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, r.counters[CounterModelProbes],
+			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
 			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
 			jsonFloat(ratio(collectives, r.counters[CounterIterations])), c.jobFrag)

@@ -146,6 +146,7 @@ func TestKernelPerfReport(t *testing.T) {
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
 	c.Recorder(0).Inc(CounterModelOptRounds, 2)
 	c.Recorder(0).Inc(CounterModelProbes, 180)
+	c.Recorder(0).Inc(CounterModelPartitionEvals, 450)
 	c.Recorder(0).Inc(CounterSPRInsertionPlans, 10)
 	c.Recorder(0).Inc(CounterSPRCandidatesScored, 175)
 	c.Recorder(0).Inc(CounterSPRVerifications, 3)
@@ -169,6 +170,9 @@ func TestKernelPerfReport(t *testing.T) {
 	if rep.ModelProbesPerRound != 90 || rep.Counters["model-probes"] != 180 {
 		t.Fatalf("model probes per round %v, counters %v", rep.ModelProbesPerRound, rep.Counters)
 	}
+	if rep.ActivePartitionsPerProbe != 2.5 || rep.Counters["model-partition-evals"] != 450 {
+		t.Fatalf("active partitions per probe %v, counters %v", rep.ActivePartitionsPerProbe, rep.Counters)
+	}
 	if rep.CandidatesPerPrunePoint != 17.5 || rep.Counters["spr-candidates-scored"] != 175 || rep.Counters["spr-verifications"] != 3 {
 		t.Fatalf("candidates per prune point %v, counters %v", rep.CandidatesPerPrunePoint, rep.Counters)
 	}
@@ -177,7 +181,7 @@ func TestKernelPerfReport(t *testing.T) {
 	}
 
 	text := rep.String()
-	for _, want := range []string{"fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "candidates / prune point", "traversal-steps-skipped"} {
+	for _, want := range []string{"fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -191,7 +195,7 @@ func TestKernelPerfReport(t *testing.T) {
 		}
 		if ev["ev"] == "perf" {
 			perfEvents++
-			for _, field := range []string{"fast_ops", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+			for _, field := range []string{"fast_ops", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
 				if _, ok := ev[field]; !ok {
 					t.Fatalf("perf event missing %s: %v", field, ev)
 				}

@@ -157,6 +157,13 @@ type Descriptor struct {
 	P, Q likelihood.NodeRef
 	// T[c] is the evaluation edge's length in class c.
 	T []float64
+	// Active, when non-nil, restricts an Evaluate to the partitions it
+	// marks (nil = all, the GradPlan.Active idiom): a rank runs no
+	// traversal and no evaluation for an unmarked partition, leaves its
+	// CLVs as they are and returns 0 in its result slot, which the caller
+	// must not read. The model-parameter search marks the partitions whose
+	// candidate changed (docs/PERFORMANCE.md §9). Only Evaluate honors it.
+	Active []bool
 }
 
 // Build computes the full multi-class descriptor for the edge at p. The
@@ -208,6 +215,11 @@ func classSteps(t *tree.Tree, base []likelihood.Step, c int, dst []likelihood.St
 	return dst
 }
 
+// maskFlag, set in the class-count word of an encoded descriptor, says an
+// active-partition mask follows the header. An unmasked descriptor encodes
+// to the frame it always had.
+const maskFlag = 1 << 31
+
 // WireSize returns the number of bytes Encode produces — the quantity the
 // fork-join engine's Table I metering charges per descriptor broadcast.
 func (d *Descriptor) WireSize() int {
@@ -220,28 +232,31 @@ func (d *Descriptor) WireSize() int {
 // master meter the historically faithful byte count without building and
 // encoding the padded copy.
 func (d *Descriptor) WireSizeForClasses(classes int) int {
-	size := 4 + 4 + 2*9 + 8*classes // header: classes, steps, P, Q, T
+	n := 0
 	if len(d.Steps) > 0 {
-		size += len(d.Steps[0]) * (4 + 2*9)    // structure: dst + two refs
-		size += classes * len(d.Steps[0]) * 16 // per-class lengths
+		n = len(d.Steps[0])
 	}
+	return descriptorWireSize(classes, n, d.Active != nil, len(d.Active))
+}
+
+// descriptorWireSize is the frame size of a descriptor of the given shape.
+func descriptorWireSize(classes, steps int, masked bool, nMask int) int {
+	size := 4 + 4 + 2*9 + 8*classes // header: classes, steps, P, Q, T
+	if masked {
+		size += 4 + (nMask+7)/8 // mask: length, one bit per partition
+	}
+	size += steps * (4 + 2*9)    // structure: dst + two refs
+	size += classes * steps * 16 // per-class lengths
 	return size
 }
 
 // Encode serializes the descriptor (little-endian, structure shared across
-// classes, lengths per class).
+// classes, lengths per class; the active-partition mask, when there is
+// one, as a bit set between the header and the structure).
 func (d *Descriptor) Encode() []byte {
 	buf := make([]byte, 0, d.WireSize())
-	put32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	put64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
-	}
+	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
+	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	putRef := func(r likelihood.NodeRef) {
 		if r.Tip {
 			buf = append(buf, 1)
@@ -250,7 +265,11 @@ func (d *Descriptor) Encode() []byte {
 		}
 		put64(uint64(uint32(r.Idx)))
 	}
-	put32(uint32(len(d.Steps)))
+	classes := uint32(len(d.Steps))
+	if d.Active != nil {
+		classes |= maskFlag
+	}
+	put32(classes)
 	n := 0
 	if len(d.Steps) > 0 {
 		n = len(d.Steps[0])
@@ -260,6 +279,16 @@ func (d *Descriptor) Encode() []byte {
 	putRef(d.Q)
 	for _, t := range d.T {
 		put64(math.Float64bits(t))
+	}
+	if d.Active != nil {
+		put32(uint32(len(d.Active)))
+		bits := len(buf)
+		buf = append(buf, make([]byte, (len(d.Active)+7)/8)...)
+		for i, on := range d.Active {
+			if on {
+				buf[bits+i/8] |= 1 << (i % 8)
+			}
+		}
 	}
 	if n > 0 {
 		for _, s := range d.Steps[0] {
@@ -277,95 +306,135 @@ func (d *Descriptor) Encode() []byte {
 	return buf
 }
 
-// Decode reverses Encode.
+// Decode reverses Encode. The header is checked against the buffer length
+// before anything is sized from it, so arbitrary bytes cost at most an
+// error, and a frame that decodes re-encodes to the same bytes. Follow it
+// with Validate before executing the descriptor.
 func Decode(buf []byte) (*Descriptor, error) {
-	pos := 0
-	get32 := func() (uint32, error) {
-		if pos+4 > len(buf) {
-			return 0, fmt.Errorf("traversal: truncated descriptor")
-		}
-		v := binary.LittleEndian.Uint32(buf[pos:])
-		pos += 4
-		return v, nil
+	const fixed = 4 + 4 + 2*9
+	if len(buf) < fixed {
+		return nil, fmt.Errorf("traversal: truncated descriptor")
 	}
-	get64 := func() (uint64, error) {
-		if pos+8 > len(buf) {
-			return 0, fmt.Errorf("traversal: truncated descriptor")
+	word := binary.LittleEndian.Uint32(buf[0:])
+	masked := word&maskFlag != 0
+	classes := int(word &^ maskFlag)
+	steps := int(binary.LittleEndian.Uint32(buf[4:]))
+	if classes > 1<<20 || steps > 1<<24 {
+		return nil, fmt.Errorf("traversal: implausible descriptor header (%d classes, %d steps)", classes, steps)
+	}
+	nMask := 0
+	if masked {
+		at := fixed + 8*classes
+		if len(buf) < at+4 {
+			return nil, fmt.Errorf("traversal: truncated descriptor")
 		}
-		v := binary.LittleEndian.Uint64(buf[pos:])
+		n := binary.LittleEndian.Uint32(buf[at:])
+		if n > 1<<20 {
+			return nil, fmt.Errorf("traversal: implausible descriptor mask (%d partitions)", n)
+		}
+		nMask = int(n)
+	}
+	// Counts this small cannot overflow the size on a 64-bit int.
+	if want := descriptorWireSize(classes, steps, masked, nMask); len(buf) != want {
+		return nil, fmt.Errorf("traversal: descriptor is %d bytes, its header says %d", len(buf), want)
+	}
+	pos := 8
+	var err error
+	getRef := func() likelihood.NodeRef {
+		tip, idx := buf[pos], binary.LittleEndian.Uint64(buf[pos+1:])
+		if tip > 1 || idx > math.MaxInt32 {
+			err = fmt.Errorf("traversal: bad operand in descriptor (tip byte %d, index %d)", tip, idx)
+		}
+		pos += 9
+		return likelihood.NodeRef{Tip: tip == 1, Idx: int32(idx)}
+	}
+	getF := func() float64 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
 		pos += 8
-		return v, nil
+		return v
 	}
-	getRef := func() (likelihood.NodeRef, error) {
-		if pos+1 > len(buf) {
-			return likelihood.NodeRef{}, fmt.Errorf("traversal: truncated descriptor")
-		}
-		tip := buf[pos] == 1
-		pos++
-		v, err := get64()
-		if err != nil {
-			return likelihood.NodeRef{}, err
-		}
-		return likelihood.NodeRef{Tip: tip, Idx: int32(uint32(v))}, nil
-	}
-	nClasses, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	nSteps, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if nClasses > 1<<20 || nSteps > 1<<24 {
-		return nil, fmt.Errorf("traversal: implausible descriptor header (%d classes, %d steps)", nClasses, nSteps)
-	}
-	d := &Descriptor{T: make([]float64, nClasses), Steps: make([][]likelihood.Step, nClasses)}
-	if d.P, err = getRef(); err != nil {
-		return nil, err
-	}
-	if d.Q, err = getRef(); err != nil {
-		return nil, err
-	}
+	d := &Descriptor{T: make([]float64, classes), Steps: make([][]likelihood.Step, classes)}
+	d.P = getRef()
+	d.Q = getRef()
 	for c := range d.T {
-		v, err := get64()
-		if err != nil {
-			return nil, err
-		}
-		d.T[c] = math.Float64frombits(v)
+		d.T[c] = getF()
 	}
-	structure := make([]likelihood.Step, nSteps)
+	if masked {
+		pos += 4
+		d.Active = make([]bool, nMask)
+		for i := range d.Active {
+			d.Active[i] = buf[pos+i/8]&(1<<(i%8)) != 0
+		}
+		if nMask%8 != 0 && buf[pos+nMask/8]>>(nMask%8) != 0 {
+			err = fmt.Errorf("traversal: descriptor mask has bits beyond its %d partitions", nMask)
+		}
+		pos += (nMask + 7) / 8
+	}
+	var structure []likelihood.Step
+	if steps > 0 {
+		structure = make([]likelihood.Step, steps)
+	}
 	for i := range structure {
-		dst, err := get32()
-		if err != nil {
-			return nil, err
+		dst := binary.LittleEndian.Uint32(buf[pos:])
+		if dst > math.MaxInt32 {
+			err = fmt.Errorf("traversal: bad destination slot %d in descriptor", dst)
 		}
-		structure[i].Dst = int32(dst)
-		if structure[i].A, err = getRef(); err != nil {
-			return nil, err
-		}
-		if structure[i].B, err = getRef(); err != nil {
-			return nil, err
-		}
+		pos += 4
+		structure[i] = likelihood.Step{Dst: int32(dst), A: getRef(), B: getRef()}
 	}
-	for c := 0; c < int(nClasses); c++ {
-		cs := make([]likelihood.Step, nSteps)
-		copy(cs, structure)
+	if err != nil {
+		return nil, err
+	}
+	for c := range d.Steps {
+		cs := structure
+		if c > 0 {
+			cs = append([]likelihood.Step(nil), structure...)
+		}
 		for i := range cs {
-			ta, err := get64()
-			if err != nil {
-				return nil, err
-			}
-			tb, err := get64()
-			if err != nil {
-				return nil, err
-			}
-			cs[i].TA = math.Float64frombits(ta)
-			cs[i].TB = math.Float64frombits(tb)
+			cs[i].TA, cs[i].TB = getF(), getF()
 		}
 		d.Steps[c] = cs
 	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("traversal: %d trailing bytes in descriptor", len(buf)-pos)
-	}
 	return d, nil
+}
+
+// Validate checks that a rank holding nPart partitions of an nTaxa-taxon
+// tree can execute the descriptor: one schedule and one root-edge length
+// per partition — what the fork-join wire always carries, joint-branch
+// descriptors being padded to the partition count — tips below nTaxa, CLV
+// slots below nTaxa−2, and a mask, when there is one, of nPart entries.
+// Decode cannot know the tree or the partition count; a receiver calls
+// Validate before handing a decoded descriptor to its kernels, which index
+// their buffers from these numbers.
+func (d *Descriptor) Validate(nTaxa, nPart int) error {
+	if len(d.Steps) != nPart || len(d.T) != nPart {
+		return fmt.Errorf("traversal: descriptor has %d schedules and %d root lengths for %d partitions", len(d.Steps), len(d.T), nPart)
+	}
+	if d.Active != nil && len(d.Active) != nPart {
+		return fmt.Errorf("traversal: descriptor masks %d partitions of %d", len(d.Active), nPart)
+	}
+	bad := false
+	node := func(r likelihood.NodeRef) {
+		limit := int32(nTaxa - 2)
+		if r.Tip {
+			limit = int32(nTaxa)
+		}
+		bad = bad || r.Idx < 0 || r.Idx >= limit
+	}
+	node(d.P)
+	node(d.Q)
+	for _, cs := range d.Steps {
+		if len(cs) != len(d.Steps[0]) {
+			return fmt.Errorf("traversal: descriptor schedules differ in length (%d and %d steps)", len(cs), len(d.Steps[0]))
+		}
+		for _, s := range cs {
+			node(likelihood.InnerRef(int(s.Dst)))
+			node(s.A)
+			node(s.B)
+		}
+	}
+	if bad {
+		return fmt.Errorf("traversal: descriptor addresses a slot outside a %d-taxon tree", nTaxa)
+	}
+	return nil
 }

@@ -200,3 +200,41 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 		t.Fatal("expected per-iteration markers in the trace")
 	}
 }
+
+// TestModelSearchCostGate gates what a model-parameter round costs on the
+// golden dataset (3 partitions, GTR+Γ: 6 scalars): the counters repeat
+// exactly, so unlike a time they can gate. A round of the fixed-count
+// golden section cost 90 probes of all 3 partitions = 270 partition
+// evaluations; the lockstep Brent search measures 55.5 probes and 144.5
+// partition evaluations per round here (docs/PERFORMANCE.md §9), and the
+// gate is that plus 5 %. No scalar may take more than 14 probes.
+func TestModelSearchCostGate(t *testing.T) {
+	d, err := goldenDataset(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Infer(d, Config{Ranks: 2, Seed: 11, MaxIterations: 2, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Telemetry
+	rounds := float64(rep.Counters["model-opt-rounds"])
+	probes, evals := float64(rep.Counters["model-probes"]), float64(rep.Counters["model-partition-evals"])
+	if rounds == 0 || probes == 0 {
+		t.Fatalf("counters not filled: %v", rep.Counters)
+	}
+	t.Logf("%v rounds, %v probes, %v partition evaluations", rounds, probes, evals)
+	if probes/rounds > 6*14 {
+		t.Errorf("%.1f probes per round: some scalar took more than 14", probes/rounds)
+	}
+	if got, limit := probes/rounds, 55.5*1.05; got > limit {
+		t.Errorf("%.1f model probes per round, gate %.1f", got, limit)
+	}
+	if got, limit := evals/rounds, 144.5*1.05; got > limit {
+		t.Errorf("%.1f partition evaluations per model round, gate %.1f (fixed-count golden section: 270)", got, limit)
+	}
+	if rep.ModelProbesPerRound != probes/rounds || rep.ActivePartitionsPerProbe != evals/probes {
+		t.Errorf("report says %.2f probes per round and %.2f partitions per probe, counters %.2f and %.2f",
+			rep.ModelProbesPerRound, rep.ActivePartitionsPerProbe, probes/rounds, evals/probes)
+	}
+}
