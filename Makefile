@@ -13,7 +13,6 @@ GOFMT ?= gofmt
 RACE_PKGS = ./internal/threadpool/... \
             ./internal/likelihood/... \
             ./internal/enginecore/... \
-            ./internal/repeats/... \
             ./internal/search/... \
             ./internal/decentral/... \
             ./internal/forkjoin/... \
@@ -30,7 +29,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke fuzz-smoke smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke fuzz-smoke smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -57,17 +56,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json runs the kernel-threading, CLV-layout, fused-batching,
-# fast-path (tip-specialized, P-matrix-cache, and site-repeat
-# ablations), hybrid-grid, batched-gradient, and wire-framing
-# benchmarks and writes BENCH_kernels.json (environment block plus
-# name, ns/op, flops/s, roofline bytes/s + arithmetic intensity,
-# speedups) for trend tracking. GOMAXPROCS is set on the test binaries
+# bench-json runs the kernel-threading, fused-batching, fast-path
+# (tip-specialized and P-matrix-cache ablations), hybrid-grid,
+# batched-gradient, and wire-framing benchmarks and writes
+# BENCH_kernels.json (environment block plus name, ns/op, flops/s,
+# roofline bytes/s + arithmetic intensity, speedups) for trend tracking. GOMAXPROCS is set on the test binaries
 # so KernelThreadsGamma measures real thread speedups; benchjson
 # records the per-row gomaxprocs metric and fails loudly when a
 # T-thread row was captured with fewer procs than min(T, CPUs).
 bench-json:
-	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelLayoutGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkKernelRepeatsGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
+	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
 	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkFrameEncodeDecode' ./internal/mpinet ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
 
@@ -101,6 +99,7 @@ bench-e2e-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeInsertPlan$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeDescriptor$$' -fuzztime 10s
+	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeGradPlan$$' -fuzztime 10s
 
 # smoke-net runs a real multi-process decentralized inference over
 # loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then
@@ -129,21 +128,6 @@ smoke-gradient:
 		-iter 3 -no-batched-gradients -n $$tmp/oracle && \
 	cmp $$tmp/batched.bestTree.nwk $$tmp/oracle.bestTree.nwk && \
 	echo "smoke-gradient: batched vs oracle best trees byte-identical OK"
-
-# smoke-layout is the CLV-layout determinism drill over a real wire
-# (docs/DETERMINISM.md §8): the same 2-process loopback inference run
-# twice, default SoA layout + fused batching vs the -no-soa
-# -batch-sites 0 ablation, must write byte-identical best trees.
-smoke-layout:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
-	$$tmp/seqgen -taxa 10 -partitions 2 -genelen 60 -seed 33 -o $$tmp/tiny && \
-	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 2 -net-launch \
-		-iter 3 -n $$tmp/soa && \
-	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 2 -net-launch \
-		-iter 3 -no-soa -batch-sites 0 -n $$tmp/aos && \
-	cmp $$tmp/soa.bestTree.nwk $$tmp/aos.bestTree.nwk && \
-	echo "smoke-layout: SoA+batched vs AoS+unbatched best trees byte-identical OK"
 
 # smoke-service runs the inference-service acceptance drill
 # (docs/SERVICE.md): start the daemon machinery with a warm loopback
@@ -206,7 +190,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke fuzz-smoke race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke fuzz-smoke race smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

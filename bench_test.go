@@ -219,11 +219,6 @@ func benchKernel(b *testing.B, het model.Heterogeneity) (*likelihood.Kernel, *tr
 
 func benchKernelSized(b *testing.B, het model.Heterogeneity, nSites int) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {
 	b.Helper()
-	return benchKernelDup(b, het, nSites, false)
-}
-
-func benchKernelDup(b *testing.B, het model.Heterogeneity, nSites int, dupHeavy bool) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {
-	b.Helper()
 	res, err := seqgen.Generate(seqgen.Config{
 		NTaxa: 32,
 		Specs: []seqgen.Spec{{Name: "g", NSites: nSites, Alpha: 0.8}},
@@ -231,9 +226,6 @@ func benchKernelDup(b *testing.B, het model.Heterogeneity, nSites int, dupHeavy 
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	if dupHeavy {
-		seqgen.AddCladeRepeats(res, 0.95, 11)
 	}
 	ds, err := msa.Compress(res.Alignment, res.Partitions)
 	if err != nil {
@@ -244,14 +236,7 @@ func benchKernelDup(b *testing.B, het model.Heterogeneity, nSites int, dupHeavy 
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The duplicate-heavy workload evaluates the true tree (the clades
-	// whose columns repeat are its clades — the regime of a search that
-	// has converged near the right topology); the others score a random
-	// topology.
-	tr := res.Tree
-	if !dupHeavy {
-		tr = tree.NewRandom(ds.Names, 1, rand.New(rand.NewSource(3)))
-	}
+	tr := tree.NewRandom(ds.Names, 1, rand.New(rand.NewSource(3)))
 	k, err := likelihood.NewKernel(pd, par, tr.NInner())
 	if err != nil {
 		b.Fatal(err)
@@ -364,71 +349,24 @@ func BenchmarkKernelThreadsGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelLayoutGamma measures the SoA (default) CLV layout
-// against the AoS ablation (-no-soa) on the serial Γ traversal. The SoA
-// planes make the innermost loop stride-1 over sites in every array it
-// touches, which is what lets the compiler (and the hardware
-// prefetcher) stream the kernel; the AoS row is the baseline and the
-// SoA row reports its speedup. Both layouts produce bit-identical CLVs
-// (docs/DETERMINISM.md §8).
-func BenchmarkKernelLayoutGamma(b *testing.B) {
-	var aosNs float64
-	for _, soa := range []bool{false, true} {
-		mode := "aos"
-		lay := likelihood.LayoutAoS
-		if soa {
-			mode, lay = "soa", likelihood.LayoutSoA
-		}
-		b.Run(mode, func(b *testing.B) {
-			k, _, steps := benchKernel(b, model.Gamma)
-			k.SetLayout(lay)
-			b.ResetTimer()
-			for b.Loop() {
-				k.Traverse(steps)
-			}
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if !soa {
-				aosNs = nsPerOp
-			} else if aosNs > 0 && nsPerOp > 0 {
-				b.ReportMetric(aosNs/nsPerOp, "speedup")
-			}
-			cols := k.NPatterns() * len(steps)
-			b.ReportMetric(float64(cols*gammaFlopsPerColumn), "flops/op")
-			b.ReportMetric(float64(cols*gammaBytesPerColumn), "bytes/op")
-		})
-	}
-}
-
 // BenchmarkKernelBatch measures fused small-partition batching
 // (docs/PERFORMANCE.md §6) on its target workload: many partitions,
-// each small enough to fuse (the batched row runs with a raised
-// `-batch-sites` threshold so all 64 qualify), driven through a
-// threaded rank's Newton derivative step — the per-iteration cost of
-// every branch-length optimization, where per-partition compute is
-// small enough that pool synchronization is a first-order cost.
-// The unbatched row pays one
-// pool dispatch per partition per operation; the batched row detaches
-// every partition from the pool and dispatches them all as items of a
-// single pool call, so the synchronization cost is paid once. Results
-// are bit-identical (docs/DETERMINISM.md §8); each batched row reports
-// its speedup over the paired unbatched baseline. The win is
-// dispatch-overhead elimination, so it shows even at GOMAXPROCS=1; the
-// PSR rows show it strongest, because the PSR derivative does a quarter
-// of the Γ arithmetic against the same per-partition dispatch cost.
+// each below the fusion threshold, driven through a threaded rank's
+// Newton derivative step — the per-iteration cost of every
+// branch-length optimization, where per-partition compute is small
+// enough that pool synchronization is a first-order cost. Every
+// partition is detached from the pool and all of them are dispatched as
+// items of a single pool call, so the synchronization cost is paid once
+// per operation.
 func BenchmarkKernelBatch(b *testing.B) {
 	const parts = 64
-	const threshold = 4 * DefaultBatchSites
-	d := benchDataset(b, 24, parts, 900)
+	d := benchDataset(b, 24, parts, 200)
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
 		counts[i] = p.NPatterns()
-		// Each partition must span more than one pool block (so the
-		// unbatched row pays a real fork-join dispatch per partition,
-		// not the single-block inline fast path) yet sit below the
-		// fusion threshold the batched row runs with.
-		if counts[i] <= 2*threadpool.BlockSize || counts[i] >= threshold {
-			b.Fatalf("partition %d has %d patterns; need in (%d, %d)",
-				i, counts[i], 2*threadpool.BlockSize, threshold)
+		// The fusion threshold is one pool block.
+		if counts[i] >= threadpool.BlockSize {
+			b.Fatalf("partition %d has %d patterns; need fewer than %d", i, counts[i], threadpool.BlockSize)
 		}
 	}
 	assign, err := distrib.Compute(distrib.Cyclic, counts, 1)
@@ -436,46 +374,30 @@ func BenchmarkKernelBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		var unbatchedNs float64
-		for _, batched := range []bool{false, true} {
-			mode := "unbatched"
-			batchSites := -1
-			if batched {
-				// Raised threshold (-batch-sites 1024): every partition
-				// sits below it, so they all fuse.
-				mode, batchSites = "batched", threshold
-			}
-			b.Run(het.String()+"/"+mode, func(b *testing.B) {
-				world := mpi.NewWorld(1)
-				eng, err := decentral.NewEngine(world.Comm(0), d, assign, decentral.EngineConfig{
-					Het: het, Subst: model.GTR, Threads: 4, BatchSites: batchSites,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
-				desc := traversal.Build(tr, tr.Tip(0), true)
-				ts := []float64{0.1}
-				// Warm: CLVs + sum tables + scratch, so the loop measures
-				// the repeated Newton step alone.
-				eng.Evaluate(desc)
-				eng.PrepareBranch(desc)
-				eng.BranchDerivatives(ts)
-				b.ResetTimer()
-				for b.Loop() {
-					eng.BranchDerivatives(ts)
-				}
-				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if !batched {
-					unbatchedNs = nsPerOp
-				} else if unbatchedNs > 0 && nsPerOp > 0 {
-					b.ReportMetric(unbatchedNs/nsPerOp, "speedup")
-				}
-				b.ReportMetric(float64(parts), "partitions")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+		b.Run(het.String(), func(b *testing.B) {
+			world := mpi.NewWorld(1)
+			eng, err := decentral.NewEngine(world.Comm(0), d, assign, decentral.EngineConfig{
+				Het: het, Subst: model.GTR, Threads: 4,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
+			desc := traversal.Build(tr, tr.Tip(0), true)
+			ts := []float64{0.1}
+			// Warm: CLVs + sum tables + scratch, so the loop measures
+			// the repeated Newton step alone.
+			eng.Evaluate(desc)
+			eng.PrepareBranch(desc)
+			eng.BranchDerivatives(ts)
+			b.ResetTimer()
+			for b.Loop() {
+				eng.BranchDerivatives(ts)
+			}
+			b.ReportMetric(float64(parts), "partitions")
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+		})
 	}
 }
 
@@ -534,63 +456,6 @@ func BenchmarkKernelFastPathGamma(b *testing.B) {
 					genericNs = nsPerOp
 				} else if genericNs > 0 && nsPerOp > 0 {
 					b.ReportMetric(genericNs/nsPerOp, "speedup")
-				}
-				b.ReportMetric(float64(k.NPatterns()*len(steps)), "columns/op")
-			})
-		}
-	}
-}
-
-// BenchmarkKernelRepeatsGamma measures subtree site-repeat compression
-// (docs/PERFORMANCE.md) against the plain Γ kernels on two alignments:
-// duplicate-heavy, where AddCladeRepeats injects the clade-level column
-// redundancy real conserved genes show (most inner CLV columns become
-// byte copies of an already computed class representative), and
-// tip-heavy i.i.d. columns, where few subtree patterns repeat and the
-// per-node density gate falls back to the plain path (so that row
-// documents that the class-tracking overhead is negligible, not a
-// speedup). The duplicate-heavy shape runs under both CLV layouts
-// because the two mechanisms trade off (docs/PERFORMANCE.md §6):
-// repeat compression's win is proportional to the per-column compute
-// it skips, and the SoA layout makes that compute cheaper while its
-// strided columns make the duplicate copy dearer — so the aos rows
-// show the compression headroom and the soa rows the default-config
-// truth. All modes produce bit-identical CLVs; repeats=on rows report
-// speedup over the paired repeats=off row plus the fraction of CLV
-// columns served by copy.
-func BenchmarkKernelRepeatsGamma(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		dup  bool
-		lay  likelihood.Layout
-	}{
-		{"duplicate-heavy/soa", true, likelihood.LayoutSoA},
-		{"duplicate-heavy/aos", true, likelihood.LayoutAoS},
-		{"tip-heavy/soa", false, likelihood.LayoutSoA},
-	} {
-		var offNs float64
-		for _, on := range []bool{false, true} {
-			mode := "repeats=off"
-			if on {
-				mode = "repeats=on"
-			}
-			b.Run(w.name+"/"+mode, func(b *testing.B) {
-				k, _, steps := benchKernelDup(b, model.Gamma, 1200, w.dup)
-				k.SetLayout(w.lay)
-				k.SetRepeats(on)
-				k.Traverse(steps) // warm: store the per-node class tables
-				b.ResetTimer()
-				for b.Loop() {
-					k.Traverse(steps)
-				}
-				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if !on {
-					offNs = nsPerOp
-				} else if offNs > 0 && nsPerOp > 0 {
-					b.ReportMetric(offNs/nsPerOp, "speedup")
-				}
-				if st := k.RepeatStats(); on && st.ColsComputed+st.ColsSaved > 0 {
-					b.ReportMetric(float64(st.ColsSaved)/float64(st.ColsComputed+st.ColsSaved), "cols_saved_frac")
 				}
 				b.ReportMetric(float64(k.NPatterns()*len(steps)), "columns/op")
 			})

@@ -47,7 +47,7 @@ func TestParseBenchLine(t *testing.T) {
 // from a row reporting both flops/op and bytes/op.
 func TestRooflineFields(t *testing.T) {
 	rec, _, ok := parseBenchLine(
-		"BenchmarkKernelLayoutGamma/soa-4    50    2000000 ns/op    4800000 flops/op    3840000 bytes/op")
+		"BenchmarkKernelThreadsGamma/T=1-4    50    2000000 ns/op    4800000 flops/op    3840000 bytes/op")
 	if !ok {
 		t.Fatal("benchmark line rejected")
 	}

@@ -38,7 +38,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decentral"
 	"repro/internal/distrib"
-	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -296,14 +295,6 @@ type Config struct {
 	// calls it exactly once per iteration. Observational only — it must
 	// not mutate search state.
 	OnProgress func(iteration int, lnL float64)
-	// DisableRepeats turns off subtree site-repeat compression in the
-	// likelihood kernels (docs/PERFORMANCE.md). Ablation switch only:
-	// results are bit-identical with compression on or off.
-	DisableRepeats bool
-	// RepeatsMaxMem caps the per-rank memory (bytes) the repeat class
-	// tables may occupy; 0 means unbounded. Nodes whose table would
-	// exceed the cap fall back to plain per-site computation.
-	RepeatsMaxMem int64
 	// DisableBatchedGradients turns off the batched all-branch gradient
 	// path in branch-length smoothing and falls back to the per-branch
 	// Newton oracle. Ablation switch only: final trees and likelihoods
@@ -312,21 +303,7 @@ type Config struct {
 	// Allreduce per branch per Newton iteration (docs/DETERMINISM.md §7,
 	// docs/PERFORMANCE.md).
 	DisableBatchedGradients bool
-	// DisableSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (docs/PERFORMANCE.md
-	// §6). Ablation switch only: results are bit-identical either way.
-	DisableSoA bool
-	// BatchSites sets the fused small-partition batching threshold in
-	// patterns (kernels below it share one pool dispatch per likelihood
-	// operation). 0 keeps the default (enginecore.DefaultBatchSites);
-	// negative disables batching. Ablation switch only: results are
-	// bit-identical either way.
-	BatchSites int
 }
-
-// DefaultBatchSites re-exports the engines' default fused-batching
-// threshold (patterns) for flag wiring and documentation.
-const DefaultBatchSites = enginecore.DefaultBatchSites
 
 // CommReport is the per-class communication accounting of a run — the
 // data behind the paper's Table I.
@@ -529,10 +506,6 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 			HybridRanksPerNode: cfg.HybridRanksPerNode,
 			Threads:            cfg.Threads,
 			Telemetry:          collector,
-			DisableRepeats:     cfg.DisableRepeats,
-			RepeatsMaxMem:      cfg.RepeatsMaxMem,
-			DisableSoA:         cfg.DisableSoA,
-			BatchSites:         cfg.BatchSites,
 		})
 		if err == nil {
 			comm, wall, wallDur = stats.Comm, stats.Wall.Seconds(), stats.Wall
@@ -547,15 +520,11 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 	case ForkJoin:
 		var stats *forkjoin.RunStats
 		res, stats, err = forkjoin.Run(d.d, forkjoin.RunConfig{
-			Search:         scfg,
-			Ranks:          cfg.Ranks,
-			Strategy:       strategy,
-			Threads:        cfg.Threads,
-			Telemetry:      collector,
-			DisableRepeats: cfg.DisableRepeats,
-			RepeatsMaxMem:  cfg.RepeatsMaxMem,
-			DisableSoA:     cfg.DisableSoA,
-			BatchSites:     cfg.BatchSites,
+			Search:    scfg,
+			Ranks:     cfg.Ranks,
+			Strategy:  strategy,
+			Threads:   cfg.Threads,
+			Telemetry: collector,
 		})
 		if err == nil {
 			comm, wall, wallDur = stats.Comm, stats.Wall.Seconds(), stats.Wall

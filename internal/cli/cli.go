@@ -26,26 +26,12 @@ type Args struct {
 	Seed                                                                     int64
 	Scheme                                                                   examl.Scheme
 
-	// NoRepeats disables subtree site-repeat compression in the
-	// likelihood kernels (ablation; results are bit-identical).
-	NoRepeats bool
-	// RepeatsMaxMem caps the per-rank repeat-table memory in bytes
-	// (0 = unbounded).
-	RepeatsMaxMem int64
 	// NoBatchedGradients disables the batched all-branch gradient path
 	// in branch-length smoothing, falling back to the per-branch oracle
 	// (ablation; results are bit-identical, but the run pays one
 	// Allreduce per branch per Newton iteration instead of one per
 	// sweep — docs/DETERMINISM.md §7).
 	NoBatchedGradients bool
-	// NoSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (ablation; results
-	// are bit-identical — docs/DETERMINISM.md §8).
-	NoSoA bool
-	// BatchSites is the fused small-partition batching threshold in
-	// patterns; 0 disables batching (ablation; results are
-	// bit-identical — docs/PERFORMANCE.md §6).
-	BatchSites int
 
 	// Stats prints the end-of-run telemetry report (kernel spans,
 	// collective timing, load imbalance; docs/OBSERVABILITY.md).
@@ -106,11 +92,7 @@ func Register(a *Args) {
 	flag.Uint64Var(&a.NetNonce, "net-nonce", 0, "network mode: run nonce shared by all ranks (rejects stale workers; -net-launch generates one when 0)")
 	flag.BoolVar(&a.NetLaunch, "net-launch", false, "fork the whole world as local worker processes over loopback TCP and wait")
 	flag.IntVar(&a.NetRecoveries, "net-recoveries", 1, "network mode: survivor-recovery budget after peer failures (decentralized scheme; 0 = a lost peer fails the run)")
-	flag.BoolVar(&a.NoRepeats, "no-repeats", false, "disable subtree site-repeat compression in the likelihood kernels (ablation; results are bit-identical)")
-	flag.Int64Var(&a.RepeatsMaxMem, "repeats-max-mem", 0, "per-rank memory cap in bytes for the site-repeat class tables (0 = unbounded)")
 	flag.BoolVar(&a.NoBatchedGradients, "no-batched-gradients", false, "disable the batched all-branch gradient kernel in branch smoothing (ablation; results are bit-identical, strictly more collectives)")
-	flag.BoolVar(&a.NoSoA, "no-soa", false, "use the AoS CLV layout instead of the default SoA layout in the likelihood kernels (ablation; results are bit-identical)")
-	flag.IntVar(&a.BatchSites, "batch-sites", examl.DefaultBatchSites, "fuse partitions with fewer patterns than this into one pool dispatch per likelihood op (0 = disable; results are bit-identical)")
 	flag.BoolVar(&a.Stats, "stats", false, "print the end-of-run telemetry report (kernel spans, collective timing, load imbalance)")
 	flag.StringVar(&a.StatsJSON, "stats-json", "", "write the telemetry report as JSON to this file")
 	flag.StringVar(&a.TracePath, "trace", "", "stream a JSONL telemetry event trace to this file")
@@ -159,12 +141,6 @@ func Validate(a Args) error {
 	}
 	if a.NetRecoveries < 0 {
 		return fmt.Errorf("-net-recoveries must be >= 0 (got %d)", a.NetRecoveries)
-	}
-	if a.RepeatsMaxMem < 0 {
-		return fmt.Errorf("-repeats-max-mem must be >= 0 (got %d)", a.RepeatsMaxMem)
-	}
-	if a.BatchSites < 0 {
-		return fmt.Errorf("-batch-sites must be >= 0 (got %d)", a.BatchSites)
 	}
 	if a.Pprof && a.MetricsAddr == "" {
 		return fmt.Errorf("-pprof serves on the metrics listener; it requires -metrics-addr")
@@ -286,21 +262,8 @@ func inferConfig(a Args) (examl.Config, error) {
 		CheckpointPath:            a.Ckpt,
 		RestorePath:               a.Restore,
 		Telemetry:                 a.telemetryRequested(),
-		DisableRepeats:            a.NoRepeats,
-		RepeatsMaxMem:             a.RepeatsMaxMem,
 		DisableBatchedGradients:   a.NoBatchedGradients,
-		DisableSoA:                a.NoSoA,
-		BatchSites:                batchSitesConfig(a.BatchSites),
 	}, nil
-}
-
-// batchSitesConfig maps the flag's "0 disables" convention onto the
-// Config's "0 means default, negative disables" convention.
-func batchSitesConfig(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return n
 }
 
 func printBanner(a Args, d *examl.Dataset, cfg examl.Config) {

@@ -7,40 +7,41 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/msa"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
 
 // TestEngineSteadyStateAllocFree pins the allocation-free hot path: once
-// warm (P-matrix cache populated, scratch arenas grown, repeat tables
-// stored), the engine's Evaluate / PrepareBranch / BranchDerivatives
-// cycle — the inner loop of every branch-length and model optimization —
-// must not allocate at all on a single serial rank. Threaded pools and
-// multi-rank messaging allocate by design (goroutine scheduling, channel
-// payload copies), so the contract is pinned where it matters most: the
-// per-call kernel and engine layers.
+// warm (P-matrix cache populated, scratch arenas grown), the engine's
+// Evaluate / PrepareBranch / BranchDerivatives cycle — the inner loop of
+// every branch-length and model optimization — must not allocate at all
+// on a single serial rank. Threaded pools and multi-rank messaging
+// allocate by design (goroutine scheduling, channel payload copies), so
+// the contract is pinned where it matters most: the per-call kernel and
+// engine layers.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  EngineConfig
+	datasets := []struct {
+		name            string
+		nParts, geneLen int
+		batched         bool
 	}{
-		// The default path is the SoA layout with fused batching (both
-		// 60-pattern partitions sit below DefaultBatchSites), so the
-		// 0-alloc contract covers the staged batch dispatch too.
-		{"soa-batched", EngineConfig{Subst: model.GTR}},
-		{"aos-unbatched", EngineConfig{Subst: model.GTR, DisableSoA: true, BatchSites: -1}},
+		// Two 60-pattern partitions sit below DefaultBatchSites, so the
+		// 0-alloc contract covers the staged batch dispatch; one partition
+		// of several pattern blocks runs on the kernel's own dispatch.
+		{"batched", 2, 60, true},
+		{"unbatched", 1, 900, false},
 	}
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		for _, tc := range configs {
+		for _, tc := range datasets {
 			t.Run(het.String()+"/"+tc.name, func(t *testing.T) {
-				testSteadyStateAllocFree(t, het, tc.cfg, tc.name == "soa-batched")
+				testSteadyStateAllocFree(t, het, makeDataset(t, 8, tc.nParts, tc.geneLen, 3), tc.batched)
 			})
 		}
 	}
 }
 
-func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg EngineConfig, wantBatched bool) {
-	d := makeDataset(t, 8, 2, 60, 3)
+func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, d *msa.Dataset, wantBatched bool) {
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
 		counts[i] = p.NPatterns()
@@ -50,14 +51,13 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg Engine
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(1)
-	ecfg.Het = het
-	eng, err := NewEngine(world.Comm(0), d, assign, ecfg)
+	eng, err := NewEngine(world.Comm(0), d, assign, EngineConfig{Het: het, Subst: model.GTR})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	if batched := eng.local.BatchedKernels(); (batched > 0) != wantBatched {
-		t.Fatalf("BatchedKernels() = %d, want batched=%v", batched, wantBatched)
+		t.Fatalf("BatchedKernels() = %d with %d patterns in partition 0, want batched=%v", batched, counts[0], wantBatched)
 	}
 
 	tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
@@ -76,8 +76,7 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg Engine
 	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
 
 	// Warm-up: populate the P-matrix cache at the exact branch
-	// lengths the measured loop uses, grow every scratch arena, and
-	// store the repeat class tables.
+	// lengths the measured loop uses and grow every scratch arena.
 	for i := 0; i < 2; i++ {
 		eng.Evaluate(desc)
 		eng.PrepareBranch(desc)

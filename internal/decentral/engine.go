@@ -43,24 +43,6 @@ type EngineConfig struct {
 	// (kernel and collective timing; docs/OBSERVABILITY.md). It never
 	// affects results.
 	Recorder *telemetry.Recorder
-	// DisableRepeats turns off subtree site-repeat compression in the
-	// likelihood kernels (docs/PERFORMANCE.md). Ablation only: results
-	// are bit-identical either way.
-	DisableRepeats bool
-	// RepeatsMaxMem caps the per-rank memory (bytes) of the repeat class
-	// tables; 0 means unbounded. Nodes whose table would exceed the cap
-	// fall back to plain computation.
-	RepeatsMaxMem int64
-	// DisableSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (docs/PERFORMANCE.md
-	// §6). Ablation only: results are bit-identical either way.
-	DisableSoA bool
-	// BatchSites sets the fused small-partition batching threshold in
-	// patterns: local kernels below it are dispatched together as one
-	// pool call per likelihood operation. 0 keeps the default
-	// (enginecore.DefaultBatchSites); negative disables batching.
-	// Ablation only: results are bit-identical either way.
-	BatchSites int
 }
 
 // Engine is one rank's view of the de-centralized backend. It implements
@@ -91,22 +73,9 @@ func NewEngine(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg Engine
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.SetRepeats(!cfg.DisableRepeats, cfg.RepeatsMaxMem)
-	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	return &Engine{comm: comm, local: local, hybrid: cfg.HybridRanksPerNode}, nil
 }
-
-// SetLayout switches this rank's kernels between the SoA (true) and AoS
-// (false) CLV layouts mid-run — live CLVs are transposed in place and
-// results stay bit-identical (docs/DETERMINISM.md §8). Under the
-// de-centralized scheme every rank runs the search loop, so a
-// search.Config.OnIteration hook toggles every rank symmetrically.
-func (e *Engine) SetLayout(soa bool) { e.local.SetLayout(soa) }
-
-// SetBatchSites reconfigures this rank's fused small-partition batching
-// threshold mid-run (0 disables). Bit-identical either way.
-func (e *Engine) SetBatchSites(n int) { e.local.SetBatchSites(n) }
 
 // NPartitions implements search.Engine.
 func (e *Engine) NPartitions() int { return e.local.NPart }

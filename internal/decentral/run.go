@@ -32,12 +32,6 @@ type RunConfig struct {
 	// (docs/OBSERVABILITY.md). The collector must have been built for
 	// at least Ranks ranks; nil disables instrumentation entirely.
 	Telemetry *telemetry.Collector
-	// DisableRepeats and RepeatsMaxMem mirror EngineConfig.
-	DisableRepeats bool
-	RepeatsMaxMem  int64
-	// DisableSoA and BatchSites mirror EngineConfig.
-	DisableSoA bool
-	BatchSites int
 }
 
 // RunStats captures the measured execution profile for the cost model and
@@ -66,10 +60,6 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 		HybridRanksPerNode:   cfg.HybridRanksPerNode,
 		Threads:              cfg.Threads,
 		Recorder:             rec,
-		DisableRepeats:       cfg.DisableRepeats,
-		RepeatsMaxMem:        cfg.RepeatsMaxMem,
-		DisableSoA:           cfg.DisableSoA,
-		BatchSites:           cfg.BatchSites,
 	})
 	if err != nil {
 		return nil, 0, 0, err

@@ -1,7 +1,6 @@
 package enginecore
 
 import (
-	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/traversal"
@@ -24,11 +23,11 @@ import (
 // thread-count invariance contract already pins to the pooled bits;
 // each item deposits its results into its own kernel-indexed slots,
 // and the caller folds the slots in kernel-index order after the join
-// — the identical accumulation order as the unbatched loop. The
-// ablation switch is SetBatchSites(0).
+// — the identical accumulation order as the unbatched loop
+// (docs/DETERMINISM.md §8; TestBatchingChangesNoBit).
 
-// DefaultBatchSites is the default fused-batching threshold: kernels
-// with fewer patterns than this are fused. One pool block is BlockSize
+// DefaultBatchSites is the fused-batching threshold: kernels with fewer
+// patterns than this are fused. One pool block is BlockSize
 // patterns, so a partition below one block can never spread over more
 // than one worker anyway — batching such partitions costs nothing even
 // at T=1 and removes a per-partition pool synchronization otherwise.
@@ -60,26 +59,13 @@ const (
 	batchInsertions
 )
 
-// SetLayout switches every local kernel between the SoA (default) and
-// AoS CLV layouts — the -no-soa ablation. Live CLVs are transposed in
-// place, so the toggle is valid mid-run and bit-identical either way.
-func (l *Local) SetLayout(soa bool) {
-	lay := likelihood.LayoutAoS
-	if soa {
-		lay = likelihood.LayoutSoA
-	}
-	for _, k := range l.Kernels {
-		k.SetLayout(lay)
-	}
-}
-
 // SetBatchSites configures fused small-partition batching: local
 // kernels with fewer than n patterns are detached from the worker pool
 // and dispatched together as one pool call per likelihood operation.
-// n <= 0 disables batching (every kernel back on the shared pool) —
-// the -batch-sites 0 ablation. Safe to call mid-run.
+// NewLocal applies DefaultBatchSites; n <= 0 puts every kernel back on
+// the shared pool, which the in-package tests use as the unbatched
+// reference.
 func (l *Local) SetBatchSites(n int) {
-	l.batchSites = n
 	if l.inBatch == nil {
 		l.inBatch = make([]bool, len(l.Kernels))
 	}
@@ -96,23 +82,6 @@ func (l *Local) SetBatchSites(n int) {
 		} else {
 			k.SetPool(l.pool)
 		}
-	}
-}
-
-// BatchSites reports the configured fusion threshold.
-func (l *Local) BatchSites() int { return l.batchSites }
-
-// ConfigurePerf applies the engine configs' shared layout/batching
-// ablation knobs: disableSoA switches every kernel to the AoS layout
-// (-no-soa); batchSites 0 keeps the default fusion threshold, negative
-// disables batching (-batch-sites 0).
-func (l *Local) ConfigurePerf(disableSoA bool, batchSites int) {
-	l.SetLayout(!disableSoA)
-	if batchSites != 0 {
-		if batchSites < 0 {
-			batchSites = 0
-		}
-		l.SetBatchSites(batchSites)
 	}
 }
 

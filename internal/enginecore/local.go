@@ -57,14 +57,13 @@ type Local struct {
 	// mask), the staged arguments and kernel-indexed output slots of the
 	// in-flight batch dispatch, the cached pool closure, and the
 	// telemetry counters.
-	batchSites int
-	batched    []int
-	inBatch    []bool
-	bOp        batchOp
-	bArgs      batchArgs
-	bOut       []float64
-	batchScr   []float64
-	batchFn    func(i int)
+	batched  []int
+	inBatch  []bool
+	bOp      batchOp
+	bArgs    batchArgs
+	bOut     []float64
+	batchScr []float64
+	batchFn  func(i int)
 
 	// srArgs stages the operands of the threaded per-site rate loop and
 	// srFn is the one closure handed to the pool for it, so the loop
@@ -124,17 +123,6 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, het model.Heterog
 // Threads reports the rank's intra-rank concurrency.
 func (l *Local) Threads() int { return l.pool.Threads() }
 
-// SetRepeats configures subtree site-repeat compression on every local
-// kernel: on toggles the compressed paths (bit-identical either way),
-// maxMem bounds the bytes of stored class tables per kernel (<= 0 is
-// unbounded). See docs/PERFORMANCE.md.
-func (l *Local) SetRepeats(on bool, maxMem int64) {
-	for _, k := range l.Kernels {
-		k.SetRepeats(on)
-		k.SetRepeatsMaxMem(maxMem)
-	}
-}
-
 // SetRecorder attaches the rank's telemetry recorder: every subsequent
 // kernel operation is timed into per-class spans, and the worker pool
 // (when present) starts counting block utilization. A nil recorder
@@ -169,13 +157,6 @@ func (l *Local) Close() {
 			perf.TipTableEntries += s.TipTableEntries
 		}
 		l.rec.SetKernelPerf(perf)
-		var repComputed, repSaved int64
-		for _, k := range l.Kernels {
-			rs := k.RepeatStats()
-			repComputed += rs.ColsComputed
-			repSaved += rs.ColsSaved
-		}
-		l.rec.SetRepeatStats(repComputed, repSaved)
 		l.rec.SetBatchStats(l.batchDispatches, l.batchKernels)
 		l.rec = nil
 	}

@@ -290,3 +290,86 @@ func TestEvaluateSkipsMaskedPartitions(t *testing.T) {
 		}
 	}
 }
+
+// localTrace drives every Local operation once over tr and returns every
+// output bit: CLV digests after the traversal, per-partition log
+// likelihoods, per-class and per-partition derivatives, the all-branch
+// gradient (contracted, then reused at other lengths), one prune point's
+// insertion scores and, under PSR, the optimized site rates with their
+// cell statistics.
+func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
+	t.Helper()
+	var out []uint64
+	bits := func(vs []float64) {
+		for _, v := range vs {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	d := traversal.Build(tr, tr.Tip(0), true)
+	l.Traverse(d)
+	for _, k := range l.Kernels {
+		for slot := 0; slot < l.NInner; slot++ {
+			out = append(out, k.CLVDigest(slot))
+		}
+	}
+	bits(l.EvaluateLocal(d))
+	l.PrepareLocal(d)
+	bits(l.DerivativesLocal([]float64{0.07}))
+	bits(l.DerivativesPerPartition([]float64{0.07, 0.3}))
+
+	plan, _ := traversal.BuildGradient(tr, nil)
+	bits(l.AllBranchDerivativesLocal(plan))
+	plan.Reuse = true
+	for b := range plan.T[0] {
+		plan.T[0][b] *= 1.5
+	}
+	bits(l.AllBranchDerivativesLocal(plan))
+	bits(l.AllBranchDerivativesPerPartition(plan))
+
+	pruned := tr.Clone()
+	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins traversal.InsertPlan
+	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+	bits(l.ScoreInsertionsLocal(&ins))
+
+	if l.Het == model.PSR {
+		bits(l.OptimizeSiteRatesLocal(d))
+		for _, k := range l.Kernels {
+			bits(k.Params().SiteRates)
+		}
+	}
+	return out
+}
+
+// TestBatchingChangesNoBit: a kernel fused into the small-partition
+// batch computes serially inside one pool item and deposits into its own
+// kernel-indexed slots, which the caller folds in kernel order — so every
+// Local operation returns the bits it returns with every kernel on the
+// shared pool (docs/DETERMINISM.md §8), at one thread and at four.
+func TestBatchingChangesNoBit(t *testing.T) {
+	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+		for _, threads := range []int{1, 4} {
+			fused, tr := mixedLocal(t, het, threads)
+			pooled, _ := mixedLocal(t, het, threads)
+			pooled.SetBatchSites(0)
+			if pooled.BatchedKernels() != 0 {
+				t.Fatalf("SetBatchSites(0) left %d kernels batched", pooled.BatchedKernels())
+			}
+			got, want := localTrace(t, fused, tr), localTrace(t, pooled, tr)
+			if len(got) != len(want) {
+				t.Fatalf("%v T=%d: %d outputs fused, %d pooled", het, threads, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v T=%d: output %d: fused %x, pooled %x", het, threads, i, got[i], want[i])
+				}
+			}
+			if fused.batchDispatches == 0 {
+				t.Errorf("%v T=%d: no batched dispatch ran", het, threads)
+			}
+		}
+	}
+}

@@ -20,62 +20,69 @@ import (
 // expected.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		d := makeDataset(t, 8, 2, 60, 3)
-		counts := make([]int, d.NPartitions())
-		for i, p := range d.Parts {
-			counts[i] = p.NPatterns()
-		}
-		assign, err := distrib.Compute(distrib.Cyclic, counts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		world := mpi.NewWorld(1)
-		eng, err := NewMaster(world.Comm(0), d, assign, EngineConfig{Het: het, Subst: model.GTR})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
+		// Two partitions small enough to be fused into one batch
+		// dispatch, then one of several pattern blocks, which is not.
+		for _, shape := range [][2]int{{2, 60}, {1, 900}} {
+			d := makeDataset(t, 8, shape[0], shape[1], 3)
+			counts := make([]int, d.NPartitions())
+			for i, p := range d.Parts {
+				counts[i] = p.NPatterns()
+			}
+			assign, err := distrib.Compute(distrib.Cyclic, counts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			world := mpi.NewWorld(1)
+			eng, err := NewMaster(world.Comm(0), d, assign, EngineConfig{Het: het, Subst: model.GTR})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if batched := eng.local.BatchedKernels() > 0; batched != (shape[0] == 2) {
+				t.Fatalf("%d x %d bp: batched = %v", shape[0], shape[1], batched)
+			}
 
-		tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
-		edge := tr.Tip(0)
-		desc := traversal.Build(tr, edge, true)
-		ts := []float64{0.1}
-		plan, _ := traversal.BuildGradient(tr, nil)
-		// One SPR prune point's insertion plan, built on a clone so the
-		// descriptors above keep describing tr.
-		pruned := tr.Clone()
-		ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ins traversal.InsertPlan
-		ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
+			edge := tr.Tip(0)
+			desc := traversal.Build(tr, edge, true)
+			ts := []float64{0.1}
+			plan, _ := traversal.BuildGradient(tr, nil)
+			// One SPR prune point's insertion plan, built on a clone so the
+			// descriptors above keep describing tr.
+			pruned := tr.Clone()
+			ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ins traversal.InsertPlan
+			ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
 
-		for i := 0; i < 2; i++ {
-			eng.Evaluate(desc)
-			eng.PrepareBranch(desc)
-			eng.BranchDerivatives(ts)
-			eng.AllBranchDerivatives(plan)
-			eng.ScoreInsertions(&ins)
-		}
+			for i := 0; i < 2; i++ {
+				eng.Evaluate(desc)
+				eng.PrepareBranch(desc)
+				eng.BranchDerivatives(ts)
+				eng.AllBranchDerivatives(plan)
+				eng.ScoreInsertions(&ins)
+			}
 
-		if allocs := testing.AllocsPerRun(50, func() {
-			eng.Evaluate(desc)
-			eng.PrepareBranch(desc)
-			eng.BranchDerivatives(ts)
-			eng.AllBranchDerivatives(plan)
-			eng.ScoreInsertions(&ins)
-		}); allocs != 0 {
-			t.Errorf("%v: steady-state master cycle allocates %.1f times per run", het, allocs)
+			if allocs := testing.AllocsPerRun(50, func() {
+				eng.Evaluate(desc)
+				eng.PrepareBranch(desc)
+				eng.BranchDerivatives(ts)
+				eng.AllBranchDerivatives(plan)
+				eng.ScoreInsertions(&ins)
+			}); allocs != 0 {
+				t.Errorf("%v, %d x %d bp: steady-state master cycle allocates %.1f times per run", het, shape[0], shape[1], allocs)
+			}
 		}
 	}
 }
 
-// TestWorkerRefusesInsertionPlanForAnotherTree: a frame that decodes but
-// addresses slots its worker's tree does not have (here: a real plan of
-// a larger tree) ends the worker with an error before any kernel indexes
-// or grows a buffer from it.
-func TestWorkerRefusesInsertionPlanForAnotherTree(t *testing.T) {
+// refusalWorker starts one fork-join worker on 8 taxa, 2 partitions and
+// joint branch lengths, sends it the opcode and the frame the way the
+// master would, and returns what the worker's loop ended with.
+func refusalWorker(t *testing.T, op byte, frame []byte) error {
+	t.Helper()
 	d := makeDataset(t, 8, 2, 60, 3)
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
@@ -85,25 +92,51 @@ func TestWorkerRefusesInsertionPlanForAnotherTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := makeDataset(t, 20, 1, 20, 4)
-	tr := tree.NewRandom(big.Names, 1, rand.New(rand.NewSource(5)))
-	ps, err := tr.Prune(tr.Tip(0).Back.Next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ins traversal.InsertPlan
-	ins.Build(tr, ps, ps.CandidateEdges(1, 5), nil)
-
 	world := mpi.NewWorld(2)
 	done := make(chan error, 1)
 	go func() {
 		done <- RunWorker(world.Comm(1), d, assign, EngineConfig{Het: model.Gamma, Subst: model.GTR})
 	}()
 	master := world.Comm(0)
-	master.BcastBytes(0, []byte{opScoreInsertions}, mpi.ClassControl)
-	master.BcastBytes(0, ins.Encode(), mpi.ClassTraversal)
-	if err := <-done; err == nil {
+	master.BcastBytes(0, []byte{op}, mpi.ClassControl)
+	master.BcastBytes(0, frame, mpi.ClassTraversal)
+	return <-done
+}
+
+// otherTree is a random tree on 20 taxa: more than refusalWorker's 8.
+func otherTree(t *testing.T, classes int) *tree.Tree {
+	big := makeDataset(t, 20, 1, 20, 4)
+	return tree.NewRandom(big.Names, classes, rand.New(rand.NewSource(5)))
+}
+
+// TestWorkerRefusesInsertionPlanForAnotherTree: a frame that decodes but
+// addresses slots its worker's tree does not have (here: a real plan of
+// a larger tree) ends the worker with an error before any kernel indexes
+// or grows a buffer from it.
+func TestWorkerRefusesInsertionPlanForAnotherTree(t *testing.T) {
+	tr := otherTree(t, 1)
+	ps, err := tr.Prune(tr.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins traversal.InsertPlan
+	ins.Build(tr, ps, ps.CandidateEdges(1, 5), nil)
+	if err := refusalWorker(t, opScoreInsertions, ins.Encode()); err == nil {
 		t.Fatal("worker executed an insertion plan built for a 20-taxon tree on 8 taxa")
+	}
+}
+
+// TestWorkerRefusesGradPlanForAnotherTree: a gradient-plan frame that
+// decodes but does not fit the worker — slots of a larger tree, or
+// per-partition branch lengths on a joint run — ends the worker with an
+// error before any kernel indexes or grows a buffer from it.
+func TestWorkerRefusesGradPlanForAnotherTree(t *testing.T) {
+	small := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 2, rand.New(rand.NewSource(5)))
+	for what, tr := range map[string]*tree.Tree{"a 20-taxon tree": otherTree(t, 1), "2 branch-length classes": small} {
+		plan, _ := traversal.BuildGradient(tr, nil)
+		if err := refusalWorker(t, opAllBranchDerivs, plan.Encode()); err == nil {
+			t.Errorf("worker on 8 taxa and joint branch lengths executed a gradient plan for %s", what)
+		}
 	}
 }
 
@@ -112,36 +145,18 @@ func TestWorkerRefusesInsertionPlanForAnotherTree(t *testing.T) {
 // another partition count — ends the worker with an error before any
 // kernel indexes a buffer, a schedule or the mask from it.
 func TestWorkerRefusesDescriptorForAnotherRun(t *testing.T) {
-	d := makeDataset(t, 8, 2, 60, 3)
-	counts := make([]int, d.NPartitions())
-	for i, p := range d.Parts {
-		counts[i] = p.NPatterns()
-	}
-	assign, err := distrib.Compute(distrib.Cyclic, counts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pad := func(desc *traversal.Descriptor) *traversal.Descriptor {
 		desc.T = append(desc.T, desc.T[0])
 		desc.Steps = append(desc.Steps, desc.Steps[0])
 		return desc
 	}
-	big := makeDataset(t, 20, 1, 20, 4)
-	bigTree := tree.NewRandom(big.Names, 1, rand.New(rand.NewSource(5)))
-	otherTree := pad(traversal.Build(bigTree, bigTree.Tip(0), true))
-	tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
+	bigTree := otherTree(t, 1)
+	otherTreeDesc := pad(traversal.Build(bigTree, bigTree.Tip(0), true))
+	tr := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
 	otherMask := pad(traversal.Build(tr, tr.Tip(0), true))
 	otherMask.Active = []bool{true, false, true}
-	for what, desc := range map[string]*traversal.Descriptor{"a 20-taxon tree": otherTree, "3 partitions": otherMask} {
-		world := mpi.NewWorld(2)
-		done := make(chan error, 1)
-		go func() {
-			done <- RunWorker(world.Comm(1), d, assign, EngineConfig{Het: model.Gamma, Subst: model.GTR})
-		}()
-		master := world.Comm(0)
-		master.BcastBytes(0, []byte{opEvaluate}, mpi.ClassControl)
-		master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
-		if err := <-done; err == nil {
+	for what, desc := range map[string]*traversal.Descriptor{"a 20-taxon tree": otherTreeDesc, "3 partitions": otherMask} {
+		if err := refusalWorker(t, opEvaluate, desc.Encode()); err == nil {
 			t.Errorf("worker on 8 taxa and 2 partitions executed a descriptor for %s", what)
 		}
 	}

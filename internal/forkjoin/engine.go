@@ -60,24 +60,6 @@ type EngineConfig struct {
 	// (kernel and collective timing; docs/OBSERVABILITY.md). It never
 	// affects results.
 	Recorder *telemetry.Recorder
-	// DisableRepeats turns off subtree site-repeat compression in the
-	// likelihood kernels (docs/PERFORMANCE.md). Ablation only: results
-	// are bit-identical either way.
-	DisableRepeats bool
-	// RepeatsMaxMem caps the per-rank memory (bytes) of the repeat class
-	// tables; 0 means unbounded. Nodes whose table would exceed the cap
-	// fall back to plain computation.
-	RepeatsMaxMem int64
-	// DisableSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (docs/PERFORMANCE.md
-	// §6). Ablation only: results are bit-identical either way.
-	DisableSoA bool
-	// BatchSites sets the fused small-partition batching threshold in
-	// patterns: local kernels below it are dispatched together as one
-	// pool call per likelihood operation. 0 keeps the default
-	// (enginecore.DefaultBatchSites); negative disables batching.
-	// Ablation only: results are bit-identical either way.
-	BatchSites int
 }
 
 // Engine is the master-side search.Engine. It owns rank 0's data share
@@ -113,25 +95,9 @@ func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg Engine
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.SetRepeats(!cfg.DisableRepeats, cfg.RepeatsMaxMem)
-	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	return &Engine{comm: comm, local: local}, nil
 }
-
-// SetLayout switches the MASTER's kernels between the SoA (true) and
-// AoS (false) CLV layouts mid-run. Workers keep their configured
-// layout — there is deliberately no layout opcode in the command
-// protocol, because the layout contract (docs/DETERMINISM.md §8)
-// guarantees master and workers produce identical bits even when their
-// layouts differ; a mid-run master toggle therefore exercises exactly
-// that heterogeneous-layout property.
-func (e *Engine) SetLayout(soa bool) { e.local.SetLayout(soa) }
-
-// SetBatchSites reconfigures the master's fused small-partition
-// batching threshold mid-run (0 disables). Workers keep their
-// configured threshold; bit-identity holds regardless.
-func (e *Engine) SetBatchSites(n int) { e.local.SetBatchSites(n) }
 
 // command broadcasts the opcode (control traffic).
 func (e *Engine) command(op byte) {
@@ -455,6 +421,9 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			if err != nil {
 				return err
 			}
+			if err := plan.Validate(local.NInner+2, local.BLClasses()); err != nil {
+				return err
+			}
 			comm.Reduce(0, local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)
 
 		case opScoreInsertions:
@@ -490,8 +459,6 @@ func RunWorkerWithStats(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, c
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.SetRepeats(!cfg.DisableRepeats, cfg.RepeatsMaxMem)
-	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	defer local.Close()
 	if err := runWorkerLoop(comm, local); err != nil {

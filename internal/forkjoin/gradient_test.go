@@ -1,6 +1,7 @@
 package forkjoin
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -9,6 +10,25 @@ import (
 	"repro/internal/mpinet"
 	"repro/internal/search"
 )
+
+// requireIdentical asserts two full search results agree bit-for-bit.
+func requireIdentical(t *testing.T, label string, got, want *search.Result) {
+	t.Helper()
+	if math.Float64bits(got.LnL) != math.Float64bits(want.LnL) {
+		t.Errorf("%s: lnL %.17g not bit-identical to %.17g", label, got.LnL, want.LnL)
+	}
+	for p := range want.PerPartitionLnL {
+		if math.Float64bits(got.PerPartitionLnL[p]) != math.Float64bits(want.PerPartitionLnL[p]) {
+			t.Errorf("%s: partition %d lnL not bit-identical", label, p)
+		}
+	}
+	if got.Tree.Newick() != want.Tree.Newick() {
+		t.Errorf("%s: topology differs", label)
+	}
+	if got.Iterations != want.Iterations {
+		t.Errorf("%s: %d iterations vs %d", label, got.Iterations, want.Iterations)
+	}
+}
 
 // TestBatchedGradientAblationBitIdentical is the fork-join half of the
 // batched-gradient determinism contract (docs/DETERMINISM.md §7): the

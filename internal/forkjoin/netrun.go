@@ -56,10 +56,6 @@ func RunOnComm(c *mpi.Comm, d *msa.Dataset, cfg RunConfig) (res *search.Result, 
 		PerPartitionBranches: cfg.Search.PerPartitionBranches,
 		Threads:              cfg.Threads,
 		Recorder:             rec,
-		DisableRepeats:       cfg.DisableRepeats,
-		RepeatsMaxMem:        cfg.RepeatsMaxMem,
-		DisableSoA:           cfg.DisableSoA,
-		BatchSites:           cfg.BatchSites,
 	}
 
 	start := time.Now()

@@ -27,12 +27,6 @@ type RunConfig struct {
 	// kernel/collective span timing and search-progress counters
 	// (docs/OBSERVABILITY.md). nil disables instrumentation entirely.
 	Telemetry *telemetry.Collector
-	// DisableRepeats and RepeatsMaxMem mirror EngineConfig.
-	DisableRepeats bool
-	RepeatsMaxMem  int64
-	// DisableSoA and BatchSites mirror EngineConfig.
-	DisableSoA bool
-	BatchSites int
 }
 
 // RunStats mirrors decentral.RunStats for apples-to-apples comparisons.
@@ -69,10 +63,6 @@ func Run(d *msa.Dataset, cfg RunConfig) (*search.Result, *RunStats, error) {
 		Subst:                cfg.Search.Subst,
 		PerPartitionBranches: cfg.Search.PerPartitionBranches,
 		Threads:              cfg.Threads,
-		DisableRepeats:       cfg.DisableRepeats,
-		RepeatsMaxMem:        cfg.RepeatsMaxMem,
-		DisableSoA:           cfg.DisableSoA,
-		BatchSites:           cfg.BatchSites,
 	}
 
 	var result *search.Result

@@ -21,10 +21,17 @@ type Step struct {
 
 // Newview executes one CLV update.
 func (k *Kernel) Newview(s Step) {
+	dclv, dscale := k.slot(s.Dst)
+	k.newview(dclv, dscale, k.operand(s.A), k.operand(s.B), s.TA, s.TB)
+}
+
+// newview combines two operands into a destination vector under the
+// kernel's rate model and marks the sum table stale.
+func (k *Kernel) newview(dclv []float64, dscale []int32, oa, ob operand, ta, tb float64) {
 	if k.par.Het == model.Gamma {
-		k.newviewGamma(s.Dst, s.A, s.B, s.TA, s.TB)
+		k.newviewGamma(dclv, dscale, oa, ob, ta, tb)
 	} else {
-		k.newviewPSR(s.Dst, s.A, s.B, s.TA, s.TB)
+		k.newviewPSR(dclv, dscale, oa, ob, ta, tb)
 	}
 	k.prepared = false
 }
@@ -40,10 +47,15 @@ func (k *Kernel) Traverse(steps []Step) {
 // a virtual root on edge (p, q) with branch length t. Inner operands must
 // have been computed by a prior Traverse.
 func (k *Kernel) Evaluate(p, q NodeRef, t float64) float64 {
+	return k.evaluate(k.operand(p), k.operand(q), t)
+}
+
+// evaluate dispatches an evaluation on the kernel's rate model.
+func (k *Kernel) evaluate(op, oq operand, t float64) float64 {
 	if k.par.Het == model.Gamma {
-		return k.evaluateGamma(p, q, t)
+		return k.evaluateGamma(op, oq, t)
 	}
-	return k.evaluatePSR(p, q, t)
+	return k.evaluatePSR(op, oq, t)
 }
 
 // PrepareDerivatives builds the sum table for edge (p, q). Subsequent

@@ -1,7 +1,5 @@
 package likelihood
 
-import "repro/internal/threadpool"
-
 // This file routes every kernel's block work through one cached closure.
 //
 // Handing the pool a fresh closure per call would heap-allocate on every
@@ -9,15 +7,9 @@ import "repro/internal/threadpool"
 // machinery), and the steady-state hot path must run allocation-free
 // (docs/PERFORMANCE.md, asserted by testing.AllocsPerRun in the engine
 // packages). Instead, each kernel stages its per-call operands in k.ra
-// and dispatches on an opcode; the block workers themselves (gamma.go,
-// psr.go) are unchanged, so the computed bits are exactly those of the
-// direct-closure formulation.
-//
-// When ra.overReps is set, the run iterates the repeat-class
-// representative sites (repeats.go) and executes the very same block
-// worker over runs of consecutive representatives (overRepRanges) — the
-// compressed path reuses the plain path's arithmetic verbatim, which is
-// half of the bit-identity argument in docs/DETERMINISM.md §5.
+// and dispatches on an opcode to the block workers (soa_gamma.go,
+// soa_psr.go, and the derivative workers in gamma.go / psr.go), so the
+// computed bits are exactly those of the direct-closure formulation.
 
 // runOp selects the staged block operation.
 type runOp uint8
@@ -28,23 +20,16 @@ const (
 	opNvGammaInner
 	opEvalGamma
 	opEvalGammaTip
-	opEvalGammaLnlReps
 	opPrepGamma
 	opPrepGammaFast
 	opDerivGamma
-	opDerivGammaTermsReps
 	opNvPSRFast
 	opNvPSRInner
 	opEvalPSR
 	opEvalPSRTip
-	opEvalPSRLnlReps
 	opPrepPSR
 	opPrepPSRFast
 	opDerivPSR
-	opDerivPSRTermsReps
-	opNvCopyReps
-	opEvalRepsSum
-	opDerivRepsSum
 	opGradGamma
 	opGradGammaFast
 	opGradPSR
@@ -55,8 +40,7 @@ const (
 // only read it; every field is set before runBlocks and stable until
 // the join, so concurrent block execution stays race-free.
 type runArgs struct {
-	op       runOp
-	overReps bool
+	op runOp
 
 	dclv   []float64
 	dscale []int32
@@ -68,11 +52,6 @@ type runArgs struct {
 	tabA, tabB []float64
 	pair       []float64
 	catW       float64
-	colLen     int
-
-	cls, reps       []int32
-	clsVal, clsVal2 []float64
-	clsOK           []bool
 
 	exG, lamG *[gammaCats][ns]float64
 	exP, lamP [][ns]float64
@@ -80,247 +59,17 @@ type runArgs struct {
 	parts []blockPartial
 }
 
-// runBlocks executes the staged operation over n items on the kernel's
-// pool through the cached closure.
-func (k *Kernel) runBlocks(n int) {
+// runBlocks executes the staged operation over the kernel's patterns on
+// its pool through the cached closure.
+func (k *Kernel) runBlocks() {
 	if k.blockFn == nil {
 		k.blockFn = func(blk, lo, hi int) { k.dispatchBlock(blk, lo, hi) }
 	}
-	k.pool.Run(n, k.blockFn)
+	k.pool.Run(k.nPat, k.blockFn)
 }
 
-// overRepRanges calls f over the representative sites reps[lo:hi],
-// coalescing consecutive site indices into one contiguous range. First
-// occurrences cluster into runs (every site ahead of the first duplicate
-// is its own representative), so this recovers most of the block
-// workers' range-level efficiency. Each column is computed independently
-// by every worker, so splitting the pattern range this way cannot change
-// any bits.
-func overRepRanges(reps []int32, lo, hi int, f func(siteLo, siteHi int)) {
-	for j := lo; j < hi; {
-		i := int(reps[j])
-		e := j + 1
-		for e < hi && int(reps[e]) == i+(e-j) {
-			e++
-		}
-		f(i, i+(e-j))
-		j = e
-	}
-}
-
-// dispatchBlock executes one block of the staged operation. Under the
-// SoA layout, every CLV-touching opcode routes to its plane-major twin
-// (soa_gamma.go / soa_psr.go); opcodes that only read the (always-AoS)
-// sum table or per-class scratch fall through to the shared cases.
+// dispatchBlock executes one block of the staged operation.
 func (k *Kernel) dispatchBlock(blk, lo, hi int) {
-	if k.layout == LayoutSoA && k.dispatchBlockSoA(blk, lo, hi) {
-		return
-	}
-	ra := &k.ra
-	switch ra.op {
-	case opNvGammaTipTip:
-		k.newviewGammaTipTipBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pair, &k.pairScaleScr, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opNvGammaTipInner:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewGammaTipInnerBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, sLo, sHi)
-			})
-			return
-		}
-		k.newviewGammaTipInnerBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opNvGammaInner:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewGammaBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, sLo, sHi)
-			})
-			return
-		}
-		k.newviewGammaBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opEvalGamma:
-		ra.parts[blk].lnL = k.evaluateGammaBlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opEvalGammaTip:
-		ra.parts[blk].lnL = k.evaluateGammaTipBlock(ra.oa, ra.ob, ra.tabB, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opEvalGammaLnlReps:
-		for j := lo; j < hi; j++ {
-			ra.clsVal[j] = k.evaluateGammaSiteLnl(ra.oa, ra.ob, ra.pa, ra.catW, int(ra.reps[j]))
-		}
-
-	case opPrepGamma:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.prepareGammaBlock(ra.oa, ra.ob, sLo, sHi)
-			})
-			return
-		}
-		k.prepareGammaBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opPrepGammaFast:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.prepareGammaFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, sLo, sHi)
-			})
-			return
-		}
-		k.prepareGammaFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opDerivGamma:
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opDerivGammaTermsReps:
-		for j := lo; j < hi; j++ {
-			ratio, t2, ok := k.derivGammaSiteTerms(ra.exG, ra.lamG, ra.catW, int(ra.reps[j]))
-			ra.clsVal[j], ra.clsVal2[j], ra.clsOK[j] = ratio, t2, ok
-		}
-
-	case opNvPSRFast:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewPSRFastBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, sLo, sHi)
-			})
-			return
-		}
-		k.newviewPSRFastBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opNvPSRInner:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewPSRBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, sLo, sHi)
-			})
-			return
-		}
-		k.newviewPSRBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opEvalPSR:
-		ra.parts[blk].lnL = k.evaluatePSRBlock(ra.oa, ra.ob, ra.pa, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opEvalPSRTip:
-		ra.parts[blk].lnL = k.evaluatePSRTipBlock(ra.oa, ra.ob, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opEvalPSRLnlReps:
-		for j := lo; j < hi; j++ {
-			ra.clsVal[j] = k.evaluatePSRSiteLnl(ra.oa, ra.ob, ra.pa, int(ra.reps[j]))
-		}
-
-	case opPrepPSR:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.preparePSRBlock(ra.oa, ra.ob, sLo, sHi)
-			})
-			return
-		}
-		k.preparePSRBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opPrepPSRFast:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.preparePSRFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, sLo, sHi)
-			})
-			return
-		}
-		k.preparePSRFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opDerivPSR:
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opDerivPSRTermsReps:
-		for j := lo; j < hi; j++ {
-			ratio, t2, ok := k.derivPSRSiteTerms(ra.exP, ra.lamP, int(ra.reps[j]))
-			ra.clsVal[j], ra.clsVal2[j], ra.clsOK[j] = ratio, t2, ok
-		}
-
-	case opNvCopyReps:
-		// Materialize duplicate sites from their representative's
-		// freshly computed column — a byte copy, so the duplicate is
-		// bit-identical to what computing it directly would produce.
-		colLen := ra.colLen
-		for i := lo; i < hi; i++ {
-			r := int(ra.reps[ra.cls[i]])
-			if r == i {
-				continue
-			}
-			copy(ra.dclv[i*colLen:(i+1)*colLen], ra.dclv[r*colLen:(r+1)*colLen])
-			ra.dscale[i] = ra.dscale[r]
-		}
-		ra.parts[blk].cols = 0
-
-	case opEvalRepsSum:
-		// Weighted per-site accumulation in the same site and block
-		// order as the plain Evaluate path; lnl values are shared per
-		// class, so the sum's bits match the uncompressed kernel.
-		t := 0.0
-		for i := lo; i < hi; i++ {
-			t += float64(k.data.Weights[i]) * ra.clsVal[ra.cls[i]]
-		}
-		ra.parts[blk].lnL = t
-		ra.parts[blk].cols = 0
-
-	case opGradGamma:
-		// Fused all-branch gradient (gradient.go): prepare this block's
-		// sum-table range with the existing worker, then immediately
-		// consume it with the existing derivative worker. The range is
-		// written and read by the same goroutine, so the fusion is
-		// race-free and the bits match the two-pass oracle exactly.
-		k.prepareGammaBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
-
-	case opGradGammaFast:
-		k.prepareGammaFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
-
-	case opGradPSR:
-		k.preparePSRBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
-
-	case opGradPSRFast:
-		k.preparePSRFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
-
-	case opDerivRepsSum:
-		var d1, d2 float64
-		for i := lo; i < hi; i++ {
-			c := ra.cls[i]
-			if !ra.clsOK[c] {
-				continue
-			}
-			w := float64(k.data.Weights[i])
-			d1 += w * ra.clsVal[c]
-			d2 += w * ra.clsVal2[c]
-		}
-		ra.parts[blk].d1, ra.parts[blk].d2 = d1, d2
-		ra.parts[blk].cols = 0
-	}
-}
-
-// dispatchBlockSoA executes one block of the staged operation with the
-// SoA workers, returning false for opcodes that never touch a CLV (the
-// derivative, repeat-sum and per-class term opcodes), which the shared
-// AoS switch then handles. The staging code in gamma.go/psr.go is
-// layout-blind: the routing decision lives entirely here.
-func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 	ra := &k.ra
 	switch ra.op {
 	case opNvGammaTipTip:
@@ -328,22 +77,10 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opNvGammaTipInner:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewGammaTipInnerSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, sLo, sHi)
-			})
-			return true
-		}
 		k.newviewGammaTipInnerSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opNvGammaInner:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, sLo, sHi)
-			})
-			return true
-		}
 		k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
@@ -356,42 +93,22 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opPrepGamma:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.prepareGammaSoABlock(ra.oa, ra.ob, sLo, sHi)
-			})
-			return true
-		}
 		k.prepareGammaSoABlock(ra.oa, ra.ob, lo, hi)
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opPrepGammaFast:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.prepareGammaFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, sLo, sHi)
-			})
-			return true
-		}
 		k.prepareGammaFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
+	case opDerivGamma:
+		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
+		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+
 	case opNvPSRFast:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewPSRFastSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, sLo, sHi)
-			})
-			return true
-		}
 		k.newviewPSRFastSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
 		ra.parts[blk].cols = int64(hi - lo)
 
 	case opNvPSRInner:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, sLo, sHi)
-			})
-			return true
-		}
 		k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
 		ra.parts[blk].cols = int64(hi - lo)
 
@@ -404,75 +121,23 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		ra.parts[blk].cols = int64(hi - lo)
 
 	case opPrepPSR:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.preparePSRSoABlock(ra.oa, ra.ob, sLo, sHi)
-			})
-			return true
-		}
 		k.preparePSRSoABlock(ra.oa, ra.ob, lo, hi)
 		ra.parts[blk].cols = int64(hi - lo)
 
 	case opPrepPSRFast:
-		if ra.overReps {
-			overRepRanges(ra.reps, lo, hi, func(sLo, sHi int) {
-				k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, sLo, sHi)
-			})
-			return true
-		}
 		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].cols = int64(hi - lo)
 
-	case opNvCopyReps:
-		// SoA twin of the duplicate materialization: per-plane element
-		// moves instead of one contiguous column copy (an SoA column is
-		// strided), same source values, same bits. Representatives were
-		// all computed in the preceding pass and are never written here,
-		// so cross-block reads stay race-free. The class → representative
-		// map is resolved once per block into stack arrays: srcIdx holds
-		// each duplicate's representative index and seg the maximal
-		// duplicate segments, so each plane loop is a branchless gather
-		// with a strictly sequential write stream (16 such loops per
-		// block replace one contiguous column memmove per duplicate —
-		// an SoA column is strided). Representative sites are skipped by
-		// segment, never self-copied: a concurrent self-write would race
-		// with another block reading that representative.
-		n := k.nPat
-		var srcIdx [threadpool.BlockSize]int32
-		var segLo, segHi [threadpool.BlockSize + 1]int32
-		nseg := 0
-		for i := lo; i < hi; {
-			r := int(ra.reps[ra.cls[i]])
-			if r == i {
-				i++
-				continue
-			}
-			a := i
-			for {
-				srcIdx[i-lo] = int32(r)
-				ra.dscale[i] = ra.dscale[r]
-				i++
-				if i >= hi {
-					break
-				}
-				if r = int(ra.reps[ra.cls[i]]); r == i {
-					break
-				}
-			}
-			segLo[nseg], segHi[nseg] = int32(a), int32(i)
-			nseg++
-		}
-		for p := 0; p < ra.colLen; p++ {
-			d := ra.dclv[p*n:]
-			for s := 0; s < nseg; s++ {
-				for i := int(segLo[s]); i < int(segHi[s]); i++ {
-					d[i] = d[srcIdx[i-lo]]
-				}
-			}
-		}
-		ra.parts[blk].cols = 0
+	case opDerivPSR:
+		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
+		ra.parts[blk].cols = int64(hi - lo)
 
 	case opGradGamma:
+		// Fused all-branch gradient (gradient.go): prepare this block's
+		// sum-table range, then immediately consume it with the derivative
+		// worker. The range is written and read by the same goroutine, so
+		// the fusion is race-free and the bits match PrepareDerivatives
+		// followed by Derivatives exactly.
 		k.prepareGammaSoABlock(ra.oa, ra.ob, lo, hi)
 		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
 		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
@@ -491,12 +156,5 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
 		ra.parts[blk].cols = 2 * int64(hi-lo)
-
-	default:
-		// opEvalGammaLnlReps / opEvalPSRLnlReps run the layout-aware
-		// per-site mirrors; the derivative and repeat-sum opcodes never
-		// read a CLV. All are shared with the AoS switch.
-		return false
 	}
-	return true
 }

@@ -104,17 +104,12 @@ func (k *Kernel) InvalidateOuter() {
 }
 
 // NewviewOuter executes one pre-order partial update. The combine is
-// the post-order Newview combine verbatim — same block workers, same
-// fast-path staging, same a·b operand order — writing into the outer
-// table instead of a CLV slot. The repeats overlay never applies: outer
-// vectors are not subtree-addressed, so no repeat class describes them.
+// the post-order Newview combine itself — same staging, same block
+// workers, same a·b operand order — writing into the outer table
+// instead of a CLV slot.
 func (k *Kernel) NewviewOuter(s GradStep) {
-	if k.par.Het == model.Gamma {
-		k.newviewOuterGamma(s.Dst, s.A, s.B, s.TA, s.TB)
-	} else {
-		k.newviewOuterPSR(s.Dst, s.A, s.B, s.TA, s.TB)
-	}
-	k.prepared = false
+	dclv, dscale := k.outerSlot(s.Dst)
+	k.newview(dclv, dscale, k.gradOperand(s.A), k.gradOperand(s.B), s.TA, s.TB)
 }
 
 // TraverseOuter executes a pre-order schedule in order (parents before
@@ -128,93 +123,10 @@ func (k *Kernel) TraverseOuter(steps []GradStep) {
 // EvaluateGrad is Evaluate over GradRef operands: the weighted log
 // likelihood for a virtual root on a branch of length t between p (the
 // near vector) and q (the far one, which takes the P product), either
-// of which may be a tip, a post-order CLV or an outer vector. It runs
-// Evaluate's plain block workers, so on operands holding the same bytes
-// it returns Evaluate's bits; like NewviewOuter it never takes the
-// repeats overlay, which is bit-invisible (docs/DETERMINISM.md §5).
+// of which may be a tip, a post-order CLV or an outer vector. On
+// operands holding the same bytes it returns Evaluate's bits.
 func (k *Kernel) EvaluateGrad(p, q GradRef, t float64) float64 {
-	op, oq := k.gradOperand(p), k.gradOperand(q)
-	if k.par.Het == model.Gamma {
-		k.stageEvaluateGamma(op, oq, t)
-		return k.runEvaluateGamma()
-	}
-	k.stageEvaluatePSR(op, oq, t)
-	return k.runEvaluatePSR()
-}
-
-// newviewOuterGamma mirrors newviewGamma's plain (non-repeats) staging.
-func (k *Kernel) newviewOuterGamma(dst int32, a, b GradRef, ta, tb float64) {
-	pa := k.probMatricesFor(ta, 0)
-	pb := k.probMatricesFor(tb, 1)
-
-	dclv, dscale := k.outerSlot(dst)
-	oa, ob := k.gradOperand(a), k.gradOperand(b)
-	ra := &k.ra
-	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
-	ra.parts = k.blocks()
-	if k.fastOn && oa.tips != nil && ob.tips != nil {
-		k.fp.NewviewTipTip++
-		tabA := k.tipTabScratch(0, gammaCats)
-		k.fillTipTable(tabA, pa, oa.mask)
-		tabB := k.tipTabScratch(1, gammaCats)
-		k.fillTipTable(tabB, pb, ob.mask)
-		ra.pair = k.pairTabScratch(gammaCats)
-		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats, oa.mask, ob.mask)
-		ra.op, ra.overReps = opNvGammaTipTip, false
-	} else if k.fastOn && (oa.tips != nil || ob.tips != nil) {
-		k.fp.NewviewTipInner++
-		ra.tabA, ra.tabB = nil, nil
-		if oa.tips != nil {
-			ra.tabA = k.tipTabScratch(0, gammaCats)
-			k.fillTipTable(ra.tabA, pa, oa.mask)
-		}
-		if ob.tips != nil {
-			ra.tabB = k.tipTabScratch(1, gammaCats)
-			k.fillTipTable(ra.tabB, pb, ob.mask)
-		}
-		ra.op, ra.overReps = opNvGammaTipInner, false
-	} else {
-		k.fp.NewviewInner++
-		ra.op, ra.overReps = opNvGammaInner, false
-	}
-	k.runBlocks(k.nPat)
-	k.flops.Newview += joinCols(ra.parts)
-}
-
-// newviewOuterPSR mirrors newviewPSR's plain (non-repeats) staging.
-func (k *Kernel) newviewOuterPSR(dst int32, a, b GradRef, ta, tb float64) {
-	pa := k.probMatricesFor(ta, 0)
-	pb := k.probMatricesFor(tb, 1)
-
-	dclv, dscale := k.outerSlot(dst)
-	oa, ob := k.gradOperand(a), k.gradOperand(b)
-	ra := &k.ra
-	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
-	ra.parts = k.blocks()
-	if k.fastOn && (oa.tips != nil || ob.tips != nil) {
-		if oa.tips != nil && ob.tips != nil {
-			k.fp.NewviewTipTip++
-		} else {
-			k.fp.NewviewTipInner++
-		}
-		nc := len(k.par.CatRates)
-		ra.tabA, ra.tabB = nil, nil
-		if oa.tips != nil {
-			ra.tabA = k.tipTabScratch(0, nc)
-			k.fillTipTable(ra.tabA, pa, oa.mask)
-		}
-		if ob.tips != nil {
-			ra.tabB = k.tipTabScratch(1, nc)
-			k.fillTipTable(ra.tabB, pb, ob.mask)
-		}
-		ra.op = opNvPSRFast
-	} else {
-		k.fp.NewviewInner++
-		ra.op = opNvPSRInner
-	}
-	ra.overReps = false
-	k.runBlocks(k.nPat)
-	k.flops.Newview += joinCols(ra.parts)
+	return k.evaluate(k.gradOperand(p), k.gradOperand(q), t)
 }
 
 // BranchGradient returns (d lnL/dt, d² lnL/dt²) for one branch of
@@ -268,7 +180,6 @@ func (k *Kernel) BranchGradientCached(b, nEdges int, p, q GradRef, t float64) (d
 func (k *Kernel) BranchGradientReuse(b int, t float64) (d1, d2 float64) {
 	saved := k.sumTab
 	k.sumTab = k.gradTabs[b]
-	k.prepRepeats = false
 	if k.par.Het == model.Gamma {
 		d1, d2 = k.derivativesGamma(t)
 	} else {
@@ -280,8 +191,8 @@ func (k *Kernel) BranchGradientReuse(b int, t float64) (d1, d2 float64) {
 }
 
 // branchGradientGamma stages the fused Γ gradient: the prepare side
-// mirrors prepareDerivativesGamma's plain path, the derivative side
-// derivativesGamma's, sharing one block sweep.
+// mirrors prepareDerivativesGamma, the derivative side
+// derivativesGamma, sharing one block sweep.
 func (k *Kernel) branchGradientGamma(p, q GradRef, t float64) (d1, d2 float64) {
 	need := k.nPat * gammaCats * ns
 	if cap(k.sumTab) < need {
@@ -318,9 +229,7 @@ func (k *Kernel) branchGradientGamma(p, q GradRef, t float64) (d1, d2 float64) {
 		}
 	}
 	ra.exG, ra.lamG, ra.catW = ex, lam, k.par.CatWeight()
-	ra.overReps = false
-	k.prepRepeats = false
-	k.runBlocks(k.nPat)
+	k.runBlocks()
 	for b := range ra.parts {
 		d1 += ra.parts[b].d1
 		d2 += ra.parts[b].d2
@@ -366,9 +275,7 @@ func (k *Kernel) branchGradientPSR(p, q GradRef, t float64) (d1, d2 float64) {
 		}
 	}
 	ra.exP, ra.lamP = ex, lam
-	ra.overReps = false
-	k.prepRepeats = false
-	k.runBlocks(k.nPat)
+	k.runBlocks()
 	for b := range ra.parts {
 		d1 += ra.parts[b].d1
 		d2 += ra.parts[b].d2

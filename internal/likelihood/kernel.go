@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/msa"
-	"repro/internal/repeats"
 	"repro/internal/threadpool"
 )
 
@@ -72,19 +71,12 @@ type Kernel struct {
 	nPat   int
 	nInner int
 
-	// layout selects the CLV storage order (layout.go): LayoutSoA (the
-	// default) stores per-(category,state) site planes so the innermost
-	// kernel loops are stride-1 over patterns; LayoutAoS is the classic
-	// per-column order and serves as the ablation oracle (-no-soa).
-	layout Layout
-	// transScr is SetLayout's transposition scratch.
-	transScr []float64
-
-	// clv[slot] is nil until first computed. Layout (selected by k.layout):
-	//   AoS Γ:   [pattern][category][state] → ((i*C)+c)*4+x, C = GammaCategories
-	//   AoS PSR: [pattern][state]           → i*4+x (one category per site)
-	//   SoA Γ:   [category][state][pattern] → (c*4+x)*nPat+i
-	//   SoA PSR: [state][pattern]           → x*nPat+i
+	// clv[slot] is nil until first computed. A CLV is stored plane-major
+	// (structure of arrays): every (category, state) pair owns a contiguous
+	// plane of nPat doubles, so the innermost kernel loops are stride-1
+	// over patterns — the layout BEAGLE's CPU kernels use.
+	//   Γ:   [category][state][pattern] → (c*4+x)*nPat+i, 16 planes
+	//   PSR: [state][pattern]           → x*nPat+i (one category per site)
 	clv [][]float64
 	// scale[slot][pattern] counts scaling events accumulated in the
 	// subtree the CLV summarizes.
@@ -105,8 +97,8 @@ type Kernel struct {
 	// every code outside the mask.
 	tipMask []uint16
 
-	// sum table for Derivatives: Γ: [pattern][category][eig]; PSR:
-	// [pattern][eig]; plus the per-pattern category rate view.
+	// sum table for Derivatives, pattern-major (consumed sequentially per
+	// site): Γ: [pattern][category][eig]; PSR: [pattern][eig].
 	sumTab []float64
 	// prepared records whether sumTab matches the most recent
 	// PrepareDerivatives call.
@@ -146,27 +138,6 @@ type Kernel struct {
 	prepTabP     []float64
 	prepTabQ     []float64
 	fp           FastPathStats
-
-	// Site-repeat state (repeats.go + internal/repeats): repOn enables
-	// subtree repeat compression (default on, bit-identical either
-	// way); repMaxMem bounds the stored class tables; reps is created
-	// lazily. tipClsScr/evalCls/evalReps are conversion and edge-class
-	// scratch; prepCls/prepReps/prepN cache the classes of a sparse
-	// PrepareDerivatives (prepRepeats marks the sum table as sparse);
-	// clsVal/clsVal2/clsOK hold per-class phase-1 results.
-	repOn       bool
-	repMaxMem   int64
-	reps        *repeats.State
-	tipClsScr   [2][]int32
-	evalCls     []int32
-	evalReps    []int32
-	prepCls     []int32
-	prepReps    []int32
-	prepN       int
-	prepRepeats bool
-	clsVal      []float64
-	clsVal2     []float64
-	clsOK       []bool
 
 	// exGScr/lamGScr (Γ) and exPScr/lamPScr (PSR) are the derivative
 	// exponential tables — kernel fields so the staged run arguments
@@ -277,10 +248,8 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		nInner: nInner,
 		clv:    make([][]float64, nInner),
 		scale:  make([][]int32, nInner),
-		layout: LayoutSoA,
 		fastOn: true,
 		pcOn:   true,
-		repOn:  true,
 	}
 	k.siteVecScr = make([][ns]float64, threadpool.NumBlocks(k.nPat)*nInner)
 	k.siteScaleScr = make([]int32, len(k.siteVecScr))
@@ -336,9 +305,7 @@ func (k *Kernel) slot(i int32) ([]float64, []int32) {
 // InvalidateAll drops all CLVs (used after model changes that the caller
 // follows with a full traversal, and by fault-recovery redistribution).
 // The P-matrix cache is dropped too: InvalidateAll callers may mutate
-// parameters (site rates) without a Rebuild. Repeat class tables go with
-// the CLVs they describe — a site-rate reassignment changes the PSR tip
-// class codes.
+// parameters (site rates) without a Rebuild.
 func (k *Kernel) InvalidateAll() {
 	for i := range k.clv {
 		k.clv[i] = nil
@@ -346,11 +313,7 @@ func (k *Kernel) InvalidateAll() {
 	}
 	k.InvalidateOuter()
 	k.prepared = false
-	k.prepRepeats = false
 	k.pcache = nil
-	if k.reps != nil {
-		k.reps.Reset()
-	}
 }
 
 // probMatrices fills one P matrix per rate category for branch length t.

@@ -54,7 +54,7 @@ func ambiguousPartition(nPat int) *msa.PartitionData {
 
 // maskKernel builds a kernel over pd with randomized parameters (the
 // same for every call with the same het) on the given tree.
-func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.Heterogeneity, l likelihood.Layout, reps bool) *likelihood.Kernel {
+func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.Heterogeneity) *likelihood.Kernel {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	par, err := model.NewParams(het, pd.Freqs, pd.NPatterns())
@@ -81,8 +81,6 @@ func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.He
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.SetLayout(l)
-	k.SetRepeats(reps)
 	return k
 }
 
@@ -135,9 +133,9 @@ func maskTrace(k *likelihood.Kernel, tr *tree.Tree, before func()) []uint64 {
 // tip operand's own row contains, and no kernel reads any other entry.
 // Every table entry is poisoned with NaN before every kernel call; the
 // fast path must still match the generic path (SetFastPath(false)) in
-// every output bit — Γ and PSR, AoS and SoA, with and without repeat
-// compression, post-order and pre-order kernels — on data holding all 15
-// states and an all-gap taxon, and on a one-pattern slice of it.
+// every output bit — Γ and PSR, post-order and pre-order kernels — on
+// data holding all 15 states and an all-gap taxon, and on a one-pattern
+// slice of it.
 func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 	full := ambiguousPartition(45)
 	names := make([]string, len(full.Tips))
@@ -151,33 +149,29 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 	}
 	for _, pd := range []*msa.PartitionData{full, full.Slice(7, 8)} {
 		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-			for _, l := range []likelihood.Layout{likelihood.LayoutAoS, likelihood.LayoutSoA} {
-				for _, reps := range []bool{true, false} {
-					label := fmt.Sprintf("%v/%v/reps=%v/%d patterns", het, l, reps, pd.NPatterns())
-					generic := maskKernel(t, pd, tr, het, l, reps)
-					generic.SetFastPath(false)
-					want := maskTrace(generic, tr, func() {})
+			label := fmt.Sprintf("%v/%d patterns", het, pd.NPatterns())
+			generic := maskKernel(t, pd, tr, het)
+			generic.SetFastPath(false)
+			want := maskTrace(generic, tr, func() {})
 
-					fast := maskKernel(t, pd, tr, het, l, reps)
-					got := maskTrace(fast, tr, fast.PoisonTipTables)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("%s: output %d: fast path %x (%g) != generic %x", label, i, got[i], math.Float64frombits(got[i]), want[i])
-							break
-						}
-					}
-					fp := fast.FastPath()
-					if fp.NewviewTipTip == 0 || fp.NewviewTipInner == 0 || fp.EvaluateTip == 0 || fp.PrepareTip == 0 {
-						t.Errorf("%s: tip dispatch coverage: %+v", label, fp)
-					}
-					if het == model.Gamma {
-						if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
-							t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)
-						}
-						if pd.NPatterns() == 1 && fp.PairTableEntries != fp.NewviewTipTip {
-							t.Errorf("%s: one-pattern slice filled %d pairs in %d tables", label, fp.PairTableEntries, fp.NewviewTipTip)
-						}
-					}
+			fast := maskKernel(t, pd, tr, het)
+			got := maskTrace(fast, tr, fast.PoisonTipTables)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s: output %d: fast path %x (%g) != generic %x", label, i, got[i], math.Float64frombits(got[i]), want[i])
+					break
+				}
+			}
+			fp := fast.FastPath()
+			if fp.NewviewTipTip == 0 || fp.NewviewTipInner == 0 || fp.EvaluateTip == 0 || fp.PrepareTip == 0 {
+				t.Errorf("%s: tip dispatch coverage: %+v", label, fp)
+			}
+			if het == model.Gamma {
+				if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
+					t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)
+				}
+				if pd.NPatterns() == 1 && fp.PairTableEntries != fp.NewviewTipTip {
+					t.Errorf("%s: one-pattern slice filled %d pairs in %d tables", label, fp.PairTableEntries, fp.NewviewTipTip)
 				}
 			}
 		}

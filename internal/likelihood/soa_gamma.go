@@ -6,27 +6,34 @@ import (
 	"repro/internal/threadpool"
 )
 
-// SoA Γ block workers (LayoutSoA, the default). Each worker is the
-// plane-major counterpart of one AoS worker in gamma.go: the outer loops
-// walk (category, state) planes, the innermost loop streams stride-1
-// over sites, and the 4-state cell is unrolled into straight-line code
-// with the P-matrix row hoisted into scalars — the autovectorizable
-// shape of BEAGLE's CPU kernels.
+// Γ block workers. A Γ CLV is stored plane-major (structure of arrays):
+// each (category, state) pair owns a contiguous plane of nPat doubles.
+// The workers' outer loops walk (category, state) planes, the innermost
+// loop streams stride-1 over sites, and the 4-state cell is unrolled
+// into straight-line code with the P-matrix row hoisted into scalars —
+// the autovectorizable shape of BEAGLE's CPU kernels.
 //
-// Bit-identity (docs/DETERMINISM.md §8): every value is computed by the
-// IDENTICAL expression (operands and association order) as its AoS
-// twin, per-site accumulators are added in the identical (category,
-// state) order via a per-site accumulator array, and the scaling
-// predicate is an order-independent OR over the column. Loop order over
-// independent values is free; everything order-sensitive is pinned.
+// Expression order (docs/DETERMINISM.md §8): a site's value is one fixed
+// expression (operands and association order) whichever worker computes
+// it, per-site accumulators are added in ascending (category, state)
+// order via a per-site accumulator array, and the scaling predicate is
+// an order-independent OR over the column. Loop order over independent
+// values is free; everything order-sensitive is pinned.
 //
-// Operand shapes that only occur with the tip fast path disabled (an
-// ablation configuration) fall back to site-major twins that use the
-// strided column loads from layout.go — still bit-identical, just not
-// stride-1.
+// Operand shapes that only occur with the tip fast path disabled
+// (SetFastPath(false), the generic reference of fastpath_test.go) take
+// site-major workers that load a site's column with strided reads
+// (soaColGamma) — the same expressions, just not stride-1.
 
-// newviewGammaSoABlock is the generic (inner-inner) SoA worker of
-// newviewGamma; tip operands (fast path off) take the site-major twin.
+// soaColGamma loads the (site i, category c) state column of a Γ CLV:
+// four strided reads, one per state plane.
+func soaColGamma(clv []float64, n, i, c int) [ns]float64 {
+	p := clv[(c*ns)*n:]
+	return [ns]float64{p[i], p[n+i], p[2*n+i], p[3*n+i]}
+}
+
+// newviewGammaSoABlock is the generic (inner-inner) worker of
+// newviewGamma; tip operands (fast path off) take the site-major worker.
 func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
 	if oa.tips != nil || ob.tips != nil {
 		k.newviewGammaSoASiteBlock(dclv, dscale, oa, ob, pa, pb, lo, hi)
@@ -34,18 +41,17 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 	}
 	n := k.nPat
 	// noScale[j] records that site lo+j produced at least one entry at
-	// or above ScaleThreshold (or a NaN) — the same predicate the AoS
-	// worker folds into needScale, an order-independent OR over the
-	// column's entries. Stack scratch: per-goroutine, so concurrent
-	// blocks never share it.
+	// or above ScaleThreshold (or a NaN) — an order-independent OR over
+	// the column's entries; a site with none is rescaled. Stack scratch:
+	// per-goroutine, so concurrent blocks never share it.
 	var noScale [threadpool.BlockSize]bool
 	for c := 0; c < gammaCats; c++ {
 		pca := &pa[c]
 		pcb := &pb[c]
 		// One fused sweep per category: each site's four child values per
 		// operand load once, and the four state outputs store to their
-		// planes in the same pass — the loop-order freedom the SoA layout
-		// buys (every expression below is the AoS worker's, verbatim).
+		// planes in the same pass — the loop-order freedom the plane-major
+		// layout buys.
 		a0 := oa.clv[(c*ns+0)*n:]
 		a1 := oa.clv[(c*ns+1)*n:]
 		a2 := oa.clv[(c*ns+2)*n:]
@@ -82,10 +88,10 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 }
 
 // finishNewviewGammaSoA applies the per-site scaling decision and writes
-// the scale counts — the plane-major tail shared by the SoA Γ newview
+// the scale counts — the tail shared by the plane-major Γ newview
 // workers. The conditional ScaleFactor multiply is per-entry independent,
-// so applying it in a separate plane pass yields the same bits as the
-// AoS worker's in-place column loop.
+// so applying it in a separate plane pass yields the same bits as a
+// per-site column loop.
 func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []int32, noScale *[threadpool.BlockSize]bool, lo, hi int) {
 	n := k.nPat
 	anyScale := false
@@ -120,9 +126,9 @@ func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []
 	}
 }
 
-// newviewGammaSoASiteBlock is the site-major generic twin for tip
-// operands without fast-path tables (ablation only): the AoS worker's
-// loop with strided column loads and stores.
+// newviewGammaSoASiteBlock is the site-major generic worker for tip
+// operands without fast-path tables (SetFastPath(false)): one site at a
+// time with strided column loads and stores.
 func (k *Kernel) newviewGammaSoASiteBlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	for i := lo; i < hi; i++ {
@@ -168,9 +174,10 @@ func (k *Kernel) newviewGammaSoASiteBlock(dclv []float64, dscale []int32, oa, ob
 	}
 }
 
-// newviewGammaTipInnerSoABlock is the mixed SoA worker: the tip side
+// newviewGammaTipInnerSoABlock is the mixed worker: the tip side
 // gathers from the precomputed P·tipVec table, the inner side streams
-// its planes; la/lb/v keep the AoS expressions and product order.
+// its planes; each value is the generic worker's la·lb product with the
+// tip factor read from the table, in the same a·b order.
 func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	var noScale [threadpool.BlockSize]bool
@@ -238,8 +245,9 @@ func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa
 }
 
 // newviewGammaTipTipSoABlock materializes the pair-product table into
-// SoA planes: pure element moves of the same table entries the AoS
-// worker copies, so the bits match by construction.
+// the destination planes: pure element moves of table entries
+// (scaling already applied) — zero per-site arithmetic, bit-identical to
+// the generic worker by the fillPairTable construction.
 func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, ob operand, pair []float64, psc *[256]int32, lo, hi int) {
 	tipsA, tipsB := oa.tips, ob.tips
 	n := k.nPat
@@ -261,11 +269,10 @@ func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, 
 	}
 }
 
-// evaluateGammaSoABlock is the generic SoA Evaluate worker: per-site
-// likelihoods accumulate in a per-site array in the AoS (category,
-// state) term order, so every site's sum carries the identical bits.
-// The q-tip shape only occurs with the fast path off; it reuses the
-// layout-aware per-site mirror.
+// evaluateGammaSoABlock is the generic Evaluate worker: per-site
+// likelihoods accumulate in a per-site array in ascending (category,
+// state) term order. The q-tip shape only occurs with the fast path
+// off; it takes the site-major evaluateGammaSiteLnl.
 func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, catW float64, lo, hi int) float64 {
 	if oq.tips != nil {
 		total := 0.0
@@ -315,9 +322,44 @@ func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, ca
 	return total
 }
 
-// evaluateGammaTipSoABlock is the q-tip SoA Evaluate worker. A tip-tip
-// root edge reads no CLV at all, so the AoS worker is layout-blind
-// there and serves directly.
+// evaluateGammaSiteLnl is one site of the generic Γ evaluation, loaded
+// with strided column reads: the log likelihood of site i before the
+// pattern-weight multiply.
+func (k *Kernel) evaluateGammaSiteLnl(op, oq operand, pm [][ns * ns]float64, catW float64, i int) float64 {
+	freqs := &k.par.Freqs
+	site := 0.0
+	for c := 0; c < gammaCats; c++ {
+		pc := &pm[c]
+		var vp, vq [ns]float64
+		if op.tips != nil {
+			vp = k.tipVec[op.tips[i]]
+		} else {
+			vp = soaColGamma(op.clv, k.nPat, i, c)
+		}
+		if oq.tips != nil {
+			vq = k.tipVec[oq.tips[i]]
+		} else {
+			vq = soaColGamma(oq.clv, k.nPat, i, c)
+		}
+		for x := 0; x < ns; x++ {
+			right := pc[x*ns]*vq[0] + pc[x*ns+1]*vq[1] + pc[x*ns+2]*vq[2] + pc[x*ns+3]*vq[3]
+			site += freqs[x] * vp[x] * right * catW
+		}
+	}
+	var sc int32
+	if op.scale != nil {
+		sc += op.scale[i]
+	}
+	if oq.scale != nil {
+		sc += oq.scale[i]
+	}
+	return math.Log(site) + float64(sc)*LogScaleStep
+}
+
+// evaluateGammaTipSoABlock is the q-tip Evaluate worker: the per-site
+// P·tipVec dot product becomes a table read whose entries were computed
+// by the generic expression. A tip-tip root edge reads no CLV at all
+// and takes evaluateGammaTipBlock.
 func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
 	if op.tips != nil {
 		return k.evaluateGammaTipBlock(op, oq, tab, catW, lo, hi)
@@ -348,11 +390,11 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 	return total
 }
 
-// prepareGammaSoABlock is the generic SoA sum-table fill. Sum-table
-// entries are mutually independent (the order-sensitive consumption
-// happens in the shared, layout-free derivative workers), so the
-// plane-major loop order is free; the ap/bq/product expressions are the
-// AoS ones verbatim. The table itself stays in AoS order.
+// prepareGammaSoABlock is the generic sum-table fill. Sum-table entries
+// are mutually independent (the order-sensitive consumption happens in
+// derivativesGammaBlock), so the plane-major loop order is free. The
+// table itself is pattern-major ([pattern][category][eig]): the
+// derivative worker consumes it sequentially per site.
 func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
 	if op.tips != nil || oq.tips != nil {
 		k.prepareGammaSoASiteBlock(op, oq, lo, hi)
@@ -384,8 +426,8 @@ func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
 	}
 }
 
-// prepareGammaSoASiteBlock is the site-major generic twin for tip
-// operands without prep tables (ablation only).
+// prepareGammaSoASiteBlock is the site-major generic worker for tip
+// operands without prep tables (SetFastPath(false)).
 func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
@@ -415,10 +457,11 @@ func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
 	}
 }
 
-// prepareGammaFastSoABlock is the tip-specialized SoA sum-table fill:
-// per (category, eigen) plane, the tip side gathers its prep-table
-// entries and the inner side streams its planes into per-site scratch,
-// then the ap·bq products land in the (AoS) sum table.
+// prepareGammaFastSoABlock is the tip-specialized sum-table fill: per
+// (category, eigen) plane, the tip side gathers its prep-table entries
+// (computed by the generic expression) and the inner side streams its
+// planes into per-site scratch, then the ap·bq products land in the
+// pattern-major sum table.
 func (k *Kernel) prepareGammaFastSoABlock(op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs

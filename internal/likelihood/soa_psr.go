@@ -4,17 +4,16 @@ import (
 	"math"
 )
 
-// SoA PSR block workers. PSR CLVs hold one 4-vector per site, stored as
-// four state planes under LayoutSoA. The per-site rate category selects
+// PSR block workers. PSR CLVs hold one 4-vector per site, stored as
+// four state planes of nPat doubles. The per-site rate category selects
 // a different P matrix each site, so unlike Γ there is no loop-invariant
 // matrix row to hoist per plane; the workers instead walk sites once
 // while reading/writing four stride-1 state streams in parallel, with
-// the 4-state cell unrolled into straight-line code.
-//
-// Bit-identity: expressions and per-site accumulation order are the AoS
-// workers' (psr.go) verbatim; see soa_gamma.go for the argument shape.
+// the 4-state cell unrolled into straight-line code. Tip-specialized and
+// generic workers compute a site's value by the same expression; see
+// soa_gamma.go for the expression-order rules.
 
-// newviewPSRSoABlock is the generic SoA worker of newviewPSR.
+// newviewPSRSoABlock is the generic worker of newviewPSR.
 func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
 	cats := k.par.SiteCats
 	n := k.nPat
@@ -75,9 +74,9 @@ func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob opera
 	}
 }
 
-// newviewPSRFastSoABlock is the tip-specialized SoA worker of
-// newviewPSR: tip sides gather their P·tipVec table entries, inner
-// sides read the state streams.
+// newviewPSRFastSoABlock is the tip-specialized worker of newviewPSR:
+// tip sides gather their P·tipVec table entries, inner sides read the
+// state streams.
 func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	cats := k.par.SiteCats
 	n := k.nPat
@@ -141,9 +140,8 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 	}
 }
 
-// evaluatePSRSoABlock is the generic SoA Evaluate worker; the per-site
-// sum accumulates its four terms in ascending-state order exactly as
-// the AoS worker does.
+// evaluatePSRSoABlock is the generic Evaluate worker; the per-site sum
+// accumulates its four terms in ascending-state order.
 func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, hi int) float64 {
 	cats := k.par.SiteCats
 	freqs := &k.par.Freqs
@@ -190,8 +188,8 @@ func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, 
 	return total
 }
 
-// evaluatePSRTipSoABlock is the q-tip SoA Evaluate worker; a tip-tip
-// edge reads no CLV, so the AoS worker serves it unchanged.
+// evaluatePSRTipSoABlock is the q-tip Evaluate worker; a tip-tip edge
+// reads no CLV and takes evaluatePSRTipBlock.
 func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi int) float64 {
 	if op.tips != nil {
 		return k.evaluatePSRTipBlock(op, oq, tab, lo, hi)
@@ -218,8 +216,8 @@ func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi in
 	return total
 }
 
-// preparePSRSoABlock is the generic SoA sum-table fill (tip operands
-// occur here only with the fast path off).
+// preparePSRSoABlock is the generic sum-table fill (tip operands occur
+// here only with the fast path off).
 func (k *Kernel) preparePSRSoABlock(op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
@@ -254,7 +252,11 @@ func (k *Kernel) preparePSRSoABlock(op, oq operand, lo, hi int) {
 	}
 }
 
-// preparePSRFastSoABlock is the tip-specialized SoA sum-table fill.
+// preparePSRFastSoABlock is the tip-specialized sum-table fill: a tip
+// side reads its prep table (entries computed by the generic
+// expression), an inner side evaluates the generic expression in place;
+// the final ap·bq product order is unchanged, so the sum table bits
+// match.
 func (k *Kernel) preparePSRFastSoABlock(op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs

@@ -26,7 +26,7 @@ import (
 )
 
 // Event is one JSONL telemetry line, tolerant of every type the
-// collector emits: meta, span, iter, recovery, perf, repeats.
+// collector emits: meta, span, iter, recovery, perf.
 type Event struct {
 	Ev    string `json:"ev"`
 	Rank  int    `json:"rank"`
@@ -50,8 +50,6 @@ type Event struct {
 	GenericOps   int64 `json:"generic_ops"`
 	PcacheHits   int64 `json:"pcache_hits"`
 	PcacheMisses int64 `json:"pcache_misses"`
-	ColsComputed int64 `json:"cols_computed"`
-	ColsSaved    int64 `json:"cols_saved"`
 }
 
 // Source is one parsed trace file before merging.
@@ -82,13 +80,11 @@ type Recovery struct {
 	Rank, Size, Epoch, ResumedIteration int
 }
 
-// PerfStat is the per-rank engine-close fast-path/repeat summary.
+// PerfStat is the per-rank engine-close fast-path summary.
 type PerfStat struct {
-	Rank                             int
-	FastOps, GenericOps              int64
-	PcacheHits, PcacheMisses         int64
-	ColsComputed, ColsSaved          int64
-	HasKernelCounts, HasRepeatCounts bool
+	Rank                     int
+	FastOps, GenericOps      int64
+	PcacheHits, PcacheMisses int64
 }
 
 // JobTrace is every merged event belonging to one job (the empty job ID
@@ -199,11 +195,6 @@ func MergeSources(sources []*Source) *Merge {
 				p := jt.perf(rank)
 				p.FastOps, p.GenericOps = ev.FastOps, ev.GenericOps
 				p.PcacheHits, p.PcacheMisses = ev.PcacheHits, ev.PcacheMisses
-				p.HasKernelCounts = true
-			case "repeats":
-				p := jt.perf(rank)
-				p.ColsComputed, p.ColsSaved = ev.ColsComputed, ev.ColsSaved
-				p.HasRepeatCounts = true
 			}
 		}
 	}

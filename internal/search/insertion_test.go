@@ -83,17 +83,17 @@ func (m *mirrorEngine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 // withTwin runs body on every rank that drives a searcher — each rank
 // under the de-centralized scheme, the master under fork-join — of a
 // two-rank world, with that rank's engine and a twin of the same scheme
-// over a second world. The twin always runs the default layout on one
-// thread: both are bit-invisible, and only the scheme and the rank count
-// shape a sum.
-func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogeneity, perPart bool, threads int, aos bool, body func(rank int, eng, twin search.Engine)) {
+// over a second world. The twin always runs on one thread: the thread
+// count is bit-invisible, and only the scheme and the rank count shape a
+// sum.
+func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogeneity, perPart bool, threads int, body func(rank int, eng, twin search.Engine)) {
 	t.Helper()
 	const ranks = 2
 	assign := cyclicAssignment(t, d, ranks)
 	wA, wB := mpi.NewWorld(ranks), mpi.NewWorld(ranks)
 	if scheme == "decentral" {
 		wA.Run(func(c *mpi.Comm) {
-			eng, err := decentral.NewEngine(c, d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos})
+			eng, err := decentral.NewEngine(c, d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads})
 			if err != nil {
 				t.Error(err)
 				return
@@ -109,7 +109,7 @@ func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogenei
 		})
 		return
 	}
-	cfgA := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads, DisableSoA: aos}
+	cfgA := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads}
 	cfgB := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart}
 	wA.Run(func(c *mpi.Comm) {
 		if c.Rank() != 0 {
@@ -180,30 +180,28 @@ func TestInsertionScoresEqualForcedEvaluation(t *testing.T) {
 		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 			for _, perPart := range []bool{false, true} {
 				for _, threads := range []int{1, 2} {
-					for _, aos := range []bool{false, true} {
-						label := fmt.Sprintf("%s/%v/M=%v/T%d/aos=%v", scheme, het, perPart, threads, aos)
-						scfg := search.Config{Het: het, PerPartitionBranches: perPart, Seed: 5, MaxIterations: 1}
-						checked := make([]int, ranks)
-						// run is one rank's searcher over its engine, every
-						// score checked against that rank's twin.
-						run := func(rank int, eng, twin search.Engine) {
-							s, err := search.NewSearcher(&mirrorEngine{Engine: eng, twin: twin}, d, scfg)
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							s.SetInsertionHook(checkAgainstTwin(t, label, s, twin, &checked[rank]))
-							if _, err := s.Run(); err != nil {
-								t.Errorf("%s: %v", label, err)
-							}
+					label := fmt.Sprintf("%s/%v/M=%v/T%d", scheme, het, perPart, threads)
+					scfg := search.Config{Het: het, PerPartitionBranches: perPart, Seed: 5, MaxIterations: 1}
+					checked := make([]int, ranks)
+					// run is one rank's searcher over its engine, every
+					// score checked against that rank's twin.
+					run := func(rank int, eng, twin search.Engine) {
+						s, err := search.NewSearcher(&mirrorEngine{Engine: eng, twin: twin}, d, scfg)
+						if err != nil {
+							t.Error(err)
+							return
 						}
-						withTwin(t, d, scheme, het, perPart, threads, aos, run)
-						if checked[0] == 0 {
-							t.Errorf("%s: no candidate was checked", label)
+						s.SetInsertionHook(checkAgainstTwin(t, label, s, twin, &checked[rank]))
+						if _, err := s.Run(); err != nil {
+							t.Errorf("%s: %v", label, err)
 						}
-						if scheme == "decentral" && checked[1] != checked[0] {
-							t.Errorf("%s: rank 1 checked %d candidates, rank 0 %d", label, checked[1], checked[0])
-						}
+					}
+					withTwin(t, d, scheme, het, perPart, threads, run)
+					if checked[0] == 0 {
+						t.Errorf("%s: no candidate was checked", label)
+					}
+					if scheme == "decentral" && checked[1] != checked[0] {
+						t.Errorf("%s: rank 1 checked %d candidates, rank 0 %d", label, checked[1], checked[0])
 					}
 				}
 			}

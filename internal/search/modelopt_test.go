@@ -149,7 +149,7 @@ func TestMaskedProbesChangeNothingButCost(t *testing.T) {
 					var results [2][ranks]modelRounds
 					for run, strip := range []bool{false, true} {
 						label := fmt.Sprintf("%s/%v/M=%v/T%d/unmasked=%v", scheme, het, perPart, threads, strip)
-						withTwin(t, d, scheme, het, perPart, threads, false, func(rank int, eng, twin search.Engine) {
+						withTwin(t, d, scheme, het, perPart, threads, func(rank int, eng, twin search.Engine) {
 							results[run][rank] = twoRounds(t, label, d, scfg, eng, twin, strip)
 						})
 					}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/msa"
@@ -224,75 +223,6 @@ func sampleState(freqs [msa.NumStates]float64, rng *rand.Rand) uint8 {
 		}
 	}
 	return msa.NumStates - 1
-}
-
-// collectClades appends the tip-ID set of every inner subtree under n to
-// clades and returns n's own tip set.
-func collectClades(n *tree.Node, clades *[][]int) []int {
-	if n.IsTip() {
-		return []int{n.TaxonID}
-	}
-	a := collectClades(n.Next.Back, clades)
-	b := collectClades(n.Next.Next.Back, clades)
-	all := make([]int, 0, len(a)+len(b))
-	all = append(append(all, a...), b...)
-	*clades = append(*clades, all)
-	return all
-}
-
-// AddCladeRepeats post-processes a simulated alignment to make it
-// duplicate-heavy in the sense that matters to subtree site-repeat
-// compression: for roughly a frac fraction of each partition's columns,
-// a random proper clade of the true tree has its characters overwritten
-// with a copy of the same clade's characters from a random earlier
-// column of that partition. Columns stay globally distinct (taxa outside
-// the clade keep their own draws), so msa pattern compression cannot
-// collapse them — yet at every vertex inside or at the root of the
-// copied clade the subtree site pattern repeats, which is exactly the
-// redundancy the repeat-aware kernels harvest. Real alignments show the
-// same structure (conserved genes vary in only part of the tree).
-func AddCladeRepeats(res *Result, frac float64, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	var clades [][]int
-	root := res.Tree.Tip(0).Back
-	for _, r := range root.Ring() {
-		collectClades(r.Back, &clades)
-	}
-	nTaxa := len(res.Alignment.Names)
-	eligible := clades[:0]
-	for _, c := range clades {
-		if len(c) >= 2 && len(c) <= nTaxa-2 {
-			eligible = append(eligible, c)
-		}
-	}
-	if len(eligible) == 0 {
-		return
-	}
-	// Draw clades weighted by size: uniform choice would be dominated by
-	// cherries (half of all clades), leaving the deep subtrees — where
-	// repeat compression has the most CLV columns to save — duplicate-free.
-	cum := make([]int, len(eligible))
-	total := 0
-	for i, c := range eligible {
-		total += len(c)
-		cum[i] = total
-	}
-	pick := func() []int {
-		r := rng.Intn(total)
-		i := sort.SearchInts(cum, r+1)
-		return eligible[i]
-	}
-	for _, p := range res.Partitions {
-		for col := p.Lo + 1; col < p.Hi; col++ {
-			if rng.Float64() >= frac {
-				continue
-			}
-			src := p.Lo + rng.Intn(col-p.Lo)
-			for _, taxon := range pick() {
-				res.Alignment.Seqs[taxon][col] = res.Alignment.Seqs[taxon][src]
-			}
-		}
-	}
 }
 
 // LargeUnpartitioned is the paper's challenge-(i) recipe — the 150-taxon,

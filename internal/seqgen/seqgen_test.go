@@ -167,80 +167,3 @@ func TestPaperRecipes(t *testing.T) {
 		t.Fatalf("compressed dims: %d parts, %d sites", d.NPartitions(), d.TotalSites())
 	}
 }
-
-// cladeColumnPairs counts (column, earlier column) pairs in which some
-// inner subtree of the true tree carries identical characters — the
-// redundancy AddCladeRepeats is supposed to inject.
-func cladeColumnPairs(res *Result) int {
-	var clades [][]int
-	root := res.Tree.Tip(0).Back
-	for _, r := range root.Ring() {
-		collectClades(r.Back, &clades)
-	}
-	nTaxa := len(res.Alignment.Names)
-	count := 0
-	for _, c := range clades {
-		if len(c) < 2 || len(c) > nTaxa-2 {
-			continue
-		}
-		seen := map[string]bool{}
-		for col := 0; col < res.Alignment.NSites(); col++ {
-			key := make([]byte, len(c))
-			for i, taxon := range c {
-				key[i] = byte(res.Alignment.Seqs[taxon][col])
-			}
-			if seen[string(key)] {
-				count++
-			}
-			seen[string(key)] = true
-		}
-	}
-	return count
-}
-
-func TestAddCladeRepeats(t *testing.T) {
-	gen := func() *Result {
-		res, err := Generate(Config{
-			NTaxa: 16,
-			Specs: []Spec{{Name: "g", NSites: 400, Alpha: 0.8}},
-			Seed:  9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := gen()
-	before := cladeColumnPairs(plain)
-
-	dup := gen()
-	AddCladeRepeats(dup, 0.8, 11)
-	if err := dup.Alignment.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	after := cladeColumnPairs(dup)
-	if after <= before {
-		t.Fatalf("clade repeats did not increase: %d -> %d", before, after)
-	}
-
-	// Deterministic for a given seed.
-	dup2 := gen()
-	AddCladeRepeats(dup2, 0.8, 11)
-	for taxon := range dup.Alignment.Seqs {
-		for col := range dup.Alignment.Seqs[taxon] {
-			if dup.Alignment.Seqs[taxon][col] != dup2.Alignment.Seqs[taxon][col] {
-				t.Fatalf("AddCladeRepeats not deterministic at taxon %d col %d", taxon, col)
-			}
-		}
-	}
-
-	// Columns should remain (mostly) globally distinct so msa pattern
-	// compression cannot simply collapse the duplicates.
-	d, err := msa.Compress(dup.Alignment, dup.Partitions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := d.Parts[0].NPatterns(); n < 300 {
-		t.Errorf("only %d global patterns survive of 400 columns; duplicates leaked into whole columns", n)
-	}
-}

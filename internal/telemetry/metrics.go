@@ -97,8 +97,6 @@ func (r *Report) Publish(reg *metrics.Registry) {
 		"Specialized kernel dispatch share of the last completed run.").Set(r.FastPathShare)
 	reg.Gauge("examl_run_pcache_hit_rate",
 		"P-matrix cache hit rate of the last completed run.").Set(r.PCacheHitRate)
-	reg.Gauge("examl_run_repeat_share",
-		"Site-repeat CLV columns saved share of the last completed run.").Set(r.RepeatShare)
 	reg.Gauge("examl_run_pool_utilization",
 		"Thread-pool block utilization of the last completed run.").Set(r.PoolUtilization)
 }

@@ -44,11 +44,6 @@ type RankStats struct {
 	TipTipNewviews   int64 `json:"tiptip_newviews,omitempty"`
 	PairTableEntries int64 `json:"pair_table_entries,omitempty"`
 	TipTableEntries  int64 `json:"tip_table_entries,omitempty"`
-	// RepeatColsComputed/RepeatColsSaved are the rank's site-repeat
-	// compression counters: CLV pattern columns computed at
-	// representative sites vs materialized by copy (docs/PERFORMANCE.md).
-	RepeatColsComputed int64 `json:"repeat_cols_computed,omitempty"`
-	RepeatColsSaved    int64 `json:"repeat_cols_saved,omitempty"`
 	// BatchDispatches/BatchKernels are the rank's fused small-partition
 	// batching counters: pool dispatches that fused several sub-threshold
 	// kernels, and the kernel invocations they carried
@@ -148,10 +143,6 @@ type Report struct {
 	// collective of the topology search carry (docs/PERFORMANCE.md §8;
 	// 0 when no plan ran).
 	CandidatesPerPrunePoint float64 `json:"candidates_per_prune_point"`
-	// RepeatShare is the fraction of compressed-Newview CLV columns
-	// materialized by copy rather than computed, summed across ranks
-	// (0 when the compressed path never ran).
-	RepeatShare float64 `json:"repeat_share"`
 	// BatchFusion is the mean number of small-partition kernels fused
 	// into one pool dispatch, summed across ranks (0 when batching never
 	// fired). Values well above 1 mean the fused path is amortizing pool
@@ -181,7 +172,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	var sumCompute, sumComm, maxCompute int64
 	var poolRuns, poolBlocks int64
 	var fastOps, genericOps, pcHits, pcMiss, tipTips, pairEntries int64
-	var repComputed, repSaved int64
 	var batchDisp, batchKern int64
 	poolThreads := 0
 	for _, r := range c.recs {
@@ -205,9 +195,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			PairTableEntries: r.perf.PairTableEntries,
 			TipTableEntries:  r.perf.TipTableEntries,
 
-			RepeatColsComputed: r.repColsComputed,
-			RepeatColsSaved:    r.repColsSaved,
-
 			BatchDispatches: r.batchDispatches,
 			BatchKernels:    r.batchKernels,
 		}
@@ -228,8 +215,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		pcMiss += r.perf.PCacheMisses
 		tipTips += r.perf.TipTipNewviews
 		pairEntries += r.perf.PairTableEntries
-		repComputed += r.repColsComputed
-		repSaved += r.repColsSaved
 		batchDisp += r.batchDispatches
 		batchKern += r.batchKernels
 	}
@@ -245,9 +230,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
 	rep.ActivePartitionsPerProbe = ratio(c.recs[0].counters[CounterModelPartitionEvals], c.recs[0].counters[CounterModelProbes])
 	rep.CandidatesPerPrunePoint = ratio(c.recs[0].counters[CounterSPRCandidatesScored], c.recs[0].counters[CounterSPRInsertionPlans])
-	if tot := repComputed + repSaved; tot > 0 {
-		rep.RepeatShare = float64(repSaved) / float64(tot)
-	}
 	if batchDisp > 0 {
 		rep.BatchFusion = float64(batchKern) / float64(batchDisp)
 	}
@@ -376,9 +358,6 @@ func (r *Report) String() string {
 	}
 	if r.CandidatesPerPrunePoint > 0 {
 		fmt.Fprintf(&b, "  candidates / prune point               %8.1f\n", r.CandidatesPerPrunePoint)
-	}
-	if r.RepeatShare > 0 {
-		fmt.Fprintf(&b, "  site-repeat CLV columns saved          %8.3f\n", r.RepeatShare)
 	}
 	if r.BatchFusion > 0 {
 		fmt.Fprintf(&b, "  kernels fused per batched dispatch     %8.3f\n", r.BatchFusion)

@@ -311,11 +311,6 @@ type Recorder struct {
 	// pool counters).
 	perf KernelPerf
 
-	// Site-repeat counters (harvested once at engine close): CLV pattern
-	// columns computed at representative sites vs materialized by copy
-	// on the compressed Newview path (docs/PERFORMANCE.md).
-	repColsComputed, repColsSaved int64
-
 	// Fused-batch counters (harvested once at engine close): pool
 	// dispatches that fused multiple small-partition kernels and how many
 	// kernel invocations those dispatches carried (docs/PERFORMANCE.md §6).
@@ -459,21 +454,6 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
 			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
 			jsonFloat(ratio(collectives, r.counters[CounterIterations])), c.jobFrag)
-	}
-}
-
-// SetRepeatStats records the rank's site-repeat compression counters
-// (harvested once, when the rank's engine closes) and emits a "repeats"
-// JSONL event carrying them.
-func (r *Recorder) SetRepeatStats(colsComputed, colsSaved int64) {
-	if r == nil {
-		return
-	}
-	r.repColsComputed = colsComputed
-	r.repColsSaved = colsSaved
-	if c := r.col; c != nil {
-		c.emitLine("{\"ev\":\"repeats\",\"rank\":%d,\"cols_computed\":%d,\"cols_saved\":%d%s}",
-			r.rank, colsComputed, colsSaved, c.jobFrag)
 	}
 }
 

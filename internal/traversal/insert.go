@@ -209,20 +209,64 @@ func (pl *InsertPlan) Encode() []byte {
 	return buf
 }
 
+// refOutside reports whether r addresses no slot of a tree of nTaxa taxa
+// whose kernels hold nOuter outer-vector slots: tips run below nTaxa, CLV
+// slots below nTaxa−2.
+func refOutside(r likelihood.GradRef, nTaxa, nOuter int) bool {
+	limit := [...]int{
+		likelihood.GradTipKind:   nTaxa,
+		likelihood.GradInnerKind: nTaxa - 2,
+		likelihood.GradOuterKind: nOuter,
+	}
+	return int(r.Kind) >= len(limit) || r.Idx < 0 || int(r.Idx) >= limit[r.Kind]
+}
+
+// planReader reads the fixed-width fields of a plan frame whose length
+// the decoder has already checked against its header, so no read can run
+// out. A malformed field is reported through err, naming the plan (what).
+type planReader struct {
+	buf  []byte
+	pos  int
+	what string
+	err  error
+}
+
+// slot reads a destination slot index.
+func (r *planReader) slot() int32 {
+	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
+	if v > math.MaxInt32 {
+		r.err = fmt.Errorf("traversal: bad destination slot %d in %s", v, r.what)
+	}
+	r.pos += 4
+	return int32(v)
+}
+
+// ref reads an operand: one kind byte and an 8-byte index.
+func (r *planReader) ref() likelihood.GradRef {
+	kind, idx := likelihood.GradKind(r.buf[r.pos]), binary.LittleEndian.Uint64(r.buf[r.pos+1:])
+	if kind > likelihood.GradOuterKind || idx > math.MaxInt32 {
+		r.err = fmt.Errorf("traversal: bad operand in %s (kind %d, index %d)", r.what, kind, idx)
+	}
+	r.pos += 9
+	return likelihood.GradRef{Kind: kind, Idx: int32(idx)}
+}
+
+// f64 reads a branch length.
+func (r *planReader) f64() float64 {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
+	r.pos += 8
+	return v
+}
+
 // Validate checks that every slot the plan addresses exists on a tree of
 // nTaxa taxa: tips below nTaxa, CLV slots below nTaxa−2, outer slots no
 // higher than the scratch slot 2·nTaxa−2. Decode cannot know the tree
 // size; a receiver calls Validate before handing a decoded plan to its
 // kernels, which index (and grow) their buffers from these numbers.
 func (pl *InsertPlan) Validate(nTaxa int) error {
-	limit := [...]int32{
-		likelihood.GradTipKind:   int32(nTaxa),
-		likelihood.GradInnerKind: int32(nTaxa - 2),
-		likelihood.GradOuterKind: int32(2*nTaxa - 1),
-	}
 	bad := false
 	ref := func(r likelihood.GradRef) {
-		bad = bad || int(r.Kind) >= len(limit) || r.Idx < 0 || r.Idx >= limit[r.Kind]
+		bad = bad || refOutside(r, nTaxa, 2*nTaxa-1)
 	}
 	node := func(r likelihood.NodeRef) {
 		if r.Tip {
@@ -269,39 +313,17 @@ func (pl *InsertPlan) Decode(buf []byte) error {
 	if want := insertWireSize(classes, nPost, nCands); len(buf) != want {
 		return fmt.Errorf("traversal: insertion plan is %d bytes, its header says %d", len(buf), want)
 	}
-	pos := 16
-	var err error
-	getRef := func() likelihood.GradRef {
-		kind, idx := likelihood.GradKind(buf[pos]), binary.LittleEndian.Uint64(buf[pos+1:])
-		if kind > likelihood.GradOuterKind || idx > math.MaxInt32 {
-			err = fmt.Errorf("traversal: bad operand in insertion plan (kind %d, index %d)", kind, idx)
-		}
-		pos += 9
-		return likelihood.GradRef{Kind: kind, Idx: int32(idx)}
-	}
+	r := planReader{buf: buf, pos: 16, what: "insertion plan"}
 	getNode := func() likelihood.NodeRef {
-		r := getRef()
-		if r.Kind == likelihood.GradOuterKind {
-			err = fmt.Errorf("traversal: outer vector as a post-order operand in insertion plan")
+		ref := r.ref()
+		if ref.Kind == likelihood.GradOuterKind {
+			r.err = fmt.Errorf("traversal: outer vector as a post-order operand in insertion plan")
 		}
-		return likelihood.NodeRef{Tip: r.Kind == likelihood.GradTipKind, Idx: r.Idx}
-	}
-	get32 := func() int32 {
-		v := binary.LittleEndian.Uint32(buf[pos:])
-		if v > math.MaxInt32 {
-			err = fmt.Errorf("traversal: bad destination slot %d in insertion plan", v)
-		}
-		pos += 4
-		return int32(v)
-	}
-	getF := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
-		return v
+		return likelihood.NodeRef{Tip: ref.Kind == likelihood.GradTipKind, Idx: ref.Idx}
 	}
 
 	pl.Scratch = int32(scratch)
-	pl.Sub = getRef()
+	pl.Sub = r.ref()
 	resize(&pl.Post, classes)
 	resize(&pl.Pre, classes)
 	resize(&pl.Half, classes)
@@ -313,14 +335,14 @@ func (pl *InsertPlan) Decode(buf []byte) error {
 		resize(&pl.Half[c], nCands)
 	}
 	for i := range pl.Post[0] {
-		pl.Post[0][i] = likelihood.Step{Dst: get32(), A: getNode(), B: getNode()}
+		pl.Post[0][i] = likelihood.Step{Dst: r.slot(), A: getNode(), B: getNode()}
 	}
 	for i := range pl.Pre[0] {
-		pl.Pre[0][i] = likelihood.GradStep{Dst: get32(), A: getRef(), B: getRef()}
-		pl.Far[i] = getRef()
+		pl.Pre[0][i] = likelihood.GradStep{Dst: r.slot(), A: r.ref(), B: r.ref()}
+		pl.Far[i] = r.ref()
 	}
-	if err != nil {
-		return err
+	if r.err != nil {
+		return r.err
 	}
 	for c := 0; c < classes; c++ {
 		if c > 0 {
@@ -328,15 +350,15 @@ func (pl *InsertPlan) Decode(buf []byte) error {
 			copy(pl.Pre[c], pl.Pre[0])
 		}
 		for i := range pl.Post[c] {
-			pl.Post[c][i].TA, pl.Post[c][i].TB = getF(), getF()
+			pl.Post[c][i].TA, pl.Post[c][i].TB = r.f64(), r.f64()
 		}
 		for i := range pl.Pre[c] {
-			pl.Pre[c][i].TA, pl.Pre[c][i].TB = getF(), getF()
+			pl.Pre[c][i].TA, pl.Pre[c][i].TB = r.f64(), r.f64()
 		}
 		for i := range pl.Half[c] {
-			pl.Half[c][i] = getF()
+			pl.Half[c][i] = r.f64()
 		}
-		pl.SubT[c] = getF()
+		pl.SubT[c] = r.f64()
 	}
 	return nil
 }

@@ -180,23 +180,26 @@ func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 	return plan, nodes
 }
 
-// WireSize returns the number of bytes EncodeGradPlan produces.
+// WireSize returns the number of bytes Encode produces.
 func (p *GradPlan) WireSize() int {
 	nSteps := 0
 	if len(p.Pre) > 0 {
 		nSteps = len(p.Pre[0])
 	}
-	classes := len(p.T)
-	// Header: classes, steps, edges, flags byte (bit 0: mask present,
-	// bit 1: reuse). Structure: per step
-	// dst + two refs (1 kind byte + 8-byte index each); per edge two
-	// refs plus, when the mask is present, one active byte. Payload per
-	// class: per-step TA/TB, per-edge T.
+	return gradWireSize(len(p.T), nSteps, len(p.Edges), p.Active != nil)
+}
+
+// gradWireSize is the encoded size of a plan with the given counts.
+// Header: classes, steps, edges, flags byte (bit 0: mask present, bit 1:
+// reuse). Structure: per step dst + two refs (1 kind byte + 8-byte index
+// each); per edge two refs plus, when the mask is present, one active
+// byte. Payload per class: per-step TA/TB, per-edge T.
+func gradWireSize(classes, nSteps, nEdges int, masked bool) int {
 	active := 0
-	if p.Active != nil {
-		active = len(p.Edges)
+	if masked {
+		active = nEdges
 	}
-	return 13 + nSteps*(4+2*9) + len(p.Edges)*2*9 + active + classes*(nSteps*16+len(p.Edges)*8)
+	return 13 + nSteps*(4+2*9) + nEdges*2*9 + active + classes*(nSteps*16+nEdges*8)
 }
 
 // Encode serializes the plan (little-endian, structure shared across
@@ -262,58 +265,67 @@ func (p *GradPlan) Encode() []byte {
 	return buf
 }
 
-// DecodeGradPlan reverses Encode.
+// Validate checks that the plan fits a tree of nTaxa taxa with the given
+// number of branch-length classes: every tip below nTaxa, every CLV slot
+// below nTaxa−2, every outer slot below 2·nTaxa−2 (outer vectors are
+// indexed by vertex), one schedule and one length vector per class, all
+// of the structure's size. DecodeGradPlan cannot know the tree; a
+// receiver calls Validate before handing a decoded plan to its kernels,
+// which index (and grow) their buffers from these numbers.
+func (p *GradPlan) Validate(nTaxa, classes int) error {
+	if len(p.Pre) != classes || len(p.T) != classes {
+		return fmt.Errorf("traversal: gradient plan has %d schedules and %d length vectors for %d classes", len(p.Pre), len(p.T), classes)
+	}
+	for c := range p.Pre {
+		if len(p.Pre[c]) != len(p.Pre[0]) || len(p.T[c]) != len(p.Edges) {
+			return fmt.Errorf("traversal: gradient plan class %d has %d steps and %d lengths, the structure %d steps and %d edges",
+				c, len(p.Pre[c]), len(p.T[c]), len(p.Pre[0]), len(p.Edges))
+		}
+	}
+	if p.Active != nil && len(p.Active) != len(p.Edges) {
+		return fmt.Errorf("traversal: gradient plan masks %d of %d edges", len(p.Active), len(p.Edges))
+	}
+	bad := false
+	ref := func(r likelihood.GradRef) {
+		bad = bad || refOutside(r, nTaxa, 2*nTaxa-2)
+	}
+	if classes > 0 {
+		for _, s := range p.Pre[0] {
+			ref(likelihood.GradOuter(s.Dst))
+			ref(s.A)
+			ref(s.B)
+		}
+	}
+	for _, e := range p.Edges {
+		ref(e.P)
+		ref(e.Q)
+	}
+	if bad {
+		return fmt.Errorf("traversal: gradient plan addresses a slot outside a %d-taxon tree", nTaxa)
+	}
+	return nil
+}
+
+// DecodeGradPlan reverses Encode. The header is checked against the
+// buffer length before anything is sized from it, so arbitrary bytes
+// cost at most an error. Follow it with Validate before executing the
+// plan.
 func DecodeGradPlan(buf []byte) (*GradPlan, error) {
-	pos := 0
-	get32 := func() (uint32, error) {
-		if pos+4 > len(buf) {
-			return 0, fmt.Errorf("traversal: truncated gradient plan")
-		}
-		v := binary.LittleEndian.Uint32(buf[pos:])
-		pos += 4
-		return v, nil
-	}
-	get64 := func() (uint64, error) {
-		if pos+8 > len(buf) {
-			return 0, fmt.Errorf("traversal: truncated gradient plan")
-		}
-		v := binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		return v, nil
-	}
-	getRef := func() (likelihood.GradRef, error) {
-		if pos+1 > len(buf) {
-			return likelihood.GradRef{}, fmt.Errorf("traversal: truncated gradient plan")
-		}
-		kind := likelihood.GradKind(buf[pos])
-		pos++
-		v, err := get64()
-		if err != nil {
-			return likelihood.GradRef{}, err
-		}
-		return likelihood.GradRef{Kind: kind, Idx: int32(uint32(v))}, nil
-	}
-	nClasses, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	nSteps, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	nEdges, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if pos+1 > len(buf) {
+	if len(buf) < 13 {
 		return nil, fmt.Errorf("traversal: truncated gradient plan")
 	}
-	flags := buf[pos]
-	hasActive := flags&1 != 0
-	pos++
+	nClasses := int(binary.LittleEndian.Uint32(buf[0:]))
+	nSteps := int(binary.LittleEndian.Uint32(buf[4:]))
+	nEdges := int(binary.LittleEndian.Uint32(buf[8:]))
+	flags := buf[12]
 	if nClasses > 1<<20 || nSteps > 1<<24 || nEdges > 1<<24 {
 		return nil, fmt.Errorf("traversal: implausible gradient-plan header (%d classes, %d steps, %d edges)", nClasses, nSteps, nEdges)
 	}
+	// Counts this small cannot overflow the size on a 64-bit int.
+	if want := gradWireSize(nClasses, nSteps, nEdges, flags&1 != 0); len(buf) != want {
+		return nil, fmt.Errorf("traversal: gradient plan is %d bytes, its header says %d", len(buf), want)
+	}
+	r := planReader{buf: buf, pos: 13, what: "gradient plan"}
 	p := &GradPlan{
 		Pre:   make([][]likelihood.GradStep, nClasses),
 		Edges: make([]GradEdge, nEdges),
@@ -322,64 +334,37 @@ func DecodeGradPlan(buf []byte) (*GradPlan, error) {
 	}
 	structure := make([]likelihood.GradStep, nSteps)
 	for i := range structure {
-		dst, err := get32()
-		if err != nil {
-			return nil, err
-		}
-		structure[i].Dst = int32(dst)
-		if structure[i].A, err = getRef(); err != nil {
-			return nil, err
-		}
-		if structure[i].B, err = getRef(); err != nil {
-			return nil, err
-		}
+		structure[i].Dst = r.slot()
+		structure[i].A = r.ref()
+		structure[i].B = r.ref()
 	}
 	for i := range p.Edges {
-		if p.Edges[i].P, err = getRef(); err != nil {
-			return nil, err
-		}
-		if p.Edges[i].Q, err = getRef(); err != nil {
-			return nil, err
-		}
+		p.Edges[i].P = r.ref()
+		p.Edges[i].Q = r.ref()
 	}
-	if hasActive {
-		if pos+int(nEdges) > len(buf) {
-			return nil, fmt.Errorf("traversal: truncated gradient plan")
-		}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if flags&1 != 0 {
 		p.Active = make([]bool, nEdges)
 		for i := range p.Active {
-			p.Active[i] = buf[pos+i] != 0
+			p.Active[i] = buf[r.pos+i] != 0
 		}
-		pos += int(nEdges)
+		r.pos += nEdges
 	}
-	for c := 0; c < int(nClasses); c++ {
+	for c := range p.Pre {
 		cs := make([]likelihood.GradStep, nSteps)
 		copy(cs, structure)
 		for i := range cs {
-			ta, err := get64()
-			if err != nil {
-				return nil, err
-			}
-			tb, err := get64()
-			if err != nil {
-				return nil, err
-			}
-			cs[i].TA = math.Float64frombits(ta)
-			cs[i].TB = math.Float64frombits(tb)
+			cs[i].TA = r.f64()
+			cs[i].TB = r.f64()
 		}
 		p.Pre[c] = cs
 		ts := make([]float64, nEdges)
 		for i := range ts {
-			v, err := get64()
-			if err != nil {
-				return nil, err
-			}
-			ts[i] = math.Float64frombits(v)
+			ts[i] = r.f64()
 		}
 		p.T[c] = ts
-	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("traversal: %d trailing bytes in gradient plan", len(buf)-pos)
 	}
 	return p, nil
 }

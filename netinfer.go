@@ -127,10 +127,6 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 				HybridRanksPerNode: cfg.HybridRanksPerNode,
 				Threads:            cfg.Threads,
 				Telemetry:          collector,
-				DisableRepeats:     cfg.DisableRepeats,
-				RepeatsMaxMem:      cfg.RepeatsMaxMem,
-				DisableSoA:         cfg.DisableSoA,
-				BatchSites:         cfg.BatchSites,
 			},
 			MaxRecoveries: nc.MaxRecoveries,
 			JoinEpoch:     nc.JoinEpoch,
@@ -159,14 +155,10 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 		comm := mpi.NewComm(tr, nc.Rank, nc.Size, mpi.NewMeter())
 		defer comm.Close()
 		res, stats, err := forkjoin.RunOnComm(comm, d.d, forkjoin.RunConfig{
-			Search:         scfg,
-			Strategy:       strategyOf(cfg),
-			Threads:        cfg.Threads,
-			Telemetry:      collector,
-			DisableRepeats: cfg.DisableRepeats,
-			RepeatsMaxMem:  cfg.RepeatsMaxMem,
-			DisableSoA:     cfg.DisableSoA,
-			BatchSites:     cfg.BatchSites,
+			Search:    scfg,
+			Strategy:  strategyOf(cfg),
+			Threads:   cfg.Threads,
+			Telemetry: collector,
 		})
 		if err != nil {
 			return nil, err

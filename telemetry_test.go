@@ -101,7 +101,6 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 	}
 	lines := 0
 	perfEvents := 0
-	repeatEvents := 0
 	batchEvents := 0
 	metaEvents := 0
 	iterEvents := 0
@@ -116,7 +115,6 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			Class   string `json:"class"`
 			DurNS   int64  `json:"dur_ns"`
 			FastOps int64  `json:"fast_ops"`
-			Cols    int64  `json:"cols_computed"`
 			Disp    int64  `json:"dispatches"`
 			Ranks   int    `json:"ranks"`
 			StartNS int64  `json:"start_unix_ns"`
@@ -159,13 +157,6 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			if ev.FastOps <= 0 {
 				t.Fatalf("line %d: perf event without fast-path ops %+v", lines, ev)
 			}
-		case "repeats":
-			// Site-repeat compression summary, emitted once per rank at
-			// engine close; columns were computed on this dataset.
-			repeatEvents++
-			if ev.Cols <= 0 {
-				t.Fatalf("line %d: repeats event without computed columns %+v", lines, ev)
-			}
 		case "batch":
 			// Fused small-partition batching summary, emitted once per rank
 			// at engine close; this dataset's partitions sit far below the
@@ -186,9 +177,6 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 	}
 	if perfEvents != 2 {
 		t.Fatalf("expected one perf event per rank, got %d", perfEvents)
-	}
-	if repeatEvents != 2 {
-		t.Fatalf("expected one repeats event per rank, got %d", repeatEvents)
 	}
 	if batchEvents != 2 {
 		t.Fatalf("expected one batch event per rank, got %d", batchEvents)
