@@ -7,15 +7,17 @@ GO ?= go
 GOFMT ?= gofmt
 
 # Packages with real concurrency: the worker pool, the threaded kernels,
-# both engines, the message-passing runtime, the telemetry collector,
-# and the public API (whose root tests include the telemetry
-# bit-identity check).
+# both engines, the fault path (multi-goroutine worlds and the TCP
+# survivor-recovery protocol), the message-passing runtime, the
+# telemetry collector, and the public API (whose root tests include
+# the telemetry bit-identity check).
 RACE_PKGS = ./internal/threadpool/... \
             ./internal/likelihood/... \
             ./internal/enginecore/... \
             ./internal/search/... \
             ./internal/decentral/... \
             ./internal/forkjoin/... \
+            ./internal/fault/... \
             ./internal/mpi/... \
             ./internal/mpinet/... \
             ./internal/telemetry/... \

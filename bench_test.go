@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/decentral"
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/experiments"
 	"repro/internal/forkjoin"
 	"repro/internal/likelihood"
@@ -120,7 +121,7 @@ func BenchmarkSchemeDecentral(b *testing.B) {
 	cfg := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1}
 	b.ResetTimer()
 	for b.Loop() {
-		if _, _, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: 8}); err != nil {
+		if _, _, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +134,7 @@ func BenchmarkSchemeForkJoin(b *testing.B) {
 	cfg := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1}
 	b.ResetTimer()
 	for b.Loop() {
-		if _, _, err := forkjoin.Run(d, forkjoin.RunConfig{Search: cfg, Ranks: 4}); err != nil {
+		if _, _, err := forkjoin.Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +200,7 @@ func BenchmarkAblationDistribution(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			var cols int64
 			for b.Loop() {
-				_, stats, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: 4, Strategy: strat})
+				_, stats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, Strategy: strat})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -376,7 +377,7 @@ func BenchmarkKernelBatch(b *testing.B) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		b.Run(het.String(), func(b *testing.B) {
 			world := mpi.NewWorld(1)
-			eng, err := decentral.NewEngine(world.Comm(0), d, assign, decentral.EngineConfig{
+			eng, err := decentral.NewEngine(world.Comm(0), d, assign, enginecore.Config{
 				Het: het, Subst: model.GTR, Threads: 4,
 			})
 			if err != nil {
@@ -504,7 +505,7 @@ func BenchmarkHybridGrid(b *testing.B) {
 		for _, threads := range []int{1, 2, 4} {
 			name := fmt.Sprintf("ranks=%d/T=%d", ranks, threads)
 			b.Run(name, func(b *testing.B) {
-				rc := decentral.RunConfig{
+				rc := enginecore.RunConfig{
 					Search:  cfg,
 					Ranks:   ranks,
 					Threads: threads,
@@ -576,7 +577,7 @@ func BenchmarkAllBranchGradient(b *testing.B) {
 						}
 						c := mpi.NewComm(tr, rank, ranks, mpi.NewMeter())
 						defer c.Close()
-						_, stats, err := decentral.RunOnComm(c, d, decentral.RunConfig{Search: cfg})
+						_, stats, err := decentral.RunOnComm(c, d, enginecore.RunConfig{Search: cfg})
 						errs[rank] = err
 						if rank == 0 && stats != nil {
 							rank0Ops = stats.Comm.Ops[mpi.ClassBranchLength]

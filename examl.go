@@ -38,6 +38,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decentral"
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -465,94 +466,72 @@ func searchConfig(cfg Config) (search.Config, error) {
 	return scfg, nil
 }
 
-func strategyOf(cfg Config) distrib.Strategy {
-	if cfg.Distribution == MPS {
-		return distrib.MPS
-	}
-	return distrib.Cyclic
-}
-
-// Infer runs a maximum-likelihood tree search on the dataset.
-func Infer(d *Dataset, cfg Config) (*Result, error) {
-	if cfg.Ranks <= 0 {
-		cfg.Ranks = 1
-	}
-	strategy := strategyOf(cfg)
+// runConfig is the one translation of the public Config into a run
+// configuration; Infer, InferNet and InferWithFailures all go through
+// it. recorders is how many ranks a requested telemetry collector
+// describes: cfg.Ranks in process, one per process in network mode.
+func runConfig(cfg Config, recorders int) (enginecore.RunConfig, error) {
 	scfg, err := searchConfig(cfg)
 	if err != nil {
-		return nil, err
+		return enginecore.RunConfig{}, err
 	}
-
-	var collector *telemetry.Collector
+	rc := enginecore.RunConfig{
+		Search:             scfg,
+		Ranks:              cfg.Ranks,
+		Strategy:           distrib.Cyclic,
+		HybridRanksPerNode: cfg.HybridRanksPerNode,
+		Threads:            cfg.Threads,
+	}
+	if cfg.Distribution == MPS {
+		rc.Strategy = distrib.MPS
+	}
 	if cfg.Telemetry || cfg.TraceWriter != nil {
-		collector = telemetry.NewCollector(cfg.Ranks, int(mpi.NumCommClasses), cfg.TraceWriter)
-		collector.SetJob(cfg.TraceLabel)
+		rc.Telemetry = telemetry.NewCollector(recorders, int(mpi.NumCommClasses), cfg.TraceWriter)
+		rc.Telemetry.SetJob(cfg.TraceLabel)
 	}
+	return rc, nil
+}
 
-	var (
-		res     *search.Result
-		comm    mpi.Snapshot
-		wall    float64
-		wallDur time.Duration
-		trace   cluster.Trace
-	)
-	switch cfg.Scheme {
-	case Decentralized:
-		var stats *decentral.RunStats
-		res, stats, err = decentral.Run(d.d, decentral.RunConfig{
-			Search:             scfg,
-			Ranks:              cfg.Ranks,
-			Strategy:           strategy,
-			HybridRanksPerNode: cfg.HybridRanksPerNode,
-			Threads:            cfg.Threads,
-			Telemetry:          collector,
-		})
-		if err == nil {
-			comm, wall, wallDur = stats.Comm, stats.Wall.Seconds(), stats.Wall
-			trace = cluster.Trace{
-				Comm:           stats.Comm,
-				MaxRankColumns: stats.MaxRankColumns,
-				TotalColumns:   stats.TotalColumns,
-				MeasuredRanks:  stats.Ranks,
-				CLVBytesTotal:  stats.CLVBytesTotal,
-			}
-		}
-	case ForkJoin:
-		var stats *forkjoin.RunStats
-		res, stats, err = forkjoin.Run(d.d, forkjoin.RunConfig{
-			Search:    scfg,
-			Ranks:     cfg.Ranks,
-			Strategy:  strategy,
-			Threads:   cfg.Threads,
-			Telemetry: collector,
-		})
-		if err == nil {
-			comm, wall, wallDur = stats.Comm, stats.Wall.Seconds(), stats.Wall
-			trace = cluster.Trace{
-				Comm:           stats.Comm,
-				MaxRankColumns: stats.MaxRankColumns,
-				TotalColumns:   stats.TotalColumns,
-				MeasuredRanks:  stats.Ranks,
-				CLVBytesTotal:  stats.CLVBytesTotal,
-			}
-		}
-	default:
-		return nil, fmt.Errorf("examl: unknown scheme %d", cfg.Scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
+// newResult assembles the public Result of a run from what the driver
+// returned for it.
+func newResult(res *search.Result, stats *enginecore.RunStats, rc enginecore.RunConfig) *Result {
 	return &Result{
 		Tree:                      res.Tree.Newick(),
 		LogLikelihood:             res.LnL,
 		PerPartitionLogLikelihood: res.PerPartitionLnL,
 		Iterations:                res.Iterations,
-		Comm:                      makeCommReport(comm),
-		WallSeconds:               wall,
-		Ranks:                     cfg.Ranks,
-		Telemetry:                 finalizeTelemetry(collector, wallDur, cfg.Threads, comm),
-		trace:                     trace,
-	}, nil
+		Comm:                      makeCommReport(stats.Comm),
+		WallSeconds:               stats.Wall.Seconds(),
+		Ranks:                     stats.Ranks,
+		Telemetry:                 finalizeTelemetry(rc.Telemetry, stats.Wall, rc.Threads, stats.Comm),
+		trace:                     stats.Trace(),
+	}
+}
+
+// Infer runs a maximum-likelihood tree search on cfg.Ranks in-process
+// ranks.
+func Infer(d *Dataset, cfg Config) (*Result, error) {
+	var run func(*msa.Dataset, enginecore.RunConfig) (*search.Result, *enginecore.RunStats, error)
+	switch cfg.Scheme {
+	case Decentralized:
+		run = decentral.Run
+	case ForkJoin:
+		run = forkjoin.Run
+	default:
+		return nil, fmt.Errorf("examl: unknown scheme %d", cfg.Scheme)
+	}
+	if cfg.Ranks <= 0 {
+		cfg.Ranks = 1
+	}
+	rc, err := runConfig(cfg, cfg.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	res, stats, err := run(d.d, rc)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(res, stats, rc), nil
 }
 
 // finalizeTelemetry joins the span collector with the byte/op meters into

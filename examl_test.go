@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -312,5 +313,48 @@ func TestSubstitutionModelsViaPublicAPI(t *testing.T) {
 	}
 	if JCModel.String() != "JC" || GTRModel.String() != "GTR" {
 		t.Error("SubstitutionModel.String broken")
+	}
+}
+
+// TestInferWithFailuresHonoursConfig: a failure-injected run is
+// configured by the same function as every other entry point, so the
+// options it used to drop — here the progress hook and the checkpoint
+// file — act in both of its phases, and its Result carries the
+// recovered world's accounting like any other Result.
+func TestInferWithFailuresHonoursConfig(t *testing.T) {
+	d, err := Simulate(8, 2, 60, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := map[int]int{} // iteration → replicas that reported it
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	res, rep, err := InferWithFailures(d, Config{
+		Ranks:          3,
+		MaxIterations:  3,
+		Epsilon:        1e-9, // keep iterating: phase 2 must get to report
+		Seed:           5,
+		CheckpointPath: ckpt,
+		OnProgress: func(iter int, _ float64) {
+			mu.Lock()
+			calls[iter]++
+			mu.Unlock()
+		},
+	}, FailurePlan{FailRanks: 1, FailAfterIteration: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls[1] != 3 {
+		t.Errorf("iteration 1 (before the failure, 3 replicas) reported %d times", calls[1])
+	}
+	if rep.ResumedFromIteration != 1 || res.Iterations < 2 || calls[res.Iterations] != rep.SurvivorRanks {
+		t.Errorf("resumed from %d, finished at %d, progress calls by iteration %v: the %d survivors' iterations went unreported",
+			rep.ResumedFromIteration, res.Iterations, calls, rep.SurvivorRanks)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("CheckpointPath was not written: %v", err)
+	}
+	if res.Ranks != 2 || res.Comm.TotalOps == 0 || res.WallSeconds <= 0 {
+		t.Errorf("result of the recovered run: ranks %d, %d collectives, %g s", res.Ranks, res.Comm.TotalOps, res.WallSeconds)
 	}
 }

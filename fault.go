@@ -3,11 +3,7 @@ package examl
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/distrib"
 	"repro/internal/fault"
-	"repro/internal/model"
-	"repro/internal/search"
 )
 
 // FailurePlan injects rank failures into a decentralized inference to
@@ -44,45 +40,21 @@ func InferWithFailures(d *Dataset, cfg Config, plan FailurePlan) (*Result, *Reco
 	if cfg.Ranks <= 0 {
 		cfg.Ranks = 2
 	}
-	het := model.Gamma
-	if cfg.RateModel == PSR {
-		het = model.PSR
+	rc, err := runConfig(cfg, cfg.Ranks)
+	if err != nil {
+		return nil, nil, err
 	}
-	strategy := distrib.Cyclic
-	if cfg.Distribution == MPS {
-		strategy = distrib.MPS
-	}
-	res, rep, err := fault.Run(d.d, fault.Plan{
-		Ranks:              cfg.Ranks,
+	res, stats, rep, err := fault.Run(d.d, fault.Plan{
+		Run:                rc,
 		FailRanks:          plan.FailRanks,
 		FailAfterIteration: plan.FailAfterIteration,
-		Strategy:           strategy,
-		Threads:            cfg.Threads,
-		Search: search.Config{
-			Het:                  het,
-			Subst:                substOf(cfg.Substitution),
-			PerPartitionBranches: cfg.PerPartitionBranchLengths,
-			Epsilon:              cfg.Epsilon,
-			SPRRadius:            cfg.SPRRadius,
-			MaxIterations:        cfg.MaxIterations,
-			Seed:                 cfg.Seed,
-			StartTree:            cfg.StartTree,
-			SkipTopology:         cfg.SkipTopology,
-		},
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Result{
-			Tree:                      res.Tree.Newick(),
-			LogLikelihood:             res.LnL,
-			PerPartitionLogLikelihood: res.PerPartitionLnL,
-			Iterations:                res.Iterations,
-			Ranks:                     rep.SurvivorRanks,
-			trace:                     cluster.Trace{MeasuredRanks: rep.SurvivorRanks},
-		}, &RecoveryReport{
-			SurvivorRanks:          rep.SurvivorRanks,
-			ResumedFromIteration:   rep.CheckpointIteration,
-			LogLikelihoodAtFailure: rep.CheckpointLnL,
-		}, nil
+	return newResult(res, stats, rc), &RecoveryReport{
+		SurvivorRanks:          rep.SurvivorRanks,
+		ResumedFromIteration:   rep.CheckpointIteration,
+		LogLikelihoodAtFailure: rep.CheckpointLnL,
+	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -51,7 +52,7 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, d *msa.Data
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(1)
-	eng, err := NewEngine(world.Comm(0), d, assign, EngineConfig{Het: het, Subst: model.GTR})
+	eng, err := NewEngine(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR})
 	if err != nil {
 		t.Fatal(err)
 	}

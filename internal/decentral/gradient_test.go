@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
@@ -49,11 +50,11 @@ func TestBatchedGradientAblationBitIdentical(t *testing.T) {
 
 			oracleCfg := cfg
 			oracleCfg.DisableBatchedGradients = true
-			oracle, oracleStats, err := Run(d, RunConfig{Search: oracleCfg, Ranks: 2, Threads: threads})
+			oracle, oracleStats, err := Run(d, enginecore.RunConfig{Search: oracleCfg, Ranks: 2, Threads: threads})
 			if err != nil {
 				t.Fatalf("%v T=%d oracle: %v", het, threads, err)
 			}
-			batched, batchedStats, err := Run(d, RunConfig{Search: cfg, Ranks: 2, Threads: threads})
+			batched, batchedStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 2, Threads: threads})
 			if err != nil {
 				t.Fatalf("%v T=%d batched: %v", het, threads, err)
 			}
@@ -77,7 +78,7 @@ func TestBatchedGradientAblationBitIdentical(t *testing.T) {
 func TestBatchedGradientToggleMidRun(t *testing.T) {
 	d := makeDataset(t, 12, 2, 70, 9)
 	base := search.Config{Het: model.Gamma, Seed: 17, MaxIterations: 3}
-	ref, _, err := Run(d, RunConfig{Search: base, Ranks: 2})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: base, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestBatchedGradientToggleMidRun(t *testing.T) {
 		// iterations, batched on odd.
 		s.SetBatchedGradients(iter%2 == 1)
 	}
-	got, _, err := Run(d, RunConfig{Search: toggled, Ranks: 2})
+	got, _, err := Run(d, enginecore.RunConfig{Search: toggled, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBatchedGradientOverTCPBitIdentical(t *testing.T) {
 	cfg := search.Config{Het: model.Gamma, Seed: 7, MaxIterations: 2}
 	oracleCfg := cfg
 	oracleCfg.DisableBatchedGradients = true
-	ref, _, err := Run(d, RunConfig{Search: oracleCfg, Ranks: ranks})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: oracleCfg, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestBatchedGradientOverTCPBitIdentical(t *testing.T) {
 			}
 			c := mpi.NewComm(tr, rank, ranks, mpi.NewMeter())
 			defer c.Close()
-			res, _, err := RunOnComm(c, d, RunConfig{Search: cfg})
+			res, _, err := RunOnComm(c, d, enginecore.RunConfig{Search: cfg})
 			results[rank], errs[rank] = res, err
 		}(r)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
@@ -48,11 +49,11 @@ func TestIncrementalMatchesForcedFull(t *testing.T) {
 
 			forcedCfg := cfg
 			forcedCfg.ForceFullTraversals = true
-			forced, fStats, err := Run(d, RunConfig{Search: forcedCfg, Ranks: 2, Threads: threads})
+			forced, fStats, err := Run(d, enginecore.RunConfig{Search: forcedCfg, Ranks: 2, Threads: threads})
 			if err != nil {
 				t.Fatalf("%v T=%d forced: %v", het, threads, err)
 			}
-			inc, iStats, err := Run(d, RunConfig{Search: cfg, Ranks: 2, Threads: threads})
+			inc, iStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 2, Threads: threads})
 			if err != nil {
 				t.Fatalf("%v T=%d incremental: %v", het, threads, err)
 			}
@@ -77,7 +78,7 @@ func TestIncrementalMatchesForcedFullTCP(t *testing.T) {
 
 	forcedCfg := cfg
 	forcedCfg.ForceFullTraversals = true
-	forced, _, err := Run(d, RunConfig{Search: forcedCfg, Ranks: ranks})
+	forced, _, err := Run(d, enginecore.RunConfig{Search: forcedCfg, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestIncrementalMatchesForcedFullTCP(t *testing.T) {
 			}
 			c := mpi.NewComm(tr, rank, ranks, mpi.NewMeter())
 			defer c.Close()
-			res, _, err := RunOnComm(c, d, RunConfig{Search: cfg, Ranks: ranks})
+			res, _, err := RunOnComm(c, d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 			results[rank], errs[rank] = res, err
 		}(r)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
@@ -33,7 +34,7 @@ func reserveLoopbackAddr(t *testing.T) string {
 func TestRunOnCommMatchesInProcess(t *testing.T) {
 	d := makeDataset(t, 8, 2, 60, 3)
 	const ranks = 4
-	cfg := RunConfig{
+	cfg := enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 7, MaxIterations: 2},
 		Ranks:  ranks,
 	}
@@ -45,7 +46,7 @@ func TestRunOnCommMatchesInProcess(t *testing.T) {
 	addr := reserveLoopbackAddr(t)
 	type out struct {
 		res   *search.Result
-		stats *RunStats
+		stats *enginecore.RunStats
 		err   error
 	}
 	outs := make([]out, ranks)

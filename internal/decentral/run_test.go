@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -27,7 +28,7 @@ func makeDataset(t testing.TB, nTaxa, nParts, geneLen int, seed int64) *msa.Data
 
 func TestRunSequentialGamma(t *testing.T) {
 	d := makeDataset(t, 8, 2, 60, 1)
-	res, stats, err := Run(d, RunConfig{
+	res, stats, err := Run(d, enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 7, MaxIterations: 2},
 		Ranks:  1,
 	})
@@ -59,12 +60,12 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	d := makeDataset(t, 10, 3, 50, 2)
 	cfg := search.Config{Het: model.Gamma, Seed: 3, MaxIterations: 2}
 
-	ref, _, err := Run(d, RunConfig{Search: cfg, Ranks: 1})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{2, 5} {
-		got, stats, err := Run(d, RunConfig{Search: cfg, Ranks: ranks})
+		got, stats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -83,11 +84,11 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 func TestRunPSR(t *testing.T) {
 	d := makeDataset(t, 8, 2, 40, 5)
 	cfg := search.Config{Het: model.PSR, Seed: 11, MaxIterations: 2}
-	ref, _, err := Run(d, RunConfig{Search: cfg, Ranks: 1})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(d, RunConfig{Search: cfg, Ranks: 3})
+	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestRunPSR(t *testing.T) {
 func TestRunPerPartitionBranches(t *testing.T) {
 	d := makeDataset(t, 8, 3, 40, 6)
 	cfg := search.Config{Het: model.Gamma, PerPartitionBranches: true, Seed: 13, MaxIterations: 1}
-	ref, _, err := Run(d, RunConfig{Search: cfg, Ranks: 1})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(d, RunConfig{Search: cfg, Ranks: 4})
+	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestRunPerPartitionBranches(t *testing.T) {
 func TestRunMPSStrategy(t *testing.T) {
 	d := makeDataset(t, 8, 6, 30, 7)
 	cfg := search.Config{Het: model.Gamma, Seed: 17, MaxIterations: 1}
-	ref, _, err := Run(d, RunConfig{Search: cfg, Ranks: 1, Strategy: distrib.MPS})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 1, Strategy: distrib.MPS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(d, RunConfig{Search: cfg, Ranks: 3, Strategy: distrib.MPS})
+	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3, Strategy: distrib.MPS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestRunMPSStrategy(t *testing.T) {
 	}
 	// Cyclic and MPS must agree on the likelihood too (same data, same
 	// algorithm, different layout).
-	cyc, _, err := Run(d, RunConfig{Search: cfg, Ranks: 3, Strategy: distrib.Cyclic})
+	cyc, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3, Strategy: distrib.Cyclic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +170,14 @@ func TestSearchImprovesLikelihood(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Score the random starting tree (no topology moves, no model opt).
-	flat, _, err := Run(d, RunConfig{
+	flat, _, err := Run(d, enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 5, MaxIterations: 1, SkipTopology: true, ModelOptRounds: 1},
 		Ranks:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Run(d, RunConfig{
+	full, _, err := Run(d, enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 5, MaxIterations: 8},
 		Ranks:  2,
 	})
@@ -198,11 +199,11 @@ func TestHybridAllreduceMatchesFlat(t *testing.T) {
 	// replicas must stay internally bit-consistent (verified inside Run).
 	d := makeDataset(t, 9, 2, 50, 8)
 	cfg := search.Config{Het: model.Gamma, Seed: 6, MaxIterations: 2}
-	flat, _, err := Run(d, RunConfig{Search: cfg, Ranks: 6})
+	flat, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, _, err := Run(d, RunConfig{Search: cfg, Ranks: 6, HybridRanksPerNode: 3})
+	hybrid, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 6, HybridRanksPerNode: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +222,13 @@ func TestThreadedSearchMatchesSerial(t *testing.T) {
 	// the threaded (multi-block) kernel path actually runs.
 	d := makeDataset(t, 10, 2, 800, 9)
 	cfg := search.Config{Het: model.Gamma, Seed: 4, MaxIterations: 2}
-	ref, _, err := Run(d, RunConfig{Search: cfg, Ranks: 2})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refNewick := ref.Tree.Newick()
 	for _, threads := range []int{2, 4} {
-		got, _, err := Run(d, RunConfig{Search: cfg, Ranks: 2, Threads: threads})
+		got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 2, Threads: threads})
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -246,11 +247,11 @@ func TestThreadedHybridSearch(t *testing.T) {
 	// equal to the same rank layout with serial kernels.
 	d := makeDataset(t, 9, 2, 600, 10)
 	cfg := search.Config{Het: model.PSR, Seed: 8, MaxIterations: 2}
-	ref, _, err := Run(d, RunConfig{Search: cfg, Ranks: 4, HybridRanksPerNode: 2})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, HybridRanksPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(d, RunConfig{Search: cfg, Ranks: 4, HybridRanksPerNode: 2, Threads: 3})
+	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, HybridRanksPerNode: 2, Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

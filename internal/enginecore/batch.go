@@ -59,13 +59,13 @@ const (
 	batchInsertions
 )
 
-// SetBatchSites configures fused small-partition batching: local
+// setBatchSites configures fused small-partition batching: local
 // kernels with fewer than n patterns are detached from the worker pool
 // and dispatched together as one pool call per likelihood operation.
 // NewLocal applies DefaultBatchSites; n <= 0 puts every kernel back on
 // the shared pool, which the in-package tests use as the unbatched
 // reference.
-func (l *Local) SetBatchSites(n int) {
+func (l *Local) setBatchSites(n int) {
 	if l.inBatch == nil {
 		l.inBatch = make([]bool, len(l.Kernels))
 	}

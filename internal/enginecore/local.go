@@ -7,6 +7,7 @@
 package enginecore
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/distrib"
@@ -86,23 +87,30 @@ func scratchVec(buf *[]float64, n int) []float64 {
 	return v
 }
 
-// NewLocal materializes rank's shares and builds kernels. subst decides
-// the stationary frequencies (uniform for JC/K80, empirical otherwise).
-// threads > 1 attaches a shared-memory worker pool to every kernel; the
-// pool lives until Close.
-func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, het model.Heterogeneity, subst model.SubstModel, perPart bool, threads int) (*Local, error) {
+// NewLocal materializes rank's shares and builds kernels from cfg:
+// cfg.Subst decides the stationary frequencies (uniform for JC/K80,
+// empirical otherwise); cfg.Threads > 1 attaches a shared-memory worker
+// pool to every kernel, which lives until Close; a non-nil cfg.Recorder
+// times every kernel operation into per-class spans and makes the pool
+// count block utilization.
+func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Local, error) {
 	l := &Local{
 		NPart:           d.NPartitions(),
 		NInner:          d.NTaxa() - 2,
-		Het:             het,
-		PerPartBranches: perPart,
+		Het:             cfg.Het,
+		PerPartBranches: cfg.PerPartitionBranches,
+		rec:             cfg.Recorder,
 	}
-	if threads > 1 {
-		l.pool = threadpool.New(threads)
+	if cfg.Threads > 1 {
+		l.pool = threadpool.New(cfg.Threads)
+		if l.rec != nil {
+			l.poolStats = &threadpool.Stats{}
+			l.pool.SetStats(l.poolStats)
+		}
 	}
 	parts, partIdx := a.Materialize(d, rank)
 	for i, pd := range parts {
-		par, err := model.NewParams(het, subst.InitialFreqs(pd.Freqs), pd.NPatterns())
+		par, err := model.NewParams(cfg.Het, cfg.Subst.InitialFreqs(pd.Freqs), pd.NPatterns())
 		if err != nil {
 			return nil, err
 		}
@@ -116,24 +124,12 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, het model.Heterog
 	}
 	l.batchFn = l.runBatchItem
 	l.srFn = func(_, lo, hi int) { l.srArgs.optimize(lo, hi) }
-	l.SetBatchSites(DefaultBatchSites)
+	l.setBatchSites(DefaultBatchSites)
 	return l, nil
 }
 
 // Threads reports the rank's intra-rank concurrency.
 func (l *Local) Threads() int { return l.pool.Threads() }
-
-// SetRecorder attaches the rank's telemetry recorder: every subsequent
-// kernel operation is timed into per-class spans, and the worker pool
-// (when present) starts counting block utilization. A nil recorder
-// leaves the rank un-instrumented.
-func (l *Local) SetRecorder(r *telemetry.Recorder) {
-	l.rec = r
-	if r != nil && l.pool != nil && l.poolStats == nil {
-		l.poolStats = &threadpool.Stats{}
-		l.pool.SetStats(l.poolStats)
-	}
-}
 
 // Close releases the rank's worker pool (no-op for serial ranks) after
 // harvesting its utilization counters and the kernels' fast-path/cache
@@ -578,8 +574,11 @@ func (r *SiteRateResolution) Encode() []float64 {
 	return out
 }
 
-// DecodeSiteRateResolution reverses Encode.
-func DecodeSiteRateResolution(v []float64, nPart int, perPart bool) *SiteRateResolution {
+// DecodeSiteRateResolution reverses Encode. The frame comes off the
+// wire on a fork-join worker, so every read is bounded: a frame that is
+// short, long, or whose category counts or cell indices fall outside
+// what Encode can produce is an error, not an index panic.
+func DecodeSiteRateResolution(v []float64, nPart int, perPart bool) (*SiteRateResolution, error) {
 	const cells = model.MaxPSRCategories
 	classes := 1
 	if perPart {
@@ -591,18 +590,34 @@ func DecodeSiteRateResolution(v []float64, nPart int, perPart bool) *SiteRateRes
 	}
 	pos := 0
 	for p := 0; p < nPart; p++ {
+		if pos >= len(v) {
+			return nil, fmt.Errorf("enginecore: site-rate resolution of %d values ends before partition %d of %d", len(v), p, nPart)
+		}
 		n := int(v[pos])
 		pos++
+		if n < 0 || n > cells {
+			return nil, fmt.Errorf("enginecore: site-rate resolution claims %d categories for partition %d (at most %d)", n, p, cells)
+		}
+		if need := pos + n + cells; need > len(v) {
+			return nil, fmt.Errorf("enginecore: site-rate resolution of %d values, partition %d needs %d", len(v), p, need)
+		}
 		res.CatRates[p] = append([]float64(nil), v[pos:pos+n]...)
 		pos += n
 		res.CellToCat[p] = make([]int, cells)
 		for c := 0; c < cells; c++ {
-			res.CellToCat[p][c] = int(v[pos])
+			cat := int(v[pos])
+			if cat < -1 || cat >= n {
+				return nil, fmt.Errorf("enginecore: site-rate resolution maps a cell of partition %d to category %d of %d", p, cat, n)
+			}
+			res.CellToCat[p][c] = cat
 			pos++
 		}
 	}
-	res.Scale = append([]float64(nil), v[pos:pos+classes]...)
-	return res
+	if len(v) != pos+classes {
+		return nil, fmt.Errorf("enginecore: site-rate resolution of %d values, expected %d", len(v), pos+classes)
+	}
+	res.Scale = append([]float64(nil), v[pos:]...)
+	return res, nil
 }
 
 // ApplySiteRates installs the resolution into the local kernels.

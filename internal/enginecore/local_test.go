@@ -33,7 +33,7 @@ func makeLocal(t *testing.T, nTaxa, nParts, geneLen int, het model.Heterogeneity
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLocal(d, assign, rank, het, model.GTR, perPart, 1)
+	l, err := NewLocal(d, assign, rank, Config{Het: het, Subst: model.GTR, PerPartitionBranches: perPart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,16 @@ func TestSiteRateResolutionRoundTrip(t *testing.T) {
 	for _, perPart := range []bool{false, true} {
 		res := ResolveSiteRates(stats, nPart, perPart)
 		enc := res.Encode()
-		back := DecodeSiteRateResolution(enc, nPart, perPart)
+		back, err := DecodeSiteRateResolution(enc, nPart, perPart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Any other length is a frame Encode did not write.
+		for _, bad := range [][]float64{nil, enc[:1], enc[:len(enc)/2], enc[:len(enc)-1], append(enc[:len(enc):len(enc)], 1)} {
+			if _, err := DecodeSiteRateResolution(bad, nPart, perPart); err == nil {
+				t.Errorf("perPart=%v: a %d-value frame decoded (the resolution has %d)", perPart, len(bad), len(enc))
+			}
+		}
 		if len(back.CatRates) != nPart || len(back.CellToCat) != nPart {
 			t.Fatal("shape lost")
 		}
@@ -172,7 +181,7 @@ func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLocal(d, assign, 0, het, model.GTR, false, threads)
+	l, err := NewLocal(d, assign, 0, Config{Het: het, Subst: model.GTR, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +363,9 @@ func TestBatchingChangesNoBit(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			fused, tr := mixedLocal(t, het, threads)
 			pooled, _ := mixedLocal(t, het, threads)
-			pooled.SetBatchSites(0)
+			pooled.setBatchSites(0)
 			if pooled.BatchedKernels() != 0 {
-				t.Fatalf("SetBatchSites(0) left %d kernels batched", pooled.BatchedKernels())
+				t.Fatalf("setBatchSites(0) left %d kernels batched", pooled.BatchedKernels())
 			}
 			got, want := localTrace(t, fused, tr), localTrace(t, pooled, tr)
 			if len(got) != len(want) {

@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/decentral"
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -139,32 +139,21 @@ func genUnpartitioned(sc Scale) (*msa.Dataset, error) {
 	return msa.Compress(res.Alignment, res.Partitions)
 }
 
-// traceOf converts run stats into a cost-model trace.
-func traceOf(comm mpi.Snapshot, maxCols, totCols int64, clv float64, ranks int) cluster.Trace {
-	return cluster.Trace{
-		Comm:           comm,
-		MaxRankColumns: maxCols,
-		TotalColumns:   totCols,
-		MeasuredRanks:  ranks,
-		CLVBytesTotal:  clv,
-	}
-}
-
 // runBoth executes the same configuration under both engines.
 type bothRuns struct {
-	Dec     *decentral.RunStats
-	Fj      *forkjoin.RunStats
+	Dec     *enginecore.RunStats
+	Fj      *enginecore.RunStats
 	DecLnL  float64
 	FjLnL   float64
 	DecIter int
 }
 
 func runBoth(d *msa.Dataset, cfg search.Config, ranks int, strategy distrib.Strategy) (*bothRuns, error) {
-	dres, dstats, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+	dres, dstats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
 	if err != nil {
 		return nil, fmt.Errorf("decentral: %w", err)
 	}
-	fres, fstats, err := forkjoin.Run(d, forkjoin.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+	fres, fstats, err := forkjoin.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
 	if err != nil {
 		return nil, fmt.Errorf("forkjoin: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/decentral"
+	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/search"
 )
@@ -90,7 +91,7 @@ func Fig3(sc Scale) (*Fig3Result, error) {
 	for _, psr := range []bool{false, true} {
 		cfg := search.Config{Het: hetOf(psr), Seed: sc.Seed, MaxIterations: sc.MaxIterations}
 		tcol := newTelemetry(sc.Ranks)
-		_, dstats, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: sc.Ranks, Telemetry: tcol})
+		_, dstats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: sc.Ranks, Telemetry: tcol})
 		if err != nil {
 			return nil, fmt.Errorf("fig3 decentral psr=%v: %w", psr, err)
 		}
@@ -109,13 +110,13 @@ func Fig3(sc Scale) (*Fig3Result, error) {
 		} else {
 			out.MeasuredGamma = measured
 		}
-		_, fstats, err := forkjoin.Run(d, forkjoin.RunConfig{Search: cfg, Ranks: sc.Ranks})
+		_, fstats, err := forkjoin.Run(d, enginecore.RunConfig{Search: cfg, Ranks: sc.Ranks})
 		if err != nil {
 			return nil, fmt.Errorf("fig3 forkjoin psr=%v: %w", psr, err)
 		}
 
-		dtr := traceOf(dstats.Comm, dstats.MaxRankColumns, dstats.TotalColumns, dstats.CLVBytesTotal, dstats.Ranks)
-		ftr := traceOf(fstats.Comm, fstats.MaxRankColumns, fstats.TotalColumns, fstats.CLVBytesTotal, fstats.Ranks)
+		dtr := dstats.Trace()
+		ftr := fstats.Trace()
 		for _, tr := range []*cluster.Trace{&dtr, &ftr} {
 			tr.TotalColumns = int64(float64(tr.TotalColumns) * computeF)
 			tr.MaxRankColumns = int64(float64(tr.MaxRankColumns) * computeF)
@@ -162,7 +163,7 @@ func Fig3(sc Scale) (*Fig3Result, error) {
 	// the in-process runtime itself scales.
 	for _, ranks := range []int{1, 2, sc.Ranks} {
 		cfg := search.Config{Het: hetOf(false), Seed: sc.Seed, MaxIterations: 1}
-		_, stats, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: ranks})
+		_, stats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 		if err != nil {
 			return nil, err
 		}

@@ -89,8 +89,8 @@ func Fig4(sc Scale, perPartition bool) (*Fig4Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4 p=%d psr=%v: %w", p, psr, err)
 			}
-			dtr := traceOf(runs.Dec.Comm, runs.Dec.MaxRankColumns, runs.Dec.TotalColumns, runs.Dec.CLVBytesTotal, runs.Dec.Ranks)
-			ftr := traceOf(runs.Fj.Comm, runs.Fj.MaxRankColumns, runs.Fj.TotalColumns, runs.Fj.CLVBytesTotal, runs.Fj.Ranks)
+			dtr := runs.Dec.Trace()
+			ftr := runs.Fj.Trace()
 			for _, tr := range []*cluster.Trace{&dtr, &ftr} {
 				tr.TotalColumns = int64(float64(tr.TotalColumns) * computeF)
 				tr.MaxRankColumns = int64(float64(tr.MaxRankColumns) * computeF)

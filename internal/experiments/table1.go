@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/mpi"
 	"repro/internal/search"
@@ -74,7 +75,7 @@ func Table1(sc Scale) (*Table1Result, error) {
 			MaxIterations:        sc.MaxIterations,
 		}
 		tcol := newTelemetry(sc.Ranks)
-		_, stats, err := forkjoin.Run(d, forkjoin.RunConfig{Search: cfg, Ranks: sc.Ranks, Telemetry: tcol})
+		_, stats, err := forkjoin.Run(d, enginecore.RunConfig{Search: cfg, Ranks: sc.Ranks, Telemetry: tcol})
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", ref.name, err)
 		}

@@ -28,26 +28,21 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/decentral"
-	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/msa"
 	"repro/internal/search"
 )
 
 // Plan describes a failure-injection scenario.
 type Plan struct {
-	// Ranks is the initial rank count.
-	Ranks int
+	// Run is the de-centralized run configuration; Run.Ranks is the
+	// initial rank count. It applies to both phases.
+	Run enginecore.RunConfig
 	// FailRanks is how many ranks die at the failure point.
 	FailRanks int
 	// FailAfterIteration is the outer-loop iteration after which the
 	// failure strikes.
 	FailAfterIteration int
-	// Strategy is the data-distribution strategy (re-run on recovery).
-	Strategy distrib.Strategy
-	// Threads is the intra-rank worker count per rank (both phases).
-	Threads int
-	// Search is the search configuration.
-	Search search.Config
 }
 
 // Report describes what happened during a failure-injected run.
@@ -63,13 +58,16 @@ type Report struct {
 }
 
 // Run executes a de-centralized inference with an injected rank failure
-// and completes it on the survivors.
-func Run(d *msa.Dataset, plan Plan) (*search.Result, *Report, error) {
-	if plan.Ranks < 2 {
-		return nil, nil, fmt.Errorf("fault: need at least 2 ranks, got %d", plan.Ranks)
+// and completes it on the survivors. The returned stats — and any
+// telemetry plan.Run asks for — describe the recovery phase, as
+// RunNet's describe the epoch that completed.
+func Run(d *msa.Dataset, plan Plan) (*search.Result, *enginecore.RunStats, *Report, error) {
+	ranks := plan.Run.Ranks
+	if ranks < 2 {
+		return nil, nil, nil, fmt.Errorf("fault: need at least 2 ranks, got %d", ranks)
 	}
-	if plan.FailRanks < 1 || plan.FailRanks >= plan.Ranks {
-		return nil, nil, fmt.Errorf("fault: cannot fail %d of %d ranks", plan.FailRanks, plan.Ranks)
+	if plan.FailRanks < 1 || plan.FailRanks >= ranks {
+		return nil, nil, nil, fmt.Errorf("fault: cannot fail %d of %d ranks", plan.FailRanks, ranks)
 	}
 	if plan.FailAfterIteration < 1 {
 		plan.FailAfterIteration = 1
@@ -80,16 +78,47 @@ func Run(d *msa.Dataset, plan Plan) (*search.Result, *Report, error) {
 	// redundancy); recovery then uses the last snapshot taken by any
 	// surviving replica. The replicas' snapshots are identical by the
 	// §III-B consistency property, which decentral.Run verifies.
-	survivorRank := plan.Ranks - plan.FailRanks
+	survivorRank := ranks - plan.FailRanks
 	recoveryRank := survivorRank - 1
 
+	phase1 := plan.Run
+	phase1.Telemetry = nil // the report describes the world that completes
+	phase1.Search.MaxIterations = plan.FailAfterIteration
+	latest := keepSnapshots(&phase1.Search)
+	if _, _, err := decentral.Run(d, phase1); err != nil {
+		return nil, nil, nil, fmt.Errorf("fault: phase 1: %w", err)
+	}
+	snap := latest()
+	if snap == nil {
+		return nil, nil, nil, fmt.Errorf("fault: no snapshot captured before failure")
+	}
+
+	// Phase 2: FailRanks ranks are gone. Survivors recompute the
+	// distribution for their reduced world and resume from the replica.
+	phase2 := plan.Run
+	phase2.Ranks = survivorRank
+	phase2.Search.Restore = snap
+	res, stats, err := decentral.Run(d, phase2)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("fault: phase 2 (recovery): %w", err)
+	}
+	return res, stats, &Report{
+		SurvivorRanks:       survivorRank,
+		CheckpointIteration: snap.Iteration,
+		CheckpointLnL:       snap.LnL,
+		RecoveredFromRank:   recoveryRank,
+	}, nil
+}
+
+// keepSnapshots makes sc's iteration hook snapshot the replica in memory
+// before it calls the hook sc had, and returns a getter for the newest
+// snapshot taken so far (nil before the first). Every replica of an
+// in-process world runs the hook, so both are safe for concurrent use.
+func keepSnapshots(sc *search.Config) (latest func() *checkpoint.State) {
 	var mu sync.Mutex
 	var snap *checkpoint.State
-
-	phase1 := plan.Search
-	phase1.MaxIterations = plan.FailAfterIteration
-	userHook := plan.Search.OnIteration
-	phase1.OnIteration = func(s *search.Searcher, iter int, lnL float64) {
+	userHook := sc.OnIteration
+	sc.OnIteration = func(s *search.Searcher, iter int, lnL float64) {
 		cur := s.Snapshot(iter)
 		mu.Lock()
 		if snap == nil || cur.Iteration > snap.Iteration {
@@ -100,35 +129,9 @@ func Run(d *msa.Dataset, plan Plan) (*search.Result, *Report, error) {
 			userHook(s, iter, lnL)
 		}
 	}
-	if _, _, err := decentral.Run(d, decentral.RunConfig{
-		Search:   phase1,
-		Ranks:    plan.Ranks,
-		Strategy: plan.Strategy,
-		Threads:  plan.Threads,
-	}); err != nil {
-		return nil, nil, fmt.Errorf("fault: phase 1: %w", err)
+	return func() *checkpoint.State {
+		mu.Lock()
+		defer mu.Unlock()
+		return snap
 	}
-	if snap == nil {
-		return nil, nil, fmt.Errorf("fault: no snapshot captured before failure")
-	}
-
-	// Phase 2: FailRanks ranks are gone. Survivors recompute the
-	// distribution for their reduced world and resume from the replica.
-	phase2 := plan.Search
-	phase2.Restore = snap
-	res, _, err := decentral.Run(d, decentral.RunConfig{
-		Search:   phase2,
-		Ranks:    survivorRank,
-		Strategy: plan.Strategy,
-		Threads:  plan.Threads,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("fault: phase 2 (recovery): %w", err)
-	}
-	return res, &Report{
-		SurvivorRanks:       survivorRank,
-		CheckpointIteration: snap.Iteration,
-		CheckpointLnL:       snap.LnL,
-		RecoveredFromRank:   recoveryRank,
-	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/decentral"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/msa"
 	"repro/internal/search"
@@ -26,11 +27,10 @@ func makeDataset(t testing.TB, nTaxa, nParts, geneLen int, seed int64) *msa.Data
 
 func TestFaultRecoveryCompletes(t *testing.T) {
 	d := makeDataset(t, 9, 2, 50, 1)
-	res, rep, err := Run(d, Plan{
-		Ranks:              6,
+	res, _, rep, err := Run(d, Plan{
+		Run:                enginecore.RunConfig{Ranks: 6, Search: search.Config{Het: model.Gamma, Seed: 3, MaxIterations: 3}},
 		FailRanks:          2,
 		FailAfterIteration: 1,
-		Search:             search.Config{Het: model.Gamma, Seed: 3, MaxIterations: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,15 +61,14 @@ func TestFaultRecoveryMatchesUninterrupted(t *testing.T) {
 	// the rank count — exactly as on a real cluster).
 	d := makeDataset(t, 8, 2, 40, 2)
 	cfg := search.Config{Het: model.Gamma, Seed: 9, MaxIterations: 3}
-	clean, _, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: 4})
+	clean, _, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, _, err := Run(d, Plan{
-		Ranks:              4,
+	faulty, _, _, err := Run(d, Plan{
+		Run:                enginecore.RunConfig{Ranks: 4, Search: cfg},
 		FailRanks:          1,
 		FailAfterIteration: 1,
-		Search:             cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +80,10 @@ func TestFaultRecoveryMatchesUninterrupted(t *testing.T) {
 
 func TestFaultPSRRecovery(t *testing.T) {
 	d := makeDataset(t, 8, 2, 30, 4)
-	res, _, err := Run(d, Plan{
-		Ranks:              4,
+	res, _, _, err := Run(d, Plan{
+		Run:                enginecore.RunConfig{Ranks: 4, Search: search.Config{Het: model.PSR, Seed: 5, MaxIterations: 2}},
 		FailRanks:          2,
 		FailAfterIteration: 1,
-		Search:             search.Config{Het: model.PSR, Seed: 5, MaxIterations: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,13 +95,13 @@ func TestFaultPSRRecovery(t *testing.T) {
 
 func TestFaultPlanValidation(t *testing.T) {
 	d := makeDataset(t, 8, 2, 30, 6)
-	if _, _, err := Run(d, Plan{Ranks: 1, FailRanks: 1}); err == nil {
+	if _, _, _, err := Run(d, Plan{Run: enginecore.RunConfig{Ranks: 1}, FailRanks: 1}); err == nil {
 		t.Error("1-rank plan accepted")
 	}
-	if _, _, err := Run(d, Plan{Ranks: 4, FailRanks: 4}); err == nil {
+	if _, _, _, err := Run(d, Plan{Run: enginecore.RunConfig{Ranks: 4}, FailRanks: 4}); err == nil {
 		t.Error("all-ranks failure accepted")
 	}
-	if _, _, err := Run(d, Plan{Ranks: 4, FailRanks: 0}); err == nil {
+	if _, _, _, err := Run(d, Plan{Run: enginecore.RunConfig{Ranks: 4}, FailRanks: 0}); err == nil {
 		t.Error("zero-failure plan accepted")
 	}
 }

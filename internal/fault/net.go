@@ -3,10 +3,10 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/decentral"
+	"repro/internal/enginecore"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
 	"repro/internal/msa"
@@ -19,7 +19,7 @@ type NetPlan struct {
 	Net mpinet.Config
 	// Run is the de-centralized run configuration; Run.Ranks is ignored
 	// (the live world size is used).
-	Run decentral.RunConfig
+	Run enginecore.RunConfig
 	// MaxRecoveries bounds how many times the survivors may re-form the
 	// world after peer failures; 0 disables recovery entirely (a peer
 	// loss is then returned as the error it is). It counts epochs, so a
@@ -68,30 +68,15 @@ type NetReport struct {
 // the new mesh, and resume the search from it on the reduced world. The
 // communication meter is reset after the restore exchange, so the
 // RunStats of the completing epoch meter the resumed schedule only.
-func RunNet(d *msa.Dataset, plan NetPlan) (*search.Result, *decentral.RunStats, *NetReport, error) {
+func RunNet(d *msa.Dataset, plan NetPlan) (*search.Result, *enginecore.RunStats, *NetReport, error) {
 	// Capture the newest replica snapshot in memory on every iteration.
-	var mu sync.Mutex
-	var snap *checkpoint.State
 	runCfg := plan.Run
-	userHook := runCfg.Search.OnIteration
-	runCfg.Search.OnIteration = func(s *search.Searcher, iter int, lnL float64) {
-		cur := s.Snapshot(iter)
-		mu.Lock()
-		if snap == nil || cur.Iteration > snap.Iteration {
-			snap = cur
-		}
-		mu.Unlock()
-		if userHook != nil {
-			userHook(s, iter, lnL)
-		}
-	}
+	latest := keepSnapshots(&runCfg.Search)
 	latestIteration := func() uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if snap == nil {
-			return 0
+		if snap := latest(); snap != nil {
+			return uint64(snap.Iteration)
 		}
-		return uint64(snap.Iteration)
+		return 0
 	}
 
 	report := &NetReport{Epochs: 1, FinalRank: plan.Net.Rank, FinalSize: plan.Net.Size}
@@ -146,7 +131,7 @@ func RunNet(d *msa.Dataset, plan NetPlan) (*search.Result, *decentral.RunStats, 
 			cur.Rank, cur.Size = rw.Rank, rw.Size
 			report.FinalRank, report.FinalSize = rw.Rank, rw.Size
 			comm = mpi.NewComm(rw.Transport, rw.Rank, rw.Size, mpi.NewMeter())
-			exErr := exchangeRestore(comm, rw, &runCfg, report, snapRef(&mu, &snap))
+			exErr := exchangeRestore(comm, rw, &runCfg, report, latest)
 			if exErr == nil {
 				break
 			}
@@ -169,15 +154,6 @@ func RunNet(d *msa.Dataset, plan NetPlan) (*search.Result, *decentral.RunStats, 
 	}
 }
 
-// snapRef returns a getter for the locked snapshot pointer.
-func snapRef(mu *sync.Mutex, snap **checkpoint.State) func() *checkpoint.State {
-	return func() *checkpoint.State {
-		mu.Lock()
-		defer mu.Unlock()
-		return *snap
-	}
-}
-
 // exchangeRestore makes the recovered world agree on the most advanced
 // replica: the member with the highest rendezvous meta (checkpoint
 // iteration; lowest new rank wins ties by the scan order) broadcasts
@@ -186,7 +162,7 @@ func snapRef(mu *sync.Mutex, snap **checkpoint.State) func() *checkpoint.State {
 // search restarts fresh, which is still correct, just slower. Transport
 // failures during the exchange are returned as errors wrapping
 // *mpinet.PeerDownError (never panics).
-func exchangeRestore(comm *mpi.Comm, rw *mpinet.RecoveredWorld, runCfg *decentral.RunConfig, report *NetReport, latest func() *checkpoint.State) (err error) {
+func exchangeRestore(comm *mpi.Comm, rw *mpinet.RecoveredWorld, runCfg *enginecore.RunConfig, report *NetReport, latest func() *checkpoint.State) (err error) {
 	defer func() {
 		p := recover()
 		if p == nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/decentral"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
@@ -35,11 +36,10 @@ func TestRunNetSurvivesPeerLoss(t *testing.T) {
 	d := makeDataset(t, 8, 2, 50, 6)
 	scfg := search.Config{Het: model.Gamma, Seed: 9, MaxIterations: 3}
 
-	ref, refReport, err := Run(d, Plan{
-		Ranks:              3,
+	ref, _, refReport, err := Run(d, Plan{
+		Run:                enginecore.RunConfig{Ranks: 3, Search: scfg},
 		FailRanks:          1,
 		FailAfterIteration: 1,
-		Search:             scfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestRunNetSurvivesPeerLoss(t *testing.T) {
 			cfg.Rank = rank
 			res, _, report, err := RunNet(d, NetPlan{
 				Net:           cfg,
-				Run:           decentral.RunConfig{Search: scfg},
+				Run:           enginecore.RunConfig{Search: scfg},
 				MaxRecoveries: 1,
 			})
 			outs[rank] = out{res, report, err}
@@ -97,7 +97,7 @@ func TestRunNetSurvivesPeerLoss(t *testing.T) {
 				c.Close()
 			}
 		}
-		_, _, err = decentral.RunOnComm(c, d, decentral.RunConfig{Search: victim})
+		_, _, err = decentral.RunOnComm(c, d, enginecore.RunConfig{Search: victim})
 		if err == nil {
 			outs[1].err = net.ErrClosed // placeholder: the victim must not finish
 		}

@@ -2,9 +2,11 @@ package forkjoin
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/traversal"
@@ -33,7 +35,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			world := mpi.NewWorld(1)
-			eng, err := NewMaster(world.Comm(0), d, assign, EngineConfig{Het: het, Subst: model.GTR})
+			eng, err := NewMaster(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,10 +80,10 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// refusalWorker starts one fork-join worker on 8 taxa, 2 partitions and
-// joint branch lengths, sends it the opcode and the frame the way the
-// master would, and returns what the worker's loop ended with.
-func refusalWorker(t *testing.T, op byte, frame []byte) error {
+// startWorker starts one fork-join worker on 8 taxa, 2 partitions and
+// joint branch lengths as rank 1 of a 2-rank world, and returns the
+// master's end and the channel the worker's loop result arrives on.
+func startWorker(t *testing.T, het model.Heterogeneity) (*mpi.Comm, <-chan error) {
 	t.Helper()
 	d := makeDataset(t, 8, 2, 60, 3)
 	counts := make([]int, d.NPartitions())
@@ -95,12 +97,63 @@ func refusalWorker(t *testing.T, op byte, frame []byte) error {
 	world := mpi.NewWorld(2)
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorker(world.Comm(1), d, assign, EngineConfig{Het: model.Gamma, Subst: model.GTR})
+		done <- RunWorker(world.Comm(1), d, assign, enginecore.Config{Het: het, Subst: model.GTR})
 	}()
-	master := world.Comm(0)
+	return world.Comm(0), done
+}
+
+// refusalWorker sends a Γ worker the opcode and the frame the way the
+// master would, and returns what the worker's loop ended with.
+func refusalWorker(t *testing.T, op byte, frame []byte) error {
+	t.Helper()
+	master, done := startWorker(t, model.Gamma)
 	master.BcastBytes(0, []byte{op}, mpi.ClassControl)
 	master.BcastBytes(0, frame, mpi.ClassTraversal)
 	return <-done
+}
+
+// TestWorkerRefusesShortFrames: the three float64 frames a worker used
+// to index unchecked — the parameter matrix, the per-partition trial
+// lengths, the site-rate resolution — end its loop with an error that
+// names the opcode when they are shorter than its run needs, not with
+// an index panic that takes the worker process down.
+func TestWorkerRefusesShortFrames(t *testing.T) {
+	const nPart = 2
+	cases := []struct {
+		name string
+		het  model.Heterogeneity
+		send func(master *mpi.Comm)
+	}{
+		{"opSetShared", model.Gamma, func(master *mpi.Comm) {
+			master.BcastBytes(0, []byte{opSetShared}, mpi.ClassControl)
+			master.Bcast(0, make([]float64, nPart*model.SharedLen-1), mpi.ClassModelParams)
+		}},
+		{"opDerivatives", model.Gamma, func(master *mpi.Comm) {
+			master.BcastBytes(0, []byte{opDerivatives}, mpi.ClassControl)
+			master.Bcast(0, make([]float64, nPart-1), mpi.ClassBranchLength)
+		}},
+		{"opSiteRates", model.PSR, func(master *mpi.Comm) {
+			tr := tree.NewRandom(makeDataset(t, 8, nPart, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
+			desc := traversal.Build(tr, tr.Tip(0), true)
+			desc.T = append(desc.T, desc.T[0])
+			desc.Steps = append(desc.Steps, desc.Steps[0])
+			master.BcastBytes(0, []byte{opSiteRates}, mpi.ClassControl)
+			master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
+			stats := master.Reduce(0, make([]float64, 2*model.MaxPSRCategories*nPart), mpi.OpSum, mpi.ClassModelParams)
+			enc := enginecore.ResolveSiteRates(stats, nPart, false).Encode()
+			master.Bcast(0, enc[:len(enc)-1], mpi.ClassModelParams)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			master, done := startWorker(t, tc.het)
+			tc.send(master)
+			err := <-done
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("worker ended with %v, want an error naming %s", err, tc.name)
+			}
+		})
+	}
 }
 
 // otherTree is a random tree on 20 taxa: more than refusalWorker's 8.

@@ -25,7 +25,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
-	"repro/internal/telemetry"
 	"repro/internal/traversal"
 )
 
@@ -44,23 +43,10 @@ const (
 	opScoreInsertions
 )
 
-// EngineConfig mirrors decentral.EngineConfig.
-type EngineConfig struct {
-	// Het is the rate-heterogeneity model.
-	Het model.Heterogeneity
-	// Subst constrains the exchangeabilities (see model.SubstModel).
-	Subst model.SubstModel
-	// PerPartitionBranches mirrors search.Config.PerPartitionBranches.
-	PerPartitionBranches bool
-	// Threads is the intra-rank worker count per rank (master and
-	// workers alike); ≤ 1 runs the kernels serially. Results are
-	// bit-identical at every thread count (docs/DETERMINISM.md).
-	Threads int
-	// Recorder, when non-nil, receives this rank's telemetry spans
-	// (kernel and collective timing; docs/OBSERVABILITY.md). It never
-	// affects results.
-	Recorder *telemetry.Recorder
-}
+// EngineConfig is enginecore.Config under the name benchmark/ (which a
+// PR may not edit) constructs it by; everything else names the record
+// directly.
+type EngineConfig = enginecore.Config
 
 // Engine is the master-side search.Engine. It owns rank 0's data share
 // (the master participates in kernel work, as in RAxML-Light) and steers
@@ -86,15 +72,14 @@ type Engine struct {
 var _ search.Engine = (*Engine)(nil)
 
 // NewMaster builds the master engine on rank 0.
-func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg EngineConfig) (*Engine, error) {
+func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) (*Engine, error) {
 	if comm.Rank() != 0 {
 		return nil, fmt.Errorf("forkjoin: master must be rank 0, got %d", comm.Rank())
 	}
-	local, err := enginecore.NewLocal(d, a, 0, cfg.Het, cfg.Subst, cfg.PerPartitionBranches, cfg.Threads)
+	local, err := enginecore.NewLocal(d, a, 0, cfg)
 	if err != nil {
 		return nil, err
 	}
-	local.SetRecorder(cfg.Recorder)
 	comm.SetRecorder(cfg.Recorder)
 	return &Engine{comm: comm, local: local}, nil
 }
@@ -346,13 +331,30 @@ func (e *Engine) Stats() (columns int64, clvBytes float64) { return e.local.Stat
 // RunWorker executes the worker command loop on a non-zero rank until the
 // master sends opShutdown. Workers hold no tree: they decode whatever the
 // master broadcasts and run kernels on their share.
-func RunWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg EngineConfig) error {
-	_, err := RunWorkerWithStats(comm, d, a, cfg)
+func RunWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) error {
+	_, _, err := runWorker(comm, d, a, cfg)
 	return err
 }
 
-// runWorkerLoop is the command interpreter shared by the worker entry
-// points.
+// runWorker is RunWorker plus the kernel-side stats the rank body
+// reports.
+func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) (columns int64, clvBytes float64, err error) {
+	local, err := enginecore.NewLocal(d, a, comm.Rank(), cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	comm.SetRecorder(cfg.Recorder)
+	defer local.Close()
+	if err := runWorkerLoop(comm, local); err != nil {
+		return 0, 0, err
+	}
+	columns, clvBytes = local.Stats()
+	return columns, clvBytes, nil
+}
+
+// runWorkerLoop is the worker's command interpreter. Every frame is
+// checked against what this worker's run expects before anything indexes
+// it: a frame that does not fit ends the loop with an error.
 func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 	recvDescriptor := func() (*traversal.Descriptor, error) {
 		d, err := traversal.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal))
@@ -393,10 +395,16 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 
 		case opDerivatives:
 			ts := comm.Bcast(0, nil, mpi.ClassBranchLength)
+			if len(ts) != local.NPart {
+				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame of %d branch lengths, expected %d", comm.Rank(), len(ts), local.NPart)
+			}
 			comm.Reduce(0, local.DerivativesPerPartition(ts), mpi.OpSum, mpi.ClassBranchLength)
 
 		case opSetShared:
 			flat := comm.Bcast(0, nil, mpi.ClassModelParams)
+			if len(flat) != local.NPart*model.SharedLen {
+				return fmt.Errorf("forkjoin: worker %d: opSetShared frame of %d values, expected %d", comm.Rank(), len(flat), local.NPart*model.SharedLen)
+			}
 			params := make([][]float64, local.NPart)
 			for p := 0; p < local.NPart; p++ {
 				params[p] = flat[p*model.SharedLen : (p+1)*model.SharedLen]
@@ -413,7 +421,10 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			stats := local.OptimizeSiteRatesLocal(desc)
 			comm.Reduce(0, stats, mpi.OpSum, mpi.ClassModelParams)
 			enc := comm.Bcast(0, nil, mpi.ClassModelParams)
-			res := enginecore.DecodeSiteRateResolution(enc, local.NPart, local.PerPartBranches)
+			res, err := enginecore.DecodeSiteRateResolution(enc, local.NPart, local.PerPartBranches)
+			if err != nil {
+				return fmt.Errorf("forkjoin: worker %d: opSiteRates frame: %w", comm.Rank(), err)
+			}
 			local.ApplySiteRates(res)
 
 		case opAllBranchDerivs:
@@ -442,28 +453,4 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			return fmt.Errorf("forkjoin: worker %d: unknown opcode %d", comm.Rank(), op[0])
 		}
 	}
-}
-
-// WorkerStats is exposed via RunWorkerWithStats for the harness.
-type WorkerStats struct {
-	// Columns is the kernel column-update count.
-	Columns int64
-	// CLVBytes is the CLV footprint.
-	CLVBytes float64
-}
-
-// RunWorkerWithStats is RunWorker plus a stats readout on return.
-func RunWorkerWithStats(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg EngineConfig) (*WorkerStats, error) {
-	local, err := enginecore.NewLocal(d, a, comm.Rank(), cfg.Het, cfg.Subst, cfg.PerPartitionBranches, cfg.Threads)
-	if err != nil {
-		return nil, err
-	}
-	local.SetRecorder(cfg.Recorder)
-	comm.SetRecorder(cfg.Recorder)
-	defer local.Close()
-	if err := runWorkerLoop(comm, local); err != nil {
-		return nil, err
-	}
-	cols, clv := local.Stats()
-	return &WorkerStats{Columns: cols, CLVBytes: clv}, nil
 }

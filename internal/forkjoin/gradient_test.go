@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
@@ -44,11 +45,11 @@ func TestBatchedGradientAblationBitIdentical(t *testing.T) {
 
 			oracleCfg := cfg
 			oracleCfg.DisableBatchedGradients = true
-			oracle, oracleStats, err := Run(d, RunConfig{Search: oracleCfg, Ranks: 2, Threads: threads})
+			oracle, oracleStats, err := Run(d, enginecore.RunConfig{Search: oracleCfg, Ranks: 2, Threads: threads})
 			if err != nil {
 				t.Fatalf("%v T=%d oracle: %v", het, threads, err)
 			}
-			batched, batchedStats, err := Run(d, RunConfig{Search: cfg, Ranks: 2, Threads: threads})
+			batched, batchedStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 2, Threads: threads})
 			if err != nil {
 				t.Fatalf("%v T=%d batched: %v", het, threads, err)
 			}
@@ -75,7 +76,7 @@ func TestBatchedGradientOverTCPBitIdentical(t *testing.T) {
 	cfg := search.Config{Het: model.Gamma, Seed: 7, MaxIterations: 2}
 	oracleCfg := cfg
 	oracleCfg.DisableBatchedGradients = true
-	ref, _, err := Run(d, RunConfig{Search: oracleCfg, Ranks: ranks})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: oracleCfg, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestBatchedGradientOverTCPBitIdentical(t *testing.T) {
 			}
 			c := mpi.NewComm(tr, rank, ranks, mpi.NewMeter())
 			defer c.Close()
-			res, _, err := RunOnComm(c, d, RunConfig{Search: cfg})
+			res, _, err := RunOnComm(c, d, enginecore.RunConfig{Search: cfg})
 			results[rank], errs[rank] = res, err
 		}(r)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/search"
 )
@@ -20,11 +21,11 @@ func TestIncrementalMatchesForcedFull(t *testing.T) {
 
 		forcedCfg := cfg
 		forcedCfg.ForceFullTraversals = true
-		forced, fStats, err := Run(d, RunConfig{Search: forcedCfg, Ranks: 3})
+		forced, fStats, err := Run(d, enginecore.RunConfig{Search: forcedCfg, Ranks: 3})
 		if err != nil {
 			t.Fatalf("%v forced: %v", het, err)
 		}
-		inc, iStats, err := Run(d, RunConfig{Search: cfg, Ranks: 3})
+		inc, iStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3})
 		if err != nil {
 			t.Fatalf("%v incremental: %v", het, err)
 		}

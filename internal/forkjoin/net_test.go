@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
@@ -30,7 +31,7 @@ func reserveLoopbackAddr(t *testing.T) string {
 func TestRunOnCommMatchesInProcess(t *testing.T) {
 	d := makeDataset(t, 8, 2, 60, 4)
 	const ranks = 4
-	cfg := RunConfig{
+	cfg := enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 7, MaxIterations: 2},
 		Ranks:  ranks,
 	}
@@ -42,7 +43,7 @@ func TestRunOnCommMatchesInProcess(t *testing.T) {
 	addr := reserveLoopbackAddr(t)
 	type out struct {
 		res   *search.Result
-		stats *RunStats
+		stats *enginecore.RunStats
 		err   error
 	}
 	outs := make([]out, ranks)

@@ -1,132 +1,53 @@
 package forkjoin
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
-	"repro/internal/telemetry"
 )
 
-// RunConfig bundles everything a fork-join inference needs.
-type RunConfig struct {
-	// Search is the tree-search configuration (executed by the master).
-	Search search.Config
-	// Ranks is the number of MPI ranks; rank 0 is the master.
-	Ranks int
-	// Strategy selects cyclic or MPS data distribution.
-	Strategy distrib.Strategy
-	// Threads is the intra-rank worker count per rank (see
-	// EngineConfig.Threads); ≤ 1 runs the kernels serially.
-	Threads int
-	// Telemetry, when non-nil, supplies one recorder per rank for
-	// kernel/collective span timing and search-progress counters
-	// (docs/OBSERVABILITY.md). nil disables instrumentation entirely.
-	Telemetry *telemetry.Collector
-}
-
-// RunStats mirrors decentral.RunStats for apples-to-apples comparisons.
-type RunStats struct {
-	// Comm is the metered collective trace.
-	Comm mpi.Snapshot
-	// MaxRankColumns and TotalColumns are kernel column-update counts.
-	MaxRankColumns, TotalColumns int64
-	// CLVBytesTotal is the summed CLV footprint.
-	CLVBytesTotal float64
-	// Wall is the measured wall-clock time.
-	Wall time.Duration
-	// Ranks echoes the rank count.
-	Ranks int
-}
-
-// Run executes a full fork-join inference: rank 0 runs the search and
-// steers; ranks 1..n−1 run the worker command loop.
-func Run(d *msa.Dataset, cfg RunConfig) (*search.Result, *RunStats, error) {
-	if cfg.Ranks < 1 {
-		return nil, nil, fmt.Errorf("forkjoin: %d ranks", cfg.Ranks)
+// rankBody is what a rank of the fork-join scheme does: rank 0 runs the
+// search and steers, every other rank runs the worker command loop and
+// holds no result.
+func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, int64, float64, error) {
+	if c.Rank() != 0 {
+		cols, clv, err := runWorker(c, d, a, ec)
+		return nil, cols, clv, err
 	}
-	counts := make([]int, d.NPartitions())
-	for i, p := range d.Parts {
-		counts[i] = p.NPatterns()
-	}
-	assign, err := distrib.Compute(cfg.Strategy, counts, cfg.Ranks)
+	eng, err := NewMaster(c, d, a, ec)
 	if err != nil {
-		return nil, nil, err
+		// The workers are still waiting for their first command; the
+		// caller closes the transport, which they observe as peer loss.
+		return nil, 0, 0, err
 	}
-	world := mpi.NewWorld(cfg.Ranks)
-	engCfg := EngineConfig{
-		Het:                  cfg.Search.Het,
-		Subst:                cfg.Search.Subst,
-		PerPartitionBranches: cfg.Search.PerPartitionBranches,
-		Threads:              cfg.Threads,
+	var res *search.Result
+	s, err := search.NewSearcher(eng, d, sc)
+	if err == nil {
+		res, err = s.Run()
 	}
+	cols, clv := eng.Stats()
+	// Always release the workers, even on a failed search — they are
+	// blocked on the next command broadcast. They then reach the
+	// epilogue, so that is where a failure is reported.
+	eng.Close()
+	if err != nil {
+		err = enginecore.InStep(err)
+	}
+	return res, cols, clv, err
+}
 
-	var result *search.Result
-	columns := make([]int64, cfg.Ranks)
-	clvBytes := make([]float64, cfg.Ranks)
-	errs := make([]error, cfg.Ranks)
-	var mu sync.Mutex
+// Run executes a full fork-join inference on cfg.Ranks in-process ranks
+// and returns the master's result.
+func Run(d *msa.Dataset, cfg enginecore.RunConfig) (*search.Result, *enginecore.RunStats, error) {
+	return enginecore.Run(d, cfg, rankBody)
+}
 
-	start := time.Now()
-	world.Run(func(c *mpi.Comm) {
-		rec := cfg.Telemetry.Recorder(c.Rank())
-		ec := engCfg
-		ec.Recorder = rec
-		if c.Rank() == 0 {
-			eng, err := NewMaster(c, d, assign, ec)
-			if err == nil {
-				scfg := cfg.Search
-				scfg.Telemetry = rec
-				var s *search.Searcher
-				if s, err = search.NewSearcher(eng, d, scfg); err == nil {
-					var res *search.Result
-					res, err = s.Run()
-					cols, clv := eng.Stats()
-					mu.Lock()
-					result = res
-					columns[0] = cols
-					clvBytes[0] = clv
-					mu.Unlock()
-				}
-				// Always release the workers, even on a failed search —
-				// they are blocked on the next command broadcast.
-				eng.Close()
-			}
-			if err != nil {
-				mu.Lock()
-				errs[0] = err
-				mu.Unlock()
-			}
-			return
-		}
-		ws, err := RunWorkerWithStats(c, d, assign, ec)
-		mu.Lock()
-		if err != nil {
-			errs[c.Rank()] = err
-		} else {
-			columns[c.Rank()] = ws.Columns
-			clvBytes[c.Rank()] = ws.CLVBytes
-		}
-		mu.Unlock()
-	})
-	wall := time.Since(start)
-
-	for r, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("forkjoin: rank %d: %w", r, err)
-		}
-	}
-	stats := &RunStats{Comm: world.Meter().Snapshot(), Wall: wall, Ranks: cfg.Ranks}
-	for r := 0; r < cfg.Ranks; r++ {
-		stats.TotalColumns += columns[r]
-		if columns[r] > stats.MaxRankColumns {
-			stats.MaxRankColumns = columns[r]
-		}
-		stats.CLVBytesTotal += clvBytes[r]
-	}
-	return result, stats, nil
+// RunOnComm executes ONE rank of a fork-join inference over an existing
+// communicator (see enginecore.RunOnComm). The result is nil on worker
+// ranks; the stats are bit-identical on every rank. A failed search on
+// the master is an error on every rank, not a hang.
+func RunOnComm(c *mpi.Comm, d *msa.Dataset, cfg enginecore.RunConfig) (*search.Result, *enginecore.RunStats, error) {
+	return enginecore.RunOnComm(c, d, cfg, rankBody)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/decentral"
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -29,7 +30,7 @@ func makeDataset(t testing.TB, nTaxa, nParts, geneLen int, seed int64) *msa.Data
 
 func TestForkJoinRuns(t *testing.T) {
 	d := makeDataset(t, 8, 2, 50, 1)
-	res, stats, err := Run(d, RunConfig{
+	res, stats, err := Run(d, enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 7, MaxIterations: 2},
 		Ranks:  3,
 	})
@@ -86,11 +87,11 @@ func TestEnginesAgree(t *testing.T) {
 				strategy = distrib.MPS
 			}
 			const ranks = 3
-			fj, fjStats, err := Run(d, RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+			fj, fjStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
 			if err != nil {
 				t.Fatalf("forkjoin: %v", err)
 			}
-			dc, dcStats, err := decentral.Run(d, decentral.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+			dc, dcStats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
 			if err != nil {
 				t.Fatalf("decentral: %v", err)
 			}
@@ -132,7 +133,7 @@ func TestEnginesAgree(t *testing.T) {
 func TestForkJoinSingleRank(t *testing.T) {
 	// Degenerate master-only fork-join must still work (self-broadcasts).
 	d := makeDataset(t, 8, 2, 40, 9)
-	res, _, err := Run(d, RunConfig{
+	res, _, err := Run(d, enginecore.RunConfig{
 		Search: search.Config{Het: model.Gamma, Seed: 2, MaxIterations: 1},
 		Ranks:  1,
 	})

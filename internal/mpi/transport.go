@@ -44,7 +44,7 @@ type Transport interface {
 // CommError is the panic value a Comm raises when its transport fails
 // mid-collective. Collectives keep their no-error signatures (they
 // cannot make progress after a lost peer anyway); drivers that support
-// recovery — decentral.RunOnComm, fault.RunNet — recover the panic,
+// recovery — enginecore.RunOnComm, fault.RunNet — recover the panic,
 // unwrap the transport error, and hand the failure to the survivor
 // path.
 type CommError struct {

@@ -93,13 +93,13 @@ func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogenei
 	wA, wB := mpi.NewWorld(ranks), mpi.NewWorld(ranks)
 	if scheme == "decentral" {
 		wA.Run(func(c *mpi.Comm) {
-			eng, err := decentral.NewEngine(c, d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads})
+			eng, err := decentral.NewEngine(c, d, assign, enginecore.Config{Het: het, PerPartitionBranches: perPart, Threads: threads})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer eng.Close()
-			twin, err := decentral.NewEngine(wB.Comm(c.Rank()), d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart})
+			twin, err := decentral.NewEngine(wB.Comm(c.Rank()), d, assign, enginecore.Config{Het: het, PerPartitionBranches: perPart})
 			if err != nil {
 				t.Error(err)
 				return
@@ -109,8 +109,8 @@ func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogenei
 		})
 		return
 	}
-	cfgA := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart, Threads: threads}
-	cfgB := forkjoin.EngineConfig{Het: het, PerPartitionBranches: perPart}
+	cfgA := enginecore.Config{Het: het, PerPartitionBranches: perPart, Threads: threads}
+	cfgB := enginecore.Config{Het: het, PerPartitionBranches: perPart}
 	wA.Run(func(c *mpi.Comm) {
 		if c.Rank() != 0 {
 			var wg sync.WaitGroup
@@ -224,7 +224,7 @@ type localEngine struct {
 
 func newLocalEngine(t *testing.T, d *msa.Dataset, het model.Heterogeneity, perPart bool, threads int) *localEngine {
 	t.Helper()
-	l, err := enginecore.NewLocal(d, cyclicAssignment(t, d, 1), 0, het, model.GTR, perPart, threads)
+	l, err := enginecore.NewLocal(d, cyclicAssignment(t, d, 1), 0, enginecore.Config{Het: het, Subst: model.GTR, PerPartitionBranches: perPart, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}

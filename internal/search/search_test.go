@@ -7,6 +7,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/decentral"
 	"repro/internal/distrib"
+	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -41,7 +42,7 @@ func seqEngine(t testing.TB, d *msa.Dataset, het model.Heterogeneity, perPart bo
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(1)
-	eng, err := decentral.NewEngine(world.Comm(0), d, assign, decentral.EngineConfig{Het: het, PerPartitionBranches: perPart})
+	eng, err := decentral.NewEngine(world.Comm(0), d, assign, enginecore.Config{Het: het, PerPartitionBranches: perPart})
 	if err != nil {
 		t.Fatal(err)
 	}

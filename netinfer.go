@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/decentral"
 	"repro/internal/fault"
 	"repro/internal/forkjoin"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
-	"repro/internal/search"
-	"repro/internal/telemetry"
 )
 
 // NetConfig places one OS process in a multi-process world connected
@@ -97,15 +93,10 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 	if nc.Addr == "" {
 		return nil, fmt.Errorf("examl: net mode needs a rendezvous address")
 	}
-	scfg, err := searchConfig(cfg)
+	// One recorder: a collector describes this process alone.
+	rc, err := runConfig(cfg, 1)
 	if err != nil {
 		return nil, err
-	}
-	var collector *telemetry.Collector
-	if cfg.Telemetry || cfg.TraceWriter != nil {
-		// One recorder: the collector describes this process alone.
-		collector = telemetry.NewCollector(1, int(mpi.NumCommClasses), cfg.TraceWriter)
-		collector.SetJob(cfg.TraceLabel)
 	}
 	netCfg := mpinet.Config{
 		Rank:              nc.Rank,
@@ -120,14 +111,8 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 	switch cfg.Scheme {
 	case Decentralized:
 		res, stats, report, err := fault.RunNet(d.d, fault.NetPlan{
-			Net: netCfg,
-			Run: decentral.RunConfig{
-				Search:             scfg,
-				Strategy:           strategyOf(cfg),
-				HybridRanksPerNode: cfg.HybridRanksPerNode,
-				Threads:            cfg.Threads,
-				Telemetry:          collector,
-			},
+			Net:           netCfg,
+			Run:           rc,
 			MaxRecoveries: nc.MaxRecoveries,
 			JoinEpoch:     nc.JoinEpoch,
 			OnRecovered:   nc.OnRecovered,
@@ -136,7 +121,7 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 			return nil, err
 		}
 		return &NetResult{
-			Result:           netResult(res, stats.Comm, stats.Wall, report.FinalSize, statsTrace(stats), collector, cfg),
+			Result:           newResult(res, stats, rc),
 			Rank:             report.FinalRank,
 			Size:             report.FinalSize,
 			Epochs:           report.Epochs,
@@ -154,53 +139,17 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 		}
 		comm := mpi.NewComm(tr, nc.Rank, nc.Size, mpi.NewMeter())
 		defer comm.Close()
-		res, stats, err := forkjoin.RunOnComm(comm, d.d, forkjoin.RunConfig{
-			Search:    scfg,
-			Strategy:  strategyOf(cfg),
-			Threads:   cfg.Threads,
-			Telemetry: collector,
-		})
+		res, stats, err := forkjoin.RunOnComm(comm, d.d, rc)
 		if err != nil {
 			return nil, err
 		}
 		out := &NetResult{Rank: nc.Rank, Size: nc.Size, Epochs: 1}
 		if res != nil {
-			out.Result = netResult(res, stats.Comm, stats.Wall, nc.Size, cluster.Trace{
-				Comm:           stats.Comm,
-				MaxRankColumns: stats.MaxRankColumns,
-				TotalColumns:   stats.TotalColumns,
-				MeasuredRanks:  stats.Ranks,
-				CLVBytesTotal:  stats.CLVBytesTotal,
-			}, collector, cfg)
+			out.Result = newResult(res, stats, rc)
 		}
 		return out, nil
 
 	default:
 		return nil, fmt.Errorf("examl: unknown scheme %d", cfg.Scheme)
-	}
-}
-
-func statsTrace(s *decentral.RunStats) cluster.Trace {
-	return cluster.Trace{
-		Comm:           s.Comm,
-		MaxRankColumns: s.MaxRankColumns,
-		TotalColumns:   s.TotalColumns,
-		MeasuredRanks:  s.Ranks,
-		CLVBytesTotal:  s.CLVBytesTotal,
-	}
-}
-
-// netResult assembles the public Result exactly as Infer does.
-func netResult(res *search.Result, comm mpi.Snapshot, wall time.Duration, ranks int, trace cluster.Trace, collector *telemetry.Collector, cfg Config) *Result {
-	return &Result{
-		Tree:                      res.Tree.Newick(),
-		LogLikelihood:             res.LnL,
-		PerPartitionLogLikelihood: res.PerPartitionLnL,
-		Iterations:                res.Iterations,
-		Comm:                      makeCommReport(comm),
-		WallSeconds:               wall.Seconds(),
-		Ranks:                     ranks,
-		Telemetry:                 finalizeTelemetry(collector, wall, cfg.Threads, comm),
-		trace:                     trace,
 	}
 }

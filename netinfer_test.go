@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/decentral"
+	"repro/internal/enginecore"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -129,13 +130,13 @@ func netTestWorker() {
 				os.Exit(3)
 			}
 		}
-		decentral.RunOnComm(c, d.d, decentral.RunConfig{Search: scfg})
+		decentral.RunOnComm(c, d.d, enginecore.RunConfig{Search: scfg})
 		netTestDie("victim survived its own death")
 
 	case "survivor":
 		res, _, report, err := fault.RunNet(d.d, fault.NetPlan{
 			Net:           netCfg,
-			Run:           decentral.RunConfig{Search: netTestSearchConfig()},
+			Run:           enginecore.RunConfig{Search: netTestSearchConfig()},
 			MaxRecoveries: 1,
 		})
 		if err != nil {
@@ -279,11 +280,10 @@ func TestNetProcessDeathRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refReport, err := fault.Run(d.d, fault.Plan{
-		Ranks:              size,
+	ref, _, refReport, err := fault.Run(d.d, fault.Plan{
+		Run:                enginecore.RunConfig{Ranks: size, Search: netTestSearchConfig()},
 		FailRanks:          1,
 		FailAfterIteration: 1,
-		Search:             netTestSearchConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
