@@ -31,7 +31,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke fuzz-smoke smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -94,6 +94,32 @@ bench-e2e-smoke:
 	{ test -n "$$colls" && test "$$colls" -le $(SMOKE_MAX_COLLECTIVES) || \
 		{ echo "bench-e2e-smoke: mpi.collectives = '$$colls' per inference, want <= $(SMOKE_MAX_COLLECTIVES)"; exit 1; }; } && \
 	echo "bench-e2e-smoke: correct, $$probes model-parameter probes and $$colls collectives per inference OK"
+
+# kernel-bce counts the bounds checks the compiler leaves in the files
+# that hold the likelihood block workers and fails when there are more
+# than KERNEL_BCE_MAX. The site loops of the Newview, evaluation,
+# sum-table and insertion workers index plane windows of the block's
+# width and compile without a per-element check (docs/PERFORMANCE.md
+# §6); what is counted here is what remains by design — one check per
+# window taken, the gathers from tip tables (indexed by input data), the
+# per-site P-matrix pick under PSR, the pattern-major sum-table stores
+# and the site-major reference workers. The count is a property of the
+# source and the compiler, not of the machine: it repeats exactly under
+# GOTOOLCHAIN=local (go1.24), so like the two counts above it can gate.
+# A new check inside a site loop shows as a count above the gate; the
+# listing per file says where to look.
+KERNEL_BCE_MAX = 326
+KERNEL_BCE_FILES = soa_gamma.go soa_psr.go insertion.go gamma.go psr.go
+kernel-bce:
+	@out=$$(GOTOOLCHAIN=local $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/likelihood 2>&1 | grep ': Found Is' || true); \
+	total=0; \
+	for f in $(KERNEL_BCE_FILES); do \
+		n=$$(printf '%s\n' "$$out" | grep -c "/$$f:" || true); \
+		echo "kernel-bce: $$f $$n"; total=$$((total + n)); \
+	done; \
+	test "$$total" -gt 0 || { echo "kernel-bce: the compiler reported no bounds checks at all: is -d=ssa/check_bce still understood?"; exit 1; }; \
+	test "$$total" -le $(KERNEL_BCE_MAX) || { echo "kernel-bce: $$total bounds checks left in the block-worker files, want <= $(KERNEL_BCE_MAX)"; exit 1; }; \
+	echo "kernel-bce: $$total bounds checks left in the block-worker files (<= $(KERNEL_BCE_MAX)) OK"
 
 # fuzz-smoke gives every native fuzz target a short pass over its seed
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
@@ -192,7 +218,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke fuzz-smoke race smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

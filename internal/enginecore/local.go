@@ -73,6 +73,11 @@ type Local struct {
 	srFn   func(blk, lo, hi int)
 
 	batchDispatches, batchKernels int64
+
+	// gradContracted[b] records that the last contracting gradient plan
+	// AdmitGradPlan saw computed edge b, i.e. that every local kernel
+	// holds a sum table for it that a Reuse plan may read.
+	gradContracted []bool
 }
 
 // scratchVec returns *buf resized to n and zeroed.
@@ -331,6 +336,32 @@ func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 	return vec
 }
 
+// AdmitGradPlan is the check a receiver of gradient plans it did not
+// build (a fork-join worker) makes before executing one. A contracting
+// plan is recorded: the edges it computes get their sum tables cached. A
+// Reuse plan reads those tables without contracting, so every edge it
+// computes must be one the last contracting plan computed — anything
+// else would index a sum table no kernel of this rank, fused or not,
+// holds.
+func (l *Local) AdmitGradPlan(plan *traversal.GradPlan) error {
+	if !plan.Reuse {
+		l.gradContracted = l.gradContracted[:0]
+		for b := range plan.Edges {
+			l.gradContracted = append(l.gradContracted, plan.Active == nil || plan.Active[b])
+		}
+		return nil
+	}
+	if n := plan.NBranches(); n > len(l.gradContracted) {
+		return fmt.Errorf("enginecore: gradient plan reuses the sum tables of %d edges, the last contracting plan had %d", n, len(l.gradContracted))
+	}
+	for b := range plan.Edges {
+		if (plan.Active == nil || plan.Active[b]) && !l.gradContracted[b] {
+			return fmt.Errorf("enginecore: gradient plan reuses the sum table of edge %d, which the last contracting plan did not compute", b)
+		}
+	}
+	return nil
+}
+
 // AllBranchDerivativesPerPartition is AllBranchDerivativesLocal at
 // per-partition granularity, packed as [d1[p·nB+b]..., d2[P·nB +
 // p·nB+b]...] — the fork-join wire format (the master folds partitions
@@ -385,7 +416,7 @@ func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []flo
 // slice is reused by the next call.
 func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
 	nC := plan.NCandidates()
-	out := l.dispatchBatch(batchInsertions, batchArgs{ins: plan}, nC, telemetry.KernelEvaluate)
+	out := l.dispatchBatch(batchInsertions, batchArgs{ins: plan}, nC, telemetry.KernelInsertion)
 	vec := scratchVec(&l.insScr, nC*l.NPart)
 	for i, k := range l.Kernels {
 		p := l.PartIdx[i]
@@ -395,33 +426,28 @@ func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
 			}
 			continue
 		}
-		// One span, one class: the plan's traversals and the per-candidate
-		// insertions interleave too finely to time apart, and the batched
-		// dispatch above cannot split them either.
+		// One span, one class of its own: the plan's traversals and the
+		// per-candidate scores interleave too finely to time apart, and the
+		// batched dispatch above cannot split them either.
 		t := l.rec.Begin()
 		scoreInsertions(k, plan, l.ClassOf(p), vec[p:], l.NPart)
-		l.rec.EndKernel(telemetry.KernelEvaluate, t)
+		l.rec.EndKernel(telemetry.KernelInsertion, t)
 	}
 	return vec
 }
 
 // scoreInsertions executes the plan on one kernel and adds candidate c's
-// log likelihood to out[c·stride].
+// log likelihood to out[c·stride]: the post-order pass, the subtree's
+// insertion table once, then per candidate its pre-order step — the
+// vector at the candidate's near end — and the fused score of the vertex
+// inserting the subtree there would create (likelihood.ScoreInsertion).
 func scoreInsertions(k *likelihood.Kernel, plan *traversal.InsertPlan, cls int, out []float64, stride int) {
 	k.Traverse(plan.Post[cls])
-	k.TraverseOuter(plan.Pre[cls])
-	for c := range plan.Far {
-		out[c*stride] += scoreInsertion(k, plan, cls, c)
+	k.PrepareInsertion(plan.Sub, plan.SubT[cls])
+	for c, step := range plan.Pre[cls] {
+		k.NewviewOuter(step)
+		out[c*stride] += k.ScoreInsertion(likelihood.GradOuter(step.Dst), plan.Far[c], plan.Half[cls][c])
 	}
-}
-
-// scoreInsertion computes candidate c's inserted vertex into the plan's
-// scratch slot — the Newview a traversal of the regrafted tree ends
-// with — and evaluates across the subtree's branch.
-func scoreInsertion(k *likelihood.Kernel, plan *traversal.InsertPlan, cls, c int) float64 {
-	near, half := likelihood.GradOuter(plan.Pre[cls][c].Dst), plan.Half[cls][c]
-	k.NewviewOuter(likelihood.GradStep{Dst: plan.Scratch, A: near, B: plan.Far[c], TA: half, TB: half})
-	return k.EvaluateGrad(likelihood.GradOuter(plan.Scratch), plan.Sub, plan.SubT[cls])
 }
 
 // SetSharedLocal applies the per-partition (α + GTR) matrix to the local

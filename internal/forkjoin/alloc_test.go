@@ -214,3 +214,61 @@ func TestWorkerRefusesDescriptorForAnotherRun(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRefusesReuseWithoutContraction: a gradient plan with Reuse
+// set reads the sum tables the last contracting plan cached. A worker
+// that has executed none, one over fewer edges, or one whose mask left
+// out an edge the Reuse plan wants, ends its loop with an error naming
+// the opcode instead of indexing a sum table it does not hold.
+func TestWorkerRefusesReuseWithoutContraction(t *testing.T) {
+	tr := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
+	full := func() *traversal.GradPlan {
+		plan, _ := traversal.BuildGradient(tr, nil)
+		return plan
+	}
+	nB := full().NBranches()
+	cases := map[string]func() (contract, reuse *traversal.GradPlan){
+		"no contracting plan": func() (*traversal.GradPlan, *traversal.GradPlan) {
+			return nil, full()
+		},
+		"a contracting plan over fewer edges": func() (*traversal.GradPlan, *traversal.GradPlan) {
+			short := full()
+			short.Edges = short.Edges[:nB-2]
+			short.T[0] = short.T[0][:nB-2]
+			return short, full()
+		},
+		"a contracting plan that masked the edge": func() (*traversal.GradPlan, *traversal.GradPlan) {
+			masked := full()
+			masked.Active = make([]bool, nB)
+			masked.Active[0] = true
+			return masked, full()
+		},
+	}
+	for what, build := range cases {
+		t.Run(what, func(t *testing.T) {
+			contract, reuse := build()
+			master, done := startWorker(t, model.Gamma)
+			// The worker's CLVs must exist before a gradient plan reads them;
+			// descriptors go out with one schedule per partition.
+			desc := traversal.Build(tr, tr.Tip(0), true)
+			desc.T = append(desc.T, desc.T[0])
+			desc.Steps = append(desc.Steps, desc.Steps[0])
+			master.BcastBytes(0, []byte{opTraverse}, mpi.ClassControl)
+			master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
+			master.Barrier(mpi.ClassControl)
+			if contract != nil {
+				master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
+				master.BcastBytes(0, contract.Encode(), mpi.ClassTraversal)
+				master.Reduce(0, make([]float64, 2*2*contract.NBranches()), mpi.OpSum, mpi.ClassBranchLength)
+			}
+			reuse.Reuse = true
+			reuse.Pre[0] = nil
+			master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
+			master.BcastBytes(0, reuse.Encode(), mpi.ClassTraversal)
+			err := <-done
+			if err == nil || !strings.Contains(err.Error(), "opAllBranchDerivs") {
+				t.Fatalf("worker ended with %v, want an error naming opAllBranchDerivs", err)
+			}
+		})
+	}
+}

@@ -435,6 +435,9 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			if err := plan.Validate(local.NInner+2, local.BLClasses()); err != nil {
 				return err
 			}
+			if err := local.AdmitGradPlan(plan); err != nil {
+				return fmt.Errorf("forkjoin: worker %d: opAllBranchDerivs frame: %w", comm.Rank(), err)
+			}
 			comm.Reduce(0, local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)
 
 		case opScoreInsertions:

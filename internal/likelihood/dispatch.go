@@ -8,8 +8,9 @@ package likelihood
 // (docs/PERFORMANCE.md, asserted by testing.AllocsPerRun in the engine
 // packages). Instead, each kernel stages its per-call operands in k.ra
 // and dispatches on an opcode to the block workers (soa_gamma.go,
-// soa_psr.go, and the derivative workers in gamma.go / psr.go), so the
-// computed bits are exactly those of the direct-closure formulation.
+// soa_psr.go, insertion.go, and the derivative workers in gamma.go /
+// psr.go), so the computed bits are exactly those of the direct-closure
+// formulation.
 
 // runOp selects the staged block operation.
 type runOp uint8
@@ -34,6 +35,12 @@ const (
 	opGradGammaFast
 	opGradPSR
 	opGradPSRFast
+	opPrepInsGamma
+	opPrepInsPSR
+	opInsGamma
+	opInsGammaTip
+	opInsPSR
+	opInsPSRTip
 )
 
 // runArgs stages the operands of the in-flight block operation. Workers
@@ -155,6 +162,32 @@ func (k *Kernel) dispatchBlock(blk, lo, hi int) {
 	case opGradPSRFast:
 		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
+		ra.parts[blk].cols = 2 * int64(hi-lo)
+
+	case opPrepInsGamma:
+		k.prepareInsertionGammaSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
+		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+
+	case opPrepInsPSR:
+		k.prepareInsertionPSRSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
+		ra.parts[blk].cols = int64(hi - lo)
+
+	// Insertion scores (insertion.go): the inserted vertex's Newview and
+	// the evaluation against the insertion table in one sweep.
+	case opInsGamma:
+		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
+		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
+
+	case opInsGammaTip:
+		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionGammaTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
+		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
+
+	case opInsPSR:
+		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
+		ra.parts[blk].cols = 2 * int64(hi-lo)
+
+	case opInsPSRTip:
+		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionPSRTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
 		ra.parts[blk].cols = 2 * int64(hi-lo)
 	}
 }

@@ -22,3 +22,15 @@ func (k *Kernel) PoisonTipTables() {
 
 // TipMask returns the state mask of a taxon's row of the kernel's slice.
 func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMask[taxon] }
+
+// ShrinkSites multiplies every entry the CLV or outer vector r holds at
+// the given sites by f, so a test can make a column small enough for the
+// next combine over it to rescale.
+func (k *Kernel) ShrinkSites(r GradRef, sites []int, f float64) {
+	clv := k.gradOperand(r).clv
+	for p := 0; p < len(clv)/k.nPat; p++ {
+		for _, i := range sites {
+			clv[p*k.nPat+i] *= f
+		}
+	}
+}

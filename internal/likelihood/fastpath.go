@@ -52,6 +52,9 @@ type FastPathStats struct {
 	// PairTableEntries the code pairs the tip-tip pair-table fills
 	// produced (of 256 per fill; one fill per Γ NewviewTipTip).
 	TipTableEntries, PairTableEntries int64
+	// InsertionRescales counts the sites ScoreInsertion scored over a
+	// rescaled inserted column — the ones Newview would have rescaled.
+	InsertionRescales int64
 }
 
 // FastOps returns the number of kernel calls that took a specialized

@@ -1,0 +1,414 @@
+package likelihood
+
+import (
+	"math"
+
+	"repro/internal/model"
+	"repro/internal/threadpool"
+)
+
+// SPR insertion scoring (docs/PERFORMANCE.md §8).
+//
+// Inserting a pruned subtree into a candidate edge creates one vertex:
+// v = (P_half·near) ∘ (P_half·far), the Newview combine of the edge's two
+// directional vectors across half its length each. The candidate's score
+// is the evaluation of v against the subtree's vector across the
+// subtree's branch. Done with the general kernels that is a whole CLV
+// written (plus its scaling pass) and read back once per candidate, and
+// P(subT)·sub recomputed per candidate although neither factor changes
+// within a prune point. Here the pair is one block operation:
+//
+//   - PrepareInsertion fills, once per prune point, a CLV-shaped table
+//     with P(subT)·sub — the `right` factor of the evaluation workers;
+//   - ScoreInsertion forms v per site in registers, takes the scaling
+//     decision Newview would have taken, and accumulates
+//     π_x · v_x · table_x · catW in evaluation's ascending (category,
+//     state) order.
+//
+// Every site value is produced by the Newview workers' expression and
+// every term by the evaluation workers', in their order, so a score has
+// the bits of NewviewOuter into a free slot followed by EvaluateGrad
+// (TestInsertionScoreBitIdentical). π is deliberately not folded into
+// the table: evaluation associates ((π·v)·right)·catW, and a table of
+// π·right would associate (v·(π·right))·catW — a different last bit.
+
+// PrepareInsertion fills the insertion table for the pruned subtree's
+// vector sub hanging on a branch of length t: table = P(t)·sub, laid out
+// like a CLV. A tip subtree gathers its entries from the tip table, an
+// inner one computes the evaluation workers' `right` expression. The
+// table stays valid for ScoreInsertion until the next PrepareInsertion,
+// as long as sub's vector and the model parameters are unchanged.
+func (k *Kernel) PrepareInsertion(sub GradRef, t float64) {
+	if len(k.insTab) != k.clvLen() {
+		k.insTab = make([]float64, k.clvLen())
+	}
+	oq := k.gradOperand(sub)
+	ra := &k.ra
+	ra.ob, ra.pa = oq, k.probMatricesFor(t, 0)
+	ra.parts = k.blocks()
+	k.stageFarTable(oq)
+	ra.op = opPrepInsGamma
+	if k.par.Het != model.Gamma {
+		ra.op = opPrepInsPSR
+	}
+	k.runBlocks()
+	k.insSubScale = oq.scale
+	k.flops.Evaluate += joinCols(ra.parts)
+}
+
+// ScoreInsertion returns the weighted log likelihood of the tree with
+// the prepared subtree inserted into the edge between near and far,
+// either half of which gets length half: bit for bit what NewviewOuter
+// of (near, far) across (half, half) into a free slot followed by
+// EvaluateGrad of that slot against the subtree returns, without the
+// slot. near must be a CLV or an outer vector (an insertion plan's near
+// operand is the outer vector its pre-order step computed); far may
+// also be a tip.
+func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) float64 {
+	oa, ob := k.gradOperand(near), k.gradOperand(far)
+	ra := &k.ra
+	// Newview builds P(half) once per operand; one set serves both, being
+	// the same doubles.
+	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, k.probMatricesFor(half, 0), k.par.CatWeight()
+	ra.parts = k.blocks()
+	k.stageFarTable(ob)
+	switch gamma, tip := k.par.Het == model.Gamma, ob.tips != nil; {
+	case gamma && tip:
+		ra.op = opInsGammaTip
+	case gamma:
+		ra.op = opInsGamma
+	case tip:
+		ra.op = opInsPSRTip
+	default:
+		ra.op = opInsPSR
+	}
+	k.runBlocks()
+	total := 0.0
+	for b := range ra.parts {
+		total += ra.parts[b].lnL
+		k.fp.InsertionRescales += ra.parts[b].rescaled
+	}
+	k.flops.Evaluate += joinCols(ra.parts)
+	return total
+}
+
+// stageFarTable stages in ra.tabB the P·tipVec table of the staged
+// matrices ra.pa when o — the operand that takes the P product — is a
+// tip, and counts the call by o's shape like an evaluation.
+func (k *Kernel) stageFarTable(o operand) {
+	if o.tips == nil {
+		k.fp.EvaluateGeneric++
+		return
+	}
+	k.fp.EvaluateTip++
+	k.ra.tabB = k.tipTabScratch(1, len(k.par.CatRates))
+	k.fillTipTable(k.ra.tabB, k.ra.pa, o.mask)
+}
+
+// prepareInsertionGammaSoABlock fills the block's range of the Γ
+// insertion table: per (category, state) plane the `right` expression of
+// evaluateGammaSoABlock, or for a tip subtree the table entry
+// evaluateGammaTipSoABlock reads in its place.
+func (k *Kernel) prepareInsertionGammaSoABlock(oq operand, pm [][ns * ns]float64, tab []float64, lo, hi int) {
+	n := k.nPat
+	w := hi - lo
+	for c := 0; c < gammaCats; c++ {
+		if oq.tips != nil {
+			tips := oq.tips[lo:][:w]
+			tbase := c * 16 * ns
+			for x := 0; x < ns; x++ {
+				d := window(k.insTab, (c*ns+x)*n+lo, w)
+				for j := range d {
+					d[j] = tab[tbase+int(tips[j])*ns+x]
+				}
+			}
+			continue
+		}
+		pc := &pm[c]
+		q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
+		for x := 0; x < ns; x++ {
+			r0, r1, r2, r3 := pc[x*ns], pc[x*ns+1], pc[x*ns+2], pc[x*ns+3]
+			d := window(k.insTab, (c*ns+x)*n+lo, w)
+			for j := range d {
+				right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
+				d[j] = right
+			}
+		}
+	}
+}
+
+// scoreInsertionGammaSoABlock is the Γ worker for an inner far operand:
+// newviewGammaSoABlock's value per site and category, its scaling
+// predicate, and evaluateGammaSoABlock's accumulation against the
+// insertion table.
+func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
+	freqs := &k.par.Freqs
+	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	n := k.nPat
+	w := hi - lo
+	var noScaleBuf [threadpool.BlockSize]bool
+	var siteBuf [threadpool.BlockSize]float64
+	noScale, site := noScaleBuf[:w], siteBuf[:w]
+	for c := 0; c < gammaCats; c++ {
+		// One matrix set under Newview's two names: the expressions below
+		// are newviewGammaSoABlock's, letter for letter.
+		pca, pcb := &pm[c], &pm[c]
+		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
+		b0, b1, b2, b3 := planes(ob.clv, c*ns, n, lo, w)
+		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
+		for j := range site {
+			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
+			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) *
+				(pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
+			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) *
+				(pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3)
+			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) *
+				(pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3)
+			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) *
+				(pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3)
+			if v0 >= ScaleThreshold || v0 != v0 ||
+				v1 >= ScaleThreshold || v1 != v1 ||
+				v2 >= ScaleThreshold || v2 != v2 ||
+				v3 >= ScaleThreshold || v3 != v3 {
+				noScale[j] = true
+			}
+			s := site[j]
+			s += f0 * v0 * t0[j] * catW
+			s += f1 * v1 * t1[j] * catW
+			s += f2 * v2 * t2[j] * catW
+			s += f3 * v3 * t3[j] * catW
+			site[j] = s
+		}
+	}
+	return k.finishInsertionGamma(site, noScale, oa, ob, pm, nil, catW, lo)
+}
+
+// scoreInsertionGammaTipSoABlock is the Γ worker for a tip far operand:
+// the far factor is newviewGammaTipInnerSoABlock's table read.
+func (k *Kernel) scoreInsertionGammaTipSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
+	freqs := &k.par.Freqs
+	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	n := k.nPat
+	w := hi - lo
+	var noScaleBuf [threadpool.BlockSize]bool
+	var siteBuf [threadpool.BlockSize]float64
+	noScale, site := noScaleBuf[:w], siteBuf[:w]
+	tips := ob.tips[lo:][:w]
+	for c := 0; c < gammaCats; c++ {
+		pca := &pm[c]
+		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
+		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
+		tbase := c * 16 * ns
+		for j := range site {
+			t := tbase + int(tips[j])*ns
+			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
+			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) * tabB[t]
+			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) * tabB[t+1]
+			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) * tabB[t+2]
+			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) * tabB[t+3]
+			if v0 >= ScaleThreshold || v0 != v0 ||
+				v1 >= ScaleThreshold || v1 != v1 ||
+				v2 >= ScaleThreshold || v2 != v2 ||
+				v3 >= ScaleThreshold || v3 != v3 {
+				noScale[j] = true
+			}
+			s := site[j]
+			s += f0 * v0 * t0[j] * catW
+			s += f1 * v1 * t1[j] * catW
+			s += f2 * v2 * t2[j] * catW
+			s += f3 * v3 * t3[j] * catW
+			site[j] = s
+		}
+	}
+	return k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
+}
+
+// finishInsertionGamma is the tail of the Γ insertion workers: the
+// block's weighted log likelihood from its per-site likelihoods and the
+// three operands' scale counts. A site no category of which produced an
+// entry at or above ScaleThreshold is one Newview would have rescaled
+// before evaluation read it; its likelihood is recomputed over the
+// rescaled column and its scale count is one higher.
+func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) (lnL float64, rescaled int64) {
+	w := len(site)
+	noScale = noScale[:w]
+	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
+	weights := k.data.Weights[lo:][:w]
+	for j, l := range site {
+		sc := sa[j] + sb[j] + ss[j]
+		if !noScale[j] {
+			l = k.rescaledInsertionSiteGamma(oa, ob, pm, tabB, catW, lo+j)
+			sc++
+			rescaled++
+		}
+		lnl := math.Log(l) + float64(sc)*LogScaleStep
+		lnL += float64(weights[j]) * lnl
+	}
+	return lnL, rescaled
+}
+
+// rescaledInsertionSiteGamma is site i of a Γ insertion score over the
+// rescaled inserted column: each entry the workers' value times
+// ScaleFactor, as finishNewviewGammaSoA would have stored it, the terms
+// in the workers' order. Rare (one site in thousands on deep trees, none
+// on shallow ones), so it loads its columns with strided reads.
+func (k *Kernel) rescaledInsertionSiteGamma(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, i int) float64 {
+	freqs := &k.par.Freqs
+	n := k.nPat
+	site := 0.0
+	for c := 0; c < gammaCats; c++ {
+		pc := &pm[c]
+		va := soaColGamma(oa.clv, n, i, c)
+		var lb [ns]float64
+		if ob.tips != nil {
+			t := c*16*ns + int(ob.tips[i])*ns
+			lb = [ns]float64{tabB[t], tabB[t+1], tabB[t+2], tabB[t+3]}
+		} else {
+			vb := soaColGamma(ob.clv, n, i, c)
+			for x := 0; x < ns; x++ {
+				lb[x] = pc[x*ns]*vb[0] + pc[x*ns+1]*vb[1] + pc[x*ns+2]*vb[2] + pc[x*ns+3]*vb[3]
+			}
+		}
+		right := soaColGamma(k.insTab, n, i, c)
+		for x := 0; x < ns; x++ {
+			v := (pc[x*ns]*va[0] + pc[x*ns+1]*va[1] + pc[x*ns+2]*va[2] + pc[x*ns+3]*va[3]) * lb[x]
+			v *= ScaleFactor
+			site += freqs[x] * v * right[x] * catW
+		}
+	}
+	return site
+}
+
+// prepareInsertionPSRSoABlock fills the block's range of the PSR
+// insertion table: evaluatePSRSoABlock's four `right` values per site,
+// or for a tip subtree the table entries evaluatePSRTipSoABlock reads in
+// their place.
+func (k *Kernel) prepareInsertionPSRSoABlock(oq operand, pm [][ns * ns]float64, tab []float64, lo, hi int) {
+	n := k.nPat
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	d0, d1, d2, d3 := planes(k.insTab, 0, n, lo, w)
+	if oq.tips != nil {
+		tips := oq.tips[lo:][:w]
+		for j := range cats {
+			toff := (cats[j]*16 + int(tips[j])) * ns
+			d0[j], d1[j], d2[j], d3[j] = tab[toff], tab[toff+1], tab[toff+2], tab[toff+3]
+		}
+		return
+	}
+	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	for j := range cats {
+		pc := &pm[cats[j]]
+		vq := [ns]float64{q0[j], q1[j], q2[j], q3[j]}
+		right0 := pc[0]*vq[0] + pc[1]*vq[1] + pc[2]*vq[2] + pc[3]*vq[3]
+		right1 := pc[4]*vq[0] + pc[5]*vq[1] + pc[6]*vq[2] + pc[7]*vq[3]
+		right2 := pc[8]*vq[0] + pc[9]*vq[1] + pc[10]*vq[2] + pc[11]*vq[3]
+		right3 := pc[12]*vq[0] + pc[13]*vq[1] + pc[14]*vq[2] + pc[15]*vq[3]
+		d0[j], d1[j], d2[j], d3[j] = right0, right1, right2, right3
+	}
+}
+
+// scoreInsertionPSRSoABlock is the PSR worker for an inner far operand:
+// newviewPSRSoABlock's column per site, rescaled in place when Newview
+// would have rescaled it, then evaluatePSRSoABlock's four terms against
+// the insertion table.
+func (k *Kernel) scoreInsertionPSRSoABlock(oa, ob operand, pm [][ns * ns]float64, lo, hi int) (lnL float64, rescaled int64) {
+	freqs := &k.par.Freqs
+	n := k.nPat
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
+	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
+	t0, t1, t2, t3 := planes(k.insTab, 0, n, lo, w)
+	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
+	weights := k.data.Weights[lo:][:w]
+	for j := range cats {
+		pca := &pm[cats[j]]
+		pcb := pca // one matrix set under newviewPSRSoABlock's two names
+		va := [ns]float64{a0[j], a1[j], a2[j], a3[j]}
+		vb := [ns]float64{b0[j], b1[j], b2[j], b3[j]}
+		la0 := pca[0]*va[0] + pca[1]*va[1] + pca[2]*va[2] + pca[3]*va[3]
+		lb0 := pcb[0]*vb[0] + pcb[1]*vb[1] + pcb[2]*vb[2] + pcb[3]*vb[3]
+		v0 := la0 * lb0
+		la1 := pca[4]*va[0] + pca[5]*va[1] + pca[6]*va[2] + pca[7]*va[3]
+		lb1 := pcb[4]*vb[0] + pcb[5]*vb[1] + pcb[6]*vb[2] + pcb[7]*vb[3]
+		v1 := la1 * lb1
+		la2 := pca[8]*va[0] + pca[9]*va[1] + pca[10]*va[2] + pca[11]*va[3]
+		lb2 := pcb[8]*vb[0] + pcb[9]*vb[1] + pcb[10]*vb[2] + pcb[11]*vb[3]
+		v2 := la2 * lb2
+		la3 := pca[12]*va[0] + pca[13]*va[1] + pca[14]*va[2] + pca[15]*va[3]
+		lb3 := pcb[12]*vb[0] + pcb[13]*vb[1] + pcb[14]*vb[2] + pcb[15]*vb[3]
+		v3 := la3 * lb3
+		noScale := v0 >= ScaleThreshold || v0 != v0 ||
+			v1 >= ScaleThreshold || v1 != v1 ||
+			v2 >= ScaleThreshold || v2 != v2 ||
+			v3 >= ScaleThreshold || v3 != v3
+		sc := sa[j] + sb[j] + ss[j]
+		if !noScale {
+			v0 *= ScaleFactor
+			v1 *= ScaleFactor
+			v2 *= ScaleFactor
+			v3 *= ScaleFactor
+			sc++
+			rescaled++
+		}
+		site := 0.0
+		site += freqs[0] * v0 * t0[j]
+		site += freqs[1] * v1 * t1[j]
+		site += freqs[2] * v2 * t2[j]
+		site += freqs[3] * v3 * t3[j]
+		lnL += float64(weights[j]) * (math.Log(site) + float64(sc)*LogScaleStep)
+	}
+	return lnL, rescaled
+}
+
+// scoreInsertionPSRTipSoABlock is the PSR worker for a tip far operand:
+// the far factors are newviewPSRFastSoABlock's table reads.
+func (k *Kernel) scoreInsertionPSRTipSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, lo, hi int) (lnL float64, rescaled int64) {
+	freqs := &k.par.Freqs
+	n := k.nPat
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
+	tips := ob.tips[lo:][:w]
+	t0, t1, t2, t3 := planes(k.insTab, 0, n, lo, w)
+	sa, ss := scaleWindow(oa.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
+	weights := k.data.Weights[lo:][:w]
+	for j := range cats {
+		c := cats[j]
+		var la, lb [ns]float64
+		pca := &pm[c]
+		va0, va1, va2, va3 := a0[j], a1[j], a2[j], a3[j]
+		la[0] = pca[0]*va0 + pca[1]*va1 + pca[2]*va2 + pca[3]*va3
+		la[1] = pca[4]*va0 + pca[5]*va1 + pca[6]*va2 + pca[7]*va3
+		la[2] = pca[8]*va0 + pca[9]*va1 + pca[10]*va2 + pca[11]*va3
+		la[3] = pca[12]*va0 + pca[13]*va1 + pca[14]*va2 + pca[15]*va3
+		toff := (c*16 + int(tips[j])) * ns
+		lb[0], lb[1], lb[2], lb[3] = tabB[toff], tabB[toff+1], tabB[toff+2], tabB[toff+3]
+		v0 := la[0] * lb[0]
+		v1 := la[1] * lb[1]
+		v2 := la[2] * lb[2]
+		v3 := la[3] * lb[3]
+		noScale := v0 >= ScaleThreshold || v0 != v0 ||
+			v1 >= ScaleThreshold || v1 != v1 ||
+			v2 >= ScaleThreshold || v2 != v2 ||
+			v3 >= ScaleThreshold || v3 != v3
+		sc := sa[j] + ss[j]
+		if !noScale {
+			v0 *= ScaleFactor
+			v1 *= ScaleFactor
+			v2 *= ScaleFactor
+			v3 *= ScaleFactor
+			sc++
+			rescaled++
+		}
+		site := 0.0
+		site += freqs[0] * v0 * t0[j]
+		site += freqs[1] * v1 * t1[j]
+		site += freqs[2] * v2 * t2[j]
+		site += freqs[3] * v3 * t3[j]
+		lnL += float64(weights[j]) * (math.Log(site) + float64(sc)*LogScaleStep)
+	}
+	return lnL, rescaled
+}

@@ -109,6 +109,11 @@ type Kernel struct {
 	// the per-branch PrepareDerivatives/Derivatives amortization,
 	// batched across every edge of a smoothing sweep.
 	gradTabs [][]float64
+	// insTab is the SPR insertion table (insertion.go): P(subT)·sub of the
+	// pruned subtree PrepareInsertion was last called for, laid out like a
+	// CLV; insSubScale are that subtree's scale counts (nil for a tip).
+	insTab      []float64
+	insSubScale []int32
 
 	// pool is the rank's shared-memory worker pool (§V hybrid scheme);
 	// nil runs every kernel serially over the same block structure.
@@ -206,7 +211,9 @@ type blockPartial struct {
 	// cols is the block's column-update count (summed into FlopCount at
 	// the join — never touched concurrently).
 	cols int64
-	_    [4]int64
+	// rescaled counts the sites an insertion-score block rescaled.
+	rescaled int64
+	_        [3]int64
 }
 
 // blocks returns the per-block slot array sized for the kernel's pattern

@@ -32,6 +32,33 @@ func soaColGamma(clv []float64, n, i, c int) [ns]float64 {
 	return [ns]float64{p[i], p[n+i], p[2*n+i], p[3*n+i]}
 }
 
+// window returns the w entries of v from off on. Every plane a block
+// worker streams is cut to such a window of the block's width before the
+// site loop, so all of a loop's slices have the loop's trip count as
+// their length and the compiler drops the per-element bounds checks
+// (docs/PERFORMANCE.md §6; make kernel-bce counts what is left).
+func window(v []float64, off, w int) []float64 { return v[off:][:w] }
+
+// planes returns the block windows of the four state planes of n sites
+// each that start at plane first of v: a Γ CLV's category c at first =
+// c·4, a PSR CLV at first = 0.
+func planes(v []float64, first, n, lo, w int) (p0, p1, p2, p3 []float64) {
+	return window(v, first*n+lo, w), window(v, (first+1)*n+lo, w), window(v, (first+2)*n+lo, w), window(v, (first+3)*n+lo, w)
+}
+
+// zeroScales stands in for the scale counts of a tip operand, which has
+// none: read-only, one block wide.
+var zeroScales [threadpool.BlockSize]int32
+
+// scaleWindow is window for an operand's scale counts; a nil s (a tip)
+// reads as zeros.
+func scaleWindow(s []int32, lo, w int) []int32 {
+	if s == nil {
+		s, lo = zeroScales[:], 0
+	}
+	return s[lo:][:w]
+}
+
 // newviewGammaSoABlock is the generic (inner-inner) worker of
 // newviewGamma; tip operands (fast path off) take the site-major worker.
 func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
@@ -40,11 +67,13 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 		return
 	}
 	n := k.nPat
+	w := hi - lo
 	// noScale[j] records that site lo+j produced at least one entry at
 	// or above ScaleThreshold (or a NaN) — an order-independent OR over
 	// the column's entries; a site with none is rescaled. Stack scratch:
 	// per-goroutine, so concurrent blocks never share it.
-	var noScale [threadpool.BlockSize]bool
+	var noScaleBuf [threadpool.BlockSize]bool
+	noScale := noScaleBuf[:w]
 	for c := 0; c < gammaCats; c++ {
 		pca := &pa[c]
 		pcb := &pb[c]
@@ -52,21 +81,12 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 		// operand load once, and the four state outputs store to their
 		// planes in the same pass — the loop-order freedom the plane-major
 		// layout buys.
-		a0 := oa.clv[(c*ns+0)*n:]
-		a1 := oa.clv[(c*ns+1)*n:]
-		a2 := oa.clv[(c*ns+2)*n:]
-		a3 := oa.clv[(c*ns+3)*n:]
-		b0 := ob.clv[(c*ns+0)*n:]
-		b1 := ob.clv[(c*ns+1)*n:]
-		b2 := ob.clv[(c*ns+2)*n:]
-		b3 := ob.clv[(c*ns+3)*n:]
-		d0 := dclv[(c*ns+0)*n:]
-		d1 := dclv[(c*ns+1)*n:]
-		d2 := dclv[(c*ns+2)*n:]
-		d3 := dclv[(c*ns+3)*n:]
-		for i := lo; i < hi; i++ {
-			av0, av1, av2, av3 := a0[i], a1[i], a2[i], a3[i]
-			bv0, bv1, bv2, bv3 := b0[i], b1[i], b2[i], b3[i]
+		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
+		b0, b1, b2, b3 := planes(ob.clv, c*ns, n, lo, w)
+		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
+		for j := range noScale {
+			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
+			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
 			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) *
 				(pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
 			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) *
@@ -75,16 +95,16 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 				(pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3)
 			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) *
 				(pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3)
-			d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
+			d0[j], d1[j], d2[j], d3[j] = v0, v1, v2, v3
 			if v0 >= ScaleThreshold || v0 != v0 ||
 				v1 >= ScaleThreshold || v1 != v1 ||
 				v2 >= ScaleThreshold || v2 != v2 ||
 				v3 >= ScaleThreshold || v3 != v3 {
-				noScale[i-lo] = true
+				noScale[j] = true
 			}
 		}
 	}
-	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, ob.scale, &noScale, lo, hi)
+	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, ob.scale, noScale, lo)
 }
 
 // finishNewviewGammaSoA applies the per-site scaling decision and writes
@@ -92,37 +112,34 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 // workers. The conditional ScaleFactor multiply is per-entry independent,
 // so applying it in a separate plane pass yields the same bits as a
 // per-site column loop.
-func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []int32, noScale *[threadpool.BlockSize]bool, lo, hi int) {
+func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []int32, noScale []bool, lo int) {
 	n := k.nPat
+	w := len(noScale)
 	anyScale := false
-	for j := 0; j < hi-lo; j++ {
-		if !noScale[j] {
+	for _, ok := range noScale {
+		if !ok {
 			anyScale = true
 			break
 		}
 	}
 	if anyScale {
 		for p := 0; p < gammaCats*ns; p++ {
-			d := dclv[p*n:]
-			for i := lo; i < hi; i++ {
-				if !noScale[i-lo] {
-					d[i] *= ScaleFactor
+			d := window(dclv, p*n+lo, w)
+			for j, ok := range noScale {
+				if !ok {
+					d[j] *= ScaleFactor
 				}
 			}
 		}
 	}
-	for i := lo; i < hi; i++ {
-		var sc int32
-		if sa != nil {
-			sc += sa[i]
-		}
-		if sb != nil {
-			sc += sb[i]
-		}
-		if !noScale[i-lo] {
+	sa, sb = scaleWindow(sa, lo, w), scaleWindow(sb, lo, w)
+	ds := dscale[lo:][:w]
+	for j, ok := range noScale {
+		sc := sa[j] + sb[j]
+		if !ok {
 			sc++
 		}
-		dscale[i] = sc
+		ds[j] = sc
 	}
 }
 
@@ -180,68 +197,58 @@ func (k *Kernel) newviewGammaSoASiteBlock(dclv []float64, dscale []int32, oa, ob
 // tip factor read from the table, in the same a·b order.
 func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
-	var noScale [threadpool.BlockSize]bool
+	w := hi - lo
+	var noScaleBuf [threadpool.BlockSize]bool
+	noScale := noScaleBuf[:w]
 	if oa.tips != nil {
-		tips, clv := oa.tips, ob.clv
+		tips, clv := oa.tips[lo:][:w], ob.clv
 		for c := 0; c < gammaCats; c++ {
 			pcb := &pb[c]
-			b0 := clv[(c*ns+0)*n:]
-			b1 := clv[(c*ns+1)*n:]
-			b2 := clv[(c*ns+2)*n:]
-			b3 := clv[(c*ns+3)*n:]
-			d0 := dclv[(c*ns+0)*n:]
-			d1 := dclv[(c*ns+1)*n:]
-			d2 := dclv[(c*ns+2)*n:]
-			d3 := dclv[(c*ns+3)*n:]
+			b0, b1, b2, b3 := planes(clv, c*ns, n, lo, w)
+			d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
 			tbase := c * 16 * ns
-			for i := lo; i < hi; i++ {
-				t := tbase + int(tips[i])*ns
-				bv0, bv1, bv2, bv3 := b0[i], b1[i], b2[i], b3[i]
+			for j := range noScale {
+				t := tbase + int(tips[j])*ns
+				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
 				v0 := tabA[t] * (pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
 				v1 := tabA[t+1] * (pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3)
 				v2 := tabA[t+2] * (pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3)
 				v3 := tabA[t+3] * (pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3)
-				d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
+				d0[j], d1[j], d2[j], d3[j] = v0, v1, v2, v3
 				if v0 >= ScaleThreshold || v0 != v0 ||
 					v1 >= ScaleThreshold || v1 != v1 ||
 					v2 >= ScaleThreshold || v2 != v2 ||
 					v3 >= ScaleThreshold || v3 != v3 {
-					noScale[i-lo] = true
+					noScale[j] = true
 				}
 			}
 		}
-		k.finishNewviewGammaSoA(dclv, dscale, ob.scale, nil, &noScale, lo, hi)
+		k.finishNewviewGammaSoA(dclv, dscale, ob.scale, nil, noScale, lo)
 		return
 	}
-	tips, clv := ob.tips, oa.clv
+	tips, clv := ob.tips[lo:][:w], oa.clv
 	for c := 0; c < gammaCats; c++ {
 		pca := &pa[c]
-		a0 := clv[(c*ns+0)*n:]
-		a1 := clv[(c*ns+1)*n:]
-		a2 := clv[(c*ns+2)*n:]
-		a3 := clv[(c*ns+3)*n:]
-		d0 := dclv[(c*ns+0)*n:]
-		d1 := dclv[(c*ns+1)*n:]
-		d2 := dclv[(c*ns+2)*n:]
-		d3 := dclv[(c*ns+3)*n:]
+		a0, a1, a2, a3 := planes(clv, c*ns, n, lo, w)
+		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		for i := lo; i < hi; i++ {
-			t := tbase + int(tips[i])*ns
-			av0, av1, av2, av3 := a0[i], a1[i], a2[i], a3[i]
+		for j := range noScale {
+			t := tbase + int(tips[j])*ns
+			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
 			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) * tabB[t]
 			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) * tabB[t+1]
 			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) * tabB[t+2]
 			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) * tabB[t+3]
-			d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
+			d0[j], d1[j], d2[j], d3[j] = v0, v1, v2, v3
 			if v0 >= ScaleThreshold || v0 != v0 ||
 				v1 >= ScaleThreshold || v1 != v1 ||
 				v2 >= ScaleThreshold || v2 != v2 ||
 				v3 >= ScaleThreshold || v3 != v3 {
-				noScale[i-lo] = true
+				noScale[j] = true
 			}
 		}
 	}
-	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, nil, &noScale, lo, hi)
+	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, nil, noScale, lo)
 }
 
 // newviewGammaTipTipSoABlock materializes the pair-product table into
@@ -283,41 +290,44 @@ func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, ca
 	}
 	freqs := &k.par.Freqs
 	n := k.nPat
-	var site [threadpool.BlockSize]float64
+	w := hi - lo
+	var siteBuf [threadpool.BlockSize]float64
+	site := siteBuf[:w]
+	tips := tipWindow(op, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		pc := &pm[c]
-		q0 := oq.clv[(c*ns+0)*n:]
-		q1 := oq.clv[(c*ns+1)*n:]
-		q2 := oq.clv[(c*ns+2)*n:]
-		q3 := oq.clv[(c*ns+3)*n:]
+		q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
 		for x := 0; x < ns; x++ {
 			r0, r1, r2, r3 := pc[x*ns], pc[x*ns+1], pc[x*ns+2], pc[x*ns+3]
 			freq := freqs[x]
 			if op.tips != nil {
-				for i := lo; i < hi; i++ {
-					right := r0*q0[i] + r1*q1[i] + r2*q2[i] + r3*q3[i]
-					site[i-lo] += freq * k.tipVec[op.tips[i]][x] * right * catW
+				for j := range site {
+					right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
+					site[j] += freq * k.tipVec[tips[j]][x] * right * catW
 				}
 			} else {
-				px := op.clv[(c*ns+x)*n:]
-				for i := lo; i < hi; i++ {
-					right := r0*q0[i] + r1*q1[i] + r2*q2[i] + r3*q3[i]
-					site[i-lo] += freq * px[i] * right * catW
+				px := window(op.clv, (c*ns+x)*n+lo, w)
+				for j := range site {
+					right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
+					site[j] += freq * px[j] * right * catW
 				}
 			}
 		}
 	}
+	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w), lo)
+}
+
+// sumSiteLnl is the tail of the plane-major Γ evaluation workers: the
+// block's weighted log likelihood from its per-site likelihoods and the
+// two operands' scale counts, summed in site order.
+func (k *Kernel) sumSiteLnl(site []float64, sp, sq []int32, lo int) float64 {
+	weights := k.data.Weights[lo:][:len(site)]
+	sp, sq = sp[:len(site)], sq[:len(site)]
 	total := 0.0
-	for i := lo; i < hi; i++ {
-		var sc int32
-		if op.scale != nil {
-			sc += op.scale[i]
-		}
-		if oq.scale != nil {
-			sc += oq.scale[i]
-		}
-		lnl := math.Log(site[i-lo]) + float64(sc)*LogScaleStep
-		total += float64(k.data.Weights[i]) * lnl
+	for j, l := range site {
+		sc := sp[j] + sq[j]
+		lnl := math.Log(l) + float64(sc)*LogScaleStep
+		total += float64(weights[j]) * lnl
 	}
 	return total
 }
@@ -366,28 +376,21 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 	}
 	freqs := &k.par.Freqs
 	n := k.nPat
-	tips := oq.tips
-	var site [threadpool.BlockSize]float64
+	w := hi - lo
+	tips := oq.tips[lo:][:w]
+	var siteBuf [threadpool.BlockSize]float64
+	site := siteBuf[:w]
 	for c := 0; c < gammaCats; c++ {
 		tbase := c * 16 * ns
 		for x := 0; x < ns; x++ {
 			freq := freqs[x]
-			px := op.clv[(c*ns+x)*n:]
-			for i := lo; i < hi; i++ {
-				site[i-lo] += freq * px[i] * tab[tbase+int(tips[i])*ns+x] * catW
+			px := window(op.clv, (c*ns+x)*n+lo, w)
+			for j := range site {
+				site[j] += freq * px[j] * tab[tbase+int(tips[j])*ns+x] * catW
 			}
 		}
 	}
-	total := 0.0
-	for i := lo; i < hi; i++ {
-		var sc int32
-		if op.scale != nil {
-			sc += op.scale[i]
-		}
-		lnl := math.Log(site[i-lo]) + float64(sc)*LogScaleStep
-		total += float64(k.data.Weights[i]) * lnl
-	}
-	return total
+	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), zeroScales[:w], lo)
 }
 
 // prepareGammaSoABlock is the generic sum-table fill. Sum-table entries
@@ -403,24 +406,19 @@ func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
+	w := hi - lo
 	st := k.sumTab
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	for c := 0; c < gammaCats; c++ {
-		p0 := op.clv[(c*ns+0)*n:]
-		p1 := op.clv[(c*ns+1)*n:]
-		p2 := op.clv[(c*ns+2)*n:]
-		p3 := op.clv[(c*ns+3)*n:]
-		q0 := oq.clv[(c*ns+0)*n:]
-		q1 := oq.clv[(c*ns+1)*n:]
-		q2 := oq.clv[(c*ns+2)*n:]
-		q3 := oq.clv[(c*ns+3)*n:]
+		p0, p1, p2, p3 := planes(op.clv, c*ns, n, lo, w)
+		q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
 		for kk := 0; kk < ns; kk++ {
 			u0, u1, u2, u3 := e.U[0*ns+kk], e.U[1*ns+kk], e.U[2*ns+kk], e.U[3*ns+kk]
 			w0, w1, w2, w3 := e.UInv[kk*ns], e.UInv[kk*ns+1], e.UInv[kk*ns+2], e.UInv[kk*ns+3]
-			for i := lo; i < hi; i++ {
-				ap := f0*p0[i]*u0 + f1*p1[i]*u1 + f2*p2[i]*u2 + f3*p3[i]*u3
-				bq := w0*q0[i] + w1*q1[i] + w2*q2[i] + w3*q3[i]
-				st[(i*gammaCats+c)*ns+kk] = ap * bq
+			for j := range p0 {
+				ap := f0*p0[j]*u0 + f1*p1[j]*u1 + f2*p2[j]*u2 + f3*p3[j]*u3
+				bq := w0*q0[j] + w1*q1[j] + w2*q2[j] + w3*q3[j]
+				st[((lo+j)*gammaCats+c)*ns+kk] = ap * bq
 			}
 		}
 	}
@@ -466,46 +464,39 @@ func (k *Kernel) prepareGammaFastSoABlock(op, oq operand, tabP, tabQ []float64, 
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
+	w := hi - lo
 	st := k.sumTab
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	var apScr, bqScr [threadpool.BlockSize]float64
+	var apBuf, bqBuf [threadpool.BlockSize]float64
+	apScr, bqScr := apBuf[:w], bqBuf[:w]
 	for c := 0; c < gammaCats; c++ {
-		var p0, p1, p2, p3, q0, q1, q2, q3 []float64
-		if op.tips == nil {
-			p0 = op.clv[(c*ns+0)*n:]
-			p1 = op.clv[(c*ns+1)*n:]
-			p2 = op.clv[(c*ns+2)*n:]
-			p3 = op.clv[(c*ns+3)*n:]
-		}
-		if oq.tips == nil {
-			q0 = oq.clv[(c*ns+0)*n:]
-			q1 = oq.clv[(c*ns+1)*n:]
-			q2 = oq.clv[(c*ns+2)*n:]
-			q3 = oq.clv[(c*ns+3)*n:]
-		}
 		for kk := 0; kk < ns; kk++ {
 			if op.tips != nil {
-				for i := lo; i < hi; i++ {
-					apScr[i-lo] = tabP[int(op.tips[i])*ns+kk]
+				tips := op.tips[lo:][:w]
+				for j := range apScr {
+					apScr[j] = tabP[int(tips[j])*ns+kk]
 				}
 			} else {
 				u0, u1, u2, u3 := e.U[0*ns+kk], e.U[1*ns+kk], e.U[2*ns+kk], e.U[3*ns+kk]
-				for i := lo; i < hi; i++ {
-					apScr[i-lo] = f0*p0[i]*u0 + f1*p1[i]*u1 + f2*p2[i]*u2 + f3*p3[i]*u3
+				p0, p1, p2, p3 := planes(op.clv, c*ns, n, lo, w)
+				for j := range apScr {
+					apScr[j] = f0*p0[j]*u0 + f1*p1[j]*u1 + f2*p2[j]*u2 + f3*p3[j]*u3
 				}
 			}
 			if oq.tips != nil {
-				for i := lo; i < hi; i++ {
-					bqScr[i-lo] = tabQ[int(oq.tips[i])*ns+kk]
+				tips := oq.tips[lo:][:w]
+				for j := range bqScr {
+					bqScr[j] = tabQ[int(tips[j])*ns+kk]
 				}
 			} else {
 				w0, w1, w2, w3 := e.UInv[kk*ns], e.UInv[kk*ns+1], e.UInv[kk*ns+2], e.UInv[kk*ns+3]
-				for i := lo; i < hi; i++ {
-					bqScr[i-lo] = w0*q0[i] + w1*q1[i] + w2*q2[i] + w3*q3[i]
+				q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
+				for j := range bqScr {
+					bqScr[j] = w0*q0[j] + w1*q1[j] + w2*q2[j] + w3*q3[j]
 				}
 			}
-			for i := lo; i < hi; i++ {
-				st[(i*gammaCats+c)*ns+kk] = apScr[i-lo] * bqScr[i-lo]
+			for j := range apScr {
+				st[((lo+j)*gammaCats+c)*ns+kk] = apScr[j] * bqScr[j]
 			}
 		}
 	}

@@ -2,6 +2,9 @@ package likelihood
 
 import (
 	"math"
+
+	"repro/internal/msa"
+	"repro/internal/threadpool"
 )
 
 // PSR block workers. PSR CLVs hold one 4-vector per site, stored as
@@ -13,38 +16,60 @@ import (
 // generic workers compute a site's value by the same expression; see
 // soa_gamma.go for the expression-order rules.
 
+// psrPlanes returns the block windows (soa_gamma.go) of a PSR operand's
+// four state planes. A tip operand has none: it gets windows of zeros,
+// which its worker never reads, so that every slice a site loop indexes
+// has the loop's length whatever the operand shapes.
+func psrPlanes(o operand, n, lo, w int) (p0, p1, p2, p3 []float64) {
+	clv := o.clv
+	if o.tips != nil {
+		clv, n, lo = zeroPlane[:], 0, 0
+	}
+	return window(clv, lo, w), window(clv, n+lo, w), window(clv, 2*n+lo, w), window(clv, 3*n+lo, w)
+}
+
+// zeroPlane and zeroTips are the read-only stand-ins psrPlanes and
+// tipWindow hand out for the operand shape a worker does not read.
+var (
+	zeroPlane [threadpool.BlockSize]float64
+	zeroTips  [threadpool.BlockSize]msa.State
+)
+
+// tipWindow returns the block window of a tip operand's states (zeros
+// for an inner operand, never read).
+func tipWindow(o operand, lo, w int) []msa.State {
+	tips := o.tips
+	if tips == nil {
+		tips, lo = zeroTips[:], 0
+	}
+	return tips[lo:][:w]
+}
+
 // newviewPSRSoABlock is the generic worker of newviewPSR.
 func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
-	cats := k.par.SiteCats
 	n := k.nPat
-	e0, e1, e2, e3 := dclv, dclv[n:], dclv[2*n:], dclv[3*n:]
-	var a0, a1, a2, a3, b0, b1, b2, b3 []float64
-	if oa.tips == nil {
-		a0, a1, a2, a3 = oa.clv, oa.clv[n:], oa.clv[2*n:], oa.clv[3*n:]
-	}
-	if ob.tips == nil {
-		b0, b1, b2, b3 = ob.clv, ob.clv[n:], ob.clv[2*n:], ob.clv[3*n:]
-	}
-	for i := lo; i < hi; i++ {
-		var sc int32
-		if oa.scale != nil {
-			sc += oa.scale[i]
-		}
-		if ob.scale != nil {
-			sc += ob.scale[i]
-		}
-		pca := &pa[cats[i]]
-		pcb := &pb[cats[i]]
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	e0, e1, e2, e3 := planes(dclv, 0, n, lo, w)
+	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
+	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
+	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
+	sa, sb := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w)
+	ds := dscale[lo:][:w]
+	for j := range cats {
+		sc := sa[j] + sb[j]
+		pca := &pa[cats[j]]
+		pcb := &pb[cats[j]]
 		var va, vb [ns]float64
 		if oa.tips != nil {
-			va = k.tipVec[oa.tips[i]]
+			va = k.tipVec[tipsA[j]]
 		} else {
-			va = [ns]float64{a0[i], a1[i], a2[i], a3[i]}
+			va = [ns]float64{a0[j], a1[j], a2[j], a3[j]}
 		}
 		if ob.tips != nil {
-			vb = k.tipVec[ob.tips[i]]
+			vb = k.tipVec[tipsB[j]]
 		} else {
-			vb = [ns]float64{b0[i], b1[i], b2[i], b3[i]}
+			vb = [ns]float64{b0[j], b1[j], b2[j], b3[j]}
 		}
 		la0 := pca[0]*va[0] + pca[1]*va[1] + pca[2]*va[2] + pca[3]*va[3]
 		lb0 := pcb[0]*vb[0] + pcb[1]*vb[1] + pcb[2]*vb[2] + pcb[3]*vb[3]
@@ -69,8 +94,8 @@ func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob opera
 			v3 *= ScaleFactor
 			sc++
 		}
-		e0[i], e1[i], e2[i], e3[i] = v0, v1, v2, v3
-		dscale[i] = sc
+		e0[j], e1[j], e2[j], e3[j] = v0, v1, v2, v3
+		ds[j] = sc
 	}
 }
 
@@ -78,43 +103,36 @@ func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob opera
 // tip sides gather their P·tipVec table entries, inner sides read the
 // state streams.
 func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
-	cats := k.par.SiteCats
 	n := k.nPat
-	e0, e1, e2, e3 := dclv, dclv[n:], dclv[2*n:], dclv[3*n:]
-	var a0, a1, a2, a3, b0, b1, b2, b3 []float64
-	if oa.tips == nil {
-		a0, a1, a2, a3 = oa.clv, oa.clv[n:], oa.clv[2*n:], oa.clv[3*n:]
-	}
-	if ob.tips == nil {
-		b0, b1, b2, b3 = ob.clv, ob.clv[n:], ob.clv[2*n:], ob.clv[3*n:]
-	}
-	for i := lo; i < hi; i++ {
-		var sc int32
-		if oa.scale != nil {
-			sc += oa.scale[i]
-		}
-		if ob.scale != nil {
-			sc += ob.scale[i]
-		}
-		c := cats[i]
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	e0, e1, e2, e3 := planes(dclv, 0, n, lo, w)
+	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
+	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
+	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
+	sa, sb := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w)
+	ds := dscale[lo:][:w]
+	for j := range cats {
+		sc := sa[j] + sb[j]
+		c := cats[j]
 		var la, lb [ns]float64
 		if oa.tips != nil {
-			toff := (c*16 + int(oa.tips[i])) * ns
+			toff := (c*16 + int(tipsA[j])) * ns
 			la[0], la[1], la[2], la[3] = tabA[toff], tabA[toff+1], tabA[toff+2], tabA[toff+3]
 		} else {
 			pca := &pa[c]
-			va0, va1, va2, va3 := a0[i], a1[i], a2[i], a3[i]
+			va0, va1, va2, va3 := a0[j], a1[j], a2[j], a3[j]
 			la[0] = pca[0]*va0 + pca[1]*va1 + pca[2]*va2 + pca[3]*va3
 			la[1] = pca[4]*va0 + pca[5]*va1 + pca[6]*va2 + pca[7]*va3
 			la[2] = pca[8]*va0 + pca[9]*va1 + pca[10]*va2 + pca[11]*va3
 			la[3] = pca[12]*va0 + pca[13]*va1 + pca[14]*va2 + pca[15]*va3
 		}
 		if ob.tips != nil {
-			toff := (c*16 + int(ob.tips[i])) * ns
+			toff := (c*16 + int(tipsB[j])) * ns
 			lb[0], lb[1], lb[2], lb[3] = tabB[toff], tabB[toff+1], tabB[toff+2], tabB[toff+3]
 		} else {
 			pcb := &pb[c]
-			vb0, vb1, vb2, vb3 := b0[i], b1[i], b2[i], b3[i]
+			vb0, vb1, vb2, vb3 := b0[j], b1[j], b2[j], b3[j]
 			lb[0] = pcb[0]*vb0 + pcb[1]*vb1 + pcb[2]*vb2 + pcb[3]*vb3
 			lb[1] = pcb[4]*vb0 + pcb[5]*vb1 + pcb[6]*vb2 + pcb[7]*vb3
 			lb[2] = pcb[8]*vb0 + pcb[9]*vb1 + pcb[10]*vb2 + pcb[11]*vb3
@@ -135,37 +153,36 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 			v3 *= ScaleFactor
 			sc++
 		}
-		e0[i], e1[i], e2[i], e3[i] = v0, v1, v2, v3
-		dscale[i] = sc
+		e0[j], e1[j], e2[j], e3[j] = v0, v1, v2, v3
+		ds[j] = sc
 	}
 }
 
 // evaluatePSRSoABlock is the generic Evaluate worker; the per-site sum
 // accumulates its four terms in ascending-state order.
 func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, hi int) float64 {
-	cats := k.par.SiteCats
 	freqs := &k.par.Freqs
 	n := k.nPat
-	var p0, p1, p2, p3, q0, q1, q2, q3 []float64
-	if op.tips == nil {
-		p0, p1, p2, p3 = op.clv, op.clv[n:], op.clv[2*n:], op.clv[3*n:]
-	}
-	if oq.tips == nil {
-		q0, q1, q2, q3 = oq.clv, oq.clv[n:], oq.clv[2*n:], oq.clv[3*n:]
-	}
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
+	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
+	sp, sq := scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w)
+	weights := k.data.Weights[lo:][:w]
 	total := 0.0
-	for i := lo; i < hi; i++ {
-		pc := &pm[cats[i]]
+	for j := range cats {
+		pc := &pm[cats[j]]
 		var vp, vq [ns]float64
 		if op.tips != nil {
-			vp = k.tipVec[op.tips[i]]
+			vp = k.tipVec[tipsP[j]]
 		} else {
-			vp = [ns]float64{p0[i], p1[i], p2[i], p3[i]}
+			vp = [ns]float64{p0[j], p1[j], p2[j], p3[j]}
 		}
 		if oq.tips != nil {
-			vq = k.tipVec[oq.tips[i]]
+			vq = k.tipVec[tipsQ[j]]
 		} else {
-			vq = [ns]float64{q0[i], q1[i], q2[i], q3[i]}
+			vq = [ns]float64{q0[j], q1[j], q2[j], q3[j]}
 		}
 		right0 := pc[0]*vq[0] + pc[1]*vq[1] + pc[2]*vq[2] + pc[3]*vq[3]
 		right1 := pc[4]*vq[0] + pc[5]*vq[1] + pc[6]*vq[2] + pc[7]*vq[3]
@@ -176,14 +193,8 @@ func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, 
 		site += freqs[1] * vp[1] * right1
 		site += freqs[2] * vp[2] * right2
 		site += freqs[3] * vp[3] * right3
-		var sc int32
-		if op.scale != nil {
-			sc += op.scale[i]
-		}
-		if oq.scale != nil {
-			sc += oq.scale[i]
-		}
-		total += float64(k.data.Weights[i]) * (math.Log(site) + float64(sc)*LogScaleStep)
+		sc := sp[j] + sq[j]
+		total += float64(weights[j]) * (math.Log(site) + float64(sc)*LogScaleStep)
 	}
 	return total
 }
@@ -194,24 +205,24 @@ func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi in
 	if op.tips != nil {
 		return k.evaluatePSRTipBlock(op, oq, tab, lo, hi)
 	}
-	cats := k.par.SiteCats
 	freqs := &k.par.Freqs
 	n := k.nPat
-	p0, p1, p2, p3 := op.clv, op.clv[n:], op.clv[2*n:], op.clv[3*n:]
+	w := hi - lo
+	cats := k.par.SiteCats[lo:][:w]
+	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
+	tips := oq.tips[lo:][:w]
+	sp := scaleWindow(op.scale, lo, w)
+	weights := k.data.Weights[lo:][:w]
 	total := 0.0
-	for i := lo; i < hi; i++ {
-		vp := [ns]float64{p0[i], p1[i], p2[i], p3[i]}
-		toff := (cats[i]*16 + int(oq.tips[i])) * ns
+	for j := range cats {
+		vp := [ns]float64{p0[j], p1[j], p2[j], p3[j]}
+		toff := (cats[j]*16 + int(tips[j])) * ns
 		site := 0.0
 		site += freqs[0] * vp[0] * tab[toff]
 		site += freqs[1] * vp[1] * tab[toff+1]
 		site += freqs[2] * vp[2] * tab[toff+2]
 		site += freqs[3] * vp[3] * tab[toff+3]
-		var sc int32
-		if op.scale != nil {
-			sc += op.scale[i]
-		}
-		total += float64(k.data.Weights[i]) * (math.Log(site) + float64(sc)*LogScaleStep)
+		total += float64(weights[j]) * (math.Log(site) + float64(sp[j])*LogScaleStep)
 	}
 	return total
 }
@@ -222,26 +233,23 @@ func (k *Kernel) preparePSRSoABlock(op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
-	var p0, p1, p2, p3, q0, q1, q2, q3 []float64
-	if op.tips == nil {
-		p0, p1, p2, p3 = op.clv, op.clv[n:], op.clv[2*n:], op.clv[3*n:]
-	}
-	if oq.tips == nil {
-		q0, q1, q2, q3 = oq.clv, oq.clv[n:], oq.clv[2*n:], oq.clv[3*n:]
-	}
-	for i := lo; i < hi; i++ {
+	w := hi - lo
+	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
+	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
+	for j := range p0 {
 		var vp, vq [ns]float64
 		if op.tips != nil {
-			vp = k.tipVec[op.tips[i]]
+			vp = k.tipVec[tipsP[j]]
 		} else {
-			vp = [ns]float64{p0[i], p1[i], p2[i], p3[i]}
+			vp = [ns]float64{p0[j], p1[j], p2[j], p3[j]}
 		}
 		if oq.tips != nil {
-			vq = k.tipVec[oq.tips[i]]
+			vq = k.tipVec[tipsQ[j]]
 		} else {
-			vq = [ns]float64{q0[i], q1[i], q2[i], q3[i]}
+			vq = [ns]float64{q0[j], q1[j], q2[j], q3[j]}
 		}
-		off := i * ns
+		off := (lo + j) * ns
 		for kk := 0; kk < ns; kk++ {
 			ap := freqs[0]*vp[0]*e.U[0*ns+kk] + freqs[1]*vp[1]*e.U[1*ns+kk] +
 				freqs[2]*vp[2]*e.U[2*ns+kk] + freqs[3]*vp[3]*e.U[3*ns+kk]
@@ -261,31 +269,28 @@ func (k *Kernel) preparePSRFastSoABlock(op, oq operand, tabP, tabQ []float64, lo
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
-	var p0, p1, p2, p3, q0, q1, q2, q3 []float64
-	if op.tips == nil {
-		p0, p1, p2, p3 = op.clv, op.clv[n:], op.clv[2*n:], op.clv[3*n:]
-	}
-	if oq.tips == nil {
-		q0, q1, q2, q3 = oq.clv, oq.clv[n:], oq.clv[2*n:], oq.clv[3*n:]
-	}
-	for i := lo; i < hi; i++ {
-		off := i * ns
+	w := hi - lo
+	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
+	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
+	for j := range p0 {
+		off := (lo + j) * ns
 		var ap, bq [ns]float64
 		if op.tips != nil {
-			poff := int(op.tips[i]) * ns
+			poff := int(tipsP[j]) * ns
 			ap[0], ap[1], ap[2], ap[3] = tabP[poff], tabP[poff+1], tabP[poff+2], tabP[poff+3]
 		} else {
-			vp0, vp1, vp2, vp3 := p0[i], p1[i], p2[i], p3[i]
+			vp0, vp1, vp2, vp3 := p0[j], p1[j], p2[j], p3[j]
 			for kk := 0; kk < ns; kk++ {
 				ap[kk] = freqs[0]*vp0*e.U[0*ns+kk] + freqs[1]*vp1*e.U[1*ns+kk] +
 					freqs[2]*vp2*e.U[2*ns+kk] + freqs[3]*vp3*e.U[3*ns+kk]
 			}
 		}
 		if oq.tips != nil {
-			qoff := int(oq.tips[i]) * ns
+			qoff := int(tipsQ[j]) * ns
 			bq[0], bq[1], bq[2], bq[3] = tabQ[qoff], tabQ[qoff+1], tabQ[qoff+2], tabQ[qoff+3]
 		} else {
-			vq0, vq1, vq2, vq3 := q0[i], q1[i], q2[i], q3[i]
+			vq0, vq1, vq2, vq3 := q0[j], q1[j], q2[j], q3[j]
 			for kk := 0; kk < ns; kk++ {
 				bq[kk] = e.UInv[kk*ns]*vq0 + e.UInv[kk*ns+1]*vq1 +
 					e.UInv[kk*ns+2]*vq2 + e.UInv[kk*ns+3]*vq3

@@ -39,10 +39,10 @@ import (
 // KernelClass labels a likelihood-kernel span.
 type KernelClass int
 
-// The three kernel classes of the likelihood library, plus the PSR
-// per-site-rate pipeline (which runs all three internally but is
-// accounted as its own phase, like the paper's "additional CAT-model
-// work").
+// The three kernel classes of the likelihood library, plus the two
+// pipelines that run them internally but are accounted as their own
+// phases: the PSR per-site-rate optimization (like the paper's
+// "additional CAT-model work") and the SPR insertion plan.
 const (
 	// KernelNewview is CLV recomputation (Felsenstein pruning).
 	KernelNewview KernelClass = iota
@@ -53,6 +53,9 @@ const (
 	KernelDerivatives
 	// KernelSiteRates is the PSR per-site rate optimization pipeline.
 	KernelSiteRates
+	// KernelInsertion is one SPR insertion plan: its two traversals and
+	// the score of every regraft candidate of a prune point.
+	KernelInsertion
 
 	// NumKernelClasses is the number of distinct kernel classes.
 	NumKernelClasses
@@ -69,6 +72,8 @@ func (k KernelClass) String() string {
 		return "derivatives"
 	case KernelSiteRates:
 		return "site-rates"
+	case KernelInsertion:
+		return "insert"
 	}
 	return fmt.Sprintf("KernelClass(%d)", int(k))
 }

@@ -51,10 +51,6 @@ type InsertPlan struct {
 	// the branch it hangs on.
 	Sub  likelihood.GradRef
 	SubT []float64
-	// Scratch is the outer slot the inserted vertex of each candidate in
-	// turn is computed into: one past the last vertex ID, so it never
-	// aliases a slot the smoother addresses.
-	Scratch int32
 }
 
 // NCandidates returns the number of insertions the plan scores.
@@ -76,9 +72,9 @@ func resize[T any](buf *[]T, n int) []T {
 //
 // The post-order vectors all look toward the prune point, none contains
 // it, so they stay valid when the subtree is restored in place. The
-// pre-order steps write outer slots only, and scoring writes one
-// scratch outer slot: executing the plan changes no CLV that a
-// traversal of the restored tree could read.
+// pre-order steps write outer slots only, and scoring writes no vector
+// at all: executing the plan changes no CLV that a traversal of the
+// restored tree could read.
 func (pl *InsertPlan) Build(t *tree.Tree, ps *tree.PrunedSubtree, cands []*tree.Node, dirty []bool) {
 	classes := t.BLClasses
 	p := ps.Root
@@ -141,7 +137,6 @@ func (pl *InsertPlan) Build(t *tree.Tree, ps *tree.PrunedSubtree, cands []*tree.
 	for c := range pl.SubT {
 		pl.SubT[c] = p.Length(c)
 	}
-	pl.Scratch = int32(2*t.NTaxa() - 2)
 }
 
 // WireSize returns the number of bytes Encode produces.
@@ -150,13 +145,13 @@ func (pl *InsertPlan) WireSize() int {
 }
 
 // insertWireSize is the encoded size of a plan with the given counts.
-// Header: classes, post steps, candidates, scratch slot, subtree ref.
+// Header: classes, post steps, candidates (12 bytes), subtree ref (9).
 // Structure: per post step dst + two node refs, per candidate the
 // pre-order dst + two refs and the far operand. Payload per class:
 // TA/TB of every post and pre-order step, one half length per
 // candidate, the subtree branch.
 func insertWireSize(classes, nPost, nCands int) int {
-	return 16 + 9 + nPost*(4+2*9) + nCands*(4+3*9) + classes*(nPost*16+nCands*24+8)
+	return 12 + 9 + nPost*(4+2*9) + nCands*(4+3*9) + classes*(nPost*16+nCands*24+8)
 }
 
 // Encode serializes the plan (little-endian, structure shared across
@@ -179,7 +174,6 @@ func (pl *InsertPlan) Encode() []byte {
 	put32(uint32(len(pl.SubT)))
 	put32(uint32(len(pl.Post[0])))
 	put32(uint32(len(pl.Far)))
-	put32(uint32(pl.Scratch))
 	putRef(pl.Sub)
 	for _, s := range pl.Post[0] {
 		put32(uint32(s.Dst))
@@ -259,14 +253,15 @@ func (r *planReader) f64() float64 {
 }
 
 // Validate checks that every slot the plan addresses exists on a tree of
-// nTaxa taxa: tips below nTaxa, CLV slots below nTaxa−2, outer slots no
-// higher than the scratch slot 2·nTaxa−2. Decode cannot know the tree
-// size; a receiver calls Validate before handing a decoded plan to its
-// kernels, which index (and grow) their buffers from these numbers.
+// nTaxa taxa: tips below nTaxa, CLV slots below nTaxa−2, outer slots
+// below 2·nTaxa−2 (outer vectors are indexed by vertex). Decode cannot
+// know the tree size; a receiver calls Validate before handing a decoded
+// plan to its kernels, which index (and grow) their buffers from these
+// numbers.
 func (pl *InsertPlan) Validate(nTaxa int) error {
 	bad := false
 	ref := func(r likelihood.GradRef) {
-		bad = bad || refOutside(r, nTaxa, 2*nTaxa-1)
+		bad = bad || refOutside(r, nTaxa, 2*nTaxa-2)
 	}
 	node := func(r likelihood.NodeRef) {
 		if r.Tip {
@@ -275,7 +270,6 @@ func (pl *InsertPlan) Validate(nTaxa int) error {
 			ref(likelihood.GradInner(r.Idx))
 		}
 	}
-	ref(likelihood.GradOuter(pl.Scratch))
 	ref(pl.Sub)
 	for _, s := range pl.Post[0] {
 		ref(likelihood.GradInner(s.Dst))
@@ -299,21 +293,20 @@ func (pl *InsertPlan) Validate(nTaxa int) error {
 // so arbitrary bytes cost at most an error. Follow it with Validate
 // before executing the plan.
 func (pl *InsertPlan) Decode(buf []byte) error {
-	if len(buf) < 16 {
+	if len(buf) < 12 {
 		return fmt.Errorf("traversal: truncated insertion plan")
 	}
 	classes := int(binary.LittleEndian.Uint32(buf[0:]))
 	nPost := int(binary.LittleEndian.Uint32(buf[4:]))
 	nCands := int(binary.LittleEndian.Uint32(buf[8:]))
-	scratch := binary.LittleEndian.Uint32(buf[12:])
-	if classes < 1 || classes > 1<<20 || nPost > 1<<24 || nCands > 1<<24 || scratch > math.MaxInt32 {
+	if classes < 1 || classes > 1<<20 || nPost > 1<<24 || nCands > 1<<24 {
 		return fmt.Errorf("traversal: implausible insertion-plan header (%d classes, %d steps, %d candidates)", classes, nPost, nCands)
 	}
 	// Counts this small cannot overflow the size on a 64-bit int.
 	if want := insertWireSize(classes, nPost, nCands); len(buf) != want {
 		return fmt.Errorf("traversal: insertion plan is %d bytes, its header says %d", len(buf), want)
 	}
-	r := planReader{buf: buf, pos: 16, what: "insertion plan"}
+	r := planReader{buf: buf, pos: 12, what: "insertion plan"}
 	getNode := func() likelihood.NodeRef {
 		ref := r.ref()
 		if ref.Kind == likelihood.GradOuterKind {
@@ -322,7 +315,6 @@ func (pl *InsertPlan) Decode(buf []byte) error {
 		return likelihood.NodeRef{Tip: ref.Kind == likelihood.GradTipKind, Idx: ref.Idx}
 	}
 
-	pl.Scratch = int32(scratch)
 	pl.Sub = r.ref()
 	resize(&pl.Post, classes)
 	resize(&pl.Pre, classes)

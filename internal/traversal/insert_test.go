@@ -52,8 +52,8 @@ func TestInsertPlanDescribesEveryRegraft(t *testing.T) {
 	checked := 0
 	realInsertPlans(t, func(tr *tree.Tree, ps *tree.PrunedSubtree, cands []*tree.Node, pl *InsertPlan) {
 		p := ps.Root
-		if pl.NCandidates() != len(cands) || int(pl.Scratch) != 2*tr.NTaxa()-2 {
-			t.Fatalf("plan has %d candidates and scratch slot %d for %d edges", pl.NCandidates(), pl.Scratch, len(cands))
+		if pl.NCandidates() != len(cands) {
+			t.Fatalf("plan has %d candidates for %d edges", pl.NCandidates(), len(cands))
 		}
 		for i, e := range cands {
 			if err := tr.Regraft(ps, e); err != nil {
@@ -144,7 +144,6 @@ func TestInsertPlanValidateBoundsEverySlot(t *testing.T) {
 		}
 		last := len(pl.Far) - 1
 		corrupt := map[string]*int32{
-			"scratch":       &pl.Scratch,
 			"subtree":       &pl.Sub.Idx,
 			"far operand":   &pl.Far[last].Idx,
 			"pre-order dst": &pl.Pre[0][last].Dst,
@@ -156,7 +155,7 @@ func TestInsertPlanValidateBoundsEverySlot(t *testing.T) {
 			corrupt["post-order A"] = &pl.Post[0][0].A.Idx
 		}
 		for what, field := range corrupt {
-			for _, v := range []int32{-1, int32(2*n - 1), 1 << 30} {
+			for _, v := range []int32{-1, int32(2*n - 2), 1 << 30} {
 				saved := *field
 				*field = v
 				if err := pl.Validate(n); err == nil {
@@ -181,8 +180,9 @@ func FuzzDecodeInsertPlan(f *testing.F) {
 		}
 	})
 	f.Add([]byte{})
-	f.Add(make([]byte, 25))
-	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(make([]byte, 20)) // one byte short of a header: three counts and the subtree ref
+	f.Add(make([]byte, 21)) // a whole header, of zero classes
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var pl InsertPlan
 		if err := pl.Decode(buf); err != nil {
