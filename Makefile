@@ -82,8 +82,16 @@ bench-json:
 # collectives (331.5 before the lockstep Brent search, 1098 before an SPR
 # prune point scored all its candidates through one,
 # docs/PERFORMANCE.md §8). The gates are those counts + 5 % and + 10 %.
+#
+# It then runs the two PSR workloads once each, untraced, exactly as the
+# benchmark's driver does, and fails unless the run's own output checks
+# passed (every op's final likelihood against the reference score, the
+# run's median shortfall and mean Robinson-Foulds distance): a change to
+# the site-rate optimiser that the driver would refuse as incorrect is
+# refused here first.
 SMOKE_MAX_PROBES = 148
 SMOKE_MAX_COLLECTIVES = 310
+SMOKE_PSR_WORKLOADS = sites-psr-t2 parts-m-psr-fj
 bench-e2e-smoke:
 	@out=$$(bash benchmark/run.sh --workload parts-gamma-tcp --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
 	case "$$out" in *'"correct":true'*) ;; *) echo "bench-e2e-smoke: run not correct: $$out"; exit 1;; esac && \
@@ -94,6 +102,11 @@ bench-e2e-smoke:
 	{ test -n "$$colls" && test "$$colls" -le $(SMOKE_MAX_COLLECTIVES) || \
 		{ echo "bench-e2e-smoke: mpi.collectives = '$$colls' per inference, want <= $(SMOKE_MAX_COLLECTIVES)"; exit 1; }; } && \
 	echo "bench-e2e-smoke: correct, $$probes model-parameter probes and $$colls collectives per inference OK"
+	@for w in $(SMOKE_PSR_WORKLOADS); do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 5 --seconds 10 --trace 0 | tail -n 1) && \
+		case "$$out" in *'"correct":true'*'"failed":0,'*) echo "bench-e2e-smoke: $$w correct, no failed op OK";; \
+			*) echo "bench-e2e-smoke: $$w: want \"correct\":true with \"failed\":0, got: $$out"; exit 1;; esac || exit 1; \
+	done
 
 # kernel-bce counts the bounds checks the compiler leaves in the files
 # that hold the likelihood block workers and fails when there are more
@@ -128,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeInsertPlan$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeDescriptor$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeGradPlan$$' -fuzztime 10s
+	$(GO) test ./internal/enginecore -run '^$$' -fuzz '^FuzzDecodeSiteRateResolution$$' -fuzztime 10s
 
 # smoke-net runs a real multi-process decentralized inference over
 # loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then

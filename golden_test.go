@@ -140,17 +140,21 @@ func goldenDataset(nTaxa int) (*Dataset, error) {
 func bitsHex(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
 // parentFinalLnL is each group's final log likelihood at the commit before
-// ISSUE 16 replaced the fixed-count golden section by the lockstep Brent
-// search — the one change so far that moved every trajectory through the
-// model optimiser. The regenerated file is held against it: a different
-// optimiser may land a little lower after two iterations, it may not land
-// somewhere else. Groups added after that commit have no entry and are held
-// only to their own checked-in bits.
+// the last change that moved the group's trajectory on purpose, which the
+// regenerated file is held against: a different optimiser may land a
+// little lower after two iterations, it may not land somewhere else. For
+// the Γ groups that is ISSUE 16, which replaced the fixed-count golden
+// section by the lockstep Brent search; for the PSR groups it is ISSUE
+// 22, which replaced the per-site Brent search for site rates by the
+// grid scan — their entries are the finals checked in at its parent
+// commit, so the guard measures that move alone. Groups added after
+// their change have no entry and are held only to their own checked-in
+// bits.
 var parentFinalLnL = map[string]float64{
 	"GAMMA/joint": -5751.517521805343,
 	"GAMMA/M":     -5735.56800771922,
-	"PSR/joint":   -5212.584326897341,
-	"PSR/M":       -5202.595858251162,
+	"PSR/joint":   -5212.596148834695,
+	"PSR/M":       -5202.677438539435,
 	"24taxa":      -15121.023830501916,
 }
 
@@ -277,22 +281,23 @@ func TestGoldenTrajectories(t *testing.T) {
 			t.Errorf("%s: golden record differs from the first of group %s", c.name, c.group)
 		}
 		// Quality guard on the checked-in file itself: no case ends more
-		// than half a log unit below where the golden-section optimiser
-		// ended, and all of them together no more than 1e-5 of the total
-		// (thirty times inside what the benchmark allows neg_lnl_rel).
+		// than half a log unit below where its group ended before the
+		// change parentFinalLnL names, and all of them together no more
+		// than 1e-5 of the total (thirty times inside what the benchmark
+		// allows neg_lnl_rel).
 		parent, ok := parentFinalLnL[c.group]
 		if !ok {
 			continue
 		}
 		lnL := lnLOfBits(t, w.LnLBits)
 		if lnL < parent-0.5 {
-			t.Errorf("%s: golden final lnL %.4f is more than 0.5 below the %.4f of the golden-section optimiser", c.name, lnL, parent)
+			t.Errorf("%s: golden final lnL %.4f is more than 0.5 below the %.4f it is held against", c.name, lnL, parent)
 		}
 		sum += lnL
 		parentSum += parent
 	}
 	if sum < parentSum+1e-5*parentSum {
-		t.Errorf("golden final lnLs sum to %.4f, the golden-section optimiser's to %.4f: more than 1e-5 lower", sum, parentSum)
+		t.Errorf("golden final lnLs sum to %.4f, the ones they are held against to %.4f: more than 1e-5 lower", sum, parentSum)
 	}
 	for i, c := range cases {
 		c, w := c, want[i]

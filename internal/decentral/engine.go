@@ -133,8 +133,8 @@ func (e *Engine) SetShared(params [][]float64) {
 	}
 }
 
-// OptimizeSiteRates implements search.Engine (PSR only): per-site Brent
-// locally, one small Allreduce of the per-partition rate-cell statistics,
+// OptimizeSiteRates implements search.Engine (PSR only): the per-site
+// rate scan locally, one small Allreduce of the per-partition rate-cell statistics,
 // then local category finalize + rate normalization.
 func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	classes := e.local.BLClasses()

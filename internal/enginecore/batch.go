@@ -171,15 +171,11 @@ func (l *Local) runBatchItem(j int) {
 		plan := l.bArgs.ins
 		scoreInsertions(k, plan, cls, l.bOut[i*plan.NCandidates():], 1)
 	case batchSiteRates:
-		d := l.bArgs.desc
-		siteRateArgs{k, d.Steps[cls], d.P, d.Q, d.T[cls]}.optimize(0, k.NPatterns())
+		tab := l.takeSiteRateTable()
+		newSiteRateArgs(k, tab, l.bArgs.desc, cls).optimize(0, k.NPatterns())
+		l.putSiteRateTable(tab)
 		const cells = model.MaxPSRCategories
-		par := k.Params()
-		sumR, sumW := model.AccumulateRateCells(par.SiteRates, k.Data().Weights, cells)
 		base := i * 2 * cells
-		for c := 0; c < cells; c++ {
-			l.bOut[base+c] = sumR[c]
-			l.bOut[base+cells+c] = sumW[c]
-		}
+		model.AccumulateRateCells(k.Params().SiteRates, k.Data().Weights, l.bOut[base:base+cells], l.bOut[base+cells:base+2*cells])
 	}
 }

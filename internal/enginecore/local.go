@@ -9,12 +9,12 @@ package enginecore
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/distrib"
 	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/msa"
-	"repro/internal/numutil"
 	"repro/internal/telemetry"
 	"repro/internal/threadpool"
 	"repro/internal/traversal"
@@ -68,9 +68,16 @@ type Local struct {
 
 	// srArgs stages the operands of the threaded per-site rate loop and
 	// srFn is the one closure handed to the pool for it, so the loop
-	// allocates nothing.
+	// allocates nothing. srFree holds the rank's idle P(t·r) tables:
+	// whoever dispatches a kernel's rate scan — the caller for a kernel
+	// on the pool, a batch item for a fused one — takes one, fills it for
+	// that kernel and puts it back. They belong to the
+	// rank, not to its kernels: there are never more than threads of
+	// them, whatever the partition count.
 	srArgs siteRateArgs
 	srFn   func(blk, lo, hi int)
+	srMu   sync.Mutex
+	srFree []*likelihood.SiteRateTable
 
 	batchDispatches, batchKernels int64
 
@@ -156,6 +163,8 @@ func (l *Local) Close() {
 			perf.TipTipNewviews += s.NewviewTipTip
 			perf.PairTableEntries += s.PairTableEntries
 			perf.TipTableEntries += s.TipTableEntries
+			perf.SiteRateTableEvals += s.SiteRateTableEvals
+			perf.SiteRateExactEvals += s.SiteRateExactEvals
 		}
 		l.rec.SetKernelPerf(perf)
 		l.rec.SetBatchStats(l.batchDispatches, l.batchKernels)
@@ -465,9 +474,9 @@ func (l *Local) SetSharedLocal(params [][]float64) error {
 // statistics vector exchanged during PSR rate optimization.
 func SiteRateCells(nPart int) int { return 2 * model.MaxPSRCategories * nPart }
 
-// OptimizeSiteRatesLocal Brent-optimizes every local pattern's rate and
-// returns the local cell-statistics vector (2·cells doubles per
-// partition: rate·weight sums then weight sums).
+// OptimizeSiteRatesLocal re-estimates every local pattern's rate by the
+// grid scan below and returns the local cell-statistics vector (2·cells
+// doubles per partition: rate·weight sums then weight sums).
 func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 	const cells = model.MaxPSRCategories
 	out := l.dispatchBatch(batchSiteRates, batchArgs{desc: d}, 2*cells, telemetry.KernelSiteRates)
@@ -485,47 +494,192 @@ func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 		// Sites are independent and nothing is reduced, so the pattern
 		// blocks go to the pool as they are: same rates at every thread
 		// count.
-		cls := l.ClassOf(l.PartIdx[i])
-		l.srArgs = siteRateArgs{k, d.Steps[cls], d.P, d.Q, d.T[cls]}
+		tab := l.takeSiteRateTable()
+		l.srArgs = newSiteRateArgs(k, tab, d, l.ClassOf(l.PartIdx[i]))
 		l.pool.Run(k.NPatterns(), l.srFn)
-		par := k.Params()
-		sumR, sumW := model.AccumulateRateCells(par.SiteRates, k.Data().Weights, cells)
-		for c := 0; c < cells; c++ {
-			stats[base+c] += sumR[c]
-			stats[base+cells+c] += sumW[c]
-		}
+		l.putSiteRateTable(tab)
+		model.AccumulateRateCells(k.Params().SiteRates, k.Data().Weights, stats[base:base+cells], stats[base+cells:base+2*cells])
 	}
 	l.rec.EndKernel(telemetry.KernelSiteRates, t)
 	return stats
 }
 
-// siteRateArgs are the operands of one kernel's per-site rate
-// optimization: the full-tree schedule and the evaluation edge.
+// The rate scan. A site's rate is searched on model.SiteRateGrid, the one
+// list of candidate rates all sites share, so that P(t·r) is built once
+// per (edge, grid rate) and kernel — the table — and a candidate costs a
+// site one pruning recursion over table reads.
+//
+// Per site, inside the window [cur/8, cur·8]: every fourth grid rate and
+// the window's last (at most 11 rates), then the two rates two steps
+// either side of the best so far, then the two rates one step either
+// side of the best so far. The proposed rate is the vertex of the
+// parabola through the best grid point and its two neighbours in log
+// rate, which lies within half a step of the best point (at an end of
+// the window: that end). The interpolation costs nothing and is what
+// makes the proposal a continuous function of the site's likelihood
+// curve: branch lengths that differ in the last bit (as they do between
+// rank counts) move it by a last bit too, where an arg-max over grid
+// points would now and then jump a whole step. The proposal — or the
+// grid point it refines, if that is better — replaces the current rate
+// iff its exact likelihood is no lower.
+
+// takeSiteRateTable returns an idle table — the one put back last, so
+// that a rank whose scans never overlap keeps a single table — or a new
+// one when every other is in use: at most one per thread, since that is
+// how many scans the pool overlaps.
+func (l *Local) takeSiteRateTable() *likelihood.SiteRateTable {
+	l.srMu.Lock()
+	defer l.srMu.Unlock()
+	n := len(l.srFree)
+	if n == 0 {
+		return new(likelihood.SiteRateTable)
+	}
+	tab := l.srFree[n-1]
+	l.srFree = l.srFree[:n-1]
+	return tab
+}
+
+// putSiteRateTable hands a table back.
+func (l *Local) putSiteRateTable(tab *likelihood.SiteRateTable) {
+	l.srMu.Lock()
+	l.srFree = append(l.srFree, tab)
+	l.srMu.Unlock()
+}
+
+// siteRateArgs are the operands of one kernel's rate scan: the full-tree
+// schedule, the evaluation edge and the table filled for them.
 type siteRateArgs struct {
 	k     *likelihood.Kernel
+	tab   *likelihood.SiteRateTable
 	steps []likelihood.Step
 	p, q  likelihood.NodeRef
 	rootT float64
 }
 
-// optimize Brent-optimizes the rates of local patterns [lo, hi).
+// newSiteRateArgs fills tab for kernel k along linkage class cls of d,
+// at the grid rates some site's window holds, and returns the scan's
+// operands.
+func newSiteRateArgs(k *likelihood.Kernel, tab *likelihood.SiteRateTable, d *traversal.Descriptor, cls int) siteRateArgs {
+	gLo, gHi := model.SiteRateGridSize, -1
+	for _, cur := range k.Params().SiteRates {
+		_, _, lo, hi := siteRateWindow(cur)
+		gLo, gHi = min(gLo, lo), max(gHi, hi)
+	}
+	k.FillSiteRateTable(tab, d.Steps[cls], d.T[cls], gLo, gHi)
+	return siteRateArgs{k, tab, d.Steps[cls], d.P, d.Q, d.T[cls]}
+}
+
+// siteRateWindow returns the rates a site at rate cur is searched over —
+// [cur/8, cur·8], clipped to the rate bounds — and the index range of
+// the grid rates inside.
+func siteRateWindow(cur float64) (rLo, rHi float64, gLo, gHi int) {
+	rLo = math.Max(model.MinSiteRate, cur/8)
+	rHi = math.Min(model.MaxSiteRate, cur*8)
+	if rHi <= rLo {
+		rHi = model.MaxSiteRate
+	}
+	gLo, gHi = model.SiteRateGridWindow(rLo, rHi)
+	return rLo, rHi, gLo, gHi
+}
+
+// optimize re-estimates the rates of local patterns [lo, hi).
 func (a siteRateArgs) optimize(lo, hi int) {
-	par := a.k.Params()
+	rates := a.k.Params().SiteRates
 	for i := lo; i < hi; i++ {
-		neg := func(r float64) float64 {
-			return -a.k.EvaluateSiteAtRate(a.steps, a.p, a.q, a.rootT, i, r)
+		cur := rates[i]
+		x, grid, gridV, ok := a.scan(i, cur)
+		if !ok {
+			continue
 		}
-		cur := par.SiteRates[i]
-		rLo := math.Max(model.MinSiteRate, cur/8)
-		rHi := math.Min(model.MaxSiteRate, cur*8)
-		if rHi <= rLo {
-			rHi = model.MaxSiteRate
+		// The refined rate, unless the grid rate it refines is better:
+		// that one's exact likelihood is its table value.
+		lx := a.exact(i, x)
+		if gridV > lx {
+			x, lx = grid, gridV
 		}
-		x, fx := numutil.Brent(neg, rLo, rHi, 1e-3, 24)
-		if fx <= neg(cur) {
-			par.SiteRates[i] = x
+		if lx >= a.exact(i, cur) {
+			rates[i] = x
 		}
 	}
+}
+
+// exact is site i's log likelihood at an arbitrary rate.
+func (a siteRateArgs) exact(i int, rate float64) float64 {
+	return a.k.EvaluateSiteAtRate(a.steps, a.p, a.q, a.rootT, i, rate)
+}
+
+// siteScan is one site's view of the grid: the values read so far and
+// the best of them.
+type siteScan struct {
+	a     siteRateArgs
+	site  int
+	seen  [model.SiteRateGridSize]bool
+	val   [model.SiteRateGridSize]float64
+	best  int
+	bestV float64
+}
+
+// at returns the site's log likelihood at grid rate g, reading the table
+// the first time it is asked, and keeps the running best (the first seen
+// of equals).
+func (s *siteScan) at(g int) float64 {
+	if !s.seen[g] {
+		v := s.a.k.EvaluateSiteFromTable(s.a.tab, g, s.a.steps, s.a.p, s.a.q, s.site)
+		s.seen[g], s.val[g] = true, v
+		if v > s.bestV {
+			s.best, s.bestV = g, v
+		}
+	}
+	return s.val[g]
+}
+
+// scan searches the grid rates of the window of site i, now at rate cur,
+// and returns the best of them with its log likelihood, and the rate it
+// refines to: off the window's ends the vertex of the parabola through
+// the best point and its neighbours, at the first or last grid rate of
+// the window the window's own end, which lies up to a grid step beyond
+// and is where a site whose curve is still rising that way (an invariant
+// site walking down to MinSiteRate) was going. False when the site's
+// likelihood is finite at no grid rate of the window.
+func (a siteRateArgs) scan(i int, cur float64) (x, grid, gridV float64, ok bool) {
+	rLo, rHi, gLo, gHi := siteRateWindow(cur)
+	s := siteScan{a: a, site: i, best: -1, bestV: math.Inf(-1)}
+	for g := gLo; g < gHi; g += 4 {
+		s.at(g)
+	}
+	if gHi >= gLo {
+		s.at(gHi) // a saturated site's curve can rise again towards the top rate
+	}
+	if s.best < 0 {
+		return 0, 0, 0, false
+	}
+	for _, step := range [2]int{2, 1} {
+		b := s.best
+		if b-step >= gLo {
+			s.at(b - step)
+		}
+		if b+step <= gHi {
+			s.at(b + step)
+		}
+	}
+	b := s.best
+	grid, gridV = model.SiteRateGrid[b], s.bestV
+	x = grid
+	switch {
+	case b > gLo && b < gHi:
+		// Vertex of the parabola through (−1, lm), (0, gridV), (1, lp)
+		// in units of the grid step; gridV is the largest of the three,
+		// so a concave triple puts it within half a step.
+		lm, lp := s.at(b-1), s.at(b+1)
+		if den := lm - 2*gridV + lp; den < 0 && !math.IsInf(den, -1) {
+			x *= math.Exp(0.5 * (lm - lp) / den * model.SiteRateGridStep)
+		}
+	case b == gLo && b < gHi:
+		x = rLo
+	case b == gHi && b > gLo:
+		x = rHi
+	}
+	return x, grid, gridV, true
 }
 
 // SiteRateResolution is the globally agreed outcome of a PSR optimization
@@ -619,21 +773,26 @@ func DecodeSiteRateResolution(v []float64, nPart int, perPart bool) (*SiteRateRe
 		if pos >= len(v) {
 			return nil, fmt.Errorf("enginecore: site-rate resolution of %d values ends before partition %d of %d", len(v), p, nPart)
 		}
-		n := int(v[pos])
+		n, ok := wireInt(v[pos], 0, cells)
 		pos++
-		if n < 0 || n > cells {
-			return nil, fmt.Errorf("enginecore: site-rate resolution claims %d categories for partition %d (at most %d)", n, p, cells)
+		if !ok {
+			return nil, fmt.Errorf("enginecore: site-rate resolution claims %v categories for partition %d (a whole number, at most %d)", v[pos-1], p, cells)
 		}
 		if need := pos + n + cells; need > len(v) {
 			return nil, fmt.Errorf("enginecore: site-rate resolution of %d values, partition %d needs %d", len(v), p, need)
 		}
 		res.CatRates[p] = append([]float64(nil), v[pos:pos+n]...)
+		for c, r := range res.CatRates[p] {
+			if !wirePositive(r) {
+				return nil, fmt.Errorf("enginecore: site-rate resolution gives category %d of partition %d the rate %v", c, p, r)
+			}
+		}
 		pos += n
 		res.CellToCat[p] = make([]int, cells)
 		for c := 0; c < cells; c++ {
-			cat := int(v[pos])
-			if cat < -1 || cat >= n {
-				return nil, fmt.Errorf("enginecore: site-rate resolution maps a cell of partition %d to category %d of %d", p, cat, n)
+			cat, ok := wireInt(v[pos], -1, n-1)
+			if !ok {
+				return nil, fmt.Errorf("enginecore: site-rate resolution maps a cell of partition %d to category %v of %d", p, v[pos], n)
 			}
 			res.CellToCat[p][c] = cat
 			pos++
@@ -643,8 +802,29 @@ func DecodeSiteRateResolution(v []float64, nPart int, perPart bool) (*SiteRateRe
 		return nil, fmt.Errorf("enginecore: site-rate resolution of %d values, expected %d", len(v), pos+classes)
 	}
 	res.Scale = append([]float64(nil), v[pos:]...)
+	for c, f := range res.Scale {
+		if !wirePositive(f) {
+			return nil, fmt.Errorf("enginecore: site-rate resolution scales linkage class %d by %v", c, f)
+		}
+	}
 	return res, nil
 }
+
+// wireInt converts a float off the wire that must hold a whole number in
+// [lo, hi] exactly as Encode writes one; anything else — a fraction, a
+// NaN, an infinity, a negative zero — is refused before the conversion,
+// whose result for such values differs between platforms.
+func wireInt(v float64, lo, hi int) (int, bool) {
+	if !(v >= float64(lo) && v <= float64(hi)) {
+		return 0, false
+	}
+	n := int(v)
+	return n, math.Float64bits(float64(n)) == math.Float64bits(v)
+}
+
+// wirePositive reports whether a rate or scale off the wire is finite
+// and positive.
+func wirePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // ApplySiteRates installs the resolution into the local kernels.
 func (l *Local) ApplySiteRates(res *SiteRateResolution) {

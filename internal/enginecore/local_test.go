@@ -8,7 +8,6 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/model"
 	"repro/internal/msa"
-	"repro/internal/numutil"
 	"repro/internal/seqgen"
 	"repro/internal/threadpool"
 	"repro/internal/traversal"
@@ -71,9 +70,10 @@ func TestLocalSharesPartitionCoverage(t *testing.T) {
 	}
 }
 
-func TestSiteRateResolutionRoundTrip(t *testing.T) {
+// randomCellStats draws cell statistics for nPart partitions the way a
+// reduction delivers them: a weight wherever there is a rate sum.
+func randomCellStats(nPart int) []float64 {
 	rng := rand.New(rand.NewSource(3))
-	const nPart = 4
 	stats := make([]float64, SiteRateCells(nPart))
 	for i := range stats {
 		if rng.Intn(3) > 0 {
@@ -94,6 +94,12 @@ func TestSiteRateResolutionRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	return stats
+}
+
+func TestSiteRateResolutionRoundTrip(t *testing.T) {
+	const nPart, cells = 4, model.MaxPSRCategories
+	stats := randomCellStats(nPart)
 	for _, perPart := range []bool{false, true} {
 		res := ResolveSiteRates(stats, nPart, perPart)
 		enc := res.Encode()
@@ -136,6 +142,28 @@ func TestSiteRateResolutionRoundTrip(t *testing.T) {
 				t.Fatal("non-positive scale")
 			}
 		}
+		// A count, a cell's category, a category rate or a scale that
+		// Encode cannot have written is refused, whatever a float-to-int
+		// conversion would have made of it on this platform.
+		first, firstCell, scale := 0, 1+len(res.CatRates[0]), len(enc)-1
+		for _, c := range []struct {
+			what string
+			pos  int
+			vals []float64
+		}{
+			{"category count", first, []float64{2.7, -1, cells + 1, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}},
+			{"cell category", firstCell, []float64{0.5, -1.5, -2, float64(len(res.CatRates[0])), math.NaN(), math.Inf(-1), math.Copysign(0, -1)}},
+			{"category rate", first + 1, []float64{0, -1, math.NaN(), math.Inf(1)}},
+			{"scale", scale, []float64{0, -2, math.NaN(), math.Inf(1)}},
+		} {
+			for _, v := range c.vals {
+				bad := append([]float64(nil), enc...)
+				bad[c.pos] = v
+				if _, err := DecodeSiteRateResolution(bad, nPart, perPart); err == nil {
+					t.Errorf("perPart=%v: a frame with %s %v decoded", perPart, c.what, v)
+				}
+			}
+		}
 	}
 }
 
@@ -153,10 +181,10 @@ func TestResolveSiteRatesEmptyPartitions(t *testing.T) {
 	}
 }
 
-// mixedLocal is one rank over 12 taxa × {1100, 70} bp: a partition of
-// several pattern blocks that stays on the worker pool and one that is
-// fused into the small-partition batch.
-func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tree.Tree) {
+// mixedData is 12 taxa × {1100, 70} bp with the tree it was simulated
+// on: on one rank, a partition of several pattern blocks that stays on
+// the worker pool and one that is fused into the small-partition batch.
+func mixedData(t testing.TB) (*msa.Dataset, *tree.Tree) {
 	t.Helper()
 	res, err := seqgen.Generate(seqgen.Config{
 		NTaxa: 12,
@@ -173,93 +201,39 @@ func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tr
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d, res.Tree
+}
+
+// mixedRank builds rank's Local of a cyclic split of d over ranks, and
+// returns with it the rank's shares: which patterns of which partition
+// each local kernel holds.
+func mixedRank(t testing.TB, d *msa.Dataset, het model.Heterogeneity, threads, ranks, rank int) (*Local, []distrib.Share) {
+	t.Helper()
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
 		counts[i] = p.NPatterns()
 	}
-	assign, err := distrib.Compute(distrib.Cyclic, counts, 1)
+	assign, err := distrib.Compute(distrib.Cyclic, counts, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLocal(d, assign, 0, Config{Het: het, Subst: model.GTR, Threads: threads})
+	l, err := NewLocal(d, assign, rank, Config{Het: het, Subst: model.GTR, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
+	return l, assign.PerRank[rank]
+}
+
+// mixedLocal is mixedData on one rank, with a random tree over its taxa.
+func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tree.Tree) {
+	t.Helper()
+	d, _ := mixedData(t)
+	l, _ := mixedRank(t, d, het, threads, 1, 0)
 	if l.BatchedKernels() != 1 || threadpool.NumBlocks(l.Kernels[0].NPatterns()) < 3 {
 		t.Fatalf("want one batched kernel and one of at least 3 blocks; got %d batched, %d patterns", l.BatchedKernels(), l.Kernels[0].NPatterns())
 	}
 	return l, tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(8)))
-}
-
-// TestSiteRatesSameBitsAtEveryThreadCount: the per-site rate loop runs
-// over the pool's pattern blocks; sites are independent and nothing is
-// reduced, so every rate and every cell statistic is the bit pattern the
-// serial loop over all patterns produces — which is written out here, the
-// way the loop read before it was threaded.
-func TestSiteRatesSameBitsAtEveryThreadCount(t *testing.T) {
-	ref, tr := mixedLocal(t, model.PSR, 1)
-	d := traversal.Build(tr, tr.Tip(0), true)
-	for _, k := range ref.Kernels {
-		par := k.Params()
-		for i := range par.SiteRates {
-			neg := func(r float64) float64 { return -k.EvaluateSiteAtRate(d.Steps[0], d.P, d.Q, d.T[0], i, r) }
-			cur := par.SiteRates[i]
-			lo, hi := math.Max(model.MinSiteRate, cur/8), math.Min(model.MaxSiteRate, cur*8)
-			if hi <= lo {
-				hi = model.MaxSiteRate
-			}
-			x, fx := numutil.Brent(neg, lo, hi, 1e-3, 24)
-			if fx <= neg(cur) {
-				par.SiteRates[i] = x
-			}
-		}
-	}
-	var serialStats []float64
-	for _, threads := range []int{1, 2, 4} {
-		l, _ := mixedLocal(t, model.PSR, threads)
-		l.OptimizeSiteRatesLocal(d)
-		moved := 0
-		for ki, k := range l.Kernels {
-			want := ref.Kernels[ki].Params().SiteRates
-			for i, r := range k.Params().SiteRates {
-				if math.Float64bits(r) != math.Float64bits(want[i]) {
-					t.Fatalf("T=%d kernel %d site %d: rate %.17g, serial loop %.17g", threads, ki, i, r, want[i])
-				}
-				if r != 1 {
-					moved++
-				}
-			}
-		}
-		if moved == 0 {
-			t.Fatalf("T=%d: no rate moved off its start", threads)
-		}
-		// A second call starts from the optimized rates: it exercises the
-		// loop from a state where neighbouring sites differ.
-		again := l.OptimizeSiteRatesLocal(d)
-		if threads == 1 {
-			serialStats = append(serialStats, again...)
-			continue
-		}
-		for i := range again {
-			if math.Float64bits(again[i]) != math.Float64bits(serialStats[i]) {
-				t.Fatalf("T=%d: second-call cell statistic %d differs from T=1", threads, i)
-			}
-		}
-	}
-}
-
-// TestSiteRateLoopAllocatesNothing: on a serial rank the threaded loop's
-// staged arguments and cached pool closure add no allocation to a
-// site-rate call, whose only ones are the two cell-statistics slices
-// model.AccumulateRateCells returns per kernel.
-func TestSiteRateLoopAllocatesNothing(t *testing.T) {
-	l, tr := mixedLocal(t, model.PSR, 1)
-	d := traversal.Build(tr, tr.Tip(0), true)
-	l.OptimizeSiteRatesLocal(d)
-	if got, want := testing.AllocsPerRun(3, func() { l.OptimizeSiteRatesLocal(d) }), float64(2*len(l.Kernels)); got != want {
-		t.Errorf("OptimizeSiteRatesLocal allocates %v times per call, want %v", got, want)
-	}
 }
 
 // TestEvaluateSkipsMaskedPartitions: a partition the descriptor masks out

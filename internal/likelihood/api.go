@@ -1,12 +1,10 @@
 package likelihood
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/model"
 	"repro/internal/msa"
-	"repro/internal/threadpool"
 )
 
 // Step is one entry of a traversal descriptor: "recompute the CLV at inner
@@ -79,87 +77,6 @@ func (k *Kernel) Derivatives(t float64) (d1, d2 float64) {
 		return k.derivativesGamma(t)
 	}
 	return k.derivativesPSR(t)
-}
-
-// EvaluateSiteAtRate computes the exact log likelihood of a single local
-// pattern under a trial evolutionary rate, by re-running the full pruning
-// recursion for just that site along the given traversal (ending at the
-// virtual root edge (p, q) of length rootT). It is the inner loop of
-// per-site rate optimization under the PSR model — the analogue of
-// RAxML's evaluatePartialGeneric.
-//
-// The traversal must cover every inner vertex the root edge depends on
-// (a full post-order traversal is always safe). The kernel's stored CLVs
-// are not modified, and the working set is the scratch of the site's
-// pattern block (threadpool.BlockSize): calls for sites of different
-// blocks may run concurrently, calls within one block may not.
-func (k *Kernel) EvaluateSiteAtRate(steps []Step, p, q NodeRef, rootT float64, site int, rate float64) float64 {
-	if site < 0 || site >= k.nPat {
-		panic(fmt.Sprintf("likelihood: site %d out of range", site))
-	}
-	e := k.par.Eigen
-	// Reusable per-inner-slot 4-vectors for this site only; zeroed each
-	// call since the traversal may not cover every slot. This runs once
-	// per (site, rate) probe in the PSR rate-optimization inner loop, so
-	// it must not allocate.
-	blk := site / threadpool.BlockSize
-	vec := k.siteVecScr[blk*k.nInner : (blk+1)*k.nInner]
-	scales := k.siteScaleScr[blk*k.nInner : (blk+1)*k.nInner]
-	for i := range vec {
-		vec[i] = [ns]float64{}
-		scales[i] = 0
-	}
-	var pm [ns * ns]float64
-
-	fetch := func(r NodeRef) ([ns]float64, int32) {
-		if r.Tip {
-			return k.tipVec[k.data.Tips[r.Idx][site]], 0
-		}
-		return vec[r.Idx], scales[r.Idx]
-	}
-	for _, s := range steps {
-		va, sa := fetch(s.A)
-		vb, sb := fetch(s.B)
-		var out [ns]float64
-		needScale := true
-		for half, src := range [2]struct {
-			t float64
-			v [ns]float64
-		}{{s.TA, va}, {s.TB, vb}} {
-			e.ProbMatrix(src.t, rate, &pm)
-			for x := 0; x < ns; x++ {
-				l := pm[x*ns]*src.v[0] + pm[x*ns+1]*src.v[1] + pm[x*ns+2]*src.v[2] + pm[x*ns+3]*src.v[3]
-				if half == 0 {
-					out[x] = l
-				} else {
-					out[x] *= l
-				}
-			}
-		}
-		for x := 0; x < ns; x++ {
-			if out[x] >= ScaleThreshold || out[x] != out[x] {
-				needScale = false
-			}
-		}
-		sc := sa + sb
-		if needScale {
-			for x := 0; x < ns; x++ {
-				out[x] *= ScaleFactor
-			}
-			sc++
-		}
-		vec[s.Dst] = out
-		scales[s.Dst] = sc
-	}
-	vp, sp := fetch(p)
-	vq, sq := fetch(q)
-	e.ProbMatrix(rootT, rate, &pm)
-	site0 := 0.0
-	for x := 0; x < ns; x++ {
-		right := pm[x*ns]*vq[0] + pm[x*ns+1]*vq[1] + pm[x*ns+2]*vq[2] + pm[x*ns+3]*vq[3]
-		site0 += k.par.Freqs[x] * vp[x] * right
-	}
-	return math.Log(site0) + float64(sp+sq)*LogScaleStep
 }
 
 // CLVDigest returns a cheap order-sensitive hash of an inner slot's CLV,

@@ -34,3 +34,13 @@ func (k *Kernel) ShrinkSites(r GradRef, sites []int, f float64) {
 		}
 	}
 }
+
+// SiteScaleCount returns how many scaling events the last single-site
+// evaluation of site's pattern block accumulated over the whole tree.
+func (k *Kernel) SiteScaleCount(site int) int32 {
+	var n int32
+	for _, c := range k.siteScratchOf(site).scale {
+		n = max(n, c)
+	}
+	return n
+}

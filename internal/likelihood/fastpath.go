@@ -55,6 +55,11 @@ type FastPathStats struct {
 	// InsertionRescales counts the sites ScoreInsertion scored over a
 	// rescaled inserted column — the ones Newview would have rescaled.
 	InsertionRescales int64
+	// SiteRateTableEvals / SiteRateExactEvals count single-site
+	// evaluations: those that read their P matrices from a SiteRateTable
+	// and those that built them for an off-grid rate
+	// (EvaluateSiteAtRate) — what the PSR rate scan costs per site.
+	SiteRateTableEvals, SiteRateExactEvals int64
 }
 
 // FastOps returns the number of kernel calls that took a specialized
@@ -83,8 +88,17 @@ func (k *Kernel) SetPCache(on bool) {
 	}
 }
 
-// FastPath returns the kernel's fast-path and cache counters.
-func (k *Kernel) FastPath() FastPathStats { return k.fp }
+// FastPath returns the kernel's fast-path and cache counters. Call it
+// between kernel operations: the single-site evaluation counts are
+// gathered from the pattern blocks' slots.
+func (k *Kernel) FastPath() FastPathStats {
+	s := k.fp
+	for b := range k.siteScr {
+		s.SiteRateTableEvals += k.siteScr[b].tableEvals
+		s.SiteRateExactEvals += k.siteScr[b].exactEvals
+	}
+	return s
+}
 
 // pmScratch returns scratch buffer i sized for the active category count.
 // Newview needs two P-matrix sets live at once, hence two buffers.

@@ -157,11 +157,9 @@ type Kernel struct {
 	ra      runArgs
 	blockFn func(blk, lo, hi int)
 
-	// siteVecScr/siteScaleScr are EvaluateSiteAtRate's per-site pruning
-	// scratch (the PSR site-rate inner loop): nInner entries per pattern
-	// block, so sites of different blocks can be evaluated concurrently.
-	siteVecScr   [][ns]float64
-	siteScaleScr []int32
+	// siteScr are the per-pattern-block working sets of the single-site
+	// evaluations (siterate.go: the PSR site-rate inner loop).
+	siteScr []siteScratch
 
 	flops FlopCount
 }
@@ -258,8 +256,7 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		fastOn: true,
 		pcOn:   true,
 	}
-	k.siteVecScr = make([][ns]float64, threadpool.NumBlocks(k.nPat)*nInner)
-	k.siteScaleScr = make([]int32, len(k.siteVecScr))
+	k.siteScr = newSiteScratch(k.nPat, nInner)
 	for s := msa.State(1); s <= 15; s++ {
 		k.tipVec[s] = s.TipVector()
 	}

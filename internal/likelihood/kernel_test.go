@@ -416,30 +416,91 @@ func TestScalingDeepTree(t *testing.T) {
 	}
 }
 
+// TestEvaluateSiteAtRateConsistency: a single-site evaluation that reads
+// its P matrices from a table filled for the scan grid has, at every grid
+// rate, the bits of the exact-rate evaluation at that rate, and both are
+// the term the plane kernels' Evaluate contributes for that site when the
+// site carries that rate. The deep comb makes sites underflow, so the
+// recursion's scaling branch is part of what is compared.
 func TestEvaluateSiteAtRateConsistency(t *testing.T) {
-	f := makeFixture(t, 7, 30, model.PSR, 61)
-	// Force a single rate for all sites so the sum over sites of the
-	// per-site evaluations must equal the standard Evaluate.
-	for i := range f.par.SiteRates {
-		f.par.SiteRates[i] = 0.8
+	deep := func() *fixture {
+		res, err := seqgen.Generate(seqgen.Config{
+			NTaxa:            120,
+			Specs:            []seqgen.Spec{{Name: "g", NSites: 12, Alpha: 1}},
+			Seed:             55,
+			MeanBranchLength: 0.02,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := msa.Compress(res.Alignment, res.Partitions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd := d.Parts[0]
+		par, err := model.NewParams(model.PSR, pd.Freqs, pd.NPatterns())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := tree.NewComb(d.Names, 1)
+		tr.SetAllLengths(0.03)
+		kern, err := likelihood.NewKernel(pd, par, tr.NInner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &fixture{tree: tr, pd: pd, par: par, kern: kern}
 	}
-	f.par.CatRates = []float64{0.8}
-	for i := range f.par.SiteCats {
-		f.par.SiteCats[i] = 0
-	}
-	p := f.tree.Tip(0)
-	steps := traversal.ForEdge(f.tree, p, 0, true)
-	f.kern.Traverse(steps)
-	pRef := traversal.Ref(f.tree, p)
-	qRef := traversal.Ref(f.tree, p.Back)
-	want := f.kern.Evaluate(pRef, qRef, p.Length(0))
-	got := 0.0
-	for i := 0; i < f.kern.NPatterns(); i++ {
-		lnl := f.kern.EvaluateSiteAtRate(steps, pRef, qRef, p.Length(0), i, 0.8)
-		got += float64(f.pd.Weights[i]) * lnl
-	}
-	if math.Abs(got-want) > 1e-8*math.Abs(want) {
-		t.Fatalf("per-site sum %f vs evaluate %f", got, want)
+	for _, c := range []struct {
+		name      string
+		f         *fixture
+		wantScale bool
+	}{
+		{"random 7 taxa", makeFixture(t, 7, 30, model.PSR, 61), false},
+		{"comb 120 taxa", deep(), true},
+	} {
+		f := c.f
+		p := f.tree.Tip(0)
+		steps := traversal.ForEdge(f.tree, p, 0, true)
+		pRef, qRef := traversal.Ref(f.tree, p), traversal.Ref(f.tree, p.Back)
+		grid := model.SiteRateGrid[:]
+		var tab likelihood.SiteRateTable
+		f.kern.FillSiteRateTable(&tab, steps, p.Length(0), 0, len(grid)-1)
+		scaled := false
+		for i := 0; i < f.kern.NPatterns(); i++ {
+			// The plane kernels' term for site i: a one-pattern kernel of
+			// weight 1 whose only category is the rate under test.
+			one := f.pd.Select([]int{i})
+			one.Weights[0] = 1
+			par := f.par.Clone()
+			par.SiteRates, par.SiteCats = []float64{1}, []int{0}
+			kern, err := likelihood.NewKernel(one, par, f.tree.NInner())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, r := range grid {
+				exact := f.kern.EvaluateSiteAtRate(steps, pRef, qRef, p.Length(0), i, r)
+				scaled = scaled || f.kern.SiteScaleCount(i) > 0
+				if got := f.kern.EvaluateSiteFromTable(&tab, g, steps, pRef, qRef, i); math.Float64bits(got) != math.Float64bits(exact) {
+					t.Fatalf("%s site %d rate %g: table evaluation %.17g, exact-rate evaluation %.17g", c.name, i, r, got, exact)
+				}
+				if g%10 != 0 {
+					continue
+				}
+				par.CatRates = []float64{r}
+				par.BumpGeneration()
+				kern.Traverse(steps)
+				if want := kern.Evaluate(pRef, qRef, p.Length(0)); math.Float64bits(exact) != math.Float64bits(want) {
+					t.Fatalf("%s site %d rate %g: single-site evaluation %.17g, Evaluate's term %.17g", c.name, i, r, exact, want)
+				}
+			}
+		}
+		if scaled != c.wantScale {
+			t.Errorf("%s: scaling branch ran: %v, want %v", c.name, scaled, c.wantScale)
+		}
+		fp := f.kern.FastPath()
+		if n := int64(f.kern.NPatterns() * len(grid)); fp.SiteRateTableEvals != n || fp.SiteRateExactEvals != n {
+			t.Errorf("%s: counted %d table and %d exact evaluations, want %d each", c.name, fp.SiteRateTableEvals, fp.SiteRateExactEvals, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/numutil"
 )
@@ -113,10 +114,18 @@ func DiscreteGammaMeans(alpha float64, k int) ([]float64, error) {
 // the paper mentions for ExaML — giving every rank the identical global
 // category rates:
 //
-//	sumR, sumW := AccumulateRateCells(localRates, localWeights, maxCats)
+//	AccumulateRateCells(localRates, localWeights, sumR, sumW) // zeroed, maxCats long
 //	// engine: Allreduce(sumR), Allreduce(sumW)
 //	catRates, cellToCat := FinalizeRateCategories(sumR, sumW)
 //	siteCats := AssignRateCategories(localRates, cellToCat, maxCats)
+
+// logMinSiteRate and logMaxSiteRate are the ends of the rate range in log
+// rate: the axis both the quantization cells and the scan grid are laid
+// out on.
+var (
+	logMinSiteRate = math.Log(MinSiteRate)
+	logMaxSiteRate = math.Log(MaxSiteRate)
+)
 
 // RateCellOf maps a site rate to its cell on the fixed geometric grid.
 func RateCellOf(r float64, maxCats int) int {
@@ -126,26 +135,61 @@ func RateCellOf(r float64, maxCats int) int {
 	if r >= MaxSiteRate {
 		return maxCats - 1
 	}
-	logLo, logHi := math.Log(MinSiteRate), math.Log(MaxSiteRate)
-	c := int(float64(maxCats) * (math.Log(r) - logLo) / (logHi - logLo))
+	c := int(float64(maxCats) * (math.Log(r) - logMinSiteRate) / (logMaxSiteRate - logMinSiteRate))
 	if c >= maxCats {
 		c = maxCats - 1
 	}
 	return c
 }
 
-// AccumulateRateCells computes per-cell weighted rate sums and weight
-// totals for the local sites.
-func AccumulateRateCells(rates []float64, weights []int, maxCats int) (sumR, sumW []float64) {
-	sumR = make([]float64, maxCats)
-	sumW = make([]float64, maxCats)
+// The site-rate scan grid is the quantization grid subdivided: the
+// candidate rates the per-site rate search evaluates are the
+// siteRateGridPerCell points per cell of RateCellOf's MaxPSRCategories
+// cells, geometric over [MinSiteRate, MaxSiteRate]. It is derived, not
+// configured — a rate search finer than the cells its result is bucketed
+// into buys nothing, one much coarser loses likelihood — and it is one
+// table for all sites of all partitions, which is what lets P(t·r) be
+// built once per (edge, grid rate) instead of once per (site, step).
+const (
+	siteRateGridPerCell = 4
+	// SiteRateGridSize is the number of scan-grid rates.
+	SiteRateGridSize = siteRateGridPerCell*MaxPSRCategories + 1
+)
+
+// SiteRateGridStep is the scan grid's spacing in log rate (≈ 0.103, a
+// factor of ≈ 1.11 between neighbours).
+var SiteRateGridStep = (logMaxSiteRate - logMinSiteRate) / (SiteRateGridSize - 1)
+
+// SiteRateGrid holds the scan-grid rates in increasing order, from
+// MinSiteRate to MaxSiteRate exactly.
+var SiteRateGrid = func() (g [SiteRateGridSize]float64) {
+	for i := range g {
+		g[i] = math.Exp(logMinSiteRate + float64(i)*SiteRateGridStep)
+	}
+	g[0], g[SiteRateGridSize-1] = MinSiteRate, MaxSiteRate
+	return g
+}()
+
+// SiteRateGridWindow returns the index range [lo, hi] of the scan-grid
+// rates inside [rLo, rHi]; lo > hi when there is none.
+func SiteRateGridWindow(rLo, rHi float64) (lo, hi int) {
+	lo = sort.SearchFloat64s(SiteRateGrid[:], rLo)
+	hi = sort.Search(SiteRateGridSize, func(g int) bool { return SiteRateGrid[g] > rHi }) - 1
+	return lo, hi
+}
+
+// AccumulateRateCells adds the local sites' per-cell weighted rate sums
+// and weight totals to sumR and sumW, the caller's buffers of one entry
+// per grid cell.
+func AccumulateRateCells(rates []float64, weights []int, sumR, sumW []float64) {
+	maxCats := len(sumR)
+	sumW = sumW[:maxCats]
 	for i, r := range rates {
 		c := RateCellOf(r, maxCats)
 		w := float64(weights[i])
 		sumR[c] += r * w
 		sumW[c] += w
 	}
-	return sumR, sumW
 }
 
 // FinalizeRateCategories turns (globally summed) cell statistics into the
@@ -185,7 +229,8 @@ func QuantizeSiteRates(rates []float64, weights []int, maxCats int) (catRates []
 	if maxCats < 1 {
 		return nil, nil, fmt.Errorf("model: maxCats = %d", maxCats)
 	}
-	sumR, sumW := AccumulateRateCells(rates, weights, maxCats)
+	sumR, sumW := make([]float64, maxCats), make([]float64, maxCats)
+	AccumulateRateCells(rates, weights, sumR, sumW)
 	catRates, cellToCat := FinalizeRateCategories(sumR, sumW)
 	return catRates, AssignRateCategories(rates, cellToCat, maxCats), nil
 }

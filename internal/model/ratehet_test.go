@@ -165,8 +165,10 @@ func TestQuantizeDistributedEqualsLocal(t *testing.T) {
 	}
 
 	h := n / 2
-	r1, w1 := AccumulateRateCells(rates[:h], weights[:h], MaxPSRCategories)
-	r2, w2 := AccumulateRateCells(rates[h:], weights[h:], MaxPSRCategories)
+	r1, w1 := make([]float64, MaxPSRCategories), make([]float64, MaxPSRCategories)
+	r2, w2 := make([]float64, MaxPSRCategories), make([]float64, MaxPSRCategories)
+	AccumulateRateCells(rates[:h], weights[:h], r1, w1)
+	AccumulateRateCells(rates[h:], weights[h:], r2, w2)
 	for c := range r1 {
 		r1[c] += r2[c]
 		w1[c] += w2[c]
@@ -220,5 +222,48 @@ func TestRateCellOfBounds(t *testing.T) {
 			t.Fatalf("cell index not monotone at rate %g", r)
 		}
 		prev = c
+	}
+}
+
+// TestSiteRateGridSubdividesTheCells: the scan grid is the quantization
+// grid subdivided — the same span, strictly increasing, evenly spaced in
+// log rate, and the same number of scan rates inside every cell.
+func TestSiteRateGridSubdividesTheCells(t *testing.T) {
+	g := SiteRateGrid[:]
+	if g[0] != MinSiteRate || g[len(g)-1] != MaxSiteRate {
+		t.Fatalf("grid spans [%g, %g], want [%g, %g]", g[0], g[len(g)-1], MinSiteRate, MaxSiteRate)
+	}
+	perCell := make([]int, MaxPSRCategories)
+	for i := 1; i < len(g); i++ {
+		if step := math.Log(g[i] / g[i-1]); math.Abs(step-SiteRateGridStep) > 1e-12 {
+			t.Fatalf("grid step %d is %g in log rate, want %g", i, step, SiteRateGridStep)
+		}
+		// Mid-points avoid asking which side of a cell boundary a grid
+		// rate rounds to.
+		perCell[RateCellOf(math.Sqrt(g[i]*g[i-1]), MaxPSRCategories)]++
+	}
+	for c, n := range perCell {
+		if n != (SiteRateGridSize-1)/MaxPSRCategories {
+			t.Errorf("cell %d holds %d grid intervals, want %d", c, n, (SiteRateGridSize-1)/MaxPSRCategories)
+		}
+	}
+}
+
+// TestSiteRateGridWindow: the window holds exactly the grid rates inside
+// the interval, ends included, and nothing for an interval of NaNs.
+func TestSiteRateGridWindow(t *testing.T) {
+	g := SiteRateGrid[:]
+	for _, c := range []struct{ rLo, rHi float64 }{
+		{MinSiteRate, MaxSiteRate}, {0.125, 8}, {g[10], g[20]}, {g[10] * 1.01, g[20] * 0.99}, {1e-9, 1e-6}, {0.0105, 0.0108},
+	} {
+		lo, hi := SiteRateGridWindow(c.rLo, c.rHi)
+		for i, r := range g {
+			if in := r >= c.rLo && r <= c.rHi; in != (i >= lo && i <= hi) {
+				t.Errorf("[%g, %g]: window %d..%d, grid rate %d = %g inside: %v", c.rLo, c.rHi, lo, hi, i, r, in)
+			}
+		}
+	}
+	if lo, hi := SiteRateGridWindow(math.NaN(), math.NaN()); lo <= hi {
+		t.Errorf("NaN interval: window %d..%d, want none", lo, hi)
 	}
 }

@@ -11,8 +11,7 @@ const goldenRatio = 0.3819660112501051
 // evaluates the function there however it likes, and hands the value back
 // (Report). That lets many independent searches share one expensive
 // evaluation per step (the lockstep per-partition model-parameter search),
-// where the closure form would need one evaluation per search per step.
-// Brent is the plain loop over it.
+// where a closure form would need one evaluation per search per step.
 //
 // Brent's method is the standard choice in likelihood software for
 // optimizing the Γ shape parameter α and the GTR exchangeability rates:
@@ -122,23 +121,6 @@ func (s *BrentStepper) Best() (x, fx float64) { return s.x, s.fx }
 // Parabolic reports whether the last Next proposed a parabolic-
 // interpolation step (false: a golden-section step).
 func (s *BrentStepper) Parabolic() bool { return s.parabolic }
-
-// Brent minimizes f on [lo, hi] using Brent's method, returning the
-// abscissa and minimum value. tol is the relative x tolerance; maxIter
-// bounds the iteration count.
-func Brent(f func(float64) float64, lo, hi, tol float64, maxIter int) (xmin, fmin float64) {
-	x := lo + goldenRatio*(hi-lo)
-	var s BrentStepper
-	s.Start(lo, hi, x, f(x), tol)
-	for iter := 0; iter < maxIter; iter++ {
-		u, ok := s.Next()
-		if !ok {
-			break
-		}
-		s.Report(f(u))
-	}
-	return s.Best()
-}
 
 // NewtonResult reports how a Newton branch-length iteration terminated.
 type NewtonResult int

@@ -6,8 +6,25 @@ import (
 	"testing/quick"
 )
 
+// brent is the plain loop over BrentStepper: minimize f on [lo, hi] from
+// the golden-section point, to relative x tolerance tol, in at most
+// maxIter steps.
+func brent(f func(float64) float64, lo, hi, tol float64, maxIter int) (xmin, fmin float64) {
+	x := lo + goldenRatio*(hi-lo)
+	var s BrentStepper
+	s.Start(lo, hi, x, f(x), tol)
+	for iter := 0; iter < maxIter; iter++ {
+		u, ok := s.Next()
+		if !ok {
+			break
+		}
+		s.Report(f(u))
+	}
+	return s.Best()
+}
+
 func TestBrentQuadratic(t *testing.T) {
-	x, fx := Brent(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-10, 200)
+	x, fx := brent(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-10, 200)
 	if math.Abs(x-3) > 1e-7 {
 		t.Errorf("xmin = %g, want 3", x)
 	}
@@ -18,7 +35,7 @@ func TestBrentQuadratic(t *testing.T) {
 
 func TestBrentCosine(t *testing.T) {
 	// min of cos on [2, 5] is at π.
-	x, _ := Brent(math.Cos, 2, 5, 1e-12, 200)
+	x, _ := brent(math.Cos, 2, 5, 1e-12, 200)
 	if math.Abs(x-math.Pi) > 1e-8 {
 		t.Errorf("xmin = %g, want π", x)
 	}
@@ -26,7 +43,7 @@ func TestBrentCosine(t *testing.T) {
 
 func TestBrentBoundaryMinimum(t *testing.T) {
 	// Monotone increasing on the interval: minimum at the left edge.
-	x, _ := Brent(func(x float64) float64 { return x }, 1, 4, 1e-10, 200)
+	x, _ := brent(func(x float64) float64 { return x }, 1, 4, 1e-10, 200)
 	if x > 1.001 {
 		t.Errorf("xmin = %g, want ~1 (left boundary)", x)
 	}
@@ -35,7 +52,7 @@ func TestBrentBoundaryMinimum(t *testing.T) {
 func TestBrentFindsShiftedQuadraticMinimum(t *testing.T) {
 	f := func(shift float64) bool {
 		s := math.Mod(math.Abs(shift), 8) - 4 // keep the optimum inside [-5,5]
-		x, _ := Brent(func(x float64) float64 { return (x - s) * (x - s) }, -5, 5, 1e-10, 300)
+		x, _ := brent(func(x float64) float64 { return (x - s) * (x - s) }, -5, 5, 1e-10, 300)
 		return math.Abs(x-s) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -45,8 +62,8 @@ func TestBrentFindsShiftedQuadraticMinimum(t *testing.T) {
 
 // closureBrent is the closure-form Brent this package shipped before the
 // stepper existed, kept verbatim as the stepper's oracle: every abscissa
-// the loop over BrentStepper evaluates, and what it returns, must be the
-// bits this loop produces.
+// the loop over BrentStepper (brent above) evaluates, and what it
+// returns, must be the bits this loop produces.
 func closureBrent(f func(float64) float64, lo, hi, tol float64, maxIter int) (xmin, fmin float64) {
 	const goldenRatio = 0.3819660112501051
 	const tiny = 1e-12
@@ -163,7 +180,7 @@ func TestBrentStepperMatchesClosureForm(t *testing.T) {
 			want = append(want, math.Float64bits(x))
 			return c.f(x)
 		}, c.lo, c.hi, c.tol, c.maxIter)
-		gx, gf := Brent(func(x float64) float64 {
+		gx, gf := brent(func(x float64) float64 {
 			got = append(got, math.Float64bits(x))
 			return c.f(x)
 		}, c.lo, c.hi, c.tol, c.maxIter)

@@ -44,6 +44,12 @@ type RankStats struct {
 	TipTipNewviews   int64 `json:"tiptip_newviews,omitempty"`
 	PairTableEntries int64 `json:"pair_table_entries,omitempty"`
 	TipTableEntries  int64 `json:"tip_table_entries,omitempty"`
+	// SiteRateTableEvals/SiteRateExactEvals are the rank's single-site
+	// evaluations inside the PSR rate scan, from the rate table and at
+	// off-grid rates (at most 17 and exactly 2 per local pattern and
+	// round; docs/PERFORMANCE.md §9).
+	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
+	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
 	// BatchDispatches/BatchKernels are the rank's fused small-partition
 	// batching counters: pool dispatches that fused several sub-threshold
 	// kernels, and the kernel invocations they carried
@@ -62,6 +68,10 @@ type KernelStat struct {
 	// MaxRankNS and MeanRankNS support per-class imbalance reading.
 	MaxRankNS  int64   `json:"max_rank_ns"`
 	MeanRankNS float64 `json:"mean_rank_ns"`
+	// TableEvals and ExactEvals are set on the site-rates class only:
+	// the single-site evaluations its spans covered, summed over ranks.
+	TableEvals int64 `json:"table_evals,omitempty"`
+	ExactEvals int64 `json:"exact_evals,omitempty"`
 }
 
 // CommClassStat is one traffic class's run-wide aggregate, joining the
@@ -195,6 +205,9 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			PairTableEntries: r.perf.PairTableEntries,
 			TipTableEntries:  r.perf.TipTableEntries,
 
+			SiteRateTableEvals: r.perf.SiteRateTableEvals,
+			SiteRateExactEvals: r.perf.SiteRateExactEvals,
+
 			BatchDispatches: r.batchDispatches,
 			BatchKernels:    r.batchKernels,
 		}
@@ -240,6 +253,10 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		for _, rs := range rep.PerRank {
 			ks.NS += rs.KernelNS[k]
 			ks.Ops += rs.KernelOps[k]
+			if k == KernelSiteRates {
+				ks.TableEvals += rs.SiteRateTableEvals
+				ks.ExactEvals += rs.SiteRateExactEvals
+			}
 			if rs.KernelNS[k] > maxNS {
 				maxNS = rs.KernelNS[k]
 			}
@@ -322,6 +339,9 @@ func (r *Report) String() string {
 		}
 		fmt.Fprintf(&b, "  %-14s %12d %14s %16s\n",
 			k.Name, k.Ops, fmtNS(k.NS), fmtNS(k.MaxRankNS))
+		if k.TableEvals != 0 || k.ExactEvals != 0 {
+			fmt.Fprintf(&b, "  %-14s %12d table + %d exact single-site evaluations\n", "", k.TableEvals, k.ExactEvals)
+		}
 	}
 
 	fmt.Fprintf(&b, "\ncollectives (time summed over ranks; bytes counted once per logical op):\n")

@@ -428,6 +428,11 @@ type KernelPerf struct {
 	// tables held; TipTableEntries the ambiguity codes the tip and prep
 	// tables held.
 	TipTipNewviews, PairTableEntries, TipTableEntries int64
+	// SiteRateTableEvals / SiteRateExactEvals are the single-site
+	// likelihood evaluations of the PSR rate scan: those that read their
+	// P matrices from the rate table and those that built them for an
+	// off-grid rate (docs/PERFORMANCE.md §9).
+	SiteRateTableEvals, SiteRateExactEvals int64
 }
 
 // ratio returns a/b, 0 when b is 0.
@@ -453,9 +458,10 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 		for _, n := range r.collOps {
 			collectives += n
 		}
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
-			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
+			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals,
+			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
 			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
 			jsonFloat(ratio(collectives, r.counters[CounterIterations])), c.jobFrag)
