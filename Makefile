@@ -31,7 +31,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-gradient smoke-threads smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -58,7 +58,7 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json runs the kernel-threading, fused-batching, fast-path
+# bench-json runs the kernel-threading, many-small-partitions, fast-path
 # (tip-specialized and P-matrix-cache ablations), hybrid-grid,
 # batched-gradient, and wire-framing benchmarks and writes
 # BENCH_kernels.json (environment block plus name, ns/op, flops/s,
@@ -121,7 +121,7 @@ bench-e2e-smoke:
 # GOTOOLCHAIN=local (go1.24), so like the two counts above it can gate.
 # A new check inside a site loop shows as a count above the gate; the
 # listing per file says where to look.
-KERNEL_BCE_MAX = 326
+KERNEL_BCE_MAX = 312
 KERNEL_BCE_FILES = soa_gamma.go soa_psr.go insertion.go gamma.go psr.go
 kernel-bce:
 	@out=$$(GOTOOLCHAIN=local $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/likelihood 2>&1 | grep ': Found Is' || true); \
@@ -170,6 +170,32 @@ smoke-gradient:
 		-iter 3 -no-batched-gradients -n $$tmp/oracle && \
 	cmp $$tmp/batched.bestTree.nwk $$tmp/oracle.bestTree.nwk && \
 	echo "smoke-gradient: batched vs oracle best trees byte-identical OK"
+
+# smoke-threads is the §V hybrid drill at the CLI (docs/PERFORMANCE.md §6,
+# docs/DETERMINISM.md §2): the same PSR inference of a 16 × 1500 bp
+# alignment at one thread and at two must write byte-identical best trees
+# and reach the same log likelihood to the last bit after every iteration
+# (the trace's "iter" events print it in full), and the two-thread run
+# must have executed every engine call as at most one pool dispatch that
+# woke a parked worker at most once — counters that repeat or are bounded
+# by construction, so they can gate where a time cannot.
+smoke-threads:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
+	$$tmp/seqgen -taxa 16 -partitions 1 -genelen 1500 -seed 33 -o $$tmp/d >/dev/null && \
+	for T in 1 2; do \
+		$$tmp/examl -s $$tmp/d.phy -q $$tmp/d.parts.txt -m PSR -y -iter 3 -p 7 -T $$T \
+			-stats-json $$tmp/t$$T.json -trace $$tmp/t$$T.jsonl -n $$tmp/t$$T >/dev/null || exit 1; \
+		sed -n 's/.*"ev":"iter".*"lnl":\([^,]*\),.*/\1/p' $$tmp/t$$T.jsonl > $$tmp/t$$T.lnl; \
+	done && \
+	test -s $$tmp/t1.lnl && cmp $$tmp/t1.lnl $$tmp/t2.lnl && \
+	cmp $$tmp/t1.bestTree.nwk $$tmp/t2.bestTree.nwk && \
+	field() { sed -n "s/^  \"$$1\": \([0-9]*\),*$$/\1/p" $$tmp/t2.json; } && \
+	calls=$$(field engine_calls) && disp=$$(field pool_dispatches) && wakes=$$(field pool_wakes) && \
+	{ test -n "$$calls" && test -n "$$disp" && test -n "$$wakes" && test "$$disp" -gt 0 && \
+	  test "$$disp" -le "$$calls" && test "$$wakes" -le "$$calls" || \
+		{ echo "smoke-threads: engine_calls='$$calls' pool_dispatches='$$disp' pool_wakes='$$wakes': want 0 < dispatches <= calls and wakes <= calls"; exit 1; }; } && \
+	echo "smoke-threads: -T 1 and -T 2 same lnL bits after every iteration, same tree; $$calls engine calls, $$disp pool dispatches, $$wakes wakes OK"
 
 # smoke-service runs the inference-service acceptance drill
 # (docs/SERVICE.md): start the daemon machinery with a warm loopback
@@ -232,7 +258,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-gradient smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-gradient smoke-threads smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

@@ -244,6 +244,7 @@ func benchKernelSized(b *testing.B, het model.Heterogeneity, nSites int) (*likel
 	}
 	steps := traversal.ForEdge(tr, tr.Tip(0), 0, true)
 	k.Traverse(steps)
+	k.Flush(nil)
 	return k, tr, steps
 }
 
@@ -253,6 +254,7 @@ func BenchmarkKernelNewviewGamma(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		k.Traverse(steps)
+		k.Flush(nil)
 	}
 	b.ReportMetric(float64(k.NPatterns()*len(steps)), "columns/op")
 }
@@ -263,6 +265,7 @@ func BenchmarkKernelNewviewPSR(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		k.Traverse(steps)
+		k.Flush(nil)
 	}
 }
 
@@ -274,6 +277,7 @@ func BenchmarkKernelEvaluateGamma(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		k.Evaluate(p, q, 0.1)
+		k.Flush(nil)
 	}
 }
 
@@ -285,9 +289,11 @@ func BenchmarkKernelDerivativesGamma(b *testing.B) {
 	p := traversal.Ref(tr, tr.Tip(0))
 	q := traversal.Ref(tr, tr.Tip(0).Back)
 	k.PrepareDerivatives(p, q)
+	k.Flush(nil)
 	b.ResetTimer()
 	for b.Loop() {
 		k.Derivatives(0.1)
+		k.Flush(nil)
 	}
 }
 
@@ -325,13 +331,13 @@ func BenchmarkKernelThreadsGamma(b *testing.B) {
 			}
 			pool := threadpool.New(threads)
 			defer pool.Close()
-			k.SetPool(pool)
 			p := traversal.Ref(tr, tr.Tip(0))
 			q := traversal.Ref(tr, tr.Tip(0).Back)
 			b.ResetTimer()
 			for b.Loop() {
 				k.Traverse(steps)
 				k.Evaluate(p, q, 0.1)
+				k.Flush(pool)
 			}
 			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			if threads == 1 {
@@ -350,22 +356,21 @@ func BenchmarkKernelThreadsGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelBatch measures fused small-partition batching
-// (docs/PERFORMANCE.md §6) on its target workload: many partitions,
-// each below the fusion threshold, driven through a threaded rank's
-// Newton derivative step — the per-iteration cost of every
-// branch-length optimization, where per-partition compute is small
-// enough that pool synchronization is a first-order cost. Every
-// partition is detached from the pool and all of them are dispatched as
-// items of a single pool call, so the synchronization cost is paid once
-// per operation.
+// BenchmarkKernelBatch measures an engine call on a partition-rich rank
+// (docs/PERFORMANCE.md §6): many partitions, each a single pattern
+// block, driven through a threaded rank's Newton derivative step — the
+// per-iteration cost of every branch-length optimization, where
+// per-partition compute is small enough that pool synchronization is a
+// first-order cost. Every partition is a one-item program and all of
+// them are the items of the call's single pool dispatch, so the
+// synchronization cost is paid once per operation.
 func BenchmarkKernelBatch(b *testing.B) {
 	const parts = 64
 	d := benchDataset(b, 24, parts, 200)
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
 		counts[i] = p.NPatterns()
-		// The fusion threshold is one pool block.
+		// One pool block each: a one-item program.
 		if counts[i] >= threadpool.BlockSize {
 			b.Fatalf("partition %d has %d patterns; need fewer than %d", i, counts[i], threadpool.BlockSize)
 		}
@@ -451,6 +456,7 @@ func BenchmarkKernelFastPathGamma(b *testing.B) {
 				b.ResetTimer()
 				for b.Loop() {
 					k.Traverse(steps)
+					k.Flush(nil)
 				}
 				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				if !fast {
@@ -483,6 +489,7 @@ func BenchmarkKernelPCacheGamma(b *testing.B) {
 			b.ResetTimer()
 			for b.Loop() {
 				k.Traverse(steps)
+				k.Flush(nil)
 			}
 			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			if !cached {

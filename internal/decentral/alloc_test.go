@@ -14,35 +14,38 @@ import (
 )
 
 // TestEngineSteadyStateAllocFree pins the allocation-free hot path: once
-// warm (P-matrix cache populated, scratch arenas grown), the engine's
+// warm (P-matrix cache populated, program arenas grown), the engine's
 // Evaluate / PrepareBranch / BranchDerivatives cycle — the inner loop of
 // every branch-length and model optimization — must not allocate at all
-// on a single serial rank. Threaded pools and multi-rank messaging
-// allocate by design (goroutine scheduling, channel payload copies), so
-// the contract is pinned where it matters most: the per-call kernel and
-// engine layers.
+// on a single rank, serial or with a worker pool: staging a call, the one
+// dispatch and the join allocate nothing. Multi-rank messaging allocates
+// by design (channel payload copies), so the contract is pinned where it
+// matters most: the per-call kernel and engine layers.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	datasets := []struct {
 		name            string
 		nParts, geneLen int
 		batched         bool
 	}{
-		// Two 60-pattern partitions sit below DefaultBatchSites, so the
-		// 0-alloc contract covers the staged batch dispatch; one partition
-		// of several pattern blocks runs on the kernel's own dispatch.
+		// Two 60-pattern partitions are two one-item programs in one
+		// dispatch (the shape a separate batched path used to serve, whence
+		// the names); one partition of several pattern blocks is one
+		// kernel's program over several items.
 		{"batched", 2, 60, true},
 		{"unbatched", 1, 900, false},
 	}
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		for _, tc := range datasets {
 			t.Run(het.String()+"/"+tc.name, func(t *testing.T) {
-				testSteadyStateAllocFree(t, het, makeDataset(t, 8, tc.nParts, tc.geneLen, 3), tc.batched)
+				for _, threads := range []int{1, 2} {
+					testSteadyStateAllocFree(t, het, threads, makeDataset(t, 8, tc.nParts, tc.geneLen, 3), tc.batched)
+				}
 			})
 		}
 	}
 }
 
-func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, d *msa.Dataset, wantBatched bool) {
+func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, threads int, d *msa.Dataset, oneBlock bool) {
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
 		counts[i] = p.NPatterns()
@@ -52,13 +55,13 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, d *msa.Data
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(1)
-	eng, err := NewEngine(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR})
+	eng, err := NewEngine(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if batched := eng.local.BatchedKernels(); (batched > 0) != wantBatched {
-		t.Fatalf("BatchedKernels() = %d with %d patterns in partition 0, want batched=%v", batched, counts[0], wantBatched)
+	if nb := eng.local.Kernels[0].NBlocks(); (nb == 1) != oneBlock {
+		t.Fatalf("%d patterns in partition 0 are %d blocks, want one block: %v", counts[0], nb, oneBlock)
 	}
 
 	tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
@@ -93,6 +96,6 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, d *msa.Data
 		eng.AllBranchDerivatives(plan)
 		eng.ScoreInsertions(&ins)
 	}); allocs != 0 {
-		t.Errorf("%v: steady-state engine cycle allocates %.1f times per run", het, allocs)
+		t.Errorf("%v T=%d: steady-state engine cycle allocates %.1f times per run", het, threads, allocs)
 	}
 }

@@ -2,7 +2,9 @@ package decentral
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/distrib"
 	"repro/internal/enginecore"
@@ -260,5 +262,39 @@ func TestThreadedHybridSearch(t *testing.T) {
 	}
 	if got.Tree.Newick() != ref.Tree.Newick() {
 		t.Error("hybrid+threads topology differs from hybrid serial run")
+	}
+}
+
+// TestOversubscribedRanksKeepPace: two ranks of two threads each on two
+// processors are four goroutines for two Ps. A rank's polling worker
+// yields between polls, so neither the other rank nor its own dispatcher
+// waits a scheduler time slice for a P: the inference must finish within
+// 3× of the same two ranks at one thread each (it measures about 1×),
+// with the same bits.
+func TestOversubscribedRanksKeepPace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := makeDataset(t, 10, 1, 1500, 10)
+	cfg := search.Config{Het: model.PSR, Seed: 8, MaxIterations: 2}
+	run := func(threads int) (*search.Result, time.Duration) {
+		best := time.Duration(1 << 62)
+		var res *search.Result
+		for rep := 0; rep < 2; rep++ {
+			t0 := time.Now()
+			r, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 2, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, best = r, min(best, time.Since(t0))
+		}
+		return res, best
+	}
+	ref, serial := run(1)
+	got, threaded := run(2)
+	t.Logf("2 ranks on 2 procs: T=1 %v, T=2 %v (%.2fx)", serial, threaded, float64(threaded)/float64(serial))
+	if threaded > 3*serial {
+		t.Errorf("2 ranks x 2 threads on 2 processors took %v, more than 3x the %v of 2 ranks x 1 thread", threaded, serial)
+	}
+	if math.Float64bits(got.LnL) != math.Float64bits(ref.LnL) || got.Tree.Newick() != ref.Tree.Newick() {
+		t.Errorf("2 x 2 threads: lnL %.17g, 2 x 1: %.17g, or another tree", got.LnL, ref.LnL)
 	}
 }

@@ -9,7 +9,7 @@ package enginecore
 import (
 	"fmt"
 	"math"
-	"sync"
+	"time"
 
 	"repro/internal/distrib"
 	"repro/internal/likelihood"
@@ -21,6 +21,18 @@ import (
 )
 
 // Local is one rank's kernel state.
+//
+// An engine call is the unit of intra-rank parallelism. Every Local
+// method below has the same three steps: stage the call on each local
+// kernel (the kernel appends its block operations to a program and
+// computes nothing), flush — ONE dispatch of the rank's pool over the
+// (kernel, pattern block) items of all staged kernels, each item running
+// its kernel's whole program over one block — and fold the kernels'
+// results in kernel-index order. A partition of one block is simply a
+// one-item program; a rank without a pool runs the same items inline,
+// each kernel's as soon as it is staged (staged).
+// The fork-join worker runs the same methods, so both schemes get the
+// same execution (docs/PERFORMANCE.md §6, docs/DETERMINISM.md §8).
 type Local struct {
 	// NPart is the number of global partitions.
 	NPart int
@@ -35,14 +47,13 @@ type Local struct {
 	// PartIdx maps local kernel index → global partition index.
 	PartIdx []int
 	// pool is the rank's intra-rank worker pool (§V hybrid scheme),
-	// shared by all local kernels; nil when threads ≤ 1.
+	// shared by all local kernels; nil when threads ≤ 1. The rank's
+	// goroutine is its only dispatcher.
 	pool *threadpool.Pool
 	// rec is the rank's telemetry recorder; nil (the default) disables
 	// all span timing at nil-check cost. Telemetry is out-of-band: it
 	// never touches a value that feeds a likelihood.
 	rec *telemetry.Recorder
-	// poolStats counts pool activity while telemetry is attached.
-	poolStats *threadpool.Stats
 
 	// Reusable result buffers for the per-call vector outputs below.
 	// Each result is valid until the next call of the same method on
@@ -53,38 +64,57 @@ type Local struct {
 	evalScr, derivScr, perPartScr, srStatsScr []float64
 	gradScr, gradPPScr, insScr                []float64
 
-	// Fused small-partition batching state (batch.go): the site
-	// threshold, the fused kernel indices (and a per-kernel membership
-	// mask), the staged arguments and kernel-indexed output slots of the
-	// in-flight batch dispatch, the cached pool closure, and the
-	// telemetry counters.
-	batched  []int
-	inBatch  []bool
-	bOp      batchOp
-	bArgs    batchArgs
-	bOut     []float64
-	batchScr []float64
-	batchFn  func(i int)
+	// items are the (kernel, block) pairs of the call in flight, in kernel
+	// then block order; runItem and scanItem are the two closures ever
+	// handed to the pool — a program block and a block of the rate scan —
+	// built once so that a call allocates nothing. execute runs the staged
+	// programs over the items: one dispatch of runItem, except in the test
+	// that swaps in the op-major order as its oracle.
+	items    []item
+	runItem  func(worker, i int)
+	scanItem func(worker, i int)
+	execute  func()
+	// work is the per-worker state of a dispatch, indexed by the pool's
+	// worker index so that items need no synchronization.
+	work []workerState
+	// scans are the staged rate scans of an OptimizeSiteRatesLocal call,
+	// by kernel index.
+	scans []siteRateArgs
 
-	// srArgs stages the operands of the threaded per-site rate loop and
-	// srFn is the one closure handed to the pool for it, so the loop
-	// allocates nothing. srFree holds the rank's idle P(t·r) tables:
-	// whoever dispatches a kernel's rate scan — the caller for a kernel
-	// on the pool, a batch item for a fused one — takes one, fills it for
-	// that kernel and puts it back. They belong to the
-	// rank, not to its kernels: there are never more than threads of
-	// them, whatever the partition count.
-	srArgs siteRateArgs
-	srFn   func(blk, lo, hi int)
-	srMu   sync.Mutex
-	srFree []*likelihood.SiteRateTable
+	// arena is where every local kernel's program builds its tables. One
+	// per rank: a serial rank runs and finishes kernel i's program before
+	// it stages kernel i+1's (staged), so a partition-rich rank's tables are
+	// built in the same cache-resident memory again and again, as under the
+	// two scratch buffers of the op-at-a-time kernels; a rank with a pool
+	// finishes no kernel before flush has run them all, and the arena
+	// grows to the whole call.
+	arena likelihood.ProgramArena
 
-	batchDispatches, batchKernels int64
+	// engineCalls counts flushes: the denominator the pool's dispatch and
+	// wake counts are read against.
+	engineCalls int64
 
 	// gradContracted[b] records that the last contracting gradient plan
 	// AdmitGradPlan saw computed edge b, i.e. that every local kernel
 	// holds a sum table for it that a Reuse plan may read.
 	gradContracted []bool
+}
+
+// item is one unit of a dispatch: pattern block blk of local kernel k.
+type item struct{ k, blk int32 }
+
+// workerState is what one pool worker keeps across the items of a call:
+// the nanoseconds it spent per kernel class (filled only while a
+// recorder is attached, folded into the recorder at the join) and the
+// P(t·r) table of the rate scan with the kernel it is filled for. One
+// cache line of counters per worker, so that two workers never write the
+// same line.
+type workerState struct {
+	ns     [likelihood.NumOpClasses]int64
+	scanNS int64
+	_      [8 - likelihood.NumOpClasses - 1]int64
+	tab    likelihood.SiteRateTable
+	tabFor int32
 }
 
 // scratchVec returns *buf resized to n and zeroed.
@@ -101,10 +131,9 @@ func scratchVec(buf *[]float64, n int) []float64 {
 
 // NewLocal materializes rank's shares and builds kernels from cfg:
 // cfg.Subst decides the stationary frequencies (uniform for JC/K80,
-// empirical otherwise); cfg.Threads > 1 attaches a shared-memory worker
-// pool to every kernel, which lives until Close; a non-nil cfg.Recorder
-// times every kernel operation into per-class spans and makes the pool
-// count block utilization.
+// empirical otherwise); cfg.Threads > 1 starts the rank's shared-memory
+// worker pool, which lives until Close; a non-nil cfg.Recorder makes
+// every worker time the operations it runs by kernel class.
 func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Local, error) {
 	l := &Local{
 		NPart:           d.NPartitions(),
@@ -112,13 +141,6 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Loc
 		Het:             cfg.Het,
 		PerPartBranches: cfg.PerPartitionBranches,
 		rec:             cfg.Recorder,
-	}
-	if cfg.Threads > 1 {
-		l.pool = threadpool.New(cfg.Threads)
-		if l.rec != nil {
-			l.poolStats = &threadpool.Stats{}
-			l.pool.SetStats(l.poolStats)
-		}
 	}
 	parts, partIdx := a.Materialize(d, rank)
 	for i, pd := range parts {
@@ -130,13 +152,25 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Loc
 		if err != nil {
 			return nil, err
 		}
-		k.SetPool(l.pool)
+		k.ShareArena(&l.arena)
 		l.Kernels = append(l.Kernels, k)
 		l.PartIdx = append(l.PartIdx, partIdx[i])
 	}
-	l.batchFn = l.runBatchItem
-	l.srFn = func(_, lo, hi int) { l.srArgs.optimize(lo, hi) }
-	l.setBatchSites(DefaultBatchSites)
+	if cfg.Threads > 1 {
+		l.pool = threadpool.New(cfg.Threads)
+	}
+	l.work = make([]workerState, l.pool.Threads())
+	l.scans = make([]siteRateArgs, len(l.Kernels))
+	l.execute = func() { l.pool.Dispatch(len(l.items), l.runItem) }
+	l.runItem = func(w, i int) {
+		it := l.items[i]
+		var ns *[likelihood.NumOpClasses]int64
+		if l.rec != nil {
+			ns = &l.work[w].ns
+		}
+		l.Kernels[it.k].RunBlock(int(it.blk), ns)
+	}
+	l.scanItem = l.runScanItem
 	return l, nil
 }
 
@@ -144,15 +178,16 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Loc
 func (l *Local) Threads() int { return l.pool.Threads() }
 
 // Close releases the rank's worker pool (no-op for serial ranks) after
-// harvesting its utilization counters and the kernels' fast-path/cache
-// counters into the telemetry recorder. Idempotent; the kernels must not
-// be used afterwards.
+// harvesting its counters and the kernels' fast-path/cache counters into
+// the telemetry recorder. Idempotent; the kernels must not be used
+// afterwards.
 func (l *Local) Close() {
-	if l.rec != nil && l.poolStats != nil {
-		l.rec.SetPool(l.pool.Threads(), l.poolStats.Runs(), l.poolStats.Blocks())
-		l.poolStats = nil
-	}
 	if l.rec != nil {
+		ps := l.pool.Stats()
+		l.rec.SetPool(telemetry.PoolStats{
+			Threads: l.pool.Threads(), Dispatches: ps.Dispatches, Blocks: ps.Items,
+			Wakes: ps.Wakes, Parks: ps.Parks, EngineCalls: l.engineCalls,
+		})
 		var perf telemetry.KernelPerf
 		for _, k := range l.Kernels {
 			s := k.FastPath()
@@ -167,7 +202,6 @@ func (l *Local) Close() {
 			perf.SiteRateExactEvals += s.SiteRateExactEvals
 		}
 		l.rec.SetKernelPerf(perf)
-		l.rec.SetBatchStats(l.batchDispatches, l.batchKernels)
 		l.rec = nil
 	}
 	l.pool.Close()
@@ -189,19 +223,80 @@ func (l *Local) ClassOf(part int) int {
 	return 0
 }
 
-// Traverse executes the descriptor's schedules on the local kernels:
-// fused small partitions in one pool dispatch, the rest serially over
-// the shared pool.
+// flush executes what the local kernels have staged since start (a
+// recorder token taken before staging began) as one dispatch over their
+// (kernel, block) items, and joins: after it every kernel's results can
+// be read. Kernels that staged nothing — masked partitions — contribute
+// no item.
+func (l *Local) flush(start int64) {
+	l.items = l.items[:0]
+	for ki, k := range l.Kernels {
+		if k.Staged() > 0 {
+			l.addItems(ki)
+		}
+	}
+	l.execute()
+	for _, k := range l.Kernels {
+		k.Finish()
+	}
+	l.joined(start)
+}
+
+// addItems appends the blocks of local kernel ki to the call's items.
+func (l *Local) addItems(ki int) {
+	for b := 0; b < l.Kernels[ki].NBlocks(); b++ {
+		l.items = append(l.items, item{int32(ki), int32(b)})
+	}
+}
+
+// staged says that local kernel ki's part of the call in flight is
+// staged. A rank with a pool waits for flush, which shares the whole call
+// out in one dispatch. A rank without one has nobody to share it with and
+// runs the kernel's program at once, while the tables staging built for
+// it are still in cache: staging every kernel first would push a
+// partition-rich rank's tables — a PSR tip table is 12.8 KB, a kernel of
+// 100 patterns stages two per tree node — through the cache twice. The
+// kernel is finished at once too, which resets the rank's arena: the next
+// kernel builds its tables where this one's were.
+func (l *Local) staged(ki int) {
+	if l.pool != nil {
+		return
+	}
+	l.items = l.items[:0]
+	l.addItems(ki)
+	l.execute()
+	l.Kernels[ki].Finish()
+}
+
+// joined closes an engine call's books: the call is counted and, with a
+// recorder attached, its wall time is split over the kernel classes in
+// proportion to what the workers measured for each.
+func (l *Local) joined(start int64) {
+	l.engineCalls++
+	if l.rec == nil {
+		return
+	}
+	var ns [telemetry.NumKernelClasses]int64
+	for w := range l.work {
+		ws := &l.work[w]
+		ns[telemetry.KernelNewview] += ws.ns[likelihood.ClassNewview]
+		ns[telemetry.KernelEvaluate] += ws.ns[likelihood.ClassEvaluate]
+		ns[telemetry.KernelDerivatives] += ws.ns[likelihood.ClassDerivatives]
+		ns[telemetry.KernelInsertion] += ws.ns[likelihood.ClassInsertion]
+		ns[telemetry.KernelSiteRates] += ws.scanNS
+		ws.ns, ws.scanNS = [likelihood.NumOpClasses]int64{}, 0
+	}
+	l.rec.EndEngineCall(start, &ns)
+}
+
+// Traverse executes the descriptor's schedules on the local kernels.
 func (l *Local) Traverse(d *traversal.Descriptor) {
-	l.dispatchBatch(batchTraverse, batchArgs{desc: d}, 0, telemetry.KernelNewview)
 	t := l.rec.Begin()
 	for i, k := range l.Kernels {
-		if l.isBatched(i) {
-			continue
-		}
 		k.Traverse(d.Steps[l.ClassOf(l.PartIdx[i])])
+		l.staged(i)
 	}
-	l.rec.EndKernel(telemetry.KernelNewview, t)
+	l.flush(t)
 }
 
 // EvaluateLocal traverses and evaluates, returning the local
@@ -211,64 +306,56 @@ func (l *Local) Traverse(d *traversal.Descriptor) {
 // slot stays 0. The returned slice is reused by the next EvaluateLocal
 // call.
 func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
-	out := l.dispatchBatch(batchEvaluate, batchArgs{desc: d}, 1, telemetry.KernelEvaluate)
+	t := l.rec.Begin()
+	for i, k := range l.Kernels {
+		if d.Active != nil && !d.Active[l.PartIdx[i]] {
+			continue
+		}
+		cls := l.ClassOf(l.PartIdx[i])
+		k.Traverse(d.Steps[cls])
+		k.Evaluate(d.P, d.Q, d.T[cls])
+		l.staged(i)
+	}
+	l.flush(t)
 	vec := scratchVec(&l.evalScr, l.NPart)
 	for i, k := range l.Kernels {
 		if d.Active != nil && !d.Active[l.PartIdx[i]] {
 			continue
 		}
-		if l.isBatched(i) {
-			vec[l.PartIdx[i]] += out[i]
-			continue
-		}
-		cls := l.ClassOf(l.PartIdx[i])
-		t := l.rec.Begin()
-		k.Traverse(d.Steps[cls])
-		l.rec.EndKernel(telemetry.KernelNewview, t)
-		t = l.rec.Begin()
-		vec[l.PartIdx[i]] += k.Evaluate(d.P, d.Q, d.T[cls])
-		l.rec.EndKernel(telemetry.KernelEvaluate, t)
+		vec[l.PartIdx[i]] += k.LnL(0)
 	}
 	return vec
 }
 
 // PrepareLocal traverses and builds the derivative sum tables.
 func (l *Local) PrepareLocal(d *traversal.Descriptor) {
-	l.dispatchBatch(batchPrepare, batchArgs{desc: d}, 0, telemetry.KernelDerivatives)
+	t := l.rec.Begin()
 	for i, k := range l.Kernels {
-		if l.isBatched(i) {
-			continue
-		}
-		cls := l.ClassOf(l.PartIdx[i])
-		t := l.rec.Begin()
-		k.Traverse(d.Steps[cls])
-		l.rec.EndKernel(telemetry.KernelNewview, t)
-		t = l.rec.Begin()
+		k.Traverse(d.Steps[l.ClassOf(l.PartIdx[i])])
 		k.PrepareDerivatives(d.P, d.Q)
-		l.rec.EndKernel(telemetry.KernelDerivatives, t)
+		l.staged(i)
 	}
+	l.flush(t)
 }
 
 // DerivativesLocal returns the local per-class derivative sums packed as
 // [d1_0..d1_{C-1}, d2_0..d2_{C-1}]. The returned slice is reused by the
 // next DerivativesLocal call.
 func (l *Local) DerivativesLocal(ts []float64) []float64 {
-	out := l.dispatchBatch(batchDeriv, batchArgs{ts: ts}, 2, telemetry.KernelDerivatives)
 	t := l.rec.Begin()
+	for i, k := range l.Kernels {
+		k.Derivatives(ts[l.ClassOf(l.PartIdx[i])])
+		l.staged(i)
+	}
+	l.flush(t)
 	classes := l.BLClasses()
 	vec := scratchVec(&l.derivScr, 2*classes)
 	for i, k := range l.Kernels {
 		cls := l.ClassOf(l.PartIdx[i])
-		var a, b float64
-		if l.isBatched(i) {
-			a, b = out[2*i], out[2*i+1]
-		} else {
-			a, b = k.Derivatives(ts[cls])
-		}
-		vec[cls] += a
-		vec[classes+cls] += b
+		d1, d2 := k.Gradient(0)
+		vec[cls] += d1
+		vec[classes+cls] += d2
 	}
-	l.rec.EndKernel(telemetry.KernelDerivatives, t)
 	return vec
 }
 
@@ -280,21 +367,19 @@ func (l *Local) DerivativesLocal(ts []float64) []float64 {
 // partition count. The returned slice is reused by the next
 // DerivativesPerPartition call.
 func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
-	out := l.dispatchBatch(batchDeriv, batchArgs{ts: ts, byPart: true}, 2, telemetry.KernelDerivatives)
 	t := l.rec.Begin()
+	for i, k := range l.Kernels {
+		k.Derivatives(ts[l.PartIdx[i]])
+		l.staged(i)
+	}
+	l.flush(t)
 	vec := scratchVec(&l.perPartScr, 2*l.NPart)
 	for i, k := range l.Kernels {
 		p := l.PartIdx[i]
-		var a, b float64
-		if l.isBatched(i) {
-			a, b = out[2*i], out[2*i+1]
-		} else {
-			a, b = k.Derivatives(ts[p])
-		}
-		vec[p] += a
-		vec[l.NPart+p] += b
+		d1, d2 := k.Gradient(0)
+		vec[p] += d1
+		vec[l.NPart+p] += d2
 	}
-	l.rec.EndKernel(telemetry.KernelDerivatives, t)
 	return vec
 }
 
@@ -308,41 +393,54 @@ func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
 func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 	classes := l.BLClasses()
 	nB := plan.NBranches()
-	out := l.dispatchBatch(batchGradient, batchArgs{grad: plan}, 2*nB, telemetry.KernelDerivatives)
+	l.gradient(plan)
 	vec := scratchVec(&l.gradScr, 2*classes*nB)
+	for i := range l.Kernels {
+		cls := l.ClassOf(l.PartIdx[i])
+		l.foldGradient(i, plan, vec[cls*nB:], vec[classes*nB+cls*nB:])
+	}
+	return vec
+}
+
+// gradient stages the plan on every local kernel — the pre-order pass,
+// then per computed edge the contracting gradient or, for a Reuse plan,
+// the derivative evaluation from the edge's cached sum table — and
+// flushes. Kernel results are then numbered over the plan's computed
+// edges in edge order.
+func (l *Local) gradient(plan *traversal.GradPlan) {
+	t := l.rec.Begin()
+	nB := plan.NBranches()
 	for i, k := range l.Kernels {
 		cls := l.ClassOf(l.PartIdx[i])
-		if l.isBatched(i) {
-			base := i * 2 * nB
-			for b := range plan.Edges {
-				if plan.Active != nil && !plan.Active[b] {
-					continue
-				}
-				vec[cls*nB+b] += out[base+b]
-				vec[classes*nB+cls*nB+b] += out[base+nB+b]
-			}
-			continue
-		}
-		t := l.rec.Begin()
 		k.TraverseOuter(plan.Pre[cls])
-		l.rec.EndKernel(telemetry.KernelNewview, t)
-		t = l.rec.Begin()
 		for b, e := range plan.Edges {
 			if plan.Active != nil && !plan.Active[b] {
 				continue
 			}
-			var d1, d2 float64
 			if plan.Reuse {
-				d1, d2 = k.BranchGradientReuse(b, plan.T[cls][b])
+				k.BranchGradientReuse(b, plan.T[cls][b])
 			} else {
-				d1, d2 = k.BranchGradientCached(b, nB, e.P, e.Q, plan.T[cls][b])
+				k.BranchGradientCached(b, nB, e.P, e.Q, plan.T[cls][b])
 			}
-			vec[cls*nB+b] += d1
-			vec[classes*nB+cls*nB+b] += d2
 		}
-		l.rec.EndKernel(telemetry.KernelDerivatives, t)
+		l.staged(i)
 	}
-	return vec
+	l.flush(t)
+}
+
+// foldGradient adds local kernel i's derivatives of the plan's computed
+// edges to d1[b] and d2[b].
+func (l *Local) foldGradient(i int, plan *traversal.GradPlan, d1, d2 []float64) {
+	r := 0
+	for b := range plan.Edges {
+		if plan.Active != nil && !plan.Active[b] {
+			continue
+		}
+		a, c := l.Kernels[i].Gradient(r)
+		d1[b] += a
+		d2[b] += c
+		r++
+	}
 }
 
 // AdmitGradPlan is the check a receiver of gradient plans it did not
@@ -350,8 +448,7 @@ func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 // plan is recorded: the edges it computes get their sum tables cached. A
 // Reuse plan reads those tables without contracting, so every edge it
 // computes must be one the last contracting plan computed — anything
-// else would index a sum table no kernel of this rank, fused or not,
-// holds.
+// else would index a sum table no kernel of this rank holds.
 func (l *Local) AdmitGradPlan(plan *traversal.GradPlan) error {
 	if !plan.Reuse {
 		l.gradContracted = l.gradContracted[:0]
@@ -379,40 +476,11 @@ func (l *Local) AdmitGradPlan(plan *traversal.GradPlan) error {
 // call.
 func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []float64 {
 	nB := plan.NBranches()
-	out := l.dispatchBatch(batchGradient, batchArgs{grad: plan}, 2*nB, telemetry.KernelDerivatives)
+	l.gradient(plan)
 	vec := scratchVec(&l.gradPPScr, 2*l.NPart*nB)
-	for i, k := range l.Kernels {
+	for i := range l.Kernels {
 		p := l.PartIdx[i]
-		cls := l.ClassOf(p)
-		if l.isBatched(i) {
-			base := i * 2 * nB
-			for b := range plan.Edges {
-				if plan.Active != nil && !plan.Active[b] {
-					continue
-				}
-				vec[p*nB+b] += out[base+b]
-				vec[l.NPart*nB+p*nB+b] += out[base+nB+b]
-			}
-			continue
-		}
-		t := l.rec.Begin()
-		k.TraverseOuter(plan.Pre[cls])
-		l.rec.EndKernel(telemetry.KernelNewview, t)
-		t = l.rec.Begin()
-		for b, e := range plan.Edges {
-			if plan.Active != nil && !plan.Active[b] {
-				continue
-			}
-			var d1, d2 float64
-			if plan.Reuse {
-				d1, d2 = k.BranchGradientReuse(b, plan.T[cls][b])
-			} else {
-				d1, d2 = k.BranchGradientCached(b, nB, e.P, e.Q, plan.T[cls][b])
-			}
-			vec[p*nB+b] += d1
-			vec[l.NPart*nB+p*nB+b] += d2
-		}
-		l.rec.EndKernel(telemetry.KernelDerivatives, t)
+		l.foldGradient(i, plan, vec[p*nB:], vec[l.NPart*nB+p*nB:])
 	}
 	return vec
 }
@@ -421,42 +489,34 @@ func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []flo
 // and returns the local log likelihood of every candidate insertion per
 // partition, candidate-major: candidate i's partition p is at
 // [i·NPart+p] (zeros for unowned partitions). One call replaces one
-// EvaluateLocal per candidate (docs/PERFORMANCE.md §8). The returned
-// slice is reused by the next call.
+// EvaluateLocal per candidate (docs/PERFORMANCE.md §8). Per kernel the
+// program is the post-order pass, the subtree's insertion table once,
+// then per candidate its pre-order step — the vector at the candidate's
+// near end — and the fused score of the vertex inserting the subtree
+// there would create (likelihood.ScoreInsertion). The returned slice is
+// reused by the next call.
 func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
+	t := l.rec.Begin()
+	for i, k := range l.Kernels {
+		cls := l.ClassOf(l.PartIdx[i])
+		k.Traverse(plan.Post[cls])
+		k.PrepareInsertion(plan.Sub, plan.SubT[cls])
+		for c, step := range plan.Pre[cls] {
+			k.NewviewOuter(step)
+			k.ScoreInsertion(likelihood.GradOuter(step.Dst), plan.Far[c], plan.Half[cls][c])
+		}
+		l.staged(i)
+	}
+	l.flush(t)
 	nC := plan.NCandidates()
-	out := l.dispatchBatch(batchInsertions, batchArgs{ins: plan}, nC, telemetry.KernelInsertion)
 	vec := scratchVec(&l.insScr, nC*l.NPart)
 	for i, k := range l.Kernels {
 		p := l.PartIdx[i]
-		if l.isBatched(i) {
-			for c := 0; c < nC; c++ {
-				vec[c*l.NPart+p] += out[i*nC+c]
-			}
-			continue
+		for c := 0; c < nC; c++ {
+			vec[c*l.NPart+p] += k.LnL(c)
 		}
-		// One span, one class of its own: the plan's traversals and the
-		// per-candidate scores interleave too finely to time apart, and the
-		// batched dispatch above cannot split them either.
-		t := l.rec.Begin()
-		scoreInsertions(k, plan, l.ClassOf(p), vec[p:], l.NPart)
-		l.rec.EndKernel(telemetry.KernelInsertion, t)
 	}
 	return vec
-}
-
-// scoreInsertions executes the plan on one kernel and adds candidate c's
-// log likelihood to out[c·stride]: the post-order pass, the subtree's
-// insertion table once, then per candidate its pre-order step — the
-// vector at the candidate's near end — and the fused score of the vertex
-// inserting the subtree there would create (likelihood.ScoreInsertion).
-func scoreInsertions(k *likelihood.Kernel, plan *traversal.InsertPlan, cls int, out []float64, stride int) {
-	k.Traverse(plan.Post[cls])
-	k.PrepareInsertion(plan.Sub, plan.SubT[cls])
-	for c, step := range plan.Pre[cls] {
-		k.NewviewOuter(step)
-		out[c*stride] += k.ScoreInsertion(likelihood.GradOuter(step.Dst), plan.Far[c], plan.Half[cls][c])
-	}
 }
 
 // SetSharedLocal applies the per-partition (α + GTR) matrix to the local
@@ -476,32 +536,55 @@ func SiteRateCells(nPart int) int { return 2 * model.MaxPSRCategories * nPart }
 
 // OptimizeSiteRatesLocal re-estimates every local pattern's rate by the
 // grid scan below and returns the local cell-statistics vector (2·cells
-// doubles per partition: rate·weight sums then weight sums).
+// doubles per partition: rate·weight sums then weight sums). Sites are
+// independent and nothing is reduced, so the pattern blocks of all
+// kernels go to the pool as they are: same rates at every thread count.
 func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 	const cells = model.MaxPSRCategories
-	out := l.dispatchBatch(batchSiteRates, batchArgs{desc: d}, 2*cells, telemetry.KernelSiteRates)
 	t := l.rec.Begin()
+	l.items = l.items[:0]
+	for ki, k := range l.Kernels {
+		l.scans[ki] = newSiteRateArgs(k, d, l.ClassOf(l.PartIdx[ki]))
+		l.addItems(ki)
+	}
+	for w := range l.work {
+		l.work[w].tabFor = -1
+	}
+	l.pool.Dispatch(len(l.items), l.scanItem)
+	l.joined(t)
 	stats := scratchVec(&l.srStatsScr, SiteRateCells(l.NPart))
 	for i, k := range l.Kernels {
 		base := 2 * cells * l.PartIdx[i]
-		if l.isBatched(i) {
-			bbase := i * 2 * cells
-			for c := 0; c < 2*cells; c++ {
-				stats[base+c] += out[bbase+c]
-			}
-			continue
-		}
-		// Sites are independent and nothing is reduced, so the pattern
-		// blocks go to the pool as they are: same rates at every thread
-		// count.
-		tab := l.takeSiteRateTable()
-		l.srArgs = newSiteRateArgs(k, tab, d, l.ClassOf(l.PartIdx[i]))
-		l.pool.Run(k.NPatterns(), l.srFn)
-		l.putSiteRateTable(tab)
 		model.AccumulateRateCells(k.Params().SiteRates, k.Data().Weights, stats[base:base+cells], stats[base+cells:base+2*cells])
 	}
-	l.rec.EndKernel(telemetry.KernelSiteRates, t)
 	return stats
+}
+
+// runScanItem scans one pattern block of one kernel's rates on pool
+// worker w. The P(t·r) table belongs to the worker: it fills it when it
+// comes to a kernel it was not filled for, so a rank holds at most one
+// table per thread whatever its partition count, a kernel's table is
+// filled by whichever workers scan it — each its own copy, the same bits
+// — and the fill is part of the dispatch rather than serial work before
+// it.
+func (l *Local) runScanItem(w, i int) {
+	it := l.items[i]
+	ws := &l.work[w]
+	var t0 time.Time
+	if l.rec != nil {
+		t0 = time.Now()
+	}
+	a := l.scans[it.k]
+	if ws.tabFor != it.k {
+		a.fill(&ws.tab)
+		ws.tabFor = it.k
+	}
+	a.tab = &ws.tab
+	lo, hi := threadpool.BlockBounds(int(it.blk), a.k.NPatterns())
+	a.optimize(lo, hi)
+	if l.rec != nil {
+		ws.scanNS += int64(time.Since(t0))
+	}
 }
 
 // The rate scan. A site's rate is searched on model.SiteRateGrid, the one
@@ -523,50 +606,33 @@ func (l *Local) OptimizeSiteRatesLocal(d *traversal.Descriptor) []float64 {
 // grid point it refines, if that is better — replaces the current rate
 // iff its exact likelihood is no lower.
 
-// takeSiteRateTable returns an idle table — the one put back last, so
-// that a rank whose scans never overlap keeps a single table — or a new
-// one when every other is in use: at most one per thread, since that is
-// how many scans the pool overlaps.
-func (l *Local) takeSiteRateTable() *likelihood.SiteRateTable {
-	l.srMu.Lock()
-	defer l.srMu.Unlock()
-	n := len(l.srFree)
-	if n == 0 {
-		return new(likelihood.SiteRateTable)
-	}
-	tab := l.srFree[n-1]
-	l.srFree = l.srFree[:n-1]
-	return tab
-}
-
-// putSiteRateTable hands a table back.
-func (l *Local) putSiteRateTable(tab *likelihood.SiteRateTable) {
-	l.srMu.Lock()
-	l.srFree = append(l.srFree, tab)
-	l.srMu.Unlock()
-}
-
 // siteRateArgs are the operands of one kernel's rate scan: the full-tree
-// schedule, the evaluation edge and the table filled for them.
+// schedule, the evaluation edge, the grid rates some site's window holds
+// and — once a worker has filled one for them — the table.
 type siteRateArgs struct {
-	k     *likelihood.Kernel
-	tab   *likelihood.SiteRateTable
-	steps []likelihood.Step
-	p, q  likelihood.NodeRef
-	rootT float64
+	k        *likelihood.Kernel
+	tab      *likelihood.SiteRateTable
+	steps    []likelihood.Step
+	p, q     likelihood.NodeRef
+	rootT    float64
+	gLo, gHi int
 }
 
-// newSiteRateArgs fills tab for kernel k along linkage class cls of d,
-// at the grid rates some site's window holds, and returns the scan's
-// operands.
-func newSiteRateArgs(k *likelihood.Kernel, tab *likelihood.SiteRateTable, d *traversal.Descriptor, cls int) siteRateArgs {
+// newSiteRateArgs returns the operands of kernel k's scan along linkage
+// class cls of d; the table is still to be filled.
+func newSiteRateArgs(k *likelihood.Kernel, d *traversal.Descriptor, cls int) siteRateArgs {
 	gLo, gHi := model.SiteRateGridSize, -1
 	for _, cur := range k.Params().SiteRates {
 		_, _, lo, hi := siteRateWindow(cur)
 		gLo, gHi = min(gLo, lo), max(gHi, hi)
 	}
-	k.FillSiteRateTable(tab, d.Steps[cls], d.T[cls], gLo, gHi)
-	return siteRateArgs{k, tab, d.Steps[cls], d.P, d.Q, d.T[cls]}
+	return siteRateArgs{k: k, steps: d.Steps[cls], p: d.P, q: d.Q, rootT: d.T[cls], gLo: gLo, gHi: gHi}
+}
+
+// fill fills tab for the scan, at the grid rates some site's window
+// holds.
+func (a siteRateArgs) fill(tab *likelihood.SiteRateTable) {
+	a.k.FillSiteRateTable(tab, a.steps, a.rootT, a.gLo, a.gHi)
 }
 
 // siteRateWindow returns the rates a site at rate cur is searched over —

@@ -1,6 +1,7 @@
 package enginecore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/msa"
 	"repro/internal/seqgen"
-	"repro/internal/threadpool"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
@@ -181,19 +181,28 @@ func TestResolveSiteRatesEmptyPartitions(t *testing.T) {
 	}
 }
 
-// mixedData is 12 taxa × {1100, 70} bp with the tree it was simulated
-// on: on one rank, a partition of several pattern blocks that stays on
-// the worker pool and one that is fused into the small-partition batch.
-func mixedData(t testing.TB) (*msa.Dataset, *tree.Tree) {
+// shapes are the three ways a rank's patterns can be cut into kernels that
+// the execution of an engine call must not care about: one kernel of
+// several pattern blocks, twenty kernels of one block each, and both
+// kinds side by side.
+var shapes = []struct {
+	name  string
+	sites []int
+}{
+	{"large", []int{1100}},
+	{"small20", []int{70, 60, 80, 70, 50, 90, 70, 60, 80, 70, 70, 60, 80, 70, 50, 90, 70, 60, 80, 70}},
+	{"mixed", []int{1100, 70}},
+}
+
+// shapedData is 12 taxa × the given partition lengths with the tree it
+// was simulated on.
+func shapedData(t testing.TB, sites []int) (*msa.Dataset, *tree.Tree) {
 	t.Helper()
-	res, err := seqgen.Generate(seqgen.Config{
-		NTaxa: 12,
-		Specs: []seqgen.Spec{
-			{Name: "big", NSites: 1100, Alpha: 0.7, GapProb: 0.02},
-			{Name: "small", NSites: 70, Alpha: 1.1, GapProb: 0.02},
-		},
-		Seed: 19,
-	})
+	cfg := seqgen.Config{NTaxa: 12, Seed: 19}
+	for i, n := range sites {
+		cfg.Specs = append(cfg.Specs, seqgen.Spec{Name: fmt.Sprintf("p%d", i), NSites: n, Alpha: 0.7 + 0.05*float64(i%9), GapProb: 0.02})
+	}
+	res, err := seqgen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +211,14 @@ func mixedData(t testing.TB) (*msa.Dataset, *tree.Tree) {
 		t.Fatal(err)
 	}
 	return d, res.Tree
+}
+
+// mixedData is 12 taxa × {1100, 70} bp with the tree it was simulated
+// on: on one rank, a kernel of several pattern blocks and a kernel of
+// one.
+func mixedData(t testing.TB) (*msa.Dataset, *tree.Tree) {
+	t.Helper()
+	return shapedData(t, shapes[2].sites)
 }
 
 // mixedRank builds rank's Local of a cyclic split of d over ranks, and
@@ -230,8 +247,8 @@ func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tr
 	t.Helper()
 	d, _ := mixedData(t)
 	l, _ := mixedRank(t, d, het, threads, 1, 0)
-	if l.BatchedKernels() != 1 || threadpool.NumBlocks(l.Kernels[0].NPatterns()) < 3 {
-		t.Fatalf("want one batched kernel and one of at least 3 blocks; got %d batched, %d patterns", l.BatchedKernels(), l.Kernels[0].NPatterns())
+	if l.Kernels[0].NBlocks() < 3 || l.Kernels[1].NBlocks() != 1 {
+		t.Fatalf("want a kernel of at least 3 blocks and one of 1; got %d and %d", l.Kernels[0].NBlocks(), l.Kernels[1].NBlocks())
 	}
 	return l, tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(8)))
 }
@@ -239,8 +256,8 @@ func mixedLocal(t *testing.T, het model.Heterogeneity, threads int) (*Local, *tr
 // TestEvaluateSkipsMaskedPartitions: a partition the descriptor masks out
 // costs nothing and keeps everything — its kernel's CLVs are not touched
 // (here: still never computed), its result slot is 0 — while the others
-// return the bits an unmasked evaluation returns, on the pooled and on
-// the batched path alike.
+// return the bits an unmasked evaluation returns, for a kernel of many
+// blocks and for one of a single block alike.
 func TestEvaluateSkipsMaskedPartitions(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		for _, threads := range []int{1, 2} {
@@ -298,7 +315,11 @@ func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
 	bits(l.EvaluateLocal(d))
 	l.PrepareLocal(d)
 	bits(l.DerivativesLocal([]float64{0.07}))
-	bits(l.DerivativesPerPartition([]float64{0.07, 0.3}))
+	perPart := make([]float64, l.NPart)
+	for p := range perPart {
+		perPart[p] = 0.07 + 0.23*float64(p%3)
+	}
+	bits(l.DerivativesPerPartition(perPart))
 
 	plan, _ := traversal.BuildGradient(tr, nil)
 	bits(l.AllBranchDerivativesLocal(plan))
@@ -327,31 +348,119 @@ func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
 	return out
 }
 
-// TestBatchingChangesNoBit: a kernel fused into the small-partition
-// batch computes serially inside one pool item and deposits into its own
-// kernel-indexed slots, which the caller folds in kernel order — so every
-// Local operation returns the bits it returns with every kernel on the
-// shared pool (docs/DETERMINISM.md §8), at one thread and at four.
-func TestBatchingChangesNoBit(t *testing.T) {
-	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		for _, threads := range []int{1, 4} {
-			fused, tr := mixedLocal(t, het, threads)
-			pooled, _ := mixedLocal(t, het, threads)
-			pooled.setBatchSites(0)
-			if pooled.BatchedKernels() != 0 {
-				t.Fatalf("setBatchSites(0) left %d kernels batched", pooled.BatchedKernels())
-			}
-			got, want := localTrace(t, fused, tr), localTrace(t, pooled, tr)
-			if len(got) != len(want) {
-				t.Fatalf("%v T=%d: %d outputs fused, %d pooled", het, threads, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v T=%d: output %d: fused %x, pooled %x", het, threads, i, got[i], want[i])
+// executeOpMajor makes l run its kernels' programs the other way round,
+// on the calling goroutine: per kernel, every block of the first staged
+// operation, then every block of the second, … — one operation at a time
+// over the whole pattern range, the order everything ran in before an
+// engine call became a program. The oracle of TestBatchingChangesNoBit.
+func executeOpMajor(l *Local) {
+	l.execute = func() {
+		for _, k := range l.Kernels {
+			for op := 0; op < k.Staged(); op++ {
+				for blk := 0; blk < k.NBlocks(); blk++ {
+					k.RunOp(op, blk)
 				}
 			}
-			if fused.batchDispatches == 0 {
-				t.Errorf("%v T=%d: no batched dispatch ran", het, threads)
+		}
+	}
+}
+
+// TestBatchingChangesNoBit: an engine call executes as ONE dispatch over
+// the (kernel, block) items of all local kernels, each item running its
+// kernel's whole program over one block, and the caller folds the
+// kernels' results in kernel order — and every Local operation returns
+// the bits it returns when each kernel's program is executed op-major on
+// one goroutine (docs/DETERMINISM.md §8): for a rank that holds one
+// kernel of several blocks, twenty kernels of one block, or both; for
+// both rate models; without a pool and with 1, 2, 3 and 4 threads. What
+// used to be a separate fused path for small partitions is the same
+// path: a one-block kernel is a one-item program.
+func TestBatchingChangesNoBit(t *testing.T) {
+	for _, shape := range shapes {
+		d, _ := shapedData(t, shape.sites)
+		tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(8)))
+		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+			oracle, _ := mixedRank(t, d, het, 0, 1, 0)
+			executeOpMajor(oracle)
+			want := localTrace(t, oracle, tr)
+			for _, threads := range []int{0, 1, 2, 3, 4} {
+				l, _ := mixedRank(t, d, het, threads, 1, 0)
+				got := localTrace(t, l, tr)
+				if len(got) != len(want) {
+					t.Fatalf("%s %v T=%d: %d outputs block-major, %d op-major", shape.name, het, threads, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s %v T=%d: output %d: block-major %x, op-major %x", shape.name, het, threads, i, got[i], want[i])
+					}
+				}
+				ps := l.pool.Stats()
+				if l.engineCalls != oracle.engineCalls || ps.Dispatches > l.engineCalls {
+					t.Errorf("%s %v T=%d: %d engine calls (oracle %d) made %d pool dispatches, want at most one each", shape.name, het, threads, l.engineCalls, oracle.engineCalls, ps.Dispatches)
+				}
+				if threads > 1 && ps.Dispatches == 0 {
+					t.Errorf("%s %v T=%d: no engine call reached the pool", shape.name, het, threads)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeAllocatesNothing: a model-parameter probe — new shared
+// parameters, then a forced traversal and evaluation — misses the
+// P-matrix cache on every branch length of the tree. The matrices the
+// reset cache held go back to the kernel's free list and the misses are
+// served from it, the tip tables come from the program's arena and the
+// call is one dispatch, so the engine call of a probe whose parameters
+// changed allocates nothing, on a serial rank and on a threaded one. What
+// is left is what decoding the parameters costs by itself (the
+// eigendecomposition and the Γ quantiles of model.Params.Rebuild),
+// measured here on its own and subtracted.
+func TestProbeAllocatesNothing(t *testing.T) {
+	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+		for _, threads := range []int{1, 2} {
+			l, tr := mixedLocal(t, het, threads)
+			for i, e := range tr.Edges() {
+				e.SetLength(0, 0.02+0.013*float64(i))
+			}
+			d := traversal.Build(tr, tr.Tip(0), true)
+			params := make([][][]float64, 2)
+			for v := range params {
+				params[v] = make([][]float64, l.NPart)
+				for p := range params[v] {
+					shared := l.Kernels[p].Params().EncodeShared()
+					shared[model.SharedAlpha] *= 1 + 0.1*float64(v+1)
+					shared[model.SharedRates] *= 1 + 0.2*float64(v+1)
+					params[v][p] = shared
+				}
+			}
+			n := 0
+			push := func() {
+				n++
+				if err := l.SetSharedLocal(params[n%2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			probe := func() {
+				push()
+				l.EvaluateLocal(d)
+			}
+			for warm := 0; warm < 4; warm++ {
+				probe()
+			}
+			misses := func() (n int64) {
+				for _, k := range l.Kernels {
+					n += k.FastPath().PCacheMisses
+				}
+				return n
+			}
+			before := misses()
+			decode, whole := testing.AllocsPerRun(10, push), testing.AllocsPerRun(10, probe)
+			if whole != decode {
+				t.Errorf("%v T=%d: a probe with changed parameters allocates %v times, %v of them decoding the parameters", het, threads, whole, decode)
+			}
+			if perProbe := (misses() - before) / 11; perProbe < int64(len(l.Kernels)*l.NInner) {
+				t.Errorf("%v T=%d: %d P-cache misses per probe: the probes did not change the parameters", het, threads, perProbe)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func serialScan(l *Local, d *traversal.Descriptor) {
 	var tab likelihood.SiteRateTable
 	for _, k := range l.Kernels {
 		k.FillSiteRateTable(&tab, d.Steps[0], d.T[0], 0, model.SiteRateGridSize-1)
-		siteRateArgs{k, &tab, d.Steps[0], d.P, d.Q, d.T[0]}.optimize(0, k.NPatterns())
+		siteRateArgs{k: k, tab: &tab, steps: d.Steps[0], p: d.P, q: d.Q, rootT: d.T[0]}.optimize(0, k.NPatterns())
 	}
 }
 
@@ -37,62 +37,59 @@ func siteRateEvals(l *Local) (table, exact int64) {
 
 // TestSiteRatesSameBitsAtEveryThreadCount: sites are independent, nothing
 // is reduced and the table is a function of the schedule, the branch
-// lengths, the eigensystem and the grid, so a pattern's rate after one
-// round and after two is the bit pattern serialScan gives it — with no
-// pool and with 1, 2 and 4 threads, with small kernels fused into a batch
-// or not, and whichever rank of 1, 2 or 3 holds the pattern; one rank's
-// cell statistics are those of the serial rates; and every arrangement
-// spends the same evaluations.
+// lengths, the eigensystem and the grid — whichever worker fills its copy
+// — so a pattern's rate after one round and after two is the bit pattern
+// serialScan gives it: with no pool and with 1, 2, 3 and 4 threads,
+// whether the rank's patterns sit in one kernel of several blocks, in
+// twenty kernels of one block or in both kinds, and whichever rank of 1,
+// 2 or 3 holds the pattern; one rank's cell statistics are those of the
+// serial rates; every arrangement spends the same evaluations; and a
+// round is one pool dispatch.
 func TestSiteRatesSameBitsAtEveryThreadCount(t *testing.T) {
-	data, _ := mixedData(t)
-	tr := tree.NewRandom(data.Names, 1, rand.New(rand.NewSource(8)))
-	d := traversal.Build(tr, tr.Tip(0), true)
+	for _, shape := range shapes {
+		data, _ := shapedData(t, shape.sites)
+		tr := tree.NewRandom(data.Names, 1, rand.New(rand.NewSource(8)))
+		d := traversal.Build(tr, tr.Tip(0), true)
 
-	ref, _ := mixedRank(t, data, model.PSR, 0, 1, 0)
-	const rounds, cells = 2, model.MaxPSRCategories
-	var want [rounds][][]float64 // [round][partition][pattern]
-	var wantStats [rounds][]float64
-	var wantTable, wantExact int64
-	for r := 0; r < rounds; r++ {
-		// The second round starts from the first one's rates: a state
-		// where neighbouring sites differ.
-		serialScan(ref, d)
-		wantStats[r] = make([]float64, SiteRateCells(ref.NPart))
-		moved := 0
-		for p, k := range ref.Kernels {
-			rates := k.Params().SiteRates
-			want[r] = append(want[r], append([]float64(nil), rates...))
-			model.AccumulateRateCells(rates, k.Data().Weights, wantStats[r][2*cells*p:][:cells], wantStats[r][2*cells*p+cells:][:cells])
-			for _, x := range rates {
-				if x != 1 {
-					moved++
+		ref, _ := mixedRank(t, data, model.PSR, 0, 1, 0)
+		const rounds, cells = 2, model.MaxPSRCategories
+		var want [rounds][][]float64 // [round][partition][pattern]
+		var wantStats [rounds][]float64
+		var wantTable, wantExact int64
+		for r := 0; r < rounds; r++ {
+			// The second round starts from the first one's rates: a state
+			// where neighbouring sites differ.
+			serialScan(ref, d)
+			wantStats[r] = make([]float64, SiteRateCells(ref.NPart))
+			moved := 0
+			for p, k := range ref.Kernels {
+				rates := k.Params().SiteRates
+				want[r] = append(want[r], append([]float64(nil), rates...))
+				model.AccumulateRateCells(rates, k.Data().Weights, wantStats[r][2*cells*p:][:cells], wantStats[r][2*cells*p+cells:][:cells])
+				for _, x := range rates {
+					if x != 1 {
+						moved++
+					}
 				}
 			}
+			if moved == 0 {
+				t.Fatal("serial scan: no rate moved off its start")
+			}
 		}
-		if moved == 0 {
-			t.Fatal("serial scan: no rate moved off its start")
-		}
-	}
-	wantTable, wantExact = siteRateEvals(ref)
+		wantTable, wantExact = siteRateEvals(ref)
 
-	for _, threads := range []int{0, 1, 2, 4} {
-		for _, batch := range []bool{true, false} {
+		for _, threads := range []int{0, 1, 2, 3, 4} {
 			for _, ranks := range []int{1, 2, 3} {
 				var table, exact int64
 				for rank := 0; rank < ranks; rank++ {
 					l, shares := mixedRank(t, data, model.PSR, threads, ranks, rank)
-					if !batch {
-						l.setBatchSites(0)
-					} else if l.BatchedKernels() == 0 {
-						t.Fatalf("ranks=%d: no kernel batched on rank %d", ranks, rank)
-					}
 					for r := 0; r < rounds; r++ {
 						stats := l.OptimizeSiteRatesLocal(d)
 						for ki, k := range l.Kernels {
 							for j, x := range k.Params().SiteRates {
 								if w := want[r][shares[ki].Part][shares[ki].Patterns[j]]; math.Float64bits(x) != math.Float64bits(w) {
-									t.Fatalf("T=%d batch=%v rank %d of %d, round %d, partition %d pattern %d: rate %.17g, serial scan %.17g",
-										threads, batch, rank, ranks, r, shares[ki].Part, shares[ki].Patterns[j], x, w)
+									t.Fatalf("%s T=%d rank %d of %d, round %d, partition %d pattern %d: rate %.17g, serial scan %.17g",
+										shape.name, threads, rank, ranks, r, shares[ki].Part, shares[ki].Patterns[j], x, w)
 								}
 							}
 						}
@@ -101,15 +98,18 @@ func TestSiteRatesSameBitsAtEveryThreadCount(t *testing.T) {
 						}
 						for i := range stats {
 							if math.Float64bits(stats[i]) != math.Float64bits(wantStats[r][i]) {
-								t.Fatalf("T=%d batch=%v round %d: cell statistic %d is %.17g, of the serial rates %.17g", threads, batch, r, i, stats[i], wantStats[r][i])
+								t.Fatalf("%s T=%d round %d: cell statistic %d is %.17g, of the serial rates %.17g", shape.name, threads, r, i, stats[i], wantStats[r][i])
 							}
 						}
 					}
 					tb, ex := siteRateEvals(l)
 					table, exact = table+tb, exact+ex
+					if ps := l.pool.Stats(); l.engineCalls != rounds || ps.Dispatches > rounds {
+						t.Errorf("%s T=%d rank %d of %d: %d rounds were %d engine calls and %d pool dispatches", shape.name, threads, rank, ranks, rounds, l.engineCalls, ps.Dispatches)
+					}
 				}
 				if table != wantTable || exact != wantExact {
-					t.Errorf("T=%d batch=%v ranks=%d: %d table + %d exact evaluations, serial scan %d + %d", threads, batch, ranks, table, exact, wantTable, wantExact)
+					t.Errorf("%s T=%d ranks=%d: %d table + %d exact evaluations, serial scan %d + %d", shape.name, threads, ranks, table, exact, wantTable, wantExact)
 				}
 			}
 		}
@@ -127,7 +127,7 @@ func TestSiteRateScanCost(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, k := range l.Kernels {
 			k.FillSiteRateTable(&tab, d.Steps[0], d.T[0], 0, model.SiteRateGridSize-1)
-			a := siteRateArgs{k, &tab, d.Steps[0], d.P, d.Q, d.T[0]}
+			a := siteRateArgs{k: k, tab: &tab, steps: d.Steps[0], p: d.P, q: d.Q, rootT: d.T[0]}
 			for i := 0; i < k.NPatterns(); i++ {
 				before := k.FastPath()
 				a.optimize(i, i+1)
@@ -143,16 +143,20 @@ func TestSiteRateScanCost(t *testing.T) {
 	t.Logf("most table evaluations spent on one site: %d", most)
 }
 
-// TestSiteRateLoopAllocatesNothing: on a serial rank the staged
-// arguments, the cached pool closure, the rank-owned tables and the
-// caller-owned cell buffers leave a site-rate call with no allocation
-// once the first call has sized the tables.
+// TestSiteRateLoopAllocatesNothing: the staged arguments, the cached pool
+// closure, the workers' own tables and the caller-owned cell buffers
+// leave a site-rate call with no allocation once the first calls have
+// sized the tables, on a serial rank and on a threaded one.
 func TestSiteRateLoopAllocatesNothing(t *testing.T) {
-	l, tr := mixedLocal(t, model.PSR, 1)
-	d := traversal.Build(tr, tr.Tip(0), true)
-	l.OptimizeSiteRatesLocal(d)
-	if got := testing.AllocsPerRun(3, func() { l.OptimizeSiteRatesLocal(d) }); got != 0 {
-		t.Errorf("OptimizeSiteRatesLocal allocates %v times per call, want 0", got)
+	for _, threads := range []int{1, 2} {
+		l, tr := mixedLocal(t, model.PSR, threads)
+		d := traversal.Build(tr, tr.Tip(0), true)
+		for warm := 0; warm < 3; warm++ {
+			l.OptimizeSiteRatesLocal(d)
+		}
+		if got := testing.AllocsPerRun(5, func() { l.OptimizeSiteRatesLocal(d) }); got != 0 {
+			t.Errorf("T=%d: OptimizeSiteRatesLocal allocates %v times per call, want 0", threads, got)
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 )
 
 // TestEngineSteadyStateAllocFree mirrors the decentral-engine test: on a
-// single serial rank the warm fork-join master must drive a full
+// single rank, serial or with a worker pool, the warm fork-join master
+// must drive a full
 // Evaluate / PrepareBranch / BranchDerivatives cycle without allocating.
 // This is what the cached opcode buffer, the analytic descriptor-size
 // metering (no worker, no encode), and the engine scratch vectors buy;
@@ -22,9 +23,9 @@ import (
 // expected.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		// Two partitions small enough to be fused into one batch
-		// dispatch, then one of several pattern blocks, which is not.
-		for _, shape := range [][2]int{{2, 60}, {1, 900}} {
+		// Two partitions of one pattern block each, then one of several
+		// blocks; one thread, then two.
+		for _, shape := range [][3]int{{2, 60, 1}, {1, 900, 1}, {2, 60, 2}, {1, 900, 2}} {
 			d := makeDataset(t, 8, shape[0], shape[1], 3)
 			counts := make([]int, d.NPartitions())
 			for i, p := range d.Parts {
@@ -35,13 +36,13 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			world := mpi.NewWorld(1)
-			eng, err := NewMaster(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR})
+			eng, err := NewMaster(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR, Threads: shape[2]})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			if batched := eng.local.BatchedKernels() > 0; batched != (shape[0] == 2) {
-				t.Fatalf("%d x %d bp: batched = %v", shape[0], shape[1], batched)
+			if nb := eng.local.Kernels[0].NBlocks(); (nb == 1) != (shape[0] == 2) {
+				t.Fatalf("%d x %d bp: partition 0 is %d blocks", shape[0], shape[1], nb)
 			}
 
 			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
@@ -74,7 +75,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 				eng.AllBranchDerivatives(plan)
 				eng.ScoreInsertions(&ins)
 			}); allocs != 0 {
-				t.Errorf("%v, %d x %d bp: steady-state master cycle allocates %.1f times per run", het, shape[0], shape[1], allocs)
+				t.Errorf("%v, %d x %d bp, T=%d: steady-state master cycle allocates %.1f times per run", het, shape[0], shape[1], shape[2], allocs)
 			}
 		}
 	}

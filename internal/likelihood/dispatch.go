@@ -1,16 +1,36 @@
 package likelihood
 
-// This file routes every kernel's block work through one cached closure.
+import (
+	"time"
+
+	"repro/internal/threadpool"
+)
+
+// This file is the kernel's program: the staged operations of one engine
+// call, their execution block by block, and the join.
 //
-// Handing the pool a fresh closure per call would heap-allocate on every
-// likelihood operation (the closure escapes into the pool's worker
-// machinery), and the steady-state hot path must run allocation-free
-// (docs/PERFORMANCE.md, asserted by testing.AllocsPerRun in the engine
-// packages). Instead, each kernel stages its per-call operands in k.ra
-// and dispatches on an opcode to the block workers (soa_gamma.go,
-// soa_psr.go, insertion.go, and the derivative workers in gamma.go /
-// psr.go), so the computed bits are exactly those of the direct-closure
-// formulation.
+// A kernel call does not compute; it stages. Traverse, Evaluate,
+// PrepareDerivatives, the gradient and the insertion calls resolve their
+// operands, build their P matrices and tip tables on the caller's
+// goroutine, and append one runArgs per block operation to k.prog. The
+// engine then runs the whole program over one pattern block before it
+// moves to the next — RunBlock, one (kernel, block) item of the rank's
+// single dispatch for the call — and Finish combines what the reducing
+// operations left in their per-block slots. Sites are independent, so an
+// operation may read what an earlier operation of the program wrote for
+// the same sites and nothing else; executing block-major instead of
+// op-major therefore changes no value, and the reductions are combined
+// exactly as before: per operation, over the blocks in index order
+// (docs/DETERMINISM.md §2 and §8).
+//
+// Everything a staged operation points to lives until Finish: CLV and
+// outer slots and the sum tables belong to the kernel, cached P matrices
+// to the cache (which only resets between programs), and every table
+// built for one operation — uncached P matrices, tip, pair and prep
+// tables, derivative exponentials — comes from the kernel's program arena
+// (ProgramArena; a rank's kernels share one), which grows to the largest
+// call and is reset by Finish. Steady-state calls therefore allocate
+// nothing.
 
 // runOp selects the staged block operation.
 type runOp uint8
@@ -43,11 +63,45 @@ const (
 	opInsPSRTip
 )
 
-// runArgs stages the operands of the in-flight block operation. Workers
-// only read it; every field is set before runBlocks and stable until
-// the join, so concurrent block execution stays race-free.
+// OpClass groups the block operations the way telemetry reports kernel
+// time: a worker that times a program charges each operation to its class.
+type OpClass uint8
+
+const (
+	// ClassNewview is every conditional-vector combine, post- or pre-order.
+	ClassNewview OpClass = iota
+	// ClassEvaluate is log-likelihood evaluation at a virtual root.
+	ClassEvaluate
+	// ClassDerivatives is sum-table preparation and derivative evaluation.
+	ClassDerivatives
+	// ClassInsertion is the SPR insertion table and the fused scores.
+	ClassInsertion
+
+	// NumOpClasses is the number of operation classes.
+	NumOpClasses
+)
+
+// class returns the telemetry class of a block operation.
+func (op runOp) class() OpClass {
+	switch op {
+	case opNvGammaTipTip, opNvGammaTipInner, opNvGammaInner, opNvPSRFast, opNvPSRInner:
+		return ClassNewview
+	case opEvalGamma, opEvalGammaTip, opEvalPSR, opEvalPSRTip:
+		return ClassEvaluate
+	case opPrepInsGamma, opPrepInsPSR, opInsGamma, opInsGammaTip, opInsPSR, opInsPSRTip:
+		return ClassInsertion
+	}
+	return ClassDerivatives
+}
+
+// runArgs is one staged block operation. Workers only read it; every
+// field is set at staging and stable until Finish, so concurrent block
+// execution stays race-free.
 type runArgs struct {
 	op runOp
+	// red is the operation's slot in a block's row of partials, −1 for an
+	// operation that reduces nothing.
+	red int32
 
 	dclv   []float64
 	dscale []int32
@@ -58,86 +112,143 @@ type runArgs struct {
 	// tabA/tabB double as the prep tip tables (tabP, tabQ).
 	tabA, tabB []float64
 	pair       []float64
+	pairScale  *[256]int32
 	catW       float64
 
+	// sumTab is the sum table a prepare operation fills and a derivative
+	// operation reads (a fused gradient does both).
+	sumTab    []float64
 	exG, lamG *[gammaCats][ns]float64
 	exP, lamP [][ns]float64
-
-	parts []blockPartial
 }
 
-// runBlocks executes the staged operation over the kernel's patterns on
-// its pool through the cached closure.
-func (k *Kernel) runBlocks() {
-	if k.blockFn == nil {
-		k.blockFn = func(blk, lo, hi int) { k.dispatchBlock(blk, lo, hi) }
+// blockPartial is one pattern block's contribution to a reducing
+// operation. Each block writes only its own row of slots; Finish combines
+// the rows in block-index order, which keeps every reduction
+// bit-identical regardless of how blocks were scheduled onto threads. A
+// row is padded to whole cache lines (redStride is even): adjacent blocks
+// run on different threads, and two workers depositing into one line
+// would ping-pong it on every store (docs/PERFORMANCE.md §6).
+type blockPartial struct {
+	// a is an evaluation's or insertion score's partial log likelihood, or
+	// a derivative's d1; b is the derivative's d2.
+	a, b float64
+	// rescaled counts the sites an insertion-score block rescaled.
+	rescaled int64
+	_        int64
+}
+
+// stage appends a block operation to the program and returns it for the
+// caller to fill in; the pointer is good until the next stage call.
+func (k *Kernel) stage(op runOp) *runArgs {
+	k.prog = append(k.prog, runArgs{op: op, red: -1})
+	return &k.prog[len(k.prog)-1]
+}
+
+// stageReducing is stage for an operation that leaves a partial per block:
+// its folded result is the program's next one (LnL, Gradient).
+func (k *Kernel) stageReducing(op runOp) *runArgs {
+	ra := k.stage(op)
+	ra.red = int32(k.nRed)
+	k.nRed++
+	if k.nRed > k.redStride {
+		// Nothing of this program has run yet, so the slots hold nothing.
+		k.redStride = 2 * k.nRed
+		k.parts = make([]blockPartial, k.NBlocks()*k.redStride)
 	}
-	k.pool.Run(k.nPat, k.blockFn)
+	return ra
 }
 
-// dispatchBlock executes one block of the staged operation.
-func (k *Kernel) dispatchBlock(blk, lo, hi int) {
-	ra := &k.ra
+// Staged reports how many block operations the program holds.
+func (k *Kernel) Staged() int { return len(k.prog) }
+
+// NBlocks returns the number of pattern blocks — the items a flush of
+// this kernel's program consists of.
+func (k *Kernel) NBlocks() int { return threadpool.NumBlocks(k.nPat) }
+
+// RunBlock executes the staged program over pattern block blk: every
+// operation in staging order, each over the block's sites only. Blocks
+// are independent, so RunBlock calls for different blocks may run
+// concurrently; the caller joins them before Finish. With ns non-nil the
+// time spent is added to ns by operation class (two clock reads per run
+// of same-class operations).
+func (k *Kernel) RunBlock(blk int, ns *[NumOpClasses]int64) {
+	if ns == nil || len(k.prog) == 0 {
+		for op := range k.prog {
+			k.RunOp(op, blk)
+		}
+		return
+	}
+	start := time.Now()
+	cls, since := k.prog[0].op.class(), time.Duration(0)
+	for op := range k.prog {
+		if c := k.prog[op].op.class(); c != cls {
+			now := time.Since(start)
+			ns[cls] += int64(now - since)
+			cls, since = c, now
+		}
+		k.RunOp(op, blk)
+	}
+	ns[cls] += int64(time.Since(start) - since)
+}
+
+// RunOp executes staged operation op over pattern block blk: the cell of
+// the (operation, block) grid that RunBlock walks a column of. An
+// operation may read what earlier operations of the program wrote for
+// the same block, so any order that runs a block's operations in staging
+// order is valid.
+func (k *Kernel) RunOp(op, blk int) {
+	ra := &k.prog[op]
+	lo, hi := threadpool.BlockBounds(blk, k.nPat)
+	var part *blockPartial
+	if ra.red >= 0 {
+		part = &k.parts[blk*k.redStride+int(ra.red)]
+	}
 	switch ra.op {
 	case opNvGammaTipTip:
-		k.newviewGammaTipTipSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pair, &k.pairScaleScr, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+		k.newviewGammaTipTipSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pair, ra.pairScale, lo, hi)
 
 	case opNvGammaTipInner:
 		k.newviewGammaTipInnerSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opNvGammaInner:
 		k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opEvalGamma:
-		ra.parts[blk].lnL = k.evaluateGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+		part.a = k.evaluateGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
 
 	case opEvalGammaTip:
-		ra.parts[blk].lnL = k.evaluateGammaTipSoABlock(ra.oa, ra.ob, ra.tabB, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+		part.a = k.evaluateGammaTipSoABlock(ra.oa, ra.ob, ra.tabB, ra.catW, lo, hi)
 
 	case opPrepGamma:
-		k.prepareGammaSoABlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
 
 	case opPrepGammaFast:
-		k.prepareGammaFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+		k.prepareGammaFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 
 	case opDerivGamma:
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
 
 	case opNvPSRFast:
 		k.newviewPSRFastSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
 
 	case opNvPSRInner:
 		k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
 
 	case opEvalPSR:
-		ra.parts[blk].lnL = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
+		part.a = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
 
 	case opEvalPSRTip:
-		ra.parts[blk].lnL = k.evaluatePSRTipSoABlock(ra.oa, ra.ob, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
+		part.a = k.evaluatePSRTipSoABlock(ra.oa, ra.ob, ra.tabB, lo, hi)
 
 	case opPrepPSR:
-		k.preparePSRSoABlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
+		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
 
 	case opPrepPSRFast:
-		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
+		k.preparePSRFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 
 	case opDerivPSR:
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
+		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
 
 	case opGradGamma:
 		// Fused all-branch gradient (gradient.go): prepare this block's
@@ -145,49 +256,149 @@ func (k *Kernel) dispatchBlock(blk, lo, hi int) {
 		// worker. The range is written and read by the same goroutine, so
 		// the fusion is race-free and the bits match PrepareDerivatives
 		// followed by Derivatives exactly.
-		k.prepareGammaSoABlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
+		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
+		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
 
 	case opGradGammaFast:
-		k.prepareGammaFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
+		k.prepareGammaFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
 
 	case opGradPSR:
-		k.preparePSRSoABlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
+		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
+		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
 
 	case opGradPSRFast:
-		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
+		k.preparePSRFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
 
 	case opPrepInsGamma:
 		k.prepareInsertionGammaSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
 	case opPrepInsPSR:
 		k.prepareInsertionPSRSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
 
 	// Insertion scores (insertion.go): the inserted vertex's Newview and
 	// the evaluation against the insertion table in one sweep.
 	case opInsGamma:
-		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
+		part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
 
 	case opInsGammaTip:
-		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionGammaTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
+		part.a, part.rescaled = k.scoreInsertionGammaTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
 
 	case opInsPSR:
-		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
+		part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
 
 	case opInsPSRTip:
-		ra.parts[blk].lnL, ra.parts[blk].rescaled = k.scoreInsertionPSRTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
+		part.a, part.rescaled = k.scoreInsertionPSRTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
 	}
 }
+
+// Finish is the join: it folds every reducing operation's per-block
+// partials — per operation, over the blocks in index order — into the
+// program's results, resets the arena the program's tables came from and
+// empties the program. The results stay readable until the next
+// operation is staged. Call it after every block has run — of this
+// kernel's program and of every program staged on the same arena.
+func (k *Kernel) Finish() {
+	if len(k.prog) == 0 {
+		return
+	}
+	k.res = k.res[:0]
+	nb := k.NBlocks()
+	for i := range k.prog {
+		red := int(k.prog[i].red)
+		if red < 0 {
+			continue
+		}
+		var r [2]float64
+		for b := 0; b < nb; b++ {
+			p := &k.parts[b*k.redStride+red]
+			r[0] += p.a
+			r[1] += p.b
+			k.fp.InsertionRescales += p.rescaled
+			*p = blockPartial{}
+		}
+		k.res = append(k.res, r)
+	}
+	k.prog = k.prog[:0]
+	k.nRed = 0
+	k.mem.reset()
+	k.pmFree = append(k.pmFree, k.pmLent...)
+	k.pmLent = k.pmLent[:0]
+}
+
+// Flush runs the staged program on pool p (nil: on the calling goroutine)
+// and joins it — what an engine does for all of a rank's kernels in one
+// dispatch, for a kernel that stands alone.
+func (k *Kernel) Flush(p *threadpool.Pool) {
+	if k.flushFn == nil {
+		k.flushFn = func(_, blk int) { k.RunBlock(blk, nil) }
+	}
+	if len(k.prog) > 0 {
+		p.Dispatch(k.NBlocks(), k.flushFn)
+	}
+	k.Finish()
+}
+
+// LnL returns the i-th result of the last finished program as a log
+// likelihood: results are numbered over the program's evaluations,
+// derivative evaluations, gradients and insertion scores in staging
+// order.
+func (k *Kernel) LnL(i int) float64 { return k.res[i][0] }
+
+// Gradient returns the i-th result of the last finished program as a
+// (d lnL/dt, d² lnL/dt²) pair; see LnL for the numbering.
+func (k *Kernel) Gradient(i int) (d1, d2 float64) { return k.res[i][0], k.res[i][1] }
+
+// arena hands out slices that stay valid until reset. It keeps one chunk;
+// a take that does not fit starts a bigger one and leaves the old chunk
+// to whoever still points into it, so the chunk grows to the largest
+// program's need and steady-state takes allocate nothing.
+type arena[T any] struct {
+	chunk []T // len is what has been handed out
+	spilt int // handed out from chunks since outgrown, this program
+}
+
+// take returns n elements, contents unspecified.
+func (a *arena[T]) take(n int) []T {
+	if len(a.chunk)+n > cap(a.chunk) {
+		a.spilt += len(a.chunk)
+		a.chunk = make([]T, 0, max(2*cap(a.chunk), a.spilt+n))
+	}
+	lo := len(a.chunk)
+	a.chunk = a.chunk[:lo+n]
+	return a.chunk[lo : lo+n : lo+n]
+}
+
+// reset takes everything back.
+func (a *arena[T]) reset() {
+	a.chunk = a.chunk[:0]
+	a.spilt = 0
+}
+
+// ProgramArena is the memory the per-operation tables of staged programs
+// come from: tip, pair and prep tables; the derivative exponential tables;
+// the tip-tip pair scale counts. A new kernel has its own. An engine that
+// drives several kernels from one goroutine hands them one arena
+// (ShareArena): a partition-rich rank then builds the tables of every
+// kernel's program in the same, cache-resident memory instead of in one
+// region per kernel, and grows one chunk per run instead of one per
+// kernel. Finish of any sharing kernel resets the arena, so the engine
+// must have run every program staged on it by then — run each kernel's
+// program before staging the next kernel, or run them all before
+// finishing the first.
+type ProgramArena struct {
+	tabs       arena[float64]
+	exLam      arena[[ns]float64]
+	pairScales arena[[256]int32]
+}
+
+func (a *ProgramArena) reset() {
+	a.tabs.reset()
+	a.exLam.reset()
+	a.pairScales.reset()
+}
+
+// ShareArena makes k take its programs' tables from a. Call it between
+// programs.
+func (k *Kernel) ShareArena(a *ProgramArena) { k.mem = a }

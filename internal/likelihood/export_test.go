@@ -1,24 +1,122 @@
 package likelihood
 
-import "math"
+import (
+	"math"
 
-// PoisonTipTables sizes every tip lookup table for the kernel's current
-// category count and overwrites all of their entries — tip tables, pair
-// table and its scale counts, prep tables — with NaN (scale counts with a
-// huge value). The next fill repairs only the entries its masks cover,
-// so a kernel that reads any other entry produces a visibly wrong result.
-func (k *Kernel) PoisonTipTables() {
-	cats := len(k.par.CatRates)
-	p, q := k.prepTabScratch()
-	for _, tab := range [][]float64{k.tipTabScratch(0, cats), k.tipTabScratch(1, cats), k.pairTabScratch(cats), p, q} {
-		for i := range tab {
-			tab[i] = math.NaN()
+	"repro/internal/model"
+	"repro/internal/msa"
+	"repro/internal/threadpool"
+)
+
+// Now is a kernel driven one call at a time, the way the tests that check
+// a single operation's value read best: every call stages its operations
+// as a program of its own, flushes it on Pool (nil: serially) and returns
+// the value.
+type Now struct {
+	*Kernel
+	Pool *threadpool.Pool
+}
+
+func (n Now) Newview(s Step) {
+	n.Kernel.Newview(s)
+	n.Flush(n.Pool)
+}
+
+func (n Now) Traverse(steps []Step) {
+	n.Kernel.Traverse(steps)
+	n.Flush(n.Pool)
+}
+
+func (n Now) NewviewOuter(s GradStep) {
+	n.Kernel.NewviewOuter(s)
+	n.Flush(n.Pool)
+}
+
+func (n Now) TraverseOuter(steps []GradStep) {
+	n.Kernel.TraverseOuter(steps)
+	n.Flush(n.Pool)
+}
+
+func (n Now) Evaluate(p, q NodeRef, t float64) float64 {
+	n.Kernel.Evaluate(p, q, t)
+	n.Flush(n.Pool)
+	return n.LnL(0)
+}
+
+func (n Now) EvaluateGrad(p, q GradRef, t float64) float64 {
+	n.Kernel.EvaluateGrad(p, q, t)
+	n.Flush(n.Pool)
+	return n.LnL(0)
+}
+
+func (n Now) PrepareDerivatives(p, q NodeRef) {
+	n.Kernel.PrepareDerivatives(p, q)
+	n.Flush(n.Pool)
+}
+
+func (n Now) Derivatives(t float64) (d1, d2 float64) {
+	n.Kernel.Derivatives(t)
+	n.Flush(n.Pool)
+	return n.Gradient(0)
+}
+
+func (n Now) BranchGradient(p, q GradRef, t float64) (d1, d2 float64) {
+	n.Kernel.BranchGradient(p, q, t)
+	n.Flush(n.Pool)
+	return n.Gradient(0)
+}
+
+func (n Now) PrepareInsertion(sub GradRef, t float64) {
+	n.Kernel.PrepareInsertion(sub, t)
+	n.Flush(n.Pool)
+}
+
+func (n Now) ScoreInsertion(near, far GradRef, half float64) float64 {
+	n.Kernel.ScoreInsertion(near, far, half)
+	n.Flush(n.Pool)
+	return n.LnL(0)
+}
+
+// FlushOpMajor executes the staged program the other way round — every
+// block of the first operation, then every block of the second, … — on
+// the calling goroutine, and joins it: the order the kernels ran in
+// before a program was the unit of execution, kept as the oracle the
+// block-major flush is compared with.
+func (k *Kernel) FlushOpMajor() {
+	for op := 0; op < k.Staged(); op++ {
+		for blk := 0; blk < k.NBlocks(); blk++ {
+			k.RunOp(op, blk)
 		}
 	}
-	for i := range k.pairScaleScr {
-		k.pairScaleScr[i] = 1 << 20
+	k.Finish()
+}
+
+// PoisonTipTables overwrites the whole arena the tip lookup tables are
+// taken from — tip tables, pair table and its scale counts, prep tables —
+// with NaN (scale counts with a huge value), after making sure it is
+// large enough for any one call's tables. The next fill repairs only the
+// entries its masks cover, so a kernel that reads any other entry produces
+// a visibly wrong result. Call it between programs.
+func (k *Kernel) PoisonTipTables() {
+	cats := len(k.par.CatRates)
+	k.mem.tabs.take(cats*16*16*ns + 2*cats*16*ns)
+	k.mem.tabs.reset()
+	k.mem.pairScales.take(1)
+	k.mem.pairScales.reset()
+	tabs := k.mem.tabs.chunk[:cap(k.mem.tabs.chunk)]
+	for i := range tabs {
+		tabs[i] = math.NaN()
+	}
+	scales := k.mem.pairScales.chunk[:cap(k.mem.pairScales.chunk)]
+	for i := range scales {
+		for j := range scales[i] {
+			scales[i][j] = 1 << 20
+		}
 	}
 }
+
+// Cap returns the number of table doubles the arena holds.
+func (a *ProgramArena) Cap() int { return cap(a.tabs.chunk) }
 
 // TipMask returns the state mask of a taxon's row of the kernel's slice.
 func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMask[taxon] }
@@ -43,4 +141,10 @@ func (k *Kernel) SiteScaleCount(site int) int32 {
 		n = max(n, c)
 	}
 	return n
+}
+
+// NewNow is NewKernel for a kernel driven one call at a time.
+func NewNow(data *msa.PartitionData, par *model.Params, nInner int) (Now, error) {
+	k, err := NewKernel(data, par, nInner)
+	return Now{Kernel: k}, err
 }

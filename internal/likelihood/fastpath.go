@@ -27,6 +27,7 @@ import (
 // maxPCacheEntries bounds the per-kernel P-matrix cache. When the bound
 // is reached the cache simply stops inserting (no eviction): a
 // deterministic policy whose behavior cannot depend on iteration order.
+// Matrices it does not keep are lent to the program that asked for them.
 // 1024 entries × up to 25 categories × 16 doubles is a few MB worst
 // case, and the cache resets on every parameter-generation change.
 const maxPCacheEntries = 1024
@@ -84,7 +85,7 @@ func (k *Kernel) SetFastPath(on bool) { k.fastOn = on }
 func (k *Kernel) SetPCache(on bool) {
 	k.pcOn = on
 	if !on {
-		k.pcache = nil
+		k.dropPCache()
 	}
 }
 
@@ -100,60 +101,72 @@ func (k *Kernel) FastPath() FastPathStats {
 	return s
 }
 
-// pmScratch returns scratch buffer i sized for the active category count.
-// Newview needs two P-matrix sets live at once, hence two buffers.
-func (k *Kernel) pmScratch(i int) [][ns * ns]float64 {
+// takePMatrices returns an idle P-matrix set sized for the active
+// category count, contents unspecified, allocating only when no idle set
+// is large enough.
+func (k *Kernel) takePMatrices() [][ns * ns]float64 {
 	need := len(k.par.CatRates)
-	if cap(k.pmScr[i]) < need {
-		k.pmScr[i] = make([][ns * ns]float64, need)
+	for n := len(k.pmFree); n > 0; n = len(k.pmFree) {
+		m := k.pmFree[n-1]
+		k.pmFree = k.pmFree[:n-1]
+		if cap(m) >= need {
+			return m[:need]
+		}
+		// Sized for fewer categories than the model has now: let it go.
 	}
-	k.pmScr[i] = k.pmScr[i][:need]
-	return k.pmScr[i]
+	return make([][ns * ns]float64, need)
+}
+
+// dropPCache empties the P-matrix cache, keeping its matrix sets for the
+// next fills: a model probe misses on every branch length of the tree,
+// and would otherwise allocate a set per miss.
+func (k *Kernel) dropPCache() {
+	for _, m := range k.pcache {
+		k.pmFree = append(k.pmFree, m)
+	}
+	clear(k.pcache)
 }
 
 // probMatricesFor returns the per-category P(t) matrices for branch
 // length t, consulting the cache when enabled. The returned slice is
-// read-only for the caller (it may be cache-owned and shared). scratch
-// selects which scratch buffer an uncached computation fills.
-func (k *Kernel) probMatricesFor(t float64, scratch int) [][ns * ns]float64 {
-	if !k.pcOn {
-		dst := k.pmScratch(scratch)
-		k.probMatrices(t, dst)
-		return dst
-	}
-	if g := k.par.Generation(); g != k.pcGen {
-		k.pcGen = g
-		if len(k.pcache) > 0 {
-			k.pcache = nil
-			k.fp.PCacheResets++
+// read-only for the caller and good until the program in flight is
+// finished: it is either cache-owned (the cache resets only between
+// programs) or lent to the program and taken back by Finish.
+func (k *Kernel) probMatricesFor(t float64) [][ns * ns]float64 {
+	if k.pcOn {
+		if g := k.par.Generation(); g != k.pcGen {
+			k.pcGen = g
+			if len(k.pcache) > 0 {
+				k.dropPCache()
+				k.fp.PCacheResets++
+			}
 		}
+		if m, ok := k.pcache[math.Float64bits(t)]; ok {
+			k.fp.PCacheHits++
+			return m
+		}
+		k.fp.PCacheMisses++
 	}
-	key := math.Float64bits(t)
-	if m, ok := k.pcache[key]; ok {
-		k.fp.PCacheHits++
-		return m
-	}
-	m := make([][ns * ns]float64, len(k.par.CatRates))
+	m := k.takePMatrices()
 	k.probMatrices(t, m)
-	k.fp.PCacheMisses++
-	if k.pcache == nil {
-		k.pcache = make(map[uint64][][ns * ns]float64)
-	}
-	if len(k.pcache) < maxPCacheEntries {
-		k.pcache[key] = m
+	if k.pcOn && len(k.pcache) < maxPCacheEntries {
+		if k.pcache == nil {
+			k.pcache = make(map[uint64][][ns * ns]float64)
+		}
+		k.pcache[math.Float64bits(t)] = m
+	} else {
+		k.pmLent = append(k.pmLent, m)
 	}
 	return m
 }
 
-// tipTabScratch returns tip-table scratch buffer i sized for the active
-// category count (16 ambiguity codes × 4 states per category).
-func (k *Kernel) tipTabScratch(i, cats int) []float64 {
-	need := cats * 16 * ns
-	if cap(k.tipTabScr[i]) < need {
-		k.tipTabScr[i] = make([]float64, need)
-	}
-	k.tipTabScr[i] = k.tipTabScr[i][:need]
-	return k.tipTabScr[i]
+// tipTable returns a tip table of the program's arena sized for cats
+// categories (16 ambiguity codes × 4 states per category), filled for the
+// codes in mask from the matrices pm.
+func (k *Kernel) tipTable(pm [][ns * ns]float64, mask uint16) []float64 {
+	tab := k.mem.tabs.take(len(pm) * 16 * ns)
+	k.fillTipTable(tab, pm, mask)
+	return tab
 }
 
 // fillTipTable precomputes, for every category and every ambiguity code
@@ -178,17 +191,6 @@ func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16)
 			}
 		}
 	}
-}
-
-// pairTabScratch returns the (category × codeA × codeB) pair-product
-// table scratch used by the tip-tip Γ newview kernel.
-func (k *Kernel) pairTabScratch(cats int) []float64 {
-	need := cats * 16 * 16 * ns
-	if cap(k.pairTabScr) < need {
-		k.pairTabScr = make([]float64, need)
-	}
-	k.pairTabScr = k.pairTabScr[:need]
-	return k.pairTabScr
 }
 
 // fillPairTable composes two tip tables into the full CLV column a
@@ -235,14 +237,19 @@ func (k *Kernel) fillPairTable(dst []float64, dsc *[256]int32, tabA, tabB []floa
 	}
 }
 
-// prepTabScratch returns the two derivative-preparation tip tables
-// (16 codes × 4 eigenvalues each; no category dependence).
-func (k *Kernel) prepTabScratch() (p, q []float64) {
-	if k.prepTabP == nil {
-		k.prepTabP = make([]float64, 16*ns)
-		k.prepTabQ = make([]float64, 16*ns)
+// prepTables returns the derivative-preparation tip tables of (op, oq)
+// from the program's arena (16 codes × 4 eigenvalues each; no category
+// dependence), the p side filled when op is a tip and the q side when oq
+// is.
+func (k *Kernel) prepTables(op, oq operand) (tabP, tabQ []float64) {
+	tabP, tabQ = k.mem.tabs.take(16*ns), k.mem.tabs.take(16*ns)
+	if op.tips != nil {
+		k.fillPrepTipP(tabP, op.mask)
 	}
-	return k.prepTabP, k.prepTabQ
+	if oq.tips != nil {
+		k.fillPrepTipQ(tabQ, oq.mask)
+	}
+	return tabP, tabQ
 }
 
 // fillPrepTipP precomputes the p-side sum-table coefficient for every

@@ -125,7 +125,7 @@ func TestPCacheInvalidatedByModelChange(t *testing.T) {
 	f.kern.InvalidateAll()
 	got := math.Float64bits(f.evalAt(f.tree.Tip(0)))
 
-	fresh, err := likelihood.NewKernel(f.pd, f.par, f.tree.NInner())
+	fresh, err := likelihood.NewNow(f.pd, f.par, f.tree.NInner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,5 @@
 package likelihood
 
-import (
-	"math"
-
-	"repro/internal/model"
-)
-
 // Pre-order ("outward") conditional vectors and the fused all-branch
 // gradient kernel (docs/PERFORMANCE.md).
 //
@@ -23,8 +17,8 @@ import (
 // Bit-identity with the per-branch oracle holds by construction: the
 // pre-order combine below is the exact Newview combine (same block
 // workers, same operand order), and the fused gradient op runs the
-// existing prepare worker and the existing derivative worker back to
-// back over the same site block, so every double is produced by the
+// prepare worker and the derivative worker back to back over the same
+// site block, so every double is produced by the
 // same operations on the same operands in the same order as the
 // oracle path (asserted by the gradient identity tests).
 
@@ -103,16 +97,16 @@ func (k *Kernel) InvalidateOuter() {
 	}
 }
 
-// NewviewOuter executes one pre-order partial update. The combine is
-// the post-order Newview combine itself — same staging, same block
-// workers, same a·b operand order — writing into the outer table
-// instead of a CLV slot.
+// NewviewOuter stages one pre-order partial update. The combine is the
+// post-order Newview combine itself — same staging, same block workers,
+// same a·b operand order — writing into the outer table instead of a CLV
+// slot.
 func (k *Kernel) NewviewOuter(s GradStep) {
 	dclv, dscale := k.outerSlot(s.Dst)
 	k.newview(dclv, dscale, k.gradOperand(s.A), k.gradOperand(s.B), s.TA, s.TB)
 }
 
-// TraverseOuter executes a pre-order schedule in order (parents before
+// TraverseOuter stages a pre-order schedule in order (parents before
 // children, which traversal.BuildGradient guarantees).
 func (k *Kernel) TraverseOuter(steps []GradStep) {
 	for _, s := range steps {
@@ -124,162 +118,51 @@ func (k *Kernel) TraverseOuter(steps []GradStep) {
 // likelihood for a virtual root on a branch of length t between p (the
 // near vector) and q (the far one, which takes the P product), either
 // of which may be a tip, a post-order CLV or an outer vector. On
-// operands holding the same bytes it returns Evaluate's bits.
-func (k *Kernel) EvaluateGrad(p, q GradRef, t float64) float64 {
-	return k.evaluate(k.gradOperand(p), k.gradOperand(q), t)
+// operands holding the same bytes it yields Evaluate's bits.
+func (k *Kernel) EvaluateGrad(p, q GradRef, t float64) {
+	k.evaluate(k.gradOperand(p), k.gradOperand(q), t)
 }
 
-// BranchGradient returns (d lnL/dt, d² lnL/dt²) for one branch of
-// length t, where p is the conditional vector below the branch (a tip
-// or post-order CLV) and q the outer vector above it. The prepare and
-// derivative passes are fused block by block: each site block's
-// sum-table range is filled and immediately consumed by the same
-// goroutine, so the arithmetic — and therefore every output bit —
-// matches the PrepareDerivatives + Derivatives sequence on the same
-// operands.
-func (k *Kernel) BranchGradient(p, q GradRef, t float64) (d1, d2 float64) {
-	if k.par.Het == model.Gamma {
-		d1, d2 = k.branchGradientGamma(p, q, t)
-	} else {
-		d1, d2 = k.branchGradientPSR(p, q, t)
-	}
+// BranchGradient stages (d lnL/dt, d² lnL/dt²) for one branch of length
+// t, where p is the conditional vector below the branch (a tip or
+// post-order CLV) and q the outer vector above it; the pair is the
+// finished program's next result (Gradient). The prepare and derivative
+// passes are fused block by block: each site block's sum-table range is
+// filled and immediately consumed by the same goroutine, so the
+// arithmetic — and therefore every output bit — matches the
+// PrepareDerivatives + Derivatives sequence on the same operands.
+func (k *Kernel) BranchGradient(p, q GradRef, t float64) {
+	k.prepare(k.sumTable(&k.sumTab), k.gradOperand(p), k.gradOperand(q), true, t)
 	k.prepared = false
-	return d1, d2
 }
 
 // BranchGradientCached is BranchGradient for plan edge b of nEdges,
 // additionally keeping the edge's sum table (the t-independent P·Q
 // contraction the prepare half computes) in a per-edge cache. The
 // compute and therefore every output bit is exactly BranchGradient's —
-// only the scratch buffer the fused op fills differs — and subsequent
-// BranchGradientReuse calls for the same edge evaluate new trial
-// lengths from the cached table without re-contracting. The cache
-// costs one sum table per edge and is retained for the kernel's
-// lifetime once the batched smoother has run.
-func (k *Kernel) BranchGradientCached(b, nEdges int, p, q GradRef, t float64) (d1, d2 float64) {
+// only the table the fused op fills differs — and subsequent
+// BranchGradientReuse calls for the same edge evaluate new trial lengths
+// from the cached table without re-contracting. The cache costs one sum
+// table per edge and is retained for the kernel's lifetime once the
+// batched smoother has run.
+func (k *Kernel) BranchGradientCached(b, nEdges int, p, q GradRef, t float64) {
 	if len(k.gradTabs) < nEdges {
 		tabs := make([][]float64, nEdges)
 		copy(tabs, k.gradTabs)
 		k.gradTabs = tabs
 	}
-	saved := k.sumTab
-	k.sumTab = k.gradTabs[b]
-	d1, d2 = k.BranchGradient(p, q, t)
-	k.gradTabs[b] = k.sumTab
-	k.sumTab = saved
-	return d1, d2
-}
-
-// BranchGradientReuse evaluates edge b's (d1, d2) at branch length t
-// from the sum table a prior BranchGradientCached call stored — the
-// derivative half of the fused op alone (the same block worker over
-// the same block partition, so the bits match recomputing the fused op
-// at t exactly). Valid only while the CLV and outer-vector state the
-// table was contracted from is unchanged; the simultaneous Newton
-// smoother guarantees that within a sweep's frozen inner loop.
-func (k *Kernel) BranchGradientReuse(b int, t float64) (d1, d2 float64) {
-	saved := k.sumTab
-	k.sumTab = k.gradTabs[b]
-	if k.par.Het == model.Gamma {
-		d1, d2 = k.derivativesGamma(t)
-	} else {
-		d1, d2 = k.derivativesPSR(t)
-	}
-	k.sumTab = saved
+	k.prepare(k.sumTable(&k.gradTabs[b]), k.gradOperand(p), k.gradOperand(q), true, t)
 	k.prepared = false
-	return d1, d2
 }
 
-// branchGradientGamma stages the fused Γ gradient: the prepare side
-// mirrors prepareDerivativesGamma, the derivative side
-// derivativesGamma, sharing one block sweep.
-func (k *Kernel) branchGradientGamma(p, q GradRef, t float64) (d1, d2 float64) {
-	need := k.nPat * gammaCats * ns
-	if cap(k.sumTab) < need {
-		k.sumTab = make([]float64, need)
-	}
-	k.sumTab = k.sumTab[:need]
-
-	op, oq := k.gradOperand(p), k.gradOperand(q)
-	ra := &k.ra
-	ra.oa, ra.ob = op, oq
-	ra.parts = k.blocks()
-	if k.fastOn && (op.tips != nil || oq.tips != nil) {
-		k.fp.PrepareTip++
-		tabP, tabQ := k.prepTabScratch()
-		if op.tips != nil {
-			k.fillPrepTipP(tabP, op.mask)
-		}
-		if oq.tips != nil {
-			k.fillPrepTipQ(tabQ, oq.mask)
-		}
-		ra.tabA, ra.tabB = tabP, tabQ
-		ra.op = opGradGammaFast
-	} else {
-		k.fp.PrepareGeneric++
-		ra.op = opGradGamma
-	}
-	e := k.par.Eigen
-	ex, lam := &k.exGScr, &k.lamGScr
-	for c, r := range k.par.CatRates {
-		for kk := 0; kk < ns; kk++ {
-			l := e.Vals[kk] * r
-			lam[c][kk] = l
-			ex[c][kk] = math.Exp(l * t)
-		}
-	}
-	ra.exG, ra.lamG, ra.catW = ex, lam, k.par.CatWeight()
-	k.runBlocks()
-	for b := range ra.parts {
-		d1 += ra.parts[b].d1
-		d2 += ra.parts[b].d2
-	}
-	k.flops.Derivative += joinCols(ra.parts)
-	return d1, d2
-}
-
-// branchGradientPSR is the PSR analogue of branchGradientGamma.
-func (k *Kernel) branchGradientPSR(p, q GradRef, t float64) (d1, d2 float64) {
-	need := k.nPat * ns
-	if cap(k.sumTab) < need {
-		k.sumTab = make([]float64, need)
-	}
-	k.sumTab = k.sumTab[:need]
-
-	op, oq := k.gradOperand(p), k.gradOperand(q)
-	ra := &k.ra
-	ra.oa, ra.ob = op, oq
-	ra.parts = k.blocks()
-	if k.fastOn && (op.tips != nil || oq.tips != nil) {
-		k.fp.PrepareTip++
-		tabP, tabQ := k.prepTabScratch()
-		if op.tips != nil {
-			k.fillPrepTipP(tabP, op.mask)
-		}
-		if oq.tips != nil {
-			k.fillPrepTipQ(tabQ, oq.mask)
-		}
-		ra.tabA, ra.tabB = tabP, tabQ
-		ra.op = opGradPSRFast
-	} else {
-		k.fp.PrepareGeneric++
-		ra.op = opGradPSR
-	}
-	e := k.par.Eigen
-	ex, lam := k.psrExLamScratch(len(k.par.CatRates))
-	for c, r := range k.par.CatRates {
-		for kk := 0; kk < ns; kk++ {
-			l := e.Vals[kk] * r
-			lam[c][kk] = l
-			ex[c][kk] = math.Exp(l * t)
-		}
-	}
-	ra.exP, ra.lamP = ex, lam
-	k.runBlocks()
-	for b := range ra.parts {
-		d1 += ra.parts[b].d1
-		d2 += ra.parts[b].d2
-	}
-	k.flops.Derivative += joinCols(ra.parts)
-	return d1, d2
+// BranchGradientReuse stages edge b's (d1, d2) at branch length t from
+// the sum table a prior BranchGradientCached call stored — the derivative
+// half of the fused op alone (the same block worker over the same block
+// partition, so the bits match recomputing the fused op at t exactly).
+// Valid only while the CLV and outer-vector state the table was
+// contracted from is unchanged; the simultaneous Newton smoother
+// guarantees that within a sweep's frozen inner loop.
+func (k *Kernel) BranchGradientReuse(b int, t float64) {
+	k.derivatives(k.gradTabs[b], t)
+	k.prepared = false
 }

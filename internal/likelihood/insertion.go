@@ -32,77 +32,70 @@ import (
 // the table: evaluation associates ((π·v)·right)·catW, and a table of
 // π·right would associate (v·(π·right))·catW — a different last bit.
 
-// PrepareInsertion fills the insertion table for the pruned subtree's
-// vector sub hanging on a branch of length t: table = P(t)·sub, laid out
-// like a CLV. A tip subtree gathers its entries from the tip table, an
-// inner one computes the evaluation workers' `right` expression. The
-// table stays valid for ScoreInsertion until the next PrepareInsertion,
-// as long as sub's vector and the model parameters are unchanged.
+// PrepareInsertion stages the fill of the insertion table for the pruned
+// subtree's vector sub hanging on a branch of length t: table = P(t)·sub,
+// laid out like a CLV. A tip subtree gathers its entries from the tip
+// table, an inner one computes the evaluation workers' `right`
+// expression. The table serves the ScoreInsertion calls staged after it
+// — in the same program or a later one — until the next
+// PrepareInsertion, as long as sub's vector and the model parameters are
+// unchanged.
 func (k *Kernel) PrepareInsertion(sub GradRef, t float64) {
 	if len(k.insTab) != k.clvLen() {
 		k.insTab = make([]float64, k.clvLen())
 	}
 	oq := k.gradOperand(sub)
-	ra := &k.ra
-	ra.ob, ra.pa = oq, k.probMatricesFor(t, 0)
-	ra.parts = k.blocks()
-	k.stageFarTable(oq)
-	ra.op = opPrepInsGamma
+	pm := k.probMatricesFor(t)
+	ra := k.stage(opPrepInsGamma)
 	if k.par.Het != model.Gamma {
 		ra.op = opPrepInsPSR
 	}
-	k.runBlocks()
+	ra.ob, ra.pa = oq, pm
+	k.stageFarTable(ra, oq)
 	k.insSubScale = oq.scale
-	k.flops.Evaluate += joinCols(ra.parts)
+	k.flops.Evaluate += k.cols()
 }
 
-// ScoreInsertion returns the weighted log likelihood of the tree with
-// the prepared subtree inserted into the edge between near and far,
-// either half of which gets length half: bit for bit what NewviewOuter
-// of (near, far) across (half, half) into a free slot followed by
-// EvaluateGrad of that slot against the subtree returns, without the
-// slot. near must be a CLV or an outer vector (an insertion plan's near
-// operand is the outer vector its pre-order step computed); far may
-// also be a tip.
-func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) float64 {
+// ScoreInsertion stages the weighted log likelihood of the tree with the
+// prepared subtree inserted into the edge between near and far, either
+// half of which gets length half: bit for bit what NewviewOuter of
+// (near, far) across (half, half) into a free slot followed by
+// EvaluateGrad of that slot against the subtree yields, without the
+// slot; the value is the finished program's next result (LnL). near must
+// be a CLV or an outer vector (an insertion plan's near operand is the
+// outer vector its pre-order step computed); far may also be a tip.
+func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) {
 	oa, ob := k.gradOperand(near), k.gradOperand(far)
-	ra := &k.ra
 	// Newview builds P(half) once per operand; one set serves both, being
 	// the same doubles.
-	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, k.probMatricesFor(half, 0), k.par.CatWeight()
-	ra.parts = k.blocks()
-	k.stageFarTable(ob)
+	pm := k.probMatricesFor(half)
+	var code runOp
 	switch gamma, tip := k.par.Het == model.Gamma, ob.tips != nil; {
 	case gamma && tip:
-		ra.op = opInsGammaTip
+		code = opInsGammaTip
 	case gamma:
-		ra.op = opInsGamma
+		code = opInsGamma
 	case tip:
-		ra.op = opInsPSRTip
+		code = opInsPSRTip
 	default:
-		ra.op = opInsPSR
+		code = opInsPSR
 	}
-	k.runBlocks()
-	total := 0.0
-	for b := range ra.parts {
-		total += ra.parts[b].lnL
-		k.fp.InsertionRescales += ra.parts[b].rescaled
-	}
-	k.flops.Evaluate += joinCols(ra.parts)
-	return total
+	ra := k.stageReducing(code)
+	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, pm, k.par.CatWeight()
+	k.stageFarTable(ra, ob)
+	k.flops.Evaluate += 2 * k.cols()
 }
 
-// stageFarTable stages in ra.tabB the P·tipVec table of the staged
-// matrices ra.pa when o — the operand that takes the P product — is a
-// tip, and counts the call by o's shape like an evaluation.
-func (k *Kernel) stageFarTable(o operand) {
+// stageFarTable gives ra the P·tipVec table of its matrices ra.pa when o
+// — the operand that takes the P product — is a tip, and counts the call
+// by o's shape like an evaluation.
+func (k *Kernel) stageFarTable(ra *runArgs, o operand) {
 	if o.tips == nil {
 		k.fp.EvaluateGeneric++
 		return
 	}
 	k.fp.EvaluateTip++
-	k.ra.tabB = k.tipTabScratch(1, len(k.par.CatRates))
-	k.fillTipTable(k.ra.tabB, k.ra.pa, o.mask)
+	ra.tabB = k.tipTable(ra.pa, o.mask)
 }
 
 // prepareInsertionGammaSoABlock fills the block's range of the Γ

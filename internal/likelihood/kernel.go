@@ -15,8 +15,9 @@
 // CLV slots and tip indices, the same contract a fork-join worker gets
 // from a traversal descriptor.
 //
-// Every kernel optionally splits its pattern range into fixed-size
-// contiguous blocks executed by an intra-rank worker pool (SetPool) — the
+// Kernel calls stage block operations into a program (dispatch.go) that
+// the engine executes over fixed-size contiguous pattern blocks, one
+// (kernel, block) item of an intra-rank worker pool's dispatch each — the
 // shared-memory axis of the paper's §V hybrid MPI/PThreads scheme.
 // Threading never changes a single bit of any result: Newview and the
 // sum-table fill write disjoint per-block ranges, and Evaluate/Derivatives
@@ -30,7 +31,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/msa"
-	"repro/internal/threadpool"
 )
 
 // Numerical scaling constants (RAxML's minlikelihood convention): a CLV
@@ -115,47 +115,35 @@ type Kernel struct {
 	insTab      []float64
 	insSubScale []int32
 
-	// pool is the rank's shared-memory worker pool (§V hybrid scheme);
-	// nil runs every kernel serially over the same block structure.
-	pool *threadpool.Pool
-	// blockAcc is the fixed-size per-block partial-result slot array,
-	// reused across calls (kernel calls within a rank are serial).
-	blockAcc []blockPartial
-
 	// Fast-path state (fastpath.go). fastOn enables the tip-specialized
 	// kernels, pcOn the keyed P-matrix cache; both default to on and both
 	// are bit-identical to the generic path.
 	fastOn bool
 	pcOn   bool
 	// pcache maps Float64bits(branch length) → per-category P matrices,
-	// valid for parameter generation pcGen only.
+	// valid for parameter generation pcGen only. pmFree are idle matrix
+	// sets — a cache reset puts its sets there, a miss takes one — and
+	// pmLent the sets the program in flight borrowed for matrices the
+	// cache did not keep.
 	pcache map[uint64][][ns * ns]float64
 	pcGen  uint64
-	// pmScr are the two cache-off P-matrix scratch buffers (Newview needs
-	// two sets live at once); tipTabScr the two tip-table buffers;
-	// prepTabP/Q the derivative-preparation tip tables.
-	pmScr     [2][][ns * ns]float64
-	tipTabScr [2][]float64
-	// pairTabScr / pairScaleScr are the tip-tip pair-product table and
-	// its per-pair scale counts (Γ newview).
-	pairTabScr   []float64
-	pairScaleScr [256]int32
-	prepTabP     []float64
-	prepTabQ     []float64
-	fp           FastPathStats
+	pmFree [][][ns * ns]float64
+	pmLent [][][ns * ns]float64
+	fp     FastPathStats
 
-	// exGScr/lamGScr (Γ) and exPScr/lamPScr (PSR) are the derivative
-	// exponential tables — kernel fields so the staged run arguments
-	// never point into a stack frame (which would force a per-call
-	// heap allocation).
-	exGScr, lamGScr [gammaCats][ns]float64
-	exPScr, lamPScr [][ns]float64
-
-	// ra stages the operands of the in-flight block operation and
-	// blockFn is the single cached closure handed to the pool
-	// (dispatch.go) — together they keep kernel calls allocation-free.
-	ra      runArgs
-	blockFn func(blk, lo, hi int)
+	// The program (dispatch.go): the staged block operations of the engine
+	// call in flight, the per-block rows of partials its reducing
+	// operations fill (redStride slots per block, nRed in use), the folded
+	// results of the last finished program, and the arena its
+	// per-operation tables come from (its own unless ShareArena gave it a
+	// rank's).
+	prog      []runArgs
+	nRed      int
+	redStride int
+	parts     []blockPartial
+	res       [][2]float64
+	mem       *ProgramArena
+	flushFn   func(worker, blk int)
 
 	// siteScr are the per-pattern-block working sets of the single-site
 	// evaluations (siterate.go: the PSR site-rate inner loop).
@@ -163,17 +151,6 @@ type Kernel struct {
 
 	flops FlopCount
 }
-
-// SetPool attaches the rank's worker pool, splitting every subsequent
-// kernel invocation into contiguous pattern blocks executed by up to
-// pool.Threads() goroutines. Block boundaries and reduction order are
-// independent of the thread count, so results are byte-for-byte
-// identical to the serial (nil-pool) kernel — the intra-rank half of the
-// determinism contract in docs/DETERMINISM.md.
-func (k *Kernel) SetPool(p *threadpool.Pool) { k.pool = p }
-
-// Threads reports the kernel's intra-rank concurrency.
-func (k *Kernel) Threads() int { return k.pool.Threads() }
 
 // operand is a resolved kernel argument: tips (+ the row's state mask)
 // for a tip reference, clv (+scale) for an inner CLV slot. Workers only
@@ -191,47 +168,6 @@ func (k *Kernel) operand(r NodeRef) operand {
 		return operand{tips: k.data.Tips[r.Idx], mask: k.tipMask[r.Idx]}
 	}
 	return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
-}
-
-// blockPartial is one pattern block's contribution to a kernel call.
-// Each worker writes only its own block's slot; the caller combines the
-// slots in block-index order after the join, which keeps every reduction
-// bit-identical regardless of how blocks were scheduled onto threads.
-// Each slot is padded to a full 64-byte cache line: adjacent blocks run
-// on different threads, and without the padding two workers depositing
-// into neighboring slots would ping-pong the shared line on every store
-// (false sharing — measured in docs/PERFORMANCE.md §6).
-type blockPartial struct {
-	// lnL is an Evaluate block's partial log likelihood.
-	lnL float64
-	// d1, d2 are a Derivatives block's partial sums.
-	d1, d2 float64
-	// cols is the block's column-update count (summed into FlopCount at
-	// the join — never touched concurrently).
-	cols int64
-	// rescaled counts the sites an insertion-score block rescaled.
-	rescaled int64
-	_        [3]int64
-}
-
-// blocks returns the per-block slot array sized for the kernel's pattern
-// range.
-func (k *Kernel) blocks() []blockPartial {
-	if n := threadpool.NumBlocks(k.nPat); len(k.blockAcc) != n {
-		k.blockAcc = make([]blockPartial, n)
-	}
-	return k.blockAcc
-}
-
-// joinCols sums the per-block column counts after a join — the race-free
-// FlopCount accumulation path (workers count into their own slot; only
-// the caller's goroutine touches the shared counter).
-func joinCols(parts []blockPartial) int64 {
-	var t int64
-	for i := range parts {
-		t += parts[i].cols
-	}
-	return t
 }
 
 // NewKernel builds a kernel for one partition slice. nInner is the number
@@ -255,6 +191,7 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		scale:  make([][]int32, nInner),
 		fastOn: true,
 		pcOn:   true,
+		mem:    new(ProgramArena),
 	}
 	k.siteScr = newSiteScratch(k.nPat, nInner)
 	for s := msa.State(1); s <= 15; s++ {
@@ -296,6 +233,16 @@ func (k *Kernel) clvLen() int {
 	return k.nPat * ns
 }
 
+// cols is the column-update count of one pass over the patterns: every
+// category of every pattern under Γ, each pattern's own category under
+// PSR.
+func (k *Kernel) cols() int64 {
+	if k.par.Het == model.Gamma {
+		return int64(k.nPat) * model.GammaCategories
+	}
+	return int64(k.nPat)
+}
+
 // slot returns (allocating on demand) the CLV backing store for an inner
 // slot.
 func (k *Kernel) slot(i int32) ([]float64, []int32) {
@@ -317,7 +264,7 @@ func (k *Kernel) InvalidateAll() {
 	}
 	k.InvalidateOuter()
 	k.prepared = false
-	k.pcache = nil
+	k.dropPCache()
 }
 
 // probMatrices fills one P matrix per rate category for branch length t.

@@ -159,7 +159,7 @@ type fixture struct {
 	tree *tree.Tree
 	pd   *msa.PartitionData
 	par  *model.Params
-	kern *likelihood.Kernel
+	kern likelihood.Now
 }
 
 func makeFixture(t *testing.T, nTaxa, nSites int, het model.Heterogeneity, seed int64) *fixture {
@@ -207,7 +207,7 @@ func makeFixture(t *testing.T, nTaxa, nSites int, het model.Heterogeneity, seed 
 		e.SetLength(0, 0.02+0.3*rng.Float64())
 	}
 
-	kern, err := likelihood.NewKernel(pd, par, tr.NInner())
+	kern, err := likelihood.NewNow(pd, par, tr.NInner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestPartialTraversalMatchesFull(t *testing.T) {
 		// Compare against an independent forced evaluation on a clone
 		// kernel — must agree because nothing in the tree changed.
 		f2 := &fixture{tree: f.tree, pd: f.pd, par: f.par}
-		kern2, err := likelihood.NewKernel(f.pd, f.par, f.tree.NInner())
+		kern2, err := likelihood.NewNow(f.pd, f.par, f.tree.NInner())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func TestScalingDeepTree(t *testing.T) {
 	}
 	tr := tree.NewComb(d.Names, 1)
 	tr.SetAllLengths(0.03)
-	kern, err := likelihood.NewKernel(pd, par, tr.NInner())
+	kern, err := likelihood.NewNow(pd, par, tr.NInner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestEvaluateSiteAtRateConsistency(t *testing.T) {
 		}
 		tr := tree.NewComb(d.Names, 1)
 		tr.SetAllLengths(0.03)
-		kern, err := likelihood.NewKernel(pd, par, tr.NInner())
+		kern, err := likelihood.NewNow(pd, par, tr.NInner())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +473,7 @@ func TestEvaluateSiteAtRateConsistency(t *testing.T) {
 			one.Weights[0] = 1
 			par := f.par.Clone()
 			par.SiteRates, par.SiteCats = []float64{1}, []int{0}
-			kern, err := likelihood.NewKernel(one, par, f.tree.NInner())
+			kern, err := likelihood.NewNow(one, par, f.tree.NInner())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -530,7 +530,7 @@ func TestCLVDigest(t *testing.T) {
 		t.Fatal("digest of computed CLV is zero")
 	}
 	// Same computation on a fresh kernel gives the same digest.
-	kern2, err := likelihood.NewKernel(f.pd, f.par, f.tree.NInner())
+	kern2, err := likelihood.NewNow(f.pd, f.par, f.tree.NInner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func ambiguousPartition(nPat int) *msa.PartitionData {
 
 // maskKernel builds a kernel over pd with randomized parameters (the
 // same for every call with the same het) on the given tree.
-func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.Heterogeneity) *likelihood.Kernel {
+func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.Heterogeneity) likelihood.Now {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	par, err := model.NewParams(het, pd.Freqs, pd.NPatterns())
@@ -77,7 +77,7 @@ func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.He
 			t.Fatal(err)
 		}
 	}
-	k, err := likelihood.NewKernel(pd, par, tr.NInner())
+	k, err := likelihood.NewNow(pd, par, tr.NInner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.He
 // maskTrace drives Newview, Evaluate, Prepare/Derivatives and the
 // pre-order gradient kernels over every edge of the tree, calling before
 // before each kernel call, and returns every observable output bit.
-func maskTrace(k *likelihood.Kernel, tr *tree.Tree, before func()) []uint64 {
+func maskTrace(k likelihood.Now, tr *tree.Tree, before func()) []uint64 {
 	var out []uint64
 	bits := func(vs ...float64) {
 		for _, v := range vs {
@@ -197,7 +197,7 @@ func TestTipMaskIsPerLocalSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := likelihood.NewKernel(parts[0], par, len(pd.Tips)-2)
+		k, err := likelihood.NewNow(parts[0], par, len(pd.Tips)-2)
 		if err != nil {
 			t.Fatal(err)
 		}

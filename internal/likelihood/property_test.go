@@ -63,7 +63,7 @@ func TestSPRStormLikelihoodConsistency(t *testing.T) {
 
 		// Forced full evaluation must match a fresh kernel bit-for-bit.
 		got := f.evalAt(f.tree.Tip(0))
-		fresh, err := likelihood.NewKernel(f.pd, f.par, f.tree.NInner())
+		fresh, err := likelihood.NewNow(f.pd, f.par, f.tree.NInner())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestModelChangeInvalidation(t *testing.T) {
 		t.Fatal("likelihood identical after α change — stale CLVs were reused")
 	}
 	// Fresh kernel agreement.
-	fresh, err := likelihood.NewKernel(f.pd, f.par, f.tree.NInner())
+	fresh, err := likelihood.NewNow(f.pd, f.par, f.tree.NInner())
 	if err != nil {
 		t.Fatal(err)
 	}

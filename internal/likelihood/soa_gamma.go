@@ -398,16 +398,15 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 // derivativesGammaBlock), so the plane-major loop order is free. The
 // table itself is pattern-major ([pattern][category][eig]): the
 // derivative worker consumes it sequentially per site.
-func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
+func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, lo, hi int) {
 	if op.tips != nil || oq.tips != nil {
-		k.prepareGammaSoASiteBlock(op, oq, lo, hi)
+		k.prepareGammaSoASiteBlock(st, op, oq, lo, hi)
 		return
 	}
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
-	st := k.sumTab
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	for c := 0; c < gammaCats; c++ {
 		p0, p1, p2, p3 := planes(op.clv, c*ns, n, lo, w)
@@ -426,7 +425,7 @@ func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
 
 // prepareGammaSoASiteBlock is the site-major generic worker for tip
 // operands without prep tables (SetFastPath(false)).
-func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
+func (k *Kernel) prepareGammaSoASiteBlock(st []float64, op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
@@ -449,7 +448,7 @@ func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
 					freqs[2]*vp[2]*e.U[2*ns+kk] + freqs[3]*vp[3]*e.U[3*ns+kk]
 				bq := e.UInv[kk*ns]*vq[0] + e.UInv[kk*ns+1]*vq[1] +
 					e.UInv[kk*ns+2]*vq[2] + e.UInv[kk*ns+3]*vq[3]
-				k.sumTab[off+kk] = ap * bq
+				st[off+kk] = ap * bq
 			}
 		}
 	}
@@ -460,12 +459,11 @@ func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
 // (computed by the generic expression) and the inner side streams its
 // planes into per-site scratch, then the ap·bq products land in the
 // pattern-major sum table.
-func (k *Kernel) prepareGammaFastSoABlock(op, oq operand, tabP, tabQ []float64, lo, hi int) {
+func (k *Kernel) prepareGammaFastSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
-	st := k.sumTab
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	var apBuf, bqBuf [threadpool.BlockSize]float64
 	apScr, bqScr := apBuf[:w], bqBuf[:w]

@@ -229,7 +229,7 @@ func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi in
 
 // preparePSRSoABlock is the generic sum-table fill (tip operands occur
 // here only with the fast path off).
-func (k *Kernel) preparePSRSoABlock(op, oq operand, lo, hi int) {
+func (k *Kernel) preparePSRSoABlock(st []float64, op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
@@ -255,7 +255,7 @@ func (k *Kernel) preparePSRSoABlock(op, oq operand, lo, hi int) {
 				freqs[2]*vp[2]*e.U[2*ns+kk] + freqs[3]*vp[3]*e.U[3*ns+kk]
 			bq := e.UInv[kk*ns]*vq[0] + e.UInv[kk*ns+1]*vq[1] +
 				e.UInv[kk*ns+2]*vq[2] + e.UInv[kk*ns+3]*vq[3]
-			k.sumTab[off+kk] = ap * bq
+			st[off+kk] = ap * bq
 		}
 	}
 }
@@ -265,7 +265,7 @@ func (k *Kernel) preparePSRSoABlock(op, oq operand, lo, hi int) {
 // expression), an inner side evaluates the generic expression in place;
 // the final ap·bq product order is unchanged, so the sum table bits
 // match.
-func (k *Kernel) preparePSRFastSoABlock(op, oq operand, tabP, tabQ []float64, lo, hi int) {
+func (k *Kernel) preparePSRFastSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
@@ -297,7 +297,7 @@ func (k *Kernel) preparePSRFastSoABlock(op, oq operand, tabP, tabQ []float64, lo
 			}
 		}
 		for kk := 0; kk < ns; kk++ {
-			k.sumTab[off+kk] = ap[kk] * bq[kk]
+			st[off+kk] = ap[kk] * bq[kk]
 		}
 	}
 }

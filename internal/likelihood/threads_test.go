@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/threadpool"
 	"repro/internal/traversal"
@@ -21,7 +22,7 @@ func threadedFixture(t *testing.T, het model.Heterogeneity, threads int) (*fixtu
 	var p *threadpool.Pool
 	if threads > 0 {
 		p = threadpool.New(threads)
-		f.kern.SetPool(p)
+		f.kern.Pool = p
 	}
 	return f, p
 }
@@ -54,28 +55,100 @@ func traceKernel(f *fixture) kernelTrace {
 	return tr
 }
 
-// TestThreadedKernelsBitIdentical is the §V determinism contract: every
-// kernel output must be byte-for-byte equal to the serial kernel at any
-// thread count, for both rate models (docs/DETERMINISM.md).
+// programTrace stages, one engine call's worth at a time, every kind of
+// program a kernel runs — a traversal with its evaluation; a sum table
+// with two derivative evaluations, and a third in a program of its own;
+// the pre-order pass with the contracting gradient of every edge; the
+// reuse gradient of every edge; one prune point's insertion plan — hands
+// each to flush, and returns every output bit: the results in staging
+// order and the digest of every inner CLV slot.
+func programTrace(t *testing.T, f *fixture, flush func(*likelihood.Kernel)) []uint64 {
+	t.Helper()
+	k := f.kern.Kernel
+	var out []uint64
+	lnL := func(n int) {
+		for i := 0; i < n; i++ {
+			out = append(out, math.Float64bits(k.LnL(i)))
+		}
+	}
+	grads := func(n int) {
+		for i := 0; i < n; i++ {
+			d1, d2 := k.Gradient(i)
+			out = append(out, math.Float64bits(d1), math.Float64bits(d2))
+		}
+	}
+
+	p := f.tree.Tip(0)
+	pRef, qRef := traversal.Ref(f.tree, p), traversal.Ref(f.tree, p.Back)
+	k.Traverse(traversal.ForEdge(f.tree, p, 0, true))
+	k.Evaluate(pRef, qRef, p.Length(0))
+	flush(k)
+	lnL(1)
+	for s := 0; s < f.tree.NInner(); s++ {
+		out = append(out, k.CLVDigest(s))
+	}
+
+	k.PrepareDerivatives(pRef, qRef)
+	k.Derivatives(0.05)
+	k.Derivatives(0.2)
+	flush(k)
+	grads(2)
+	k.Derivatives(0.7)
+	flush(k)
+	grads(1)
+
+	plan, _ := traversal.BuildGradient(f.tree, nil)
+	k.TraverseOuter(plan.Pre[0])
+	for b, e := range plan.Edges {
+		k.BranchGradientCached(b, plan.NBranches(), e.P, e.Q, plan.T[0][b])
+	}
+	flush(k)
+	grads(plan.NBranches())
+	for b := range plan.Edges {
+		k.BranchGradientReuse(b, 1.5*plan.T[0][b])
+	}
+	flush(k)
+	grads(plan.NBranches())
+
+	pruned := f.tree.Clone()
+	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins traversal.InsertPlan
+	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+	k.Traverse(ins.Post[0])
+	k.PrepareInsertion(ins.Sub, ins.SubT[0])
+	for c, step := range ins.Pre[0] {
+		k.NewviewOuter(step)
+		k.ScoreInsertion(likelihood.GradOuter(step.Dst), ins.Far[c], ins.Half[0][c])
+	}
+	flush(k)
+	lnL(ins.NCandidates())
+	return out
+}
+
+// TestThreadedKernelsBitIdentical is the §V determinism contract at the
+// kernel: a program executed block-major — every operation over one
+// pattern block, then the next block, the blocks spread over a pool —
+// yields byte for byte what the same program yields executed op-major on
+// one goroutine (the order kernels ran in before programs existed), with
+// no pool and with 1, 2, 3 and 4 threads, for both rate models and every
+// kind of program (docs/DETERMINISM.md §2 and §8).
 func TestThreadedKernelsBitIdentical(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		serial, _ := threadedFixture(t, het, 0)
-		ref := traceKernel(serial)
-		for _, threads := range []int{1, 2, 3, 8} {
+		oracle, _ := threadedFixture(t, het, 0)
+		want := programTrace(t, oracle, (*likelihood.Kernel).FlushOpMajor)
+		for _, threads := range []int{0, 1, 2, 3, 4} {
 			f, pool := threadedFixture(t, het, threads)
-			got := traceKernel(f)
+			got := programTrace(t, f, func(k *likelihood.Kernel) { k.Flush(pool) })
 			pool.Close()
-			if got.lnL != ref.lnL {
-				t.Errorf("%v T=%d: lnL bits %x != serial %x (%g vs %g)",
-					het, threads, got.lnL, ref.lnL,
-					math.Float64frombits(got.lnL), math.Float64frombits(ref.lnL))
+			if len(got) != len(want) {
+				t.Fatalf("%v T=%d: %d outputs block-major, %d op-major", het, threads, len(got), len(want))
 			}
-			if got.derivs != ref.derivs {
-				t.Errorf("%v T=%d: derivative bits diverged: %x vs %x", het, threads, got.derivs, ref.derivs)
-			}
-			for s := range ref.digests {
-				if got.digests[s] != ref.digests[s] {
-					t.Errorf("%v T=%d: CLV slot %d digest %x != serial %x", het, threads, s, got.digests[s], ref.digests[s])
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%v T=%d: output %d: block-major %x, op-major %x", het, threads, i, got[i], want[i])
 				}
 			}
 		}
@@ -103,6 +176,62 @@ func TestThreadedKernelReuse(t *testing.T) {
 		want := math.Float64bits(serial.evalAt(refEdges[i]))
 		if got != want {
 			t.Fatalf("edge %d: threaded lnL bits %x != serial %x", i, got, want)
+		}
+	}
+}
+
+// TestSharedArenaChangesNoBit holds the two ways a rank drives kernels that
+// take their tables from one ProgramArena to the same kernels with an
+// arena each. A serial rank runs and finishes one kernel's program before
+// it stages the next kernel's: every program kind gives the same bits, and
+// the second kernel builds its tables in the memory the first one used —
+// the arena does not grow. A rank with a pool stages every kernel, runs
+// them all and only then finishes them: nothing handed to one kernel may
+// be handed to the other in between.
+func TestSharedArenaChangesNoBit(t *testing.T) {
+	flush := func(k *likelihood.Kernel) { k.Flush(nil) }
+	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+		var arena likelihood.ProgramArena
+		var fs []*fixture
+		var want [][]uint64
+		for seed := int64(7); seed <= 8; seed++ {
+			want = append(want, programTrace(t, makeFixture(t, 12, 2000, het, seed), flush))
+			f := makeFixture(t, 12, 2000, het, seed)
+			f.kern.ShareArena(&arena)
+			fs = append(fs, f)
+		}
+
+		held := 0
+		for n, f := range fs {
+			got := programTrace(t, f, flush)
+			for i := range want[n] {
+				if got[i] != want[n][i] {
+					t.Errorf("%v kernel %d: output %d: shared arena %x, own arena %x", het, n, i, got[i], want[n][i])
+				}
+			}
+			if n == 0 {
+				held = arena.Cap()
+			}
+		}
+		if held == 0 || arena.Cap() != held {
+			t.Errorf("%v: arena holds %d doubles after one kernel's programs, %d after a second kernel's", het, held, arena.Cap())
+		}
+
+		for _, f := range fs {
+			p := f.tree.Tip(0)
+			f.kern.Kernel.Traverse(traversal.ForEdge(f.tree, p, 0, true))
+			f.kern.Kernel.Evaluate(traversal.Ref(f.tree, p), traversal.Ref(f.tree, p.Back), p.Length(0))
+		}
+		for _, f := range fs {
+			for blk := 0; blk < f.kern.NBlocks(); blk++ {
+				f.kern.RunBlock(blk, nil)
+			}
+		}
+		for n, f := range fs {
+			f.kern.Finish()
+			if got := math.Float64bits(f.kern.LnL(0)); got != want[n][0] {
+				t.Errorf("%v kernel %d: two programs in flight on one arena: lnL bits %x, own arena %x", het, n, got, want[n][0])
+			}
 		}
 	}
 }

@@ -34,6 +34,19 @@ var (
 	iterationsTotal = metrics.Default().Counter("examl_search_iterations_total",
 		"Completed outer search iterations, summed over concurrent runs.")
 
+	// poolMetrics are the intra-rank execution counters, added to when a
+	// rank's engine closes (Recorder.SetPool).
+	poolMetrics = struct{ engineCalls, dispatches, wakes, parks *metrics.Counter }{
+		metrics.Default().Counter("examl_engine_calls_total",
+			"Engine calls executed, summed over ranks and finished runs."),
+		metrics.Default().Counter("examl_pool_dispatches_total",
+			"Engine calls dispatched to a rank's worker pool, summed over ranks and finished runs."),
+		metrics.Default().Counter("examl_pool_wakes_total",
+			"Parked pool workers woken by a dispatch, summed over ranks and finished runs."),
+		metrics.Default().Counter("examl_pool_parks_total",
+			"Times a pool worker's poll budget ran out and it parked, summed over ranks and finished runs."),
+	}
+
 	// kernelMetrics pre-resolves the counter pair per kernel class so
 	// EndKernel pays no map lookup on the hot path.
 	kernelMetrics = func() [NumKernelClasses]spanMetrics {

@@ -25,11 +25,18 @@ type RankStats struct {
 	// time inside collectives.
 	ComputeNS int64 `json:"compute_ns"`
 	CommNS    int64 `json:"comm_ns"`
-	// PoolThreads/PoolRuns/PoolBlocks are the rank's thread-pool
-	// utilization counters (zero when the rank ran serially).
-	PoolThreads int   `json:"pool_threads,omitempty"`
-	PoolRuns    int64 `json:"pool_runs,omitempty"`
-	PoolBlocks  int64 `json:"pool_blocks,omitempty"`
+	// EngineCalls is how many engine calls the rank executed; each is at
+	// most one pool dispatch. PoolThreads/PoolDispatches/PoolBlocks/
+	// PoolWakes/PoolParks are the rank's thread-pool counters (zero when
+	// the rank ran serially): calls that went to the pool, the (kernel,
+	// block) items they carried, parked workers they woke, and times a
+	// worker's poll budget ran out (docs/PERFORMANCE.md §6).
+	EngineCalls    int64 `json:"engine_calls,omitempty"`
+	PoolThreads    int   `json:"pool_threads,omitempty"`
+	PoolDispatches int64 `json:"pool_dispatches,omitempty"`
+	PoolBlocks     int64 `json:"pool_blocks,omitempty"`
+	PoolWakes      int64 `json:"pool_wakes,omitempty"`
+	PoolParks      int64 `json:"pool_parks,omitempty"`
 	// FastPathOps/GenericOps are the rank's specialized vs generic
 	// kernel dispatch counts; PCacheHits/PCacheMisses its P-matrix cache
 	// activity (docs/PERFORMANCE.md).
@@ -50,12 +57,6 @@ type RankStats struct {
 	// round; docs/PERFORMANCE.md §9).
 	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
 	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
-	// BatchDispatches/BatchKernels are the rank's fused small-partition
-	// batching counters: pool dispatches that fused several sub-threshold
-	// kernels, and the kernel invocations they carried
-	// (docs/PERFORMANCE.md §6).
-	BatchDispatches int64 `json:"batch_dispatches,omitempty"`
-	BatchKernels    int64 `json:"batch_kernels,omitempty"`
 }
 
 // KernelStat is one kernel class's run-wide aggregate.
@@ -124,10 +125,16 @@ type Report struct {
 	// completed.
 	CollectivesPerIteration float64 `json:"collectives_per_iteration"`
 
-	// PoolUtilization is mean blocks-per-pool-run divided by the
-	// thread count, capped at 1: how well intra-rank parallel regions
-	// fill the §V worker pool (0 when no pool ran).
+	// PoolUtilization is mean blocks-per-pool-dispatch divided by the
+	// thread count, capped at 1: how well engine calls fill the §V worker
+	// pool (0 when no pool ran).
 	PoolUtilization float64 `json:"pool_utilization"`
+	// EngineCalls, PoolDispatches, PoolWakes and PoolParks are the
+	// per-rank counters of the same names summed over ranks.
+	EngineCalls    int64 `json:"engine_calls"`
+	PoolDispatches int64 `json:"pool_dispatches"`
+	PoolWakes      int64 `json:"pool_wakes"`
+	PoolParks      int64 `json:"pool_parks"`
 
 	// FastPathShare is specialized kernel dispatches over all kernel
 	// dispatches, summed across ranks (0 when no kernels ran).
@@ -153,12 +160,6 @@ type Report struct {
 	// collective of the topology search carry (docs/PERFORMANCE.md §8;
 	// 0 when no plan ran).
 	CandidatesPerPrunePoint float64 `json:"candidates_per_prune_point"`
-	// BatchFusion is the mean number of small-partition kernels fused
-	// into one pool dispatch, summed across ranks (0 when batching never
-	// fired). Values well above 1 mean the fused path is amortizing pool
-	// synchronization as designed.
-	BatchFusion float64 `json:"batch_fusion"`
-
 	// Counters holds the search-progress counters (from rank 0 —
 	// identical on every rank under the de-centralized scheme).
 	Counters map[string]int64 `json:"counters"`
@@ -180,9 +181,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		Counters:    map[string]int64{},
 	}
 	var sumCompute, sumComm, maxCompute int64
-	var poolRuns, poolBlocks int64
+	var poolBlocks int64
 	var fastOps, genericOps, pcHits, pcMiss, tipTips, pairEntries int64
-	var batchDisp, batchKern int64
 	poolThreads := 0
 	for _, r := range c.recs {
 		rs := RankStats{
@@ -193,13 +193,17 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			CollectiveOps: append([]int64(nil), r.collOps...),
 			ComputeNS:     r.ComputeNS(),
 			CommNS:        r.CollectiveNS(),
-			PoolThreads:   r.poolThreads,
-			PoolRuns:      r.poolRuns,
-			PoolBlocks:    r.poolBlocks,
 			FastPathOps:   r.perf.FastOps,
 			GenericOps:    r.perf.GenericOps,
 			PCacheHits:    r.perf.PCacheHits,
 			PCacheMisses:  r.perf.PCacheMisses,
+
+			EngineCalls:    r.pool.EngineCalls,
+			PoolThreads:    r.pool.Threads,
+			PoolDispatches: r.pool.Dispatches,
+			PoolBlocks:     r.pool.Blocks,
+			PoolWakes:      r.pool.Wakes,
+			PoolParks:      r.pool.Parks,
 
 			TipTipNewviews:   r.perf.TipTipNewviews,
 			PairTableEntries: r.perf.PairTableEntries,
@@ -207,9 +211,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 
 			SiteRateTableEvals: r.perf.SiteRateTableEvals,
 			SiteRateExactEvals: r.perf.SiteRateExactEvals,
-
-			BatchDispatches: r.batchDispatches,
-			BatchKernels:    r.batchKernels,
 		}
 		rep.PerRank = append(rep.PerRank, rs)
 		sumCompute += rs.ComputeNS
@@ -217,19 +218,18 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		if rs.ComputeNS > maxCompute {
 			maxCompute = rs.ComputeNS
 		}
-		poolRuns += r.poolRuns
-		poolBlocks += r.poolBlocks
-		if r.poolThreads > poolThreads {
-			poolThreads = r.poolThreads
-		}
+		rep.EngineCalls += r.pool.EngineCalls
+		rep.PoolDispatches += r.pool.Dispatches
+		rep.PoolWakes += r.pool.Wakes
+		rep.PoolParks += r.pool.Parks
+		poolBlocks += r.pool.Blocks
+		poolThreads = max(poolThreads, r.pool.Threads)
 		fastOps += r.perf.FastOps
 		genericOps += r.perf.GenericOps
 		pcHits += r.perf.PCacheHits
 		pcMiss += r.perf.PCacheMisses
 		tipTips += r.perf.TipTipNewviews
 		pairEntries += r.perf.PairTableEntries
-		batchDisp += r.batchDispatches
-		batchKern += r.batchKernels
 	}
 	if tot := fastOps + genericOps; tot > 0 {
 		rep.FastPathShare = float64(fastOps) / float64(tot)
@@ -243,9 +243,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
 	rep.ActivePartitionsPerProbe = ratio(c.recs[0].counters[CounterModelPartitionEvals], c.recs[0].counters[CounterModelProbes])
 	rep.CandidatesPerPrunePoint = ratio(c.recs[0].counters[CounterSPRCandidatesScored], c.recs[0].counters[CounterSPRInsertionPlans])
-	if batchDisp > 0 {
-		rep.BatchFusion = float64(batchKern) / float64(batchDisp)
-	}
 
 	for k := KernelClass(0); k < NumKernelClasses; k++ {
 		ks := KernelStat{Name: k.String()}
@@ -302,8 +299,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	if iters := c.recs[0].counters[CounterIterations]; iters > 0 {
 		rep.CollectivesPerIteration = float64(totalMeterOps) / float64(iters)
 	}
-	if poolRuns > 0 && poolThreads > 0 {
-		util := float64(poolBlocks) / float64(poolRuns) / float64(poolThreads)
+	if rep.PoolDispatches > 0 && poolThreads > 0 {
+		util := float64(poolBlocks) / float64(rep.PoolDispatches) / float64(poolThreads)
 		if util > 1 {
 			util = 1
 		}
@@ -358,6 +355,10 @@ func (r *Report) String() string {
 	if r.CollectivesPerIteration > 0 {
 		fmt.Fprintf(&b, "  collectives / iteration                %8.1f\n", r.CollectivesPerIteration)
 	}
+	if r.EngineCalls > 0 {
+		fmt.Fprintf(&b, "  engine calls / pool dispatches / wakes / parks  %d / %d / %d / %d\n",
+			r.EngineCalls, r.PoolDispatches, r.PoolWakes, r.PoolParks)
+	}
 	if r.PoolUtilization > 0 {
 		fmt.Fprintf(&b, "  thread-pool block utilization          %8.3f\n", r.PoolUtilization)
 	}
@@ -378,9 +379,6 @@ func (r *Report) String() string {
 	}
 	if r.CandidatesPerPrunePoint > 0 {
 		fmt.Fprintf(&b, "  candidates / prune point               %8.1f\n", r.CandidatesPerPrunePoint)
-	}
-	if r.BatchFusion > 0 {
-		fmt.Fprintf(&b, "  kernels fused per batched dispatch     %8.3f\n", r.BatchFusion)
 	}
 
 	fmt.Fprintf(&b, "\nper-rank compute vs collective time:\n")

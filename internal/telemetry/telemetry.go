@@ -309,17 +309,9 @@ type Recorder struct {
 
 	counters [NumCounters]int64
 
-	poolThreads          int
-	poolRuns, poolBlocks int64
-
-	// Kernel fast-path counters (harvested once at engine close, like the
-	// pool counters).
+	// Pool and kernel fast-path counters (harvested once, at engine close).
+	pool PoolStats
 	perf KernelPerf
-
-	// Fused-batch counters (harvested once at engine close): pool
-	// dispatches that fused multiple small-partition kernels and how many
-	// kernel invocations those dispatches carried (docs/PERFORMANCE.md §6).
-	batchDispatches, batchKernels int64
 }
 
 // now returns nanoseconds since the collector's start (monotonic).
@@ -345,6 +337,40 @@ func (r *Recorder) EndKernel(k KernelClass, start int64) {
 	kernelMetrics[k].seconds.Add(float64(end-start) / 1e9)
 	kernelMetrics[k].ops.Inc()
 	r.col.emit(r.rank, "kernel", k.String(), start, end-start)
+}
+
+// EndEngineCall closes the span of one engine call — opened by Begin
+// before the call was staged — whose operations ran fused inside one pool
+// dispatch. ns holds what the rank's workers measured per kernel class
+// while they ran the call's items (CPU time, summed over workers); the
+// call's wall time is split over the classes in that proportion and
+// recorded as one span per class, laid end to end from start, so the
+// class rows still add up to the time the rank spent in engine calls. A
+// call in which nothing ran (every partition masked out) records nothing.
+func (r *Recorder) EndEngineCall(start int64, ns *[NumKernelClasses]int64) {
+	if r == nil {
+		return
+	}
+	var total int64
+	for _, v := range ns {
+		total += v
+	}
+	if total == 0 {
+		return
+	}
+	wall := r.now() - start
+	for k, v := range ns {
+		if v == 0 {
+			continue
+		}
+		dur := int64(float64(wall) * float64(v) / float64(total))
+		r.kernelNS[k] += dur
+		r.kernelOps[k]++
+		kernelMetrics[k].seconds.Add(float64(dur) / 1e9)
+		kernelMetrics[k].ops.Inc()
+		r.col.emit(r.rank, "kernel", KernelClass(k).String(), start, dur)
+		start += dur
+	}
 }
 
 // BeginCollective opens a collective span; pass the token to
@@ -406,15 +432,28 @@ func (r *Recorder) Inc(c Counter, n int64) {
 	r.counters[c] += n
 }
 
-// SetPool records the rank's thread-pool utilization counters (harvested
-// once, when the rank's engine closes).
-func (r *Recorder) SetPool(threads int, runs, blocks int64) {
+// PoolStats is one rank's intra-rank execution summary: how many engine
+// calls it ran, how many of them were dispatched to the worker pool (a
+// call of fewer than two items, and every call of a serial rank, runs
+// inline), the (kernel, block) items those dispatches carried, how many
+// parked workers they had to wake and how often a worker's poll budget
+// ran out and it parked.
+type PoolStats struct {
+	Threads                                       int
+	EngineCalls, Dispatches, Blocks, Wakes, Parks int64
+}
+
+// SetPool records the rank's pool counters (harvested once, when the
+// rank's engine closes, before SetKernelPerf).
+func (r *Recorder) SetPool(p PoolStats) {
 	if r == nil {
 		return
 	}
-	r.poolThreads = threads
-	r.poolRuns = runs
-	r.poolBlocks = blocks
+	r.pool = p
+	poolMetrics.engineCalls.Add(float64(p.EngineCalls))
+	poolMetrics.dispatches.Add(float64(p.Dispatches))
+	poolMetrics.wakes.Add(float64(p.Wakes))
+	poolMetrics.parks.Add(float64(p.Parks))
 }
 
 // KernelPerf is one rank's kernel fast-path summary, summed over its
@@ -445,9 +484,10 @@ func ratio(a, b int64) float64 {
 
 // SetKernelPerf records the rank's kernel fast-path counters (harvested
 // once, when the rank's engine closes) and emits a "perf" JSONL event
-// carrying them, the rank's model-probe and SPR counters, and the two
-// ratios read first when a run is slow: candidates scored per prune
-// point and this rank's collectives per completed iteration.
+// carrying them, the pool counters SetPool recorded, the rank's
+// model-probe and SPR counters, and the two ratios read first when a run
+// is slow: candidates scored per prune point and this rank's collectives
+// per completed iteration.
 func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	if r == nil {
 		return
@@ -458,28 +498,14 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 		for _, n := range r.collOps {
 			collectives += n
 		}
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
 			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals,
+			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks,
 			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
 			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
 			jsonFloat(ratio(collectives, r.counters[CounterIterations])), c.jobFrag)
-	}
-}
-
-// SetBatchStats records the rank's fused small-partition batching
-// counters (harvested once, when the rank's engine closes) and emits a
-// "batch" JSONL event carrying them.
-func (r *Recorder) SetBatchStats(dispatches, kernels int64) {
-	if r == nil {
-		return
-	}
-	r.batchDispatches = dispatches
-	r.batchKernels = kernels
-	if c := r.col; c != nil {
-		c.emitLine("{\"ev\":\"batch\",\"rank\":%d,\"dispatches\":%d,\"kernels\":%d%s}",
-			r.rank, dispatches, kernels, c.jobFrag)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestNilSafety(t *testing.T) {
 	ct := r.BeginCollective()
 	r.EndCollective(0, ct)
 	r.Inc(CounterIterations, 1)
-	r.SetPool(4, 10, 40)
+	r.SetPool(PoolStats{Threads: 4, Dispatches: 10, Blocks: 40})
 	r.SetKernelPerf(KernelPerf{FastOps: 1, GenericOps: 2, PCacheHits: 3, PCacheMisses: 4})
 	if r.ComputeNS() != 0 || r.CollectiveNS() != 0 {
 		t.Fatalf("nil recorder accumulated time")

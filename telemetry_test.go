@@ -82,6 +82,9 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				if threads > 1 && rep.PoolUtilization <= 0 {
 					t.Error("threaded run reported no pool utilization")
 				}
+				if rep.EngineCalls <= 0 || rep.PoolDispatches > rep.EngineCalls || (threads > 1) != (rep.PoolDispatches > 0) {
+					t.Errorf("T=%d: %d engine calls, %d pool dispatches", threads, rep.EngineCalls, rep.PoolDispatches)
+				}
 			})
 		}
 	}
@@ -101,7 +104,6 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 	}
 	lines := 0
 	perfEvents := 0
-	batchEvents := 0
 	metaEvents := 0
 	iterEvents := 0
 	sc := bufio.NewScanner(&trace)
@@ -115,7 +117,9 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			Class   string `json:"class"`
 			DurNS   int64  `json:"dur_ns"`
 			FastOps int64  `json:"fast_ops"`
-			Disp    int64  `json:"dispatches"`
+			Calls   int64  `json:"engine_calls"`
+			Disp    int64  `json:"pool_dispatches"`
+			Wakes   int64  `json:"pool_wakes"`
 			Ranks   int    `json:"ranks"`
 			StartNS int64  `json:"start_unix_ns"`
 			Iter    int    `json:"iter"`
@@ -157,13 +161,11 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			if ev.FastOps <= 0 {
 				t.Fatalf("line %d: perf event without fast-path ops %+v", lines, ev)
 			}
-		case "batch":
-			// Fused small-partition batching summary, emitted once per rank
-			// at engine close; this dataset's partitions sit far below the
-			// default threshold, so batched dispatches must have fired.
-			batchEvents++
-			if ev.Disp <= 0 {
-				t.Fatalf("line %d: batch event without dispatches %+v", lines, ev)
+			// The same event carries the intra-rank execution counters: an
+			// engine call is at most one pool dispatch, and these ranks run
+			// one thread each, so none went to a pool.
+			if ev.Calls <= 0 || ev.Disp != 0 || ev.Wakes != 0 {
+				t.Fatalf("line %d: perf event of a serial rank with %d engine calls, %d pool dispatches, %d wakes", lines, ev.Calls, ev.Disp, ev.Wakes)
 			}
 		default:
 			t.Fatalf("line %d: unknown event type %q", lines, ev.Ev)
@@ -177,9 +179,6 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 	}
 	if perfEvents != 2 {
 		t.Fatalf("expected one perf event per rank, got %d", perfEvents)
-	}
-	if batchEvents != 2 {
-		t.Fatalf("expected one batch event per rank, got %d", batchEvents)
 	}
 	if metaEvents != 1 {
 		t.Fatalf("expected exactly one meta header, got %d", metaEvents)
