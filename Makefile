@@ -31,7 +31,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-gradient smoke-threads smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -156,21 +156,6 @@ smoke-net:
 	test -s $$tmp/smoke.bestTree.nwk && \
 	echo "smoke-net: 4-process loopback run OK"
 
-# smoke-gradient is the batched-gradient determinism drill over a real
-# wire (docs/DETERMINISM.md §7): the same 2-process loopback inference
-# run twice, default batched smoother vs -no-batched-gradients oracle,
-# must write byte-identical best trees.
-smoke-gradient:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
-	$$tmp/seqgen -taxa 10 -partitions 2 -genelen 60 -seed 33 -o $$tmp/tiny && \
-	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 2 -net-launch \
-		-iter 3 -n $$tmp/batched && \
-	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 2 -net-launch \
-		-iter 3 -no-batched-gradients -n $$tmp/oracle && \
-	cmp $$tmp/batched.bestTree.nwk $$tmp/oracle.bestTree.nwk && \
-	echo "smoke-gradient: batched vs oracle best trees byte-identical OK"
-
 # smoke-threads is the §V hybrid drill at the CLI (docs/PERFORMANCE.md §6,
 # docs/DETERMINISM.md §2): the same PSR inference of a 16 × 1500 bp
 # alignment at one thread and at two must write byte-identical best trees
@@ -258,7 +243,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-gradient smoke-threads smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

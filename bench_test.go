@@ -537,78 +537,58 @@ func BenchmarkHybridGrid(b *testing.B) {
 
 // ---------- batched all-branch gradients (docs/PERFORMANCE.md) ----------
 
-// BenchmarkAllBranchGradient measures the batched all-branch gradient
-// smoother against the per-branch Newton oracle on a branch-length
-// optimization workload (SkipTopology, smoothing-dominated) run over
-// real loopback TCP — one mpinet endpoint per rank, so every
-// branch-length collective is a socket round trip, the transport
-// regime the batching targets. Both rows produce bit-identical results
-// (docs/DETERMINISM.md §7); the batched row reports its wall-clock
-// speedup over the oracle row plus the metered branch-length Allreduce
-// count of each, which drops from one per branch per Newton iteration
-// to one per iteration of a sweep.
+// BenchmarkAllBranchGradient measures branch-length smoothing — the
+// batched all-branch gradient smoother on a smoothing-dominated workload
+// (SkipTopology) — over real loopback TCP: one mpinet endpoint per rank,
+// so every branch-length collective is a socket round trip, the
+// transport regime the batching targets. It reports the metered
+// branch-length Allreduce count, one per Newton iteration of a sweep
+// whatever the branch count.
 func BenchmarkAllBranchGradient(b *testing.B) {
 	d := benchDataset(b, 24, 4, 60)
-	base := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1, SkipTopology: true, SmoothPasses: 8}
+	cfg := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1, SkipTopology: true, SmoothPasses: 8}
 	const ranks = 3
 	nonce := uint64(0)
-	var oracleNs float64
-	for _, batched := range []bool{false, true} {
-		mode := "oracle"
-		if batched {
-			mode = "batched"
+	var blOps int64
+	for b.Loop() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(mode, func(b *testing.B) {
-			cfg := base
-			cfg.DisableBatchedGradients = !batched
-			var blOps int64
-			for b.Loop() {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
+		addr := ln.Addr().String()
+		ln.Close()
+		nonce++
+		var wg sync.WaitGroup
+		errs := make([]error, ranks)
+		var rank0Ops int64
+		for r := 0; r < ranks; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				tr, err := mpinet.Connect(mpinet.Config{Rank: rank, Size: ranks, Addr: addr, Nonce: nonce})
 				if err != nil {
-					b.Fatal(err)
+					errs[rank] = err
+					return
 				}
-				addr := ln.Addr().String()
-				ln.Close()
-				nonce++
-				var wg sync.WaitGroup
-				errs := make([]error, ranks)
-				var rank0Ops int64
-				for r := 0; r < ranks; r++ {
-					wg.Add(1)
-					go func(rank int) {
-						defer wg.Done()
-						tr, err := mpinet.Connect(mpinet.Config{Rank: rank, Size: ranks, Addr: addr, Nonce: nonce})
-						if err != nil {
-							errs[rank] = err
-							return
-						}
-						c := mpi.NewComm(tr, rank, ranks, mpi.NewMeter())
-						defer c.Close()
-						_, stats, err := decentral.RunOnComm(c, d, enginecore.RunConfig{Search: cfg})
-						errs[rank] = err
-						if rank == 0 && stats != nil {
-							rank0Ops = stats.Comm.Ops[mpi.ClassBranchLength]
-						}
-					}(r)
+				c := mpi.NewComm(tr, rank, ranks, mpi.NewMeter())
+				defer c.Close()
+				_, stats, err := decentral.RunOnComm(c, d, enginecore.RunConfig{Search: cfg})
+				errs[rank] = err
+				if rank == 0 && stats != nil {
+					rank0Ops = stats.Comm.Ops[mpi.ClassBranchLength]
 				}
-				wg.Wait()
-				for r, err := range errs {
-					if err != nil {
-						b.Fatalf("rank %d: %v", r, err)
-					}
-				}
-				blOps = rank0Ops
+			}(r)
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				b.Fatalf("rank %d: %v", r, err)
 			}
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if !batched {
-				oracleNs = nsPerOp
-			} else if oracleNs > 0 && nsPerOp > 0 {
-				b.ReportMetric(oracleNs/nsPerOp, "speedup")
-			}
-			b.ReportMetric(float64(blOps), "bl_allreduces")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
+		}
+		blOps = rank0Ops
 	}
+	b.ReportMetric(float64(blOps), "bl_allreduces")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
 // ---------- binary format vs PHYLIP ----------

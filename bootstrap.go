@@ -50,13 +50,6 @@ type BootstrapOptions struct {
 	AutoStopCutoff float64
 	// ManifestPath makes the run resumable (docs/ORCHESTRATOR.md).
 	ManifestPath string
-	// LegacySeeding reproduces the pre-orchestrator behavior: replicate
-	// datasets drawn sequentially from one generator seeded with
-	// cfg.Seed^0x0b00f5 and replicate searches seeded cfg.Seed+r+1.
-	// Kept as an oracle for migration tests; the default splittable
-	// seeding is order-independent and is what the service backend and
-	// resumed campaigns reproduce. Incompatible with the other options.
-	LegacySeeding bool
 }
 
 // Bootstrap runs a nonparametric bootstrap: a reference ML search on the
@@ -74,12 +67,6 @@ func Bootstrap(d *Dataset, cfg Config, replicates int) (*BootstrapResult, error)
 func BootstrapWithOptions(d *Dataset, cfg Config, replicates int, opts BootstrapOptions) (*BootstrapResult, error) {
 	if replicates < 1 {
 		return nil, fmt.Errorf("examl: need at least 1 bootstrap replicate")
-	}
-	if opts.LegacySeeding {
-		if opts.Workers > 1 || opts.AutoStop || opts.ManifestPath != "" {
-			return nil, fmt.Errorf("examl: legacy seeding is sequential-only (no workers, autostop, or manifest)")
-		}
-		return bootstrapLegacy(d, cfg, replicates)
 	}
 
 	plan := phyrun.Plan{
@@ -159,58 +146,6 @@ func (r *LocalCampaignRunner) Run(ctx context.Context, t phyrun.Task) (*phyrun.T
 		Iterations:    res.Iterations,
 		WallSeconds:   res.WallSeconds,
 	}, nil
-}
-
-// bootstrapLegacy is the original sequential implementation, retained
-// verbatim as the LegacySeeding oracle: replicate r's dataset depends
-// on every draw before it, so replicates cannot be re-run in isolation
-// — the limitation that motivated splittable per-task seeds.
-func bootstrapLegacy(d *Dataset, cfg Config, replicates int) (*BootstrapResult, error) {
-	ref, err := Infer(d, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("examl: reference search: %w", err)
-	}
-	refTree, err := tree.ParseNewick(ref.Tree, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b00f5))
-	out := &BootstrapResult{Replicates: replicates}
-	repTrees := make([]*tree.Tree, 0, replicates)
-	for r := 0; r < replicates; r++ {
-		resampled, err := bootstrap.Resample(d.d, rng)
-		if err != nil {
-			return nil, err
-		}
-		repCfg := cfg
-		repCfg.Seed = cfg.Seed + int64(r) + 1
-		res, err := Infer(&Dataset{d: resampled}, repCfg)
-		if err != nil {
-			return nil, fmt.Errorf("examl: replicate %d: %w", r, err)
-		}
-		rt, err := tree.ParseNewick(res.Tree, 1)
-		if err != nil {
-			return nil, err
-		}
-		repTrees = append(repTrees, rt)
-		out.ReplicateTrees = append(out.ReplicateTrees, res.Tree)
-	}
-	out.Supports, err = bootstrap.SupportValues(refTree, repTrees)
-	if err != nil {
-		return nil, err
-	}
-	out.BestTree, err = bootstrap.AnnotatedNewick(refTree, out.Supports)
-	if err != nil {
-		return nil, err
-	}
-	cons, csup, err := bootstrap.Consensus(repTrees, 0.5)
-	if err != nil {
-		return nil, err
-	}
-	out.ConsensusTree = cons.Newick()
-	out.ConsensusSupports = csup
-	return out, nil
 }
 
 // MajorityConsensus builds the extended majority-rule consensus of a set

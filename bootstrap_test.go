@@ -3,7 +3,6 @@ package examl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -107,60 +106,6 @@ func TestBootstrapWorkerCountInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("results vary with worker count:\n%+v\n%+v", seq, par)
-	}
-}
-
-// TestBootstrapLegacySeeding pins the pre-orchestrator behavior behind
-// the LegacySeeding flag: sequential resample draws from one generator
-// (cfg.Seed^0x0b00f5) and replicate search seeds cfg.Seed+r+1. The
-// oracle below *is* that old algorithm; the flag must reproduce it, and
-// the default path must differ from it (different seeding scheme).
-func TestBootstrapLegacySeeding(t *testing.T) {
-	d, err := Simulate(8, 2, 200, 73)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Ranks: 1, MaxIterations: 2, Seed: 17}
-	const B = 3
-
-	legacy, err := BootstrapWithOptions(d, cfg, B, BootstrapOptions{LegacySeeding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b00f5))
-	var oracle []string
-	for r := 0; r < B; r++ {
-		resampled, err := bootstrap.Resample(d.d, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repCfg := cfg
-		repCfg.Seed = cfg.Seed + int64(r) + 1
-		res, err := Infer(&Dataset{d: resampled}, repCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle = append(oracle, res.Tree)
-	}
-	if !reflect.DeepEqual(legacy.ReplicateTrees, oracle) {
-		t.Fatalf("legacy path diverged from the sequential oracle:\n%v\n%v", legacy.ReplicateTrees, oracle)
-	}
-
-	modern, err := Bootstrap(d, cfg, B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(modern.ReplicateTrees, legacy.ReplicateTrees) {
-		t.Fatal("splittable seeding produced the legacy replicate sequence — seeds are not actually split")
-	}
-
-	// Legacy is sequential-only.
-	if _, err := BootstrapWithOptions(d, cfg, B, BootstrapOptions{LegacySeeding: true, Workers: 2}); err == nil {
-		t.Error("legacy seeding accepted a worker pool")
-	}
-	if _, err := BootstrapWithOptions(d, cfg, B, BootstrapOptions{LegacySeeding: true, AutoStop: true}); err == nil {
-		t.Error("legacy seeding accepted autostop")
 	}
 }
 

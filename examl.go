@@ -296,14 +296,6 @@ type Config struct {
 	// calls it exactly once per iteration. Observational only — it must
 	// not mutate search state.
 	OnProgress func(iteration int, lnL float64)
-	// DisableBatchedGradients turns off the batched all-branch gradient
-	// path in branch-length smoothing and falls back to the per-branch
-	// Newton oracle. Ablation switch only: final trees and likelihoods
-	// are byte-identical either way, but the batched path pays one wide
-	// Allreduce per smoothing sweep where the oracle pays one narrow
-	// Allreduce per branch per Newton iteration (docs/DETERMINISM.md §7,
-	// docs/PERFORMANCE.md).
-	DisableBatchedGradients bool
 }
 
 // CommReport is the per-class communication accounting of a run — the
@@ -413,45 +405,45 @@ func (r *Result) Project(ranks int) (Projection, error) {
 }
 
 // searchConfig translates the public Config into the internal search
-// configuration, wiring checkpoint restore and per-iteration writes.
-func searchConfig(cfg Config) (search.Config, error) {
+// configuration, wiring checkpoint restore and per-iteration writes. The
+// writer is nil when the run writes no checkpoints.
+func searchConfig(cfg Config) (search.Config, *checkpointWriter, error) {
 	het := model.Gamma
 	if cfg.RateModel == PSR {
 		het = model.PSR
 	}
 	scfg := search.Config{
-		Het:                     het,
-		Subst:                   substOf(cfg.Substitution),
-		PerPartitionBranches:    cfg.PerPartitionBranchLengths,
-		Epsilon:                 cfg.Epsilon,
-		SPRRadius:               cfg.SPRRadius,
-		MaxIterations:           cfg.MaxIterations,
-		Seed:                    cfg.Seed,
-		StartTree:               cfg.StartTree,
-		ParsimonyStart:          cfg.ParsimonyStartTree,
-		SkipTopology:            cfg.SkipTopology,
-		DisableBatchedGradients: cfg.DisableBatchedGradients,
+		Het:                  het,
+		Subst:                substOf(cfg.Substitution),
+		PerPartitionBranches: cfg.PerPartitionBranchLengths,
+		Epsilon:              cfg.Epsilon,
+		SPRRadius:            cfg.SPRRadius,
+		MaxIterations:        cfg.MaxIterations,
+		Seed:                 cfg.Seed,
+		StartTree:            cfg.StartTree,
+		ParsimonyStart:       cfg.ParsimonyStartTree,
+		SkipTopology:         cfg.SkipTopology,
 	}
 	if cfg.RestorePath != "" {
 		f, err := os.Open(cfg.RestorePath)
 		if err != nil {
-			return scfg, fmt.Errorf("examl: open checkpoint: %w", err)
+			return scfg, nil, fmt.Errorf("examl: open checkpoint: %w", err)
 		}
 		state, err := checkpoint.Read(f)
 		f.Close()
 		if err != nil {
-			return scfg, err
+			return scfg, nil, err
 		}
 		scfg.Restore = state
 	}
+	var ckpt *checkpointWriter
 	if cfg.CheckpointPath != "" {
-		var mu sync.Mutex
+		ckpt = &checkpointWriter{path: cfg.CheckpointPath}
+		if err := ckpt.probe(); err != nil {
+			return scfg, nil, err
+		}
 		scfg.OnIteration = func(s *search.Searcher, iter int, lnL float64) {
-			// Every replica calls the hook with identical state; writes
-			// are serialized and idempotent.
-			mu.Lock()
-			defer mu.Unlock()
-			writeCheckpoint(cfg.CheckpointPath, s.Snapshot(iter))
+			ckpt.write(s.Snapshot(iter))
 		}
 	}
 	if cfg.OnProgress != nil {
@@ -463,17 +455,19 @@ func searchConfig(cfg Config) (search.Config, error) {
 			cfg.OnProgress(iter, lnL)
 		}
 	}
-	return scfg, nil
+	return scfg, ckpt, nil
 }
 
 // runConfig is the one translation of the public Config into a run
 // configuration; Infer, InferNet and InferWithFailures all go through
-// it. recorders is how many ranks a requested telemetry collector
-// describes: cfg.Ranks in process, one per process in network mode.
-func runConfig(cfg Config, recorders int) (enginecore.RunConfig, error) {
-	scfg, err := searchConfig(cfg)
+// it, and ask the checkpoint writer it returns whether the run's
+// checkpoints were written. recorders is how many ranks a requested
+// telemetry collector describes: cfg.Ranks in process, one per process
+// in network mode.
+func runConfig(cfg Config, recorders int) (enginecore.RunConfig, *checkpointWriter, error) {
+	scfg, ckpt, err := searchConfig(cfg)
 	if err != nil {
-		return enginecore.RunConfig{}, err
+		return enginecore.RunConfig{}, nil, err
 	}
 	rc := enginecore.RunConfig{
 		Search:             scfg,
@@ -489,7 +483,7 @@ func runConfig(cfg Config, recorders int) (enginecore.RunConfig, error) {
 		rc.Telemetry = telemetry.NewCollector(recorders, int(mpi.NumCommClasses), cfg.TraceWriter)
 		rc.Telemetry.SetJob(cfg.TraceLabel)
 	}
-	return rc, nil
+	return rc, ckpt, nil
 }
 
 // newResult assembles the public Result of a run from what the driver
@@ -523,12 +517,15 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 	if cfg.Ranks <= 0 {
 		cfg.Ranks = 1
 	}
-	rc, err := runConfig(cfg, cfg.Ranks)
+	rc, ckpt, err := runConfig(cfg, cfg.Ranks)
 	if err != nil {
 		return nil, err
 	}
 	res, stats, err := run(d.d, rc)
 	if err != nil {
+		return nil, err
+	}
+	if err := ckpt.failure(); err != nil {
 		return nil, err
 	}
 	return newResult(res, stats, rc), nil
@@ -554,23 +551,73 @@ func finalizeTelemetry(c *telemetry.Collector, wall time.Duration, threads int, 
 	return rep
 }
 
+// checkpointWriter writes one run's per-iteration checkpoints and keeps
+// the first failure: the search's iteration hook has no way to return it,
+// so the run's entry point asks for it once the search is over.
+type checkpointWriter struct {
+	path string
+	mu   sync.Mutex
+	err  error
+}
+
+// probe creates and removes the temp file a write would create, so a
+// path that cannot be written fails the job before the search starts.
+func (w *checkpointWriter) probe() error {
+	tmp := w.path + ".tmp"
+	f, err := os.Create(tmp)
+	if err == nil {
+		f.Close()
+		err = os.Remove(tmp)
+	}
+	if err != nil {
+		return fmt.Errorf("examl: checkpoint %s: %w", w.path, err)
+	}
+	return nil
+}
+
+// write is the iteration hook. Every replica calls it with identical
+// state; writes are serialized and idempotent, and stop at the first
+// failure.
+func (w *checkpointWriter) write(state *checkpoint.State) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
+	}
+	if err := writeCheckpoint(w.path, state); err != nil {
+		w.err = fmt.Errorf("examl: checkpoint %s: %w", w.path, err)
+	}
+}
+
 // writeCheckpoint writes atomically via a temp file + rename.
-func writeCheckpoint(path string, state *checkpoint.State) {
+func writeCheckpoint(path string, state *checkpoint.State) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return
+		return err
 	}
-	if err := checkpoint.Write(f, state); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
+	err = checkpoint.Write(f, state)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	os.Rename(tmp, path)
+	if err != nil {
+		os.Remove(tmp) // best effort: the write's own error is the one reported
+	}
+	return err
+}
+
+// failure returns the first write that failed, nil when all succeeded or
+// the run (a nil writer) wrote no checkpoints.
+func (w *checkpointWriter) failure() error {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
 }
 
 // RobinsonFoulds computes the Robinson–Foulds distance between two Newick

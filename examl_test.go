@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -184,6 +185,65 @@ func TestCheckpointRestartViaPublicAPI(t *testing.T) {
 	}
 	if _, err := Infer(other, Config{Ranks: 1, RestorePath: ckpt}); err == nil {
 		t.Error("checkpoint accepted for wrong dataset")
+	}
+}
+
+// TestUnwritableCheckpointFailsTheJob: a checkpoint path that cannot be
+// written fails the run — before the search when the path is bad from the
+// start, with the first failed write when it goes bad later (the
+// directory is moved away after iteration 1: mode bits would not stop a
+// test run as root) — under every entry point that takes the path.
+func TestUnwritableCheckpointFailsTheJob(t *testing.T) {
+	d, err := Simulate(8, 2, 40, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(Config) error{
+		"Infer": func(cfg Config) error {
+			_, err := Infer(d, cfg)
+			return err
+		},
+		"InferWithFailures": func(cfg Config) error {
+			_, _, err := InferWithFailures(d, cfg, FailurePlan{FailRanks: 1, FailAfterIteration: 2})
+			return err
+		},
+		"InferNet": func(cfg Config) error {
+			_, err := InferNet(d, cfg, NetConfig{Rank: 0, Size: 1, Addr: "127.0.0.1:0", Nonce: 7})
+			return err
+		},
+	}
+	for name, run := range entries {
+		missing := filepath.Join(t.TempDir(), "no", "such", "dir", "x.ckpt")
+		var progressed atomic.Bool
+		err := run(Config{Ranks: 2, MaxIterations: 3, Seed: 3, CheckpointPath: missing,
+			OnProgress: func(int, float64) { progressed.Store(true) }})
+		if err == nil || !strings.Contains(err.Error(), "examl: checkpoint "+missing) {
+			t.Errorf("%s: nonexistent directory: got %v, want an error naming the checkpoint path", name, err)
+		}
+		if progressed.Load() {
+			t.Errorf("%s: the search ran before the bad path was reported", name)
+		}
+
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(dir, "x.ckpt")
+		var once sync.Once
+		err = run(Config{Ranks: 2, MaxIterations: 3, Seed: 3, CheckpointPath: ckpt,
+			OnProgress: func(iter int, _ float64) {
+				once.Do(func() {
+					if _, err := os.Stat(ckpt); err != nil {
+						t.Errorf("%s: no checkpoint after iteration %d: %v", name, iter, err)
+					}
+					if err := os.Rename(dir, dir+".moved"); err != nil {
+						t.Error(err)
+					}
+				})
+			}})
+		if err == nil || !strings.Contains(err.Error(), "examl: checkpoint "+ckpt) {
+			t.Errorf("%s: directory gone after iteration 1: got %v, want an error naming the checkpoint path", name, err)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func InferWithFailures(d *Dataset, cfg Config, plan FailurePlan) (*Result, *Reco
 	if cfg.Ranks <= 0 {
 		cfg.Ranks = 2
 	}
-	rc, err := runConfig(cfg, cfg.Ranks)
+	rc, ckpt, err := runConfig(cfg, cfg.Ranks)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,6 +50,9 @@ func InferWithFailures(d *Dataset, cfg Config, plan FailurePlan) (*Result, *Reco
 		FailAfterIteration: plan.FailAfterIteration,
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := ckpt.failure(); err != nil {
 		return nil, nil, err
 	}
 	return newResult(res, stats, rc), &RecoveryReport{

@@ -6,10 +6,10 @@
 // foundation for fault tolerance.
 //
 // The format is little-endian, versioned, and CRC-protected like the
-// binary alignment format. Version 2 places the body length and the
-// CRC32 of the body in the header, so a truncated or partially-written
-// (stale) checkpoint is rejected with a precise diagnostic before any
-// field is parsed; version-1 files (trailing CRC) remain readable.
+// binary alignment format. The header carries the body length and the
+// CRC32 of the body, so a truncated or partially-written (stale)
+// checkpoint is rejected with a precise diagnostic before any field is
+// parsed; version 2 is the only framing read or written.
 // PSR per-site rates are deliberately not stored: the search
 // re-optimizes them in the first iteration after restart (they are
 // re-derived every iteration anyway), which keeps checkpoints
@@ -30,11 +30,10 @@ import (
 
 const (
 	stateMagic = "EXCK"
-	// stateVersion is the version written by Write. Version 1 (body
-	// followed by a trailing CRC32) is still accepted by Read.
+	// stateVersion is the version Write writes and Read accepts.
 	stateVersion = 2
-	// maxBodyLen bounds the declared body length of a v2 checkpoint so
-	// a corrupt header cannot OOM the reader.
+	// maxBodyLen bounds the declared body length of a checkpoint so a
+	// corrupt header cannot OOM the reader.
 	maxBodyLen = 1 << 31
 )
 
@@ -297,8 +296,8 @@ func Decode(b []byte) (*State, error) {
 	return Read(bytes.NewReader(b))
 }
 
-// Read deserializes and verifies a state, accepting both the current v2
-// framing and legacy v1 files (body followed by a trailing CRC32).
+// Read deserializes and verifies a state: length and checksum from the
+// header are checked before any field is parsed.
 func Read(r io.Reader) (*State, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -312,18 +311,9 @@ func Read(r io.Reader) (*State, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading version: %w", err)
 	}
-	switch version {
-	case 1:
-		return readV1(br)
-	case stateVersion:
-		return readV2(br)
-	default:
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (this build reads v1..v%d)", version, stateVersion)
+	if version != stateVersion {
+		return nil, fmt.Errorf("checkpoint: unsupported version %d (this build reads v%d)", version, stateVersion)
 	}
-}
-
-// readV2 verifies length and checksum from the header before parsing.
-func readV2(br *bufio.Reader) (*State, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("checkpoint: truncated header: %w", err)
@@ -351,25 +341,6 @@ func readV2(br *bufio.Reader) (*State, error) {
 	}
 	if rd.Len() != 0 {
 		return nil, fmt.Errorf("checkpoint: %d unparsed bytes inside checksummed body", rd.Len())
-	}
-	return s, nil
-}
-
-// readV1 parses the legacy framing: body, then a trailing CRC32 of the
-// body. Kept so pre-v2 seed checkpoints remain restorable.
-func readV1(br *bufio.Reader) (*State, error) {
-	crc := crc32.NewIEEE()
-	s, err := readBody(io.TeeReader(br, crc))
-	if err != nil {
-		return nil, err
-	}
-	sum := crc.Sum32()
-	var stored uint32
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading checksum: %w", err)
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("checkpoint: checksum mismatch")
 	}
 	return s, nil
 }

@@ -26,13 +26,6 @@ type Args struct {
 	Seed                                                                     int64
 	Scheme                                                                   examl.Scheme
 
-	// NoBatchedGradients disables the batched all-branch gradient path
-	// in branch-length smoothing, falling back to the per-branch oracle
-	// (ablation; results are bit-identical, but the run pays one
-	// Allreduce per branch per Newton iteration instead of one per
-	// sweep — docs/DETERMINISM.md §7).
-	NoBatchedGradients bool
-
 	// Stats prints the end-of-run telemetry report (kernel spans,
 	// collective timing, load imbalance; docs/OBSERVABILITY.md).
 	Stats bool
@@ -92,7 +85,6 @@ func Register(a *Args) {
 	flag.Uint64Var(&a.NetNonce, "net-nonce", 0, "network mode: run nonce shared by all ranks (rejects stale workers; -net-launch generates one when 0)")
 	flag.BoolVar(&a.NetLaunch, "net-launch", false, "fork the whole world as local worker processes over loopback TCP and wait")
 	flag.IntVar(&a.NetRecoveries, "net-recoveries", 1, "network mode: survivor-recovery budget after peer failures (decentralized scheme; 0 = a lost peer fails the run)")
-	flag.BoolVar(&a.NoBatchedGradients, "no-batched-gradients", false, "disable the batched all-branch gradient kernel in branch smoothing (ablation; results are bit-identical, strictly more collectives)")
 	flag.BoolVar(&a.Stats, "stats", false, "print the end-of-run telemetry report (kernel spans, collective timing, load imbalance)")
 	flag.StringVar(&a.StatsJSON, "stats-json", "", "write the telemetry report as JSON to this file")
 	flag.StringVar(&a.TracePath, "trace", "", "stream a JSONL telemetry event trace to this file")
@@ -262,7 +254,6 @@ func inferConfig(a Args) (examl.Config, error) {
 		CheckpointPath:            a.Ckpt,
 		RestorePath:               a.Restore,
 		Telemetry:                 a.telemetryRequested(),
-		DisableBatchedGradients:   a.NoBatchedGradients,
 	}, nil
 }
 

@@ -1,8 +1,12 @@
 package cli
 
 import (
+	"flag"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -132,4 +136,63 @@ func TestRunRejectsInvalidArgsBeforeIO(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-np") {
 		t.Fatalf("got %v, want -np validation error", err)
 	}
+}
+
+// TestReadmeOptionTableMatchesFlags registers the shared flag set and
+// holds it to README's option table in both directions: a flag the table
+// omits and a table entry no flag stands behind both fail. The count of
+// CLI options is whatever this enumeration finds.
+func TestReadmeOptionTableMatchesFlags(t *testing.T) {
+	Register(&Args{})
+	registered := map[string]bool{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			registered[f.Name] = true
+		}
+	})
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := strings.Cut(string(readme), "| flag | meaning |\n|---|---|\n")
+	if !found {
+		t.Fatal("README.md has no `| flag | meaning |` option table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	documented := map[string]bool{}
+	name := regexp.MustCompile("`-([^`]+)`")
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 {
+			t.Fatalf("malformed option table row %q", row)
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			if documented[m[1]] {
+				t.Errorf("README documents -%s twice", m[1])
+			}
+			documented[m[1]] = true
+		}
+	}
+
+	var missing, stale []string
+	for f := range registered {
+		if !documented[f] {
+			missing = append(missing, "-"+f)
+		}
+	}
+	for f := range documented {
+		if !registered[f] {
+			stale = append(stale, "-"+f)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("flags registered but absent from README's option table: %v", missing)
+	}
+	if len(stale) > 0 {
+		t.Errorf("README's option table lists flags that are not registered: %v", stale)
+	}
+	t.Logf("%d flags registered, %d documented", len(registered), len(documented))
 }

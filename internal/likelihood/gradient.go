@@ -14,13 +14,15 @@ package likelihood
 // pass plus one pre-order pass therefore makes every branch's (d1, d2)
 // available — O(1) traversals instead of O(branches).
 //
-// Bit-identity with the per-branch oracle holds by construction: the
+// Bit-identity with the per-branch pair holds by construction: the
 // pre-order combine below is the exact Newview combine (same block
 // workers, same operand order), and the fused gradient op runs the
 // prepare worker and the derivative worker back to back over the same
-// site block, so every double is produced by the
-// same operations on the same operands in the same order as the
-// oracle path (asserted by the gradient identity tests).
+// site block, so every double is produced by the same operations on the
+// same operands in the same order as PrepareDerivatives + Derivatives on
+// a traversal re-rooted at the edge (asserted by the gradient identity
+// tests here and, per call of a whole search, by internal/search's twin
+// engine).
 
 // GradKind selects which buffer a GradRef addresses.
 type GradKind uint8

@@ -93,19 +93,68 @@ func expm(q [16]float64, t float64) [16]float64 {
 	return res
 }
 
-// bruteVector computes the conditional likelihood 4-vector of the subtree
-// hanging at n (seen from its edge), for one site at one rate.
-func bruteVector(n *tree.Node, site int, rate float64, tips [][]msa.State, q [16]float64, blClass int) [4]float64 {
+// scaled is v·2^e: a likelihood with its own binary exponent. A deep
+// tree with short branches and discordant columns underflows a float64
+// long before its last vertex.
+type scaled struct {
+	v float64
+	e int
+}
+
+// over returns a/b as a plain float64.
+func (a scaled) over(b scaled) float64 { return math.Ldexp(a.v/b.v, a.e-b.e) }
+
+// brute is the reference for one model: Q and π, plus the P matrices it
+// has already exponentiated (a finite-difference sweep asks for the same
+// few thousand again and again).
+type brute struct {
+	q     [16]float64
+	freqs [4]float64
+	pm    map[uint64][16]float64
+	// at and shift lengthen the edge at one half-node by shift, as
+	// P(t)·P(shift): the three points of a central difference then share
+	// P(t) and its rounding, and differ by a P(±shift) that needs no
+	// squaring.
+	at    *tree.Node
+	shift float64
+}
+
+func newBrute(par *model.Params) *brute {
+	return &brute{q: buildQ(par.Rates, par.Freqs), freqs: par.Freqs, pm: map[uint64][16]float64{}}
+}
+
+func (br *brute) p(t float64) [16]float64 {
+	key := math.Float64bits(t)
+	m, ok := br.pm[key]
+	if !ok {
+		m = expm(br.q, t)
+		br.pm[key] = m
+	}
+	return m
+}
+
+// edge returns the P matrix of the edge at n for one rate.
+func (br *brute) edge(n *tree.Node, rate float64, blClass int) [16]float64 {
+	m := br.p(n.Length(blClass) * rate)
+	if br.at != nil && (n == br.at || n.Back == br.at) {
+		m = matMul4(m, br.p(br.shift*rate))
+	}
+	return m
+}
+
+// vector computes the conditional likelihood 4-vector of the subtree
+// hanging at n (seen from its edge), for one site at one rate, and the
+// binary exponent it is to be read with: every vertex renormalizes to its
+// largest entry.
+func (br *brute) vector(n *tree.Node, site int, rate float64, tips [][]msa.State, blClass int) ([4]float64, int) {
 	if n.IsTip() {
-		return tips[n.TaxonID][site].TipVector()
+		return tips[n.TaxonID][site].TipVector(), 0
 	}
-	var out [4]float64
-	for i := range out {
-		out[i] = 1
-	}
+	out := [4]float64{1, 1, 1, 1}
+	e := 0
 	for _, child := range []*tree.Node{n.Next, n.Next.Next} {
-		cv := bruteVector(child.Back, site, rate, tips, q, blClass)
-		p := expm(q, child.Length(blClass)*rate)
+		cv, ce := br.vector(child.Back, site, rate, tips, blClass)
+		p := br.edge(child, rate, blClass)
 		for x := 0; x < 4; x++ {
 			s := 0.0
 			for y := 0; y < 4; y++ {
@@ -113,42 +162,70 @@ func bruteVector(n *tree.Node, site int, rate float64, tips [][]msa.State, q [16
 			}
 			out[x] *= s
 		}
+		e += ce
 	}
-	return out
+	big := 0.0
+	for _, v := range out {
+		big = math.Max(big, math.Abs(v))
+	}
+	if big > 0 {
+		_, k := math.Frexp(big)
+		for x := range out {
+			out[x] = math.Ldexp(out[x], -k)
+		}
+		e += k
+	}
+	return out, e
 }
 
-// bruteSiteLikelihood evaluates one site's likelihood at one rate with a
-// virtual root on the edge at p.
-func bruteSiteLikelihood(p *tree.Node, site int, rate float64, tips [][]msa.State, q [16]float64, freqs [4]float64, blClass int) float64 {
-	vp := bruteVector(p, site, rate, tips, q, blClass)
-	vq := bruteVector(p.Back, site, rate, tips, q, blClass)
-	pm := expm(q, p.Length(blClass)*rate)
+// siteAtRate evaluates one site's likelihood at one rate with a virtual
+// root on the edge at p.
+func (br *brute) siteAtRate(p *tree.Node, site int, rate float64, tips [][]msa.State, blClass int) scaled {
+	vp, ep := br.vector(p, site, rate, tips, blClass)
+	vq, eq := br.vector(p.Back, site, rate, tips, blClass)
+	pm := br.edge(p, rate, blClass)
 	l := 0.0
 	for x := 0; x < 4; x++ {
 		right := 0.0
 		for y := 0; y < 4; y++ {
 			right += pm[x*4+y] * vq[y]
 		}
-		l += freqs[x] * vp[x] * right
+		l += br.freqs[x] * vp[x] * right
 	}
-	return l
+	return scaled{l, ep + eq}
+}
+
+// site evaluates one site's likelihood under the model's rate
+// heterogeneity: the mean over the Γ categories, or the site's own PSR
+// category.
+func (br *brute) site(p *tree.Node, site int, pd *msa.PartitionData, par *model.Params, blClass int) scaled {
+	if par.Het != model.Gamma {
+		return br.siteAtRate(p, site, par.CatRates[par.SiteCats[site]], pd.Tips, blClass)
+	}
+	var cats [model.GammaCategories]scaled
+	top := math.MinInt
+	for k, r := range par.CatRates {
+		cats[k] = br.siteAtRate(p, site, r, pd.Tips, blClass)
+		if cats[k].v != 0 && cats[k].e > top {
+			top = cats[k].e
+		}
+	}
+	sum := scaled{0, top}
+	for _, c := range cats {
+		if c.v != 0 {
+			sum.v += math.Ldexp(c.v, c.e-top) / model.GammaCategories
+		}
+	}
+	return sum
 }
 
 // bruteLnL computes the total weighted log likelihood for a partition.
 func bruteLnL(t *tree.Tree, p *tree.Node, pd *msa.PartitionData, par *model.Params, blClass int) float64 {
-	q := buildQ(par.Rates, par.Freqs)
+	br := newBrute(par)
 	total := 0.0
 	for i := range pd.Weights {
-		site := 0.0
-		if par.Het == model.Gamma {
-			for _, r := range par.CatRates {
-				site += bruteSiteLikelihood(p, i, r, pd.Tips, q, par.Freqs, blClass) / model.GammaCategories
-			}
-		} else {
-			r := par.CatRates[par.SiteCats[i]]
-			site = bruteSiteLikelihood(p, i, r, pd.Tips, q, par.Freqs, blClass)
-		}
-		total += float64(pd.Weights[i]) * math.Log(site)
+		l := br.site(p, i, pd, par, blClass)
+		total += float64(pd.Weights[i]) * (math.Log(l.v) + float64(l.e)*math.Ln2)
 	}
 	return total
 }

@@ -121,67 +121,3 @@ func (s *BrentStepper) Best() (x, fx float64) { return s.x, s.fx }
 // Parabolic reports whether the last Next proposed a parabolic-
 // interpolation step (false: a golden-section step).
 func (s *BrentStepper) Parabolic() bool { return s.parabolic }
-
-// NewtonResult reports how a Newton branch-length iteration terminated.
-type NewtonResult int
-
-const (
-	// NewtonConverged means |step| fell below the tolerance.
-	NewtonConverged NewtonResult = iota
-	// NewtonHitBound means the iterate was clamped at lo or hi.
-	NewtonHitBound
-	// NewtonMaxIter means the iteration budget ran out; the best iterate
-	// seen is still returned and is usable.
-	NewtonMaxIter
-)
-
-// NewtonMaximize finds a maximum of a univariate function on [lo, hi] given
-// its first and second derivatives, starting from x0. derivs must return
-// (f'(x), f”(x)). It is a guarded Newton–Raphson: steps that would leave
-// the bracket, or that are taken where f” ≥ 0 (no local max), fall back to
-// bisection on the sign of f'.
-//
-// This mirrors the branch-length optimization inner loop of RAxML
-// (makenewz): the phylogenetic likelihood along one branch is unimodal in
-// practice and Newton converges in a handful of iterations.
-func NewtonMaximize(derivs func(x float64) (d1, d2 float64), x0, lo, hi, tol float64, maxIter int) (float64, NewtonResult) {
-	x := math.Min(math.Max(x0, lo), hi)
-	a, b := lo, hi // bracket maintained on the sign of d1
-	for iter := 0; iter < maxIter; iter++ {
-		d1, d2 := derivs(x)
-		if d1 > 0 {
-			a = x
-		} else {
-			b = x
-		}
-		var xn float64
-		if d2 < 0 {
-			xn = x - d1/d2
-		} else {
-			// No curvature information pointing at a max: bisect.
-			xn = 0.5 * (a + b)
-		}
-		if xn <= a || xn >= b || math.IsNaN(xn) {
-			xn = 0.5 * (a + b)
-		}
-		if math.Abs(xn-x) < tol {
-			x = xn
-			if x <= lo+tol || x >= hi-tol {
-				return clamp(x, lo, hi), NewtonHitBound
-			}
-			return x, NewtonConverged
-		}
-		x = xn
-	}
-	return clamp(x, lo, hi), NewtonMaxIter
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

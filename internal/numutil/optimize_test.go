@@ -242,66 +242,3 @@ func TestBrentStepperStartsFromAHeldValue(t *testing.T) {
 		t.Errorf("best (%g, %g), want the held start (1, -1)", x, fx)
 	}
 }
-
-func TestNewtonMaximizeQuadratic(t *testing.T) {
-	// f(x) = -(x-2)^2 → f' = -2(x-2), f'' = -2; maximum at 2.
-	derivs := func(x float64) (float64, float64) { return -2 * (x - 2), -2 }
-	x, res := NewtonMaximize(derivs, 0.5, 0, 10, 1e-12, 50)
-	if res != NewtonConverged {
-		t.Fatalf("result = %v, want converged", res)
-	}
-	if math.Abs(x-2) > 1e-9 {
-		t.Errorf("x = %g, want 2", x)
-	}
-}
-
-func TestNewtonMaximizeLogLike(t *testing.T) {
-	// f(x) = n·ln(x) − λx (gamma-like log-likelihood), max at n/λ.
-	n, lambda := 7.0, 2.0
-	derivs := func(x float64) (float64, float64) { return n/x - lambda, -n / (x * x) }
-	x, res := NewtonMaximize(derivs, 0.1, 1e-8, 100, 1e-12, 100)
-	if res != NewtonConverged {
-		t.Fatalf("result = %v, want converged", res)
-	}
-	if math.Abs(x-n/lambda) > 1e-8 {
-		t.Errorf("x = %g, want %g", x, n/lambda)
-	}
-}
-
-func TestNewtonMaximizeHitsBound(t *testing.T) {
-	// Monotone increasing derivative cannot have an interior max → driven to hi.
-	derivs := func(x float64) (float64, float64) { return 1, 0 }
-	x, res := NewtonMaximize(derivs, 1, 0, 5, 1e-10, 200)
-	if res == NewtonConverged && x < 5-1e-6 {
-		t.Errorf("x = %g res=%v, expected to be driven to the upper bound", x, res)
-	}
-	if x < 4.9 {
-		t.Errorf("x = %g, want ≈5", x)
-	}
-}
-
-func TestNewtonMaximizeBisectionFallback(t *testing.T) {
-	// f(x) = -|x-3|^3 has f''=0 regions near the optimum; the guarded
-	// iteration must still land on 3 via bisection.
-	derivs := func(x float64) (float64, float64) {
-		d := x - 3
-		return -3 * d * math.Abs(d), -6 * math.Abs(d)
-	}
-	x, _ := NewtonMaximize(derivs, 0.1, 0, 10, 1e-10, 200)
-	if math.Abs(x-3) > 1e-5 {
-		t.Errorf("x = %g, want 3", x)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	cases := []struct{ x, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-	}
-	for _, c := range cases {
-		if got := clamp(c.x, c.lo, c.hi); got != c.want {
-			t.Errorf("clamp(%g,%g,%g) = %g, want %g", c.x, c.lo, c.hi, got, c.want)
-		}
-	}
-}

@@ -157,28 +157,3 @@ func normalQuantile(p float64) float64 {
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
 }
-
-// KahanSum accumulates a running sum with Neumaier's compensated summation,
-// so that reductions over millions of per-site log-likelihoods lose almost
-// no precision regardless of operand magnitude ordering.
-type KahanSum struct {
-	sum float64
-	c   float64
-}
-
-// Add accumulates v.
-func (k *KahanSum) Add(v float64) {
-	t := k.sum + v
-	if math.Abs(k.sum) >= math.Abs(v) {
-		k.c += (k.sum - t) + v
-	} else {
-		k.c += (v - t) + k.sum
-	}
-	k.sum = t
-}
-
-// Value returns the compensated total.
-func (k *KahanSum) Value() float64 { return k.sum + k.c }
-
-// Reset clears the accumulator.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }

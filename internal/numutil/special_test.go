@@ -115,41 +115,3 @@ func TestNormalQuantileSymmetry(t *testing.T) {
 		t.Errorf("normalQuantile(0.975) = %g", z)
 	}
 }
-
-func TestKahanSumPrecision(t *testing.T) {
-	// 1 + 1e-16 added 1e6 times loses the small terms with naive summation
-	// but not with compensated summation.
-	var k KahanSum
-	k.Add(1)
-	for i := 0; i < 1_000_000; i++ {
-		k.Add(1e-16)
-	}
-	want := 1 + 1e-10
-	if math.Abs(k.Value()-want) > 1e-13 {
-		t.Errorf("KahanSum = %.17g, want %.17g", k.Value(), want)
-	}
-}
-
-func TestKahanSumMatchesExactForIntegers(t *testing.T) {
-	f := func(vals []int8) bool {
-		var k KahanSum
-		exact := 0
-		for _, v := range vals {
-			k.Add(float64(v))
-			exact += int(v)
-		}
-		return k.Value() == float64(exact)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKahanSumReset(t *testing.T) {
-	var k KahanSum
-	k.Add(42)
-	k.Reset()
-	if k.Value() != 0 {
-		t.Errorf("after Reset, Value = %g", k.Value())
-	}
-}

@@ -1,30 +1,18 @@
 package search_test
 
 import (
-	"fmt"
-	"math"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/decentral"
 	"repro/internal/distrib"
 	"repro/internal/enginecore"
-	"repro/internal/forkjoin"
 	"repro/internal/model"
-	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
 	"repro/internal/seqgen"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
-
-// The insertion-score oracle (ROADMAP 3b): no copy of the per-candidate
-// scoring this PR deleted is kept. Every score the search computes from
-// an edge's two directional vectors is compared, bit for bit, with what
-// a second engine returns for a forced full traversal of a clone of the
-// tree with the subtree actually regrafted there.
 
 // oracleDataset is 12 taxa × {1200, 90} bp: per rank of two, one
 // partition of several thread blocks that stays on the worker pool and
@@ -60,153 +48,6 @@ func cyclicAssignment(t testing.TB, d *msa.Dataset, ranks int) *distrib.Assignme
 		t.Fatal(err)
 	}
 	return assign
-}
-
-// mirrorEngine forwards every call that changes model state inside the
-// engine to a twin as well, so the twin holds the same parameters (and,
-// under PSR, the same per-site rates) whenever it is asked to evaluate.
-type mirrorEngine struct {
-	search.Engine
-	twin search.Engine
-}
-
-func (m *mirrorEngine) SetShared(params [][]float64) {
-	m.Engine.SetShared(params)
-	m.twin.SetShared(params)
-}
-
-func (m *mirrorEngine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
-	m.twin.OptimizeSiteRates(d)
-	return m.Engine.OptimizeSiteRates(d)
-}
-
-// withTwin runs body on every rank that drives a searcher — each rank
-// under the de-centralized scheme, the master under fork-join — of a
-// two-rank world, with that rank's engine and a twin of the same scheme
-// over a second world. The twin always runs on one thread: the thread
-// count is bit-invisible, and only the scheme and the rank count shape a
-// sum.
-func withTwin(t *testing.T, d *msa.Dataset, scheme string, het model.Heterogeneity, perPart bool, threads int, body func(rank int, eng, twin search.Engine)) {
-	t.Helper()
-	const ranks = 2
-	assign := cyclicAssignment(t, d, ranks)
-	wA, wB := mpi.NewWorld(ranks), mpi.NewWorld(ranks)
-	if scheme == "decentral" {
-		wA.Run(func(c *mpi.Comm) {
-			eng, err := decentral.NewEngine(c, d, assign, enginecore.Config{Het: het, PerPartitionBranches: perPart, Threads: threads})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer eng.Close()
-			twin, err := decentral.NewEngine(wB.Comm(c.Rank()), d, assign, enginecore.Config{Het: het, PerPartitionBranches: perPart})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer twin.Close()
-			body(c.Rank(), eng, twin)
-		})
-		return
-	}
-	cfgA := enginecore.Config{Het: het, PerPartitionBranches: perPart, Threads: threads}
-	cfgB := enginecore.Config{Het: het, PerPartitionBranches: perPart}
-	wA.Run(func(c *mpi.Comm) {
-		if c.Rank() != 0 {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := forkjoin.RunWorker(wB.Comm(c.Rank()), d, assign, cfgB); err != nil {
-					t.Error(err)
-				}
-			}()
-			if err := forkjoin.RunWorker(c, d, assign, cfgA); err != nil {
-				t.Error(err)
-			}
-			wg.Wait()
-			return
-		}
-		eng, err := forkjoin.NewMaster(c, d, assign, cfgA)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer eng.Close()
-		twin, err := forkjoin.NewMaster(wB.Comm(0), d, assign, cfgB)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer twin.Close()
-		body(0, eng, twin)
-	})
-}
-
-// checkAgainstTwin is the insertion hook: regraft for real, clone, undo,
-// and ask the twin for a forced full evaluation of the clone.
-func checkAgainstTwin(t *testing.T, label string, s *search.Searcher, twin search.Engine, checked *int) func(*tree.PrunedSubtree, []*tree.Node, []float64) {
-	return func(ps *tree.PrunedSubtree, cands []*tree.Node, scores []float64) {
-		nPart := twin.NPartitions()
-		if len(scores) != len(cands)*nPart {
-			t.Errorf("%s: %d scores for %d candidates x %d partitions", label, len(scores), len(cands), nPart)
-			return
-		}
-		for i, e := range cands {
-			if err := s.Tree.Regraft(ps, e); err != nil {
-				t.Error(err)
-				return
-			}
-			clone := s.Tree.Clone()
-			if err := s.Tree.RemoveRegraft(ps); err != nil {
-				t.Error(err)
-				return
-			}
-			want := twin.Evaluate(traversal.Build(clone, clone.Node(ps.Root.ID), true))
-			for p, w := range want {
-				if got := scores[i*nPart+p]; math.Float64bits(got) != math.Float64bits(w) {
-					t.Errorf("%s: candidate %d partition %d: score %.17g, forced evaluation of the regrafted tree %.17g", label, i, p, got, w)
-				}
-			}
-			*checked++
-		}
-	}
-}
-
-func TestInsertionScoresEqualForcedEvaluation(t *testing.T) {
-	d := oracleDataset(t)
-	const ranks = 2
-	for _, scheme := range []string{"decentral", "forkjoin"} {
-		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-			for _, perPart := range []bool{false, true} {
-				for _, threads := range []int{1, 2} {
-					label := fmt.Sprintf("%s/%v/M=%v/T%d", scheme, het, perPart, threads)
-					scfg := search.Config{Het: het, PerPartitionBranches: perPart, Seed: 5, MaxIterations: 1}
-					checked := make([]int, ranks)
-					// run is one rank's searcher over its engine, every
-					// score checked against that rank's twin.
-					run := func(rank int, eng, twin search.Engine) {
-						s, err := search.NewSearcher(&mirrorEngine{Engine: eng, twin: twin}, d, scfg)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						s.SetInsertionHook(checkAgainstTwin(t, label, s, twin, &checked[rank]))
-						if _, err := s.Run(); err != nil {
-							t.Errorf("%s: %v", label, err)
-						}
-					}
-					withTwin(t, d, scheme, het, perPart, threads, run)
-					if checked[0] == 0 {
-						t.Errorf("%s: no candidate was checked", label)
-					}
-					if scheme == "decentral" && checked[1] != checked[0] {
-						t.Errorf("%s: rank 1 checked %d candidates, rank 0 %d", label, checked[1], checked[0])
-					}
-				}
-			}
-		}
-	}
 }
 
 // localEngine is one serial rank without a communicator: the rank-local

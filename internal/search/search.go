@@ -53,22 +53,6 @@ type Config struct {
 	ModelOptRounds int
 	// SkipTopology disables SPR moves (branch lengths + model only).
 	SkipTopology bool
-	// ForceFullTraversals disables incremental traversal reuse: every
-	// full-tree evaluation rebuilds all CLVs, the pre-optimization
-	// behavior. The incremental path (default) is byte-identical to this
-	// one — same trajectory, same final likelihood bits
-	// (docs/PERFORMANCE.md); the switch exists for identity tests and
-	// benchmarking.
-	ForceFullTraversals bool
-	// DisableBatchedGradients selects the per-branch oracle path for
-	// branch-length smoothing: one PrepareBranch + one BranchDerivatives
-	// collective per branch per Newton iteration, instead of the default
-	// batched all-branch gradient (one pre-order traversal + one fused
-	// kernel + ONE wide collective per iteration). Ablation only: final
-	// trees and likelihoods are byte-identical either way
-	// (DETERMINISM.md §7); the batched path just issues strictly fewer
-	// collectives.
-	DisableBatchedGradients bool
 	// Restore resumes from a checkpoint: the tree, parameters, and
 	// iteration counter are taken from the state instead of a fresh
 	// start. PSR per-site rates are re-derived in the first iteration.
@@ -150,8 +134,8 @@ type Searcher struct {
 	// Incremental-traversal state (docs/PERFORMANCE.md). dirty[slot] marks
 	// an inner CLV whose stored bytes may differ from what a forced full
 	// traversal would produce; full-tree evaluations refresh exactly the
-	// dirty and misoriented slots (traversal.BuildReuse), which keeps the
-	// search trajectory byte-identical to ForceFullTraversals mode.
+	// dirty and misoriented slots (traversal.BuildReuse), which leaves
+	// every evaluation the bits of a forced full traversal.
 	dirty []bool
 	// modelDirty forces the next full-tree evaluation after any model
 	// parameter or site-rate change invalidated every CLV.
@@ -182,14 +166,11 @@ type Searcher struct {
 	probeDesc *traversal.Descriptor
 
 	// Batched-gradient smoother state (smoothSweep): per-(class, branch)
-	// Newton brackets and trial lengths, per-branch change flags, the
-	// pre-order skip overlay, the oracle path's result buffer, and the
+	// Newton brackets and trial lengths, per-branch change flags, and the
 	// half-node-ID → plan-edge-index map for the staleness walk.
 	gradTs, gradLo, gradHi []float64
 	gradDone, gradChanged  []bool
-	gradSkip               []bool
 	gradActive             []bool
-	gradOracleTs           []float64
 	gradEdgeIdx            []int32
 	gradEmptyPre           [][]likelihood.GradStep
 
@@ -337,9 +318,8 @@ func (s *Searcher) pushShared() {
 
 // evaluateFull performs a full-tree traversal + evaluation at the edge
 // next to taxon 0 and refreshes the cached likelihoods. "Full" describes
-// the resulting CLV state, not the work: unless ForceFullTraversals is
-// set or the model changed, buildFull schedules only the dirty and
-// misoriented slots.
+// the resulting CLV state, not the work: unless the model changed,
+// buildFull schedules only the dirty and misoriented slots.
 func (s *Searcher) evaluateFull() float64 {
 	return s.evaluateFullAt(s.Tree.Tip(0))
 }
@@ -356,13 +336,13 @@ func (s *Searcher) evaluateFullAt(p *tree.Node) float64 {
 }
 
 // buildFull returns a descriptor whose execution leaves the engine's CLV
-// arrays byte-identical to Build(p, force=true): forced when incremental
-// reuse is off or a model change invalidated everything, otherwise the
-// dirty-overlay descriptor that recomputes only dirty and misoriented
-// slots (and clears the flags it refreshes).
+// arrays byte-identical to Build(p, force=true): forced when a model
+// change invalidated everything, otherwise the dirty-overlay descriptor
+// that recomputes only dirty and misoriented slots (and clears the flags
+// it refreshes).
 func (s *Searcher) buildFull(p *tree.Node) *traversal.Descriptor {
 	var d *traversal.Descriptor
-	if s.cfg.ForceFullTraversals || s.modelDirty {
+	if s.modelDirty {
 		d = traversal.Build(s.Tree, p, true)
 		s.modelDirty = false
 		for i := range s.dirty {
@@ -470,21 +450,7 @@ func (s *Searcher) updateBranch(p *tree.Node) {
 			if done[c] {
 				continue
 			}
-			// Maintain the bracket on the sign of d1.
-			if d1[c] > 0 {
-				lo[c] = ts[c]
-			} else {
-				hi[c] = ts[c]
-			}
-			var next float64
-			if d2[c] < 0 {
-				next = ts[c] - d1[c]/d2[c]
-			} else {
-				next = 0.5 * (lo[c] + hi[c])
-			}
-			if !(next > lo[c] && next < hi[c]) || math.IsNaN(next) {
-				next = 0.5 * (lo[c] + hi[c])
-			}
+			next := newtonStep(d1[c], d2[c], ts[c], &lo[c], &hi[c])
 			if math.Abs(next-ts[c]) < 1e-8 {
 				done[c] = true
 			} else {
@@ -531,32 +497,18 @@ func quantizeBL(t float64) float64 {
 	return math.Float64frombits(b)
 }
 
-// SetBatchedGradients toggles the batched all-branch gradient smoother
-// at runtime (on = batched, off = per-branch oracle). Both paths produce
-// byte-identical results (DETERMINISM.md §7); the toggle exists for
-// ablation and the bit-identity tests, and is safe mid-search: every
-// sweep's first iteration rebuilds the full pre-order state.
-func (s *Searcher) SetBatchedGradients(on bool) { s.cfg.DisableBatchedGradients = !on }
-
-// Engine exposes the searcher's engine for runtime reconfiguration by
-// OnIteration hooks (e.g. the mid-run CLV-layout toggle of the layout
-// bit-identity suites — DETERMINISM.md §8). Callers type-assert the
-// optional capabilities they need; the Engine interface itself stays
-// minimal.
-func (s *Searcher) Engine() Engine { return s.eng }
-
 // smoothAll runs full branch-length smoothing sweeps over the tree using
 // the simultaneous multi-branch Newton smoother: each sweep freezes the
 // CLV state once (one post-order refresh + one pre-order pass) and then
 // Newton-optimizes EVERY branch against it at once, one engine call per
 // Newton iteration — so a sweep costs O(NewtonIterations) parallel
-// regions instead of the O(branches · NewtonIterations) the per-branch
-// smoother paid (docs/PERFORMANCE.md).
+// regions instead of the O(branches · NewtonIterations) a branch-by-
+// branch updateBranch pass would pay (docs/PERFORMANCE.md).
 //
 // Branches that exhaust a sweep's Newton budget keep their truncated
-// (bracket-clamped) value — exactly the per-branch smoother's cap
-// semantics — and smoothAll schedules extra sweeps (bounded) until
-// every branch converges against its own sweep's frozen state. Writing
+// (bracket-clamped) value — updateBranch's cap semantics — and
+// smoothAll schedules extra sweeps (bounded) until every branch
+// converges against its own sweep's frozen state. Writing
 // only converged fixed points is what keeps the search trajectory
 // robust to the low-bit reduction-order differences between engines
 // and rank counts: Newton contracts them away, so they never reach a
@@ -564,7 +516,7 @@ func (s *Searcher) Engine() Engine { return s.eng }
 func (s *Searcher) smoothAll(passes int) {
 	const extraSweeps = 8
 	for i := 0; i < passes+extraSweeps; i++ {
-		converged := s.smoothSweep(i > 0)
+		converged := s.smoothSweep()
 		if i >= passes-1 && converged {
 			return
 		}
@@ -573,17 +525,16 @@ func (s *Searcher) smoothAll(passes int) {
 
 // smoothSweep is one simultaneous smoothing sweep. Branch b's class-c
 // Newton state lives at index c*nB+b. The sweep refreshes the CLVs,
-// builds the gradient plan (reusing the previous sweep's outer vectors
-// where reuseOuter allows), then runs the Newton loop against that
+// builds the gradient plan, then runs the Newton loop against that
 // FROZEN state: derivatives at new trial lengths only need new edge
-// P-matrices, never a re-traversal — the same invariant the per-branch
-// path exploits via its prepared sum tables, batched across all
-// branches. Each (b, c) iterates exactly the sequence updateBranch
-// would (independent given frozen CLVs), and the optimized lengths are
+// P-matrices, never a re-traversal — the same invariant updateBranch
+// exploits via its prepared sum tables, batched across all branches.
+// Each (b, c) iterates exactly the sequence updateBranch would
+// (independent given frozen CLVs), and the optimized lengths are
 // written back only after the loop. The return reports whether every
 // (branch, class) converged within the Newton budget; smoothAll keeps
 // sweeping (bounded) while any branch was truncated at the cap.
-func (s *Searcher) smoothSweep(reuseOuter bool) bool {
+func (s *Searcher) smoothSweep() bool {
 	s.cfg.Telemetry.Inc(telemetry.CounterBatchedGradientSweeps, 1)
 	classes := s.Tree.BLClasses
 	nB := s.Tree.NBranches()
@@ -593,25 +544,17 @@ func (s *Searcher) smoothSweep(reuseOuter bool) bool {
 	hi := grow(&s.gradHi, classes*nB)
 	done := growBool(&s.gradDone, classes*nB)
 	changed := growBool(&s.gradChanged, nB)
-	batched := !s.cfg.DisableBatchedGradients
 
 	// Refresh the post-order CLVs (dirty-overlay reuse), rooted at
 	// tip 0 — the orientation BuildGradient assumes.
 	d := s.buildFull(s.Tree.Tip(0))
 	s.eng.Traverse(d)
 
-	var useSkip []bool
-	if reuseOuter && batched && !s.cfg.ForceFullTraversals {
-		// The previous sweep recorded which edges it moved; outer
-		// vectors whose rootward view holds every change are reused.
-		useSkip = s.gradSkip
-	}
-	plan, nodes := traversal.BuildGradient(s.Tree, useSkip)
-	if batched {
-		scheduled := int64(len(plan.Pre[0]))
-		s.cfg.Telemetry.Inc(telemetry.CounterPreorderSteps, scheduled)
-		s.cfg.Telemetry.Inc(telemetry.CounterPreorderStepsSkipped, int64(nB-1)-scheduled)
-	}
+	// Every outer vector is recomputed. One of the previous sweep's is
+	// still valid only when every edge that sweep moved lies below its
+	// vertex, and a sweep moves edges all over the tree.
+	plan, nodes := traversal.BuildGradient(s.Tree, nil)
+	s.cfg.Telemetry.Inc(telemetry.CounterPreorderSteps, int64(len(plan.Pre[0])))
 	for b := 0; b < nB; b++ {
 		for c := 0; c < classes; c++ {
 			i := c*nB + b
@@ -622,71 +565,66 @@ func (s *Searcher) smoothSweep(reuseOuter bool) bool {
 		}
 	}
 
-	if batched {
-		// Inner iterations re-evaluate at trial lengths with the CLV and
-		// outer-vector state frozen, so they carry an empty pre-order
-		// schedule: same edges, same (mutated) length matrix, no steps.
-		if cap(s.gradEmptyPre) < classes {
-			s.gradEmptyPre = make([][]likelihood.GradStep, classes)
+	// Inner iterations re-evaluate at trial lengths with the CLV and
+	// outer-vector state frozen, so they carry an empty pre-order
+	// schedule: same edges, same (mutated) length matrix, no steps.
+	if cap(s.gradEmptyPre) < classes {
+		s.gradEmptyPre = make([][]likelihood.GradStep, classes)
+	}
+	// Inner iterations narrow the kernel work to the edges still
+	// moving: once every class of an edge converged, its derivative
+	// slots are never read again, so the kernels stop computing them
+	// (GradPlan.Active). Skipping an edge cannot perturb another
+	// edge's bits — the slots are independent sums. They also reuse
+	// the sum tables the first iteration cached (Reuse): with the
+	// state frozen, each edge's P·Q contraction is length-independent,
+	// so re-evaluating at a trial length only needs the cheap
+	// derivative half of the fused kernel — updateBranch's
+	// Prepare/Derivatives amortization, applied to all edges at once.
+	active := growBool(&s.gradActive, nB)
+	inner := &traversal.GradPlan{Pre: s.gradEmptyPre[:classes], Edges: plan.Edges, T: plan.T, Active: active, Reuse: true}
+	for iter := 0; iter < s.cfg.NewtonIterations; iter++ {
+		s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
+		p := plan
+		if iter > 0 {
+			p = inner
+			s.cfg.Telemetry.Inc(telemetry.CounterPreorderStepsSkipped, int64(nB-1))
 		}
-		// Inner iterations narrow the kernel work to the edges still
-		// moving: once every class of an edge converged, its derivative
-		// slots are never read again, so the kernels stop computing them
-		// (GradPlan.Active). Skipping an edge cannot perturb another
-		// edge's bits — the slots are independent sums. They also reuse
-		// the sum tables the first iteration cached (Reuse): with the
-		// state frozen, each edge's P·Q contraction is length-independent,
-		// so re-evaluating at a trial length only needs the cheap
-		// derivative half of the fused kernel — the per-branch oracle's
-		// Prepare/Derivatives amortization, applied to all edges at once.
-		active := growBool(&s.gradActive, nB)
-		inner := &traversal.GradPlan{Pre: s.gradEmptyPre[:classes], Edges: plan.Edges, T: plan.T, Active: active, Reuse: true}
-		for iter := 0; iter < s.cfg.NewtonIterations; iter++ {
-			s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
-			p := plan
-			if iter > 0 {
-				p = inner
-				s.cfg.Telemetry.Inc(telemetry.CounterPreorderStepsSkipped, int64(nB-1))
-			}
-			vec := s.eng.AllBranchDerivatives(p)
-			allDone := true
-			for c := 0; c < classes; c++ {
-				for b := 0; b < nB; b++ {
-					i := c*nB + b
-					if done[i] {
-						continue
-					}
-					next := newtonStep(vec[i], vec[classes*nB+i], ts[i], &lo[i], &hi[i])
-					if math.Abs(next-ts[i]) < 1e-8 {
-						done[i] = true
-					} else {
-						allDone = false
-					}
-					ts[i] = next
-					plan.T[c][b] = next
-				}
-			}
-			if allDone {
-				break
-			}
+		vec := s.eng.AllBranchDerivatives(p)
+		allDone := true
+		for c := 0; c < classes; c++ {
 			for b := 0; b < nB; b++ {
-				a := false
-				for c := 0; c < classes; c++ {
-					if !done[c*nB+b] {
-						a = true
-						break
-					}
+				i := c*nB + b
+				if done[i] {
+					continue
 				}
-				active[b] = a
+				next := newtonStep(vec[i], vec[classes*nB+i], ts[i], &lo[i], &hi[i])
+				if math.Abs(next-ts[i]) < 1e-8 {
+					done[i] = true
+				} else {
+					allDone = false
+				}
+				ts[i] = next
+				plan.T[c][b] = next
 			}
 		}
-	} else {
-		s.oracleSweep(nodes, ts, lo, hi, done)
+		if allDone {
+			break
+		}
+		for b := 0; b < nB; b++ {
+			a := false
+			for c := 0; c < classes; c++ {
+				if !done[c*nB+b] {
+					a = true
+					break
+				}
+			}
+			active[b] = a
+		}
 	}
 
 	// Write the optimized lengths back (updateBranch's unconditional
-	// write), recording which edges actually moved for the next sweep's
-	// reuse overlays.
+	// write), recording which edges actually moved for the dirty overlay.
 	for b := 0; b < nB; b++ {
 		changed[b] = false
 		for c := 0; c < classes; c++ {
@@ -698,25 +636,19 @@ func (s *Searcher) smoothSweep(reuseOuter bool) bool {
 		}
 	}
 
-	if !s.cfg.ForceFullTraversals {
-		// Propagate the sweep's changed edges into the reuse overlays:
-		// post-order CLVs above a changed edge become dirty, outer
-		// vectors whose rootward view holds every change stay
-		// skippable. (The oracle path additionally re-rooted CLVs;
-		// BuildReuse schedules misoriented slots on its own.)
-		if cap(s.gradEdgeIdx) < len(s.Tree.HalfNodes) {
-			s.gradEdgeIdx = make([]int32, len(s.Tree.HalfNodes))
-		}
-		s.gradEdgeIdx = s.gradEdgeIdx[:len(s.Tree.HalfNodes)]
-		for i := range s.gradEdgeIdx {
-			s.gradEdgeIdx[i] = -1
-		}
-		for b, nd := range nodes {
-			s.gradEdgeIdx[nd.ID] = int32(b)
-		}
-		skip := growBool(&s.gradSkip, 2*s.Tree.NTaxa()-2)
-		s.markGradStale(changed, skip)
+	// Propagate the sweep's changed edges into the dirty overlay:
+	// post-order CLVs above a changed edge become dirty.
+	if cap(s.gradEdgeIdx) < len(s.Tree.HalfNodes) {
+		s.gradEdgeIdx = make([]int32, len(s.Tree.HalfNodes))
 	}
+	s.gradEdgeIdx = s.gradEdgeIdx[:len(s.Tree.HalfNodes)]
+	for i := range s.gradEdgeIdx {
+		s.gradEdgeIdx[i] = -1
+	}
+	for b, nd := range nodes {
+		s.gradEdgeIdx[nd.ID] = int32(b)
+	}
+	s.markGradStale(changed)
 	for i := range done {
 		if !done[i] {
 			return false
@@ -747,68 +679,10 @@ func newtonStep(d1, d2, t float64, lo, hi *float64) float64 {
 	return next
 }
 
-// oracleSweep reproduces the batched sweep's Newton trajectory with the
-// per-branch oracle path: one re-rooted PrepareBranch per edge, then
-// one BranchDerivatives collective per edge per Newton iteration — the
-// O(branches · iters) collectives the batched kernel replaces with
-// O(iters). Each edge is prepared at its plan representative (the
-// child-side half-node), so the descriptor's (P, Q) operand roles match
-// the batched kernel's exactly; and because branch updates are
-// independent given the frozen CLV state (lengths are only written
-// after the sweep), the per-branch Newton sequences are bit-identical
-// to the batched loop's (DETERMINISM.md §7, asserted by tests).
-func (s *Searcher) oracleSweep(nodes []*tree.Node, ts, lo, hi []float64, done []bool) {
-	classes := s.Tree.BLClasses
-	nB := len(nodes)
-	tsB := grow(&s.gradOracleTs, classes)
-	for b, nd := range nodes {
-		d := traversal.Build(s.Tree, nd, false)
-		s.noteSteps(d)
-		s.eng.PrepareBranch(d)
-		for c := 0; c < classes; c++ {
-			tsB[c] = ts[c*nB+b]
-		}
-		for iter := 0; iter < s.cfg.NewtonIterations; iter++ {
-			s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
-			d1, d2 := s.eng.BranchDerivatives(tsB)
-			allDone := true
-			for c := 0; c < classes; c++ {
-				i := c*nB + b
-				if done[i] {
-					continue
-				}
-				next := newtonStep(d1[c], d2[c], ts[i], &lo[i], &hi[i])
-				if math.Abs(next-ts[i]) < 1e-8 {
-					done[i] = true
-				} else {
-					allDone = false
-				}
-				ts[i] = next
-				tsB[c] = next
-			}
-			if allDone {
-				break
-			}
-		}
-	}
-}
-
 // markGradStale propagates one smoothing sweep's changed edges into the
-// two reuse overlays: s.dirty[v] for every post-order CLV whose subtree
-// gained a changed edge, and skip[v] (true = reusable) for every vertex
-// whose outer vector is unaffected — every changed edge lies on the
-// vertex's own parent edge or inside its subtree, the exact complement
-// of what the outer vector summarizes. skip is monotone rootward
-// (skip[child] ⇒ skip[parent]); BuildGradient still recurses through
-// skipped vertices because a skipped parent's stored outer vector is a
-// valid operand for a non-skipped child.
-func (s *Searcher) markGradStale(changed, skip []bool) {
-	total := 0
-	for _, ch := range changed {
-		if ch {
-			total++
-		}
-	}
+// dirty overlay: s.dirty[v] for every post-order CLV whose subtree gained
+// a changed edge.
+func (s *Searcher) markGradStale(changed []bool) {
 	n := s.Tree.NTaxa()
 	rb := s.Tree.Tip(0).Back
 	// walk returns the number of changed edges in {u's edge} ∪ the
@@ -826,7 +700,6 @@ func (s *Searcher) markGradStale(changed, skip []bool) {
 		if b := s.gradEdgeIdx[child.ID]; b >= 0 && changed[b] {
 			f++
 		}
-		skip[child.VertexID] = f == total
 		return f
 	}
 	if walk(rb.Next)+walk(rb.Next.Next) > 0 {
@@ -1083,9 +956,6 @@ func (s *Searcher) sprRound(radius int) (float64, error) {
 // failed tree operation is an invariant violation the caller cannot
 // repair; it fails the search instead of the process.
 func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, float64, error) {
-	// The old attachment neighbors (joined into one edge by Prune); floods
-	// start here when a move away from them is accepted.
-	oldLeft, oldRight := p.Next.Back, p.Next.Next.Back
 	ps := &s.pruned
 	if err := s.Tree.PruneInto(ps, p); err != nil {
 		return false, cur, nil
@@ -1099,11 +969,7 @@ func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 		}
 		return false, cur, nil
 	}
-	dirty := s.dirty
-	if s.cfg.ForceFullTraversals {
-		dirty = nil
-	}
-	s.insPlan.Build(s.Tree, ps, candidates, dirty)
+	s.insPlan.Build(s.Tree, ps, candidates, s.dirty)
 	s.cfg.Telemetry.Inc(telemetry.CounterSPRInsertionPlans, 1)
 	s.cfg.Telemetry.Inc(telemetry.CounterSPRCandidatesScored, int64(len(candidates)))
 	scores := s.eng.ScoreInsertions(&s.insPlan)
@@ -1119,7 +985,7 @@ func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 		}
 	}
 	if bestIdx >= 0 && bestTrial > cur-1.0 {
-		improved, exact, err := s.verifyInsertion(ps, candidates[bestIdx], oldLeft, oldRight, cur)
+		improved, exact, err := s.verifyInsertion(ps, candidates[bestIdx], cur)
 		if improved || err != nil {
 			return improved, exact, err
 		}
@@ -1134,7 +1000,7 @@ func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 // three branches around the insertion point, and evaluates exactly. An
 // insertion that does not beat cur is taken out again, leaving the tree
 // pruned.
-func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e, oldLeft, oldRight *tree.Node, cur float64) (bool, float64, error) {
+func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e *tree.Node, cur float64) (bool, float64, error) {
 	s.cfg.Telemetry.Inc(telemetry.CounterSPRVerifications, 1)
 	p := ps.Root
 	if err := s.Tree.Regraft(ps, e); err != nil {
@@ -1156,11 +1022,12 @@ func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e, oldLeft, oldRight 
 	s.updateBranch(p.Next)
 	s.updateBranch(p.Next.Next)
 	// The exact evaluation must leave the engine byte-identical to a
-	// forced full traversal: everything the three optimizations wrote
-	// plus everything the topology change and the re-optimized branches
-	// invalidated has to be recomputed.
+	// forced full traversal. A vector holds the move — the new topology
+	// or one of the three re-optimized lengths — only if it looks away
+	// from p, and rooting at p recomputes every such vector for its
+	// orientation alone; what the three optimizations wrote is marked on
+	// top of that.
 	s.markTouchedDirty()
-	s.markMoveStale(p, oldLeft, oldRight)
 	exact := s.evaluateFullAt(p)
 	if exact > cur+1e-9 {
 		s.cfg.Telemetry.Inc(telemetry.CounterSPRImprovements, 1)
@@ -1170,8 +1037,8 @@ func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e, oldLeft, oldRight 
 	if err := s.Tree.RemoveRegraft(ps); err != nil {
 		return false, cur, fmt.Errorf("search: undo best: %w", err)
 	}
-	// The topology goes back to the pre-prune state, so no flood is
-	// needed: only the slots the rejected verification wrote are stale.
+	// The topology goes back to the pre-prune state: only the slots the
+	// rejected verification wrote are stale.
 	s.markTouchedDirty()
 	return false, cur, nil
 }
@@ -1179,12 +1046,8 @@ func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e, oldLeft, oldRight 
 // ---------- incremental-traversal bookkeeping ----------
 
 // beginTouch starts recording the CLV slots descriptors write (one SPR
-// verification's churn); endTouch stops recording. No-ops with
-// incremental reuse disabled.
+// verification's churn); endTouch stops recording.
 func (s *Searcher) beginTouch() {
-	if s.cfg.ForceFullTraversals {
-		return
-	}
 	if s.touched == nil {
 		s.touched = make([]bool, s.Tree.NInner())
 	}
@@ -1208,52 +1071,12 @@ func (s *Searcher) noteSteps(d *traversal.Descriptor) {
 
 // markTouchedDirty marks every slot written since beginTouch as dirty:
 // their bytes derive from the regrafted topology, so the next full-tree
-// evaluation must recompute them to stay byte-identical to the forced
-// path.
+// evaluation must recompute them to leave the bytes of a forced full
+// traversal.
 func (s *Searcher) markTouchedDirty() {
-	if s.cfg.ForceFullTraversals || s.touched == nil {
-		return
-	}
 	for i, t := range s.touched {
 		if t {
 			s.dirty[i] = true
 		}
 	}
-}
-
-// markStaleOutward walks the component reached through w — entered so
-// that w.Back faces a topology/branch change — and marks every vertex
-// whose stored CLV summarizes a subtree containing the change. The
-// stored CLV at w's vertex looks away from x.Back where x is the ring
-// member holding the X bit, so it contains the change exactly when the
-// X bit is NOT at w. The walk cannot stop early at a valid vertex:
-// vertices beyond it can still be stale.
-func (s *Searcher) markStaleOutward(w *tree.Node) {
-	if w.IsTip() {
-		return
-	}
-	if tree.XNode(w) != w {
-		s.dirty[w.VertexID-s.Tree.NTaxa()] = true
-	}
-	s.markStaleOutward(w.Next.Back)
-	s.markStaleOutward(w.Next.Next.Back)
-}
-
-// markMoveStale marks every CLV invalidated by an accepted SPR move:
-// flood from the insertion point p (the subtree was attached here, and
-// the three adjacent branch lengths were re-optimized) and from both
-// sides of the old attachment edge (oldLeft, oldRight joined when p's
-// subtree was pruned away).
-func (s *Searcher) markMoveStale(p, oldLeft, oldRight *tree.Node) {
-	if s.cfg.ForceFullTraversals {
-		return
-	}
-	if !p.IsTip() {
-		s.dirty[p.VertexID-s.Tree.NTaxa()] = true
-	}
-	s.markStaleOutward(p.Back)
-	s.markStaleOutward(p.Next.Back)
-	s.markStaleOutward(p.Next.Next.Back)
-	s.markStaleOutward(oldLeft)
-	s.markStaleOutward(oldRight)
 }

@@ -126,7 +126,8 @@ const (
 	// steps actually scheduled by batched-gradient iterations.
 	CounterPreorderSteps
 	// CounterPreorderStepsSkipped is pre-order steps those iterations
-	// avoided by reusing outer vectors whose rootward view is unchanged.
+	// avoided: a sweep's inner Newton iterations read the outer vectors
+	// its first iteration computed.
 	CounterPreorderStepsSkipped
 
 	// NumCounters is the number of distinct counters.

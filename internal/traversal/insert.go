@@ -68,7 +68,7 @@ func resize[T any](buf *[]T, n int) []T {
 // Build fills the plan for the subtree ps pruned from t, with cands the
 // insertion edges ps.CandidateEdges(1, radius) returned. dirty is the
 // search's dirty-slot overlay (OrientReuse); nil forces every post-order
-// step, for searches that run without incremental reuse.
+// step, for a caller that holds no record of the engine's CLV state.
 //
 // The post-order vectors all look toward the prune point, none contains
 // it, so they stay valid when the subtree is restored in place. The

@@ -74,9 +74,10 @@ func (p *GradPlan) NBranches() int { return len(p.Edges) }
 // always all listed regardless of skip.
 //
 // The second result gives one representative half-node per edge, in
-// plan order: the child-side half-node whose Back faces the root. It
-// is what the per-branch oracle path re-roots on (traversal.Build) to
-// reproduce the plan's (P, Q) operand roles exactly.
+// plan order: the child-side half-node whose Back faces the root.
+// Re-rooting on it (traversal.Build + PrepareBranch) reproduces the
+// plan's (P, Q) operand roles exactly — what the search's twin-engine
+// test compares every gradient against.
 func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 	n := t.NTaxa()
 	nB := t.NBranches()

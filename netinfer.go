@@ -94,7 +94,7 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 		return nil, fmt.Errorf("examl: net mode needs a rendezvous address")
 	}
 	// One recorder: a collector describes this process alone.
-	rc, err := runConfig(cfg, 1)
+	rc, ckpt, err := runConfig(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +120,9 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := ckpt.failure(); err != nil {
+			return nil, err
+		}
 		return &NetResult{
 			Result:           newResult(res, stats, rc),
 			Rank:             report.FinalRank,
@@ -141,6 +144,9 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 		defer comm.Close()
 		res, stats, err := forkjoin.RunOnComm(comm, d.d, rc)
 		if err != nil {
+			return nil, err
+		}
+		if err := ckpt.failure(); err != nil {
 			return nil, err
 		}
 		out := &NetResult{Rank: nc.Rank, Size: nc.Size, Epochs: 1}
