@@ -58,16 +58,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json runs the kernel-threading, many-small-partitions, fast-path
-# (tip-specialized and P-matrix-cache ablations), hybrid-grid,
-# batched-gradient, and wire-framing benchmarks and writes
+# bench-json runs the kernel-threading, many-small-partitions,
+# hybrid-grid, batched-gradient, and wire-framing benchmarks and writes
 # BENCH_kernels.json (environment block plus name, ns/op, flops/s,
 # roofline bytes/s + arithmetic intensity, speedups) for trend tracking. GOMAXPROCS is set on the test binaries
 # so KernelThreadsGamma measures real thread speedups; benchjson
 # records the per-row gomaxprocs metric and fails loudly when a
 # T-thread row was captured with fewer procs than min(T, CPUs).
 bench-json:
-	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
+	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelBatch$$|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
 	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkFrameEncodeDecode' ./internal/mpinet ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
 
@@ -115,13 +114,13 @@ bench-e2e-smoke:
 # width and compile without a per-element check (docs/PERFORMANCE.md
 # §6); what is counted here is what remains by design — one check per
 # window taken, the gathers from tip tables (indexed by input data), the
-# per-site P-matrix pick under PSR, the pattern-major sum-table stores
-# and the site-major reference workers. The count is a property of the
-# source and the compiler, not of the machine: it repeats exactly under
-# GOTOOLCHAIN=local (go1.24), so like the two counts above it can gate.
+# per-site P-matrix pick under PSR and the pattern-major sum-table
+# stores. The count is a property of the source and the compiler, not of
+# the machine: it repeats exactly under GOTOOLCHAIN=local (go1.24), so
+# like the two counts above it can gate.
 # A new check inside a site loop shows as a count above the gate; the
 # listing per file says where to look.
-KERNEL_BCE_MAX = 312
+KERNEL_BCE_MAX = 266
 KERNEL_BCE_FILES = soa_gamma.go soa_psr.go insertion.go gamma.go psr.go
 kernel-bce:
 	@out=$$(GOTOOLCHAIN=local $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/likelihood 2>&1 | grep ': Found Is' || true); \

@@ -140,53 +140,6 @@ func BenchmarkSchemeForkJoin(b *testing.B) {
 	}
 }
 
-// ---------- ablation: deterministic vs unordered Allreduce ----------
-
-// BenchmarkAblationReduceOrder compares the deterministic Allreduce
-// (Reduce + Bcast) against naive recursive doubling, and reports whether
-// the naive variant produced cross-rank bit divergence — the failure mode
-// §III-B's requirement guards against.
-func BenchmarkAblationReduceOrder(b *testing.B) {
-	const ranks = 8
-	const vecLen = 256
-	rng := rand.New(rand.NewSource(1))
-	inputs := make([][]float64, ranks)
-	for r := range inputs {
-		vec := make([]float64, vecLen)
-		for i := range vec {
-			vec[i] = rng.NormFloat64() * float64(uint64(1)<<uint(rng.Intn(60)))
-		}
-		inputs[r] = vec
-	}
-	b.Run("deterministic", func(b *testing.B) {
-		w := mpi.NewWorld(ranks)
-		for b.Loop() {
-			w.Run(func(c *mpi.Comm) {
-				c.Allreduce(inputs[c.Rank()], mpi.OpSum, mpi.ClassLikelihoodEval)
-			})
-		}
-	})
-	b.Run("unordered", func(b *testing.B) {
-		w := mpi.NewWorld(ranks)
-		diverged := 0
-		for b.Loop() {
-			outs := make([][]float64, ranks)
-			w.Run(func(c *mpi.Comm) {
-				outs[c.Rank()] = c.AllreduceUnordered(inputs[c.Rank()], mpi.OpSum, mpi.ClassLikelihoodEval)
-			})
-			for r := 1; r < ranks; r++ {
-				for i := range outs[0] {
-					if outs[r][i] != outs[0][i] {
-						diverged++
-						break
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(diverged), "rank_divergences")
-	})
-}
-
 // ---------- ablation: cyclic vs MPS distribution ----------
 
 // BenchmarkAblationDistribution compares the two data-distribution
@@ -215,14 +168,9 @@ func BenchmarkAblationDistribution(b *testing.B) {
 
 func benchKernel(b *testing.B, het model.Heterogeneity) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {
 	b.Helper()
-	return benchKernelSized(b, het, 5000)
-}
-
-func benchKernelSized(b *testing.B, het model.Heterogeneity, nSites int) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {
-	b.Helper()
 	res, err := seqgen.Generate(seqgen.Config{
 		NTaxa: 32,
-		Specs: []seqgen.Spec{{Name: "g", NSites: nSites, Alpha: 0.8}},
+		Specs: []seqgen.Spec{{Name: "g", NSites: 5000, Alpha: 0.8}},
 		Seed:  5,
 	})
 	if err != nil {
@@ -403,100 +351,6 @@ func BenchmarkKernelBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(parts), "partitions")
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
-// ---------- specialized fast paths (docs/PERFORMANCE.md) ----------
-
-// innerOnly filters a traversal to its inner-inner steps (both operands
-// CLVs) — the workload the tip fast paths cannot touch.
-func innerOnly(steps []likelihood.Step) []likelihood.Step {
-	var out []likelihood.Step
-	for _, st := range steps {
-		if !st.A.Tip && !st.B.Tip {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// BenchmarkKernelFastPathGamma measures the tip-specialized Γ newview
-// kernels against the generic path on two workloads: the full traversal
-// of a 32-taxon tree (tip-heavy — most vertices have a tip child) and
-// its inner-inner steps only (inner-heavy — the fast path never fires).
-// Both variants produce bit-identical CLVs; the fast rows report their
-// speedup over the paired generic row.
-func BenchmarkKernelFastPathGamma(b *testing.B) {
-	type workload struct {
-		name  string
-		strip bool
-	}
-	for _, w := range []workload{{"tip-heavy", false}, {"inner-heavy", true}} {
-		var genericNs float64
-		for _, fast := range []bool{false, true} {
-			mode := "generic"
-			if fast {
-				mode = "fast"
-			}
-			b.Run(w.name+"/"+mode, func(b *testing.B) {
-				// 1200 sites keeps the three CLVs of one newview inside
-				// the L2 cache, so the benchmark measures arithmetic
-				// (which the fast path removes), not CLV write bandwidth
-				// (which it cannot).
-				k, _, steps := benchKernelSized(b, model.Gamma, 1200)
-				if w.strip {
-					steps = innerOnly(steps)
-					if len(steps) == 0 {
-						b.Fatal("traversal has no inner-inner steps")
-					}
-				}
-				k.SetFastPath(fast)
-				k.SetPCache(fast)
-				b.ResetTimer()
-				for b.Loop() {
-					k.Traverse(steps)
-					k.Flush(nil)
-				}
-				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if !fast {
-					genericNs = nsPerOp
-				} else if genericNs > 0 && nsPerOp > 0 {
-					b.ReportMetric(genericNs/nsPerOp, "speedup")
-				}
-				b.ReportMetric(float64(k.NPatterns()*len(steps)), "columns/op")
-			})
-		}
-	}
-}
-
-// BenchmarkKernelPCacheGamma measures the P-matrix cache on a small
-// partition (where per-call P(t) setup is a visible fraction of kernel
-// time, the regime the paper's MPS distribution targets). Every
-// iteration replays the same traversal, so after the first the cache
-// serves every branch length; the cached row reports its speedup over
-// the uncached row.
-func BenchmarkKernelPCacheGamma(b *testing.B) {
-	var offNs float64
-	for _, cached := range []bool{false, true} {
-		mode := "cache=off"
-		if cached {
-			mode = "cache=on"
-		}
-		b.Run(mode, func(b *testing.B) {
-			k, _, steps := benchKernelSized(b, model.Gamma, 64)
-			k.SetPCache(cached)
-			b.ResetTimer()
-			for b.Loop() {
-				k.Traverse(steps)
-				k.Flush(nil)
-			}
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if !cached {
-				offNs = nsPerOp
-			} else if offNs > 0 && nsPerOp > 0 {
-				b.ReportMetric(offNs/nsPerOp, "speedup")
-			}
 		})
 	}
 }

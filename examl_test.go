@@ -2,9 +2,11 @@ package examl
 
 import (
 	"bytes"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -416,5 +418,59 @@ func TestInferWithFailuresHonoursConfig(t *testing.T) {
 	}
 	if res.Ranks != 2 || res.Comm.TotalOps == 0 || res.WallSeconds <= 0 {
 		t.Errorf("result of the recovered run: ranks %d, %d collectives, %g s", res.Ranks, res.Comm.TotalOps, res.WallSeconds)
+	}
+}
+
+// TestDocsCiteTestsThatExist collects every back-quoted test, benchmark
+// and fuzz target name the reference docs cite (README.md, DESIGN.md,
+// EXPERIMENTS.md, docs/*.md; a trailing * makes it a prefix) and fails
+// unless each is a func of some _test.go in the repository. CHANGES.md and
+// ROADMAP.md are history and are not scanned.
+func TestDocsCiteTestsThatExist(t *testing.T) {
+	var funcs []string
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile("`" + `((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(\*?)`)
+	cited := 0
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(text), -1) {
+			cited++
+			found := false
+			for _, f := range funcs {
+				found = found || f == m[1] || m[2] == "*" && strings.HasPrefix(f, m[1])
+			}
+			if !found {
+				t.Errorf("%s cites `%s%s`, which no _test.go declares", doc, m[1], m[2])
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no cited test names at all")
 	}
 }

@@ -100,7 +100,7 @@ var prepareOps = [2][2][2]runOp{
 // disjoint sum-table ranges. Tip operands use the category-free prep
 // tables from fastpath.go.
 func (k *Kernel) prepare(st []float64, op, oq operand, fuse bool, t float64) {
-	fast := k.fastOn && (op.tips != nil || oq.tips != nil)
+	fast := op.tips != nil || oq.tips != nil
 	code := prepareOps[b2i(k.par.Het == model.Gamma)][b2i(fuse)][b2i(fast)]
 	var ra *runArgs
 	if fuse {

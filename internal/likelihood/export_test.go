@@ -115,6 +115,23 @@ func (k *Kernel) PoisonTipTables() {
 	}
 }
 
+// LoadTipAsInner writes taxon's tip into inner slot: every category
+// plane holds, at each site, the entry of the 0/1 vector of the site's
+// state, and every scale count is 0. An operand naming the slot instead
+// of the tip runs through the inner-inner workers — the expressions the
+// tip tables are filled with — so it is the reference of the tip
+// workers.
+func (k *Kernel) LoadTipAsInner(slot, taxon int) {
+	clv, scale := k.slot(int32(slot))
+	for p := 0; p < len(clv)/k.nPat; p++ {
+		plane := clv[p*k.nPat:][:k.nPat]
+		for i, s := range k.data.Tips[taxon] {
+			plane[i] = k.tipVec[s][p%ns]
+		}
+	}
+	clear(scale)
+}
+
 // Cap returns the number of table doubles the arena holds.
 func (a *ProgramArena) Cap() int { return cap(a.tabs.chunk) }
 

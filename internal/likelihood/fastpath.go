@@ -7,22 +7,24 @@ import (
 
 // This file holds the kernel fast-path layer (docs/PERFORMANCE.md): the
 // keyed P-matrix cache and the tip-state lookup tables that specialize
-// the three kernels when an operand is a tip. Both optimizations are
-// bit-identical to the generic path by construction:
+// the three kernels when an operand is a tip. Neither changes a bit:
 //
 //   - a P-cache hit returns the exact doubles the miss path computed for
 //     the same (branch length, parameter generation) key, and
 //   - every tip-table entry is computed by the very expression the
-//     generic per-site loop would evaluate inline, so a table read yields
-//     the same bits as the computation it replaces. Only the entries a
-//     kernel can read are produced: a table is indexed by the states of
-//     the tip operand's own row of this slice, so each fill walks the
-//     row's state mask (Kernel.tipMask) and leaves every other code's
-//     entry untouched — typically 4–5 of 16 codes, ~20 of 256 code pairs.
+//     inner-inner worker evaluates per site on a CLV holding the tip's
+//     0/1 vector, so a table read yields the same bits as the computation
+//     it replaces. Only the entries a kernel can read are produced: a
+//     table is indexed by the states of the tip operand's own row of this
+//     slice, so each fill walks the row's state mask (Kernel.tipMask) and
+//     leaves every other code's entry untouched — typically 4–5 of 16
+//     codes, ~20 of 256 code pairs.
 //
-// Neither switch may therefore change a single bit of any CLV, likelihood
-// or derivative (asserted by fastpath_test.go), which keeps the repo-wide
-// determinism contract (docs/DETERMINISM.md) intact.
+// So a tip and the same tip loaded into an inner slot give the same bits
+// for every CLV, likelihood and derivative (fastpath_test.go and
+// masktables_test.go load every tip that way for their reference run),
+// which keeps the repo-wide determinism contract (docs/DETERMINISM.md)
+// intact.
 
 // maxPCacheEntries bounds the per-kernel P-matrix cache. When the bound
 // is reached the cache simply stops inserting (no eviction): a
@@ -39,11 +41,11 @@ type FastPathStats struct {
 	// by operand shape (tip-inner includes inner-tip).
 	NewviewTipTip, NewviewTipInner, NewviewInner int64
 	// EvaluateTip counts Evaluate calls whose far operand (q) was a tip;
-	// EvaluateGeneric the rest. (The near operand needs no P product, so
-	// only q's shape selects a kernel.)
+	// EvaluateGeneric the rest, whose far operand was not. (The near
+	// operand needs no P product, so only q's shape selects a kernel.)
 	EvaluateTip, EvaluateGeneric int64
 	// PrepareTip counts sum-table preparations with at least one tip
-	// operand; PrepareGeneric the rest.
+	// operand; PrepareGeneric the rest, with none.
 	PrepareTip, PrepareGeneric int64
 	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
 	// activity; a reset drops the whole cache after a parameter change.
@@ -69,24 +71,10 @@ func (s FastPathStats) FastOps() int64 {
 	return s.NewviewTipTip + s.NewviewTipInner + s.EvaluateTip + s.PrepareTip
 }
 
-// GenericOps returns the number of kernel calls that took the generic
-// (all-inner) path.
+// GenericOps returns the number of kernel calls with no tip operand
+// that needs a table.
 func (s FastPathStats) GenericOps() int64 {
 	return s.NewviewInner + s.EvaluateGeneric + s.PrepareGeneric
-}
-
-// SetFastPath toggles the tip-specialized kernels (on by default).
-// Results are bit-identical either way; the switch exists for identity
-// tests and benchmarking.
-func (k *Kernel) SetFastPath(on bool) { k.fastOn = on }
-
-// SetPCache toggles the P-matrix cache (on by default). Bit-identical
-// either way.
-func (k *Kernel) SetPCache(on bool) {
-	k.pcOn = on
-	if !on {
-		k.dropPCache()
-	}
 }
 
 // FastPath returns the kernel's fast-path and cache counters. Call it
@@ -128,28 +116,26 @@ func (k *Kernel) dropPCache() {
 }
 
 // probMatricesFor returns the per-category P(t) matrices for branch
-// length t, consulting the cache when enabled. The returned slice is
+// length t, consulting the cache first. The returned slice is
 // read-only for the caller and good until the program in flight is
 // finished: it is either cache-owned (the cache resets only between
 // programs) or lent to the program and taken back by Finish.
 func (k *Kernel) probMatricesFor(t float64) [][ns * ns]float64 {
-	if k.pcOn {
-		if g := k.par.Generation(); g != k.pcGen {
-			k.pcGen = g
-			if len(k.pcache) > 0 {
-				k.dropPCache()
-				k.fp.PCacheResets++
-			}
+	if g := k.par.Generation(); g != k.pcGen {
+		k.pcGen = g
+		if len(k.pcache) > 0 {
+			k.dropPCache()
+			k.fp.PCacheResets++
 		}
-		if m, ok := k.pcache[math.Float64bits(t)]; ok {
-			k.fp.PCacheHits++
-			return m
-		}
-		k.fp.PCacheMisses++
 	}
+	if m, ok := k.pcache[math.Float64bits(t)]; ok {
+		k.fp.PCacheHits++
+		return m
+	}
+	k.fp.PCacheMisses++
 	m := k.takePMatrices()
 	k.probMatrices(t, m)
-	if k.pcOn && len(k.pcache) < maxPCacheEntries {
+	if len(k.pcache) < maxPCacheEntries {
 		if k.pcache == nil {
 			k.pcache = make(map[uint64][][ns * ns]float64)
 		}
@@ -175,8 +161,8 @@ func (k *Kernel) tipTable(pm [][ns * ns]float64, mask uint16) []float64 {
 //
 //	dst[(c·16+code)·4+x] = Σ_y pm[c][x·4+y] · tipVec[code][y]
 //
-// The sum is written as the exact four-term expression the generic
-// per-site loop evaluates, so reading the table is bit-identical to
+// The sum is written as the exact four-term expression the inner-inner
+// workers evaluate per site, so reading the table is bit-identical to
 // computing the product inline.
 func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16) {
 	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
@@ -199,13 +185,13 @@ func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16)
 //
 //	dst[((ca·16+cb)·C + c)·4+x] = tabA[(c·16+ca)·4+x] · tabB[(c·16+cb)·4+x]
 //
-// followed by the generic block's exact scaling test and (if triggered)
-// the exact ·ScaleFactor pass over the pair's column, with the resulting
-// scale count recorded in dsc[ca·16+cb]. A tip-tip site's CLV values and
-// scale count depend only on its code pair, so the per-site work
-// collapses to a 4·C-double copy plus one int32 store — every double
+// followed by the inner-inner worker's exact scaling test and (if
+// triggered) the exact ·ScaleFactor pass over the pair's column, with the
+// resulting scale count recorded in dsc[ca·16+cb]. A tip-tip site's CLV
+// values and scale count depend only on its code pair, so the per-site
+// work collapses to a 4·C-double copy plus one int32 store — every double
 // having been produced by the same operations, on the same operands, in
-// the same order as the generic per-site loop.
+// the same order as the inner-inner worker.
 func (k *Kernel) fillPairTable(dst []float64, dsc *[256]int32, tabA, tabB []float64, cats int, maskA, maskB uint16) {
 	k.fp.PairTableEntries += int64(bits.OnesCount16(maskA) * bits.OnesCount16(maskB))
 	for ma := maskA; ma != 0; ma &= ma - 1 {
@@ -254,7 +240,7 @@ func (k *Kernel) prepTables(op, oq operand) (tabP, tabQ []float64) {
 
 // fillPrepTipP precomputes the p-side sum-table coefficient for every
 // ambiguity code in mask: dst[code·4+k] = Σ_x π_x·tipVec[code][x]·U[x·4+k],
-// written as the exact expression of the generic loop.
+// written as the exact expression of the inner-inner sum-table fill.
 func (k *Kernel) fillPrepTipP(dst []float64, mask uint16) {
 	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
 	e := k.par.Eigen

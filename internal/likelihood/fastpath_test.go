@@ -1,87 +1,168 @@
 package likelihood_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/likelihood"
 	"repro/internal/model"
-	"repro/internal/threadpool"
-	"repro/internal/traversal"
 )
 
-// fastFixture rebuilds the deterministic threaded fixture and switches
-// the tip fast paths and the P-matrix cache on or off together.
-func fastFixture(t *testing.T, het model.Heterogeneity, threads int, fast bool) (*fixture, *threadpool.Pool) {
-	t.Helper()
-	f, pool := threadedFixture(t, het, threads)
-	f.kern.SetFastPath(fast)
-	f.kern.SetPCache(fast)
-	return f, pool
+// stager stages kernel calls on a kernel and records the operand shapes
+// of every call ("newview tip inner", …). The one tipsAsInner returns
+// also names, wherever a call names a tip, the inner slot holding that
+// tip — the reference of the tip workers.
+type stager struct {
+	*likelihood.Kernel
+	tipSlot int32 // inner slot of taxon 0; < 0: tips stay tips
+	seen    map[string]bool
 }
 
-// traceKernelFull is traceKernel plus an evaluation in the q-tip
-// orientation (traceKernel's virtual root has the tip on the p side, so
-// the tip-specialized evaluate path only fires on the reversed call).
-func traceKernelFull(f *fixture) (kernelTrace, uint64) {
-	tr := traceKernel(f)
-	p := f.tree.Tip(0)
-	rev := f.kern.Evaluate(traversal.Ref(f.tree, p.Back), traversal.Ref(f.tree, p), p.Length(0))
-	return tr, math.Float64bits(rev)
+// passThrough is the stager that hands every call to f's kernel as is.
+func passThrough(f *fixture) stager {
+	return stager{Kernel: f.kern.Kernel, tipSlot: -1, seen: map[string]bool{}}
 }
 
-func compareTraces(t *testing.T, label string, got, want kernelTrace, gotRev, wantRev uint64) {
+// tipsAsInner builds the reference of f's kernel: a kernel over the same
+// slice and parameters with one more inner slot per taxon, NInner()+taxon,
+// loaded with that taxon's tip (LoadTipAsInner), and the stager that sends
+// every tip operand there. Every call then runs the inner-inner workers,
+// whose expressions fill the tip tables (fastpath.go), so no tip worker's
+// bit may differ from it.
+func tipsAsInner(t *testing.T, f *fixture) stager {
 	t.Helper()
-	if got.lnL != want.lnL {
-		t.Errorf("%s: lnL bits %x != generic %x (%g vs %g)", label, got.lnL, want.lnL,
-			math.Float64frombits(got.lnL), math.Float64frombits(want.lnL))
+	nInner := f.tree.NInner()
+	k, err := likelihood.NewNow(f.pd, f.par, nInner+len(f.pd.Tips))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gotRev != wantRev {
-		t.Errorf("%s: reversed-eval bits %x != generic %x", label, gotRev, wantRev)
+	for taxon := range f.pd.Tips {
+		k.LoadTipAsInner(nInner+taxon, taxon)
 	}
-	if got.derivs != want.derivs {
-		t.Errorf("%s: derivative bits diverged: %x vs %x", label, got.derivs, want.derivs)
+	return stager{Kernel: k.Kernel, tipSlot: int32(nInner), seen: map[string]bool{}}
+}
+
+func (s stager) ref(r likelihood.NodeRef) likelihood.NodeRef {
+	if r.Tip && s.tipSlot >= 0 {
+		return likelihood.InnerRef(int(s.tipSlot + r.Idx))
 	}
-	for s := range want.digests {
-		if got.digests[s] != want.digests[s] {
-			t.Errorf("%s: CLV slot %d digest %x != generic %x", label, s, got.digests[s], want.digests[s])
+	return r
+}
+
+func (s stager) grad(r likelihood.GradRef) likelihood.GradRef {
+	if r.Kind == likelihood.GradTipKind && s.tipSlot >= 0 {
+		return likelihood.GradInner(s.tipSlot + r.Idx)
+	}
+	return r
+}
+
+func isTip(r likelihood.GradRef) bool { return r.Kind == likelihood.GradTipKind }
+
+// note records the shape of a call by whether each operand is a tip.
+func (s stager) note(call string, tips ...bool) {
+	for _, tip := range tips {
+		if tip {
+			call += " tip"
+		} else {
+			call += " inner"
 		}
+	}
+	s.seen[call] = true
+}
+
+func (s stager) Newview(st likelihood.Step) {
+	s.note("newview", st.A.Tip, st.B.Tip)
+	st.A, st.B = s.ref(st.A), s.ref(st.B)
+	s.Kernel.Newview(st)
+}
+
+func (s stager) Traverse(steps []likelihood.Step) {
+	for _, st := range steps {
+		s.Newview(st)
+	}
+}
+
+func (s stager) Evaluate(p, q likelihood.NodeRef, t float64) {
+	s.note("evaluate", p.Tip, q.Tip)
+	s.Kernel.Evaluate(s.ref(p), s.ref(q), t)
+}
+
+func (s stager) PrepareDerivatives(p, q likelihood.NodeRef) {
+	s.note("prepare", p.Tip, q.Tip)
+	s.Kernel.PrepareDerivatives(s.ref(p), s.ref(q))
+}
+
+func (s stager) NewviewOuter(st likelihood.GradStep) {
+	s.note("newview", isTip(st.A), isTip(st.B))
+	st.A, st.B = s.grad(st.A), s.grad(st.B)
+	s.Kernel.NewviewOuter(st)
+}
+
+func (s stager) TraverseOuter(steps []likelihood.GradStep) {
+	for _, st := range steps {
+		s.NewviewOuter(st)
+	}
+}
+
+func (s stager) BranchGradientCached(b, nEdges int, p, q likelihood.GradRef, t float64) {
+	s.note("gradient", isTip(p), isTip(q))
+	s.Kernel.BranchGradientCached(b, nEdges, s.grad(p), s.grad(q), t)
+}
+
+func (s stager) PrepareInsertion(sub likelihood.GradRef, t float64) {
+	s.note("insertion table", isTip(sub))
+	s.Kernel.PrepareInsertion(s.grad(sub), t)
+}
+
+func (s stager) ScoreInsertion(near, far likelihood.GradRef, half float64) {
+	s.note("insertion score", isTip(near), isTip(far))
+	s.Kernel.ScoreInsertion(s.grad(near), s.grad(far), half)
+}
+
+// tipShapes are the call shapes that reach a tip worker: each pairs a tip
+// operand with the kind of operand it meets.
+var tipShapes = []string{
+	"newview tip tip", "newview tip inner", "newview inner tip",
+	"evaluate tip tip", "evaluate tip inner", "evaluate inner tip",
+	"prepare tip tip", "prepare tip inner", "prepare inner tip",
+	"gradient tip inner",
+	"insertion table tip", "insertion score inner tip",
+}
+
+// checkTipReference fails unless the trace on fast reached every tip
+// worker and the reference ran none.
+func checkTipReference(t *testing.T, label string, fast, ref stager) {
+	t.Helper()
+	for _, shape := range tipShapes {
+		if !fast.seen[shape] {
+			t.Errorf("%s: no %q call in the trace", label, shape)
+		}
+	}
+	if fp := ref.FastPath(); fp.FastOps() != 0 {
+		t.Errorf("%s: the reference ran tip workers: %+v", label, fp)
 	}
 }
 
 // TestFastPathBitIdenticalToGeneric is the fast-path determinism
-// contract (docs/PERFORMANCE.md): with tip-specialized kernels and the
-// P-matrix cache enabled, every observable kernel output — log
-// likelihood, both derivatives, and every inner CLV byte — matches the
-// generic path exactly, for both rate models and across thread counts.
+// contract (docs/PERFORMANCE.md §1): with every tip operand read through
+// the tip, pair and prep tables and the P-matrix cache, every observable
+// kernel output — log likelihoods, derivatives, gradients, insertion
+// scores and every inner CLV byte — has the bits the inner-inner workers
+// give with each tip loaded into an inner slot, for both rate models on a
+// multi-block slice, with no pool and with 1 and 4 threads.
 func TestFastPathBitIdenticalToGeneric(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		for _, threads := range []int{0, 1, 4} {
-			gen, genPool := fastFixture(t, het, threads, false)
-			want, wantRev := traceKernelFull(gen)
-			if fp := gen.kern.FastPath(); fp.FastOps() != 0 || fp.PCacheHits+fp.PCacheMisses != 0 {
-				t.Fatalf("%v T=%d: disabled fast path still dispatched: %+v", het, threads, fp)
-			}
-			genPool.Close()
-
-			f, pool := fastFixture(t, het, threads, true)
-			got, gotRev := traceKernelFull(f)
-			compareTraces(t, het.String()+" fast", got, want, gotRev, wantRev)
-
-			// The fixture tree has tip-tip, tip-inner, and inner-inner
-			// vertices, so every specialized and generic dispatch class
-			// must have fired.
-			fp := f.kern.FastPath()
-			if fp.NewviewTipTip == 0 || fp.NewviewTipInner == 0 || fp.NewviewInner == 0 {
-				t.Errorf("%v T=%d: newview dispatch coverage: %+v", het, threads, fp)
-			}
-			if fp.EvaluateTip == 0 || fp.PrepareTip == 0 {
-				t.Errorf("%v T=%d: tip evaluate/prepare never fired: %+v", het, threads, fp)
-			}
-			if fp.PCacheMisses == 0 {
-				t.Errorf("%v T=%d: P-matrix cache never consulted: %+v", het, threads, fp)
-			}
+			label := fmt.Sprintf("%v T=%d", het, threads)
+			f, pool := threadedFixture(t, het, threads)
+			flush := func(k *likelihood.Kernel) { k.Flush(pool) }
+			ref, fast := tipsAsInner(t, f), passThrough(f)
+			want := programTrace(t, f.tree, ref, flush)
+			got := programTrace(t, f.tree, fast, flush)
 			pool.Close()
+			sameBits(t, label+": tip workers vs tips as inner operands", got, want)
+			checkTipReference(t, label, fast, ref)
 		}
 	}
 }
@@ -91,11 +172,12 @@ func TestFastPathBitIdenticalToGeneric(t *testing.T) {
 // must reproduce the first pass bit-for-bit, and must actually hit.
 func TestPCacheHitsBitIdentical(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		f, pool := fastFixture(t, het, 2, true)
-		first, firstRev := traceKernelFull(f)
+		f, pool := threadedFixture(t, het, 2)
+		flush := func(k *likelihood.Kernel) { k.Flush(pool) }
+		first := programTrace(t, f.tree, passThrough(f), flush)
 		missesAfterFirst := f.kern.FastPath().PCacheMisses
-		second, secondRev := traceKernelFull(f)
-		compareTraces(t, het.String()+" cached replay", second, first, secondRev, firstRev)
+		second := programTrace(t, f.tree, passThrough(f), flush)
+		sameBits(t, het.String()+" cached replay", second, first)
 		fp := f.kern.FastPath()
 		if fp.PCacheHits == 0 {
 			t.Errorf("%v: replay produced no cache hits: %+v", het, fp)
@@ -112,7 +194,7 @@ func TestPCacheHitsBitIdentical(t *testing.T) {
 // of serving stale matrices: results must match a fresh kernel built
 // directly with the new parameters.
 func TestPCacheInvalidatedByModelChange(t *testing.T) {
-	f, _ := fastFixture(t, model.Gamma, 0, true)
+	f, _ := threadedFixture(t, model.Gamma, 0)
 	f.evalAt(f.tree.Tip(0))
 	if f.kern.FastPath().PCacheMisses == 0 {
 		t.Fatal("warm-up populated no cache entries")
@@ -141,7 +223,7 @@ func TestPCacheInvalidatedByModelChange(t *testing.T) {
 // probe did not move) re-derives nothing, so the P-matrix cache keeps
 // serving — no reset, no new miss — while a real change still resets it.
 func TestPCacheSurvivesNoOpParameterPush(t *testing.T) {
-	f, _ := fastFixture(t, model.Gamma, 0, true)
+	f, _ := threadedFixture(t, model.Gamma, 0)
 	want := math.Float64bits(f.evalAt(f.tree.Tip(0)))
 	warm := f.kern.FastPath()
 

@@ -19,23 +19,23 @@ const gammaCats = model.GammaCategories
 // NewviewOuter. Each pattern block writes a disjoint range, so the result
 // is identical at every thread count.
 //
-// When a child is a tip and the fast path is enabled, the per-site
-// P·tipVec product is replaced by a table read (fastpath.go); the table
-// entries are computed by the exact expression of the generic loop, so
-// the dispatch never changes a bit of the result.
+// When a child is a tip, the per-site P·tipVec product is a table read
+// (fastpath.go); the table entries are computed by the exact expression
+// of the inner-inner worker, so the dispatch never changes a bit of the
+// result.
 func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta, tb float64) {
 	pa := k.probMatricesFor(ta)
 	pb := k.probMatricesFor(tb)
 
 	var ra *runArgs
-	if k.fastOn && oa.tips != nil && ob.tips != nil {
+	if oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
 		ra = k.stage(opNvGammaTipTip)
 		tabA, tabB := k.tipTable(pa, oa.mask), k.tipTable(pb, ob.mask)
 		ra.pair = k.mem.tabs.take(gammaCats * 16 * 16 * ns)
 		ra.pairScale = &k.mem.pairScales.take(1)[0]
 		k.fillPairTable(ra.pair, ra.pairScale, tabA, tabB, gammaCats, oa.mask, ob.mask)
-	} else if k.fastOn && (oa.tips != nil || ob.tips != nil) {
+	} else if oa.tips != nil || ob.tips != nil {
 		k.fp.NewviewTipInner++
 		ra = k.stage(opNvGammaTipInner)
 		if oa.tips != nil {
@@ -58,12 +58,12 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 // in block-index order at the join, so the total is bit-identical to
 // the serial kernel at every thread count.
 //
-// Only the far operand oq needs the P product, so the fast path
-// dispatches on oq being a tip.
+// Only the far operand oq needs the P product, so the worker is chosen
+// by oq being a tip.
 func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
 	var ra *runArgs
-	if k.fastOn && oq.tips != nil {
+	if oq.tips != nil {
 		k.fp.EvaluateTip++
 		ra = k.stageReducing(opEvalGammaTip)
 		ra.tabB = k.tipTable(pm, oq.mask)
@@ -78,7 +78,8 @@ func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 // evaluateGammaTipBlock is the tip-tip per-block worker of evaluateGamma:
 // both operands are tips, so no CLV is read. The far side's per-site
 // P·tipVec dot product is a table read whose entries were computed by
-// the generic expression, keeping the sum bit-identical to it.
+// evaluateGammaSoABlock's `right` expression, keeping the sum
+// bit-identical to it.
 func (k *Kernel) evaluateGammaTipBlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
 	freqs := &k.par.Freqs
 	total := 0.0

@@ -115,11 +115,7 @@ type Kernel struct {
 	insTab      []float64
 	insSubScale []int32
 
-	// Fast-path state (fastpath.go). fastOn enables the tip-specialized
-	// kernels, pcOn the keyed P-matrix cache; both default to on and both
-	// are bit-identical to the generic path.
-	fastOn bool
-	pcOn   bool
+	// P-matrix cache and fast-path counters (fastpath.go).
 	// pcache maps Float64bits(branch length) → per-category P matrices,
 	// valid for parameter generation pcGen only. pmFree are idle matrix
 	// sets — a cache reset puts its sets there, a miss takes one — and
@@ -189,8 +185,6 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		nInner: nInner,
 		clv:    make([][]float64, nInner),
 		scale:  make([][]int32, nInner),
-		fastOn: true,
-		pcOn:   true,
 		mem:    new(ProgramArena),
 	}
 	k.siteScr = newSiteScratch(k.nPat, nInner)

@@ -52,9 +52,9 @@ func ambiguousPartition(nPat int) *msa.PartitionData {
 	return pd
 }
 
-// maskKernel builds a kernel over pd with randomized parameters (the
+// maskFixture builds a kernel over pd with randomized parameters (the
 // same for every call with the same het) on the given tree.
-func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.Heterogeneity) likelihood.Now {
+func maskFixture(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.Heterogeneity) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	par, err := model.NewParams(het, pd.Freqs, pd.NPatterns())
@@ -81,49 +81,65 @@ func maskKernel(t *testing.T, pd *msa.PartitionData, tr *tree.Tree, het model.He
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k
+	return &fixture{tree: tr, pd: pd, par: par, kern: k}
 }
 
-// maskTrace drives Newview, Evaluate, Prepare/Derivatives and the
-// pre-order gradient kernels over every edge of the tree, calling before
-// before each kernel call, and returns every observable output bit.
-func maskTrace(k likelihood.Now, tr *tree.Tree, before func()) []uint64 {
+// maskTrace drives Newview, Evaluate, Prepare/Derivatives, the pre-order
+// gradient and the insertion kernels over every edge of the tree (and
+// over two tips joined directly), each call a program of its own run
+// after before, and returns every observable output bit.
+func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 	var out []uint64
-	bits := func(vs ...float64) {
-		for _, v := range vs {
-			out = append(out, math.Float64bits(v))
-		}
+	run := func(stage func()) {
+		before()
+		stage()
+		k.Flush(nil)
+	}
+	result := func() {
+		a, b := k.Gradient(0)
+		out = append(out, math.Float64bits(a), math.Float64bits(b))
 	}
 	for _, e := range tr.Edges() {
 		for _, s := range traversal.ForEdge(tr, e, 0, true) {
-			before()
-			k.Newview(s)
+			run(func() { k.Newview(s) })
 		}
 		p, q := traversal.Ref(tr, e), traversal.Ref(tr, e.Back)
-		for _, pq := range [][2]likelihood.NodeRef{{p, q}, {q, p}} {
-			before()
-			bits(k.Evaluate(pq[0], pq[1], e.Length(0)))
-			before()
-			k.PrepareDerivatives(pq[0], pq[1])
-			bits(k.Derivatives(0.07))
-			bits(k.Derivatives(0.4))
+		// No edge joins two tips; the all-code taxon 0 and the all-gap
+		// taxon 3 stand in for one.
+		for _, pq := range [][2]likelihood.NodeRef{{p, q}, {q, p}, {likelihood.TipRef(0), likelihood.TipRef(3)}} {
+			run(func() { k.Evaluate(pq[0], pq[1], e.Length(0)) })
+			result()
+			run(func() { k.PrepareDerivatives(pq[0], pq[1]) })
+			for _, bl := range []float64{0.07, 0.4} {
+				run(func() { k.Derivatives(bl) })
+				result()
+			}
 		}
 		for s := 0; s < tr.NInner(); s++ {
 			out = append(out, k.CLVDigest(s))
 		}
 	}
 	for _, s := range traversal.ForEdge(tr, tr.Tip(0), 0, true) {
-		before()
-		k.Newview(s)
+		run(func() { k.Newview(s) })
 	}
 	plan, _ := traversal.BuildGradient(tr, nil)
 	for _, s := range plan.Pre[0] {
-		before()
-		k.NewviewOuter(s)
+		run(func() { k.NewviewOuter(s) })
 	}
 	for b, e := range plan.Edges {
-		before()
-		bits(k.BranchGradient(e.P, e.Q, plan.T[0][b]))
+		run(func() { k.BranchGradientCached(b, plan.NBranches(), e.P, e.Q, plan.T[0][b]) })
+		result()
+	}
+	for _, ins := range insertionPlans(t, tr) {
+		for _, s := range ins.Post[0] {
+			run(func() { k.Newview(s) })
+		}
+		run(func() { k.PrepareInsertion(ins.Sub, ins.SubT[0]) })
+		for c, s := range ins.Pre[0] {
+			run(func() { k.NewviewOuter(s) })
+			run(func() { k.ScoreInsertion(likelihood.GradOuter(s.Dst), ins.Far[c], ins.Half[0][c]) })
+			result()
+		}
 	}
 	return out
 }
@@ -132,10 +148,10 @@ func maskTrace(k likelihood.Now, tr *tree.Tree, before func()) []uint64 {
 // data-aware tip tables: a fill produces entries only for the states the
 // tip operand's own row contains, and no kernel reads any other entry.
 // Every table entry is poisoned with NaN before every kernel call; the
-// fast path must still match the generic path (SetFastPath(false)) in
-// every output bit — Γ and PSR, post-order and pre-order kernels — on
-// data holding all 15 states and an all-gap taxon, and on a one-pattern
-// slice of it.
+// tip workers must still give every output bit the inner-inner workers
+// give with each tip loaded into an inner slot (tipsAsInner) — Γ and PSR,
+// post-order, pre-order and insertion kernels — on data holding all 15
+// states and an all-gap taxon, and on a one-pattern slice of it.
 func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 	full := ambiguousPartition(45)
 	names := make([]string, len(full.Tips))
@@ -150,22 +166,13 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 	for _, pd := range []*msa.PartitionData{full, full.Slice(7, 8)} {
 		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 			label := fmt.Sprintf("%v/%d patterns", het, pd.NPatterns())
-			generic := maskKernel(t, pd, tr, het)
-			generic.SetFastPath(false)
-			want := maskTrace(generic, tr, func() {})
-
-			fast := maskKernel(t, pd, tr, het)
-			got := maskTrace(fast, tr, fast.PoisonTipTables)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s: output %d: fast path %x (%g) != generic %x", label, i, got[i], math.Float64frombits(got[i]), want[i])
-					break
-				}
-			}
+			f := maskFixture(t, pd, tr, het)
+			ref, fast := tipsAsInner(t, f), passThrough(f)
+			want := maskTrace(t, tr, ref, func() {})
+			got := maskTrace(t, tr, fast, fast.PoisonTipTables)
+			sameBits(t, label+": poisoned tip tables vs tips as inner operands", got, want)
+			checkTipReference(t, label, fast, ref)
 			fp := fast.FastPath()
-			if fp.NewviewTipTip == 0 || fp.NewviewTipInner == 0 || fp.EvaluateTip == 0 || fp.PrepareTip == 0 {
-				t.Errorf("%s: tip dispatch coverage: %+v", label, fp)
-			}
 			if het == model.Gamma {
 				if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
 					t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)

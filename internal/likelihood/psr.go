@@ -21,7 +21,7 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 	pb := k.probMatricesFor(tb)
 
 	var ra *runArgs
-	if k.fastOn && (oa.tips != nil || ob.tips != nil) {
+	if oa.tips != nil || ob.tips != nil {
 		if oa.tips != nil && ob.tips != nil {
 			k.fp.NewviewTipTip++
 		} else {
@@ -47,7 +47,7 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 func (k *Kernel) evaluatePSR(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
 	var ra *runArgs
-	if k.fastOn && oq.tips != nil {
+	if oq.tips != nil {
 		k.fp.EvaluateTip++
 		ra = k.stageReducing(opEvalPSRTip)
 		ra.tabB = k.tipTable(pm, oq.mask)

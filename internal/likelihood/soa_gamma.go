@@ -20,13 +20,14 @@ import (
 // an order-independent OR over the column. Loop order over independent
 // values is free; everything order-sensitive is pinned.
 //
-// Operand shapes that only occur with the tip fast path disabled
-// (SetFastPath(false), the generic reference of fastpath_test.go) take
-// site-major workers that load a site's column with strided reads
-// (soaColGamma) — the same expressions, just not stride-1.
+// One worker per operand shape: inner-inner, tip-inner, tip-tip. A tip
+// worker reads from a table (fastpath.go) the value the inner-inner
+// worker computes from the tip's 0/1 vector, so a tip and the same tip
+// loaded into an inner slot give the same bits (fastpath_test.go).
 
 // soaColGamma loads the (site i, category c) state column of a Γ CLV:
-// four strided reads, one per state plane.
+// four strided reads, one per state plane (the rare rescaled insertion
+// site, insertion.go).
 func soaColGamma(clv []float64, n, i, c int) [ns]float64 {
 	p := clv[(c*ns)*n:]
 	return [ns]float64{p[i], p[n+i], p[2*n+i], p[3*n+i]}
@@ -59,13 +60,8 @@ func scaleWindow(s []int32, lo, w int) []int32 {
 	return s[lo:][:w]
 }
 
-// newviewGammaSoABlock is the generic (inner-inner) worker of
-// newviewGamma; tip operands (fast path off) take the site-major worker.
+// newviewGammaSoABlock is the inner-inner worker of newviewGamma.
 func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
-	if oa.tips != nil || ob.tips != nil {
-		k.newviewGammaSoASiteBlock(dclv, dscale, oa, ob, pa, pb, lo, hi)
-		return
-	}
 	n := k.nPat
 	w := hi - lo
 	// noScale[j] records that site lo+j produced at least one entry at
@@ -143,57 +139,9 @@ func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []
 	}
 }
 
-// newviewGammaSoASiteBlock is the site-major generic worker for tip
-// operands without fast-path tables (SetFastPath(false)): one site at a
-// time with strided column loads and stores.
-func (k *Kernel) newviewGammaSoASiteBlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
-	n := k.nPat
-	for i := lo; i < hi; i++ {
-		var sc int32
-		if oa.scale != nil {
-			sc += oa.scale[i]
-		}
-		if ob.scale != nil {
-			sc += ob.scale[i]
-		}
-		needScale := true
-		for c := 0; c < gammaCats; c++ {
-			pca := &pa[c]
-			pcb := &pb[c]
-			var va, vb [ns]float64
-			if oa.tips != nil {
-				va = k.tipVec[oa.tips[i]]
-			} else {
-				va = soaColGamma(oa.clv, n, i, c)
-			}
-			if ob.tips != nil {
-				vb = k.tipVec[ob.tips[i]]
-			} else {
-				vb = soaColGamma(ob.clv, n, i, c)
-			}
-			for x := 0; x < ns; x++ {
-				la := pca[x*ns]*va[0] + pca[x*ns+1]*va[1] + pca[x*ns+2]*va[2] + pca[x*ns+3]*va[3]
-				lb := pcb[x*ns]*vb[0] + pcb[x*ns+1]*vb[1] + pcb[x*ns+2]*vb[2] + pcb[x*ns+3]*vb[3]
-				v := la * lb
-				dclv[(c*ns+x)*n+i] = v
-				if v >= ScaleThreshold || v != v {
-					needScale = false
-				}
-			}
-		}
-		if needScale {
-			for p := 0; p < gammaCats*ns; p++ {
-				dclv[p*n+i] *= ScaleFactor
-			}
-			sc++
-		}
-		dscale[i] = sc
-	}
-}
-
 // newviewGammaTipInnerSoABlock is the mixed worker: the tip side
 // gathers from the precomputed P·tipVec table, the inner side streams
-// its planes; each value is the generic worker's la·lb product with the
+// its planes; each value is the inner-inner worker's product with the
 // tip factor read from the table, in the same a·b order.
 func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
@@ -254,7 +202,7 @@ func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa
 // newviewGammaTipTipSoABlock materializes the pair-product table into
 // the destination planes: pure element moves of table entries
 // (scaling already applied) — zero per-site arithmetic, bit-identical to
-// the generic worker by the fillPairTable construction.
+// the inner-inner worker by the fillPairTable construction.
 func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, ob operand, pair []float64, psc *[256]int32, lo, hi int) {
 	tipsA, tipsB := oa.tips, ob.tips
 	n := k.nPat
@@ -276,18 +224,10 @@ func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, 
 	}
 }
 
-// evaluateGammaSoABlock is the generic Evaluate worker: per-site
-// likelihoods accumulate in a per-site array in ascending (category,
-// state) term order. The q-tip shape only occurs with the fast path
-// off; it takes the site-major evaluateGammaSiteLnl.
+// evaluateGammaSoABlock is the Evaluate worker for an inner far operand
+// (the near one may be a tip): per-site likelihoods accumulate in a
+// per-site array in ascending (category, state) term order.
 func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, catW float64, lo, hi int) float64 {
-	if oq.tips != nil {
-		total := 0.0
-		for i := lo; i < hi; i++ {
-			total += float64(k.data.Weights[i]) * k.evaluateGammaSiteLnl(op, oq, pm, catW, i)
-		}
-		return total
-	}
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
@@ -332,44 +272,10 @@ func (k *Kernel) sumSiteLnl(site []float64, sp, sq []int32, lo int) float64 {
 	return total
 }
 
-// evaluateGammaSiteLnl is one site of the generic Γ evaluation, loaded
-// with strided column reads: the log likelihood of site i before the
-// pattern-weight multiply.
-func (k *Kernel) evaluateGammaSiteLnl(op, oq operand, pm [][ns * ns]float64, catW float64, i int) float64 {
-	freqs := &k.par.Freqs
-	site := 0.0
-	for c := 0; c < gammaCats; c++ {
-		pc := &pm[c]
-		var vp, vq [ns]float64
-		if op.tips != nil {
-			vp = k.tipVec[op.tips[i]]
-		} else {
-			vp = soaColGamma(op.clv, k.nPat, i, c)
-		}
-		if oq.tips != nil {
-			vq = k.tipVec[oq.tips[i]]
-		} else {
-			vq = soaColGamma(oq.clv, k.nPat, i, c)
-		}
-		for x := 0; x < ns; x++ {
-			right := pc[x*ns]*vq[0] + pc[x*ns+1]*vq[1] + pc[x*ns+2]*vq[2] + pc[x*ns+3]*vq[3]
-			site += freqs[x] * vp[x] * right * catW
-		}
-	}
-	var sc int32
-	if op.scale != nil {
-		sc += op.scale[i]
-	}
-	if oq.scale != nil {
-		sc += oq.scale[i]
-	}
-	return math.Log(site) + float64(sc)*LogScaleStep
-}
-
 // evaluateGammaTipSoABlock is the q-tip Evaluate worker: the per-site
 // P·tipVec dot product becomes a table read whose entries were computed
-// by the generic expression. A tip-tip root edge reads no CLV at all
-// and takes evaluateGammaTipBlock.
+// by evaluateGammaSoABlock's `right` expression. A tip-tip root edge
+// reads no CLV at all and takes evaluateGammaTipBlock.
 func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
 	if op.tips != nil {
 		return k.evaluateGammaTipBlock(op, oq, tab, catW, lo, hi)
@@ -393,16 +299,12 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), zeroScales[:w], lo)
 }
 
-// prepareGammaSoABlock is the generic sum-table fill. Sum-table entries
-// are mutually independent (the order-sensitive consumption happens in
-// derivativesGammaBlock), so the plane-major loop order is free. The
-// table itself is pattern-major ([pattern][category][eig]): the
-// derivative worker consumes it sequentially per site.
+// prepareGammaSoABlock is the inner-inner sum-table fill. Sum-table
+// entries are mutually independent (the order-sensitive consumption
+// happens in derivativesGammaBlock), so the plane-major loop order is
+// free. The table itself is pattern-major ([pattern][category][eig]):
+// the derivative worker consumes it sequentially per site.
 func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, lo, hi int) {
-	if op.tips != nil || oq.tips != nil {
-		k.prepareGammaSoASiteBlock(st, op, oq, lo, hi)
-		return
-	}
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
@@ -423,42 +325,11 @@ func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, lo, hi int) 
 	}
 }
 
-// prepareGammaSoASiteBlock is the site-major generic worker for tip
-// operands without prep tables (SetFastPath(false)).
-func (k *Kernel) prepareGammaSoASiteBlock(st []float64, op, oq operand, lo, hi int) {
-	e := k.par.Eigen
-	freqs := &k.par.Freqs
-	n := k.nPat
-	for i := lo; i < hi; i++ {
-		for c := 0; c < gammaCats; c++ {
-			var vp, vq [ns]float64
-			if op.tips != nil {
-				vp = k.tipVec[op.tips[i]]
-			} else {
-				vp = soaColGamma(op.clv, n, i, c)
-			}
-			if oq.tips != nil {
-				vq = k.tipVec[oq.tips[i]]
-			} else {
-				vq = soaColGamma(oq.clv, n, i, c)
-			}
-			off := (i*gammaCats + c) * ns
-			for kk := 0; kk < ns; kk++ {
-				ap := freqs[0]*vp[0]*e.U[0*ns+kk] + freqs[1]*vp[1]*e.U[1*ns+kk] +
-					freqs[2]*vp[2]*e.U[2*ns+kk] + freqs[3]*vp[3]*e.U[3*ns+kk]
-				bq := e.UInv[kk*ns]*vq[0] + e.UInv[kk*ns+1]*vq[1] +
-					e.UInv[kk*ns+2]*vq[2] + e.UInv[kk*ns+3]*vq[3]
-				st[off+kk] = ap * bq
-			}
-		}
-	}
-}
-
 // prepareGammaFastSoABlock is the tip-specialized sum-table fill: per
 // (category, eigen) plane, the tip side gathers its prep-table entries
-// (computed by the generic expression) and the inner side streams its
-// planes into per-site scratch, then the ap·bq products land in the
-// pattern-major sum table.
+// (computed by prepareGammaSoABlock's expression) and the inner side
+// streams its planes into per-site scratch, then the ap·bq products land
+// in the pattern-major sum table.
 func (k *Kernel) prepareGammaFastSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs

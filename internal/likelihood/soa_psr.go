@@ -13,7 +13,7 @@ import (
 // matrix row to hoist per plane; the workers instead walk sites once
 // while reading/writing four stride-1 state streams in parallel, with
 // the 4-state cell unrolled into straight-line code. Tip-specialized and
-// generic workers compute a site's value by the same expression; see
+// inner-inner workers compute a site's value by the same expression; see
 // soa_gamma.go for the expression-order rules.
 
 // psrPlanes returns the block windows (soa_gamma.go) of a PSR operand's
@@ -45,32 +45,22 @@ func tipWindow(o operand, lo, w int) []msa.State {
 	return tips[lo:][:w]
 }
 
-// newviewPSRSoABlock is the generic worker of newviewPSR.
+// newviewPSRSoABlock is the inner-inner worker of newviewPSR.
 func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	w := hi - lo
 	cats := k.par.SiteCats[lo:][:w]
 	e0, e1, e2, e3 := planes(dclv, 0, n, lo, w)
-	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
-	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
-	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
+	a0, a1, a2, a3 := planes(oa.clv, 0, n, lo, w)
+	b0, b1, b2, b3 := planes(ob.clv, 0, n, lo, w)
 	sa, sb := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w)
 	ds := dscale[lo:][:w]
 	for j := range cats {
 		sc := sa[j] + sb[j]
 		pca := &pa[cats[j]]
 		pcb := &pb[cats[j]]
-		var va, vb [ns]float64
-		if oa.tips != nil {
-			va = k.tipVec[tipsA[j]]
-		} else {
-			va = [ns]float64{a0[j], a1[j], a2[j], a3[j]}
-		}
-		if ob.tips != nil {
-			vb = k.tipVec[tipsB[j]]
-		} else {
-			vb = [ns]float64{b0[j], b1[j], b2[j], b3[j]}
-		}
+		va := [ns]float64{a0[j], a1[j], a2[j], a3[j]}
+		vb := [ns]float64{b0[j], b1[j], b2[j], b3[j]}
 		la0 := pca[0]*va[0] + pca[1]*va[1] + pca[2]*va[2] + pca[3]*va[3]
 		lb0 := pcb[0]*vb[0] + pcb[1]*vb[1] + pcb[2]*vb[2] + pcb[3]*vb[3]
 		v0 := la0 * lb0
@@ -158,32 +148,29 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 	}
 }
 
-// evaluatePSRSoABlock is the generic Evaluate worker; the per-site sum
-// accumulates its four terms in ascending-state order.
+// evaluatePSRSoABlock is the Evaluate worker for an inner far operand
+// (the near one may be a tip); the per-site sum accumulates its four
+// terms in ascending-state order.
 func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, hi int) float64 {
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
 	cats := k.par.SiteCats[lo:][:w]
 	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
-	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
-	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
+	q0, q1, q2, q3 := planes(oq.clv, 0, n, lo, w)
+	tipsP := tipWindow(op, lo, w)
 	sp, sq := scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w)
 	weights := k.data.Weights[lo:][:w]
 	total := 0.0
 	for j := range cats {
 		pc := &pm[cats[j]]
-		var vp, vq [ns]float64
+		var vp [ns]float64
 		if op.tips != nil {
 			vp = k.tipVec[tipsP[j]]
 		} else {
 			vp = [ns]float64{p0[j], p1[j], p2[j], p3[j]}
 		}
-		if oq.tips != nil {
-			vq = k.tipVec[tipsQ[j]]
-		} else {
-			vq = [ns]float64{q0[j], q1[j], q2[j], q3[j]}
-		}
+		vq := [ns]float64{q0[j], q1[j], q2[j], q3[j]}
 		right0 := pc[0]*vq[0] + pc[1]*vq[1] + pc[2]*vq[2] + pc[3]*vq[3]
 		right1 := pc[4]*vq[0] + pc[5]*vq[1] + pc[6]*vq[2] + pc[7]*vq[3]
 		right2 := pc[8]*vq[0] + pc[9]*vq[1] + pc[10]*vq[2] + pc[11]*vq[3]
@@ -227,28 +214,17 @@ func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi in
 	return total
 }
 
-// preparePSRSoABlock is the generic sum-table fill (tip operands occur
-// here only with the fast path off).
+// preparePSRSoABlock is the inner-inner sum-table fill.
 func (k *Kernel) preparePSRSoABlock(st []float64, op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
-	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
-	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
-	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
+	p0, p1, p2, p3 := planes(op.clv, 0, n, lo, w)
+	q0, q1, q2, q3 := planes(oq.clv, 0, n, lo, w)
 	for j := range p0 {
-		var vp, vq [ns]float64
-		if op.tips != nil {
-			vp = k.tipVec[tipsP[j]]
-		} else {
-			vp = [ns]float64{p0[j], p1[j], p2[j], p3[j]}
-		}
-		if oq.tips != nil {
-			vq = k.tipVec[tipsQ[j]]
-		} else {
-			vq = [ns]float64{q0[j], q1[j], q2[j], q3[j]}
-		}
+		vp := [ns]float64{p0[j], p1[j], p2[j], p3[j]}
+		vq := [ns]float64{q0[j], q1[j], q2[j], q3[j]}
 		off := (lo + j) * ns
 		for kk := 0; kk < ns; kk++ {
 			ap := freqs[0]*vp[0]*e.U[0*ns+kk] + freqs[1]*vp[1]*e.U[1*ns+kk] +
@@ -261,8 +237,8 @@ func (k *Kernel) preparePSRSoABlock(st []float64, op, oq operand, lo, hi int) {
 }
 
 // preparePSRFastSoABlock is the tip-specialized sum-table fill: a tip
-// side reads its prep table (entries computed by the generic
-// expression), an inner side evaluates the generic expression in place;
+// side reads its prep table (entries computed by preparePSRSoABlock's
+// expression), an inner side evaluates that expression in place;
 // the final ap·bq product order is unchanged, so the sum table bits
 // match.
 func (k *Kernel) preparePSRFastSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {

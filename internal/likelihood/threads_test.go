@@ -1,6 +1,7 @@
 package likelihood_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/threadpool"
 	"repro/internal/traversal"
+	"repro/internal/tree"
 )
 
 // threadedFixture rebuilds the same deterministic fixture and attaches a
@@ -27,44 +29,17 @@ func threadedFixture(t *testing.T, het model.Heterogeneity, threads int) (*fixtu
 	return f, p
 }
 
-// kernelTrace runs a fixed sequence of Newview/Evaluate/Derivatives calls
-// and captures every bit of observable kernel output: the log likelihood,
-// the derivative pair at several branch lengths, and the digest of every
-// inner CLV slot.
-type kernelTrace struct {
-	lnL     uint64
-	derivs  [6]uint64
-	digests []uint64
-}
-
-func traceKernel(f *fixture) kernelTrace {
-	var tr kernelTrace
-	p := f.tree.Tip(0)
-	tr.lnL = math.Float64bits(f.evalAt(p))
-	pRef := traversal.Ref(f.tree, p)
-	qRef := traversal.Ref(f.tree, p.Back)
-	f.kern.PrepareDerivatives(pRef, qRef)
-	for i, t0 := range []float64{0.05, 0.2, 0.7} {
-		d1, d2 := f.kern.Derivatives(t0)
-		tr.derivs[2*i] = math.Float64bits(d1)
-		tr.derivs[2*i+1] = math.Float64bits(d2)
-	}
-	for s := 0; s < f.tree.NInner(); s++ {
-		tr.digests = append(tr.digests, f.kern.CLVDigest(s))
-	}
-	return tr
-}
-
-// programTrace stages, one engine call's worth at a time, every kind of
-// program a kernel runs — a traversal with its evaluation; a sum table
+// programTrace stages on k, one engine call's worth at a time, every kind
+// of program a kernel runs — a traversal with its evaluation; a sum table
 // with two derivative evaluations, and a third in a program of its own;
-// the pre-order pass with the contracting gradient of every edge; the
-// reuse gradient of every edge; one prune point's insertion plan — hands
-// each to flush, and returns every output bit: the results in staging
-// order and the digest of every inner CLV slot.
-func programTrace(t *testing.T, f *fixture, flush func(*likelihood.Kernel)) []uint64 {
+// evaluations and sum tables with a tip on the far side and on both
+// sides; the pre-order pass with the contracting gradient of every edge;
+// the reuse gradient of every edge; the insertion plans of two prune
+// points, one of them a tip — hands each to flush, and returns every
+// output bit: the results in staging order and the digest of every inner
+// CLV slot of tr.
+func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.Kernel)) []uint64 {
 	t.Helper()
-	k := f.kern.Kernel
 	var out []uint64
 	lnL := func(n int) {
 		for i := 0; i < n; i++ {
@@ -78,54 +53,94 @@ func programTrace(t *testing.T, f *fixture, flush func(*likelihood.Kernel)) []ui
 		}
 	}
 
-	p := f.tree.Tip(0)
-	pRef, qRef := traversal.Ref(f.tree, p), traversal.Ref(f.tree, p.Back)
-	k.Traverse(traversal.ForEdge(f.tree, p, 0, true))
+	p := tr.Tip(0)
+	pRef, qRef := traversal.Ref(tr, p), traversal.Ref(tr, p.Back)
+	k.Traverse(traversal.ForEdge(tr, p, 0, true))
 	k.Evaluate(pRef, qRef, p.Length(0))
-	flush(k)
+	flush(k.Kernel)
 	lnL(1)
-	for s := 0; s < f.tree.NInner(); s++ {
+	for s := 0; s < tr.NInner(); s++ {
 		out = append(out, k.CLVDigest(s))
 	}
 
 	k.PrepareDerivatives(pRef, qRef)
 	k.Derivatives(0.05)
 	k.Derivatives(0.2)
-	flush(k)
+	flush(k.Kernel)
 	grads(2)
 	k.Derivatives(0.7)
-	flush(k)
+	flush(k.Kernel)
 	grads(1)
 
-	plan, _ := traversal.BuildGradient(f.tree, nil)
+	// No edge of a tree joins two tips, but the kernel takes such a pair.
+	for _, pq := range [][2]likelihood.NodeRef{{qRef, pRef}, {likelihood.TipRef(1), likelihood.TipRef(2)}} {
+		k.Evaluate(pq[0], pq[1], 0.3)
+		k.PrepareDerivatives(pq[0], pq[1])
+		k.Derivatives(0.3)
+	}
+	flush(k.Kernel)
+	grads(4)
+
+	plan, _ := traversal.BuildGradient(tr, nil)
 	k.TraverseOuter(plan.Pre[0])
 	for b, e := range plan.Edges {
 		k.BranchGradientCached(b, plan.NBranches(), e.P, e.Q, plan.T[0][b])
 	}
-	flush(k)
+	flush(k.Kernel)
 	grads(plan.NBranches())
 	for b := range plan.Edges {
 		k.BranchGradientReuse(b, 1.5*plan.T[0][b])
 	}
-	flush(k)
+	flush(k.Kernel)
 	grads(plan.NBranches())
 
-	pruned := f.tree.Clone()
-	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
-	if err != nil {
-		t.Fatal(err)
+	for _, ins := range insertionPlans(t, tr) {
+		k.Traverse(ins.Post[0])
+		k.PrepareInsertion(ins.Sub, ins.SubT[0])
+		for c, step := range ins.Pre[0] {
+			k.NewviewOuter(step)
+			k.ScoreInsertion(likelihood.GradOuter(step.Dst), ins.Far[c], ins.Half[0][c])
+		}
+		flush(k.Kernel)
+		lnL(ins.NCandidates())
 	}
-	var ins traversal.InsertPlan
-	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
-	k.Traverse(ins.Post[0])
-	k.PrepareInsertion(ins.Sub, ins.SubT[0])
-	for c, step := range ins.Pre[0] {
-		k.NewviewOuter(step)
-		k.ScoreInsertion(likelihood.GradOuter(step.Dst), ins.Far[c], ins.Half[0][c])
-	}
-	flush(k)
-	lnL(ins.NCandidates())
 	return out
+}
+
+// insertionPlans returns the insertion plans of two prune points of tr,
+// each on a clone of its own: the one that prunes tip 0, and its
+// neighbour's.
+func insertionPlans(t *testing.T, tr *tree.Tree) []*traversal.InsertPlan {
+	t.Helper()
+	var plans []*traversal.InsertPlan
+	for _, at := range []func(*tree.Tree) *tree.Node{
+		func(c *tree.Tree) *tree.Node { return c.Tip(0).Back },
+		func(c *tree.Tree) *tree.Node { return c.Tip(0).Back.Next },
+	} {
+		pruned := tr.Clone()
+		ps, err := pruned.Prune(at(pruned))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins := new(traversal.InsertPlan)
+		ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+		plans = append(plans, ins)
+	}
+	return plans
+}
+
+// sameBits reports the first output where got and want differ.
+func sameBits(t *testing.T, label string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: output %d: %x (%g), want %x (%g)", label, i, got[i], math.Float64frombits(got[i]), want[i], math.Float64frombits(want[i]))
+			return
+		}
+	}
 }
 
 // TestThreadedKernelsBitIdentical is the §V determinism contract at the
@@ -138,19 +153,12 @@ func programTrace(t *testing.T, f *fixture, flush func(*likelihood.Kernel)) []ui
 func TestThreadedKernelsBitIdentical(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		oracle, _ := threadedFixture(t, het, 0)
-		want := programTrace(t, oracle, (*likelihood.Kernel).FlushOpMajor)
+		want := programTrace(t, oracle.tree, passThrough(oracle), (*likelihood.Kernel).FlushOpMajor)
 		for _, threads := range []int{0, 1, 2, 3, 4} {
 			f, pool := threadedFixture(t, het, threads)
-			got := programTrace(t, f, func(k *likelihood.Kernel) { k.Flush(pool) })
+			got := programTrace(t, f.tree, passThrough(f), func(k *likelihood.Kernel) { k.Flush(pool) })
 			pool.Close()
-			if len(got) != len(want) {
-				t.Fatalf("%v T=%d: %d outputs block-major, %d op-major", het, threads, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%v T=%d: output %d: block-major %x, op-major %x", het, threads, i, got[i], want[i])
-				}
-			}
+			sameBits(t, fmt.Sprintf("%v T=%d: block-major vs op-major", het, threads), got, want)
 		}
 	}
 }
@@ -195,7 +203,8 @@ func TestSharedArenaChangesNoBit(t *testing.T) {
 		var fs []*fixture
 		var want [][]uint64
 		for seed := int64(7); seed <= 8; seed++ {
-			want = append(want, programTrace(t, makeFixture(t, 12, 2000, het, seed), flush))
+			own := makeFixture(t, 12, 2000, het, seed)
+			want = append(want, programTrace(t, own.tree, passThrough(own), flush))
 			f := makeFixture(t, 12, 2000, het, seed)
 			f.kern.ShareArena(&arena)
 			fs = append(fs, f)
@@ -203,12 +212,8 @@ func TestSharedArenaChangesNoBit(t *testing.T) {
 
 		held := 0
 		for n, f := range fs {
-			got := programTrace(t, f, flush)
-			for i := range want[n] {
-				if got[i] != want[n][i] {
-					t.Errorf("%v kernel %d: output %d: shared arena %x, own arena %x", het, n, i, got[i], want[n][i])
-				}
-			}
+			got := programTrace(t, f.tree, passThrough(f), flush)
+			sameBits(t, fmt.Sprintf("%v kernel %d: shared arena vs own arena", het, n), got, want[n])
 			if n == 0 {
 				held = arena.Cap()
 			}

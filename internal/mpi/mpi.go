@@ -9,9 +9,10 @@
 //  1. Determinism. Reduce applies operands in a fixed tree order and
 //     Allreduce is Reduce-to-root followed by Bcast, so every rank receives
 //     bit-identical results — the property §III-B of the paper requires so
-//     the de-centralized replicas never diverge. A deliberately
-//     non-deterministic AllreduceUnordered is provided for the ablation
-//     that shows why this matters.
+//     the de-centralized replicas never diverge
+//     (TestAllreduceIdenticalEverywhere; at the run level,
+//     internal/enginecore's TestEpilogueOnEveryRank fails every rank on a
+//     one-bit lnL difference).
 //
 //  2. Metering. Every collective is tagged with a CommClass and metered
 //     (operation count + payload bytes, counted once per logical collective
@@ -392,49 +393,6 @@ func (c *Comm) Allreduce(data []float64, op Op, class CommClass) []float64 {
 	var out Message
 	c.bcastTree(seq, 0, Message{Seq: seq, F64: red}, &out)
 	return out.F64
-}
-
-// AllreduceUnordered is the ablation variant: an allgather followed by a
-// *rank-rotated* local summation — the naive small-message algorithm some
-// MPI implementations use. Every rank associates the addends in a
-// different order, so for floating-point sums different ranks can (and
-// do) observe different last-bit results. This is exactly the failure
-// mode the paper's §III-B consistency requirement guards against: replica
-// state would silently diverge. Do not use outside the ablation.
-func (c *Comm) AllreduceUnordered(data []float64, op Op, class CommClass) []float64 {
-	t := c.rec.BeginCollective()
-	defer c.rec.EndCollective(int(class), t)
-	seq := c.nextSeq()
-	if c.rank == 0 {
-		c.meter.addOp(class, 8*len(data))
-	}
-	size := c.size
-	if size == 1 {
-		return append([]float64(nil), data...)
-	}
-	// Allgather: everyone sends to everyone (naive exchange).
-	for to := 0; to < size; to++ {
-		if to != c.rank {
-			c.send(to, Message{Seq: seq, F64: data})
-		}
-	}
-	all := make([][]float64, size)
-	all[c.rank] = data
-	for from := 0; from < size; from++ {
-		if from != c.rank {
-			all[from] = c.recv(from, seq).F64
-		}
-	}
-	// Local sum starting at this rank's own contribution: the
-	// association order differs per rank.
-	acc := append([]float64(nil), all[c.rank]...)
-	for k := 1; k < size; k++ {
-		src := all[(c.rank+k)%size]
-		for i := range acc {
-			acc[i] = op.apply(acc[i], src[i])
-		}
-	}
-	return acc
 }
 
 // Gatherv gathers variable-length contributions at root; root receives

@@ -280,61 +280,3 @@ func TestWorldValidation(t *testing.T) {
 	}()
 	NewWorld(0)
 }
-
-func TestAllreduceUnorderedStillSums(t *testing.T) {
-	// The ablation variant must still compute a correct sum (up to
-	// floating point), it just loses cross-rank bit-consistency.
-	for _, size := range []int{2, 3, 5, 8} {
-		w := NewWorld(size)
-		var mu sync.Mutex
-		outs := make([][]float64, size)
-		w.Run(func(c *Comm) {
-			res := c.AllreduceUnordered([]float64{float64(c.Rank() + 1)}, OpSum, ClassLikelihoodEval)
-			mu.Lock()
-			outs[c.Rank()] = res
-			mu.Unlock()
-		})
-		want := float64(size*(size+1)) / 2
-		for r := 0; r < size; r++ {
-			if math.Abs(outs[r][0]-want) > 1e-9 {
-				t.Fatalf("size=%d rank=%d: %v, want %g", size, r, outs[r], want)
-			}
-		}
-	}
-}
-
-func TestAllreduceUnorderedDiverges(t *testing.T) {
-	// The ablation variant must actually exhibit the failure mode the
-	// deterministic Allreduce prevents: with wildly varying magnitudes,
-	// rank-rotated association produces cross-rank bit differences.
-	const ranks = 8
-	rng := rand.New(rand.NewSource(99))
-	inputs := make([][]float64, ranks)
-	for r := range inputs {
-		vec := make([]float64, 512)
-		for i := range vec {
-			vec[i] = rng.NormFloat64() * math.Exp(float64(rng.Intn(40)-20))
-		}
-		inputs[r] = vec
-	}
-	w := NewWorld(ranks)
-	outs := make([][]float64, ranks)
-	var mu sync.Mutex
-	w.Run(func(c *Comm) {
-		res := c.AllreduceUnordered(inputs[c.Rank()], OpSum, ClassLikelihoodEval)
-		mu.Lock()
-		outs[c.Rank()] = res
-		mu.Unlock()
-	})
-	diverged := false
-	for r := 1; r < ranks; r++ {
-		for i := range outs[0] {
-			if math.Float64bits(outs[r][i]) != math.Float64bits(outs[0][i]) {
-				diverged = true
-			}
-		}
-	}
-	if !diverged {
-		t.Error("naive allreduce unexpectedly produced identical bits on all ranks; the ablation has no teeth")
-	}
-}
