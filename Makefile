@@ -43,8 +43,13 @@ fmt:
 		exit 1; \
 	fi
 
+# vet runs twice: natively (on amd64 that includes asmdecl over the
+# likelihood package's AVX2 routines) and for arm64, where the same
+# package builds without them (lanes_other.go), so the portable path
+# keeps compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -119,8 +124,9 @@ bench-e2e-smoke:
 # the machine: it repeats exactly under GOTOOLCHAIN=local (go1.24), so
 # like the two counts above it can gate.
 # A new check inside a site loop shows as a count above the gate; the
-# listing per file says where to look.
-KERNEL_BCE_MAX = 266
+# listing per file says where to look. The Go loops that continue after
+# the vector lanes (lanes.go) start at the lane count and stay check-free.
+KERNEL_BCE_MAX = 265
 KERNEL_BCE_FILES = soa_gamma.go soa_psr.go insertion.go gamma.go psr.go
 kernel-bce:
 	@out=$$(GOTOOLCHAIN=local $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/likelihood 2>&1 | grep ': Found Is' || true); \

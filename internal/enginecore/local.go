@@ -200,6 +200,8 @@ func (l *Local) Close() {
 			perf.TipTableEntries += s.TipTableEntries
 			perf.SiteRateTableEvals += s.SiteRateTableEvals
 			perf.SiteRateExactEvals += s.SiteRateExactEvals
+			perf.GammaSites += s.GammaSites
+			perf.LaneSites += s.LaneSites
 		}
 		l.rec.SetKernelPerf(perf)
 		l.rec = nil
@@ -336,6 +338,19 @@ func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 		l.staged(i)
 	}
 	l.flush(t)
+}
+
+// AdmitDerivatives is the check a receiver of derivative frames it did
+// not order (a fork-join worker) makes before evaluating one: every
+// kernel must hold the sum table of a PrepareLocal with no traversal
+// since.
+func (l *Local) AdmitDerivatives() error {
+	for i, k := range l.Kernels {
+		if !k.Prepared() {
+			return fmt.Errorf("enginecore: partition %d has no prepared sum table to evaluate derivatives from", l.PartIdx[i])
+		}
+	}
+	return nil
 }
 
 // DerivativesLocal returns the local per-class derivative sums packed as

@@ -209,10 +209,43 @@ func TestWorkerRefusesDescriptorForAnotherRun(t *testing.T) {
 	tr := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
 	otherMask := pad(traversal.Build(tr, tr.Tip(0), true))
 	otherMask.Active = []bool{true, false, true}
-	for what, desc := range map[string]*traversal.Descriptor{"a 20-taxon tree": otherTreeDesc, "3 partitions": otherMask} {
+	long := pad(traversal.Build(tr, tr.Tip(0), true))
+	for c := range long.Steps {
+		long.Steps[c] = append(long.Steps[c], long.Steps[c][0])
+	}
+	for what, desc := range map[string]*traversal.Descriptor{"a 20-taxon tree": otherTreeDesc, "3 partitions": otherMask, "more steps than inner vertices": long} {
 		if err := refusalWorker(t, opEvaluate, desc.Encode()); err == nil {
 			t.Errorf("worker on 8 taxa and 2 partitions executed a descriptor for %s", what)
 		}
+	}
+}
+
+// TestWorkerRefusesDerivativesWithoutSumTables: an opDerivatives frame
+// evaluates the sum tables the last opPrepareBranch built. A worker that
+// has built none, or has traversed since, ends its loop with an error
+// naming the opcode instead of reading a sum table it does not hold.
+func TestWorkerRefusesDerivativesWithoutSumTables(t *testing.T) {
+	tr := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
+	desc := traversal.Build(tr, tr.Tip(0), true)
+	desc.T = append(desc.T, desc.T[0])
+	desc.Steps = append(desc.Steps, desc.Steps[0])
+	send := func(master *mpi.Comm, op byte) {
+		master.BcastBytes(0, []byte{op}, mpi.ClassControl)
+		master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
+		master.Barrier(mpi.ClassControl)
+	}
+	for what, before := range map[string][]byte{"no sum table": nil, "a traversal since": {opPrepareBranch, opTraverse}} {
+		t.Run(what, func(t *testing.T) {
+			master, done := startWorker(t, model.Gamma)
+			for _, op := range before {
+				send(master, op)
+			}
+			master.BcastBytes(0, []byte{opDerivatives}, mpi.ClassControl)
+			master.Bcast(0, []float64{0.1, 0.1}, mpi.ClassBranchLength)
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "opDerivatives") {
+				t.Fatalf("worker ended with %v, want an error naming opDerivatives", err)
+			}
+		})
 	}
 }
 

@@ -398,6 +398,9 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			if len(ts) != local.NPart {
 				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame of %d branch lengths, expected %d", comm.Rank(), len(ts), local.NPart)
 			}
+			if err := local.AdmitDerivatives(); err != nil {
+				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame: %w", comm.Rank(), err)
+			}
 			comm.Reduce(0, local.DerivativesPerPartition(ts), mpi.OpSum, mpi.ClassBranchLength)
 
 		case opSetShared:

@@ -129,16 +129,19 @@ func b2i(b bool) int {
 
 // exponentials gives ra the per-category e^{λ_k r_c t} and λ·r factors of
 // a derivative evaluation at branch length t, from the program's arena.
+// The stationary eigenvalue is exactly 0 (model.Eigen), so its factors are
+// 0 and 1 at every positive rate and finite t.
 func (k *Kernel) exponentials(ra *runArgs, t float64) {
 	e := k.par.Eigen
 	nc := len(k.par.CatRates)
 	ex, lam := k.mem.exLam.take(nc), k.mem.exLam.take(nc)
 	for c, r := range k.par.CatRates {
-		for kk := 0; kk < ns; kk++ {
+		for kk := 0; kk < ns-1; kk++ {
 			l := e.Vals[kk] * r
 			lam[c][kk] = l
 			ex[c][kk] = math.Exp(l * t)
 		}
+		lam[c][ns-1], ex[c][ns-1] = 0, 1
 	}
 	if k.par.Het == model.Gamma {
 		ra.exG, ra.lamG, ra.catW = (*[gammaCats][ns]float64)(ex), (*[gammaCats][ns]float64)(lam), k.par.CatWeight()
@@ -149,13 +152,22 @@ func (k *Kernel) exponentials(ra *runArgs, t float64) {
 
 // Derivatives stages (d lnL/dt, d² lnL/dt²) at branch length t for the
 // edge prepared by PrepareDerivatives, summed over local patterns; the
-// pair is the finished program's next result (Gradient).
+// pair is the finished program's next result (Gradient). Stage it only
+// while Prepared.
 func (k *Kernel) Derivatives(t float64) {
 	if !k.prepared {
+		// Unreachable from input: the search stages it only in updateBranch,
+		// after PrepareBranch, and a fork-join worker admits the frame only
+		// while every kernel is Prepared (enginecore.Local.AdmitDerivatives).
 		panic("likelihood: Derivatives called before PrepareDerivatives")
 	}
 	k.derivatives(k.sumTab, t)
 }
+
+// Prepared reports whether the kernel's sum table is that of its last
+// PrepareDerivatives, no Newview having been staged since: whether
+// Derivatives may be staged.
+func (k *Kernel) Prepared() bool { return k.prepared }
 
 // derivatives stages a derivative evaluation at branch length t from sum
 // table st. Per-block (d1, d2) partials combine in block-index order.

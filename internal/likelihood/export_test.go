@@ -132,6 +132,18 @@ func (k *Kernel) LoadTipAsInner(slot, taxon int) {
 	clear(scale)
 }
 
+// HasLanes reports whether this CPU runs the vector lanes of the Γ
+// workers (lanes.go).
+func HasLanes() bool { return haveLanes }
+
+// SetLanes turns the vector lanes on (where the CPU has them) or off and
+// returns whether they were on. Call it between programs.
+func SetLanes(on bool) (was bool) {
+	was = laneMask != 0
+	laneMask = laneMaskFor(on)
+	return was
+}
+
 // Cap returns the number of table doubles the arena holds.
 func (a *ProgramArena) Cap() int { return cap(a.tabs.chunk) }
 

@@ -63,6 +63,11 @@ type FastPathStats struct {
 	// and those that built them for an off-grid rate
 	// (EvaluateSiteAtRate) — what the PSR rate scan costs per site.
 	SiteRateTableEvals, SiteRateExactEvals int64
+	// GammaSites counts the sites of the Γ Newview, evaluation and
+	// insertion-score operations staged, one per site and operation;
+	// LaneSites those of them the operations compute in vector lanes
+	// (lanes.go) — 0 on a CPU without AVX2.
+	GammaSites, LaneSites int64
 }
 
 // FastOps returns the number of kernel calls that took a specialized

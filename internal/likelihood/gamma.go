@@ -30,6 +30,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 	var ra *runArgs
 	if oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
+		k.countGammaSites(false)
 		ra = k.stage(opNvGammaTipTip)
 		tabA, tabB := k.tipTable(pa, oa.mask), k.tipTable(pb, ob.mask)
 		ra.pair = k.mem.tabs.take(gammaCats * 16 * 16 * ns)
@@ -37,6 +38,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		k.fillPairTable(ra.pair, ra.pairScale, tabA, tabB, gammaCats, oa.mask, ob.mask)
 	} else if oa.tips != nil || ob.tips != nil {
 		k.fp.NewviewTipInner++
+		k.countGammaSites(true)
 		ra = k.stage(opNvGammaTipInner)
 		if oa.tips != nil {
 			ra.tabA = k.tipTable(pa, oa.mask)
@@ -46,6 +48,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		}
 	} else {
 		k.fp.NewviewInner++
+		k.countGammaSites(true)
 		ra = k.stage(opNvGammaInner)
 	}
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
@@ -62,6 +65,8 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 // by oq being a tip.
 func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
+	// Only a tip-tip root edge has no lanes (evaluateGammaTipBlock).
+	k.countGammaSites(op.tips == nil || oq.tips == nil)
 	var ra *runArgs
 	if oq.tips != nil {
 		k.fp.EvaluateTip++

@@ -31,6 +31,9 @@ import (
 // (TestInsertionScoreBitIdentical). π is deliberately not folded into
 // the table: evaluation associates ((π·v)·right)·catW, and a table of
 // π·right would associate (v·(π·right))·catW — a different last bit.
+// The Γ score workers' site loops start in vector lanes like the Newview
+// and evaluation workers' (lanes.go); the PSR ones pick a matrix per site
+// and stay scalar.
 
 // PrepareInsertion stages the fill of the insertion table for the pruned
 // subtree's vector sub hanging on a branch of length t: table = P(t)·sub,
@@ -79,6 +82,9 @@ func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) {
 		code = opInsPSRTip
 	default:
 		code = opInsPSR
+	}
+	if k.par.Het == model.Gamma {
+		k.countGammaSites(true)
 	}
 	ra := k.stageReducing(code)
 	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, pm, k.par.CatWeight()
@@ -135,13 +141,24 @@ func (k *Kernel) prepareInsertionGammaSoABlock(oq operand, pm [][ns * ns]float64
 // predicate, and evaluateGammaSoABlock's accumulation against the
 // insertion table.
 func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
-	freqs := &k.par.Freqs
-	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	n := k.nPat
 	w := hi - lo
 	var noScaleBuf [threadpool.BlockSize]bool
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
+	k.scoreInsertionGammaSites(site, noScale, oa, ob, pm, catW, lo)
+	return k.finishInsertionGamma(site, noScale, oa, ob, pm, nil, catW, lo)
+}
+
+// scoreInsertionGammaSites accumulates the per-site likelihoods of
+// scoreInsertionGammaSoABlock's block into site and its scale decisions
+// into noScale (both zeroed).
+func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, catW float64, lo int) {
+	freqs := &k.par.Freqs
+	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	n := k.nPat
+	w := len(site)
+	noScale = noScale[:w]
+	nl := w & laneMask
 	for c := 0; c < gammaCats; c++ {
 		// One matrix set under Newview's two names: the expressions below
 		// are newviewGammaSoABlock's, letter for letter.
@@ -149,7 +166,8 @@ func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float
 		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
 		b0, b1, b2, b3 := planes(ob.clv, c*ns, n, lo, w)
 		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
-		for j := range site {
+		laneScore(site, a0, b0, t0, n, pca, f0, f1, f2, f3, catW, noScale, nl)
+		for j := nl; j < len(site); j++ {
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
 			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
 			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) *
@@ -174,26 +192,36 @@ func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float
 			site[j] = s
 		}
 	}
-	return k.finishInsertionGamma(site, noScale, oa, ob, pm, nil, catW, lo)
 }
 
 // scoreInsertionGammaTipSoABlock is the Γ worker for a tip far operand:
 // the far factor is newviewGammaTipInnerSoABlock's table read.
 func (k *Kernel) scoreInsertionGammaTipSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
-	freqs := &k.par.Freqs
-	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	n := k.nPat
 	w := hi - lo
 	var noScaleBuf [threadpool.BlockSize]bool
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
+	k.scoreInsertionGammaTipSites(site, noScale, oa, ob, pm, tabB, catW, lo)
+	return k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
+}
+
+// scoreInsertionGammaTipSites is scoreInsertionGammaSites for a tip far
+// operand.
+func (k *Kernel) scoreInsertionGammaTipSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) {
+	freqs := &k.par.Freqs
+	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	n := k.nPat
+	w := len(site)
+	noScale = noScale[:w]
+	nl := w & laneMask
 	tips := ob.tips[lo:][:w]
 	for c := 0; c < gammaCats; c++ {
 		pca := &pm[c]
 		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
 		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		for j := range site {
+		laneScoreTip(site, a0, tips, tabB, tbase, t0, n, pca, f0, f1, f2, f3, catW, noScale, nl)
+		for j := nl; j < len(site); j++ {
 			t := tbase + int(tips[j])*ns
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
 			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) * tabB[t]
@@ -214,7 +242,6 @@ func (k *Kernel) scoreInsertionGammaTipSoABlock(oa, ob operand, pm [][ns * ns]fl
 			site[j] = s
 		}
 	}
-	return k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
 }
 
 // finishInsertionGamma is the tail of the Γ insertion workers: the
@@ -256,7 +283,7 @@ func (k *Kernel) rescaledInsertionSiteGamma(oa, ob operand, pm [][ns * ns]float6
 		var lb [ns]float64
 		if ob.tips != nil {
 			t := c*16*ns + int(ob.tips[i])*ns
-			lb = [ns]float64{tabB[t], tabB[t+1], tabB[t+2], tabB[t+3]}
+			lb = [ns]float64(tabB[t : t+ns])
 		} else {
 			vb := soaColGamma(ob.clv, n, i, c)
 			for x := 0; x < ns; x++ {

@@ -1,0 +1,456 @@
+#include "textflag.h"
+
+// AVX2 lanes of the Γ block workers (lanes.go). Each routine computes the
+// first n sites (n a multiple of 4) of one category's site loop, four
+// sites per instruction: lane i holds site j+i and evaluates the Go loop's
+// expression for that site with the same operands in the same order —
+// products included, no FMA — so every value it writes has the bits the
+// Go loop would have written. n == 0 returns before the first vector
+// instruction, so a call that does no sites is safe on any CPU.
+//
+// Shared register use: R8 is the plane stride in bytes and R9 three times
+// it, so (B), (B)(R8*1), (B)(R8*2), (B)(R9*1) are the four state planes of
+// a category at site pointer B; CX counts the 4-site groups left; R13
+// points at laneFlags; Y13 gathers the scale test of a group; Y12 holds
+// catW and Y14 a group's per-site accumulators where a routine has them.
+
+// DOT4 sets ACC to ((P[o]·V0 + P[o+1]·V1) + P[o+2]·V2) + P[o+3]·V3 — row
+// o/4 of a P matrix times a column, the workers' four-term sum — and
+// clobbers TMP.
+#define DOT4(P, o, V0, V1, V2, V3, ACC, TMP) \
+	VBROADCASTSD (o*8)(P), ACC; \
+	VMULPD       V0, ACC, ACC; \
+	VBROADCASTSD (o*8+8)(P), TMP; \
+	VMULPD       V1, TMP, TMP; \
+	VADDPD       TMP, ACC, ACC; \
+	VBROADCASTSD (o*8+16)(P), TMP; \
+	VMULPD       V2, TMP, TMP; \
+	VADDPD       TMP, ACC, ACC; \
+	VBROADCASTSD (o*8+24)(P), TMP; \
+	VMULPD       V3, TMP, TMP; \
+	VADDPD       TMP, ACC, ACC
+
+// LOAD4 loads four sites of the four state planes at B.
+#define LOAD4(B, V0, V1, V2, V3) \
+	VMOVUPD (B), V0; \
+	VMOVUPD (B)(R8*1), V1; \
+	VMOVUPD (B)(R8*2), V2; \
+	VMOVUPD (B)(R9*1), V3
+
+// GATHER4 loads the 4-double table rows of the codes at TIPS[0..3] —
+// TAB[code·4 .. code·4+3], one 32-byte load per site — and transposes
+// them, so Xx holds entry x of the four sites' rows. T0–T3 are clobbered.
+#define GATHER4(TIPS, TAB, X0, X1, X2, X3, T0, T1, T2, T3) \
+	MOVBQZX    0(TIPS), AX; \
+	SHLQ       $5, AX; \
+	VMOVUPD    (TAB)(AX*1), X0; \
+	MOVBQZX    1(TIPS), AX; \
+	SHLQ       $5, AX; \
+	VMOVUPD    (TAB)(AX*1), X1; \
+	MOVBQZX    2(TIPS), AX; \
+	SHLQ       $5, AX; \
+	VMOVUPD    (TAB)(AX*1), X2; \
+	MOVBQZX    3(TIPS), AX; \
+	SHLQ       $5, AX; \
+	VMOVUPD    (TAB)(AX*1), X3; \
+	VUNPCKLPD  X1, X0, T0; \
+	VUNPCKHPD  X1, X0, T1; \
+	VUNPCKLPD  X3, X2, T2; \
+	VUNPCKHPD  X3, X2, T3; \
+	VPERM2F128 $0x20, T2, T0, X0; \
+	VPERM2F128 $0x20, T3, T1, X1; \
+	VPERM2F128 $0x31, T2, T0, X2; \
+	VPERM2F128 $0x31, T3, T1, X3
+
+// SCALETEST ORs the lanes of V that are >= ScaleThreshold or NaN into
+// Y13: predicate NLT_UQ (0x15) is !(v < threshold), exactly the Go test
+// v >= ScaleThreshold || v != v. TMP is clobbered.
+#define SCALETEST(V, TMP) \
+	VCMPPD $0x15, ·laneThresh(SB), V, TMP; \
+	VORPD  TMP, Y13, Y13
+
+// NOSCALE ORs the group's scale test into noScale[0..3] at NS: the 4-bit
+// lane mask indexes laneFlags, whose entry holds one 0/1 byte per site.
+#define NOSCALE(NS) \
+	VMOVMSKPD Y13, AX; \
+	MOVL      (R13)(AX*4), AX; \
+	ORL       AX, (NS)
+
+// TERM adds ((F·V)·X)·catW to the accumulators Y14, the order of the
+// workers' `site += freq * v * x * catW`. F is a memory operand; Y9 is
+// clobbered.
+#define TERM(F, V, X) \
+	VBROADCASTSD F, Y9; \
+	VMULPD       V, Y9, Y9; \
+	VMULPD       X, Y9, Y9; \
+	VMULPD       Y12, Y9, Y9; \
+	VADDPD       Y9, Y14, Y14
+
+// STRIDE loads the plane stride (in doubles) from S into R8 and R9 as
+// bytes, once and three times.
+#define STRIDE(S) \
+	MOVQ S, R8; \
+	SHLQ $3, R8; \
+	LEAQ (R8)(R8*2), R9
+
+// NVROW is row o/4 of the inner-inner Newview: v = (P_a·a)·(P_b·b),
+// stored at DST and scale-tested.
+#define NVROW(o, DST) \
+	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
+	DOT4(R11, o, Y4, Y5, Y6, Y7, Y10, Y11); \
+	VMULPD  Y10, Y8, Y8; \
+	VMOVUPD Y8, DST; \
+	SCALETEST(Y8, Y9)
+
+// func laneNewview(d, a, b []float64, stride int, pa, pb *[16]float64, noScale []bool, n int)
+TEXT ·laneNewview(SB), NOSPLIT, $0-128
+	MOVQ n+120(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ d_base+0(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DI
+	STRIDE(stride+72(FP))
+	MOVQ pa+80(FP), R10
+	MOVQ pb+88(FP), R11
+	MOVQ noScale_base+96(FP), R12
+	LEAQ ·laneFlags(SB), R13
+
+loop:
+	LOAD4(SI, Y0, Y1, Y2, Y3)
+	LOAD4(DI, Y4, Y5, Y6, Y7)
+	VXORPD Y13, Y13, Y13
+	NVROW(0, (DX))
+	NVROW(4, (DX)(R8*1))
+	NVROW(8, (DX)(R8*2))
+	NVROW(12, (DX)(R9*1))
+	NOSCALE(R12)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// TIPROW is row o/4 of a tip-inner Newview: the inner factor
+// P_row·(Y4..Y7) lands in Y8, VMULPD S2, S1 multiplies it by the row's tip
+// factor in the Go order — S1·S2, so (TX, Y8) for tab·(P·b) when the tip
+// is the a operand and (Y8, TX) for (P·a)·tab when it is b — and the
+// product is stored at DST and scale-tested.
+#define TIPROW(o, S1, S2, DST) \
+	DOT4(R11, o, Y4, Y5, Y6, Y7, Y8, Y9); \
+	VMULPD  S2, S1, Y8; \
+	VMOVUPD Y8, DST; \
+	SCALETEST(Y8, Y9)
+
+// TIPLOAD starts a 4-site group of a tip-inner Newview: the tip factors
+// from the category's table at R10 for the codes at SI into Y0–Y3, the
+// inner operand's planes at DI into Y4–Y7.
+#define TIPLOAD \
+	GATHER4(SI, R10, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11); \
+	LOAD4(DI, Y4, Y5, Y6, Y7); \
+	VXORPD Y13, Y13, Y13
+
+// TIPNEXT ends a group of a tip-inner Newview.
+#define TIPNEXT \
+	NOSCALE(R12); \
+	ADDQ $4, SI; \
+	ADDQ $32, DI; \
+	ADDQ $32, DX; \
+	ADDQ $4, R12
+
+// func laneNewviewTipA(d, b []float64, tips []msa.State, tab []float64, toff, stride int, pb *[16]float64, noScale []bool, n int)
+TEXT ·laneNewviewTipA(SB), NOSPLIT, $0-152
+	MOVQ n+144(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ d_base+0(FP), DX
+	MOVQ b_base+24(FP), DI
+	MOVQ tips_base+48(FP), SI
+	MOVQ tab_base+72(FP), R10
+	MOVQ toff+96(FP), AX
+	LEAQ (R10)(AX*8), R10
+	STRIDE(stride+104(FP))
+	MOVQ pb+112(FP), R11
+	MOVQ noScale_base+120(FP), R12
+	LEAQ ·laneFlags(SB), R13
+
+loop:
+	TIPLOAD
+	TIPROW(0, Y0, Y8, (DX))
+	TIPROW(4, Y1, Y8, (DX)(R8*1))
+	TIPROW(8, Y2, Y8, (DX)(R8*2))
+	TIPROW(12, Y3, Y8, (DX)(R9*1))
+	TIPNEXT
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// func laneNewviewTipB(d, a []float64, tips []msa.State, tab []float64, toff, stride int, pa *[16]float64, noScale []bool, n int)
+TEXT ·laneNewviewTipB(SB), NOSPLIT, $0-152
+	MOVQ n+144(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ d_base+0(FP), DX
+	MOVQ a_base+24(FP), DI
+	MOVQ tips_base+48(FP), SI
+	MOVQ tab_base+72(FP), R10
+	MOVQ toff+96(FP), AX
+	LEAQ (R10)(AX*8), R10
+	STRIDE(stride+104(FP))
+	MOVQ pa+112(FP), R11
+	MOVQ noScale_base+120(FP), R12
+	LEAQ ·laneFlags(SB), R13
+
+loop:
+	TIPLOAD
+	TIPROW(0, Y8, Y0, (DX))
+	TIPROW(4, Y8, Y1, (DX)(R8*1))
+	TIPROW(8, Y8, Y2, (DX)(R8*2))
+	TIPROW(12, Y8, Y3, (DX)(R9*1))
+	TIPNEXT
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// SCORE4 is row o/4 of the inner-inner insertion score: Newview's
+// v = (P·a)·(P·b), scale-tested, then the term ((f·v)·t)·catW with t the
+// insertion table's plane at T.
+#define SCORE4(o, F, T) \
+	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
+	DOT4(R10, o, Y4, Y5, Y6, Y7, Y10, Y11); \
+	VMULPD Y10, Y8, Y8; \
+	SCALETEST(Y8, Y9); \
+	TERM(F, Y8, T)
+
+// func laneScore(site, a, b, t []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+TEXT ·laneScore(SB), NOSPLIT, $0-184
+	MOVQ n+176(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ site_base+0(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DI
+	MOVQ t_base+72(FP), BX
+	STRIDE(stride+96(FP))
+	MOVQ pm+104(FP), R10
+	VBROADCASTSD catW+144(FP), Y12
+	MOVQ noScale_base+152(FP), R12
+	LEAQ ·laneFlags(SB), R13
+
+loop:
+	LOAD4(SI, Y0, Y1, Y2, Y3)
+	LOAD4(DI, Y4, Y5, Y6, Y7)
+	VMOVUPD (DX), Y14
+	VXORPD  Y13, Y13, Y13
+	SCORE4(0, f0+112(FP), (BX))
+	SCORE4(4, f1+120(FP), (BX)(R8*1))
+	SCORE4(8, f2+128(FP), (BX)(R8*2))
+	SCORE4(12, f3+136(FP), (BX)(R9*1))
+	VMOVUPD Y14, (DX)
+	NOSCALE(R12)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, BX
+	ADDQ $32, DX
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// SCORETIP4 is row o/4 of the insertion score with a tip far operand:
+// v = (P·a)·TX, scale-tested, then the term against the plane at T.
+#define SCORETIP4(o, TX, F, T) \
+	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
+	VMULPD TX, Y8, Y8; \
+	SCALETEST(Y8, Y9); \
+	TERM(F, Y8, T)
+
+// func laneScoreTip(site, a []float64, tips []msa.State, tab []float64, toff int, t []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+TEXT ·laneScoreTip(SB), NOSPLIT, $0-216
+	MOVQ n+208(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ site_base+0(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ tips_base+48(FP), DI
+	MOVQ tab_base+72(FP), R11
+	MOVQ toff+96(FP), AX
+	LEAQ (R11)(AX*8), R11
+	MOVQ t_base+104(FP), BX
+	STRIDE(stride+128(FP))
+	MOVQ pm+136(FP), R10
+	VBROADCASTSD catW+176(FP), Y12
+	MOVQ noScale_base+184(FP), R12
+	LEAQ ·laneFlags(SB), R13
+
+loop:
+	GATHER4(DI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	LOAD4(SI, Y0, Y1, Y2, Y3)
+	VMOVUPD (DX), Y14
+	VXORPD  Y13, Y13, Y13
+	SCORETIP4(0, Y4, f0+144(FP), (BX))
+	SCORETIP4(4, Y5, f1+152(FP), (BX)(R8*1))
+	SCORETIP4(8, Y6, f2+160(FP), (BX)(R8*2))
+	SCORETIP4(12, Y7, f3+168(FP), (BX)(R9*1))
+	VMOVUPD Y14, (DX)
+	NOSCALE(R12)
+	ADDQ $32, SI
+	ADDQ $4, DI
+	ADDQ $32, BX
+	ADDQ $32, DX
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// EVALTERM is state o/4 of the evaluation: right = P_row·(Y0..Y3), then the
+// term ((f·p)·right)·catW with the near factor p in X.
+#define EVALTERM(o, F, X) \
+	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
+	VBROADCASTSD F, Y10; \
+	VMULPD       X, Y10, Y10; \
+	VMULPD       Y8, Y10, Y10; \
+	VMULPD       Y12, Y10, Y10; \
+	VADDPD       Y10, Y14, Y14
+
+// func laneEvaluate(site, p []float64, poff int, q []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, n int)
+TEXT ·laneEvaluate(SB), NOSPLIT, $0-144
+	MOVQ n+136(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ site_base+0(FP), DX
+	MOVQ p_base+24(FP), SI
+	MOVQ poff+48(FP), AX
+	LEAQ (SI)(AX*8), SI
+	MOVQ q_base+56(FP), DI
+	STRIDE(stride+80(FP))
+	MOVQ pm+88(FP), R10
+	VBROADCASTSD catW+128(FP), Y12
+
+loop:
+	LOAD4(DI, Y0, Y1, Y2, Y3)
+	VMOVUPD (DX), Y14
+	EVALTERM(0, f0+96(FP), (SI))
+	EVALTERM(4, f1+104(FP), (SI)(R8*1))
+	EVALTERM(8, f2+112(FP), (SI)(R8*2))
+	EVALTERM(12, f3+120(FP), (SI)(R9*1))
+	VMOVUPD Y14, (DX)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// func laneEvaluateTipP(site []float64, tips []msa.State, tipVec *[16][4]float64, q []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, n int)
+TEXT ·laneEvaluateTipP(SB), NOSPLIT, $0-144
+	MOVQ n+136(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ site_base+0(FP), DX
+	MOVQ tips_base+24(FP), SI
+	MOVQ tipVec+48(FP), R11
+	MOVQ q_base+56(FP), DI
+	STRIDE(stride+80(FP))
+	MOVQ pm+88(FP), R10
+	VBROADCASTSD catW+128(FP), Y12
+
+loop:
+	GATHER4(SI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	LOAD4(DI, Y0, Y1, Y2, Y3)
+	VMOVUPD (DX), Y14
+	EVALTERM(0, f0+96(FP), Y4)
+	EVALTERM(4, f1+104(FP), Y5)
+	EVALTERM(8, f2+112(FP), Y6)
+	EVALTERM(12, f3+120(FP), Y7)
+	VMOVUPD Y14, (DX)
+	ADDQ $4, SI
+	ADDQ $32, DI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// EVALTIP4 is state x of the evaluation with a tip far operand: the term
+// ((f·p)·tab)·catW, the near factor p at PX and the table entry in TX.
+#define EVALTIP4(F, PX, TX) \
+	VBROADCASTSD F, Y10; \
+	VMULPD       PX, Y10, Y10; \
+	VMULPD       TX, Y10, Y10; \
+	VMULPD       Y12, Y10, Y10; \
+	VADDPD       Y10, Y14, Y14
+
+// func laneEvaluateTipQ(site, p []float64, poff int, tips []msa.State, tab []float64, toff, stride int, f0, f1, f2, f3, catW float64, n int)
+TEXT ·laneEvaluateTipQ(SB), NOSPLIT, $0-168
+	MOVQ n+160(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ site_base+0(FP), DX
+	MOVQ p_base+24(FP), SI
+	MOVQ poff+48(FP), AX
+	LEAQ (SI)(AX*8), SI
+	MOVQ tips_base+56(FP), DI
+	MOVQ tab_base+80(FP), R11
+	MOVQ toff+104(FP), AX
+	LEAQ (R11)(AX*8), R11
+	STRIDE(stride+112(FP))
+	VBROADCASTSD catW+152(FP), Y12
+
+loop:
+	GATHER4(DI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VMOVUPD (DX), Y14
+	EVALTIP4(f0+120(FP), (SI), Y4)
+	EVALTIP4(f1+128(FP), (SI)(R8*1), Y5)
+	EVALTIP4(f2+136(FP), (SI)(R8*2), Y6)
+	EVALTIP4(f3+144(FP), (SI)(R9*1), Y7)
+	VMOVUPD Y14, (DX)
+	ADDQ $4, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET

@@ -151,8 +151,10 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 // tip workers must still give every output bit the inner-inner workers
 // give with each tip loaded into an inner slot (tipsAsInner) — Γ and PSR,
 // post-order, pre-order and insertion kernels — on data holding all 15
-// states and an all-gap taxon, and on a one-pattern slice of it.
+// states and an all-gap taxon, and on a one-pattern slice of it, with the
+// vector lanes on and off (the reference without them).
 func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
+	defer likelihood.SetLanes(likelihood.SetLanes(false))
 	full := ambiguousPartition(45)
 	names := make([]string, len(full.Tips))
 	for i := range names {
@@ -165,20 +167,28 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 	}
 	for _, pd := range []*msa.PartitionData{full, full.Slice(7, 8)} {
 		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-			label := fmt.Sprintf("%v/%d patterns", het, pd.NPatterns())
-			f := maskFixture(t, pd, tr, het)
-			ref, fast := tipsAsInner(t, f), passThrough(f)
-			want := maskTrace(t, tr, ref, func() {})
-			got := maskTrace(t, tr, fast, fast.PoisonTipTables)
-			sameBits(t, label+": poisoned tip tables vs tips as inner operands", got, want)
-			checkTipReference(t, label, fast, ref)
-			fp := fast.FastPath()
-			if het == model.Gamma {
-				if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
-					t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)
+			var want []uint64
+			for _, lanes := range laneSettings(t) {
+				likelihood.SetLanes(lanes)
+				label := fmt.Sprintf("%v/%d patterns lanes=%v", het, pd.NPatterns(), lanes)
+				f := maskFixture(t, pd, tr, het)
+				ref, fast := tipsAsInner(t, f), passThrough(f)
+				inner := maskTrace(t, tr, ref, func() {})
+				got := maskTrace(t, tr, fast, fast.PoisonTipTables)
+				if want == nil {
+					want = inner
 				}
-				if pd.NPatterns() == 1 && fp.PairTableEntries != fp.NewviewTipTip {
-					t.Errorf("%s: one-pattern slice filled %d pairs in %d tables", label, fp.PairTableEntries, fp.NewviewTipTip)
+				sameBits(t, label+": tips as inner operands vs the same without lanes", inner, want)
+				sameBits(t, label+": poisoned tip tables vs tips as inner operands", got, want)
+				checkTipReference(t, label, fast, ref)
+				fp := fast.FastPath()
+				if het == model.Gamma {
+					if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
+						t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)
+					}
+					if pd.NPatterns() == 1 && fp.PairTableEntries != fp.NewviewTipTip {
+						t.Errorf("%s: one-pattern slice filled %d pairs in %d tables", label, fp.PairTableEntries, fp.NewviewTipTip)
+					}
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package likelihood
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/model"
@@ -101,26 +100,25 @@ func (k *Kernel) EvaluateSiteFromTable(tab *SiteRateTable, g int, steps []Step, 
 // virtual root edge (p, q) of length rootT).
 //
 // The traversal must compute every inner vertex it or the root edge
-// reads before reading it (a full post-order traversal always does).
+// reads before reading it (a full post-order traversal always does), in
+// at most one step per inner slot: the scratch holds that many matrix
+// pairs. Every schedule the rate scan passes is one of a descriptor, and
+// traversal.Descriptor.Validate admits no longer one.
 // The kernel's stored CLVs are not modified, and the working set is the
 // scratch of the site's pattern block (threadpool.BlockSize): calls for
 // sites of different blocks may run concurrently, calls within one block
 // may not.
 func (k *Kernel) EvaluateSiteAtRate(steps []Step, p, q NodeRef, rootT float64, site int, rate float64) float64 {
 	scr := k.siteScratchOf(site)
-	if len(steps) > k.nInner {
-		panic(fmt.Sprintf("likelihood: %d steps for %d inner slots", len(steps), k.nInner))
-	}
 	scr.exactEvals++
 	k.fillSitePMatrices(scr.pm, steps, rootT, rate)
 	return k.siteLnL(scr, scr.pm, steps, p, q, site)
 }
 
-// siteScratchOf returns the working set of site's pattern block.
+// siteScratchOf returns the working set of site's pattern block. site is
+// a local pattern: the rate scan asks only for the sites of its own
+// kernel's pattern blocks.
 func (k *Kernel) siteScratchOf(site int) *siteScratch {
-	if site < 0 || site >= k.nPat {
-		panic(fmt.Sprintf("likelihood: site %d out of range", site))
-	}
 	return &k.siteScr[site/threadpool.BlockSize]
 }
 

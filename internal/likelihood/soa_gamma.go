@@ -11,7 +11,15 @@ import (
 // The workers' outer loops walk (category, state) planes, the innermost
 // loop streams stride-1 over sites, and the 4-state cell is unrolled
 // into straight-line code with the P-matrix row hoisted into scalars —
-// the autovectorizable shape of BEAGLE's CPU kernels.
+// the vectorizable shape of BEAGLE's CPU kernels.
+//
+// Vector lanes (lanes.go): on a CPU with AVX2 the Newview and evaluation
+// workers hand the first nl = w & laneMask sites of each category's site
+// loop to an AVX2 routine that computes four sites per instruction, and
+// their Go loop continues at nl — the tail, and every site where the
+// lanes do not run. The Go loop is the single statement of each
+// expression; a lane evaluates it for its site with the same operands in
+// the same order.
 //
 // Expression order (docs/DETERMINISM.md §8): a site's value is one fixed
 // expression (operands and association order) whichever worker computes
@@ -70,17 +78,19 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 	// per-goroutine, so concurrent blocks never share it.
 	var noScaleBuf [threadpool.BlockSize]bool
 	noScale := noScaleBuf[:w]
+	nl := w & laneMask
 	for c := 0; c < gammaCats; c++ {
 		pca := &pa[c]
 		pcb := &pb[c]
 		// One fused sweep per category: each site's four child values per
 		// operand load once, and the four state outputs store to their
 		// planes in the same pass — the loop-order freedom the plane-major
-		// layout buys.
+		// layout buys. The first nl sites run in vector lanes (lanes.go).
 		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
 		b0, b1, b2, b3 := planes(ob.clv, c*ns, n, lo, w)
 		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
-		for j := range noScale {
+		laneNewview(d0, a0, b0, n, pca, pcb, noScale, nl)
+		for j := nl; j < len(noScale); j++ {
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
 			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
 			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) *
@@ -148,6 +158,7 @@ func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa
 	w := hi - lo
 	var noScaleBuf [threadpool.BlockSize]bool
 	noScale := noScaleBuf[:w]
+	nl := w & laneMask
 	if oa.tips != nil {
 		tips, clv := oa.tips[lo:][:w], ob.clv
 		for c := 0; c < gammaCats; c++ {
@@ -155,7 +166,8 @@ func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa
 			b0, b1, b2, b3 := planes(clv, c*ns, n, lo, w)
 			d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
 			tbase := c * 16 * ns
-			for j := range noScale {
+			laneNewviewTipA(d0, b0, tips, tabA, tbase, n, pcb, noScale, nl)
+			for j := nl; j < len(noScale); j++ {
 				t := tbase + int(tips[j])*ns
 				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
 				v0 := tabA[t] * (pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
@@ -180,7 +192,8 @@ func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa
 		a0, a1, a2, a3 := planes(clv, c*ns, n, lo, w)
 		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		for j := range noScale {
+		laneNewviewTipB(d0, a0, tips, tabB, tbase, n, pca, noScale, nl)
+		for j := nl; j < len(noScale); j++ {
 			t := tbase + int(tips[j])*ns
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
 			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) * tabB[t]
@@ -225,36 +238,49 @@ func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, 
 }
 
 // evaluateGammaSoABlock is the Evaluate worker for an inner far operand
-// (the near one may be a tip): per-site likelihoods accumulate in a
-// per-site array in ascending (category, state) term order.
+// (the near one may be a tip).
 func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, catW float64, lo, hi int) float64 {
-	freqs := &k.par.Freqs
-	n := k.nPat
 	w := hi - lo
 	var siteBuf [threadpool.BlockSize]float64
 	site := siteBuf[:w]
+	k.evaluateGammaSites(site, op, oq, pm, catW, lo)
+	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w), lo)
+}
+
+// evaluateGammaSites accumulates the per-site likelihoods of
+// evaluateGammaSoABlock's block into site (zeroed), in ascending (category,
+// state) term order.
+func (k *Kernel) evaluateGammaSites(site []float64, op, oq operand, pm [][ns * ns]float64, catW float64, lo int) {
+	freqs := &k.par.Freqs
+	n := k.nPat
+	w := len(site)
+	nl := w & laneMask
 	tips := tipWindow(op, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		pc := &pm[c]
 		q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
+		if op.tips != nil {
+			laneEvaluateTipP(site, tips, &k.tipVec, q0, n, pc, freqs[0], freqs[1], freqs[2], freqs[3], catW, nl)
+		} else {
+			laneEvaluate(site, op.clv, (c*ns)*n+lo, q0, n, pc, freqs[0], freqs[1], freqs[2], freqs[3], catW, nl)
+		}
 		for x := 0; x < ns; x++ {
 			r0, r1, r2, r3 := pc[x*ns], pc[x*ns+1], pc[x*ns+2], pc[x*ns+3]
 			freq := freqs[x]
 			if op.tips != nil {
-				for j := range site {
+				for j := nl; j < len(site); j++ {
 					right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
 					site[j] += freq * k.tipVec[tips[j]][x] * right * catW
 				}
 			} else {
 				px := window(op.clv, (c*ns+x)*n+lo, w)
-				for j := range site {
+				for j := nl; j < len(site); j++ {
 					right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
 					site[j] += freq * px[j] * right * catW
 				}
 			}
 		}
 	}
-	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w), lo)
 }
 
 // sumSiteLnl is the tail of the plane-major Γ evaluation workers: the
@@ -280,23 +306,32 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 	if op.tips != nil {
 		return k.evaluateGammaTipBlock(op, oq, tab, catW, lo, hi)
 	}
-	freqs := &k.par.Freqs
-	n := k.nPat
 	w := hi - lo
-	tips := oq.tips[lo:][:w]
 	var siteBuf [threadpool.BlockSize]float64
 	site := siteBuf[:w]
+	k.evaluateGammaTipSites(site, op, oq, tab, catW, lo)
+	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), zeroScales[:w], lo)
+}
+
+// evaluateGammaTipSites accumulates the per-site likelihoods of
+// evaluateGammaTipSoABlock's block into site (zeroed).
+func (k *Kernel) evaluateGammaTipSites(site []float64, op, oq operand, tab []float64, catW float64, lo int) {
+	freqs := &k.par.Freqs
+	n := k.nPat
+	w := len(site)
+	nl := w & laneMask
+	tips := oq.tips[lo:][:w]
 	for c := 0; c < gammaCats; c++ {
 		tbase := c * 16 * ns
+		laneEvaluateTipQ(site, op.clv, (c*ns)*n+lo, tips, tab, tbase, n, freqs[0], freqs[1], freqs[2], freqs[3], catW, nl)
 		for x := 0; x < ns; x++ {
 			freq := freqs[x]
 			px := window(op.clv, (c*ns+x)*n+lo, w)
-			for j := range site {
+			for j := nl; j < len(site); j++ {
 				site[j] += freq * px[j] * tab[tbase+int(tips[j])*ns+x] * catW
 			}
 		}
 	}
-	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), zeroScales[:w], lo)
 }
 
 // prepareGammaSoABlock is the inner-inner sum-table fill. Sum-table

@@ -149,18 +149,35 @@ func sameBits(t *testing.T, label string, got, want []uint64) {
 // yields byte for byte what the same program yields executed op-major on
 // one goroutine (the order kernels ran in before programs existed), with
 // no pool and with 1, 2, 3 and 4 threads, for both rate models and every
-// kind of program (docs/DETERMINISM.md §2 and §8).
+// kind of program (docs/DETERMINISM.md §2 and §8) — with the vector lanes
+// on and off, the reference run without them.
 func TestThreadedKernelsBitIdentical(t *testing.T) {
+	defer likelihood.SetLanes(likelihood.SetLanes(false))
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
+		likelihood.SetLanes(false)
 		oracle, _ := threadedFixture(t, het, 0)
 		want := programTrace(t, oracle.tree, passThrough(oracle), (*likelihood.Kernel).FlushOpMajor)
-		for _, threads := range []int{0, 1, 2, 3, 4} {
-			f, pool := threadedFixture(t, het, threads)
-			got := programTrace(t, f.tree, passThrough(f), func(k *likelihood.Kernel) { k.Flush(pool) })
-			pool.Close()
-			sameBits(t, fmt.Sprintf("%v T=%d: block-major vs op-major", het, threads), got, want)
+		for _, lanes := range laneSettings(t) {
+			likelihood.SetLanes(lanes)
+			for _, threads := range []int{0, 1, 2, 3, 4} {
+				f, pool := threadedFixture(t, het, threads)
+				got := programTrace(t, f.tree, passThrough(f), func(k *likelihood.Kernel) { k.Flush(pool) })
+				pool.Close()
+				sameBits(t, fmt.Sprintf("%v T=%d lanes=%v: block-major vs op-major without lanes", het, threads, lanes), got, want)
+			}
 		}
 	}
+}
+
+// laneSettings are the settings of the Γ workers' vector lanes a kernel
+// test runs under: off, and on where the CPU has them. The lanes-off run
+// is every test's reference.
+func laneSettings(t *testing.T) []bool {
+	if !likelihood.HasLanes() {
+		t.Log("this CPU has no AVX2: the lanes-on runs are skipped")
+		return []bool{false}
+	}
+	return []bool{false, true}
 }
 
 // TestThreadedKernelReuse moves the virtual root around with a pool

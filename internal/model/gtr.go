@@ -35,6 +35,10 @@ type Eigen struct {
 	U [msa.NumStates * msa.NumStates]float64
 	// UInv[k*4+y] is the inverse eigenvector matrix.
 	UInv [msa.NumStates * msa.NumStates]float64
+	// Stat[x*4+y] = U[x*4+3]·UInv[12+y] is the stationary mode's term of
+	// P(t)[x][y]: e^{Vals[3]·t} is exactly 1, so the term is the same at
+	// every t.
+	Stat [msa.NumStates * msa.NumStates]float64
 }
 
 // NewEigen builds and diagonalizes the GTR rate matrix defined by the
@@ -128,24 +132,32 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 			e.UInv[k*n+x] = vecs[x*n+k] * sqrtF[x]
 		}
 	}
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			e.Stat[x*n+y] = e.U[x*n+n-1] * e.UInv[(n-1)*n+y]
+		}
+	}
 	return e, nil
 }
 
 // ProbMatrix fills p with the transition probability matrix P(t·rate) =
 // U e^{Λ t rate} U⁻¹. Entries are clamped to [0,1] to shed the ±1e-16
-// excursions of the spectral reconstruction.
+// excursions of the spectral reconstruction. t·rate must be finite.
+//
+// Entry (x, y) is the sum Σ_k (U[x·4+k]·e^{Vals[k]·t·rate})·UInv[k·4+y]
+// taken left to right from 0.0. The stationary mode's factor e^{0} is
+// exactly 1, so its term is the precomputed Stat[x·4+y], and only three
+// exponentials are taken; the 0.0 the sum starts from turns a −0 sum into
+// +0, as the rolled loop did.
 func (e *Eigen) ProbMatrix(t, rate float64, p *[msa.NumStates * msa.NumStates]float64) {
 	const n = msa.NumStates
-	var ex [n]float64
-	for k := 0; k < n; k++ {
-		ex[k] = math.Exp(e.Vals[k] * t * rate)
-	}
+	e0 := math.Exp(e.Vals[0] * t * rate)
+	e1 := math.Exp(e.Vals[1] * t * rate)
+	e2 := math.Exp(e.Vals[2] * t * rate)
 	for x := 0; x < n; x++ {
+		a0, a1, a2 := e.U[x*n]*e0, e.U[x*n+1]*e1, e.U[x*n+2]*e2
 		for y := 0; y < n; y++ {
-			v := 0.0
-			for k := 0; k < n; k++ {
-				v += e.U[x*n+k] * ex[k] * e.UInv[k*n+y]
-			}
+			v := 0.0 + a0*e.UInv[y] + a1*e.UInv[n+y] + a2*e.UInv[2*n+y] + e.Stat[x*n+y]
 			if v < 0 {
 				v = 0
 			} else if v > 1 {

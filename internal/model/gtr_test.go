@@ -212,3 +212,85 @@ func TestNewEigenRejectsBadInput(t *testing.T) {
 		t.Error("infinite rate accepted")
 	}
 }
+
+// rolledProbMatrix is ProbMatrix as the four-term loop it was written as
+// before the stationary term was hoisted: four exponentials, each entry
+// summed from 0.0 over k in order. It is the reference of
+// TestProbMatrixSameBitsAsRolledLoop.
+func rolledProbMatrix(e *Eigen, t, rate float64, p *[16]float64) {
+	var ex [4]float64
+	for k := 0; k < 4; k++ {
+		ex[k] = math.Exp(e.Vals[k] * t * rate)
+	}
+	for x := 0; x < 4; x++ {
+		for y := 0; y < 4; y++ {
+			v := 0.0
+			for k := 0; k < 4; k++ {
+				v += e.U[x*4+k] * ex[k] * e.UInv[k*4+y]
+			}
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			p[x*4+y] = v
+		}
+	}
+}
+
+// TestProbMatrixSameBitsAsRolledLoop: ProbMatrix, with its precomputed
+// stationary term and three exponentials, writes the bits of the rolled
+// four-exponential loop for 200 000 random (eigensystem, t, rate) draws —
+// t from 0 and −0 through 1e-8 to 500, rates over five decades.
+func TestProbMatrixSameBitsAsRolledLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for sys := 0; sys < 2000; sys++ {
+		e, err := NewEigen(randomRates(rng), randomFreqs(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for draw := 0; draw < 100; draw++ {
+			tt := math.Exp(rng.Float64()*24 - 18)
+			switch draw {
+			case 0:
+				tt = 0
+			case 1:
+				tt = math.Copysign(0, -1)
+			case 2:
+				tt = 500
+			}
+			rate := math.Exp(rng.Float64()*11.5 - 6.9)
+			var got, want [16]float64
+			e.ProbMatrix(tt, rate, &got)
+			rolledProbMatrix(e, tt, rate, &want)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("system %d, t=%g, rate=%g: entry %d is %x, the rolled loop gives %x", sys, tt, rate, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkProbMatrix times one P(t·rate) against the rolled loop it
+// replaced: a diagnostic of the kernel staging cost, not evidence.
+func BenchmarkProbMatrix(b *testing.B) {
+	e, err := NewEigen(randomRates(rand.New(rand.NewSource(5))), randomFreqs(rand.New(rand.NewSource(6))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var p [16]float64
+	for _, c := range []struct {
+		name string
+		f    func(float64)
+	}{
+		{"hoisted", func(t float64) { e.ProbMatrix(t, 1.3, &p) }},
+		{"rolled", func(t float64) { rolledProbMatrix(e, t, 1.3, &p) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.f(0.01 + float64(i&1023)*1e-4)
+			}
+		})
+	}
+}

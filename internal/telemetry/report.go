@@ -57,6 +57,10 @@ type RankStats struct {
 	// round; docs/PERFORMANCE.md §9).
 	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
 	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
+	// GammaSites/LaneSites are the rank's Γ Newview, evaluation and
+	// insertion-score sites, and those computed in vector lanes.
+	GammaSites int64 `json:"gamma_sites,omitempty"`
+	LaneSites  int64 `json:"lane_sites,omitempty"`
 }
 
 // KernelStat is one kernel class's run-wide aggregate.
@@ -146,6 +150,12 @@ type Report struct {
 	// tip-tip pair table is filled with (of 256), summed across ranks
 	// (0 when no pair table was built — PSR has none).
 	PairEntriesPerTipTipNewview float64 `json:"pair_entries_per_tiptip_newview"`
+	// GammaSites is the Γ Newview, evaluation and insertion-score site work
+	// summed across ranks; LaneShare the share of it computed in AVX2 vector
+	// lanes (docs/PERFORMANCE.md §6) — 0 when a Γ run fell back to the Go
+	// loops.
+	GammaSites int64   `json:"gamma_sites"`
+	LaneShare  float64 `json:"lane_share"`
 	// ModelProbesPerRound is model-parameter probes (SetShared + forced
 	// traversal + evaluation) per model-optimization round, from rank 0
 	// (0 when no round ran).
@@ -182,7 +192,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	}
 	var sumCompute, sumComm, maxCompute int64
 	var poolBlocks int64
-	var fastOps, genericOps, pcHits, pcMiss, tipTips, pairEntries int64
+	var fastOps, genericOps, pcHits, pcMiss, tipTips, pairEntries, laneSites int64
 	poolThreads := 0
 	for _, r := range c.recs {
 		rs := RankStats{
@@ -211,6 +221,9 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 
 			SiteRateTableEvals: r.perf.SiteRateTableEvals,
 			SiteRateExactEvals: r.perf.SiteRateExactEvals,
+
+			GammaSites: r.perf.GammaSites,
+			LaneSites:  r.perf.LaneSites,
 		}
 		rep.PerRank = append(rep.PerRank, rs)
 		sumCompute += rs.ComputeNS
@@ -230,7 +243,10 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		pcMiss += r.perf.PCacheMisses
 		tipTips += r.perf.TipTipNewviews
 		pairEntries += r.perf.PairTableEntries
+		rep.GammaSites += r.perf.GammaSites
+		laneSites += r.perf.LaneSites
 	}
+	rep.LaneShare = ratio(laneSites, rep.GammaSites)
 	if tot := fastOps + genericOps; tot > 0 {
 		rep.FastPathShare = float64(fastOps) / float64(tot)
 	}
@@ -370,6 +386,9 @@ func (r *Report) String() string {
 	}
 	if r.PairEntriesPerTipTipNewview > 0 {
 		fmt.Fprintf(&b, "  pair-table entries / tip-tip newview   %8.1f\n", r.PairEntriesPerTipTipNewview)
+	}
+	if r.GammaSites > 0 {
+		fmt.Fprintf(&b, "  Γ site work in vector lanes            %8.3f\n", r.LaneShare)
 	}
 	if r.ModelProbesPerRound > 0 {
 		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)

@@ -427,6 +427,9 @@ func (d *Descriptor) Validate(nTaxa, nPart int) error {
 		if len(cs) != len(d.Steps[0]) {
 			return fmt.Errorf("traversal: descriptor schedules differ in length (%d and %d steps)", len(cs), len(d.Steps[0]))
 		}
+		if len(cs) > nTaxa-2 {
+			return fmt.Errorf("traversal: descriptor schedule of %d steps for a %d-taxon tree's %d inner vertices", len(cs), nTaxa, nTaxa-2)
+		}
 		for _, s := range cs {
 			node(likelihood.InnerRef(int(s.Dst)))
 			node(s.A)
