@@ -200,7 +200,7 @@ func (l *Local) Close() {
 			perf.TipTableEntries += s.TipTableEntries
 			perf.SiteRateTableEvals += s.SiteRateTableEvals
 			perf.SiteRateExactEvals += s.SiteRateExactEvals
-			perf.GammaSites += s.GammaSites
+			perf.Sites += s.Sites
 			perf.LaneSites += s.LaneSites
 		}
 		l.rec.SetKernelPerf(perf)

@@ -44,10 +44,8 @@ const (
 	opPrepGamma
 	opPrepGammaFast
 	opDerivGamma
-	opNvPSRFast
-	opNvPSRInner
+	opNvPSR
 	opEvalPSR
-	opEvalPSRTip
 	opPrepPSR
 	opPrepPSRFast
 	opDerivPSR
@@ -60,7 +58,6 @@ const (
 	opInsGamma
 	opInsGammaTip
 	opInsPSR
-	opInsPSRTip
 )
 
 // OpClass groups the block operations the way telemetry reports kernel
@@ -84,11 +81,11 @@ const (
 // class returns the telemetry class of a block operation.
 func (op runOp) class() OpClass {
 	switch op {
-	case opNvGammaTipTip, opNvGammaTipInner, opNvGammaInner, opNvPSRFast, opNvPSRInner:
+	case opNvGammaTipTip, opNvGammaTipInner, opNvGammaInner, opNvPSR:
 		return ClassNewview
-	case opEvalGamma, opEvalGammaTip, opEvalPSR, opEvalPSRTip:
+	case opEvalGamma, opEvalGammaTip, opEvalPSR:
 		return ClassEvaluate
-	case opPrepInsGamma, opPrepInsPSR, opInsGamma, opInsGammaTip, opInsPSR, opInsPSRTip:
+	case opPrepInsGamma, opPrepInsPSR, opInsGamma, opInsGammaTip, opInsPSR:
 		return ClassInsertion
 	}
 	return ClassDerivatives
@@ -229,17 +226,11 @@ func (k *Kernel) RunOp(op, blk int) {
 	case opDerivGamma:
 		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
 
-	case opNvPSRFast:
-		k.newviewPSRFastSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-
-	case opNvPSRInner:
-		k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
+	case opNvPSR:
+		k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
 
 	case opEvalPSR:
-		part.a = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
-
-	case opEvalPSRTip:
-		part.a = k.evaluatePSRTipSoABlock(ra.oa, ra.ob, ra.tabB, lo, hi)
+		part.a = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
 
 	case opPrepPSR:
 		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
@@ -286,10 +277,7 @@ func (k *Kernel) RunOp(op, blk int) {
 		part.a, part.rescaled = k.scoreInsertionGammaTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
 
 	case opInsPSR:
-		part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, lo, hi)
-
-	case opInsPSRTip:
-		part.a, part.rescaled = k.scoreInsertionPSRTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
+		part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
 	}
 }
 

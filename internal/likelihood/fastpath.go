@@ -3,6 +3,8 @@ package likelihood
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/model"
 )
 
 // This file holds the kernel fast-path layer (docs/PERFORMANCE.md): the
@@ -63,11 +65,11 @@ type FastPathStats struct {
 	// and those that built them for an off-grid rate
 	// (EvaluateSiteAtRate) — what the PSR rate scan costs per site.
 	SiteRateTableEvals, SiteRateExactEvals int64
-	// GammaSites counts the sites of the Γ Newview, evaluation and
-	// insertion-score operations staged, one per site and operation;
-	// LaneSites those of them the operations compute in vector lanes
-	// (lanes.go) — 0 on a CPU without AVX2.
-	GammaSites, LaneSites int64
+	// Sites counts the sites of the Newview, evaluation and
+	// insertion-score operations staged, both models, one per site and
+	// operation; LaneSites those of them the operations compute in vector
+	// lanes (lanes.go) — every one under PSR, 0 on a CPU without AVX2.
+	Sites, LaneSites int64
 }
 
 // FastOps returns the number of kernel calls that took a specialized
@@ -168,9 +170,15 @@ func (k *Kernel) tipTable(pm [][ns * ns]float64, mask uint16) []float64 {
 //
 // The sum is written as the exact four-term expression the inner-inner
 // workers evaluate per site, so reading the table is bit-identical to
-// computing the product inline.
+// computing the product inline. A PSR set is stored transposed
+// (probMatrices), so pm[c][x·4+y] is read at pm[c][y·4+x]: the same
+// double.
 func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16) {
 	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
+	row, col := ns, 1
+	if k.par.Het == model.PSR {
+		row, col = 1, ns
+	}
 	for c := range pm {
 		pc := &pm[c]
 		for m := mask; m != 0; m &= m - 1 {
@@ -178,7 +186,8 @@ func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16)
 			v := &k.tipVec[code]
 			off := (c*16 + code) * ns
 			for x := 0; x < ns; x++ {
-				dst[off+x] = pc[x*ns]*v[0] + pc[x*ns+1]*v[1] + pc[x*ns+2]*v[2] + pc[x*ns+3]*v[3]
+				r := x * row
+				dst[off+x] = pc[r]*v[0] + pc[r+col]*v[1] + pc[r+2*col]*v[2] + pc[r+3*col]*v[3]
 			}
 		}
 	}

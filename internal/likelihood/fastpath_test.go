@@ -150,7 +150,8 @@ func checkTipReference(t *testing.T, label string, fast, ref stager) {
 // kernel output — log likelihoods, derivatives, gradients, insertion
 // scores and every inner CLV byte — has the bits the inner-inner workers
 // give with each tip loaded into an inner slot, for both rate models on a
-// multi-block slice, with no pool and with 1 and 4 threads.
+// multi-block slice, with no pool and with 1 and 4 threads — with the
+// vector lanes on where the CPU has them, and reaching them.
 func TestFastPathBitIdenticalToGeneric(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		for _, threads := range []int{0, 1, 4} {
@@ -163,6 +164,7 @@ func TestFastPathBitIdenticalToGeneric(t *testing.T) {
 			pool.Close()
 			sameBits(t, label+": tip workers vs tips as inner operands", got, want)
 			checkTipReference(t, label, fast, ref)
+			checkLanesReached(t, label, het, likelihood.HasLanes(), fast.FastPath())
 		}
 	}
 }

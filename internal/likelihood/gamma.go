@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/model"
+	"repro/internal/threadpool"
 )
 
 // gammaCats is a local alias for the fixed discrete-Γ category count.
@@ -30,7 +31,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 	var ra *runArgs
 	if oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
-		k.countGammaSites(false)
+		k.countSites(false)
 		ra = k.stage(opNvGammaTipTip)
 		tabA, tabB := k.tipTable(pa, oa.mask), k.tipTable(pb, ob.mask)
 		ra.pair = k.mem.tabs.take(gammaCats * 16 * 16 * ns)
@@ -38,7 +39,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		k.fillPairTable(ra.pair, ra.pairScale, tabA, tabB, gammaCats, oa.mask, ob.mask)
 	} else if oa.tips != nil || ob.tips != nil {
 		k.fp.NewviewTipInner++
-		k.countGammaSites(true)
+		k.countSites(true)
 		ra = k.stage(opNvGammaTipInner)
 		if oa.tips != nil {
 			ra.tabA = k.tipTable(pa, oa.mask)
@@ -48,7 +49,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		}
 	} else {
 		k.fp.NewviewInner++
-		k.countGammaSites(true)
+		k.countSites(true)
 		ra = k.stage(opNvGammaInner)
 	}
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
@@ -66,7 +67,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
 	// Only a tip-tip root edge has no lanes (evaluateGammaTipBlock).
-	k.countGammaSites(op.tips == nil || oq.tips == nil)
+	k.countSites(op.tips == nil || oq.tips == nil)
 	var ra *runArgs
 	if oq.tips != nil {
 		k.fp.EvaluateTip++
@@ -87,20 +88,23 @@ func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 // bit-identical to it.
 func (k *Kernel) evaluateGammaTipBlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
 	freqs := &k.par.Freqs
-	total := 0.0
+	var siteBuf [threadpool.BlockSize]float64
+	site := siteBuf[:hi-lo]
 	for i := lo; i < hi; i++ {
-		site := 0.0
+		s := 0.0
 		code := int(oq.tips[i])
 		vp := k.tipVec[op.tips[i]]
 		for c := 0; c < gammaCats; c++ {
 			toff := (c*16 + code) * ns
 			for x := 0; x < ns; x++ {
-				site += freqs[x] * vp[x] * tab[toff+x] * catW
+				s += freqs[x] * vp[x] * tab[toff+x] * catW
 			}
 		}
-		total += float64(k.data.Weights[i]) * math.Log(site)
+		site[i-lo] = s
 	}
-	return total
+	// No scale counts: a tip has none, and w·(log + 0·LogScaleStep) is
+	// w·log to the bit.
+	return k.sumSiteLnl(site, zeroScales[:], zeroScales[:], lo)
 }
 
 // derivativesGammaBlock is the per-block worker of derivativesGamma.

@@ -1,8 +1,6 @@
 package likelihood
 
 import (
-	"math"
-
 	"repro/internal/model"
 	"repro/internal/threadpool"
 )
@@ -31,9 +29,9 @@ import (
 // (TestInsertionScoreBitIdentical). π is deliberately not folded into
 // the table: evaluation associates ((π·v)·right)·catW, and a table of
 // π·right would associate (v·(π·right))·catW — a different last bit.
-// The Γ score workers' site loops start in vector lanes like the Newview
-// and evaluation workers' (lanes.go); the PSR ones pick a matrix per site
-// and stay scalar.
+// The score workers run in vector lanes like the Newview and evaluation
+// workers (lanes.go): Γ sites four at a time, PSR sites one at a time in
+// state lanes; their logs too, and the sums over sites stay in Go.
 
 // PrepareInsertion stages the fill of the insertion table for the pruned
 // subtree's vector sub hanging on a branch of length t: table = P(t)·sub,
@@ -72,20 +70,14 @@ func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) {
 	// Newview builds P(half) once per operand; one set serves both, being
 	// the same doubles.
 	pm := k.probMatricesFor(half)
-	var code runOp
-	switch gamma, tip := k.par.Het == model.Gamma, ob.tips != nil; {
-	case gamma && tip:
-		code = opInsGammaTip
-	case gamma:
-		code = opInsGamma
-	case tip:
-		code = opInsPSRTip
-	default:
-		code = opInsPSR
-	}
+	code := opInsPSR
 	if k.par.Het == model.Gamma {
-		k.countGammaSites(true)
+		code = opInsGamma
+		if ob.tips != nil {
+			code = opInsGammaTip
+		}
 	}
+	k.countSites(true)
 	ra := k.stageReducing(code)
 	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, pm, k.par.CatWeight()
 	k.stageFarTable(ra, ob)
@@ -255,15 +247,19 @@ func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, oa, ob ope
 	noScale = noScale[:w]
 	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
 	weights := k.data.Weights[lo:][:w]
+	for j, ok := range noScale {
+		if !ok {
+			site[j] = k.rescaledInsertionSiteGamma(oa, ob, pm, tabB, catW, lo+j)
+		}
+	}
+	logSites(site)
 	for j, l := range site {
 		sc := sa[j] + sb[j] + ss[j]
 		if !noScale[j] {
-			l = k.rescaledInsertionSiteGamma(oa, ob, pm, tabB, catW, lo+j)
 			sc++
 			rescaled++
 		}
-		lnl := math.Log(l) + float64(sc)*LogScaleStep
-		lnL += float64(weights[j]) * lnl
+		lnL += float64(weights[j]) * (l + float64(sc)*LogScaleStep)
 	}
 	return lnL, rescaled
 }
@@ -301,9 +297,8 @@ func (k *Kernel) rescaledInsertionSiteGamma(oa, ob operand, pm [][ns * ns]float6
 }
 
 // prepareInsertionPSRSoABlock fills the block's range of the PSR
-// insertion table: evaluatePSRSoABlock's four `right` values per site,
-// or for a tip subtree the table entries evaluatePSRTipSoABlock reads in
-// their place.
+// insertion table: evaluatePSRSites' four `right` values per site, or for
+// a tip subtree the table entries it reads in their place.
 func (k *Kernel) prepareInsertionPSRSoABlock(oq operand, pm [][ns * ns]float64, tab []float64, lo, hi int) {
 	n := k.nPat
 	w := hi - lo
@@ -318,117 +313,110 @@ func (k *Kernel) prepareInsertionPSRSoABlock(oq operand, pm [][ns * ns]float64, 
 		return
 	}
 	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	if laneMask != 0 {
+		lanePSRRight(d0, q0, n, cats, &pm[0])
+		return
+	}
 	for j := range cats {
 		pc := &pm[cats[j]]
-		vq := [ns]float64{q0[j], q1[j], q2[j], q3[j]}
-		right0 := pc[0]*vq[0] + pc[1]*vq[1] + pc[2]*vq[2] + pc[3]*vq[3]
-		right1 := pc[4]*vq[0] + pc[5]*vq[1] + pc[6]*vq[2] + pc[7]*vq[3]
-		right2 := pc[8]*vq[0] + pc[9]*vq[1] + pc[10]*vq[2] + pc[11]*vq[3]
-		right3 := pc[12]*vq[0] + pc[13]*vq[1] + pc[14]*vq[2] + pc[15]*vq[3]
-		d0[j], d1[j], d2[j], d3[j] = right0, right1, right2, right3
+		vq0, vq1, vq2, vq3 := q0[j], q1[j], q2[j], q3[j]
+		d0[j] = pc[0]*vq0 + pc[4]*vq1 + pc[8]*vq2 + pc[12]*vq3
+		d1[j] = pc[1]*vq0 + pc[5]*vq1 + pc[9]*vq2 + pc[13]*vq3
+		d2[j] = pc[2]*vq0 + pc[6]*vq1 + pc[10]*vq2 + pc[14]*vq3
+		d3[j] = pc[3]*vq0 + pc[7]*vq1 + pc[11]*vq2 + pc[15]*vq3
 	}
 }
 
-// scoreInsertionPSRSoABlock is the PSR worker for an inner far operand:
-// newviewPSRSoABlock's column per site, rescaled in place when Newview
-// would have rescaled it, then evaluatePSRSoABlock's four terms against
+// scoreInsertionPSRSoABlock is the PSR worker for both far operand shapes
+// (tabB the far tip's table, nil for an inner far operand).
+func (k *Kernel) scoreInsertionPSRSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, lo, hi int) (lnL float64, rescaled int64) {
+	w := hi - lo
+	var noScaleBuf [threadpool.BlockSize]bool
+	var siteBuf [threadpool.BlockSize]float64
+	noScale, site := noScaleBuf[:w], siteBuf[:w]
+	k.scoreInsertionPSRSites(site, noScale, oa, ob, pm, tabB, lo)
+	return k.finishInsertionPSR(site, noScale, oa, ob, lo)
+}
+
+// scoreInsertionPSRSites writes the per-site likelihoods of
+// scoreInsertionPSRSoABlock's block into site and its scale decisions into
+// noScale: newviewPSRSoABlock's column per site, rescaled in place when
+// Newview would have rescaled it, then evaluatePSRSites' four terms against
 // the insertion table.
-func (k *Kernel) scoreInsertionPSRSoABlock(oa, ob operand, pm [][ns * ns]float64, lo, hi int) (lnL float64, rescaled int64) {
+func (k *Kernel) scoreInsertionPSRSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, lo int) {
 	freqs := &k.par.Freqs
 	n := k.nPat
-	w := hi - lo
+	w := len(site)
+	noScale = noScale[:w]
 	cats := k.par.SiteCats[lo:][:w]
 	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
 	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
+	tips := tipWindow(ob, lo, w)
 	t0, t1, t2, t3 := planes(k.insTab, 0, n, lo, w)
-	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
-	weights := k.data.Weights[lo:][:w]
-	for j := range cats {
-		pca := &pm[cats[j]]
-		pcb := pca // one matrix set under newviewPSRSoABlock's two names
-		va := [ns]float64{a0[j], a1[j], a2[j], a3[j]}
-		vb := [ns]float64{b0[j], b1[j], b2[j], b3[j]}
-		la0 := pca[0]*va[0] + pca[1]*va[1] + pca[2]*va[2] + pca[3]*va[3]
-		lb0 := pcb[0]*vb[0] + pcb[1]*vb[1] + pcb[2]*vb[2] + pcb[3]*vb[3]
-		v0 := la0 * lb0
-		la1 := pca[4]*va[0] + pca[5]*va[1] + pca[6]*va[2] + pca[7]*va[3]
-		lb1 := pcb[4]*vb[0] + pcb[5]*vb[1] + pcb[6]*vb[2] + pcb[7]*vb[3]
-		v1 := la1 * lb1
-		la2 := pca[8]*va[0] + pca[9]*va[1] + pca[10]*va[2] + pca[11]*va[3]
-		lb2 := pcb[8]*vb[0] + pcb[9]*vb[1] + pcb[10]*vb[2] + pcb[11]*vb[3]
-		v2 := la2 * lb2
-		la3 := pca[12]*va[0] + pca[13]*va[1] + pca[14]*va[2] + pca[15]*va[3]
-		lb3 := pcb[12]*vb[0] + pcb[13]*vb[1] + pcb[14]*vb[2] + pcb[15]*vb[3]
-		v3 := la3 * lb3
-		noScale := v0 >= ScaleThreshold || v0 != v0 ||
-			v1 >= ScaleThreshold || v1 != v1 ||
-			v2 >= ScaleThreshold || v2 != v2 ||
-			v3 >= ScaleThreshold || v3 != v3
-		sc := sa[j] + sb[j] + ss[j]
-		if !noScale {
-			v0 *= ScaleFactor
-			v1 *= ScaleFactor
-			v2 *= ScaleFactor
-			v3 *= ScaleFactor
-			sc++
-			rescaled++
-		}
-		site := 0.0
-		site += freqs[0] * v0 * t0[j]
-		site += freqs[1] * v1 * t1[j]
-		site += freqs[2] * v2 * t2[j]
-		site += freqs[3] * v3 * t3[j]
-		lnL += float64(weights[j]) * (math.Log(site) + float64(sc)*LogScaleStep)
+	if laneMask != 0 {
+		lanePSRScore(site, noScale, a0, b0, tips, tabB, ob.tips != nil, t0, n, cats, &pm[0], freqs)
+		return
 	}
-	return lnL, rescaled
-}
-
-// scoreInsertionPSRTipSoABlock is the PSR worker for a tip far operand:
-// the far factors are newviewPSRFastSoABlock's table reads.
-func (k *Kernel) scoreInsertionPSRTipSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, lo, hi int) (lnL float64, rescaled int64) {
-	freqs := &k.par.Freqs
-	n := k.nPat
-	w := hi - lo
-	cats := k.par.SiteCats[lo:][:w]
-	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
-	tips := ob.tips[lo:][:w]
-	t0, t1, t2, t3 := planes(k.insTab, 0, n, lo, w)
-	sa, ss := scaleWindow(oa.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
-	weights := k.data.Weights[lo:][:w]
 	for j := range cats {
 		c := cats[j]
+		// One matrix set under newviewPSRSoABlock's two names.
+		pca, pcb := &pm[c], &pm[c]
 		var la, lb [ns]float64
-		pca := &pm[c]
 		va0, va1, va2, va3 := a0[j], a1[j], a2[j], a3[j]
-		la[0] = pca[0]*va0 + pca[1]*va1 + pca[2]*va2 + pca[3]*va3
-		la[1] = pca[4]*va0 + pca[5]*va1 + pca[6]*va2 + pca[7]*va3
-		la[2] = pca[8]*va0 + pca[9]*va1 + pca[10]*va2 + pca[11]*va3
-		la[3] = pca[12]*va0 + pca[13]*va1 + pca[14]*va2 + pca[15]*va3
-		toff := (c*16 + int(tips[j])) * ns
-		lb[0], lb[1], lb[2], lb[3] = tabB[toff], tabB[toff+1], tabB[toff+2], tabB[toff+3]
+		la[0] = pca[0]*va0 + pca[4]*va1 + pca[8]*va2 + pca[12]*va3
+		la[1] = pca[1]*va0 + pca[5]*va1 + pca[9]*va2 + pca[13]*va3
+		la[2] = pca[2]*va0 + pca[6]*va1 + pca[10]*va2 + pca[14]*va3
+		la[3] = pca[3]*va0 + pca[7]*va1 + pca[11]*va2 + pca[15]*va3
+		if ob.tips != nil {
+			toff := (c*16 + int(tips[j])) * ns
+			lb[0], lb[1], lb[2], lb[3] = tabB[toff], tabB[toff+1], tabB[toff+2], tabB[toff+3]
+		} else {
+			vb0, vb1, vb2, vb3 := b0[j], b1[j], b2[j], b3[j]
+			lb[0] = pcb[0]*vb0 + pcb[4]*vb1 + pcb[8]*vb2 + pcb[12]*vb3
+			lb[1] = pcb[1]*vb0 + pcb[5]*vb1 + pcb[9]*vb2 + pcb[13]*vb3
+			lb[2] = pcb[2]*vb0 + pcb[6]*vb1 + pcb[10]*vb2 + pcb[14]*vb3
+			lb[3] = pcb[3]*vb0 + pcb[7]*vb1 + pcb[11]*vb2 + pcb[15]*vb3
+		}
 		v0 := la[0] * lb[0]
 		v1 := la[1] * lb[1]
 		v2 := la[2] * lb[2]
 		v3 := la[3] * lb[3]
-		noScale := v0 >= ScaleThreshold || v0 != v0 ||
+		ok := v0 >= ScaleThreshold || v0 != v0 ||
 			v1 >= ScaleThreshold || v1 != v1 ||
 			v2 >= ScaleThreshold || v2 != v2 ||
 			v3 >= ScaleThreshold || v3 != v3
-		sc := sa[j] + ss[j]
-		if !noScale {
+		if !ok {
 			v0 *= ScaleFactor
 			v1 *= ScaleFactor
 			v2 *= ScaleFactor
 			v3 *= ScaleFactor
+		}
+		noScale[j] = ok
+		s := 0.0
+		s += freqs[0] * v0 * t0[j]
+		s += freqs[1] * v1 * t1[j]
+		s += freqs[2] * v2 * t2[j]
+		s += freqs[3] * v3 * t3[j]
+		site[j] = s
+	}
+}
+
+// finishInsertionPSR is the tail of the PSR insertion worker: the block's
+// weighted log likelihood from its per-site likelihoods and the three
+// operands' scale counts, one higher at a site the worker rescaled.
+func (k *Kernel) finishInsertionPSR(site []float64, noScale []bool, oa, ob operand, lo int) (lnL float64, rescaled int64) {
+	w := len(site)
+	noScale = noScale[:w]
+	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
+	weights := k.data.Weights[lo:][:w]
+	logSites(site)
+	for j, l := range site {
+		sc := sa[j] + sb[j] + ss[j]
+		if !noScale[j] {
 			sc++
 			rescaled++
 		}
-		site := 0.0
-		site += freqs[0] * v0 * t0[j]
-		site += freqs[1] * v1 * t1[j]
-		site += freqs[2] * v2 * t2[j]
-		site += freqs[3] * v3 * t3[j]
-		lnL += float64(weights[j]) * (math.Log(site) + float64(sc)*LogScaleStep)
+		lnL += float64(weights[j]) * (l + float64(sc)*LogScaleStep)
 	}
 	return lnL, rescaled
 }

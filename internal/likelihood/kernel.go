@@ -267,9 +267,18 @@ func (k *Kernel) InvalidateAll() {
 // regardless of how few patterns the rank holds, which is why cyclic
 // distribution of many partitions hurts and monolithic (MPS) assignment
 // helps — the effect of the paper's reference [24].
+//
+// PSR matrices are stored transposed (Eigen.ProbMatrixT): the PSR workers
+// read P column by column (lanes.go), so every PSR set — cached, lent,
+// and the site-rate tables — is made that way once, where it is made.
 func (k *Kernel) probMatrices(t float64, dst [][ns * ns]float64) {
+	e, psr := k.par.Eigen, k.par.Het == model.PSR
 	for c, r := range k.par.CatRates {
-		k.par.Eigen.ProbMatrix(t, r, &dst[c])
+		if psr {
+			e.ProbMatrixT(t, r, &dst[c])
+		} else {
+			e.ProbMatrix(t, r, &dst[c])
+		}
 	}
 	k.flops.Setup += int64(len(k.par.CatRates) * ns * ns / 4)
 }

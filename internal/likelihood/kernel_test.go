@@ -500,40 +500,13 @@ func TestScalingDeepTree(t *testing.T) {
 // site carries that rate. The deep comb makes sites underflow, so the
 // recursion's scaling branch is part of what is compared.
 func TestEvaluateSiteAtRateConsistency(t *testing.T) {
-	deep := func() *fixture {
-		res, err := seqgen.Generate(seqgen.Config{
-			NTaxa:            120,
-			Specs:            []seqgen.Spec{{Name: "g", NSites: 12, Alpha: 1}},
-			Seed:             55,
-			MeanBranchLength: 0.02,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := msa.Compress(res.Alignment, res.Partitions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pd := d.Parts[0]
-		par, err := model.NewParams(model.PSR, pd.Freqs, pd.NPatterns())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := tree.NewComb(d.Names, 1)
-		tr.SetAllLengths(0.03)
-		kern, err := likelihood.NewNow(pd, par, tr.NInner())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &fixture{tree: tr, pd: pd, par: par, kern: kern}
-	}
 	for _, c := range []struct {
 		name      string
 		f         *fixture
 		wantScale bool
 	}{
 		{"random 7 taxa", makeFixture(t, 7, 30, model.PSR, 61), false},
-		{"comb 120 taxa", deep(), true},
+		{"comb 120 taxa", deepCombPSR(t), true},
 	} {
 		f := c.f
 		p := f.tree.Tip(0)
@@ -578,6 +551,81 @@ func TestEvaluateSiteAtRateConsistency(t *testing.T) {
 		if n := int64(f.kern.NPatterns() * len(grid)); fp.SiteRateTableEvals != n || fp.SiteRateExactEvals != n {
 			t.Errorf("%s: counted %d table and %d exact evaluations, want %d each", c.name, fp.SiteRateTableEvals, fp.SiteRateExactEvals, n)
 		}
+	}
+}
+
+// deepCombPSR is a PSR fixture whose single-site recursions rescale: a
+// 120-taxon comb of short branches over 12 sites.
+func deepCombPSR(t *testing.T) *fixture {
+	t.Helper()
+	res, err := seqgen.Generate(seqgen.Config{
+		NTaxa:            120,
+		Specs:            []seqgen.Spec{{Name: "g", NSites: 12, Alpha: 1}},
+		Seed:             55,
+		MeanBranchLength: 0.02,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := msa.Compress(res.Alignment, res.Partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := d.Parts[0]
+	par, err := model.NewParams(model.PSR, pd.Freqs, pd.NPatterns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tree.NewComb(d.Names, 1)
+	tr.SetAllLengths(0.03)
+	kern, err := likelihood.NewNow(pd, par, tr.NInner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{tree: tr, pd: pd, par: par, kern: kern}
+}
+
+// TestSiteLnLLanesMatchGoLoop: the single-site recursion in state lanes
+// gives every site the log likelihood bits and scale counts of the Go
+// recursion, on schedules rooted at random edges of random trees (tips and
+// inner vertices on either side of a step and of the root edge) and of the
+// deep comb, whose recursions rescale, at MinSiteRate, 1 and MaxSiteRate.
+func TestSiteLnLLanesMatchGoLoop(t *testing.T) {
+	if !likelihood.HasLanes() {
+		t.Skip("this CPU has no AVX2: the Go recursion computes every site")
+	}
+	defer likelihood.SetLanes(likelihood.SetLanes(true))
+	rng := rand.New(rand.NewSource(28))
+	fixtures := []*fixture{deepCombPSR(t)}
+	for seed := int64(1); seed <= 6; seed++ {
+		fixtures = append(fixtures, makeFixture(t, 4+3*int(seed), 40, model.PSR, seed))
+	}
+	scaled := false
+	for n, f := range fixtures {
+		edges := f.tree.Edges()
+		for e := 0; e < 4; e++ {
+			p := edges[rng.Intn(len(edges))]
+			steps := traversal.ForEdge(f.tree, p, 0, true)
+			pRef, qRef := traversal.Ref(f.tree, p), traversal.Ref(f.tree, p.Back)
+			for _, rate := range []float64{model.MinSiteRate, 1, model.MaxSiteRate} {
+				for i := 0; i < f.kern.NPatterns(); i++ {
+					var lnl [2]uint64
+					var sc [2]int32
+					for k, on := range []bool{false, true} {
+						likelihood.SetLanes(on)
+						lnl[k] = math.Float64bits(f.kern.EvaluateSiteAtRate(steps, pRef, qRef, p.Length(0), i, rate))
+						sc[k] = f.kern.SiteScaleCount(i)
+					}
+					if lnl[1] != lnl[0] || sc[1] != sc[0] {
+						t.Fatalf("fixture %d, root edge at %v, rate %g, site %d: lanes give lnL %x and scale count %d, the Go recursion %x and %d", n, pRef, rate, i, lnl[1], sc[1], lnl[0], sc[0])
+					}
+					scaled = scaled || sc[0] > 0
+				}
+			}
+		}
+	}
+	if !scaled {
+		t.Error("no recursion rescaled: the scaling branch went untested")
 	}
 }
 

@@ -1,25 +1,45 @@
 package likelihood
 
-// Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes", docs/DETERMINISM.md
-// §8). The Γ plane workers — Newview inner-inner and tip-inner, evaluation
-// with an inner or tip near operand and with a tip far operand, and both
-// insertion scores — hand the first w & laneMask sites of each category's
-// site loop to an AVX2 routine (lanes_amd64.s) that computes four sites per
-// instruction, and their own Go loop continues from there. The Go loop is
-// the single statement of each expression: it computes the tail of up to
-// three sites, and every site on CPUs without AVX2 and on other
-// architectures (lanes_other.go). A lane evaluates the Go expression of its
-// site with the same operands in the same order, without FMA, its scale test
-// is the Go predicate, and every reduction over sites stays in Go, so a site
-// has the same bits whichever of the two computes it.
-//
-// PSR workers stay scalar: each site picks its own matrix, so a lane has no
-// matrix all four sites share. So do the sum-table and derivative workers,
-// whose table is pattern-major, and the tip-tip copies.
+import (
+	"math"
 
-// laneMask is ^3 when the lanes run and 0 when they do not: a block of w
-// sites computes its first w & laneMask in lanes. Set once, before any
-// kernel runs; tests switch it between programs (export_test.go).
+	"repro/internal/model"
+)
+
+// Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes", docs/DETERMINISM.md
+// §8). On a CPU with AVX2 the block workers that multiply a P matrix into a
+// vector run in AVX2 routines (lanes_amd64.s, lanes_psr_amd64.s), each
+// value with the same operands in the same order as the Go expression it
+// replaces, without FMA, with the Go scale predicate, and with every
+// reduction over sites left in Go — so a value has the same bits whichever
+// of the two computes it. The Go loops are the reference and the path of
+// every other CPU and architecture (lanes_other.go).
+//
+//   - Γ: site lanes. The Newview inner-inner and tip-inner, the evaluation
+//     (inner or tip near operand, tip far operand) and both insertion-score
+//     workers hand the first w & laneMask sites of each category's site
+//     loop to a routine that computes four sites per instruction — one
+//     matrix serves them all — and their Go loop continues with the tail
+//     of up to three sites.
+//   - PSR: state lanes. Each site picks its own matrix, so a routine holds
+//     one site at a time, lane x being state x, and builds row x of P·v
+//     column by column from the broadcast v_y: the matrices are stored
+//     transposed (Kernel.probMatrices). Newview (every operand shape),
+//     evaluation, the insertion table and score, and the single-site
+//     recursion of the rate scan run every site in lanes: no tail. A sum
+//     over states is taken horizontally from +0.0, lane 0 first.
+//   - Logs: the per-site logs of every evaluation and insertion-score block
+//     go four at a time through laneLog, a transcription of math.Log's
+//     amd64 code with its bits (logSites).
+//
+// The sum-table and derivative workers stay scalar: their table is
+// pattern-major, and state lanes would turn their sums horizontal. So do
+// the Γ tip-tip copies.
+
+// laneMask is ^3 when the lanes run and 0 when they do not: a Γ block of w
+// sites computes its first w & laneMask in lanes, a PSR block all of them
+// when laneMask != 0. Set once, before any kernel runs; tests switch it
+// between programs (export_test.go).
 var laneMask = laneMaskFor(true)
 
 // laneMaskFor returns the laneMask that runs the lanes if on and the CPU
@@ -31,13 +51,29 @@ func laneMaskFor(on bool) int {
 	return 0
 }
 
-// countGammaSites counts a staged Γ operation's sites and, if its worker
-// has lanes, the sites they compute: w & laneMask of every block, which
-// sums to nPat & laneMask because every block but the last is a multiple
-// of 4 wide.
-func (k *Kernel) countGammaSites(lanes bool) {
-	k.fp.GammaSites += int64(k.nPat)
-	if lanes {
+// countSites counts a staged Newview, evaluation or insertion-score
+// operation's sites and, if its worker has lanes, the sites they compute:
+// under Γ w & laneMask of every block, which sums to nPat & laneMask
+// because every block but the last is a multiple of 4 wide; under PSR all
+// of them.
+func (k *Kernel) countSites(lanes bool) {
+	k.fp.Sites += int64(k.nPat)
+	switch {
+	case !lanes || laneMask == 0:
+	case k.par.Het == model.Gamma:
 		k.fp.LaneSites += int64(k.nPat & laneMask)
+	default:
+		k.fp.LaneSites += int64(k.nPat)
+	}
+}
+
+// logSites replaces every per-site likelihood of site by its log: the
+// first len(site) & laneMask four at a time in lanes, the rest by
+// math.Log, whose bits laneLog has.
+func logSites(site []float64) {
+	nl := len(site) & laneMask
+	laneLog(site, nl)
+	for j := nl; j < len(site); j++ {
+		site[j] = math.Log(site[j])
 	}
 }

@@ -182,6 +182,7 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 				sameBits(t, label+": poisoned tip tables vs tips as inner operands", got, want)
 				checkTipReference(t, label, fast, ref)
 				fp := fast.FastPath()
+				checkLanesReached(t, label, het, lanes, fp)
 				if het == model.Gamma {
 					if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
 						t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)

@@ -20,24 +20,22 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 	pa := k.probMatricesFor(ta)
 	pb := k.probMatricesFor(tb)
 
-	var ra *runArgs
-	if oa.tips != nil || ob.tips != nil {
-		if oa.tips != nil && ob.tips != nil {
-			k.fp.NewviewTipTip++
-		} else {
-			k.fp.NewviewTipInner++
-		}
-		ra = k.stage(opNvPSRFast)
-		if oa.tips != nil {
-			ra.tabA = k.tipTable(pa, oa.mask)
-		}
-		if ob.tips != nil {
-			ra.tabB = k.tipTable(pb, ob.mask)
-		}
-	} else {
+	ra := k.stage(opNvPSR)
+	switch {
+	case oa.tips != nil && ob.tips != nil:
+		k.fp.NewviewTipTip++
+	case oa.tips != nil || ob.tips != nil:
+		k.fp.NewviewTipInner++
+	default:
 		k.fp.NewviewInner++
-		ra = k.stage(opNvPSRInner)
 	}
+	if oa.tips != nil {
+		ra.tabA = k.tipTable(pa, oa.mask)
+	}
+	if ob.tips != nil {
+		ra.tabB = k.tipTable(pb, ob.mask)
+	}
+	k.countSites(true)
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
 	k.flops.Newview += k.cols()
 }
@@ -46,35 +44,16 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 // branch of length t between op and oq; see evaluateGamma.
 func (k *Kernel) evaluatePSR(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
-	var ra *runArgs
+	ra := k.stageReducing(opEvalPSR)
 	if oq.tips != nil {
 		k.fp.EvaluateTip++
-		ra = k.stageReducing(opEvalPSRTip)
 		ra.tabB = k.tipTable(pm, oq.mask)
 	} else {
 		k.fp.EvaluateGeneric++
-		ra = k.stageReducing(opEvalPSR)
 	}
+	k.countSites(true)
 	ra.oa, ra.ob, ra.pa = op, oq, pm
 	k.flops.Evaluate += k.cols()
-}
-
-// evaluatePSRTipBlock is the tip-tip per-block worker of evaluatePSR:
-// both operands are tips, so no CLV is read.
-func (k *Kernel) evaluatePSRTipBlock(op, oq operand, tab []float64, lo, hi int) float64 {
-	cats := k.par.SiteCats
-	freqs := &k.par.Freqs
-	total := 0.0
-	for i := lo; i < hi; i++ {
-		vp := k.tipVec[op.tips[i]]
-		toff := (cats[i]*16 + int(oq.tips[i])) * ns
-		site := 0.0
-		for x := 0; x < ns; x++ {
-			site += freqs[x] * vp[x] * tab[toff+x]
-		}
-		total += float64(k.data.Weights[i]) * math.Log(site)
-	}
-	return total
 }
 
 // derivativesPSRBlock is the per-block worker of derivativesPSR. The

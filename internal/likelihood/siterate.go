@@ -16,7 +16,9 @@ import (
 // the rate search scans rates shared by all sites (model.SiteRateGrid)
 // and reads P from a SiteRateTable filled once per schedule; only its
 // acceptance test needs off-grid rates, and EvaluateSiteAtRate serves
-// those by filling a one-rate table and running the same recursion.
+// those by filling a one-rate table and running the same recursion. Like
+// every PSR matrix the tables' are stored transposed, and on a CPU with
+// AVX2 the recursion runs in state lanes (lanes.go), its log in Go.
 
 // SiteRateTable holds P(t·r) of every edge of one schedule at the rates
 // of model.SiteRateGrid: per rate, the two operand matrices of each step
@@ -56,15 +58,16 @@ func newSiteScratch(nPat, nInner int) []siteScratch {
 }
 
 // fillSitePMatrices writes P(t·rate) for the operand edges of every step
-// and for the root edge into pm, which holds 2·len(steps)+1 matrices.
+// and for the root edge into pm, which holds 2·len(steps)+1 matrices,
+// transposed like every PSR matrix (Kernel.probMatrices).
 func (k *Kernel) fillSitePMatrices(pm [][ns * ns]float64, steps []Step, rootT, rate float64) {
 	e := k.par.Eigen
 	pm = pm[:2*len(steps)+1]
 	for i := range steps {
-		e.ProbMatrix(steps[i].TA, rate, &pm[2*i])
-		e.ProbMatrix(steps[i].TB, rate, &pm[2*i+1])
+		e.ProbMatrixT(steps[i].TA, rate, &pm[2*i])
+		e.ProbMatrixT(steps[i].TB, rate, &pm[2*i+1])
 	}
-	e.ProbMatrix(rootT, rate, &pm[2*len(steps)])
+	e.ProbMatrixT(rootT, rate, &pm[2*len(steps)])
 }
 
 // FillSiteRateTable fills tab for the schedule steps ending at a root
@@ -132,9 +135,16 @@ func (k *Kernel) siteOperand(scr *siteScratch, r NodeRef, site int) (*[ns]float6
 
 // siteLnL is the one site recursion: it runs steps for local pattern
 // site with step i's operand matrices at pm[2i] and pm[2i+1] and the
-// root edge's at pm[2·len(steps)], scaling as Newview does.
+// root edge's at pm[2·len(steps)], scaling as Newview does. The matrices
+// are transposed (fillSitePMatrices). On a CPU with AVX2 the whole
+// recursion runs in state lanes (laneSiteLnL, lanes.go) and only the log
+// is taken here.
 func (k *Kernel) siteLnL(scr *siteScratch, pm [][ns * ns]float64, steps []Step, p, q NodeRef, site int) float64 {
 	pm = pm[:2*len(steps)+1]
+	if laneMask != 0 {
+		l, sc := laneSiteLnL(scr.vec, scr.scale, steps, k.data.Tips, site, &k.tipVec, pm, p, q, &k.par.Freqs)
+		return math.Log(l) + float64(sc)*LogScaleStep
+	}
 	for i := range steps {
 		s := &steps[i]
 		va, sa := k.siteOperand(scr, s.A, site)
@@ -143,8 +153,8 @@ func (k *Kernel) siteLnL(scr *siteScratch, pm [][ns * ns]float64, steps []Step, 
 		var out [ns]float64
 		needScale := true
 		for x := 0; x < ns; x++ {
-			la := pa[x*ns]*va[0] + pa[x*ns+1]*va[1] + pa[x*ns+2]*va[2] + pa[x*ns+3]*va[3]
-			lb := pb[x*ns]*vb[0] + pb[x*ns+1]*vb[1] + pb[x*ns+2]*vb[2] + pb[x*ns+3]*vb[3]
+			la := pa[x]*va[0] + pa[ns+x]*va[1] + pa[2*ns+x]*va[2] + pa[3*ns+x]*va[3]
+			lb := pb[x]*vb[0] + pb[ns+x]*vb[1] + pb[2*ns+x]*vb[2] + pb[3*ns+x]*vb[3]
 			o := la * lb
 			out[x] = o
 			if o >= ScaleThreshold || o != o {
@@ -166,7 +176,7 @@ func (k *Kernel) siteLnL(scr *siteScratch, pm [][ns * ns]float64, steps []Step, 
 	pr := &pm[2*len(steps)]
 	site0 := 0.0
 	for x := 0; x < ns; x++ {
-		right := pr[x*ns]*vq[0] + pr[x*ns+1]*vq[1] + pr[x*ns+2]*vq[2] + pr[x*ns+3]*vq[3]
+		right := pr[x]*vq[0] + pr[ns+x]*vq[1] + pr[2*ns+x]*vq[2] + pr[3*ns+x]*vq[3]
 		site0 += k.par.Freqs[x] * vp[x] * right
 	}
 	return math.Log(site0) + float64(sp+sq)*LogScaleStep

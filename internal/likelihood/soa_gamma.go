@@ -1,8 +1,6 @@
 package likelihood
 
 import (
-	"math"
-
 	"repro/internal/threadpool"
 )
 
@@ -283,17 +281,17 @@ func (k *Kernel) evaluateGammaSites(site []float64, op, oq operand, pm [][ns * n
 	}
 }
 
-// sumSiteLnl is the tail of the plane-major Γ evaluation workers: the
-// block's weighted log likelihood from its per-site likelihoods and the
-// two operands' scale counts, summed in site order.
+// sumSiteLnl is the tail of the evaluation workers of both models: the
+// block's weighted log likelihood from its per-site likelihoods (replaced
+// by their logs) and the two operands' scale counts, summed in site order.
 func (k *Kernel) sumSiteLnl(site []float64, sp, sq []int32, lo int) float64 {
 	weights := k.data.Weights[lo:][:len(site)]
 	sp, sq = sp[:len(site)], sq[:len(site)]
+	logSites(site)
 	total := 0.0
 	for j, l := range site {
 		sc := sp[j] + sq[j]
-		lnl := math.Log(l) + float64(sc)*LogScaleStep
-		total += float64(weights[j]) * lnl
+		total += float64(weights[j]) * (l + float64(sc)*LogScaleStep)
 	}
 	return total
 }

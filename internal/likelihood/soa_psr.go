@@ -1,8 +1,6 @@
 package likelihood
 
 import (
-	"math"
-
 	"repro/internal/msa"
 	"repro/internal/threadpool"
 )
@@ -15,6 +13,17 @@ import (
 // the 4-state cell unrolled into straight-line code. Tip-specialized and
 // inner-inner workers compute a site's value by the same expression; see
 // soa_gamma.go for the expression-order rules.
+//
+// PSR matrices are stored transposed (Kernel.probMatrices): pc[y·4+x] is
+// P[x][y], so row x of P·v reads pc[x], pc[4+x], pc[8+x], pc[12+x] — the
+// same doubles in the same order as the row-major expression.
+//
+// Vector lanes (lanes.go): on a CPU with AVX2 every site of a block runs
+// in state lanes — lane x holds state x of one site, so a site's own
+// matrix is four vector loads — and the Go loop below each lane call is
+// the reference and the path of every other CPU. The evaluation and
+// insertion-score workers fill per-site likelihoods; their reductions over
+// sites stay in Go (sumSiteLnl, finishInsertionPSR).
 
 // psrPlanes returns the block windows (soa_gamma.go) of a PSR operand's
 // four state planes. A tip operand has none: it gets windows of zeros,
@@ -45,54 +54,10 @@ func tipWindow(o operand, lo, w int) []msa.State {
 	return tips[lo:][:w]
 }
 
-// newviewPSRSoABlock is the inner-inner worker of newviewPSR.
-func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
-	n := k.nPat
-	w := hi - lo
-	cats := k.par.SiteCats[lo:][:w]
-	e0, e1, e2, e3 := planes(dclv, 0, n, lo, w)
-	a0, a1, a2, a3 := planes(oa.clv, 0, n, lo, w)
-	b0, b1, b2, b3 := planes(ob.clv, 0, n, lo, w)
-	sa, sb := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w)
-	ds := dscale[lo:][:w]
-	for j := range cats {
-		sc := sa[j] + sb[j]
-		pca := &pa[cats[j]]
-		pcb := &pb[cats[j]]
-		va := [ns]float64{a0[j], a1[j], a2[j], a3[j]}
-		vb := [ns]float64{b0[j], b1[j], b2[j], b3[j]}
-		la0 := pca[0]*va[0] + pca[1]*va[1] + pca[2]*va[2] + pca[3]*va[3]
-		lb0 := pcb[0]*vb[0] + pcb[1]*vb[1] + pcb[2]*vb[2] + pcb[3]*vb[3]
-		v0 := la0 * lb0
-		la1 := pca[4]*va[0] + pca[5]*va[1] + pca[6]*va[2] + pca[7]*va[3]
-		lb1 := pcb[4]*vb[0] + pcb[5]*vb[1] + pcb[6]*vb[2] + pcb[7]*vb[3]
-		v1 := la1 * lb1
-		la2 := pca[8]*va[0] + pca[9]*va[1] + pca[10]*va[2] + pca[11]*va[3]
-		lb2 := pcb[8]*vb[0] + pcb[9]*vb[1] + pcb[10]*vb[2] + pcb[11]*vb[3]
-		v2 := la2 * lb2
-		la3 := pca[12]*va[0] + pca[13]*va[1] + pca[14]*va[2] + pca[15]*va[3]
-		lb3 := pcb[12]*vb[0] + pcb[13]*vb[1] + pcb[14]*vb[2] + pcb[15]*vb[3]
-		v3 := la3 * lb3
-		noScale := v0 >= ScaleThreshold || v0 != v0 ||
-			v1 >= ScaleThreshold || v1 != v1 ||
-			v2 >= ScaleThreshold || v2 != v2 ||
-			v3 >= ScaleThreshold || v3 != v3
-		if !noScale {
-			v0 *= ScaleFactor
-			v1 *= ScaleFactor
-			v2 *= ScaleFactor
-			v3 *= ScaleFactor
-			sc++
-		}
-		e0[j], e1[j], e2[j], e3[j] = v0, v1, v2, v3
-		ds[j] = sc
-	}
-}
-
-// newviewPSRFastSoABlock is the tip-specialized worker of newviewPSR:
-// tip sides gather their P·tipVec table entries, inner sides read the
-// state streams.
-func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
+// newviewPSRSoABlock is the worker of newviewPSR, every operand shape: a
+// tip side gathers its P·tipVec table entries (tabA/tabB), an inner side
+// reads its state streams.
+func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	w := hi - lo
 	cats := k.par.SiteCats[lo:][:w]
@@ -102,6 +67,10 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
 	sa, sb := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w)
 	ds := dscale[lo:][:w]
+	if laneMask != 0 {
+		lanePSRNewview(e0, a0, tipsA, tabA, oa.tips != nil, b0, tipsB, tabB, ob.tips != nil, n, cats, &pa[0], &pb[0], sa, sb, ds)
+		return
+	}
 	for j := range cats {
 		sc := sa[j] + sb[j]
 		c := cats[j]
@@ -112,10 +81,10 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 		} else {
 			pca := &pa[c]
 			va0, va1, va2, va3 := a0[j], a1[j], a2[j], a3[j]
-			la[0] = pca[0]*va0 + pca[1]*va1 + pca[2]*va2 + pca[3]*va3
-			la[1] = pca[4]*va0 + pca[5]*va1 + pca[6]*va2 + pca[7]*va3
-			la[2] = pca[8]*va0 + pca[9]*va1 + pca[10]*va2 + pca[11]*va3
-			la[3] = pca[12]*va0 + pca[13]*va1 + pca[14]*va2 + pca[15]*va3
+			la[0] = pca[0]*va0 + pca[4]*va1 + pca[8]*va2 + pca[12]*va3
+			la[1] = pca[1]*va0 + pca[5]*va1 + pca[9]*va2 + pca[13]*va3
+			la[2] = pca[2]*va0 + pca[6]*va1 + pca[10]*va2 + pca[14]*va3
+			la[3] = pca[3]*va0 + pca[7]*va1 + pca[11]*va2 + pca[15]*va3
 		}
 		if ob.tips != nil {
 			toff := (c*16 + int(tipsB[j])) * ns
@@ -123,10 +92,10 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 		} else {
 			pcb := &pb[c]
 			vb0, vb1, vb2, vb3 := b0[j], b1[j], b2[j], b3[j]
-			lb[0] = pcb[0]*vb0 + pcb[1]*vb1 + pcb[2]*vb2 + pcb[3]*vb3
-			lb[1] = pcb[4]*vb0 + pcb[5]*vb1 + pcb[6]*vb2 + pcb[7]*vb3
-			lb[2] = pcb[8]*vb0 + pcb[9]*vb1 + pcb[10]*vb2 + pcb[11]*vb3
-			lb[3] = pcb[12]*vb0 + pcb[13]*vb1 + pcb[14]*vb2 + pcb[15]*vb3
+			lb[0] = pcb[0]*vb0 + pcb[4]*vb1 + pcb[8]*vb2 + pcb[12]*vb3
+			lb[1] = pcb[1]*vb0 + pcb[5]*vb1 + pcb[9]*vb2 + pcb[13]*vb3
+			lb[2] = pcb[2]*vb0 + pcb[6]*vb1 + pcb[10]*vb2 + pcb[14]*vb3
+			lb[3] = pcb[3]*vb0 + pcb[7]*vb1 + pcb[11]*vb2 + pcb[15]*vb3
 		}
 		v0 := la[0] * lb[0]
 		v1 := la[1] * lb[1]
@@ -148,70 +117,58 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 	}
 }
 
-// evaluatePSRSoABlock is the Evaluate worker for an inner far operand
-// (the near one may be a tip); the per-site sum accumulates its four
-// terms in ascending-state order.
-func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, hi int) float64 {
+// evaluatePSRSoABlock is the Evaluate worker, every operand shape: the near
+// operand p is a CLV or a tip's 0/1 vector, the far one's P product is
+// computed from its CLV or, for a tip, read from tab.
+func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, tab []float64, lo, hi int) float64 {
+	w := hi - lo
+	var siteBuf [threadpool.BlockSize]float64
+	site := siteBuf[:w]
+	k.evaluatePSRSites(site, op, oq, pm, tab, lo)
+	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w), lo)
+}
+
+// evaluatePSRSites writes the per-site likelihoods of evaluatePSRSoABlock's
+// block into site: the four terms in ascending-state order, summed from
+// 0.0.
+func (k *Kernel) evaluatePSRSites(site []float64, op, oq operand, pm [][ns * ns]float64, tab []float64, lo int) {
 	freqs := &k.par.Freqs
 	n := k.nPat
-	w := hi - lo
+	w := len(site)
 	cats := k.par.SiteCats[lo:][:w]
 	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
-	q0, q1, q2, q3 := planes(oq.clv, 0, n, lo, w)
-	tipsP := tipWindow(op, lo, w)
-	sp, sq := scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w)
-	weights := k.data.Weights[lo:][:w]
-	total := 0.0
+	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
+	if laneMask != 0 {
+		lanePSREvaluate(site, p0, tipsP, &k.tipVec, op.tips != nil, q0, tipsQ, tab, oq.tips != nil, n, cats, &pm[0], freqs)
+		return
+	}
 	for j := range cats {
-		pc := &pm[cats[j]]
-		var vp [ns]float64
+		c := cats[j]
+		var vp, right [ns]float64
 		if op.tips != nil {
 			vp = k.tipVec[tipsP[j]]
 		} else {
 			vp = [ns]float64{p0[j], p1[j], p2[j], p3[j]}
 		}
-		vq := [ns]float64{q0[j], q1[j], q2[j], q3[j]}
-		right0 := pc[0]*vq[0] + pc[1]*vq[1] + pc[2]*vq[2] + pc[3]*vq[3]
-		right1 := pc[4]*vq[0] + pc[5]*vq[1] + pc[6]*vq[2] + pc[7]*vq[3]
-		right2 := pc[8]*vq[0] + pc[9]*vq[1] + pc[10]*vq[2] + pc[11]*vq[3]
-		right3 := pc[12]*vq[0] + pc[13]*vq[1] + pc[14]*vq[2] + pc[15]*vq[3]
-		site := 0.0
-		site += freqs[0] * vp[0] * right0
-		site += freqs[1] * vp[1] * right1
-		site += freqs[2] * vp[2] * right2
-		site += freqs[3] * vp[3] * right3
-		sc := sp[j] + sq[j]
-		total += float64(weights[j]) * (math.Log(site) + float64(sc)*LogScaleStep)
+		if oq.tips != nil {
+			toff := (c*16 + int(tipsQ[j])) * ns
+			right[0], right[1], right[2], right[3] = tab[toff], tab[toff+1], tab[toff+2], tab[toff+3]
+		} else {
+			pc := &pm[c]
+			vq0, vq1, vq2, vq3 := q0[j], q1[j], q2[j], q3[j]
+			right[0] = pc[0]*vq0 + pc[4]*vq1 + pc[8]*vq2 + pc[12]*vq3
+			right[1] = pc[1]*vq0 + pc[5]*vq1 + pc[9]*vq2 + pc[13]*vq3
+			right[2] = pc[2]*vq0 + pc[6]*vq1 + pc[10]*vq2 + pc[14]*vq3
+			right[3] = pc[3]*vq0 + pc[7]*vq1 + pc[11]*vq2 + pc[15]*vq3
+		}
+		s := 0.0
+		s += freqs[0] * vp[0] * right[0]
+		s += freqs[1] * vp[1] * right[1]
+		s += freqs[2] * vp[2] * right[2]
+		s += freqs[3] * vp[3] * right[3]
+		site[j] = s
 	}
-	return total
-}
-
-// evaluatePSRTipSoABlock is the q-tip Evaluate worker; a tip-tip edge
-// reads no CLV and takes evaluatePSRTipBlock.
-func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi int) float64 {
-	if op.tips != nil {
-		return k.evaluatePSRTipBlock(op, oq, tab, lo, hi)
-	}
-	freqs := &k.par.Freqs
-	n := k.nPat
-	w := hi - lo
-	cats := k.par.SiteCats[lo:][:w]
-	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
-	tips := oq.tips[lo:][:w]
-	sp := scaleWindow(op.scale, lo, w)
-	weights := k.data.Weights[lo:][:w]
-	total := 0.0
-	for j := range cats {
-		vp := [ns]float64{p0[j], p1[j], p2[j], p3[j]}
-		toff := (cats[j]*16 + int(tips[j])) * ns
-		site := 0.0
-		site += freqs[0] * vp[0] * tab[toff]
-		site += freqs[1] * vp[1] * tab[toff+1]
-		site += freqs[2] * vp[2] * tab[toff+2]
-		site += freqs[3] * vp[3] * tab[toff+3]
-		total += float64(weights[j]) * (math.Log(site) + float64(sp[j])*LogScaleStep)
-	}
-	return total
 }
 
 // preparePSRSoABlock is the inner-inner sum-table fill.

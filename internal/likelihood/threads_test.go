@@ -163,13 +163,15 @@ func TestThreadedKernelsBitIdentical(t *testing.T) {
 				f, pool := threadedFixture(t, het, threads)
 				got := programTrace(t, f.tree, passThrough(f), func(k *likelihood.Kernel) { k.Flush(pool) })
 				pool.Close()
-				sameBits(t, fmt.Sprintf("%v T=%d lanes=%v: block-major vs op-major without lanes", het, threads, lanes), got, want)
+				label := fmt.Sprintf("%v T=%d lanes=%v", het, threads, lanes)
+				sameBits(t, label+": block-major vs op-major without lanes", got, want)
+				checkLanesReached(t, label, het, lanes, f.kern.FastPath())
 			}
 		}
 	}
 }
 
-// laneSettings are the settings of the Γ workers' vector lanes a kernel
+// laneSettings are the settings of the workers' vector lanes a kernel
 // test runs under: off, and on where the CPU has them. The lanes-off run
 // is every test's reference.
 func laneSettings(t *testing.T) []bool {
@@ -178,6 +180,24 @@ func laneSettings(t *testing.T) []bool {
 		return []bool{false}
 	}
 	return []bool{false, true}
+}
+
+// checkLanesReached fails unless a kernel's Newview, evaluation and
+// insertion-score sites reached the vector lanes as they should: with the
+// lanes on, every PSR site (there is no tail) — so a PSR test that runs
+// lanes on compares them, not the Go loops twice; with them off, none.
+func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, lanes bool, fp likelihood.FastPathStats) {
+	t.Helper()
+	switch {
+	case fp.Sites == 0:
+		t.Errorf("%s: no Newview, evaluation or insertion-score site counted", label)
+	case !lanes && fp.LaneSites != 0:
+		t.Errorf("%s: %d of %d sites in lanes that are off", label, fp.LaneSites, fp.Sites)
+	case lanes && het == model.PSR && fp.LaneSites != fp.Sites:
+		t.Errorf("%s: %d of %d PSR sites in lanes, want every one", label, fp.LaneSites, fp.Sites)
+	case fp.LaneSites > fp.Sites:
+		t.Errorf("%s: %d of %d sites in lanes", label, fp.LaneSites, fp.Sites)
+	}
 }
 
 // TestThreadedKernelReuse moves the virtual root around with a pool

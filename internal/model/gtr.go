@@ -150,6 +150,17 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 // exponentials are taken; the 0.0 the sum starts from turns a −0 sum into
 // +0, as the rolled loop did.
 func (e *Eigen) ProbMatrix(t, rate float64, p *[msa.NumStates * msa.NumStates]float64) {
+	e.probMatrix(t, rate, p, false)
+}
+
+// ProbMatrixT fills p with the transpose of P(t·rate): p[y·4+x] is the
+// double ProbMatrix writes to p[x·4+y]. Row y of p is column y of P, the
+// layout the PSR kernels multiply a vector by (likelihood/lanes.go).
+func (e *Eigen) ProbMatrixT(t, rate float64, p *[msa.NumStates * msa.NumStates]float64) {
+	e.probMatrix(t, rate, p, true)
+}
+
+func (e *Eigen) probMatrix(t, rate float64, p *[msa.NumStates * msa.NumStates]float64, transpose bool) {
 	const n = msa.NumStates
 	e0 := math.Exp(e.Vals[0] * t * rate)
 	e1 := math.Exp(e.Vals[1] * t * rate)
@@ -163,7 +174,11 @@ func (e *Eigen) ProbMatrix(t, rate float64, p *[msa.NumStates * msa.NumStates]fl
 			} else if v > 1 {
 				v = 1
 			}
-			p[x*n+y] = v
+			if transpose {
+				p[y*n+x] = v
+			} else {
+				p[x*n+y] = v
+			}
 		}
 	}
 }

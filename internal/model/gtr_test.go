@@ -241,7 +241,8 @@ func rolledProbMatrix(e *Eigen, t, rate float64, p *[16]float64) {
 // TestProbMatrixSameBitsAsRolledLoop: ProbMatrix, with its precomputed
 // stationary term and three exponentials, writes the bits of the rolled
 // four-exponential loop for 200 000 random (eigensystem, t, rate) draws —
-// t from 0 and −0 through 1e-8 to 500, rates over five decades.
+// t from 0 and −0 through 1e-8 to 500, rates over five decades — and
+// ProbMatrixT writes the same doubles transposed.
 func TestProbMatrixSameBitsAsRolledLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for sys := 0; sys < 2000; sys++ {
@@ -260,12 +261,16 @@ func TestProbMatrixSameBitsAsRolledLoop(t *testing.T) {
 				tt = 500
 			}
 			rate := math.Exp(rng.Float64()*11.5 - 6.9)
-			var got, want [16]float64
+			var got, gotT, want [16]float64
 			e.ProbMatrix(tt, rate, &got)
+			e.ProbMatrixT(tt, rate, &gotT)
 			rolledProbMatrix(e, tt, rate, &want)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("system %d, t=%g, rate=%g: entry %d is %x, the rolled loop gives %x", sys, tt, rate, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+				if tr := i%4*4 + i/4; math.Float64bits(gotT[tr]) != math.Float64bits(want[i]) {
+					t.Fatalf("system %d, t=%g, rate=%g: ProbMatrixT entry %d is %x, the rolled loop's entry %d %x", sys, tt, rate, tr, math.Float64bits(gotT[tr]), i, math.Float64bits(want[i]))
 				}
 			}
 		}

@@ -57,10 +57,11 @@ type RankStats struct {
 	// round; docs/PERFORMANCE.md §9).
 	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
 	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
-	// GammaSites/LaneSites are the rank's Γ Newview, evaluation and
-	// insertion-score sites, and those computed in vector lanes.
-	GammaSites int64 `json:"gamma_sites,omitempty"`
-	LaneSites  int64 `json:"lane_sites,omitempty"`
+	// Sites/LaneSites are the rank's Newview, evaluation and
+	// insertion-score sites, both rate models, and those computed in
+	// vector lanes.
+	Sites     int64 `json:"sites,omitempty"`
+	LaneSites int64 `json:"lane_sites,omitempty"`
 }
 
 // KernelStat is one kernel class's run-wide aggregate.
@@ -150,12 +151,12 @@ type Report struct {
 	// tip-tip pair table is filled with (of 256), summed across ranks
 	// (0 when no pair table was built — PSR has none).
 	PairEntriesPerTipTipNewview float64 `json:"pair_entries_per_tiptip_newview"`
-	// GammaSites is the Γ Newview, evaluation and insertion-score site work
-	// summed across ranks; LaneShare the share of it computed in AVX2 vector
-	// lanes (docs/PERFORMANCE.md §6) — 0 when a Γ run fell back to the Go
-	// loops.
-	GammaSites int64   `json:"gamma_sites"`
-	LaneShare  float64 `json:"lane_share"`
+	// Sites is the Newview, evaluation and insertion-score site work of
+	// both rate models summed across ranks; LaneShare the share of it
+	// computed in AVX2 vector lanes (docs/PERFORMANCE.md §6) — 1 under PSR
+	// on an AVX2 CPU, 0 when a run fell back to the Go loops.
+	Sites     int64   `json:"sites"`
+	LaneShare float64 `json:"lane_share"`
 	// ModelProbesPerRound is model-parameter probes (SetShared + forced
 	// traversal + evaluation) per model-optimization round, from rank 0
 	// (0 when no round ran).
@@ -222,8 +223,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			SiteRateTableEvals: r.perf.SiteRateTableEvals,
 			SiteRateExactEvals: r.perf.SiteRateExactEvals,
 
-			GammaSites: r.perf.GammaSites,
-			LaneSites:  r.perf.LaneSites,
+			Sites:     r.perf.Sites,
+			LaneSites: r.perf.LaneSites,
 		}
 		rep.PerRank = append(rep.PerRank, rs)
 		sumCompute += rs.ComputeNS
@@ -243,10 +244,10 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		pcMiss += r.perf.PCacheMisses
 		tipTips += r.perf.TipTipNewviews
 		pairEntries += r.perf.PairTableEntries
-		rep.GammaSites += r.perf.GammaSites
+		rep.Sites += r.perf.Sites
 		laneSites += r.perf.LaneSites
 	}
-	rep.LaneShare = ratio(laneSites, rep.GammaSites)
+	rep.LaneShare = ratio(laneSites, rep.Sites)
 	if tot := fastOps + genericOps; tot > 0 {
 		rep.FastPathShare = float64(fastOps) / float64(tot)
 	}
@@ -387,8 +388,8 @@ func (r *Report) String() string {
 	if r.PairEntriesPerTipTipNewview > 0 {
 		fmt.Fprintf(&b, "  pair-table entries / tip-tip newview   %8.1f\n", r.PairEntriesPerTipTipNewview)
 	}
-	if r.GammaSites > 0 {
-		fmt.Fprintf(&b, "  Γ site work in vector lanes            %8.3f\n", r.LaneShare)
+	if r.Sites > 0 {
+		fmt.Fprintf(&b, "  site work in vector lanes              %8.3f\n", r.LaneShare)
 	}
 	if r.ModelProbesPerRound > 0 {
 		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)

@@ -473,10 +473,11 @@ type KernelPerf struct {
 	// P matrices from the rate table and those that built them for an
 	// off-grid rate (docs/PERFORMANCE.md §9).
 	SiteRateTableEvals, SiteRateExactEvals int64
-	// GammaSites are the sites of the Γ Newview, evaluation and
-	// insertion-score operations, one per site and operation; LaneSites
-	// those of them computed in AVX2 vector lanes (docs/PERFORMANCE.md §6).
-	GammaSites, LaneSites int64
+	// Sites are the sites of the Newview, evaluation and insertion-score
+	// operations of both rate models, one per site and operation;
+	// LaneSites those of them computed in AVX2 vector lanes
+	// (docs/PERFORMANCE.md §6).
+	Sites, LaneSites int64
 }
 
 // ratio returns a/b, 0 when b is 0.
@@ -503,9 +504,9 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 		for _, n := range r.collOps {
 			collectives += n
 		}
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"gamma_sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
-			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.GammaSites, p.LaneSites,
+			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
 			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks,
 			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],

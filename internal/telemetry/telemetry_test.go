@@ -140,8 +140,8 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, 1, &trace)
-	c.Recorder(0).SetKernelPerf(KernelPerf{FastOps: 30, GenericOps: 10, PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, GammaSites: 1000, LaneSites: 996})
-	c.Recorder(1).SetKernelPerf(KernelPerf{FastOps: 50, GenericOps: 10, PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, GammaSites: 600, LaneSites: 596})
+	c.Recorder(0).SetKernelPerf(KernelPerf{FastOps: 30, GenericOps: 10, PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
+	c.Recorder(1).SetKernelPerf(KernelPerf{FastOps: 50, GenericOps: 10, PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
 	c.Recorder(0).EndKernel(KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
@@ -184,15 +184,15 @@ func TestKernelPerfReport(t *testing.T) {
 	if sr := rep.Kernels[KernelSiteRates]; sr.TableEvals != 2900 || sr.ExactEvals != 398 || rep.PerRank[1].SiteRateExactEvals != 198 {
 		t.Fatalf("site-rates class %+v, rank 1 %+v", sr, rep.PerRank[1])
 	}
-	if rep.GammaSites != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].LaneSites != 596 {
-		t.Fatalf("Γ sites %d, lane share %v, rank 1 %+v", rep.GammaSites, rep.LaneShare, rep.PerRank[1])
+	if rep.Sites != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].LaneSites != 596 {
+		t.Fatalf("sites %d, lane share %v, rank 1 %+v", rep.Sites, rep.LaneShare, rep.PerRank[1])
 	}
 	if other := rep.Kernels[KernelEvaluate]; other.TableEvals != 0 || other.ExactEvals != 0 {
 		t.Fatalf("single-site evaluations charged to %+v", other)
 	}
 
 	text := rep.String()
-	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "Γ site work in vector lanes               0.995"} {
+	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -206,7 +206,7 @@ func TestKernelPerfReport(t *testing.T) {
 		}
 		if ev["ev"] == "perf" {
 			perfEvents++
-			for _, field := range []string{"fast_ops", "site_rate_table_evals", "site_rate_exact_evals", "gamma_sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+			for _, field := range []string{"fast_ops", "site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
 				if _, ok := ev[field]; !ok {
 					t.Fatalf("perf event missing %s: %v", field, ev)
 				}

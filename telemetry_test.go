@@ -76,8 +76,8 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				if rep.CommFraction <= 0 || rep.CommFraction >= 1 {
 					t.Errorf("comm fraction %v outside (0,1)", rep.CommFraction)
 				}
-				if rep.GammaSites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 {
-					t.Errorf("Γ run reported %d Γ sites, lane share %v", rep.GammaSites, rep.LaneShare)
+				if rep.Sites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 {
+					t.Errorf("run reported %d sites, lane share %v", rep.Sites, rep.LaneShare)
 				}
 				if rep.Counters["iterations"] != int64(traced.Iterations) {
 					t.Errorf("iterations counter %d != result %d", rep.Counters["iterations"], traced.Iterations)
