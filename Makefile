@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeDescriptor$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeGradPlan$$' -fuzztime 10s
 	$(GO) test ./internal/enginecore -run '^$$' -fuzz '^FuzzDecodeSiteRateResolution$$' -fuzztime 10s
+	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
 
 # smoke-net runs a real multi-process decentralized inference over
 # loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then

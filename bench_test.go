@@ -236,11 +236,11 @@ func BenchmarkKernelDerivativesGamma(b *testing.B) {
 	k, tr, _ := benchKernel(b, model.Gamma)
 	p := traversal.Ref(tr, tr.Tip(0))
 	q := traversal.Ref(tr, tr.Tip(0).Back)
-	k.PrepareDerivatives(p, q)
+	k.Contract(0, p.Grad(), q.Grad())
 	k.Flush(nil)
 	b.ResetTimer()
 	for b.Loop() {
-		k.Derivatives(0.1)
+		k.Derivatives(0, 0.1)
 		k.Flush(nil)
 	}
 }
@@ -400,7 +400,7 @@ func BenchmarkHybridGrid(b *testing.B) {
 // whatever the branch count.
 func BenchmarkAllBranchGradient(b *testing.B) {
 	d := benchDataset(b, 24, 4, 60)
-	cfg := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1, SkipTopology: true, SmoothPasses: 8}
+	cfg := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1, SkipTopology: true}
 	const ranks = 3
 	nonce := uint64(0)
 	var blOps int64

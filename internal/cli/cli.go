@@ -108,8 +108,12 @@ func Validate(a Args) error {
 	if a.RanksPerNode > 1 && a.Scheme == examl.ForkJoin {
 		return fmt.Errorf("-ranks-per-node applies to the decentralized scheme only (hierarchical Allreduce has no fork-join counterpart)")
 	}
-	if a.RanksPerNode > a.Ranks {
-		return fmt.Errorf("-ranks-per-node (%d) cannot exceed -np (%d)", a.RanksPerNode, a.Ranks)
+	world, worldFlag := a.Ranks, "-np"
+	if a.NetMode() && a.NetSize > 0 {
+		world, worldFlag = a.NetSize, "-net-size"
+	}
+	if a.RanksPerNode > world {
+		return fmt.Errorf("-ranks-per-node (%d) cannot exceed %s (%d)", a.RanksPerNode, worldFlag, world)
 	}
 	if a.MaxIter < 0 {
 		return fmt.Errorf("-iter must be >= 0 (got %d)", a.MaxIter)

@@ -96,7 +96,7 @@ func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
 }
 
 // AllBranchDerivatives implements search.Engine: one local pre-order
-// pass plus the fused per-edge gradient kernel, then ONE wide Allreduce
+// pass plus every edge's sum table and derivatives, then ONE wide Allreduce
 // of 2·classes·branches doubles. A whole Newton iteration over every
 // branch costs a single collective where BranchDerivatives edge by edge
 // pays one Allreduce per branch — the O(branches·iters) → O(iters)

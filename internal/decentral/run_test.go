@@ -173,7 +173,7 @@ func TestSearchImprovesLikelihood(t *testing.T) {
 	}
 	// Score the random starting tree (no topology moves, no model opt).
 	flat, _, err := Run(d, enginecore.RunConfig{
-		Search: search.Config{Het: model.Gamma, Seed: 5, MaxIterations: 1, SkipTopology: true, ModelOptRounds: 1},
+		Search: search.Config{Het: model.Gamma, Seed: 5, MaxIterations: 1, SkipTopology: true},
 		Ranks:  1,
 	})
 	if err != nil {

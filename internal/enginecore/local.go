@@ -94,10 +94,9 @@ type Local struct {
 	// wake counts are read against.
 	engineCalls int64
 
-	// gradContracted[b] records that the last contracting gradient plan
-	// AdmitGradPlan saw computed edge b, i.e. that every local kernel
-	// holds a sum table for it that a Reuse plan may read.
-	gradContracted []bool
+	// branch is the edge the last PrepareLocal contracted into every
+	// kernel's sum-table slot 0: what an opDerivatives frame evaluates.
+	branch traversal.GradEdge
 }
 
 // item is one unit of a dispatch: pattern block blk of local kernel k.
@@ -329,25 +328,51 @@ func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
 	return vec
 }
 
-// PrepareLocal traverses and builds the derivative sum tables.
+// PrepareLocal traverses and contracts the descriptor's edge into every
+// kernel's sum-table slot 0, where DerivativesLocal and
+// DerivativesPerPartition evaluate it.
 func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 	t := l.rec.Begin()
+	l.branch = traversal.GradEdge{P: d.P.Grad(), Q: d.Q.Grad()}
 	for i, k := range l.Kernels {
 		k.Traverse(d.Steps[l.ClassOf(l.PartIdx[i])])
-		k.PrepareDerivatives(d.P, d.Q)
+		k.Contract(0, l.branch.P, l.branch.Q)
 		l.staged(i)
 	}
 	l.flush(t)
 }
 
 // AdmitDerivatives is the check a receiver of derivative frames it did
-// not order (a fork-join worker) makes before evaluating one: every
-// kernel must hold the sum table of a PrepareLocal with no traversal
-// since.
-func (l *Local) AdmitDerivatives() error {
+// not order (a fork-join worker) makes before evaluating one: plan is an
+// opAllBranchDerivs frame's gradient plan, nil an opDerivatives frame,
+// which evaluates the edge of the last PrepareLocal. One rule admits
+// both: every edge the frame evaluates without contracting it must be
+// the edge its sum-table slot holds on every local kernel, contracted
+// since the kernel's last Newview, NewviewOuter, InvalidateAll and
+// parameter change (likelihood.Kernel.Contracted). A contracting plan
+// evaluates only what it contracts; a Reuse plan contracts nothing and
+// so may not stage the pre-order steps that would move every stamp.
+func (l *Local) AdmitDerivatives(plan *traversal.GradPlan) error {
+	edges, active := []traversal.GradEdge{l.branch}, []bool(nil)
+	if plan != nil {
+		if !plan.Reuse {
+			return nil
+		}
+		for _, pre := range plan.Pre {
+			if len(pre) > 0 {
+				return fmt.Errorf("enginecore: gradient plan reuses sum tables but carries %d pre-order steps", len(pre))
+			}
+		}
+		edges, active = plan.Edges, plan.Active
+	}
 	for i, k := range l.Kernels {
-		if !k.Prepared() {
-			return fmt.Errorf("enginecore: partition %d has no prepared sum table to evaluate derivatives from", l.PartIdx[i])
+		for b, e := range edges {
+			if active != nil && !active[b] {
+				continue
+			}
+			if p, q, ok := k.Contracted(b); !ok || p != e.P || q != e.Q {
+				return fmt.Errorf("enginecore: partition %d holds no current sum table of edge %d to evaluate derivatives from", l.PartIdx[i], b)
+			}
 		}
 	}
 	return nil
@@ -359,7 +384,7 @@ func (l *Local) AdmitDerivatives() error {
 func (l *Local) DerivativesLocal(ts []float64) []float64 {
 	t := l.rec.Begin()
 	for i, k := range l.Kernels {
-		k.Derivatives(ts[l.ClassOf(l.PartIdx[i])])
+		k.Derivatives(0, ts[l.ClassOf(l.PartIdx[i])])
 		l.staged(i)
 	}
 	l.flush(t)
@@ -384,7 +409,7 @@ func (l *Local) DerivativesLocal(ts []float64) []float64 {
 func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
 	t := l.rec.Begin()
 	for i, k := range l.Kernels {
-		k.Derivatives(ts[l.PartIdx[i]])
+		k.Derivatives(0, ts[l.PartIdx[i]])
 		l.staged(i)
 	}
 	l.flush(t)
@@ -399,7 +424,7 @@ func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
 }
 
 // AllBranchDerivativesLocal executes the plan's pre-order schedule and
-// the fused gradient kernel over every edge on every local kernel,
+// the derivatives of every edge on every local kernel,
 // returning the local per-class all-branch derivative sums packed as
 // [d1[c·nB+b]..., d2[C·nB + c·nB+b]...] with b indexing plan edges.
 // One call replaces nB PrepareLocal/DerivativesLocal pairs — the local
@@ -418,13 +443,12 @@ func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 }
 
 // gradient stages the plan on every local kernel — the pre-order pass,
-// then per computed edge the contracting gradient or, for a Reuse plan,
-// the derivative evaluation from the edge's cached sum table — and
+// then per computed edge the contraction of its sum table into slot b,
+// unless the plan reuses the tables, and the derivatives from there — and
 // flushes. Kernel results are then numbered over the plan's computed
 // edges in edge order.
 func (l *Local) gradient(plan *traversal.GradPlan) {
 	t := l.rec.Begin()
-	nB := plan.NBranches()
 	for i, k := range l.Kernels {
 		cls := l.ClassOf(l.PartIdx[i])
 		k.TraverseOuter(plan.Pre[cls])
@@ -432,11 +456,10 @@ func (l *Local) gradient(plan *traversal.GradPlan) {
 			if plan.Active != nil && !plan.Active[b] {
 				continue
 			}
-			if plan.Reuse {
-				k.BranchGradientReuse(b, plan.T[cls][b])
-			} else {
-				k.BranchGradientCached(b, nB, e.P, e.Q, plan.T[cls][b])
+			if !plan.Reuse {
+				k.Contract(b, e.P, e.Q)
 			}
+			k.Derivatives(b, plan.T[cls][b])
 		}
 		l.staged(i)
 	}
@@ -456,31 +479,6 @@ func (l *Local) foldGradient(i int, plan *traversal.GradPlan, d1, d2 []float64) 
 		d2[b] += c
 		r++
 	}
-}
-
-// AdmitGradPlan is the check a receiver of gradient plans it did not
-// build (a fork-join worker) makes before executing one. A contracting
-// plan is recorded: the edges it computes get their sum tables cached. A
-// Reuse plan reads those tables without contracting, so every edge it
-// computes must be one the last contracting plan computed — anything
-// else would index a sum table no kernel of this rank holds.
-func (l *Local) AdmitGradPlan(plan *traversal.GradPlan) error {
-	if !plan.Reuse {
-		l.gradContracted = l.gradContracted[:0]
-		for b := range plan.Edges {
-			l.gradContracted = append(l.gradContracted, plan.Active == nil || plan.Active[b])
-		}
-		return nil
-	}
-	if n := plan.NBranches(); n > len(l.gradContracted) {
-		return fmt.Errorf("enginecore: gradient plan reuses the sum tables of %d edges, the last contracting plan had %d", n, len(l.gradContracted))
-	}
-	for b := range plan.Edges {
-		if (plan.Active == nil || plan.Active[b]) && !l.gradContracted[b] {
-			return fmt.Errorf("enginecore: gradient plan reuses the sum table of edge %d, which the last contracting plan did not compute", b)
-		}
-	}
-	return nil
 }
 
 // AllBranchDerivativesPerPartition is AllBranchDerivativesLocal at

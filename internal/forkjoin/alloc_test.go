@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/distrib"
 	"repro/internal/enginecore"
+	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/traversal"
@@ -222,8 +224,9 @@ func TestWorkerRefusesDescriptorForAnotherRun(t *testing.T) {
 
 // TestWorkerRefusesDerivativesWithoutSumTables: an opDerivatives frame
 // evaluates the sum tables the last opPrepareBranch built. A worker that
-// has built none, or has traversed since, ends its loop with an error
-// naming the opcode instead of reading a sum table it does not hold.
+// has built none, has traversed since, or has since taken a parameter
+// frame that moved α, ends its loop with an error naming the opcode
+// instead of reading a sum table that does not hold what it evaluates.
 func TestWorkerRefusesDerivativesWithoutSumTables(t *testing.T) {
 	tr := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
 	desc := traversal.Build(tr, tr.Tip(0), true)
@@ -246,6 +249,37 @@ func TestWorkerRefusesDerivativesWithoutSumTables(t *testing.T) {
 				t.Fatalf("worker ended with %v, want an error naming opDerivatives", err)
 			}
 		})
+	}
+	t.Run("an opSetShared that changed α since", func(t *testing.T) {
+		master, done := startWorker(t, model.Gamma)
+		send(master, opPrepareBranch)
+		par, err := model.NewParams(model.Gamma, model.UniformFreqs(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par.Alpha = 2
+		shared := par.EncodeShared()
+		master.BcastBytes(0, []byte{opSetShared}, mpi.ClassControl)
+		master.Bcast(0, append(append([]float64(nil), shared...), shared...), mpi.ClassModelParams)
+		master.BcastBytes(0, []byte{opDerivatives}, mpi.ClassControl)
+		master.Bcast(0, []float64{0.1, 0.1}, mpi.ClassBranchLength)
+		refusedNaming(t, done, "opDerivatives")
+	})
+}
+
+// refusedNaming waits for a worker's loop to end and fails unless it ended
+// with an error naming op. A worker that admitted the frame waits for the
+// master's part of the frame's collective instead, which never comes;
+// still running after a while counts as admitted.
+func refusedNaming(t *testing.T, done <-chan error, op string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), op) {
+			t.Fatalf("worker ended with %v, want an error naming %s", err, op)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("worker admitted the frame: still running after 10 s, want an error naming %s", op)
 	}
 }
 
@@ -303,6 +337,67 @@ func TestWorkerRefusesReuseWithoutContraction(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "opAllBranchDerivs") {
 				t.Fatalf("worker ended with %v, want an error naming opAllBranchDerivs", err)
 			}
+		})
+	}
+
+	// A contracting plan over every edge, then a frame that leaves the
+	// tables stale — or a Reuse plan that would make them stale itself.
+	desc := traversal.Build(tr, tr.Tip(0), true)
+	desc.T = append(desc.T, desc.T[0])
+	desc.Steps = append(desc.Steps, desc.Steps[0])
+	// Another edge than the plan's edge 0, contracted with no traversal:
+	// only the slot's edge tells the tables apart.
+	other := tr.Tip(1)
+	otherEdge := &traversal.Descriptor{
+		P: traversal.Ref(tr, other), Q: traversal.Ref(tr, other.Back),
+		T: []float64{other.Length(0), other.Length(0)}, Steps: make([][]likelihood.Step, 2),
+	}
+	pruned := tr.Clone()
+	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins traversal.InsertPlan
+	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+	since := map[string]func(master *mpi.Comm) (preSteps bool){
+		"an opTraverse since": func(master *mpi.Comm) bool {
+			master.BcastBytes(0, []byte{opTraverse}, mpi.ClassControl)
+			master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
+			master.Barrier(mpi.ClassControl)
+			return false
+		},
+		"an opScoreInsertions since": func(master *mpi.Comm) bool {
+			master.BcastBytes(0, []byte{opScoreInsertions}, mpi.ClassControl)
+			master.BcastBytes(0, ins.Encode(), mpi.ClassTraversal)
+			master.Reduce(0, make([]float64, 2*ins.NCandidates()), mpi.OpSum, mpi.ClassLikelihoodEval)
+			return false
+		},
+		"an opPrepareBranch of another edge since": func(master *mpi.Comm) bool {
+			master.BcastBytes(0, []byte{opPrepareBranch}, mpi.ClassControl)
+			master.BcastBytes(0, otherEdge.Encode(), mpi.ClassTraversal)
+			master.Barrier(mpi.ClassControl)
+			return false
+		},
+		"pre-order steps in the Reuse plan": func(*mpi.Comm) bool { return true },
+	}
+	for what, between := range since {
+		t.Run(what, func(t *testing.T) {
+			master, done := startWorker(t, model.Gamma)
+			master.BcastBytes(0, []byte{opTraverse}, mpi.ClassControl)
+			master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
+			master.Barrier(mpi.ClassControl)
+			contract := full()
+			master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
+			master.BcastBytes(0, contract.Encode(), mpi.ClassTraversal)
+			master.Reduce(0, make([]float64, 2*2*nB), mpi.OpSum, mpi.ClassBranchLength)
+			reuse := full()
+			reuse.Reuse = true
+			if !between(master) {
+				reuse.Pre[0] = nil
+			}
+			master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
+			master.BcastBytes(0, reuse.Encode(), mpi.ClassTraversal)
+			refusedNaming(t, done, "opAllBranchDerivs")
 		})
 	}
 }

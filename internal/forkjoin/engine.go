@@ -216,7 +216,7 @@ func (e *Engine) bcastGradPlan(p *traversal.GradPlan) {
 }
 
 // AllBranchDerivatives implements search.Engine: one plan broadcast,
-// one fused local pass everywhere, one Reduce of 2·partitions·branches
+// one local pass everywhere, one Reduce of 2·partitions·branches
 // derivative sums, folded into linkage classes at the master — a whole
 // Newton iteration over every branch in a single fork-join region
 // instead of one region per branch. The returned slice is reused by the
@@ -398,7 +398,7 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			if len(ts) != local.NPart {
 				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame of %d branch lengths, expected %d", comm.Rank(), len(ts), local.NPart)
 			}
-			if err := local.AdmitDerivatives(); err != nil {
+			if err := local.AdmitDerivatives(nil); err != nil {
 				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame: %w", comm.Rank(), err)
 			}
 			comm.Reduce(0, local.DerivativesPerPartition(ts), mpi.OpSum, mpi.ClassBranchLength)
@@ -438,7 +438,7 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			if err := plan.Validate(local.NInner+2, local.BLClasses()); err != nil {
 				return err
 			}
-			if err := local.AdmitGradPlan(plan); err != nil {
+			if err := local.AdmitDerivatives(plan); err != nil {
 				return fmt.Errorf("forkjoin: worker %d: opAllBranchDerivs frame: %w", comm.Rank(), err)
 			}
 			comm.Reduce(0, local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)

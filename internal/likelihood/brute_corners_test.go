@@ -223,7 +223,8 @@ func TestKernelsMatchBruteForceAtTheCorners(t *testing.T) {
 				kern.TraverseOuter(plan.Pre[class])
 				for b, nd := range nodes {
 					t0 := plan.T[class][b]
-					d1, d2 := kern.BranchGradient(plan.Edges[b].P, plan.Edges[b].Q, t0)
+					kern.Contract(b, plan.Edges[b].P, plan.Edges[b].Q)
+					d1, d2 := kern.Derivatives(b, t0)
 					var fd1, fd2, s1, s2, wsum float64
 					for i, w := range pd.Weights {
 						// A site likelihood is an entire function of the

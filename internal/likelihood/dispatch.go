@@ -10,7 +10,7 @@ import (
 // call, their execution block by block, and the join.
 //
 // A kernel call does not compute; it stages. Traverse, Evaluate,
-// PrepareDerivatives, the gradient and the insertion calls resolve their
+// Contract, Derivatives and the insertion calls resolve their
 // operands, build their P matrices and tip tables on the caller's
 // goroutine, and append one runArgs per block operation to k.prog. The
 // engine then runs the whole program over one pattern block before it
@@ -49,10 +49,6 @@ const (
 	opPrepPSR
 	opPrepPSRFast
 	opDerivPSR
-	opGradGamma
-	opGradGammaFast
-	opGradPSR
-	opGradPSRFast
 	opPrepInsGamma
 	opPrepInsPSR
 	opInsGamma
@@ -112,8 +108,8 @@ type runArgs struct {
 	pairScale  *[256]int32
 	catW       float64
 
-	// sumTab is the sum table a prepare operation fills and a derivative
-	// operation reads (a fused gradient does both).
+	// sumTab is the sum table a prepare operation fills or a derivative
+	// operation reads.
 	sumTab    []float64
 	exG, lamG *[gammaCats][ns]float64
 	exP, lamP [][ns]float64
@@ -241,27 +237,6 @@ func (k *Kernel) RunOp(op, blk int) {
 	case opDerivPSR:
 		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
 
-	case opGradGamma:
-		// Fused all-branch gradient (gradient.go): prepare this block's
-		// sum-table range, then immediately consume it with the derivative
-		// worker. The range is written and read by the same goroutine, so
-		// the fusion is race-free and the bits match PrepareDerivatives
-		// followed by Derivatives exactly.
-		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
-		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
-
-	case opGradGammaFast:
-		k.prepareGammaFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
-
-	case opGradPSR:
-		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
-		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
-
-	case opGradPSRFast:
-		k.preparePSRFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
-
 	case opPrepInsGamma:
 		k.prepareInsertionGammaSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
 
@@ -330,8 +305,7 @@ func (k *Kernel) Flush(p *threadpool.Pool) {
 
 // LnL returns the i-th result of the last finished program as a log
 // likelihood: results are numbered over the program's evaluations,
-// derivative evaluations, gradients and insertion scores in staging
-// order.
+// derivative evaluations and insertion scores in staging order.
 func (k *Kernel) LnL(i int) float64 { return k.res[i][0] }
 
 // Gradient returns the i-th result of the last finished program as a

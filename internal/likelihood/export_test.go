@@ -49,19 +49,13 @@ func (n Now) EvaluateGrad(p, q GradRef, t float64) float64 {
 	return n.LnL(0)
 }
 
-func (n Now) PrepareDerivatives(p, q NodeRef) {
-	n.Kernel.PrepareDerivatives(p, q)
+func (n Now) Contract(s int, p, q GradRef) {
+	n.Kernel.Contract(s, p, q)
 	n.Flush(n.Pool)
 }
 
-func (n Now) Derivatives(t float64) (d1, d2 float64) {
-	n.Kernel.Derivatives(t)
-	n.Flush(n.Pool)
-	return n.Gradient(0)
-}
-
-func (n Now) BranchGradient(p, q GradRef, t float64) (d1, d2 float64) {
-	n.Kernel.BranchGradient(p, q, t)
+func (n Now) Derivatives(s int, t float64) (d1, d2 float64) {
+	n.Kernel.Derivatives(s, t)
 	n.Flush(n.Pool)
 	return n.Gradient(0)
 }

@@ -88,9 +88,9 @@ func (s stager) Evaluate(p, q likelihood.NodeRef, t float64) {
 	s.Kernel.Evaluate(s.ref(p), s.ref(q), t)
 }
 
-func (s stager) PrepareDerivatives(p, q likelihood.NodeRef) {
-	s.note("prepare", p.Tip, q.Tip)
-	s.Kernel.PrepareDerivatives(s.ref(p), s.ref(q))
+func (s stager) Contract(slot int, p, q likelihood.GradRef) {
+	s.note("contract", isTip(p), isTip(q))
+	s.Kernel.Contract(slot, s.grad(p), s.grad(q))
 }
 
 func (s stager) NewviewOuter(st likelihood.GradStep) {
@@ -103,11 +103,6 @@ func (s stager) TraverseOuter(steps []likelihood.GradStep) {
 	for _, st := range steps {
 		s.NewviewOuter(st)
 	}
-}
-
-func (s stager) BranchGradientCached(b, nEdges int, p, q likelihood.GradRef, t float64) {
-	s.note("gradient", isTip(p), isTip(q))
-	s.Kernel.BranchGradientCached(b, nEdges, s.grad(p), s.grad(q), t)
 }
 
 func (s stager) PrepareInsertion(sub likelihood.GradRef, t float64) {
@@ -125,8 +120,7 @@ func (s stager) ScoreInsertion(near, far likelihood.GradRef, half float64) {
 var tipShapes = []string{
 	"newview tip tip", "newview tip inner", "newview inner tip",
 	"evaluate tip tip", "evaluate tip inner", "evaluate inner tip",
-	"prepare tip tip", "prepare tip inner", "prepare inner tip",
-	"gradient tip inner",
+	"contract tip tip", "contract tip inner", "contract inner tip",
 	"insertion table tip", "insertion score inner tip",
 }
 

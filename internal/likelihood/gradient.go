@@ -1,28 +1,24 @@
 package likelihood
 
-// Pre-order ("outward") conditional vectors and the fused all-branch
-// gradient kernel (docs/PERFORMANCE.md).
+// Pre-order ("outward") conditional vectors (docs/PERFORMANCE.md §5).
 //
 // The post-order CLV at an inner vertex summarizes the subtree *below*
 // it. The pre-order outer vector at a node summarizes everything on the
 // *other* side of its parent edge — the rest of the tree as seen from
 // the node, looking up. With both in hand the derivative of the log
-// likelihood w.r.t. ANY branch is one pass over the sites pairing the
-// branch's outer vector with its post-order CLV: the same sum-table
-// inner product the per-branch PrepareDerivatives/Derivatives pair
-// computes, without re-rooting a traversal per branch. One post-order
-// pass plus one pre-order pass therefore makes every branch's (d1, d2)
-// available — O(1) traversals instead of O(branches).
+// likelihood w.r.t. ANY branch is one sum table contracted from the
+// branch's post-order CLV and its outer vector (sumtable.go), without
+// re-rooting a traversal per branch. One post-order pass plus one
+// pre-order pass therefore makes every branch's (d1, d2) available —
+// O(1) traversals instead of O(branches).
 //
-// Bit-identity with the per-branch pair holds by construction: the
-// pre-order combine below is the exact Newview combine (same block
-// workers, same operand order), and the fused gradient op runs the
-// prepare worker and the derivative worker back to back over the same
-// site block, so every double is produced by the same operations on the
-// same operands in the same order as PrepareDerivatives + Derivatives on
-// a traversal re-rooted at the edge (asserted by the gradient identity
-// tests here and, per call of a whole search, by internal/search's twin
-// engine).
+// Bit-identity with re-rooting holds by construction: the pre-order
+// combine below is the exact Newview combine (same block workers, same
+// operand order), so an edge's outer vector holds the bytes the CLV a
+// traversal re-rooted at the edge would compute, and its sum table is
+// contracted by the same Contract from the same bytes (asserted by the
+// gradient identity tests here and, per call of a whole search, by
+// internal/search's twin engine).
 
 // GradKind selects which buffer a GradRef addresses.
 type GradKind uint8
@@ -52,6 +48,14 @@ func GradInner(i int32) GradRef { return GradRef{Kind: GradInnerKind, Idx: i} }
 // GradOuter references the pre-order outer vector for child vertex i
 // (the conditional vector at i's parent, oriented toward i).
 func GradOuter(i int32) GradRef { return GradRef{Kind: GradOuterKind, Idx: i} }
+
+// Grad returns the GradRef naming the tip or CLV slot r names.
+func (r NodeRef) Grad() GradRef {
+	if r.Tip {
+		return GradTip(r.Idx)
+	}
+	return GradInner(r.Idx)
+}
 
 // GradStep is one pre-order partial computation: combine operand A (the
 // parent side, across branch length TA) with operand B (the sibling
@@ -123,48 +127,4 @@ func (k *Kernel) TraverseOuter(steps []GradStep) {
 // operands holding the same bytes it yields Evaluate's bits.
 func (k *Kernel) EvaluateGrad(p, q GradRef, t float64) {
 	k.evaluate(k.gradOperand(p), k.gradOperand(q), t)
-}
-
-// BranchGradient stages (d lnL/dt, d² lnL/dt²) for one branch of length
-// t, where p is the conditional vector below the branch (a tip or
-// post-order CLV) and q the outer vector above it; the pair is the
-// finished program's next result (Gradient). The prepare and derivative
-// passes are fused block by block: each site block's sum-table range is
-// filled and immediately consumed by the same goroutine, so the
-// arithmetic — and therefore every output bit — matches the
-// PrepareDerivatives + Derivatives sequence on the same operands.
-func (k *Kernel) BranchGradient(p, q GradRef, t float64) {
-	k.prepare(k.sumTable(&k.sumTab), k.gradOperand(p), k.gradOperand(q), true, t)
-	k.prepared = false
-}
-
-// BranchGradientCached is BranchGradient for plan edge b of nEdges,
-// additionally keeping the edge's sum table (the t-independent P·Q
-// contraction the prepare half computes) in a per-edge cache. The
-// compute and therefore every output bit is exactly BranchGradient's —
-// only the table the fused op fills differs — and subsequent
-// BranchGradientReuse calls for the same edge evaluate new trial lengths
-// from the cached table without re-contracting. The cache costs one sum
-// table per edge and is retained for the kernel's lifetime once the
-// batched smoother has run.
-func (k *Kernel) BranchGradientCached(b, nEdges int, p, q GradRef, t float64) {
-	if len(k.gradTabs) < nEdges {
-		tabs := make([][]float64, nEdges)
-		copy(tabs, k.gradTabs)
-		k.gradTabs = tabs
-	}
-	k.prepare(k.sumTable(&k.gradTabs[b]), k.gradOperand(p), k.gradOperand(q), true, t)
-	k.prepared = false
-}
-
-// BranchGradientReuse stages edge b's (d1, d2) at branch length t from
-// the sum table a prior BranchGradientCached call stored — the derivative
-// half of the fused op alone (the same block worker over the same block
-// partition, so the bits match recomputing the fused op at t exactly).
-// Valid only while the CLV and outer-vector state the table was
-// contracted from is unchanged; the simultaneous Newton smoother
-// guarantees that within a sweep's frozen inner loop.
-func (k *Kernel) BranchGradientReuse(b int, t float64) {
-	k.derivatives(k.gradTabs[b], t)
-	k.prepared = false
 }

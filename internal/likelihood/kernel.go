@@ -6,7 +6,7 @@
 //   - Evaluate: the log likelihood at a virtual root placed on an edge,
 //   - Derivatives: the first and second derivative of the log likelihood
 //     with respect to one branch length (for Newton–Raphson optimization),
-//     computed through the eigen-basis sum-table factorization.
+//     evaluated from an edge's contracted sum table (sumtable.go).
 //
 // A Kernel instance owns the CLV arrays for one partition *slice* — the
 // patterns a single rank holds of one partition — which is exactly the
@@ -97,18 +97,12 @@ type Kernel struct {
 	// every code outside the mask.
 	tipMask []uint16
 
-	// sum table for Derivatives, pattern-major (consumed sequentially per
-	// site): Γ: [pattern][category][eig]; PSR: [pattern][eig].
-	sumTab []float64
-	// prepared records whether sumTab matches the most recent
-	// PrepareDerivatives call.
-	prepared bool
-	// gradTabs[b] is plan edge b's cached sum table from the batched
-	// all-branch gradient (gradient.go): BranchGradientCached fills it,
-	// BranchGradientReuse re-evaluates from it at new trial lengths —
-	// the per-branch PrepareDerivatives/Derivatives amortization,
-	// batched across every edge of a smoothing sweep.
-	gradTabs [][]float64
+	// sums is the sum-table store (sumtable.go), addressed by slot: what
+	// Contract fills and Derivatives reads, with the edge and the stamp
+	// each table was contracted under. stamp moves with every staged
+	// Newview or NewviewOuter and every InvalidateAll.
+	sums  []sumSlot
+	stamp uint64
 	// insTab is the SPR insertion table (insertion.go): P(subT)·sub of the
 	// pruned subtree PrepareInsertion was last called for, laid out like a
 	// CLV; insSubScale are that subtree's scale counts (nil for a tip).
@@ -257,7 +251,7 @@ func (k *Kernel) InvalidateAll() {
 		k.scale[i] = nil
 	}
 	k.InvalidateOuter()
-	k.prepared = false
+	k.stamp++
 	k.dropPCache()
 }
 

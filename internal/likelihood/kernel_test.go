@@ -385,9 +385,9 @@ func TestDerivativesMatchFiniteDifferences(t *testing.T) {
 		f.evalAt(p)
 		pRef := traversal.Ref(f.tree, p)
 		qRef := traversal.Ref(f.tree, p.Back)
-		f.kern.PrepareDerivatives(pRef, qRef)
+		f.kern.Contract(0, pRef.Grad(), qRef.Grad())
 		for _, t0 := range []float64{0.05, 0.15, 0.6} {
-			d1, d2 := f.kern.Derivatives(t0)
+			d1, d2 := f.kern.Derivatives(0, t0)
 			const h = 1e-6
 			// d1 against the finite difference of the evaluate kernel
 			// (an independent code path).
@@ -400,8 +400,8 @@ func TestDerivativesMatchFiniteDifferences(t *testing.T) {
 			// d2 against the central difference of the *analytic* d1 —
 			// the second finite difference of lnL itself is dominated by
 			// rounding noise at usable step sizes.
-			d1p, _ := f.kern.Derivatives(t0 + h)
-			d1m, _ := f.kern.Derivatives(t0 - h)
+			d1p, _ := f.kern.Derivatives(0, t0+h)
+			d1m, _ := f.kern.Derivatives(0, t0-h)
 			fd2 := (d1p - d1m) / (2 * h)
 			if math.Abs(d2-fd2) > 1e-4*(1+math.Abs(fd2)) {
 				t.Errorf("%v t=%g: d2 = %g, d1 finite diff %g", het, t0, d2, fd2)
@@ -417,10 +417,10 @@ func TestDerivativeZeroAtOptimum(t *testing.T) {
 	f.evalAt(p)
 	pRef := traversal.Ref(f.tree, p)
 	qRef := traversal.Ref(f.tree, p.Back)
-	f.kern.PrepareDerivatives(pRef, qRef)
+	f.kern.Contract(0, pRef.Grad(), qRef.Grad())
 	best := p.Length(0)
 	for iter := 0; iter < 60; iter++ {
-		d1, d2 := f.kern.Derivatives(best)
+		d1, d2 := f.kern.Derivatives(0, best)
 		if d2 >= 0 {
 			break
 		}
@@ -438,7 +438,7 @@ func TestDerivativeZeroAtOptimum(t *testing.T) {
 		}
 		best = next
 	}
-	d1, d2 := f.kern.Derivatives(best)
+	d1, d2 := f.kern.Derivatives(0, best)
 	if math.Abs(d1) > 1e-4 {
 		t.Errorf("d1 at optimum = %g", d1)
 	}
@@ -673,10 +673,10 @@ func TestKernelErrors(t *testing.T) {
 	f := makeFixture(t, 6, 20, model.Gamma, 73)
 	defer func() {
 		if recover() == nil {
-			t.Error("Derivatives before PrepareDerivatives must panic")
+			t.Error("Derivatives from a slot never contracted must panic")
 		}
 	}()
-	f.kern.Derivatives(0.1)
+	f.kern.Derivatives(0, 0.1)
 }
 
 func TestFlopsAccumulate(t *testing.T) {

@@ -109,9 +109,9 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 		for _, pq := range [][2]likelihood.NodeRef{{p, q}, {q, p}, {likelihood.TipRef(0), likelihood.TipRef(3)}} {
 			run(func() { k.Evaluate(pq[0], pq[1], e.Length(0)) })
 			result()
-			run(func() { k.PrepareDerivatives(pq[0], pq[1]) })
+			run(func() { k.Contract(0, pq[0].Grad(), pq[1].Grad()) })
 			for _, bl := range []float64{0.07, 0.4} {
-				run(func() { k.Derivatives(bl) })
+				run(func() { k.Derivatives(0, bl) })
 				result()
 			}
 		}
@@ -127,7 +127,7 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 		run(func() { k.NewviewOuter(s) })
 	}
 	for b, e := range plan.Edges {
-		run(func() { k.BranchGradientCached(b, plan.NBranches(), e.P, e.Q, plan.T[0][b]) })
+		run(func() { k.Contract(b, e.P, e.Q); k.Derivatives(b, plan.T[0][b]) })
 		result()
 	}
 	for _, ins := range insertionPlans(t, tr) {

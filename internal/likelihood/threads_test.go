@@ -63,20 +63,20 @@ func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.
 		out = append(out, k.CLVDigest(s))
 	}
 
-	k.PrepareDerivatives(pRef, qRef)
-	k.Derivatives(0.05)
-	k.Derivatives(0.2)
+	k.Contract(0, pRef.Grad(), qRef.Grad())
+	k.Derivatives(0, 0.05)
+	k.Derivatives(0, 0.2)
 	flush(k.Kernel)
 	grads(2)
-	k.Derivatives(0.7)
+	k.Derivatives(0, 0.7)
 	flush(k.Kernel)
 	grads(1)
 
 	// No edge of a tree joins two tips, but the kernel takes such a pair.
 	for _, pq := range [][2]likelihood.NodeRef{{qRef, pRef}, {likelihood.TipRef(1), likelihood.TipRef(2)}} {
 		k.Evaluate(pq[0], pq[1], 0.3)
-		k.PrepareDerivatives(pq[0], pq[1])
-		k.Derivatives(0.3)
+		k.Contract(0, pq[0].Grad(), pq[1].Grad())
+		k.Derivatives(0, 0.3)
 	}
 	flush(k.Kernel)
 	grads(4)
@@ -84,12 +84,13 @@ func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.
 	plan, _ := traversal.BuildGradient(tr, nil)
 	k.TraverseOuter(plan.Pre[0])
 	for b, e := range plan.Edges {
-		k.BranchGradientCached(b, plan.NBranches(), e.P, e.Q, plan.T[0][b])
+		k.Contract(b, e.P, e.Q)
+		k.Derivatives(b, plan.T[0][b])
 	}
 	flush(k.Kernel)
 	grads(plan.NBranches())
 	for b := range plan.Edges {
-		k.BranchGradientReuse(b, 1.5*plan.T[0][b])
+		k.Derivatives(b, 1.5*plan.T[0][b])
 	}
 	flush(k.Kernel)
 	grads(plan.NBranches())

@@ -33,6 +33,9 @@ import (
 const (
 	binaryMagic   = "EXBA"
 	binaryVersion = 1
+	// growStep is the most entries ReadBinary reserves for a count it has
+	// not read the data of yet.
+	growStep = 1 << 12
 )
 
 // WriteBinary serializes the dataset in the binary alignment format.
@@ -157,12 +160,17 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		return string(buf), nil
 	}
 
-	d := &Dataset{Names: make([]string, nTaxa)}
-	for i := range d.Names {
-		var err error
-		if d.Names[i], err = readString(); err != nil {
+	// The counts are the file's word until the bytes they promise arrive,
+	// so the slices they size grow with what was read: a header of a few
+	// bytes that claims 2^24 taxa or 2^30 patterns costs an error, not
+	// the memory it claims.
+	d := &Dataset{Names: make([]string, 0, min(nTaxa, growStep))}
+	for i := 0; i < int(nTaxa); i++ {
+		name, err := readString()
+		if err != nil {
 			return nil, fmt.Errorf("msa: taxon name %d: %w", i, err)
 		}
+		d.Names = append(d.Names, name)
 	}
 	for pi := 0; pi < int(nParts); pi++ {
 		name, err := readString()
@@ -176,19 +184,23 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if np < 1 || np > 1<<30 {
 			return nil, fmt.Errorf("msa: partition %q: implausible pattern count %d", name, np)
 		}
-		pd := &PartitionData{Name: name, Weights: make([]int, np), Tips: make([][]State, nTaxa)}
+		// nTaxa names have arrived, at least 4 bytes each, so the row
+		// headers are bounded by what was read.
+		pd := &PartitionData{Name: name, Weights: make([]int, 0, min(np, growStep)), Tips: make([][]State, nTaxa)}
 		for i := range pd.Freqs {
 			if err := binary.Read(cr, binary.LittleEndian, &pd.Freqs[i]); err != nil {
 				return nil, err
 			}
 		}
-		for i := range pd.Weights {
+		for i := uint32(0); i < np; i++ {
 			var w uint32
 			if err := binary.Read(cr, binary.LittleEndian, &w); err != nil {
 				return nil, err
 			}
-			pd.Weights[i] = int(w)
+			pd.Weights = append(pd.Weights, int(w))
 		}
+		// np weights have arrived: every buffer below is a few times
+		// what was read.
 		packed := make([]byte, (np+1)/2)
 		for t := 0; t < int(nTaxa); t++ {
 			if _, err := io.ReadFull(cr, packed); err != nil {

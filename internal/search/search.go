@@ -33,11 +33,6 @@ type Config struct {
 	SPRRadius int
 	// MaxIterations caps the outer search loop (default 50).
 	MaxIterations int
-	// SmoothPasses is the number of branch-length smoothing sweeps per
-	// round (default 2).
-	SmoothPasses int
-	// NewtonIterations caps Newton steps per branch visit (default 8).
-	NewtonIterations int
 	// Seed drives the starting topology.
 	Seed int64
 	// StartTree, when non-empty, is a Newick starting tree overriding the
@@ -48,9 +43,6 @@ type Config struct {
 	// recipe production ExaML runs use) instead of a random topology.
 	// Ignored when StartTree or Restore is set.
 	ParsimonyStart bool
-	// ModelOptRounds is the number of α/GTR (or PSR-rate) optimization
-	// rounds per iteration (default 1).
-	ModelOptRounds int
 	// SkipTopology disables SPR moves (branch lengths + model only).
 	SkipTopology bool
 	// Restore resumes from a checkpoint: the tree, parameters, and
@@ -71,6 +63,19 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
+// The search's fixed effort per iteration.
+const (
+	// newtonIterations caps the Newton steps of one branch visit or one
+	// smoothing sweep.
+	newtonIterations = 8
+	// modelOptRounds is the number of α/GTR (or PSR-rate) optimization
+	// rounds per iteration.
+	modelOptRounds = 1
+	// smoothPasses is the number of branch-length smoothing sweeps per
+	// iteration.
+	smoothPasses = 2
+)
+
 func (c Config) withDefaults() Config {
 	if c.Epsilon <= 0 {
 		c.Epsilon = 0.1
@@ -80,15 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 50
-	}
-	if c.SmoothPasses <= 0 {
-		c.SmoothPasses = 2
-	}
-	if c.NewtonIterations <= 0 {
-		c.NewtonIterations = 8
-	}
-	if c.ModelOptRounds <= 0 {
-		c.ModelOptRounds = 1
 	}
 	return c
 }
@@ -376,13 +372,13 @@ func (s *Searcher) Run() (*Result, error) {
 		iterations++
 		s.cfg.Telemetry.Inc(telemetry.CounterIterations, 1)
 
-		for r := 0; r < s.cfg.ModelOptRounds; r++ {
+		for r := 0; r < modelOptRounds; r++ {
 			s.cfg.Telemetry.Inc(telemetry.CounterModelOptRounds, 1)
 			if err := s.optimizeModel(); err != nil {
 				return nil, err
 			}
 		}
-		s.smoothAll(s.cfg.SmoothPasses)
+		s.smoothAll(smoothPasses)
 		cur := s.evaluateFull()
 
 		if !s.cfg.SkipTopology {
@@ -442,7 +438,7 @@ func (s *Searcher) updateBranch(p *tree.Node) {
 		hi[c] = tree.MaxBranchLength
 		done[c] = false
 	}
-	for iter := 0; iter < s.cfg.NewtonIterations; iter++ {
+	for iter := 0; iter < newtonIterations; iter++ {
 		s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
 		d1, d2 := s.eng.BranchDerivatives(ts)
 		allDone := true
@@ -501,8 +497,8 @@ func quantizeBL(t float64) float64 {
 // the simultaneous multi-branch Newton smoother: each sweep freezes the
 // CLV state once (one post-order refresh + one pre-order pass) and then
 // Newton-optimizes EVERY branch against it at once, one engine call per
-// Newton iteration — so a sweep costs O(NewtonIterations) parallel
-// regions instead of the O(branches · NewtonIterations) a branch-by-
+// Newton iteration — so a sweep costs O(newtonIterations) parallel
+// regions instead of the O(branches · newtonIterations) a branch-by-
 // branch updateBranch pass would pay (docs/PERFORMANCE.md).
 //
 // Branches that exhaust a sweep's Newton budget keep their truncated
@@ -579,11 +575,12 @@ func (s *Searcher) smoothSweep() bool {
 	// the sum tables the first iteration cached (Reuse): with the
 	// state frozen, each edge's P·Q contraction is length-independent,
 	// so re-evaluating at a trial length only needs the cheap
-	// derivative half of the fused kernel — updateBranch's
-	// Prepare/Derivatives amortization, applied to all edges at once.
+	// derivative evaluation from each edge's sum table — updateBranch's
+	// PrepareBranch/BranchDerivatives amortization, applied to all edges
+	// at once.
 	active := growBool(&s.gradActive, nB)
 	inner := &traversal.GradPlan{Pre: s.gradEmptyPre[:classes], Edges: plan.Edges, T: plan.T, Active: active, Reuse: true}
-	for iter := 0; iter < s.cfg.NewtonIterations; iter++ {
+	for iter := 0; iter < newtonIterations; iter++ {
 		s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
 		p := plan
 		if iter > 0 {

@@ -241,7 +241,7 @@ func TestAlphaRecovery(t *testing.T) {
 	}
 	fit := func(d *msa.Dataset) float64 {
 		eng := seqEngine(t, d, model.Gamma, false)
-		s, err := search.NewSearcher(eng, d, search.Config{Seed: 4, MaxIterations: 2, SkipTopology: true, ModelOptRounds: 2})
+		s, err := search.NewSearcher(eng, d, search.Config{Seed: 4, MaxIterations: 4, SkipTopology: true})
 		if err != nil {
 			t.Fatal(err)
 		}

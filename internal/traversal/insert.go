@@ -215,9 +215,10 @@ func refOutside(r likelihood.GradRef, nTaxa, nOuter int) bool {
 	return int(r.Kind) >= len(limit) || r.Idx < 0 || int(r.Idx) >= limit[r.Kind]
 }
 
-// planReader reads the fixed-width fields of a plan frame whose length
-// the decoder has already checked against its header, so no read can run
-// out. A malformed field is reported through err, naming the plan (what).
+// planReader reads the fixed-width fields of a frame — a descriptor, a
+// gradient or an insertion plan — whose length the decoder has already
+// checked against its header, so no read can run out. A malformed field
+// is reported through err, naming the frame (what).
 type planReader struct {
 	buf  []byte
 	pos  int
@@ -245,6 +246,17 @@ func (r *planReader) ref() likelihood.GradRef {
 	return likelihood.GradRef{Kind: kind, Idx: int32(idx)}
 }
 
+// node reads a descriptor operand: a tip byte — 1 a tip, 0 a CLV slot,
+// the reverse of a GradRef kind — and an 8-byte index.
+func (r *planReader) node() likelihood.NodeRef {
+	tip, idx := r.buf[r.pos], binary.LittleEndian.Uint64(r.buf[r.pos+1:])
+	if tip > 1 || idx > math.MaxInt32 {
+		r.err = fmt.Errorf("traversal: bad operand in %s (tip byte %d, index %d)", r.what, tip, idx)
+	}
+	r.pos += 9
+	return likelihood.NodeRef{Tip: tip == 1, Idx: int32(idx)}
+}
+
 // f64 reads a branch length.
 func (r *planReader) f64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
@@ -263,18 +275,11 @@ func (pl *InsertPlan) Validate(nTaxa int) error {
 	ref := func(r likelihood.GradRef) {
 		bad = bad || refOutside(r, nTaxa, 2*nTaxa-2)
 	}
-	node := func(r likelihood.NodeRef) {
-		if r.Tip {
-			ref(likelihood.GradTip(r.Idx))
-		} else {
-			ref(likelihood.GradInner(r.Idx))
-		}
-	}
 	ref(pl.Sub)
 	for _, s := range pl.Post[0] {
 		ref(likelihood.GradInner(s.Dst))
-		node(s.A)
-		node(s.B)
+		ref(s.A.Grad())
+		ref(s.B.Grad())
 	}
 	for i, s := range pl.Pre[0] {
 		ref(likelihood.GradOuter(s.Dst))

@@ -4,11 +4,11 @@ package traversal
 // the post-order descriptors in traversal.go. A GradPlan lists, for a
 // tree rooted at the virtual root on tip 0's edge, (a) the pre-order
 // steps that compute every outer vector (likelihood.NewviewOuter) and
-// (b) one (P, Q) operand pair per edge for the fused all-branch
-// gradient kernel. Executing the post-order full traversal, then the
-// plan's pre-order steps, makes (d1, d2) of EVERY branch computable in
-// one pass each — O(1) traversals per Newton iteration instead of
-// O(branches) (docs/PERFORMANCE.md).
+// (b) one (P, Q) operand pair per edge, the edge a kernel contracts into
+// sum-table slot b (likelihood.Kernel.Contract). Executing the
+// post-order full traversal, then the plan's pre-order steps, makes (d1,
+// d2) of EVERY branch computable in one pass each — O(1) traversals per
+// Newton iteration instead of O(branches) (docs/PERFORMANCE.md).
 //
 // Like the post-order descriptor, both engines share the construction:
 // the de-centralized engine builds the plan locally on every rank, the
@@ -23,9 +23,10 @@ import (
 	"repro/internal/tree"
 )
 
-// GradEdge holds the fused gradient kernel's operands for one edge: P
-// the conditional vector below the edge (tip or post-order CLV), Q the
-// outer vector above it.
+// GradEdge holds the sum-table operands of one edge: P the conditional
+// vector below the edge (tip or post-order CLV), Q the vector above it
+// (an outer vector, or for a per-branch Newton the CLV a descriptor
+// rooted on the edge computes).
 type GradEdge struct {
 	P, Q likelihood.GradRef
 }
@@ -51,10 +52,10 @@ type GradPlan struct {
 	// Reuse marks a plan whose edge set and underlying CLV/outer-vector
 	// state are unchanged since the engines' previous all-branch
 	// gradient call: the kernels re-evaluate each edge's derivatives at
-	// the plan's (new) lengths from the sum tables that call cached
-	// (likelihood.BranchGradientReuse) instead of re-contracting P·Q.
-	// The simultaneous Newton smoother sets it on every inner iteration
-	// after a sweep's first.
+	// the plan's (new) lengths from the sum table that call contracted
+	// into the edge's slot instead of re-contracting P·Q, and such a plan
+	// carries no pre-order steps. The simultaneous Newton smoother sets it
+	// on every inner iteration after a sweep's first.
 	Reuse bool
 }
 

@@ -338,52 +338,33 @@ func Decode(buf []byte) (*Descriptor, error) {
 	if want := descriptorWireSize(classes, steps, masked, nMask); len(buf) != want {
 		return nil, fmt.Errorf("traversal: descriptor is %d bytes, its header says %d", len(buf), want)
 	}
-	pos := 8
-	var err error
-	getRef := func() likelihood.NodeRef {
-		tip, idx := buf[pos], binary.LittleEndian.Uint64(buf[pos+1:])
-		if tip > 1 || idx > math.MaxInt32 {
-			err = fmt.Errorf("traversal: bad operand in descriptor (tip byte %d, index %d)", tip, idx)
-		}
-		pos += 9
-		return likelihood.NodeRef{Tip: tip == 1, Idx: int32(idx)}
-	}
-	getF := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
-		return v
-	}
+	r := planReader{buf: buf, pos: 8, what: "descriptor"}
 	d := &Descriptor{T: make([]float64, classes), Steps: make([][]likelihood.Step, classes)}
-	d.P = getRef()
-	d.Q = getRef()
+	d.P = r.node()
+	d.Q = r.node()
 	for c := range d.T {
-		d.T[c] = getF()
+		d.T[c] = r.f64()
 	}
 	if masked {
-		pos += 4
+		r.pos += 4
 		d.Active = make([]bool, nMask)
 		for i := range d.Active {
-			d.Active[i] = buf[pos+i/8]&(1<<(i%8)) != 0
+			d.Active[i] = buf[r.pos+i/8]&(1<<(i%8)) != 0
 		}
-		if nMask%8 != 0 && buf[pos+nMask/8]>>(nMask%8) != 0 {
-			err = fmt.Errorf("traversal: descriptor mask has bits beyond its %d partitions", nMask)
+		if nMask%8 != 0 && buf[r.pos+nMask/8]>>(nMask%8) != 0 {
+			r.err = fmt.Errorf("traversal: descriptor mask has bits beyond its %d partitions", nMask)
 		}
-		pos += (nMask + 7) / 8
+		r.pos += (nMask + 7) / 8
 	}
 	var structure []likelihood.Step
 	if steps > 0 {
 		structure = make([]likelihood.Step, steps)
 	}
 	for i := range structure {
-		dst := binary.LittleEndian.Uint32(buf[pos:])
-		if dst > math.MaxInt32 {
-			err = fmt.Errorf("traversal: bad destination slot %d in descriptor", dst)
-		}
-		pos += 4
-		structure[i] = likelihood.Step{Dst: int32(dst), A: getRef(), B: getRef()}
+		structure[i] = likelihood.Step{Dst: r.slot(), A: r.node(), B: r.node()}
 	}
-	if err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
 	for c := range d.Steps {
 		cs := structure
@@ -391,7 +372,7 @@ func Decode(buf []byte) (*Descriptor, error) {
 			cs = append([]likelihood.Step(nil), structure...)
 		}
 		for i := range cs {
-			cs[i].TA, cs[i].TB = getF(), getF()
+			cs[i].TA, cs[i].TB = r.f64(), r.f64()
 		}
 		d.Steps[c] = cs
 	}
