@@ -26,12 +26,7 @@ RACE_PKGS = ./internal/threadpool/... \
             ./internal/phyrun/... \
             .
 
-# The thread-speedup rows in BENCH_kernels.json are meaningless when the
-# test binary is pinned to one CPU; give the benchmarks the whole
-# machine unless the caller asks otherwise.
-BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
-
-.PHONY: all fmt vet build test race bench bench-json bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -62,18 +57,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# bench-json runs the kernel-threading, many-small-partitions,
-# hybrid-grid, batched-gradient, and wire-framing benchmarks and writes
-# BENCH_kernels.json (environment block plus name, ns/op, flops/s,
-# roofline bytes/s + arithmetic intensity, speedups) for trend tracking. GOMAXPROCS is set on the test binaries
-# so KernelThreadsGamma measures real thread speedups; benchjson
-# records the per-row gomaxprocs metric and fails loudly when a
-# T-thread row was captured with fewer procs than min(T, CPUs).
-bench-json:
-	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelBatch$$|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
-	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkFrameEncodeDecode' ./internal/mpinet ; } \
-		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
 
 # bench-e2e-smoke is one traced end-to-end benchmark run
 # (benchmark/README.md) of the partition-rich loopback-TCP workload. It

@@ -249,16 +249,15 @@ func BenchmarkKernelDerivativesGamma(b *testing.B) {
 
 // gammaFlopsPerColumn is the rough floating-point cost of one Γ CLV
 // column update (4 rates × 4 states × two length-4 dot products plus the
-// scaler product) — the estimate behind the flops/op benchmark metric
-// and the flops_per_sec column of BENCH_kernels.json.
+// scaler product) — the estimate behind the flops/op benchmark metric.
 const gammaFlopsPerColumn = 4 * 4 * 15
 
 // gammaBytesPerColumn is the main-memory traffic of one Γ CLV column
 // update: two child CLV columns read plus one written, 4 rates × 4
 // states × 8 bytes each. Together with gammaFlopsPerColumn it gives the
 // arithmetic intensity (~1.25 flops/byte) that places the kernel on a
-// roofline plot — benchjson derives bytes_per_sec and
-// arithmetic_intensity from the bytes/op and flops/op metrics.
+// roofline plot: bytes/s and flops/byte follow from the bytes/op and
+// flops/op metrics and ns/op.
 const gammaBytesPerColumn = 3 * 4 * 4 * 8
 
 // BenchmarkKernelThreadsGamma measures the Γ kernels (full traversal +
@@ -355,10 +354,10 @@ func BenchmarkKernelBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridGrid sweeps the full §V configuration space — ranks ×
-// threads-per-rank with node-grouped hierarchical Allreduce — on one
-// decentralized search iteration. This is the reproduction recipe for
-// the paper's hybrid experiment (EXPERIMENTS.md).
+// BenchmarkHybridGrid sweeps the §V configuration space — ranks ×
+// threads-per-rank over the flat Allreduce — on one decentralized search
+// iteration. This is the reproduction recipe for the paper's hybrid
+// experiment (EXPERIMENTS.md).
 func BenchmarkHybridGrid(b *testing.B) {
 	d := benchDataset(b, 12, 2, 1500)
 	cfg := search.Config{Het: model.Gamma, Seed: 1, MaxIterations: 1}
@@ -370,9 +369,6 @@ func BenchmarkHybridGrid(b *testing.B) {
 					Search:  cfg,
 					Ranks:   ranks,
 					Threads: threads,
-				}
-				if ranks > 1 {
-					rc.HybridRanksPerNode = 2
 				}
 				var cols int64
 				for b.Loop() {
@@ -488,37 +484,6 @@ func BenchmarkBinaryVsPhylip(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(bin.Len()))
-	})
-}
-
-// ---------- ablation: flat vs hierarchical (hybrid) Allreduce ----------
-
-// BenchmarkAblationHybridAllreduce compares the flat Allreduce against
-// the §V hierarchical variant at a node-like grouping. In-process the
-// wall-clock difference is modest; on a real cluster the inter-node
-// participant count drops by the group factor (1536 → 32 on the paper's
-// machine).
-func BenchmarkAblationHybridAllreduce(b *testing.B) {
-	const ranks = 48
-	data := make([]float64, 1000)
-	for i := range data {
-		data[i] = float64(i)
-	}
-	b.Run("flat", func(b *testing.B) {
-		w := mpi.NewWorld(ranks)
-		for b.Loop() {
-			w.Run(func(c *mpi.Comm) {
-				c.Allreduce(data, mpi.OpSum, mpi.ClassLikelihoodEval)
-			})
-		}
-	})
-	b.Run("hierarchical-8", func(b *testing.B) {
-		w := mpi.NewWorld(ranks)
-		for b.Loop() {
-			w.Run(func(c *mpi.Comm) {
-				c.AllreduceHierarchical(data, mpi.OpSum, mpi.ClassLikelihoodEval, 8)
-			})
-		}
 	})
 }
 

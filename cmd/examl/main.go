@@ -10,7 +10,6 @@
 //	-np number of simulated MPI ranks
 //	-T  worker threads per rank (§V hybrid scheme; results are
 //	    bit-identical at any thread count)
-//	-ranks-per-node  hierarchical Allreduce node grouping (hybrid)
 //	-t  starting tree (Newick file; random if absent)
 //	-c  checkpoint file (written per iteration; use -r to restore)
 //

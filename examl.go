@@ -32,7 +32,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -237,11 +236,6 @@ type Config struct {
 	// ≤ 1 runs every kernel serially. Results are bit-identical at
 	// every thread count (docs/DETERMINISM.md).
 	Threads int
-	// HybridRanksPerNode, when > 1, groups ranks into nodes and routes
-	// the Allreduce call sites through the hierarchical (intra-node
-	// first) algorithm — the cross-rank half of the §V hybrid scheme.
-	// Decentralized only; composes with Threads.
-	HybridRanksPerNode int
 	// RateModel selects Γ or PSR.
 	RateModel RateModel
 	// Substitution selects GTR (default) or a constrained sub-model.
@@ -470,11 +464,10 @@ func runConfig(cfg Config, recorders int) (enginecore.RunConfig, *checkpointWrit
 		return enginecore.RunConfig{}, nil, err
 	}
 	rc := enginecore.RunConfig{
-		Search:             scfg,
-		Ranks:              cfg.Ranks,
-		Strategy:           distrib.Cyclic,
-		HybridRanksPerNode: cfg.HybridRanksPerNode,
-		Threads:            cfg.Threads,
+		Search:   scfg,
+		Ranks:    cfg.Ranks,
+		Strategy: distrib.Cyclic,
+		Threads:  cfg.Threads,
 	}
 	if cfg.Distribution == MPS {
 		rc.Strategy = distrib.MPS
@@ -489,6 +482,13 @@ func runConfig(cfg Config, recorders int) (enginecore.RunConfig, *checkpointWrit
 // newResult assembles the public Result of a run from what the driver
 // returned for it.
 func newResult(res *search.Result, stats *enginecore.RunStats, rc enginecore.RunConfig) *Result {
+	rep := stats.TelemetryReport(rc.Telemetry, rc.Threads)
+	if rep != nil {
+		// Mirror the run summary onto the process metrics registry so a
+		// live /metrics scrape (-metrics-addr, or the examld daemon) sees
+		// it.
+		rep.Publish(metrics.Default())
+	}
 	return &Result{
 		Tree:                      res.Tree.Newick(),
 		LogLikelihood:             res.LnL,
@@ -497,7 +497,7 @@ func newResult(res *search.Result, stats *enginecore.RunStats, rc enginecore.Run
 		Comm:                      makeCommReport(stats.Comm),
 		WallSeconds:               stats.Wall.Seconds(),
 		Ranks:                     stats.Ranks,
-		Telemetry:                 finalizeTelemetry(rc.Telemetry, stats.Wall, rc.Threads, stats.Comm),
+		Telemetry:                 rep,
 		trace:                     stats.Trace(),
 	}
 }
@@ -529,26 +529,6 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return newResult(res, stats, rc), nil
-}
-
-// finalizeTelemetry joins the span collector with the byte/op meters into
-// the end-of-run report. Returns nil when telemetry was disabled.
-func finalizeTelemetry(c *telemetry.Collector, wall time.Duration, threads int, comm mpi.Snapshot) *telemetry.Report {
-	if c == nil {
-		return nil
-	}
-	names := make([]string, mpi.NumCommClasses)
-	for cl := mpi.CommClass(0); cl < mpi.NumCommClasses; cl++ {
-		names[cl] = cl.String()
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	rep := c.Finalize(wall, threads, names, comm.Ops[:], comm.Bytes[:])
-	// Mirror the run summary onto the process metrics registry so a live
-	// /metrics scrape (-metrics-addr, or the examld daemon) sees it.
-	rep.Publish(metrics.Default())
-	return rep
 }
 
 // checkpointWriter writes one run's per-iteration checkpoints and keeps

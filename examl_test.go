@@ -90,10 +90,8 @@ func TestSchemesAgreeViaPublicAPI(t *testing.T) {
 func TestThreadsViaPublicAPI(t *testing.T) {
 	// Intra-rank threading (Config.Threads) must be invisible in the
 	// results: bit-identical likelihood and topology under both schemes.
-	// (Composition with HybridRanksPerNode is covered in the decentral
-	// package; the hierarchical Allreduce itself re-associates the
-	// cross-rank sum, so it cannot sit inside a bitwise comparison
-	// against a flat-Allreduce reference.)
+	// (Four PSR ranks × three threads are covered by the decentral
+	// package's TestThreadedHybridSearch.)
 	d, err := Simulate(10, 2, 700, 11)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 type Args struct {
 	AlignPath, PartPath, ModelName, SubstName, TreePath, Ckpt, Restore, Name string
 	Binary, MPS, PerPart, Parsimony                                          bool
-	Ranks, Threads, RanksPerNode, MaxIter                                    int
+	Ranks, Threads, MaxIter                                                  int
 	Seed                                                                     int64
 	Scheme                                                                   examl.Scheme
 
@@ -71,7 +71,6 @@ func Register(a *Args) {
 	flag.BoolVar(&a.PerPart, "M", false, "individual per-partition branch lengths")
 	flag.IntVar(&a.Ranks, "np", 1, "number of simulated MPI ranks")
 	flag.IntVar(&a.Threads, "T", 1, "worker threads per rank (hybrid scheme; results are bit-identical at any value)")
-	flag.IntVar(&a.RanksPerNode, "ranks-per-node", 0, "group ranks into nodes of this size for hierarchical Allreduce (decentralized scheme)")
 	flag.StringVar(&a.TreePath, "t", "", "starting tree file (Newick)")
 	flag.BoolVar(&a.Parsimony, "y", false, "build the starting tree by stepwise-addition parsimony")
 	flag.Int64Var(&a.Seed, "p", 12345, "random seed for the starting tree")
@@ -101,19 +100,6 @@ func Validate(a Args) error {
 	}
 	if a.Threads < 1 {
 		return fmt.Errorf("-T must be >= 1 (got %d)", a.Threads)
-	}
-	if a.RanksPerNode < 0 {
-		return fmt.Errorf("-ranks-per-node must be >= 0 (got %d)", a.RanksPerNode)
-	}
-	if a.RanksPerNode > 1 && a.Scheme == examl.ForkJoin {
-		return fmt.Errorf("-ranks-per-node applies to the decentralized scheme only (hierarchical Allreduce has no fork-join counterpart)")
-	}
-	world, worldFlag := a.Ranks, "-np"
-	if a.NetMode() && a.NetSize > 0 {
-		world, worldFlag = a.NetSize, "-net-size"
-	}
-	if a.RanksPerNode > world {
-		return fmt.Errorf("-ranks-per-node (%d) cannot exceed %s (%d)", a.RanksPerNode, worldFlag, world)
 	}
 	if a.MaxIter < 0 {
 		return fmt.Errorf("-iter must be >= 0 (got %d)", a.MaxIter)
@@ -246,7 +232,6 @@ func inferConfig(a Args) (examl.Config, error) {
 		Scheme:                    a.Scheme,
 		Ranks:                     a.Ranks,
 		Threads:                   a.Threads,
-		HybridRanksPerNode:        a.RanksPerNode,
 		RateModel:                 rateModel,
 		Substitution:              subst,
 		PerPartitionBranchLengths: a.PerPart,

@@ -18,18 +18,14 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := Validate(a); err != nil {
 		t.Fatalf("default args rejected: %v", err)
 	}
-	a = Args{Ranks: 8, Threads: 4, RanksPerNode: 4, MaxIter: 10, Scheme: examl.Decentralized, NetRank: -1}
+	a = Args{Ranks: 8, Threads: 4, MaxIter: 10, Scheme: examl.Decentralized, NetRank: -1}
 	if err := Validate(a); err != nil {
-		t.Fatalf("hybrid args rejected: %v", err)
+		t.Fatalf("ranks × threads args rejected: %v", err)
 	}
 	// In network mode the world is -net-size processes, whatever -np says.
-	a = Args{Ranks: 1, Threads: 1, RanksPerNode: 2, NetRank: 0, NetSize: 4, NetAddr: "127.0.0.1:7000"}
+	a = Args{Ranks: 1, Threads: 1, NetRank: 3, NetSize: 4, NetAddr: "127.0.0.1:7000"}
 	if err := Validate(a); err != nil {
-		t.Fatalf("-ranks-per-node 2 of a -net-size 4 world rejected: %v", err)
-	}
-	a = Args{Ranks: 1, Threads: 1, RanksPerNode: 2, NetRank: -1, NetSize: 4, NetLaunch: true}
-	if err := Validate(a); err != nil {
-		t.Fatalf("-ranks-per-node 2 of a -net-launch -net-size 4 world rejected: %v", err)
+		t.Fatalf("-net-rank 3 of a -net-size 4 world rejected: %v", err)
 	}
 }
 
@@ -43,10 +39,6 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"negative ranks", Args{Ranks: -3, Threads: 1}, "-np"},
 		{"zero threads", Args{Ranks: 1, Threads: 0}, "-T"},
 		{"negative threads", Args{Ranks: 1, Threads: -2}, "-T"},
-		{"negative ranks-per-node", Args{Ranks: 4, Threads: 1, RanksPerNode: -1}, "-ranks-per-node"},
-		{"ranks-per-node exceeds ranks", Args{Ranks: 2, Threads: 1, RanksPerNode: 4}, "-ranks-per-node"},
-		{"ranks-per-node exceeds net-size", Args{Ranks: 1, Threads: 1, RanksPerNode: 8, NetRank: -1, NetSize: 4, NetLaunch: true}, "-ranks-per-node"},
-		{"ranks-per-node under fork-join", Args{Ranks: 4, Threads: 1, RanksPerNode: 2, Scheme: examl.ForkJoin}, "decentralized"},
 		{"negative iterations", Args{Ranks: 1, Threads: 1, MaxIter: -1}, "-iter"},
 		{"pprof without metrics addr", Args{Ranks: 1, Threads: 1, NetRank: -1, Pprof: true}, "-metrics-addr"},
 	}

@@ -29,18 +29,8 @@ type EngineConfig = enginecore.Config
 // Engine is one rank's view of the de-centralized backend. It implements
 // search.Engine.
 type Engine struct {
-	comm   *mpi.Comm
-	local  *enginecore.Local
-	hybrid int // ranks per node for hierarchical Allreduce; ≤1 = flat
-}
-
-// allreduce dispatches to the flat or hierarchical algorithm per the
-// engine configuration.
-func (e *Engine) allreduce(data []float64, class mpi.CommClass) []float64 {
-	if e.hybrid > 1 {
-		return e.comm.AllreduceHierarchical(data, mpi.OpSum, class, e.hybrid)
-	}
-	return e.comm.Allreduce(data, mpi.OpSum, class)
+	comm  *mpi.Comm
+	local *enginecore.Local
 }
 
 var _ search.Engine = (*Engine)(nil)
@@ -54,7 +44,7 @@ func NewEngine(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg engine
 		return nil, err
 	}
 	comm.SetRecorder(cfg.Recorder)
-	return &Engine{comm: comm, local: local, hybrid: cfg.HybridRanksPerNode}, nil
+	return &Engine{comm: comm, local: local}, nil
 }
 
 // NPartitions implements search.Engine.
@@ -76,7 +66,7 @@ func (e *Engine) Evaluate(d *traversal.Descriptor) []float64 {
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassLikelihoodEval)
 	}
-	return e.allreduce(vec, mpi.ClassLikelihoodEval)
+	return e.comm.Allreduce(vec, mpi.OpSum, mpi.ClassLikelihoodEval)
 }
 
 // PrepareBranch implements search.Engine: local only.
@@ -91,7 +81,7 @@ func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	}
-	out := e.allreduce(vec, mpi.ClassBranchLength)
+	out := e.comm.Allreduce(vec, mpi.OpSum, mpi.ClassBranchLength)
 	return out[:classes], out[classes:]
 }
 
@@ -107,7 +97,7 @@ func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	}
-	return e.allreduce(vec, mpi.ClassBranchLength)
+	return e.comm.Allreduce(vec, mpi.OpSum, mpi.ClassBranchLength)
 }
 
 // ScoreInsertions implements search.Engine: the plan's traversals and
@@ -121,7 +111,7 @@ func (e *Engine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassLikelihoodEval)
 	}
-	return e.allreduce(vec, mpi.ClassLikelihoodEval)
+	return e.comm.Allreduce(vec, mpi.OpSum, mpi.ClassLikelihoodEval)
 }
 
 // SetShared implements search.Engine: every rank computed the identical
@@ -149,7 +139,7 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassModelParams)
 	}
-	stats = e.allreduce(stats, mpi.ClassModelParams)
+	stats = e.comm.Allreduce(stats, mpi.OpSum, mpi.ClassModelParams)
 	res := enginecore.ResolveSiteRates(stats, e.local.NPart, e.local.PerPartBranches)
 	e.local.ApplySiteRates(res)
 	return res.Scale

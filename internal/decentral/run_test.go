@@ -194,26 +194,6 @@ func TestSearchImprovesLikelihood(t *testing.T) {
 	}
 }
 
-func TestHybridAllreduceMatchesFlat(t *testing.T) {
-	// The §V hybrid (hierarchical) Allreduce must produce the same
-	// search outcome as the flat Allreduce at the same rank count, up to
-	// the floating-point tolerance of the changed association order, and
-	// replicas must stay internally bit-consistent (verified inside Run).
-	d := makeDataset(t, 9, 2, 50, 8)
-	cfg := search.Config{Het: model.Gamma, Seed: 6, MaxIterations: 2}
-	flat, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 6, HybridRanksPerNode: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(flat.LnL-hybrid.LnL) > 1e-6*math.Abs(flat.LnL) {
-		t.Fatalf("hybrid lnL %.9f far from flat %.9f", hybrid.LnL, flat.LnL)
-	}
-}
-
 func TestThreadedSearchMatchesSerial(t *testing.T) {
 	// Intra-rank threading must not move a single bit of the search
 	// outcome: unlike changing the rank count (which re-associates the
@@ -244,24 +224,25 @@ func TestThreadedSearchMatchesSerial(t *testing.T) {
 }
 
 func TestThreadedHybridSearch(t *testing.T) {
-	// Threads compose with the hierarchical Allreduce: the full §V hybrid
-	// configuration (nodes × ranks-per-node × threads) must be bitwise
-	// equal to the same rank layout with serial kernels.
+	// The §V hybrid configuration is ranks × threads: four PSR ranks at
+	// three threads each must be bitwise equal to the same four ranks
+	// with serial kernels — the only multi-rank PSR check of the
+	// threads bit-identity promise.
 	d := makeDataset(t, 9, 2, 600, 10)
 	cfg := search.Config{Het: model.PSR, Seed: 8, MaxIterations: 2}
-	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, HybridRanksPerNode: 2})
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, HybridRanksPerNode: 2, Threads: 3})
+	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got.LnL) != math.Float64bits(ref.LnL) {
-		t.Errorf("hybrid+threads lnL %.17g not bit-identical to hybrid serial %.17g", got.LnL, ref.LnL)
+		t.Errorf("ranks×threads lnL %.17g not bit-identical to serial kernels %.17g", got.LnL, ref.LnL)
 	}
 	if got.Tree.Newick() != ref.Tree.Newick() {
-		t.Error("hybrid+threads topology differs from hybrid serial run")
+		t.Error("ranks×threads topology differs from the serial-kernel run")
 	}
 }
 

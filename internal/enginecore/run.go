@@ -27,12 +27,6 @@ type Config struct {
 	Subst model.SubstModel
 	// PerPartitionBranches mirrors search.Config.PerPartitionBranches.
 	PerPartitionBranches bool
-	// HybridRanksPerNode, when > 1, routes the de-centralized engine's
-	// Allreduce call sites through the hierarchical (intra-node first)
-	// algorithm — the §V hybrid MPI/PThreads idea. 0 or 1 selects the
-	// flat Allreduce. The fork-join engine has no Allreduce and does
-	// not read it.
-	HybridRanksPerNode int
 	// Threads, when > 1, splits every kernel invocation across an
 	// intra-rank worker pool — the shared-memory axis of the §V hybrid
 	// scheme. Results are bit-identical at every thread count
@@ -53,9 +47,8 @@ type RunConfig struct {
 	Ranks int
 	// Strategy selects cyclic or MPS data distribution.
 	Strategy distrib.Strategy
-	// HybridRanksPerNode and Threads are copied into every rank's
-	// Config (see there).
-	HybridRanksPerNode, Threads int
+	// Threads is copied into every rank's Config (see there).
+	Threads int
 	// Telemetry, when non-nil, supplies the recorders for
 	// kernel/collective span timing and search-progress counters
 	// (docs/OBSERVABILITY.md): one per rank under Run, so it must have
@@ -90,6 +83,20 @@ func (s *RunStats) Trace() cluster.Trace {
 		MeasuredRanks:  s.Ranks,
 		CLVBytesTotal:  s.CLVBytesTotal,
 	}
+}
+
+// TelemetryReport joins the run's span collector with its byte/op meters
+// into the end-of-run report (see telemetry.Collector.Finalize). It
+// returns nil when telemetry was disabled (c == nil).
+func (s *RunStats) TelemetryReport(c *telemetry.Collector, threads int) *telemetry.Report {
+	if c == nil {
+		return nil
+	}
+	names := make([]string, mpi.NumCommClasses)
+	for cl := mpi.CommClass(0); cl < mpi.NumCommClasses; cl++ {
+		names[cl] = cl.String()
+	}
+	return c.Finalize(s.Wall, max(threads, 1), names, s.Comm.Ops[:], s.Comm.Bytes[:])
 }
 
 // RankBody is the only thing the two schemes' runs differ in: what one
@@ -191,7 +198,6 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 		Het:                  cfg.Search.Het,
 		Subst:                cfg.Search.Subst,
 		PerPartitionBranches: cfg.Search.PerPartitionBranches,
-		HybridRanksPerNode:   cfg.HybridRanksPerNode,
 		Threads:              cfg.Threads,
 		Recorder:             rec,
 	}

@@ -241,3 +241,57 @@ func TestInProcessRunIsTheDriverOnEveryRank(t *testing.T) {
 		})
 	}
 }
+
+// stubPeer is rank 0's transport in a two-rank world whose rank 1 is a
+// script: every Recv returns msg, every Send is dropped.
+type stubPeer struct{ msg mpi.Message }
+
+func (s stubPeer) Send(int, mpi.Message) error   { return nil }
+func (s stubPeer) Recv(int) (mpi.Message, error) { return s.msg, nil }
+func (s stubPeer) Close() error                  { return nil }
+
+// TestPeerProtocolMismatchIsAnError: a live peer that breaks the
+// collective protocol — a message out of collective order, or a
+// reduction operand of another length (two processes given different
+// partition files) — fails the rank with an error naming the peer and
+// the mismatch, not the process with a panic. The error is a
+// *mpi.CommError wrapping *mpi.ProtocolError and never a
+// *mpinet.PeerDownError, so fault.RunNet fails the rank instead of
+// re-forming the world without the peer.
+func TestPeerProtocolMismatchIsAnError(t *testing.T) {
+	d := runDataset(t)
+	// The body's first collective is a 32-value Allreduce: its Reduce
+	// leg is rank 0's collective number 1 and receives from rank 1.
+	body := func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, int64, float64, error) {
+		c.Allreduce(make([]float64, 32), mpi.OpSum, mpi.ClassLikelihoodEval)
+		return nil, 0, 0, nil
+	}
+	cases := []struct {
+		name string
+		msg  mpi.Message
+		want string
+	}{
+		{"wrong sequence number", mpi.Message{Seq: 7, F64: make([]float64, 32)}, "sequence number 7, want 1"},
+		{"wrong operand length", mpi.Message{Seq: 1, F64: []float64{1}}, "reduce operand of 1 values, want 32"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mpi.NewComm(stubPeer{tc.msg}, 0, 2, mpi.NewMeter())
+			res, stats, err := enginecore.RunOnComm(c, d, enginecore.RunConfig{}, body)
+			if err == nil || res != nil || stats != nil {
+				t.Fatalf("RunOnComm = (%v, %v, %v), want only an error", res, stats, err)
+			}
+			var ce *mpi.CommError
+			var pe *mpi.ProtocolError
+			if !errors.As(err, &ce) || ce.Peer != 1 || !errors.As(err, &pe) {
+				t.Fatalf("error %v is not a *mpi.CommError with rank 1 wrapping *mpi.ProtocolError", err)
+			}
+			if pd := new(mpinet.PeerDownError); errors.As(err, &pd) {
+				t.Fatalf("error %v passes for a lost peer", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "rank 1") || !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q does not name rank 1 and %q", msg, tc.want)
+			}
+		})
+	}
+}

@@ -20,7 +20,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/decentral"
 	"repro/internal/distrib"
@@ -168,16 +167,6 @@ func runBoth(d *msa.Dataset, cfg search.Config, ranks int, strategy distrib.Stra
 // traffic classes.
 func newTelemetry(ranks int) *telemetry.Collector {
 	return telemetry.NewCollector(ranks, int(mpi.NumCommClasses), nil)
-}
-
-// finalizeTelemetry joins a run's collector with its comm snapshot into
-// the end-of-run report (see telemetry.Collector.Finalize).
-func finalizeTelemetry(col *telemetry.Collector, wall time.Duration, s mpi.Snapshot) *telemetry.Report {
-	names := make([]string, mpi.NumCommClasses)
-	for c := mpi.CommClass(0); c < mpi.NumCommClasses; c++ {
-		names[c] = c.String()
-	}
-	return col.Finalize(wall, 1, names, s.Ops[:], s.Bytes[:])
 }
 
 // hetOf maps a model flag to the search config value.

@@ -95,7 +95,7 @@ func Fig3(sc Scale) (*Fig3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig3 decentral psr=%v: %w", psr, err)
 		}
-		rep := finalizeTelemetry(tcol, dstats.Wall, dstats.Comm)
+		rep := dstats.TelemetryReport(tcol, 1)
 		var commNS int64
 		for _, rs := range rep.PerRank {
 			commNS += rs.CommNS

@@ -79,7 +79,7 @@ func Table1(sc Scale) (*Table1Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", ref.name, err)
 		}
-		rep := finalizeTelemetry(tcol, stats.Wall, stats.Comm)
+		rep := stats.TelemetryReport(tcol, 1)
 		s := stats.Comm
 		// Match the paper's accounting: only likelihood-relevant classes
 		// (exclude our control opcodes, which stand in for MPI tags).

@@ -27,15 +27,13 @@ func (t testRecorder) collectiveOps(class int) int64 {
 	return rep.PerRank[0].CollectiveOps[class]
 }
 
-// TestMeterParityFlatVsHierarchical verifies the Table-I accounting
-// convention: a logical Allreduce is metered as one op carrying the
-// payload once, regardless of the algorithm executing it. The flat and
-// hierarchical variants must therefore leave identical per-class byte
-// and op meters for the same logical traffic.
-func TestMeterParityFlatVsHierarchical(t *testing.T) {
-	const size, perNode, vecLen, rounds = 8, 4, 37, 5
-
-	run := func(hier bool) Snapshot {
+// TestAllreduceMeteredOnce verifies the Table-I accounting convention:
+// a logical Allreduce is metered as one op carrying the payload once —
+// its Reduce and Bcast legs are not two operations, and the count does
+// not depend on the rank count.
+func TestAllreduceMeteredOnce(t *testing.T) {
+	const vecLen, rounds = 37, 5
+	for _, size := range []int{1, 2, 5, 8} {
 		w := NewWorld(size)
 		w.Run(func(c *Comm) {
 			for i := 0; i < rounds; i++ {
@@ -43,62 +41,43 @@ func TestMeterParityFlatVsHierarchical(t *testing.T) {
 				for j := range vec {
 					vec[j] = float64(c.Rank()*vecLen + j)
 				}
-				if hier {
-					c.AllreduceHierarchical(vec, OpSum, ClassLikelihoodEval, perNode)
-				} else {
-					c.Allreduce(vec, OpSum, ClassLikelihoodEval)
-				}
+				c.Allreduce(vec, OpSum, ClassLikelihoodEval)
 				// A second class so per-class separation is exercised too.
-				if hier {
-					c.AllreduceHierarchical(vec[:2], OpSum, ClassBranchLength, perNode)
-				} else {
-					c.Allreduce(vec[:2], OpSum, ClassBranchLength)
-				}
+				c.Allreduce(vec[:2], OpSum, ClassBranchLength)
 			}
 		})
-		return w.Meter().Snapshot()
-	}
-
-	flat := run(false)
-	hier := run(true)
-	for c := CommClass(0); c < NumCommClasses; c++ {
-		if flat.Ops[c] != hier.Ops[c] {
-			t.Errorf("class %s: ops flat=%d hierarchical=%d", c, flat.Ops[c], hier.Ops[c])
+		s := w.Meter().Snapshot()
+		want := map[CommClass][2]int64{
+			ClassLikelihoodEval: {rounds, rounds * vecLen * 8},
+			ClassBranchLength:   {rounds, rounds * 2 * 8},
 		}
-		if flat.Bytes[c] != hier.Bytes[c] {
-			t.Errorf("class %s: bytes flat=%d hierarchical=%d", c, flat.Bytes[c], hier.Bytes[c])
+		for c := CommClass(0); c < NumCommClasses; c++ {
+			if got := [2]int64{s.Ops[c], s.Bytes[c]}; got != want[c] {
+				t.Errorf("size %d, class %s: {ops, bytes} = %v, want %v (one op per logical Allreduce)", size, c, got, want[c])
+			}
 		}
-	}
-	if flat.Ops[ClassLikelihoodEval] != rounds {
-		t.Errorf("likelihood-eval ops = %d, want %d (one per logical collective)", flat.Ops[ClassLikelihoodEval], rounds)
-	}
-	if flat.Bytes[ClassLikelihoodEval] != rounds*vecLen*8 {
-		t.Errorf("likelihood-eval bytes = %d, want %d", flat.Bytes[ClassLikelihoodEval], rounds*vecLen*8)
 	}
 }
 
-// TestMeterParityWithRecorder re-runs the parity check with telemetry
+// TestMeterParityWithRecorder re-runs the accounting with telemetry
 // recorders attached, proving recording is purely observational: the
-// meters (which feed Table I) are unchanged, and each variant records
-// exactly one collective span per logical Allreduce (the hierarchical
-// algorithm's internal fallback and phases must not double-count).
+// meters (which feed Table I) are unchanged, and every rank records
+// exactly one collective span per logical Allreduce (the Reduce and
+// Bcast nested inside it must not double-count).
 func TestMeterParityWithRecorder(t *testing.T) {
-	const size, perNode, rounds = 6, 2, 4
+	const size, rounds = 6, 4
 
-	run := func(hier bool) (Snapshot, []int64) {
+	run := func(recorded bool) (Snapshot, []int64) {
 		w := NewWorld(size)
 		ops := make([]int64, size)
 		var mu sync.Mutex
 		w.Run(func(c *Comm) {
 			rec := newTestRecorder()
-			c.SetRecorder(rec.rec)
+			if recorded {
+				c.SetRecorder(rec.rec)
+			}
 			for i := 0; i < rounds; i++ {
-				vec := []float64{float64(c.Rank()), 1}
-				if hier {
-					c.AllreduceHierarchical(vec, OpSum, ClassLikelihoodEval, perNode)
-				} else {
-					c.Allreduce(vec, OpSum, ClassLikelihoodEval)
-				}
+				c.Allreduce([]float64{float64(c.Rank()), 1}, OpSum, ClassLikelihoodEval)
 			}
 			mu.Lock()
 			ops[c.Rank()] = rec.collectiveOps(int(ClassLikelihoodEval))
@@ -107,20 +86,14 @@ func TestMeterParityWithRecorder(t *testing.T) {
 		return w.Meter().Snapshot(), ops
 	}
 
-	flatSnap, flatOps := run(false)
-	hierSnap, hierOps := run(true)
-	for c := CommClass(0); c < NumCommClasses; c++ {
-		if flatSnap.Ops[c] != hierSnap.Ops[c] || flatSnap.Bytes[c] != hierSnap.Bytes[c] {
-			t.Errorf("class %s: meters diverge with recorder attached: flat={%d ops %d B} hier={%d ops %d B}",
-				c, flatSnap.Ops[c], flatSnap.Bytes[c], hierSnap.Ops[c], hierSnap.Bytes[c])
-		}
+	plain, _ := run(false)
+	snap, ops := run(true)
+	if plain != snap {
+		t.Errorf("meters differ with a recorder attached: plain %v, recorded %v", plain, snap)
 	}
 	for r := 0; r < size; r++ {
-		if flatOps[r] != rounds {
-			t.Errorf("flat: rank %d recorded %d collective spans, want %d", r, flatOps[r], rounds)
-		}
-		if hierOps[r] != rounds {
-			t.Errorf("hierarchical: rank %d recorded %d collective spans, want %d (nested phases must not double-count)", r, hierOps[r], rounds)
+		if ops[r] != rounds {
+			t.Errorf("rank %d recorded %d collective spans, want %d (nested Reduce/Bcast must not double-count)", r, ops[r], rounds)
 		}
 	}
 }

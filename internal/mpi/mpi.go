@@ -226,16 +226,22 @@ func (c *Comm) send(to int, m Message) {
 // recv blocks for the next message from rank `from` and asserts the
 // collective sequence number, catching protocol mismatches (ranks calling
 // collectives in different orders) immediately instead of silently
-// corrupting data. A transport failure raises *CommError.
+// corrupting data. A transport failure or a mismatch raises *CommError.
 func (c *Comm) recv(from int, seq uint64) Message {
 	m, err := c.tr.Recv(from)
 	if err != nil {
 		panic(&CommError{Rank: c.rank, Peer: from, Err: err})
 	}
 	if m.Seq != seq {
-		panic(fmt.Sprintf("mpi: rank %d: message from %d has seq %d, want %d (collective order mismatch)", c.rank, from, m.Seq, seq))
+		panic(c.protocolError(from, "message has sequence number %d, want %d (collective order)", m.Seq, seq))
 	}
 	return m
+}
+
+// protocolError is the *CommError of a peer that broke the collective
+// protocol.
+func (c *Comm) protocolError(peer int, format string, args ...any) *CommError {
+	return &CommError{Rank: c.rank, Peer: peer, Err: &ProtocolError{Detail: fmt.Sprintf(format, args...)}}
 }
 
 // nextSeq advances this rank's collective counter. All ranks execute the
@@ -363,9 +369,10 @@ func (c *Comm) Reduce(root int, data []float64, op Op, class CommClass) []float6
 			return nil
 		}
 		if v|mask < size {
-			m := c.recv(unvrank(v|mask, root, size), seq)
+			from := unvrank(v|mask, root, size)
+			m := c.recv(from, seq)
 			if len(m.F64) != len(acc) {
-				panic(fmt.Sprintf("mpi: reduce length mismatch: %d vs %d", len(m.F64), len(acc)))
+				panic(c.protocolError(from, "reduce operand of %d values, want %d", len(m.F64), len(acc)))
 			}
 			for i := range acc {
 				acc[i] = op.apply(acc[i], m.F64[i])

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -256,8 +258,12 @@ func TestSequenceMismatchPanics(t *testing.T) {
 	// Rank 1 skips a collective → the seq assertion must fire rather than
 	// silently mispairing messages.
 	defer func() {
-		if recover() == nil {
+		p := recover()
+		if p == nil {
 			t.Fatal("expected panic on collective order mismatch")
+		}
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "collective protocol mismatch") || !strings.Contains(msg, "collective order") {
+			t.Fatalf("panic %q does not name the protocol mismatch", msg)
 		}
 	}()
 	w := NewWorld(2)

@@ -41,29 +41,43 @@ type Transport interface {
 	Close() error
 }
 
-// CommError is the panic value a Comm raises when its transport fails
-// mid-collective. Collectives keep their no-error signatures (they
-// cannot make progress after a lost peer anyway); drivers that support
-// recovery — enginecore.RunOnComm, fault.RunNet — recover the panic,
-// unwrap the transport error, and hand the failure to the survivor
-// path.
+// CommError is the panic value a Comm raises when a collective cannot
+// complete: its transport failed, or a peer broke the collective
+// protocol (*ProtocolError). Collectives keep their no-error signatures
+// (they cannot make progress either way); the drivers — enginecore's
+// RunOnComm, fault.RunNet — recover the panic and return it as the
+// rank's error. Only a transport failure wrapping *mpinet.PeerDownError
+// sends the survivors into recovery; a protocol violation fails the run.
 type CommError struct {
 	// Rank is the local rank that observed the failure.
 	Rank int
 	// Peer is the remote rank the failed Send/Recv addressed.
 	Peer int
 	// Err is the transport's error (errors.As-compatible with
-	// *mpinet.PeerDownError for TCP peer loss).
+	// *mpinet.PeerDownError for TCP peer loss) or a *ProtocolError.
 	Err error
 }
 
 // Error implements error.
 func (e *CommError) Error() string {
-	return fmt.Sprintf("mpi: rank %d: transport failure talking to rank %d: %v", e.Rank, e.Peer, e.Err)
+	return fmt.Sprintf("mpi: rank %d: collective with rank %d failed: %v", e.Rank, e.Peer, e.Err)
 }
 
 // Unwrap exposes the transport error to errors.Is/As.
 func (e *CommError) Unwrap() error { return e.Err }
+
+// ProtocolError is a message a live peer sent that does not fit the
+// collective this rank is in: another sequence number (the ranks call
+// collectives in different orders) or a reduction operand of another
+// length (the ranks hold different data layouts). Both sides run
+// different programs, so dropping the peer cannot repair the world.
+type ProtocolError struct {
+	// Detail names the mismatch.
+	Detail string
+}
+
+// Error implements error.
+func (e *ProtocolError) Error() string { return "collective protocol mismatch: " + e.Detail }
 
 // chanTransport is the in-process implementation: a shared matrix of
 // buffered channels, one per ordered rank pair. It never fails.

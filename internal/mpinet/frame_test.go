@@ -90,7 +90,8 @@ func TestFrameWriteReadRoundTrip(t *testing.T) {
 }
 
 // BenchmarkFrameEncodeDecode measures the data-plane serialization cost
-// for an Allreduce-sized float64 payload (make bench-json tracks it).
+// for an Allreduce-sized float64 payload. Run it with `go test -run '^$'
+// -bench BenchmarkFrameEncodeDecode ./internal/mpinet`.
 func BenchmarkFrameEncodeDecode(b *testing.B) {
 	m := mpi.Message{Seq: 42, F64: make([]float64, 256)}
 	for i := range m.F64 {

@@ -106,9 +106,6 @@ func collectiveScript(c *mpi.Comm) map[string][]float64 {
 	out["scatterv"] = c.Scatterv(0, parts, mpi.ClassDataDistribution)
 	raw := c.BcastBytes(0, []byte(fmt.Sprintf("opcode-from-0")), mpi.ClassControl)
 	out["bcastbytes"] = []float64{float64(len(raw))}
-	if size >= 4 {
-		out["hier"] = c.AllreduceHierarchical(vec(6, 0.5), mpi.OpSum, mpi.ClassLikelihoodEval, 2)
-	}
 	c.Barrier(mpi.ClassControl)
 	return out
 }
