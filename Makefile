@@ -26,7 +26,7 @@ RACE_PKGS = ./internal/threadpool/... \
             ./internal/phyrun/... \
             .
 
-.PHONY: all fmt vet build test race bench bench-service bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -180,26 +180,6 @@ smoke-threads:
 	fi && \
 	echo "smoke-threads: -T 1 and -T 2 same lnL bits after every iteration, same tree; $$calls engine calls, $$disp pool dispatches, $$wakes wakes, lane share $$share OK"
 
-# smoke-service runs the inference-service acceptance drill
-# (docs/SERVICE.md): start the daemon machinery with a warm loopback
-# pool, submit a 2-rank job over HTTP with an injected rank death, and
-# require the job to migrate onto a spare worker and still return a
-# result bit-identical to a one-shot run of the examl CLI.
-smoke-service:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/ ./cmd/benchservice ./cmd/examl && \
-	$$tmp/benchservice -smoke -examl $$tmp/examl && \
-	echo "smoke-service: migration drill OK"
-
-# bench-service measures the service's job throughput and latency
-# (docs/BENCHMARKS.md): a warm worker pool serving a stream of small
-# inference jobs over the HTTP API, written to BENCH_service.json as
-# jobs/sec plus p50/p90/p99 latency.
-bench-service:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/ ./cmd/benchservice && \
-	$$tmp/benchservice -out BENCH_service.json
-
 # smoke-trace exercises the observability plane end to end
 # (docs/OBSERVABILITY.md): a 2-process loopback run streams per-rank
 # JSONL traces, phytrace merges them into a Chrome trace and must find
@@ -241,7 +221,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

@@ -90,37 +90,20 @@ func (m RateModel) String() string {
 // SubstitutionModel names the nucleotide substitution model. All are
 // special cases of GTR; they differ in which exchangeabilities the
 // optimizer may move and how base frequencies are set.
-type SubstitutionModel int
+type SubstitutionModel = model.SubstModel
 
 // Available substitution models.
 const (
 	// GTRModel is the general time-reversible model (default, the
 	// paper's setting): 5 free rates, empirical frequencies.
-	GTRModel SubstitutionModel = iota
+	GTRModel = model.GTR
 	// JCModel is Jukes–Cantor: no free rates, uniform frequencies.
-	JCModel
+	JCModel = model.JC
 	// K80Model is Kimura 2-parameter: free κ, uniform frequencies.
-	K80Model
+	K80Model = model.K80
 	// HKYModel is HKY85: free κ, empirical frequencies.
-	HKYModel
+	HKYModel = model.HKY
 )
-
-// String implements fmt.Stringer.
-func (m SubstitutionModel) String() string {
-	return substOf(m).String()
-}
-
-func substOf(m SubstitutionModel) model.SubstModel {
-	switch m {
-	case JCModel:
-		return model.JC
-	case K80Model:
-		return model.K80
-	case HKYModel:
-		return model.HKY
-	}
-	return model.GTR
-}
 
 // Distribution selects the data-distribution strategy.
 type Distribution int
@@ -408,7 +391,7 @@ func searchConfig(cfg Config) (search.Config, *checkpointWriter, error) {
 	}
 	scfg := search.Config{
 		Het:                  het,
-		Subst:                substOf(cfg.Substitution),
+		Subst:                cfg.Substitution,
 		PerPartitionBranches: cfg.PerPartitionBranchLengths,
 		Epsilon:              cfg.Epsilon,
 		SPRRadius:            cfg.SPRRadius,

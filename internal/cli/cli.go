@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/metrics"
+	"repro/internal/model"
 )
 
 // Args carries every inference flag.
@@ -211,18 +212,9 @@ func inferConfig(a Args) (examl.Config, error) {
 		}
 		startTree = string(raw)
 	}
-	var subst examl.SubstitutionModel
-	switch a.SubstName {
-	case "GTR", "gtr", "":
-		subst = examl.GTRModel
-	case "JC", "jc":
-		subst = examl.JCModel
-	case "K80", "k80":
-		subst = examl.K80Model
-	case "HKY", "hky":
-		subst = examl.HKYModel
-	default:
-		return cfg, fmt.Errorf("unknown substitution model %q", a.SubstName)
+	subst, err := model.ParseSubstModel(a.SubstName)
+	if err != nil {
+		return cfg, err
 	}
 	dist := examl.Cyclic
 	if a.MPS {

@@ -3,14 +3,18 @@ package cli
 import (
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/msa"
+	"repro/internal/seqgen"
 )
 
 func TestValidateAcceptsDefaults(t *testing.T) {
@@ -197,4 +201,55 @@ func TestReadmeOptionTableMatchesFlags(t *testing.T) {
 		t.Errorf("README's option table lists flags that are not registered: %v", stale)
 	}
 	t.Logf("%d flags registered, %d documented", len(registered), len(documented))
+}
+
+// TestRunFromFilesMatchesInfer writes a simulated dataset as a PHYLIP
+// file plus a partition file and holds a 2-rank cli.Run of them to
+// examl.Infer on the same dataset built in memory: parsing, pattern
+// compression and flag translation must leave every bit of the result
+// unchanged.
+func TestRunFromFilesMatchesInfer(t *testing.T) {
+	const taxa, parts, geneLen, dataSeed, seed, iters = 10, 2, 60, 33, 7, 3
+	d, err := examl.Simulate(taxa, parts, geneLen, dataSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := examl.Infer(d, examl.Config{Ranks: 2, Seed: seed, MaxIterations: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gen, err := seqgen.Generate(seqgen.PartitionedGenes(taxa, parts, geneLen, dataSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	phy, err := os.Create(filepath.Join(dir, "d.phy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := msa.WritePhylip(phy, gen.Alignment); err != nil {
+		t.Fatal(err)
+	}
+	if err := phy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	partPath := filepath.Join(dir, "d.parts.txt")
+	if err := os.WriteFile(partPath, []byte(msa.FormatPartitionFile(gen.Partitions)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(Args{
+		AlignPath: phy.Name(), PartPath: partPath, ModelName: "GAMMA", SubstName: "GTR",
+		Ranks: 2, Threads: 1, Seed: seed, MaxIter: iters, NetRank: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(res.LogLikelihood), math.Float64bits(ref.LogLikelihood); got != want {
+		t.Errorf("lnL bits %016x, want examl.Infer's %016x", got, want)
+	}
+	if res.Tree != ref.Tree {
+		t.Errorf("tree differs from examl.Infer's:\n got %s\nwant %s", res.Tree, ref.Tree)
+	}
 }

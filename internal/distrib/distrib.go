@@ -165,11 +165,6 @@ func (a *Assignment) Balance() (max int, mean float64) {
 	return max, float64(total) / float64(len(a.PerRank))
 }
 
-// PartitionsPerRank returns how many distinct partitions rank r touches —
-// the quantity that drives per-partition overhead under cyclic
-// distribution.
-func (a *Assignment) PartitionsPerRank(r int) int { return len(a.PerRank[r]) }
-
 // Materialize extracts rank r's local dataset from the full dataset:
 // one PartitionData per owned share, in partition order, plus the mapping
 // from local slice index back to the dataset partition index.

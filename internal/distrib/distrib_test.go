@@ -33,8 +33,8 @@ func TestCyclicEveryRankTouchesBigPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {
-		if a.PartitionsPerRank(r) != 5 {
-			t.Fatalf("rank %d touches %d partitions, want 5", r, a.PartitionsPerRank(r))
+		if len(a.PerRank[r]) != 5 {
+			t.Fatalf("rank %d touches %d partitions, want 5", r, len(a.PerRank[r]))
 		}
 	}
 }

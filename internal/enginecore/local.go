@@ -190,8 +190,6 @@ func (l *Local) Close() {
 		var perf telemetry.KernelPerf
 		for _, k := range l.Kernels {
 			s := k.FastPath()
-			perf.FastOps += s.FastOps()
-			perf.GenericOps += s.GenericOps()
 			perf.PCacheHits += s.PCacheHits
 			perf.PCacheMisses += s.PCacheMisses
 			perf.TipTipNewviews += s.NewviewTipTip

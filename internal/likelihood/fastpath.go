@@ -36,19 +36,12 @@ import (
 // case, and the cache resets on every parameter-generation change.
 const maxPCacheEntries = 1024
 
-// FastPathStats counts fast-path dispatch and P-matrix cache activity.
-// All counters are out-of-band: they never influence a computed value.
+// FastPathStats counts tip-table and P-matrix cache activity. All
+// counters are out-of-band: they never influence a computed value.
 type FastPathStats struct {
-	// NewviewTipTip / NewviewTipInner / NewviewInner count Newview calls
-	// by operand shape (tip-inner includes inner-tip).
-	NewviewTipTip, NewviewTipInner, NewviewInner int64
-	// EvaluateTip counts Evaluate calls whose far operand (q) was a tip;
-	// EvaluateGeneric the rest, whose far operand was not. (The near
-	// operand needs no P product, so only q's shape selects a kernel.)
-	EvaluateTip, EvaluateGeneric int64
-	// PrepareTip counts sum-table preparations with at least one tip
-	// operand; PrepareGeneric the rest, with none.
-	PrepareTip, PrepareGeneric int64
+	// NewviewTipTip counts Newview calls with two tip operands, the fills
+	// PairTableEntries is measured against.
+	NewviewTipTip int64
 	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
 	// activity; a reset drops the whole cache after a parameter change.
 	PCacheHits, PCacheMisses, PCacheResets int64
@@ -70,18 +63,6 @@ type FastPathStats struct {
 	// operation; LaneSites those of them the operations compute in vector
 	// lanes (lanes.go) — every one under PSR, 0 on a CPU without AVX2.
 	Sites, LaneSites int64
-}
-
-// FastOps returns the number of kernel calls that took a specialized
-// tip path.
-func (s FastPathStats) FastOps() int64 {
-	return s.NewviewTipTip + s.NewviewTipInner + s.EvaluateTip + s.PrepareTip
-}
-
-// GenericOps returns the number of kernel calls with no tip operand
-// that needs a table.
-func (s FastPathStats) GenericOps() int64 {
-	return s.NewviewInner + s.EvaluateGeneric + s.PrepareGeneric
 }
 
 // FastPath returns the kernel's fast-path and cache counters. Call it

@@ -38,7 +38,6 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		ra.pairScale = &k.mem.pairScales.take(1)[0]
 		k.fillPairTable(ra.pair, ra.pairScale, tabA, tabB, gammaCats, oa.mask, ob.mask)
 	} else if oa.tips != nil || ob.tips != nil {
-		k.fp.NewviewTipInner++
 		k.countSites(true)
 		ra = k.stage(opNvGammaTipInner)
 		if oa.tips != nil {
@@ -48,7 +47,6 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 			ra.tabB = k.tipTable(pb, ob.mask)
 		}
 	} else {
-		k.fp.NewviewInner++
 		k.countSites(true)
 		ra = k.stage(opNvGammaInner)
 	}
@@ -70,11 +68,9 @@ func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 	k.countSites(op.tips == nil || oq.tips == nil)
 	var ra *runArgs
 	if oq.tips != nil {
-		k.fp.EvaluateTip++
 		ra = k.stageReducing(opEvalGammaTip)
 		ra.tabB = k.tipTable(pm, oq.mask)
 	} else {
-		k.fp.EvaluateGeneric++
 		ra = k.stageReducing(opEvalGamma)
 	}
 	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, pm, k.par.CatWeight()

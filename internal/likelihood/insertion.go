@@ -85,15 +85,11 @@ func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) {
 }
 
 // stageFarTable gives ra the P·tipVec table of its matrices ra.pa when o
-// — the operand that takes the P product — is a tip, and counts the call
-// by o's shape like an evaluation.
+// — the operand that takes the P product — is a tip.
 func (k *Kernel) stageFarTable(ra *runArgs, o operand) {
-	if o.tips == nil {
-		k.fp.EvaluateGeneric++
-		return
+	if o.tips != nil {
+		ra.tabB = k.tipTable(ra.pa, o.mask)
 	}
-	k.fp.EvaluateTip++
-	ra.tabB = k.tipTable(ra.pa, o.mask)
 }
 
 // prepareInsertionGammaSoABlock fills the block's range of the Γ

@@ -204,15 +204,6 @@ func (k *Kernel) Data() *msa.PartitionData { return k.data }
 // NPatterns returns the number of local patterns.
 func (k *Kernel) NPatterns() int { return k.nPat }
 
-// WeightSum returns the summed pattern weights (local site count).
-func (k *Kernel) WeightSum() int {
-	t := 0
-	for _, w := range k.data.Weights {
-		t += w
-	}
-	return t
-}
-
 // clvLen returns the per-slot CLV length for the active model.
 func (k *Kernel) clvLen() int {
 	if k.par.Het == model.Gamma {

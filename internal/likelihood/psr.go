@@ -21,13 +21,8 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 	pb := k.probMatricesFor(tb)
 
 	ra := k.stage(opNvPSR)
-	switch {
-	case oa.tips != nil && ob.tips != nil:
+	if oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
-	case oa.tips != nil || ob.tips != nil:
-		k.fp.NewviewTipInner++
-	default:
-		k.fp.NewviewInner++
 	}
 	if oa.tips != nil {
 		ra.tabA = k.tipTable(pa, oa.mask)
@@ -46,10 +41,7 @@ func (k *Kernel) evaluatePSR(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
 	ra := k.stageReducing(opEvalPSR)
 	if oq.tips != nil {
-		k.fp.EvaluateTip++
 		ra.tabB = k.tipTable(pm, oq.mask)
-	} else {
-		k.fp.EvaluateGeneric++
 	}
 	k.countSites(true)
 	ra.oa, ra.ob, ra.pa = op, oq, pm

@@ -69,10 +69,7 @@ func (k *Kernel) Contract(s int, p, q GradRef) {
 	fast := op.tips != nil || oq.tips != nil
 	ra := k.stage(prepareOps[b2i(k.par.Het == model.Gamma)][b2i(fast)])
 	if fast {
-		k.fp.PrepareTip++
 		ra.tabA, ra.tabB = k.prepTables(op, oq)
-	} else {
-		k.fp.PrepareGeneric++
 	}
 	ra.sumTab, ra.oa, ra.ob = sl.tab, op, oq
 	k.flops.Derivative += k.cols()

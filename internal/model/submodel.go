@@ -64,9 +64,6 @@ func ParseSubstModel(s string) (SubstModel, error) {
 // transition rate indices (AG, CT) in the exchangeability vector.
 var transitionIdx = []int{1, 4}
 
-// transversion rate indices (AC, AT, CG; GT is the fixed reference).
-var freeTransversionIdx = []int{0, 2, 3}
-
 // FreeRateGroups returns the groups of exchangeability indices the
 // optimizer may move, with every index inside a group tied to the same
 // value. GTR: five singleton groups; K80/HKY: one group {AG, CT} (κ);
@@ -89,10 +86,4 @@ func (m SubstModel) InitialFreqs(empirical [msa.NumStates]float64) [msa.NumState
 		return UniformFreqs()
 	}
 	return empirical
-}
-
-// FreeParameterCount returns the number of free exchangeability
-// parameters (branch lengths, α, and frequencies not counted).
-func (m SubstModel) FreeParameterCount() int {
-	return len(m.FreeRateGroups())
 }

@@ -66,7 +66,4 @@ func TestParseSubstModel(t *testing.T) {
 	if GTR.String() != "GTR" || JC.String() != "JC" || K80.String() != "K80" || HKY.String() != "HKY" {
 		t.Error("String broken")
 	}
-	if GTR.FreeParameterCount() != 5 || JC.FreeParameterCount() != 0 {
-		t.Error("FreeParameterCount broken")
-	}
 }

@@ -31,8 +31,8 @@ import (
 // accounting.
 type CommClass int
 
-// The classes mirror the four rows of the paper's Table I plus
-// bookkeeping classes for data distribution and control traffic.
+// The classes mirror the four rows of the paper's Table I plus a
+// bookkeeping class for control traffic.
 const (
 	// ClassTraversal is traversal-descriptor broadcasts (fork-join only).
 	ClassTraversal CommClass = iota
@@ -45,8 +45,6 @@ const (
 	// ClassModelParams is broadcasts/reductions of changed model
 	// parameters (α, GTR rates, PSR rates).
 	ClassModelParams
-	// ClassDataDistribution is initial data distribution traffic.
-	ClassDataDistribution
 	// ClassControl is scheme-internal control traffic (job opcodes).
 	ClassControl
 
@@ -65,8 +63,6 @@ func (c CommClass) String() string {
 		return "likelihood-eval"
 	case ClassModelParams:
 		return "model-params"
-	case ClassDataDistribution:
-		return "data-distribution"
 	case ClassControl:
 		return "control"
 	}
@@ -400,57 +396,4 @@ func (c *Comm) Allreduce(data []float64, op Op, class CommClass) []float64 {
 	var out Message
 	c.bcastTree(seq, 0, Message{Seq: seq, F64: red}, &out)
 	return out.F64
-}
-
-// Gatherv gathers variable-length contributions at root; root receives
-// them indexed by rank, others receive nil. Payload accounting charges the
-// total gathered volume.
-func (c *Comm) Gatherv(root int, data []float64, class CommClass) [][]float64 {
-	t := c.rec.BeginCollective()
-	defer c.rec.EndCollective(int(class), t)
-	seq := c.nextSeq()
-	size := c.size
-	if c.rank == root {
-		out := make([][]float64, size)
-		total := len(data)
-		out[root] = append([]float64(nil), data...)
-		for r := 0; r < size; r++ {
-			if r == root {
-				continue
-			}
-			m := c.recv(r, seq)
-			out[r] = m.F64
-			total += len(m.F64)
-		}
-		c.meter.addOp(class, 8*total)
-		return out
-	}
-	c.send(root, Message{Seq: seq, F64: data})
-	return nil
-}
-
-// Scatterv distributes per-rank payloads from root; every rank returns its
-// slice. parts is consulted only at root.
-func (c *Comm) Scatterv(root int, parts [][]float64, class CommClass) []float64 {
-	t := c.rec.BeginCollective()
-	defer c.rec.EndCollective(int(class), t)
-	seq := c.nextSeq()
-	size := c.size
-	if c.rank == root {
-		if len(parts) != size {
-			panic(fmt.Sprintf("mpi: scatterv got %d parts for %d ranks", len(parts), size))
-		}
-		total := 0
-		for r := 0; r < size; r++ {
-			total += len(parts[r])
-			if r == root {
-				continue
-			}
-			c.send(r, Message{Seq: seq, F64: parts[r]})
-		}
-		c.meter.addOp(class, 8*total)
-		return append([]float64(nil), parts[root]...)
-	}
-	m := c.recv(root, seq)
-	return m.F64
 }

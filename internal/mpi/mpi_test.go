@@ -175,45 +175,6 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestGathervScatterv(t *testing.T) {
-	w := NewWorld(4)
-	var gathered [][]float64
-	scattered := make([][]float64, 4)
-	var mu sync.Mutex
-	w.Run(func(c *Comm) {
-		// Variable-length contributions: rank r sends r+1 values.
-		data := make([]float64, c.Rank()+1)
-		for i := range data {
-			data[i] = float64(c.Rank()*10 + i)
-		}
-		g := c.Gatherv(1, data, ClassModelParams)
-		if c.Rank() == 1 {
-			mu.Lock()
-			gathered = g
-			mu.Unlock()
-		}
-		var parts [][]float64
-		if c.Rank() == 1 {
-			parts = [][]float64{{0}, {1, 1}, {2, 2, 2}, {3}}
-		}
-		s := c.Scatterv(1, parts, ClassDataDistribution)
-		mu.Lock()
-		scattered[c.Rank()] = s
-		mu.Unlock()
-	})
-	for r := 0; r < 4; r++ {
-		if len(gathered[r]) != r+1 || gathered[r][0] != float64(r*10) {
-			t.Fatalf("gather rank %d: %v", r, gathered[r])
-		}
-	}
-	if len(scattered[2]) != 3 || scattered[2][0] != 2 {
-		t.Fatalf("scatter: %v", scattered)
-	}
-	if len(scattered[3]) != 1 || scattered[3][0] != 3 {
-		t.Fatalf("scatter: %v", scattered)
-	}
-}
-
 func TestMeterAccounting(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {

@@ -17,8 +17,7 @@ type Message struct {
 }
 
 // Transport is the point-to-point substrate a Comm runs on. The
-// collectives (binomial-tree Bcast/Reduce/Allreduce, Barrier, Gatherv,
-// Scatterv) are written purely against this interface, so the same
+// collectives (binomial-tree Bcast/Reduce/Allreduce, Barrier) are written purely against this interface, so the same
 // deterministic algorithms run unchanged over Go channels (the
 // in-process World) and over TCP (internal/mpinet).
 //

@@ -70,7 +70,7 @@ func makeWorld(t *testing.T, size int, mut func(cfg *Config)) []*Transport {
 // collectiveScript runs a fixed sequence of every collective with
 // reduction-order-sensitive payloads and returns the observed values.
 func collectiveScript(c *mpi.Comm) map[string][]float64 {
-	rank, size := c.Rank(), c.Size()
+	rank := c.Rank()
 	vec := func(n int, salt float64) []float64 {
 		v := make([]float64, n)
 		for i := range v {
@@ -88,22 +88,6 @@ func collectiveScript(c *mpi.Comm) map[string][]float64 {
 	if rank == 0 {
 		out["reduce"] = red
 	}
-	gathered := c.Gatherv(0, vec(rank+1, 3), mpi.ClassDataDistribution)
-	if rank == 0 {
-		var flat []float64
-		for _, g := range gathered {
-			flat = append(flat, g...)
-		}
-		out["gatherv"] = flat
-	}
-	var parts [][]float64
-	if rank == 0 {
-		parts = make([][]float64, size)
-		for r := range parts {
-			parts[r] = vec(r+2, 7)
-		}
-	}
-	out["scatterv"] = c.Scatterv(0, parts, mpi.ClassDataDistribution)
 	raw := c.BcastBytes(0, []byte(fmt.Sprintf("opcode-from-0")), mpi.ClassControl)
 	out["bcastbytes"] = []float64{float64(len(raw))}
 	c.Barrier(mpi.ClassControl)
@@ -280,6 +264,38 @@ func TestNonceMismatchRejectsStaleWorker(t *testing.T) {
 	}
 	if staleErr == nil {
 		t.Error("the stale worker thought it joined the run")
+	}
+}
+
+// TestDigestMismatchFailsBothRanks gives the two ranks of a run the same
+// nonce but different input digests: rank 0 must refuse the registration
+// naming rank 1, and rank 1 must learn why, both well inside the
+// rendezvous timeout.
+func TestDigestMismatchFailsBothRanks(t *testing.T) {
+	addr := reserveAddr(t)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for rank := 0; rank < 2; rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := Connect(Config{Rank: rank, Size: 2, Addr: addr, Nonce: 9,
+				Digest: uint64(100 + rank), RendezvousTimeout: 10 * time.Second})
+			if tr != nil {
+				tr.Close()
+			}
+			errs[rank] = err
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("the ranks took %v to fail, want a refusal inside the rendezvous", elapsed)
+	}
+	for rank, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "rank 1's inputs differ from rank 0's") {
+			t.Errorf("rank %d: got %v, want an error saying rank 1's inputs differ", rank, err)
+		}
 	}
 }
 

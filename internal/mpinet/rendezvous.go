@@ -2,6 +2,7 @@ package mpinet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -22,6 +23,12 @@ type Config struct {
 	// a mismatch (a stale worker from an earlier launch, a typo'd
 	// address pointing at another run) is rejected at handshake time.
 	Nonce uint64
+	// Digest summarises the inputs every rank must share (the caller's
+	// data and search settings). Rank 0 and a recovery coordinator refuse
+	// a registration carrying a different digest, so ranks given
+	// different inputs fail inside the rendezvous instead of at their
+	// first mismatched collective.
+	Digest uint64
 
 	// DialTimeout bounds a single dial attempt (default 2s).
 	DialTimeout time.Duration
@@ -116,6 +123,17 @@ type hello struct {
 	// Meta is caller state exchanged during recovery (the survivor's
 	// newest checkpoint iteration).
 	Meta uint64 `json:"meta,omitempty"`
+	// Digest is the dialer's Config.Digest (registration only).
+	Digest uint64 `json:"digest,omitempty"`
+}
+
+// errRefused marks a handshake the other side turned away with a reason.
+var errRefused = errors.New("registration refused")
+
+// refusal is the JSON payload of the frameBye that turns a registration
+// away, so the refused rank can report why.
+type refusal struct {
+	Reason string `json:"reason"`
 }
 
 // welcome is the JSON payload of a frameWelcome.
@@ -149,12 +167,26 @@ func readJSONFrame(c net.Conn, deadline time.Time, wantTyp byte, v any) error {
 		return err
 	}
 	if typ != wantTyp {
+		var r refusal
+		if typ == frameBye && json.Unmarshal(payload, &r) == nil && r.Reason != "" {
+			return fmt.Errorf("%w: %s", errRefused, r.Reason)
+		}
 		return fmt.Errorf("mpinet: expected frame type %d during handshake, got %d", wantTyp, typ)
 	}
 	if v == nil {
 		return nil
 	}
 	return json.Unmarshal(payload, v)
+}
+
+// refuseInputs turns away a registration whose input digest differs
+// from this process's. The peer is told why before the connection
+// closes, so both sides fail inside the rendezvous.
+func refuseInputs(c net.Conn, deadline time.Time, self string, h hello, digest uint64) error {
+	reason := fmt.Sprintf("rank %d's inputs differ from %s's (input digest %016x, want %016x)", h.Rank, self, h.Digest, digest)
+	sendJSONFrame(c, deadline, frameBye, &refusal{Reason: reason})
+	c.Close()
+	return fmt.Errorf("mpinet: %s: %w: %s", self, errRefused, reason)
 }
 
 // dialRetry dials addr with per-attempt timeouts and exponential
@@ -260,6 +292,9 @@ func connectRoot(cfg Config, deadline time.Time) (*Transport, error) {
 			c.Close()
 			return nil, fmt.Errorf("mpinet: rank 0: peer registered as rank %d of %d, want a rank in [1,%d) of %d (mismatched -net-size?)",
 				h.Rank, h.Size, cfg.Size, cfg.Size)
+		case h.Digest != cfg.Digest:
+			cleanup()
+			return nil, refuseInputs(c, deadline, "rank 0", h, cfg.Digest)
 		case conns[h.Rank] != nil:
 			cleanup()
 			c.Close()
@@ -301,7 +336,7 @@ func connectPeer(cfg Config, deadline time.Time) (*Transport, error) {
 	meshPort := ln.Addr().(*net.TCPAddr).Port
 	advertise := net.JoinHostPort(localIP.String(), strconv.Itoa(meshPort))
 
-	h := hello{Nonce: cfg.Nonce, Rank: cfg.Rank, Size: cfg.Size, Addr: advertise}
+	h := hello{Nonce: cfg.Nonce, Rank: cfg.Rank, Size: cfg.Size, Addr: advertise, Digest: cfg.Digest}
 	if err := sendJSONFrame(root, deadline, frameHello, &h); err != nil {
 		root.Close()
 		return nil, fmt.Errorf("mpinet: rank %d: registering with rank 0: %w", cfg.Rank, err)
@@ -309,6 +344,9 @@ func connectPeer(cfg Config, deadline time.Time) (*Transport, error) {
 	var w welcome
 	if err := readJSONFrame(root, deadline, frameWelcome, &w); err != nil {
 		root.Close()
+		if errors.Is(err, errRefused) {
+			return nil, fmt.Errorf("mpinet: rank %d: %w", cfg.Rank, err)
+		}
 		return nil, fmt.Errorf("mpinet: rank %d: waiting for the address book from rank 0 (is every rank launched?): %w", cfg.Rank, err)
 	}
 	if w.Size != cfg.Size || w.Rank != cfg.Rank || len(w.Book) != cfg.Size {
@@ -497,6 +535,10 @@ func recoverCoordinate(base Config, ln net.Listener, nonce, meta uint64, window 
 			c.Close()
 			continue
 		}
+		if h.Digest != base.Digest {
+			cleanup()
+			return nil, refuseInputs(c, seal.Add(base.dialTimeout()), "the recovery coordinator", h, base.Digest)
+		}
 		members = append(members, member{oldRank: h.Rank, meta: h.Meta, addr: h.Addr, conn: c})
 	}
 	// Seal: the coordinator is new rank 0; survivors follow in old-rank
@@ -558,7 +600,7 @@ func recoverJoin(base Config, addr string, nonce, meta uint64, window time.Durat
 	meshPort := ln.Addr().(*net.TCPAddr).Port
 	advertise := net.JoinHostPort(localIP.String(), strconv.Itoa(meshPort))
 
-	h := hello{Nonce: nonce, Rank: base.Rank, Size: base.Size, Addr: advertise, Meta: meta}
+	h := hello{Nonce: nonce, Rank: base.Rank, Size: base.Size, Addr: advertise, Meta: meta, Digest: base.Digest}
 	if err := sendJSONFrame(coord, deadline, frameHello, &h); err != nil {
 		coord.Close()
 		return nil, fmt.Errorf("mpinet: recovery: registering with the coordinator: %w", err)
@@ -567,6 +609,9 @@ func recoverJoin(base Config, addr string, nonce, meta uint64, window time.Durat
 	var w welcome
 	if err := readJSONFrame(coord, deadline.Add(window), frameWelcome, &w); err != nil {
 		coord.Close()
+		if errors.Is(err, errRefused) {
+			return nil, fmt.Errorf("mpinet: recovery: %w", err)
+		}
 		return nil, fmt.Errorf("mpinet: recovery: missed the membership window (the survivors may have re-formed without this rank): %w", err)
 	}
 	if w.Rank < 1 || w.Rank >= w.Size || len(w.Book) != w.Size {

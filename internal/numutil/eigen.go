@@ -127,33 +127,3 @@ func sortEigen(m, v []float64, n int) ([]float64, []float64, error) {
 	}
 	return sv, vec, nil
 }
-
-// MatMul computes the product c = a·b of row-major n×n matrices.
-// It exists for tests and for composing similarity transforms; the hot
-// likelihood path never calls it.
-func MatMul(a, b []float64, n int) []float64 {
-	c := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			aik := a[i*n+k]
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				c[i*n+j] += aik * b[k*n+j]
-			}
-		}
-	}
-	return c
-}
-
-// Transpose returns the transpose of the row-major n×n matrix a.
-func Transpose(a []float64, n int) []float64 {
-	t := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			t[j*n+i] = a[i*n+j]
-		}
-	}
-	return t
-}

@@ -72,7 +72,7 @@ func reconstruct(vals, vecs []float64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		d[i*n+i] = vals[i]
 	}
-	return MatMul(MatMul(vecs, d, n), Transpose(vecs, n), n)
+	return matMul(matMul(vecs, d, n), transpose(vecs, n), n)
 }
 
 func TestJacobiEigenReconstruction(t *testing.T) {
@@ -103,7 +103,7 @@ func TestJacobiEigenReconstruction(t *testing.T) {
 			}
 		}
 		// Orthonormality: VᵀV = I.
-		vtv := MatMul(Transpose(vecs, n), vecs, n)
+		vtv := matMul(transpose(vecs, n), vecs, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := 0.0
@@ -145,13 +145,13 @@ func TestJacobiEigenTraceInvariant(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	id := []float64{1, 0, 0, 1}
-	got := MatMul(a, id, 2)
+	got := matMul(a, id, 2)
 	for i := range a {
 		if got[i] != a[i] {
 			t.Fatalf("A·I != A: %v", got)
 		}
 	}
-	got = MatMul(id, a, 2)
+	got = matMul(id, a, 2)
 	for i := range a {
 		if got[i] != a[i] {
 			t.Fatalf("I·A != A: %v", got)
@@ -162,7 +162,7 @@ func TestMatMulIdentity(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	f := func(a, b, c, d float64) bool {
 		m := []float64{a, b, c, d}
-		tt := Transpose(Transpose(m, 2), 2)
+		tt := transpose(transpose(m, 2), 2)
 		for i := range m {
 			if tt[i] != m[i] {
 				return false
@@ -173,4 +173,32 @@ func TestTransposeInvolution(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// matMul computes the product c = a·b of row-major n×n matrices.
+func matMul(a, b []float64, n int) []float64 {
+	c := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			aik := a[i*n+k]
+			if aik == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				c[i*n+j] += aik * b[k*n+j]
+			}
+		}
+	}
+	return c
+}
+
+// transpose returns the transpose of the row-major n×n matrix a.
+func transpose(a []float64, n int) []float64 {
+	t := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			t[j*n+i] = a[i*n+j]
+		}
+	}
+	return t
 }

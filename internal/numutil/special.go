@@ -21,21 +21,6 @@ func GammaIncP(a, x float64) float64 {
 	}
 }
 
-// GammaIncQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 − P(a, x).
-func GammaIncQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaPSeries(a, x)
-	default:
-		return gammaQContinuedFraction(a, x)
-	}
-}
-
 func gammaPSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)
 	ap := a

@@ -46,8 +46,6 @@ type Event struct {
 	Epoch            int `json:"epoch"`
 	ResumedIteration int `json:"resumed_iteration"`
 
-	FastOps      int64 `json:"fast_ops"`
-	GenericOps   int64 `json:"generic_ops"`
 	PcacheHits   int64 `json:"pcache_hits"`
 	PcacheMisses int64 `json:"pcache_misses"`
 }
@@ -80,10 +78,9 @@ type Recovery struct {
 	Rank, Size, Epoch, ResumedIteration int
 }
 
-// PerfStat is the per-rank engine-close fast-path summary.
+// PerfStat is the per-rank engine-close P-matrix cache summary.
 type PerfStat struct {
 	Rank                     int
-	FastOps, GenericOps      int64
 	PcacheHits, PcacheMisses int64
 }
 
@@ -193,7 +190,6 @@ func MergeSources(sources []*Source) *Merge {
 				})
 			case "perf":
 				p := jt.perf(rank)
-				p.FastOps, p.GenericOps = ev.FastOps, ev.GenericOps
 				p.PcacheHits, p.PcacheMisses = ev.PcacheHits, ev.PcacheMisses
 			}
 		}

@@ -16,7 +16,6 @@ import (
 // value is not usable; create with New.
 type Client struct {
 	base string
-	http *http.Client
 }
 
 // New returns a client for the daemon at baseURL (e.g.
@@ -28,13 +27,8 @@ func New(baseURL string) *Client {
 			baseURL = baseURL[:len(baseURL)-len(suffix)]
 		}
 	}
-	return &Client{base: baseURL + "/api/v1", http: &http.Client{}}
+	return &Client{base: baseURL + "/api/v1"}
 }
-
-// SetHTTPClient overrides the underlying *http.Client (timeouts,
-// transports). Long-poll calls size their own per-request deadlines, so
-// prefer leaving Timeout zero.
-func (c *Client) SetHTTPClient(h *http.Client) { c.http = h }
 
 // APIError is a structured error response from the daemon.
 type APIError struct {
@@ -66,7 +60,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.http.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -115,17 +109,6 @@ func (c *Client) Status(ctx context.Context, id string) (*JobView, error) {
 	return &v, nil
 }
 
-// List fetches every job the daemon knows, in submission order.
-func (c *Client) List(ctx context.Context) ([]JobView, error) {
-	var page struct {
-		Jobs []JobView `json:"jobs"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/jobs", nil, &page); err != nil {
-		return nil, err
-	}
-	return page.Jobs, nil
-}
-
 // Result fetches a finished job's result; the daemon answers 409 (an
 // *APIError) while the job is still running or if it failed.
 func (c *Client) Result(ctx context.Context, id string) (*JobResult, error) {
@@ -134,15 +117,6 @@ func (c *Client) Result(ctx context.Context, id string) (*JobResult, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// Cancel cancels a queued or running job.
-func (c *Client) Cancel(ctx context.Context, id string) (*JobView, error) {
-	var v JobView
-	if err := c.do(ctx, http.MethodPost, "/jobs/"+url.PathEscape(id)+"/cancel", nil, &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
 }
 
 // Events long-polls the job's event log for events with Seq ≥ since,
@@ -159,15 +133,6 @@ func (c *Client) Events(ctx context.Context, id string, since uint64, wait time.
 		return nil, err
 	}
 	return &page, nil
-}
-
-// Healthz fetches the daemon's health summary.
-func (c *Client) Healthz(ctx context.Context) (*Health, error) {
-	var h Health
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
 }
 
 // Wait follows a job to a terminal state via long-polled events and

@@ -46,7 +46,7 @@ type SimulateSpec struct {
 
 // InjectSpec deliberately kills one rank of the job after it reports
 // the given iteration — a built-in failure drill exercising the
-// checkpoint-migration path (used by `make smoke-service`).
+// checkpoint-migration path (TestServiceMigratesInjectedDeath).
 type InjectSpec struct {
 	// Rank is the initial rank whose worker dies.
 	Rank int `json:"rank"`
@@ -229,12 +229,4 @@ type EventsPage struct {
 	Next    uint64   `json:"next"`
 	Dropped uint64   `json:"dropped"`
 	State   JobState `json:"state"`
-}
-
-// Health is the healthz endpoint's response.
-type Health struct {
-	OK      bool `json:"ok"`
-	Workers int  `json:"workers"`
-	Jobs    int  `json:"jobs"`
-	Queued  int  `json:"queued"`
 }

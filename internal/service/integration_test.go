@@ -1,16 +1,16 @@
 package service
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
 	examl "repro"
+	"repro/internal/service/client"
 )
 
 // newPoolTest starts a server whose workers are re-execed copies of
@@ -47,13 +47,19 @@ const (
 	itIters    = 3
 )
 
-func itSpec(inject bool) string {
-	spec := fmt.Sprintf(`{"simulate":{"taxa":%d,"partitions":%d,"gene_length":%d,"seed":%d},"ranks":2,"seed":%d,"max_iterations":%d`,
-		itTaxa, itParts, itGeneLen, itDataSeed, itSeed, itIters)
-	if inject {
-		spec += `,"inject_failure":{"rank":1,"after_iteration":1}`
+func itSpec(inject bool) client.JobSpec {
+	spec := client.JobSpec{
+		Simulate: &client.SimulateSpec{
+			Taxa: itTaxa, Partitions: itParts, GeneLength: itGeneLen, Seed: itDataSeed,
+		},
+		Ranks:         2,
+		Seed:          itSeed,
+		MaxIterations: itIters,
 	}
-	return spec + "}"
+	if inject {
+		spec.InjectFailure = &client.InjectSpec{Rank: 1, AfterIteration: 1}
+	}
+	return spec
 }
 
 // itReference computes the bit-exact expectation through the public
@@ -72,42 +78,22 @@ func itReference(t *testing.T) (string, string) {
 	return fmt.Sprintf("%016x", math.Float64bits(ref.LogLikelihood)), ref.Tree
 }
 
-func itRunJob(t *testing.T, hs *httptest.Server, spec string, timeout time.Duration) *JobResult {
+// itRunJob submits spec and follows the job to its result through
+// client.Client, the API client phyrun's service backend uses.
+func itRunJob(t *testing.T, hs *httptest.Server, spec client.JobSpec, timeout time.Duration) *JobResult {
 	t.Helper()
-	code, sub := doJSON(t, "POST", hs.URL+"/api/v1/jobs", spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %v", code, sub)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	cl := client.New(hs.URL)
+	st, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
 	}
-	id := sub["id"].(string)
-	deadline := time.Now().Add(timeout)
-	for {
-		code, st := doJSON(t, "GET", hs.URL+"/api/v1/jobs/"+id, "")
-		if code != http.StatusOK {
-			t.Fatalf("status: %d", code)
-		}
-		switch st["state"] {
-		case "done":
-			resp, err := http.Get(hs.URL + "/api/v1/jobs/" + id + "/result")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("result: %d", resp.StatusCode)
-			}
-			var res JobResult
-			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-				t.Fatal(err)
-			}
-			return &res
-		case "failed", "canceled":
-			t.Fatalf("job %s reached %v: %v", id, st["state"], st["error"])
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %v after %v", id, st["state"], timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
+	res, err := cl.Wait(ctx, st.ID, nil)
+	if err != nil {
+		t.Fatalf("job %s: %v", st.ID, err)
 	}
+	return res
 }
 
 // TestServiceJobMatchesDirectRun runs a real 2-rank job on a warm
@@ -169,6 +155,19 @@ func TestServiceMigratesInjectedDeath(t *testing.T) {
 	if migrations != 1 || !migrated {
 		t.Errorf("migrations=%d migrated-event=%v, want exactly one migration", migrations, migrated)
 	}
+
+	// The healed pool serves the next job as new: the same spec without
+	// the failure drill gives the same bits, with nothing recovered.
+	res = itRunJob(t, hs, itSpec(false), 120*time.Second)
+	if res.Recovered || res.Ranks != 2 {
+		t.Errorf("post-migration job: %+v, want 2 ranks and no recovery", res)
+	}
+	if res.LnLBits != refBits {
+		t.Errorf("post-migration lnl bits %s, want %s", res.LnLBits, refBits)
+	}
+	if res.Tree != refTree {
+		t.Errorf("post-migration tree differs from the undisturbed run")
+	}
 }
 
 // TestServiceQueueBackfill saturates a 2-worker pool with a 2-rank job
@@ -180,26 +179,23 @@ func TestServiceQueueBackfill(t *testing.T) {
 	}
 	_, hs := newPoolTest(t, 2)
 
-	code, first := doJSON(t, "POST", hs.URL+"/api/v1/jobs", itSpec(false))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit 1: %d", code)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	cl := client.New(hs.URL)
+	first, err := cl.Submit(ctx, itSpec(false))
+	if err != nil {
+		t.Fatalf("submit 1: %v", err)
 	}
-	small := `{"simulate":{"taxa":6,"partitions":1,"gene_length":20,"seed":5},"ranks":1,"max_iterations":1}`
+	small := client.JobSpec{
+		Simulate: &client.SimulateSpec{Taxa: 6, Partitions: 1, GeneLength: 20, Seed: 5},
+		Ranks:    1, MaxIterations: 1,
+	}
 	res := itRunJob(t, hs, small, 120*time.Second)
 	if res.Ranks != 1 {
 		t.Errorf("small job ran on %d ranks", res.Ranks)
 	}
 	// The 2-rank job submitted first must finish too.
-	id := first["id"].(string)
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		_, st := doJSON(t, "GET", hs.URL+"/api/v1/jobs/"+id, "")
-		if st["state"] == "done" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("first job stuck in %v", st["state"])
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := cl.Wait(ctx, first.ID, nil); err != nil {
+		t.Fatalf("first job: %v", err)
 	}
 }

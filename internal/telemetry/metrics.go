@@ -106,8 +106,6 @@ func (r *Report) Publish(reg *metrics.Registry) {
 		"Logical collectives per outer search iteration of the last completed run.").Set(r.CollectivesPerIteration)
 	reg.Gauge("examl_run_wall_seconds",
 		"Wall-clock duration of the last completed run.").Set(r.WallSeconds)
-	reg.Gauge("examl_run_fastpath_share",
-		"Specialized kernel dispatch share of the last completed run.").Set(r.FastPathShare)
 	reg.Gauge("examl_run_pcache_hit_rate",
 		"P-matrix cache hit rate of the last completed run.").Set(r.PCacheHitRate)
 	reg.Gauge("examl_run_pool_utilization",

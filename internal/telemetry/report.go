@@ -37,11 +37,8 @@ type RankStats struct {
 	PoolBlocks     int64 `json:"pool_blocks,omitempty"`
 	PoolWakes      int64 `json:"pool_wakes,omitempty"`
 	PoolParks      int64 `json:"pool_parks,omitempty"`
-	// FastPathOps/GenericOps are the rank's specialized vs generic
-	// kernel dispatch counts; PCacheHits/PCacheMisses its P-matrix cache
-	// activity (docs/PERFORMANCE.md).
-	FastPathOps  int64 `json:"fastpath_ops,omitempty"`
-	GenericOps   int64 `json:"generic_ops,omitempty"`
+	// PCacheHits/PCacheMisses are the rank's P-matrix cache activity
+	// (docs/PERFORMANCE.md).
 	PCacheHits   int64 `json:"pcache_hits,omitempty"`
 	PCacheMisses int64 `json:"pcache_misses,omitempty"`
 	// TipTipNewviews/PairTableEntries/TipTableEntries describe the
@@ -141,9 +138,6 @@ type Report struct {
 	PoolWakes      int64 `json:"pool_wakes"`
 	PoolParks      int64 `json:"pool_parks"`
 
-	// FastPathShare is specialized kernel dispatches over all kernel
-	// dispatches, summed across ranks (0 when no kernels ran).
-	FastPathShare float64 `json:"fastpath_share"`
 	// PCacheHitRate is P-matrix cache hits over lookups, summed across
 	// ranks (0 when the cache saw no lookups).
 	PCacheHitRate float64 `json:"pcache_hit_rate"`
@@ -193,7 +187,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	}
 	var sumCompute, sumComm, maxCompute int64
 	var poolBlocks int64
-	var fastOps, genericOps, pcHits, pcMiss, tipTips, pairEntries, laneSites int64
+	var pcHits, pcMiss, tipTips, pairEntries, laneSites int64
 	poolThreads := 0
 	for _, r := range c.recs {
 		rs := RankStats{
@@ -204,8 +198,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			CollectiveOps: append([]int64(nil), r.collOps...),
 			ComputeNS:     r.ComputeNS(),
 			CommNS:        r.CollectiveNS(),
-			FastPathOps:   r.perf.FastOps,
-			GenericOps:    r.perf.GenericOps,
 			PCacheHits:    r.perf.PCacheHits,
 			PCacheMisses:  r.perf.PCacheMisses,
 
@@ -238,8 +230,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		rep.PoolParks += r.pool.Parks
 		poolBlocks += r.pool.Blocks
 		poolThreads = max(poolThreads, r.pool.Threads)
-		fastOps += r.perf.FastOps
-		genericOps += r.perf.GenericOps
 		pcHits += r.perf.PCacheHits
 		pcMiss += r.perf.PCacheMisses
 		tipTips += r.perf.TipTipNewviews
@@ -248,9 +238,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		laneSites += r.perf.LaneSites
 	}
 	rep.LaneShare = ratio(laneSites, rep.Sites)
-	if tot := fastOps + genericOps; tot > 0 {
-		rep.FastPathShare = float64(fastOps) / float64(tot)
-	}
 	if tot := pcHits + pcMiss; tot > 0 {
 		rep.PCacheHitRate = float64(pcHits) / float64(tot)
 	}
@@ -378,9 +365,6 @@ func (r *Report) String() string {
 	}
 	if r.PoolUtilization > 0 {
 		fmt.Fprintf(&b, "  thread-pool block utilization          %8.3f\n", r.PoolUtilization)
-	}
-	if r.FastPathShare > 0 {
-		fmt.Fprintf(&b, "  kernel fast-path share                 %8.3f\n", r.FastPathShare)
 	}
 	if r.PCacheHitRate > 0 {
 		fmt.Fprintf(&b, "  P-matrix cache hit rate                %8.3f\n", r.PCacheHitRate)

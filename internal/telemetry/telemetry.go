@@ -458,10 +458,9 @@ func (r *Recorder) SetPool(p PoolStats) {
 }
 
 // KernelPerf is one rank's kernel fast-path summary, summed over its
-// kernels: specialized vs generic kernel dispatches, P-matrix cache
-// activity, and how much of the tip lookup tables the fills produced.
+// kernels: P-matrix cache activity and how much of the tip lookup tables
+// the fills produced.
 type KernelPerf struct {
-	FastOps, GenericOps      int64
 	PCacheHits, PCacheMisses int64
 	// TipTipNewviews is the number of tip-tip newview calls (each builds
 	// one pair table under Γ); PairTableEntries the code pairs those
@@ -504,8 +503,8 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 		for _, n := range r.collOps {
 			collectives += n
 		}
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
-			r.rank, p.FastOps, p.GenericOps, p.PCacheHits, p.PCacheMisses,
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+			r.rank, p.PCacheHits, p.PCacheMisses,
 			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
 			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks,
 			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],

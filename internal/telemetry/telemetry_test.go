@@ -23,7 +23,7 @@ func TestNilSafety(t *testing.T) {
 	r.EndCollective(0, ct)
 	r.Inc(CounterIterations, 1)
 	r.SetPool(PoolStats{Threads: 4, Dispatches: 10, Blocks: 40})
-	r.SetKernelPerf(KernelPerf{FastOps: 1, GenericOps: 2, PCacheHits: 3, PCacheMisses: 4})
+	r.SetKernelPerf(KernelPerf{PCacheHits: 3, PCacheMisses: 4})
 	if r.ComputeNS() != 0 || r.CollectiveNS() != 0 {
 		t.Fatalf("nil recorder accumulated time")
 	}
@@ -135,13 +135,12 @@ func TestSpansAndReport(t *testing.T) {
 }
 
 // TestKernelPerfReport checks the once-per-rank kernel performance
-// harvest: per-rank fields, the aggregated fast-path share and P-cache
-// hit rate, the text rendering, and the "perf" trace events.
+// harvest: per-rank fields, the aggregated P-cache hit rate, the text rendering, and the "perf" trace events.
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, 1, &trace)
-	c.Recorder(0).SetKernelPerf(KernelPerf{FastOps: 30, GenericOps: 10, PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
-	c.Recorder(1).SetKernelPerf(KernelPerf{FastOps: 50, GenericOps: 10, PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
+	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
+	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
 	c.Recorder(0).EndKernel(KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
@@ -153,14 +152,11 @@ func TestKernelPerfReport(t *testing.T) {
 	c.Recorder(0).Inc(CounterSPRVerifications, 3)
 
 	rep := c.Finalize(time.Millisecond, 1, []string{"x"}, []int64{0}, []int64{0})
-	if rep.PerRank[0].FastPathOps != 30 || rep.PerRank[0].PCacheHits != 8 {
+	if rep.PerRank[0].PCacheHits != 8 {
 		t.Fatalf("rank 0 perf fields: %+v", rep.PerRank[0])
 	}
-	if rep.PerRank[1].GenericOps != 10 || rep.PerRank[1].PCacheMisses != 8 {
+	if rep.PerRank[1].PCacheMisses != 8 {
 		t.Fatalf("rank 1 perf fields: %+v", rep.PerRank[1])
-	}
-	if want := 80.0 / 100.0; rep.FastPathShare != want {
-		t.Fatalf("fast-path share %v, want %v", rep.FastPathShare, want)
 	}
 	if want := 20.0 / 30.0; rep.PCacheHitRate != want {
 		t.Fatalf("P-cache hit rate %v, want %v", rep.PCacheHitRate, want)
@@ -192,7 +188,7 @@ func TestKernelPerfReport(t *testing.T) {
 	}
 
 	text := rep.String()
-	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "fast-path share", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995"} {
+	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -206,7 +202,7 @@ func TestKernelPerfReport(t *testing.T) {
 		}
 		if ev["ev"] == "perf" {
 			perfEvents++
-			for _, field := range []string{"fast_ops", "site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+			for _, field := range []string{"pcache_hits", "site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
 				if _, ok := ev[field]; !ok {
 					t.Fatalf("perf event missing %s: %v", field, ev)
 				}

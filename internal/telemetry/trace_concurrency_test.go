@@ -56,7 +56,7 @@ func TestConcurrentJobTraceNoTearing(t *testing.T) {
 						r.EmitIteration(i/10, -1234.5)
 					}
 				}
-				r.SetKernelPerf(KernelPerf{FastOps: int64(rank), GenericOps: 1, PCacheHits: 2, PCacheMisses: 3})
+				r.SetKernelPerf(KernelPerf{PCacheHits: int64(rank), PCacheMisses: 3})
 			}(c, rank)
 		}
 		wg.Add(1)

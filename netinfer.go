@@ -1,7 +1,10 @@
 package examl
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"time"
 
 	"repro/internal/fault"
@@ -103,6 +106,7 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 		Size:              nc.Size,
 		Addr:              nc.Addr,
 		Nonce:             nc.Nonce,
+		Digest:            inputDigest(d, cfg),
 		HeartbeatInterval: nc.HeartbeatInterval,
 		HeartbeatTimeout:  nc.HeartbeatTimeout,
 		RecoveryWindow:    nc.RecoveryWindow,
@@ -158,4 +162,45 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 	default:
 		return nil, fmt.Errorf("examl: unknown scheme %d", cfg.Scheme)
 	}
+}
+
+// inputDigest hashes everything the ranks of one run must share: per
+// partition the pattern count, weights and tip states, and the Config
+// fields that decide the search. Threads, telemetry and checkpoint
+// paths are left out; they move no bit. FNV-1a is the same function in
+// every process, so equal inputs give equal digests.
+func inputDigest(d *Dataset, cfg Config) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+	}
+	for _, p := range d.d.Parts {
+		put(uint64(len(p.Weights)), uint64(len(p.Tips)))
+		for _, w := range p.Weights {
+			put(uint64(w))
+		}
+		for _, tips := range p.Tips {
+			for _, st := range tips {
+				buf = append(buf, byte(st))
+			}
+		}
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	put(uint64(cfg.Scheme), uint64(cfg.RateModel), uint64(cfg.Substitution),
+		flag(cfg.PerPartitionBranchLengths), uint64(cfg.Distribution), uint64(cfg.Seed),
+		flag(cfg.ParsimonyStartTree), uint64(cfg.MaxIterations), math.Float64bits(cfg.Epsilon),
+		uint64(cfg.SPRRadius), flag(cfg.SkipTopology), uint64(len(cfg.StartTree)))
+	buf = append(buf, cfg.StartTree...)
+	h.Write(buf)
+	return h.Sum64()
 }

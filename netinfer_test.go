@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,5 +346,46 @@ func TestNetProcessDeathRecovers(t *testing.T) {
 			t.Errorf("final rank %d claimed twice", o.Rank)
 		}
 		finalRanks[o.Rank] = true
+	}
+}
+
+// TestInferNetRefusesRanksWithDifferentInputs starts a 2-rank world
+// whose rank 1 asks for PSR where rank 0 asks for Γ. Both ranks must
+// fail inside the rendezvous, with no result and no recovery, rank 0
+// naming rank 1.
+func TestInferNetRefusesRanksWithDifferentInputs(t *testing.T) {
+	d, err := netTestDataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := reserveLoopbackAddr(t)
+	results := make([]*NetResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for rank := 0; rank < 2; rank++ {
+		cfg := netTestInferConfig()
+		if rank == 1 {
+			cfg.RateModel = PSR
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[rank], errs[rank] = InferNet(d, cfg, NetConfig{
+				Rank: rank, Size: 2, Addr: addr, Nonce: 9, MaxRecoveries: 1,
+			})
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("the ranks took %v to fail, want a refusal inside the rendezvous", elapsed)
+	}
+	for rank := range errs {
+		if results[rank] != nil {
+			t.Errorf("rank %d returned a result", rank)
+		}
+		if errs[rank] == nil || !strings.Contains(errs[rank].Error(), "rank 1's inputs differ from rank 0's") {
+			t.Errorf("rank %d: got %v, want an error saying rank 1's inputs differ", rank, errs[rank])
+		}
 	}
 }

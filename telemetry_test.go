@@ -119,7 +119,7 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			Kind    string `json:"kind"`
 			Class   string `json:"class"`
 			DurNS   int64  `json:"dur_ns"`
-			FastOps int64  `json:"fast_ops"`
+			TipTabs int64  `json:"tip_table_entries"`
 			Calls   int64  `json:"engine_calls"`
 			Disp    int64  `json:"pool_dispatches"`
 			Wakes   int64  `json:"pool_wakes"`
@@ -159,10 +159,10 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			}
 		case "perf":
 			// Kernel fast-path summary, emitted once per rank at engine
-			// close; the DNA fast paths must have fired on this dataset.
+			// close; the tip tables must have been filled on this dataset.
 			perfEvents++
-			if ev.FastOps <= 0 {
-				t.Fatalf("line %d: perf event without fast-path ops %+v", lines, ev)
+			if ev.TipTabs <= 0 {
+				t.Fatalf("line %d: perf event without tip-table entries %+v", lines, ev)
 			}
 			// The same event carries the intra-rank execution counters: an
 			// engine call is at most one pool dispatch, and these ranks run
