@@ -69,6 +69,11 @@ bench:
 # collectives (331.5 before the lockstep Brent search, 1098 before an SPR
 # prune point scored all its candidates through one,
 # docs/PERFORMANCE.md §8). The gates are those counts + 5 % and + 10 %.
+# The same run must also hold at most SMOKE_MAX_LIVE_HEAP_MB of live
+# heap (mem.live_heap_mb): 14.38 MB since the distribution keeps
+# partitions whole on a rank (19.0 MB while every rank held a slice of
+# every partition, docs/PERFORMANCE.md §10); the gate is that reading
+# + 10 %.
 #
 # It then runs the two PSR workloads once each, untraced, exactly as the
 # benchmark's driver does, and fails unless the run's own output checks
@@ -78,6 +83,7 @@ bench:
 # refused here first.
 SMOKE_MAX_PROBES = 148
 SMOKE_MAX_COLLECTIVES = 310
+SMOKE_MAX_LIVE_HEAP_MB = 15.8
 SMOKE_PSR_WORKLOADS = sites-psr-t2 parts-m-psr-fj
 bench-e2e-smoke:
 	@out=$$(bash benchmark/run.sh --workload parts-gamma-tcp --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
@@ -88,7 +94,10 @@ bench-e2e-smoke:
 	colls=$$(printf '%s' "$$out" | sed -n 's/.*"mpi\.collectives":{"value":\([0-9]*\).*/\1/p') && \
 	{ test -n "$$colls" && test "$$colls" -le $(SMOKE_MAX_COLLECTIVES) || \
 		{ echo "bench-e2e-smoke: mpi.collectives = '$$colls' per inference, want <= $(SMOKE_MAX_COLLECTIVES)"; exit 1; }; } && \
-	echo "bench-e2e-smoke: correct, $$probes model-parameter probes and $$colls collectives per inference OK"
+	heap=$$(printf '%s' "$$out" | sed -n 's/.*"mem\.live_heap_mb":{"value":\([0-9.]*\).*/\1/p') && \
+	{ test -n "$$heap" && awk -v h="$$heap" -v max=$(SMOKE_MAX_LIVE_HEAP_MB) 'BEGIN { exit !(h <= max) }' || \
+		{ echo "bench-e2e-smoke: mem.live_heap_mb = '$$heap', want <= $(SMOKE_MAX_LIVE_HEAP_MB)"; exit 1; }; } && \
+	echo "bench-e2e-smoke: correct, $$probes model-parameter probes, $$colls collectives and $$heap MB live heap per inference OK"
 	@for w in $(SMOKE_PSR_WORKLOADS); do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 5 --seconds 10 --trace 0 | tail -n 1) && \
 		case "$$out" in *'"correct":true'*'"failed":0,'*) echo "bench-e2e-smoke: $$w correct, no failed op OK";; \

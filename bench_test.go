@@ -140,30 +140,6 @@ func BenchmarkSchemeForkJoin(b *testing.B) {
 	}
 }
 
-// ---------- ablation: cyclic vs MPS distribution ----------
-
-// BenchmarkAblationDistribution compares the two data-distribution
-// strategies on a many-partition dataset: MPS eliminates the per-partition
-// P(t) setup overhead that cyclic distribution replicates onto every rank
-// (the up-to-10× effect of the paper's reference [24]).
-func BenchmarkAblationDistribution(b *testing.B) {
-	d := benchDataset(b, 10, 48, 40)
-	cfg := search.Config{Het: model.Gamma, Seed: 2, MaxIterations: 1, SkipTopology: true}
-	for _, strat := range []distrib.Strategy{distrib.Cyclic, distrib.MPS} {
-		b.Run(strat.String(), func(b *testing.B) {
-			var cols int64
-			for b.Loop() {
-				_, stats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: 4, Strategy: strat})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cols = stats.TotalColumns
-			}
-			b.ReportMetric(float64(cols), "kernel_columns")
-		})
-	}
-}
-
 // ---------- kernel microbenchmarks ----------
 
 func benchKernel(b *testing.B, het model.Heterogeneity) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {

@@ -5,7 +5,6 @@
 //	-s  alignment (relaxed PHYLIP, or binary with -b)
 //	-q  partition-scheme file (RAxML format)
 //	-m  GAMMA or PSR rate heterogeneity
-//	-Q  monolithic per-partition data distribution (MPS)
 //	-M  individual per-partition branch lengths
 //	-np number of simulated MPI ranks
 //	-T  worker threads per rank (§V hybrid scheme; results are
@@ -33,6 +32,11 @@
 //	-metrics-addr A   serve Prometheus metrics at GET /metrics on A for
 //	                  the duration of the run (net mode: rank 0 only)
 //	-pprof            also mount /debug/pprof/ on the metrics listener
+//
+// The data distribution is not a flag: partitions stay whole on a rank
+// within cyclic distribution's per-rank pattern quotas (internal/distrib),
+// where the paper's ExaML needed -Q for it. The banner reports what the
+// rule did: the most partitions on a rank and how many are split.
 //
 // Example:
 //

@@ -36,7 +36,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/decentral"
-	"repro/internal/distrib"
 	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/metrics"
@@ -105,25 +104,6 @@ const (
 	HKYModel = model.HKY
 )
 
-// Distribution selects the data-distribution strategy.
-type Distribution int
-
-// Available distributions.
-const (
-	// Cyclic deals site patterns round-robin (default).
-	Cyclic Distribution = iota
-	// MPS assigns whole partitions monolithically (the paper's -Q).
-	MPS
-)
-
-// String implements fmt.Stringer.
-func (d Distribution) String() string {
-	if d == MPS {
-		return "MPS"
-	}
-	return "cyclic"
-}
-
 // Dataset is a compressed, partitioned alignment ready for inference.
 type Dataset struct {
 	d *msa.Dataset
@@ -144,6 +124,18 @@ func (d *Dataset) Sites() int { return d.d.TotalSites() }
 
 // TaxonNames returns the taxon labels in dataset order.
 func (d *Dataset) TaxonNames() []string { return append([]string(nil), d.d.Names...) }
+
+// Layout reports how a run on the given number of ranks distributes the
+// dataset: the most partitions any rank holds and how many partitions
+// are split over more than one rank.
+func (d *Dataset) Layout(ranks int) (maxPerRank, split int, err error) {
+	a, err := enginecore.Assignment(d.d, ranks)
+	if err != nil {
+		return 0, 0, err
+	}
+	maxPerRank, split = a.Layout()
+	return maxPerRank, split, nil
+}
 
 // LoadPhylip reads a relaxed PHYLIP alignment and an optional RAxML-style
 // partition scheme ("DNA, gene1 = 1-1000" lines; empty = one partition).
@@ -208,7 +200,9 @@ func SimulateUnpartitioned(nTaxa, nSites int, seed int64) (*Dataset, error) {
 }
 
 // Config controls an inference run. The zero value is a sensible default:
-// decentralized scheme, 1 rank, GTR+Γ, cyclic distribution.
+// decentralized scheme, 1 rank, GTR+Γ. The data distribution is not a
+// choice: internal/distrib keeps partitions whole on a rank within
+// cyclic distribution's per-rank quotas.
 type Config struct {
 	// Scheme selects the parallelization scheme.
 	Scheme Scheme
@@ -225,8 +219,6 @@ type Config struct {
 	Substitution SubstitutionModel
 	// PerPartitionBranchLengths enables the paper's -M option.
 	PerPartitionBranchLengths bool
-	// Distribution selects cyclic or MPS (-Q) data distribution.
-	Distribution Distribution
 	// Seed drives the random starting tree.
 	Seed int64
 	// StartTree overrides the random start with a Newick tree.
@@ -447,13 +439,9 @@ func runConfig(cfg Config, recorders int) (enginecore.RunConfig, *checkpointWrit
 		return enginecore.RunConfig{}, nil, err
 	}
 	rc := enginecore.RunConfig{
-		Search:   scfg,
-		Ranks:    cfg.Ranks,
-		Strategy: distrib.Cyclic,
-		Threads:  cfg.Threads,
-	}
-	if cfg.Distribution == MPS {
-		rc.Strategy = distrib.MPS
+		Search:  scfg,
+		Ranks:   cfg.Ranks,
+		Threads: cfg.Threads,
 	}
 	if cfg.Telemetry || cfg.TraceWriter != nil {
 		rc.Telemetry = telemetry.NewCollector(recorders, int(mpi.NumCommClasses), cfg.TraceWriter)

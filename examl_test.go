@@ -256,7 +256,6 @@ func TestPSRAndPerPartitionViaPublicAPI(t *testing.T) {
 		Ranks:                     2,
 		RateModel:                 PSR,
 		PerPartitionBranchLengths: true,
-		Distribution:              MPS,
 		MaxIterations:             1,
 	})
 	if err != nil {
@@ -273,9 +272,6 @@ func TestStringers(t *testing.T) {
 	}
 	if GAMMA.String() != "GAMMA" || PSR.String() != "PSR" {
 		t.Error("RateModel.String broken")
-	}
-	if Cyclic.String() != "cyclic" || MPS.String() != "MPS" {
-		t.Error("Distribution.String broken")
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // Args carries every inference flag.
 type Args struct {
 	AlignPath, PartPath, ModelName, SubstName, TreePath, Ckpt, Restore, Name string
-	Binary, MPS, PerPart, Parsimony                                          bool
+	Binary, PerPart, Parsimony                                               bool
 	Ranks, Threads, MaxIter                                                  int
 	Seed                                                                     int64
 	Scheme                                                                   examl.Scheme
@@ -68,7 +68,6 @@ func Register(a *Args) {
 	flag.StringVar(&a.PartPath, "q", "", "partition scheme file (RAxML format)")
 	flag.StringVar(&a.ModelName, "m", "GAMMA", "rate heterogeneity: GAMMA or PSR")
 	flag.StringVar(&a.SubstName, "subst", "GTR", "substitution model: GTR, JC, K80, or HKY")
-	flag.BoolVar(&a.MPS, "Q", false, "monolithic per-partition data distribution (MPS)")
 	flag.BoolVar(&a.PerPart, "M", false, "individual per-partition branch lengths")
 	flag.IntVar(&a.Ranks, "np", 1, "number of simulated MPI ranks")
 	flag.IntVar(&a.Threads, "T", 1, "worker threads per rank (hybrid scheme; results are bit-identical at any value)")
@@ -216,10 +215,6 @@ func inferConfig(a Args) (examl.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	dist := examl.Cyclic
-	if a.MPS {
-		dist = examl.MPS
-	}
 	return examl.Config{
 		Scheme:                    a.Scheme,
 		Ranks:                     a.Ranks,
@@ -227,7 +222,6 @@ func inferConfig(a Args) (examl.Config, error) {
 		RateModel:                 rateModel,
 		Substitution:              subst,
 		PerPartitionBranchLengths: a.PerPart,
-		Distribution:              dist,
 		Seed:                      a.Seed,
 		StartTree:                 startTree,
 		ParsimonyStartTree:        a.Parsimony,
@@ -238,11 +232,22 @@ func inferConfig(a Args) (examl.Config, error) {
 	}, nil
 }
 
-func printBanner(a Args, d *examl.Dataset, cfg examl.Config) {
-	fmt.Printf("dataset: %d taxa, %d partitions, %d sites (%d patterns)\n",
-		d.NTaxa(), d.NPartitions(), d.Sites(), d.Patterns())
-	fmt.Printf("scheme: %s, %d ranks x %d threads, %s, %s distribution\n",
-		a.Scheme, a.Ranks, max(a.Threads, 1), cfg.RateModel, cfg.Distribution)
+// banner describes the run before it starts: the dataset, and the world
+// it runs on — -net-size processes in network mode, else -np ranks — with
+// what the data distribution does on it.
+func banner(a Args, d *examl.Dataset, cfg examl.Config) (string, error) {
+	ranks := a.Ranks
+	if a.NetRank >= 0 {
+		ranks = a.NetSize
+	}
+	most, split, err := d.Layout(ranks)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("dataset: %d taxa, %d partitions, %d sites (%d patterns)\n"+
+		"scheme: %s, %d ranks x %d threads, %s, at most %d partitions per rank, %d split\n",
+		d.NTaxa(), d.NPartitions(), d.Sites(), d.Patterns(),
+		a.Scheme, ranks, max(a.Threads, 1), cfg.RateModel, most, split), nil
 }
 
 // Run loads the dataset per the args and executes the inference.
@@ -274,7 +279,11 @@ func Run(a Args) (*examl.Result, error) {
 		return nil, err
 	}
 	defer stopObs()
-	printBanner(a, d, cfg)
+	b, err := banner(a, d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Print(b)
 	res, err := examl.Infer(d, cfg)
 	if err != nil {
 		return nil, err

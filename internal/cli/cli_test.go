@@ -253,3 +253,33 @@ func TestRunFromFilesMatchesInfer(t *testing.T) {
 		t.Errorf("tree differs from examl.Infer's:\n got %s\nwant %s", res.Tree, ref.Tree)
 	}
 }
+
+// TestBannerNamesTheWorld: the banner counts the ranks of the world the
+// run is on — -net-size processes in network mode, whatever -np says,
+// else -np — and says what the distribution did on them.
+func TestBannerNamesTheWorld(t *testing.T) {
+	d, err := examl.Simulate(8, 2, 80, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := examl.Config{RateModel: examl.GAMMA}
+	for _, tc := range []struct {
+		args Args
+		want string
+	}{
+		{Args{Ranks: 1, Threads: 1, NetRank: 0, NetSize: 2, NetAddr: "127.0.0.1:7000"},
+			"scheme: decentralized, 2 ranks x 1 threads, GAMMA, at most 2 partitions per rank, 1 split\n"},
+		{Args{Ranks: 3, Threads: 2, NetRank: -1},
+			"scheme: decentralized, 3 ranks x 2 threads, GAMMA, at most 2 partitions per rank, 2 split\n"},
+		{Args{Ranks: 1, Threads: 1, NetRank: -1},
+			"scheme: decentralized, 1 ranks x 1 threads, GAMMA, at most 2 partitions per rank, 0 split\n"},
+	} {
+		b, err := banner(tc.args, d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(b, "dataset: 8 taxa, 2 partitions, 160 sites") || !strings.HasSuffix(b, tc.want) {
+			t.Errorf("banner for %+v:\n%s\nwant it to end in\n%s", tc.args, b, tc.want)
+		}
+	}
+}

@@ -51,7 +51,11 @@ func RunNet(a Args) (*examl.NetResult, error) {
 			return nil, err
 		}
 		defer stopObs()
-		printBanner(a, d, cfg)
+		b, err := banner(a, d, cfg)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Print(b)
 		fmt.Printf("transport: tcp, world of %d processes at %s\n", a.NetSize, a.NetAddr)
 	}
 	return examl.InferNet(d, cfg, examl.NetConfig{

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/distrib"
 	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -130,28 +129,29 @@ func TestRunPerPartitionBranches(t *testing.T) {
 	}
 }
 
-func TestRunMPSStrategy(t *testing.T) {
+// TestRunWholePartitionRanks: six partitions on three ranks are laid out
+// mostly whole, some ranks holding no pattern of a partition at all, and
+// the run agrees with the one-rank run on the likelihood.
+func TestRunWholePartitionRanks(t *testing.T) {
 	d := makeDataset(t, 8, 6, 30, 7)
-	cfg := search.Config{Het: model.Gamma, Seed: 17, MaxIterations: 1}
-	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 1, Strategy: distrib.MPS})
+	a, err := enginecore.Assignment(d, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3, Strategy: distrib.MPS})
+	if most, split := a.Layout(); most > 4 || split > 2 {
+		t.Fatalf("at most %d partitions per rank, %d split: %+v", most, split, a.PerRank)
+	}
+	cfg := search.Config{Het: model.Gamma, Seed: 17, MaxIterations: 1}
+	ref, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got.LnL-ref.LnL) > 1e-6*math.Abs(ref.LnL) {
-		t.Errorf("MPS: lnL differs")
-	}
-	// Cyclic and MPS must agree on the likelihood too (same data, same
-	// algorithm, different layout).
-	cyc, _, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: 3, Strategy: distrib.Cyclic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cyc.LnL-ref.LnL) > 1e-6*math.Abs(ref.LnL) {
-		t.Errorf("cyclic lnL %.9f vs MPS %.9f", cyc.LnL, ref.LnL)
+		t.Errorf("3 ranks: lnL %.9f vs one rank %.9f", got.LnL, ref.LnL)
 	}
 }
 

@@ -1,20 +1,29 @@
-// Package distrib implements the two data-distribution strategies the
-// paper's experiments toggle between:
+// Package distrib implements the data distribution: which rank holds
+// which site patterns of which partition.
 //
-//   - Cyclic: site patterns of every partition are dealt round-robin over
-//     the ranks — near-perfect per-site balance, but every rank touches
-//     every partition, so per-partition work (P(t) construction, model
-//     updates) is replicated p times per rank and scales badly with many
-//     partitions (see [24] in the paper).
+// There is one rule, and nothing to choose. Per-rank pattern quotas are
+// cyclic distribution's — ⌊N/R⌋, plus one on the first N mod R ranks — so
+// the per-site balance is as good as cyclic's. Within those quotas the
+// rule keeps partitions whole wherever it can, because every partition a
+// rank touches costs it that partition's P(t) set-up and tip tables,
+// however few patterns it holds (the effect of the paper's reference
+// [24], which its -Q / MPS option addressed with whole partitions at the
+// price of balance):
 //
-//   - MPS (the -Q option): whole partitions are assigned monolithically to
-//     ranks. Optimal assignment is the NP-hard multiprocessor-scheduling
-//     problem; following the paper's reference [24], we use the
-//     longest-processing-time (LPT) greedy heuristic, which is a 4/3
-//     approximation and is what matters in practice.
+//  1. Whole partitions first: in ascending pattern count (ties by index),
+//     partitions are dealt round-robin over the ranks while the next one
+//     fits in its rank's remaining quota.
+//  2. Then the rest, the largest partitions, fill the remaining quotas
+//     rank by rank. A partition that crosses a quota boundary is dealt
+//     round-robin over the ranks it spans, each taking up to its
+//     remaining quota.
 //
-// Assignments are pure functions of (pattern counts, rank count), so every
-// rank can compute the identical assignment locally — the de-centralized
+// So one partition over R ranks is cyclic distribution (pattern j on rank
+// j mod R), at most R−1 partitions are split, and no rank holds more than
+// ⌈P/R⌉ + 2 of P partitions (distrib_test.go holds all three).
+//
+// An assignment is a pure function of (pattern counts, rank count), so
+// every rank computes the identical one locally — the de-centralized
 // engine relies on this to avoid distribution broadcasts.
 package distrib
 
@@ -25,24 +34,11 @@ import (
 	"repro/internal/msa"
 )
 
-// Strategy selects a distribution algorithm.
+// Strategy names the distribution rule.
 type Strategy int
 
-// Available strategies.
-const (
-	// Cyclic deals patterns round-robin (the default).
-	Cyclic Strategy = iota
-	// MPS assigns whole partitions to ranks (the -Q option).
-	MPS
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	if s == Cyclic {
-		return "cyclic"
-	}
-	return "MPS"
-}
+// Cyclic is the one rule; benchmark/ pins the name.
+const Cyclic Strategy = 0
 
 // Share is one rank's slice of one partition.
 type Share struct {
@@ -54,8 +50,6 @@ type Share struct {
 
 // Assignment maps every rank to its shares.
 type Assignment struct {
-	// Strategy records how the assignment was computed.
-	Strategy Strategy
 	// PerRank[r] lists rank r's shares, ordered by partition index.
 	PerRank [][]Share
 }
@@ -63,83 +57,89 @@ type Assignment struct {
 // Compute builds the assignment for the given pattern counts per
 // partition.
 func Compute(strategy Strategy, patternCounts []int, nRanks int) (*Assignment, error) {
+	if strategy != Cyclic {
+		return nil, fmt.Errorf("distrib: unknown strategy %d", strategy)
+	}
 	if nRanks < 1 {
 		return nil, fmt.Errorf("distrib: %d ranks", nRanks)
 	}
 	if len(patternCounts) == 0 {
 		return nil, fmt.Errorf("distrib: no partitions")
 	}
+	total := 0
 	for p, n := range patternCounts {
 		if n < 1 {
 			return nil, fmt.Errorf("distrib: partition %d has %d patterns", p, n)
 		}
+		total += n
 	}
-	a := &Assignment{Strategy: strategy, PerRank: make([][]Share, nRanks)}
-	switch strategy {
-	case Cyclic:
-		computeCyclic(a, patternCounts, nRanks)
-	case MPS:
-		computeMPS(a, patternCounts, nRanks)
-	default:
-		return nil, fmt.Errorf("distrib: unknown strategy %d", strategy)
-	}
-	return a, nil
-}
-
-// computeCyclic deals the global pattern sequence round-robin: pattern j
-// of partition p goes to rank (offset_p + j) mod nRanks, with offset_p the
-// running global pattern index — so consecutive patterns land on
-// consecutive ranks across partition boundaries too.
-func computeCyclic(a *Assignment, patternCounts []int, nRanks int) {
-	offset := 0
-	for p, n := range patternCounts {
-		buckets := make([][]int, nRanks)
-		for j := 0; j < n; j++ {
-			r := (offset + j) % nRanks
-			buckets[r] = append(buckets[r], j)
-		}
-		offset += n
-		for r := 0; r < nRanks; r++ {
-			if len(buckets[r]) > 0 {
-				a.PerRank[r] = append(a.PerRank[r], Share{Part: p, Patterns: buckets[r]})
-			}
+	quota := make([]int, nRanks)
+	for r := range quota {
+		quota[r] = total / nRanks
+		if r < total%nRanks {
+			quota[r]++
 		}
 	}
-}
-
-// computeMPS assigns whole partitions by longest-processing-time: sort by
-// pattern count descending (ties by index for determinism), then place
-// each on the currently least-loaded rank (ties by rank id).
-func computeMPS(a *Assignment, patternCounts []int, nRanks int) {
 	order := make([]int, len(patternCounts))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		px, py := order[x], order[y]
-		if patternCounts[px] != patternCounts[py] {
-			return patternCounts[px] > patternCounts[py]
+	sort.SliceStable(order, func(x, y int) bool { return patternCounts[order[x]] < patternCounts[order[y]] })
+
+	a := &Assignment{PerRank: make([][]Share, nRanks)}
+	i := 0
+	for ; i < len(order); i++ {
+		p, r := order[i], i%nRanks
+		if patternCounts[p] > quota[r] {
+			break
 		}
-		return px < py
-	})
-	load := make([]int, nRanks)
-	for _, p := range order {
-		best := 0
-		for r := 1; r < nRanks; r++ {
-			if load[r] < load[best] {
-				best = r
-			}
-		}
-		load[best] += patternCounts[p]
-		all := make([]int, patternCounts[p])
-		for j := range all {
-			all[j] = j
-		}
-		a.PerRank[best] = append(a.PerRank[best], Share{Part: p, Patterns: all})
+		quota[r] -= patternCounts[p]
+		a.PerRank[r] = append(a.PerRank[r], Share{Part: p, Patterns: upTo(patternCounts[p])})
+	}
+	r := 0
+	for _, p := range order[i:] {
+		a.split(p, patternCounts[p], quota, &r)
 	}
 	for r := range a.PerRank {
 		sort.Slice(a.PerRank[r], func(x, y int) bool { return a.PerRank[r][x].Part < a.PerRank[r][y].Part })
 	}
+	return a, nil
+}
+
+// split places partition p's n patterns on the ranks from *r on, taking
+// each rank's remaining quota in turn, and deals them round-robin over
+// the ranks that take a part, each up to its part. *r is left at the
+// last rank taking one.
+func (a *Assignment) split(p, n int, quota []int, r *int) {
+	var ranks, parts []int
+	for left := n; left > 0; {
+		for quota[*r] == 0 {
+			*r++
+		}
+		take := min(quota[*r], left)
+		ranks, parts = append(ranks, *r), append(parts, take)
+		quota[*r] -= take
+		left -= take
+	}
+	buckets := make([][]int, len(ranks))
+	for j, k := 0, 0; j < n; j, k = j+1, (k+1)%len(ranks) {
+		for len(buckets[k]) == parts[k] {
+			k = (k + 1) % len(ranks)
+		}
+		buckets[k] = append(buckets[k], j)
+	}
+	for k, rank := range ranks {
+		a.PerRank[rank] = append(a.PerRank[rank], Share{Part: p, Patterns: buckets[k]})
+	}
+}
+
+// upTo returns 0, 1, …, n−1.
+func upTo(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
 // Load returns the number of patterns rank r owns.
@@ -165,9 +165,28 @@ func (a *Assignment) Balance() (max int, mean float64) {
 	return max, float64(total) / float64(len(a.PerRank))
 }
 
+// Layout reports the most partitions any rank holds and how many
+// partitions are split over more than one rank.
+func (a *Assignment) Layout() (maxPerRank, split int) {
+	ranksOf := map[int]int{}
+	for _, shares := range a.PerRank {
+		maxPerRank = max(maxPerRank, len(shares))
+		for _, sh := range shares {
+			ranksOf[sh.Part]++
+		}
+	}
+	for _, n := range ranksOf {
+		if n > 1 {
+			split++
+		}
+	}
+	return maxPerRank, split
+}
+
 // Materialize extracts rank r's local dataset from the full dataset:
 // one PartitionData per owned share, in partition order, plus the mapping
-// from local slice index back to the dataset partition index.
+// from local slice index back to the dataset partition index. A whole
+// partition is the dataset's own PartitionData, not a copy.
 func (a *Assignment) Materialize(d *msa.Dataset, r int) (parts []*msa.PartitionData, partIdx []int) {
 	for _, sh := range a.PerRank[r] {
 		full := d.Parts[sh.Part]

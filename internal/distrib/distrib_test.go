@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -23,89 +24,85 @@ func TestCyclicCoversAndBalances(t *testing.T) {
 	}
 }
 
-func TestCyclicEveryRankTouchesBigPartitions(t *testing.T) {
-	// Under cyclic distribution with sizeable partitions, every rank holds
-	// a piece of every partition — the property that makes per-partition
-	// overhead scale with p.
-	counts := []int{64, 64, 64, 64, 64}
-	a, err := Compute(Cyclic, counts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		if len(a.PerRank[r]) != 5 {
-			t.Fatalf("rank %d touches %d partitions, want 5", r, len(a.PerRank[r]))
+// TestRuleProperties holds the distribution rule to its contract over
+// random pattern counts (up to 40 partitions, a share of them 1–5
+// patterns) and up to 9 ranks: every pattern is covered once, rank r
+// holds cyclic's quota ⌊N/R⌋ + [r < N mod R], one partition is dealt
+// exactly as cyclic deals it (pattern j on rank j mod R), at most R−1
+// partitions are split (Σ shares ≤ P + R − 1), no rank holds more than
+// ⌈P/R⌉ + 2 partitions, and the assignment is a pure function of its
+// inputs.
+func TestRuleProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 5000; trial++ {
+		nParts, nRanks := 1+rng.Intn(40), 1+rng.Intn(9)
+		counts := make([]int, nParts)
+		total := 0
+		for i := range counts {
+			counts[i] = 1 + rng.Intn(5)
+			if rng.Intn(3) > 0 {
+				counts[i] = 1 + rng.Intn(300)
+			}
+			total += counts[i]
 		}
-	}
-}
+		a, err := Compute(Cyclic, counts, nRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Validate(counts); err != nil {
+			t.Fatalf("counts %v, %d ranks: %v", counts, nRanks, err)
+		}
+		shares := 0
+		for r := range a.PerRank {
+			want := total / nRanks
+			if r < total%nRanks {
+				want++
+			}
+			if got := a.Load(r); got != want {
+				t.Fatalf("counts %v, %d ranks: rank %d holds %d patterns, want %d", counts, nRanks, r, got, want)
+			}
+			if len(a.PerRank[r]) > (nParts+nRanks-1)/nRanks+2 {
+				t.Fatalf("counts %v, %d ranks: rank %d holds %d partitions", counts, nRanks, r, len(a.PerRank[r]))
+			}
+			shares += len(a.PerRank[r])
+		}
+		if shares > nParts+nRanks-1 {
+			t.Fatalf("counts %v, %d ranks: %d shares of %d partitions", counts, nRanks, shares, nParts)
+		}
+		if b, _ := Compute(Cyclic, counts, nRanks); !reflect.DeepEqual(a, b) {
+			t.Fatalf("counts %v, %d ranks: a second Compute differs", counts, nRanks)
+		}
 
-func TestMPSAssignsMonolithically(t *testing.T) {
-	counts := []int{50, 40, 30, 20, 10, 10}
-	a, err := Compute(MPS, counts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(counts); err != nil {
-		t.Fatal(err)
-	}
-	for r := range a.PerRank {
-		for _, sh := range a.PerRank[r] {
-			if len(sh.Patterns) != counts[sh.Part] {
-				t.Fatalf("rank %d holds a fragment of partition %d", r, sh.Part)
+		one, err := Compute(Cyclic, counts[:1], nRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, sh := range one.PerRank {
+			for _, s := range sh {
+				for _, j := range s.Patterns {
+					if j%nRanks != r {
+						t.Fatalf("one partition of %d patterns on %d ranks: pattern %d on rank %d", counts[0], nRanks, j, r)
+					}
+				}
 			}
 		}
 	}
-	// LPT on {50,40,30,20,10,10} over 3 ranks: loads 50, 40+10+10=60?
-	// LPT: 50→r0, 40→r1, 30→r2, 20→r2(50+?..): trace: loads after each:
-	// r0=50, r1=40, r2=30; 20→r1 (40<50? r2=30 is least → r2=50);
-	// 10→r1 (40); 10→r1 (50). Final loads: 50,60,50? recompute:
-	// after 30→r2: [50,40,30]; 20→r2 → [50,40,50]; 10→r1 → [50,50,50];
-	// 10 → r0 (tie, lowest id) → [60,50,50]. Max 60.
-	max, mean := a.Balance()
-	if max != 60 {
-		t.Fatalf("LPT max load = %d, want 60 (mean %.1f)", max, mean)
-	}
 }
 
-func TestMPSDeterministic(t *testing.T) {
-	counts := []int{7, 7, 7, 7, 9, 9, 2}
-	a1, err := Compute(MPS, counts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := Compute(MPS, counts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range a1.PerRank {
-		if len(a1.PerRank[r]) != len(a2.PerRank[r]) {
-			t.Fatal("MPS not deterministic")
-		}
-		for i := range a1.PerRank[r] {
-			if a1.PerRank[r][i].Part != a2.PerRank[r][i].Part {
-				t.Fatal("MPS not deterministic")
-			}
-		}
-	}
-}
-
-func TestMPSBetterThanNaiveForManyPartitions(t *testing.T) {
-	// LPT must get within 4/3 of the mean for many equal partitions.
-	counts := make([]int, 500)
-	rng := rand.New(rand.NewSource(1))
+// TestManySmallPartitionsStayWhole: 20 partitions on 2 ranks are split at
+// most once, and neither rank holds more than 11 of them.
+func TestManySmallPartitionsStayWhole(t *testing.T) {
+	counts := make([]int, 20)
+	rng := rand.New(rand.NewSource(7))
 	for i := range counts {
-		counts[i] = 200 + rng.Intn(800)
+		counts[i] = 30 + rng.Intn(20)
 	}
-	a, err := Compute(MPS, counts, 48)
+	a, err := Compute(Cyclic, counts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Validate(counts); err != nil {
-		t.Fatal(err)
-	}
-	max, mean := a.Balance()
-	if float64(max) > mean*4/3+1 {
-		t.Fatalf("LPT bound violated: max %d vs mean %.1f", max, mean)
+	if most, split := a.Layout(); most > 11 || split > 1 {
+		t.Fatalf("most partitions on a rank %d, split %d: %+v", most, split, a.PerRank)
 	}
 }
 
@@ -125,8 +122,8 @@ func TestComputeErrors(t *testing.T) {
 }
 
 func TestAssignmentsAlwaysPartition(t *testing.T) {
-	// Property: for arbitrary inputs, both strategies produce an exact
-	// partition of all patterns.
+	// Property: for arbitrary inputs, the rule produces an exact partition
+	// of all patterns.
 	f := func(rawCounts []uint16, rawRanks uint8) bool {
 		nRanks := int(rawRanks%32) + 1
 		var counts []int
@@ -139,16 +136,8 @@ func TestAssignmentsAlwaysPartition(t *testing.T) {
 		if len(counts) == 0 {
 			return true
 		}
-		for _, s := range []Strategy{Cyclic, MPS} {
-			a, err := Compute(s, counts, nRanks)
-			if err != nil {
-				return false
-			}
-			if a.Validate(counts) != nil {
-				return false
-			}
-		}
-		return true
+		a, err := Compute(Cyclic, counts, nRanks)
+		return err == nil && a.Validate(counts) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -188,17 +177,12 @@ func TestMaterialize(t *testing.T) {
 	if len(idx0) != len(parts0) || len(idx1) != len(parts1) {
 		t.Fatal("index length mismatch")
 	}
-	// Rank 0 gets patterns 0,2 of p0 (weights 1,3) under global cyclic.
-	if parts0[0].Weights[0] != 1 || parts0[0].Weights[1] != 3 {
-		t.Fatalf("rank 0 p0 weights = %v", parts0[0].Weights)
+	// p1 (2 patterns) fits rank 0's quota of 3 whole; p0 splits over the
+	// rest, one pattern to rank 0 and three to rank 1.
+	if len(parts0) != 2 || parts0[1] != d.Parts[1] {
+		t.Fatalf("rank 0 should hold p1 as the dataset's own PartitionData: %v", idx0)
 	}
-	// MPS materialization shares the full partition object.
-	am, err := Compute(MPS, []int{4, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mparts, _ := am.Materialize(d, 0)
-	if mparts[0] != d.Parts[0] && mparts[0] != d.Parts[1] {
-		t.Fatal("MPS should reuse full partition objects")
+	if parts0[0].Weights[0] != 1 || len(parts1) != 1 || parts1[0].NPatterns() != 3 {
+		t.Fatalf("p0 split: rank 0 weights %v, rank 1 holds %v", parts0[0].Weights, idx1)
 	}
 }

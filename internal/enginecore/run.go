@@ -45,8 +45,6 @@ type RunConfig struct {
 	// Ranks is the number of in-process ranks (goroutines); RunOnComm
 	// uses the communicator's size instead.
 	Ranks int
-	// Strategy selects cyclic or MPS data distribution.
-	Strategy distrib.Strategy
 	// Threads is copied into every rank's Config (see there).
 	Threads int
 	// Telemetry, when non-nil, supplies the recorders for
@@ -132,7 +130,7 @@ func Run(d *msa.Dataset, cfg RunConfig, body RankBody) (*search.Result, *RunStat
 	if cfg.Ranks < 1 {
 		return nil, nil, fmt.Errorf("enginecore: %d ranks", cfg.Ranks)
 	}
-	assign, err := assignment(d, cfg.Strategy, cfg.Ranks)
+	assign, err := Assignment(d, cfg.Ranks)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,21 +159,21 @@ func Run(d *msa.Dataset, cfg RunConfig, body RankBody) (*search.Result, *RunStat
 // is returned as an error wrapping *mpinet.PeerDownError rather than a
 // panic; fault.RunNet unwraps it to drive survivor recovery.
 func RunOnComm(c *mpi.Comm, d *msa.Dataset, cfg RunConfig, body RankBody) (*search.Result, *RunStats, error) {
-	assign, err := assignment(d, cfg.Strategy, c.Size())
+	assign, err := Assignment(d, c.Size())
 	if err != nil {
 		return nil, nil, err
 	}
 	return runRank(c, d, assign, cfg, cfg.Telemetry.Recorder(0), body)
 }
 
-// assignment distributes d's patterns over ranks. It is a pure function
+// Assignment distributes d's patterns over ranks. It is a pure function
 // of the pattern counts, so every rank computes the identical one.
-func assignment(d *msa.Dataset, strategy distrib.Strategy, ranks int) (*distrib.Assignment, error) {
+func Assignment(d *msa.Dataset, ranks int) (*distrib.Assignment, error) {
 	counts := make([]int, d.NPartitions())
 	for i, p := range d.Parts {
 		counts[i] = p.NPatterns()
 	}
-	return distrib.Compute(strategy, counts, ranks)
+	return distrib.Compute(distrib.Cyclic, counts, ranks)
 }
 
 // runRank is one rank's run: the scheme's body, then the epilogue every

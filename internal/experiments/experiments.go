@@ -8,8 +8,9 @@
 //     large unpartitioned alignment across node counts, Γ and PSR,
 //     including the Γ memory-pressure artifact on 1–2 nodes.
 //   - Figure 4(a)/(b): ExaML vs RAxML-Light runtimes across partition
-//     counts under joint (-a) and per-partition (-b) branch lengths, with
-//     MPS distribution enabled for the two largest partition counts.
+//     counts under joint (-a) and per-partition (-b) branch lengths. The
+//     paper turns on MPS (-Q) for the two largest partition counts; here
+//     the one distribution rule keeps partitions whole at every count.
 //
 // Every experiment runs for real at a configurable scale (ranks are
 // goroutines, traffic is metered exactly), then projects to the paper's
@@ -22,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/decentral"
-	"repro/internal/distrib"
 	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
 	"repro/internal/model"
@@ -41,9 +41,6 @@ type Scale struct {
 	// PartCounts are the partition counts of Figure 4 / Table I's first
 	// entry is used for Table I.
 	PartCounts []int
-	// MPSFrom is the partition count from which MPS (-Q) is enabled,
-	// mirroring the paper's ≥500 rule.
-	MPSFrom int
 	// Ranks is the measurement rank count (goroutines).
 	Ranks int
 	// ProjectRanks is the cluster scale Figure 4 projects to (192 = 4
@@ -72,7 +69,6 @@ func Small() Scale {
 	return Scale{
 		Taxa: 12, GeneLen: 60,
 		PartCounts:    []int{4, 8, 16, 32},
-		MPSFrom:       16,
 		Ranks:         4,
 		ProjectRanks:  192,
 		MaxIterations: 1,
@@ -90,7 +86,6 @@ func Default() Scale {
 	return Scale{
 		Taxa: 24, GeneLen: 200,
 		PartCounts:    []int{10, 50, 100, 200},
-		MPSFrom:       100,
 		Ranks:         6,
 		ProjectRanks:  192,
 		MaxIterations: 2,
@@ -108,7 +103,6 @@ func Paper() Scale {
 	return Scale{
 		Taxa: 52, GeneLen: 1000,
 		PartCounts:    []int{10, 50, 100, 500, 1000},
-		MPSFrom:       500,
 		Ranks:         8,
 		ProjectRanks:  192,
 		MaxIterations: 3,
@@ -147,12 +141,12 @@ type bothRuns struct {
 	DecIter int
 }
 
-func runBoth(d *msa.Dataset, cfg search.Config, ranks int, strategy distrib.Strategy) (*bothRuns, error) {
-	dres, dstats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+func runBoth(d *msa.Dataset, cfg search.Config, ranks int) (*bothRuns, error) {
+	dres, dstats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 	if err != nil {
 		return nil, fmt.Errorf("decentral: %w", err)
 	}
-	fres, fstats, err := forkjoin.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+	fres, fstats, err := forkjoin.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 	if err != nil {
 		return nil, fmt.Errorf("forkjoin: %w", err)
 	}

@@ -132,12 +132,6 @@ func TestFig4SmallScale(t *testing.T) {
 	if byteRatios[len(byteRatios)-1] <= byteRatios[0] {
 		t.Errorf("fork-join/ExaML byte ratio did not grow with partitions: %v", byteRatios)
 	}
-	// MPS must be on for the large counts per the scale's rule.
-	for _, p := range res.Points {
-		if (p.Partitions >= sc.MPSFrom) != p.MPS {
-			t.Errorf("p=%d: MPS=%v violates MPSFrom=%d", p.Partitions, p.MPS, sc.MPSFrom)
-		}
-	}
 	if !strings.Contains(res.Render(), "Figure 4(a)") {
 		t.Error("render incomplete")
 	}

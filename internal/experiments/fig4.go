@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/distrib"
 	"repro/internal/search"
 )
 
@@ -15,8 +14,6 @@ type Fig4Point struct {
 	Partitions int
 	// PSR distinguishes the two curve families.
 	PSR bool
-	// MPS reports whether monolithic distribution was enabled.
-	MPS bool
 	// ExaMLSeconds and RAxMLLightSeconds are the projected runtimes at
 	// the cluster scale (paper: 4 nodes / 192 cores).
 	ExaMLSeconds, RAxMLLightSeconds float64
@@ -49,7 +46,7 @@ type Fig4Result struct {
 }
 
 // Fig4 runs the partition-count sweep under both engines and both rate
-// models, enabling MPS from sc.MPSFrom partitions as the paper does.
+// models.
 func Fig4(sc Scale, perPartition bool) (*Fig4Result, error) {
 	out := &Fig4Result{
 		PerPartition: perPartition,
@@ -75,17 +72,13 @@ func Fig4(sc Scale, perPartition bool) (*Fig4Result, error) {
 			}
 			patF := float64(sc.Fig4PaperPatternsPerGene*p) / float64(d.TotalPatterns())
 			computeF := patF * innerF
-			strategy := distrib.Cyclic
-			if p >= sc.MPSFrom {
-				strategy = distrib.MPS
-			}
 			cfg := search.Config{
 				Het:                  hetOf(psr),
 				PerPartitionBranches: perPartition,
 				Seed:                 sc.Seed,
 				MaxIterations:        sc.MaxIterations,
 			}
-			runs, err := runBoth(d, cfg, sc.Ranks, strategy)
+			runs, err := runBoth(d, cfg, sc.Ranks)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 p=%d psr=%v: %w", p, psr, err)
 			}
@@ -111,7 +104,6 @@ func Fig4(sc Scale, perPartition bool) (*Fig4Result, error) {
 			out.Points = append(out.Points, Fig4Point{
 				Partitions:        p,
 				PSR:               psr,
-				MPS:               strategy == distrib.MPS,
 				ExaMLSeconds:      pd.TotalSec,
 				RAxMLLightSeconds: pf.TotalSec,
 				SpeedupRatio:      pf.TotalSec / pd.TotalSec,
@@ -135,19 +127,15 @@ func (f *Fig4Result) Render() string {
 	}
 	fmt.Fprintf(&b, "%s\n(projected to %d ranks on the paper's cluster model; ratio = RAxML-Light / ExaML)\n%s\n\n",
 		name, f.ProjectRanks, f.PaperClaims)
-	fmt.Fprintf(&b, "%-6s %6s %4s | %12s %12s %7s | %10s %10s | %9s %9s | %5s\n",
-		"model", "parts", "MPS", "ExaML(s)", "RAxML-L(s)", "ratio", "ExaML(B)", "RAxML(B)", "wallE(s)", "wallR(s)", "iters")
+	fmt.Fprintf(&b, "%-6s %6s | %12s %12s %7s | %10s %10s | %9s %9s | %5s\n",
+		"model", "parts", "ExaML(s)", "RAxML-L(s)", "ratio", "ExaML(B)", "RAxML(B)", "wallE(s)", "wallR(s)", "iters")
 	for _, pt := range f.Points {
 		model := "GAMMA"
 		if pt.PSR {
 			model = "PSR"
 		}
-		mps := ""
-		if pt.MPS {
-			mps = "-Q"
-		}
-		fmt.Fprintf(&b, "%-6s %6d %4s | %12.2f %12.2f %6.2fx | %10d %10d | %9.2f %9.2f | %5d\n",
-			model, pt.Partitions, mps,
+		fmt.Fprintf(&b, "%-6s %6d | %12.2f %12.2f %6.2fx | %10d %10d | %9.2f %9.2f | %5d\n",
+			model, pt.Partitions,
 			pt.ExaMLSeconds, pt.RAxMLLightSeconds, pt.SpeedupRatio,
 			pt.ExaMLBytes, pt.RAxMLLightBytes,
 			pt.ExaMLWall, pt.RAxMLLightWall, pt.Iterations)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/decentral"
-	"repro/internal/distrib"
 	"repro/internal/enginecore"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -65,13 +64,11 @@ func TestEnginesAgree(t *testing.T) {
 		name string
 		het  model.Heterogeneity
 		perM bool
-		mps  bool
 	}{
-		{"gamma-joint", model.Gamma, false, false},
-		{"gamma-perpartition", model.Gamma, true, false},
-		{"psr-joint", model.PSR, false, false},
-		{"psr-perpartition", model.PSR, true, false},
-		{"gamma-joint-mps", model.Gamma, false, true},
+		{"gamma-joint", model.Gamma, false},
+		{"gamma-perpartition", model.Gamma, true},
+		{"psr-joint", model.PSR, false},
+		{"psr-perpartition", model.PSR, true},
 	}
 	d := makeDataset(t, 9, 3, 40, 3)
 	for _, tc := range cases {
@@ -82,16 +79,12 @@ func TestEnginesAgree(t *testing.T) {
 				Seed:                 5,
 				MaxIterations:        2,
 			}
-			strategy := distrib.Cyclic
-			if tc.mps {
-				strategy = distrib.MPS
-			}
 			const ranks = 3
-			fj, fjStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+			fj, fjStats, err := Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 			if err != nil {
 				t.Fatalf("forkjoin: %v", err)
 			}
-			dc, dcStats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks, Strategy: strategy})
+			dc, dcStats, err := decentral.Run(d, enginecore.RunConfig{Search: cfg, Ranks: ranks})
 			if err != nil {
 				t.Fatalf("decentral: %v", err)
 			}

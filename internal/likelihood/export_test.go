@@ -109,6 +109,15 @@ func (k *Kernel) PoisonTipTables() {
 	}
 }
 
+// TipTable fills taxon's tip table for branch length t the way a kernel
+// call would, from the arena as it is (PoisonTipTables first to see what
+// the fill leaves alone), and returns a copy of it.
+func (k *Kernel) TipTable(taxon int, t float64) []float64 {
+	tab := append([]float64(nil), k.tipTable(k.probMatricesFor(t), k.operand(TipRef(taxon)))...)
+	k.mem.reset()
+	return tab
+}
+
 // LoadTipAsInner writes taxon's tip into inner slot: every category
 // plane holds, at each site, the entry of the 0/1 vector of the site's
 // state, and every scale count is 0. An operand naming the slot instead
@@ -142,7 +151,7 @@ func SetLanes(on bool) (was bool) {
 func (a *ProgramArena) Cap() int { return cap(a.tabs.chunk) }
 
 // TipMask returns the state mask of a taxon's row of the kernel's slice.
-func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMask[taxon] }
+func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMasks[taxon].mask }
 
 // ShrinkSites multiplies every entry the CLV or outer vector r holds at
 // the given sites by f, so a test can make a column small enough for the

@@ -18,9 +18,12 @@ import (
 //     0/1 vector, so a table read yields the same bits as the computation
 //     it replaces. Only the entries a kernel can read are produced: a
 //     table is indexed by the states of the tip operand's own row of this
-//     slice, so each fill walks the row's state mask (Kernel.tipMask) and
+//     slice, so each fill walks the row's state mask (Kernel.tipMasks) and
 //     leaves every other code's entry untouched — typically 4–5 of 16
-//     codes, ~20 of 256 code pairs.
+//     codes, ~20 of 256 code pairs. A PSR site reads only its own
+//     category's row of a tip table, so a PSR fill walks one mask per
+//     category (rowMasks.catMask) and skips the (category, code) pairs
+//     none of the row's sites reads.
 //
 // So a tip and the same tip loaded into an inner slot give the same bits
 // for every CLV, likelihood and derivative (fastpath_test.go and
@@ -45,10 +48,12 @@ type FastPathStats struct {
 	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
 	// activity; a reset drops the whole cache after a parameter change.
 	PCacheHits, PCacheMisses, PCacheResets int64
-	// TipTableEntries counts the ambiguity codes the tip-table and
-	// prep-table fills produced entries for (of 16 per fill);
-	// PairTableEntries the code pairs the tip-tip pair-table fills
-	// produced (of 256 per fill; one fill per Γ NewviewTipTip).
+	// TipTableEntries counts the entries the tip-table fills produced, one
+	// per (category, code) pair (of 16 per category and fill), plus the
+	// codes the prep-table fills produced entries for (of 16 per fill; a
+	// prep table has no category); PairTableEntries the code pairs the
+	// tip-tip pair-table fills produced (of 256 per fill; one fill per Γ
+	// NewviewTipTip).
 	TipTableEntries, PairTableEntries int64
 	// InsertionRescales counts the sites ScoreInsertion scored over a
 	// rescaled inserted column — the ones Newview would have rescaled.
@@ -134,35 +139,42 @@ func (k *Kernel) probMatricesFor(t float64) [][ns * ns]float64 {
 	return m
 }
 
-// tipTable returns a tip table of the program's arena sized for cats
-// categories (16 ambiguity codes × 4 states per category), filled for the
-// codes in mask from the matrices pm.
-func (k *Kernel) tipTable(pm [][ns * ns]float64, mask uint16) []float64 {
+// tipTable returns a tip table of the program's arena sized for len(pm)
+// categories (16 ambiguity codes × 4 states per category), filled from
+// the matrices pm for the (category, code) pairs the tip operand o is
+// read at.
+func (k *Kernel) tipTable(pm [][ns * ns]float64, o operand) []float64 {
 	tab := k.mem.tabs.take(len(pm) * 16 * ns)
-	k.fillTipTable(tab, pm, mask)
+	k.fillTipTable(tab, pm, o.mask, o.catMask)
 	return tab
 }
 
-// fillTipTable precomputes, for every category and every ambiguity code
-// in mask, the P·tipVec product vector the Newview/Evaluate inner loops
-// need:
+// fillTipTable precomputes, for every category c and every ambiguity
+// code in c's mask, the P·tipVec product vector the Newview/Evaluate
+// inner loops need:
 //
 //	dst[(c·16+code)·4+x] = Σ_y pm[c][x·4+y] · tipVec[code][y]
 //
+// c's mask is catMask[c] when catMask is non-nil — a PSR tip, whose sites
+// each read their own category's entries alone — and mask otherwise.
 // The sum is written as the exact four-term expression the inner-inner
 // workers evaluate per site, so reading the table is bit-identical to
 // computing the product inline. A PSR set is stored transposed
 // (probMatrices), so pm[c][x·4+y] is read at pm[c][y·4+x]: the same
 // double.
-func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16) {
-	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
+func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16, catMask []uint16) {
 	row, col := ns, 1
 	if k.par.Het == model.PSR {
 		row, col = 1, ns
 	}
 	for c := range pm {
 		pc := &pm[c]
-		for m := mask; m != 0; m &= m - 1 {
+		cm := mask
+		if catMask != nil {
+			cm = catMask[c]
+		}
+		k.fp.TipTableEntries += int64(bits.OnesCount16(cm))
+		for m := cm; m != 0; m &= m - 1 {
 			code := bits.TrailingZeros16(m)
 			v := &k.tipVec[code]
 			off := (c*16 + code) * ns

@@ -33,7 +33,7 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		k.fp.NewviewTipTip++
 		k.countSites(false)
 		ra = k.stage(opNvGammaTipTip)
-		tabA, tabB := k.tipTable(pa, oa.mask), k.tipTable(pb, ob.mask)
+		tabA, tabB := k.tipTable(pa, oa), k.tipTable(pb, ob)
 		ra.pair = k.mem.tabs.take(gammaCats * 16 * 16 * ns)
 		ra.pairScale = &k.mem.pairScales.take(1)[0]
 		k.fillPairTable(ra.pair, ra.pairScale, tabA, tabB, gammaCats, oa.mask, ob.mask)
@@ -41,10 +41,10 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 		k.countSites(true)
 		ra = k.stage(opNvGammaTipInner)
 		if oa.tips != nil {
-			ra.tabA = k.tipTable(pa, oa.mask)
+			ra.tabA = k.tipTable(pa, oa)
 		}
 		if ob.tips != nil {
-			ra.tabB = k.tipTable(pb, ob.mask)
+			ra.tabB = k.tipTable(pb, ob)
 		}
 	} else {
 		k.countSites(true)
@@ -69,7 +69,7 @@ func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 	var ra *runArgs
 	if oq.tips != nil {
 		ra = k.stageReducing(opEvalGammaTip)
-		ra.tabB = k.tipTable(pm, oq.mask)
+		ra.tabB = k.tipTable(pm, oq)
 	} else {
 		ra = k.stageReducing(opEvalGamma)
 	}

@@ -72,7 +72,7 @@ type GradStep struct {
 func (k *Kernel) gradOperand(r GradRef) operand {
 	switch r.Kind {
 	case GradTipKind:
-		return operand{tips: k.data.Tips[r.Idx], mask: k.tipMask[r.Idx]}
+		return operand{tips: k.data.Tips[r.Idx], rowMasks: k.tipMasks[r.Idx]}
 	case GradInnerKind:
 		return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
 	default:

@@ -88,7 +88,7 @@ func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) {
 // — the operand that takes the P product — is a tip.
 func (k *Kernel) stageFarTable(ra *runArgs, o operand) {
 	if o.tips != nil {
-		ra.tabB = k.tipTable(ra.pa, o.mask)
+		ra.tabB = k.tipTable(ra.pa, o)
 	}
 }
 

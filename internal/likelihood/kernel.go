@@ -91,11 +91,11 @@ type Kernel struct {
 
 	// tipVec[state][x] is the 0/1 tip likelihood lookup.
 	tipVec [16][ns]float64
-	// tipMask[taxon] has bit s set when the taxon's row of this slice
-	// contains state s. The tip lookup tables (fastpath.go) are only ever
-	// indexed by states of the operand's own row, so their fills skip
-	// every code outside the mask.
-	tipMask []uint16
+	// tipMasks[taxon] are the state masks of the taxon's row of this
+	// slice (rowMasks). NewKernel and InvalidateAll build them — the points
+	// where the site categories change — not a parameter generation, which
+	// moves on every model probe.
+	tipMasks []rowMasks
 
 	// sums is the sum-table store (sumtable.go), addressed by slot: what
 	// Contract fills and Derivatives reads, with the edge and the stamp
@@ -142,12 +142,24 @@ type Kernel struct {
 	flops FlopCount
 }
 
-// operand is a resolved kernel argument: tips (+ the row's state mask)
-// for a tip reference, clv (+scale) for an inner CLV slot. Workers only
-// read operands.
+// rowMasks describe which tip-table entries a tip's row can read. The
+// tip lookup tables (fastpath.go) are only ever indexed by states of the
+// operand's own row, so their fills skip every entry outside the masks.
+type rowMasks struct {
+	// mask has bit s set when the row contains state s.
+	mask uint16
+	// catMask[c] (PSR only) has bit s set when a site of category c holds
+	// state s: the (category, code) pairs a PSR tip table is read at,
+	// each site reading its own category's entries alone.
+	catMask []uint16
+}
+
+// operand is a resolved kernel argument: tips (+ the row's masks) for a
+// tip reference, clv (+scale) for an inner CLV slot. Workers only read
+// operands.
 type operand struct {
-	tips  []msa.State
-	mask  uint16
+	tips []msa.State
+	rowMasks
 	clv   []float64
 	scale []int32
 }
@@ -155,9 +167,34 @@ type operand struct {
 // operand resolves a NodeRef against the kernel's state.
 func (k *Kernel) operand(r NodeRef) operand {
 	if r.Tip {
-		return operand{tips: k.data.Tips[r.Idx], mask: k.tipMask[r.Idx]}
+		return operand{tips: k.data.Tips[r.Idx], rowMasks: k.tipMasks[r.Idx]}
 	}
 	return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
+}
+
+// buildTipMasks (re)builds tipMasks from the slice's rows and the current
+// site categories; catMask stays nil under Γ, where every site reads
+// every category.
+func (k *Kernel) buildTipMasks() {
+	psr := k.par.Het == model.PSR
+	cats := len(k.par.CatRates)
+	var flat []uint16
+	if psr {
+		flat = make([]uint16, len(k.data.Tips)*cats)
+	}
+	k.tipMasks = make([]rowMasks, len(k.data.Tips))
+	for taxon, row := range k.data.Tips {
+		m := &k.tipMasks[taxon]
+		if psr {
+			m.catMask = flat[taxon*cats:][:cats]
+		}
+		for i, s := range row {
+			m.mask |= 1 << s
+			if psr {
+				m.catMask[k.par.SiteCats[i]] |= 1 << s
+			}
+		}
+	}
 }
 
 // NewKernel builds a kernel for one partition slice. nInner is the number
@@ -185,12 +222,7 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 	for s := msa.State(1); s <= 15; s++ {
 		k.tipVec[s] = s.TipVector()
 	}
-	k.tipMask = make([]uint16, len(data.Tips))
-	for taxon, row := range data.Tips {
-		for _, s := range row {
-			k.tipMask[taxon] |= 1 << s
-		}
-	}
+	k.buildTipMasks()
 	return k, nil
 }
 
@@ -235,7 +267,8 @@ func (k *Kernel) slot(i int32) ([]float64, []int32) {
 // InvalidateAll drops all CLVs (used after model changes that the caller
 // follows with a full traversal, and by fault-recovery redistribution).
 // The P-matrix cache is dropped too: InvalidateAll callers may mutate
-// parameters (site rates) without a Rebuild.
+// parameters (site rates) without a Rebuild. The site categories may
+// have changed with them, so the tip masks are rebuilt.
 func (k *Kernel) InvalidateAll() {
 	for i := range k.clv {
 		k.clv[i] = nil
@@ -244,6 +277,7 @@ func (k *Kernel) InvalidateAll() {
 	k.InvalidateOuter()
 	k.stamp++
 	k.dropPCache()
+	k.buildTipMasks()
 }
 
 // probMatrices fills one P matrix per rate category for branch length t.

@@ -110,7 +110,7 @@ func TestLanesMatchGoLoop(t *testing.T) {
 		for i := range tips {
 			tips[i] = msa.State(rng.Intn(16))
 		}
-		tip := operand{tips: tips, mask: 0xffff}
+		tip := operand{tips: tips, rowMasks: rowMasks{mask: 0xffff}}
 		a := operand{clv: lanePlanes(rng, nPat), scale: make([]int32, nPat)}
 		b := operand{clv: lanePlanes(rng, nPat), scale: make([]int32, nPat)}
 		for i := range a.scale {
@@ -118,8 +118,8 @@ func TestLanesMatchGoLoop(t *testing.T) {
 		}
 		pa, pb := laneMatrices(rng, gammaCats), laneMatrices(rng, gammaCats)
 		tabA, tabB := make([]float64, gammaCats*16*ns), make([]float64, gammaCats*16*ns)
-		k.fillTipTable(tabA, pa, 0xffff)
-		k.fillTipTable(tabB, pb, 0xffff)
+		k.fillTipTable(tabA, pa, 0xffff, nil)
+		k.fillTipTable(tabB, pb, 0xffff, nil)
 		k.insTab = lanePlanes(rng, nPat)
 		for x := range par.Freqs {
 			par.Freqs[x] = 0.05 + rng.Float64()
@@ -258,7 +258,7 @@ func TestPSRLanesMatchGoLoop(t *testing.T) {
 		for i := range tips {
 			tips[i] = msa.State(rng.Intn(16))
 		}
-		tip := operand{tips: tips, mask: 0xffff}
+		tip := operand{tips: tips, rowMasks: rowMasks{mask: 0xffff}}
 		a := operand{clv: psrLanePlanes(rng, nPat), scale: make([]int32, nPat)}
 		b := operand{clv: psrLanePlanes(rng, nPat), scale: make([]int32, nPat)}
 		for i := range a.scale {
@@ -266,8 +266,8 @@ func TestPSRLanesMatchGoLoop(t *testing.T) {
 		}
 		pa, pb := laneMatrices(rng, cats), laneMatrices(rng, cats)
 		tabA, tabB := make([]float64, cats*16*ns), make([]float64, cats*16*ns)
-		k.fillTipTable(tabA, pa, 0xffff)
-		k.fillTipTable(tabB, pb, 0xffff)
+		k.fillTipTable(tabA, pa, 0xffff, nil)
+		k.fillTipTable(tabB, pb, 0xffff, nil)
 		k.insTab = psrLanePlanes(rng, nPat)
 		k.insSubScale = make([]int32, nPat)
 		for i := range k.insSubScale {
@@ -489,13 +489,13 @@ func BenchmarkGammaLanes(b *testing.B) {
 	}
 	a := operand{clv: planes(), scale: make([]int32, nPat)}
 	c := operand{clv: planes(), scale: make([]int32, nPat)}
-	tip := operand{tips: pd.Tips[0], mask: 0xffff}
+	tip := operand{tips: pd.Tips[0], rowMasks: rowMasks{mask: 0xffff}}
 	pm := make([][ns * ns]float64, gammaCats)
 	for i := range pm {
 		par.Eigen.ProbMatrix(0.1, par.CatRates[i], &pm[i])
 	}
 	tab := make([]float64, gammaCats*16*ns)
-	k.fillTipTable(tab, pm, 0xffff)
+	k.fillTipTable(tab, pm, 0xffff, nil)
 	k.insTab = planes()
 	d, ds := make([]float64, nPat*gammaCats*ns), make([]int32, nPat)
 	site, noScale := make([]float64, nPat), make([]bool, nPat)
@@ -570,11 +570,11 @@ func BenchmarkPSRLanes(b *testing.B) {
 	}
 	a := operand{clv: planes(), scale: make([]int32, nPat)}
 	c := operand{clv: planes(), scale: make([]int32, nPat)}
-	tip := operand{tips: pd.Tips[0], mask: 0xffff}
+	tip := operand{tips: pd.Tips[0], rowMasks: rowMasks{mask: 0xffff}}
 	pm := make([][ns * ns]float64, model.MaxPSRCategories)
 	k.probMatrices(0.1, pm)
 	tab := make([]float64, model.MaxPSRCategories*16*ns)
-	k.fillTipTable(tab, pm, 0xffff)
+	k.fillTipTable(tab, pm, 0xffff, nil)
 	k.insTab, k.insSubScale = planes(), make([]int32, nPat)
 	d, ds := make([]float64, nPat*ns), make([]int32, nPat)
 	site, noScale := make([]float64, nPat), make([]bool, nPat)

@@ -146,7 +146,9 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 
 // TestMaskedTipTablesReadOnlyWhatTheyFill is the contract of the
 // data-aware tip tables: a fill produces entries only for the states the
-// tip operand's own row contains, and no kernel reads any other entry.
+// tip operand's own row contains — under PSR only for the (category,
+// code) pairs its sites hold, on data whose sites use many categories —
+// and no kernel reads any other entry.
 // Every table entry is poisoned with NaN before every kernel call; the
 // tip workers must still give every output bit the inner-inner workers
 // give with each tip loaded into an inner slot (tipsAsInner) — Γ and PSR,
@@ -183,6 +185,9 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 				checkTipReference(t, label, fast, ref)
 				fp := fast.FastPath()
 				checkLanesReached(t, label, het, lanes, fp)
+				if het == model.PSR {
+					checkCategoryFills(t, label, f, fast.Kernel)
+				}
 				if het == model.Gamma {
 					if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
 						t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)
@@ -190,6 +195,43 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 					if pd.NPatterns() == 1 && fp.PairTableEntries != fp.NewviewTipTip {
 						t.Errorf("%s: one-pattern slice filled %d pairs in %d tables", label, fp.PairTableEntries, fp.NewviewTipTip)
 					}
+				}
+			}
+		}
+	}
+}
+
+// checkCategoryFills holds each taxon's PSR tip table, filled over a
+// NaN-poisoned arena, to the (category, code) pairs of its row: an entry
+// is filled exactly when some site of that category holds that code, the
+// rest stay NaN, and TipTableEntries counts the filled ones. The full
+// partition's sites must use at least three categories, or the table
+// would have no category to skip.
+func checkCategoryFills(t *testing.T, label string, f *fixture, k *likelihood.Kernel) {
+	t.Helper()
+	used := map[int]bool{}
+	for _, c := range f.par.SiteCats {
+		used[c] = true
+	}
+	if f.pd.NPatterns() > 1 && len(used) < 3 {
+		t.Fatalf("%s: the sites use %d categories, want at least 3", label, len(used))
+	}
+	cats := len(f.par.CatRates)
+	for taxon, row := range f.pd.Tips {
+		read := make(map[[2]int]bool)
+		for i, s := range row {
+			read[[2]int{f.par.SiteCats[i], int(s)}] = true
+		}
+		k.PoisonTipTables()
+		before := k.FastPath().TipTableEntries
+		tab := k.TipTable(taxon, 0.1)
+		if got := k.FastPath().TipTableEntries - before; got != int64(len(read)) {
+			t.Errorf("%s: taxon %d: counted %d entries, its sites read %d", label, taxon, got, len(read))
+		}
+		for c := 0; c < cats; c++ {
+			for code := 0; code < 16; code++ {
+				if filled := !math.IsNaN(tab[(c*16+code)*4]); filled != read[[2]int{c, code}] {
+					t.Errorf("%s: taxon %d: category %d code %d filled %v, read %v", label, taxon, c, code, filled, !filled)
 				}
 			}
 		}

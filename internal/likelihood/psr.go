@@ -25,10 +25,10 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 		k.fp.NewviewTipTip++
 	}
 	if oa.tips != nil {
-		ra.tabA = k.tipTable(pa, oa.mask)
+		ra.tabA = k.tipTable(pa, oa)
 	}
 	if ob.tips != nil {
-		ra.tabB = k.tipTable(pb, ob.mask)
+		ra.tabB = k.tipTable(pb, ob)
 	}
 	k.countSites(true)
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
@@ -41,7 +41,7 @@ func (k *Kernel) evaluatePSR(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
 	ra := k.stageReducing(opEvalPSR)
 	if oq.tips != nil {
-		ra.tabB = k.tipTable(pm, oq.mask)
+		ra.tabB = k.tipTable(pm, oq)
 	}
 	k.countSites(true)
 	ra.oa, ra.ob, ra.pa = op, oq, pm

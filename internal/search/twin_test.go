@@ -296,8 +296,9 @@ func (e *twinEngine) checkInsertions(ps *tree.PrunedSubtree, cands []*tree.Node,
 // {de-centralized, fork-join} × {Γ, PSR} × {joint, -M} × T ∈ {1, 2} with
 // every evaluation, every all-branch gradient and every insertion score
 // held to the twin, and wants the search to have been cheaper than its
-// reference: fewer columns on the compared evaluations, fewer
-// branch-length collectives in all.
+// reference: fewer columns on every rank's compared evaluations, fewer
+// branch-length collectives in all. The ranks of a de-centralized run
+// make the same calls; their columns differ with the patterns each holds.
 func TestSearchMatchesTwinEngine(t *testing.T) {
 	d := oracleDataset(t)
 	const ranks = 2
@@ -330,11 +331,17 @@ func TestSearchMatchesTwinEngine(t *testing.T) {
 					if got.evals == 0 || got.firstPlans == 0 || got.reusePlans == 0 || got.maskedPlans == 0 || got.candidates == 0 {
 						t.Errorf("%s: a kind of call went unchecked: %+v", label, got)
 					}
-					if scheme == "decentral" && tallies[1] != got {
+					calls := func(t twinTally) twinTally {
+						t.engCols, t.twinCols = 0, 0
+						return t
+					}
+					if scheme == "decentral" && calls(tallies[1]) != calls(got) {
 						t.Errorf("%s: rank 1 checked %+v, rank 0 %+v", label, tallies[1], got)
 					}
-					if got.engCols >= got.twinCols {
-						t.Errorf("%s: the compared evaluations scheduled %d columns, their forced traversals %d — no work was reused", label, got.engCols, got.twinCols)
+					for rank, tl := range tallies {
+						if tl.evals > 0 && tl.engCols >= tl.twinCols {
+							t.Errorf("%s: rank %d's compared evaluations scheduled %d columns, their forced traversals %d — no work was reused", label, rank, tl.engCols, tl.twinCols)
+						}
 					}
 					if e, w := engComm.Ops[mpi.ClassBranchLength], twinComm.Ops[mpi.ClassBranchLength]; e >= w {
 						t.Errorf("%s: %d branch-length collectives, per-edge reference %d — want strictly fewer", label, e, w)

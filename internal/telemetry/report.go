@@ -44,7 +44,8 @@ type RankStats struct {
 	// TipTipNewviews/PairTableEntries/TipTableEntries describe the
 	// rank's tip lookup-table fills: tip-tip newview calls (one pair
 	// table each under Γ), the code pairs those tables held, and the
-	// codes the tip and prep tables held.
+	// (category, code) entries the tip tables and the codes the prep
+	// tables held.
 	TipTipNewviews   int64 `json:"tiptip_newviews,omitempty"`
 	PairTableEntries int64 `json:"pair_table_entries,omitempty"`
 	TipTableEntries  int64 `json:"tip_table_entries,omitempty"`

@@ -464,8 +464,8 @@ type KernelPerf struct {
 	PCacheHits, PCacheMisses int64
 	// TipTipNewviews is the number of tip-tip newview calls (each builds
 	// one pair table under Γ); PairTableEntries the code pairs those
-	// tables held; TipTableEntries the ambiguity codes the tip and prep
-	// tables held.
+	// tables held; TipTableEntries the (category, code) entries the tip
+	// tables held plus the codes the prep tables held.
 	TipTipNewviews, PairTableEntries, TipTableEntries int64
 	// SiteRateTableEvals / SiteRateExactEvals are the single-site
 	// likelihood evaluations of the PSR rate scan: those that read their

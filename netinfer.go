@@ -197,7 +197,7 @@ func inputDigest(d *Dataset, cfg Config) uint64 {
 		return 0
 	}
 	put(uint64(cfg.Scheme), uint64(cfg.RateModel), uint64(cfg.Substitution),
-		flag(cfg.PerPartitionBranchLengths), uint64(cfg.Distribution), uint64(cfg.Seed),
+		flag(cfg.PerPartitionBranchLengths), uint64(cfg.Seed),
 		flag(cfg.ParsimonyStartTree), uint64(cfg.MaxIterations), math.Float64bits(cfg.Epsilon),
 		uint64(cfg.SPRRadius), flag(cfg.SkipTopology), uint64(len(cfg.StartTree)))
 	buf = append(buf, cfg.StartTree...)
