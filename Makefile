@@ -75,16 +75,22 @@ bench:
 # every partition, docs/PERFORMANCE.md §10); the gate is that reading
 # + 10 %.
 #
-# It then runs the two PSR workloads once each, untraced, exactly as the
-# benchmark's driver does, and fails unless the run's own output checks
-# passed (every op's final likelihood against the reference score, the
-# run's median shortfall and mean Robinson-Foulds distance): a change to
-# the site-rate optimiser that the driver would refuse as incorrect is
-# refused here first.
+# It then runs the two PSR workloads once each and fails unless the run's
+# own output checks passed (every op's final likelihood against the
+# reference score, the run's median shortfall and mean Robinson-Foulds
+# distance): a change to the site-rate optimiser that the driver would
+# refuse as incorrect is refused here first. sites-psr-t2 runs untraced,
+# exactly as the benchmark's driver does. parts-m-psr-fj runs traced: it
+# is fork-join, so its traversal descriptors go on the wire, and its
+# mpi.bytes.traversal-descriptor per inference must equal
+# SMOKE_DESCRIPTOR_BYTES, 2735053 at seed 5 (Table I's dominant class;
+# internal/traversal's byte-golden test pins the frame itself). The count
+# repeats exactly, and no change that leaves the wire format alone moves
+# it.
 SMOKE_MAX_PROBES = 148
 SMOKE_MAX_COLLECTIVES = 310
 SMOKE_MAX_LIVE_HEAP_MB = 15.8
-SMOKE_PSR_WORKLOADS = sites-psr-t2 parts-m-psr-fj
+SMOKE_DESCRIPTOR_BYTES = 2735053
 bench-e2e-smoke:
 	@out=$$(bash benchmark/run.sh --workload parts-gamma-tcp --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
 	case "$$out" in *'"correct":true'*) ;; *) echo "bench-e2e-smoke: run not correct: $$out"; exit 1;; esac && \
@@ -98,11 +104,16 @@ bench-e2e-smoke:
 	{ test -n "$$heap" && awk -v h="$$heap" -v max=$(SMOKE_MAX_LIVE_HEAP_MB) 'BEGIN { exit !(h <= max) }' || \
 		{ echo "bench-e2e-smoke: mem.live_heap_mb = '$$heap', want <= $(SMOKE_MAX_LIVE_HEAP_MB)"; exit 1; }; } && \
 	echo "bench-e2e-smoke: correct, $$probes model-parameter probes, $$colls collectives and $$heap MB live heap per inference OK"
-	@for w in $(SMOKE_PSR_WORKLOADS); do \
-		out=$$(bash benchmark/run.sh --workload $$w --seed 5 --seconds 10 --trace 0 | tail -n 1) && \
-		case "$$out" in *'"correct":true'*'"failed":0,'*) echo "bench-e2e-smoke: $$w correct, no failed op OK";; \
-			*) echo "bench-e2e-smoke: $$w: want \"correct\":true with \"failed\":0, got: $$out"; exit 1;; esac || exit 1; \
-	done
+	@out=$$(bash benchmark/run.sh --workload sites-psr-t2 --seed 5 --seconds 10 --trace 0 | tail -n 1) && \
+	case "$$out" in *'"correct":true'*'"failed":0,'*) echo "bench-e2e-smoke: sites-psr-t2 correct, no failed op OK";; \
+		*) echo "bench-e2e-smoke: sites-psr-t2: want \"correct\":true with \"failed\":0, got: $$out"; exit 1;; esac
+	@out=$$(bash benchmark/run.sh --workload parts-m-psr-fj --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
+	case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-e2e-smoke: parts-m-psr-fj: want \"correct\":true with \"failed\":0, got: $$out"; exit 1;; esac && \
+	desc=$$(printf '%s' "$$out" | sed -n 's/.*"mpi\.bytes\.traversal-descriptor":{"value":\([0-9.]*\).*/\1/p') && \
+	{ test "$$desc" = "$(SMOKE_DESCRIPTOR_BYTES)" || \
+		{ echo "bench-e2e-smoke: parts-m-psr-fj mpi.bytes.traversal-descriptor = '$$desc' per inference, want exactly $(SMOKE_DESCRIPTOR_BYTES)"; exit 1; }; } && \
+	echo "bench-e2e-smoke: parts-m-psr-fj correct, no failed op, $$desc descriptor bytes per inference OK"
 
 # kernel-bce counts the bounds checks the compiler leaves in the files
 # that hold the likelihood block workers and fails when there are more

@@ -212,7 +212,7 @@ func BenchmarkKernelDerivativesGamma(b *testing.B) {
 	k, tr, _ := benchKernel(b, model.Gamma)
 	p := traversal.Ref(tr, tr.Tip(0))
 	q := traversal.Ref(tr, tr.Tip(0).Back)
-	k.Contract(0, p.Grad(), q.Grad())
+	k.Contract(0, p, q)
 	k.Flush(nil)
 	b.ResetTimer()
 	for b.Loop() {

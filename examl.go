@@ -444,7 +444,7 @@ func runConfig(cfg Config, recorders int) (enginecore.RunConfig, *checkpointWrit
 		Threads: cfg.Threads,
 	}
 	if cfg.Telemetry || cfg.TraceWriter != nil {
-		rc.Telemetry = telemetry.NewCollector(recorders, int(mpi.NumCommClasses), cfg.TraceWriter)
+		rc.Telemetry = telemetry.NewCollector(recorders, mpi.ClassNames(), cfg.TraceWriter)
 		rc.Telemetry.SetJob(cfg.TraceLabel)
 	}
 	return rc, ckpt, nil

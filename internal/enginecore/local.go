@@ -331,7 +331,7 @@ func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
 // DerivativesPerPartition evaluate it.
 func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 	t := l.rec.Begin()
-	l.branch = traversal.GradEdge{P: d.P.Grad(), Q: d.Q.Grad()}
+	l.branch = traversal.GradEdge{P: d.P, Q: d.Q}
 	for i, k := range l.Kernels {
 		k.Traverse(d.Steps[l.ClassOf(l.PartIdx[i])])
 		k.Contract(0, l.branch.P, l.branch.Q)
@@ -346,7 +346,7 @@ func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 // which evaluates the edge of the last PrepareLocal. One rule admits
 // both: every edge the frame evaluates without contracting it must be
 // the edge its sum-table slot holds on every local kernel, contracted
-// since the kernel's last Newview, NewviewOuter, InvalidateAll and
+// since the kernel's last Newview, InvalidateAll and
 // parameter change (likelihood.Kernel.Contracted). A contracting plan
 // evaluates only what it contracts; a Reuse plan contracts nothing and
 // so may not stage the pre-order steps that would move every stamp.
@@ -449,7 +449,7 @@ func (l *Local) gradient(plan *traversal.GradPlan) {
 	t := l.rec.Begin()
 	for i, k := range l.Kernels {
 		cls := l.ClassOf(l.PartIdx[i])
-		k.TraverseOuter(plan.Pre[cls])
+		k.Traverse(plan.Pre[cls])
 		for b, e := range plan.Edges {
 			if plan.Active != nil && !plan.Active[b] {
 				continue
@@ -513,8 +513,8 @@ func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
 		k.Traverse(plan.Post[cls])
 		k.PrepareInsertion(plan.Sub, plan.SubT[cls])
 		for c, step := range plan.Pre[cls] {
-			k.NewviewOuter(step)
-			k.ScoreInsertion(likelihood.GradOuter(step.Dst), plan.Far[c], plan.Half[cls][c])
+			k.Newview(step)
+			k.ScoreInsertion(step.Dst, plan.Far[c], plan.Half[cls][c])
 		}
 		l.staged(i)
 	}
@@ -624,7 +624,7 @@ type siteRateArgs struct {
 	k        *likelihood.Kernel
 	tab      *likelihood.SiteRateTable
 	steps    []likelihood.Step
-	p, q     likelihood.NodeRef
+	p, q     likelihood.Ref
 	rootT    float64
 	gLo, gHi int
 }

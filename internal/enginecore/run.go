@@ -90,11 +90,7 @@ func (s *RunStats) TelemetryReport(c *telemetry.Collector, threads int) *telemet
 	if c == nil {
 		return nil
 	}
-	names := make([]string, mpi.NumCommClasses)
-	for cl := mpi.CommClass(0); cl < mpi.NumCommClasses; cl++ {
-		names[cl] = cl.String()
-	}
-	return c.Finalize(s.Wall, max(threads, 1), names, s.Comm.Ops[:], s.Comm.Bytes[:])
+	return c.Finalize(s.Wall, max(threads, 1), s.Comm.Ops[:], s.Comm.Bytes[:])
 }
 
 // RankBody is the only thing the two schemes' runs differ in: what one

@@ -160,7 +160,7 @@ func runBoth(d *msa.Dataset, cfg search.Config, ranks int) (*bothRuns, error) {
 // newTelemetry builds a per-run span collector sized for the repo's
 // traffic classes.
 func newTelemetry(ranks int) *telemetry.Collector {
-	return telemetry.NewCollector(ranks, int(mpi.NumCommClasses), nil)
+	return telemetry.NewCollector(ranks, mpi.ClassNames(), nil)
 }
 
 // hetOf maps a model flag to the search config value.

@@ -4,17 +4,16 @@ import (
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/msa"
 )
 
-// Step is one entry of a traversal descriptor: "recompute the CLV at inner
-// slot Dst from operands A (across branch length TA) and B (across TB)".
-// A fork-join master broadcasts sequences of these; the de-centralized
-// engine computes them locally on every rank.
+// Step is one entry of a schedule: "combine operand A (across branch
+// length TA) with operand B (across TB) into Dst". Dst is an Inner ref in
+// a post-order schedule — a traversal descriptor, which a fork-join master
+// broadcasts and the de-centralized engine computes on every rank — and an
+// Outer ref in a pre-order one.
 type Step struct {
-	Dst    int32
-	A, B   NodeRef
-	TA, TB float64
+	Dst, A, B Ref
+	TA, TB    float64
 }
 
 // Every call below stages its block operations into the kernel's program
@@ -24,7 +23,9 @@ type Step struct {
 // been computed by the time its operation runs: by an earlier program, or
 // by an earlier call of the same one.
 
-// Newview stages one CLV update.
+// Newview stages one vector update into the CLV or outer slot s.Dst
+// names. A pre-order update is the post-order combine itself — same
+// staging, same block workers, same a·b operand order.
 func (k *Kernel) Newview(s Step) {
 	dclv, dscale := k.slot(s.Dst)
 	k.newview(dclv, dscale, k.operand(s.A), k.operand(s.B), s.TA, s.TB)
@@ -42,7 +43,9 @@ func (k *Kernel) newview(dclv []float64, dscale []int32, oa, ob operand, ta, tb 
 	k.stamp++
 }
 
-// Traverse stages a sequence of CLV updates in order.
+// Traverse stages a schedule in order: a post-order one children before
+// parents, a pre-order one parents before children (traversal.Build and
+// traversal.BuildGradient guarantee both).
 func (k *Kernel) Traverse(steps []Step) {
 	for _, s := range steps {
 		k.Newview(s)
@@ -51,8 +54,9 @@ func (k *Kernel) Traverse(steps []Step) {
 
 // Evaluate stages the weighted log likelihood over the local patterns for
 // a virtual root on edge (p, q) with branch length t; the value is the
-// finished program's next result (LnL).
-func (k *Kernel) Evaluate(p, q NodeRef, t float64) {
+// finished program's next result (LnL). Either operand may be a tip, a
+// CLV or an outer vector; q, the far one, takes the P product.
+func (k *Kernel) Evaluate(p, q Ref, t float64) {
 	k.evaluate(k.operand(p), k.operand(q), t)
 }
 
@@ -65,9 +69,8 @@ func (k *Kernel) evaluate(op, oq operand, t float64) {
 	}
 }
 
-// CLVDigest returns a cheap order-sensitive hash of an inner slot's CLV,
-// used by consistency checks in tests and debug runs of the decentralized
-// engine.
+// CLVDigest returns a cheap order-sensitive hash of an inner slot's CLV
+// and its scale counts, what consistency checks in tests compare.
 func (k *Kernel) CLVDigest(slot int) uint64 {
 	clv := k.clv[slot]
 	if clv == nil {
@@ -84,6 +87,3 @@ func (k *Kernel) CLVDigest(slot int) uint64 {
 	}
 	return h
 }
-
-// TipStates exposes the local tip states of one taxon (read-only).
-func (k *Kernel) TipStates(taxon int) []msa.State { return k.data.Tips[taxon] }

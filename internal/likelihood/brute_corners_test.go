@@ -220,7 +220,7 @@ func TestKernelsMatchBruteForceAtTheCorners(t *testing.T) {
 
 				// (d1, d2) of every edge, the way the smoother gets them.
 				plan, nodes := traversal.BuildGradient(tr, nil)
-				kern.TraverseOuter(plan.Pre[class])
+				kern.Traverse(plan.Pre[class])
 				for b, nd := range nodes {
 					t0 := plan.T[class][b]
 					kern.Contract(b, plan.Edges[b].P, plan.Edges[b].Q)

@@ -27,29 +27,13 @@ func (n Now) Traverse(steps []Step) {
 	n.Flush(n.Pool)
 }
 
-func (n Now) NewviewOuter(s GradStep) {
-	n.Kernel.NewviewOuter(s)
-	n.Flush(n.Pool)
-}
-
-func (n Now) TraverseOuter(steps []GradStep) {
-	n.Kernel.TraverseOuter(steps)
-	n.Flush(n.Pool)
-}
-
-func (n Now) Evaluate(p, q NodeRef, t float64) float64 {
+func (n Now) Evaluate(p, q Ref, t float64) float64 {
 	n.Kernel.Evaluate(p, q, t)
 	n.Flush(n.Pool)
 	return n.LnL(0)
 }
 
-func (n Now) EvaluateGrad(p, q GradRef, t float64) float64 {
-	n.Kernel.EvaluateGrad(p, q, t)
-	n.Flush(n.Pool)
-	return n.LnL(0)
-}
-
-func (n Now) Contract(s int, p, q GradRef) {
+func (n Now) Contract(s int, p, q Ref) {
 	n.Kernel.Contract(s, p, q)
 	n.Flush(n.Pool)
 }
@@ -60,12 +44,12 @@ func (n Now) Derivatives(s int, t float64) (d1, d2 float64) {
 	return n.Gradient(0)
 }
 
-func (n Now) PrepareInsertion(sub GradRef, t float64) {
+func (n Now) PrepareInsertion(sub Ref, t float64) {
 	n.Kernel.PrepareInsertion(sub, t)
 	n.Flush(n.Pool)
 }
 
-func (n Now) ScoreInsertion(near, far GradRef, half float64) float64 {
+func (n Now) ScoreInsertion(near, far Ref, half float64) float64 {
 	n.Kernel.ScoreInsertion(near, far, half)
 	n.Flush(n.Pool)
 	return n.LnL(0)
@@ -113,7 +97,7 @@ func (k *Kernel) PoisonTipTables() {
 // call would, from the arena as it is (PoisonTipTables first to see what
 // the fill leaves alone), and returns a copy of it.
 func (k *Kernel) TipTable(taxon int, t float64) []float64 {
-	tab := append([]float64(nil), k.tipTable(k.probMatricesFor(t), k.operand(TipRef(taxon)))...)
+	tab := append([]float64(nil), k.tipTable(k.probMatricesFor(t), k.operand(TipAt(taxon)))...)
 	k.mem.reset()
 	return tab
 }
@@ -125,7 +109,7 @@ func (k *Kernel) TipTable(taxon int, t float64) []float64 {
 // tip tables are filled with — so it is the reference of the tip
 // workers.
 func (k *Kernel) LoadTipAsInner(slot, taxon int) {
-	clv, scale := k.slot(int32(slot))
+	clv, scale := k.slot(InnerAt(slot))
 	for p := 0; p < len(clv)/k.nPat; p++ {
 		plane := clv[p*k.nPat:][:k.nPat]
 		for i, s := range k.data.Tips[taxon] {
@@ -156,8 +140,8 @@ func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMasks[taxon].mask }
 // ShrinkSites multiplies every entry the CLV or outer vector r holds at
 // the given sites by f, so a test can make a column small enough for the
 // next combine over it to rescale.
-func (k *Kernel) ShrinkSites(r GradRef, sites []int, f float64) {
-	clv := k.gradOperand(r).clv
+func (k *Kernel) ShrinkSites(r Ref, sites []int, f float64) {
+	clv := k.operand(r).clv
 	for p := 0; p < len(clv)/k.nPat; p++ {
 		for _, i := range sites {
 			clv[p*k.nPat+i] *= f

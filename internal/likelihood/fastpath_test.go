@@ -44,21 +44,14 @@ func tipsAsInner(t *testing.T, f *fixture) stager {
 	return stager{Kernel: k.Kernel, tipSlot: int32(nInner), seen: map[string]bool{}}
 }
 
-func (s stager) ref(r likelihood.NodeRef) likelihood.NodeRef {
-	if r.Tip && s.tipSlot >= 0 {
-		return likelihood.InnerRef(int(s.tipSlot + r.Idx))
+func (s stager) ref(r likelihood.Ref) likelihood.Ref {
+	if r.Kind == likelihood.Tip && s.tipSlot >= 0 {
+		return likelihood.InnerAt(int(s.tipSlot + r.Idx))
 	}
 	return r
 }
 
-func (s stager) grad(r likelihood.GradRef) likelihood.GradRef {
-	if r.Kind == likelihood.GradTipKind && s.tipSlot >= 0 {
-		return likelihood.GradInner(s.tipSlot + r.Idx)
-	}
-	return r
-}
-
-func isTip(r likelihood.GradRef) bool { return r.Kind == likelihood.GradTipKind }
+func isTip(r likelihood.Ref) bool { return r.Kind == likelihood.Tip }
 
 // note records the shape of a call as the kernel receives it, by whether
 // each operand is a tip.
@@ -75,7 +68,7 @@ func (s stager) note(call string, tips ...bool) {
 
 func (s stager) Newview(st likelihood.Step) {
 	st.A, st.B = s.ref(st.A), s.ref(st.B)
-	s.note("newview", st.A.Tip, st.B.Tip)
+	s.note("newview", isTip(st.A), isTip(st.B))
 	s.Kernel.Newview(st)
 }
 
@@ -85,38 +78,26 @@ func (s stager) Traverse(steps []likelihood.Step) {
 	}
 }
 
-func (s stager) Evaluate(p, q likelihood.NodeRef, t float64) {
+func (s stager) Evaluate(p, q likelihood.Ref, t float64) {
 	p, q = s.ref(p), s.ref(q)
-	s.note("evaluate", p.Tip, q.Tip)
+	s.note("evaluate", isTip(p), isTip(q))
 	s.Kernel.Evaluate(p, q, t)
 }
 
-func (s stager) Contract(slot int, p, q likelihood.GradRef) {
-	p, q = s.grad(p), s.grad(q)
+func (s stager) Contract(slot int, p, q likelihood.Ref) {
+	p, q = s.ref(p), s.ref(q)
 	s.note("contract", isTip(p), isTip(q))
 	s.Kernel.Contract(slot, p, q)
 }
 
-func (s stager) NewviewOuter(st likelihood.GradStep) {
-	st.A, st.B = s.grad(st.A), s.grad(st.B)
-	s.note("newview", isTip(st.A), isTip(st.B))
-	s.Kernel.NewviewOuter(st)
-}
-
-func (s stager) TraverseOuter(steps []likelihood.GradStep) {
-	for _, st := range steps {
-		s.NewviewOuter(st)
-	}
-}
-
-func (s stager) PrepareInsertion(sub likelihood.GradRef, t float64) {
-	sub = s.grad(sub)
+func (s stager) PrepareInsertion(sub likelihood.Ref, t float64) {
+	sub = s.ref(sub)
 	s.note("insertion table", isTip(sub))
 	s.Kernel.PrepareInsertion(sub, t)
 }
 
-func (s stager) ScoreInsertion(near, far likelihood.GradRef, half float64) {
-	near, far = s.grad(near), s.grad(far)
+func (s stager) ScoreInsertion(near, far likelihood.Ref, half float64) {
+	near, far = s.ref(near), s.ref(far)
 	s.note("insertion score", isTip(near), isTip(far))
 	s.Kernel.ScoreInsertion(near, far, half)
 }

@@ -16,9 +16,9 @@ const gammaCats = model.GammaCategories
 
 // newviewGamma stages the combine of operands oa and ob across branch
 // lengths ta and tb into the conditional vector (dclv, dscale) under the Γ
-// model — a post-order CLV slot for Newview, an outer vector for
-// NewviewOuter. Each pattern block writes a disjoint range, so the result
-// is identical at every thread count.
+// model — the CLV or outer slot Newview's destination names. Each pattern
+// block writes a disjoint range, so the result is identical at every
+// thread count.
 //
 // When a child is a tip, the per-site P·tipVec product is a table read
 // (fastpath.go); the table entries are computed by the exact expression

@@ -25,7 +25,7 @@ import (
 //
 // Every site value is produced by the Newview workers' expression and
 // every term by the evaluation workers', in their order, so a score has
-// the bits of NewviewOuter into a free slot followed by EvaluateGrad
+// the bits of Newview into a free outer slot followed by Evaluate
 // (TestInsertionScoreBitIdentical). π is deliberately not folded into
 // the table: evaluation associates ((π·v)·right)·catW, and a table of
 // π·right would associate (v·(π·right))·catW — a different last bit.
@@ -41,11 +41,11 @@ import (
 // — in the same program or a later one — until the next
 // PrepareInsertion, as long as sub's vector and the model parameters are
 // unchanged.
-func (k *Kernel) PrepareInsertion(sub GradRef, t float64) {
+func (k *Kernel) PrepareInsertion(sub Ref, t float64) {
 	if len(k.insTab) != k.clvLen() {
 		k.insTab = make([]float64, k.clvLen())
 	}
-	oq := k.gradOperand(sub)
+	oq := k.operand(sub)
 	pm := k.probMatricesFor(t)
 	ra := k.stage(opPrepInsGamma)
 	if k.par.Het != model.Gamma {
@@ -59,14 +59,14 @@ func (k *Kernel) PrepareInsertion(sub GradRef, t float64) {
 
 // ScoreInsertion stages the weighted log likelihood of the tree with the
 // prepared subtree inserted into the edge between near and far, either
-// half of which gets length half: bit for bit what NewviewOuter of
-// (near, far) across (half, half) into a free slot followed by
-// EvaluateGrad of that slot against the subtree yields, without the
-// slot; the value is the finished program's next result (LnL). near must
+// half of which gets length half: bit for bit what Newview of (near,
+// far) across (half, half) into a free outer slot followed by Evaluate
+// of that slot against the subtree yields, without the slot; the value
+// is the finished program's next result (LnL). near must
 // be a CLV or an outer vector (an insertion plan's near operand is the
 // outer vector its pre-order step computed); far may also be a tip.
-func (k *Kernel) ScoreInsertion(near, far GradRef, half float64) {
-	oa, ob := k.gradOperand(near), k.gradOperand(far)
+func (k *Kernel) ScoreInsertion(near, far Ref, half float64) {
+	oa, ob := k.operand(near), k.operand(far)
 	// Newview builds P(half) once per operand; one set serves both, being
 	// the same doubles.
 	pm := k.probMatricesFor(half)

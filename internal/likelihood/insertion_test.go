@@ -12,8 +12,8 @@ import (
 
 // TestInsertionScoreBitIdentical holds the fused insertion kernel to the
 // pair of general kernels it replaces: PrepareInsertion + ScoreInsertion
-// must return the bits of NewviewOuter into a free outer slot followed by
-// EvaluateGrad, for both rate models, every far-operand shape (tip,
+// must return the bits of Newview into a free outer slot followed by
+// Evaluate, for both rate models, every far-operand shape (tip,
 // post-order CLV, outer vector), both subtree shapes (tip, CLV), a CLV
 // and an outer vector as the near operand, and with no pool, one thread
 // and four. Each combination runs twice: on the operands as traversed,
@@ -30,26 +30,26 @@ func TestInsertionScoreBitIdentical(t *testing.T) {
 			k := f.kern
 			k.Traverse(traversal.ForEdge(f.tree, f.tree.Tip(0), 0, true))
 			plan, _ := traversal.BuildGradient(f.tree, nil)
-			k.TraverseOuter(plan.Pre[0])
+			k.Traverse(plan.Pre[0])
 
 			// One operand of each kind from the gradient plan: an edge's P is
 			// the tip or CLV below it, its Q the outer vector above.
-			var tips, clvs, outers []likelihood.GradRef
+			var tips, clvs, outers []likelihood.Ref
 			for _, e := range plan.Edges {
 				switch {
-				case e.P.Kind == likelihood.GradTipKind:
+				case e.P.Kind == likelihood.Tip:
 					tips = append(tips, e.P)
-				case e.P.Kind == likelihood.GradInnerKind:
+				case e.P.Kind == likelihood.Inner:
 					clvs = append(clvs, e.P)
 				}
-				if e.Q.Kind == likelihood.GradOuterKind {
+				if e.Q.Kind == likelihood.Outer {
 					outers = append(outers, e.Q)
 				}
 			}
 			if len(tips) < 2 || len(clvs) < 3 || len(outers) < 2 {
 				t.Fatalf("plan offers %d tips, %d CLVs, %d outer vectors", len(tips), len(clvs), len(outers))
 			}
-			free := int32(2*f.tree.NTaxa() - 2)
+			free := likelihood.OuterAt(2*f.tree.NTaxa() - 2)
 			var shrunk []int
 			for i := 0; i < k.NPatterns(); i += 7 {
 				shrunk = append(shrunk, i)
@@ -57,15 +57,15 @@ func TestInsertionScoreBitIdentical(t *testing.T) {
 
 			var got []uint64
 			for _, small := range []bool{false, true} {
-				for _, near := range []likelihood.GradRef{outers[0], clvs[0]} {
+				for _, near := range []likelihood.Ref{outers[0], clvs[0]} {
 					if small {
 						k.ShrinkSites(near, shrunk, math.Exp2(-300))
 					}
-					for _, far := range []likelihood.GradRef{tips[0], clvs[1], outers[1]} {
-						for _, sub := range []likelihood.GradRef{tips[1], clvs[2]} {
+					for _, far := range []likelihood.Ref{tips[0], clvs[1], outers[1]} {
+						for _, sub := range []likelihood.Ref{tips[1], clvs[2]} {
 							name := fmt.Sprintf("%v T=%d small=%v near=%v far=%v sub=%v", het, threads, small, near, far, sub)
-							k.NewviewOuter(likelihood.GradStep{Dst: free, A: near, B: far, TA: half, TB: half})
-							want := k.EvaluateGrad(likelihood.GradOuter(free), sub, subT)
+							k.Newview(likelihood.Step{Dst: free, A: near, B: far, TA: half, TB: half})
+							want := k.Evaluate(free, sub, subT)
 
 							before := k.FastPath().InsertionRescales
 							k.PrepareInsertion(sub, subT)

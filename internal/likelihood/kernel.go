@@ -12,8 +12,8 @@
 // patterns a single rank holds of one partition — which is exactly the
 // worker-side state of both parallelization schemes in the paper. The
 // kernel is deliberately tree-agnostic: it executes numbered operations on
-// CLV slots and tip indices, the same contract a fork-join worker gets
-// from a traversal descriptor.
+// tips, CLV slots and outer vectors (Ref), the same contract a fork-join
+// worker gets from a traversal descriptor.
 //
 // Kernel calls stage block operations into a program (dispatch.go) that
 // the engine executes over fixed-size contiguous pattern blocks, one
@@ -48,18 +48,60 @@ var (
 	LogScaleStep = -float64(scaleExp) * math.Ln2
 )
 
-// NodeRef addresses a CLV operand: either a tip (taxon index into the
-// partition's rows) or an inner CLV slot.
-type NodeRef struct {
-	// Tip selects tip addressing.
-	Tip bool
-	// Idx is the taxon index (Tip) or the inner CLV slot (otherwise).
-	Idx int32
+// Operands, and pre-order ("outward") conditional vectors
+// (docs/PERFORMANCE.md §5).
+//
+// A kernel operation names its operands and its destination in one
+// address space (Ref): a tip, a post-order CLV slot or a pre-order outer
+// vector. One Newview writes either kind of slot, one Traverse executes
+// either kind of schedule and one Evaluate reads any pair of operands.
+//
+// The post-order CLV at an inner vertex summarizes the subtree *below*
+// it. The pre-order outer vector at a node summarizes everything on the
+// *other* side of its parent edge — the rest of the tree as seen from
+// the node, looking up. With both in hand the derivative of the log
+// likelihood w.r.t. ANY branch is one sum table contracted from the
+// branch's post-order CLV and its outer vector (sumtable.go), without
+// re-rooting a traversal per branch. One post-order pass plus one
+// pre-order pass therefore makes every branch's (d1, d2) available —
+// O(1) traversals instead of O(branches).
+//
+// Bit-identity with re-rooting holds by construction: the pre-order
+// combine is the post-order Newview combine itself (same block workers,
+// same operand order), so an edge's outer vector holds the bytes the CLV
+// a traversal re-rooted at the edge would compute, and its sum table is
+// contracted by the same Contract from the same bytes (asserted by the
+// gradient identity tests here and, per call of a whole search, by
+// internal/search's twin engine).
+
+// RefKind selects which of a kernel's buffers a Ref addresses.
+type RefKind uint8
+
+const (
+	// Inner addresses a post-order CLV slot (an inner vertex's slot).
+	Inner RefKind = iota
+	// Tip addresses a taxon's row of tip states.
+	Tip
+	// Outer addresses a pre-order outer-vector slot, indexed by the vertex
+	// the vector looks down on: the conditional vector at the vertex's
+	// parent, oriented toward the vertex.
+	Outer
+)
+
+// Ref names an operand or a destination of a kernel operation: a tip, a
+// post-order CLV slot or a pre-order outer vector — one address space for
+// every schedule a kernel executes. Inner and Tip are the traversal
+// descriptor's tip byte (0 a CLV slot, 1 a tip), and the PSR site
+// recursion's assembly reads Kind as that flag (lanes_psr_amd64.s).
+type Ref struct {
+	Kind RefKind
+	Idx  int32
 }
 
-// TipRef and InnerRef are NodeRef constructors.
-func TipRef(taxon int) NodeRef  { return NodeRef{Tip: true, Idx: int32(taxon)} }
-func InnerRef(slot int) NodeRef { return NodeRef{Tip: false, Idx: int32(slot)} }
+// TipAt, InnerAt and OuterAt are the Ref constructors.
+func TipAt(taxon int) Ref    { return Ref{Kind: Tip, Idx: int32(taxon)} }
+func InnerAt(slot int) Ref   { return Ref{Kind: Inner, Idx: int32(slot)} }
+func OuterAt(vertex int) Ref { return Ref{Kind: Outer, Idx: int32(vertex)} }
 
 const ns = msa.NumStates
 
@@ -82,10 +124,8 @@ type Kernel struct {
 	// subtree the CLV summarizes.
 	scale [][]int32
 
-	// outer[vertex] / outerScale[vertex] are the pre-order outer vectors
-	// (gradient.go): the conditional vector at the vertex's parent
-	// oriented toward the vertex, same layout as clv. Grown lazily by
-	// outerSlot; nil until first computed.
+	// outer[vertex] / outerScale[vertex] are the pre-order outer vectors,
+	// same layout as clv. Grown lazily by slot; nil until first computed.
 	outer      [][]float64
 	outerScale [][]int32
 
@@ -100,7 +140,7 @@ type Kernel struct {
 	// sums is the sum-table store (sumtable.go), addressed by slot: what
 	// Contract fills and Derivatives reads, with the edge and the stamp
 	// each table was contracted under. stamp moves with every staged
-	// Newview or NewviewOuter and every InvalidateAll.
+	// Newview and every InvalidateAll.
 	sums  []sumSlot
 	stamp uint64
 	// insTab is the SPR insertion table (insertion.go): P(subT)·sub of the
@@ -155,7 +195,7 @@ type rowMasks struct {
 }
 
 // operand is a resolved kernel argument: tips (+ the row's masks) for a
-// tip reference, clv (+scale) for an inner CLV slot. Workers only read
+// tip reference, clv (+scale) for a CLV or outer slot. Workers only read
 // operands.
 type operand struct {
 	tips []msa.State
@@ -164,12 +204,16 @@ type operand struct {
 	scale []int32
 }
 
-// operand resolves a NodeRef against the kernel's state.
-func (k *Kernel) operand(r NodeRef) operand {
-	if r.Tip {
+// operand resolves a Ref against the kernel's state. A referenced CLV or
+// outer slot must already have been computed.
+func (k *Kernel) operand(r Ref) operand {
+	switch r.Kind {
+	case Tip:
 		return operand{tips: k.data.Tips[r.Idx], rowMasks: k.tipMasks[r.Idx]}
+	case Inner:
+		return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
 	}
-	return operand{clv: k.clv[r.Idx], scale: k.scale[r.Idx]}
+	return operand{clv: k.outer[r.Idx], scale: k.outerScale[r.Idx]}
 }
 
 // buildTipMasks (re)builds tipMasks from the slice's rows and the current
@@ -254,27 +298,36 @@ func (k *Kernel) cols() int64 {
 	return int64(k.nPat)
 }
 
-// slot returns (allocating on demand) the CLV backing store for an inner
-// slot.
-func (k *Kernel) slot(i int32) ([]float64, []int32) {
-	if k.clv[i] == nil || len(k.clv[i]) != k.clvLen() {
-		k.clv[i] = make([]float64, k.clvLen())
-		k.scale[i] = make([]int32, k.nPat)
+// slot returns (allocating on demand) the backing store of the CLV or
+// outer slot r names. The outer table grows to fit: it is indexed by
+// vertex, not by inner slot.
+func (k *Kernel) slot(r Ref) ([]float64, []int32) {
+	vecs, scales := k.clv, k.scale
+	if r.Kind == Outer {
+		for int(r.Idx) >= len(k.outer) {
+			k.outer = append(k.outer, nil)
+			k.outerScale = append(k.outerScale, nil)
+		}
+		vecs, scales = k.outer, k.outerScale
 	}
-	return k.clv[i], k.scale[i]
+	if vecs[r.Idx] == nil || len(vecs[r.Idx]) != k.clvLen() {
+		vecs[r.Idx] = make([]float64, k.clvLen())
+		scales[r.Idx] = make([]int32, k.nPat)
+	}
+	return vecs[r.Idx], scales[r.Idx]
 }
 
-// InvalidateAll drops all CLVs (used after model changes that the caller
-// follows with a full traversal, and by fault-recovery redistribution).
+// InvalidateAll drops all CLVs and outer vectors (used after model
+// changes that the caller follows with a full traversal, and by
+// fault-recovery redistribution).
 // The P-matrix cache is dropped too: InvalidateAll callers may mutate
 // parameters (site rates) without a Rebuild. The site categories may
 // have changed with them, so the tip masks are rebuilt.
 func (k *Kernel) InvalidateAll() {
-	for i := range k.clv {
-		k.clv[i] = nil
-		k.scale[i] = nil
-	}
-	k.InvalidateOuter()
+	clear(k.clv)
+	clear(k.scale)
+	clear(k.outer)
+	clear(k.outerScale)
 	k.stamp++
 	k.dropPCache()
 	k.buildTipMasks()
@@ -283,9 +336,10 @@ func (k *Kernel) InvalidateAll() {
 // probMatrices fills one P matrix per rate category for branch length t.
 // The per-partition setup cost (spectral recombination + exponentials) is
 // metered separately: it is paid once per partition per operation
-// regardless of how few patterns the rank holds, which is why cyclic
-// distribution of many partitions hurts and monolithic (MPS) assignment
-// helps — the effect of the paper's reference [24].
+// regardless of how few of its patterns the rank holds — the effect of
+// the paper's reference [24]. A rank pays it only for the partitions it
+// holds, which is why the distribution (internal/distrib) keeps
+// partitions whole on a rank where it can.
 //
 // PSR matrices are stored transposed (Eigen.ProbMatrixT): the PSR workers
 // read P column by column (lanes.go), so every PSR set — cached, lent,

@@ -385,7 +385,7 @@ func TestDerivativesMatchFiniteDifferences(t *testing.T) {
 		f.evalAt(p)
 		pRef := traversal.Ref(f.tree, p)
 		qRef := traversal.Ref(f.tree, p.Back)
-		f.kern.Contract(0, pRef.Grad(), qRef.Grad())
+		f.kern.Contract(0, pRef, qRef)
 		for _, t0 := range []float64{0.05, 0.15, 0.6} {
 			d1, d2 := f.kern.Derivatives(0, t0)
 			const h = 1e-6
@@ -417,7 +417,7 @@ func TestDerivativeZeroAtOptimum(t *testing.T) {
 	f.evalAt(p)
 	pRef := traversal.Ref(f.tree, p)
 	qRef := traversal.Ref(f.tree, p.Back)
-	f.kern.Contract(0, pRef.Grad(), qRef.Grad())
+	f.kern.Contract(0, pRef, qRef)
 	best := p.Length(0)
 	for iter := 0; iter < 60; iter++ {
 		d1, d2 := f.kern.Derivatives(0, best)

@@ -44,7 +44,7 @@ func lanePSRRight(d, q []float64, stride int, cats []int, pm *[ns * ns]float64) 
 func lanePSRScore(site []float64, noScale []bool, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, stride int, cats []int, pm *[ns * ns]float64, freqs *[ns]float64) {
 }
 
-func laneSiteLnL(vec [][ns]float64, scale []int32, steps []Step, tips [][]msa.State, site int, tipVec *[16][ns]float64, pm [][ns * ns]float64, p, q NodeRef, freqs *[ns]float64) (l float64, sc int32) {
+func laneSiteLnL(vec [][ns]float64, scale []int32, steps []Step, tips [][]msa.State, site int, tipVec *[16][ns]float64, pm [][ns * ns]float64, p, q Ref, freqs *[ns]float64) (l float64, sc int32) {
 	return 0, 0
 }
 

@@ -327,15 +327,17 @@ terms:
 none:
 	RET
 
-// OPERAND sets V to the address of the site's vector of the NodeRef at
+// OPERAND sets V to the address of the site's vector of the Ref at
 // OFF(R), and S to its scale count: a
 // tip's 0/1 vector tipVec[tips[Idx][site]] with count 0, or the vector and
 // count an earlier step wrote to the scratch for inner slot Idx (R8 the
-// vectors, R9 the counts, R12 the tip rows, R13 the site, R14 tipVec). AX
-// is clobbered; LTIP and LDONE are labels of the expansion's own.
+// vectors, R9 the counts, R12 the tip rows, R13 the site, R14 tipVec).
+// Kind 0 (Inner) reads the scratch and any other kind a tip: the rate
+// scan runs descriptors, which hold tips and CLV slots only. AX is
+// clobbered; LTIP and LDONE are labels of the expansion's own.
 #define OPERAND(R, OFF, V, S, LTIP, LDONE) \
-	MOVLQSX (OFF+NodeRef_Idx)(R), AX; \
-	CMPB    (OFF+NodeRef_Tip)(R), $0; \
+	MOVLQSX (OFF+Ref_Idx)(R), AX; \
+	CMPB    (OFF+Ref_Kind)(R), $0; \
 	JNE     LTIP; \
 	MOVL    (R9)(AX*4), S; \
 	SHLQ    $5, AX; \
@@ -354,7 +356,7 @@ LDONE:
 #define VECDOT(PT, O, V, ACC, TMP) \
 	COLDOT(PT, O, 0(V), 8(V), 16(V), 24(V), ACC, TMP)
 
-// func laneSiteLnL(vec [][4]float64, scale []int32, steps []Step, tips [][]msa.State, site int, tipVec *[16][4]float64, pm [][16]float64, p, q NodeRef, freqs *[4]float64) (l float64, sc int32)
+// func laneSiteLnL(vec [][4]float64, scale []int32, steps []Step, tips [][]msa.State, site int, tipVec *[16][4]float64, pm [][16]float64, p, q Ref, freqs *[4]float64) (l float64, sc int32)
 //
 // The single-site recursion of siteLnL for one site: per step, v =
 // (P_a·va)·(P_b·vb) with the step's two matrices, rescaled if no lane
@@ -387,7 +389,7 @@ step:
 	INCL   BX
 
 store:
-	MOVLQSX Step_Dst(R10), AX
+	MOVLQSX (Step_Dst+Ref_Idx)(R10), AX
 	MOVL    BX, (R9)(AX*4)
 	SHLQ    $5, AX
 	VMOVUPD Y0, (R8)(AX*1)
@@ -399,7 +401,7 @@ store:
 root:
 	LEAQ p+136(FP), R11
 	OPERAND(R11, 0, SI, BX, tipp, donep)
-	OPERAND(R11, NodeRef__size, DI, CX, tipq, doneq)
+	OPERAND(R11, Ref__size, DI, CX, tipq, doneq)
 	VECDOT(DX, 0, DI, Y2, Y1)
 	MOVQ    freqs+152(FP), AX
 	VMOVUPD (AX), Y0

@@ -443,7 +443,7 @@ func TestLaneSitesCounted(t *testing.T) {
 		for _, on := range []bool{true, false} {
 			SetLanes(on)
 			before := k.FastPath()
-			k.Evaluate(TipRef(0), InnerRef(0), 0.1)
+			k.Evaluate(TipAt(0), InnerAt(0), 0.1)
 			k.Flush(nil)
 			fp := k.FastPath()
 			sites, lanes := fp.Sites-before.Sites, fp.LaneSites-before.LaneSites
@@ -580,9 +580,9 @@ func BenchmarkPSRLanes(b *testing.B) {
 	site, noScale := make([]float64, nPat), make([]bool, nPat)
 
 	// A caterpillar schedule over the 16 tips for the single-site recursion.
-	steps := []Step{{Dst: 0, A: TipRef(0), B: TipRef(1), TA: 0.1, TB: 0.2}}
+	steps := []Step{{Dst: InnerAt(0), A: TipAt(0), B: TipAt(1), TA: 0.1, TB: 0.2}}
 	for i := 1; i < nTaxa-2; i++ {
-		steps = append(steps, Step{Dst: int32(i), A: InnerRef(i - 1), B: TipRef(i + 1), TA: 0.05, TB: 0.3})
+		steps = append(steps, Step{Dst: InnerAt(i), A: InnerAt(i - 1), B: TipAt(i + 1), TA: 0.05, TB: 0.3})
 	}
 	scr := k.siteScratchOf(0)
 	k.fillSitePMatrices(scr.pm, steps, 0.1, 1)
@@ -599,7 +599,7 @@ func BenchmarkPSRLanes(b *testing.B) {
 		{"insertion-table", func() { k.prepareInsertionPSRSoABlock(c, pm, nil, 0, nPat) }},
 		{"score", func() { k.scoreInsertionPSRSites(site, noScale, a, c, pm, nil, 0) }},
 		{"score-tip", func() { k.scoreInsertionPSRSites(site, noScale, a, tip, pm, tab, 0) }},
-		{"site-recursion", func() { k.siteLnL(scr, scr.pm, steps, InnerRef(nTaxa-3), TipRef(nTaxa-1), 0) }},
+		{"site-recursion", func() { k.siteLnL(scr, scr.pm, steps, InnerAt(nTaxa-3), TipAt(nTaxa-1), 0) }},
 	}
 	defer SetLanes(SetLanes(false))
 	for _, w := range workers {

@@ -106,10 +106,10 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 		p, q := traversal.Ref(tr, e), traversal.Ref(tr, e.Back)
 		// No edge joins two tips; the all-code taxon 0 and the all-gap
 		// taxon 3 stand in for one.
-		for _, pq := range [][2]likelihood.NodeRef{{p, q}, {q, p}, {likelihood.TipRef(0), likelihood.TipRef(3)}} {
+		for _, pq := range [][2]likelihood.Ref{{p, q}, {q, p}, {likelihood.TipAt(0), likelihood.TipAt(3)}} {
 			run(func() { k.Evaluate(pq[0], pq[1], e.Length(0)) })
 			result()
-			run(func() { k.Contract(0, pq[0].Grad(), pq[1].Grad()) })
+			run(func() { k.Contract(0, pq[0], pq[1]) })
 			for _, bl := range []float64{0.07, 0.4} {
 				run(func() { k.Derivatives(0, bl) })
 				result()
@@ -124,7 +124,7 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 	}
 	plan, _ := traversal.BuildGradient(tr, nil)
 	for _, s := range plan.Pre[0] {
-		run(func() { k.NewviewOuter(s) })
+		run(func() { k.Newview(s) })
 	}
 	for b, e := range plan.Edges {
 		run(func() { k.Contract(b, e.P, e.Q); k.Derivatives(b, plan.T[0][b]) })
@@ -136,8 +136,8 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 		}
 		run(func() { k.PrepareInsertion(ins.Sub, ins.SubT[0]) })
 		for c, s := range ins.Pre[0] {
-			run(func() { k.NewviewOuter(s) })
-			run(func() { k.ScoreInsertion(likelihood.GradOuter(s.Dst), ins.Far[c], ins.Half[0][c]) })
+			run(func() { k.Newview(s) })
+			run(func() { k.ScoreInsertion(s.Dst, ins.Far[c], ins.Half[0][c]) })
 			result()
 		}
 	}
@@ -167,7 +167,7 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 	for _, e := range tr.Edges() {
 		e.SetLength(0, 0.02+0.3*rng.Float64())
 	}
-	for _, pd := range []*msa.PartitionData{full, full.Slice(7, 8)} {
+	for _, pd := range []*msa.PartitionData{full, full.Select([]int{7})} {
 		for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 			var want []uint64
 			for _, lanes := range laneSettings(t) {
@@ -266,7 +266,7 @@ func TestTipMaskIsPerLocalSlice(t *testing.T) {
 			t.Errorf("rank %d: all-gap taxon mask %016b", rank, got)
 		}
 		want := uint16(0)
-		for _, s := range k.TipStates(1) {
+		for _, s := range k.Data().Tips[1] {
 			want |= 1 << s
 		}
 		if masks[rank] != want {

@@ -91,7 +91,7 @@ func (k *Kernel) FillSiteRateTable(tab *SiteRateTable, steps []Step, rootT float
 // EvaluateSiteFromTable returns the log likelihood of local pattern site
 // at grid rate g, along the schedule and root edge (p, q) tab was filled
 // for. The kernel's stored CLVs are not modified.
-func (k *Kernel) EvaluateSiteFromTable(tab *SiteRateTable, g int, steps []Step, p, q NodeRef, site int) float64 {
+func (k *Kernel) EvaluateSiteFromTable(tab *SiteRateTable, g int, steps []Step, p, q Ref, site int) float64 {
 	scr := k.siteScratchOf(site)
 	scr.tableEvals++
 	return k.siteLnL(scr, tab.pm[g*tab.stride:(g+1)*tab.stride], steps, p, q, site)
@@ -111,7 +111,7 @@ func (k *Kernel) EvaluateSiteFromTable(tab *SiteRateTable, g int, steps []Step, 
 // scratch of the site's pattern block (threadpool.BlockSize): calls for
 // sites of different blocks may run concurrently, calls within one block
 // may not.
-func (k *Kernel) EvaluateSiteAtRate(steps []Step, p, q NodeRef, rootT float64, site int, rate float64) float64 {
+func (k *Kernel) EvaluateSiteAtRate(steps []Step, p, q Ref, rootT float64, site int, rate float64) float64 {
 	scr := k.siteScratchOf(site)
 	scr.exactEvals++
 	k.fillSitePMatrices(scr.pm, steps, rootT, rate)
@@ -126,8 +126,8 @@ func (k *Kernel) siteScratchOf(site int) *siteScratch {
 }
 
 // siteOperand returns the site's vector and scale count at r.
-func (k *Kernel) siteOperand(scr *siteScratch, r NodeRef, site int) (*[ns]float64, int32) {
-	if r.Tip {
+func (k *Kernel) siteOperand(scr *siteScratch, r Ref, site int) (*[ns]float64, int32) {
+	if r.Kind == Tip {
 		return &k.tipVec[k.data.Tips[r.Idx][site]], 0
 	}
 	return &scr.vec[r.Idx], scr.scale[r.Idx]
@@ -139,7 +139,7 @@ func (k *Kernel) siteOperand(scr *siteScratch, r NodeRef, site int) (*[ns]float6
 // are transposed (fillSitePMatrices). On a CPU with AVX2 the whole
 // recursion runs in state lanes (laneSiteLnL, lanes.go) and only the log
 // is taken here.
-func (k *Kernel) siteLnL(scr *siteScratch, pm [][ns * ns]float64, steps []Step, p, q NodeRef, site int) float64 {
+func (k *Kernel) siteLnL(scr *siteScratch, pm [][ns * ns]float64, steps []Step, p, q Ref, site int) float64 {
 	pm = pm[:2*len(steps)+1]
 	if laneMask != 0 {
 		l, sc := laneSiteLnL(scr.vec, scr.scale, steps, k.data.Tips, site, &k.tipVec, pm, p, q, &k.par.Freqs)
@@ -168,8 +168,8 @@ func (k *Kernel) siteLnL(scr *siteScratch, pm [][ns * ns]float64, steps []Step, 
 			}
 			sc++
 		}
-		scr.vec[s.Dst] = out
-		scr.scale[s.Dst] = sc
+		scr.vec[s.Dst.Idx] = out
+		scr.scale[s.Dst.Idx] = sc
 	}
 	vp, sp := k.siteOperand(scr, p, site)
 	vq, sq := k.siteOperand(scr, q, site)

@@ -27,16 +27,16 @@ import (
 //
 // A table is only as current as its operands. Each slot records the edge
 // it was contracted from, the kernel's stamp and the parameter generation
-// at the time; every staged Newview or NewviewOuter and every
-// InvalidateAll moves the stamp, every change of a quantity a P matrix
-// depends on moves the generation. Contracted reports both — the one rule
-// by which a receiver of derivative frames it did not order admits them
+// at the time; every staged Newview and every InvalidateAll moves the
+// stamp, every change of a quantity a P matrix depends on moves the
+// generation. Contracted reports both — the one rule by which a receiver
+// of derivative frames it did not order admits them
 // (enginecore.Local.AdmitDerivatives).
 
 // sumSlot is one slot of the sum-table store.
 type sumSlot struct {
 	tab  []float64
-	p, q GradRef
+	p, q Ref
 	// stamp and gen are the kernel's stamp and the parameter generation
 	// when the table was contracted.
 	stamp, gen uint64
@@ -53,7 +53,7 @@ var prepareOps = [2][2]runOp{
 // vector below the edge and q the one above it. Blocks write disjoint
 // ranges of the table. Tip operands use the category-free prep tables
 // from fastpath.go.
-func (k *Kernel) Contract(s int, p, q GradRef) {
+func (k *Kernel) Contract(s int, p, q Ref) {
 	for len(k.sums) <= s {
 		k.sums = append(k.sums, sumSlot{})
 	}
@@ -65,7 +65,7 @@ func (k *Kernel) Contract(s int, p, q GradRef) {
 	}
 	sl.p, sl.q, sl.stamp, sl.gen = p, q, k.stamp, k.par.Generation()
 
-	op, oq := k.gradOperand(p), k.gradOperand(q)
+	op, oq := k.operand(p), k.operand(q)
 	fast := op.tips != nil || oq.tips != nil
 	ra := k.stage(prepareOps[b2i(k.par.Het == model.Gamma)][b2i(fast)])
 	if fast {
@@ -98,11 +98,11 @@ func (k *Kernel) Derivatives(s int, t float64) {
 }
 
 // Contracted reports the edge slot s's sum table was contracted from and
-// whether the table is current: no Newview, NewviewOuter, InvalidateAll
-// or parameter change staged or made since.
-func (k *Kernel) Contracted(s int) (p, q GradRef, ok bool) {
+// whether the table is current: no Newview, InvalidateAll or parameter
+// change staged or made since.
+func (k *Kernel) Contracted(s int) (p, q Ref, ok bool) {
 	if s < 0 || s >= len(k.sums) || k.sums[s].tab == nil {
-		return GradRef{}, GradRef{}, false
+		return Ref{}, Ref{}, false
 	}
 	sl := &k.sums[s]
 	return sl.p, sl.q, sl.stamp == k.stamp && sl.gen == k.par.Generation()

@@ -63,7 +63,7 @@ func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.
 		out = append(out, k.CLVDigest(s))
 	}
 
-	k.Contract(0, pRef.Grad(), qRef.Grad())
+	k.Contract(0, pRef, qRef)
 	k.Derivatives(0, 0.05)
 	k.Derivatives(0, 0.2)
 	flush(k.Kernel)
@@ -73,16 +73,16 @@ func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.
 	grads(1)
 
 	// No edge of a tree joins two tips, but the kernel takes such a pair.
-	for _, pq := range [][2]likelihood.NodeRef{{qRef, pRef}, {likelihood.TipRef(1), likelihood.TipRef(2)}} {
+	for _, pq := range [][2]likelihood.Ref{{qRef, pRef}, {likelihood.TipAt(1), likelihood.TipAt(2)}} {
 		k.Evaluate(pq[0], pq[1], 0.3)
-		k.Contract(0, pq[0].Grad(), pq[1].Grad())
+		k.Contract(0, pq[0], pq[1])
 		k.Derivatives(0, 0.3)
 	}
 	flush(k.Kernel)
 	grads(4)
 
 	plan, _ := traversal.BuildGradient(tr, nil)
-	k.TraverseOuter(plan.Pre[0])
+	k.Traverse(plan.Pre[0])
 	for b, e := range plan.Edges {
 		k.Contract(b, e.P, e.Q)
 		k.Derivatives(b, plan.T[0][b])
@@ -99,8 +99,8 @@ func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.
 		k.Traverse(ins.Post[0])
 		k.PrepareInsertion(ins.Sub, ins.SubT[0])
 		for c, step := range ins.Pre[0] {
-			k.NewviewOuter(step)
-			k.ScoreInsertion(likelihood.GradOuter(step.Dst), ins.Far[c], ins.Half[0][c])
+			k.Newview(step)
+			k.ScoreInsertion(step.Dst, ins.Far[c], ins.Half[0][c])
 		}
 		flush(k.Kernel)
 		lnL(ins.NCandidates())

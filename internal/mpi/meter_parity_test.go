@@ -16,14 +16,14 @@ type testRecorder struct {
 }
 
 func newTestRecorder() testRecorder {
-	col := telemetry.NewCollector(1, int(NumCommClasses), nil)
+	col := telemetry.NewCollector(1, ClassNames(), nil)
 	return testRecorder{col: col, rec: col.Recorder(0)}
 }
 
 // collectiveOps returns the number of collective spans recorded for the
 // given traffic class.
 func (t testRecorder) collectiveOps(class int) int64 {
-	rep := t.col.Finalize(time.Second, 1, nil, nil, nil)
+	rep := t.col.Finalize(time.Second, 1, nil, nil)
 	return rep.PerRank[0].CollectiveOps[class]
 }
 

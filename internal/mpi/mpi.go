@@ -69,16 +69,15 @@ func (c CommClass) String() string {
 	return fmt.Sprintf("CommClass(%d)", int(c))
 }
 
-// init registers the traffic-class labels with the telemetry layer
-// (which deliberately does not import this package), so collective span
-// events and /metrics labels carry "likelihood-eval" rather than the
-// positional "class-N" fallback.
-func init() {
+// ClassNames returns every traffic class's label, indexed by class: what
+// telemetry.NewCollector labels collective spans, /metrics series and the
+// report's rows with.
+func ClassNames() []string {
 	names := make([]string, NumCommClasses)
 	for c := CommClass(0); c < NumCommClasses; c++ {
 		names[c] = c.String()
 	}
-	telemetry.SetCommClassNames(names)
+	return names
 }
 
 // Op selects a reduction operator.

@@ -33,22 +33,6 @@ func (pd *PartitionData) NSites() int {
 	return s
 }
 
-// Slice returns a view of pd restricted to patterns [lo, hi): the data a
-// single rank owns after cyclic distribution. Tip slices share backing
-// storage with pd.
-func (pd *PartitionData) Slice(lo, hi int) *PartitionData {
-	out := &PartitionData{
-		Name:    pd.Name,
-		Tips:    make([][]State, len(pd.Tips)),
-		Weights: pd.Weights[lo:hi],
-		Freqs:   pd.Freqs,
-	}
-	for i := range pd.Tips {
-		out.Tips[i] = pd.Tips[i][lo:hi]
-	}
-	return out
-}
-
 // Select returns a view of pd restricted to an arbitrary pattern index
 // subset (ascending), copying the selected columns.
 func (pd *PartitionData) Select(idx []int) *PartitionData {

@@ -253,7 +253,11 @@ func TestPartitionDataSliceAndSelect(t *testing.T) {
 	}
 	pd := d.Parts[0]
 	np := pd.NPatterns()
-	sl := pd.Slice(2, np-1)
+	span := make([]int, 0, np-3)
+	for j := 2; j < np-1; j++ {
+		span = append(span, j)
+	}
+	sl := pd.Select(span)
 	if sl.NPatterns() != np-3 {
 		t.Fatalf("slice patterns = %d, want %d", sl.NPatterns(), np-3)
 	}

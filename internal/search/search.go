@@ -168,7 +168,7 @@ type Searcher struct {
 	gradDone, gradChanged  []bool
 	gradActive             []bool
 	gradEdgeIdx            []int32
-	gradEmptyPre           [][]likelihood.GradStep
+	gradEmptyPre           [][]likelihood.Step
 
 	// SPR prune-point state (tryPrunePoint): the prune record, the
 	// candidate edges, their insertion plan, and the attachment-branch
@@ -565,7 +565,7 @@ func (s *Searcher) smoothSweep() bool {
 	// outer-vector state frozen, so they carry an empty pre-order
 	// schedule: same edges, same (mutated) length matrix, no steps.
 	if cap(s.gradEmptyPre) < classes {
-		s.gradEmptyPre = make([][]likelihood.GradStep, classes)
+		s.gradEmptyPre = make([][]likelihood.Step, classes)
 	}
 	// Inner iterations narrow the kernel work to the edges still
 	// moving: once every class of an edge converged, its derivative
@@ -1062,7 +1062,7 @@ func (s *Searcher) noteSteps(d *traversal.Descriptor) {
 		return
 	}
 	for _, st := range d.Steps[0] {
-		s.touched[st.Dst] = true
+		s.touched[st.Dst.Idx] = true
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/decentral"
 	"repro/internal/enginecore"
 	"repro/internal/forkjoin"
+	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -117,7 +118,7 @@ func (e *twinEngine) Evaluate(d *traversal.Descriptor) []float64 {
 	// Building d left the X bit of each inner endpoint on the edge.
 	clone := e.s.Tree.Clone()
 	p := clone.Tip(int(d.P.Idx))
-	if !d.P.Tip {
+	if d.P.Kind == likelihood.Inner {
 		p = tree.XNode(clone.InnerRing(int(d.P.Idx)))
 	}
 	if traversal.Ref(clone, p.Back) != d.Q {

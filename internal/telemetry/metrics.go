@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // This file bridges the per-rank recorders onto the process-wide
 // Prometheus registry (internal/metrics), so a live scrape of a running
@@ -48,7 +44,8 @@ var (
 	}
 
 	// kernelMetrics pre-resolves the counter pair per kernel class so
-	// EndKernel pays no map lookup on the hot path.
+	// EndEngineCall pays no map lookup on the hot path (NewCollector does
+	// the same per traffic class).
 	kernelMetrics = func() [NumKernelClasses]spanMetrics {
 		var m [NumKernelClasses]spanMetrics
 		for k := KernelClass(0); k < NumKernelClasses; k++ {
@@ -60,33 +57,6 @@ var (
 		return m
 	}()
 )
-
-// collMetricsCache caches the counter pair per collective class index.
-// Class names can be registered after startup (SetCommClassNames runs
-// when the first run wires up), so resolution is lazy; once a class is
-// resolved its label is fixed for the process lifetime.
-var (
-	collMetricsMu    sync.RWMutex
-	collMetricsCache = map[int]spanMetrics{}
-)
-
-func collectiveMetrics(class int) spanMetrics {
-	collMetricsMu.RLock()
-	m, ok := collMetricsCache[class]
-	collMetricsMu.RUnlock()
-	if ok {
-		return m
-	}
-	collMetricsMu.Lock()
-	defer collMetricsMu.Unlock()
-	if m, ok = collMetricsCache[class]; ok {
-		return m
-	}
-	name := CommClassName(class)
-	m = spanMetrics{seconds: collSecondsVec.With(name), ops: collOpsVec.With(name)}
-	collMetricsCache[class] = m
-	return m
-}
 
 // Publish mirrors the report's derived metrics onto a registry as
 // gauges, so the most recent completed run's summary is scrapeable

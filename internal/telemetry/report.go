@@ -171,12 +171,11 @@ type Report struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// Finalize aggregates the per-rank recorders into a Report. classNames
-// are the traffic-class labels (classNames[i] labels comm class i);
-// meterOps/meterBytes are the matching mpi.Meter readings. threads is
-// the configured per-rank worker count. Call only after the world has
-// joined (every rank goroutine finished).
-func (c *Collector) Finalize(wall time.Duration, threads int, classNames []string, meterOps, meterBytes []int64) *Report {
+// Finalize aggregates the per-rank recorders into a Report.
+// meterOps/meterBytes are the mpi.Meter readings of the collector's
+// traffic classes. threads is the configured per-rank worker count. Call
+// only after the world has joined (every rank goroutine finished).
+func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterBytes []int64) *Report {
 	if c == nil {
 		return nil
 	}
@@ -197,8 +196,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			KernelOps:     r.kernelOps,
 			CollectiveNS:  append([]int64(nil), r.collNS...),
 			CollectiveOps: append([]int64(nil), r.collOps...),
-			ComputeNS:     r.ComputeNS(),
-			CommNS:        r.CollectiveNS(),
+			ComputeNS:     sum(r.kernelNS[:]),
+			CommNS:        sum(r.collNS),
 			PCacheHits:    r.perf.PCacheHits,
 			PCacheMisses:  r.perf.PCacheMisses,
 
@@ -269,8 +268,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	}
 
 	var totalMeterOps int64
-	for class := 0; class < c.numComm && class < len(classNames); class++ {
-		cs := CommClassStat{Name: classNames[class]}
+	for class, name := range c.classNames {
+		cs := CommClassStat{Name: name}
 		if class < len(meterOps) {
 			cs.Ops = meterOps[class]
 			totalMeterOps += meterOps[class]

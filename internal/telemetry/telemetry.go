@@ -177,9 +177,12 @@ func (c Counter) String() string {
 // shared JSONL trace sink. A nil *Collector is valid and disables all
 // instrumentation (every Recorder it hands out is nil).
 type Collector struct {
-	start   time.Time
-	recs    []*Recorder
-	numComm int
+	start time.Time
+	recs  []*Recorder
+	// classNames[i] labels traffic class i in span events, metric labels
+	// and the report; collMetrics[i] is that label's counter pair.
+	classNames  []string
+	collMetrics []spanMetrics
 
 	// jobFrag is the pre-rendered `,"job":"<id>"` JSON fragment appended
 	// to every trace event when the collector is namespaced to a job
@@ -213,23 +216,27 @@ func (c *Collector) SetJob(id string) {
 }
 
 // NewCollector provisions recorders for `ranks` ranks and collective
-// timing slots for `numCommClasses` traffic classes (mpi.NumCommClasses
-// for the repo's runtime — telemetry deliberately does not import mpi).
-// trace, when non-nil, receives the JSONL event stream; writes are
-// serialized internally.
-func NewCollector(ranks, numCommClasses int, trace io.Writer) *Collector {
+// timing slots for the traffic classes classNames labels (classNames[i]
+// labels class i: mpi.ClassNames() for the repo's runtime — telemetry
+// deliberately does not import mpi). trace, when non-nil, receives the
+// JSONL event stream; writes are serialized internally.
+func NewCollector(ranks int, classNames []string, trace io.Writer) *Collector {
 	c := &Collector{
-		start:   time.Now(),
-		recs:    make([]*Recorder, ranks),
-		numComm: numCommClasses,
-		trace:   trace,
+		start:       time.Now(),
+		recs:        make([]*Recorder, ranks),
+		classNames:  append([]string(nil), classNames...),
+		collMetrics: make([]spanMetrics, len(classNames)),
+		trace:       trace,
+	}
+	for i, name := range classNames {
+		c.collMetrics[i] = spanMetrics{seconds: collSecondsVec.With(name), ops: collOpsVec.With(name)}
 	}
 	for r := range c.recs {
 		c.recs[r] = &Recorder{
 			col:     c,
 			rank:    r,
-			collNS:  make([]int64, numCommClasses),
-			collOps: make([]int64, numCommClasses),
+			collNS:  make([]int64, len(classNames)),
+			collOps: make([]int64, len(classNames)),
 		}
 	}
 	return c
@@ -318,26 +325,13 @@ type Recorder struct {
 // now returns nanoseconds since the collector's start (monotonic).
 func (r *Recorder) now() int64 { return int64(time.Since(r.col.start)) }
 
-// Begin opens a kernel span; pass the token to EndKernel. Returns 0 on a
-// nil recorder without reading the clock.
+// Begin opens a kernel span; pass the token to EndEngineCall. Returns 0
+// on a nil recorder without reading the clock.
 func (r *Recorder) Begin() int64 {
 	if r == nil {
 		return 0
 	}
 	return r.now()
-}
-
-// EndKernel closes a kernel span opened by Begin.
-func (r *Recorder) EndKernel(k KernelClass, start int64) {
-	if r == nil {
-		return
-	}
-	end := r.now()
-	r.kernelNS[k] += end - start
-	r.kernelOps[k]++
-	kernelMetrics[k].seconds.Add(float64(end-start) / 1e9)
-	kernelMetrics[k].ops.Inc()
-	r.col.emit(r.rank, "kernel", k.String(), start, end-start)
 }
 
 // EndEngineCall closes the span of one engine call — opened by Begin
@@ -390,7 +384,8 @@ func (r *Recorder) BeginCollective() int64 {
 }
 
 // EndCollective closes a collective span of the given traffic class
-// (an mpi.CommClass value; telemetry stores it as a plain index).
+// (an mpi.CommClass value; telemetry stores it as a plain index into the
+// collector's class names).
 func (r *Recorder) EndCollective(class int, start int64) {
 	if r == nil {
 		return
@@ -399,15 +394,16 @@ func (r *Recorder) EndCollective(class int, start int64) {
 	if start < 0 {
 		return
 	}
-	end := r.now()
-	if class >= 0 && class < len(r.collNS) {
-		r.collNS[class] += end - start
-		r.collOps[class]++
+	if class < 0 || class >= len(r.collNS) {
+		return
 	}
-	m := collectiveMetrics(class)
+	end := r.now()
+	r.collNS[class] += end - start
+	r.collOps[class]++
+	m := r.col.collMetrics[class]
 	m.seconds.Add(float64(end-start) / 1e9)
 	m.ops.Inc()
-	r.col.emit(r.rank, "collective", CommClassName(class), start, end-start)
+	r.col.emit(r.rank, "collective", r.col.classNames[class], start, end-start)
 }
 
 // EmitIteration appends a JSONL "iter" event marking the completion of
@@ -487,6 +483,15 @@ func ratio(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
+// sum returns the total of v.
+func sum(v []int64) int64 {
+	var t int64
+	for _, x := range v {
+		t += x
+	}
+	return t
+}
+
 // SetKernelPerf records the rank's kernel fast-path counters (harvested
 // once, when the rank's engine closes) and emits a "perf" JSONL event
 // carrying them, the pool counters SetPool recorded, the rank's
@@ -499,10 +504,7 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	}
 	r.perf = p
 	if c := r.col; c != nil {
-		var collectives int64
-		for _, n := range r.collOps {
-			collectives += n
-		}
+		collectives := sum(r.collOps)
 		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.PCacheHits, p.PCacheMisses,
 			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
@@ -514,36 +516,6 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	}
 }
 
-// commClassNames holds the registered traffic-class labels. telemetry
-// deliberately does not import internal/mpi, so the runtime registers
-// its class names here (examl.Infer does it once per process); span
-// events and metric labels then carry "likelihood-eval" instead of the
-// positional "class-N" fallback.
-var (
-	commClassMu    sync.RWMutex
-	commClassNames []string
-)
-
-// SetCommClassNames registers the traffic-class labels used for
-// collective span events and metric labels (names[i] labels class i).
-// Safe to call repeatedly and from multiple goroutines.
-func SetCommClassNames(names []string) {
-	commClassMu.Lock()
-	commClassNames = append([]string(nil), names...)
-	commClassMu.Unlock()
-}
-
-// CommClassName returns the registered label for a traffic class, or the
-// positional "class-N" fallback when none was registered.
-func CommClassName(class int) string {
-	commClassMu.RLock()
-	defer commClassMu.RUnlock()
-	if class >= 0 && class < len(commClassNames) {
-		return commClassNames[class]
-	}
-	return fmt.Sprintf("class-%d", class)
-}
-
 // jsonFloat renders a float64 as a JSON value ("null" for non-finite
 // values, which bare JSON cannot represent).
 func jsonFloat(x float64) string {
@@ -551,29 +523,4 @@ func jsonFloat(x float64) string {
 		return "null"
 	}
 	return strconv.FormatFloat(x, 'g', -1, 64)
-}
-
-// ComputeNS returns the rank's total kernel-span time — the per-rank
-// quantity whose max/mean ratio is the load-imbalance metric.
-func (r *Recorder) ComputeNS() int64 {
-	if r == nil {
-		return 0
-	}
-	var t int64
-	for _, v := range r.kernelNS {
-		t += v
-	}
-	return t
-}
-
-// CollectiveNS returns the rank's total time inside collectives.
-func (r *Recorder) CollectiveNS() int64 {
-	if r == nil {
-		return 0
-	}
-	var t int64
-	for _, v := range r.collNS {
-		t += v
-	}
-	return t
 }

@@ -18,25 +18,31 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil collector handed out a recorder")
 	}
 	tok := r.Begin()
-	r.EndKernel(KernelNewview, tok)
+	endKernel(r, KernelNewview, tok)
 	ct := r.BeginCollective()
 	r.EndCollective(0, ct)
 	r.Inc(CounterIterations, 1)
 	r.SetPool(PoolStats{Threads: 4, Dispatches: 10, Blocks: 40})
 	r.SetKernelPerf(KernelPerf{PCacheHits: 3, PCacheMisses: 4})
-	if r.ComputeNS() != 0 || r.CollectiveNS() != 0 {
-		t.Fatalf("nil recorder accumulated time")
-	}
-	if rep := c.Finalize(time.Second, 1, nil, nil, nil); rep != nil {
+	if rep := c.Finalize(time.Second, 1, nil, nil); rep != nil {
 		t.Fatalf("nil collector produced a report")
 	}
 }
 
+// endKernel closes a span opened by Begin as an engine call that ran
+// kernel class k alone.
+func endKernel(r *Recorder, k KernelClass, start int64) {
+	var ns [NumKernelClasses]int64
+	ns[k] = 1
+	r.EndEngineCall(start, &ns)
+}
+
 // TestSpansAndReport records spans on two ranks and checks the derived
-// metrics of the report.
+// metrics of the report, and that the class names given to the collector
+// label the trace's collective spans and the report's rows.
 func TestSpansAndReport(t *testing.T) {
 	var trace bytes.Buffer
-	c := NewCollector(2, 3, &trace)
+	c := NewCollector(2, []string{"a", "b", "c"}, &trace)
 
 	var wg sync.WaitGroup
 	for rank := 0; rank < 2; rank++ {
@@ -47,10 +53,10 @@ func TestSpansAndReport(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				tok := r.Begin()
 				time.Sleep(time.Millisecond)
-				r.EndKernel(KernelNewview, tok)
+				endKernel(r, KernelNewview, tok)
 			}
 			tok := r.Begin()
-			r.EndKernel(KernelEvaluate, tok)
+			endKernel(r, KernelEvaluate, tok)
 			ct := r.BeginCollective()
 			time.Sleep(time.Millisecond)
 			r.EndCollective(1, ct)
@@ -59,8 +65,7 @@ func TestSpansAndReport(t *testing.T) {
 	}
 	wg.Wait()
 
-	rep := c.Finalize(10*time.Millisecond, 2,
-		[]string{"a", "b", "c"}, []int64{0, 4, 0}, []int64{0, 1024, 0})
+	rep := c.Finalize(10*time.Millisecond, 2, []int64{0, 4, 0}, []int64{0, 1024, 0})
 	if rep.Ranks != 2 {
 		t.Fatalf("ranks = %d", rep.Ranks)
 	}
@@ -95,6 +100,9 @@ func TestSpansAndReport(t *testing.T) {
 		switch ev["ev"] {
 		case "span":
 			spans++
+			if ev["kind"] == "collective" && ev["class"] != "b" {
+				t.Fatalf("collective span of class 1 labelled %v, want b", ev["class"])
+			}
 		case "meta":
 			metas++
 			if i != 0 {
@@ -138,10 +146,10 @@ func TestSpansAndReport(t *testing.T) {
 // harvest: per-rank fields, the aggregated P-cache hit rate, the text rendering, and the "perf" trace events.
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
-	c := NewCollector(2, 1, &trace)
+	c := NewCollector(2, []string{"x"}, &trace)
 	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
 	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
-	c.Recorder(0).EndKernel(KernelSiteRates, c.Recorder(0).Begin())
+	endKernel(c.Recorder(0), KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
 	c.Recorder(0).Inc(CounterModelOptRounds, 2)
@@ -151,7 +159,7 @@ func TestKernelPerfReport(t *testing.T) {
 	c.Recorder(0).Inc(CounterSPRCandidatesScored, 175)
 	c.Recorder(0).Inc(CounterSPRVerifications, 3)
 
-	rep := c.Finalize(time.Millisecond, 1, []string{"x"}, []int64{0}, []int64{0})
+	rep := c.Finalize(time.Millisecond, 1, []int64{0}, []int64{0})
 	if rep.PerRank[0].PCacheHits != 8 {
 		t.Fatalf("rank 0 perf fields: %+v", rep.PerRank[0])
 	}
@@ -217,7 +225,7 @@ func TestKernelPerfReport(t *testing.T) {
 // TestNestedCollectiveRecordedOnce pins the nesting guard: an outer
 // collective that internally calls another must account once.
 func TestNestedCollectiveRecordedOnce(t *testing.T) {
-	c := NewCollector(1, 2, nil)
+	c := NewCollector(1, []string{"x", "y"}, nil)
 	r := c.Recorder(0)
 
 	outer := r.BeginCollective()
@@ -226,7 +234,7 @@ func TestNestedCollectiveRecordedOnce(t *testing.T) {
 	r.EndCollective(0, inner)
 	r.EndCollective(0, outer)
 
-	rep := c.Finalize(time.Millisecond, 1, []string{"x", "y"}, []int64{1, 0}, []int64{8, 0})
+	rep := c.Finalize(time.Millisecond, 1, []int64{1, 0}, []int64{8, 0})
 	if ops := rep.PerRank[0].CollectiveOps[0]; ops != 1 {
 		t.Fatalf("nested collective recorded %d times, want 1", ops)
 	}

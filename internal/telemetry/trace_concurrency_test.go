@@ -40,7 +40,7 @@ func TestConcurrentJobTraceNoTearing(t *testing.T) {
 	var wg sync.WaitGroup
 	for j := 0; j < jobs; j++ {
 		jobID := fmt.Sprintf("job-%d", j)
-		c := NewCollector(ranks, 2, sink)
+		c := NewCollector(ranks, []string{"x", "y"}, sink)
 		c.SetJob(jobID)
 		for rank := 0; rank < ranks; rank++ {
 			wg.Add(1)
@@ -49,7 +49,7 @@ func TestConcurrentJobTraceNoTearing(t *testing.T) {
 				r := c.Recorder(rank)
 				for i := 0; i < spansPerRank; i++ {
 					tok := r.Begin()
-					r.EndKernel(KernelNewview, tok)
+					endKernel(r, KernelNewview, tok)
 					ct := r.BeginCollective()
 					r.EndCollective(1, ct)
 					if i%10 == 0 {
@@ -104,7 +104,7 @@ func TestConcurrentJobTraceNoTearing(t *testing.T) {
 // for the rest of the run.
 func TestEmitBufferBounded(t *testing.T) {
 	var sink bytes.Buffer
-	c := NewCollector(1, 1, &sink)
+	c := NewCollector(1, []string{"x"}, &sink)
 	c.SetJob(strings.Repeat("x", 2*emitBufCap))
 	c.EmitRecovery(0, 1, 0, 0)
 	if cap(c.buf) > emitBufCap {

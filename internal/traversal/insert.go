@@ -39,17 +39,17 @@ type InsertPlan struct {
 	// tree.CandidateEdges order: the vector at the candidate's near end
 	// looking back toward the merged edge, written to the outer slot of
 	// the far-end vertex (the gradient plan's convention). That slot,
-	// GradOuter(Pre[c][i].Dst), is candidate i's near operand.
-	Pre [][]likelihood.GradStep
+	// Pre[c][i].Dst, is candidate i's near operand.
+	Pre [][]likelihood.Step
 	// Far[i] is candidate i's far operand: the tip or post-order CLV at
 	// the end away from the merged edge.
-	Far []likelihood.GradRef
+	Far []likelihood.Ref
 	// Half[c][i] is the length either half of candidate i's edge gets in
 	// class c when the subtree is inserted into it (tree.Regraft's rule).
 	Half [][]float64
 	// Sub is the pruned subtree's vector, SubT[c] the class-c length of
 	// the branch it hangs on.
-	Sub  likelihood.GradRef
+	Sub  likelihood.Ref
 	SubT []float64
 }
 
@@ -102,14 +102,11 @@ func (pl *InsertPlan) Build(t *tree.Tree, ps *tree.PrunedSubtree, cands []*tree.
 	// slot (X set on the half-node facing the candidate's vertex) and
 	// the rootward one is the outer vector the candidate before it on
 	// the path computed — or, next to the merged edge, the CLV across it.
-	ref := func(h *tree.Node) likelihood.GradRef {
-		switch {
-		case h.IsTip():
-			return likelihood.GradTip(int32(h.TaxonID))
-		case h.X:
-			return likelihood.GradInner(Slot(t, h))
+	ref := func(h *tree.Node) likelihood.Ref {
+		if h.IsTip() || h.X {
+			return Ref(t, h)
 		}
-		return likelihood.GradOuter(int32(h.Back.VertexID))
+		return likelihood.OuterAt(h.Back.VertexID)
 	}
 	resize(&pl.Pre, classes)
 	resize(&pl.Half, classes)
@@ -123,7 +120,7 @@ func (pl *InsertPlan) Build(t *tree.Tree, ps *tree.PrunedSubtree, cands []*tree.
 		// traversal of the regrafted tree computes this vertex from the
 		// same operands in the same order.
 		a, b := m.Next, m.Next.Next
-		step := likelihood.GradStep{Dst: int32(m.Back.VertexID), A: ref(a.Back), B: ref(b.Back)}
+		step := likelihood.Step{Dst: likelihood.OuterAt(m.Back.VertexID), A: ref(a.Back), B: ref(b.Back)}
 		pl.Far[i] = ref(m.Back)
 		for c := 0; c < classes; c++ {
 			step.TA, step.TB = a.Length(c), b.Length(c)
@@ -160,31 +157,20 @@ func (pl *InsertPlan) Encode() []byte {
 	buf := make([]byte, 0, pl.WireSize())
 	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	putF := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-	putRef := func(r likelihood.GradRef) {
-		buf = append(buf, byte(r.Kind))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(uint32(r.Idx)))
-	}
-	putNode := func(r likelihood.NodeRef) {
-		if r.Tip {
-			putRef(likelihood.GradTip(r.Idx))
-		} else {
-			putRef(likelihood.GradInner(r.Idx))
-		}
-	}
 	put32(uint32(len(pl.SubT)))
 	put32(uint32(len(pl.Post[0])))
 	put32(uint32(len(pl.Far)))
-	putRef(pl.Sub)
+	buf = putRef(buf, pl.Sub)
 	for _, s := range pl.Post[0] {
-		put32(uint32(s.Dst))
-		putNode(s.A)
-		putNode(s.B)
+		put32(uint32(s.Dst.Idx))
+		buf = putRef(buf, s.A)
+		buf = putRef(buf, s.B)
 	}
 	for i, s := range pl.Pre[0] {
-		put32(uint32(s.Dst))
-		putRef(s.A)
-		putRef(s.B)
-		putRef(pl.Far[i])
+		put32(uint32(s.Dst.Idx))
+		buf = putRef(buf, s.A)
+		buf = putRef(buf, s.B)
+		buf = putRef(buf, pl.Far[i])
 	}
 	for c := range pl.SubT {
 		for _, s := range pl.Post[c] {
@@ -203,22 +189,35 @@ func (pl *InsertPlan) Encode() []byte {
 	return buf
 }
 
+// The operand codec all three frames share — a descriptor, a gradient
+// and an insertion plan. An operand is 9 bytes: its kind (0 a CLV slot,
+// 1 a tip, 2 an outer vector; a descriptor's first two are RAxML's tip
+// byte) and its index as 8 bytes. A step's destination is a 4-byte
+// index whose kind the frame position fixes.
+
+// putRef appends r's encoding to buf.
+func putRef(buf []byte, r likelihood.Ref) []byte {
+	buf = append(buf, byte(r.Kind))
+	return binary.LittleEndian.AppendUint64(buf, uint64(uint32(r.Idx)))
+}
+
 // refOutside reports whether r addresses no slot of a tree of nTaxa taxa
-// whose kernels hold nOuter outer-vector slots: tips run below nTaxa, CLV
-// slots below nTaxa−2.
-func refOutside(r likelihood.GradRef, nTaxa, nOuter int) bool {
+// whose kernels may read nOuter outer-vector slots: tips run below nTaxa,
+// CLV slots below nTaxa−2. nOuter is 0 where only a post-order operand
+// belongs.
+func refOutside(r likelihood.Ref, nTaxa, nOuter int) bool {
 	limit := [...]int{
-		likelihood.GradTipKind:   nTaxa,
-		likelihood.GradInnerKind: nTaxa - 2,
-		likelihood.GradOuterKind: nOuter,
+		likelihood.Inner: nTaxa - 2,
+		likelihood.Tip:   nTaxa,
+		likelihood.Outer: nOuter,
 	}
 	return int(r.Kind) >= len(limit) || r.Idx < 0 || int(r.Idx) >= limit[r.Kind]
 }
 
-// planReader reads the fixed-width fields of a frame — a descriptor, a
-// gradient or an insertion plan — whose length the decoder has already
-// checked against its header, so no read can run out. A malformed field
-// is reported through err, naming the frame (what).
+// planReader reads the fixed-width fields of a frame whose length the
+// decoder has already checked against its header, so no read can run
+// out. A malformed field is reported through err, naming the frame
+// (what).
 type planReader struct {
 	buf  []byte
 	pos  int
@@ -226,35 +225,24 @@ type planReader struct {
 	err  error
 }
 
-// slot reads a destination slot index.
-func (r *planReader) slot() int32 {
+// slot reads a step's destination, a slot of the given kind.
+func (r *planReader) slot(kind likelihood.RefKind) likelihood.Ref {
 	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
 	if v > math.MaxInt32 {
 		r.err = fmt.Errorf("traversal: bad destination slot %d in %s", v, r.what)
 	}
 	r.pos += 4
-	return int32(v)
+	return likelihood.Ref{Kind: kind, Idx: int32(v)}
 }
 
-// ref reads an operand: one kind byte and an 8-byte index.
-func (r *planReader) ref() likelihood.GradRef {
-	kind, idx := likelihood.GradKind(r.buf[r.pos]), binary.LittleEndian.Uint64(r.buf[r.pos+1:])
-	if kind > likelihood.GradOuterKind || idx > math.MaxInt32 {
+// ref reads an operand.
+func (r *planReader) ref() likelihood.Ref {
+	kind, idx := likelihood.RefKind(r.buf[r.pos]), binary.LittleEndian.Uint64(r.buf[r.pos+1:])
+	if kind > likelihood.Outer || idx > math.MaxInt32 {
 		r.err = fmt.Errorf("traversal: bad operand in %s (kind %d, index %d)", r.what, kind, idx)
 	}
 	r.pos += 9
-	return likelihood.GradRef{Kind: kind, Idx: int32(idx)}
-}
-
-// node reads a descriptor operand: a tip byte — 1 a tip, 0 a CLV slot,
-// the reverse of a GradRef kind — and an 8-byte index.
-func (r *planReader) node() likelihood.NodeRef {
-	tip, idx := r.buf[r.pos], binary.LittleEndian.Uint64(r.buf[r.pos+1:])
-	if tip > 1 || idx > math.MaxInt32 {
-		r.err = fmt.Errorf("traversal: bad operand in %s (tip byte %d, index %d)", r.what, tip, idx)
-	}
-	r.pos += 9
-	return likelihood.NodeRef{Tip: tip == 1, Idx: int32(idx)}
+	return likelihood.Ref{Kind: kind, Idx: int32(idx)}
 }
 
 // f64 reads a branch length.
@@ -266,26 +254,19 @@ func (r *planReader) f64() float64 {
 
 // Validate checks that every slot the plan addresses exists on a tree of
 // nTaxa taxa: tips below nTaxa, CLV slots below nTaxa−2, outer slots
-// below 2·nTaxa−2 (outer vectors are indexed by vertex). Decode cannot
-// know the tree size; a receiver calls Validate before handing a decoded
-// plan to its kernels, which index (and grow) their buffers from these
-// numbers.
+// below 2·nTaxa−2 (outer vectors are indexed by vertex), and none in the
+// post-order schedule. Decode cannot know the tree size; a receiver calls
+// Validate before handing a decoded plan to its kernels, which index (and
+// grow) their buffers from these numbers.
 func (pl *InsertPlan) Validate(nTaxa int) error {
-	bad := false
-	ref := func(r likelihood.GradRef) {
-		bad = bad || refOutside(r, nTaxa, 2*nTaxa-2)
-	}
-	ref(pl.Sub)
+	nOuter := 2*nTaxa - 2
+	bad := refOutside(pl.Sub, nTaxa, nOuter)
 	for _, s := range pl.Post[0] {
-		ref(likelihood.GradInner(s.Dst))
-		ref(s.A.Grad())
-		ref(s.B.Grad())
+		bad = bad || refOutside(s.Dst, nTaxa, 0) || refOutside(s.A, nTaxa, 0) || refOutside(s.B, nTaxa, 0)
 	}
 	for i, s := range pl.Pre[0] {
-		ref(likelihood.GradOuter(s.Dst))
-		ref(s.A)
-		ref(s.B)
-		ref(pl.Far[i])
+		bad = bad || refOutside(s.Dst, nTaxa, nOuter) || refOutside(s.A, nTaxa, nOuter) ||
+			refOutside(s.B, nTaxa, nOuter) || refOutside(pl.Far[i], nTaxa, nOuter)
 	}
 	if bad {
 		return fmt.Errorf("traversal: insertion plan addresses a slot outside a %d-taxon tree", nTaxa)
@@ -312,13 +293,6 @@ func (pl *InsertPlan) Decode(buf []byte) error {
 		return fmt.Errorf("traversal: insertion plan is %d bytes, its header says %d", len(buf), want)
 	}
 	r := planReader{buf: buf, pos: 12, what: "insertion plan"}
-	getNode := func() likelihood.NodeRef {
-		ref := r.ref()
-		if ref.Kind == likelihood.GradOuterKind {
-			r.err = fmt.Errorf("traversal: outer vector as a post-order operand in insertion plan")
-		}
-		return likelihood.NodeRef{Tip: ref.Kind == likelihood.GradTipKind, Idx: ref.Idx}
-	}
 
 	pl.Sub = r.ref()
 	resize(&pl.Post, classes)
@@ -332,10 +306,10 @@ func (pl *InsertPlan) Decode(buf []byte) error {
 		resize(&pl.Half[c], nCands)
 	}
 	for i := range pl.Post[0] {
-		pl.Post[0][i] = likelihood.Step{Dst: r.slot(), A: getNode(), B: getNode()}
+		pl.Post[0][i] = likelihood.Step{Dst: r.slot(likelihood.Inner), A: r.ref(), B: r.ref()}
 	}
 	for i := range pl.Pre[0] {
-		pl.Pre[0][i] = likelihood.GradStep{Dst: r.slot(), A: r.ref(), B: r.ref()}
+		pl.Pre[0][i] = likelihood.Step{Dst: r.slot(likelihood.Outer), A: r.ref(), B: r.ref()}
 		pl.Far[i] = r.ref()
 	}
 	if r.err != nil {

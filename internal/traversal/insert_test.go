@@ -75,23 +75,23 @@ func TestInsertPlanDescribesEveryRegraft(t *testing.T) {
 				// The inserted vertex combines the candidate's near end
 				// (always inner) with its far end, in that order.
 				far := pl.Far[i]
-				if last.A.Tip || last.B.Tip != (far.Kind == likelihood.GradTipKind) || last.B.Idx != far.Idx {
+				if last.A.Kind != likelihood.Inner || last.B != far {
 					t.Fatalf("candidate %d: inserted vertex combines %+v and %+v, plan's far end is %+v", i, last.A, last.B, far)
 				}
 				// The near end itself: the forced traversal's step for e's
 				// vertex against the plan's pre-order step.
 				var near *likelihood.Step
 				for k := range steps {
-					if steps[k].Dst == last.A.Idx {
+					if steps[k].Dst == last.A {
 						near = &steps[k]
 					}
 				}
 				pre := pl.Pre[c][i]
 				if near == nil || near.TA != pre.TA || near.TB != pre.TB ||
-					near.A.Tip != (pre.A.Kind == likelihood.GradTipKind) || near.B.Tip != (pre.B.Kind == likelihood.GradTipKind) {
+					(near.A.Kind == likelihood.Tip) != (pre.A.Kind == likelihood.Tip) || (near.B.Kind == likelihood.Tip) != (pre.B.Kind == likelihood.Tip) {
 					t.Fatalf("candidate %d class %d: forced traversal computes the near end as %+v, plan as %+v", i, c, near, pre)
 				}
-				if want := int32(e.Back.VertexID); pre.Dst != want {
+				if want := likelihood.OuterAt(e.Back.VertexID); pre.Dst != want {
 					t.Fatalf("candidate %d: near vector goes to outer slot %d, the far-end vertex is %d", i, pre.Dst, want)
 				}
 			}
@@ -146,12 +146,12 @@ func TestInsertPlanValidateBoundsEverySlot(t *testing.T) {
 		corrupt := map[string]*int32{
 			"subtree":       &pl.Sub.Idx,
 			"far operand":   &pl.Far[last].Idx,
-			"pre-order dst": &pl.Pre[0][last].Dst,
+			"pre-order dst": &pl.Pre[0][last].Dst.Idx,
 			"pre-order A":   &pl.Pre[0][last].A.Idx,
 			"pre-order B":   &pl.Pre[0][0].B.Idx,
 		}
 		if len(pl.Post[0]) > 0 {
-			corrupt["post-order dst"] = &pl.Post[0][0].Dst
+			corrupt["post-order dst"] = &pl.Post[0][0].Dst.Idx
 			corrupt["post-order A"] = &pl.Post[0][0].A.Idx
 		}
 		for what, field := range corrupt {

@@ -3,9 +3,10 @@ package traversal
 // Pre-order ("outward") gradient schedules: the root-to-tip analogue of
 // the post-order descriptors in traversal.go. A GradPlan lists, for a
 // tree rooted at the virtual root on tip 0's edge, (a) the pre-order
-// steps that compute every outer vector (likelihood.NewviewOuter) and
-// (b) one (P, Q) operand pair per edge, the edge a kernel contracts into
-// sum-table slot b (likelihood.Kernel.Contract). Executing the
+// steps that compute every outer vector (likelihood.Newview into an
+// outer slot) and (b) one (P, Q) operand pair per edge, the edge a
+// kernel contracts into sum-table slot b (likelihood.Kernel.Contract).
+// Executing the
 // post-order full traversal, then the plan's pre-order steps, makes (d1,
 // d2) of EVERY branch computable in one pass each — O(1) traversals per
 // Newton iteration instead of O(branches) (docs/PERFORMANCE.md).
@@ -28,14 +29,14 @@ import (
 // (an outer vector, or for a per-branch Newton the CLV a descriptor
 // rooted on the edge computes).
 type GradEdge struct {
-	P, Q likelihood.GradRef
+	P, Q likelihood.Ref
 }
 
 // GradPlan is the all-branch gradient schedule for one tree state.
 type GradPlan struct {
 	// Pre[c] is the pre-order step schedule with class-c branch lengths
 	// (classes share structure, like Descriptor.Steps).
-	Pre [][]likelihood.GradStep
+	Pre [][]likelihood.Step
 	// Edges lists the per-edge kernel operands, root edge first, then
 	// depth-first order. The edge order is what indexes the result
 	// vector of AllBranchDerivatives.
@@ -66,7 +67,7 @@ func (p *GradPlan) NBranches() int { return len(p.Edges) }
 // root on tip 0's edge. The post-order CLVs the plan's P operands and
 // step B operands reference are the ones a full traversal toward tip 0
 // leaves behind (search.buildFull); the pre-order steps are emitted
-// parents-before-children so TraverseOuter can execute them in order.
+// parents-before-children so Traverse can execute them in order.
 //
 // skip, when non-nil, is indexed by vertex ID and marks vertices whose
 // outer vector is unchanged since the previous iteration (every changed
@@ -80,14 +81,13 @@ func (p *GradPlan) NBranches() int { return len(p.Edges) }
 // plan's (P, Q) operand roles exactly — what the search's twin-engine
 // test compares every gradient against.
 func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
-	n := t.NTaxa()
 	nB := t.NBranches()
 	classes := t.BLClasses
 	tip0 := t.Tip(0)
 	rb := tip0.Back
 
 	plan := &GradPlan{
-		Pre:   make([][]likelihood.GradStep, classes),
+		Pre:   make([][]likelihood.Step, classes),
 		Edges: make([]GradEdge, 0, nB),
 		T:     make([][]float64, classes),
 	}
@@ -95,32 +95,23 @@ func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 	// stepNodes[i] is the parent-ring half-node of step i (the one whose
 	// Back is the step's destination), for per-class length re-reads.
 	stepNodes := make([]*tree.Node, 0, nB-1)
-	var steps []likelihood.GradStep
+	var steps []likelihood.Step
 
 	// Root edge: P is tip 0 itself, Q the post-order CLV at rb — the
 	// vector a full traversal rooted on this edge computes. No pre-order
 	// step is needed.
-	plan.Edges = append(plan.Edges, GradEdge{
-		P: likelihood.GradTip(int32(tip0.TaxonID)),
-		Q: likelihood.GradInner(int32(rb.VertexID - n)),
-	})
+	plan.Edges = append(plan.Edges, GradEdge{P: Ref(t, tip0), Q: Ref(t, rb)})
 	nodes = append(nodes, tip0)
 
 	// gradRef resolves one parent-ring half-node to a step operand: the
 	// rootward member (h == up) contributes the parent's own outer
 	// vector (or the root tip), a sibling member contributes the
 	// post-order CLV (or tip) at its far end.
-	gradRef := func(h, up *tree.Node) likelihood.GradRef {
-		if h == up {
-			if h.Back.IsTip() {
-				return likelihood.GradTip(int32(h.Back.TaxonID))
-			}
-			return likelihood.GradOuter(int32(h.VertexID))
+	gradRef := func(h, up *tree.Node) likelihood.Ref {
+		if h == up && !h.Back.IsTip() {
+			return likelihood.OuterAt(h.VertexID)
 		}
-		if w := h.Back; w.IsTip() {
-			return likelihood.GradTip(int32(w.TaxonID))
-		}
-		return likelihood.GradInner(int32(h.Back.VertexID - n))
+		return Ref(t, h.Back)
 	}
 
 	var walk func(u, up *tree.Node)
@@ -132,8 +123,8 @@ func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 			// child edge would compute the parent's CLV from exactly
 			// these operands in exactly this order, which is the
 			// operation-for-operation half of the bit-identity argument.
-			steps = append(steps, likelihood.GradStep{
-				Dst: int32(child.VertexID),
+			steps = append(steps, likelihood.Step{
+				Dst: likelihood.OuterAt(child.VertexID),
 				A:   gradRef(u.Next, up),
 				B:   gradRef(u.Next.Next, up),
 				TA:  u.Next.Length(0),
@@ -141,19 +132,11 @@ func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 			})
 			stepNodes = append(stepNodes, u)
 		}
+		plan.Edges = append(plan.Edges, GradEdge{P: Ref(t, child), Q: likelihood.OuterAt(child.VertexID)})
+		nodes = append(nodes, child)
 		if child.IsTip() {
-			plan.Edges = append(plan.Edges, GradEdge{
-				P: likelihood.GradTip(int32(child.TaxonID)),
-				Q: likelihood.GradOuter(int32(child.VertexID)),
-			})
-			nodes = append(nodes, child)
 			return
 		}
-		plan.Edges = append(plan.Edges, GradEdge{
-			P: likelihood.GradInner(int32(child.VertexID - n)),
-			Q: likelihood.GradOuter(int32(child.VertexID)),
-		})
-		nodes = append(nodes, child)
 		walk(child.Next, child)
 		walk(child.Next.Next, child)
 	}
@@ -166,7 +149,7 @@ func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 		plan.T[0][b] = nd.Length(0)
 	}
 	for c := 1; c < classes; c++ {
-		cs := make([]likelihood.GradStep, len(steps))
+		cs := make([]likelihood.Step, len(steps))
 		copy(cs, steps)
 		for i := range cs {
 			cs[i].TA = stepNodes[i].Next.Length(c)
@@ -218,10 +201,6 @@ func (p *GradPlan) Encode() []byte {
 		binary.LittleEndian.PutUint64(b[:], v)
 		buf = append(buf, b[:]...)
 	}
-	putRef := func(r likelihood.GradRef) {
-		buf = append(buf, byte(r.Kind))
-		put64(uint64(uint32(r.Idx)))
-	}
 	nSteps := 0
 	if len(p.Pre) > 0 {
 		nSteps = len(p.Pre[0])
@@ -239,14 +218,14 @@ func (p *GradPlan) Encode() []byte {
 	buf = append(buf, flags)
 	if nSteps > 0 {
 		for _, s := range p.Pre[0] {
-			put32(uint32(s.Dst))
-			putRef(s.A)
-			putRef(s.B)
+			put32(uint32(s.Dst.Idx))
+			buf = putRef(buf, s.A)
+			buf = putRef(buf, s.B)
 		}
 	}
 	for _, e := range p.Edges {
-		putRef(e.P)
-		putRef(e.Q)
+		buf = putRef(buf, e.P)
+		buf = putRef(buf, e.Q)
 	}
 	for _, a := range p.Active {
 		if a {
@@ -287,20 +266,15 @@ func (p *GradPlan) Validate(nTaxa, classes int) error {
 	if p.Active != nil && len(p.Active) != len(p.Edges) {
 		return fmt.Errorf("traversal: gradient plan masks %d of %d edges", len(p.Active), len(p.Edges))
 	}
+	nOuter := 2*nTaxa - 2
 	bad := false
-	ref := func(r likelihood.GradRef) {
-		bad = bad || refOutside(r, nTaxa, 2*nTaxa-2)
-	}
 	if classes > 0 {
 		for _, s := range p.Pre[0] {
-			ref(likelihood.GradOuter(s.Dst))
-			ref(s.A)
-			ref(s.B)
+			bad = bad || refOutside(s.Dst, nTaxa, nOuter) || refOutside(s.A, nTaxa, nOuter) || refOutside(s.B, nTaxa, nOuter)
 		}
 	}
 	for _, e := range p.Edges {
-		ref(e.P)
-		ref(e.Q)
+		bad = bad || refOutside(e.P, nTaxa, nOuter) || refOutside(e.Q, nTaxa, nOuter)
 	}
 	if bad {
 		return fmt.Errorf("traversal: gradient plan addresses a slot outside a %d-taxon tree", nTaxa)
@@ -329,16 +303,14 @@ func DecodeGradPlan(buf []byte) (*GradPlan, error) {
 	}
 	r := planReader{buf: buf, pos: 13, what: "gradient plan"}
 	p := &GradPlan{
-		Pre:   make([][]likelihood.GradStep, nClasses),
+		Pre:   make([][]likelihood.Step, nClasses),
 		Edges: make([]GradEdge, nEdges),
 		T:     make([][]float64, nClasses),
 		Reuse: flags&2 != 0,
 	}
-	structure := make([]likelihood.GradStep, nSteps)
+	structure := make([]likelihood.Step, nSteps)
 	for i := range structure {
-		structure[i].Dst = r.slot()
-		structure[i].A = r.ref()
-		structure[i].B = r.ref()
+		structure[i] = likelihood.Step{Dst: r.slot(likelihood.Outer), A: r.ref(), B: r.ref()}
 	}
 	for i := range p.Edges {
 		p.Edges[i].P = r.ref()
@@ -355,7 +327,7 @@ func DecodeGradPlan(buf []byte) (*GradPlan, error) {
 		r.pos += nEdges
 	}
 	for c := range p.Pre {
-		cs := make([]likelihood.GradStep, nSteps)
+		cs := make([]likelihood.Step, nSteps)
 		copy(cs, structure)
 		for i := range cs {
 			cs[i].TA = r.f64()

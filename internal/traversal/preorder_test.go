@@ -105,7 +105,7 @@ func TestGradPlanValidateBoundsEverySlot(t *testing.T) {
 		}
 		last := len(p.Pre[0]) - 1
 		for what, field := range map[string]*int32{
-			"step dst": &p.Pre[0][last].Dst,
+			"step dst": &p.Pre[0][last].Dst.Idx,
 			"step A":   &p.Pre[0][last].A.Idx,
 			"step B":   &p.Pre[0][0].B.Idx,
 			"edge P":   &p.Edges[0].P.Idx,

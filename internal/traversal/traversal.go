@@ -22,11 +22,11 @@ import (
 
 // Ref converts a tree half-node into a kernel operand: tips address taxon
 // rows, inner vertices address CLV slots (VertexID − nTaxa).
-func Ref(t *tree.Tree, n *tree.Node) likelihood.NodeRef {
+func Ref(t *tree.Tree, n *tree.Node) likelihood.Ref {
 	if n.IsTip() {
-		return likelihood.TipRef(n.TaxonID)
+		return likelihood.TipAt(n.TaxonID)
 	}
-	return likelihood.InnerRef(n.VertexID - t.NTaxa())
+	return likelihood.InnerAt(n.VertexID - t.NTaxa())
 }
 
 // Slot returns the CLV slot of an inner half-node.
@@ -58,7 +58,7 @@ func Orient(t *tree.Tree, u *tree.Node, blClass int, force bool, steps []likelih
 	steps = Orient(t, r, blClass, force, steps)
 	tree.OrientX(u)
 	return append(steps, likelihood.Step{
-		Dst: Slot(t, u),
+		Dst: Ref(t, u),
 		A:   Ref(t, l),
 		B:   Ref(t, r),
 		TA:  u.Next.Length(blClass),
@@ -100,7 +100,7 @@ func OrientReuse(t *tree.Tree, u *tree.Node, blClass int, dirty []bool, steps []
 	tree.OrientX(u)
 	dirty[slot] = false
 	return append(steps, likelihood.Step{
-		Dst: slot,
+		Dst: Ref(t, u),
 		A:   Ref(t, l),
 		B:   Ref(t, r),
 		TA:  u.Next.Length(blClass),
@@ -127,7 +127,7 @@ func sweepDirty(t *tree.Tree, v *tree.Node, blClass int, dirty []bool, steps []l
 		tree.OrientX(v)
 		dirty[slot] = false
 		steps = append(steps, likelihood.Step{
-			Dst: slot,
+			Dst: Ref(t, v),
 			A:   Ref(t, l),
 			B:   Ref(t, r),
 			TA:  v.Next.Length(blClass),
@@ -154,7 +154,7 @@ type Descriptor struct {
 	// Steps[c] is the CLV schedule for linkage class c.
 	Steps [][]likelihood.Step
 	// P and Q are the evaluation-edge endpoints.
-	P, Q likelihood.NodeRef
+	P, Q likelihood.Ref
 	// T[c] is the evaluation edge's length in class c.
 	T []float64
 	// Active, when non-nil, restricts an Evaluate to the partitions it
@@ -207,7 +207,7 @@ func classSteps(t *tree.Tree, base []likelihood.Step, c int, dst []likelihood.St
 		// The step's Dst identifies the inner vertex whose ring supplies
 		// the lengths: the ring member holding the X bit is the one the
 		// step computed, its two siblings carry the child branches.
-		x := tree.XNode(t.HalfNodes[t.NTaxa()+3*int(s.Dst)])
+		x := tree.XNode(t.HalfNodes[t.NTaxa()+3*int(s.Dst.Idx)])
 		s.TA = x.Next.Length(c)
 		s.TB = x.Next.Next.Length(c)
 		dst = append(dst, s)
@@ -257,14 +257,6 @@ func (d *Descriptor) Encode() []byte {
 	buf := make([]byte, 0, d.WireSize())
 	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	putRef := func(r likelihood.NodeRef) {
-		if r.Tip {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		put64(uint64(uint32(r.Idx)))
-	}
 	classes := uint32(len(d.Steps))
 	if d.Active != nil {
 		classes |= maskFlag
@@ -275,8 +267,8 @@ func (d *Descriptor) Encode() []byte {
 		n = len(d.Steps[0])
 	}
 	put32(uint32(n))
-	putRef(d.P)
-	putRef(d.Q)
+	buf = putRef(buf, d.P)
+	buf = putRef(buf, d.Q)
 	for _, t := range d.T {
 		put64(math.Float64bits(t))
 	}
@@ -292,9 +284,9 @@ func (d *Descriptor) Encode() []byte {
 	}
 	if n > 0 {
 		for _, s := range d.Steps[0] {
-			put32(uint32(s.Dst))
-			putRef(s.A)
-			putRef(s.B)
+			put32(uint32(s.Dst.Idx))
+			buf = putRef(buf, s.A)
+			buf = putRef(buf, s.B)
 		}
 		for _, cs := range d.Steps {
 			for _, s := range cs {
@@ -340,8 +332,8 @@ func Decode(buf []byte) (*Descriptor, error) {
 	}
 	r := planReader{buf: buf, pos: 8, what: "descriptor"}
 	d := &Descriptor{T: make([]float64, classes), Steps: make([][]likelihood.Step, classes)}
-	d.P = r.node()
-	d.Q = r.node()
+	d.P = r.ref()
+	d.Q = r.ref()
 	for c := range d.T {
 		d.T[c] = r.f64()
 	}
@@ -361,7 +353,7 @@ func Decode(buf []byte) (*Descriptor, error) {
 		structure = make([]likelihood.Step, steps)
 	}
 	for i := range structure {
-		structure[i] = likelihood.Step{Dst: r.slot(), A: r.node(), B: r.node()}
+		structure[i] = likelihood.Step{Dst: r.slot(likelihood.Inner), A: r.ref(), B: r.ref()}
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -383,7 +375,8 @@ func Decode(buf []byte) (*Descriptor, error) {
 // tree can execute the descriptor: one schedule and one root-edge length
 // per partition — what the fork-join wire always carries, joint-branch
 // descriptors being padded to the partition count — tips below nTaxa, CLV
-// slots below nTaxa−2, and a mask, when there is one, of nPart entries.
+// slots below nTaxa−2, no outer vector anywhere (a descriptor is a
+// post-order schedule), and a mask, when there is one, of nPart entries.
 // Decode cannot know the tree or the partition count; a receiver calls
 // Validate before handing a decoded descriptor to its kernels, which index
 // their buffers from these numbers.
@@ -394,16 +387,7 @@ func (d *Descriptor) Validate(nTaxa, nPart int) error {
 	if d.Active != nil && len(d.Active) != nPart {
 		return fmt.Errorf("traversal: descriptor masks %d partitions of %d", len(d.Active), nPart)
 	}
-	bad := false
-	node := func(r likelihood.NodeRef) {
-		limit := int32(nTaxa - 2)
-		if r.Tip {
-			limit = int32(nTaxa)
-		}
-		bad = bad || r.Idx < 0 || r.Idx >= limit
-	}
-	node(d.P)
-	node(d.Q)
+	bad := refOutside(d.P, nTaxa, 0) || refOutside(d.Q, nTaxa, 0)
 	for _, cs := range d.Steps {
 		if len(cs) != len(d.Steps[0]) {
 			return fmt.Errorf("traversal: descriptor schedules differ in length (%d and %d steps)", len(cs), len(d.Steps[0]))
@@ -412,9 +396,7 @@ func (d *Descriptor) Validate(nTaxa, nPart int) error {
 			return fmt.Errorf("traversal: descriptor schedule of %d steps for a %d-taxon tree's %d inner vertices", len(cs), nTaxa, nTaxa-2)
 		}
 		for _, s := range cs {
-			node(likelihood.InnerRef(int(s.Dst)))
-			node(s.A)
-			node(s.B)
+			bad = bad || refOutside(s.Dst, nTaxa, 0) || refOutside(s.A, nTaxa, 0) || refOutside(s.B, nTaxa, 0)
 		}
 	}
 	if bad {
