@@ -191,16 +191,8 @@ func gradWireSize(classes, nSteps, nEdges int, masked bool) int {
 // classes, lengths per class — the Descriptor wire idiom).
 func (p *GradPlan) Encode() []byte {
 	buf := make([]byte, 0, p.WireSize())
-	put32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	put64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
-	}
+	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
+	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	nSteps := 0
 	if len(p.Pre) > 0 {
 		nSteps = len(p.Pre[0])
