@@ -78,9 +78,9 @@ bench:
 # It then runs the two PSR workloads once each and fails unless the run's
 # own output checks passed (every op's final likelihood against the
 # reference score, the run's median shortfall and mean Robinson-Foulds
-# distance): a change to the site-rate optimiser that the driver would
-# refuse as incorrect is refused here first. sites-psr-t2 runs untraced,
-# exactly as the benchmark's driver does. parts-m-psr-fj runs traced: it
+# distance): a change to the site-rate optimiser that the benchmark would
+# report as incorrect is refused here first. sites-psr-t2 runs untraced,
+# as a timed benchmark run does. parts-m-psr-fj runs traced: it
 # is fork-join, so its traversal descriptors go on the wire, and its
 # mpi.bytes.traversal-descriptor per inference must equal
 # SMOKE_DESCRIPTOR_BYTES, 2735053 at seed 5 (Table I's dominant class;
