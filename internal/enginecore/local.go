@@ -349,7 +349,9 @@ func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 // since the kernel's last Newview, InvalidateAll and
 // parameter change (likelihood.Kernel.Contracted). A contracting plan
 // evaluates only what it contracts; a Reuse plan contracts nothing and
-// so may not stage the pre-order steps that would move every stamp.
+// so may not stage the pre-order steps that would move every stamp. A
+// kernel evaluates only the slots its class has active (GradPlan.Active),
+// so only those are checked.
 func (l *Local) AdmitDerivatives(plan *traversal.GradPlan) error {
 	edges, active := []traversal.GradEdge{l.branch}, []bool(nil)
 	if plan != nil {
@@ -364,8 +366,9 @@ func (l *Local) AdmitDerivatives(plan *traversal.GradPlan) error {
 		edges, active = plan.Edges, plan.Active
 	}
 	for i, k := range l.Kernels {
+		off := l.ClassOf(l.PartIdx[i]) * len(edges)
 		for b, e := range edges {
-			if active != nil && !active[b] {
+			if active != nil && !active[off+b] {
 				continue
 			}
 			if p, q, ok := k.Contracted(b); !ok || p != e.P || q != e.Q {
@@ -441,17 +444,18 @@ func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
 }
 
 // gradient stages the plan on every local kernel — the pre-order pass,
-// then per computed edge the contraction of its sum table into slot b,
-// unless the plan reuses the tables, and the derivatives from there — and
-// flushes. Kernel results are then numbered over the plan's computed
-// edges in edge order.
+// then per edge its class has active the contraction of its sum table
+// into slot b, unless the plan reuses the tables, and the derivatives
+// from there — and flushes. A kernel's results are then numbered over
+// those edges in edge order.
 func (l *Local) gradient(plan *traversal.GradPlan) {
 	t := l.rec.Begin()
+	nB := plan.NBranches()
 	for i, k := range l.Kernels {
 		cls := l.ClassOf(l.PartIdx[i])
 		k.Traverse(plan.Pre[cls])
 		for b, e := range plan.Edges {
-			if plan.Active != nil && !plan.Active[b] {
+			if plan.Active != nil && !plan.Active[cls*nB+b] {
 				continue
 			}
 			if !plan.Reuse {
@@ -464,12 +468,13 @@ func (l *Local) gradient(plan *traversal.GradPlan) {
 	l.flush(t)
 }
 
-// foldGradient adds local kernel i's derivatives of the plan's computed
-// edges to d1[b] and d2[b].
+// foldGradient adds local kernel i's derivatives of the edges its class
+// has active to d1[b] and d2[b]; a skipped slot keeps its zero.
 func (l *Local) foldGradient(i int, plan *traversal.GradPlan, d1, d2 []float64) {
 	r := 0
+	off := l.ClassOf(l.PartIdx[i]) * plan.NBranches()
 	for b := range plan.Edges {
-		if plan.Active != nil && !plan.Active[b] {
+		if plan.Active != nil && !plan.Active[off+b] {
 			continue
 		}
 		a, c := l.Kernels[i].Gradient(r)

@@ -345,15 +345,49 @@ func (k *Kernel) InvalidateAll() {
 // read P column by column (lanes.go), so every PSR set — cached, lent,
 // and the site-rate tables — is made that way once, where it is made.
 func (k *Kernel) probMatrices(t float64, dst [][ns * ns]float64) {
-	e, psr := k.par.Eigen, k.par.Het == model.PSR
-	for c, r := range k.par.CatRates {
-		if psr {
-			e.ProbMatrixT(t, r, &dst[c])
-		} else {
-			e.ProbMatrix(t, r, &dst[c])
-		}
+	set := pSet{e: k.par.Eigen, dst: dst, transpose: k.par.Het == model.PSR}
+	for _, r := range k.par.CatRates {
+		set.add(t, r)
 	}
+	set.flush()
 	k.flops.Setup += int64(len(k.par.CatRates) * ns * ns / 4)
+}
+
+// pSetBatch is how many P matrices share one expAll call.
+const pSetBatch = 32
+
+// pSet builds P matrices in batches, with Eigen.ProbMatrix's (or, when
+// transpose, ProbMatrixT's) bits: add stages a matrix's three exponential
+// arguments (model.Eigen.ExpArgs), and every pSetBatch matrices, and at
+// flush, one expAll call takes the batch's exponentials — four wide, the
+// argument list padded with zeros — and Eigen.Assemble writes the
+// matrices to dst in add order.
+type pSet struct {
+	e         *model.Eigen
+	dst       [][ns * ns]float64
+	transpose bool
+	n         int
+	arg       [3 * pSetBatch]float64
+}
+
+func (s *pSet) add(t, rate float64) {
+	s.e.ExpArgs(t, rate, (*[3]float64)(s.arg[3*s.n:]))
+	if s.n++; s.n == pSetBatch {
+		s.flush()
+	}
+}
+
+func (s *pSet) flush() {
+	na := 3 * s.n
+	for ; na%4 != 0; na++ {
+		s.arg[na] = 0
+	}
+	expAll(s.arg[:na])
+	for i := 0; i < s.n; i++ {
+		s.e.Assemble((*[3]float64)(s.arg[3*i:]), &s.dst[i], s.transpose)
+	}
+	s.dst = s.dst[s.n:]
+	s.n = 0
 }
 
 // FlopCount is a rough per-call floating-point operation estimate

@@ -61,13 +61,13 @@ func newSiteScratch(nPat, nInner int) []siteScratch {
 // and for the root edge into pm, which holds 2·len(steps)+1 matrices,
 // transposed like every PSR matrix (Kernel.probMatrices).
 func (k *Kernel) fillSitePMatrices(pm [][ns * ns]float64, steps []Step, rootT, rate float64) {
-	e := k.par.Eigen
-	pm = pm[:2*len(steps)+1]
+	set := pSet{e: k.par.Eigen, dst: pm[:2*len(steps)+1], transpose: true}
 	for i := range steps {
-		e.ProbMatrixT(steps[i].TA, rate, &pm[2*i])
-		e.ProbMatrixT(steps[i].TB, rate, &pm[2*i+1])
+		set.add(steps[i].TA, rate)
+		set.add(steps[i].TB, rate)
 	}
-	e.ProbMatrixT(rootT, rate, &pm[2*len(steps)])
+	set.add(rootT, rate)
+	set.flush()
 }
 
 // FillSiteRateTable fills tab for the schedule steps ending at a root

@@ -1,10 +1,6 @@
 package likelihood
 
-import (
-	"math"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // Sum tables: the eigen-basis factorization behind every branch-length
 // derivative (docs/PERFORMANCE.md §5). Contracting an edge (p, q) — each
@@ -116,20 +112,26 @@ func b2i(b bool) int {
 }
 
 // exponentials gives ra the per-category e^{λ_k r_c t} and λ·r factors of
-// a derivative evaluation at branch length t, from the program's arena.
-// The stationary eigenvalue is exactly 0 (model.Eigen), so its factors are
-// 0 and 1 at every positive rate and finite t.
+// a derivative evaluation at branch length t, from the program's arena:
+// the nc·4 exponentials in one expAll call. The stationary eigenvalue is
+// exactly 0 (model.Eigen), so its factors are 0 and e^0 = 1 at every
+// positive rate and finite t.
 func (k *Kernel) exponentials(ra *runArgs, t float64) {
 	e := k.par.Eigen
 	nc := len(k.par.CatRates)
 	ex, lam := k.mem.exLam.take(nc), k.mem.exLam.take(nc)
+	arg := k.mem.tabs.take(nc * ns)
 	for c, r := range k.par.CatRates {
 		for kk := 0; kk < ns-1; kk++ {
 			l := e.Vals[kk] * r
 			lam[c][kk] = l
-			ex[c][kk] = math.Exp(l * t)
+			arg[c*ns+kk] = l * t
 		}
-		lam[c][ns-1], ex[c][ns-1] = 0, 1
+		lam[c][ns-1], arg[c*ns+ns-1] = 0, 0
+	}
+	expAll(arg)
+	for c := range ex {
+		ex[c] = [ns]float64(arg[c*ns:])
 	}
 	if k.par.Het == model.Gamma {
 		ra.exG, ra.lamG, ra.catW = (*[gammaCats][ns]float64)(ex), (*[gammaCats][ns]float64)(lam), k.par.CatWeight()

@@ -144,11 +144,11 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 // U e^{Λ t rate} U⁻¹. Entries are clamped to [0,1] to shed the ±1e-16
 // excursions of the spectral reconstruction. t·rate must be finite.
 //
-// Entry (x, y) is the sum Σ_k (U[x·4+k]·e^{Vals[k]·t·rate})·UInv[k·4+y]
-// taken left to right from 0.0. The stationary mode's factor e^{0} is
-// exactly 1, so its term is the precomputed Stat[x·4+y], and only three
-// exponentials are taken; the 0.0 the sum starts from turns a −0 sum into
-// +0, as the rolled loop did.
+// It is the one P-matrix expression: the three exponentials of ExpArgs's
+// arguments, by math.Exp, assembled by Assemble. A caller that builds
+// many matrices at once (the likelihood kernels) takes the same
+// exponentials four at a time and assembles the same way, so every
+// P matrix has these bits whoever builds it.
 func (e *Eigen) ProbMatrix(t, rate float64, p *[msa.NumStates * msa.NumStates]float64) {
 	e.probMatrix(t, rate, p, false)
 }
@@ -161,12 +161,33 @@ func (e *Eigen) ProbMatrixT(t, rate float64, p *[msa.NumStates * msa.NumStates]f
 }
 
 func (e *Eigen) probMatrix(t, rate float64, p *[msa.NumStates * msa.NumStates]float64, transpose bool) {
+	var ex [3]float64
+	e.ExpArgs(t, rate, &ex)
+	for k := range ex {
+		ex[k] = math.Exp(ex[k])
+	}
+	e.Assemble(&ex, p, transpose)
+}
+
+// ExpArgs writes the arguments of P(t·rate)'s three exponentials:
+// a[k] = Vals[k]·t·rate, associated left to right. The stationary mode
+// needs none: e^{Vals[3]·t·rate} is exactly 1.
+func (e *Eigen) ExpArgs(t, rate float64, a *[3]float64) {
+	a[0] = e.Vals[0] * t * rate
+	a[1] = e.Vals[1] * t * rate
+	a[2] = e.Vals[2] * t * rate
+}
+
+// Assemble fills p with P(t·rate) from its exponentials ex[k] =
+// e^{Vals[k]·t·rate} (ExpArgs), or with its transpose if transpose.
+// Entry (x, y) is the sum Σ_k (U[x·4+k]·ex[k])·UInv[k·4+y] taken left to
+// right from 0.0, the stationary mode's term being the precomputed
+// Stat[x·4+y]; the 0.0 the sum starts from turns a −0 sum into +0, as
+// the rolled loop did. Entries are clamped to [0,1].
+func (e *Eigen) Assemble(ex *[3]float64, p *[msa.NumStates * msa.NumStates]float64, transpose bool) {
 	const n = msa.NumStates
-	e0 := math.Exp(e.Vals[0] * t * rate)
-	e1 := math.Exp(e.Vals[1] * t * rate)
-	e2 := math.Exp(e.Vals[2] * t * rate)
 	for x := 0; x < n; x++ {
-		a0, a1, a2 := e.U[x*n]*e0, e.U[x*n+1]*e1, e.U[x*n+2]*e2
+		a0, a1, a2 := e.U[x*n]*ex[0], e.U[x*n+1]*ex[1], e.U[x*n+2]*ex[2]
 		for y := 0; y < n; y++ {
 			v := 0.0 + a0*e.UInv[y] + a1*e.UInv[n+y] + a2*e.UInv[2*n+y] + e.Stat[x*n+y]
 			if v < 0 {

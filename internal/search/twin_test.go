@@ -166,10 +166,10 @@ func (e *twinEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	return got
 }
 
-// checkSweep compares every recorded call of the sweep, per edge and
-// class, with the twin's PrepareBranch + BranchDerivatives at that edge
-// and the call's length, after a forced full traversal of the sweep's
-// tree. Newton steps are a pure function of (d1, d2), so equal
+// checkSweep compares every (edge, class) slot a recorded call of the
+// sweep computed — every slot its mask has on — with the twin's
+// PrepareBranch + BranchDerivatives at that edge and the call's length,
+// after a forced full traversal of the sweep's tree. Newton steps are a pure function of (d1, d2), so equal
 // derivatives on every call is an equal smoothing trajectory.
 func (e *twinEngine) checkSweep() {
 	if e.sweep == nil {
@@ -183,14 +183,14 @@ func (e *twinEngine) checkSweep() {
 	for b, nd := range nodes {
 		e.twin.PrepareBranch(traversal.Build(clone, nd, false))
 		for i, call := range e.calls {
-			if call.active != nil && !call.active[b] {
-				continue
-			}
 			for c := range ts {
 				ts[c] = call.t[c][b]
 			}
 			d1, d2 := e.twin.BranchDerivatives(ts)
 			for c := range ts {
+				if call.active != nil && !call.active[c*nB+b] {
+					continue
+				}
 				g1, g2 := call.got[c*nB+b], call.got[classes*nB+c*nB+b]
 				if math.Float64bits(g1) != math.Float64bits(d1[c]) || math.Float64bits(g2) != math.Float64bits(d2[c]) {
 					e.errorf("gradient call %d of a sweep, edge %d class %d: (%.17g, %.17g), PrepareBranch + BranchDerivatives (%.17g, %.17g)", i, b, c, g1, g2, d1[c], d2[c])

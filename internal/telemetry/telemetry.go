@@ -129,6 +129,10 @@ const (
 	// avoided: a sweep's inner Newton iterations read the outer vectors
 	// its first iteration computed.
 	CounterPreorderStepsSkipped
+	// CounterGradientSlotsSkipped is (edge, class) derivative slots those
+	// inner iterations did not compute because the slot had converged
+	// (traversal.GradPlan.Active).
+	CounterGradientSlotsSkipped
 
 	// NumCounters is the number of distinct counters.
 	NumCounters
@@ -169,6 +173,8 @@ func (c Counter) String() string {
 		return "preorder-steps"
 	case CounterPreorderStepsSkipped:
 		return "preorder-steps-skipped"
+	case CounterGradientSlotsSkipped:
+		return "gradient-slots-skipped"
 	}
 	return fmt.Sprintf("Counter(%d)", int(c))
 }

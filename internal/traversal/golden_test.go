@@ -2,11 +2,14 @@ package traversal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/likelihood"
 	"repro/internal/tree"
 )
 
@@ -55,13 +58,34 @@ func goldenFrames(t *testing.T) map[string]*Descriptor {
 	return frames
 }
 
-// TestDescriptorFramesAreByteGolden holds Descriptor.Encode to frames
-// recorded in testdata: the traversal-descriptor bytes of Table I (and
-// of every fork-join run's meter) cannot move without this test failing.
-// WireSize and the fork-join padding's WireSizeForClasses are held to
-// the same frames.
-func TestDescriptorFramesAreByteGolden(t *testing.T) {
-	f, err := os.Open("testdata/descriptor_frames.hex")
+// goldenGradFrames returns the gradient plans the golden file pins, by
+// name: joint and per-partition (-M) branch lengths, each as the
+// smoother's first plan of a sweep (every slot), with a classes × edges
+// slot mask, and as a masked Reuse plan of an inner Newton iteration (no
+// pre-order steps).
+func goldenGradFrames(t *testing.T) map[string]*GradPlan {
+	frames := map[string]*GradPlan{}
+	for name, classes := range map[string]int{"joint": 1, "M": 3} {
+		tr := goldenTree(t, classes)
+		full, _ := BuildGradient(tr, nil)
+		frames[name+"-full"] = full
+		mask := make([]bool, classes*full.NBranches())
+		for i := range mask {
+			mask[i] = i%3 != 1
+		}
+		masked, _ := BuildGradient(tr, nil)
+		masked.Active = mask
+		frames[name+"-masked"] = masked
+		reuse := &GradPlan{Pre: make([][]likelihood.Step, classes), Edges: full.Edges, T: full.T, Active: mask, Reuse: true}
+		frames[name+"-reuse"] = reuse
+	}
+	return frames
+}
+
+// readGoldenFrames reads a file of "name hex" lines.
+func readGoldenFrames(t *testing.T, path string) map[string][]byte {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +107,46 @@ func TestDescriptorFramesAreByteGolden(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// TestGradPlanFramesAreByteGolden holds GradPlan.Encode to frames
+// recorded in testdata, in the manner of the descriptor frames: the
+// gradient-plan bytes of every fork-join run's traversal-descriptor meter
+// cannot move without this test failing. WireSize, and decoding back to
+// the plan, are held to the same frames.
+func TestGradPlanFramesAreByteGolden(t *testing.T) {
+	want := readGoldenFrames(t, "testdata/grad_frames.hex")
+	frames := goldenGradFrames(t)
+	if len(want) != len(frames) {
+		t.Fatalf("golden file holds %d frames, the test builds %d", len(want), len(frames))
+	}
+	for name, p := range frames {
+		got := p.Encode()
+		if hex.EncodeToString(got) != hex.EncodeToString(want[name]) {
+			t.Errorf("%s encodes to\n %x\nwant\n %x", name, got, want[name])
+		}
+		if p.WireSize() != len(want[name]) {
+			t.Errorf("%s: WireSize %d, golden frame %d bytes", name, p.WireSize(), len(want[name]))
+		}
+		back, err := DecodeGradPlan(want[name])
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !bytes.Equal(back.Encode(), want[name]) || !reflect.DeepEqual(back.Active, p.Active) || back.Reuse != p.Reuse {
+			t.Errorf("%s: the golden frame decodes to another plan", name)
+		}
+	}
+}
+
+// TestDescriptorFramesAreByteGolden holds Descriptor.Encode to frames
+// recorded in testdata: the traversal-descriptor bytes of Table I (and
+// of every fork-join run's meter) cannot move without this test failing.
+// WireSize and the fork-join padding's WireSizeForClasses are held to
+// the same frames.
+func TestDescriptorFramesAreByteGolden(t *testing.T) {
+	want := readGoldenFrames(t, "testdata/descriptor_frames.hex")
 	frames := goldenFrames(t)
 	if len(want) != len(frames) {
 		t.Fatalf("golden file holds %d frames, the test builds %d", len(want), len(frames))

@@ -43,12 +43,13 @@ type GradPlan struct {
 	Edges []GradEdge
 	// T[c][b] is edge b's length in class c.
 	T [][]float64
-	// Active, when non-nil, marks the edges whose derivatives the
-	// caller still needs (indexed like Edges); the kernels skip
-	// inactive edges, leaving their result slots zero. nil means every
-	// edge. The simultaneous Newton smoother narrows the mask as
-	// branches converge, so late inner iterations only pay for the
-	// stragglers.
+	// Active, when non-nil, marks the (edge, class) derivative slots
+	// the caller still needs: Active[c·nB+b] is edge b in class c, nB
+	// the edge count. A kernel of class c skips edge b where that entry
+	// is off and leaves the slot's result zero, which nobody reads. nil
+	// means every slot. The simultaneous Newton smoother narrows the mask
+	// as (edge, class) pairs converge, so late inner iterations only pay
+	// for the stragglers.
 	Active []bool
 	// Reuse marks a plan whose edge set and underlying CLV/outer-vector
 	// state are unchanged since the engines' previous all-branch
@@ -177,12 +178,13 @@ func (p *GradPlan) WireSize() int {
 // gradWireSize is the encoded size of a plan with the given counts.
 // Header: classes, steps, edges, flags byte (bit 0: mask present, bit 1:
 // reuse). Structure: per step dst + two refs (1 kind byte + 8-byte index
-// each); per edge two refs plus, when the mask is present, one active
-// byte. Payload per class: per-step TA/TB, per-edge T.
+// each); per edge two refs; when the mask is present, one bit per
+// (edge, class) slot, Descriptor.Active's bit order. Payload per class:
+// per-step TA/TB, per-edge T.
 func gradWireSize(classes, nSteps, nEdges int, masked bool) int {
 	active := 0
 	if masked {
-		active = nEdges
+		active = (classes*nEdges + 7) / 8
 	}
 	return 13 + nSteps*(4+2*9) + nEdges*2*9 + active + classes*(nSteps*16+nEdges*8)
 }
@@ -219,11 +221,13 @@ func (p *GradPlan) Encode() []byte {
 		buf = putRef(buf, e.P)
 		buf = putRef(buf, e.Q)
 	}
-	for _, a := range p.Active {
-		if a {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+	if p.Active != nil {
+		bits := len(buf)
+		buf = append(buf, make([]byte, (len(p.Active)+7)/8)...)
+		for i, on := range p.Active {
+			if on {
+				buf[bits+i/8] |= 1 << (i % 8)
+			}
 		}
 	}
 	for c := range p.Pre {
@@ -242,7 +246,8 @@ func (p *GradPlan) Encode() []byte {
 // number of branch-length classes: every tip below nTaxa, every CLV slot
 // below nTaxa−2, every outer slot below 2·nTaxa−2 (outer vectors are
 // indexed by vertex), one schedule and one length vector per class, all
-// of the structure's size. DecodeGradPlan cannot know the tree; a
+// of the structure's size, and a mask, when there is one, of one entry
+// per (edge, class) slot. DecodeGradPlan cannot know the tree; a
 // receiver calls Validate before handing a decoded plan to its kernels,
 // which index (and grow) their buffers from these numbers.
 func (p *GradPlan) Validate(nTaxa, classes int) error {
@@ -255,8 +260,8 @@ func (p *GradPlan) Validate(nTaxa, classes int) error {
 				c, len(p.Pre[c]), len(p.T[c]), len(p.Pre[0]), len(p.Edges))
 		}
 	}
-	if p.Active != nil && len(p.Active) != len(p.Edges) {
-		return fmt.Errorf("traversal: gradient plan masks %d of %d edges", len(p.Active), len(p.Edges))
+	if p.Active != nil && len(p.Active) != classes*len(p.Edges) {
+		return fmt.Errorf("traversal: gradient plan masks %d slots of %d classes × %d edges", len(p.Active), classes, len(p.Edges))
 	}
 	nOuter := 2*nTaxa - 2
 	bad := false
@@ -312,11 +317,15 @@ func DecodeGradPlan(buf []byte) (*GradPlan, error) {
 		return nil, r.err
 	}
 	if flags&1 != 0 {
-		p.Active = make([]bool, nEdges)
+		nMask := nClasses * nEdges
+		p.Active = make([]bool, nMask)
 		for i := range p.Active {
-			p.Active[i] = buf[r.pos+i] != 0
+			p.Active[i] = buf[r.pos+i/8]&(1<<(i%8)) != 0
 		}
-		r.pos += nEdges
+		if nMask%8 != 0 && buf[r.pos+nMask/8]>>(nMask%8) != 0 {
+			return nil, fmt.Errorf("traversal: gradient plan mask has bits beyond its %d slots", nMask)
+		}
+		r.pos += (nMask + 7) / 8
 	}
 	for c := range p.Pre {
 		cs := make([]likelihood.Step, nSteps)

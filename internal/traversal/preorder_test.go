@@ -13,7 +13,7 @@ import (
 
 // realGradPlans hands f the gradient plan of a 5- and a 24-taxon random
 // tree, joint and with three branch-length classes, each without and
-// with an edge mask.
+// with a classes × edges slot mask.
 func realGradPlans(f func(nTaxa, classes int, p *GradPlan)) {
 	for _, n := range []int{5, 24} {
 		for _, classes := range []int{1, 3} {
@@ -22,7 +22,7 @@ func realGradPlans(f func(nTaxa, classes int, p *GradPlan)) {
 			for _, masked := range []bool{false, true} {
 				plan, _ := BuildGradient(tr, nil)
 				if masked {
-					plan.Active = make([]bool, plan.NBranches())
+					plan.Active = make([]bool, classes*plan.NBranches())
 					for b := range plan.Active {
 						plan.Active[b] = rng.Intn(2) == 0
 					}
@@ -125,6 +125,16 @@ func TestGradPlanValidateBoundsEverySlot(t *testing.T) {
 			t.Error("operand kind 7 accepted")
 		}
 		p.Edges[0].P.Kind = 0
+		if p.Active != nil {
+			full := p.Active
+			for _, m := range []int{len(full) - 1, len(p.Edges), len(full) + len(p.Edges)} {
+				p.Active = make([]bool, m)
+				if err := p.Validate(n, classes); err == nil && m != len(full) {
+					t.Errorf("a mask of %d slots accepted for %d classes × %d edges", m, classes, len(p.Edges))
+				}
+			}
+			p.Active = full
+		}
 		short := p.T[classes-1]
 		p.T[classes-1] = short[:len(short)-1]
 		if err := p.Validate(n, classes); err == nil {
