@@ -77,7 +77,11 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, threads int
 		t.Fatal(err)
 	}
 	var ins traversal.InsertPlan
-	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+	dirty := make([]bool, pruned.NInner())
+	for i := range dirty {
+		dirty[i] = true
+	}
+	ins.Build(pruned, ps, ps.CandidateEdges(1, 5), dirty)
 
 	// Warm-up: populate the P-matrix cache at the exact branch
 	// lengths the measured loop uses and grow every scratch arena.

@@ -124,7 +124,11 @@ func insertionPlans(t *testing.T, tr *tree.Tree) []*traversal.InsertPlan {
 			t.Fatal(err)
 		}
 		ins := new(traversal.InsertPlan)
-		ins.Build(pruned, ps, ps.CandidateEdges(1, 5), nil)
+		dirty := make([]bool, pruned.NInner())
+		for i := range dirty {
+			dirty[i] = true
+		}
+		ins.Build(pruned, ps, ps.CandidateEdges(1, 5), dirty)
 		plans = append(plans, ins)
 	}
 	return plans

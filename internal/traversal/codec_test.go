@@ -57,7 +57,7 @@ func TestEveryOperandPositionRefusesForeignKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ins InsertPlan
-	ins.Build(tr, ps, ps.CandidateEdges(1, 4), nil)
+	ins.Build(tr, ps, ps.CandidateEdges(1, 4), allDirty(tr))
 	if err := tr.Restore(ps); err != nil {
 		t.Fatal(err)
 	}

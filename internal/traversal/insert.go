@@ -67,8 +67,8 @@ func resize[T any](buf *[]T, n int) []T {
 
 // Build fills the plan for the subtree ps pruned from t, with cands the
 // insertion edges ps.CandidateEdges(1, radius) returned. dirty is the
-// search's dirty-slot overlay (OrientReuse); nil forces every post-order
-// step, for a caller that holds no record of the engine's CLV state.
+// search's dirty-slot overlay (OrientReuse); an overlay with every slot
+// dirty forces every post-order step, as Orient(force = true) would.
 //
 // The post-order vectors all look toward the prune point, none contains
 // it, so they stay valid when the subtree is restored in place. The
@@ -83,15 +83,9 @@ func (pl *InsertPlan) Build(t *tree.Tree, ps *tree.PrunedSubtree, cands []*tree.
 
 	resize(&pl.Post, classes)
 	post := pl.Post[0][:0]
-	if dirty != nil {
-		post = OrientReuse(t, q, 0, dirty, post)
-		post = OrientReuse(t, r, 0, dirty, post)
-		post = OrientReuse(t, sub, 0, dirty, post)
-	} else {
-		post = Orient(t, q, 0, true, post)
-		post = Orient(t, r, 0, true, post)
-		post = Orient(t, sub, 0, true, post)
-	}
+	post = OrientReuse(t, q, 0, dirty, post)
+	post = OrientReuse(t, r, 0, dirty, post)
+	post = OrientReuse(t, sub, 0, dirty, post)
 	pl.Post[0] = post
 	for c := 1; c < classes; c++ {
 		pl.Post[c] = classSteps(t, post, c, pl.Post[c][:0])

@@ -31,7 +31,7 @@ func realInsertPlans(t testing.TB, f func(tr *tree.Tree, ps *tree.PrunedSubtree,
 				cands := ps.CandidateEdges(1, 4)
 				if len(cands) > 0 {
 					var pl InsertPlan
-					pl.Build(tr, ps, cands, nil)
+					pl.Build(tr, ps, cands, allDirty(tr))
 					f(tr, ps, cands, &pl)
 				}
 				if err := tr.Restore(ps); err != nil {
@@ -193,4 +193,14 @@ func FuzzDecodeInsertPlan(f *testing.F) {
 		}
 		_ = pl.Validate(13)
 	})
+}
+
+// allDirty is a dirty-slot overlay of t with every slot dirty: an
+// insertion plan built over it schedules every post-order step.
+func allDirty(t *tree.Tree) []bool {
+	dirty := make([]bool, t.NInner())
+	for i := range dirty {
+		dirty[i] = true
+	}
+	return dirty
 }
