@@ -83,14 +83,18 @@ bench:
 # as a timed benchmark run does. parts-m-psr-fj runs traced: it
 # is fork-join, so its traversal descriptors go on the wire, and its
 # mpi.bytes.traversal-descriptor per inference must equal
-# SMOKE_DESCRIPTOR_BYTES, 2735053 at seed 5 (Table I's dominant class;
-# internal/traversal's byte-golden test pins the frame itself). The count
-# repeats exactly, and no change that leaves the wire format alone moves
-# it.
+# SMOKE_DESCRIPTOR_BYTES, 2743985 at seed 5 (Table I's dominant class;
+# internal/traversal's byte-golden tests pin the descriptor and
+# gradient-plan frames themselves). The count repeats exactly, and no
+# change that leaves the wire format alone moves it. It was 2735053 while
+# a gradient plan's convergence mask held one byte per edge; the mask now
+# holds one bit per (edge, class) slot, so each of the 203 masked plans of
+# an inference grows from 29 bytes to 73 (20 partitions × 29 edges bits),
+# 44 bytes each.
 SMOKE_MAX_PROBES = 148
 SMOKE_MAX_COLLECTIVES = 310
 SMOKE_MAX_LIVE_HEAP_MB = 15.8
-SMOKE_DESCRIPTOR_BYTES = 2735053
+SMOKE_DESCRIPTOR_BYTES = 2743985
 bench-e2e-smoke:
 	@out=$$(bash benchmark/run.sh --workload parts-gamma-tcp --seed 5 --seconds 10 --trace 1 | tail -n 1) && \
 	case "$$out" in *'"correct":true'*) ;; *) echo "bench-e2e-smoke: run not correct: $$out"; exit 1;; esac && \
