@@ -42,7 +42,6 @@ const (
 	opEvalGamma
 	opEvalGammaTip
 	opPrepGamma
-	opPrepGammaFast
 	opDerivGamma
 	opNvPSR
 	opEvalPSR
@@ -214,10 +213,7 @@ func (k *Kernel) RunOp(op, blk int) {
 		part.a = k.evaluateGammaTipSoABlock(ra.oa, ra.ob, ra.tabB, ra.catW, lo, hi)
 
 	case opPrepGamma:
-		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
-
-	case opPrepGammaFast:
-		k.prepareGammaFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 
 	case opDerivGamma:
 		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)

@@ -12,7 +12,7 @@ const gammaCats = model.GammaCategories
 
 // Γ kernels: staging of the Newview and Evaluate block operations whose
 // workers live in soa_gamma.go, plus the derivative worker, which reads
-// only the sum table (its staging, shared with PSR, is in api.go).
+// only the sum table (its staging, shared with PSR, is in sumtable.go).
 
 // newviewGamma stages the combine of operands oa and ob across branch
 // lengths ta and tb into the conditional vector (dclv, dscale) under the Γ
@@ -103,40 +103,65 @@ func (k *Kernel) evaluateGammaTipBlock(op, oq operand, tab []float64, catW float
 	return k.sumSiteLnl(site, zeroScales[:], zeroScales[:], lo)
 }
 
-// derivativesGammaBlock is the per-block worker of derivativesGamma.
-// The four-state loop is unrolled with constant indices into a capped
-// slice (no bounds checks in the hot loop); each sum extends
-// left-to-right from its running value — the identical expression the
-// rolled loop evaluated, so the unroll is bit-invisible.
+// derivativesGammaBlock is the per-block worker of derivativesGamma. The
+// sum table is plane-major (sumtable.go): site i's entry (c, k) is
+// sumTab[(c·4+k)·nPat+i]. On a CPU with AVX2 the per-site terms of the
+// first (hi−lo) &^ 3 sites come from laneGammaDerivatives, 64 sites a
+// call, each with derivativesGammaSites' expressions, and foldTerms sums
+// them in site order over the sites it marks valid; derivativesGammaSites
+// does the tail.
 func (k *Kernel) derivativesGammaBlock(sumTab []float64, ex, lam *[gammaCats][ns]float64, catW float64, lo, hi int) (d1, d2 float64) {
-	for i := lo; i < hi; i++ {
-		var f, fp, fpp float64
-		base := i * gammaCats * ns
-		for c := 0; c < gammaCats; c++ {
-			off := base + c*ns
-			st := sumTab[off : off+ns : off+ns]
-			exc, lac := &ex[c], &lam[c]
-			t0 := st[0] * exc[0]
-			t1 := st[1] * exc[1]
-			t2 := st[2] * exc[2]
-			t3 := st[3] * exc[3]
-			f = f + t0 + t1 + t2 + t3
-			fp = fp + lac[0]*t0 + lac[1]*t1 + lac[2]*t2 + lac[3]*t3
-			fpp = fpp + lac[0]*lac[0]*t0 + lac[1]*lac[1]*t1 + lac[2]*lac[2]*t2 + lac[3]*lac[3]*t3
+	i := lo
+	var terms [laneChunk / 4]siteTerms
+	for laneMask != 0 && hi-i >= 4 {
+		nl := min(hi-i, laneChunk) &^ 3
+		laneGammaDerivatives(terms[:], sumTab, k.data.Weights, k.nPat, i, nl, ex, lam, catW)
+		d1, d2 = foldTerms(terms[:], nl, d1, d2)
+		i += nl
+	}
+	if i < hi {
+		d1, d2 = k.derivativesGammaSites(sumTab, ex, lam, catW, i, hi, d1, d2)
+	}
+	return d1, d2
+}
+
+// derivativesGammaSites adds the derivative terms of sites lo..hi−1 to
+// (d1, d2), in site order. A site's three sums run over the categories in
+// ascending order, each extending left-to-right from its running value
+// (from +0) over the four eigen terms, in per-site accumulators that the
+// category loop streams stride-1 over the planes; then each is scaled by
+// catW.
+func (k *Kernel) derivativesGammaSites(sumTab []float64, ex, lam *[gammaCats][ns]float64, catW float64, lo, hi int, d1, d2 float64) (float64, float64) {
+	n := k.nPat
+	w := hi - lo
+	var fBuf, fpBuf, fppBuf [threadpool.BlockSize]float64
+	f, fp, fpp := fBuf[:w], fpBuf[:w], fppBuf[:w]
+	for c := 0; c < gammaCats; c++ {
+		s0, s1, s2, s3 := planes(sumTab, c*ns, n, lo, w)
+		exc, lac := &ex[c], &lam[c]
+		for j := range f {
+			t0 := s0[j] * exc[0]
+			t1 := s1[j] * exc[1]
+			t2 := s2[j] * exc[2]
+			t3 := s3[j] * exc[3]
+			f[j] = f[j] + t0 + t1 + t2 + t3
+			fp[j] = fp[j] + lac[0]*t0 + lac[1]*t1 + lac[2]*t2 + lac[3]*t3
+			fpp[j] = fpp[j] + lac[0]*lac[0]*t0 + lac[1]*lac[1]*t1 + lac[2]*lac[2]*t2 + lac[3]*lac[3]*t3
 		}
-		f *= catW
-		fp *= catW
-		fpp *= catW
-		if f <= 0 || math.IsNaN(f) {
+	}
+	weights := k.data.Weights[lo:hi]
+	for j := range f {
+		fj, fpj, fppj := f[j]*catW, fp[j]*catW, fpp[j]*catW
+		if fj <= 0 || math.IsNaN(fj) {
 			// Pathological branch proposals can underflow the unscaled
 			// site likelihood; skip the site rather than poison the sum
 			// (Newton falls back to bisection on bad curvature anyway).
 			continue
 		}
-		w := float64(k.data.Weights[i])
-		ratio := fp / f
-		d1 += w * ratio
-		d2 += w * (fpp/f - ratio*ratio)
+		wt := float64(weights[j])
+		ratio := fpj / fj
+		d1 += wt * ratio
+		d2 += wt * (fppj/fj - ratio*ratio)
 	}
 	return d1, d2
 }

@@ -308,7 +308,7 @@ func (k *Kernel) prepareInsertionPSRSoABlock(oq operand, pm [][ns * ns]float64, 
 		}
 		return
 	}
-	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	q0, q1, q2, q3 := operandPlanes(oq, n, lo, w)
 	if laneMask != 0 {
 		lanePSRRight(d0, q0, n, cats, &pm[0])
 		return
@@ -345,8 +345,8 @@ func (k *Kernel) scoreInsertionPSRSites(site []float64, noScale []bool, oa, ob o
 	w := len(site)
 	noScale = noScale[:w]
 	cats := k.par.SiteCats[lo:][:w]
-	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
-	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
+	a0, a1, a2, a3 := operandPlanes(oa, n, lo, w)
+	b0, b1, b2, b3 := operandPlanes(ob, n, lo, w)
 	tips := tipWindow(ob, lo, w)
 	t0, t1, t2, t3 := planes(k.insTab, 0, n, lo, w)
 	if laneMask != 0 {

@@ -8,7 +8,7 @@ import (
 
 // Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes", docs/DETERMINISM.md
 // §8). On a CPU with AVX2 the block workers that multiply a P matrix into a
-// vector, and the PSR sum-table workers, run in AVX2 routines
+// vector, and the sum-table workers of both models, run in AVX2 routines
 // (lanes_amd64.s, lanes_psr_amd64.s), each value with the same operands in
 // the same order as the Go expression it replaces, without FMA, with the
 // Go scale predicate, and with every reduction over sites left in Go — so
@@ -22,6 +22,13 @@ import (
 //     loop to a routine that computes four sites per instruction — one
 //     matrix serves them all — and their Go loop continues with the tail
 //     of up to three sites.
+//   - Γ sum tables: the table is plane-major like a Γ CLV, so both workers
+//     stream stride-1 over sites in site lanes. The fill (every operand
+//     shape, one routine with tip flags) takes π_x·v_x once per group and
+//     dots it with a row of U transposed, the q factor with a row of U⁻¹;
+//     a tip side is its prep-table rows, gathered and transposed. The
+//     derivative extends each lane's f, f′, f″ over the categories'
+//     planes in order, and the fold is the PSR derivative's (below).
 //   - PSR: state lanes. Each site picks its own matrix, so a routine holds
 //     one site at a time, lane x being state x, and builds row x of P·v
 //     column by column from the broadcast v_y: the matrices are stored
@@ -37,7 +44,8 @@ import (
 //     lanes: four sites' rows, and the ex and λ rows of their categories,
 //     are transposed in registers, each lane computes its site's weighted
 //     terms and a validity bit (f > 0), and Go sums the terms of the valid
-//     sites in site order; a Go loop does the tail of up to three sites.
+//     sites in site order (foldTerms); a Go loop does the tail of up to
+//     three sites.
 //   - Logs and exponentials: the per-site logs of every evaluation and
 //     insertion-score block go four at a time through laneLog, a
 //     transcription of math.Log's amd64 code with its bits (logSites); the
@@ -45,9 +53,42 @@ import (
 //     laneExp, a transcription of the FMA arm of math.Exp's amd64 code,
 //     on the CPUs where math.Exp takes that arm (expAll).
 //
-// The Γ sum-table and derivative workers stay scalar: their table is
-// pattern-major with a category index, and neither lane shape fits it
-// without a re-layout. So do the Γ tip-tip copies.
+// The Γ tip-tip copies stay scalar: they move table entries and compute
+// nothing.
+
+// laneChunk is the number of sites a derivative worker hands its lane
+// routine per call: the routine writes one siteTerms per four sites into a
+// stack array of laneChunk/4.
+const laneChunk = 64
+
+// siteTerms are the per-site outputs of a derivative lane routine
+// (laneGammaDerivatives, lanePSRDerivatives) for a group of four sites:
+// each site's w·ratio and w·(f″/f − ratio²), and bit j of ok set when site
+// j's f > 0.
+type siteTerms struct {
+	d1, d2 [4]float64
+	ok     uint8
+}
+
+// foldTerms adds the terms of the first n sites of groups (n a multiple of
+// 4) to (d1, d2) in site order — group by group, lane 0 first — over the
+// sites each group marks valid: the fold of the derivative workers' Go
+// loop, which skips a site whose f is not > 0.
+func foldTerms(groups []siteTerms, n int, d1, d2 float64) (float64, float64) {
+	for g := range groups {
+		if 4*g >= n {
+			break
+		}
+		t := &groups[g]
+		for j := 0; j < 4; j++ {
+			if t.ok>>j&1 != 0 {
+				d1 += t.d1[j]
+				d2 += t.d2[j]
+			}
+		}
+	}
+	return d1, d2
+}
 
 // laneMask is ^3 when the lanes run and 0 when they do not: a Γ block of w
 // sites computes its first w & laneMask in lanes, a PSR block all of them

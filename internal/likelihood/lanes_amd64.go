@@ -2,11 +2,12 @@ package likelihood
 
 import "repro/internal/msa"
 
-// The AVX2 routines of lanes_amd64.s (Γ site lanes), lanes_psr_amd64.s
-// (PSR state lanes and the PSR sum-table workers), lanes_log_amd64.s (the
-// log) and lanes_exp_amd64.s (the exponential), and the CPU checks that
-// enable them. Each routine's comment there says what it computes;
-// lanes.go says how the workers call them.
+// The AVX2 routines of lanes_amd64.s (Γ site lanes, the Γ sum-table
+// workers among them), lanes_psr_amd64.s (PSR state lanes and the PSR
+// sum-table workers), lanes_log_amd64.s (the log) and lanes_exp_amd64.s
+// (the exponential), and the CPU checks that enable them. Each routine's
+// comment there says what it computes; lanes.go says how the workers call
+// them.
 
 // laneThresh is ScaleThreshold in all four lanes: the scale test's
 // right-hand operand; laneScale is ScaleFactor in all four, a PSR
@@ -84,6 +85,12 @@ func laneEvaluateTipP(site []float64, tips []msa.State, tipVec *[16][ns]float64,
 func laneEvaluateTipQ(site, p []float64, poff int, tips []msa.State, tab []float64, toff, stride int, f0, f1, f2, f3, catW float64, n int)
 
 //go:noescape
+func laneGammaPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride int, ut, uinv *[ns * ns]float64, freqs *[ns]float64, n int)
+
+//go:noescape
+func laneGammaDerivatives(terms []siteTerms, st []float64, w []int, stride, lo, n int, ex, lam *[gammaCats][ns]float64, catW float64)
+
+//go:noescape
 func lanePSRNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, cats []int, pa, pb *[ns * ns]float64, sa, sb, ds []int32)
 
 //go:noescape
@@ -99,7 +106,7 @@ func lanePSRScore(site []float64, noScale []bool, a, b []float64, tipsB []msa.St
 func lanePSRPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride, lo, n int, u, uit *[ns * ns]float64, freqs *[ns]float64)
 
 //go:noescape
-func lanePSRDerivatives(terms []psrTerms, st []float64, cats, w []int, lo, n int, ex, lam [][ns]float64)
+func lanePSRDerivatives(terms []siteTerms, st []float64, cats, w []int, lo, n int, ex, lam [][ns]float64)
 
 //go:noescape
 func laneSiteLnL(vec [][ns]float64, scale []int32, steps []Step, tips [][]msa.State, site int, tipVec *[16][ns]float64, pm [][ns * ns]float64, p, q Ref, freqs *[ns]float64) (l float64, sc int32)

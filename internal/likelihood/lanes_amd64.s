@@ -1,8 +1,9 @@
 #include "textflag.h"
+#include "go_asm.h"
 
 // AVX2 lanes of the Γ block workers (lanes.go). Each routine computes the
-// first n sites (n a multiple of 4) of one category's site loop, four
-// sites per instruction: lane i holds site j+i and evaluates the Go loop's
+// first n sites (n a multiple of 4) of one category's site loop — the
+// derivative's, of every category — four sites per instruction: lane i holds site j+i and evaluates the Go loop's
 // expression for that site with the same operands in the same order —
 // products included, no FMA — so every value it writes has the bits the
 // Go loop would have written. n == 0 returns before the first vector
@@ -10,9 +11,11 @@
 //
 // Shared register use: R8 is the plane stride in bytes and R9 three times
 // it, so (B), (B)(R8*1), (B)(R8*2), (B)(R9*1) are the four state planes of
-// a category at site pointer B; CX counts the 4-site groups left; R13
-// points at laneFlags; Y13 gathers the scale test of a group; Y12 holds
-// catW and Y14 a group's per-site accumulators where a routine has them.
+// a category at site pointer B (the four eigen planes of a category of a
+// sum table); CX counts the 4-site groups left. In the Newview and score
+// routines R13 points at laneFlags and Y13 gathers the scale test of a
+// group; Y12 holds catW and Y14 a group's per-site accumulators where a
+// routine has them.
 
 // DOT4 sets ACC to ((P[o]·V0 + P[o+1]·V1) + P[o+2]·V2) + P[o+3]·V3 — row
 // o/4 of a P matrix times a column, the workers' four-term sum — and
@@ -430,6 +433,204 @@ loop:
 	ADDQ $4, DI
 	ADDQ $32, SI
 	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// PREPROW stores plane o/4 of a category's sum-table fill at DST: the q
+// factor bq = U⁻¹ row o/4 · (Y4..Y7), then ap·bq with ap in AP.
+#define PREPROW(o, AP, DST) \
+	DOT4(BX, o, Y4, Y5, Y6, Y7, Y8, Y9); \
+	VMULPD  Y8, AP, Y8; \
+	VMOVUPD Y8, DST
+
+// PREPTIP stores plane k of a category's sum-table fill at DST when q is a
+// tip: ap·bq with ap_k in AP and bq_k, the tip's prep-table entry, in BQ.
+#define PREPTIP(AP, BQ, DST) \
+	VMULPD  BQ, AP, Y8; \
+	VMOVUPD Y8, DST
+
+// func laneGammaPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride int, ut, uinv *[16]float64, freqs *[4]float64, n int)
+//
+// The Γ sum-table fill of one category, every operand shape, for the first
+// n sites (n a multiple of 4) from the category's first plane at st, p and
+// q: plane k of st is ap_k·bq_k. The p factor ap_k = ((π0·v0)·U[0][k] +
+// (π1·v1)·U[1][k]) + (π2·v2)·U[2][k]) + (π3·v3)·U[3][k] is DOT4 of the
+// products π_x·v_x, taken once per group, over row k of ut (U
+// transposed), or, for a tip, entry k of its prep-table row; the q factor
+// bq_k = Σ_y U⁻¹[k][y]·v_y is DOT4 over row k of uinv, or a tip's entry.
+// A tip's rows are category-free: GATHER4 of its codes. An operand's
+// planes are read only if it is no tip, its tip codes only if it is one.
+// π stays in Y12–Y15.
+TEXT ·laneGammaPrepare(SB), NOSPLIT, $0-224
+	MOVQ n+216(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ st_base+0(FP), DX
+	MOVQ p_base+24(FP), SI
+	MOVQ tipsP_base+48(FP), R10
+	MOVQ tabP_base+72(FP), R11
+	MOVQ q_base+104(FP), DI
+	MOVQ tipsQ_base+128(FP), R12
+	MOVQ tabQ_base+152(FP), R13
+	STRIDE(stride+184(FP))
+	MOVQ ut+192(FP), R14
+	MOVQ uinv+200(FP), BX
+	MOVQ freqs+208(FP), AX
+	VBROADCASTSD 0(AX), Y12
+	VBROADCASTSD 8(AX), Y13
+	VBROADCASTSD 16(AX), Y14
+	VBROADCASTSD 24(AX), Y15
+
+loop:
+	CMPB tipP+96(FP), $0
+	JNE  tipp
+	LOAD4(SI, Y8, Y9, Y10, Y11)
+	VMULPD Y12, Y8, Y8
+	VMULPD Y13, Y9, Y9
+	VMULPD Y14, Y10, Y10
+	VMULPD Y15, Y11, Y11
+	DOT4(R14, 0, Y8, Y9, Y10, Y11, Y0, Y4)
+	DOT4(R14, 4, Y8, Y9, Y10, Y11, Y1, Y4)
+	DOT4(R14, 8, Y8, Y9, Y10, Y11, Y2, Y4)
+	DOT4(R14, 12, Y8, Y9, Y10, Y11, Y3, Y4)
+	JMP    qside
+
+tipp:
+	GATHER4(R10, R11, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+
+qside:
+	CMPB tipQ+176(FP), $0
+	JNE  tipq
+	LOAD4(DI, Y4, Y5, Y6, Y7)
+	PREPROW(0, Y0, (DX))
+	PREPROW(4, Y1, (DX)(R8*1))
+	PREPROW(8, Y2, (DX)(R8*2))
+	PREPROW(12, Y3, (DX)(R9*1))
+	JMP  next
+
+tipq:
+	GATHER4(R12, R13, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	PREPTIP(Y0, Y4, (DX))
+	PREPTIP(Y1, Y5, (DX)(R8*1))
+	PREPTIP(Y2, Y6, (DX)(R8*2))
+	PREPTIP(Y3, Y7, (DX)(R9*1))
+
+next:
+	ADDQ $32, DX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $4, R10
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+DATA gammaTwo52<>+0(SB)/8, $0x4330000000000000
+GLOBL gammaTwo52<>(SB), RODATA|NOPTR, $8
+
+// DTERM adds eigen term k of a category to a group's sums: t = st·ex_k
+// with the four sites' entries at ST and ex_k at byte K of the category's
+// row at O(SI), then f = f + t, f′ = f′ + λ_k·t and f″ = f″ + (λ_k·λ_k)·t
+// in Y4, Y5, Y6, λ_k at K of the row at O(DI). Y0 and Y8–Y11 are
+// clobbered.
+#define DTERM(ST, O, K) \
+	VMOVUPD      ST, Y0; \
+	VBROADCASTSD (O+K)(SI), Y8; \
+	VMULPD       Y8, Y0, Y0; \
+	VADDPD       Y0, Y4, Y4; \
+	VBROADCASTSD (O+K)(DI), Y9; \
+	VMULPD       Y0, Y9, Y10; \
+	VADDPD       Y10, Y5, Y5; \
+	VMULPD       Y9, Y9, Y11; \
+	VMULPD       Y0, Y11, Y11; \
+	VADDPD       Y11, Y6, Y6
+
+// DCAT adds the four eigen terms of the category whose planes start at P
+// and whose ex and λ rows are at byte O of ex and lam.
+#define DCAT(P, O) \
+	DTERM((P), O, 0); \
+	DTERM((P)(R8*1), O, 8); \
+	DTERM((P)(R8*2), O, 16); \
+	DTERM((P)(R9*1), O, 24)
+
+// func laneGammaDerivatives(terms []siteTerms, st []float64, w []int, stride, lo, n int, ex, lam *[4][4]float64, catW float64)
+//
+// The per-site terms of the Γ derivative, in site lanes, for sites
+// lo..lo+n−1, n a multiple of 4, into terms[0..n/4), from the plane-major
+// sum table st (plane (c, k) at (c·4+k)·stride): per lane, each with the
+// Go loop's expression and no FMA, over the categories in order from +0,
+// t = st_{c,k}·ex[c][k], f = (((f + t0) + t1) + t2) + t3, f′ and f″ the
+// same with λ[c][k]·t and (λ[c][k]·λ[c][k])·t; then f, f′, f″ times catW,
+// d1 = w·(f′/f) and d2 = w·(f″/f − (f′/f)²), w converted exactly for
+// 0 <= w < 2^52 (w | 2^52 as a double, − 2^52). Bit j of a group's ok
+// says its site j has f > 0 (an ordered compare: false for NaN); Go sums
+// d1 and d2 over exactly those sites, in site order. R10–R13 point at the
+// four categories' first planes.
+TEXT ·laneGammaDerivatives(SB), NOSPLIT, $0-120
+	MOVQ n+88(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ lo+80(FP), AX
+	MOVQ terms_base+0(FP), DX
+	MOVQ st_base+24(FP), R10
+	LEAQ (R10)(AX*8), R10
+	STRIDE(stride+72(FP))
+	LEAQ (R10)(R8*4), R11
+	LEAQ (R11)(R8*4), R12
+	LEAQ (R12)(R8*4), R13
+	MOVQ w_base+48(FP), R14
+	LEAQ (R14)(AX*8), R14
+	MOVQ ex+96(FP), SI
+	MOVQ lam+104(FP), DI
+	VBROADCASTSD catW+112(FP), Y15
+	VBROADCASTSD gammaTwo52<>(SB), Y14
+	VXORPD       Y13, Y13, Y13
+
+loop:
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	DCAT(R10, 0)
+	DCAT(R11, 32)
+	DCAT(R12, 64)
+	DCAT(R13, 96)
+	VMULPD Y15, Y4, Y4
+	VMULPD Y15, Y5, Y5
+	VMULPD Y15, Y6, Y6
+
+	// ok: f > 0
+	VCMPPD    $0x1E, Y13, Y4, Y7
+	VMOVMSKPD Y7, AX
+	MOVB      AX, siteTerms_ok(DX)
+
+	// w
+	VMOVDQU (R14), Y12
+	VPOR    Y14, Y12, Y12
+	VSUBPD  Y14, Y12, Y12
+
+	// d1 = w·ratio, d2 = w·(f″/f − ratio·ratio)
+	VDIVPD  Y4, Y5, Y5
+	VDIVPD  Y4, Y6, Y6
+	VMULPD  Y5, Y5, Y7
+	VSUBPD  Y7, Y6, Y6
+	VMULPD  Y6, Y12, Y6
+	VMULPD  Y5, Y12, Y5
+	VMOVUPD Y5, siteTerms_d1(DX)
+	VMOVUPD Y6, siteTerms_d2(DX)
+
+	ADDQ $siteTerms__size, DX
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, R14
 	DECQ CX
 	JNZ  loop
 	VZEROUPPER

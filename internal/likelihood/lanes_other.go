@@ -5,9 +5,9 @@ package likelihood
 import "repro/internal/msa"
 
 // Without the amd64 routines every lane call does 0 sites: laneMask stays
-// 0, and the workers' Go loops compute every site. The PSR routines and
-// laneSiteLnL are only called while laneMask != 0, laneExp only while
-// haveExpLanes holds.
+// 0, and the workers' Go loops compute every site. The PSR routines, the
+// Γ derivative routine and laneSiteLnL are only called while laneMask !=
+// 0, laneExp only while haveExpLanes holds.
 
 const haveLanes, haveExpLanes = false, false
 
@@ -34,6 +34,12 @@ func laneEvaluateTipP(site []float64, tips []msa.State, tipVec *[16][ns]float64,
 func laneEvaluateTipQ(site, p []float64, poff int, tips []msa.State, tab []float64, toff, stride int, f0, f1, f2, f3, catW float64, n int) {
 }
 
+func laneGammaPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride int, ut, uinv *[ns * ns]float64, freqs *[ns]float64, n int) {
+}
+
+func laneGammaDerivatives(terms []siteTerms, st []float64, w []int, stride, lo, n int, ex, lam *[gammaCats][ns]float64, catW float64) {
+}
+
 func lanePSRNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, cats []int, pa, pb *[ns * ns]float64, sa, sb, ds []int32) {
 }
 
@@ -48,7 +54,7 @@ func lanePSRScore(site []float64, noScale []bool, a, b []float64, tipsB []msa.St
 func lanePSRPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride, lo, n int, u, uit *[ns * ns]float64, freqs *[ns]float64) {
 }
 
-func lanePSRDerivatives(terms []psrTerms, st []float64, cats, w []int, lo, n int, ex, lam [][ns]float64) {
+func lanePSRDerivatives(terms []siteTerms, st []float64, cats, w []int, lo, n int, ex, lam [][ns]float64) {
 }
 
 func laneSiteLnL(vec [][ns]float64, scale []int32, steps []Step, tips [][]msa.State, site int, tipVec *[16][ns]float64, pm [][ns * ns]float64, p, q Ref, freqs *[ns]float64) (l float64, sc int32) {

@@ -531,7 +531,7 @@ none:
 DATA psrTwo52<>+0(SB)/8, $0x4330000000000000
 GLOBL psrTwo52<>(SB), RODATA|NOPTR, $8
 
-// func lanePSRDerivatives(terms []psrTerms, st []float64, cats, w []int, lo, n int, ex, lam [][4]float64)
+// func lanePSRDerivatives(terms []siteTerms, st []float64, cats, w []int, lo, n int, ex, lam [][4]float64)
 //
 // The per-site terms of the PSR derivative, in site lanes, for sites
 // lo..lo+n−1, n a multiple of 4, into terms[0..n/4): four sites' sum-table
@@ -610,7 +610,7 @@ loop:
 	// ok: f > 0
 	VCMPPD    $0x1E, Y15, Y8, Y11
 	VMOVMSKPD Y11, AX
-	MOVB      AX, psrTerms_ok(DX)
+	MOVB      AX, siteTerms_ok(DX)
 
 	// w
 	VMOVDQU (R10), Y12
@@ -624,10 +624,10 @@ loop:
 	VSUBPD  Y11, Y10, Y10
 	VMULPD  Y10, Y12, Y10
 	VMULPD  Y9, Y12, Y9
-	VMOVUPD Y9, psrTerms_d1(DX)
-	VMOVUPD Y10, psrTerms_d2(DX)
+	VMOVUPD Y9, siteTerms_d1(DX)
+	VMOVUPD Y10, siteTerms_d2(DX)
 
-	ADDQ $psrTerms__size, DX
+	ADDQ $siteTerms__size, DX
 	ADDQ $128, R8
 	ADDQ $32, R9
 	ADDQ $32, R10

@@ -81,10 +81,12 @@ func laneBits[T float64 | int32 | bool](out []uint64, vs []T) []uint64 {
 // lanes on, from the same state, over every width 1–256 (so every tail
 // length) at random offsets, on operands mixing ordinary values with
 // signed zeros, NaN, sites whose products fall below ScaleThreshold and
-// subnormal ones, tip codes from all 16 with tables filled for all 16, and
-// both tip orientations. Every double written — the CLV planes, scaling
-// included; the per-site likelihoods — every scale count and every
-// noScale flag must have the same bits.
+// subnormal ones, tip codes from all 16 with tables filled for all 16,
+// every tip orientation, random frequencies, a random eigensystem, and sum
+// tables whose sites have f ≤ 0, NaN or infinite terms under weights
+// drawn from 0–5. Every double written — the CLV planes, scaling
+// included; the per-site likelihoods; the sum tables — every scale count
+// and noScale flag, and every block's (d1, d2) must have the same bits.
 func TestLanesMatchGoLoop(t *testing.T) {
 	if !haveLanes {
 		t.Skip("this CPU has no AVX2: the lanes never run, the Go loops compute every site")
@@ -94,6 +96,9 @@ func TestLanesMatchGoLoop(t *testing.T) {
 	const nPat = 300
 	rng := rand.New(rand.NewSource(27))
 	pd := &msa.PartitionData{Name: "lanes", Tips: [][]msa.State{make([]msa.State, nPat)}, Weights: make([]int, nPat)}
+	for i := range pd.Weights {
+		pd.Weights[i] = rng.Intn(6)
+	}
 	par, err := model.NewParams(model.Gamma, model.UniformFreqs(), nPat)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +131,15 @@ func TestLanesMatchGoLoop(t *testing.T) {
 			par.Freqs[x] = 0.05 + rng.Float64()
 		}
 		catW := rng.Float64()
+		prepP, prepQ := randomEigen(rng, k, par)
+		sum0, sumSpecial := gammaLaneSumTable(rng, nPat, false), gammaLaneSumTable(rng, nPat, true)
+		var ex, lam [gammaCats][ns]float64
+		for c := range ex {
+			for kk := 0; kk < ns; kk++ {
+				ex[c][kk], lam[c][kk] = rng.Float64(), -3*rng.ExpFloat64()
+			}
+			ex[c][ns-1], lam[c][ns-1] = 1, 0
+		}
 
 		// The state every run starts from: destination planes, per-site
 		// likelihoods and scale decisions already holding values.
@@ -146,10 +160,36 @@ func TestLanesMatchGoLoop(t *testing.T) {
 			run(site, noScale)
 			return laneBits(laneBits(nil, site), noScale)
 		}
+		prepare := func(op, oq operand) func() []uint64 {
+			return func() []uint64 {
+				st := append([]float64(nil), sum0...)
+				var tp, tq []float64
+				if op.tips != nil {
+					tp = prepP
+				}
+				if oq.tips != nil {
+					tq = prepQ
+				}
+				k.prepareGammaSoABlock(st, op, oq, tp, tq, lo, hi)
+				return laneBits(nil, st)
+			}
+		}
+		derivatives := func(st []float64) func() []uint64 {
+			return func() []uint64 {
+				d1, d2 := k.derivativesGammaBlock(st, &ex, &lam, catW, lo, hi)
+				return laneBits(nil, []float64{d1, d2})
+			}
+		}
 		cases := []struct {
 			name string
 			run  func() []uint64
 		}{
+			{"prepare inner-inner", prepare(a, b)},
+			{"prepare tip-inner", prepare(tip, b)},
+			{"prepare inner-tip", prepare(a, tip)},
+			{"prepare tip-tip", prepare(tip, tip)},
+			{"derivatives", derivatives(sum0)},
+			{"derivatives, NaN and infinite terms", derivatives(sumSpecial)},
 			{"newview inner-inner", func() []uint64 {
 				return newview(func(d []float64, ds []int32) { k.newviewGammaSoABlock(d, ds, a, b, pa, pb, lo, hi) })
 			}},
@@ -217,13 +257,14 @@ func psrLanePlanes(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// psrLaneSumTable returns a PSR sum table of n sites whose entries mix
-// ordinary values of either sign (so that f ≤ 0 occurs), signed zeros
-// (some sites all zero: f = 0) and tiny values, and with special also a
-// few NaN and infinities of either sign. Without them every block's
-// (d1, d2) is finite, so a fold in another order shows.
-func psrLaneSumTable(rng *rand.Rand, n int, special bool) []float64 {
-	st := make([]float64, n*ns)
+// laneSumTable returns a sum table of n sites of per entries each, site
+// i's entry e at index at(i, e), whose entries mix ordinary values of
+// either sign (so that f ≤ 0 occurs), signed zeros (some sites all zero:
+// f = 0) and tiny values, and with special also a few NaN and infinities
+// of either sign. Without them every block's (d1, d2) is finite, so a fold
+// in another order shows.
+func laneSumTable(rng *rand.Rand, n, per int, special bool, at func(i, e int) int) []float64 {
+	st := make([]float64, n*per)
 	for i := range st {
 		switch r := rng.Intn(200); {
 		case r < 10:
@@ -241,9 +282,36 @@ func psrLaneSumTable(rng *rand.Rand, n int, special bool) []float64 {
 		}
 	}
 	for i := 0; i < n; i += 1 + rng.Intn(16) {
-		clear(st[i*ns : (i+1)*ns])
+		for e := 0; e < per; e++ {
+			st[at(i, e)] = 0
+		}
 	}
 	return st
+}
+
+// psrLaneSumTable is laneSumTable in the PSR layout, [pattern][eig].
+func psrLaneSumTable(rng *rand.Rand, n int, special bool) []float64 {
+	return laneSumTable(rng, n, ns, special, func(i, e int) int { return i*ns + e })
+}
+
+// gammaLaneSumTable is laneSumTable in the Γ layout, plane-major: entry
+// (c, k) of site i at (c·4+k)·n + i.
+func gammaLaneSumTable(rng *rand.Rand, n int, special bool) []float64 {
+	return laneSumTable(rng, n, gammaCats*ns, special, func(i, e int) int { return e*n + i })
+}
+
+// randomEigen gives par a random eigensystem, U and U⁻¹ unrelated, and
+// returns the prep tables of all 16 tip codes under it.
+func randomEigen(rng *rand.Rand, k *Kernel, par *model.Params) (prepP, prepQ []float64) {
+	eig := *par.Eigen
+	for i := range eig.U {
+		eig.U[i], eig.UInv[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	par.Eigen = &eig
+	prepP, prepQ = make([]float64, 16*ns), make([]float64, 16*ns)
+	k.fillPrepTipP(prepP, 0xffff)
+	k.fillPrepTipQ(prepQ, 0xffff)
+	return prepP, prepQ
 }
 
 // TestPSRLanesMatchGoLoop holds every PSR lane routine to the Go loop it
@@ -310,14 +378,7 @@ func TestPSRLanesMatchGoLoop(t *testing.T) {
 			par.Freqs[x] = 0.05 + rng.Float64()
 		}
 
-		eig := *par.Eigen
-		for i := range eig.U {
-			eig.U[i], eig.UInv[i] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		par.Eigen = &eig
-		prepP, prepQ := make([]float64, 16*ns), make([]float64, 16*ns)
-		k.fillPrepTipP(prepP, 0xffff)
-		k.fillPrepTipQ(prepQ, 0xffff)
+		prepP, prepQ := randomEigen(rng, k, par)
 		sum0, sumSpecial := psrLaneSumTable(rng, nPat, false), psrLaneSumTable(rng, nPat, true)
 		ex, lam := make([][ns]float64, cats), make([][ns]float64, cats)
 		for c := range ex {
@@ -716,8 +777,8 @@ func TestLaneSitesCounted(t *testing.T) {
 }
 
 // BenchmarkGammaLanes times each Γ worker that has lanes over one full
-// block (256 sites, all four categories, ordinary values), lanes off and
-// on: a diagnostic of the routines, not evidence of a gain (that is the
+// block (256 sites, all four categories, ordinary values) — the sum-table
+// fill and derivative among them — lanes off and on: a diagnostic of the routines, not evidence of a gain (that is the
 // end-to-end benchmark's).
 func BenchmarkGammaLanes(b *testing.B) {
 	const nPat = threadpool.BlockSize
@@ -753,10 +814,22 @@ func BenchmarkGammaLanes(b *testing.B) {
 	k.insTab = planes()
 	d, ds := make([]float64, nPat*gammaCats*ns), make([]int32, nPat)
 	site, noScale := make([]float64, nPat), make([]bool, nPat)
+	for i := range pd.Weights {
+		pd.Weights[i] = 1
+	}
+	sum := planes()
+	prepP, prepQ := make([]float64, 16*ns), make([]float64, 16*ns)
+	k.fillPrepTipP(prepP, 0xffff)
+	k.fillPrepTipQ(prepQ, 0xffff)
+	var ra runArgs
+	k.exponentials(&ra, 0.1)
 	workers := []struct {
 		name string
 		run  func()
 	}{
+		{"prepare", func() { k.prepareGammaSoABlock(d, a, c, nil, nil, 0, nPat) }},
+		{"prepare-tip", func() { k.prepareGammaSoABlock(d, tip, c, prepP, nil, 0, nPat) }},
+		{"derivatives", func() { k.derivativesGammaBlock(sum, ra.exG, ra.lamG, ra.catW, 0, nPat) }},
 		{"newview", func() { k.newviewGammaSoABlock(d, ds, a, c, pm, pm, 0, nPat) }},
 		{"newview-tip", func() { k.newviewGammaTipInnerSoABlock(d, ds, tip, c, tab, nil, pm, pm, 0, nPat) }},
 		{"evaluate", func() { k.evaluateGammaSites(site, a, c, pm, 0.25, 0) }},

@@ -46,41 +46,22 @@ func (k *Kernel) evaluatePSR(op, oq operand, t float64) {
 	k.flops.Evaluate += k.cols()
 }
 
-// psrTerms are the per-site outputs of lanePSRDerivatives for a group of
-// four sites: each site's w·ratio and w·(f″/f − ratio²), and bit j of ok
-// set when site j's f > 0.
-type psrTerms struct {
-	d1, d2 [4]float64
-	ok     uint8
-}
-
 // derivativesPSRBlock is the per-block worker of derivativesPSR. The
 // four-state loop is unrolled with constant indices into capped slices
 // (no bounds checks in the hot loop); the sums associate left-to-right
 // from zero — the identical expression the rolled loop evaluated, so
 // the unroll is bit-invisible. On a CPU with AVX2 the per-site terms of
 // the first (hi−lo) &^ 3 sites come from lanePSRDerivatives, 64 sites a
-// call, each with this loop's expression, and are summed here, in site
-// order, over the sites it marks valid; the loop does the tail.
+// call, each with this loop's expression, and foldTerms sums them in site
+// order over the sites it marks valid; the loop does the tail.
 func (k *Kernel) derivativesPSRBlock(sumTab []float64, ex, lam [][ns]float64, lo, hi int) (d1, d2 float64) {
 	cats := k.par.SiteCats
 	i := lo
+	var terms [laneChunk / 4]siteTerms
 	for laneMask != 0 && hi-i >= 4 {
-		var terms [16]psrTerms
-		nl := min(hi-i, 4*len(terms)) &^ 3
+		nl := min(hi-i, laneChunk) &^ 3
 		lanePSRDerivatives(terms[:], sumTab, cats, k.data.Weights, i, nl, ex, lam)
-		for g := range terms {
-			if 4*g >= nl {
-				break
-			}
-			t := &terms[g]
-			for j := 0; j < 4; j++ {
-				if t.ok>>j&1 != 0 {
-					d1 += t.d1[j]
-					d2 += t.d2[j]
-				}
-			}
-		}
+		d1, d2 = foldTerms(terms[:], nl, d1, d2)
 		i += nl
 	}
 	for ; i < hi; i++ {

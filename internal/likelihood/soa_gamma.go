@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"repro/internal/model"
 	"repro/internal/threadpool"
 )
 
@@ -11,13 +12,13 @@ import (
 // into straight-line code with the P-matrix row hoisted into scalars —
 // the vectorizable shape of BEAGLE's CPU kernels.
 //
-// Vector lanes (lanes.go): on a CPU with AVX2 the Newview and evaluation
-// workers hand the first nl = w & laneMask sites of each category's site
-// loop to an AVX2 routine that computes four sites per instruction, and
-// their Go loop continues at nl — the tail, and every site where the
-// lanes do not run. The Go loop is the single statement of each
-// expression; a lane evaluates it for its site with the same operands in
-// the same order.
+// Vector lanes (lanes.go): on a CPU with AVX2 the Newview, evaluation and
+// sum-table fill workers hand the first nl = w & laneMask sites of each
+// category's site loop to an AVX2 routine that computes four sites per
+// instruction, and their Go loop continues at nl — the tail, and every
+// site where the lanes do not run. The Go loop is the single statement of
+// each expression; a lane evaluates it for its site with the same operands
+// in the same order.
 //
 // Expression order (docs/DETERMINISM.md §8): a site's value is one fixed
 // expression (operands and association order) whichever worker computes
@@ -332,74 +333,61 @@ func (k *Kernel) evaluateGammaTipSites(site []float64, op, oq operand, tab []flo
 	}
 }
 
-// prepareGammaSoABlock is the inner-inner sum-table fill. Sum-table
-// entries are mutually independent (the order-sensitive consumption
-// happens in derivativesGammaBlock), so the plane-major loop order is
-// free. The table itself is pattern-major ([pattern][category][eig]):
-// the derivative worker consumes it sequentially per site.
-func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, lo, hi int) {
+// prepareGammaSoABlock is the sum-table fill, every operand shape: a tip
+// side reads its category-free prep-table entry (fastpath.go, computed by
+// the inner side's expression), an inner side evaluates the expression
+// from its planes, and ap·bq lands in plane (c, k) of the plane-major
+// table (sumtable.go), a window of the block's width written stride-1.
+// Entries are mutually independent (the order-sensitive consumption
+// happens in derivativesGammaBlock), so the loop order is free: per
+// plane, one pass stores ap and a second multiplies it by bq. The first
+// w & laneMask sites of each category run in lanes (laneGammaPrepare).
+func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
+	nl := w & laneMask
+	ut := transposeU(e)
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
 	for c := 0; c < gammaCats; c++ {
-		p0, p1, p2, p3 := planes(op.clv, c*ns, n, lo, w)
-		q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
+		p0, p1, p2, p3 := operandPlanes(op, n, c*ns*n+lo, w)
+		q0, q1, q2, q3 := operandPlanes(oq, n, c*ns*n+lo, w)
+		laneGammaPrepare(window(st, c*ns*n+lo, w), p0, tipsP, tabP, op.tips != nil, q0, tipsQ, tabQ, oq.tips != nil, n, &ut, &e.UInv, freqs, nl)
 		for kk := 0; kk < ns; kk++ {
-			u0, u1, u2, u3 := e.U[0*ns+kk], e.U[1*ns+kk], e.U[2*ns+kk], e.U[3*ns+kk]
-			w0, w1, w2, w3 := e.UInv[kk*ns], e.UInv[kk*ns+1], e.UInv[kk*ns+2], e.UInv[kk*ns+3]
-			for j := range p0 {
-				ap := f0*p0[j]*u0 + f1*p1[j]*u1 + f2*p2[j]*u2 + f3*p3[j]*u3
-				bq := w0*q0[j] + w1*q1[j] + w2*q2[j] + w3*q3[j]
-				st[((lo+j)*gammaCats+c)*ns+kk] = ap * bq
+			sk := window(st, (c*ns+kk)*n+lo, w)
+			if op.tips != nil {
+				for j := nl; j < len(sk); j++ {
+					sk[j] = tabP[int(tipsP[j])*ns+kk]
+				}
+			} else {
+				u0, u1, u2, u3 := ut[kk*ns], ut[kk*ns+1], ut[kk*ns+2], ut[kk*ns+3]
+				for j := nl; j < len(sk); j++ {
+					sk[j] = f0*p0[j]*u0 + f1*p1[j]*u1 + f2*p2[j]*u2 + f3*p3[j]*u3
+				}
+			}
+			if oq.tips != nil {
+				for j := nl; j < len(sk); j++ {
+					sk[j] *= tabQ[int(tipsQ[j])*ns+kk]
+				}
+			} else {
+				w0, w1, w2, w3 := e.UInv[kk*ns], e.UInv[kk*ns+1], e.UInv[kk*ns+2], e.UInv[kk*ns+3]
+				for j := nl; j < len(sk); j++ {
+					sk[j] *= w0*q0[j] + w1*q1[j] + w2*q2[j] + w3*q3[j]
+				}
 			}
 		}
 	}
 }
 
-// prepareGammaFastSoABlock is the tip-specialized sum-table fill: per
-// (category, eigen) plane, the tip side gathers its prep-table entries
-// (computed by prepareGammaSoABlock's expression) and the inner side
-// streams its planes into per-site scratch, then the ap·bq products land
-// in the pattern-major sum table.
-func (k *Kernel) prepareGammaFastSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
-	e := k.par.Eigen
-	freqs := &k.par.Freqs
-	n := k.nPat
-	w := hi - lo
-	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	var apBuf, bqBuf [threadpool.BlockSize]float64
-	apScr, bqScr := apBuf[:w], bqBuf[:w]
-	for c := 0; c < gammaCats; c++ {
+// transposeU returns the transpose of e's U: row k holds U's column k, the
+// p-side factors of eigen index k in the order ap's sum takes them.
+func transposeU(e *model.Eigen) (ut [ns * ns]float64) {
+	for x := 0; x < ns; x++ {
 		for kk := 0; kk < ns; kk++ {
-			if op.tips != nil {
-				tips := op.tips[lo:][:w]
-				for j := range apScr {
-					apScr[j] = tabP[int(tips[j])*ns+kk]
-				}
-			} else {
-				u0, u1, u2, u3 := e.U[0*ns+kk], e.U[1*ns+kk], e.U[2*ns+kk], e.U[3*ns+kk]
-				p0, p1, p2, p3 := planes(op.clv, c*ns, n, lo, w)
-				for j := range apScr {
-					apScr[j] = f0*p0[j]*u0 + f1*p1[j]*u1 + f2*p2[j]*u2 + f3*p3[j]*u3
-				}
-			}
-			if oq.tips != nil {
-				tips := oq.tips[lo:][:w]
-				for j := range bqScr {
-					bqScr[j] = tabQ[int(tips[j])*ns+kk]
-				}
-			} else {
-				w0, w1, w2, w3 := e.UInv[kk*ns], e.UInv[kk*ns+1], e.UInv[kk*ns+2], e.UInv[kk*ns+3]
-				q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
-				for j := range bqScr {
-					bqScr[j] = w0*q0[j] + w1*q1[j] + w2*q2[j] + w3*q3[j]
-				}
-			}
-			for j := range apScr {
-				st[((lo+j)*gammaCats+c)*ns+kk] = apScr[j] * bqScr[j]
-			}
+			ut[kk*ns+x] = e.U[x*ns+kk]
 		}
 	}
+	return ut
 }

@@ -25,11 +25,12 @@ import (
 // insertion-score workers fill per-site likelihoods; their reductions over
 // sites stay in Go (sumSiteLnl, finishInsertionPSR).
 
-// psrPlanes returns the block windows (soa_gamma.go) of a PSR operand's
-// four state planes. A tip operand has none: it gets windows of zeros,
-// which its worker never reads, so that every slice a site loop indexes
-// has the loop's length whatever the operand shapes.
-func psrPlanes(o operand, n, lo, w int) (p0, p1, p2, p3 []float64) {
+// operandPlanes returns the block windows (soa_gamma.go) of four state
+// planes of an operand, from site lo: a PSR operand's only four, a Γ
+// operand's category c at lo + c·4·n. A tip operand has none: it gets
+// windows of zeros, which its worker never reads, so that every slice a
+// site loop indexes has the loop's length whatever the operand shapes.
+func operandPlanes(o operand, n, lo, w int) (p0, p1, p2, p3 []float64) {
 	clv := o.clv
 	if o.tips != nil {
 		clv, n, lo = zeroPlane[:], 0, 0
@@ -37,7 +38,7 @@ func psrPlanes(o operand, n, lo, w int) (p0, p1, p2, p3 []float64) {
 	return window(clv, lo, w), window(clv, n+lo, w), window(clv, 2*n+lo, w), window(clv, 3*n+lo, w)
 }
 
-// zeroPlane and zeroTips are the read-only stand-ins psrPlanes and
+// zeroPlane and zeroTips are the read-only stand-ins operandPlanes and
 // tipWindow hand out for the operand shape a worker does not read.
 var (
 	zeroPlane [threadpool.BlockSize]float64
@@ -62,8 +63,8 @@ func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob opera
 	w := hi - lo
 	cats := k.par.SiteCats[lo:][:w]
 	e0, e1, e2, e3 := planes(dclv, 0, n, lo, w)
-	a0, a1, a2, a3 := psrPlanes(oa, n, lo, w)
-	b0, b1, b2, b3 := psrPlanes(ob, n, lo, w)
+	a0, a1, a2, a3 := operandPlanes(oa, n, lo, w)
+	b0, b1, b2, b3 := operandPlanes(ob, n, lo, w)
 	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
 	sa, sb := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w)
 	ds := dscale[lo:][:w]
@@ -136,8 +137,8 @@ func (k *Kernel) evaluatePSRSites(site []float64, op, oq operand, pm [][ns * ns]
 	n := k.nPat
 	w := len(site)
 	cats := k.par.SiteCats[lo:][:w]
-	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
-	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	p0, p1, p2, p3 := operandPlanes(op, n, lo, w)
+	q0, q1, q2, q3 := operandPlanes(oq, n, lo, w)
 	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
 	if laneMask != 0 {
 		lanePSREvaluate(site, p0, tipsP, &k.tipVec, op.tips != nil, q0, tipsQ, tab, oq.tips != nil, n, cats, &pm[0], freqs)
@@ -211,8 +212,8 @@ func (k *Kernel) preparePSRFastSoABlock(st []float64, op, oq operand, tabP, tabQ
 	freqs := &k.par.Freqs
 	n := k.nPat
 	w := hi - lo
-	p0, p1, p2, p3 := psrPlanes(op, n, lo, w)
-	q0, q1, q2, q3 := psrPlanes(oq, n, lo, w)
+	p0, p1, p2, p3 := operandPlanes(op, n, lo, w)
+	q0, q1, q2, q3 := operandPlanes(oq, n, lo, w)
 	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
 	for j := range p0 {
 		off := (lo + j) * ns

@@ -7,11 +7,14 @@ import "repro/internal/model"
 // side a tip, a post-order CLV or an outer vector — fills its sum table,
 // the product that does not depend on the branch length,
 //
-//	Γ:   st[((i·C)+c)·4+k] = (Σ_x π_x p_x U_{xk}) · (Σ_y U⁻¹_{ky} q_y)
-//	PSR: the same without the category index,
+//	Γ:   st[(c·4+k)·n + i] = (Σ_x π_x p_x U_{xk}) · (Σ_y U⁻¹_{ky} q_y)
+//	PSR: st[i·4+k], the same without the category index,
 //
-// pattern-major, and from it (d lnL/dt, d² lnL/dt²) at any branch length
-// t costs one pass over the sites and a few exponentials. The kernel keeps
+// for site i of n, category c and eigen index k: under Γ plane-major, the
+// layout of a Γ CLV, so a block writes and reads a window of each of the
+// 16 (c, k) planes; under PSR pattern-major, a site's row being one
+// vector. From it (d lnL/dt, d² lnL/dt²) at any branch length t costs one
+// pass over the sites and a few exponentials. The kernel keeps
 // its tables in one store addressed by slot: a per-branch Newton
 // (enginecore.Local.PrepareLocal) contracts into slot 0, the all-branch
 // gradient contracts plan edge b into slot b, and either evaluates any
@@ -39,10 +42,10 @@ type sumSlot struct {
 }
 
 // prepareOps are the sum-table fills by [Γ][a tip operand read through
-// the prep tables].
+// the prep tables]; the Γ fill serves every operand shape.
 var prepareOps = [2][2]runOp{
 	{opPrepPSR, opPrepPSRFast},
-	{opPrepGamma, opPrepGammaFast},
+	{opPrepGamma, opPrepGamma},
 }
 
 // Contract stages the fill of slot s's sum table from edge (p, q), p the
