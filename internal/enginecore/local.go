@@ -193,7 +193,6 @@ func (l *Local) Close() {
 			perf.PCacheHits += s.PCacheHits
 			perf.PCacheMisses += s.PCacheMisses
 			perf.TipTipNewviews += s.NewviewTipTip
-			perf.PairTableEntries += s.PairTableEntries
 			perf.TipTableEntries += s.TipTableEntries
 			perf.SiteRateTableEvals += s.SiteRateTableEvals
 			perf.SiteRateExactEvals += s.SiteRateExactEvals

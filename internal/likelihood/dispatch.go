@@ -26,8 +26,8 @@ import (
 // Everything a staged operation points to lives until Finish: CLV and
 // outer slots and the sum tables belong to the kernel, cached P matrices
 // to the cache (which only resets between programs), and every table
-// built for one operation — uncached P matrices, tip, pair and prep
-// tables, derivative exponentials — comes from the kernel's program arena
+// built for one operation — uncached P matrices, tip and prep tables,
+// derivative exponentials — comes from the kernel's program arena
 // (ProgramArena; a rank's kernels share one), which grows to the largest
 // call and is reset by Finish. Steady-state calls therefore allocate
 // nothing.
@@ -36,22 +36,17 @@ import (
 type runOp uint8
 
 const (
-	opNvGammaTipTip runOp = iota
-	opNvGammaTipInner
-	opNvGammaInner
+	opNvGamma runOp = iota
 	opEvalGamma
-	opEvalGammaTip
 	opPrepGamma
 	opDerivGamma
 	opNvPSR
 	opEvalPSR
 	opPrepPSR
-	opPrepPSRFast
 	opDerivPSR
 	opPrepInsGamma
 	opPrepInsPSR
 	opInsGamma
-	opInsGammaTip
 	opInsPSR
 )
 
@@ -76,11 +71,11 @@ const (
 // class returns the telemetry class of a block operation.
 func (op runOp) class() OpClass {
 	switch op {
-	case opNvGammaTipTip, opNvGammaTipInner, opNvGammaInner, opNvPSR:
+	case opNvGamma, opNvPSR:
 		return ClassNewview
-	case opEvalGamma, opEvalGammaTip, opEvalPSR:
+	case opEvalGamma, opEvalPSR:
 		return ClassEvaluate
-	case opPrepInsGamma, opPrepInsPSR, opInsGamma, opInsGammaTip, opInsPSR:
+	case opPrepInsGamma, opPrepInsPSR, opInsGamma, opInsPSR:
 		return ClassInsertion
 	}
 	return ClassDerivatives
@@ -103,8 +98,6 @@ type runArgs struct {
 	pa, pb [][ns * ns]float64
 	// tabA/tabB double as the prep tip tables (tabP, tabQ).
 	tabA, tabB []float64
-	pair       []float64
-	pairScale  *[256]int32
 	catW       float64
 
 	// sumTab is the sum table a prepare operation fills or a derivative
@@ -197,20 +190,11 @@ func (k *Kernel) RunOp(op, blk int) {
 		part = &k.parts[blk*k.redStride+int(ra.red)]
 	}
 	switch ra.op {
-	case opNvGammaTipTip:
-		k.newviewGammaTipTipSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pair, ra.pairScale, lo, hi)
-
-	case opNvGammaTipInner:
-		k.newviewGammaTipInnerSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-
-	case opNvGammaInner:
-		k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
+	case opNvGamma:
+		k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
 
 	case opEvalGamma:
-		part.a = k.evaluateGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
-
-	case opEvalGammaTip:
-		part.a = k.evaluateGammaTipSoABlock(ra.oa, ra.ob, ra.tabB, ra.catW, lo, hi)
+		part.a = k.evaluateGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
 
 	case opPrepGamma:
 		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
@@ -225,10 +209,7 @@ func (k *Kernel) RunOp(op, blk int) {
 		part.a = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
 
 	case opPrepPSR:
-		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, lo, hi)
-
-	case opPrepPSRFast:
-		k.preparePSRFastSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 
 	case opDerivPSR:
 		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
@@ -242,10 +223,7 @@ func (k *Kernel) RunOp(op, blk int) {
 	// Insertion scores (insertion.go): the inserted vertex's Newview and
 	// the evaluation against the insertion table in one sweep.
 	case opInsGamma:
-		part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
-
-	case opInsGammaTip:
-		part.a, part.rescaled = k.scoreInsertionGammaTipSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
+		part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
 
 	case opInsPSR:
 		part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
@@ -335,26 +313,23 @@ func (a *arena[T]) reset() {
 }
 
 // ProgramArena is the memory the per-operation tables of staged programs
-// come from: tip, pair and prep tables; the derivative exponential tables;
-// the tip-tip pair scale counts. A new kernel has its own. An engine that
-// drives several kernels from one goroutine hands them one arena
-// (ShareArena): a partition-rich rank then builds the tables of every
-// kernel's program in the same, cache-resident memory instead of in one
-// region per kernel, and grows one chunk per run instead of one per
-// kernel. Finish of any sharing kernel resets the arena, so the engine
+// come from: tip and prep tables and the derivative exponential tables.
+// A new kernel has its own. An engine that drives several kernels from
+// one goroutine hands them one arena (ShareArena): a partition-rich rank
+// then builds the tables of every kernel's program in the same,
+// cache-resident memory instead of in one region per kernel, and grows
+// one chunk per run instead of one per kernel. Finish of any sharing kernel resets the arena, so the engine
 // must have run every program staged on it by then — run each kernel's
 // program before staging the next kernel, or run them all before
 // finishing the first.
 type ProgramArena struct {
-	tabs       arena[float64]
-	exLam      arena[[ns]float64]
-	pairScales arena[[256]int32]
+	tabs  arena[float64]
+	exLam arena[[ns]float64]
 }
 
 func (a *ProgramArena) reset() {
 	a.tabs.reset()
 	a.exLam.reset()
-	a.pairScales.reset()
 }
 
 // ShareArena makes k take its programs' tables from a. Call it between

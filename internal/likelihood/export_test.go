@@ -70,26 +70,16 @@ func (k *Kernel) FlushOpMajor() {
 }
 
 // PoisonTipTables overwrites the whole arena the tip lookup tables are
-// taken from — tip tables, pair table and its scale counts, prep tables —
-// with NaN (scale counts with a huge value), after making sure it is
-// large enough for any one call's tables. The next fill repairs only the
-// entries its masks cover, so a kernel that reads any other entry produces
-// a visibly wrong result. Call it between programs.
+// taken from — tip tables and prep tables — with NaN, after making sure it
+// is large enough for any one call's tables. The next fill repairs only
+// the entries its masks cover, so a kernel that reads any other entry
+// produces a visibly wrong result. Call it between programs.
 func (k *Kernel) PoisonTipTables() {
-	cats := len(k.par.CatRates)
-	k.mem.tabs.take(cats*16*16*ns + 2*cats*16*ns)
+	k.mem.tabs.take(2 * len(k.par.CatRates) * 16 * ns)
 	k.mem.tabs.reset()
-	k.mem.pairScales.take(1)
-	k.mem.pairScales.reset()
 	tabs := k.mem.tabs.chunk[:cap(k.mem.tabs.chunk)]
 	for i := range tabs {
 		tabs[i] = math.NaN()
-	}
-	scales := k.mem.pairScales.chunk[:cap(k.mem.pairScales.chunk)]
-	for i := range scales {
-		for j := range scales[i] {
-			scales[i][j] = 1 << 20
-		}
 	}
 }
 

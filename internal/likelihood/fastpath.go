@@ -8,22 +8,23 @@ import (
 )
 
 // This file holds the kernel fast-path layer (docs/PERFORMANCE.md): the
-// keyed P-matrix cache and the tip-state lookup tables that specialize
-// the three kernels when an operand is a tip. Neither changes a bit:
+// keyed P-matrix cache and the tip-state lookup tables a worker reads on
+// the side of an operand that is a tip. There are no other tables: a
+// cherry (two tips) reads both sides' tip tables in the same worker.
+// Neither changes a bit:
 //
 //   - a P-cache hit returns the exact doubles the miss path computed for
 //     the same (branch length, parameter generation) key, and
-//   - every tip-table entry is computed by the very expression the
-//     inner-inner worker evaluates per site on a CLV holding the tip's
+//   - every tip-table entry is computed by the very expression a worker
+//     evaluates per site for an inner operand, on a CLV holding the tip's
 //     0/1 vector, so a table read yields the same bits as the computation
 //     it replaces. Only the entries a kernel can read are produced: a
 //     table is indexed by the states of the tip operand's own row of this
 //     slice, so each fill walks the row's state mask (Kernel.tipMasks) and
 //     leaves every other code's entry untouched — typically 4–5 of 16
-//     codes, ~20 of 256 code pairs. A PSR site reads only its own
-//     category's row of a tip table, so a PSR fill walks one mask per
-//     category (rowMasks.catMask) and skips the (category, code) pairs
-//     none of the row's sites reads.
+//     codes. A PSR site reads only its own category's row of a tip table,
+//     so a PSR fill walks one mask per category (rowMasks.catMask) and
+//     skips the (category, code) pairs none of the row's sites reads.
 //
 // So a tip and the same tip loaded into an inner slot give the same bits
 // for every CLV, likelihood and derivative (fastpath_test.go and
@@ -42,8 +43,8 @@ const maxPCacheEntries = 1024
 // FastPathStats counts tip-table and P-matrix cache activity. All
 // counters are out-of-band: they never influence a computed value.
 type FastPathStats struct {
-	// NewviewTipTip counts Newview calls with two tip operands, the fills
-	// PairTableEntries is measured against.
+	// NewviewTipTip counts Newview calls with two tip operands: the
+	// cherries a traversal recomputes.
 	NewviewTipTip int64
 	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
 	// activity; a reset drops the whole cache after a parameter change.
@@ -51,10 +52,8 @@ type FastPathStats struct {
 	// TipTableEntries counts the entries the tip-table fills produced, one
 	// per (category, code) pair (of 16 per category and fill), plus the
 	// codes the prep-table fills produced entries for (of 16 per fill; a
-	// prep table has no category); PairTableEntries the code pairs the
-	// tip-tip pair-table fills produced (of 256 per fill; one fill per Γ
-	// NewviewTipTip).
-	TipTableEntries, PairTableEntries int64
+	// prep table has no category).
+	TipTableEntries int64
 	// InsertionRescales counts the sites ScoreInsertion scored over a
 	// rescaled inserted column — the ones Newview would have rescaled.
 	InsertionRescales int64
@@ -182,50 +181,6 @@ func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16,
 				r := x * row
 				dst[off+x] = pc[r]*v[0] + pc[r+col]*v[1] + pc[r+2*col]*v[2] + pc[r+3*col]*v[3]
 			}
-		}
-	}
-}
-
-// fillPairTable composes two tip tables into the full CLV column a
-// tip-tip site gets for every code pair (ca ∈ maskA, cb ∈ maskB), scaling
-// decision included:
-//
-//	dst[((ca·16+cb)·C + c)·4+x] = tabA[(c·16+ca)·4+x] · tabB[(c·16+cb)·4+x]
-//
-// followed by the inner-inner worker's exact scaling test and (if
-// triggered) the exact ·ScaleFactor pass over the pair's column, with the
-// resulting scale count recorded in dsc[ca·16+cb]. A tip-tip site's CLV
-// values and scale count depend only on its code pair, so the per-site
-// work collapses to a 4·C-double copy plus one int32 store — every double
-// having been produced by the same operations, on the same operands, in
-// the same order as the inner-inner worker.
-func (k *Kernel) fillPairTable(dst []float64, dsc *[256]int32, tabA, tabB []float64, cats int, maskA, maskB uint16) {
-	k.fp.PairTableEntries += int64(bits.OnesCount16(maskA) * bits.OnesCount16(maskB))
-	for ma := maskA; ma != 0; ma &= ma - 1 {
-		ca := bits.TrailingZeros16(ma)
-		for mb := maskB; mb != 0; mb &= mb - 1 {
-			cb := bits.TrailingZeros16(mb)
-			poff := (ca*16 + cb) * cats * ns
-			needScale := true
-			for c := 0; c < cats; c++ {
-				aoff := (c*16 + ca) * ns
-				boff := (c*16 + cb) * ns
-				for x := 0; x < ns; x++ {
-					v := tabA[aoff+x] * tabB[boff+x]
-					dst[poff+c*ns+x] = v
-					if v >= ScaleThreshold || v != v {
-						needScale = false
-					}
-				}
-			}
-			var sc int32
-			if needScale {
-				for j := poff; j < poff+cats*ns; j++ {
-					dst[j] *= ScaleFactor
-				}
-				sc = 1
-			}
-			dsc[ca*16+cb] = sc
 		}
 	}
 }

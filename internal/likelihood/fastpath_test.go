@@ -129,10 +129,10 @@ func checkTipReference(t *testing.T, label string, fast, ref stager) {
 
 // TestFastPathBitIdenticalToGeneric is the fast-path determinism
 // contract (docs/PERFORMANCE.md §1): with every tip operand read through
-// the tip, pair and prep tables and the P-matrix cache, every observable
-// kernel output — log likelihoods, derivatives, gradients, insertion
-// scores and every inner CLV byte — has the bits the inner-inner workers
-// give with each tip loaded into an inner slot, for both rate models on a
+// the tip and prep tables and the P-matrix cache, every observable kernel
+// output — log likelihoods, derivatives, gradients, insertion scores and
+// every inner CLV byte — has the bits the inner-inner workers give with
+// each tip loaded into an inner slot, for both rate models on a
 // multi-block slice, with no pool and with 1 and 4 threads — with the
 // vector lanes on where the CPU has them, and reaching them.
 func TestFastPathBitIdenticalToGeneric(t *testing.T) {
@@ -147,7 +147,7 @@ func TestFastPathBitIdenticalToGeneric(t *testing.T) {
 			pool.Close()
 			sameBits(t, label+": tip workers vs tips as inner operands", got, want)
 			checkTipReference(t, label, fast, ref)
-			checkLanesReached(t, label, het, likelihood.HasLanes(), fast.FastPath())
+			checkLanesReached(t, label, het, likelihood.HasLanes(), fast.Kernel)
 		}
 	}
 }

@@ -22,34 +22,22 @@ const gammaCats = model.GammaCategories
 //
 // When a child is a tip, the per-site P·tipVec product is a table read
 // (fastpath.go); the table entries are computed by the exact expression
-// of the inner-inner worker, so the dispatch never changes a bit of the
-// result.
+// of the worker's inner side, so a tip never changes a bit of the result.
 func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta, tb float64) {
 	pa := k.probMatricesFor(ta)
 	pb := k.probMatricesFor(tb)
 
-	var ra *runArgs
+	ra := k.stage(opNvGamma)
 	if oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
-		k.countSites(false)
-		ra = k.stage(opNvGammaTipTip)
-		tabA, tabB := k.tipTable(pa, oa), k.tipTable(pb, ob)
-		ra.pair = k.mem.tabs.take(gammaCats * 16 * 16 * ns)
-		ra.pairScale = &k.mem.pairScales.take(1)[0]
-		k.fillPairTable(ra.pair, ra.pairScale, tabA, tabB, gammaCats, oa.mask, ob.mask)
-	} else if oa.tips != nil || ob.tips != nil {
-		k.countSites(true)
-		ra = k.stage(opNvGammaTipInner)
-		if oa.tips != nil {
-			ra.tabA = k.tipTable(pa, oa)
-		}
-		if ob.tips != nil {
-			ra.tabB = k.tipTable(pb, ob)
-		}
-	} else {
-		k.countSites(true)
-		ra = k.stage(opNvGammaInner)
 	}
+	if oa.tips != nil {
+		ra.tabA = k.tipTable(pa, oa)
+	}
+	if ob.tips != nil {
+		ra.tabB = k.tipTable(pb, ob)
+	}
+	k.countSites()
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
 	k.flops.Newview += k.cols()
 }
@@ -58,49 +46,17 @@ func (k *Kernel) newviewGamma(dclv []float64, dscale []int32, oa, ob operand, ta
 // patterns for a virtual root on a branch of length t between op (the
 // near vector) and oq (the far one). Per-block partial sums are combined
 // in block-index order at the join, so the total is bit-identical to
-// the serial kernel at every thread count.
-//
-// Only the far operand oq needs the P product, so the worker is chosen
-// by oq being a tip.
+// the serial kernel at every thread count. Only the far operand takes the
+// P product, so only a far tip needs a table.
 func (k *Kernel) evaluateGamma(op, oq operand, t float64) {
 	pm := k.probMatricesFor(t)
-	// Only a tip-tip root edge has no lanes (evaluateGammaTipBlock).
-	k.countSites(op.tips == nil || oq.tips == nil)
-	var ra *runArgs
+	ra := k.stageReducing(opEvalGamma)
 	if oq.tips != nil {
-		ra = k.stageReducing(opEvalGammaTip)
 		ra.tabB = k.tipTable(pm, oq)
-	} else {
-		ra = k.stageReducing(opEvalGamma)
 	}
+	k.countSites()
 	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, pm, k.par.CatWeight()
 	k.flops.Evaluate += k.cols()
-}
-
-// evaluateGammaTipBlock is the tip-tip per-block worker of evaluateGamma:
-// both operands are tips, so no CLV is read. The far side's per-site
-// P·tipVec dot product is a table read whose entries were computed by
-// evaluateGammaSoABlock's `right` expression, keeping the sum
-// bit-identical to it.
-func (k *Kernel) evaluateGammaTipBlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
-	freqs := &k.par.Freqs
-	var siteBuf [threadpool.BlockSize]float64
-	site := siteBuf[:hi-lo]
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		code := int(oq.tips[i])
-		vp := k.tipVec[op.tips[i]]
-		for c := 0; c < gammaCats; c++ {
-			toff := (c*16 + code) * ns
-			for x := 0; x < ns; x++ {
-				s += freqs[x] * vp[x] * tab[toff+x] * catW
-			}
-		}
-		site[i-lo] = s
-	}
-	// No scale counts: a tip has none, and w·(log + 0·LogScaleStep) is
-	// w·log to the bit.
-	return k.sumSiteLnl(site, zeroScales[:], zeroScales[:], lo)
 }
 
 // derivativesGammaBlock is the per-block worker of derivativesGamma. The

@@ -73,11 +73,8 @@ func (k *Kernel) ScoreInsertion(near, far Ref, half float64) {
 	code := opInsPSR
 	if k.par.Het == model.Gamma {
 		code = opInsGamma
-		if ob.tips != nil {
-			code = opInsGammaTip
-		}
 	}
-	k.countSites(true)
+	k.countSites()
 	ra := k.stageReducing(code)
 	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, pm, k.par.CatWeight()
 	k.stageFarTable(ra, ob)
@@ -94,8 +91,8 @@ func (k *Kernel) stageFarTable(ra *runArgs, o operand) {
 
 // prepareInsertionGammaSoABlock fills the block's range of the Γ
 // insertion table: per (category, state) plane the `right` expression of
-// evaluateGammaSoABlock, or for a tip subtree the table entry
-// evaluateGammaTipSoABlock reads in its place.
+// evaluateGammaSites, or for a tip subtree the table entry it reads in
+// its place.
 func (k *Kernel) prepareInsertionGammaSoABlock(oq operand, pm [][ns * ns]float64, tab []float64, lo, hi int) {
 	n := k.nPat
 	w := hi - lo
@@ -124,98 +121,58 @@ func (k *Kernel) prepareInsertionGammaSoABlock(oq operand, pm [][ns * ns]float64
 	}
 }
 
-// scoreInsertionGammaSoABlock is the Γ worker for an inner far operand:
+// scoreInsertionGammaSoABlock is the Γ worker for both far operand shapes
+// (tabB the far tip's table, nil for an inner far operand):
 // newviewGammaSoABlock's value per site and category, its scaling
-// predicate, and evaluateGammaSoABlock's accumulation against the
-// insertion table.
-func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
+// predicate, and evaluateGammaSites' accumulation against the insertion
+// table.
+func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
 	w := hi - lo
 	var noScaleBuf [threadpool.BlockSize]bool
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
-	k.scoreInsertionGammaSites(site, noScale, oa, ob, pm, catW, lo)
-	return k.finishInsertionGamma(site, noScale, oa, ob, pm, nil, catW, lo)
+	k.scoreInsertionGammaSites(site, noScale, oa, ob, pm, tabB, catW, lo)
+	return k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
 }
 
 // scoreInsertionGammaSites accumulates the per-site likelihoods of
 // scoreInsertionGammaSoABlock's block into site and its scale decisions
 // into noScale (both zeroed).
-func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, catW float64, lo int) {
+func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) {
 	freqs := &k.par.Freqs
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	n := k.nPat
 	w := len(site)
 	noScale = noScale[:w]
 	nl := w & laneMask
+	tipsB := tipWindow(ob, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		// One matrix set under Newview's two names: the expressions below
 		// are newviewGammaSoABlock's, letter for letter.
 		pca, pcb := &pm[c], &pm[c]
 		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
-		b0, b1, b2, b3 := planes(ob.clv, c*ns, n, lo, w)
-		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
-		laneScore(site, a0, b0, t0, n, pca, f0, f1, f2, f3, catW, noScale, nl)
-		for j := nl; j < len(site); j++ {
-			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
-			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) *
-				(pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
-			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) *
-				(pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3)
-			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) *
-				(pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3)
-			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) *
-				(pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3)
-			if v0 >= ScaleThreshold || v0 != v0 ||
-				v1 >= ScaleThreshold || v1 != v1 ||
-				v2 >= ScaleThreshold || v2 != v2 ||
-				v3 >= ScaleThreshold || v3 != v3 {
-				noScale[j] = true
-			}
-			s := site[j]
-			s += f0 * v0 * t0[j] * catW
-			s += f1 * v1 * t1[j] * catW
-			s += f2 * v2 * t2[j] * catW
-			s += f3 * v3 * t3[j] * catW
-			site[j] = s
-		}
-	}
-}
-
-// scoreInsertionGammaTipSoABlock is the Γ worker for a tip far operand:
-// the far factor is newviewGammaTipInnerSoABlock's table read.
-func (k *Kernel) scoreInsertionGammaTipSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
-	w := hi - lo
-	var noScaleBuf [threadpool.BlockSize]bool
-	var siteBuf [threadpool.BlockSize]float64
-	noScale, site := noScaleBuf[:w], siteBuf[:w]
-	k.scoreInsertionGammaTipSites(site, noScale, oa, ob, pm, tabB, catW, lo)
-	return k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
-}
-
-// scoreInsertionGammaTipSites is scoreInsertionGammaSites for a tip far
-// operand.
-func (k *Kernel) scoreInsertionGammaTipSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) {
-	freqs := &k.par.Freqs
-	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	n := k.nPat
-	w := len(site)
-	noScale = noScale[:w]
-	nl := w & laneMask
-	tips := ob.tips[lo:][:w]
-	for c := 0; c < gammaCats; c++ {
-		pca := &pm[c]
-		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
+		b0, b1, b2, b3 := operandPlanes(ob, n, c*ns*n+lo, w)
 		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		laneScoreTip(site, a0, tips, tabB, tbase, t0, n, pca, f0, f1, f2, f3, catW, noScale, nl)
+		laneScore(site, a0, b0, tipsB, tabB, ob.tips != nil, t0, tbase, n, pca, f0, f1, f2, f3, catW, noScale, nl)
 		for j := nl; j < len(site); j++ {
-			t := tbase + int(tips[j])*ns
+			var la, lb [ns]float64
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
-			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) * tabB[t]
-			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) * tabB[t+1]
-			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) * tabB[t+2]
-			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) * tabB[t+3]
+			la[0] = pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3
+			la[1] = pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3
+			la[2] = pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3
+			la[3] = pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3
+			if ob.tips != nil {
+				t := tbase + int(tipsB[j])*ns
+				lb = [ns]float64(tabB[t : t+ns])
+			} else {
+				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+				lb[0] = pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3
+				lb[1] = pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3
+				lb[2] = pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3
+				lb[3] = pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3
+			}
+			v0, v1, v2, v3 := la[0]*lb[0], la[1]*lb[1], la[2]*lb[2], la[3]*lb[3]
 			if v0 >= ScaleThreshold || v0 != v0 ||
 				v1 >= ScaleThreshold || v1 != v1 ||
 				v2 >= ScaleThreshold || v2 != v2 ||

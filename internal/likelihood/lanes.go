@@ -16,12 +16,14 @@ import (
 // are the reference and the path of every other CPU and architecture
 // (lanes_other.go).
 //
-//   - Γ: site lanes. The Newview inner-inner and tip-inner, the evaluation
-//     (inner or tip near operand, tip far operand) and both insertion-score
-//     workers hand the first w & laneMask sites of each category's site
-//     loop to a routine that computes four sites per instruction — one
-//     matrix serves them all — and their Go loop continues with the tail
-//     of up to three sites.
+//   - Γ: site lanes. The Newview, evaluation and insertion-score workers
+//     hand the first w & laneMask sites of each category's site loop to a
+//     routine that computes four sites per instruction — one matrix serves
+//     them all — and their Go loop continues with the tail of up to three
+//     sites. One routine per worker serves every operand shape: a flag per
+//     side says whether its factors are the rows of its tip table,
+//     gathered and transposed, or the dot products of its planes — a
+//     cherry is the case of two tips.
 //   - Γ sum tables: the table is plane-major like a Γ CLV, so both workers
 //     stream stride-1 over sites in site lanes. The fill (every operand
 //     shape, one routine with tip flags) takes π_x·v_x once per group and
@@ -52,9 +54,6 @@ import (
 //     exponentials of P matrices and derivative evaluations go through
 //     laneExp, a transcription of the FMA arm of math.Exp's amd64 code,
 //     on the CPUs where math.Exp takes that arm (expAll).
-//
-// The Γ tip-tip copies stay scalar: they move table entries and compute
-// nothing.
 
 // laneChunk is the number of sites a derivative worker hands its lane
 // routine per call: the routine writes one siteTerms per four sites into a
@@ -106,14 +105,13 @@ func laneMaskFor(on bool) int {
 }
 
 // countSites counts a staged Newview, evaluation or insertion-score
-// operation's sites and, if its worker has lanes, the sites they compute:
-// under Γ w & laneMask of every block, which sums to nPat & laneMask
-// because every block but the last is a multiple of 4 wide; under PSR all
-// of them.
-func (k *Kernel) countSites(lanes bool) {
+// operation's sites and the sites its lanes compute: under Γ w & laneMask
+// of every block, which sums to nPat & laneMask because every block but
+// the last is a multiple of 4 wide; under PSR all of them.
+func (k *Kernel) countSites() {
 	k.fp.Sites += int64(k.nPat)
 	switch {
-	case !lanes || laneMask == 0:
+	case laneMask == 0:
 	case k.par.Het == model.Gamma:
 		k.fp.LaneSites += int64(k.nPat & laneMask)
 	default:

@@ -61,28 +61,13 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 //go:noescape
-func laneNewview(d, a, b []float64, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int)
+func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int)
 
 //go:noescape
-func laneNewviewTipA(d, b []float64, tips []msa.State, tab []float64, toff, stride int, pb *[ns * ns]float64, noScale []bool, n int)
+func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
 
 //go:noescape
-func laneNewviewTipB(d, a []float64, tips []msa.State, tab []float64, toff, stride int, pa *[ns * ns]float64, noScale []bool, n int)
-
-//go:noescape
-func laneScore(site, a, b, t []float64, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
-
-//go:noescape
-func laneScoreTip(site, a []float64, tips []msa.State, tab []float64, toff int, t []float64, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
-
-//go:noescape
-func laneEvaluate(site, p []float64, poff int, q []float64, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)
-
-//go:noescape
-func laneEvaluateTipP(site []float64, tips []msa.State, tipVec *[16][ns]float64, q []float64, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)
-
-//go:noescape
-func laneEvaluateTipQ(site, p []float64, poff int, tips []msa.State, tab []float64, toff, stride int, f0, f1, f2, f3, catW float64, n int)
+func laneEvaluate(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)
 
 //go:noescape
 func laneGammaPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride int, ut, uinv *[ns * ns]float64, freqs *[ns]float64, n int)

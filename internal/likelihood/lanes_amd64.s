@@ -7,7 +7,11 @@
 // expression for that site with the same operands in the same order —
 // products included, no FMA — so every value it writes has the bits the
 // Go loop would have written. n == 0 returns before the first vector
-// instruction, so a call that does no sites is safe on any CPU.
+// instruction, so a call that does no sites is safe on any CPU. Each
+// routine serves every operand shape of its worker: a flag per side that
+// may be a tip selects, per group, GATHER4 of its table rows or its
+// planes, and the side's pointer register steps over its codes or its
+// planes accordingly.
 //
 // Shared register use: R8 is the plane stride in bytes and R9 three times
 // it, so (B), (B)(R8*1), (B)(R8*2), (B)(R9*1) are the four state planes of
@@ -96,223 +100,160 @@
 	SHLQ $3, R8; \
 	LEAQ (R8)(R8*2), R9
 
-// NVROW is row o/4 of the inner-inner Newview: v = (P_a·a)·(P_b·b),
-// stored at DST and scale-tested.
-#define NVROW(o, DST) \
-	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
-	DOT4(R11, o, Y4, Y5, Y6, Y7, Y10, Y11); \
-	VMULPD  Y10, Y8, Y8; \
+// ROWS4 sets A0–A3 to the four rows of the P matrix at P times the column
+// V0–V3, DOT4 each: a side's P·v factors of a group. TMP is clobbered.
+#define ROWS4(P, V0, V1, V2, V3, A0, A1, A2, A3, TMP) \
+	DOT4(P, 0, V0, V1, V2, V3, A0, TMP); \
+	DOT4(P, 4, V0, V1, V2, V3, A1, TMP); \
+	DOT4(P, 8, V0, V1, V2, V3, A2, TMP); \
+	DOT4(P, 12, V0, V1, V2, V3, A3, TMP)
+
+// NVROW stores row x of a Newview group at DST, v = la_x·lb_x with the
+// two sides' row factors in LA and LB, and scale-tests it.
+#define NVROW(LA, LB, DST) \
+	VMULPD  LB, LA, Y8; \
 	VMOVUPD Y8, DST; \
 	SCALETEST(Y8, Y9)
 
-// func laneNewview(d, a, b []float64, stride int, pa, pb *[16]float64, noScale []bool, n int)
-TEXT ·laneNewview(SB), NOSPLIT, $0-128
-	MOVQ n+120(FP), CX
+// func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[16]float64, noScale []bool, n int)
+//
+// The Γ Newview of one category, every operand shape, for the first n
+// sites (n a multiple of 4) from the category's first plane at d, a and b:
+// plane x of d is la_x·lb_x. A side's row factors la (lb) are GATHER4 of
+// its P·tipVec table rows — the category's rows start at entry toff of
+// tabA (tabB) — if it is a tip, or ROWS4 of pa (pb) over its planes if it
+// is inner. An operand's planes are read only if it is no tip, its tip
+// codes and table only if it is one. SI and DI walk a side's planes (32
+// bytes a group) or its codes (4 bytes), BX and R14 hold the step; R10 and
+// R11 hold pa and pb or the tables.
+TEXT ·laneNewview(SB), NOSPLIT, $0-248
+	MOVQ n+240(FP), CX
 	SHRQ $2, CX
 	JZ   none
 	MOVQ d_base+0(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DI
-	STRIDE(stride+72(FP))
-	MOVQ pa+80(FP), R10
-	MOVQ pb+88(FP), R11
-	MOVQ noScale_base+96(FP), R12
+	STRIDE(stride+192(FP))
+	MOVQ noScale_base+216(FP), R12
 	LEAQ ·laneFlags(SB), R13
-
-loop:
-	LOAD4(SI, Y0, Y1, Y2, Y3)
-	LOAD4(DI, Y4, Y5, Y6, Y7)
-	VXORPD Y13, Y13, Y13
-	NVROW(0, (DX))
-	NVROW(4, (DX)(R8*1))
-	NVROW(8, (DX)(R8*2))
-	NVROW(12, (DX)(R9*1))
-	NOSCALE(R12)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, DX
-	ADDQ $4, R12
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-
-none:
-	RET
-
-// TIPROW is row o/4 of a tip-inner Newview: the inner factor
-// P_row·(Y4..Y7) lands in Y8, VMULPD S2, S1 multiplies it by the row's tip
-// factor in the Go order — S1·S2, so (TX, Y8) for tab·(P·b) when the tip
-// is the a operand and (Y8, TX) for (P·a)·tab when it is b — and the
-// product is stored at DST and scale-tested.
-#define TIPROW(o, S1, S2, DST) \
-	DOT4(R11, o, Y4, Y5, Y6, Y7, Y8, Y9); \
-	VMULPD  S2, S1, Y8; \
-	VMOVUPD Y8, DST; \
-	SCALETEST(Y8, Y9)
-
-// TIPLOAD starts a 4-site group of a tip-inner Newview: the tip factors
-// from the category's table at R10 for the codes at SI into Y0–Y3, the
-// inner operand's planes at DI into Y4–Y7.
-#define TIPLOAD \
-	GATHER4(SI, R10, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11); \
-	LOAD4(DI, Y4, Y5, Y6, Y7); \
-	VXORPD Y13, Y13, Y13
-
-// TIPNEXT ends a group of a tip-inner Newview.
-#define TIPNEXT \
-	NOSCALE(R12); \
-	ADDQ $4, SI; \
-	ADDQ $32, DI; \
-	ADDQ $32, DX; \
-	ADDQ $4, R12
-
-// func laneNewviewTipA(d, b []float64, tips []msa.State, tab []float64, toff, stride int, pb *[16]float64, noScale []bool, n int)
-TEXT ·laneNewviewTipA(SB), NOSPLIT, $0-152
-	MOVQ n+144(FP), CX
-	SHRQ $2, CX
-	JZ   none
-	MOVQ d_base+0(FP), DX
-	MOVQ b_base+24(FP), DI
-	MOVQ tips_base+48(FP), SI
-	MOVQ tab_base+72(FP), R10
-	MOVQ toff+96(FP), AX
+	MOVQ toff+184(FP), AX
+	MOVQ a_base+24(FP), SI
+	MOVQ pa+200(FP), R10
+	MOVQ $32, BX
+	CMPB tipA+96(FP), $0
+	JEQ  binit
+	MOVQ tipsA_base+48(FP), SI
+	MOVQ tabA_base+72(FP), R10
 	LEAQ (R10)(AX*8), R10
-	STRIDE(stride+104(FP))
-	MOVQ pb+112(FP), R11
-	MOVQ noScale_base+120(FP), R12
-	LEAQ ·laneFlags(SB), R13
+	MOVQ $4, BX
 
-loop:
-	TIPLOAD
-	TIPROW(0, Y0, Y8, (DX))
-	TIPROW(4, Y1, Y8, (DX)(R8*1))
-	TIPROW(8, Y2, Y8, (DX)(R8*2))
-	TIPROW(12, Y3, Y8, (DX)(R9*1))
-	TIPNEXT
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-
-none:
-	RET
-
-// func laneNewviewTipB(d, a []float64, tips []msa.State, tab []float64, toff, stride int, pa *[16]float64, noScale []bool, n int)
-TEXT ·laneNewviewTipB(SB), NOSPLIT, $0-152
-	MOVQ n+144(FP), CX
-	SHRQ $2, CX
-	JZ   none
-	MOVQ d_base+0(FP), DX
-	MOVQ a_base+24(FP), DI
-	MOVQ tips_base+48(FP), SI
-	MOVQ tab_base+72(FP), R10
-	MOVQ toff+96(FP), AX
-	LEAQ (R10)(AX*8), R10
-	STRIDE(stride+104(FP))
-	MOVQ pa+112(FP), R11
-	MOVQ noScale_base+120(FP), R12
-	LEAQ ·laneFlags(SB), R13
-
-loop:
-	TIPLOAD
-	TIPROW(0, Y8, Y0, (DX))
-	TIPROW(4, Y8, Y1, (DX)(R8*1))
-	TIPROW(8, Y8, Y2, (DX)(R8*2))
-	TIPROW(12, Y8, Y3, (DX)(R9*1))
-	TIPNEXT
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-
-none:
-	RET
-
-// SCORE4 is row o/4 of the inner-inner insertion score: Newview's
-// v = (P·a)·(P·b), scale-tested, then the term ((f·v)·t)·catW with t the
-// insertion table's plane at T.
-#define SCORE4(o, F, T) \
-	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
-	DOT4(R10, o, Y4, Y5, Y6, Y7, Y10, Y11); \
-	VMULPD Y10, Y8, Y8; \
-	SCALETEST(Y8, Y9); \
-	TERM(F, Y8, T)
-
-// func laneScore(site, a, b, t []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
-TEXT ·laneScore(SB), NOSPLIT, $0-184
-	MOVQ n+176(FP), CX
-	SHRQ $2, CX
-	JZ   none
-	MOVQ site_base+0(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DI
-	MOVQ t_base+72(FP), BX
-	STRIDE(stride+96(FP))
-	MOVQ pm+104(FP), R10
-	VBROADCASTSD catW+144(FP), Y12
-	MOVQ noScale_base+152(FP), R12
-	LEAQ ·laneFlags(SB), R13
-
-loop:
-	LOAD4(SI, Y0, Y1, Y2, Y3)
-	LOAD4(DI, Y4, Y5, Y6, Y7)
-	VMOVUPD (DX), Y14
-	VXORPD  Y13, Y13, Y13
-	SCORE4(0, f0+112(FP), (BX))
-	SCORE4(4, f1+120(FP), (BX)(R8*1))
-	SCORE4(8, f2+128(FP), (BX)(R8*2))
-	SCORE4(12, f3+136(FP), (BX)(R9*1))
-	VMOVUPD Y14, (DX)
-	NOSCALE(R12)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, BX
-	ADDQ $32, DX
-	ADDQ $4, R12
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-
-none:
-	RET
-
-// SCORETIP4 is row o/4 of the insertion score with a tip far operand:
-// v = (P·a)·TX, scale-tested, then the term against the plane at T.
-#define SCORETIP4(o, TX, F, T) \
-	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
-	VMULPD TX, Y8, Y8; \
-	SCALETEST(Y8, Y9); \
-	TERM(F, Y8, T)
-
-// func laneScoreTip(site, a []float64, tips []msa.State, tab []float64, toff int, t []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
-TEXT ·laneScoreTip(SB), NOSPLIT, $0-216
-	MOVQ n+208(FP), CX
-	SHRQ $2, CX
-	JZ   none
-	MOVQ site_base+0(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ tips_base+48(FP), DI
-	MOVQ tab_base+72(FP), R11
-	MOVQ toff+96(FP), AX
+binit:
+	MOVQ b_base+104(FP), DI
+	MOVQ pb+208(FP), R11
+	MOVQ $32, R14
+	CMPB tipB+176(FP), $0
+	JEQ  loop
+	MOVQ tipsB_base+128(FP), DI
+	MOVQ tabB_base+152(FP), R11
 	LEAQ (R11)(AX*8), R11
-	MOVQ t_base+104(FP), BX
-	STRIDE(stride+128(FP))
-	MOVQ pm+136(FP), R10
-	VBROADCASTSD catW+176(FP), Y12
-	MOVQ noScale_base+184(FP), R12
-	LEAQ ·laneFlags(SB), R13
+	MOVQ $4, R14
 
 loop:
+	VXORPD Y13, Y13, Y13
+	CMPB   tipA+96(FP), $0
+	JNE    tipa
+	LOAD4(SI, Y8, Y9, Y10, Y11)
+	ROWS4(R10, Y8, Y9, Y10, Y11, Y0, Y1, Y2, Y3, Y12)
+	JMP    bside
+
+tipa:
+	GATHER4(SI, R10, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+
+bside:
+	CMPB tipB+176(FP), $0
+	JNE  tipb
+	LOAD4(DI, Y8, Y9, Y10, Y11)
+	ROWS4(R11, Y8, Y9, Y10, Y11, Y4, Y5, Y6, Y7, Y12)
+	JMP  product
+
+tipb:
 	GATHER4(DI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	LOAD4(SI, Y0, Y1, Y2, Y3)
+
+product:
+	NVROW(Y0, Y4, (DX))
+	NVROW(Y1, Y5, (DX)(R8*1))
+	NVROW(Y2, Y6, (DX)(R8*2))
+	NVROW(Y3, Y7, (DX)(R9*1))
+	NOSCALE(R12)
+	ADDQ BX, SI
+	ADDQ R14, DI
+	ADDQ $32, DX
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+none:
+	RET
+
+// SCORE4 is row o/4 of the insertion score: Newview's v = (P·a)·lb with
+// the far side's row factor in LB, scale-tested, then the term
+// ((f·v)·t)·catW with t the insertion table's plane at T.
+#define SCORE4(o, LB, F, T) \
+	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
+	VMULPD LB, Y8, Y8; \
+	SCALETEST(Y8, Y9); \
+	TERM(F, Y8, T)
+
+// func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+//
+// The Γ insertion score of one category for the first n sites (n a
+// multiple of 4), both far operand shapes: the far row factors lb are
+// GATHER4 of b's table rows (from entry toff of tabB) if tipB, ROWS4 of pm
+// over b's planes otherwise; the near operand a is a CLV. DI walks b's
+// planes or codes, R14 holds the step.
+TEXT ·laneScore(SB), NOSPLIT, $0-248
+	MOVQ n+240(FP), CX
+	SHRQ $2, CX
+	JZ   none
+	MOVQ site_base+0(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ t_base+128(FP), BX
+	STRIDE(stride+160(FP))
+	MOVQ pm+168(FP), R10
+	VBROADCASTSD catW+208(FP), Y12
+	MOVQ noScale_base+216(FP), R12
+	LEAQ ·laneFlags(SB), R13
+	MOVQ b_base+48(FP), DI
+	MOVQ $32, R14
+	CMPB tipB+120(FP), $0
+	JEQ  loop
+	MOVQ tipsB_base+72(FP), DI
+	MOVQ tabB_base+96(FP), R11
+	MOVQ toff+152(FP), AX
+	LEAQ (R11)(AX*8), R11
+	MOVQ $4, R14
+
+loop:
 	VMOVUPD (DX), Y14
 	VXORPD  Y13, Y13, Y13
-	SCORETIP4(0, Y4, f0+144(FP), (BX))
-	SCORETIP4(4, Y5, f1+152(FP), (BX)(R8*1))
-	SCORETIP4(8, Y6, f2+160(FP), (BX)(R8*2))
-	SCORETIP4(12, Y7, f3+168(FP), (BX)(R9*1))
+	CMPB    tipB+120(FP), $0
+	JNE     tipb
+	LOAD4(DI, Y8, Y9, Y10, Y11)
+	ROWS4(R10, Y8, Y9, Y10, Y11, Y4, Y5, Y6, Y7, Y15)
+	JMP     rows
+
+tipb:
+	GATHER4(DI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+
+rows:
+	LOAD4(SI, Y0, Y1, Y2, Y3)
+	SCORE4(0, Y4, f0+176(FP), (BX))
+	SCORE4(4, Y5, f1+184(FP), (BX)(R8*1))
+	SCORE4(8, Y6, f2+192(FP), (BX)(R8*2))
+	SCORE4(12, Y7, f3+200(FP), (BX)(R9*1))
 	VMOVUPD Y14, (DX)
 	NOSCALE(R12)
 	ADDQ $32, SI
-	ADDQ $4, DI
+	ADDQ R14, DI
 	ADDQ $32, BX
 	ADDQ $32, DX
 	ADDQ $4, R12
@@ -323,115 +264,78 @@ loop:
 none:
 	RET
 
-// EVALTERM is state o/4 of the evaluation: right = P_row·(Y0..Y3), then the
-// term ((f·p)·right)·catW with the near factor p in X.
-#define EVALTERM(o, F, X) \
-	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
-	VBROADCASTSD F, Y10; \
-	VMULPD       X, Y10, Y10; \
-	VMULPD       Y8, Y10, Y10; \
-	VMULPD       Y12, Y10, Y10; \
-	VADDPD       Y10, Y14, Y14
-
-// func laneEvaluate(site, p []float64, poff int, q []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, n int)
-TEXT ·laneEvaluate(SB), NOSPLIT, $0-144
-	MOVQ n+136(FP), CX
-	SHRQ $2, CX
-	JZ   none
-	MOVQ site_base+0(FP), DX
-	MOVQ p_base+24(FP), SI
-	MOVQ poff+48(FP), AX
-	LEAQ (SI)(AX*8), SI
-	MOVQ q_base+56(FP), DI
-	STRIDE(stride+80(FP))
-	MOVQ pm+88(FP), R10
-	VBROADCASTSD catW+128(FP), Y12
-
-loop:
-	LOAD4(DI, Y0, Y1, Y2, Y3)
-	VMOVUPD (DX), Y14
-	EVALTERM(0, f0+96(FP), (SI))
-	EVALTERM(4, f1+104(FP), (SI)(R8*1))
-	EVALTERM(8, f2+112(FP), (SI)(R8*2))
-	EVALTERM(12, f3+120(FP), (SI)(R9*1))
-	VMOVUPD Y14, (DX)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, DX
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-
-none:
-	RET
-
-// func laneEvaluateTipP(site []float64, tips []msa.State, tipVec *[16][4]float64, q []float64, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, n int)
-TEXT ·laneEvaluateTipP(SB), NOSPLIT, $0-144
-	MOVQ n+136(FP), CX
-	SHRQ $2, CX
-	JZ   none
-	MOVQ site_base+0(FP), DX
-	MOVQ tips_base+24(FP), SI
-	MOVQ tipVec+48(FP), R11
-	MOVQ q_base+56(FP), DI
-	STRIDE(stride+80(FP))
-	MOVQ pm+88(FP), R10
-	VBROADCASTSD catW+128(FP), Y12
-
-loop:
-	GATHER4(SI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	LOAD4(DI, Y0, Y1, Y2, Y3)
-	VMOVUPD (DX), Y14
-	EVALTERM(0, f0+96(FP), Y4)
-	EVALTERM(4, f1+104(FP), Y5)
-	EVALTERM(8, f2+112(FP), Y6)
-	EVALTERM(12, f3+120(FP), Y7)
-	VMOVUPD Y14, (DX)
-	ADDQ $4, SI
-	ADDQ $32, DI
-	ADDQ $32, DX
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-
-none:
-	RET
-
-// EVALTIP4 is state x of the evaluation with a tip far operand: the term
-// ((f·p)·tab)·catW, the near factor p at PX and the table entry in TX.
-#define EVALTIP4(F, PX, TX) \
+// EVALTERM adds state x's term ((f·p_x)·right_x)·catW to the accumulators
+// Y14, the near factor p_x in PX and right_x in RX.
+#define EVALTERM(F, PX, RX) \
 	VBROADCASTSD F, Y10; \
 	VMULPD       PX, Y10, Y10; \
-	VMULPD       TX, Y10, Y10; \
+	VMULPD       RX, Y10, Y10; \
 	VMULPD       Y12, Y10, Y10; \
 	VADDPD       Y10, Y14, Y14
 
-// func laneEvaluateTipQ(site, p []float64, poff int, tips []msa.State, tab []float64, toff, stride int, f0, f1, f2, f3, catW float64, n int)
-TEXT ·laneEvaluateTipQ(SB), NOSPLIT, $0-168
-	MOVQ n+160(FP), CX
+// func laneEvaluate(site, p []float64, tipsP []msa.State, tipVec *[16][4]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, n int)
+//
+// The Γ evaluation of one category, every operand shape, for the first n
+// sites (n a multiple of 4): the near factors p_x are p's planes, or
+// GATHER4 of tipVec rows if tipP; the far factors right_x are ROWS4 of pm
+// over q's planes, or GATHER4 of q's table rows (from entry toff of tab)
+// if tipQ. SI and DI walk a side's planes or codes, BX and R12 hold the
+// step; R11 holds pm or the table.
+TEXT ·laneEvaluate(SB), NOSPLIT, $0-240
+	MOVQ n+232(FP), CX
 	SHRQ $2, CX
 	JZ   none
 	MOVQ site_base+0(FP), DX
+	STRIDE(stride+176(FP))
+	VBROADCASTSD catW+224(FP), Y12
 	MOVQ p_base+24(FP), SI
-	MOVQ poff+48(FP), AX
-	LEAQ (SI)(AX*8), SI
-	MOVQ tips_base+56(FP), DI
-	MOVQ tab_base+80(FP), R11
-	MOVQ toff+104(FP), AX
+	MOVQ $32, BX
+	CMPB tipP+80(FP), $0
+	JEQ  qinit
+	MOVQ tipsP_base+48(FP), SI
+	MOVQ tipVec+72(FP), R10
+	MOVQ $4, BX
+
+qinit:
+	MOVQ q_base+88(FP), DI
+	MOVQ pm+184(FP), R11
+	MOVQ $32, R12
+	CMPB tipQ+160(FP), $0
+	JEQ  loop
+	MOVQ tipsQ_base+112(FP), DI
+	MOVQ tab_base+136(FP), R11
+	MOVQ toff+168(FP), AX
 	LEAQ (R11)(AX*8), R11
-	STRIDE(stride+112(FP))
-	VBROADCASTSD catW+152(FP), Y12
+	MOVQ $4, R12
 
 loop:
-	GATHER4(DI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
 	VMOVUPD (DX), Y14
-	EVALTIP4(f0+120(FP), (SI), Y4)
-	EVALTIP4(f1+128(FP), (SI)(R8*1), Y5)
-	EVALTIP4(f2+136(FP), (SI)(R8*2), Y6)
-	EVALTIP4(f3+144(FP), (SI)(R9*1), Y7)
+	CMPB    tipP+80(FP), $0
+	JNE     tipp
+	LOAD4(SI, Y4, Y5, Y6, Y7)
+	JMP     qside
+
+tipp:
+	GATHER4(SI, R10, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+
+qside:
+	CMPB tipQ+160(FP), $0
+	JNE  tipq
+	LOAD4(DI, Y8, Y9, Y10, Y11)
+	ROWS4(R11, Y8, Y9, Y10, Y11, Y0, Y1, Y2, Y3, Y15)
+	JMP  terms
+
+tipq:
+	GATHER4(DI, R11, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+
+terms:
+	EVALTERM(f0+192(FP), Y4, Y0)
+	EVALTERM(f1+200(FP), Y5, Y1)
+	EVALTERM(f2+208(FP), Y6, Y2)
+	EVALTERM(f3+216(FP), Y7, Y3)
 	VMOVUPD Y14, (DX)
-	ADDQ $4, DI
-	ADDQ $32, SI
+	ADDQ BX, SI
+	ADDQ R12, DI
 	ADDQ $32, DX
 	DECQ CX
 	JNZ  loop

@@ -61,6 +61,14 @@ func laneMatrices(rng *rand.Rand, n int) [][ns * ns]float64 {
 	return pm
 }
 
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // laneBits appends the bits of every value of vs to out.
 func laneBits[T float64 | int32 | bool](out []uint64, vs []T) []uint64 {
 	for _, v := range vs {
@@ -77,12 +85,13 @@ func laneBits[T float64 | int32 | bool](out []uint64, vs []T) []uint64 {
 }
 
 // TestLanesMatchGoLoop holds every lane routine to the Go loop it starts
-// (lanes.go): each Γ worker with lanes runs a block twice, lanes off and
-// lanes on, from the same state, over every width 1–256 (so every tail
-// length) at random offsets, on operands mixing ordinary values with
-// signed zeros, NaN, sites whose products fall below ScaleThreshold and
-// subnormal ones, tip codes from all 16 with tables filled for all 16,
-// every tip orientation, random frequencies, a random eigensystem, and sum
+// (lanes.go): each Γ worker runs a block twice, lanes off and lanes on,
+// from the same state, over every width 1–256 (so every tail length) at
+// random offsets, on operands mixing ordinary values with signed zeros,
+// NaN, sites whose products fall below ScaleThreshold and subnormal ones,
+// tip codes from all 16 with tables filled for all 16, every operand
+// shape — both tip orientations and two tips with their own codes and
+// tables — random frequencies, a random eigensystem, and sum
 // tables whose sites have f ≤ 0, NaN or infinite terms under weights
 // drawn from 0–5. Every double written — the CLV planes, scaling
 // included; the per-site likelihoods; the sum tables — every scale count
@@ -112,11 +121,12 @@ func TestLanesMatchGoLoop(t *testing.T) {
 		w := 1 + trial%threadpool.BlockSize
 		lo := rng.Intn(nPat - w + 1)
 		hi := lo + w
-		tips := make([]msa.State, nPat)
-		for i := range tips {
-			tips[i] = msa.State(rng.Intn(16))
+		tipsA, tipsB := make([]msa.State, nPat), make([]msa.State, nPat)
+		for i := range tipsA {
+			tipsA[i], tipsB[i] = msa.State(rng.Intn(16)), msa.State(rng.Intn(16))
 		}
-		tip := operand{tips: tips, rowMasks: rowMasks{mask: 0xffff}}
+		tip := operand{tips: tipsA, rowMasks: rowMasks{mask: 0xffff}}
+		tip2 := operand{tips: tipsB, rowMasks: rowMasks{mask: 0xffff}}
 		a := operand{clv: lanePlanes(rng, nPat), scale: make([]int32, nPat)}
 		b := operand{clv: lanePlanes(rng, nPat), scale: make([]int32, nPat)}
 		for i := range a.scale {
@@ -150,27 +160,42 @@ func TestLanesMatchGoLoop(t *testing.T) {
 			site0[j] = rng.Float64()
 			noScale0[j] = rng.Intn(4) == 0
 		}
-		newview := func(run func(d []float64, ds []int32)) []uint64 {
-			d, ds := append([]float64(nil), d0...), make([]int32, nPat)
-			run(d, ds)
-			return laneBits(laneBits(nil, d), ds)
+		// A tip side reads the table of its own matrices: tabA under pa,
+		// tabB under pb; evaluation and score have pa alone.
+		tables := func(o operand, tab []float64) []float64 {
+			if o.tips == nil {
+				return nil
+			}
+			return tab
+		}
+		newview := func(oa, ob operand) func() []uint64 {
+			return func() []uint64 {
+				d, ds := append([]float64(nil), d0...), make([]int32, nPat)
+				k.newviewGammaSoABlock(d, ds, oa, ob, tables(oa, tabA), tables(ob, tabB), pa, pb, lo, hi)
+				return laneBits(laneBits(nil, d), ds)
+			}
 		}
 		sites := func(run func(site []float64, noScale []bool)) []uint64 {
 			site, noScale := append([]float64(nil), site0...), append([]bool(nil), noScale0...)
 			run(site, noScale)
 			return laneBits(laneBits(nil, site), noScale)
 		}
+		evaluate := func(op, oq operand) func() []uint64 {
+			return func() []uint64 {
+				return sites(func(site []float64, _ []bool) { k.evaluateGammaSites(site, op, oq, pa, tables(oq, tabA), catW, lo) })
+			}
+		}
+		score := func(ob operand) func() []uint64 {
+			return func() []uint64 {
+				return sites(func(site []float64, noScale []bool) {
+					k.scoreInsertionGammaSites(site, noScale, a, ob, pa, tables(ob, tabA), catW, lo)
+				})
+			}
+		}
 		prepare := func(op, oq operand) func() []uint64 {
 			return func() []uint64 {
 				st := append([]float64(nil), sum0...)
-				var tp, tq []float64
-				if op.tips != nil {
-					tp = prepP
-				}
-				if oq.tips != nil {
-					tq = prepQ
-				}
-				k.prepareGammaSoABlock(st, op, oq, tp, tq, lo, hi)
+				k.prepareGammaSoABlock(st, op, oq, tables(op, prepP), tables(oq, prepQ), lo, hi)
 				return laneBits(nil, st)
 			}
 		}
@@ -187,41 +212,19 @@ func TestLanesMatchGoLoop(t *testing.T) {
 			{"prepare inner-inner", prepare(a, b)},
 			{"prepare tip-inner", prepare(tip, b)},
 			{"prepare inner-tip", prepare(a, tip)},
-			{"prepare tip-tip", prepare(tip, tip)},
+			{"prepare tip-tip", prepare(tip, tip2)},
 			{"derivatives", derivatives(sum0)},
 			{"derivatives, NaN and infinite terms", derivatives(sumSpecial)},
-			{"newview inner-inner", func() []uint64 {
-				return newview(func(d []float64, ds []int32) { k.newviewGammaSoABlock(d, ds, a, b, pa, pb, lo, hi) })
-			}},
-			{"newview tip-inner", func() []uint64 {
-				return newview(func(d []float64, ds []int32) {
-					k.newviewGammaTipInnerSoABlock(d, ds, tip, b, tabA, nil, pa, pb, lo, hi)
-				})
-			}},
-			{"newview inner-tip", func() []uint64 {
-				return newview(func(d []float64, ds []int32) {
-					k.newviewGammaTipInnerSoABlock(d, ds, a, tip, nil, tabB, pa, pb, lo, hi)
-				})
-			}},
-			{"evaluate inner near", func() []uint64 {
-				return sites(func(site []float64, _ []bool) { k.evaluateGammaSites(site, a, b, pa, catW, lo) })
-			}},
-			{"evaluate tip near", func() []uint64 {
-				return sites(func(site []float64, _ []bool) { k.evaluateGammaSites(site, tip, b, pa, catW, lo) })
-			}},
-			{"evaluate tip far", func() []uint64 {
-				return sites(func(site []float64, _ []bool) { k.evaluateGammaTipSites(site, a, tip, tabA, catW, lo) })
-			}},
-			{"insertion score", func() []uint64 {
-				return sites(func(site []float64, noScale []bool) {
-					k.scoreInsertionGammaSites(site, noScale, a, b, pa, catW, lo)
-				})
-			}},
-			{"insertion score tip", func() []uint64 {
-				return sites(func(site []float64, noScale []bool) {
-					k.scoreInsertionGammaTipSites(site, noScale, a, tip, pa, tabB, catW, lo)
-				})
-			}},
+			{"newview inner-inner", newview(a, b)},
+			{"newview tip-inner", newview(tip, b)},
+			{"newview inner-tip", newview(a, tip)},
+			{"newview tip-tip", newview(tip, tip2)},
+			{"evaluate inner near, inner far", evaluate(a, b)},
+			{"evaluate tip near, inner far", evaluate(tip, b)},
+			{"evaluate inner near, tip far", evaluate(a, tip)},
+			{"evaluate tip-tip", evaluate(tip, tip2)},
+			{"insertion score", score(b)},
+			{"insertion score tip", score(tip)},
 		}
 		for _, c := range cases {
 			SetLanes(false)
@@ -430,11 +433,7 @@ func TestPSRLanesMatchGoLoop(t *testing.T) {
 		prepare := func(op, oq operand) func() []uint64 {
 			return func() []uint64 {
 				st := append([]float64(nil), sum0...)
-				if op.tips == nil && oq.tips == nil {
-					k.preparePSRSoABlock(st, op, oq, lo, hi)
-				} else {
-					k.preparePSRFastSoABlock(st, op, oq, prepP, prepQ, lo, hi)
-				}
+				k.preparePSRSoABlock(st, op, oq, prepP, prepQ, lo, hi)
 				return laneBits(nil, st)
 			}
 		}
@@ -776,9 +775,9 @@ func TestLaneSitesCounted(t *testing.T) {
 	}
 }
 
-// BenchmarkGammaLanes times each Γ worker that has lanes over one full
-// block (256 sites, all four categories, ordinary values) — the sum-table
-// fill and derivative among them — lanes off and on: a diagnostic of the routines, not evidence of a gain (that is the
+// BenchmarkGammaLanes times each Γ worker over one full block (256 sites,
+// all four categories, ordinary values) — the sum-table fill and
+// derivative among them, and the Newview of a cherry — lanes off and on: a diagnostic of the routines, not evidence of a gain (that is the
 // end-to-end benchmark's).
 func BenchmarkGammaLanes(b *testing.B) {
 	const nPat = threadpool.BlockSize
@@ -830,13 +829,14 @@ func BenchmarkGammaLanes(b *testing.B) {
 		{"prepare", func() { k.prepareGammaSoABlock(d, a, c, nil, nil, 0, nPat) }},
 		{"prepare-tip", func() { k.prepareGammaSoABlock(d, tip, c, prepP, nil, 0, nPat) }},
 		{"derivatives", func() { k.derivativesGammaBlock(sum, ra.exG, ra.lamG, ra.catW, 0, nPat) }},
-		{"newview", func() { k.newviewGammaSoABlock(d, ds, a, c, pm, pm, 0, nPat) }},
-		{"newview-tip", func() { k.newviewGammaTipInnerSoABlock(d, ds, tip, c, tab, nil, pm, pm, 0, nPat) }},
-		{"evaluate", func() { k.evaluateGammaSites(site, a, c, pm, 0.25, 0) }},
-		{"evaluate-tip-near", func() { k.evaluateGammaSites(site, tip, c, pm, 0.25, 0) }},
-		{"evaluate-tip-far", func() { k.evaluateGammaTipSites(site, a, tip, tab, 0.25, 0) }},
-		{"score", func() { k.scoreInsertionGammaSites(site, noScale, a, c, pm, 0.25, 0) }},
-		{"score-tip", func() { k.scoreInsertionGammaTipSites(site, noScale, a, tip, pm, tab, 0.25, 0) }},
+		{"newview", func() { k.newviewGammaSoABlock(d, ds, a, c, nil, nil, pm, pm, 0, nPat) }},
+		{"newview-tip", func() { k.newviewGammaSoABlock(d, ds, tip, c, tab, nil, pm, pm, 0, nPat) }},
+		{"newview-tip-tip", func() { k.newviewGammaSoABlock(d, ds, tip, tip, tab, tab, pm, pm, 0, nPat) }},
+		{"evaluate", func() { k.evaluateGammaSites(site, a, c, pm, nil, 0.25, 0) }},
+		{"evaluate-tip-near", func() { k.evaluateGammaSites(site, tip, c, pm, nil, 0.25, 0) }},
+		{"evaluate-tip-far", func() { k.evaluateGammaSites(site, a, tip, pm, tab, 0.25, 0) }},
+		{"score", func() { k.scoreInsertionGammaSites(site, noScale, a, c, pm, nil, 0.25, 0) }},
+		{"score-tip", func() { k.scoreInsertionGammaSites(site, noScale, a, tip, pm, tab, 0.25, 0) }},
 	}
 	defer SetLanes(SetLanes(false))
 	for _, w := range workers {
@@ -933,8 +933,8 @@ func BenchmarkPSRLanes(b *testing.B) {
 		{"score", func() { k.scoreInsertionPSRSites(site, noScale, a, c, pm, nil, 0) }},
 		{"score-tip", func() { k.scoreInsertionPSRSites(site, noScale, a, tip, pm, tab, 0) }},
 		{"site-recursion", func() { k.siteLnL(scr, scr.pm, steps, InnerAt(nTaxa-3), TipAt(nTaxa-1), 0) }},
-		{"prepare", func() { k.preparePSRSoABlock(d, a, c, 0, nPat) }},
-		{"prepare-tip", func() { k.preparePSRFastSoABlock(d, tip, c, prepP, prepQ, 0, nPat) }},
+		{"prepare", func() { k.preparePSRSoABlock(d, a, c, nil, nil, 0, nPat) }},
+		{"prepare-tip", func() { k.preparePSRSoABlock(d, tip, c, prepP, prepQ, 0, nPat) }},
 		{"derivatives", func() { k.derivativesPSRBlock(sum, ra.exP, ra.lamP, 0, nPat) }},
 		{"p-set", func() { k.probMatrices(0.1, pm) }},
 	}

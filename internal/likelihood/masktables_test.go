@@ -183,18 +183,9 @@ func TestMaskedTipTablesReadOnlyWhatTheyFill(t *testing.T) {
 				sameBits(t, label+": tips as inner operands vs the same without lanes", inner, want)
 				sameBits(t, label+": poisoned tip tables vs tips as inner operands", got, want)
 				checkTipReference(t, label, fast, ref)
-				fp := fast.FastPath()
-				checkLanesReached(t, label, het, lanes, fp)
+				checkLanesReached(t, label, het, lanes, fast.Kernel)
 				if het == model.PSR {
 					checkCategoryFills(t, label, f, fast.Kernel)
-				}
-				if het == model.Gamma {
-					if fp.PairTableEntries == 0 || fp.PairTableEntries >= 256*fp.NewviewTipTip {
-						t.Errorf("%s: pair tables not mask-driven: %+v", label, fp)
-					}
-					if pd.NPatterns() == 1 && fp.PairTableEntries != fp.NewviewTipTip {
-						t.Errorf("%s: one-pattern slice filled %d pairs in %d tables", label, fp.PairTableEntries, fp.NewviewTipTip)
-					}
 				}
 			}
 		}

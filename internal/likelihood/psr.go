@@ -28,7 +28,7 @@ func (k *Kernel) newviewPSR(dclv []float64, dscale []int32, oa, ob operand, ta, 
 	if ob.tips != nil {
 		ra.tabB = k.tipTable(pb, ob)
 	}
-	k.countSites(true)
+	k.countSites()
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
 	k.flops.Newview += k.cols()
 }
@@ -41,7 +41,7 @@ func (k *Kernel) evaluatePSR(op, oq operand, t float64) {
 	if oq.tips != nil {
 		ra.tabB = k.tipTable(pm, oq)
 	}
-	k.countSites(true)
+	k.countSites()
 	ra.oa, ra.ob, ra.pa = op, oq, pm
 	k.flops.Evaluate += k.cols()
 }

@@ -12,8 +12,8 @@ import (
 // into straight-line code with the P-matrix row hoisted into scalars —
 // the vectorizable shape of BEAGLE's CPU kernels.
 //
-// Vector lanes (lanes.go): on a CPU with AVX2 the Newview, evaluation and
-// sum-table fill workers hand the first nl = w & laneMask sites of each
+// Vector lanes (lanes.go): on a CPU with AVX2 the Newview, evaluation,
+// insertion-score and sum-table fill workers hand the first nl = w & laneMask sites of each
 // category's site loop to an AVX2 routine that computes four sites per
 // instruction, and their Go loop continues at nl — the tail, and every
 // site where the lanes do not run. The Go loop is the single statement of
@@ -27,10 +27,11 @@ import (
 // an order-independent OR over the column. Loop order over independent
 // values is free; everything order-sensitive is pinned.
 //
-// One worker per operand shape: inner-inner, tip-inner, tip-tip. A tip
-// worker reads from a table (fastpath.go) the value the inner-inner
-// worker computes from the tip's 0/1 vector, so a tip and the same tip
-// loaded into an inner slot give the same bits (fastpath_test.go).
+// One worker per operation, for every operand shape: a tip side reads
+// from a table (fastpath.go) the value an inner side computes from its
+// planes — the tip's 0/1 vector, had it been loaded into an inner slot —
+// so a tip and the same tip loaded into an inner slot give the same bits
+// (fastpath_test.go). The lane routines take a tip flag per side.
 
 // soaColGamma loads the (site i, category c) state column of a Γ CLV:
 // four strided reads, one per state plane (the rare rescaled insertion
@@ -67,8 +68,11 @@ func scaleWindow(s []int32, lo, w int) []int32 {
 	return s[lo:][:w]
 }
 
-// newviewGammaSoABlock is the inner-inner worker of newviewGamma.
-func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
+// newviewGammaSoABlock is the worker of newviewGamma, every operand shape:
+// a tip side reads its P·tipVec table row (tabA/tabB), an inner side
+// computes the product from its planes, and the value is la·lb. A cherry
+// is the case of two tips.
+func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	w := hi - lo
 	// noScale[j] records that site lo+j produced at least one entry at
@@ -78,6 +82,7 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 	var noScaleBuf [threadpool.BlockSize]bool
 	noScale := noScaleBuf[:w]
 	nl := w & laneMask
+	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		pca := &pa[c]
 		pcb := &pb[c]
@@ -85,21 +90,34 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 		// operand load once, and the four state outputs store to their
 		// planes in the same pass — the loop-order freedom the plane-major
 		// layout buys. The first nl sites run in vector lanes (lanes.go).
-		a0, a1, a2, a3 := planes(oa.clv, c*ns, n, lo, w)
-		b0, b1, b2, b3 := planes(ob.clv, c*ns, n, lo, w)
+		a0, a1, a2, a3 := operandPlanes(oa, n, c*ns*n+lo, w)
+		b0, b1, b2, b3 := operandPlanes(ob, n, c*ns*n+lo, w)
 		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
-		laneNewview(d0, a0, b0, n, pca, pcb, noScale, nl)
+		tbase := c * 16 * ns
+		laneNewview(d0, a0, tipsA, tabA, oa.tips != nil, b0, tipsB, tabB, ob.tips != nil, tbase, n, pca, pcb, noScale, nl)
 		for j := nl; j < len(noScale); j++ {
-			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
-			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) *
-				(pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
-			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) *
-				(pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3)
-			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) *
-				(pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3)
-			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) *
-				(pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3)
+			var la, lb [ns]float64
+			if oa.tips != nil {
+				t := tbase + int(tipsA[j])*ns
+				la = [ns]float64(tabA[t : t+ns])
+			} else {
+				av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
+				la[0] = pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3
+				la[1] = pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3
+				la[2] = pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3
+				la[3] = pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3
+			}
+			if ob.tips != nil {
+				t := tbase + int(tipsB[j])*ns
+				lb = [ns]float64(tabB[t : t+ns])
+			} else {
+				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+				lb[0] = pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3
+				lb[1] = pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3
+				lb[2] = pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3
+				lb[3] = pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3
+			}
+			v0, v1, v2, v3 := la[0]*lb[0], la[1]*lb[1], la[2]*lb[2], la[3]*lb[3]
 			d0[j], d1[j], d2[j], d3[j] = v0, v1, v2, v3
 			if v0 >= ScaleThreshold || v0 != v0 ||
 				v1 >= ScaleThreshold || v1 != v1 ||
@@ -113,10 +131,9 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 }
 
 // finishNewviewGammaSoA applies the per-site scaling decision and writes
-// the scale counts — the tail shared by the plane-major Γ newview
-// workers. The conditional ScaleFactor multiply is per-entry independent,
-// so applying it in a separate plane pass yields the same bits as a
-// per-site column loop.
+// the scale counts — the tail of newviewGammaSoABlock. The conditional
+// ScaleFactor multiply is per-entry independent, so applying it in a
+// separate plane pass yields the same bits as a per-site column loop.
 func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []int32, noScale []bool, lo int) {
 	n := k.nPat
 	w := len(noScale)
@@ -148,136 +165,56 @@ func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []
 	}
 }
 
-// newviewGammaTipInnerSoABlock is the mixed worker: the tip side
-// gathers from the precomputed P·tipVec table, the inner side streams
-// its planes; each value is the inner-inner worker's product with the
-// tip factor read from the table, in the same a·b order.
-func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
-	n := k.nPat
-	w := hi - lo
-	var noScaleBuf [threadpool.BlockSize]bool
-	noScale := noScaleBuf[:w]
-	nl := w & laneMask
-	if oa.tips != nil {
-		tips, clv := oa.tips[lo:][:w], ob.clv
-		for c := 0; c < gammaCats; c++ {
-			pcb := &pb[c]
-			b0, b1, b2, b3 := planes(clv, c*ns, n, lo, w)
-			d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
-			tbase := c * 16 * ns
-			laneNewviewTipA(d0, b0, tips, tabA, tbase, n, pcb, noScale, nl)
-			for j := nl; j < len(noScale); j++ {
-				t := tbase + int(tips[j])*ns
-				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-				v0 := tabA[t] * (pcb[0]*bv0 + pcb[1]*bv1 + pcb[2]*bv2 + pcb[3]*bv3)
-				v1 := tabA[t+1] * (pcb[4]*bv0 + pcb[5]*bv1 + pcb[6]*bv2 + pcb[7]*bv3)
-				v2 := tabA[t+2] * (pcb[8]*bv0 + pcb[9]*bv1 + pcb[10]*bv2 + pcb[11]*bv3)
-				v3 := tabA[t+3] * (pcb[12]*bv0 + pcb[13]*bv1 + pcb[14]*bv2 + pcb[15]*bv3)
-				d0[j], d1[j], d2[j], d3[j] = v0, v1, v2, v3
-				if v0 >= ScaleThreshold || v0 != v0 ||
-					v1 >= ScaleThreshold || v1 != v1 ||
-					v2 >= ScaleThreshold || v2 != v2 ||
-					v3 >= ScaleThreshold || v3 != v3 {
-					noScale[j] = true
-				}
-			}
-		}
-		k.finishNewviewGammaSoA(dclv, dscale, ob.scale, nil, noScale, lo)
-		return
-	}
-	tips, clv := ob.tips[lo:][:w], oa.clv
-	for c := 0; c < gammaCats; c++ {
-		pca := &pa[c]
-		a0, a1, a2, a3 := planes(clv, c*ns, n, lo, w)
-		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
-		tbase := c * 16 * ns
-		laneNewviewTipB(d0, a0, tips, tabB, tbase, n, pca, noScale, nl)
-		for j := nl; j < len(noScale); j++ {
-			t := tbase + int(tips[j])*ns
-			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
-			v0 := (pca[0]*av0 + pca[1]*av1 + pca[2]*av2 + pca[3]*av3) * tabB[t]
-			v1 := (pca[4]*av0 + pca[5]*av1 + pca[6]*av2 + pca[7]*av3) * tabB[t+1]
-			v2 := (pca[8]*av0 + pca[9]*av1 + pca[10]*av2 + pca[11]*av3) * tabB[t+2]
-			v3 := (pca[12]*av0 + pca[13]*av1 + pca[14]*av2 + pca[15]*av3) * tabB[t+3]
-			d0[j], d1[j], d2[j], d3[j] = v0, v1, v2, v3
-			if v0 >= ScaleThreshold || v0 != v0 ||
-				v1 >= ScaleThreshold || v1 != v1 ||
-				v2 >= ScaleThreshold || v2 != v2 ||
-				v3 >= ScaleThreshold || v3 != v3 {
-				noScale[j] = true
-			}
-		}
-	}
-	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, nil, noScale, lo)
-}
-
-// newviewGammaTipTipSoABlock materializes the pair-product table into
-// the destination planes: pure element moves of table entries
-// (scaling already applied) — zero per-site arithmetic, bit-identical to
-// the inner-inner worker by the fillPairTable construction.
-func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, ob operand, pair []float64, psc *[256]int32, lo, hi int) {
-	tipsA, tipsB := oa.tips, ob.tips
-	n := k.nPat
-	const colLen = gammaCats * ns
-	// Pair indices resolve once per site into stack scratch; the plane
-	// loops then write stride-1 while gathering from the (L1-resident)
-	// pair table.
-	var pidx [threadpool.BlockSize]int32
-	for i := lo; i < hi; i++ {
-		pi := int(tipsA[i])*16 + int(tipsB[i])
-		pidx[i-lo] = int32(pi)
-		dscale[i] = psc[pi]
-	}
-	for p := 0; p < colLen; p++ {
-		d := dclv[p*n:]
-		for i := lo; i < hi; i++ {
-			d[i] = pair[int(pidx[i-lo])*colLen+p]
-		}
-	}
-}
-
-// evaluateGammaSoABlock is the Evaluate worker for an inner far operand
-// (the near one may be a tip).
-func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, catW float64, lo, hi int) float64 {
+// evaluateGammaSoABlock is the Evaluate worker, every operand shape: the
+// near operand p is a CLV or a tip's 0/1 vector, the far one's P product
+// is computed from its CLV or, for a tip, read from tab.
+func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, tab []float64, catW float64, lo, hi int) float64 {
 	w := hi - lo
 	var siteBuf [threadpool.BlockSize]float64
 	site := siteBuf[:w]
-	k.evaluateGammaSites(site, op, oq, pm, catW, lo)
+	k.evaluateGammaSites(site, op, oq, pm, tab, catW, lo)
 	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), scaleWindow(oq.scale, lo, w), lo)
 }
 
 // evaluateGammaSites accumulates the per-site likelihoods of
 // evaluateGammaSoABlock's block into site (zeroed), in ascending (category,
 // state) term order.
-func (k *Kernel) evaluateGammaSites(site []float64, op, oq operand, pm [][ns * ns]float64, catW float64, lo int) {
+func (k *Kernel) evaluateGammaSites(site []float64, op, oq operand, pm [][ns * ns]float64, tab []float64, catW float64, lo int) {
 	freqs := &k.par.Freqs
+	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	n := k.nPat
 	w := len(site)
 	nl := w & laneMask
-	tips := tipWindow(op, lo, w)
+	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		pc := &pm[c]
-		q0, q1, q2, q3 := planes(oq.clv, c*ns, n, lo, w)
-		if op.tips != nil {
-			laneEvaluateTipP(site, tips, &k.tipVec, q0, n, pc, freqs[0], freqs[1], freqs[2], freqs[3], catW, nl)
-		} else {
-			laneEvaluate(site, op.clv, (c*ns)*n+lo, q0, n, pc, freqs[0], freqs[1], freqs[2], freqs[3], catW, nl)
-		}
-		for x := 0; x < ns; x++ {
-			r0, r1, r2, r3 := pc[x*ns], pc[x*ns+1], pc[x*ns+2], pc[x*ns+3]
-			freq := freqs[x]
+		p0, p1, p2, p3 := operandPlanes(op, n, c*ns*n+lo, w)
+		q0, q1, q2, q3 := operandPlanes(oq, n, c*ns*n+lo, w)
+		tbase := c * 16 * ns
+		laneEvaluate(site, p0, tipsP, &k.tipVec, op.tips != nil, q0, tipsQ, tab, oq.tips != nil, tbase, n, pc, f0, f1, f2, f3, catW, nl)
+		for j := nl; j < len(site); j++ {
+			var vp, right [ns]float64
 			if op.tips != nil {
-				for j := nl; j < len(site); j++ {
-					right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
-					site[j] += freq * k.tipVec[tips[j]][x] * right * catW
-				}
+				vp = k.tipVec[tipsP[j]]
 			} else {
-				px := window(op.clv, (c*ns+x)*n+lo, w)
-				for j := nl; j < len(site); j++ {
-					right := r0*q0[j] + r1*q1[j] + r2*q2[j] + r3*q3[j]
-					site[j] += freq * px[j] * right * catW
-				}
+				vp = [ns]float64{p0[j], p1[j], p2[j], p3[j]}
 			}
+			if oq.tips != nil {
+				t := tbase + int(tipsQ[j])*ns
+				right = [ns]float64(tab[t : t+ns])
+			} else {
+				qv0, qv1, qv2, qv3 := q0[j], q1[j], q2[j], q3[j]
+				right[0] = pc[0]*qv0 + pc[1]*qv1 + pc[2]*qv2 + pc[3]*qv3
+				right[1] = pc[4]*qv0 + pc[5]*qv1 + pc[6]*qv2 + pc[7]*qv3
+				right[2] = pc[8]*qv0 + pc[9]*qv1 + pc[10]*qv2 + pc[11]*qv3
+				right[3] = pc[12]*qv0 + pc[13]*qv1 + pc[14]*qv2 + pc[15]*qv3
+			}
+			s := site[j]
+			s += f0 * vp[0] * right[0] * catW
+			s += f1 * vp[1] * right[1] * catW
+			s += f2 * vp[2] * right[2] * catW
+			s += f3 * vp[3] * right[3] * catW
+			site[j] = s
 		}
 	}
 }
@@ -295,42 +232,6 @@ func (k *Kernel) sumSiteLnl(site []float64, sp, sq []int32, lo int) float64 {
 		total += float64(weights[j]) * (l + float64(sc)*LogScaleStep)
 	}
 	return total
-}
-
-// evaluateGammaTipSoABlock is the q-tip Evaluate worker: the per-site
-// P·tipVec dot product becomes a table read whose entries were computed
-// by evaluateGammaSoABlock's `right` expression. A tip-tip root edge
-// reads no CLV at all and takes evaluateGammaTipBlock.
-func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
-	if op.tips != nil {
-		return k.evaluateGammaTipBlock(op, oq, tab, catW, lo, hi)
-	}
-	w := hi - lo
-	var siteBuf [threadpool.BlockSize]float64
-	site := siteBuf[:w]
-	k.evaluateGammaTipSites(site, op, oq, tab, catW, lo)
-	return k.sumSiteLnl(site, scaleWindow(op.scale, lo, w), zeroScales[:w], lo)
-}
-
-// evaluateGammaTipSites accumulates the per-site likelihoods of
-// evaluateGammaTipSoABlock's block into site (zeroed).
-func (k *Kernel) evaluateGammaTipSites(site []float64, op, oq operand, tab []float64, catW float64, lo int) {
-	freqs := &k.par.Freqs
-	n := k.nPat
-	w := len(site)
-	nl := w & laneMask
-	tips := oq.tips[lo:][:w]
-	for c := 0; c < gammaCats; c++ {
-		tbase := c * 16 * ns
-		laneEvaluateTipQ(site, op.clv, (c*ns)*n+lo, tips, tab, tbase, n, freqs[0], freqs[1], freqs[2], freqs[3], catW, nl)
-		for x := 0; x < ns; x++ {
-			freq := freqs[x]
-			px := window(op.clv, (c*ns+x)*n+lo, w)
-			for j := nl; j < len(site); j++ {
-				site[j] += freq * px[j] * tab[tbase+int(tips[j])*ns+x] * catW
-			}
-		}
-	}
 }
 
 // prepareGammaSoABlock is the sum-table fill, every operand shape: a tip

@@ -10,9 +10,10 @@ import (
 // a different P matrix each site, so unlike Γ there is no loop-invariant
 // matrix row to hoist per plane; the workers instead walk sites once
 // while reading/writing four stride-1 state streams in parallel, with
-// the 4-state cell unrolled into straight-line code. Tip-specialized and
-// inner-inner workers compute a site's value by the same expression; see
-// soa_gamma.go for the expression-order rules.
+// the 4-state cell unrolled into straight-line code. One worker per
+// operation serves every operand shape, a tip side's table entry having
+// the bits of the inner side's expression; see soa_gamma.go for the
+// expression-order rules.
 //
 // PSR matrices are stored transposed (Kernel.probMatrices): pc[y·4+x] is
 // P[x][y], so row x of P·v reads pc[x], pc[4+x], pc[8+x], pc[12+x] — the
@@ -172,38 +173,11 @@ func (k *Kernel) evaluatePSRSites(site []float64, op, oq operand, pm [][ns * ns]
 	}
 }
 
-// preparePSRSoABlock is the inner-inner sum-table fill.
-func (k *Kernel) preparePSRSoABlock(st []float64, op, oq operand, lo, hi int) {
-	if laneMask != 0 {
-		k.preparePSRLanes(st, op, oq, nil, nil, lo, hi)
-		return
-	}
-	e := k.par.Eigen
-	freqs := &k.par.Freqs
-	n := k.nPat
-	w := hi - lo
-	p0, p1, p2, p3 := planes(op.clv, 0, n, lo, w)
-	q0, q1, q2, q3 := planes(oq.clv, 0, n, lo, w)
-	for j := range p0 {
-		vp := [ns]float64{p0[j], p1[j], p2[j], p3[j]}
-		vq := [ns]float64{q0[j], q1[j], q2[j], q3[j]}
-		off := (lo + j) * ns
-		for kk := 0; kk < ns; kk++ {
-			ap := freqs[0]*vp[0]*e.U[0*ns+kk] + freqs[1]*vp[1]*e.U[1*ns+kk] +
-				freqs[2]*vp[2]*e.U[2*ns+kk] + freqs[3]*vp[3]*e.U[3*ns+kk]
-			bq := e.UInv[kk*ns]*vq[0] + e.UInv[kk*ns+1]*vq[1] +
-				e.UInv[kk*ns+2]*vq[2] + e.UInv[kk*ns+3]*vq[3]
-			st[off+kk] = ap * bq
-		}
-	}
-}
-
-// preparePSRFastSoABlock is the tip-specialized sum-table fill: a tip
-// side reads its prep table (entries computed by preparePSRSoABlock's
-// expression), an inner side evaluates that expression in place;
-// the final ap·bq product order is unchanged, so the sum table bits
-// match.
-func (k *Kernel) preparePSRFastSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
+// preparePSRSoABlock is the sum-table fill, every operand shape: a tip
+// side reads its prep table (fastpath.go, entries computed by the inner
+// side's expression), an inner side evaluates that expression in place,
+// and the table entry is ap·bq.
+func (k *Kernel) preparePSRSoABlock(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	if laneMask != 0 {
 		k.preparePSRLanes(st, op, oq, tabP, tabQ, lo, hi)
 		return
@@ -244,7 +218,7 @@ func (k *Kernel) preparePSRFastSoABlock(st []float64, op, oq operand, tabP, tabQ
 	}
 }
 
-// preparePSRLanes is both sum-table fills in eigen lanes (lanePSRPrepare):
+// preparePSRLanes is the sum-table fill in eigen lanes (lanePSRPrepare):
 // a tip side reads its prep table, an inner side evaluates the fill's
 // expression, the q side's over the transpose of U⁻¹.
 func (k *Kernel) preparePSRLanes(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {

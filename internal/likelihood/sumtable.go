@@ -41,13 +41,6 @@ type sumSlot struct {
 	stamp, gen uint64
 }
 
-// prepareOps are the sum-table fills by [Γ][a tip operand read through
-// the prep tables]; the Γ fill serves every operand shape.
-var prepareOps = [2][2]runOp{
-	{opPrepPSR, opPrepPSRFast},
-	{opPrepGamma, opPrepGamma},
-}
-
 // Contract stages the fill of slot s's sum table from edge (p, q), p the
 // vector below the edge and q the one above it. Blocks write disjoint
 // ranges of the table. Tip operands use the category-free prep tables
@@ -65,9 +58,12 @@ func (k *Kernel) Contract(s int, p, q Ref) {
 	sl.p, sl.q, sl.stamp, sl.gen = p, q, k.stamp, k.par.Generation()
 
 	op, oq := k.operand(p), k.operand(q)
-	fast := op.tips != nil || oq.tips != nil
-	ra := k.stage(prepareOps[b2i(k.par.Het == model.Gamma)][b2i(fast)])
-	if fast {
+	code := opPrepPSR
+	if k.par.Het == model.Gamma {
+		code = opPrepGamma
+	}
+	ra := k.stage(code)
+	if op.tips != nil || oq.tips != nil {
 		ra.tabA, ra.tabB = k.prepTables(op, oq)
 	}
 	ra.sumTab, ra.oa, ra.ob = sl.tab, op, oq
@@ -105,13 +101,6 @@ func (k *Kernel) Contracted(s int) (p, q Ref, ok bool) {
 	}
 	sl := &k.sums[s]
 	return sl.p, sl.q, sl.stamp == k.stamp && sl.gen == k.par.Generation()
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // exponentials gives ra the per-category e^{λ_k r_c t} and λ·r factors of

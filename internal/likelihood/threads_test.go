@@ -170,7 +170,7 @@ func TestThreadedKernelsBitIdentical(t *testing.T) {
 				pool.Close()
 				label := fmt.Sprintf("%v T=%d lanes=%v", het, threads, lanes)
 				sameBits(t, label+": block-major vs op-major without lanes", got, want)
-				checkLanesReached(t, label, het, lanes, f.kern.FastPath())
+				checkLanesReached(t, label, het, lanes, f.kern.Kernel)
 			}
 		}
 	}
@@ -189,10 +189,13 @@ func laneSettings(t *testing.T) []bool {
 
 // checkLanesReached fails unless a kernel's Newview, evaluation and
 // insertion-score sites reached the vector lanes as they should: with the
-// lanes on, every PSR site (there is no tail) — so a PSR test that runs
-// lanes on compares them, not the Go loops twice; with them off, none.
-func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, lanes bool, fp likelihood.FastPathStats) {
+// lanes on, every PSR site (there is no tail) and under Γ every site but
+// the tail of up to three per operation — nPat & ^3 of every nPat, every
+// operand shape having lanes — so a test that runs lanes on compares them,
+// not the Go loops twice; with them off, none.
+func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, lanes bool, k *likelihood.Kernel) {
 	t.Helper()
+	fp, nPat := k.FastPath(), int64(k.NPatterns())
 	switch {
 	case fp.Sites == 0:
 		t.Errorf("%s: no Newview, evaluation or insertion-score site counted", label)
@@ -200,8 +203,8 @@ func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, lane
 		t.Errorf("%s: %d of %d sites in lanes that are off", label, fp.LaneSites, fp.Sites)
 	case lanes && het == model.PSR && fp.LaneSites != fp.Sites:
 		t.Errorf("%s: %d of %d PSR sites in lanes, want every one", label, fp.LaneSites, fp.Sites)
-	case fp.LaneSites > fp.Sites:
-		t.Errorf("%s: %d of %d sites in lanes", label, fp.LaneSites, fp.Sites)
+	case lanes && het == model.Gamma && fp.LaneSites*nPat != fp.Sites*(nPat&^3):
+		t.Errorf("%s: %d of %d Γ sites in lanes, want %d of every %d", label, fp.LaneSites, fp.Sites, nPat&^3, nPat)
 	}
 }
 

@@ -41,14 +41,11 @@ type RankStats struct {
 	// (docs/PERFORMANCE.md).
 	PCacheHits   int64 `json:"pcache_hits,omitempty"`
 	PCacheMisses int64 `json:"pcache_misses,omitempty"`
-	// TipTipNewviews/PairTableEntries/TipTableEntries describe the
-	// rank's tip lookup-table fills: tip-tip newview calls (one pair
-	// table each under Γ), the code pairs those tables held, and the
-	// (category, code) entries the tip tables and the codes the prep
-	// tables held.
-	TipTipNewviews   int64 `json:"tiptip_newviews,omitempty"`
-	PairTableEntries int64 `json:"pair_table_entries,omitempty"`
-	TipTableEntries  int64 `json:"tip_table_entries,omitempty"`
+	// TipTipNewviews/TipTableEntries describe the rank's tip operands:
+	// tip-tip newview calls (cherries), and the (category, code) entries
+	// the tip tables and the codes the prep tables held.
+	TipTipNewviews  int64 `json:"tiptip_newviews,omitempty"`
+	TipTableEntries int64 `json:"tip_table_entries,omitempty"`
 	// SiteRateTableEvals/SiteRateExactEvals are the rank's single-site
 	// evaluations inside the PSR rate scan, from the rate table and at
 	// off-grid rates (at most 17 and exactly 2 per local pattern and
@@ -142,10 +139,6 @@ type Report struct {
 	// PCacheHitRate is P-matrix cache hits over lookups, summed across
 	// ranks (0 when the cache saw no lookups).
 	PCacheHitRate float64 `json:"pcache_hit_rate"`
-	// PairEntriesPerTipTipNewview is the mean number of code pairs a
-	// tip-tip pair table is filled with (of 256), summed across ranks
-	// (0 when no pair table was built — PSR has none).
-	PairEntriesPerTipTipNewview float64 `json:"pair_entries_per_tiptip_newview"`
 	// Sites is the Newview, evaluation and insertion-score site work of
 	// both rate models summed across ranks; LaneShare the share of it
 	// computed in AVX2 vector lanes (docs/PERFORMANCE.md §6) — 1 under PSR
@@ -187,7 +180,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 	}
 	var sumCompute, sumComm, maxCompute int64
 	var poolBlocks int64
-	var pcHits, pcMiss, tipTips, pairEntries, laneSites int64
+	var pcHits, pcMiss, laneSites int64
 	poolThreads := 0
 	for _, r := range c.recs {
 		rs := RankStats{
@@ -208,9 +201,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 			PoolWakes:      r.pool.Wakes,
 			PoolParks:      r.pool.Parks,
 
-			TipTipNewviews:   r.perf.TipTipNewviews,
-			PairTableEntries: r.perf.PairTableEntries,
-			TipTableEntries:  r.perf.TipTableEntries,
+			TipTipNewviews:  r.perf.TipTipNewviews,
+			TipTableEntries: r.perf.TipTableEntries,
 
 			SiteRateTableEvals: r.perf.SiteRateTableEvals,
 			SiteRateExactEvals: r.perf.SiteRateExactEvals,
@@ -232,17 +224,12 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 		poolThreads = max(poolThreads, r.pool.Threads)
 		pcHits += r.perf.PCacheHits
 		pcMiss += r.perf.PCacheMisses
-		tipTips += r.perf.TipTipNewviews
-		pairEntries += r.perf.PairTableEntries
 		rep.Sites += r.perf.Sites
 		laneSites += r.perf.LaneSites
 	}
 	rep.LaneShare = ratio(laneSites, rep.Sites)
 	if tot := pcHits + pcMiss; tot > 0 {
 		rep.PCacheHitRate = float64(pcHits) / float64(tot)
-	}
-	if pairEntries > 0 {
-		rep.PairEntriesPerTipTipNewview = float64(pairEntries) / float64(tipTips)
 	}
 	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
 	rep.ActivePartitionsPerProbe = ratio(c.recs[0].counters[CounterModelPartitionEvals], c.recs[0].counters[CounterModelProbes])
@@ -368,9 +355,6 @@ func (r *Report) String() string {
 	}
 	if r.PCacheHitRate > 0 {
 		fmt.Fprintf(&b, "  P-matrix cache hit rate                %8.3f\n", r.PCacheHitRate)
-	}
-	if r.PairEntriesPerTipTipNewview > 0 {
-		fmt.Fprintf(&b, "  pair-table entries / tip-tip newview   %8.1f\n", r.PairEntriesPerTipTipNewview)
 	}
 	if r.Sites > 0 {
 		fmt.Fprintf(&b, "  site work in vector lanes              %8.3f\n", r.LaneShare)

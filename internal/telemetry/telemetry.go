@@ -464,11 +464,10 @@ func (r *Recorder) SetPool(p PoolStats) {
 // the fills produced.
 type KernelPerf struct {
 	PCacheHits, PCacheMisses int64
-	// TipTipNewviews is the number of tip-tip newview calls (each builds
-	// one pair table under Γ); PairTableEntries the code pairs those
-	// tables held; TipTableEntries the (category, code) entries the tip
-	// tables held plus the codes the prep tables held.
-	TipTipNewviews, PairTableEntries, TipTableEntries int64
+	// TipTipNewviews is the number of tip-tip newview calls (cherries);
+	// TipTableEntries the (category, code) entries the tip tables held
+	// plus the codes the prep tables held.
+	TipTipNewviews, TipTableEntries int64
 	// SiteRateTableEvals / SiteRateExactEvals are the single-site
 	// likelihood evaluations of the PSR rate scan: those that read their
 	// P matrices from the rate table and those that built them for an
@@ -511,9 +510,9 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	r.perf = p
 	if c := r.col; c != nil {
 		collectives := sum(r.collOps)
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"pair_table_entries\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.PCacheHits, p.PCacheMisses,
-			p.TipTipNewviews, p.PairTableEntries, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
+			p.TipTipNewviews, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
 			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks,
 			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],

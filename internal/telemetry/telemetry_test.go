@@ -147,8 +147,8 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, []string{"x"}, &trace)
-	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, PairTableEntries: 50, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
-	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, PairTableEntries: 30, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
+	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
+	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
 	endKernel(c.Recorder(0), KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
@@ -169,8 +169,8 @@ func TestKernelPerfReport(t *testing.T) {
 	if want := 20.0 / 30.0; rep.PCacheHitRate != want {
 		t.Fatalf("P-cache hit rate %v, want %v", rep.PCacheHitRate, want)
 	}
-	if want := 80.0 / 5.0; rep.PairEntriesPerTipTipNewview != want || rep.PerRank[0].TipTableEntries != 90 {
-		t.Fatalf("pair entries per tip-tip newview %v, want %v; rank 0 %+v", rep.PairEntriesPerTipTipNewview, want, rep.PerRank[0])
+	if rep.PerRank[0].TipTipNewviews != 2 || rep.PerRank[1].TipTipNewviews != 3 || rep.PerRank[0].TipTableEntries != 90 {
+		t.Fatalf("tip operand fields: rank 0 %+v, rank 1 %+v", rep.PerRank[0], rep.PerRank[1])
 	}
 	if rep.ModelProbesPerRound != 90 || rep.Counters["model-probes"] != 180 {
 		t.Fatalf("model probes per round %v, counters %v", rep.ModelProbesPerRound, rep.Counters)
@@ -196,7 +196,7 @@ func TestKernelPerfReport(t *testing.T) {
 	}
 
 	text := rep.String()
-	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "pair-table entries / tip-tip newview", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995"} {
+	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -210,7 +210,10 @@ func TestKernelPerfReport(t *testing.T) {
 		}
 		if ev["ev"] == "perf" {
 			perfEvents++
-			for _, field := range []string{"pcache_hits", "site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+			if _, ok := ev["pair_table_entries"]; ok {
+				t.Fatalf("perf event has pair_table_entries, but no pair table is built: %v", ev)
+			}
+			for _, field := range []string{"pcache_hits", "tiptip_newviews", "tip_table_entries", "site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
 				if _, ok := ev[field]; !ok {
 					t.Fatalf("perf event missing %s: %v", field, ev)
 				}
