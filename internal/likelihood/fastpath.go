@@ -25,6 +25,9 @@ import (
 //     codes. A PSR site reads only its own category's row of a tip table,
 //     so a PSR fill walks one mask per category (rowMasks.catMask) and
 //     skips the (category, code) pairs none of the row's sites reads.
+//     Where the vector lanes run (lanes.go) one laneTipTable call fills
+//     the table with the same expression per entry; the Go loop is its
+//     reference and every other host's path.
 //
 // So a tip and the same tip loaded into an inner slot give the same bits
 // for every CLV, likelihood and derivative (fastpath_test.go and
@@ -160,10 +163,24 @@ func (k *Kernel) tipTable(pm [][ns * ns]float64, o operand) []float64 {
 // workers evaluate per site, so reading the table is bit-identical to
 // computing the product inline. A PSR set is stored transposed
 // (probMatrices), so pm[c][x·4+y] is read at pm[c][y·4+x]: the same
-// double.
+// double. Where the lanes run, laneTipTable fills the whole table in one
+// call, lanes over x; the Go loop is its reference.
 func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16, catMask []uint16) {
+	psr := k.par.Het == model.PSR
+	if catMask == nil {
+		k.fp.TipTableEntries += int64(len(pm) * bits.OnesCount16(mask))
+	} else {
+		catMask = catMask[:len(pm)]
+		for _, cm := range catMask {
+			k.fp.TipTableEntries += int64(bits.OnesCount16(cm))
+		}
+	}
+	if laneMask != 0 {
+		laneTipTable(dst[:len(pm)*16*ns], pm, &k.tipVec, mask, catMask, psr)
+		return
+	}
 	row, col := ns, 1
-	if k.par.Het == model.PSR {
+	if psr {
 		row, col = 1, ns
 	}
 	for c := range pm {
@@ -172,7 +189,6 @@ func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16,
 		if catMask != nil {
 			cm = catMask[c]
 		}
-		k.fp.TipTableEntries += int64(bits.OnesCount16(cm))
 		for m := cm; m != 0; m &= m - 1 {
 			code := bits.TrailingZeros16(m)
 			v := &k.tipVec[code]

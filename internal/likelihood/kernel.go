@@ -345,7 +345,8 @@ func (k *Kernel) InvalidateAll() {
 // read P column by column (lanes.go), so every PSR set — cached, lent,
 // and the site-rate tables — is made that way once, where it is made.
 func (k *Kernel) probMatrices(t float64, dst [][ns * ns]float64) {
-	set := pSet{e: k.par.Eigen, dst: dst, transpose: k.par.Het == model.PSR}
+	var set pSet
+	set.start(k.par.Eigen, dst, k.par.Het == model.PSR)
 	for _, r := range k.par.CatRates {
 		set.add(t, r)
 	}
@@ -360,14 +361,21 @@ const pSetBatch = 32
 // transpose, ProbMatrixT's) bits: add stages a matrix's three exponential
 // arguments (model.Eigen.ExpArgs), and every pSetBatch matrices, and at
 // flush, one expAll call takes the batch's exponentials — four wide, the
-// argument list padded with zeros — and Eigen.Assemble writes the
-// matrices to dst in add order.
+// argument list padded with zeros — and laneAssemble where the lanes run,
+// else Eigen.Assemble, writes the matrices to dst in add order.
 type pSet struct {
 	e         *model.Eigen
 	dst       [][ns * ns]float64
 	transpose bool
 	n         int
 	arg       [3 * pSetBatch]float64
+}
+
+// start readies s, zero or flushed, to write to dst. A set is declared
+// and then started rather than built as a composite literal, which Go
+// builds in a temporary and copies, argument buffer and all.
+func (s *pSet) start(e *model.Eigen, dst [][ns * ns]float64, transpose bool) {
+	s.e, s.dst, s.transpose = e, dst, transpose
 }
 
 func (s *pSet) add(t, rate float64) {
@@ -383,8 +391,16 @@ func (s *pSet) flush() {
 		s.arg[na] = 0
 	}
 	expAll(s.arg[:na])
-	for i := 0; i < s.n; i++ {
-		s.e.Assemble((*[3]float64)(s.arg[3*i:]), &s.dst[i], s.transpose)
+	if laneMask != 0 {
+		u, stat := &s.e.U, &s.e.Stat
+		if s.transpose {
+			u, stat = &s.e.UT, &s.e.StatT
+		}
+		laneAssemble(s.dst[:s.n], s.arg[:3*s.n], u, &s.e.UInv, stat, s.transpose)
+	} else {
+		for i := 0; i < s.n; i++ {
+			s.e.Assemble((*[3]float64)(s.arg[3*i:]), &s.dst[i], s.transpose)
+		}
 	}
 	s.dst = s.dst[s.n:]
 	s.n = 0

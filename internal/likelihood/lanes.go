@@ -8,13 +8,14 @@ import (
 
 // Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes", docs/DETERMINISM.md
 // §8). On a CPU with AVX2 the block workers that multiply a P matrix into a
-// vector, and the sum-table workers of both models, run in AVX2 routines
-// (lanes_amd64.s, lanes_psr_amd64.s), each value with the same operands in
-// the same order as the Go expression it replaces, without FMA, with the
-// Go scale predicate, and with every reduction over sites left in Go — so
-// a value has the same bits whichever of the two computes it. The Go loops
-// are the reference and the path of every other CPU and architecture
-// (lanes_other.go).
+// vector, the sum-table workers of both models, and the set-up tables —
+// P sets and tip tables — run in AVX2 routines (lanes_amd64.s,
+// lanes_psr_amd64.s, lanes_table_amd64.s), each value with the same
+// operands in the same order as the Go expression it replaces, without
+// FMA, with the Go scale predicate, and with every reduction over sites
+// left in Go — so a value has the same bits whichever of the two computes
+// it. The Go loops are the reference and the path of every other CPU and
+// architecture (lanes_other.go).
 //
 //   - Γ: site lanes. The Newview, evaluation and insertion-score workers
 //     hand the first w & laneMask sites of each category's site loop to a
@@ -48,6 +49,16 @@ import (
 //     terms and a validity bit (f > 0), and Go sums the terms of the valid
 //     sites in site order (foldTerms); a Go loop does the tail of up to
 //     three sites.
+//   - Set-up tables: pSet.flush assembles a batch of P matrices in one
+//     laneAssemble call — row-major (Γ) in lanes over a row's columns,
+//     transposed (PSR, the site-rate tables) in lanes over a column's
+//     rows from model.Eigen's transposes — clamped by VMAXPD/VMINPD with
+//     the value as second source, which passes NaN and −0 as Go's
+//     comparisons do. fillTipTable fills a whole tip table in one
+//     laneTipTable call, lanes over states: per category a PSR matrix's
+//     rows are P's columns, a Γ matrix is transposed in registers, and
+//     each code of the category's mask is four broadcasts of its tip
+//     vector.
 //   - Logs and exponentials: the per-site logs of every evaluation and
 //     insertion-score block go four at a time through laneLog, a
 //     transcription of math.Log's amd64 code with its bits (logSites); the

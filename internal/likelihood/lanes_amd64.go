@@ -4,8 +4,9 @@ import "repro/internal/msa"
 
 // The AVX2 routines of lanes_amd64.s (Γ site lanes, the Γ sum-table
 // workers among them), lanes_psr_amd64.s (PSR state lanes and the PSR
-// sum-table workers), lanes_log_amd64.s (the log) and lanes_exp_amd64.s
-// (the exponential), and the CPU checks that enable them. Each routine's
+// sum-table workers), lanes_log_amd64.s (the log), lanes_exp_amd64.s
+// (the exponential) and lanes_table_amd64.s (P-matrix assembly and tip
+// tables), and the CPU checks that enable them. Each routine's
 // comment there says what it computes; lanes.go says how the workers call
 // them.
 
@@ -101,3 +102,9 @@ func laneLog(v []float64, n int)
 
 //go:noescape
 func laneExp(v []float64) int
+
+//go:noescape
+func laneAssemble(dst [][ns * ns]float64, ex []float64, u, uinv, stat *[ns * ns]float64, transpose bool)
+
+//go:noescape
+func laneTipTable(dst []float64, pm [][ns * ns]float64, tipVec *[16][ns]float64, mask uint16, catMask []uint16, cols bool)

@@ -6,8 +6,8 @@ import "repro/internal/msa"
 
 // Without the amd64 routines every lane call does 0 sites: laneMask stays
 // 0, and the workers' Go loops compute every site. The PSR routines, the
-// Γ derivative routine and laneSiteLnL are only called while laneMask !=
-// 0, laneExp only while haveExpLanes holds.
+// Γ derivative routine, laneSiteLnL, laneAssemble and laneTipTable are
+// only called while laneMask != 0, laneExp only while haveExpLanes holds.
 
 const haveLanes, haveExpLanes = false, false
 
@@ -50,3 +50,9 @@ func laneSiteLnL(vec [][ns]float64, scale []int32, steps []Step, tips [][]msa.St
 func laneLog(v []float64, n int) {}
 
 func laneExp(v []float64) int { return 0 }
+
+func laneAssemble(dst [][ns * ns]float64, ex []float64, u, uinv, stat *[ns * ns]float64, transpose bool) {
+}
+
+func laneTipTable(dst []float64, pm [][ns * ns]float64, tipVec *[16][ns]float64, mask uint16, catMask []uint16, cols bool) {
+}

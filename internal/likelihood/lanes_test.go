@@ -310,6 +310,7 @@ func randomEigen(rng *rand.Rand, k *Kernel, par *model.Params) (prepP, prepQ []f
 	for i := range eig.U {
 		eig.U[i], eig.UInv[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
+	transposeEigen(&eig)
 	par.Eigen = &eig
 	prepP, prepQ = make([]float64, 16*ns), make([]float64, 16*ns)
 	k.fillPrepTipP(prepP, 0xffff)
@@ -645,16 +646,17 @@ func TestLaneExpMatchesMathExp(t *testing.T) {
 }
 
 // TestPMatrixSetsMatchProbMatrix: the kernels' P-matrix sets — staged in
-// batches, their exponentials taken by expAll — hold the bits
-// Eigen.ProbMatrix (Γ) and Eigen.ProbMatrixT (PSR, the site-rate tables)
-// give each matrix alone, with the lanes on and off: for random
-// eigensystems, every category count up to MaxPSRCategories, lengths
-// from 0 to ones whose exponentials underflow, and schedules long enough
-// to span several batches.
+// batches, their exponentials taken by expAll and assembled by
+// laneAssemble or Eigen.Assemble — hold the bits Eigen.ProbMatrix (Γ) and
+// Eigen.ProbMatrixT (PSR, the site-rate tables) give each matrix alone,
+// with the lanes on and off: for random eigensystems, every category
+// count up to MaxPSRCategories, lengths from 0 to ones whose
+// exponentials underflow, NaN and +Inf lengths and rates, and schedules
+// long enough to span several batches.
 func TestPMatrixSetsMatchProbMatrix(t *testing.T) {
 	defer SetLanes(SetLanes(true))
 	rng := rand.New(rand.NewSource(33))
-	lengths := []float64{0, 1e-8, 0.01, 0.1, 1, 7, 100, 1e4}
+	lengths := []float64{0, 1e-8, 0.01, 0.1, 1, 7, 100, 1e4, math.NaN(), math.Inf(1)}
 	for trial := 0; trial < 40; trial++ {
 		var rates [model.NumRates]float64
 		for i := range rates {
@@ -685,12 +687,16 @@ func TestPMatrixSetsMatchProbMatrix(t *testing.T) {
 				par.CatRates[c] = math.Exp(rng.NormFloat64() * 2)
 			}
 		}
+		if trial%4 >= 2 {
+			par.CatRates[rng.Intn(len(par.CatRates))] = math.NaN()
+			par.CatRates[rng.Intn(len(par.CatRates))] = math.Inf(1)
+		}
 		k := &Kernel{par: par}
 		steps := make([]Step, 20+rng.Intn(20))
 		for i := range steps {
 			steps[i].TA, steps[i].TB = lengths[rng.Intn(len(lengths))]*rng.Float64(), lengths[rng.Intn(len(lengths))]
 		}
-		rootT, rate := lengths[rng.Intn(len(lengths))], math.Exp(rng.NormFloat64())
+		rootT, rate := lengths[rng.Intn(len(lengths))], []float64{math.Exp(rng.NormFloat64()), math.NaN(), math.Inf(1)}[trial%3]
 		for _, lanes := range []bool{false, true} {
 			SetLanes(lanes)
 			for _, bl := range lengths {
@@ -719,6 +725,177 @@ func TestPMatrixSetsMatchProbMatrix(t *testing.T) {
 				eig.ProbMatrixT(bl, rate, &want)
 				if !sameBits(got[i][:], want[:]) {
 					t.Fatalf("lanes=%v: site-rate matrix %d of %d (t=%g) differs from Eigen.ProbMatrixT", lanes, i, len(got), bl)
+				}
+			}
+		}
+	}
+}
+
+// randomTableEigen returns an eigensystem with every field random and
+// unrelated — entries in [−2, 2) with a sixth of them ±0 — so that the
+// sums of a P matrix fall below 0 and above 1, and products and sums
+// reach −0; UT, UInvT and StatT are its transposes.
+func randomTableEigen(rng *rand.Rand) *model.Eigen {
+	e := new(model.Eigen)
+	draw := func() float64 {
+		if rng.Intn(6) == 0 {
+			return math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+		return 4*rng.Float64() - 2
+	}
+	for i := range e.U {
+		e.U[i], e.UInv[i], e.Stat[i] = draw(), draw(), draw()
+	}
+	transposeEigen(e)
+	return e
+}
+
+// transposeEigen sets e's UT, UInvT and StatT from U, UInv and Stat, as
+// model.NewEigen does.
+func transposeEigen(e *model.Eigen) {
+	for i := 0; i < ns; i++ {
+		for j := 0; j < ns; j++ {
+			e.UT[j*ns+i], e.UInvT[j*ns+i], e.StatT[j*ns+i] = e.U[i*ns+j], e.UInv[i*ns+j], e.Stat[i*ns+j]
+		}
+	}
+}
+
+// defaultNaN is the NaN the hardware makes of ∞·0 or ∞ − ∞. It is the
+// only NaN the set-up table tests use, so every NaN their sums meet has
+// the same bits: which of two different NaNs a sum carries depends on
+// the operand order the Go compiler picks for the reference loop, which
+// the source does not fix (a -race build picks another).
+var defaultNaN = math.Float64frombits(0xfff8_0000_0000_0000)
+
+// TestLaneAssembleMatchesAssemble holds laneAssemble to Eigen.Assemble,
+// both layouts, by bits: batches of 1–32 matrices whose exponentials are
+// drawn from {+0, a subnormal, 0.5, 1, NaN, +Inf}, over random
+// eigensystems whose sums reach both arms of the clamp (and the clamp's
+// NaN pass-through) and whose products are −0 at times.
+func TestLaneAssembleMatchesAssemble(t *testing.T) {
+	if !haveLanes {
+		t.Skip("this CPU has no AVX2: Eigen.Assemble builds every matrix")
+	}
+	rng := rand.New(rand.NewSource(39))
+	exps := []float64{0, 5e-324, 0.5, 1, defaultNaN, math.Inf(1)}
+	var low, high, nan int
+	for trial := 0; trial < 400; trial++ {
+		e := randomTableEigen(rng)
+		n := 1 + trial%pSetBatch
+		ex := make([]float64, 3*n)
+		for i := range ex {
+			ex[i] = exps[rng.Intn(len(exps))]
+		}
+		for _, transpose := range []bool{false, true} {
+			got := make([][ns * ns]float64, n)
+			u, stat := &e.U, &e.Stat
+			if transpose {
+				u, stat = &e.UT, &e.StatT
+			}
+			laneAssemble(got, ex, u, &e.UInv, stat, transpose)
+			for i := range got {
+				var want [ns * ns]float64
+				e.Assemble((*[3]float64)(ex[3*i:]), &want, transpose)
+				if !sameBits(got[i][:], want[:]) {
+					t.Fatalf("trial %d, transpose=%v, matrix %d of %d (ex %v): laneAssemble wrote %v, Eigen.Assemble %v", trial, transpose, i, n, ex[3*i:3*i+3], got[i], want)
+				}
+				for _, v := range want {
+					switch {
+					case v == 0:
+						low++
+					case v == 1:
+						high++
+					case v != v:
+						nan++
+					}
+				}
+			}
+		}
+	}
+	if low == 0 || high == 0 || nan == 0 {
+		t.Errorf("the clamp's arms were not all reached: %d entries at 0, %d at 1, %d NaN", low, high, nan)
+	}
+}
+
+// TestLaneTipTableMatchesGoFill holds laneTipTable to fillTipTable's Go
+// loop, both layouts, by bits: Γ (four row-major matrices, one mask for
+// all) and PSR (1 to MaxPSRCategories transposed matrices, a mask per
+// category, some of them empty), masks 0, single codes, 0xFFFF and
+// random ones, over P entries that include NaN, ±Inf (times a tip
+// vector's 0, another NaN) and −0. Both fills start from a table of NaN
+// sentinels, and every entry of a code outside its category's mask must
+// still hold the sentinel.
+func TestLaneTipTableMatchesGoFill(t *testing.T) {
+	if !haveLanes {
+		t.Skip("this CPU has no AVX2: the Go loop fills every tip table")
+	}
+	defer SetLanes(SetLanes(true))
+	rng := rand.New(rand.NewSource(39))
+	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	special := []float64{defaultNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	masks := []uint16{0, 1, 1 << 5, 1 << 15, 0xffff}
+	for trial := 0; trial < 600; trial++ {
+		het := []model.Heterogeneity{model.Gamma, model.PSR}[trial%2]
+		k := &Kernel{par: &model.Params{Het: het}}
+		for s := msa.State(1); s <= 15; s++ {
+			k.tipVec[s] = s.TipVector()
+		}
+		nc := gammaCats
+		if het == model.PSR {
+			nc = 1 + rng.Intn(model.MaxPSRCategories)
+		}
+		pm := make([][ns * ns]float64, nc)
+		for c := range pm {
+			for i := range pm[c] {
+				pm[c][i] = 2*rng.Float64() - 0.5
+				if rng.Intn(8) == 0 {
+					pm[c][i] = special[rng.Intn(len(special))]
+				}
+			}
+		}
+		pick := func() uint16 {
+			if rng.Intn(2) == 0 {
+				return masks[rng.Intn(len(masks))]
+			}
+			return uint16(rng.Intn(1 << 16))
+		}
+		mask := pick()
+		var catMask []uint16
+		if het == model.PSR {
+			catMask = make([]uint16, nc)
+			for c := range catMask {
+				catMask[c] = pick()
+			}
+		}
+		tabs := [2][]float64{}
+		for i, lanes := range []bool{false, true} {
+			tabs[i] = make([]float64, nc*16*ns)
+			for j := range tabs[i] {
+				tabs[i][j] = sentinel
+			}
+			SetLanes(lanes)
+			k.fillTipTable(tabs[i], pm, mask, catMask)
+		}
+		if !sameBits(tabs[0], tabs[1]) {
+			for j := range tabs[0] {
+				if math.Float64bits(tabs[0][j]) != math.Float64bits(tabs[1][j]) {
+					t.Fatalf("trial %d, %v, %d categories: entry %d (category %d, code %d, state %d): lanes %v, Go %v", trial, het, nc, j, j/(16*ns), j/ns%16, j%ns, tabs[1][j], tabs[0][j])
+				}
+			}
+		}
+		for c := 0; c < nc; c++ {
+			cm := mask
+			if catMask != nil {
+				cm = catMask[c]
+			}
+			for code := 0; code < 16; code++ {
+				if cm>>code&1 != 0 {
+					continue
+				}
+				for x := 0; x < ns; x++ {
+					if v := tabs[1][(c*16+code)*ns+x]; math.Float64bits(v) != math.Float64bits(sentinel) {
+						t.Fatalf("trial %d, %v: category %d, code %d outside the mask %#04x was written: %v", trial, het, c, code, cm, v)
+					}
 				}
 			}
 		}
@@ -777,7 +954,9 @@ func TestLaneSitesCounted(t *testing.T) {
 
 // BenchmarkGammaLanes times each Γ worker over one full block (256 sites,
 // all four categories, ordinary values) — the sum-table fill and
-// derivative among them, and the Newview of a cherry — lanes off and on: a diagnostic of the routines, not evidence of a gain (that is the
+// derivative among them, and the Newview of a cherry — and the set-up
+// tables (a 32-matrix P set, a tip table of all 16 codes), lanes off and
+// on: a diagnostic of the routines, not evidence of a gain (that is the
 // end-to-end benchmark's).
 func BenchmarkGammaLanes(b *testing.B) {
 	const nPat = threadpool.BlockSize
@@ -837,6 +1016,8 @@ func BenchmarkGammaLanes(b *testing.B) {
 		{"evaluate-tip-far", func() { k.evaluateGammaSites(site, a, tip, pm, tab, 0.25, 0) }},
 		{"score", func() { k.scoreInsertionGammaSites(site, noScale, a, c, pm, nil, 0.25, 0) }},
 		{"score-tip", func() { k.scoreInsertionGammaSites(site, noScale, a, tip, pm, tab, 0.25, 0) }},
+		{"p-set", func() { benchPSet(par.Eigen, false) }},
+		{"tip-table", func() { k.fillTipTable(tab, pm, 0xffff, nil) }},
 	}
 	defer SetLanes(SetLanes(false))
 	for _, w := range workers {
@@ -856,9 +1037,10 @@ func BenchmarkGammaLanes(b *testing.B) {
 
 // BenchmarkPSRLanes times each PSR worker that has state lanes over one
 // full block (256 sites, MaxPSRCategories categories, ordinary values),
-// lanes off and on, and the single-site recursion of a 16-taxon schedule:
-// a diagnostic of the routines, not evidence of a gain (that is the
-// end-to-end benchmark's).
+// lanes off and on, the single-site recursion of a 16-taxon schedule, and
+// the set-up tables (a 32-matrix transposed P set, a tip table under its
+// taxon's category masks): a diagnostic of the routines, not evidence of
+// a gain (that is the end-to-end benchmark's).
 func BenchmarkPSRLanes(b *testing.B) {
 	const nPat = threadpool.BlockSize
 	rng := rand.New(rand.NewSource(5))
@@ -936,7 +1118,8 @@ func BenchmarkPSRLanes(b *testing.B) {
 		{"prepare", func() { k.preparePSRSoABlock(d, a, c, nil, nil, 0, nPat) }},
 		{"prepare-tip", func() { k.preparePSRSoABlock(d, tip, c, prepP, prepQ, 0, nPat) }},
 		{"derivatives", func() { k.derivativesPSRBlock(sum, ra.exP, ra.lamP, 0, nPat) }},
-		{"p-set", func() { k.probMatrices(0.1, pm) }},
+		{"p-set", func() { benchPSet(par.Eigen, true) }},
+		{"tip-table", func() { k.fillTipTable(tab, pm, k.tipMasks[0].mask, k.tipMasks[0].catMask) }},
 	}
 	defer SetLanes(SetLanes(false))
 	for _, w := range workers {
@@ -952,6 +1135,21 @@ func BenchmarkPSRLanes(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchSet is the destination of benchPSet.
+var benchSet = make([][ns * ns]float64, pSetBatch)
+
+// benchPSet builds one full batch of P matrices, rates 0.1 to 1.65 at
+// branch length 0.1: the set-up of a P-matrix miss under
+// MaxPSRCategories and more.
+func benchPSet(e *model.Eigen, transpose bool) {
+	var set pSet
+	set.start(e, benchSet, transpose)
+	for i := range benchSet {
+		set.add(0.1, 0.1+0.05*float64(i))
+	}
+	set.flush()
 }
 
 // BenchmarkLaneExp times the exponentials of one block of arguments in

@@ -61,7 +61,8 @@ func newSiteScratch(nPat, nInner int) []siteScratch {
 // and for the root edge into pm, which holds 2·len(steps)+1 matrices,
 // transposed like every PSR matrix (Kernel.probMatrices).
 func (k *Kernel) fillSitePMatrices(pm [][ns * ns]float64, steps []Step, rootT, rate float64) {
-	set := pSet{e: k.par.Eigen, dst: pm[:2*len(steps)+1], transpose: true}
+	var set pSet
+	set.start(k.par.Eigen, pm[:2*len(steps)+1], true)
 	for i := range steps {
 		set.add(steps[i].TA, rate)
 		set.add(steps[i].TB, rate)

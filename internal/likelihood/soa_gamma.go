@@ -1,9 +1,6 @@
 package likelihood
 
-import (
-	"repro/internal/model"
-	"repro/internal/threadpool"
-)
+import "repro/internal/threadpool"
 
 // Γ block workers. A Γ CLV is stored plane-major (structure of arrays):
 // each (category, state) pair owns a contiguous plane of nPat doubles.
@@ -249,13 +246,13 @@ func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, tabP, tabQ [
 	n := k.nPat
 	w := hi - lo
 	nl := w & laneMask
-	ut := transposeU(e)
+	ut := &e.UT
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		p0, p1, p2, p3 := operandPlanes(op, n, c*ns*n+lo, w)
 		q0, q1, q2, q3 := operandPlanes(oq, n, c*ns*n+lo, w)
-		laneGammaPrepare(window(st, c*ns*n+lo, w), p0, tipsP, tabP, op.tips != nil, q0, tipsQ, tabQ, oq.tips != nil, n, &ut, &e.UInv, freqs, nl)
+		laneGammaPrepare(window(st, c*ns*n+lo, w), p0, tipsP, tabP, op.tips != nil, q0, tipsQ, tabQ, oq.tips != nil, n, ut, &e.UInv, freqs, nl)
 		for kk := 0; kk < ns; kk++ {
 			sk := window(st, (c*ns+kk)*n+lo, w)
 			if op.tips != nil {
@@ -280,15 +277,4 @@ func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, tabP, tabQ [
 			}
 		}
 	}
-}
-
-// transposeU returns the transpose of e's U: row k holds U's column k, the
-// p-side factors of eigen index k in the order ap's sum takes them.
-func transposeU(e *model.Eigen) (ut [ns * ns]float64) {
-	for x := 0; x < ns; x++ {
-		for kk := 0; kk < ns; kk++ {
-			ut[kk*ns+x] = e.U[x*ns+kk]
-		}
-	}
-	return ut
 }

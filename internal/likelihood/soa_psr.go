@@ -220,15 +220,9 @@ func (k *Kernel) preparePSRSoABlock(st []float64, op, oq operand, tabP, tabQ []f
 
 // preparePSRLanes is the sum-table fill in eigen lanes (lanePSRPrepare):
 // a tip side reads its prep table, an inner side evaluates the fill's
-// expression, the q side's over the transpose of U⁻¹.
+// expression, the q side's over the transpose of U⁻¹ (model.Eigen.UInvT).
 func (k *Kernel) preparePSRLanes(st []float64, op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
-	var uit [ns * ns]float64
-	for kk := 0; kk < ns; kk++ {
-		for y := 0; y < ns; y++ {
-			uit[y*ns+kk] = e.UInv[kk*ns+y]
-		}
-	}
 	lanePSRPrepare(st, op.clv, op.tips, tabP, op.tips != nil, oq.clv, oq.tips, tabQ, oq.tips != nil,
-		k.nPat, lo, hi-lo, &e.U, &uit, &k.par.Freqs)
+		k.nPat, lo, hi-lo, &e.U, &e.UInvT, &k.par.Freqs)
 }

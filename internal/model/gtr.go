@@ -39,6 +39,10 @@ type Eigen struct {
 	// P(t)[x][y]: e^{Vals[3]·t} is exactly 1, so the term is the same at
 	// every t.
 	Stat [msa.NumStates * msa.NumStates]float64
+	// UT, UInvT and StatT are the transposes of U, UInv and Stat, for the
+	// kernels that take a matrix column by column (the transposed P
+	// assembly, the sum-table fills): UT[k*4+x] = U[x*4+k], and so on.
+	UT, UInvT, StatT [msa.NumStates * msa.NumStates]float64
 }
 
 // NewEigen builds and diagonalizes the GTR rate matrix defined by the
@@ -135,6 +139,11 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
 			e.Stat[x*n+y] = e.U[x*n+n-1] * e.UInv[(n-1)*n+y]
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			e.UT[j*n+i], e.UInvT[j*n+i], e.StatT[j*n+i] = e.U[i*n+j], e.UInv[i*n+j], e.Stat[i*n+j]
 		}
 	}
 	return e, nil

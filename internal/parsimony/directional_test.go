@@ -15,7 +15,10 @@ import (
 // every SPR candidate of every prune point against a full Fitch pass
 // over the tree with the subtree actually regrafted there, on random
 // topologies — which put tips on merged edges and at subtree roots —
-// over data with one all-gap taxon.
+// over data with one all-gap taxon: the generated alignments as they
+// come, and cut or repeated to 1, 63, 64, 65 and 129 patterns under
+// weights up to 2²⁰, so that the padding of a last word and every weight
+// plane of the bit-plane sets meet the byte-per-pattern Score.
 func TestDirectionalScoreEqualsFitchPass(t *testing.T) {
 	checked := 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -30,53 +33,149 @@ func TestDirectionalScoreEqualsFitchPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewBuilder(d, 1, seed)
-		if err != nil {
-			t.Fatal(err)
+		full := NewData(d)
+		rng := rand.New(rand.NewSource(seed))
+		for _, np := range []int{full.NPatterns(), 1, 63, 64, 65, 129} {
+			data := full
+			if np != full.NPatterns() {
+				data = resized(full, np, rng)
+			}
+			b := newBuilder(data, 1, seed)
+			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(seed)))
+			n, tipOnMergedEdge := checkDirectional(t, b, tr)
+			if !tipOnMergedEdge {
+				t.Errorf("seed %d, %d patterns: no prune point had a tip on its merged edge", seed, np)
+			}
+			checked += n
 		}
-		tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(seed)))
-		b.sets = make([][]msa.State, len(tr.HalfNodes))
-		cur := Score(tr, b.data)
-		tipOnMergedEdge := false
-		for v := 0; v < tr.NInner(); v++ {
-			for _, p := range tr.InnerRing(v).Ring() {
-				ps, err := tr.Prune(p)
-				if err != nil {
-					t.Fatal(err)
+	}
+	if checked < 6000 {
+		t.Errorf("only %d candidates checked", checked)
+	}
+}
+
+// resized returns d's first np patterns, repeated from the first where
+// d has fewer, under random weights of 1 to 2²⁰ bits, a fifth of them
+// 2²⁰ itself.
+func resized(d *Data, np int, rng *rand.Rand) *Data {
+	out := &Data{Names: d.Names, Tips: make([][]msa.State, len(d.Tips)), Weights: make([]int32, np)}
+	for i := range out.Weights {
+		out.Weights[i] = 1 << 20
+		if rng.Intn(5) != 0 {
+			out.Weights[i] = rng.Int31n(1<<(1+rng.Intn(20))) + 1
+		}
+	}
+	for taxon, row := range d.Tips {
+		out.Tips[taxon] = make([]msa.State, np)
+		for i := range out.Tips[taxon] {
+			out.Tips[taxon][i] = row[i%len(row)]
+		}
+	}
+	return out
+}
+
+// TestSetsArePlanesOfFitchSets holds every directional set of a random
+// tree, after the down and up passes Stepwise makes, to the byte-per-
+// pattern Fitch set of the same half-node, plane by plane, and wants
+// every state in the padding past the last pattern: there a set must
+// never miss, whatever the weights.
+func TestSetsArePlanesOfFitchSets(t *testing.T) {
+	res, err := seqgen.Generate(seqgen.PartitionedGenes(11, 2, 60, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := msa.Compress(res.Alignment, res.Partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := NewData(d)
+	rng := rand.New(rand.NewSource(1))
+	for _, np := range []int{1, 63, 64, 65, 129} {
+		data := resized(full, np, rng)
+		b := newBuilder(data, 1, 1)
+		tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(int64(np))))
+		b.sets = make([][]uint64, len(tr.HalfNodes))
+		root := tr.Tip(0).Back
+		b.down(root)
+		b.up(root.Next)
+		b.up(root.Next.Next)
+		var fitchSet func(h *tree.Node) []msa.State
+		fitchSet = func(h *tree.Node) []msa.State {
+			if h.IsTip() {
+				return data.Tips[h.TaxonID]
+			}
+			x, y := fitchSet(h.Next.Back), fitchSet(h.Next.Next.Back)
+			out := make([]msa.State, np)
+			for i := range out {
+				if out[i] = x[i] & y[i]; out[i] == 0 {
+					out[i] = x[i] | y[i]
 				}
-				q, r := ps.MergedEdge()
-				tipOnMergedEdge = tipOnMergedEdge || q.IsTip() || r.IsTip()
-				b.down(q)
-				b.down(r)
-				b.down(p.Back)
-				sub := b.set(p.Back)
-				base := cur - b.insertionCost(q, sub)
-				for _, e := range ps.CandidateEdges(1, 5) {
-					b.combine(e)
-					got := base + b.insertionCost(e, sub)
-					if err := tr.Regraft(ps, e); err != nil {
-						t.Fatal(err)
-					}
-					if want := Score(tr, b.data); got != want {
-						t.Fatalf("seed %d prune %d candidate %d: directional score %d, Fitch pass %d", seed, p.ID, e.ID, got, want)
-					}
-					if err := tr.RemoveRegraft(ps); err != nil {
-						t.Fatal(err)
-					}
-					checked++
+			}
+			return out
+		}
+		for _, h := range tr.HalfNodes {
+			if h.IsTip() || h.Back == nil {
+				continue
+			}
+			want, got := fitchSet(h), b.set(h)
+			for i := 0; i < 64*b.words; i++ {
+				w := msa.State(15)
+				if i < np {
+					w = want[i]
 				}
-				if err := tr.Restore(ps); err != nil {
-					t.Fatal(err)
+				var g msa.State
+				for s := 0; s < ns; s++ {
+					g |= msa.State(got[s*b.words+i/64]>>(i%64)&1) << s
+				}
+				if g != w {
+					t.Fatalf("%d patterns, half-node %d, pattern %d: planes hold %04b, want %04b", np, h.ID, i, g, w)
 				}
 			}
 		}
-		if !tipOnMergedEdge {
-			t.Errorf("seed %d: no prune point had a tip on its merged edge", seed)
+	}
+}
+
+// checkDirectional scores every SPR candidate (radius 5) of every prune
+// point of tr from b's directional sets and holds each score to Score
+// over the regrafted tree. It returns the number of candidates checked
+// and whether a prune point had a tip on its merged edge.
+func checkDirectional(t *testing.T, b *Builder, tr *tree.Tree) (checked int, tipOnMergedEdge bool) {
+	t.Helper()
+	b.sets = make([][]uint64, len(tr.HalfNodes))
+	cur := Score(tr, b.data)
+	for v := 0; v < tr.NInner(); v++ {
+		for _, p := range tr.InnerRing(v).Ring() {
+			ps, err := tr.Prune(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, r := ps.MergedEdge()
+			tipOnMergedEdge = tipOnMergedEdge || q.IsTip() || r.IsTip()
+			b.down(q)
+			b.down(r)
+			b.down(p.Back)
+			sub := b.set(p.Back)
+			base := cur - b.insertionCost(q, sub)
+			for _, e := range ps.CandidateEdges(1, 5) {
+				b.combine(e)
+				got := base + b.insertionCost(e, sub)
+				if err := tr.Regraft(ps, e); err != nil {
+					t.Fatal(err)
+				}
+				if want := Score(tr, b.data); got != want {
+					t.Fatalf("%d patterns, prune %d candidate %d: directional score %d, Fitch pass %d", b.data.NPatterns(), p.ID, e.ID, got, want)
+				}
+				if err := tr.RemoveRegraft(ps); err != nil {
+					t.Fatal(err)
+				}
+				checked++
+			}
+			if err := tr.Restore(ps); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if checked < 1000 {
-		t.Errorf("only %d candidates checked", checked)
-	}
+	return checked, tipOnMergedEdge
 }
 
 // TestBuildUnchangedFromPerCandidateScoring pins Build to the trees and

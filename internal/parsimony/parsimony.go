@@ -2,7 +2,9 @@
 // algorithm on 4-bit state sets) and randomized stepwise-addition tree
 // construction with SPR refinement — a reproduction of the Parsimonator
 // tool that generates the starting trees for production ExaML runs (the
-// paper's runs start from parsimony trees, not random ones).
+// paper's runs start from parsimony trees, not random ones). Like
+// Parsimonator, the builder keeps its sets as bit planes, 64 patterns a
+// word, and counts mutations by popcount (Builder).
 //
 // Everything is deterministic given the seed, so every rank of the
 // de-centralized scheme can construct the identical starting tree locally
@@ -11,6 +13,7 @@ package parsimony
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/msa"
@@ -106,14 +109,34 @@ func Score(t *tree.Tree, d *Data) int64 {
 // and only the last term depends on e: O(patterns) per candidate once
 // the sets are in place, where a Fitch pass over the regrafted tree is
 // O(taxa × patterns).
+//
+// The sets are bit planes, the layout of Parsimonator and RAxML's fast
+// parsimony: a set is four state planes of b.words 64-pattern words,
+// bit i of plane s set when pattern i's set holds state s, so one word
+// operation combines 64 patterns. The padding patterns past the last
+// word's end hold every state (code 15) in every tip, so each
+// intersection there is non-empty and they never cost; the weights are
+// bit planes too (wbits), and a candidate's cost is the popcount of its
+// missed patterns in each weight plane, shifted by the plane's bit. The
+// costs are the integers the byte-per-pattern sets gave, so every
+// first-minimum choice, and with it the tree, is the same; Score keeps
+// one byte per pattern, an independent check of the planes.
 type Builder struct {
 	data *Data
 	rng  *rand.Rand
 	// blClasses configures the branch-length classes of produced trees.
 	blClasses int
+	// words is the number of 64-pattern words of a state plane.
+	words int
+	// tips[taxon] is the taxon's set: plane s at [s·words, (s+1)·words).
+	tips [][]uint64
+	// wbits[i·nw+b] is bit plane b of the weights of word i's patterns,
+	// nw planes per word: as many as the largest weight has bits.
+	wbits []uint64
+	nw    int
 	// sets[h.ID] backs set(h) for inner half-nodes, allocated on first
 	// use and overwritten by every pass.
-	sets [][]msa.State
+	sets [][]uint64
 }
 
 // NewBuilder prepares a builder over the dataset.
@@ -124,30 +147,73 @@ func NewBuilder(d *msa.Dataset, blClasses int, seed int64) (*Builder, error) {
 	if blClasses < 1 {
 		return nil, fmt.Errorf("parsimony: blClasses = %d", blClasses)
 	}
-	return &Builder{data: NewData(d), rng: rand.New(rand.NewSource(seed)), blClasses: blClasses}, nil
+	return newBuilder(NewData(d), blClasses, seed), nil
 }
 
+// newBuilder packs the data's tips and weights into bit planes.
+func newBuilder(d *Data, blClasses int, seed int64) *Builder {
+	np := d.NPatterns()
+	words := (np + 63) / 64
+	b := &Builder{data: d, rng: rand.New(rand.NewSource(seed)), blClasses: blClasses, words: words}
+	b.tips = make([][]uint64, len(d.Tips))
+	for t, row := range d.Tips {
+		planes := make([]uint64, ns*words)
+		for i := 0; i < 64*words; i++ {
+			code := msa.State(15)
+			if i < np {
+				code = row[i]
+			}
+			for s := 0; s < ns; s++ {
+				planes[s*words+i/64] |= uint64(code>>s&1) << (i % 64)
+			}
+		}
+		b.tips[t] = planes
+	}
+	var wmax int32
+	for _, w := range d.Weights {
+		wmax = max(wmax, w)
+	}
+	b.nw = bits.Len32(uint32(wmax))
+	b.wbits = make([]uint64, words*b.nw)
+	for i, w := range d.Weights {
+		for bit := 0; bit < b.nw; bit++ {
+			b.wbits[i/64*b.nw+bit] |= uint64(w>>bit&1) << (i % 64)
+		}
+	}
+	return b
+}
+
+// ns is the number of states, the planes of a set.
+const ns = msa.NumStates
+
 // set returns the directional Fitch set stored for h.
-func (b *Builder) set(h *tree.Node) []msa.State {
+func (b *Builder) set(h *tree.Node) []uint64 {
 	if h.IsTip() {
-		return b.data.Tips[h.TaxonID]
+		return b.tips[h.TaxonID]
 	}
 	return b.sets[h.ID]
+}
+
+// fitch returns the planes of word i of the Fitch combination of x and y:
+// per pattern their intersection when it is non-empty, else their union.
+func fitch(x, y []uint64, words, i int) (o0, o1, o2, o3 uint64) {
+	x0, x1, x2, x3 := x[i], x[words+i], x[2*words+i], x[3*words+i]
+	y0, y1, y2, y3 := y[i], y[words+i], y[2*words+i], y[3*words+i]
+	a0, a1, a2, a3 := x0&y0, x1&y1, x2&y2, x3&y3
+	none := ^(a0 | a1 | a2 | a3)
+	return a0 | none&(x0|y0), a1 | none&(x1|y1), a2 | none&(x2|y2), a3 | none&(x3|y3)
 }
 
 // combine computes set(h) for an inner half-node from the sets looking
 // at h's vertex across its other two edges, which must be in place.
 func (b *Builder) combine(h *tree.Node) {
 	if b.sets[h.ID] == nil {
-		b.sets[h.ID] = make([]msa.State, b.data.NPatterns())
+		b.sets[h.ID] = make([]uint64, ns*b.words)
 	}
 	out, x, y := b.sets[h.ID], b.set(h.Next.Back), b.set(h.Next.Next.Back)
-	for i := range out {
-		if inter := x[i] & y[i]; inter != 0 {
-			out[i] = inter
-		} else {
-			out[i] = x[i] | y[i]
-		}
+	words := b.words
+	for i := 0; i < words; i++ {
+		out[i], out[words+i], out[2*words+i], out[3*words+i] = fitch(x, y, words, i)
 	}
 }
 
@@ -175,17 +241,19 @@ func (b *Builder) up(m *tree.Node) {
 }
 
 // insertionCost returns the e-dependent term of the length of the tree
-// with subtree set s inserted into the edge at e.
-func (b *Builder) insertionCost(e *tree.Node, s []msa.State) int64 {
+// with subtree set s inserted into the edge at e: the weight of the
+// patterns whose root set, the Fitch combination of e's two sets, misses
+// s.
+func (b *Builder) insertionCost(e *tree.Node, s []uint64) int64 {
 	x, y := b.set(e), b.set(e.Back)
+	words, nw := b.words, b.nw
 	var cost int64
-	for i, w := range b.data.Weights {
-		root := x[i] & y[i]
-		if root == 0 {
-			root = x[i] | y[i]
-		}
-		if root&s[i] == 0 {
-			cost += int64(w)
+	for i := 0; i < words; i++ {
+		r0, r1, r2, r3 := fitch(x, y, words, i)
+		miss := ^(r0&s[i] | r1&s[words+i] | r2&s[2*words+i] | r3&s[3*words+i])
+		wb := b.wbits[i*nw : (i+1)*nw]
+		for bit, w := range wb {
+			cost += int64(bits.OnesCount64(miss&w)) << bit
 		}
 	}
 	return cost
@@ -199,7 +267,7 @@ func (b *Builder) Stepwise() *tree.Tree {
 	order := b.rng.Perm(n)
 
 	t := tree.New(b.data.Names, b.blClasses)
-	b.sets = make([][]msa.State, len(t.HalfNodes))
+	b.sets = make([][]uint64, len(t.HalfNodes))
 	ring := t.InnerRing(0)
 	t.Connect(ring, t.Tip(order[0]), tree.DefaultBranchLength)
 	t.Connect(ring.Next, t.Tip(order[1]), tree.DefaultBranchLength)
@@ -217,7 +285,7 @@ func (b *Builder) Stepwise() *tree.Tree {
 		b.down(root)
 		b.up(root.Next)
 		b.up(root.Next.Next)
-		tips := b.data.Tips[taxon]
+		tips := b.tips[taxon]
 		bestCost := int64(-1)
 		bestEdge := -1
 		for ei, e := range live {
@@ -244,7 +312,7 @@ func (b *Builder) Stepwise() *tree.Tree {
 // Returns the final score.
 func (b *Builder) SPRRounds(t *tree.Tree, radius, maxRounds int) (int64, error) {
 	if len(b.sets) != len(t.HalfNodes) {
-		b.sets = make([][]msa.State, len(t.HalfNodes))
+		b.sets = make([][]uint64, len(t.HalfNodes))
 	}
 	cur := Score(t, b.data)
 	ps := new(tree.PrunedSubtree)
