@@ -131,18 +131,22 @@ bench-e2e-smoke:
 # tip-tip pair table, checking every store and every pair-table read per
 # site, and the PSR sum-table fill had an inner-inner worker besides the
 # one for every shape; one worker per operation, tip flags in place of
-# the shapes, leaves 184. It was 238 while the Γ sum table was
+# the shapes, left 184. It was 238 while the Γ sum table was
 # pattern-major, its fill's stores and its derivative's row slices
 # checked per site; the plane-major table is read and written through
-# windows. The count is a property of the source and the compiler, not of
-# the machine: it repeats exactly under GOTOOLCHAIN=local (go1.24), so
-# like the two counts above it can gate.
+# windows. It was 184 while gamma.go and psr.go held the derivative
+# workers (4 + 6 checks) and each model had its own insertion-score
+# tail; with the workers in soa_gamma.go and soa_psr.go and one tail
+# for both models (sumInsertionLnl) it is 177. The count is a property
+# of the source and the compiler, not of the machine: it repeats exactly
+# under GOTOOLCHAIN=local (go1.24), so like the two counts above it can
+# gate.
 # A new check inside a site loop shows as a count above the gate; the
 # listing per file says where to look. The Go loops that continue after
 # the vector lanes (lanes.go) start at the lane count; what they check is
 # a tip side's table row.
-KERNEL_BCE_MAX = 184
-KERNEL_BCE_FILES = soa_gamma.go soa_psr.go insertion.go gamma.go psr.go
+KERNEL_BCE_MAX = 177
+KERNEL_BCE_FILES = soa_gamma.go soa_psr.go insertion.go
 kernel-bce:
 	@out=$$(GOTOOLCHAIN=local $(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/likelihood 2>&1 | grep ': Found Is' || true); \
 	total=0; \

@@ -72,12 +72,12 @@ func (e *Engine) Evaluate(d *traversal.Descriptor) []float64 {
 // PrepareBranch implements search.Engine: local only.
 func (e *Engine) PrepareBranch(d *traversal.Descriptor) { e.local.PrepareLocal(d) }
 
-// BranchDerivatives implements search.Engine: local derivative sums, then
-// a single Allreduce of 2·classes doubles — the second Allreduce call
-// site.
+// BranchDerivatives implements search.Engine: local derivative sums,
+// folded into linkage classes, then a single Allreduce of 2·classes
+// doubles — the second Allreduce call site.
 func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
 	classes := e.local.BLClasses()
-	vec := e.local.DerivativesLocal(ts)
+	vec := e.local.ByClass(e.local.DerivativesPerPartition(e.local.PartitionLengths(ts)), 1)
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	}
@@ -86,14 +86,15 @@ func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
 }
 
 // AllBranchDerivatives implements search.Engine: one local pre-order
-// pass plus every edge's sum table and derivatives, then ONE wide Allreduce
-// of 2·classes·branches doubles. A whole Newton iteration over every
-// branch costs a single collective where BranchDerivatives edge by edge
-// pays one Allreduce per branch — the O(branches·iters) → O(iters)
-// collective reduction of the batched gradient (docs/PERFORMANCE.md).
-// The returned slice is reused by the next call.
+// pass plus every edge's sum table and derivatives, folded into linkage
+// classes, then ONE wide Allreduce of 2·classes·branches doubles. A whole
+// Newton iteration over every branch costs a single collective where
+// BranchDerivatives edge by edge pays one Allreduce per branch — the
+// O(branches·iters) → O(iters) collective reduction of the batched
+// gradient (docs/PERFORMANCE.md). The returned slice is reused by the
+// next call.
 func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
-	vec := e.local.AllBranchDerivativesLocal(plan)
+	vec := e.local.ByClass(e.local.AllBranchDerivativesPerPartition(plan), plan.NBranches())
 	if e.comm.Rank() == 0 {
 		e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	}

@@ -61,8 +61,8 @@ type Local struct {
 	// engine calls copy it into their own storage. This keeps the
 	// steady-state optimization loops allocation-free
 	// (docs/PERFORMANCE.md; asserted by alloc tests in both engines).
-	evalScr, derivScr, perPartScr, srStatsScr []float64
-	gradScr, gradPPScr, insScr                []float64
+	evalScr, perPartScr, gradPPScr, insScr []float64
+	lenScr, classScr, srStatsScr           []float64
 
 	// items are the (kernel, block) pairs of the call in flight, in kernel
 	// then block order; runItem and scanItem are the two closures ever
@@ -326,8 +326,7 @@ func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
 }
 
 // PrepareLocal traverses and contracts the descriptor's edge into every
-// kernel's sum-table slot 0, where DerivativesLocal and
-// DerivativesPerPartition evaluate it.
+// kernel's sum-table slot 0, where DerivativesPerPartition evaluates it.
 func (l *Local) PrepareLocal(d *traversal.Descriptor) {
 	t := l.rec.Begin()
 	l.branch = traversal.GradEdge{P: d.P, Q: d.Q}
@@ -378,33 +377,13 @@ func (l *Local) AdmitDerivatives(plan *traversal.GradPlan) error {
 	return nil
 }
 
-// DerivativesLocal returns the local per-class derivative sums packed as
-// [d1_0..d1_{C-1}, d2_0..d2_{C-1}]. The returned slice is reused by the
-// next DerivativesLocal call.
-func (l *Local) DerivativesLocal(ts []float64) []float64 {
-	t := l.rec.Begin()
-	for i, k := range l.Kernels {
-		k.Derivatives(0, ts[l.ClassOf(l.PartIdx[i])])
-		l.staged(i)
-	}
-	l.flush(t)
-	classes := l.BLClasses()
-	vec := scratchVec(&l.derivScr, 2*classes)
-	for i, k := range l.Kernels {
-		cls := l.ClassOf(l.PartIdx[i])
-		d1, d2 := k.Gradient(0)
-		vec[cls] += d1
-		vec[classes+cls] += d2
-	}
-	return vec
-}
-
 // DerivativesPerPartition returns per-*partition* derivative sums packed
-// as [d1_0..d1_{P-1}, d2_0..d2_{P-1}], with ts indexed by partition.
-// RAxML-Light communicates branch-length derivatives at this granularity
-// regardless of the linkage setting (the caller folds partitions into
-// linkage classes), which is why fork-join branch traffic scales with the
-// partition count. The returned slice is reused by the next
+// as [d1_0..d1_{P-1}, d2_0..d2_{P-1}], with ts indexed by partition
+// (PartitionLengths) and zeros for unowned partitions. RAxML-Light
+// communicates branch-length derivatives at this granularity regardless
+// of the linkage setting, which is why fork-join branch traffic scales
+// with the partition count; ByClass folds partitions into linkage
+// classes. The returned slice is reused by the next
 // DerivativesPerPartition call.
 func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
 	t := l.rec.Begin()
@@ -423,23 +402,39 @@ func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
 	return vec
 }
 
-// AllBranchDerivativesLocal executes the plan's pre-order schedule and
-// the derivatives of every edge on every local kernel,
-// returning the local per-class all-branch derivative sums packed as
-// [d1[c·nB+b]..., d2[C·nB + c·nB+b]...] with b indexing plan edges.
-// One call replaces nB PrepareLocal/DerivativesLocal pairs — the local
-// half of the batched-gradient path (docs/PERFORMANCE.md). The
-// returned slice is reused by the next call.
-func (l *Local) AllBranchDerivativesLocal(plan *traversal.GradPlan) []float64 {
-	classes := l.BLClasses()
-	nB := plan.NBranches()
-	l.gradient(plan)
-	vec := scratchVec(&l.gradScr, 2*classes*nB)
-	for i := range l.Kernels {
-		cls := l.ClassOf(l.PartIdx[i])
-		l.foldGradient(i, plan, vec[cls*nB:], vec[classes*nB+cls*nB:])
+// PartitionLengths returns per-class branch lengths ts as per-partition
+// ones, partition p's being its class's: what DerivativesPerPartition
+// takes. The returned slice is reused by the next call.
+func (l *Local) PartitionLengths(ts []float64) []float64 {
+	vec := scratchVec(&l.lenScr, l.NPart)
+	for p := range vec {
+		vec[p] = ts[l.ClassOf(p)]
 	}
 	return vec
+}
+
+// ByClass folds a per-partition derivative vector of nB edges, local or
+// reduced, packed [d1[p·nB+b]..., d2[P·nB + p·nB+b]...] as
+// DerivativesPerPartition (nB = 1) and AllBranchDerivativesPerPartition
+// return it, into linkage classes, packed [d1[c·nB+b]..., d2[C·nB +
+// c·nB+b]...]: each class sum starts at +0 and adds its partitions in
+// partition order. A rank's kernels are in partition order, one per
+// partition (distrib), so folding a local vector adds the kernels'
+// results in kernel order, and the zero of an unowned partition adds
+// nothing (docs/DETERMINISM.md §1). The returned slice is reused by the
+// next call.
+func (l *Local) ByClass(vec []float64, nB int) []float64 {
+	classes := l.BLClasses()
+	out := scratchVec(&l.classScr, 2*classes*nB)
+	d2, c2 := vec[l.NPart*nB:], out[classes*nB:]
+	for p := 0; p < l.NPart; p++ {
+		c := l.ClassOf(p)
+		for b := 0; b < nB; b++ {
+			out[c*nB+b] += vec[p*nB+b]
+			c2[c*nB+b] += d2[p*nB+b]
+		}
+	}
+	return out
 }
 
 // gradient stages the plan on every local kernel — the pre-order pass,
@@ -483,12 +478,14 @@ func (l *Local) foldGradient(i int, plan *traversal.GradPlan, d1, d2 []float64) 
 	}
 }
 
-// AllBranchDerivativesPerPartition is AllBranchDerivativesLocal at
-// per-partition granularity, packed as [d1[p·nB+b]..., d2[P·nB +
-// p·nB+b]...] — the fork-join wire format (the master folds partitions
-// into linkage classes after the reduce, mirroring
-// DerivativesPerPartition). The returned slice is reused by the next
-// call.
+// AllBranchDerivativesPerPartition executes the plan's pre-order
+// schedule and the derivatives of every edge on every local kernel,
+// returning the local per-partition all-branch derivative sums packed as
+// [d1[p·nB+b]..., d2[P·nB + p·nB+b]...] with b indexing plan edges — the
+// fork-join wire format, folded into linkage classes by ByClass. One
+// call replaces nB PrepareLocal/DerivativesPerPartition pairs — the local
+// half of the batched-gradient path (docs/PERFORMANCE.md). The returned
+// slice is reused by the next call.
 func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []float64 {
 	nB := plan.NBranches()
 	l.gradient(plan)

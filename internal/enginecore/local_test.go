@@ -303,14 +303,14 @@ func TestAdmitDerivativesChecksActiveSlotsOnly(t *testing.T) {
 	l.Traverse(traversal.Build(tr, tr.Tip(0), true))
 	plan, _ := traversal.BuildGradient(tr, nil)
 	nB := plan.NBranches()
-	l.AllBranchDerivativesLocal(plan)
+	l.AllBranchDerivativesPerPartition(plan)
 	stale := 1*nB + 3
 	mask := make([]bool, 2*nB)
 	for i := range mask {
 		mask[i] = i != stale
 	}
 	plan.Active = mask
-	l.AllBranchDerivativesLocal(plan)
+	l.AllBranchDerivativesPerPartition(plan)
 
 	reuse := &traversal.GradPlan{Pre: make([][]likelihood.Step, 2), Edges: plan.Edges, T: plan.T, Reuse: true}
 	for what, active := range map[string][]bool{"no mask": nil, "every slot": make([]bool, 2*nB)} {
@@ -328,6 +328,101 @@ func TestAdmitDerivativesChecksActiveSlotsOnly(t *testing.T) {
 	if err := l.AdmitDerivatives(reuse); err != nil {
 		t.Errorf("a Reuse frame that masks the stale slot off refused: %v", err)
 	}
+}
+
+// TestByClassFoldsKernelsInOrder: the per-class derivative sums both
+// engines reduce are each kernel's Gradient results added per class in
+// kernel order from +0, bit for bit — the order the per-class fold of a
+// rank's kernels had before the per-partition vector served both schemes
+// (docs/DETERMINISM.md §1). ByClass folds partitions in partition order,
+// and a rank's kernels are in partition order, one per partition; folding
+// them in any other order moves bits of the joint classes. Joint and -M
+// branch lengths, four partitions on one rank and on each of two ranks
+// that split one, one edge and every edge of a gradient plan with every
+// third (edge, class) slot masked off.
+func TestByClassFoldsKernelsInOrder(t *testing.T) {
+	d, _ := shapedData(t, []int{300, 200, 260, 150})
+	counts := make([]int, d.NPartitions())
+	for i, p := range d.Parts {
+		counts[i] = p.NPatterns()
+	}
+	for _, ranks := range []int{1, 2} {
+		assign, err := distrib.Compute(distrib.Cyclic, counts, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, split := assign.Layout(); ranks > 1 && split == 0 {
+			t.Fatalf("%d ranks split no partition", ranks)
+		}
+		for _, perPart := range []bool{false, true} {
+			for rank := 0; rank < ranks; rank++ {
+				l, err := NewLocal(d, assign, rank, Config{Het: model.Gamma, Subst: model.GTR, PerPartitionBranches: perPart})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ranks == 1 && len(l.Kernels) < 3 {
+					t.Fatalf("one rank holds %d partitions, want at least 3", len(l.Kernels))
+				}
+				label := fmt.Sprintf("ranks=%d rank=%d -M=%v", ranks, rank, perPart)
+				checkClassFold(t, label, l, tree.NewRandom(d.Names, l.BLClasses(), rand.New(rand.NewSource(5))))
+				l.Close()
+			}
+		}
+	}
+}
+
+// checkClassFold holds ByClass of l's one-edge and all-edge derivative
+// vectors against the per-class sums of its kernels' results.
+func checkClassFold(t *testing.T, label string, l *Local, tr *tree.Tree) {
+	t.Helper()
+	classes := l.BLClasses()
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s %s: value %d folds to %x, the kernels' sum in kernel order is %x", label, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	desc := traversal.Build(tr, tr.Tip(0), true)
+	l.Traverse(desc)
+	l.PrepareLocal(desc)
+	ts := make([]float64, classes)
+	for c := range ts {
+		ts[c] = 0.05 + 0.03*float64(c)
+	}
+	got := l.ByClass(l.DerivativesPerPartition(l.PartitionLengths(ts)), 1)
+	want := make([]float64, 2*classes)
+	for i, k := range l.Kernels {
+		c := l.ClassOf(l.PartIdx[i])
+		d1, d2 := k.Gradient(0)
+		want[c] += d1
+		want[classes+c] += d2
+	}
+	same("one edge", got, want)
+
+	plan, _ := traversal.BuildGradient(tr, nil)
+	nB := plan.NBranches()
+	plan.Active = make([]bool, classes*nB)
+	for i := range plan.Active {
+		plan.Active[i] = i%3 != 1
+	}
+	got = l.ByClass(l.AllBranchDerivativesPerPartition(plan), nB)
+	want = make([]float64, 2*classes*nB)
+	for i, k := range l.Kernels {
+		c := l.ClassOf(l.PartIdx[i])
+		r := 0
+		for b := 0; b < nB; b++ {
+			if !plan.Active[c*nB+b] {
+				continue
+			}
+			d1, d2 := k.Gradient(r)
+			want[c*nB+b] += d1
+			want[classes*nB+c*nB+b] += d2
+			r++
+		}
+	}
+	same("every edge", got, want)
 }
 
 // localTrace drives every Local operation once over tr and returns every
@@ -353,7 +448,7 @@ func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
 	}
 	bits(l.EvaluateLocal(d))
 	l.PrepareLocal(d)
-	bits(l.DerivativesLocal([]float64{0.07}))
+	bits(l.ByClass(l.DerivativesPerPartition(l.PartitionLengths([]float64{0.07})), 1))
 	perPart := make([]float64, l.NPart)
 	for p := range perPart {
 		perPart[p] = 0.07 + 0.23*float64(p%3)
@@ -361,12 +456,12 @@ func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
 	bits(l.DerivativesPerPartition(perPart))
 
 	plan, _ := traversal.BuildGradient(tr, nil)
-	bits(l.AllBranchDerivativesLocal(plan))
+	bits(l.ByClass(l.AllBranchDerivativesPerPartition(plan), plan.NBranches()))
 	plan.Reuse = true
 	for b := range plan.T[0] {
 		plan.T[0][b] *= 1.5
 	}
-	bits(l.AllBranchDerivativesLocal(plan))
+	bits(l.ByClass(l.AllBranchDerivativesPerPartition(plan), plan.NBranches()))
 	bits(l.AllBranchDerivativesPerPartition(plan))
 
 	pruned := tr.Clone()

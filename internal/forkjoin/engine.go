@@ -58,15 +58,9 @@ type Engine struct {
 	// Steady-state scratch: the command byte and the per-call payload
 	// vectors are staged in reusable buffers so the master's inner loops
 	// stay allocation-free (the transports copy payloads on Send, so
-	// reuse across collectives is safe). d1Scr/d2Scr back the
-	// BranchDerivatives result slices — valid until the next call, per
-	// the engine result-lifetime contract.
-	opBuf      [1]byte
-	perPartScr []float64
-	d1Scr      []float64
-	d2Scr      []float64
-	flatScr    []float64
-	gradScr    []float64
+	// reuse across collectives is safe).
+	opBuf   [1]byte
+	flatScr []float64
 }
 
 var _ search.Engine = (*Engine)(nil)
@@ -180,24 +174,13 @@ func (e *Engine) PrepareBranch(d *traversal.Descriptor) {
 // of fork-join traffic scale with the partition count.
 func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
 	classes := e.local.BLClasses()
-	nPart := e.local.NPart
 	e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	e.command(opDerivatives)
-	perPart := grow(&e.perPartScr, nPart)
-	for p := 0; p < nPart; p++ {
-		perPart[p] = ts[e.local.ClassOf(p)]
-	}
+	perPart := e.local.PartitionLengths(ts)
 	e.comm.Bcast(0, perPart, mpi.ClassBranchLength)
-	vec := e.local.DerivativesPerPartition(perPart)
-	out := e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassBranchLength)
-	d1 = grow(&e.d1Scr, classes)
-	d2 = grow(&e.d2Scr, classes)
-	for p := 0; p < nPart; p++ {
-		c := e.local.ClassOf(p)
-		d1[c] += out[p]
-		d2[c] += out[nPart+p]
-	}
-	return d1, d2
+	out := e.comm.Reduce(0, e.local.DerivativesPerPartition(perPart), mpi.OpSum, mpi.ClassBranchLength)
+	res := e.local.ByClass(out, 1)
+	return res[:classes], res[classes:]
 }
 
 // bcastGradPlan ships the all-branch gradient plan. Unlike
@@ -222,23 +205,11 @@ func (e *Engine) bcastGradPlan(p *traversal.GradPlan) {
 // instead of one region per branch. The returned slice is reused by the
 // next call.
 func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
-	classes := e.local.BLClasses()
-	nPart := e.local.NPart
-	nB := plan.NBranches()
 	e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	e.command(opAllBranchDerivs)
 	e.bcastGradPlan(plan)
-	vec := e.local.AllBranchDerivativesPerPartition(plan)
-	out := e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassBranchLength)
-	res := grow(&e.gradScr, 2*classes*nB)
-	for p := 0; p < nPart; p++ {
-		c := e.local.ClassOf(p)
-		for b := 0; b < nB; b++ {
-			res[c*nB+b] += out[p*nB+b]
-			res[classes*nB+c*nB+b] += out[nPart*nB+p*nB+b]
-		}
-	}
-	return res
+	out := e.comm.Reduce(0, e.local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)
+	return e.local.ByClass(out, plan.NBranches())
 }
 
 // ScoreInsertions implements search.Engine: one plan broadcast, the
@@ -260,19 +231,6 @@ func (e *Engine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
 	}
 	vec := e.local.ScoreInsertionsLocal(plan)
 	return e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassLikelihoodEval)
-}
-
-// grow returns (*buf)[:n], reallocating only when capacity is short, and
-// zeroes the returned prefix.
-func grow(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	s := (*buf)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // SetShared implements search.Engine: the master must broadcast the full

@@ -1,10 +1,6 @@
 package likelihood
 
-import (
-	"math"
-
-	"repro/internal/model"
-)
+import "math"
 
 // Step is one entry of a schedule: "combine operand A (across branch
 // length TA) with operand B (across TB) into Dst". Dst is an Inner ref in
@@ -24,22 +20,34 @@ type Step struct {
 // by an earlier call of the same one.
 
 // Newview stages one vector update into the CLV or outer slot s.Dst
-// names. A pre-order update is the post-order combine itself — same
-// staging, same block workers, same a·b operand order.
+// names: the combine of operands A and B across branch lengths TA and TB.
+// A pre-order update is the post-order combine itself — same staging,
+// same block workers, same a·b operand order. Each pattern block writes a
+// disjoint range, so the result is identical at every thread count. The
+// update moves the stamp every sum table was contracted under
+// (sumtable.go).
+//
+// When a child is a tip, the per-site P·tipVec product is a table read
+// (fastpath.go); the table entries are computed by the exact expression
+// of the worker's inner side, so a tip never changes a bit of the result.
 func (k *Kernel) Newview(s Step) {
 	dclv, dscale := k.slot(s.Dst)
-	k.newview(dclv, dscale, k.operand(s.A), k.operand(s.B), s.TA, s.TB)
-}
+	oa, ob := k.operand(s.A), k.operand(s.B)
+	pa, pb := k.probMatricesFor(s.TA), k.probMatricesFor(s.TB)
 
-// newview stages the combine of two operands into a destination vector
-// under the kernel's rate model and moves the stamp every sum table was
-// contracted under (sumtable.go).
-func (k *Kernel) newview(dclv []float64, dscale []int32, oa, ob operand, ta, tb float64) {
-	if k.par.Het == model.Gamma {
-		k.newviewGamma(dclv, dscale, oa, ob, ta, tb)
-	} else {
-		k.newviewPSR(dclv, dscale, oa, ob, ta, tb)
+	ra := k.stage(opNewview)
+	if oa.tips != nil && ob.tips != nil {
+		k.fp.NewviewTipTip++
 	}
+	if oa.tips != nil {
+		ra.tabA = k.tipTable(pa, oa)
+	}
+	if ob.tips != nil {
+		ra.tabB = k.tipTable(pb, ob)
+	}
+	k.countSites()
+	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
+	k.flops.Newview += k.cols()
 	k.stamp++
 }
 
@@ -55,18 +63,20 @@ func (k *Kernel) Traverse(steps []Step) {
 // Evaluate stages the weighted log likelihood over the local patterns for
 // a virtual root on edge (p, q) with branch length t; the value is the
 // finished program's next result (LnL). Either operand may be a tip, a
-// CLV or an outer vector; q, the far one, takes the P product.
+// CLV or an outer vector; q, the far one, takes the P product, so only a
+// far tip needs a table. Per-block partial sums are combined in
+// block-index order at the join, so the total is bit-identical to the
+// serial kernel at every thread count.
 func (k *Kernel) Evaluate(p, q Ref, t float64) {
-	k.evaluate(k.operand(p), k.operand(q), t)
-}
-
-// evaluate stages an evaluation under the kernel's rate model.
-func (k *Kernel) evaluate(op, oq operand, t float64) {
-	if k.par.Het == model.Gamma {
-		k.evaluateGamma(op, oq, t)
-	} else {
-		k.evaluatePSR(op, oq, t)
+	op, oq := k.operand(p), k.operand(q)
+	pm := k.probMatricesFor(t)
+	ra := k.stageReducing(opEvaluate)
+	if oq.tips != nil {
+		ra.tabB = k.tipTable(pm, oq)
 	}
+	k.countSites()
+	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, pm, k.par.CatWeight()
+	k.flops.Evaluate += k.cols()
 }
 
 // CLVDigest returns a cheap order-sensitive hash of an inner slot's CLV

@@ -12,10 +12,12 @@ import (
 // A kernel call does not compute; it stages. Traverse, Evaluate,
 // Contract, Derivatives and the insertion calls resolve their
 // operands, build their P matrices and tip tables on the caller's
-// goroutine, and append one runArgs per block operation to k.prog. The
-// engine then runs the whole program over one pattern block before it
-// moves to the next — RunBlock, one (kernel, block) item of the rank's
-// single dispatch for the call — and Finish combines what the reducing
+// goroutine, and append one runArgs per block operation to k.prog: one
+// opcode per call, whatever the rate model, RunOp picking the Γ or PSR
+// block worker when the operation runs. The engine then runs the whole
+// program over one pattern block before it moves to the next —
+// RunBlock, one (kernel, block) item of the rank's single dispatch for
+// the call — and Finish combines what the reducing
 // operations left in their per-block slots. Sites are independent, so an
 // operation may read what an earlier operation of the program wrote for
 // the same sites and nothing else; executing block-major instead of
@@ -32,22 +34,18 @@ import (
 // call and is reset by Finish. Steady-state calls therefore allocate
 // nothing.
 
-// runOp selects the staged block operation.
+// runOp selects the staged block operation: one code per kernel call
+// that stages it, whatever the rate model. RunOp picks the Γ or PSR
+// block worker from the kernel's rate model, which never changes.
 type runOp uint8
 
 const (
-	opNvGamma runOp = iota
-	opEvalGamma
-	opPrepGamma
-	opDerivGamma
-	opNvPSR
-	opEvalPSR
-	opPrepPSR
-	opDerivPSR
-	opPrepInsGamma
-	opPrepInsPSR
-	opInsGamma
-	opInsPSR
+	opNewview runOp = iota
+	opEvaluate
+	opContract
+	opDerivatives
+	opPrepareInsertion
+	opScoreInsertion
 )
 
 // OpClass groups the block operations the way telemetry reports kernel
@@ -71,14 +69,14 @@ const (
 // class returns the telemetry class of a block operation.
 func (op runOp) class() OpClass {
 	switch op {
-	case opNvGamma, opNvPSR:
+	case opNewview:
 		return ClassNewview
-	case opEvalGamma, opEvalPSR:
+	case opEvaluate:
 		return ClassEvaluate
-	case opPrepInsGamma, opPrepInsPSR, opInsGamma, opInsPSR:
-		return ClassInsertion
+	case opContract, opDerivatives:
+		return ClassDerivatives
 	}
-	return ClassDerivatives
+	return ClassInsertion
 }
 
 // runArgs is one staged block operation. Workers only read it; every
@@ -98,13 +96,14 @@ type runArgs struct {
 	pa, pb [][ns * ns]float64
 	// tabA/tabB double as the prep tip tables (tabP, tabQ).
 	tabA, tabB []float64
-	catW       float64
+	// catW is the Γ category weight; the PSR workers do not read it.
+	catW float64
 
-	// sumTab is the sum table a prepare operation fills or a derivative
-	// operation reads.
-	sumTab    []float64
-	exG, lamG *[gammaCats][ns]float64
-	exP, lamP [][ns]float64
+	// sumTab is the sum table a contraction fills or a derivative
+	// operation reads; ex and lam are the derivative's per-category
+	// exponentials and λ·r factors (exponentials).
+	sumTab  []float64
+	ex, lam [][ns]float64
 }
 
 // blockPartial is one pattern block's contribution to a reducing
@@ -190,43 +189,50 @@ func (k *Kernel) RunOp(op, blk int) {
 		part = &k.parts[blk*k.redStride+int(ra.red)]
 	}
 	switch ra.op {
-	case opNvGamma:
-		k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
+	case opNewview:
+		if k.psr {
+			k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
+		} else {
+			k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
+		}
 
-	case opEvalGamma:
-		part.a = k.evaluateGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
+	case opEvaluate:
+		if k.psr {
+			part.a = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
+		} else {
+			part.a = k.evaluateGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
+		}
 
-	case opPrepGamma:
-		k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+	case opContract:
+		if k.psr {
+			k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+		} else {
+			k.prepareGammaSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
+		}
 
-	case opDerivGamma:
-		part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ra.exG, ra.lamG, ra.catW, lo, hi)
+	case opDerivatives:
+		if k.psr {
+			part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.ex, ra.lam, lo, hi)
+		} else {
+			ex, lam := (*[gammaCats][ns]float64)(ra.ex), (*[gammaCats][ns]float64)(ra.lam)
+			part.a, part.b = k.derivativesGammaBlock(ra.sumTab, ex, lam, ra.catW, lo, hi)
+		}
 
-	case opNvPSR:
-		k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-
-	case opEvalPSR:
-		part.a = k.evaluatePSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
-
-	case opPrepPSR:
-		k.preparePSRSoABlock(ra.sumTab, ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-
-	case opDerivPSR:
-		part.a, part.b = k.derivativesPSRBlock(ra.sumTab, ra.exP, ra.lamP, lo, hi)
-
-	case opPrepInsGamma:
-		k.prepareInsertionGammaSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
-
-	case opPrepInsPSR:
-		k.prepareInsertionPSRSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
+	case opPrepareInsertion:
+		if k.psr {
+			k.prepareInsertionPSRSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
+		} else {
+			k.prepareInsertionGammaSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
+		}
 
 	// Insertion scores (insertion.go): the inserted vertex's Newview and
 	// the evaluation against the insertion table in one sweep.
-	case opInsGamma:
-		part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
-
-	case opInsPSR:
-		part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
+	case opScoreInsertion:
+		if k.psr {
+			part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
+		} else {
+			part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
+		}
 	}
 }
 

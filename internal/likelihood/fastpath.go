@@ -3,8 +3,6 @@ package likelihood
 import (
 	"math"
 	"math/bits"
-
-	"repro/internal/model"
 )
 
 // This file holds the kernel fast-path layer (docs/PERFORMANCE.md): the
@@ -166,7 +164,6 @@ func (k *Kernel) tipTable(pm [][ns * ns]float64, o operand) []float64 {
 // double. Where the lanes run, laneTipTable fills the whole table in one
 // call, lanes over x; the Go loop is its reference.
 func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16, catMask []uint16) {
-	psr := k.par.Het == model.PSR
 	if catMask == nil {
 		k.fp.TipTableEntries += int64(len(pm) * bits.OnesCount16(mask))
 	} else {
@@ -176,11 +173,11 @@ func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16,
 		}
 	}
 	if laneMask != 0 {
-		laneTipTable(dst[:len(pm)*16*ns], pm, &k.tipVec, mask, catMask, psr)
+		laneTipTable(dst[:len(pm)*16*ns], pm, &k.tipVec, mask, catMask, k.psr)
 		return
 	}
 	row, col := ns, 1
-	if psr {
+	if k.psr {
 		row, col = 1, ns
 	}
 	for c := range pm {

@@ -1,9 +1,6 @@
 package likelihood
 
-import (
-	"repro/internal/model"
-	"repro/internal/threadpool"
-)
+import "repro/internal/threadpool"
 
 // SPR insertion scoring (docs/PERFORMANCE.md §8).
 //
@@ -47,10 +44,7 @@ func (k *Kernel) PrepareInsertion(sub Ref, t float64) {
 	}
 	oq := k.operand(sub)
 	pm := k.probMatricesFor(t)
-	ra := k.stage(opPrepInsGamma)
-	if k.par.Het != model.Gamma {
-		ra.op = opPrepInsPSR
-	}
+	ra := k.stage(opPrepareInsertion)
 	ra.ob, ra.pa = oq, pm
 	k.stageFarTable(ra, oq)
 	k.insSubScale = oq.scale
@@ -70,12 +64,8 @@ func (k *Kernel) ScoreInsertion(near, far Ref, half float64) {
 	// Newview builds P(half) once per operand; one set serves both, being
 	// the same doubles.
 	pm := k.probMatricesFor(half)
-	code := opInsPSR
-	if k.par.Het == model.Gamma {
-		code = opInsGamma
-	}
 	k.countSites()
-	ra := k.stageReducing(code)
+	ra := k.stageReducing(opScoreInsertion)
 	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, pm, k.par.CatWeight()
 	k.stageFarTable(ra, ob)
 	k.flops.Evaluate += 2 * k.cols()
@@ -132,7 +122,8 @@ func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
 	k.scoreInsertionGammaSites(site, noScale, oa, ob, pm, tabB, catW, lo)
-	return k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
+	k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
+	return k.sumInsertionLnl(site, noScale, oa, ob, lo)
 }
 
 // scoreInsertionGammaSites accumulates the per-site likelihoods of
@@ -189,32 +180,18 @@ func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob
 	}
 }
 
-// finishInsertionGamma is the tail of the Γ insertion workers: the
-// block's weighted log likelihood from its per-site likelihoods and the
-// three operands' scale counts. A site no category of which produced an
-// entry at or above ScaleThreshold is one Newview would have rescaled
-// before evaluation read it; its likelihood is recomputed over the
-// rescaled column and its scale count is one higher.
-func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) (lnL float64, rescaled int64) {
-	w := len(site)
-	noScale = noScale[:w]
-	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
-	weights := k.data.Weights[lo:][:w]
+// finishInsertionGamma recomputes, over the rescaled column, the sites
+// of a Γ insertion score that Newview would have rescaled before
+// evaluation read them: those no category of which produced an entry at
+// or above ScaleThreshold. sumInsertionLnl adds their extra scaling
+// event.
+func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) {
+	noScale = noScale[:len(site)]
 	for j, ok := range noScale {
 		if !ok {
 			site[j] = k.rescaledInsertionSiteGamma(oa, ob, pm, tabB, catW, lo+j)
 		}
 	}
-	logSites(site)
-	for j, l := range site {
-		sc := sa[j] + sb[j] + ss[j]
-		if !noScale[j] {
-			sc++
-			rescaled++
-		}
-		lnL += float64(weights[j]) * (l + float64(sc)*LogScaleStep)
-	}
-	return lnL, rescaled
 }
 
 // rescaledInsertionSiteGamma is site i of a Γ insertion score over the
@@ -288,7 +265,7 @@ func (k *Kernel) scoreInsertionPSRSoABlock(oa, ob operand, pm [][ns * ns]float64
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
 	k.scoreInsertionPSRSites(site, noScale, oa, ob, pm, tabB, lo)
-	return k.finishInsertionPSR(site, noScale, oa, ob, lo)
+	return k.sumInsertionLnl(site, noScale, oa, ob, lo)
 }
 
 // scoreInsertionPSRSites writes the per-site likelihoods of
@@ -354,10 +331,12 @@ func (k *Kernel) scoreInsertionPSRSites(site []float64, noScale []bool, oa, ob o
 	}
 }
 
-// finishInsertionPSR is the tail of the PSR insertion worker: the block's
-// weighted log likelihood from its per-site likelihoods and the three
-// operands' scale counts, one higher at a site the worker rescaled.
-func (k *Kernel) finishInsertionPSR(site []float64, noScale []bool, oa, ob operand, lo int) (lnL float64, rescaled int64) {
+// sumInsertionLnl is the tail of the insertion-score workers of both
+// models: the block's weighted log likelihood from its per-site
+// likelihoods (replaced by their logs) and the three operands' scale
+// counts, summed in site order, one scaling event more at a site the
+// worker rescaled.
+func (k *Kernel) sumInsertionLnl(site []float64, noScale []bool, oa, ob operand, lo int) (lnL float64, rescaled int64) {
 	w := len(site)
 	noScale = noScale[:w]
 	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)

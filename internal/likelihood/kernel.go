@@ -109,6 +109,9 @@ const ns = msa.NumStates
 type Kernel struct {
 	data *msa.PartitionData
 	par  *model.Params
+	// psr is set when the kernel runs the PSR model, clear under Γ: a
+	// kernel's rate model never changes, so NewKernel sets it once.
+	psr bool
 
 	nPat   int
 	nInner int
@@ -220,21 +223,20 @@ func (k *Kernel) operand(r Ref) operand {
 // site categories; catMask stays nil under Γ, where every site reads
 // every category.
 func (k *Kernel) buildTipMasks() {
-	psr := k.par.Het == model.PSR
 	cats := len(k.par.CatRates)
 	var flat []uint16
-	if psr {
+	if k.psr {
 		flat = make([]uint16, len(k.data.Tips)*cats)
 	}
 	k.tipMasks = make([]rowMasks, len(k.data.Tips))
 	for taxon, row := range k.data.Tips {
 		m := &k.tipMasks[taxon]
-		if psr {
+		if k.psr {
 			m.catMask = flat[taxon*cats:][:cats]
 		}
 		for i, s := range row {
 			m.mask |= 1 << s
-			if psr {
+			if k.psr {
 				m.catMask[k.par.SiteCats[i]] |= 1 << s
 			}
 		}
@@ -256,6 +258,7 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 	k := &Kernel{
 		data:   data,
 		par:    par,
+		psr:    par.Het == model.PSR,
 		nPat:   data.NPatterns(),
 		nInner: nInner,
 		clv:    make([][]float64, nInner),
@@ -282,20 +285,20 @@ func (k *Kernel) NPatterns() int { return k.nPat }
 
 // clvLen returns the per-slot CLV length for the active model.
 func (k *Kernel) clvLen() int {
-	if k.par.Het == model.Gamma {
-		return k.nPat * model.GammaCategories * ns
+	if k.psr {
+		return k.nPat * ns
 	}
-	return k.nPat * ns
+	return k.nPat * gammaCats * ns
 }
 
 // cols is the column-update count of one pass over the patterns: every
 // category of every pattern under Γ, each pattern's own category under
 // PSR.
 func (k *Kernel) cols() int64 {
-	if k.par.Het == model.Gamma {
-		return int64(k.nPat) * model.GammaCategories
+	if k.psr {
+		return int64(k.nPat)
 	}
-	return int64(k.nPat)
+	return int64(k.nPat) * gammaCats
 }
 
 // slot returns (allocating on demand) the backing store of the CLV or
@@ -346,7 +349,7 @@ func (k *Kernel) InvalidateAll() {
 // and the site-rate tables — is made that way once, where it is made.
 func (k *Kernel) probMatrices(t float64, dst [][ns * ns]float64) {
 	var set pSet
-	set.start(k.par.Eigen, dst, k.par.Het == model.PSR)
+	set.start(k.par.Eigen, dst, k.psr)
 	for _, r := range k.par.CatRates {
 		set.add(t, r)
 	}

@@ -1,10 +1,6 @@
 package likelihood
 
-import (
-	"math"
-
-	"repro/internal/model"
-)
+import "math"
 
 // Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes", docs/DETERMINISM.md
 // §8). On a CPU with AVX2 the block workers that multiply a P matrix into a
@@ -123,10 +119,10 @@ func (k *Kernel) countSites() {
 	k.fp.Sites += int64(k.nPat)
 	switch {
 	case laneMask == 0:
-	case k.par.Het == model.Gamma:
-		k.fp.LaneSites += int64(k.nPat & laneMask)
-	default:
+	case k.psr:
 		k.fp.LaneSites += int64(k.nPat)
+	default:
+		k.fp.LaneSites += int64(k.nPat & laneMask)
 	}
 }
 

@@ -691,7 +691,7 @@ func TestPMatrixSetsMatchProbMatrix(t *testing.T) {
 			par.CatRates[rng.Intn(len(par.CatRates))] = math.NaN()
 			par.CatRates[rng.Intn(len(par.CatRates))] = math.Inf(1)
 		}
-		k := &Kernel{par: par}
+		k := &Kernel{par: par, psr: het == model.PSR}
 		steps := make([]Step, 20+rng.Intn(20))
 		for i := range steps {
 			steps[i].TA, steps[i].TB = lengths[rng.Intn(len(lengths))]*rng.Float64(), lengths[rng.Intn(len(lengths))]
@@ -836,7 +836,7 @@ func TestLaneTipTableMatchesGoFill(t *testing.T) {
 	masks := []uint16{0, 1, 1 << 5, 1 << 15, 0xffff}
 	for trial := 0; trial < 600; trial++ {
 		het := []model.Heterogeneity{model.Gamma, model.PSR}[trial%2]
-		k := &Kernel{par: &model.Params{Het: het}}
+		k := &Kernel{par: &model.Params{Het: het}, psr: het == model.PSR}
 		for s := msa.State(1); s <= 15; s++ {
 			k.tipVec[s] = s.TipVector()
 		}
@@ -1001,13 +1001,14 @@ func BenchmarkGammaLanes(b *testing.B) {
 	k.fillPrepTipQ(prepQ, 0xffff)
 	var ra runArgs
 	k.exponentials(&ra, 0.1)
+	ex, lam := (*[gammaCats][ns]float64)(ra.ex), (*[gammaCats][ns]float64)(ra.lam)
 	workers := []struct {
 		name string
 		run  func()
 	}{
 		{"prepare", func() { k.prepareGammaSoABlock(d, a, c, nil, nil, 0, nPat) }},
 		{"prepare-tip", func() { k.prepareGammaSoABlock(d, tip, c, prepP, nil, 0, nPat) }},
-		{"derivatives", func() { k.derivativesGammaBlock(sum, ra.exG, ra.lamG, ra.catW, 0, nPat) }},
+		{"derivatives", func() { k.derivativesGammaBlock(sum, ex, lam, ra.catW, 0, nPat) }},
 		{"newview", func() { k.newviewGammaSoABlock(d, ds, a, c, nil, nil, pm, pm, 0, nPat) }},
 		{"newview-tip", func() { k.newviewGammaSoABlock(d, ds, tip, c, tab, nil, pm, pm, 0, nPat) }},
 		{"newview-tip-tip", func() { k.newviewGammaSoABlock(d, ds, tip, tip, tab, tab, pm, pm, 0, nPat) }},
@@ -1117,7 +1118,7 @@ func BenchmarkPSRLanes(b *testing.B) {
 		{"site-recursion", func() { k.siteLnL(scr, scr.pm, steps, InnerAt(nTaxa-3), TipAt(nTaxa-1), 0) }},
 		{"prepare", func() { k.preparePSRSoABlock(d, a, c, nil, nil, 0, nPat) }},
 		{"prepare-tip", func() { k.preparePSRSoABlock(d, tip, c, prepP, prepQ, 0, nPat) }},
-		{"derivatives", func() { k.derivativesPSRBlock(sum, ra.exP, ra.lamP, 0, nPat) }},
+		{"derivatives", func() { k.derivativesPSRBlock(sum, ra.ex, ra.lam, 0, nPat) }},
 		{"p-set", func() { benchPSet(par.Eigen, true) }},
 		{"tip-table", func() { k.fillTipTable(tab, pm, k.tipMasks[0].mask, k.tipMasks[0].catMask) }},
 	}

@@ -1,6 +1,14 @@
 package likelihood
 
-import "repro/internal/threadpool"
+import (
+	"math"
+
+	"repro/internal/model"
+	"repro/internal/threadpool"
+)
+
+// gammaCats is a local alias for the fixed discrete-Γ category count.
+const gammaCats = model.GammaCategories
 
 // Γ block workers. A Γ CLV is stored plane-major (structure of arrays):
 // each (category, state) pair owns a contiguous plane of nPat doubles.
@@ -65,7 +73,7 @@ func scaleWindow(s []int32, lo, w int) []int32 {
 	return s[lo:][:w]
 }
 
-// newviewGammaSoABlock is the worker of newviewGamma, every operand shape:
+// newviewGammaSoABlock is the Newview worker under Γ, every operand shape:
 // a tip side reads its P·tipVec table row (tabA/tabB), an inner side
 // computes the product from its planes, and the value is la·lb. A cherry
 // is the case of two tips.
@@ -277,4 +285,67 @@ func (k *Kernel) prepareGammaSoABlock(st []float64, op, oq operand, tabP, tabQ [
 			}
 		}
 	}
+}
+
+// derivativesGammaBlock is the Derivatives worker under Γ. The
+// sum table is plane-major (sumtable.go): site i's entry (c, k) is
+// sumTab[(c·4+k)·nPat+i]. On a CPU with AVX2 the per-site terms of the
+// first (hi−lo) &^ 3 sites come from laneGammaDerivatives, 64 sites a
+// call, each with derivativesGammaSites' expressions, and foldTerms sums
+// them in site order over the sites it marks valid; derivativesGammaSites
+// does the tail.
+func (k *Kernel) derivativesGammaBlock(sumTab []float64, ex, lam *[gammaCats][ns]float64, catW float64, lo, hi int) (d1, d2 float64) {
+	i := lo
+	var terms [laneChunk / 4]siteTerms
+	for laneMask != 0 && hi-i >= 4 {
+		nl := min(hi-i, laneChunk) &^ 3
+		laneGammaDerivatives(terms[:], sumTab, k.data.Weights, k.nPat, i, nl, ex, lam, catW)
+		d1, d2 = foldTerms(terms[:], nl, d1, d2)
+		i += nl
+	}
+	if i < hi {
+		d1, d2 = k.derivativesGammaSites(sumTab, ex, lam, catW, i, hi, d1, d2)
+	}
+	return d1, d2
+}
+
+// derivativesGammaSites adds the derivative terms of sites lo..hi−1 to
+// (d1, d2), in site order. A site's three sums run over the categories in
+// ascending order, each extending left-to-right from its running value
+// (from +0) over the four eigen terms, in per-site accumulators that the
+// category loop streams stride-1 over the planes; then each is scaled by
+// catW.
+func (k *Kernel) derivativesGammaSites(sumTab []float64, ex, lam *[gammaCats][ns]float64, catW float64, lo, hi int, d1, d2 float64) (float64, float64) {
+	n := k.nPat
+	w := hi - lo
+	var fBuf, fpBuf, fppBuf [threadpool.BlockSize]float64
+	f, fp, fpp := fBuf[:w], fpBuf[:w], fppBuf[:w]
+	for c := 0; c < gammaCats; c++ {
+		s0, s1, s2, s3 := planes(sumTab, c*ns, n, lo, w)
+		exc, lac := &ex[c], &lam[c]
+		for j := range f {
+			t0 := s0[j] * exc[0]
+			t1 := s1[j] * exc[1]
+			t2 := s2[j] * exc[2]
+			t3 := s3[j] * exc[3]
+			f[j] = f[j] + t0 + t1 + t2 + t3
+			fp[j] = fp[j] + lac[0]*t0 + lac[1]*t1 + lac[2]*t2 + lac[3]*t3
+			fpp[j] = fpp[j] + lac[0]*lac[0]*t0 + lac[1]*lac[1]*t1 + lac[2]*lac[2]*t2 + lac[3]*lac[3]*t3
+		}
+	}
+	weights := k.data.Weights[lo:hi]
+	for j := range f {
+		fj, fpj, fppj := f[j]*catW, fp[j]*catW, fpp[j]*catW
+		if fj <= 0 || math.IsNaN(fj) {
+			// Pathological branch proposals can underflow the unscaled
+			// site likelihood; skip the site rather than poison the sum
+			// (Newton falls back to bisection on bad curvature anyway).
+			continue
+		}
+		wt := float64(weights[j])
+		ratio := fpj / fj
+		d1 += wt * ratio
+		d2 += wt * (fppj/fj - ratio*ratio)
+	}
+	return d1, d2
 }

@@ -1,14 +1,17 @@
 package likelihood
 
 import (
+	"math"
+
 	"repro/internal/msa"
 	"repro/internal/threadpool"
 )
 
-// PSR block workers. PSR CLVs hold one 4-vector per site, stored as
-// four state planes of nPat doubles. The per-site rate category selects
-// a different P matrix each site, so unlike Γ there is no loop-invariant
-// matrix row to hoist per plane; the workers instead walk sites once
+// PSR block workers. PSR CLVs hold one 4-vector per site — one rate
+// category per site, the 4× memory saving over Γ the paper highlights —
+// stored as four state planes of nPat doubles. The per-site rate
+// category selects a different P matrix each site, so unlike Γ there is
+// no loop-invariant matrix row to hoist per plane; the workers instead walk sites once
 // while reading/writing four stride-1 state streams in parallel, with
 // the 4-state cell unrolled into straight-line code. One worker per
 // operation serves every operand shape, a tip side's table entry having
@@ -24,7 +27,7 @@ import (
 // matrix is four vector loads — and the Go loop below each lane call is
 // the reference and the path of every other CPU. The evaluation and
 // insertion-score workers fill per-site likelihoods; their reductions over
-// sites stay in Go (sumSiteLnl, finishInsertionPSR).
+// sites stay in Go (sumSiteLnl, sumInsertionLnl).
 
 // operandPlanes returns the block windows (soa_gamma.go) of four state
 // planes of an operand, from site lo: a PSR operand's only four, a Γ
@@ -56,7 +59,7 @@ func tipWindow(o operand, lo, w int) []msa.State {
 	return tips[lo:][:w]
 }
 
-// newviewPSRSoABlock is the worker of newviewPSR, every operand shape: a
+// newviewPSRSoABlock is the Newview worker under PSR, every operand shape: a
 // tip side gathers its P·tipVec table entries (tabA/tabB), an inner side
 // reads its state streams.
 func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
@@ -225,4 +228,45 @@ func (k *Kernel) preparePSRLanes(st []float64, op, oq operand, tabP, tabQ []floa
 	e := k.par.Eigen
 	lanePSRPrepare(st, op.clv, op.tips, tabP, op.tips != nil, oq.clv, oq.tips, tabQ, oq.tips != nil,
 		k.nPat, lo, hi-lo, &e.U, &e.UInvT, &k.par.Freqs)
+}
+
+// derivativesPSRBlock is the Derivatives worker under PSR. The
+// four-state loop is unrolled with constant indices into capped slices
+// (no bounds checks in the hot loop); the sums associate left-to-right
+// from zero — the identical expression the rolled loop evaluated, so
+// the unroll is bit-invisible. On a CPU with AVX2 the per-site terms of
+// the first (hi−lo) &^ 3 sites come from lanePSRDerivatives, 64 sites a
+// call, each with this loop's expression, and foldTerms sums them in site
+// order over the sites it marks valid; the loop does the tail.
+func (k *Kernel) derivativesPSRBlock(sumTab []float64, ex, lam [][ns]float64, lo, hi int) (d1, d2 float64) {
+	cats := k.par.SiteCats
+	i := lo
+	var terms [laneChunk / 4]siteTerms
+	for laneMask != 0 && hi-i >= 4 {
+		nl := min(hi-i, laneChunk) &^ 3
+		lanePSRDerivatives(terms[:], sumTab, cats, k.data.Weights, i, nl, ex, lam)
+		d1, d2 = foldTerms(terms[:], nl, d1, d2)
+		i += nl
+	}
+	for ; i < hi; i++ {
+		c := cats[i]
+		off := i * ns
+		st := sumTab[off : off+ns : off+ns]
+		exc, lac := &ex[c], &lam[c]
+		t0 := st[0] * exc[0]
+		t1 := st[1] * exc[1]
+		t2 := st[2] * exc[2]
+		t3 := st[3] * exc[3]
+		f := t0 + t1 + t2 + t3
+		fp := lac[0]*t0 + lac[1]*t1 + lac[2]*t2 + lac[3]*t3
+		fpp := lac[0]*lac[0]*t0 + lac[1]*lac[1]*t1 + lac[2]*lac[2]*t2 + lac[3]*lac[3]*t3
+		if f <= 0 || math.IsNaN(f) {
+			continue
+		}
+		w := float64(k.data.Weights[i])
+		ratio := fp / f
+		d1 += w * ratio
+		d2 += w * (fpp/f - ratio*ratio)
+	}
+	return d1, d2
 }

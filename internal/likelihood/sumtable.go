@@ -1,7 +1,5 @@
 package likelihood
 
-import "repro/internal/model"
-
 // Sum tables: the eigen-basis factorization behind every branch-length
 // derivative (docs/PERFORMANCE.md §5). Contracting an edge (p, q) — each
 // side a tip, a post-order CLV or an outer vector — fills its sum table,
@@ -22,7 +20,10 @@ import "repro/internal/model"
 // Derivatives back to back per edge; block-major execution (dispatch.go)
 // then runs each block's contraction and, right after it on the same
 // goroutine, the derivative that reads the block's range — the fused
-// operation, bit for bit (docs/DETERMINISM.md §7, §8).
+// operation, bit for bit (docs/DETERMINISM.md §7, §8). Contract and
+// Derivatives each stage one opcode for both rate models; the block
+// workers are the prepare and derivative workers of soa_gamma.go and
+// soa_psr.go.
 //
 // A table is only as current as its operands. Each slot records the edge
 // it was contracted from, the kernel's stamp and the parameter generation
@@ -58,11 +59,7 @@ func (k *Kernel) Contract(s int, p, q Ref) {
 	sl.p, sl.q, sl.stamp, sl.gen = p, q, k.stamp, k.par.Generation()
 
 	op, oq := k.operand(p), k.operand(q)
-	code := opPrepPSR
-	if k.par.Het == model.Gamma {
-		code = opPrepGamma
-	}
-	ra := k.stage(code)
+	ra := k.stage(opContract)
 	if op.tips != nil || oq.tips != nil {
 		ra.tabA, ra.tabB = k.prepTables(op, oq)
 	}
@@ -82,11 +79,7 @@ func (k *Kernel) Derivatives(s int, t float64) {
 		// (enginecore.Local.AdmitDerivatives).
 		panic("likelihood: Derivatives from a sum-table slot never contracted")
 	}
-	code := opDerivPSR
-	if k.par.Het == model.Gamma {
-		code = opDerivGamma
-	}
-	ra := k.stageReducing(code)
+	ra := k.stageReducing(opDerivatives)
 	ra.sumTab = k.sums[s].tab
 	k.exponentials(ra, t)
 	k.flops.Derivative += k.cols()
@@ -125,9 +118,5 @@ func (k *Kernel) exponentials(ra *runArgs, t float64) {
 	for c := range ex {
 		ex[c] = [ns]float64(arg[c*ns:])
 	}
-	if k.par.Het == model.Gamma {
-		ra.exG, ra.lamG, ra.catW = (*[gammaCats][ns]float64)(ex), (*[gammaCats][ns]float64)(lam), k.par.CatWeight()
-	} else {
-		ra.exP, ra.lamP = ex, lam
-	}
+	ra.ex, ra.lam, ra.catW = ex, lam, k.par.CatWeight()
 }

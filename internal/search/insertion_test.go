@@ -84,7 +84,7 @@ func (e *localEngine) PrepareBranch(d *traversal.Descriptor) {
 }
 
 func (e *localEngine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
-	out := e.l.DerivativesLocal(ts)
+	out := e.l.ByClass(e.l.DerivativesPerPartition(e.l.PartitionLengths(ts)), 1)
 	return out[:len(ts)], out[len(ts):]
 }
 
@@ -95,7 +95,7 @@ func (e *localEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 		}
 		e.outerClobbered = false
 	}
-	return e.l.AllBranchDerivativesLocal(plan)
+	return e.l.ByClass(e.l.AllBranchDerivativesPerPartition(plan), plan.NBranches())
 }
 
 func (e *localEngine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {

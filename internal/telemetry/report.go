@@ -25,38 +25,11 @@ type RankStats struct {
 	// time inside collectives.
 	ComputeNS int64 `json:"compute_ns"`
 	CommNS    int64 `json:"comm_ns"`
-	// EngineCalls is how many engine calls the rank executed; each is at
-	// most one pool dispatch. PoolThreads/PoolDispatches/PoolBlocks/
-	// PoolWakes/PoolParks are the rank's thread-pool counters (zero when
-	// the rank ran serially): calls that went to the pool, the (kernel,
-	// block) items they carried, parked workers they woke, and times a
-	// worker's poll budget ran out (docs/PERFORMANCE.md §6).
-	EngineCalls    int64 `json:"engine_calls,omitempty"`
-	PoolThreads    int   `json:"pool_threads,omitempty"`
-	PoolDispatches int64 `json:"pool_dispatches,omitempty"`
-	PoolBlocks     int64 `json:"pool_blocks,omitempty"`
-	PoolWakes      int64 `json:"pool_wakes,omitempty"`
-	PoolParks      int64 `json:"pool_parks,omitempty"`
-	// PCacheHits/PCacheMisses are the rank's P-matrix cache activity
-	// (docs/PERFORMANCE.md).
-	PCacheHits   int64 `json:"pcache_hits,omitempty"`
-	PCacheMisses int64 `json:"pcache_misses,omitempty"`
-	// TipTipNewviews/TipTableEntries describe the rank's tip operands:
-	// tip-tip newview calls (cherries), and the (category, code) entries
-	// the tip tables and the codes the prep tables held.
-	TipTipNewviews  int64 `json:"tiptip_newviews,omitempty"`
-	TipTableEntries int64 `json:"tip_table_entries,omitempty"`
-	// SiteRateTableEvals/SiteRateExactEvals are the rank's single-site
-	// evaluations inside the PSR rate scan, from the rate table and at
-	// off-grid rates (at most 17 and exactly 2 per local pattern and
-	// round; docs/PERFORMANCE.md §9).
-	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
-	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
-	// Sites/LaneSites are the rank's Newview, evaluation and
-	// insertion-score sites, both rate models, and those computed in
-	// vector lanes.
-	Sites     int64 `json:"sites,omitempty"`
-	LaneSites int64 `json:"lane_sites,omitempty"`
+	// PoolStats are the rank's engine-call and thread-pool counters (zero
+	// when the rank ran serially), KernelPerf its kernel fast-path
+	// counters.
+	PoolStats
+	KernelPerf
 }
 
 // KernelStat is one kernel class's run-wide aggregate.
@@ -191,24 +164,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 			CollectiveOps: append([]int64(nil), r.collOps...),
 			ComputeNS:     sum(r.kernelNS[:]),
 			CommNS:        sum(r.collNS),
-			PCacheHits:    r.perf.PCacheHits,
-			PCacheMisses:  r.perf.PCacheMisses,
-
-			EngineCalls:    r.pool.EngineCalls,
-			PoolThreads:    r.pool.Threads,
-			PoolDispatches: r.pool.Dispatches,
-			PoolBlocks:     r.pool.Blocks,
-			PoolWakes:      r.pool.Wakes,
-			PoolParks:      r.pool.Parks,
-
-			TipTipNewviews:  r.perf.TipTipNewviews,
-			TipTableEntries: r.perf.TipTableEntries,
-
-			SiteRateTableEvals: r.perf.SiteRateTableEvals,
-			SiteRateExactEvals: r.perf.SiteRateExactEvals,
-
-			Sites:     r.perf.Sites,
-			LaneSites: r.perf.LaneSites,
+			PoolStats:     r.pool,
+			KernelPerf:    r.perf,
 		}
 		rep.PerRank = append(rep.PerRank, rs)
 		sumCompute += rs.ComputeNS

@@ -440,10 +440,15 @@ func (r *Recorder) Inc(c Counter, n int64) {
 // call of fewer than two items, and every call of a serial rank, runs
 // inline), the (kernel, block) items those dispatches carried, how many
 // parked workers they had to wake and how often a worker's poll budget
-// ran out and it parked.
+// ran out and it parked (docs/PERFORMANCE.md §6). The field order is the
+// order of the keys in a -stats-json per_rank entry.
 type PoolStats struct {
-	Threads                                       int
-	EngineCalls, Dispatches, Blocks, Wakes, Parks int64
+	EngineCalls int64 `json:"engine_calls,omitempty"`
+	Threads     int   `json:"pool_threads,omitempty"`
+	Dispatches  int64 `json:"pool_dispatches,omitempty"`
+	Blocks      int64 `json:"pool_blocks,omitempty"`
+	Wakes       int64 `json:"pool_wakes,omitempty"`
+	Parks       int64 `json:"pool_parks,omitempty"`
 }
 
 // SetPool records the rank's pool counters (harvested once, when the
@@ -463,21 +468,26 @@ func (r *Recorder) SetPool(p PoolStats) {
 // kernels: P-matrix cache activity and how much of the tip lookup tables
 // the fills produced.
 type KernelPerf struct {
-	PCacheHits, PCacheMisses int64
+	PCacheHits   int64 `json:"pcache_hits,omitempty"`
+	PCacheMisses int64 `json:"pcache_misses,omitempty"`
 	// TipTipNewviews is the number of tip-tip newview calls (cherries);
 	// TipTableEntries the (category, code) entries the tip tables held
 	// plus the codes the prep tables held.
-	TipTipNewviews, TipTableEntries int64
+	TipTipNewviews  int64 `json:"tiptip_newviews,omitempty"`
+	TipTableEntries int64 `json:"tip_table_entries,omitempty"`
 	// SiteRateTableEvals / SiteRateExactEvals are the single-site
 	// likelihood evaluations of the PSR rate scan: those that read their
 	// P matrices from the rate table and those that built them for an
-	// off-grid rate (docs/PERFORMANCE.md §9).
-	SiteRateTableEvals, SiteRateExactEvals int64
+	// off-grid rate (at most 17 and exactly 2 per local pattern and round;
+	// docs/PERFORMANCE.md §9).
+	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
+	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
 	// Sites are the sites of the Newview, evaluation and insertion-score
 	// operations of both rate models, one per site and operation;
 	// LaneSites those of them computed in AVX2 vector lanes
 	// (docs/PERFORMANCE.md §6).
-	Sites, LaneSites int64
+	Sites     int64 `json:"sites,omitempty"`
+	LaneSites int64 `json:"lane_sites,omitempty"`
 }
 
 // ratio returns a/b, 0 when b is 0.

@@ -245,3 +245,49 @@ func TestNestedCollectiveRecordedOnce(t *testing.T) {
 		t.Fatalf("outer collective span lost")
 	}
 }
+
+// TestPerRankKeys pins the keys of a -stats-json per_rank entry, and
+// their order, for a rank every counter of which is nonzero.
+func TestPerRankKeys(t *testing.T) {
+	c := NewCollector(1, []string{"x"}, nil)
+	r := c.Recorder(0)
+	endKernel(r, KernelNewview, r.Begin())
+	r.EndCollective(0, r.BeginCollective())
+	r.SetPool(PoolStats{EngineCalls: 1, Threads: 2, Dispatches: 3, Blocks: 4, Wakes: 5, Parks: 6})
+	r.SetKernelPerf(KernelPerf{PCacheHits: 1, PCacheMisses: 2, TipTipNewviews: 3, TipTableEntries: 4, SiteRateTableEvals: 5, SiteRateExactEvals: 6, Sites: 7, LaneSites: 8})
+	var buf bytes.Buffer
+	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		PerRank []json.RawMessage `json:"per_rank"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(doc.PerRank[0]))
+	var keys []string
+	if _, err := dec.Token(); err != nil { // the object's '{'
+		t.Fatal(err)
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var val json.RawMessage
+		if err := dec.Decode(&val); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+	}
+	want := []string{
+		"rank", "kernel_ns", "kernel_ops", "collective_ns", "collective_ops", "compute_ns", "comm_ns",
+		"engine_calls", "pool_threads", "pool_dispatches", "pool_blocks", "pool_wakes", "pool_parks",
+		"pcache_hits", "pcache_misses", "tiptip_newviews", "tip_table_entries",
+		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites",
+	}
+	if strings.Join(keys, " ") != strings.Join(want, " ") {
+		t.Errorf("per_rank keys\n got %v\nwant %v", keys, want)
+	}
+}
