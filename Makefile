@@ -26,7 +26,7 @@ RACE_PKGS = ./internal/threadpool/... \
             ./internal/phyrun/... \
             .
 
-.PHONY: all fmt vet build test race bench bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -216,6 +216,39 @@ smoke-threads:
 	fi && \
 	echo "smoke-threads: -T 1 and -T 2 same lnL bits after every iteration, same tree; $$calls engine calls, $$disp pool dispatches, $$wakes wakes, lane share $$share OK"
 
+# smoke-ranks is the same drill for in-process ranks (docs/PERFORMANCE.md
+# §6 "Waiting", docs/DETERMINISM.md §2): the Γ inference of the same
+# 16 × 1500 bp alignment at -np 2 under GOMAXPROCS=1, where every receive
+# parks, and under GOMAXPROCS=2, where receives poll before they park,
+# must write byte-identical best trees and reach the same log likelihood
+# to the last bit after every iteration. A world polls only when each of
+# its ranks can hold a processor, so the GOMAXPROCS=1 leg and a -np 3 leg
+# under GOMAXPROCS=2 must count no polled receive (and some parked ones),
+# and the polling leg some polled ones: counts that are zero by
+# construction, so they can gate where a time cannot.
+smoke-ranks:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
+	$$tmp/seqgen -taxa 16 -partitions 1 -genelen 1500 -seed 33 -o $$tmp/d >/dev/null && \
+	for leg in 1:2 2:2 2:3; do \
+		P=$${leg%:*}; N=$${leg#*:}; \
+		GOMAXPROCS=$$P $$tmp/examl -s $$tmp/d.phy -q $$tmp/d.parts.txt -m GAMMA -y -iter 3 -p 7 -np $$N \
+			-stats-json $$tmp/p$$P-np$$N.json -trace $$tmp/p$$P-np$$N.jsonl -n $$tmp/p$$P-np$$N >/dev/null || exit 1; \
+		sed -n 's/.*"ev":"iter","rank":0,.*"lnl":\([^,]*\),.*/\1/p' $$tmp/p$$P-np$$N.jsonl > $$tmp/p$$P-np$$N.lnl; \
+	done && \
+	test -s $$tmp/p1-np2.lnl && cmp $$tmp/p1-np2.lnl $$tmp/p2-np2.lnl && \
+	cmp $$tmp/p1-np2.bestTree.nwk $$tmp/p2-np2.bestTree.nwk && \
+	field() { sed -n "s/^  \"$$2\": \([0-9]*\),*$$/\1/p" $$tmp/$$1.json; } && \
+	for run in p1-np2 p2-np3; do \
+		polled=$$(field $$run recv_polled) && parked=$$(field $$run recv_parked) && \
+		{ test "$$polled" = 0 && test -n "$$parked" && test "$$parked" -gt 0 || \
+			{ echo "smoke-ranks: $$run recv_polled='$$polled' recv_parked='$$parked': want 0 polled and some parked"; exit 1; }; }; \
+	done && \
+	polled=$$(field p2-np2 recv_polled) && \
+	{ test -n "$$polled" && test "$$polled" -gt 0 || \
+		{ echo "smoke-ranks: p2-np2 recv_polled='$$polled': want some polled receives"; exit 1; }; } && \
+	echo "smoke-ranks: -np 2 under GOMAXPROCS=1 and 2 same lnL bits after every iteration, same tree; $$polled polled receives at GOMAXPROCS=2, none where the gate is off OK"
+
 # smoke-trace exercises the observability plane end to end
 # (docs/OBSERVABILITY.md): a 2-process loopback run streams per-rank
 # JSONL traces, phytrace merges them into a Chrome trace and must find
@@ -257,7 +290,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

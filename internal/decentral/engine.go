@@ -146,9 +146,12 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	return res.Scale
 }
 
-// Close implements search.Engine: releases the rank's intra-rank worker
-// pool.
-func (e *Engine) Close() { e.local.Close() }
+// Close implements search.Engine: records the rank's receive counters and
+// releases its intra-rank worker pool.
+func (e *Engine) Close() {
+	e.comm.RecordRecvStats()
+	e.local.Close()
+}
 
 // Stats reports this rank's kernel work and CLV footprint for the cluster
 // cost model.

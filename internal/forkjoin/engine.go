@@ -276,10 +276,11 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	return res.Scale
 }
 
-// Close implements search.Engine: shuts the worker loops down and
-// releases the master's intra-rank worker pool.
+// Close implements search.Engine: shuts the worker loops down, records
+// the master's receive counters and releases its intra-rank worker pool.
 func (e *Engine) Close() {
 	e.command(opShutdown)
+	e.comm.RecordRecvStats()
 	e.local.Close()
 }
 
@@ -303,6 +304,7 @@ func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg engine
 	}
 	comm.SetRecorder(cfg.Recorder)
 	defer local.Close()
+	defer comm.RecordRecvStats()
 	if err := runWorkerLoop(comm, local); err != nil {
 		return 0, 0, err
 	}

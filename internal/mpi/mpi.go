@@ -22,6 +22,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -116,6 +117,12 @@ type World struct {
 	size  int
 	chans [][]chan Message // chans[from][to]
 	meter *Meter
+	// poll is the world's waiting rule: its receives poll before they
+	// park (threadpool.Poll) when every rank can hold a processor, and
+	// park at once when the ranks outnumber GOMAXPROCS — a rank polling
+	// for a peer that has no processor to run on would only delay it.
+	// Decided once, here: runtime.GOMAXPROCS takes the scheduler lock.
+	poll bool
 }
 
 // NewWorld creates a communicator with the given number of ranks.
@@ -123,7 +130,7 @@ func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("mpi: world size %d", size))
 	}
-	w := &World{size: size, meter: NewMeter()}
+	w := &World{size: size, meter: NewMeter(), poll: size <= runtime.GOMAXPROCS(0)}
 	w.chans = make([][]chan Message, size)
 	for i := range w.chans {
 		w.chans[i] = make([]chan Message, size)
@@ -172,7 +179,7 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, w.size))
 	}
-	return NewComm(&chanTransport{chans: w.chans, rank: rank}, rank, w.size, w.meter)
+	return NewComm(&chanTransport{chans: w.chans, rank: rank, poll: w.poll}, rank, w.size, w.meter)
 }
 
 // Comm is one rank's endpoint. It must be used by a single goroutine.
@@ -191,6 +198,21 @@ type Comm struct {
 // (the default) disables timing at nil-check cost. Telemetry is
 // out-of-band: payloads, ordering, and the byte/op meters are untouched.
 func (c *Comm) SetRecorder(r *telemetry.Recorder) { c.rec = r }
+
+// RecvStats reports how this rank's receives were served: by polling or
+// by parking (docs/PERFORMANCE.md §6 "Waiting"). Zero over a transport
+// that does not count them — internal/mpinet's always parks.
+func (c *Comm) RecvStats() telemetry.RecvStats {
+	if t, ok := c.tr.(*chanTransport); ok {
+		return t.recv
+	}
+	return telemetry.RecvStats{}
+}
+
+// RecordRecvStats hands RecvStats to the rank's recorder (a no-op without
+// one). The engines call it as they close, before the rank's engine
+// counters are harvested, so the receives of the epilogue are not in it.
+func (c *Comm) RecordRecvStats() { c.rec.SetRecv(c.RecvStats()) }
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }

@@ -1,6 +1,11 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/telemetry"
+	"repro/internal/threadpool"
+)
 
 // Message is the unit a Transport moves between ranks. Seq is the
 // collective sequence number (asserted on receipt to catch ranks calling
@@ -83,6 +88,11 @@ func (e *ProtocolError) Error() string { return "collective protocol mismatch: "
 type chanTransport struct {
 	chans [][]chan Message // chans[from][to]
 	rank  int
+	// poll is the world's waiting rule (World.poll): receives poll their
+	// peer's channel under threadpool.Poll before they park.
+	poll bool
+	// recv counts how this rank's receives were served.
+	recv telemetry.RecvStats
 }
 
 // Send copies the payload (the in-process sender may mutate its buffers
@@ -98,9 +108,19 @@ func (t *chanTransport) Send(to int, m Message) error {
 	return nil
 }
 
-// Recv blocks on the peer's channel.
+// Recv takes the next message from the peer's channel. In a polling
+// world it first polls the channel's length under the thread pool's rule
+// and parks on the channel only when threadpool.Poll gives up; a rank is
+// the channel's only receiver, so a message it saw queued is still there.
+// Otherwise it parks at once.
 func (t *chanTransport) Recv(from int) (Message, error) {
-	return <-t.chans[from][t.rank], nil
+	ch := t.chans[from][t.rank]
+	if t.poll && threadpool.Poll(func() bool { return len(ch) > 0 }) {
+		t.recv.Polled++
+	} else {
+		t.recv.Parked++
+	}
+	return <-ch, nil
 }
 
 // Close is a no-op: the channels are shared by the whole world and are

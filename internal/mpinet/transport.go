@@ -244,6 +244,14 @@ func (t *Transport) Send(to int, m mpi.Message) error {
 
 // Recv implements mpi.Transport. Buffered messages drain even after the
 // peer goes down, so a failure never loses data that already arrived.
+//
+// Unlike the in-process transport, Recv parks at once instead of polling
+// the inbox under threadpool.Poll: a message reaches the inbox only
+// through this peer's reader goroutine, which the netpoller must first
+// wake and a P must then run — and a polling rank holds its P, so with
+// every rank polling the reader waits out the poll budget. Polling here made the
+// benchmark's parts-gamma-tcp about 3× and taxa-gamma-tcp about 5×
+// slower (docs/PERFORMANCE.md §6 "Waiting").
 func (t *Transport) Recv(from int) (mpi.Message, error) {
 	p := t.conn(from)
 	if p == nil {

@@ -43,6 +43,15 @@ var (
 			"Times a pool worker's poll budget ran out and it parked, summed over ranks and finished runs."),
 	}
 
+	// recvMetrics are the in-process receive counters, added to when a
+	// rank's engine closes (Recorder.SetRecv).
+	recvMetrics = struct{ polled, parked *metrics.Counter }{
+		metrics.Default().Counter("examl_recv_polled_total",
+			"In-process receives served by polling the peer's channel, summed over ranks and finished runs."),
+		metrics.Default().Counter("examl_recv_parked_total",
+			"In-process receives that parked on the peer's channel, summed over ranks and finished runs."),
+	}
+
 	// kernelMetrics pre-resolves the counter pair per kernel class so
 	// EndEngineCall pays no map lookup on the hot path (NewCollector does
 	// the same per traffic class).

@@ -26,9 +26,10 @@ type RankStats struct {
 	ComputeNS int64 `json:"compute_ns"`
 	CommNS    int64 `json:"comm_ns"`
 	// PoolStats are the rank's engine-call and thread-pool counters (zero
-	// when the rank ran serially), KernelPerf its kernel fast-path
-	// counters.
+	// when the rank ran serially), RecvStats how its in-process receives
+	// were served, KernelPerf its kernel fast-path counters.
 	PoolStats
+	RecvStats
 	KernelPerf
 }
 
@@ -108,6 +109,10 @@ type Report struct {
 	PoolDispatches int64 `json:"pool_dispatches"`
 	PoolWakes      int64 `json:"pool_wakes"`
 	PoolParks      int64 `json:"pool_parks"`
+	// RecvPolled and RecvParked are the per-rank receive counters summed
+	// over ranks.
+	RecvPolled int64 `json:"recv_polled"`
+	RecvParked int64 `json:"recv_parked"`
 
 	// PCacheHitRate is P-matrix cache hits over lookups, summed across
 	// ranks (0 when the cache saw no lookups).
@@ -165,6 +170,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 			ComputeNS:     sum(r.kernelNS[:]),
 			CommNS:        sum(r.collNS),
 			PoolStats:     r.pool,
+			RecvStats:     r.recv,
 			KernelPerf:    r.perf,
 		}
 		rep.PerRank = append(rep.PerRank, rs)
@@ -177,6 +183,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 		rep.PoolDispatches += r.pool.Dispatches
 		rep.PoolWakes += r.pool.Wakes
 		rep.PoolParks += r.pool.Parks
+		rep.RecvPolled += r.recv.Polled
+		rep.RecvParked += r.recv.Parked
 		poolBlocks += r.pool.Blocks
 		poolThreads = max(poolThreads, r.pool.Threads)
 		pcHits += r.perf.PCacheHits
@@ -306,6 +314,9 @@ func (r *Report) String() string {
 	if r.EngineCalls > 0 {
 		fmt.Fprintf(&b, "  engine calls / pool dispatches / wakes / parks  %d / %d / %d / %d\n",
 			r.EngineCalls, r.PoolDispatches, r.PoolWakes, r.PoolParks)
+	}
+	if r.RecvPolled+r.RecvParked > 0 {
+		fmt.Fprintf(&b, "  receives polled / parked               %d / %d\n", r.RecvPolled, r.RecvParked)
 	}
 	if r.PoolUtilization > 0 {
 		fmt.Fprintf(&b, "  thread-pool block utilization          %8.3f\n", r.PoolUtilization)

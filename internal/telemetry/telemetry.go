@@ -323,8 +323,10 @@ type Recorder struct {
 
 	counters [NumCounters]int64
 
-	// Pool and kernel fast-path counters (harvested once, at engine close).
+	// Pool, receive and kernel fast-path counters (harvested once, at
+	// engine close).
 	pool PoolStats
+	recv RecvStats
 	perf KernelPerf
 }
 
@@ -464,6 +466,30 @@ func (r *Recorder) SetPool(p PoolStats) {
 	poolMetrics.parks.Add(float64(p.Parks))
 }
 
+// RecvStats counts how one rank's in-process receives were served
+// (docs/PERFORMANCE.md §6 "Waiting"): by polling the peer's channel under
+// the pool's rule — the message was queued or arrived within the budget —
+// or by parking on it. Every receive of a world whose ranks outnumber
+// GOMAXPROCS parks, and so does every receive on a busy host. Both stay
+// zero over TCP, whose receives always park.
+// The field order is the order of the keys in a -stats-json per_rank
+// entry.
+type RecvStats struct {
+	Polled int64 `json:"recv_polled,omitempty"`
+	Parked int64 `json:"recv_parked,omitempty"`
+}
+
+// SetRecv records the rank's receive counters (harvested once, when the
+// rank's engine closes, before SetKernelPerf).
+func (r *Recorder) SetRecv(s RecvStats) {
+	if r == nil {
+		return
+	}
+	r.recv = s
+	recvMetrics.polled.Add(float64(s.Polled))
+	recvMetrics.parked.Add(float64(s.Parked))
+}
+
 // KernelPerf is one rank's kernel fast-path summary, summed over its
 // kernels: P-matrix cache activity and how much of the tip lookup tables
 // the fills produced.
@@ -509,7 +535,8 @@ func sum(v []int64) int64 {
 
 // SetKernelPerf records the rank's kernel fast-path counters (harvested
 // once, when the rank's engine closes) and emits a "perf" JSONL event
-// carrying them, the pool counters SetPool recorded, the rank's
+// carrying them, the pool and receive counters SetPool and SetRecv
+// recorded, the rank's
 // model-probe and SPR counters, and the two ratios read first when a run
 // is slow: candidates scored per prune point and this rank's collectives
 // per completed iteration.
@@ -520,10 +547,10 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	r.perf = p
 	if c := r.col; c != nil {
 		collectives := sum(r.collOps)
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"recv_polled\":%d,\"recv_parked\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
 			r.rank, p.PCacheHits, p.PCacheMisses,
 			p.TipTipNewviews, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
-			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks,
+			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks, r.recv.Polled, r.recv.Parked,
 			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
 			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),

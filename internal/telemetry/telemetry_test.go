@@ -254,6 +254,7 @@ func TestPerRankKeys(t *testing.T) {
 	endKernel(r, KernelNewview, r.Begin())
 	r.EndCollective(0, r.BeginCollective())
 	r.SetPool(PoolStats{EngineCalls: 1, Threads: 2, Dispatches: 3, Blocks: 4, Wakes: 5, Parks: 6})
+	r.SetRecv(RecvStats{Polled: 7, Parked: 8})
 	r.SetKernelPerf(KernelPerf{PCacheHits: 1, PCacheMisses: 2, TipTipNewviews: 3, TipTableEntries: 4, SiteRateTableEvals: 5, SiteRateExactEvals: 6, Sites: 7, LaneSites: 8})
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
@@ -284,6 +285,7 @@ func TestPerRankKeys(t *testing.T) {
 	want := []string{
 		"rank", "kernel_ns", "kernel_ops", "collective_ns", "collective_ops", "compute_ns", "comm_ns",
 		"engine_calls", "pool_threads", "pool_dispatches", "pool_blocks", "pool_wakes", "pool_parks",
+		"recv_polled", "recv_parked",
 		"pcache_hits", "pcache_misses", "tiptip_newviews", "tip_table_entries",
 		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites",
 	}

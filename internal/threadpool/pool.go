@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // BlockSize is the fixed number of items (site patterns) per block. It is
@@ -57,34 +58,84 @@ func BlockBounds(b, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Waiting. Both waits of a dispatch — an idle worker's for the next
-// job, the dispatcher's for the last item — poll an atomic word. A poll
-// costs about a nanosecond and touches only a shared cache line, so a
-// hand-off to a polling goroutine takes a cache miss, where a parked one
-// costs a futex round trip and a scheduler pass on both sides, and on the
-// 2-vCPU guest the repo is measured on often much more: the kernel likes
-// to put the woken thread on the waker's CPU, and the two then share it
-// until the next load balance (BenchmarkDispatch: parked against
-// polling). Two rules keep polling from costing anybody else a processor:
+// Waiting. Every wait of an inference's hot path — an idle worker's for
+// the next job, the dispatcher's for the last item, an in-process rank's
+// for its peer's message (internal/mpi) — goes through Poll: it polls a
+// condition that costs about a nanosecond to read and touches only a
+// shared cache line, so a hand-off to a polling goroutine takes a cache
+// miss, where a parked one costs a futex round trip and a scheduler pass
+// on both sides, and on the 2-vCPU guest the repo is measured on often
+// much more: the kernel likes to put the woken thread on the waker's CPU,
+// and the two then share it until the next load balance
+// (BenchmarkDispatch: parked against polling; docs/PERFORMANCE.md §6
+// "Waiting" has the rank-to-rank numbers). Three rules keep polling from
+// costing anybody else a processor:
 //
 //   - after every pollsPerYield polls (about 2 µs) the waiter yields its P,
 //     so a runnable goroutine — the dispatcher itself under GOMAXPROCS(1),
 //     another in-process rank's — waits microseconds for it, never a
 //     scheduler time slice;
-//   - a worker that has yielded yieldsBeforePark times without seeing a
-//     job parks. The budget is counted in polls the worker actually made,
-//     not in wall time, so a worker the kernel descheduled does not park
-//     for the time it was away. 1024 yields is about two milliseconds on
-//     an idle machine: many times what a wake costs (the ski-rental bound
-//     says at least once), long enough to cover the pauses an inference
-//     has between engine calls — staging the next call's tables, a Newton
-//     update, tree surgery, a collective among in-process ranks — and
-//     short enough that a rank blocked on the network or between jobs
-//     holds no CPU.
+//   - then it yields its thread's CPU (osYield). If another thread takes
+//     it for a time slice — another process's, or a rank's the kernel
+//     queued behind ours — the host is busier than GOMAXPROCS says, and a
+//     poller holds a CPU someone else needs and gives itself away for a
+//     slice at every yield. So the waiter parks, and for busyWindow every
+//     waiter of the process parks at once, polling nothing: a busy host
+//     stays busy for many slices, and a parked thread the kernel wakes
+//     gets a CPU sooner than a yielded one;
+//   - a waiter that has yielded yieldsBeforePark times without seeing its
+//     condition gives up polling, and parks too. The budget is counted in
+//     polls the waiter actually made, not in wall time. 1024 yields is
+//     about two milliseconds on an idle machine: many times what a wake
+//     costs (the ski-rental bound says at least once), long enough to
+//     cover the pauses an inference has between engine calls — staging
+//     the next call's tables, a Newton update, tree surgery, a collective
+//     among in-process ranks — and short enough that a rank blocked on
+//     the network or between jobs holds no CPU.
 const (
 	pollsPerYield    = 2048
 	yieldsBeforePark = 1024
+	busyWindow       = 20 * time.Millisecond
 )
+
+var (
+	// osYield is the CPU yield of the waiting rule, yieldCPU; tests
+	// replace it to hold the budget apart from the host's load.
+	osYield = yieldCPU
+
+	// busyUntil is the end of the current busy window, in nanoseconds
+	// since epoch. It belongs to the process, like the CPUs it speaks of.
+	busyUntil atomic.Int64
+	epoch     = time.Now()
+)
+
+// Poll calls ready until it reports true, the polling budget above is
+// spent or a yield of the CPU was taken, yielding every pollsPerYield
+// calls, and reports whether ready did; inside a busy window it calls
+// ready once. A false return means the caller should park: block on
+// whatever ready watches until someone wakes it. ready must be cheap and
+// free of side effects; Poll allocates nothing.
+func Poll(ready func() bool) bool {
+	if int64(time.Since(epoch)) < busyUntil.Load() {
+		return ready()
+	}
+	for polls := 1; ; polls++ {
+		if ready() {
+			return true
+		}
+		if polls%pollsPerYield != 0 {
+			continue
+		}
+		if polls == pollsPerYield*yieldsBeforePark {
+			return false
+		}
+		runtime.Gosched()
+		if osYield() {
+			busyUntil.Store(int64(time.Since(epoch) + busyWindow))
+			return false
+		}
+	}
+}
 
 // Stats counts pool activity for telemetry: dispatches that went to the
 // workers (fewer than two items run inline and are not counted), the
@@ -229,10 +280,8 @@ func (p *Pool) Dispatch(n int, fn func(worker, item int)) {
 		p.wakes += int64(a)
 	}
 	p.drain(0)
-	for polls := 1; p.done.Load() != int64(n); polls++ {
-		if polls%pollsPerYield == 0 {
-			runtime.Gosched()
-		}
+	for !Poll(p.joined) {
+		runtime.Gosched()
 	}
 	p.busy.Store(false)
 }
@@ -260,28 +309,24 @@ func (p *Pool) worker(w int) {
 	}
 }
 
+// joined reports whether every item of the job in flight is done.
+func (p *Pool) joined() bool { return p.done.Load() == int64(p.state.Load()>>32) }
+
+// pending reports whether the job in flight has an unclaimed item or the
+// pool is closed: what an idle worker waits for.
+func (p *Pool) pending() bool {
+	s := p.state.Load()
+	return uint32(s) < uint32(s>>32) || p.closed.Load()
+}
+
 // await returns true once the job in flight has an unclaimed item, false
-// once the pool is closed. It polls, yielding the processor every
-// pollsPerYield polls, and parks after yieldsBeforePark yields until a
-// dispatch wakes it.
+// once the pool is closed. It polls, and parks until a dispatch wakes it
+// whenever Poll's budget runs out.
 func (p *Pool) await() bool {
-	for polls := 1; ; polls++ {
-		if s := p.state.Load(); uint32(s) < uint32(s>>32) {
-			return true
-		}
-		if p.closed.Load() {
-			return false
-		}
-		if polls%pollsPerYield != 0 {
-			continue
-		}
-		if polls < pollsPerYield*yieldsBeforePark {
-			runtime.Gosched()
-			continue
-		}
+	for !Poll(p.pending) {
 		p.park()
-		polls = 0
 	}
+	return !p.closed.Load()
 }
 
 // park blocks the calling worker until a dispatch signals it, unless work

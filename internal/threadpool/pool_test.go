@@ -126,7 +126,9 @@ func TestEachCoversEveryItemOnce(t *testing.T) {
 		}
 	}
 	// Zero and negative counts are no-ops.
-	New(2).Dispatch(0, func(int, int) { t.Error("fn called for n=0") })
+	p := New(2)
+	p.Dispatch(0, func(int, int) { t.Error("fn called for n=0") })
+	p.Close()
 	(*Pool)(nil).Dispatch(-3, func(int, int) { t.Error("fn called for n<0") })
 }
 
@@ -213,6 +215,12 @@ func TestSecondDispatcherPanics(t *testing.T) {
 // has every worker parked — an idle rank burns no CPU — and the next
 // dispatch wakes no more of them than it has work for, each at most once.
 func TestIdleWorkersPark(t *testing.T) {
+	// The back-to-back case below is about a quiet host: on a busy one
+	// (another test binary on the same CPUs) workers park at once by
+	// design, so the CPU yield is held apart from the host's load.
+	defer func(y func() bool) { osYield = y }(osYield)
+	osYield = func() bool { return false }
+	busyUntil.Store(0)
 	const threads = 4
 	p := New(threads)
 	defer p.Close()
@@ -247,6 +255,50 @@ func TestIdleWorkersPark(t *testing.T) {
 	}
 	if woken := p.Stats().Wakes - before; woken > 20 {
 		t.Errorf("200 back-to-back dispatches woke workers %d times", woken)
+	}
+}
+
+// TestPollBudget: Poll returns true on the call where ready first holds,
+// and false after exactly pollsPerYield·yieldsBeforePark calls of a
+// condition that never does — the budget is counted in polls, not time.
+// A yield of the CPU that another thread takes ends the poll after the
+// first pollsPerYield calls and opens a busy window, in which every Poll
+// calls ready once.
+func TestPollBudget(t *testing.T) {
+	defer func(y func() bool) { osYield = y; busyUntil.Store(0) }(osYield)
+	osYield = func() bool { return false }
+	busyUntil.Store(0)
+	for _, at := range []int{1, 2, pollsPerYield, pollsPerYield + 1} {
+		calls := 0
+		if !Poll(func() bool { calls++; return calls == at }) || calls != at {
+			t.Errorf("ready from call %d: Poll made %d calls", at, calls)
+		}
+	}
+	calls := 0
+	if Poll(func() bool { calls++; return false }) {
+		t.Fatal("Poll reported a condition that never held")
+	}
+	if calls != pollsPerYield*yieldsBeforePark {
+		t.Errorf("Poll gave up after %d calls, want %d", calls, pollsPerYield*yieldsBeforePark)
+	}
+	if n := testing.AllocsPerRun(10, func() { Poll(func() bool { return true }) }); n != 0 {
+		t.Errorf("Poll allocates %v times per call", n)
+	}
+
+	osYield = func() bool { return true }
+	calls = 0
+	if Poll(func() bool { calls++; return false }) || calls != pollsPerYield {
+		t.Errorf("with its CPU taken, Poll gave up after %d calls, want %d", calls, pollsPerYield)
+	}
+	osYield = func() bool { return false }
+	for _, ready := range []bool{false, true} {
+		calls = 0
+		if got := Poll(func() bool { calls++; return ready }); got != ready || calls != 1 {
+			t.Errorf("in the busy window, Poll of a condition that is %v returned %v after %d calls, want 1 call", ready, got, calls)
+		}
+	}
+	if left := time.Duration(busyUntil.Load()) - time.Since(epoch); left <= 0 || left > busyWindow {
+		t.Errorf("busy window ends in %v, want within %v", left, busyWindow)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -123,6 +124,8 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			Calls   int64  `json:"engine_calls"`
 			Disp    int64  `json:"pool_dispatches"`
 			Wakes   int64  `json:"pool_wakes"`
+			Polled  int64  `json:"recv_polled"`
+			Parked  int64  `json:"recv_parked"`
 			Ranks   int    `json:"ranks"`
 			StartNS int64  `json:"start_unix_ns"`
 			Iter    int    `json:"iter"`
@@ -169,6 +172,11 @@ func TestTelemetryTraceIsValidJSONL(t *testing.T) {
 			// one thread each, so none went to a pool.
 			if ev.Calls <= 0 || ev.Disp != 0 || ev.Wakes != 0 {
 				t.Fatalf("line %d: perf event of a serial rank with %d engine calls, %d pool dispatches, %d wakes", lines, ev.Calls, ev.Disp, ev.Wakes)
+			}
+			// And the rank's receive counters: a two-rank world polls only
+			// when each rank can hold a processor.
+			if ev.Polled+ev.Parked <= 0 || (runtime.GOMAXPROCS(0) < 2 && ev.Polled != 0) {
+				t.Fatalf("line %d: perf event with %d polled and %d parked receives under GOMAXPROCS(%d)", lines, ev.Polled, ev.Parked, runtime.GOMAXPROCS(0))
 			}
 		default:
 			t.Fatalf("line %d: unknown event type %q", lines, ev.Ev)
