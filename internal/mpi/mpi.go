@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"repro/internal/telemetry"
+	"repro/internal/threadpool"
 )
 
 // CommClass labels the purpose of a collective for Table-I style
@@ -123,6 +124,10 @@ type World struct {
 	// for a peer that has no processor to run on would only delay it.
 	// Decided once, here: runtime.GOMAXPROCS takes the scheduler lock.
 	poll bool
+	// host is what the world's polling receives know about the host's
+	// load: a receive whose CPU yield another thread takes opens a busy
+	// window in which every receive of the world parks at once.
+	host threadpool.Host
 }
 
 // NewWorld creates a communicator with the given number of ranks.
@@ -179,7 +184,7 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, w.size))
 	}
-	return NewComm(&chanTransport{chans: w.chans, rank: rank, poll: w.poll}, rank, w.size, w.meter)
+	return NewComm(&chanTransport{chans: w.chans, rank: rank, poll: w.poll, host: &w.host}, rank, w.size, w.meter)
 }
 
 // Comm is one rank's endpoint. It must be used by a single goroutine.

@@ -29,9 +29,9 @@ func exchange(w *World, rounds int) []telemetry.RecvStats {
 // the peer's message queued before the receive, which Poll's first check
 // sees — that holds for every receive, even while the host is busy. In
 // a live exchange the ranks pass Allreduce operands back and forth
-// within microseconds, but a receive also parks when another thread
-// takes the CPU it yields, and every receive parks for a while after
-// that (threadpool.Poll), so there the test wants every receive counted.
+// within microseconds, but a peer the host keeps off its CPU for longer
+// than the budget makes the receive park, so there the test wants every
+// receive counted.
 func TestPollingWorldParksNoReceive(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	const rounds = 300

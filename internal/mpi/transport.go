@@ -89,8 +89,10 @@ type chanTransport struct {
 	chans [][]chan Message // chans[from][to]
 	rank  int
 	// poll is the world's waiting rule (World.poll): receives poll their
-	// peer's channel under threadpool.Poll before they park.
+	// peer's channel under threadpool.Poll, with the world's Host, before
+	// they park.
 	poll bool
+	host *threadpool.Host
 	// recv counts how this rank's receives were served.
 	recv telemetry.RecvStats
 }
@@ -115,7 +117,7 @@ func (t *chanTransport) Send(to int, m Message) error {
 // Otherwise it parks at once.
 func (t *chanTransport) Recv(from int) (Message, error) {
 	ch := t.chans[from][t.rank]
-	if t.poll && threadpool.Poll(func() bool { return len(ch) > 0 }) {
+	if t.poll && threadpool.Poll(func() bool { return len(ch) > 0 }, t.host) {
 		t.recv.Polled++
 	} else {
 		t.recv.Parked++

@@ -470,8 +470,9 @@ func (r *Recorder) SetPool(p PoolStats) {
 // (docs/PERFORMANCE.md §6 "Waiting"): by polling the peer's channel under
 // the pool's rule — the message was queued or arrived within the budget —
 // or by parking on it. Every receive of a world whose ranks outnumber
-// GOMAXPROCS parks, and so does every receive on a busy host. Both stay
-// zero over TCP, whose receives always park.
+// GOMAXPROCS parks, and so does one whose peer the host keeps off its CPU
+// for longer than the budget. Both stay zero over TCP, whose receives
+// always park.
 // The field order is the order of the keys in a -stats-json per_rank
 // entry.
 type RecvStats struct {

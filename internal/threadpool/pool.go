@@ -68,55 +68,65 @@ func BlockBounds(b, n int) (lo, hi int) {
 // much more: the kernel likes to put the woken thread on the waker's CPU,
 // and the two then share it until the next load balance
 // (BenchmarkDispatch: parked against polling; docs/PERFORMANCE.md §6
-// "Waiting" has the rank-to-rank numbers). Three rules keep polling from
-// costing anybody else a processor:
+// "Waiting" has the rank-to-rank numbers). Two rules keep polling from
+// costing anybody else a processor, and a third keeps ranks from
+// polling on a host that has no processor to spare:
 //
-//   - after every pollsPerYield polls (about 2 µs) the waiter yields its P,
-//     so a runnable goroutine — the dispatcher itself under GOMAXPROCS(1),
+//   - after every pollsPerYield polls the waiter yields its P, so a
+//     runnable goroutine — the dispatcher itself under GOMAXPROCS(1),
 //     another in-process rank's — waits microseconds for it, never a
 //     scheduler time slice;
-//   - then it yields its thread's CPU (osYield). If another thread takes
-//     it for a time slice — another process's, or a rank's the kernel
-//     queued behind ours — the host is busier than GOMAXPROCS says, and a
-//     poller holds a CPU someone else needs and gives itself away for a
-//     slice at every yield. So the waiter parks, and for busyWindow every
-//     waiter of the process parks at once, polling nothing: a busy host
-//     stays busy for many slices, and a parked thread the kernel wakes
-//     gets a CPU sooner than a yielded one;
 //   - a waiter that has yielded yieldsBeforePark times without seeing its
-//     condition gives up polling, and parks too. The budget is counted in
-//     polls the waiter actually made, not in wall time. 1024 yields is
-//     about two milliseconds on an idle machine: many times what a wake
-//     costs (the ski-rental bound says at least once), long enough to
-//     cover the pauses an inference has between engine calls — staging
-//     the next call's tables, a Newton update, tree surgery, a collective
-//     among in-process ranks — and short enough that a rank blocked on
-//     the network or between jobs holds no CPU.
+//     condition gives up polling, and Poll tells the caller to park. The
+//     budget is counted in polls the waiter actually made, not in wall
+//     time, so a waiter the kernel descheduled does not park for the time
+//     it was away. It is about 5 ms on the 2-vCPU guest, 11 ms with the
+//     CPU yields of the third rule when nobody takes them
+//     (BenchmarkPollBudget): many times what a wake costs (the ski-rental
+//     bound says at least once), long enough to cover the pauses an
+//     inference has between engine calls — staging the next call's
+//     tables, a Newton update, tree surgery, a collective among
+//     in-process ranks — and short enough that a rank blocked on the
+//     network or between jobs holds no CPU;
+//   - a waiter whose peer is another rank's thread (Poll with a Host)
+//     also yields its thread's CPU after its P (yieldCPU). A yield that
+//     keeps it off the CPU for longer than yieldTaken was taken by a
+//     thread that ran for a time slice: the host is busier than
+//     GOMAXPROCS says, and the peer may be waiting for a CPU this waiter
+//     holds. So the waiter parks, and for busyWindow every waiter on the
+//     same Host parks at once, polling nothing: a busy host stays busy
+//     for many slices (both values were timed against shorter and
+//     longer ones: docs/PERFORMANCE.md §6 "Waiting"). The pool's own
+//     waits pass no Host — its workers and dispatcher are goroutines of
+//     one rank, which the P yield already serves.
 const (
 	pollsPerYield    = 2048
 	yieldsBeforePark = 1024
+	yieldTaken       = 250 * time.Microsecond
 	busyWindow       = 20 * time.Millisecond
 )
 
-var (
-	// osYield is the CPU yield of the waiting rule, yieldCPU; tests
-	// replace it to hold the budget apart from the host's load.
-	osYield = yieldCPU
+// epoch is the origin of Host's clock.
+var epoch = time.Now()
 
-	// busyUntil is the end of the current busy window, in nanoseconds
-	// since epoch. It belongs to the process, like the CPUs it speaks of.
-	busyUntil atomic.Int64
-	epoch     = time.Now()
-)
+// Host is what a group of waiters that share the host's CPUs — the
+// ranks of one in-process world — know about its load: the end of the
+// current busy window, in nanoseconds since epoch. The zero value is a
+// quiet host.
+type Host struct{ busyUntil atomic.Int64 }
 
-// Poll calls ready until it reports true, the polling budget above is
-// spent or a yield of the CPU was taken, yielding every pollsPerYield
-// calls, and reports whether ready did; inside a busy window it calls
-// ready once. A false return means the caller should park: block on
-// whatever ready watches until someone wakes it. ready must be cheap and
-// free of side effects; Poll allocates nothing.
-func Poll(ready func() bool) bool {
-	if int64(time.Since(epoch)) < busyUntil.Load() {
+// busy reports whether a busy window is open at now.
+func (h *Host) busy(now time.Duration) bool { return int64(now) < h.busyUntil.Load() }
+
+// Poll calls ready until it reports true or the polling budget above is
+// spent, yielding every pollsPerYield calls, and reports whether ready
+// did. With a Host it also yields the CPU, gives up when that yield is
+// taken and opens a busy window, and inside a busy window calls ready
+// once. A false return means the caller should park: block on whatever
+// ready watches until someone wakes it. ready must be cheap and free of
+// side effects; Poll allocates nothing.
+func Poll(ready func() bool, h *Host) bool {
+	if h != nil && h.busy(time.Since(epoch)) {
 		return ready()
 	}
 	for polls := 1; ; polls++ {
@@ -130,8 +140,13 @@ func Poll(ready func() bool) bool {
 			return false
 		}
 		runtime.Gosched()
-		if osYield() {
-			busyUntil.Store(int64(time.Since(epoch) + busyWindow))
+		if h == nil {
+			continue
+		}
+		t0 := time.Since(epoch)
+		yieldCPU()
+		if t1 := time.Since(epoch); t1-t0 > yieldTaken {
+			h.busyUntil.Store(int64(t1 + busyWindow))
 			return false
 		}
 	}
@@ -280,7 +295,7 @@ func (p *Pool) Dispatch(n int, fn func(worker, item int)) {
 		p.wakes += int64(a)
 	}
 	p.drain(0)
-	for !Poll(p.joined) {
+	for !Poll(p.joined, nil) {
 		runtime.Gosched()
 	}
 	p.busy.Store(false)
@@ -323,7 +338,7 @@ func (p *Pool) pending() bool {
 // once the pool is closed. It polls, and parks until a dispatch wakes it
 // whenever Poll's budget runs out.
 func (p *Pool) await() bool {
-	for !Poll(p.pending) {
+	for !Poll(p.pending, nil) {
 		p.park()
 	}
 	return !p.closed.Load()

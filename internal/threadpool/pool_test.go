@@ -126,9 +126,7 @@ func TestEachCoversEveryItemOnce(t *testing.T) {
 		}
 	}
 	// Zero and negative counts are no-ops.
-	p := New(2)
-	p.Dispatch(0, func(int, int) { t.Error("fn called for n=0") })
-	p.Close()
+	New(2).Dispatch(0, func(int, int) { t.Error("fn called for n=0") })
 	(*Pool)(nil).Dispatch(-3, func(int, int) { t.Error("fn called for n<0") })
 }
 
@@ -215,12 +213,6 @@ func TestSecondDispatcherPanics(t *testing.T) {
 // has every worker parked — an idle rank burns no CPU — and the next
 // dispatch wakes no more of them than it has work for, each at most once.
 func TestIdleWorkersPark(t *testing.T) {
-	// The back-to-back case below is about a quiet host: on a busy one
-	// (another test binary on the same CPUs) workers park at once by
-	// design, so the CPU yield is held apart from the host's load.
-	defer func(y func() bool) { osYield = y }(osYield)
-	osYield = func() bool { return false }
-	busyUntil.Store(0)
 	const threads = 4
 	p := New(threads)
 	defer p.Close()
@@ -260,45 +252,24 @@ func TestIdleWorkersPark(t *testing.T) {
 
 // TestPollBudget: Poll returns true on the call where ready first holds,
 // and false after exactly pollsPerYield·yieldsBeforePark calls of a
-// condition that never does — the budget is counted in polls, not time.
-// A yield of the CPU that another thread takes ends the poll after the
-// first pollsPerYield calls and opens a busy window, in which every Poll
-// calls ready once.
+// condition that never does — the budget is counted in polls, not time,
+// so however long the host keeps the waiter's yields, it makes them all.
 func TestPollBudget(t *testing.T) {
-	defer func(y func() bool) { osYield = y; busyUntil.Store(0) }(osYield)
-	osYield = func() bool { return false }
-	busyUntil.Store(0)
 	for _, at := range []int{1, 2, pollsPerYield, pollsPerYield + 1} {
 		calls := 0
-		if !Poll(func() bool { calls++; return calls == at }) || calls != at {
+		if !Poll(func() bool { calls++; return calls == at }, nil) || calls != at {
 			t.Errorf("ready from call %d: Poll made %d calls", at, calls)
 		}
 	}
 	calls := 0
-	if Poll(func() bool { calls++; return false }) {
+	if Poll(func() bool { calls++; return false }, nil) {
 		t.Fatal("Poll reported a condition that never held")
 	}
 	if calls != pollsPerYield*yieldsBeforePark {
 		t.Errorf("Poll gave up after %d calls, want %d", calls, pollsPerYield*yieldsBeforePark)
 	}
-	if n := testing.AllocsPerRun(10, func() { Poll(func() bool { return true }) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { Poll(func() bool { return true }, nil) }); n != 0 {
 		t.Errorf("Poll allocates %v times per call", n)
-	}
-
-	osYield = func() bool { return true }
-	calls = 0
-	if Poll(func() bool { calls++; return false }) || calls != pollsPerYield {
-		t.Errorf("with its CPU taken, Poll gave up after %d calls, want %d", calls, pollsPerYield)
-	}
-	osYield = func() bool { return false }
-	for _, ready := range []bool{false, true} {
-		calls = 0
-		if got := Poll(func() bool { calls++; return ready }); got != ready || calls != 1 {
-			t.Errorf("in the busy window, Poll of a condition that is %v returned %v after %d calls, want 1 call", ready, got, calls)
-		}
-	}
-	if left := time.Duration(busyUntil.Load()) - time.Since(epoch); left <= 0 || left > busyWindow {
-		t.Errorf("busy window ends in %v, want within %v", left, busyWindow)
 	}
 }
 
@@ -372,4 +343,22 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPollBudget times a whole poll budget: Poll of a condition
+// that never holds, its polls and its yields — of the P alone for the
+// pool's waits, of the P and the CPU for a rank's (a fresh Host each
+// time, so a taken yield shortens one budget only). On an idle machine
+// this is how long a waiter polls before it parks.
+func BenchmarkPollBudget(b *testing.B) {
+	b.Run("pool", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Poll(func() bool { return false }, nil)
+		}
+	})
+	b.Run("rank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Poll(func() bool { return false }, new(Host))
+		}
+	})
 }

@@ -1,22 +1,7 @@
 package threadpool
 
-import (
-	"syscall"
-	"time"
-)
-
-// yieldTaken is how long a sched_yield must keep the caller off its CPU
-// to say that another thread took it for a time slice: the syscall alone
-// returns in about a microsecond, and a kernel thread or a short-lived
-// task that runs in between is done in tens of microseconds; a CPU-bound
-// thread runs for its slice, most of a millisecond.
-const yieldTaken = 250 * time.Microsecond
+import "syscall"
 
 // yieldCPU gives the calling thread's CPU to any other thread the kernel
-// has waiting for it (sched_yield) and reports whether one took it for a
-// time slice.
-func yieldCPU() bool {
-	start := time.Now()
-	syscall.RawSyscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
-	return time.Since(start) > yieldTaken
-}
+// has waiting for it (sched_yield); with none waiting it returns at once.
+func yieldCPU() { syscall.RawSyscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }

@@ -3,6 +3,5 @@
 package threadpool
 
 // yieldCPU is a no-op where the repo does not reach the scheduler: a
-// poller there yields its P only, and never learns that its CPU is
-// wanted.
-func yieldCPU() bool { return false }
+// waiter there yields its P only, and never sees a busy host.
+func yieldCPU() {}
