@@ -168,18 +168,37 @@ fuzz-smoke:
 	$(GO) test ./internal/enginecore -run '^$$' -fuzz '^FuzzDecodeSiteRateResolution$$' -fuzztime 10s
 	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
 
-# smoke-net runs a real multi-process decentralized inference over
-# loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then
-# examl -net-launch forks 4 worker processes that rendezvous and must
-# all finish.
+# smoke-net runs real multi-process inferences over loopback TCP
+# (docs/NETWORKING.md). First a decentralized one: simulate a tiny
+# dataset, then examl -net-launch forks 4 worker processes that
+# rendezvous and must all finish. Then a fork-join one, raxml-light -M
+# -np 3 -net-launch, whose workers decode every frame the master sends —
+# descriptors, gradient plans, insertion plans — from the wire: it must
+# write the same best tree as the in-process -np 3 run and reach the same
+# log likelihood to the last bit after every iteration (the trace's
+# "iter" events, as in smoke-ranks), and it must have verified some SPR
+# insertion (spr-verifications > 0 in -stats-json), so that one branch's
+# one-edge gradient plans crossed the wire too.
 smoke-net:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
+	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/raxml-light ./cmd/seqgen && \
 	$$tmp/seqgen -taxa 10 -partitions 2 -genelen 60 -seed 33 -o $$tmp/tiny && \
 	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 4 -net-launch \
 		-iter 3 -n $$tmp/smoke && \
 	test -s $$tmp/smoke.bestTree.nwk && \
-	echo "smoke-net: 4-process loopback run OK"
+	$$tmp/seqgen -taxa 12 -partitions 3 -genelen 80 -seed 33 -o $$tmp/fj >/dev/null && \
+	$$tmp/raxml-light -s $$tmp/fj.phy -q $$tmp/fj.parts.txt -M -np 3 \
+		-trace $$tmp/ip.jsonl -n $$tmp/ip >/dev/null && \
+	$$tmp/raxml-light -s $$tmp/fj.phy -q $$tmp/fj.parts.txt -M -np 3 -net-launch \
+		-stats-json $$tmp/net.json -trace $$tmp/net.jsonl -n $$tmp/net >/dev/null && \
+	sed -n 's/.*"ev":"iter","rank":0,.*"lnl":\([^,]*\),.*/\1/p' $$tmp/ip.jsonl > $$tmp/ip.lnl && \
+	sed -n 's/.*"ev":"iter","rank":0,.*"lnl":\([^,]*\),.*/\1/p' $$tmp/net.jsonl.rank0 > $$tmp/net.lnl && \
+	test -s $$tmp/ip.lnl && cmp $$tmp/ip.lnl $$tmp/net.lnl && \
+	cmp $$tmp/ip.bestTree.nwk $$tmp/net.bestTree.nwk && \
+	verif=$$(sed -n 's/^ *"spr-verifications": \([0-9]*\),*$$/\1/p' $$tmp/net.json) && \
+	{ test -n "$$verif" && test "$$verif" -gt 0 || \
+		{ echo "smoke-net: fork-join spr-verifications='$$verif', want some"; exit 1; }; } && \
+	echo "smoke-net: 4-process decentralized run OK; 3-process fork-join run same lnL bits after every iteration and same tree as in-process, $$verif verifications OK"
 
 # smoke-threads is the §V hybrid drill at the CLI (docs/PERFORMANCE.md §6,
 # docs/DETERMINISM.md §2): the same PSR inference of a 16 × 1500 bp

@@ -314,15 +314,17 @@ func BenchmarkKernelBatch(b *testing.B) {
 			defer eng.Close()
 			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
 			desc := traversal.Build(tr, tr.Tip(0), true)
-			ts := []float64{0.1}
 			// Warm: CLVs + sum tables + scratch, so the loop measures
-			// the repeated Newton step alone.
+			// the repeated Newton step alone: one branch's Reuse plan.
+			var edge traversal.GradPlan
+			edge.SetEdge(desc)
 			eng.Evaluate(desc)
-			eng.PrepareBranch(desc)
-			eng.BranchDerivatives(ts)
+			eng.AllBranchDerivatives(&edge)
+			edge.Reuse, edge.T[0][0] = true, 0.1
+			eng.AllBranchDerivatives(&edge)
 			b.ResetTimer()
 			for b.Loop() {
-				eng.BranchDerivatives(ts)
+				eng.AllBranchDerivatives(&edge)
 			}
 			b.ReportMetric(float64(parts), "partitions")
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")

@@ -14,9 +14,10 @@ import (
 )
 
 // TestEngineSteadyStateAllocFree pins the allocation-free hot path: once
-// warm (P-matrix cache populated, program arenas grown), the engine's
-// Evaluate / PrepareBranch / BranchDerivatives cycle — the inner loop of
-// every branch-length and model optimization — must not allocate at all
+// warm (P-matrix cache populated, program arenas grown), a cycle of the
+// engine calls the search makes — Evaluate, one branch's Traverse and
+// one-edge plans (contracting, then Reuse), the all-edge plan and an
+// insertion plan — must not allocate at all
 // on a single rank, serial or with a worker pool: staging a call, the one
 // dispatch and the join allocate nothing. Multi-rank messaging allocates
 // by design (channel payload copies), so the contract is pinned where it
@@ -67,7 +68,10 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, threads int
 	tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
 	edge := tr.Tip(0)
 	desc := traversal.Build(tr, edge, true)
-	ts := []float64{0.1}
+	var one, oneReuse traversal.GradPlan
+	one.SetEdge(desc)
+	oneReuse.SetEdge(desc)
+	oneReuse.Reuse, oneReuse.T[0][0] = true, 0.1
 	plan, _ := traversal.BuildGradient(tr, nil)
 	// One SPR prune point's insertion plan, built on a clone so the
 	// descriptors above keep describing tr.
@@ -87,16 +91,18 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, threads int
 	// lengths the measured loop uses and grow every scratch arena.
 	for i := 0; i < 2; i++ {
 		eng.Evaluate(desc)
-		eng.PrepareBranch(desc)
-		eng.BranchDerivatives(ts)
+		eng.Traverse(desc)
+		eng.AllBranchDerivatives(&one)
+		eng.AllBranchDerivatives(&oneReuse)
 		eng.AllBranchDerivatives(plan)
 		eng.ScoreInsertions(&ins)
 	}
 
 	if allocs := testing.AllocsPerRun(50, func() {
 		eng.Evaluate(desc)
-		eng.PrepareBranch(desc)
-		eng.BranchDerivatives(ts)
+		eng.Traverse(desc)
+		eng.AllBranchDerivatives(&one)
+		eng.AllBranchDerivatives(&oneReuse)
 		eng.AllBranchDerivatives(plan)
 		eng.ScoreInsertions(&ins)
 	}); allocs != 0 {

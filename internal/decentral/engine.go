@@ -31,6 +31,7 @@ type EngineConfig = enginecore.Config
 type Engine struct {
 	comm  *mpi.Comm
 	local *enginecore.Local
+	search.PerBranch
 }
 
 var _ search.Engine = (*Engine)(nil)
@@ -44,7 +45,9 @@ func NewEngine(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg engine
 		return nil, err
 	}
 	comm.SetRecorder(cfg.Recorder)
-	return &Engine{comm: comm, local: local}, nil
+	e := &Engine{comm: comm, local: local}
+	e.PerBranch = search.NewPerBranch(e)
+	return e, nil
 }
 
 // NPartitions implements search.Engine.
@@ -69,30 +72,15 @@ func (e *Engine) Evaluate(d *traversal.Descriptor) []float64 {
 	return e.comm.Allreduce(vec, mpi.OpSum, mpi.ClassLikelihoodEval)
 }
 
-// PrepareBranch implements search.Engine: local only.
-func (e *Engine) PrepareBranch(d *traversal.Descriptor) { e.local.PrepareLocal(d) }
-
-// BranchDerivatives implements search.Engine: local derivative sums,
-// folded into linkage classes, then a single Allreduce of 2·classes
-// doubles — the second Allreduce call site.
-func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
-	classes := e.local.BLClasses()
-	vec := e.local.ByClass(e.local.DerivativesPerPartition(e.local.PartitionLengths(ts)), 1)
-	if e.comm.Rank() == 0 {
-		e.comm.Meter().AddRegion(mpi.ClassBranchLength)
-	}
-	out := e.comm.Allreduce(vec, mpi.OpSum, mpi.ClassBranchLength)
-	return out[:classes], out[classes:]
-}
-
 // AllBranchDerivatives implements search.Engine: one local pre-order
 // pass plus every edge's sum table and derivatives, folded into linkage
-// classes, then ONE wide Allreduce of 2·classes·branches doubles. A whole
-// Newton iteration over every branch costs a single collective where
-// BranchDerivatives edge by edge pays one Allreduce per branch — the
+// classes, then ONE wide Allreduce of 2·classes·branches doubles — the
+// second of the paper's two Allreduce call sites. A whole Newton
+// iteration over every branch of a smoothing sweep costs a single
+// collective where a branch-by-branch pass pays one per branch — the
 // O(branches·iters) → O(iters) collective reduction of the batched
-// gradient (docs/PERFORMANCE.md). The returned slice is reused by the
-// next call.
+// gradient (docs/PERFORMANCE.md); a one-edge plan is one branch's
+// iteration. The returned slice is reused by the next call.
 func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	vec := e.local.ByClass(e.local.AllBranchDerivativesPerPartition(plan), plan.NBranches())
 	if e.comm.Rank() == 0 {

@@ -61,8 +61,7 @@ type Local struct {
 	// engine calls copy it into their own storage. This keeps the
 	// steady-state optimization loops allocation-free
 	// (docs/PERFORMANCE.md; asserted by alloc tests in both engines).
-	evalScr, perPartScr, gradPPScr, insScr []float64
-	lenScr, classScr, srStatsScr           []float64
+	evalScr, gradPPScr, insScr, classScr, srStatsScr []float64
 
 	// items are the (kernel, block) pairs of the call in flight, in kernel
 	// then block order; runItem and scanItem are the two closures ever
@@ -93,10 +92,6 @@ type Local struct {
 	// engineCalls counts flushes: the denominator the pool's dispatch and
 	// wake counts are read against.
 	engineCalls int64
-
-	// branch is the edge the last PrepareLocal contracted into every
-	// kernel's sum-table slot 0: what an opDerivatives frame evaluates.
-	branch traversal.GradEdge
 }
 
 // item is one unit of a dispatch: pattern block blk of local kernel k.
@@ -325,48 +320,30 @@ func (l *Local) EvaluateLocal(d *traversal.Descriptor) []float64 {
 	return vec
 }
 
-// PrepareLocal traverses and contracts the descriptor's edge into every
-// kernel's sum-table slot 0, where DerivativesPerPartition evaluates it.
-func (l *Local) PrepareLocal(d *traversal.Descriptor) {
-	t := l.rec.Begin()
-	l.branch = traversal.GradEdge{P: d.P, Q: d.Q}
-	for i, k := range l.Kernels {
-		k.Traverse(d.Steps[l.ClassOf(l.PartIdx[i])])
-		k.Contract(0, l.branch.P, l.branch.Q)
-		l.staged(i)
-	}
-	l.flush(t)
-}
-
-// AdmitDerivatives is the check a receiver of derivative frames it did
-// not order (a fork-join worker) makes before evaluating one: plan is an
-// opAllBranchDerivs frame's gradient plan, nil an opDerivatives frame,
-// which evaluates the edge of the last PrepareLocal. One rule admits
-// both: every edge the frame evaluates without contracting it must be
-// the edge its sum-table slot holds on every local kernel, contracted
-// since the kernel's last Newview, InvalidateAll and
-// parameter change (likelihood.Kernel.Contracted). A contracting plan
-// evaluates only what it contracts; a Reuse plan contracts nothing and
-// so may not stage the pre-order steps that would move every stamp. A
-// kernel evaluates only the slots its class has active (GradPlan.Active),
-// so only those are checked.
+// AdmitDerivatives is the check a receiver of gradient plans it did not
+// order (a fork-join worker) makes before evaluating one: every edge the
+// plan evaluates without contracting it must be the edge its sum-table
+// slot holds on every local kernel, contracted since the kernel's last
+// Newview, InvalidateAll and parameter change
+// (likelihood.Kernel.Contracted). A contracting plan evaluates only what
+// it contracts; a Reuse plan contracts nothing and so may not stage the
+// pre-order steps that would move every stamp. A kernel evaluates only
+// the slots its class has active (GradPlan.Active), so only those are
+// checked.
 func (l *Local) AdmitDerivatives(plan *traversal.GradPlan) error {
-	edges, active := []traversal.GradEdge{l.branch}, []bool(nil)
-	if plan != nil {
-		if !plan.Reuse {
-			return nil
-		}
-		for _, pre := range plan.Pre {
-			if len(pre) > 0 {
-				return fmt.Errorf("enginecore: gradient plan reuses sum tables but carries %d pre-order steps", len(pre))
-			}
-		}
-		edges, active = plan.Edges, plan.Active
+	if !plan.Reuse {
+		return nil
 	}
+	for _, pre := range plan.Pre {
+		if len(pre) > 0 {
+			return fmt.Errorf("enginecore: gradient plan reuses sum tables but carries %d pre-order steps", len(pre))
+		}
+	}
+	nB := plan.NBranches()
 	for i, k := range l.Kernels {
-		off := l.ClassOf(l.PartIdx[i]) * len(edges)
-		for b, e := range edges {
-			if active != nil && !active[off+b] {
+		off := l.ClassOf(l.PartIdx[i]) * nB
+		for b, e := range plan.Edges {
+			if plan.Active != nil && !plan.Active[off+b] {
 				continue
 			}
 			if p, q, ok := k.Contracted(b); !ok || p != e.P || q != e.Q {
@@ -377,52 +354,15 @@ func (l *Local) AdmitDerivatives(plan *traversal.GradPlan) error {
 	return nil
 }
 
-// DerivativesPerPartition returns per-*partition* derivative sums packed
-// as [d1_0..d1_{P-1}, d2_0..d2_{P-1}], with ts indexed by partition
-// (PartitionLengths) and zeros for unowned partitions. RAxML-Light
-// communicates branch-length derivatives at this granularity regardless
-// of the linkage setting, which is why fork-join branch traffic scales
-// with the partition count; ByClass folds partitions into linkage
-// classes. The returned slice is reused by the next
-// DerivativesPerPartition call.
-func (l *Local) DerivativesPerPartition(ts []float64) []float64 {
-	t := l.rec.Begin()
-	for i, k := range l.Kernels {
-		k.Derivatives(0, ts[l.PartIdx[i]])
-		l.staged(i)
-	}
-	l.flush(t)
-	vec := scratchVec(&l.perPartScr, 2*l.NPart)
-	for i, k := range l.Kernels {
-		p := l.PartIdx[i]
-		d1, d2 := k.Gradient(0)
-		vec[p] += d1
-		vec[l.NPart+p] += d2
-	}
-	return vec
-}
-
-// PartitionLengths returns per-class branch lengths ts as per-partition
-// ones, partition p's being its class's: what DerivativesPerPartition
-// takes. The returned slice is reused by the next call.
-func (l *Local) PartitionLengths(ts []float64) []float64 {
-	vec := scratchVec(&l.lenScr, l.NPart)
-	for p := range vec {
-		vec[p] = ts[l.ClassOf(p)]
-	}
-	return vec
-}
-
 // ByClass folds a per-partition derivative vector of nB edges, local or
 // reduced, packed [d1[p·nB+b]..., d2[P·nB + p·nB+b]...] as
-// DerivativesPerPartition (nB = 1) and AllBranchDerivativesPerPartition
-// return it, into linkage classes, packed [d1[c·nB+b]..., d2[C·nB +
-// c·nB+b]...]: each class sum starts at +0 and adds its partitions in
-// partition order. A rank's kernels are in partition order, one per
-// partition (distrib), so folding a local vector adds the kernels'
-// results in kernel order, and the zero of an unowned partition adds
-// nothing (docs/DETERMINISM.md §1). The returned slice is reused by the
-// next call.
+// AllBranchDerivativesPerPartition returns it, into linkage classes,
+// packed [d1[c·nB+b]..., d2[C·nB + c·nB+b]...]: each class sum starts at
+// +0 and adds its partitions in partition order. A rank's kernels are in
+// partition order, one per partition (distrib), so folding a local
+// vector adds the kernels' results in kernel order, and the zero of an
+// unowned partition adds nothing (docs/DETERMINISM.md §1). The returned
+// slice is reused by the next call.
 func (l *Local) ByClass(vec []float64, nB int) []float64 {
 	classes := l.BLClasses()
 	out := scratchVec(&l.classScr, 2*classes*nB)
@@ -482,10 +422,10 @@ func (l *Local) foldGradient(i int, plan *traversal.GradPlan, d1, d2 []float64) 
 // schedule and the derivatives of every edge on every local kernel,
 // returning the local per-partition all-branch derivative sums packed as
 // [d1[p·nB+b]..., d2[P·nB + p·nB+b]...] with b indexing plan edges — the
-// fork-join wire format, folded into linkage classes by ByClass. One
-// call replaces nB PrepareLocal/DerivativesPerPartition pairs — the local
-// half of the batched-gradient path (docs/PERFORMANCE.md). The returned
-// slice is reused by the next call.
+// fork-join wire format, folded into linkage classes by ByClass: the
+// local half of every branch-length Newton iteration, a whole sweep's
+// or one branch's (docs/PERFORMANCE.md). The returned slice is reused by
+// the next call.
 func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []float64 {
 	nB := plan.NBranches()
 	l.gradient(plan)

@@ -296,7 +296,8 @@ func TestEvaluateSkipsMaskedPartitions(t *testing.T) {
 // table of every (edge, class) slot its mask has on, on every kernel of
 // that class. One slot left stale on one partition — a later contracting
 // plan masked it off, and its pre-order pass moved the kernel's stamp —
-// refuses the frame; masking that slot off admits it.
+// refuses the frame; masking that slot off admits it. So for one
+// branch's one-edge plans.
 func TestAdmitDerivativesChecksActiveSlotsOnly(t *testing.T) {
 	l, d := makeLocal(t, 8, 2, 60, model.PSR, true, 1, 0)
 	tr := tree.NewRandom(d.Names, 2, rand.New(rand.NewSource(3)))
@@ -327,6 +328,26 @@ func TestAdmitDerivativesChecksActiveSlotsOnly(t *testing.T) {
 	reuse.Active = mask
 	if err := l.AdmitDerivatives(reuse); err != nil {
 		t.Errorf("a Reuse frame that masks the stale slot off refused: %v", err)
+	}
+
+	// One branch's Newton loop, the traversal rooted on its edge and then
+	// a one-edge plan, with partition 1 converged at once: its slot 0
+	// still holds the all-edge plan's edge 0, from before the traversal.
+	desc := traversal.Build(tr, tr.Tip(1), false)
+	l.Traverse(desc)
+	var edge traversal.GradPlan
+	edge.SetEdge(desc)
+	edge.Active = []bool{true, false}
+	if got := l.AllBranchDerivativesPerPartition(&edge); got[1] != 0 || got[3] != 0 || got[0] == 0 {
+		t.Errorf("one-edge plan with partition 1 masked off: %v, want partition 1's slots zero", got)
+	}
+	edge.Reuse = true
+	if err := l.AdmitDerivatives(&edge); err != nil {
+		t.Errorf("a one-edge Reuse frame that masks partition 1 off refused: %v", err)
+	}
+	edge.Active = nil
+	if err := l.AdmitDerivatives(&edge); err == nil {
+		t.Error("a one-edge Reuse frame admitted with partition 1's slot 0 stale")
 	}
 }
 
@@ -386,12 +407,12 @@ func checkClassFold(t *testing.T, label string, l *Local, tr *tree.Tree) {
 	}
 	desc := traversal.Build(tr, tr.Tip(0), true)
 	l.Traverse(desc)
-	l.PrepareLocal(desc)
-	ts := make([]float64, classes)
-	for c := range ts {
-		ts[c] = 0.05 + 0.03*float64(c)
+	var edge traversal.GradPlan
+	edge.SetEdge(desc)
+	for c := range edge.T {
+		edge.T[c][0] = 0.05 + 0.03*float64(c)
 	}
-	got := l.ByClass(l.DerivativesPerPartition(l.PartitionLengths(ts)), 1)
+	got := l.ByClass(l.AllBranchDerivativesPerPartition(&edge), 1)
 	want := make([]float64, 2*classes)
 	for i, k := range l.Kernels {
 		c := l.ClassOf(l.PartIdx[i])
@@ -427,10 +448,9 @@ func checkClassFold(t *testing.T, label string, l *Local, tr *tree.Tree) {
 
 // localTrace drives every Local operation once over tr and returns every
 // output bit: CLV digests after the traversal, per-partition log
-// likelihoods, per-class and per-partition derivatives, the all-branch
-// gradient (contracted, then reused at other lengths), one prune point's
-// insertion scores and, under PSR, the optimized site rates with their
-// cell statistics.
+// likelihoods, the one-edge and the all-branch gradient (each contracted,
+// then reused at other lengths), one prune point's insertion scores and,
+// under PSR, the optimized site rates with their cell statistics.
 func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
 	t.Helper()
 	var out []uint64
@@ -447,13 +467,13 @@ func localTrace(t *testing.T, l *Local, tr *tree.Tree) []uint64 {
 		}
 	}
 	bits(l.EvaluateLocal(d))
-	l.PrepareLocal(d)
-	bits(l.ByClass(l.DerivativesPerPartition(l.PartitionLengths([]float64{0.07})), 1))
-	perPart := make([]float64, l.NPart)
-	for p := range perPart {
-		perPart[p] = 0.07 + 0.23*float64(p%3)
-	}
-	bits(l.DerivativesPerPartition(perPart))
+	var edge traversal.GradPlan
+	edge.SetEdge(d)
+	edge.T[0][0] = 0.07
+	bits(l.ByClass(l.AllBranchDerivativesPerPartition(&edge), 1))
+	edge.Reuse = true
+	edge.T[0][0] = 0.3
+	bits(l.AllBranchDerivativesPerPartition(&edge))
 
 	plan, _ := traversal.BuildGradient(tr, nil)
 	bits(l.ByClass(l.AllBranchDerivativesPerPartition(plan), plan.NBranches()))

@@ -1,6 +1,7 @@
 package forkjoin
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,8 +18,9 @@ import (
 
 // TestEngineSteadyStateAllocFree mirrors the decentral-engine test: on a
 // single rank, serial or with a worker pool, the warm fork-join master
-// must drive a full
-// Evaluate / PrepareBranch / BranchDerivatives cycle without allocating.
+// must drive a full cycle of the calls the search makes — Evaluate, one
+// branch's Traverse and one-edge plans, the all-edge plan, an insertion
+// plan — without allocating.
 // This is what the cached opcode buffer, the analytic descriptor-size
 // metering (no worker, no encode), and the engine scratch vectors buy;
 // with real workers the transport copies payloads and allocation is
@@ -50,7 +52,10 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
 			edge := tr.Tip(0)
 			desc := traversal.Build(tr, edge, true)
-			ts := []float64{0.1}
+			var one, oneReuse traversal.GradPlan
+			one.SetEdge(desc)
+			oneReuse.SetEdge(desc)
+			oneReuse.Reuse, oneReuse.T[0][0] = true, 0.1
 			plan, _ := traversal.BuildGradient(tr, nil)
 			// One SPR prune point's insertion plan, built on a clone so the
 			// descriptors above keep describing tr.
@@ -64,16 +69,18 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 
 			for i := 0; i < 2; i++ {
 				eng.Evaluate(desc)
-				eng.PrepareBranch(desc)
-				eng.BranchDerivatives(ts)
+				eng.Traverse(desc)
+				eng.AllBranchDerivatives(&one)
+				eng.AllBranchDerivatives(&oneReuse)
 				eng.AllBranchDerivatives(plan)
 				eng.ScoreInsertions(&ins)
 			}
 
 			if allocs := testing.AllocsPerRun(50, func() {
 				eng.Evaluate(desc)
-				eng.PrepareBranch(desc)
-				eng.BranchDerivatives(ts)
+				eng.Traverse(desc)
+				eng.AllBranchDerivatives(&one)
+				eng.AllBranchDerivatives(&oneReuse)
 				eng.AllBranchDerivatives(plan)
 				eng.ScoreInsertions(&ins)
 			}); allocs != 0 {
@@ -115,11 +122,11 @@ func refusalWorker(t *testing.T, op byte, frame []byte) error {
 	return <-done
 }
 
-// TestWorkerRefusesShortFrames: the three float64 frames a worker used
-// to index unchecked — the parameter matrix, the per-partition trial
-// lengths, the site-rate resolution — end its loop with an error that
-// names the opcode when they are shorter than its run needs, not with
-// an index panic that takes the worker process down.
+// TestWorkerRefusesShortFrames: the two float64 frames a worker used to
+// index unchecked — the parameter matrix and the site-rate resolution —
+// end its loop with an error that names the opcode when they are shorter
+// than its run needs, not with an index panic that takes the worker
+// process down.
 func TestWorkerRefusesShortFrames(t *testing.T) {
 	const nPart = 2
 	cases := []struct {
@@ -130,10 +137,6 @@ func TestWorkerRefusesShortFrames(t *testing.T) {
 		{"opSetShared", model.Gamma, func(master *mpi.Comm) {
 			master.BcastBytes(0, []byte{opSetShared}, mpi.ClassControl)
 			master.Bcast(0, make([]float64, nPart*model.SharedLen-1), mpi.ClassModelParams)
-		}},
-		{"opDerivatives", model.Gamma, func(master *mpi.Comm) {
-			master.BcastBytes(0, []byte{opDerivatives}, mpi.ClassControl)
-			master.Bcast(0, make([]float64, nPart-1), mpi.ClassBranchLength)
 		}},
 		{"opSiteRates", model.PSR, func(master *mpi.Comm) {
 			tr := tree.NewRandom(makeDataset(t, 8, nPart, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
@@ -222,49 +225,15 @@ func TestWorkerRefusesDescriptorForAnotherRun(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesDerivativesWithoutSumTables: an opDerivatives frame
-// evaluates the sum tables the last opPrepareBranch built. A worker that
-// has built none, has traversed since, or has since taken a parameter
-// frame that moved α, ends its loop with an error naming the opcode
-// instead of reading a sum table that does not hold what it evaluates.
-func TestWorkerRefusesDerivativesWithoutSumTables(t *testing.T) {
-	tr := tree.NewRandom(makeDataset(t, 8, 2, 60, 3).Names, 1, rand.New(rand.NewSource(5)))
-	desc := traversal.Build(tr, tr.Tip(0), true)
-	desc.T = append(desc.T, desc.T[0])
-	desc.Steps = append(desc.Steps, desc.Steps[0])
-	send := func(master *mpi.Comm, op byte) {
-		master.BcastBytes(0, []byte{op}, mpi.ClassControl)
-		master.BcastBytes(0, desc.Encode(), mpi.ClassTraversal)
-		master.Barrier(mpi.ClassControl)
-	}
-	for what, before := range map[string][]byte{"no sum table": nil, "a traversal since": {opPrepareBranch, opTraverse}} {
-		t.Run(what, func(t *testing.T) {
-			master, done := startWorker(t, model.Gamma)
-			for _, op := range before {
-				send(master, op)
-			}
-			master.BcastBytes(0, []byte{opDerivatives}, mpi.ClassControl)
-			master.Bcast(0, []float64{0.1, 0.1}, mpi.ClassBranchLength)
-			if err := <-done; err == nil || !strings.Contains(err.Error(), "opDerivatives") {
-				t.Fatalf("worker ended with %v, want an error naming opDerivatives", err)
-			}
-		})
-	}
-	t.Run("an opSetShared that changed α since", func(t *testing.T) {
+// TestWorkerRefusesRetiredOpcodes: bytes 3 and 4, a per-branch Newton's
+// two opcodes before a branch's iteration became a one-edge gradient
+// plan, are unknown opcodes to a worker now.
+func TestWorkerRefusesRetiredOpcodes(t *testing.T) {
+	for _, op := range []byte{3, 4} {
 		master, done := startWorker(t, model.Gamma)
-		send(master, opPrepareBranch)
-		par, err := model.NewParams(model.Gamma, model.UniformFreqs(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.Alpha = 2
-		shared := par.EncodeShared()
-		master.BcastBytes(0, []byte{opSetShared}, mpi.ClassControl)
-		master.Bcast(0, append(append([]float64(nil), shared...), shared...), mpi.ClassModelParams)
-		master.BcastBytes(0, []byte{opDerivatives}, mpi.ClassControl)
-		master.Bcast(0, []float64{0.1, 0.1}, mpi.ClassBranchLength)
-		refusedNaming(t, done, "opDerivatives")
-	})
+		master.BcastBytes(0, []byte{op}, mpi.ClassControl)
+		refusedNaming(t, done, fmt.Sprintf("unknown opcode %d", op))
+	}
 }
 
 // refusedNaming waits for a worker's loop to end and fails unless it ended
@@ -348,10 +317,18 @@ func TestWorkerRefusesReuseWithoutContraction(t *testing.T) {
 	// Another edge than the plan's edge 0, contracted with no traversal:
 	// only the slot's edge tells the tables apart.
 	other := tr.Tip(1)
-	otherEdge := &traversal.Descriptor{
+	var otherEdge traversal.GradPlan
+	otherEdge.SetEdge(&traversal.Descriptor{
 		P: traversal.Ref(tr, other), Q: traversal.Ref(tr, other.Back),
-		T: []float64{other.Length(0), other.Length(0)}, Steps: make([][]likelihood.Step, 2),
+		T: []float64{other.Length(0)}, Steps: make([][]likelihood.Step, 1),
+	})
+	// A parameter frame for both partitions that moves α off its default.
+	par, err := model.NewParams(model.Gamma, model.UniformFreqs(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	par.Alpha = 2
+	alpha2 := append(par.EncodeShared(), par.EncodeShared()...)
 	pruned := tr.Clone()
 	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
 	if err != nil {
@@ -372,10 +349,15 @@ func TestWorkerRefusesReuseWithoutContraction(t *testing.T) {
 			master.Reduce(0, make([]float64, 2*ins.NCandidates()), mpi.OpSum, mpi.ClassLikelihoodEval)
 			return false
 		},
-		"an opPrepareBranch of another edge since": func(master *mpi.Comm) bool {
-			master.BcastBytes(0, []byte{opPrepareBranch}, mpi.ClassControl)
+		"a one-edge plan of edge 1 since": func(master *mpi.Comm) bool {
+			master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
 			master.BcastBytes(0, otherEdge.Encode(), mpi.ClassTraversal)
-			master.Barrier(mpi.ClassControl)
+			master.Reduce(0, make([]float64, 2*2), mpi.OpSum, mpi.ClassBranchLength)
+			return false
+		},
+		"a parameter frame moving α since": func(master *mpi.Comm) bool {
+			master.BcastBytes(0, []byte{opSetShared}, mpi.ClassControl)
+			master.Bcast(0, alpha2, mpi.ClassModelParams)
 			return false
 		},
 		"pre-order steps in the Reuse plan": func(*mpi.Comm) bool { return true },
@@ -400,6 +382,32 @@ func TestWorkerRefusesReuseWithoutContraction(t *testing.T) {
 			refusedNaming(t, done, "opAllBranchDerivs")
 		})
 	}
+
+	// One branch's Newton loop: the traversal rooted on its edge, a
+	// contracting one-edge plan, then a Reuse plan of the same edge after
+	// another traversal, which left the table stale.
+	t.Run("one-edge Reuse after an opTraverse", func(t *testing.T) {
+		edgeDesc := traversal.Build(tr, tr.Tip(1), true)
+		var one traversal.GradPlan
+		one.SetEdge(edgeDesc)
+		edgeDesc.T = append(edgeDesc.T, edgeDesc.T[0])
+		edgeDesc.Steps = append(edgeDesc.Steps, edgeDesc.Steps[0])
+		master, done := startWorker(t, model.Gamma)
+		for _, plan := range []*traversal.GradPlan{&one, nil} {
+			master.BcastBytes(0, []byte{opTraverse}, mpi.ClassControl)
+			master.BcastBytes(0, edgeDesc.Encode(), mpi.ClassTraversal)
+			master.Barrier(mpi.ClassControl)
+			if plan != nil {
+				master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
+				master.BcastBytes(0, plan.Encode(), mpi.ClassTraversal)
+				master.Reduce(0, make([]float64, 2*2), mpi.OpSum, mpi.ClassBranchLength)
+			}
+		}
+		one.Reuse = true
+		master.BcastBytes(0, []byte{opAllBranchDerivs}, mpi.ClassControl)
+		master.BcastBytes(0, one.Encode(), mpi.ClassTraversal)
+		refusedNaming(t, done, "opAllBranchDerivs")
+	})
 }
 
 // allDirty is a dirty-slot overlay of t with every slot dirty: an

@@ -28,17 +28,17 @@ import (
 	"repro/internal/traversal"
 )
 
-// opcodes of the master→worker command protocol.
+// opcodes of the master→worker command protocol. Every opcode keeps its
+// wire byte; 3 and 4 are retired, and a worker sent either ends with the
+// unknown-opcode error.
 const (
 	opTraverse byte = iota + 1
 	opEvaluate
-	opPrepareBranch
-	opDerivatives
+	_
+	_
 	opSetShared
 	opSiteRates
 	opShutdown
-	// opAllBranchDerivs is appended after opShutdown so every pre-existing
-	// opcode keeps its wire byte.
 	opAllBranchDerivs
 	opScoreInsertions
 )
@@ -61,6 +61,8 @@ type Engine struct {
 	// reuse across collectives is safe).
 	opBuf   [1]byte
 	flatScr []float64
+
+	search.PerBranch
 }
 
 var _ search.Engine = (*Engine)(nil)
@@ -75,7 +77,9 @@ func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg engine
 		return nil, err
 	}
 	comm.SetRecorder(cfg.Recorder)
-	return &Engine{comm: comm, local: local}, nil
+	e := &Engine{comm: comm, local: local}
+	e.PerBranch = search.NewPerBranch(e)
+	return e, nil
 }
 
 // command broadcasts the opcode (control traffic).
@@ -157,32 +161,6 @@ func (e *Engine) Evaluate(d *traversal.Descriptor) []float64 {
 	return e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassLikelihoodEval)
 }
 
-// PrepareBranch implements search.Engine: broadcast descriptor, build sum
-// tables everywhere.
-func (e *Engine) PrepareBranch(d *traversal.Descriptor) {
-	e.comm.Meter().AddRegion(mpi.ClassTraversal)
-	e.command(opPrepareBranch)
-	e.bcastDescriptor(d)
-	e.local.PrepareLocal(d)
-	e.comm.Barrier(mpi.ClassControl)
-}
-
-// BranchDerivatives implements search.Engine: broadcast per-partition
-// trial lengths, Reduce 2·partitions derivative sums, fold into linkage
-// classes at the master. The per-partition wire granularity mirrors
-// RAxML-Light (see DerivativesPerPartition) and is what makes this class
-// of fork-join traffic scale with the partition count.
-func (e *Engine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
-	classes := e.local.BLClasses()
-	e.comm.Meter().AddRegion(mpi.ClassBranchLength)
-	e.command(opDerivatives)
-	perPart := e.local.PartitionLengths(ts)
-	e.comm.Bcast(0, perPart, mpi.ClassBranchLength)
-	out := e.comm.Reduce(0, e.local.DerivativesPerPartition(perPart), mpi.OpSum, mpi.ClassBranchLength)
-	res := e.local.ByClass(out, 1)
-	return res[:classes], res[classes:]
-}
-
 // bcastGradPlan ships the all-branch gradient plan. Unlike
 // bcastDescriptor there is no RAxML-Light wire format to stay faithful
 // to — the batched gradient is a new protocol — so the plan is encoded
@@ -201,9 +179,13 @@ func (e *Engine) bcastGradPlan(p *traversal.GradPlan) {
 // AllBranchDerivatives implements search.Engine: one plan broadcast,
 // one local pass everywhere, one Reduce of 2·partitions·branches
 // derivative sums, folded into linkage classes at the master — a whole
-// Newton iteration over every branch in a single fork-join region
-// instead of one region per branch. The returned slice is reused by the
-// next call.
+// Newton iteration over every branch of a smoothing sweep in a single
+// fork-join region instead of one region per branch, and with a one-edge
+// plan one branch's iteration. The sums go over the wire per partition,
+// as RAxML-Light communicates branch-length derivatives whatever the
+// linkage setting, which is why this class of fork-join traffic scales
+// with the partition count. The returned slice is reused by the next
+// call.
 func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	e.command(opAllBranchDerivs)
@@ -344,24 +326,6 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 				return err
 			}
 			comm.Reduce(0, local.EvaluateLocal(desc), mpi.OpSum, mpi.ClassLikelihoodEval)
-
-		case opPrepareBranch:
-			desc, err := recvDescriptor()
-			if err != nil {
-				return err
-			}
-			local.PrepareLocal(desc)
-			comm.Barrier(mpi.ClassControl)
-
-		case opDerivatives:
-			ts := comm.Bcast(0, nil, mpi.ClassBranchLength)
-			if len(ts) != local.NPart {
-				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame of %d branch lengths, expected %d", comm.Rank(), len(ts), local.NPart)
-			}
-			if err := local.AdmitDerivatives(nil); err != nil {
-				return fmt.Errorf("forkjoin: worker %d: opDerivatives frame: %w", comm.Rank(), err)
-			}
-			comm.Reduce(0, local.DerivativesPerPartition(ts), mpi.OpSum, mpi.ClassBranchLength)
 
 		case opSetShared:
 			flat := comm.Bcast(0, nil, mpi.ClassModelParams)

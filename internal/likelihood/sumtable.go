@@ -13,10 +13,9 @@ package likelihood
 // 16 (c, k) planes; under PSR pattern-major, a site's row being one
 // vector. From it (d lnL/dt, d² lnL/dt²) at any branch length t costs one
 // pass over the sites and a few exponentials. The kernel keeps
-// its tables in one store addressed by slot: a per-branch Newton
-// (enginecore.Local.PrepareLocal) contracts into slot 0, the all-branch
-// gradient contracts plan edge b into slot b, and either evaluates any
-// number of lengths from there. A contracting gradient stages Contract and
+// its tables in one store addressed by slot: a gradient plan contracts its
+// edge b into slot b — one branch's plan has only slot 0 — and evaluates
+// any number of lengths from there. A contracting gradient stages Contract and
 // Derivatives back to back per edge; block-major execution (dispatch.go)
 // then runs each block's contraction and, right after it on the same
 // goroutine, the derivative that reads the block's range — the fused

@@ -12,19 +12,19 @@ import (
 // stubEngine is a minimal Engine that — like enginecore.Local — returns
 // internal scratch slices that are only valid until its next call. The
 // white-box tests below pin that the Searcher honors that contract and
-// that its optimization loops reuse searcher-owned buffers.
+// that its optimization loops reuse searcher-owned buffers. Its PerBranch
+// is the zero value, which panics if called: the search never calls it.
 type stubEngine struct {
+	PerBranch
 	nPart int
 	out   []float64
-	der   [2]float64
 	grad  []float64
 	ins   []float64
 }
 
-func (e *stubEngine) NPartitions() int                    { return e.nPart }
-func (e *stubEngine) BLClasses() int                      { return 1 }
-func (e *stubEngine) Traverse(*traversal.Descriptor)      {}
-func (e *stubEngine) PrepareBranch(*traversal.Descriptor) {}
+func (e *stubEngine) NPartitions() int               { return e.nPart }
+func (e *stubEngine) BLClasses() int                 { return 1 }
+func (e *stubEngine) Traverse(*traversal.Descriptor) {}
 
 func (e *stubEngine) Evaluate(*traversal.Descriptor) []float64 {
 	for i := range e.out {
@@ -33,18 +33,12 @@ func (e *stubEngine) Evaluate(*traversal.Descriptor) []float64 {
 	return e.out
 }
 
-func (e *stubEngine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
-	// Concave score with optimum at t = 0.1: Newton converges in one
-	// step and the loop terminates on the tolerance check.
-	e.der[0] = -(ts[0] - 0.1)
-	e.der[1] = -1
-	return e.der[:1], e.der[1:2]
-}
-
 func (e *stubEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
-	// Same concave score as BranchDerivatives, per branch, in the engine
-	// result layout (d1 block then d2 block) — and, like the real
-	// engines, returned from reused internal scratch.
+	// A concave score with its optimum at t = 0.1 on every branch, so
+	// that Newton converges in one step and the loop ends on the
+	// tolerance check, in the engine result layout (d1 block then d2
+	// block) — and, like the real engines, returned from reused internal
+	// scratch.
 	nB := plan.NBranches()
 	if cap(e.grad) < 2*nB {
 		e.grad = make([]float64, 2*nB)
@@ -123,18 +117,25 @@ func TestEvaluateFullCopiesEngineResult(t *testing.T) {
 }
 
 // TestUpdateBranchReusesScratch pins the searcher-owned Newton scratch:
-// repeated updateBranch calls must keep the same backing arrays (the
-// former per-call make([]float64, classes) churn).
+// repeated updateBranch calls keep the same backing arrays — the Newton
+// loop's, which the smoothing sweeps share, and the one-edge plan's — and
+// allocate nothing beyond the descriptor they root on the edge.
 func TestUpdateBranchReusesScratch(t *testing.T) {
 	s, _ := stubSearcher(t)
+	s.smoothSweep()
 	p := s.Tree.Tip(0)
 	s.updateBranch(p)
-	ts0, lo0, hi0 := &s.brTs[0], &s.brLo[0], &s.brHi[0]
+	lo0, hi0, t0 := &s.gradLo[0], &s.gradHi[0], &s.edgePlan.T[0][0]
 	for i := 0; i < 5; i++ {
 		s.updateBranch(p)
+		s.smoothSweep()
 	}
-	if &s.brTs[0] != ts0 || &s.brLo[0] != lo0 || &s.brHi[0] != hi0 {
+	if &s.gradLo[0] != lo0 || &s.gradHi[0] != hi0 || &s.edgePlan.T[0][0] != t0 {
 		t.Error("Newton scratch reallocated across updateBranch calls")
+	}
+	build := testing.AllocsPerRun(20, func() { traversal.Build(s.Tree, p, false) })
+	if got := testing.AllocsPerRun(20, func() { s.updateBranch(p) }); got != build {
+		t.Errorf("updateBranch allocates %v times, its descriptor %v", got, build)
 	}
 	// The stub's optimum is 0.1; convergence proves the scratch-based
 	// loop still optimizes correctly.

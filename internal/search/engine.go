@@ -35,13 +35,13 @@ type Engine interface {
 	// result are meaningless and the partitions' CLVs stay as they are.
 	Evaluate(d *traversal.Descriptor) []float64
 
-	// PrepareBranch executes the descriptor and builds the derivative
-	// sum tables for its edge.
+	// PrepareBranch executes the descriptor; BranchDerivatives then
+	// returns the global (d lnL/dt, d² lnL/dt²) sums per linkage class,
+	// at the trial lengths ts (one per class), of the descriptor's edge.
+	// The search calls neither — a branch's Newton iterations are
+	// one-edge AllBranchDerivatives plans — and every implementation is
+	// PerBranch.
 	PrepareBranch(d *traversal.Descriptor)
-
-	// BranchDerivatives returns the global (d lnL/dt, d² lnL/dt²) sums
-	// per linkage class, evaluated at the trial lengths ts (one per
-	// class), for the edge prepared by PrepareBranch.
 	BranchDerivatives(ts []float64) (d1, d2 []float64)
 
 	// AllBranchDerivatives executes the gradient plan — the pre-order
@@ -81,4 +81,41 @@ type Engine interface {
 
 	// Close releases engine resources (stops worker loops).
 	Close()
+}
+
+// PerBranch is the one implementation of Engine.PrepareBranch and
+// Engine.BranchDerivatives, embedded by both engines: the descriptor's
+// traversal, then per call the contracting one-edge gradient plan of its
+// edge at the trial lengths — the first iteration of the search's own
+// Newton loop for one branch — with no kernel code and no wire frame of
+// its own. The pair stays in Engine only while the benchmark's traced
+// engine overrides it, and leaves with the benchmark change that drops
+// those decorators (ROADMAP item 2).
+type PerBranch struct {
+	eng  perBranchEngine
+	plan traversal.GradPlan
+}
+
+// perBranchEngine is what PerBranch needs of the engine embedding it.
+type perBranchEngine interface {
+	Traverse(d *traversal.Descriptor)
+	AllBranchDerivatives(plan *traversal.GradPlan) []float64
+}
+
+// NewPerBranch returns the PerBranch methods of eng.
+func NewPerBranch(eng perBranchEngine) PerBranch { return PerBranch{eng: eng} }
+
+// PrepareBranch implements Engine.
+func (b *PerBranch) PrepareBranch(d *traversal.Descriptor) {
+	b.eng.Traverse(d)
+	b.plan.SetEdge(d)
+}
+
+// BranchDerivatives implements Engine.
+func (b *PerBranch) BranchDerivatives(ts []float64) (d1, d2 []float64) {
+	for c, t := range ts {
+		b.plan.T[c][0] = t
+	}
+	out := b.eng.AllBranchDerivatives(&b.plan)
+	return out[:len(ts)], out[len(ts):]
 }

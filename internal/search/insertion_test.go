@@ -53,13 +53,15 @@ func cyclicAssignment(t testing.TB, d *msa.Dataset, ranks int) *distrib.Assignme
 // localEngine is one serial rank without a communicator: the rank-local
 // halves of every operation, with the kernels in reach of the test.
 type localEngine struct {
+	search.PerBranch
 	t *testing.T
 	l *enginecore.Local
-	// prepares counts PrepareBranch calls: only an SPR verification
-	// issues them here.
-	prepares int
+	// branches counts contracting one-edge gradient plans: only an SPR
+	// verification's branch optimizations issue them here.
+	branches int
 	// outerClobbered is set by an insertion plan and cleared by the next
-	// gradient plan that recomputes every outer vector.
+	// all-edge gradient plan, which must recompute every outer vector (a
+	// one-edge plan reads none).
 	outerClobbered bool
 }
 
@@ -69,7 +71,9 @@ func newLocalEngine(t *testing.T, d *msa.Dataset, het model.Heterogeneity, perPa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &localEngine{t: t, l: l}
+	e := &localEngine{t: t, l: l}
+	e.PerBranch = search.NewPerBranch(e)
+	return e
 }
 
 func (e *localEngine) NPartitions() int                           { return e.l.NPart }
@@ -78,18 +82,10 @@ func (e *localEngine) Traverse(d *traversal.Descriptor)           { e.l.Traverse
 func (e *localEngine) Close()                                     { e.l.Close() }
 func (e *localEngine) Evaluate(d *traversal.Descriptor) []float64 { return e.l.EvaluateLocal(d) }
 
-func (e *localEngine) PrepareBranch(d *traversal.Descriptor) {
-	e.prepares++
-	e.l.PrepareLocal(d)
-}
-
-func (e *localEngine) BranchDerivatives(ts []float64) (d1, d2 []float64) {
-	out := e.l.ByClass(e.l.DerivativesPerPartition(e.l.PartitionLengths(ts)), 1)
-	return out[:len(ts)], out[len(ts):]
-}
-
 func (e *localEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
-	if e.outerClobbered && !plan.Reuse {
+	if plan.NBranches() == 1 && !plan.Reuse {
+		e.branches++
+	} else if e.outerClobbered && !plan.Reuse {
 		if got, want := len(plan.Pre[0]), plan.NBranches()-1; got != want {
 			e.t.Errorf("first gradient plan after an insertion plan recomputes %d of %d outer vectors", got, want)
 		}
@@ -135,7 +131,7 @@ func TestRejectedPrunePointLeavesValidCLVs(t *testing.T) {
 	unverified := 0
 	for v := 0; v < s.Tree.NInner(); v++ {
 		for _, p := range s.Tree.InnerRing(v).Ring() {
-			before := eng.prepares
+			before := eng.branches
 			improved, lnl, err := s.TryPrunePoint(p, 5, cur)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +139,7 @@ func TestRejectedPrunePointLeavesValidCLVs(t *testing.T) {
 			if improved {
 				cur = lnl
 			}
-			if eng.prepares != before {
+			if eng.branches != before {
 				continue
 			}
 			unverified++

@@ -144,13 +144,12 @@ type Searcher struct {
 	touched  []bool
 	touching bool
 
-	// Reusable buffers for the Newton loops and the cached per-partition
-	// vector. Engine result slices are only valid until the engine's next
-	// call (enginecore.Local), so a result that must survive one is copied
-	// into searcher-owned storage. Keeps the steady-state optimization
-	// loops allocation-free (docs/PERFORMANCE.md; asserted by alloc tests).
-	brTs, brLo, brHi []float64
-	brDone           []bool
+	// The buffers below are reused from call to call, which keeps the
+	// steady-state optimization loops allocation-free (docs/PERFORMANCE.md;
+	// asserted by alloc tests). An engine result slice is only valid until
+	// the engine's next call (enginecore.Local), so one that must survive
+	// it is copied into searcher-owned storage.
+	//
 	// Model-parameter search state (optimizeModel): one Brent search per
 	// partition, the probed columns, and the forced full-tree descriptor
 	// every probe of one round executes — built once per round, because
@@ -161,14 +160,17 @@ type Searcher struct {
 	optMask   []bool
 	probeDesc *traversal.Descriptor
 
-	// Batched-gradient smoother state (smoothSweep): per-(class, branch)
-	// Newton brackets and trial lengths, per-branch change flags, and the
-	// half-node-ID → plan-edge-index map for the staleness walk.
-	gradTs, gradLo, gradHi []float64
-	gradDone, gradChanged  []bool
-	gradActive             []bool
-	gradEdgeIdx            []int32
-	gradEmptyPre           [][]likelihood.Step
+	// Newton-loop state (newton): per-(class, branch) brackets, done
+	// flags and convergence mask, per-branch change flags, and the Reuse
+	// plan of every iteration after a plan's first; updateBranch's
+	// one-edge plan; the smoother's half-node-ID → plan-edge-index map
+	// for the staleness walk.
+	gradLo, gradHi        []float64
+	gradDone, gradChanged []bool
+	gradActive            []bool
+	gradEmptyPre          [][]likelihood.Step
+	gradReuse, edgePlan   traversal.GradPlan
+	gradEdgeIdx           []int32
 
 	// SPR prune-point state (tryPrunePoint): the prune record, the
 	// candidate edges, their insertion plan, and the attachment-branch
@@ -415,52 +417,18 @@ func (s *Searcher) Close() { s.eng.Close() }
 
 // ---------- branch-length optimization ----------
 
-// updateBranch Newton-optimizes the branch at p, one linkage class at a
-// time in lockstep: every iteration triggers exactly one parallel region
-// carrying 2·classes doubles — the coordinated-proposal pattern the paper
+// updateBranch Newton-optimizes the branch at p, its linkage classes in
+// lockstep: the descriptor rooted on the edge refreshes the CLVs at both
+// ends, then the edge's one-edge gradient plan runs the Newton loop of a
+// smoothing sweep (newton) — one parallel region carrying 2·classes
+// doubles per iteration, the coordinated-proposal pattern the paper
 // requires for partitioned analyses.
 func (s *Searcher) updateBranch(p *tree.Node) {
 	d := traversal.Build(s.Tree, p, false)
 	s.noteSteps(d)
-	s.eng.PrepareBranch(d)
-
-	classes := s.Tree.BLClasses
-	ts := grow(&s.brTs, classes)
-	lo := grow(&s.brLo, classes)
-	hi := grow(&s.brHi, classes)
-	if cap(s.brDone) < classes {
-		s.brDone = make([]bool, classes)
-	}
-	done := s.brDone[:classes]
-	for c := 0; c < classes; c++ {
-		ts[c] = p.Length(c)
-		lo[c] = tree.MinBranchLength
-		hi[c] = tree.MaxBranchLength
-		done[c] = false
-	}
-	for iter := 0; iter < newtonIterations; iter++ {
-		s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
-		d1, d2 := s.eng.BranchDerivatives(ts)
-		allDone := true
-		for c := 0; c < classes; c++ {
-			if done[c] {
-				continue
-			}
-			next := newtonStep(d1[c], d2[c], ts[c], &lo[c], &hi[c])
-			if math.Abs(next-ts[c]) < 1e-8 {
-				done[c] = true
-			} else {
-				allDone = false
-			}
-			ts[c] = next
-		}
-		if allDone {
-			break
-		}
-	}
-	for c := 0; c < classes; c++ {
-		p.SetLength(c, clampBL(quantizeBL(ts[c])))
-	}
+	s.eng.Traverse(d)
+	s.edgePlan.SetEdge(d)
+	s.newton(&s.edgePlan, []*tree.Node{p})
 }
 
 func clampBL(t float64) float64 {
@@ -502,7 +470,7 @@ func quantizeBL(t float64) float64 {
 // branch updateBranch pass would pay (docs/PERFORMANCE.md).
 //
 // Branches that exhaust a sweep's Newton budget keep their truncated
-// (bracket-clamped) value — updateBranch's cap semantics — and
+// (bracket-clamped) value, as a branch updateBranch optimizes does, and
 // smoothAll schedules extra sweeps (bounded) until every branch
 // converges against its own sweep's frozen state. Writing
 // only converged fixed points is what keeps the search trajectory
@@ -519,27 +487,13 @@ func (s *Searcher) smoothAll(passes int) {
 	}
 }
 
-// smoothSweep is one simultaneous smoothing sweep. Branch b's class-c
-// Newton state lives at index c*nB+b. The sweep refreshes the CLVs,
-// builds the gradient plan, then runs the Newton loop against that
-// FROZEN state: derivatives at new trial lengths only need new edge
-// P-matrices, never a re-traversal — the same invariant updateBranch
-// exploits via its prepared sum tables, batched across all branches.
-// Each (b, c) iterates exactly the sequence updateBranch would
-// (independent given frozen CLVs), and the optimized lengths are
-// written back only after the loop. The return reports whether every
+// smoothSweep is one simultaneous smoothing sweep: it refreshes the
+// CLVs, builds the gradient plan of every edge and runs the Newton loop
+// against that frozen state (newton). The return reports whether every
 // (branch, class) converged within the Newton budget; smoothAll keeps
 // sweeping (bounded) while any branch was truncated at the cap.
 func (s *Searcher) smoothSweep() bool {
 	s.cfg.Telemetry.Inc(telemetry.CounterBatchedGradientSweeps, 1)
-	classes := s.Tree.BLClasses
-	nB := s.Tree.NBranches()
-
-	ts := grow(&s.gradTs, classes*nB)
-	lo := grow(&s.gradLo, classes*nB)
-	hi := grow(&s.gradHi, classes*nB)
-	done := growBool(&s.gradDone, classes*nB)
-	changed := growBool(&s.gradChanged, nB)
 
 	// Refresh the post-order CLVs (dirty-overlay reuse), rooted at
 	// tip 0 — the orientation BuildGradient assumes.
@@ -551,40 +505,60 @@ func (s *Searcher) smoothSweep() bool {
 	// vertex, and a sweep moves edges all over the tree.
 	plan, nodes := traversal.BuildGradient(s.Tree, nil)
 	s.cfg.Telemetry.Inc(telemetry.CounterPreorderSteps, int64(len(plan.Pre[0])))
-	for b := 0; b < nB; b++ {
-		for c := 0; c < classes; c++ {
-			i := c*nB + b
-			ts[i] = plan.T[c][b]
-			lo[i] = tree.MinBranchLength
-			hi[i] = tree.MaxBranchLength
-			done[i] = false
-		}
-	}
+	converged, changed := s.newton(plan, nodes)
 
-	// Inner iterations re-evaluate at trial lengths with the CLV and
-	// outer-vector state frozen, so they carry an empty pre-order
-	// schedule: same edges, same (mutated) length matrix, no steps.
+	// Propagate the sweep's changed edges into the dirty overlay:
+	// post-order CLVs above a changed edge become dirty.
+	if cap(s.gradEdgeIdx) < len(s.Tree.HalfNodes) {
+		s.gradEdgeIdx = make([]int32, len(s.Tree.HalfNodes))
+	}
+	s.gradEdgeIdx = s.gradEdgeIdx[:len(s.Tree.HalfNodes)]
+	for i := range s.gradEdgeIdx {
+		s.gradEdgeIdx[i] = -1
+	}
+	for b, nd := range nodes {
+		s.gradEdgeIdx[nd.ID] = int32(b)
+	}
+	s.markGradStale(changed)
+	return converged
+}
+
+// newton is the one Newton loop of every branch length, a sweep's edges
+// and a verified insertion's alike. plan is a contracting gradient plan
+// whose CLV state — and outer vectors, if it has pre-order steps — is
+// frozen for the loop, nodes[b] its edge b's half-node. Branch b's
+// class-c Newton state lives at index c·nB+b, its trial length at
+// plan.T[c][b]. The first iteration runs plan itself; derivatives at new
+// trial lengths then only need the sum tables it contracted, so every
+// later iteration runs the same edges as a Reuse plan with no pre-order
+// step, narrowed by its Active mask to the (edge, class) slots still
+// moving. Skipping a slot cannot perturb another slot's bits — the slots
+// are independent sums — and each slot iterates the sequence it would
+// alone. The optimized lengths are written back after the loop,
+// quantized and clamped, whether or not they converged; newton reports
+// whether every slot converged and which edges' stored lengths moved
+// (valid until the next call).
+func (s *Searcher) newton(plan *traversal.GradPlan, nodes []*tree.Node) (converged bool, changed []bool) {
+	classes, nB := len(plan.T), plan.NBranches()
+	lo := grow(&s.gradLo, classes*nB)
+	hi := grow(&s.gradHi, classes*nB)
+	done := growBool(&s.gradDone, classes*nB)
+	active := growBool(&s.gradActive, classes*nB)
+	for i := range done {
+		lo[i] = tree.MinBranchLength
+		hi[i] = tree.MaxBranchLength
+		done[i] = false
+	}
 	if cap(s.gradEmptyPre) < classes {
 		s.gradEmptyPre = make([][]likelihood.Step, classes)
 	}
-	// Inner iterations narrow the kernel work to the (edge, class)
-	// slots still moving: once a slot converged it is never read again,
-	// so the kernels of its class stop computing it (GradPlan.Active).
-	// Skipping a slot cannot perturb another slot's bits — the slots
-	// are independent sums. They also reuse the sum tables the first
-	// iteration cached (Reuse): with the state frozen, each edge's P·Q
-	// contraction is length-independent, so re-evaluating at a trial
-	// length only needs the cheap derivative evaluation from each edge's
-	// sum table — updateBranch's PrepareBranch/BranchDerivatives
-	// amortization, applied to all edges at once.
-	active := growBool(&s.gradActive, classes*nB)
-	inner := &traversal.GradPlan{Pre: s.gradEmptyPre[:classes], Edges: plan.Edges, T: plan.T, Active: active, Reuse: true}
+	s.gradReuse = traversal.GradPlan{Pre: s.gradEmptyPre[:classes], Edges: plan.Edges, T: plan.T, Active: active, Reuse: true}
 	skipped := 0
 	for iter := 0; iter < newtonIterations; iter++ {
 		s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
 		p := plan
 		if iter > 0 {
-			p = inner
+			p = &s.gradReuse
 			s.cfg.Telemetry.Inc(telemetry.CounterPreorderStepsSkipped, int64(nB-1))
 			s.cfg.Telemetry.Inc(telemetry.CounterGradientSlotsSkipped, int64(skipped))
 		}
@@ -596,13 +570,13 @@ func (s *Searcher) smoothSweep() bool {
 				if done[i] {
 					continue
 				}
-				next := newtonStep(vec[i], vec[classes*nB+i], ts[i], &lo[i], &hi[i])
-				if math.Abs(next-ts[i]) < 1e-8 {
+				t := plan.T[c][b]
+				next := newtonStep(vec[i], vec[classes*nB+i], t, &lo[i], &hi[i])
+				if math.Abs(next-t) < 1e-8 {
 					done[i] = true
 				} else {
 					allDone = false
 				}
-				ts[i] = next
 				plan.T[c][b] = next
 			}
 		}
@@ -618,42 +592,25 @@ func (s *Searcher) smoothSweep() bool {
 		}
 	}
 
-	// Write the optimized lengths back (updateBranch's unconditional
-	// write), recording which edges actually moved for the dirty overlay.
-	for b := 0; b < nB; b++ {
+	changed = growBool(&s.gradChanged, nB)
+	for b, nd := range nodes {
 		changed[b] = false
 		for c := 0; c < classes; c++ {
-			next := clampBL(quantizeBL(ts[c*nB+b]))
-			if math.Float64bits(next) != math.Float64bits(nodes[b].Length(c)) {
+			next := clampBL(quantizeBL(plan.T[c][b]))
+			if math.Float64bits(next) != math.Float64bits(nd.Length(c)) {
 				changed[b] = true
 			}
-			nodes[b].SetLength(c, next)
+			nd.SetLength(c, next)
 		}
 	}
-
-	// Propagate the sweep's changed edges into the dirty overlay:
-	// post-order CLVs above a changed edge become dirty.
-	if cap(s.gradEdgeIdx) < len(s.Tree.HalfNodes) {
-		s.gradEdgeIdx = make([]int32, len(s.Tree.HalfNodes))
+	converged = true
+	for _, d := range done {
+		converged = converged && d
 	}
-	s.gradEdgeIdx = s.gradEdgeIdx[:len(s.Tree.HalfNodes)]
-	for i := range s.gradEdgeIdx {
-		s.gradEdgeIdx[i] = -1
-	}
-	for b, nd := range nodes {
-		s.gradEdgeIdx[nd.ID] = int32(b)
-	}
-	s.markGradStale(changed)
-	for i := range done {
-		if !done[i] {
-			return false
-		}
-	}
-	return true
+	return converged, changed
 }
 
-// newtonStep applies one updateBranch Newton/bisection step: maintain
-// the bracket on the sign of d1, take the Newton step where the
+// newtonStep applies one Newton/bisection step: maintain the bracket on the sign of d1, take the Newton step where the
 // curvature is usable, bisect otherwise or when the step leaves the
 // bracket.
 func newtonStep(d1, d2, t float64, lo, hi *float64) float64 {

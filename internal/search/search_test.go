@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/msa"
 	"repro/internal/search"
 	"repro/internal/seqgen"
+	"repro/internal/traversal"
 	"repro/internal/tree"
 )
 
@@ -255,5 +257,39 @@ func TestAlphaRecovery(t *testing.T) {
 	aHigh := fit(gen(5.0))
 	if !(aLow < aHigh) {
 		t.Fatalf("α estimates do not rank with the truth: data α=0.2 → %g, data α=5 → %g", aLow, aHigh)
+	}
+}
+
+// TestPerBranchIsAOneEdgePlan: PrepareBranch and BranchDerivatives, which
+// every engine takes from search.PerBranch, return at any trial lengths
+// the bits of a contracting one-edge gradient plan run after the
+// descriptor's traversal.
+func TestPerBranchIsAOneEdgePlan(t *testing.T) {
+	d := makeDataset(t, 10, 2, 80, 6)
+	for _, perPart := range []bool{false, true} {
+		eng, ref := seqEngine(t, d, model.Gamma, perPart), seqEngine(t, d, model.Gamma, perPart)
+		classes := eng.BLClasses()
+		tr := tree.NewRandom(d.Names, classes, rand.New(rand.NewSource(7)))
+		desc := traversal.Build(tr, tr.InnerRing(2), true)
+		eng.PrepareBranch(desc)
+		ref.Traverse(desc)
+		var plan traversal.GradPlan
+		plan.SetEdge(desc)
+		ts := make([]float64, classes)
+		for _, t0 := range []float64{0.05, 0.4} {
+			for c := range ts {
+				ts[c] = t0 * float64(c+1)
+				plan.T[c][0] = ts[c]
+			}
+			d1, d2 := eng.BranchDerivatives(ts)
+			want := ref.AllBranchDerivatives(&plan)
+			for c := range ts {
+				if math.Float64bits(d1[c]) != math.Float64bits(want[c]) || math.Float64bits(d2[c]) != math.Float64bits(want[classes+c]) {
+					t.Errorf("-M=%v t=%g class %d: (%g, %g), one-edge plan (%g, %g)", perPart, ts[c], c, d1[c], d2[c], want[c], want[classes+c])
+				}
+			}
+		}
+		eng.Close()
+		ref.Close()
 	}
 }

@@ -20,14 +20,16 @@ import (
 
 // The search's reference is a second engine, not a second path through
 // the search: no copy of the forced-traversal mode, the per-branch
-// smoothing sweep or the per-candidate scoring earlier PRs deleted is
-// kept. What the searcher gets back from its engine — incrementally
-// refreshed CLVs, reused outer vectors, cached sum tables, insertion
-// tables — is compared, bit for bit and call by call, with what a twin
-// engine returns for the same tree computed from nothing, by calls the
-// product keeps for its own reasons: a forced full traversal (what every
-// model probe issues) and PrepareBranch + BranchDerivatives (what an SPR
-// verification issues).
+// smoothing sweep, the per-branch Newton path or the per-candidate
+// scoring the search no longer has is kept. What the searcher gets back
+// from its engine — incrementally refreshed CLVs, reused outer vectors,
+// cached sum tables, insertion tables — is compared, bit for bit and call
+// by call, with what a twin engine returns for the same tree computed
+// from nothing, by calls the product makes for its own reasons: a forced
+// full traversal (what every model probe issues) and, for a branch, a
+// post-order traversal rooted on it followed by a contracting one-edge
+// gradient plan — no outer vector and no reused sum table (the first
+// Newton iteration of every branch an SPR verification optimizes).
 
 // mirrorEngine forwards every call that changes model state inside the
 // engine to a twin as well, so the twin holds the same parameters (and,
@@ -52,9 +54,12 @@ type twinTally struct {
 	// evals is the number of unmasked evaluations compared.
 	evals int
 	// firstPlans, reusePlans and maskedPlans count the gradient plans
-	// compared, by kind: those that opened a sweep, those that reused its
-	// cached sum tables, and those narrowed to the edges still moving.
+	// compared, by kind: those that opened a Newton loop, those that
+	// reused its cached sum tables, and those narrowed to the slots still
+	// moving. sweepCalls and branchCalls count them by loop: a smoothing
+	// sweep's over every edge, or one branch's.
 	firstPlans, reusePlans, maskedPlans int
+	sweepCalls, branchCalls             int
 	// candidates is the number of insertion scores compared.
 	candidates int
 	// engCols and twinCols are the kernel columns the engine and the twin
@@ -62,9 +67,9 @@ type twinTally struct {
 	engCols, twinCols int64
 }
 
-// gradCall is one AllBranchDerivatives call of a smoothing sweep, kept
-// until the sweep is checked: the engine's result slice and the plan's
-// length matrix are both overwritten by the next call.
+// gradCall is one AllBranchDerivatives call of a Newton loop, kept until
+// the loop is checked: the engine's result slice and the plan's length
+// matrix are both overwritten by the next call.
 type gradCall struct {
 	got    []float64
 	t      [][]float64
@@ -82,10 +87,11 @@ type twinEngine struct {
 	label string
 	// s is the searcher this engine serves, set once it exists.
 	s *search.Searcher
-	// sweep is the tree as the current smoothing sweep's first plan saw
-	// it and calls the sweep's gradient calls so far; checkSweep compares
-	// them all, one PrepareBranch per edge.
-	sweep *tree.Tree
+	// loop is the tree as the current Newton loop's first plan saw it,
+	// nodes the half-node of each of the plan's edges in it, and calls the
+	// loop's gradient calls so far; checkGradients compares them all.
+	loop  *tree.Tree
+	nodes []*tree.Node
 	calls []gradCall
 	twinTally
 	reported int
@@ -104,24 +110,47 @@ func columns(eng search.Engine) int64 {
 	return cols
 }
 
+// SetShared and OptimizeSiteRates check what is pending first: the twin
+// must answer for the parameters the engine had.
+func (e *twinEngine) SetShared(params [][]float64) {
+	e.checkGradients()
+	e.mirrorEngine.SetShared(params)
+}
+
+func (e *twinEngine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
+	e.checkGradients()
+	return e.mirrorEngine.OptimizeSiteRates(d)
+}
+
+// edgeAt returns the half-node of clone at edge (p, q), as a descriptor
+// or a one-edge plan built on the searcher's tree names it: building it
+// left the X bit of each inner endpoint on the edge. nil when the tree
+// has no such edge.
+func edgeAt(clone *tree.Tree, p, q likelihood.Ref) *tree.Node {
+	nd := clone.Tip(int(p.Idx))
+	if p.Kind == likelihood.Inner {
+		nd = tree.XNode(clone.InnerRing(int(p.Idx)))
+	}
+	if traversal.Ref(clone, nd.Back) != q {
+		return nil
+	}
+	return nd
+}
+
 // Evaluate compares with a forced full traversal of a clone toward the
 // same edge: the incremental-traversal contract, checked where a stale
 // CLV would first show.
 func (e *twinEngine) Evaluate(d *traversal.Descriptor) []float64 {
-	e.checkSweep()
+	e.checkGradients()
 	before := columns(e.Engine)
 	got := e.Engine.Evaluate(d)
 	if d.Active != nil {
 		return got
 	}
 	e.engCols += columns(e.Engine) - before
-	// Building d left the X bit of each inner endpoint on the edge.
 	clone := e.s.Tree.Clone()
-	p := clone.Tip(int(d.P.Idx))
-	if d.P.Kind == likelihood.Inner {
-		p = tree.XNode(clone.InnerRing(int(d.P.Idx)))
-	}
-	if traversal.Ref(clone, p.Back) != d.Q {
+	p := edgeAt(clone, d.P, d.Q)
+	if p == nil {
 		e.errorf("evaluation %d: descriptor edge %v-%v not found in the tree", e.evals, d.P, d.Q)
 		return got
 	}
@@ -137,14 +166,27 @@ func (e *twinEngine) Evaluate(d *traversal.Descriptor) []float64 {
 	return got
 }
 
-// AllBranchDerivatives records the call for checkSweep. A plan that does
-// not reuse the previous call's state opens a sweep: the tree keeps its
-// lengths until the sweep's last call returned.
+// AllBranchDerivatives records the call for checkGradients. A plan that
+// does not reuse the previous call's sum tables opens a Newton loop — a
+// smoothing sweep's over every edge, or one branch's — and the tree keeps
+// its lengths until the loop's last call returned.
 func (e *twinEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	if !plan.Reuse {
-		e.checkSweep()
-		e.sweep = e.s.Tree.Clone()
+		e.checkGradients()
+		e.loop = e.s.Tree.Clone()
+		if plan.NBranches() == 1 {
+			e.nodes = []*tree.Node{edgeAt(e.loop, plan.Edges[0].P, plan.Edges[0].Q)}
+			if e.nodes[0] == nil {
+				e.errorf("one-edge plan: edge %v-%v not found in the tree", plan.Edges[0].P, plan.Edges[0].Q)
+				e.loop = nil
+			}
+		} else {
+			_, e.nodes = traversal.BuildGradient(e.loop, nil)
+		}
 		e.firstPlans++
+	} else if e.loop == nil || plan.NBranches() != len(e.nodes) {
+		e.errorf("a Reuse plan of %d edges opens no Newton loop of its own size (%d edges)", plan.NBranches(), len(e.nodes))
+		return e.Engine.AllBranchDerivatives(plan)
 	} else {
 		e.reusePlans++
 	}
@@ -166,39 +208,48 @@ func (e *twinEngine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	return got
 }
 
-// checkSweep compares every (edge, class) slot a recorded call of the
-// sweep computed — every slot its mask has on — with the twin's
-// PrepareBranch + BranchDerivatives at that edge and the call's length,
-// after a forced full traversal of the sweep's tree. Newton steps are a pure function of (d1, d2), so equal
-// derivatives on every call is an equal smoothing trajectory.
-func (e *twinEngine) checkSweep() {
-	if e.sweep == nil {
+// checkGradients compares every (edge, class) slot a recorded call of the
+// Newton loop computed — every slot its mask has on — with the twin's
+// answer for that edge alone at the call's lengths: a forced full
+// traversal of the loop's tree, the post-order traversal rooted on the
+// edge, and a contracting one-edge plan per call, so that nothing — no
+// outer vector, no sum table — is reused. Newton steps are a pure
+// function of (d1, d2), so equal derivatives on every call is an equal
+// branch-length trajectory.
+func (e *twinEngine) checkGradients() {
+	if e.loop == nil {
 		return
 	}
-	clone := e.sweep
+	clone := e.loop
 	e.twin.Traverse(traversal.Build(clone, clone.Tip(0), true))
-	_, nodes := traversal.BuildGradient(clone, nil)
-	classes, nB := e.twin.BLClasses(), len(nodes)
-	ts := make([]float64, classes)
-	for b, nd := range nodes {
-		e.twin.PrepareBranch(traversal.Build(clone, nd, false))
+	classes, nB := e.twin.BLClasses(), len(e.nodes)
+	var ref traversal.GradPlan
+	for b, nd := range e.nodes {
+		d := traversal.Build(clone, nd, false)
+		e.twin.Traverse(d)
+		ref.SetEdge(d)
 		for i, call := range e.calls {
-			for c := range ts {
-				ts[c] = call.t[c][b]
+			for c := range ref.T {
+				ref.T[c][0] = call.t[c][b]
 			}
-			d1, d2 := e.twin.BranchDerivatives(ts)
-			for c := range ts {
+			want := e.twin.AllBranchDerivatives(&ref)
+			for c := 0; c < classes; c++ {
 				if call.active != nil && !call.active[c*nB+b] {
 					continue
 				}
 				g1, g2 := call.got[c*nB+b], call.got[classes*nB+c*nB+b]
-				if math.Float64bits(g1) != math.Float64bits(d1[c]) || math.Float64bits(g2) != math.Float64bits(d2[c]) {
-					e.errorf("gradient call %d of a sweep, edge %d class %d: (%.17g, %.17g), PrepareBranch + BranchDerivatives (%.17g, %.17g)", i, b, c, g1, g2, d1[c], d2[c])
+				if math.Float64bits(g1) != math.Float64bits(want[c]) || math.Float64bits(g2) != math.Float64bits(want[classes+c]) {
+					e.errorf("gradient call %d of a %d-edge Newton loop, edge %d class %d: (%.17g, %.17g), one-edge reference (%.17g, %.17g)", i, nB, b, c, g1, g2, want[c], want[classes+c])
 				}
 			}
 		}
 	}
-	e.sweep, e.calls = nil, e.calls[:0]
+	if nB == 1 {
+		e.branchCalls += len(e.calls)
+	} else {
+		e.sweepCalls += len(e.calls)
+	}
+	e.loop, e.calls = nil, e.calls[:0]
 }
 
 // withTwin runs body on every rank that drives a searcher — each rank
@@ -295,7 +346,8 @@ func (e *twinEngine) checkInsertions(ps *tree.PrunedSubtree, cands []*tree.Node,
 
 // TestSearchMatchesTwinEngine runs one whole search per cell of
 // {de-centralized, fork-join} × {Γ, PSR} × {joint, -M} × T ∈ {1, 2} with
-// every evaluation, every all-branch gradient and every insertion score
+// every evaluation, every gradient call — of the smoothing sweeps and of
+// the branches SPR verifications optimize — and every insertion score
 // held to the twin, and wants the search to have been cheaper than its
 // reference: fewer columns on every rank's compared evaluations, fewer
 // branch-length collectives in all. The ranks of a de-centralized run
@@ -324,12 +376,13 @@ func TestSearchMatchesTwinEngine(t *testing.T) {
 						if _, err := s.Run(); err != nil {
 							t.Errorf("%s: %v", label, err)
 						}
-						te.checkSweep() // nothing pending unless the run ended inside a sweep
+						te.checkGradients() // nothing pending unless the run ended inside a Newton loop
 						tallies[rank] = te.twinTally
 					}
 					engComm, twinComm := withTwin(t, d, scheme, het, perPart, threads, run)
 					got := tallies[0]
-					if got.evals == 0 || got.firstPlans == 0 || got.reusePlans == 0 || got.maskedPlans == 0 || got.candidates == 0 {
+					if got.evals == 0 || got.firstPlans == 0 || got.reusePlans == 0 || got.maskedPlans == 0 ||
+						got.sweepCalls == 0 || got.branchCalls == 0 || got.candidates == 0 {
 						t.Errorf("%s: a kind of call went unchecked: %+v", label, got)
 					}
 					calls := func(t twinTally) twinTally {

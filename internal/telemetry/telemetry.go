@@ -129,9 +129,10 @@ const (
 	// avoided: a sweep's inner Newton iterations read the outer vectors
 	// its first iteration computed.
 	CounterPreorderStepsSkipped
-	// CounterGradientSlotsSkipped is (edge, class) derivative slots those
-	// inner iterations did not compute because the slot had converged
-	// (traversal.GradPlan.Active).
+	// CounterGradientSlotsSkipped is (edge, class) derivative slots the
+	// inner iterations of a Newton loop — a sweep's, or a verified
+	// branch's one-edge plan — did not compute because the slot had
+	// converged (traversal.GradPlan.Active).
 	CounterGradientSlotsSkipped
 
 	// NumCounters is the number of distinct counters.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/likelihood"
@@ -131,5 +132,98 @@ func TestEveryOperandPositionRefusesForeignKinds(t *testing.T) {
 				t.Errorf("%s %s: an outer vector refused: %v", f.name, at.name, err)
 			}
 		}
+	}
+}
+
+// TestStepDestinationsKeepTheirKind: a frame encodes a step's destination
+// without its kind, and the decoder gives it the kind the frame's
+// schedule writes — a CLV slot in a descriptor and in an insertion plan's
+// post-order schedule, an outer slot in a gradient plan and in an
+// insertion plan's pre-order schedule. A step that writes any other kind
+// would run on the receiver as another slot than on the sender, so
+// Validate refuses it; every frame Build and BuildGradient produce
+// decodes to itself.
+func TestStepDestinationsKeepTheirKind(t *testing.T) {
+	for _, n := range []int{5, 9, 24} {
+		for _, classes := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(int64(10*n + classes)))
+			tr := tree.NewRandom(taxa(n), classes, rng)
+			for _, force := range []bool{true, false} {
+				for _, h := range tr.HalfNodes {
+					d := Build(tr, h, force)
+					got, err := Decode(d.Encode())
+					if err == nil {
+						err = got.Validate(n, classes)
+					}
+					if err != nil || !reflect.DeepEqual(got, d) {
+						t.Fatalf("%d taxa, %d classes: descriptor of edge %d decodes to %+v (%v), built %+v", n, classes, h.ID, got, err, d)
+					}
+				}
+			}
+			for _, reuse := range []bool{false, true} {
+				g, _ := BuildGradient(tr, nil)
+				g.Reuse = reuse
+				if reuse {
+					g.Active = make([]bool, classes*g.NBranches())
+					for i := range g.Active {
+						g.Active[i] = rng.Intn(2) == 0
+					}
+				}
+				got, err := DecodeGradPlan(g.Encode())
+				if err == nil {
+					err = got.Validate(n, classes)
+				}
+				if err != nil || !reflect.DeepEqual(got, g) {
+					t.Fatalf("%d taxa, %d classes, reuse %v: gradient plan decodes to a different plan (%v)", n, classes, reuse, err)
+				}
+			}
+
+			// A gradient plan whose pre-order schedule is a descriptor's
+			// post-order one: the master would write CLV slots, every
+			// worker the outer slots of the same numbers.
+			d := Build(tr, tr.Tip(0), true)
+			g, _ := BuildGradient(tr, nil)
+			g.Pre = d.Steps
+			if err := g.Validate(n, classes); err == nil {
+				t.Errorf("%d taxa, %d classes: gradient plan writing CLV slots validated", n, classes)
+			}
+			dec, err := DecodeGradPlan(g.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := dec.Pre[0][0].Dst; got.Kind != likelihood.Outer {
+				t.Fatalf("%d taxa: a decoded gradient plan's step writes %v, want an outer slot", n, got)
+			}
+			d.Steps[classes-1][0].Dst = likelihood.TipAt(0)
+			if err := d.Validate(n, classes); err == nil {
+				t.Errorf("%d taxa, %d classes: descriptor writing a tip validated", n, classes)
+			}
+		}
+	}
+
+	tr := tree.NewRandom(taxa(9), 1, rand.New(rand.NewSource(3)))
+	ps, err := tr.Prune(tr.InnerRing(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins InsertPlan
+	ins.Build(tr, ps, ps.CandidateEdges(1, 4), allDirty(tr))
+	if err := ins.Validate(9); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what string
+		dst  *likelihood.Ref
+		bad  likelihood.Ref
+	}{
+		{"post-order step writing a tip", &ins.Post[0][0].Dst, likelihood.TipAt(0)},
+		{"pre-order step writing a CLV slot", &ins.Pre[0][0].Dst, likelihood.InnerAt(0)},
+	} {
+		saved := *tc.dst
+		*tc.dst = tc.bad
+		if err := ins.Validate(9); err == nil {
+			t.Errorf("insertion plan with a %s validated", tc.what)
+		}
+		*tc.dst = saved
 	}
 }

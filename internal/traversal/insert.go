@@ -208,6 +208,14 @@ func refOutside(r likelihood.Ref, nTaxa, nOuter int) bool {
 	return int(r.Kind) >= len(limit) || r.Idx < 0 || int(r.Idx) >= limit[r.Kind]
 }
 
+// dstOutside is refOutside for a step's destination, which a frame
+// encodes without its kind: the decoder gives it the one kind the frame's
+// schedule writes (planReader.slot), so a destination of any other kind
+// would run as a different slot on the receiver than on the sender.
+func dstOutside(r likelihood.Ref, kind likelihood.RefKind, nTaxa, nOuter int) bool {
+	return r.Kind != kind || refOutside(r, nTaxa, nOuter)
+}
+
 // planReader reads the fixed-width fields of a frame whose length the
 // decoder has already checked against its header, so no read can run
 // out. A malformed field is reported through err, naming the frame
@@ -248,18 +256,20 @@ func (r *planReader) f64() float64 {
 
 // Validate checks that every slot the plan addresses exists on a tree of
 // nTaxa taxa: tips below nTaxa, CLV slots below nTaxa−2, outer slots
-// below 2·nTaxa−2 (outer vectors are indexed by vertex), and none in the
-// post-order schedule. Decode cannot know the tree size; a receiver calls
+// below 2·nTaxa−2 (outer vectors are indexed by vertex), none in the
+// post-order schedule, and every step writing the kind of slot its
+// schedule writes: a CLV slot post-order, an outer slot pre-order. Decode
+// cannot know the tree size; a receiver calls
 // Validate before handing a decoded plan to its kernels, which index (and
 // grow) their buffers from these numbers.
 func (pl *InsertPlan) Validate(nTaxa int) error {
 	nOuter := 2*nTaxa - 2
 	bad := refOutside(pl.Sub, nTaxa, nOuter)
 	for _, s := range pl.Post[0] {
-		bad = bad || refOutside(s.Dst, nTaxa, 0) || refOutside(s.A, nTaxa, 0) || refOutside(s.B, nTaxa, 0)
+		bad = bad || dstOutside(s.Dst, likelihood.Inner, nTaxa, 0) || refOutside(s.A, nTaxa, 0) || refOutside(s.B, nTaxa, 0)
 	}
 	for i, s := range pl.Pre[0] {
-		bad = bad || refOutside(s.Dst, nTaxa, nOuter) || refOutside(s.A, nTaxa, nOuter) ||
+		bad = bad || dstOutside(s.Dst, likelihood.Outer, nTaxa, nOuter) || refOutside(s.A, nTaxa, nOuter) ||
 			refOutside(s.B, nTaxa, nOuter) || refOutside(pl.Far[i], nTaxa, nOuter)
 	}
 	if bad {

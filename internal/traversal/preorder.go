@@ -26,8 +26,8 @@ import (
 
 // GradEdge holds the sum-table operands of one edge: P the conditional
 // vector below the edge (tip or post-order CLV), Q the vector above it
-// (an outer vector, or for a per-branch Newton the CLV a descriptor
-// rooted on the edge computes).
+// (an outer vector, or in one branch's plan the CLV a descriptor rooted
+// on the edge computes).
 type GradEdge struct {
 	P, Q likelihood.Ref
 }
@@ -47,22 +47,42 @@ type GradPlan struct {
 	// the caller still needs: Active[c·nB+b] is edge b in class c, nB
 	// the edge count. A kernel of class c skips edge b where that entry
 	// is off and leaves the slot's result zero, which nobody reads. nil
-	// means every slot. The simultaneous Newton smoother narrows the mask
-	// as (edge, class) pairs converge, so late inner iterations only pay
-	// for the stragglers.
+	// means every slot. The search's Newton loop narrows the mask as
+	// (edge, class) pairs converge, so late iterations only pay for the
+	// stragglers.
 	Active []bool
 	// Reuse marks a plan whose edge set and underlying CLV/outer-vector
 	// state are unchanged since the engines' previous all-branch
 	// gradient call: the kernels re-evaluate each edge's derivatives at
 	// the plan's (new) lengths from the sum table that call contracted
 	// into the edge's slot instead of re-contracting P·Q, and such a plan
-	// carries no pre-order steps. The simultaneous Newton smoother sets it
-	// on every inner iteration after a sweep's first.
+	// carries no pre-order steps. The search's Newton loop sets it on
+	// every iteration after a plan's first.
 	Reuse bool
 }
 
 // NBranches returns the number of edges the plan covers.
 func (p *GradPlan) NBranches() int { return len(p.Edges) }
+
+// SetEdge makes p the contracting plan of descriptor d's edge at d's
+// lengths, reusing p's storage: the one edge (d.P, d.Q), no pre-order
+// step, every slot active. Run right after d's traversal it is the first
+// Newton iteration of one branch — the smoother's plans list every edge,
+// this one a single edge, and nothing else tells them apart.
+func (p *GradPlan) SetEdge(d *Descriptor) {
+	classes := len(d.T)
+	if cap(p.Pre) < classes {
+		p.Pre = make([][]likelihood.Step, classes)
+		p.T = make([][]float64, classes)
+	}
+	p.Pre, p.T = p.Pre[:classes], p.T[:classes]
+	for c := range p.T {
+		p.Pre[c] = p.Pre[c][:0]
+		p.T[c] = append(p.T[c][:0], d.T[c])
+	}
+	p.Edges = append(p.Edges[:0], GradEdge{P: d.P, Q: d.Q})
+	p.Active, p.Reuse = nil, false
+}
 
 // BuildGradient computes the gradient plan for t, rooted at the virtual
 // root on tip 0's edge. The post-order CLVs the plan's P operands and
@@ -78,9 +98,9 @@ func (p *GradPlan) NBranches() int { return len(p.Edges) }
 //
 // The second result gives one representative half-node per edge, in
 // plan order: the child-side half-node whose Back faces the root.
-// Re-rooting on it (traversal.Build + PrepareBranch) reproduces the
-// plan's (P, Q) operand roles exactly — what the search's twin-engine
-// test compares every gradient against.
+// Re-rooting on it (Build, then the SetEdge plan of that descriptor)
+// reproduces the plan's (P, Q) operand roles exactly — what the search's
+// twin-engine test compares every gradient against.
 func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
 	nB := t.NBranches()
 	classes := t.BLClasses
@@ -245,7 +265,8 @@ func (p *GradPlan) Encode() []byte {
 // Validate checks that the plan fits a tree of nTaxa taxa with the given
 // number of branch-length classes: every tip below nTaxa, every CLV slot
 // below nTaxa−2, every outer slot below 2·nTaxa−2 (outer vectors are
-// indexed by vertex), one schedule and one length vector per class, all
+// indexed by vertex), every pre-order step writing an outer slot, one
+// schedule and one length vector per class, all
 // of the structure's size, and a mask, when there is one, of one entry
 // per (edge, class) slot. DecodeGradPlan cannot know the tree; a
 // receiver calls Validate before handing a decoded plan to its kernels,
@@ -267,7 +288,7 @@ func (p *GradPlan) Validate(nTaxa, classes int) error {
 	bad := false
 	if classes > 0 {
 		for _, s := range p.Pre[0] {
-			bad = bad || refOutside(s.Dst, nTaxa, nOuter) || refOutside(s.A, nTaxa, nOuter) || refOutside(s.B, nTaxa, nOuter)
+			bad = bad || dstOutside(s.Dst, likelihood.Outer, nTaxa, nOuter) || refOutside(s.A, nTaxa, nOuter) || refOutside(s.B, nTaxa, nOuter)
 		}
 	}
 	for _, e := range p.Edges {

@@ -375,8 +375,9 @@ func Decode(buf []byte) (*Descriptor, error) {
 // tree can execute the descriptor: one schedule and one root-edge length
 // per partition — what the fork-join wire always carries, joint-branch
 // descriptors being padded to the partition count — tips below nTaxa, CLV
-// slots below nTaxa−2, no outer vector anywhere (a descriptor is a
-// post-order schedule), and a mask, when there is one, of nPart entries.
+// slots below nTaxa−2, no outer vector anywhere and every step writing a
+// CLV slot (a descriptor is a post-order schedule), and a mask, when there
+// is one, of nPart entries.
 // Decode cannot know the tree or the partition count; a receiver calls
 // Validate before handing a decoded descriptor to its kernels, which index
 // their buffers from these numbers.
@@ -396,7 +397,7 @@ func (d *Descriptor) Validate(nTaxa, nPart int) error {
 			return fmt.Errorf("traversal: descriptor schedule of %d steps for a %d-taxon tree's %d inner vertices", len(cs), nTaxa, nTaxa-2)
 		}
 		for _, s := range cs {
-			bad = bad || refOutside(s.Dst, nTaxa, 0) || refOutside(s.A, nTaxa, 0) || refOutside(s.B, nTaxa, 0)
+			bad = bad || dstOutside(s.Dst, likelihood.Inner, nTaxa, 0) || refOutside(s.A, nTaxa, 0) || refOutside(s.B, nTaxa, 0)
 		}
 	}
 	if bad {
