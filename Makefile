@@ -160,13 +160,16 @@ kernel-bce:
 
 # fuzz-smoke gives every native fuzz target a short pass over its seed
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
-# sent must fail with an error, never a panic.
+# sent must fail with an error, never a panic, and the Γ site lanes of
+# every width the CPU runs must match the Go loops bit for bit with every
+# slice they touch against a PROT_NONE page (FuzzGammaLanes, linux/amd64).
 fuzz-smoke:
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeInsertPlan$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeDescriptor$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeGradPlan$$' -fuzztime 10s
 	$(GO) test ./internal/enginecore -run '^$$' -fuzz '^FuzzDecodeSiteRateResolution$$' -fuzztime 10s
 	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
+	$(GO) test ./internal/likelihood -run '^$$' -fuzz '^FuzzGammaLanes$$' -fuzztime 10s
 
 # smoke-net runs real multi-process inferences over loopback TCP
 # (docs/NETWORKING.md). First a decentralized one: simulate a tiny
@@ -244,7 +247,12 @@ smoke-threads:
 # its ranks can hold a processor, so the GOMAXPROCS=1 leg and a -np 3 leg
 # under GOMAXPROCS=2 must count no polled receive (and some parked ones),
 # and the polling leg some polled ones: counts that are zero by
-# construction, so they can gate where a time cannot.
+# construction, so they can gate where a time cannot. On a host whose
+# /proc/cpuinfo lists avx512f, avx512dq and avx512bw every leg must report
+# lane_width 8 and lane_share exactly 1: the Γ twin of smoke-threads' PSR
+# gate — at eight lanes every Γ site runs in lanes, the last 1–7 of a block
+# under a mask, so a silent fallback to four lanes (whose tail of up to
+# three sites is Go) shows.
 smoke-ranks:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
@@ -266,7 +274,14 @@ smoke-ranks:
 	polled=$$(field p2-np2 recv_polled) && \
 	{ test -n "$$polled" && test "$$polled" -gt 0 || \
 		{ echo "smoke-ranks: p2-np2 recv_polled='$$polled': want some polled receives"; exit 1; }; } && \
-	echo "smoke-ranks: -np 2 under GOMAXPROCS=1 and 2 same lnL bits after every iteration, same tree; $$polled polled receives at GOMAXPROCS=2, none where the gate is off OK"
+	if grep -qw avx512f /proc/cpuinfo 2>/dev/null && grep -qw avx512dq /proc/cpuinfo && grep -qw avx512bw /proc/cpuinfo; then \
+		for run in p1-np2 p2-np2 p2-np3; do \
+			share=$$(sed -n 's/^  "lane_share": \([0-9.e+-]*\),*$$/\1/p' $$tmp/$$run.json) && width=$$(field $$run lane_width) && \
+			{ test "$$share" = 1 && test "$$width" = 8 || \
+				{ echo "smoke-ranks: $$run lane_share='$$share' lane_width='$$width' on an AVX-512 host, want 1 and 8"; exit 1; }; }; \
+		done; \
+	fi && \
+	echo "smoke-ranks: -np 2 under GOMAXPROCS=1 and 2 same lnL bits after every iteration, same tree; $$polled polled receives at GOMAXPROCS=2, none where the gate is off; Γ lane width $$(field p2-np2 lane_width), lane share $$(sed -n 's/^  "lane_share": \([0-9.e+-]*\),*$$/\1/p' $$tmp/p2-np2.json) OK"
 
 # smoke-trace exercises the observability plane end to end
 # (docs/OBSERVABILITY.md): a 2-process loopback run streams per-rank

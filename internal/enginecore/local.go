@@ -187,6 +187,8 @@ func (l *Local) Close() {
 			s := k.FastPath()
 			perf.PCacheHits += s.PCacheHits
 			perf.PCacheMisses += s.PCacheMisses
+			perf.PSetAllocs += s.PSetAllocs
+			perf.PSetDrops += s.PSetDrops
 			perf.TipTipNewviews += s.NewviewTipTip
 			perf.TipTableEntries += s.TipTableEntries
 			perf.SiteRateTableEvals += s.SiteRateTableEvals
@@ -194,6 +196,7 @@ func (l *Local) Close() {
 			perf.Sites += s.Sites
 			perf.LaneSites += s.LaneSites
 		}
+		perf.LaneWidth = int64(likelihood.LaneWidth())
 		l.rec.SetKernelPerf(perf)
 		l.rec = nil
 	}

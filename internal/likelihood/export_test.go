@@ -109,15 +109,25 @@ func (k *Kernel) LoadTipAsInner(slot, taxon int) {
 	clear(scale)
 }
 
-// HasLanes reports whether this CPU runs the vector lanes of the Γ
-// workers (lanes.go).
-func HasLanes() bool { return haveLanes }
+// LaneWidths returns the widths of the Γ site lanes this CPU runs, 0 (the
+// Go loops) first: some of 0, 4 and 8 (lanes.go).
+func LaneWidths() []int {
+	w := []int{0}
+	if haveLanes {
+		w = append(w, 4)
+	}
+	if haveLanes8 {
+		w = append(w, 8)
+	}
+	return w
+}
 
-// SetLanes turns the vector lanes on (where the CPU has them) or off and
-// returns whether they were on. Call it between programs.
-func SetLanes(on bool) (was bool) {
-	was = laneMask != 0
-	laneMask = laneMaskFor(on)
+// SetLanes sets the lanes to the widest of 8, 4 and 0 that is at most
+// width and that the CPU runs, and returns the width they had. Call it
+// between programs.
+func SetLanes(width int) (was int) {
+	was = laneWidth
+	laneWidth, laneMask = lanesFor(width)
 	return was
 }
 

@@ -50,6 +50,11 @@ type FastPathStats struct {
 	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
 	// activity; a reset drops the whole cache after a parameter change.
 	PCacheHits, PCacheMisses, PCacheResets int64
+	// PSetAllocs counts the P-matrix sets a miss allocated because no idle
+	// set was large enough; PSetDrops the idle sets it let go as sized for
+	// fewer categories than the model has now. A miss that allocates
+	// nothing reused an idle set.
+	PSetAllocs, PSetDrops int64
 	// TipTableEntries counts the entries the tip-table fills produced, one
 	// per (category, code) pair (of 16 per category and fill), plus the
 	// codes the prep-table fills produced entries for (of 16 per fill; a
@@ -94,7 +99,9 @@ func (k *Kernel) takePMatrices() [][ns * ns]float64 {
 			return m[:need]
 		}
 		// Sized for fewer categories than the model has now: let it go.
+		k.fp.PSetDrops++
 	}
+	k.fp.PSetAllocs++
 	return make([][ns * ns]float64, need)
 }
 

@@ -147,7 +147,7 @@ func TestFastPathBitIdenticalToGeneric(t *testing.T) {
 			pool.Close()
 			sameBits(t, label+": tip workers vs tips as inner operands", got, want)
 			checkTipReference(t, label, fast, ref)
-			checkLanesReached(t, label, het, likelihood.HasLanes(), fast.Kernel)
+			checkLanesReached(t, label, het, hostLaneWidth(), fast.Kernel)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob
 	n := k.nPat
 	w := len(site)
 	noScale = noScale[:w]
-	nl := w & laneMask
+	nl := gammaLaneSites(w)
 	tipsB := tipWindow(ob, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		// One matrix set under Newview's two names: the expressions below
@@ -145,7 +145,7 @@ func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob
 		b0, b1, b2, b3 := operandPlanes(ob, n, c*ns*n+lo, w)
 		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		laneScore(site, a0, b0, tipsB, tabB, ob.tips != nil, t0, tbase, n, pca, f0, f1, f2, f3, catW, noScale, nl)
+		scoreLanes(site, a0, b0, tipsB, tabB, ob.tips != nil, t0, tbase, n, pca, f0, f1, f2, f3, catW, noScale, nl)
 		for j := nl; j < len(site); j++ {
 			var la, lb [ns]float64
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]

@@ -591,10 +591,10 @@ func deepCombPSR(t *testing.T) *fixture {
 // inner vertices on either side of a step and of the root edge) and of the
 // deep comb, whose recursions rescale, at MinSiteRate, 1 and MaxSiteRate.
 func TestSiteLnLLanesMatchGoLoop(t *testing.T) {
-	if !likelihood.HasLanes() {
+	if hostLaneWidth() == 0 {
 		t.Skip("this CPU has no AVX2: the Go recursion computes every site")
 	}
-	defer likelihood.SetLanes(likelihood.SetLanes(true))
+	defer likelihood.SetLanes(likelihood.SetLanes(8))
 	rng := rand.New(rand.NewSource(28))
 	fixtures := []*fixture{deepCombPSR(t)}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -611,8 +611,8 @@ func TestSiteLnLLanesMatchGoLoop(t *testing.T) {
 				for i := 0; i < f.kern.NPatterns(); i++ {
 					var lnl [2]uint64
 					var sc [2]int32
-					for k, on := range []bool{false, true} {
-						likelihood.SetLanes(on)
+					for k, width := range []int{0, 4} {
+						likelihood.SetLanes(width)
 						lnl[k] = math.Float64bits(f.kern.EvaluateSiteAtRate(steps, pRef, qRef, p.Length(0), i, rate))
 						sc[k] = f.kern.SiteScaleCount(i)
 					}

@@ -1,10 +1,14 @@
 package likelihood
 
-import "math"
+import (
+	"math"
 
-// Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes", docs/DETERMINISM.md
-// §8). On a CPU with AVX2 the block workers that multiply a P matrix into a
-// vector, the sum-table workers of both models, and the set-up tables —
+	"repro/internal/msa"
+)
+
+// Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes" and "Eight lanes",
+// docs/DETERMINISM.md §8). On a CPU with AVX2 the block workers that
+// multiply a P matrix into a vector, the sum-table workers of both models, and the set-up tables —
 // P sets and tip tables — run in AVX2 routines (lanes_amd64.s,
 // lanes_psr_amd64.s, lanes_table_amd64.s), each value with the same
 // operands in the same order as the Go expression it replaces, without
@@ -14,13 +18,18 @@ import "math"
 // architecture (lanes_other.go).
 //
 //   - Γ: site lanes. The Newview, evaluation and insertion-score workers
-//     hand the first w & laneMask sites of each category's site loop to a
-//     routine that computes four sites per instruction — one matrix serves
-//     them all — and their Go loop continues with the tail of up to three
-//     sites. One routine per worker serves every operand shape: a flag per
-//     side says whether its factors are the rows of its tip table,
-//     gathered and transposed, or the dot products of its planes — a
-//     cherry is the case of two tips.
+//     hand the first gammaLaneSites(w) sites of each category's site loop
+//     to a routine that computes several sites per instruction — one
+//     matrix serves them all — and their Go loop continues with the rest.
+//     At width 4 (AVX2, lanes_amd64.s) that is w &^ 3 sites, four per
+//     instruction, and the Go loop does the tail of up to three; at width
+//     8 (AVX-512, lanes_avx512_amd64.s) it is every site, eight per
+//     instruction, the last 1–7 under a lane mask, and the Go loop does
+//     none. One routine per worker and width serves every operand shape:
+//     a flag per side says whether its factors are entries of its tip
+//     table — rows gathered and transposed at width 4, one register
+//     permute per state of a table held in registers at width 8 — or the
+//     dot products of its planes; a cherry is the case of two tips.
 //   - Γ sum tables: the table is plane-major like a Γ CLV, so both workers
 //     stream stride-1 over sites in site lanes. The fill (every operand
 //     shape, one routine with tip flags) takes π_x·v_x once per group and
@@ -96,25 +105,75 @@ func foldTerms(groups []siteTerms, n int, d1, d2 float64) (float64, float64) {
 	return d1, d2
 }
 
-// laneMask is ^3 when the lanes run and 0 when they do not: a Γ block of w
-// sites computes its first w & laneMask in lanes, a PSR block all of them
-// when laneMask != 0. Set once, before any kernel runs; tests switch it
-// between programs (export_test.go).
-var laneMask = laneMaskFor(true)
+// laneWidth is the width of the Γ site lanes: 8 where the CPU runs
+// AVX-512 (haveLanes8), 4 where it runs AVX2 alone (haveLanes), 0 where
+// the Go loops compute every site. laneMask is ^3 whenever the lanes run
+// and 0 when they do not: the four-wide routines — the Γ sum tables, the
+// PSR state lanes, the log and the set-up tables, which run at 4 on every
+// width — and, at width 4, the Γ site lanes test it. Both are set once,
+// from the CPU, before any kernel runs; tests switch them between
+// programs (export_test.go).
+var laneWidth, laneMask = lanesFor(8)
 
-// laneMaskFor returns the laneMask that runs the lanes if on and the CPU
-// has them.
-func laneMaskFor(on bool) int {
-	if on && haveLanes {
-		return ^3
+// LaneWidth returns the width the Γ site lanes run at: 8, 4 or 0.
+func LaneWidth() int { return laneWidth }
+
+// lanesFor returns the widest of 8, 4 and 0 that is at most w and that the
+// CPU runs, and the laneMask that goes with it.
+func lanesFor(w int) (width, mask int) {
+	switch {
+	case w >= 8 && haveLanes8:
+		return 8, ^3
+	case w >= 4 && haveLanes:
+		return 4, ^3
 	}
-	return 0
+	return 0, 0
+}
+
+// gammaLaneSites is how many of a Γ block's w sites its Newview,
+// evaluation and insertion-score routines compute in lanes: all of them at
+// width 8 (the last 1–7 under a mask), w &^ 3 at width 4 (the Go loop does
+// the tail of up to three), none at width 0. It is w under a mask — all
+// ones at width 8, -(8>>3) = -1 — so the compiler still sees 0 <= result
+// <= w and the Go loops that continue from it keep their windows' bounds
+// checks out.
+func gammaLaneSites(w int) int {
+	return w & (laneMask | -(laneWidth >> 3))
+}
+
+// newviewLanes, scoreLanes and evaluateLanes compute the first n sites of
+// one category of a Γ Newview, insertion score or evaluation in the site
+// lanes of the current width: laneNewview8 and its siblings for any n,
+// laneNewview and its siblings for n a multiple of 4 (gammaLaneSites).
+func newviewLanes(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int) {
+	if laneWidth == 8 {
+		laneNewview8(d, a, tipsA, tabA, tipA, b, tipsB, tabB, tipB, toff, stride, pa, pb, noScale, n)
+	} else {
+		laneNewview(d, a, tipsA, tabA, tipA, b, tipsB, tabB, tipB, toff, stride, pa, pb, noScale, n)
+	}
+}
+
+func scoreLanes(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int) {
+	if laneWidth == 8 {
+		laneScore8(site, a, b, tipsB, tabB, tipB, t, toff, stride, pm, f0, f1, f2, f3, catW, noScale, n)
+	} else {
+		laneScore(site, a, b, tipsB, tabB, tipB, t, toff, stride, pm, f0, f1, f2, f3, catW, noScale, n)
+	}
+}
+
+func evaluateLanes(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int) {
+	if laneWidth == 8 {
+		laneEvaluate8(site, p, tipsP, tipVec, tipP, q, tipsQ, tab, tipQ, toff, stride, pm, f0, f1, f2, f3, catW, n)
+	} else {
+		laneEvaluate(site, p, tipsP, tipVec, tipP, q, tipsQ, tab, tipQ, toff, stride, pm, f0, f1, f2, f3, catW, n)
+	}
 }
 
 // countSites counts a staged Newview, evaluation or insertion-score
-// operation's sites and the sites its lanes compute: under Γ w & laneMask
-// of every block, which sums to nPat & laneMask because every block but
-// the last is a multiple of 4 wide; under PSR all of them.
+// operation's sites and the sites its lanes compute: under Γ
+// gammaLaneSites of every block, which sums to gammaLaneSites(nPat)
+// because every block but the last is a multiple of 8 wide; under PSR all
+// of them.
 func (k *Kernel) countSites() {
 	k.fp.Sites += int64(k.nPat)
 	switch {
@@ -122,7 +181,7 @@ func (k *Kernel) countSites() {
 	case k.psr:
 		k.fp.LaneSites += int64(k.nPat)
 	default:
-		k.fp.LaneSites += int64(k.nPat & laneMask)
+		k.fp.LaneSites += int64(gammaLaneSites(k.nPat))
 	}
 }
 

@@ -3,7 +3,7 @@ package likelihood
 import "repro/internal/msa"
 
 // The AVX2 routines of lanes_amd64.s (Γ site lanes, the Γ sum-table
-// workers among them), lanes_psr_amd64.s (PSR state lanes and the PSR
+// workers among them), lanes_avx512_amd64.s (the Γ site lanes eight wide), lanes_psr_amd64.s (PSR state lanes and the PSR
 // sum-table workers), lanes_log_amd64.s (the log), lanes_exp_amd64.s
 // (the exponential) and lanes_table_amd64.s (P-matrix assembly and tip
 // tables), and the CPU checks that enable them. Each routine's
@@ -45,6 +45,19 @@ var haveLanes = func() bool {
 	return ebx7&(1<<5) != 0
 }()
 
+// haveLanes8 reports whether the CPU runs the eight-wide Γ site lanes:
+// the AVX2 lanes run, CPUID leaf 7 EBX has AVX512F (16), AVX512DQ (17)
+// and AVX512BW (30), and XCR0 enables the opmask and ZMM state (bits 5,
+// 6 and 7).
+var haveLanes8 = func() bool {
+	if !haveLanes {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const f, dq, bw = 1 << 16, 1 << 17, 1 << 30
+	return ebx7&(f|dq|bw) == f|dq|bw && xgetbv()&0xe0 == 0xe0
+}()
+
 // haveExpLanes reports whether laneExp runs: the lanes run and CPUID leaf
 // 1 ECX has FMA (12). That is exactly where math.Exp takes the FMA arm of
 // archExp (math's useFMA is AVX && FMA), the arm laneExp transcribes; on
@@ -69,6 +82,15 @@ func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB boo
 
 //go:noescape
 func laneEvaluate(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)
+
+//go:noescape
+func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int)
+
+//go:noescape
+func laneScore8(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+
+//go:noescape
+func laneEvaluate8(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)
 
 //go:noescape
 func laneGammaPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride int, ut, uinv *[ns * ns]float64, freqs *[ns]float64, n int)

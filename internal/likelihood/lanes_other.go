@@ -4,12 +4,13 @@ package likelihood
 
 import "repro/internal/msa"
 
-// Without the amd64 routines every lane call does 0 sites: laneMask stays
-// 0, and the workers' Go loops compute every site. The PSR routines, the
-// Γ derivative routine, laneSiteLnL, laneAssemble and laneTipTable are
-// only called while laneMask != 0, laneExp only while haveExpLanes holds.
+// Without the amd64 routines every lane call does 0 sites: laneWidth and
+// laneMask stay 0, and the workers' Go loops compute every site. The PSR
+// routines, the Γ derivative routine, laneSiteLnL, laneAssemble and
+// laneTipTable are only called while laneMask != 0, laneExp only while
+// haveExpLanes holds.
 
-const haveLanes, haveExpLanes = false, false
+const haveLanes, haveLanes8, haveExpLanes = false, false, false
 
 func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int) {
 }
@@ -18,6 +19,15 @@ func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB boo
 }
 
 func laneEvaluate(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int) {
+}
+
+func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int) {
+}
+
+func laneScore8(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int) {
+}
+
+func laneEvaluate8(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int) {
 }
 
 func laneGammaPrepare(st, p []float64, tipsP []msa.State, tabP []float64, tipP bool, q []float64, tipsQ []msa.State, tabQ []float64, tipQ bool, stride int, ut, uinv *[ns * ns]float64, freqs *[ns]float64, n int) {

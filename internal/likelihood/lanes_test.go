@@ -100,7 +100,7 @@ func TestLanesMatchGoLoop(t *testing.T) {
 	if !haveLanes {
 		t.Skip("this CPU has no AVX2: the lanes never run, the Go loops compute every site")
 	}
-	defer SetLanes(SetLanes(true))
+	defer SetLanes(SetLanes(8))
 
 	const nPat = 300
 	rng := rand.New(rand.NewSource(27))
@@ -227,13 +227,15 @@ func TestLanesMatchGoLoop(t *testing.T) {
 			{"insertion score tip", score(tip)},
 		}
 		for _, c := range cases {
-			SetLanes(false)
+			SetLanes(0)
 			want := c.run()
-			SetLanes(true)
-			got := c.run()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s, sites [%d, %d): output %d is %x with lanes, %x from the Go loop", c.name, lo, hi, i, got[i], want[i])
+			for _, width := range LaneWidths()[1:] {
+				SetLanes(width)
+				got := c.run()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s, sites [%d, %d): output %d is %x at width %d, %x from the Go loop", c.name, lo, hi, i, got[i], width, want[i])
+					}
 				}
 			}
 		}
@@ -334,7 +336,7 @@ func TestPSRLanesMatchGoLoop(t *testing.T) {
 	if !haveLanes {
 		t.Skip("this CPU has no AVX2: the lanes never run, the Go loops compute every site")
 	}
-	defer SetLanes(SetLanes(true))
+	defer SetLanes(SetLanes(8))
 
 	const nPat = 300
 	rng := rand.New(rand.NewSource(28))
@@ -471,9 +473,9 @@ func TestPSRLanesMatchGoLoop(t *testing.T) {
 			{"insertion score tip", score(tip)},
 		}
 		for _, c := range cases {
-			SetLanes(false)
+			SetLanes(0)
 			want := c.run()
-			SetLanes(true)
+			SetLanes(4)
 			got := c.run()
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d outputs with lanes, %d from the Go loop", c.name, len(got), len(want))
@@ -654,7 +656,7 @@ func TestLaneExpMatchesMathExp(t *testing.T) {
 // exponentials underflow, NaN and +Inf lengths and rates, and schedules
 // long enough to span several batches.
 func TestPMatrixSetsMatchProbMatrix(t *testing.T) {
-	defer SetLanes(SetLanes(true))
+	defer SetLanes(SetLanes(8))
 	rng := rand.New(rand.NewSource(33))
 	lengths := []float64{0, 1e-8, 0.01, 0.1, 1, 7, 100, 1e4, math.NaN(), math.Inf(1)}
 	for trial := 0; trial < 40; trial++ {
@@ -698,7 +700,7 @@ func TestPMatrixSetsMatchProbMatrix(t *testing.T) {
 		}
 		rootT, rate := lengths[rng.Intn(len(lengths))], []float64{math.Exp(rng.NormFloat64()), math.NaN(), math.Inf(1)}[trial%3]
 		for _, lanes := range []bool{false, true} {
-			SetLanes(lanes)
+			SetLanes(4 * b2i(lanes))
 			for _, bl := range lengths {
 				got := make([][ns * ns]float64, len(par.CatRates))
 				k.probMatrices(bl, got)
@@ -829,7 +831,7 @@ func TestLaneTipTableMatchesGoFill(t *testing.T) {
 	if !haveLanes {
 		t.Skip("this CPU has no AVX2: the Go loop fills every tip table")
 	}
-	defer SetLanes(SetLanes(true))
+	defer SetLanes(SetLanes(8))
 	rng := rand.New(rand.NewSource(39))
 	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
 	special := []float64{defaultNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
@@ -873,7 +875,7 @@ func TestLaneTipTableMatchesGoFill(t *testing.T) {
 			for j := range tabs[i] {
 				tabs[i][j] = sentinel
 			}
-			SetLanes(lanes)
+			SetLanes(4 * b2i(lanes))
 			k.fillTipTable(tabs[i], pm, mask, catMask)
 		}
 		if !sameBits(tabs[0], tabs[1]) {
@@ -908,14 +910,15 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestLaneSitesCounted: on a CPU with AVX2 an evaluation reports the sites
-// its lanes computed — under Γ every block's w &^ 3, under PSR every site,
-// there being no tail — and with the lanes off it reports none, so a run
-// that fell back to the Go loops says so in its own counters.
+// its lanes computed — under Γ every block's w &^ 3 at width 4 and every
+// site at width 8, under PSR every site at either width, there being no
+// tail — and with the lanes off it reports none, so a run that fell back
+// to the Go loops says so in its own counters.
 func TestLaneSitesCounted(t *testing.T) {
 	if !haveLanes {
 		t.Skip("this CPU has no AVX2: the lanes never run")
 	}
-	defer SetLanes(SetLanes(true))
+	defer SetLanes(SetLanes(8))
 	const nPat = 2*threadpool.BlockSize + 7
 	pd := &msa.PartitionData{Name: "lanes", Tips: [][]msa.State{make([]msa.State, nPat)}, Weights: make([]int, nPat)}
 	for i := range pd.Weights {
@@ -931,8 +934,8 @@ func TestLaneSitesCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.LoadTipAsInner(0, 0)
-		for _, on := range []bool{true, false} {
-			SetLanes(on)
+		for _, width := range LaneWidths() {
+			SetLanes(width)
 			before := k.FastPath()
 			k.Evaluate(TipAt(0), InnerAt(0), 0.1)
 			k.Flush(nil)
@@ -940,13 +943,13 @@ func TestLaneSitesCounted(t *testing.T) {
 			sites, lanes := fp.Sites-before.Sites, fp.LaneSites-before.LaneSites
 			want := int64(nPat - 7 + 4)
 			switch {
-			case !on:
+			case width == 0:
 				want = 0
-			case het == model.PSR:
+			case het == model.PSR, width == 8:
 				want = nPat
 			}
 			if sites != nPat || lanes != want {
-				t.Errorf("%v, lanes on=%v: one evaluation counted %d sites, %d in lanes; want %d and %d", het, on, sites, lanes, nPat, want)
+				t.Errorf("%v, width %d: one evaluation counted %d sites, %d in lanes; want %d and %d", het, width, sites, lanes, nPat, want)
 			}
 		}
 	}
@@ -955,8 +958,8 @@ func TestLaneSitesCounted(t *testing.T) {
 // BenchmarkGammaLanes times each Γ worker over one full block (256 sites,
 // all four categories, ordinary values) — the sum-table fill and
 // derivative among them, and the Newview of a cherry — and the set-up
-// tables (a 32-matrix P set, a tip table of all 16 codes), lanes off and
-// on: a diagnostic of the routines, not evidence of a gain (that is the
+// tables (a 32-matrix P set, a tip table of all 16 codes), at every lane
+// width the CPU runs: a diagnostic of the routines, not evidence of a gain (that is the
 // end-to-end benchmark's).
 func BenchmarkGammaLanes(b *testing.B) {
 	const nPat = threadpool.BlockSize
@@ -1020,14 +1023,11 @@ func BenchmarkGammaLanes(b *testing.B) {
 		{"p-set", func() { benchPSet(par.Eigen, false) }},
 		{"tip-table", func() { k.fillTipTable(tab, pm, 0xffff, nil) }},
 	}
-	defer SetLanes(SetLanes(false))
+	defer SetLanes(SetLanes(0))
 	for _, w := range workers {
-		for _, lanes := range []bool{false, true} {
-			if lanes && !haveLanes {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/lanes=%v", w.name, lanes), func(b *testing.B) {
-				SetLanes(lanes)
+		for _, width := range LaneWidths() {
+			b.Run(fmt.Sprintf("%s/width=%d", w.name, width), func(b *testing.B) {
+				SetLanes(width)
 				for i := 0; i < b.N; i++ {
 					w.run()
 				}
@@ -1038,7 +1038,7 @@ func BenchmarkGammaLanes(b *testing.B) {
 
 // BenchmarkPSRLanes times each PSR worker that has state lanes over one
 // full block (256 sites, MaxPSRCategories categories, ordinary values),
-// lanes off and on, the single-site recursion of a 16-taxon schedule, and
+// at every lane width the CPU runs (4 and 8 run the same state lanes), the single-site recursion of a 16-taxon schedule, and
 // the set-up tables (a 32-matrix transposed P set, a tip table under its
 // taxon's category masks): a diagnostic of the routines, not evidence of
 // a gain (that is the end-to-end benchmark's).
@@ -1122,14 +1122,11 @@ func BenchmarkPSRLanes(b *testing.B) {
 		{"p-set", func() { benchPSet(par.Eigen, true) }},
 		{"tip-table", func() { k.fillTipTable(tab, pm, k.tipMasks[0].mask, k.tipMasks[0].catMask) }},
 	}
-	defer SetLanes(SetLanes(false))
+	defer SetLanes(SetLanes(0))
 	for _, w := range workers {
-		for _, lanes := range []bool{false, true} {
-			if lanes && !haveLanes {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/lanes=%v", w.name, lanes), func(b *testing.B) {
-				SetLanes(lanes)
+		for _, width := range LaneWidths() {
+			b.Run(fmt.Sprintf("%s/width=%d", w.name, width), func(b *testing.B) {
+				SetLanes(width)
 				for i := 0; i < b.N; i++ {
 					w.run()
 				}
@@ -1163,13 +1160,13 @@ func BenchmarkLaneExp(b *testing.B) {
 		src[i] = -rng.ExpFloat64() * 3
 	}
 	v := make([]float64, len(src))
-	defer SetLanes(SetLanes(false))
+	defer SetLanes(SetLanes(0))
 	for _, lanes := range []bool{false, true} {
 		if lanes && !haveExpLanes {
 			continue
 		}
 		b.Run(fmt.Sprintf("lanes=%v", lanes), func(b *testing.B) {
-			SetLanes(lanes)
+			SetLanes(4 * b2i(lanes))
 			for i := 0; i < b.N; i++ {
 				copy(v, src)
 				expAll(v)
@@ -1188,13 +1185,13 @@ func BenchmarkLaneLog(b *testing.B) {
 		src[i] = rng.Float64() * math.Pow(10, -float64(rng.Intn(40)))
 	}
 	v := make([]float64, len(src))
-	defer SetLanes(SetLanes(false))
+	defer SetLanes(SetLanes(0))
 	for _, lanes := range []bool{false, true} {
 		if lanes && !haveLanes {
 			continue
 		}
 		b.Run(fmt.Sprintf("lanes=%v", lanes), func(b *testing.B) {
-			SetLanes(lanes)
+			SetLanes(4 * b2i(lanes))
 			for i := 0; i < b.N; i++ {
 				copy(v, src)
 				logSites(v)

@@ -18,12 +18,14 @@ const gammaCats = model.GammaCategories
 // the vectorizable shape of BEAGLE's CPU kernels.
 //
 // Vector lanes (lanes.go): on a CPU with AVX2 the Newview, evaluation,
-// insertion-score and sum-table fill workers hand the first nl = w & laneMask sites of each
-// category's site loop to an AVX2 routine that computes four sites per
-// instruction, and their Go loop continues at nl — the tail, and every
-// site where the lanes do not run. The Go loop is the single statement of
-// each expression; a lane evaluates it for its site with the same operands
-// in the same order.
+// insertion-score and sum-table fill workers hand the first nl sites of
+// each category's site loop to a routine that computes four sites per
+// instruction (eight for the first three workers on a CPU with AVX-512),
+// and their Go loop continues at nl — the tail, and every site where the
+// lanes do not run. nl is w & laneMask for the fill and gammaLaneSites(w)
+// for the other three: w &^ 3 at width 4, w at width 8. The Go loop is the
+// single statement of each expression; a lane evaluates it for its site
+// with the same operands in the same order.
 //
 // Expression order (docs/DETERMINISM.md §8): a site's value is one fixed
 // expression (operands and association order) whichever worker computes
@@ -78,15 +80,23 @@ func scaleWindow(s []int32, lo, w int) []int32 {
 // computes the product from its planes, and the value is la·lb. A cherry
 // is the case of two tips.
 func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
-	n := k.nPat
-	w := hi - lo
 	// noScale[j] records that site lo+j produced at least one entry at
 	// or above ScaleThreshold (or a NaN) — an order-independent OR over
 	// the column's entries; a site with none is rescaled. Stack scratch:
 	// per-goroutine, so concurrent blocks never share it.
 	var noScaleBuf [threadpool.BlockSize]bool
-	noScale := noScaleBuf[:w]
-	nl := w & laneMask
+	noScale := noScaleBuf[:hi-lo]
+	k.newviewGammaSites(dclv, noScale, oa, ob, tabA, tabB, pa, pb, lo)
+	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, ob.scale, noScale, lo)
+}
+
+// newviewGammaSites stores the unscaled values of newviewGammaSoABlock's
+// block, the len(noScale) sites from lo, into dclv and ORs each site's
+// scale test into noScale (zeroed).
+func (k *Kernel) newviewGammaSites(dclv []float64, noScale []bool, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo int) {
+	n := k.nPat
+	w := len(noScale)
+	nl := gammaLaneSites(w)
 	tipsA, tipsB := tipWindow(oa, lo, w), tipWindow(ob, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		pca := &pa[c]
@@ -99,7 +109,7 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 		b0, b1, b2, b3 := operandPlanes(ob, n, c*ns*n+lo, w)
 		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		laneNewview(d0, a0, tipsA, tabA, oa.tips != nil, b0, tipsB, tabB, ob.tips != nil, tbase, n, pca, pcb, noScale, nl)
+		newviewLanes(d0, a0, tipsA, tabA, oa.tips != nil, b0, tipsB, tabB, ob.tips != nil, tbase, n, pca, pcb, noScale, nl)
 		for j := nl; j < len(noScale); j++ {
 			var la, lb [ns]float64
 			if oa.tips != nil {
@@ -132,7 +142,6 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 			}
 		}
 	}
-	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, ob.scale, noScale, lo)
 }
 
 // finishNewviewGammaSoA applies the per-site scaling decision and writes
@@ -189,14 +198,14 @@ func (k *Kernel) evaluateGammaSites(site []float64, op, oq operand, pm [][ns * n
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	n := k.nPat
 	w := len(site)
-	nl := w & laneMask
+	nl := gammaLaneSites(w)
 	tipsP, tipsQ := tipWindow(op, lo, w), tipWindow(oq, lo, w)
 	for c := 0; c < gammaCats; c++ {
 		pc := &pm[c]
 		p0, p1, p2, p3 := operandPlanes(op, n, c*ns*n+lo, w)
 		q0, q1, q2, q3 := operandPlanes(oq, n, c*ns*n+lo, w)
 		tbase := c * 16 * ns
-		laneEvaluate(site, p0, tipsP, &k.tipVec, op.tips != nil, q0, tipsQ, tab, oq.tips != nil, tbase, n, pc, f0, f1, f2, f3, catW, nl)
+		evaluateLanes(site, p0, tipsP, &k.tipVec, op.tips != nil, q0, tipsQ, tab, oq.tips != nil, tbase, n, pc, f0, f1, f2, f3, catW, nl)
 		for j := nl; j < len(site); j++ {
 			var vp, right [ns]float64
 			if op.tips != nil {

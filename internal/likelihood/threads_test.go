@@ -157,9 +157,9 @@ func sameBits(t *testing.T, label string, got, want []uint64) {
 // kind of program (docs/DETERMINISM.md §2 and §8) — with the vector lanes
 // on and off, the reference run without them.
 func TestThreadedKernelsBitIdentical(t *testing.T) {
-	defer likelihood.SetLanes(likelihood.SetLanes(false))
+	defer likelihood.SetLanes(likelihood.SetLanes(0))
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		likelihood.SetLanes(false)
+		likelihood.SetLanes(0)
 		oracle, _ := threadedFixture(t, het, 0)
 		want := programTrace(t, oracle.tree, passThrough(oracle), (*likelihood.Kernel).FlushOpMajor)
 		for _, lanes := range laneSettings(t) {
@@ -168,7 +168,7 @@ func TestThreadedKernelsBitIdentical(t *testing.T) {
 				f, pool := threadedFixture(t, het, threads)
 				got := programTrace(t, f.tree, passThrough(f), func(k *likelihood.Kernel) { k.Flush(pool) })
 				pool.Close()
-				label := fmt.Sprintf("%v T=%d lanes=%v", het, threads, lanes)
+				label := fmt.Sprintf("%v T=%d width=%d", het, threads, lanes)
 				sameBits(t, label+": block-major vs op-major without lanes", got, want)
 				checkLanesReached(t, label, het, lanes, f.kern.Kernel)
 			}
@@ -176,35 +176,46 @@ func TestThreadedKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// laneSettings are the settings of the workers' vector lanes a kernel
-// test runs under: off, and on where the CPU has them. The lanes-off run
-// is every test's reference.
-func laneSettings(t *testing.T) []bool {
-	if !likelihood.HasLanes() {
-		t.Log("this CPU has no AVX2: the lanes-on runs are skipped")
-		return []bool{false}
+// laneSettings are the lane widths a kernel test runs under: 0, the Go
+// loops, which is every test's reference, and each width the CPU runs —
+// 4 and 8 on an AVX-512 CPU, so the four-wide routines stay under test
+// there too.
+func laneSettings(t *testing.T) []int {
+	w := likelihood.LaneWidths()
+	if len(w) == 1 {
+		t.Log("this CPU has no AVX2: the runs in lanes are skipped")
 	}
-	return []bool{false, true}
+	return w
+}
+
+// hostLaneWidth is the width the lanes run at unless a test sets another:
+// the widest the CPU runs.
+func hostLaneWidth() int {
+	w := likelihood.LaneWidths()
+	return w[len(w)-1]
 }
 
 // checkLanesReached fails unless a kernel's Newview, evaluation and
-// insertion-score sites reached the vector lanes as they should: with the
-// lanes on, every PSR site (there is no tail) and under Γ every site but
-// the tail of up to three per operation — nPat & ^3 of every nPat, every
-// operand shape having lanes — so a test that runs lanes on compares them,
-// not the Go loops twice; with them off, none.
-func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, lanes bool, k *likelihood.Kernel) {
+// insertion-score sites reached the vector lanes as they should at lane
+// width: at width 4 or 8 every PSR site (there is no tail), under Γ every
+// site at width 8 (the last 1–7 of a block under a mask) and every site
+// but the tail of up to three per operation at width 4 — nPat &^ 3 of
+// every nPat, every operand shape having lanes — so a test that runs
+// lanes compares them, not the Go loops twice; at width 0, none.
+func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, width int, k *likelihood.Kernel) {
 	t.Helper()
 	fp, nPat := k.FastPath(), int64(k.NPatterns())
 	switch {
 	case fp.Sites == 0:
 		t.Errorf("%s: no Newview, evaluation or insertion-score site counted", label)
-	case !lanes && fp.LaneSites != 0:
+	case width == 0 && fp.LaneSites != 0:
 		t.Errorf("%s: %d of %d sites in lanes that are off", label, fp.LaneSites, fp.Sites)
-	case lanes && het == model.PSR && fp.LaneSites != fp.Sites:
+	case width != 0 && het == model.PSR && fp.LaneSites != fp.Sites:
 		t.Errorf("%s: %d of %d PSR sites in lanes, want every one", label, fp.LaneSites, fp.Sites)
-	case lanes && het == model.Gamma && fp.LaneSites*nPat != fp.Sites*(nPat&^3):
-		t.Errorf("%s: %d of %d Γ sites in lanes, want %d of every %d", label, fp.LaneSites, fp.Sites, nPat&^3, nPat)
+	case width == 8 && het == model.Gamma && fp.LaneSites != fp.Sites:
+		t.Errorf("%s: %d of %d Γ sites in lanes at width 8, want every one", label, fp.LaneSites, fp.Sites)
+	case width == 4 && het == model.Gamma && fp.LaneSites*nPat != fp.Sites*(nPat&^3):
+		t.Errorf("%s: %d of %d Γ sites in lanes at width 4, want %d of every %d", label, fp.LaneSites, fp.Sites, nPat&^3, nPat)
 	}
 }
 

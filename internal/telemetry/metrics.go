@@ -89,4 +89,8 @@ func (r *Report) Publish(reg *metrics.Registry) {
 		"P-matrix cache hit rate of the last completed run.").Set(r.PCacheHitRate)
 	reg.Gauge("examl_run_pool_utilization",
 		"Thread-pool block utilization of the last completed run.").Set(r.PoolUtilization)
+	reg.Gauge("examl_run_lane_share",
+		"Share of the last completed run's site work computed in vector lanes.").Set(r.LaneShare)
+	reg.Gauge("examl_run_lane_width",
+		"Narrowest Γ site-lane width a rank of the last completed run ran: 8, 4 or 0.").Set(float64(r.LaneWidth))
 }

@@ -119,10 +119,17 @@ type Report struct {
 	PCacheHitRate float64 `json:"pcache_hit_rate"`
 	// Sites is the Newview, evaluation and insertion-score site work of
 	// both rate models summed across ranks; LaneShare the share of it
-	// computed in AVX2 vector lanes (docs/PERFORMANCE.md §6) — 1 under PSR
-	// on an AVX2 CPU, 0 when a run fell back to the Go loops.
+	// computed in vector lanes (docs/PERFORMANCE.md §6) — 1 under PSR on
+	// an AVX2 CPU and under Γ on an AVX-512 one, 0 when a run fell back to
+	// the Go loops. LaneWidth is the narrowest Γ site-lane width a rank
+	// ran: 8, 4 or 0.
 	Sites     int64   `json:"sites"`
 	LaneShare float64 `json:"lane_share"`
+	LaneWidth int64   `json:"lane_width"`
+	// PSetAllocs and PSetDrops are the P-matrix sets allocated and the
+	// idle ones let go as too small, summed across ranks.
+	PSetAllocs int64 `json:"pset_allocs"`
+	PSetDrops  int64 `json:"pset_drops"`
 	// ModelProbesPerRound is model-parameter probes (SetShared + forced
 	// traversal + evaluation) per model-optimization round, from rank 0
 	// (0 when no round ran).
@@ -191,6 +198,11 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 		pcMiss += r.perf.PCacheMisses
 		rep.Sites += r.perf.Sites
 		laneSites += r.perf.LaneSites
+		if rs.Rank == 0 || r.perf.LaneWidth < rep.LaneWidth {
+			rep.LaneWidth = r.perf.LaneWidth
+		}
+		rep.PSetAllocs += r.perf.PSetAllocs
+		rep.PSetDrops += r.perf.PSetDrops
 	}
 	rep.LaneShare = ratio(laneSites, rep.Sites)
 	if tot := pcHits + pcMiss; tot > 0 {
@@ -324,8 +336,12 @@ func (r *Report) String() string {
 	if r.PCacheHitRate > 0 {
 		fmt.Fprintf(&b, "  P-matrix cache hit rate                %8.3f\n", r.PCacheHitRate)
 	}
+	if r.PCacheHitRate > 0 || r.PSetAllocs > 0 {
+		fmt.Fprintf(&b, "  P-matrix sets allocated / dropped      %d / %d\n", r.PSetAllocs, r.PSetDrops)
+	}
 	if r.Sites > 0 {
 		fmt.Fprintf(&b, "  site work in vector lanes              %8.3f\n", r.LaneShare)
+		fmt.Fprintf(&b, "  Γ site-lane width                      %8d\n", r.LaneWidth)
 	}
 	if r.ModelProbesPerRound > 0 {
 		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)

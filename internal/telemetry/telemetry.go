@@ -498,6 +498,11 @@ func (r *Recorder) SetRecv(s RecvStats) {
 type KernelPerf struct {
 	PCacheHits   int64 `json:"pcache_hits,omitempty"`
 	PCacheMisses int64 `json:"pcache_misses,omitempty"`
+	// PSetAllocs / PSetDrops are the P-matrix sets a miss allocated
+	// because no idle set was large enough, and the idle sets it let go
+	// as sized for fewer categories than the model has now.
+	PSetAllocs int64 `json:"pset_allocs,omitempty"`
+	PSetDrops  int64 `json:"pset_drops,omitempty"`
 	// TipTipNewviews is the number of tip-tip newview calls (cherries);
 	// TipTableEntries the (category, code) entries the tip tables held
 	// plus the codes the prep tables held.
@@ -512,10 +517,12 @@ type KernelPerf struct {
 	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
 	// Sites are the sites of the Newview, evaluation and insertion-score
 	// operations of both rate models, one per site and operation;
-	// LaneSites those of them computed in AVX2 vector lanes
-	// (docs/PERFORMANCE.md §6).
+	// LaneSites those of them computed in vector lanes, and LaneWidth the
+	// width of the rank's Γ site lanes: 8 (AVX-512), 4 (AVX2) or 0 (the Go
+	// loops; docs/PERFORMANCE.md §6).
 	Sites     int64 `json:"sites,omitempty"`
 	LaneSites int64 `json:"lane_sites,omitempty"`
+	LaneWidth int64 `json:"lane_width,omitempty"`
 }
 
 // ratio returns a/b, 0 when b is 0.
@@ -549,9 +556,9 @@ func (r *Recorder) SetKernelPerf(p KernelPerf) {
 	r.perf = p
 	if c := r.col; c != nil {
 		collectives := sum(r.collOps)
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"tiptip_newviews\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"recv_polled\":%d,\"recv_parked\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
-			r.rank, p.PCacheHits, p.PCacheMisses,
-			p.TipTipNewviews, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites,
+		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"pset_allocs\":%d,\"pset_drops\":%d,\"tiptip_newviews\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"lane_width\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"recv_polled\":%d,\"recv_parked\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+			r.rank, p.PCacheHits, p.PCacheMisses, p.PSetAllocs, p.PSetDrops,
+			p.TipTipNewviews, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites, p.LaneWidth,
 			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks, r.recv.Polled, r.recv.Parked,
 			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
 			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],

@@ -147,8 +147,8 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, []string{"x"}, &trace)
-	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996})
-	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596})
+	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996, LaneWidth: 8, PSetAllocs: 2, PSetDrops: 1})
+	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596, LaneWidth: 4, PSetAllocs: 5})
 	endKernel(c.Recorder(0), KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
@@ -191,12 +191,15 @@ func TestKernelPerfReport(t *testing.T) {
 	if rep.Sites != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].LaneSites != 596 {
 		t.Fatalf("sites %d, lane share %v, rank 1 %+v", rep.Sites, rep.LaneShare, rep.PerRank[1])
 	}
+	if rep.LaneWidth != 4 || rep.PSetAllocs != 7 || rep.PSetDrops != 1 {
+		t.Fatalf("lane width %d (want the narrowest rank's, 4), P sets allocated %d, dropped %d", rep.LaneWidth, rep.PSetAllocs, rep.PSetDrops)
+	}
 	if other := rep.Kernels[KernelEvaluate]; other.TableEvals != 0 || other.ExactEvals != 0 {
 		t.Fatalf("single-site evaluations charged to %+v", other)
 	}
 
 	text := rep.String()
-	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995"} {
+	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995", "Γ site-lane width                             4", "P-matrix sets allocated / dropped      7 / 1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -213,7 +216,7 @@ func TestKernelPerfReport(t *testing.T) {
 			if _, ok := ev["pair_table_entries"]; ok {
 				t.Fatalf("perf event has pair_table_entries, but no pair table is built: %v", ev)
 			}
-			for _, field := range []string{"pcache_hits", "tiptip_newviews", "tip_table_entries", "site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+			for _, field := range []string{"pcache_hits", "tiptip_newviews", "tip_table_entries", "site_rate_table_evals", "site_rate_exact_evals", "pset_allocs", "pset_drops", "sites", "lane_sites", "lane_width", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
 				if _, ok := ev[field]; !ok {
 					t.Fatalf("perf event missing %s: %v", field, ev)
 				}
@@ -255,7 +258,7 @@ func TestPerRankKeys(t *testing.T) {
 	r.EndCollective(0, r.BeginCollective())
 	r.SetPool(PoolStats{EngineCalls: 1, Threads: 2, Dispatches: 3, Blocks: 4, Wakes: 5, Parks: 6})
 	r.SetRecv(RecvStats{Polled: 7, Parked: 8})
-	r.SetKernelPerf(KernelPerf{PCacheHits: 1, PCacheMisses: 2, TipTipNewviews: 3, TipTableEntries: 4, SiteRateTableEvals: 5, SiteRateExactEvals: 6, Sites: 7, LaneSites: 8})
+	r.SetKernelPerf(KernelPerf{PCacheHits: 1, PCacheMisses: 2, PSetAllocs: 9, PSetDrops: 10, TipTipNewviews: 3, TipTableEntries: 4, SiteRateTableEvals: 5, SiteRateExactEvals: 6, Sites: 7, LaneSites: 8, LaneWidth: 8})
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -286,8 +289,8 @@ func TestPerRankKeys(t *testing.T) {
 		"rank", "kernel_ns", "kernel_ops", "collective_ns", "collective_ops", "compute_ns", "comm_ns",
 		"engine_calls", "pool_threads", "pool_dispatches", "pool_blocks", "pool_wakes", "pool_parks",
 		"recv_polled", "recv_parked",
-		"pcache_hits", "pcache_misses", "tiptip_newviews", "tip_table_entries",
-		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites",
+		"pcache_hits", "pcache_misses", "pset_allocs", "pset_drops", "tiptip_newviews", "tip_table_entries",
+		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "lane_width",
 	}
 	if strings.Join(keys, " ") != strings.Join(want, " ") {
 		t.Errorf("per_rank keys\n got %v\nwant %v", keys, want)

@@ -8,6 +8,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/likelihood"
 )
 
 // TestTelemetryBitIdentity is the observability contract test: enabling
@@ -77,8 +79,8 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				if rep.CommFraction <= 0 || rep.CommFraction >= 1 {
 					t.Errorf("comm fraction %v outside (0,1)", rep.CommFraction)
 				}
-				if rep.Sites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 {
-					t.Errorf("run reported %d sites, lane share %v", rep.Sites, rep.LaneShare)
+				if rep.Sites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 || rep.LaneWidth != int64(likelihood.LaneWidth()) {
+					t.Errorf("run reported %d sites, lane share %v, lane width %d (the lanes run %d wide)", rep.Sites, rep.LaneShare, rep.LaneWidth, likelihood.LaneWidth())
 				}
 				if rep.Counters["iterations"] != int64(traced.Iterations) {
 					t.Errorf("iterations counter %d != result %d", rep.Counters["iterations"], traced.Iterations)
