@@ -181,7 +181,10 @@ fuzz-smoke:
 # log likelihood to the last bit after every iteration (the trace's
 # "iter" events, as in smoke-ranks), and it must have verified some SPR
 # insertion (spr-verifications > 0 in -stats-json), so that one branch's
-# one-edge gradient plans crossed the wire too.
+# one-edge gradient plans crossed the wire too. The in-process run's trace
+# must hold one "perf" event per rank, three, each with engine calls and
+# receives counted: the master's and the workers' counters are harvested
+# where the run driver harvests every rank's, after the rank's body.
 smoke-net:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/raxml-light ./cmd/seqgen && \
@@ -198,10 +201,13 @@ smoke-net:
 	sed -n 's/.*"ev":"iter","rank":0,.*"lnl":\([^,]*\),.*/\1/p' $$tmp/net.jsonl.rank0 > $$tmp/net.lnl && \
 	test -s $$tmp/ip.lnl && cmp $$tmp/ip.lnl $$tmp/net.lnl && \
 	cmp $$tmp/ip.bestTree.nwk $$tmp/net.bestTree.nwk && \
+	perf=$$(sed -n 's/.*"ev":"perf","rank":\([0-9]*\),.*"engine_calls":\([0-9]*\),.*"recv_polled":\([0-9]*\),"recv_parked":\([0-9]*\),.*/\1:\2:\3:\4/p' $$tmp/ip.jsonl | paste -sd ' ' -) && \
+	{ echo "$$perf" | awk '{ for (i = 1; i <= NF; i++) { split($$i, f, ":"); if (f[2] > 0 && f[3] + f[4] > 0) n++ } } END { exit !(NF == 3 && n == 3) }' || \
+		{ echo "smoke-net: in-process fork-join perf events (rank:engine_calls:recv_polled:recv_parked) '$$perf': want 3, each with engine calls and receives"; exit 1; }; } && \
 	verif=$$(sed -n 's/^ *"spr-verifications": \([0-9]*\),*$$/\1/p' $$tmp/net.json) && \
 	{ test -n "$$verif" && test "$$verif" -gt 0 || \
 		{ echo "smoke-net: fork-join spr-verifications='$$verif', want some"; exit 1; }; } && \
-	echo "smoke-net: 4-process decentralized run OK; 3-process fork-join run same lnL bits after every iteration and same tree as in-process, $$verif verifications OK"
+	echo "smoke-net: 4-process decentralized run OK; 3-process fork-join run same lnL bits after every iteration and same tree as in-process, $$verif verifications; in-process perf events $$perf OK"
 
 # smoke-threads is the §V hybrid drill at the CLI (docs/PERFORMANCE.md §6,
 # docs/DETERMINISM.md §2): the same PSR inference of a 16 × 1500 bp

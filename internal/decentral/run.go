@@ -10,19 +10,18 @@ import (
 
 // rankBody is what a rank of the de-centralized scheme does: build its
 // engine replica and run the identical search on it.
-func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, int64, float64, error) {
+func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, enginecore.RankWork, error) {
 	eng, err := NewEngine(c, d, a, ec)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, enginecore.RankWork{}, err
 	}
 	defer eng.Close()
 	s, err := search.NewSearcher(eng, d, sc)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, eng.local.Work(), err
 	}
 	res, err := s.Run()
-	cols, clv := eng.Stats()
-	return res, cols, clv, err
+	return res, eng.local.Work(), err
 }
 
 // Run executes a full de-centralized inference on cfg.Ranks in-process

@@ -89,9 +89,10 @@ type Local struct {
 	// grows to the whole call.
 	arena likelihood.ProgramArena
 
-	// engineCalls counts flushes: the denominator the pool's dispatch and
-	// wake counts are read against.
-	engineCalls int64
+	// counts are the rank's own per-rank counters: the flushes
+	// (RankEngineCalls), the denominator the pool's dispatch and wake
+	// counts are read against.
+	counts telemetry.RankCounters
 }
 
 // item is one unit of a dispatch: pattern block blk of local kernel k.
@@ -104,9 +105,8 @@ type item struct{ k, blk int32 }
 // cache line of counters per worker, so that two workers never write the
 // same line.
 type workerState struct {
-	ns     [likelihood.NumOpClasses]int64
-	scanNS int64
-	_      [8 - likelihood.NumOpClasses - 1]int64
+	ns     [telemetry.NumKernelClasses]int64
+	_      [8 - telemetry.NumKernelClasses]int64
 	tab    likelihood.SiteRateTable
 	tabFor int32
 }
@@ -158,7 +158,7 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Loc
 	l.execute = func() { l.pool.Dispatch(len(l.items), l.runItem) }
 	l.runItem = func(w, i int) {
 		it := l.items[i]
-		var ns *[likelihood.NumOpClasses]int64
+		var ns *[telemetry.NumKernelClasses]int64
 		if l.rec != nil {
 			ns = &l.work[w].ns
 		}
@@ -171,36 +171,29 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, cfg Config) (*Loc
 // Threads reports the rank's intra-rank concurrency.
 func (l *Local) Threads() int { return l.pool.Threads() }
 
-// Close releases the rank's worker pool (no-op for serial ranks) after
-// harvesting its counters and the kernels' fast-path/cache counters into
-// the telemetry recorder. Idempotent; the kernels must not be used
-// afterwards.
-func (l *Local) Close() {
-	if l.rec != nil {
-		ps := l.pool.Stats()
-		l.rec.SetPool(telemetry.PoolStats{
-			Threads: l.pool.Threads(), Dispatches: ps.Dispatches, Blocks: ps.Items,
-			Wakes: ps.Wakes, Parks: ps.Parks, EngineCalls: l.engineCalls,
-		})
-		var perf telemetry.KernelPerf
-		for _, k := range l.Kernels {
-			s := k.FastPath()
-			perf.PCacheHits += s.PCacheHits
-			perf.PCacheMisses += s.PCacheMisses
-			perf.PSetAllocs += s.PSetAllocs
-			perf.PSetDrops += s.PSetDrops
-			perf.TipTipNewviews += s.NewviewTipTip
-			perf.TipTableEntries += s.TipTableEntries
-			perf.SiteRateTableEvals += s.SiteRateTableEvals
-			perf.SiteRateExactEvals += s.SiteRateExactEvals
-			perf.Sites += s.Sites
-			perf.LaneSites += s.LaneSites
-		}
-		perf.LaneWidth = int64(likelihood.LaneWidth())
-		l.rec.SetKernelPerf(perf)
-		l.rec = nil
+// Close releases the rank's worker pool (no-op for serial ranks).
+// Idempotent; the kernels must not be run afterwards.
+func (l *Local) Close() { l.pool.Close() }
+
+// Work reports what the rank's engine did (see RankWork): its kernel work
+// and footprint, and its per-rank counters — its own, its pool's, the
+// sum of its kernels' tables and the lane width they ran at. Call it
+// between engine calls.
+func (l *Local) Work() RankWork {
+	w := RankWork{Counters: l.counts}
+	w.Columns, w.CLVBytes = l.Stats()
+	ps := l.pool.Stats()
+	c := &w.Counters
+	c[telemetry.RankPoolThreads] = int64(l.pool.Threads())
+	c[telemetry.RankPoolDispatches] = ps.Dispatches
+	c[telemetry.RankPoolBlocks] = ps.Items
+	c[telemetry.RankPoolWakes] = ps.Wakes
+	c[telemetry.RankPoolParks] = ps.Parks
+	for _, k := range l.Kernels {
+		c.Add(k.Counters())
 	}
-	l.pool.Close()
+	c[telemetry.RankLaneWidth] = int64(likelihood.LaneWidth())
+	return w
 }
 
 // BLClasses returns the linkage-class count.
@@ -268,19 +261,16 @@ func (l *Local) staged(ki int) {
 // recorder attached, its wall time is split over the kernel classes in
 // proportion to what the workers measured for each.
 func (l *Local) joined(start int64) {
-	l.engineCalls++
+	l.counts[telemetry.RankEngineCalls]++
 	if l.rec == nil {
 		return
 	}
 	var ns [telemetry.NumKernelClasses]int64
 	for w := range l.work {
-		ws := &l.work[w]
-		ns[telemetry.KernelNewview] += ws.ns[likelihood.ClassNewview]
-		ns[telemetry.KernelEvaluate] += ws.ns[likelihood.ClassEvaluate]
-		ns[telemetry.KernelDerivatives] += ws.ns[likelihood.ClassDerivatives]
-		ns[telemetry.KernelInsertion] += ws.ns[likelihood.ClassInsertion]
-		ns[telemetry.KernelSiteRates] += ws.scanNS
-		ws.ns, ws.scanNS = [likelihood.NumOpClasses]int64{}, 0
+		for k, v := range l.work[w].ns {
+			ns[k] += v
+		}
+		l.work[w].ns = [telemetry.NumKernelClasses]int64{}
 	}
 	l.rec.EndEngineCall(start, &ns)
 }
@@ -538,7 +528,7 @@ func (l *Local) runScanItem(w, i int) {
 	lo, hi := threadpool.BlockBounds(int(it.blk), a.k.NPatterns())
 	a.optimize(lo, hi)
 	if l.rec != nil {
-		ws.scanNS += int64(time.Since(t0))
+		ws.ns[telemetry.KernelSiteRates] += int64(time.Since(t0))
 	}
 }
 

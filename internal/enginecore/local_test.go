@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/msa"
 	"repro/internal/seqgen"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
@@ -553,8 +554,8 @@ func TestBatchingChangesNoBit(t *testing.T) {
 					}
 				}
 				ps := l.pool.Stats()
-				if l.engineCalls != oracle.engineCalls || ps.Dispatches > l.engineCalls {
-					t.Errorf("%s %v T=%d: %d engine calls (oracle %d) made %d pool dispatches, want at most one each", shape.name, het, threads, l.engineCalls, oracle.engineCalls, ps.Dispatches)
+				if l.counts[telemetry.RankEngineCalls] != oracle.counts[telemetry.RankEngineCalls] || ps.Dispatches > l.counts[telemetry.RankEngineCalls] {
+					t.Errorf("%s %v T=%d: %d engine calls (oracle %d) made %d pool dispatches, want at most one each", shape.name, het, threads, l.counts[telemetry.RankEngineCalls], oracle.counts[telemetry.RankEngineCalls], ps.Dispatches)
 				}
 				if threads > 1 && ps.Dispatches == 0 {
 					t.Errorf("%s %v T=%d: no engine call reached the pool", shape.name, het, threads)
@@ -608,7 +609,7 @@ func TestProbeAllocatesNothing(t *testing.T) {
 			}
 			misses := func() (n int64) {
 				for _, k := range l.Kernels {
-					n += k.FastPath().PCacheMisses
+					n += k.Counters()[telemetry.RankPCacheMisses]
 				}
 				return n
 			}

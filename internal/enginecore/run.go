@@ -96,15 +96,25 @@ func (s *RunStats) TelemetryReport(c *telemetry.Collector, threads int) *telemet
 // RankBody is the only thing the two schemes' runs differ in: what one
 // rank does between building its engine and closing it. It returns the
 // rank's search result (nil on a rank that holds no tree — a fork-join
-// worker) and its kernel-side stats. ec.Recorder and sc.Telemetry are
-// already set to the rank's recorder.
+// worker) and its engine's work (Local.Work; zero when the engine was not
+// built). ec.Recorder and sc.Telemetry are already set to the rank's
+// recorder.
 //
 // An error means the rank left the collective sequence where its peers
 // cannot follow — a failed engine build, a frame a worker rejected — so
 // the driver returns it without further communication and the caller's
 // closing of the transport is what the peers observe. The exception is
 // an error wrapped with InStep.
-type RankBody func(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec Config, sc search.Config) (res *search.Result, columns int64, clvBytes float64, err error)
+type RankBody func(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec Config, sc search.Config) (res *search.Result, work RankWork, err error)
+
+// RankWork is what a rank body reports of its engine: kernel column
+// updates and CLV footprint for the cost model, and the rank's per-rank
+// counters but for its transport's, which the driver adds.
+type RankWork struct {
+	Columns  int64
+	CLVBytes float64
+	Counters telemetry.RankCounters
+}
 
 type inStepError struct{ error }
 
@@ -199,8 +209,12 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 	sc.Telemetry = rec
 
 	start := time.Now()
-	res, cols, clv, bodyErr := body(c, d, assign, ec, sc)
+	res, work, bodyErr := body(c, d, assign, ec, sc)
 	wall := time.Since(start)
+	// The one harvest of the rank's counters — its engine's and its
+	// transport's — before the epilogue's receives.
+	work.Counters.Add(c.Counters())
+	rec.Harvest(work.Counters)
 	if bodyErr != nil {
 		bodyErr = fmt.Errorf("enginecore: rank %d: %w", c.Rank(), bodyErr)
 		if !errors.As(bodyErr, new(inStepError)) {
@@ -238,7 +252,7 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 	if res != nil && !bytes.Equal(ref, mine) {
 		diverged = 1
 	}
-	maxima := c.Allreduce([]float64{diverged, float64(cols)}, mpi.OpMax, mpi.ClassControl)
+	maxima := c.Allreduce([]float64{diverged, float64(work.Columns)}, mpi.OpMax, mpi.ClassControl)
 	if maxima[0] != 0 {
 		if diverged != 0 {
 			return nil, nil, fmt.Errorf("enginecore: replica divergence: rank %d holds lnL %v and a tree that are not rank 0's", c.Rank(), res.LnL)
@@ -248,7 +262,7 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 
 	// Aggregate the kernel-side stats, then broadcast rank 0's frozen
 	// meter so all ranks return identical accounting.
-	sums := c.Allreduce([]float64{float64(cols), clv}, mpi.OpSum, mpi.ClassControl)
+	sums := c.Allreduce([]float64{float64(work.Columns), work.CLVBytes}, mpi.OpSum, mpi.ClassControl)
 	var meterJSON []byte
 	if c.Rank() == 0 {
 		if meterJSON, err = json.Marshal(frozen); err != nil {

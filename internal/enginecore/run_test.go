@@ -94,9 +94,9 @@ func onEveryRank(t *testing.T, transport string, size int, f func(c *mpi.Comm) r
 // bodyOf is a rank body that skips the engine and the search: rank r
 // returns what result(r) gives it.
 func bodyOf(result func(rank int) (*search.Result, error)) enginecore.RankBody {
-	return func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, int64, float64, error) {
+	return func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, enginecore.RankWork, error) {
 		res, err := result(c.Rank())
-		return res, int64(10 * (c.Rank() + 1)), 1, err
+		return res, enginecore.RankWork{Columns: int64(10 * (c.Rank() + 1)), CLVBytes: 1}, err
 	}
 }
 
@@ -262,9 +262,9 @@ func TestPeerProtocolMismatchIsAnError(t *testing.T) {
 	d := runDataset(t)
 	// The body's first collective is a 32-value Allreduce: its Reduce
 	// leg is rank 0's collective number 1 and receives from rank 1.
-	body := func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, int64, float64, error) {
+	body := func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, enginecore.RankWork, error) {
 		c.Allreduce(make([]float64, 32), mpi.OpSum, mpi.ClassLikelihoodEval)
-		return nil, 0, 0, nil
+		return nil, enginecore.RankWork{}, nil
 	}
 	cases := []struct {
 		name string

@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/msa"
 	"repro/internal/numutil"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
@@ -28,9 +29,9 @@ func serialScan(l *Local, d *traversal.Descriptor) {
 // siteRateEvals sums the single-site evaluation counters of l's kernels.
 func siteRateEvals(l *Local) (table, exact int64) {
 	for _, k := range l.Kernels {
-		fp := k.FastPath()
-		table += fp.SiteRateTableEvals
-		exact += fp.SiteRateExactEvals
+		fp := k.Counters()
+		table += fp[telemetry.RankSiteRateTableEvals]
+		exact += fp[telemetry.RankSiteRateExactEvals]
 	}
 	return table, exact
 }
@@ -104,8 +105,8 @@ func TestSiteRatesSameBitsAtEveryThreadCount(t *testing.T) {
 					}
 					tb, ex := siteRateEvals(l)
 					table, exact = table+tb, exact+ex
-					if ps := l.pool.Stats(); l.engineCalls != rounds || ps.Dispatches > rounds {
-						t.Errorf("%s T=%d rank %d of %d: %d rounds were %d engine calls and %d pool dispatches", shape.name, threads, rank, ranks, rounds, l.engineCalls, ps.Dispatches)
+					if ps := l.pool.Stats(); l.counts[telemetry.RankEngineCalls] != rounds || ps.Dispatches > rounds {
+						t.Errorf("%s T=%d rank %d of %d: %d rounds were %d engine calls and %d pool dispatches", shape.name, threads, rank, ranks, rounds, l.counts[telemetry.RankEngineCalls], ps.Dispatches)
 					}
 				}
 				if table != wantTable || exact != wantExact {
@@ -129,10 +130,10 @@ func TestSiteRateScanCost(t *testing.T) {
 			k.FillSiteRateTable(&tab, d.Steps[0], d.T[0], 0, model.SiteRateGridSize-1)
 			a := siteRateArgs{k: k, tab: &tab, steps: d.Steps[0], p: d.P, q: d.Q, rootT: d.T[0]}
 			for i := 0; i < k.NPatterns(); i++ {
-				before := k.FastPath()
+				before := k.Counters()
 				a.optimize(i, i+1)
-				after := k.FastPath()
-				table, exact := after.SiteRateTableEvals-before.SiteRateTableEvals, after.SiteRateExactEvals-before.SiteRateExactEvals
+				after := k.Counters()
+				table, exact := after[telemetry.RankSiteRateTableEvals]-before[telemetry.RankSiteRateTableEvals], after[telemetry.RankSiteRateExactEvals]-before[telemetry.RankSiteRateExactEvals]
 				if table < 1 || table > 17 || exact != 2 {
 					t.Fatalf("round %d site %d: %d table and %d exact evaluations, want at most 17 and exactly 2", round, i, table, exact)
 				}

@@ -258,11 +258,10 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	return res.Scale
 }
 
-// Close implements search.Engine: shuts the worker loops down, records
-// the master's receive counters and releases its intra-rank worker pool.
+// Close implements search.Engine: shuts the worker loops down and
+// releases the master's intra-rank worker pool.
 func (e *Engine) Close() {
 	e.command(opShutdown)
-	e.comm.RecordRecvStats()
 	e.local.Close()
 }
 
@@ -273,25 +272,20 @@ func (e *Engine) Stats() (columns int64, clvBytes float64) { return e.local.Stat
 // master sends opShutdown. Workers hold no tree: they decode whatever the
 // master broadcasts and run kernels on their share.
 func RunWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) error {
-	_, _, err := runWorker(comm, d, a, cfg)
+	_, err := runWorker(comm, d, a, cfg)
 	return err
 }
 
-// runWorker is RunWorker plus the kernel-side stats the rank body
-// reports.
-func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) (columns int64, clvBytes float64, err error) {
+// runWorker is RunWorker plus the work the rank body reports.
+func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) (enginecore.RankWork, error) {
 	local, err := enginecore.NewLocal(d, a, comm.Rank(), cfg)
 	if err != nil {
-		return 0, 0, err
+		return enginecore.RankWork{}, err
 	}
 	comm.SetRecorder(cfg.Recorder)
 	defer local.Close()
-	defer comm.RecordRecvStats()
-	if err := runWorkerLoop(comm, local); err != nil {
-		return 0, 0, err
-	}
-	columns, clvBytes = local.Stats()
-	return columns, clvBytes, nil
+	err = runWorkerLoop(comm, local)
+	return local.Work(), err
 }
 
 // runWorkerLoop is the worker's command interpreter. Every frame is

@@ -11,23 +11,23 @@ import (
 // rankBody is what a rank of the fork-join scheme does: rank 0 runs the
 // search and steers, every other rank runs the worker command loop and
 // holds no result.
-func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, int64, float64, error) {
+func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, enginecore.RankWork, error) {
 	if c.Rank() != 0 {
-		cols, clv, err := runWorker(c, d, a, ec)
-		return nil, cols, clv, err
+		work, err := runWorker(c, d, a, ec)
+		return nil, work, err
 	}
 	eng, err := NewMaster(c, d, a, ec)
 	if err != nil {
 		// The workers are still waiting for their first command; the
 		// caller closes the transport, which they observe as peer loss.
-		return nil, 0, 0, err
+		return nil, enginecore.RankWork{}, err
 	}
 	var res *search.Result
 	s, err := search.NewSearcher(eng, d, sc)
 	if err == nil {
 		res, err = s.Run()
 	}
-	cols, clv := eng.Stats()
+	work := eng.local.Work()
 	// Always release the workers, even on a failed search — they are
 	// blocked on the next command broadcast. They then reach the
 	// epilogue, so that is where a failure is reported.
@@ -35,7 +35,7 @@ func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.
 	if err != nil {
 		err = enginecore.InStep(err)
 	}
-	return res, cols, clv, err
+	return res, work, err
 }
 
 // Run executes a full fork-join inference on cfg.Ranks in-process ranks

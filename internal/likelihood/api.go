@@ -1,6 +1,10 @@
 package likelihood
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/telemetry"
+)
 
 // Step is one entry of a schedule: "combine operand A (across branch
 // length TA) with operand B (across TB) into Dst". Dst is an Inner ref in
@@ -37,7 +41,7 @@ func (k *Kernel) Newview(s Step) {
 
 	ra := k.stage(opNewview)
 	if oa.tips != nil && ob.tips != nil {
-		k.fp.NewviewTipTip++
+		k.counts[telemetry.RankTipTipNewviews]++
 	}
 	if oa.tips != nil {
 		ra.tabA = k.tipTable(pa, oa)

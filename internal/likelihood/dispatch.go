@@ -3,6 +3,7 @@ package likelihood
 import (
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/threadpool"
 )
 
@@ -48,35 +49,20 @@ const (
 	opScoreInsertion
 )
 
-// OpClass groups the block operations the way telemetry reports kernel
-// time: a worker that times a program charges each operation to its class.
-type OpClass uint8
-
-const (
-	// ClassNewview is every conditional-vector combine, post- or pre-order.
-	ClassNewview OpClass = iota
-	// ClassEvaluate is log-likelihood evaluation at a virtual root.
-	ClassEvaluate
-	// ClassDerivatives is sum-table preparation and derivative evaluation.
-	ClassDerivatives
-	// ClassInsertion is the SPR insertion table and the fused scores.
-	ClassInsertion
-
-	// NumOpClasses is the number of operation classes.
-	NumOpClasses
-)
-
-// class returns the telemetry class of a block operation.
-func (op runOp) class() OpClass {
+// class returns the kernel class a worker that times a program charges a
+// block operation to: every conditional-vector combine, post- or
+// pre-order, is newview; sum-table preparation is derivatives time; the
+// SPR insertion table and the fused scores are insert time.
+func (op runOp) class() telemetry.KernelClass {
 	switch op {
 	case opNewview:
-		return ClassNewview
+		return telemetry.KernelNewview
 	case opEvaluate:
-		return ClassEvaluate
+		return telemetry.KernelEvaluate
 	case opContract, opDerivatives:
-		return ClassDerivatives
+		return telemetry.KernelDerivatives
 	}
-	return ClassInsertion
+	return telemetry.KernelInsertion
 }
 
 // runArgs is one staged block operation. Workers only read it; every
@@ -156,7 +142,7 @@ func (k *Kernel) NBlocks() int { return threadpool.NumBlocks(k.nPat) }
 // concurrently; the caller joins them before Finish. With ns non-nil the
 // time spent is added to ns by operation class (two clock reads per run
 // of same-class operations).
-func (k *Kernel) RunBlock(blk int, ns *[NumOpClasses]int64) {
+func (k *Kernel) RunBlock(blk int, ns *[telemetry.NumKernelClasses]int64) {
 	if ns == nil || len(k.prog) == 0 {
 		for op := range k.prog {
 			k.RunOp(op, blk)
@@ -258,7 +244,7 @@ func (k *Kernel) Finish() {
 			p := &k.parts[b*k.redStride+red]
 			r[0] += p.a
 			r[1] += p.b
-			k.fp.InsertionRescales += p.rescaled
+			k.insRescales += p.rescaled
 			*p = blockPartial{}
 		}
 		k.res = append(k.res, r)

@@ -3,6 +3,8 @@ package likelihood
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/telemetry"
 )
 
 // This file holds the kernel fast-path layer (docs/PERFORMANCE.md): the
@@ -41,50 +43,17 @@ import (
 // case, and the cache resets on every parameter-generation change.
 const maxPCacheEntries = 1024
 
-// FastPathStats counts tip-table and P-matrix cache activity. All
-// counters are out-of-band: they never influence a computed value.
-type FastPathStats struct {
-	// NewviewTipTip counts Newview calls with two tip operands: the
-	// cherries a traversal recomputes.
-	NewviewTipTip int64
-	// PCacheHits / PCacheMisses / PCacheResets count P-matrix cache
-	// activity; a reset drops the whole cache after a parameter change.
-	PCacheHits, PCacheMisses, PCacheResets int64
-	// PSetAllocs counts the P-matrix sets a miss allocated because no idle
-	// set was large enough; PSetDrops the idle sets it let go as sized for
-	// fewer categories than the model has now. A miss that allocates
-	// nothing reused an idle set.
-	PSetAllocs, PSetDrops int64
-	// TipTableEntries counts the entries the tip-table fills produced, one
-	// per (category, code) pair (of 16 per category and fill), plus the
-	// codes the prep-table fills produced entries for (of 16 per fill; a
-	// prep table has no category).
-	TipTableEntries int64
-	// InsertionRescales counts the sites ScoreInsertion scored over a
-	// rescaled inserted column — the ones Newview would have rescaled.
-	InsertionRescales int64
-	// SiteRateTableEvals / SiteRateExactEvals count single-site
-	// evaluations: those that read their P matrices from a SiteRateTable
-	// and those that built them for an off-grid rate
-	// (EvaluateSiteAtRate) — what the PSR rate scan costs per site.
-	SiteRateTableEvals, SiteRateExactEvals int64
-	// Sites counts the sites of the Newview, evaluation and
-	// insertion-score operations staged, both models, one per site and
-	// operation; LaneSites those of them the operations compute in vector
-	// lanes (lanes.go) — every one under PSR, 0 on a CPU without AVX2.
-	Sites, LaneSites int64
-}
-
-// FastPath returns the kernel's fast-path and cache counters. Call it
-// between kernel operations: the single-site evaluation counts are
-// gathered from the pattern blocks' slots.
-func (k *Kernel) FastPath() FastPathStats {
-	s := k.fp
+// Counters returns the kernel's per-rank counters, the table its engine
+// adds up for telemetry. Call it between kernel operations: the
+// single-site evaluation counts are gathered from the pattern blocks'
+// slots.
+func (k *Kernel) Counters() telemetry.RankCounters {
+	c := k.counts
 	for b := range k.siteScr {
-		s.SiteRateTableEvals += k.siteScr[b].tableEvals
-		s.SiteRateExactEvals += k.siteScr[b].exactEvals
+		c[telemetry.RankSiteRateTableEvals] += k.siteScr[b].tableEvals
+		c[telemetry.RankSiteRateExactEvals] += k.siteScr[b].exactEvals
 	}
-	return s
+	return c
 }
 
 // takePMatrices returns an idle P-matrix set sized for the active
@@ -99,9 +68,9 @@ func (k *Kernel) takePMatrices() [][ns * ns]float64 {
 			return m[:need]
 		}
 		// Sized for fewer categories than the model has now: let it go.
-		k.fp.PSetDrops++
+		k.counts[telemetry.RankPSetDrops]++
 	}
-	k.fp.PSetAllocs++
+	k.counts[telemetry.RankPSetAllocs]++
 	return make([][ns * ns]float64, need)
 }
 
@@ -125,14 +94,14 @@ func (k *Kernel) probMatricesFor(t float64) [][ns * ns]float64 {
 		k.pcGen = g
 		if len(k.pcache) > 0 {
 			k.dropPCache()
-			k.fp.PCacheResets++
+			k.pcResets++
 		}
 	}
 	if m, ok := k.pcache[math.Float64bits(t)]; ok {
-		k.fp.PCacheHits++
+		k.counts[telemetry.RankPCacheHits]++
 		return m
 	}
-	k.fp.PCacheMisses++
+	k.counts[telemetry.RankPCacheMisses]++
 	m := k.takePMatrices()
 	k.probMatrices(t, m)
 	if len(k.pcache) < maxPCacheEntries {
@@ -172,11 +141,11 @@ func (k *Kernel) tipTable(pm [][ns * ns]float64, o operand) []float64 {
 // call, lanes over x; the Go loop is its reference.
 func (k *Kernel) fillTipTable(dst []float64, pm [][ns * ns]float64, mask uint16, catMask []uint16) {
 	if catMask == nil {
-		k.fp.TipTableEntries += int64(len(pm) * bits.OnesCount16(mask))
+		k.counts[telemetry.RankTipTableEntries] += int64(len(pm) * bits.OnesCount16(mask))
 	} else {
 		catMask = catMask[:len(pm)]
 		for _, cm := range catMask {
-			k.fp.TipTableEntries += int64(bits.OnesCount16(cm))
+			k.counts[telemetry.RankTipTableEntries] += int64(bits.OnesCount16(cm))
 		}
 	}
 	if laneMask != 0 {
@@ -224,7 +193,7 @@ func (k *Kernel) prepTables(op, oq operand) (tabP, tabQ []float64) {
 // ambiguity code in mask: dst[code·4+k] = Σ_x π_x·tipVec[code][x]·U[x·4+k],
 // written as the exact expression of the inner-inner sum-table fill.
 func (k *Kernel) fillPrepTipP(dst []float64, mask uint16) {
-	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
+	k.counts[telemetry.RankTipTableEntries] += int64(bits.OnesCount16(mask))
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
 	for m := mask; m != 0; m &= m - 1 {
@@ -241,7 +210,7 @@ func (k *Kernel) fillPrepTipP(dst []float64, mask uint16) {
 // fillPrepTipQ precomputes the q-side sum-table coefficient for every
 // ambiguity code in mask: dst[code·4+k] = Σ_y U⁻¹[k·4+y]·tipVec[code][y].
 func (k *Kernel) fillPrepTipQ(dst []float64, mask uint16) {
-	k.fp.TipTableEntries += int64(bits.OnesCount16(mask))
+	k.counts[telemetry.RankTipTableEntries] += int64(bits.OnesCount16(mask))
 	e := k.par.Eigen
 	for m := mask; m != 0; m &= m - 1 {
 		code := bits.TrailingZeros16(m)

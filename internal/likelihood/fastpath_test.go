@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/likelihood"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 )
 
 // stager stages kernel calls on a kernel and records the operand shapes
@@ -160,15 +161,15 @@ func TestPCacheHitsBitIdentical(t *testing.T) {
 		f, pool := threadedFixture(t, het, 2)
 		flush := func(k *likelihood.Kernel) { k.Flush(pool) }
 		first := programTrace(t, f.tree, passThrough(f), flush)
-		missesAfterFirst := f.kern.FastPath().PCacheMisses
+		missesAfterFirst := f.kern.Counters()[telemetry.RankPCacheMisses]
 		second := programTrace(t, f.tree, passThrough(f), flush)
 		sameBits(t, het.String()+" cached replay", second, first)
-		fp := f.kern.FastPath()
-		if fp.PCacheHits == 0 {
+		fp := f.kern.Counters()
+		if fp[telemetry.RankPCacheHits] == 0 {
 			t.Errorf("%v: replay produced no cache hits: %+v", het, fp)
 		}
-		if fp.PCacheMisses != missesAfterFirst {
-			t.Errorf("%v: replay missed the cache: %d -> %d misses", het, missesAfterFirst, fp.PCacheMisses)
+		if fp[telemetry.RankPCacheMisses] != missesAfterFirst {
+			t.Errorf("%v: replay missed the cache: %d -> %d misses", het, missesAfterFirst, fp[telemetry.RankPCacheMisses])
 		}
 		pool.Close()
 	}
@@ -181,7 +182,7 @@ func TestPCacheHitsBitIdentical(t *testing.T) {
 func TestPCacheInvalidatedByModelChange(t *testing.T) {
 	f, _ := threadedFixture(t, model.Gamma, 0)
 	f.evalAt(f.tree.Tip(0))
-	if f.kern.FastPath().PCacheMisses == 0 {
+	if f.kern.Counters()[telemetry.RankPCacheMisses] == 0 {
 		t.Fatal("warm-up populated no cache entries")
 	}
 
@@ -210,18 +211,18 @@ func TestPCacheInvalidatedByModelChange(t *testing.T) {
 func TestPCacheSurvivesNoOpParameterPush(t *testing.T) {
 	f, _ := threadedFixture(t, model.Gamma, 0)
 	want := math.Float64bits(f.evalAt(f.tree.Tip(0)))
-	warm := f.kern.FastPath()
+	warm, warmResets := f.kern.Counters(), f.kern.PCacheResets()
 
 	if err := f.par.DecodeShared(f.par.EncodeShared()); err != nil {
 		t.Fatal(err)
 	}
 	got := math.Float64bits(f.evalAt(f.tree.Tip(0)))
-	fp := f.kern.FastPath()
+	fp, resets := f.kern.Counters(), f.kern.PCacheResets()
 	if got != want {
 		t.Errorf("replay after a no-op push: lnL bits %x != %x", got, want)
 	}
-	if fp.PCacheResets != warm.PCacheResets || fp.PCacheMisses != warm.PCacheMisses || fp.PCacheHits == warm.PCacheHits {
-		t.Errorf("no-op push disturbed the P-matrix cache: %+v -> %+v", warm, fp)
+	if resets != warmResets || fp[telemetry.RankPCacheMisses] != warm[telemetry.RankPCacheMisses] || fp[telemetry.RankPCacheHits] == warm[telemetry.RankPCacheHits] {
+		t.Errorf("no-op push disturbed the P-matrix cache: %d resets, %v -> %d resets, %v", warmResets, warm, resets, fp)
 	}
 
 	shared := f.par.EncodeShared()
@@ -230,7 +231,7 @@ func TestPCacheSurvivesNoOpParameterPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.evalAt(f.tree.Tip(0))
-	if after := f.kern.FastPath(); after.PCacheResets != fp.PCacheResets+1 {
-		t.Errorf("α change reset the cache %d times, want 1", after.PCacheResets-fp.PCacheResets)
+	if after := f.kern.PCacheResets(); after != resets+1 {
+		t.Errorf("α change reset the cache %d times, want 1", after-resets)
 	}
 }

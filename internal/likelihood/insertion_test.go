@@ -71,10 +71,10 @@ func TestInsertionScoreBitIdentical(t *testing.T) {
 								k.Newview(likelihood.Step{Dst: free, A: near, B: far, TA: half, TB: half})
 								want := k.Evaluate(free, sub, subT)
 
-								before := k.FastPath().InsertionRescales
+								before := k.InsertionRescales()
 								k.PrepareInsertion(sub, subT)
 								score := k.ScoreInsertion(near, far, half)
-								rescaled := k.FastPath().InsertionRescales - before
+								rescaled := k.InsertionRescales() - before
 
 								if math.IsNaN(want) || math.IsInf(want, 0) {
 									t.Fatalf("%s: reference score %v", name, want)

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/msa"
+	"repro/internal/telemetry"
 )
 
 // Numerical scaling constants (RAxML's minlikelihood convention): a CLV
@@ -162,7 +163,13 @@ type Kernel struct {
 	pcGen  uint64
 	pmFree [][][ns * ns]float64
 	pmLent [][][ns * ns]float64
-	fp     FastPathStats
+	// counts are the kernel's per-rank counters (Counters), out-of-band:
+	// no computed value reads them. pcResets counts P-matrix cache resets,
+	// each after a parameter change, and insRescales the sites
+	// ScoreInsertion scored over a rescaled inserted column — the ones
+	// Newview would have rescaled; only tests read them.
+	counts                telemetry.RankCounters
+	pcResets, insRescales int64
 
 	// The program (dispatch.go): the staged block operations of the engine
 	// call in flight, the per-block rows of partials its reducing

@@ -9,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/msa"
 	"repro/internal/seqgen"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
@@ -547,9 +548,9 @@ func TestEvaluateSiteAtRateConsistency(t *testing.T) {
 		if scaled != c.wantScale {
 			t.Errorf("%s: scaling branch ran: %v, want %v", c.name, scaled, c.wantScale)
 		}
-		fp := f.kern.FastPath()
-		if n := int64(f.kern.NPatterns() * len(grid)); fp.SiteRateTableEvals != n || fp.SiteRateExactEvals != n {
-			t.Errorf("%s: counted %d table and %d exact evaluations, want %d each", c.name, fp.SiteRateTableEvals, fp.SiteRateExactEvals, n)
+		fp := f.kern.Counters()
+		if n := int64(f.kern.NPatterns() * len(grid)); fp[telemetry.RankSiteRateTableEvals] != n || fp[telemetry.RankSiteRateExactEvals] != n {
+			t.Errorf("%s: counted %d table and %d exact evaluations, want %d each", c.name, fp[telemetry.RankSiteRateTableEvals], fp[telemetry.RankSiteRateExactEvals], n)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/msa"
+	"repro/internal/telemetry"
 )
 
 // Vector lanes (docs/PERFORMANCE.md §6 "Vector lanes" and "Eight lanes",
@@ -175,13 +176,13 @@ func evaluateLanes(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64
 // because every block but the last is a multiple of 8 wide; under PSR all
 // of them.
 func (k *Kernel) countSites() {
-	k.fp.Sites += int64(k.nPat)
+	k.counts[telemetry.RankSites] += int64(k.nPat)
 	switch {
 	case laneMask == 0:
 	case k.psr:
-		k.fp.LaneSites += int64(k.nPat)
+		k.counts[telemetry.RankLaneSites] += int64(k.nPat)
 	default:
-		k.fp.LaneSites += int64(gammaLaneSites(k.nPat))
+		k.counts[telemetry.RankLaneSites] += int64(gammaLaneSites(k.nPat))
 	}
 }
 

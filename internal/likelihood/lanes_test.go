@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/msa"
+	"repro/internal/telemetry"
 	"repro/internal/threadpool"
 )
 
@@ -936,11 +937,11 @@ func TestLaneSitesCounted(t *testing.T) {
 		k.LoadTipAsInner(0, 0)
 		for _, width := range LaneWidths() {
 			SetLanes(width)
-			before := k.FastPath()
+			before := k.Counters()
 			k.Evaluate(TipAt(0), InnerAt(0), 0.1)
 			k.Flush(nil)
-			fp := k.FastPath()
-			sites, lanes := fp.Sites-before.Sites, fp.LaneSites-before.LaneSites
+			fp := k.Counters()
+			sites, lanes := fp[telemetry.RankSites]-before[telemetry.RankSites], fp[telemetry.RankLaneSites]-before[telemetry.RankLaneSites]
 			want := int64(nPat - 7 + 4)
 			switch {
 			case width == 0:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/msa"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
@@ -216,9 +217,9 @@ func checkCategoryFills(t *testing.T, label string, f *fixture, k *likelihood.Ke
 			read[[2]int{f.par.SiteCats[i], int(s)}] = true
 		}
 		k.PoisonTipTables()
-		before := k.FastPath().TipTableEntries
+		before := k.Counters()[telemetry.RankTipTableEntries]
 		tab := k.TipTable(taxon, 0.1)
-		if got := k.FastPath().TipTableEntries - before; got != int64(len(read)) {
+		if got := k.Counters()[telemetry.RankTipTableEntries] - before; got != int64(len(read)) {
 			t.Errorf("%s: taxon %d: counted %d entries, its sites read %d", label, taxon, got, len(read))
 		}
 		for c := 0; c < cats; c++ {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/likelihood"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 	"repro/internal/threadpool"
 	"repro/internal/traversal"
 	"repro/internal/tree"
@@ -204,18 +205,18 @@ func hostLaneWidth() int {
 // lanes compares them, not the Go loops twice; at width 0, none.
 func checkLanesReached(t *testing.T, label string, het model.Heterogeneity, width int, k *likelihood.Kernel) {
 	t.Helper()
-	fp, nPat := k.FastPath(), int64(k.NPatterns())
+	fp, nPat := k.Counters(), int64(k.NPatterns())
 	switch {
-	case fp.Sites == 0:
+	case fp[telemetry.RankSites] == 0:
 		t.Errorf("%s: no Newview, evaluation or insertion-score site counted", label)
-	case width == 0 && fp.LaneSites != 0:
-		t.Errorf("%s: %d of %d sites in lanes that are off", label, fp.LaneSites, fp.Sites)
-	case width != 0 && het == model.PSR && fp.LaneSites != fp.Sites:
-		t.Errorf("%s: %d of %d PSR sites in lanes, want every one", label, fp.LaneSites, fp.Sites)
-	case width == 8 && het == model.Gamma && fp.LaneSites != fp.Sites:
-		t.Errorf("%s: %d of %d Γ sites in lanes at width 8, want every one", label, fp.LaneSites, fp.Sites)
-	case width == 4 && het == model.Gamma && fp.LaneSites*nPat != fp.Sites*(nPat&^3):
-		t.Errorf("%s: %d of %d Γ sites in lanes at width 4, want %d of every %d", label, fp.LaneSites, fp.Sites, nPat&^3, nPat)
+	case width == 0 && fp[telemetry.RankLaneSites] != 0:
+		t.Errorf("%s: %d of %d sites in lanes that are off", label, fp[telemetry.RankLaneSites], fp[telemetry.RankSites])
+	case width != 0 && het == model.PSR && fp[telemetry.RankLaneSites] != fp[telemetry.RankSites]:
+		t.Errorf("%s: %d of %d PSR sites in lanes, want every one", label, fp[telemetry.RankLaneSites], fp[telemetry.RankSites])
+	case width == 8 && het == model.Gamma && fp[telemetry.RankLaneSites] != fp[telemetry.RankSites]:
+		t.Errorf("%s: %d of %d Γ sites in lanes at width 8, want every one", label, fp[telemetry.RankLaneSites], fp[telemetry.RankSites])
+	case width == 4 && het == model.Gamma && fp[telemetry.RankLaneSites]*nPat != fp[telemetry.RankSites]*(nPat&^3):
+		t.Errorf("%s: %d of %d Γ sites in lanes at width 4, want %d of every %d", label, fp[telemetry.RankLaneSites], fp[telemetry.RankSites], nPat&^3, nPat)
 	}
 }
 

@@ -218,7 +218,8 @@ func AssignRateCategories(rates []float64, cellToCat []int, maxCats int) []int {
 }
 
 // QuantizeSiteRates is the single-process composition of the three-step
-// quantization, used by the sequential reference engine and by tests.
+// quantization. Only tests call it: the engines run the three steps
+// across ranks.
 func QuantizeSiteRates(rates []float64, weights []int, maxCats int) (catRates []float64, siteCats []int, err error) {
 	if len(rates) == 0 {
 		return nil, nil, fmt.Errorf("model: no site rates to quantize")

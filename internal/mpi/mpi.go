@@ -204,20 +204,16 @@ type Comm struct {
 // out-of-band: payloads, ordering, and the byte/op meters are untouched.
 func (c *Comm) SetRecorder(r *telemetry.Recorder) { c.rec = r }
 
-// RecvStats reports how this rank's receives were served: by polling or
-// by parking (docs/PERFORMANCE.md §6 "Waiting"). Zero over a transport
-// that does not count them — internal/mpinet's always parks.
-func (c *Comm) RecvStats() telemetry.RecvStats {
+// Counters returns this rank's per-rank counters: how its receives were
+// served, by polling or by parking (docs/PERFORMANCE.md §6 "Waiting").
+// Zero over a transport that does not count them — internal/mpinet's
+// always parks.
+func (c *Comm) Counters() telemetry.RankCounters {
 	if t, ok := c.tr.(*chanTransport); ok {
-		return t.recv
+		return t.counts
 	}
-	return telemetry.RecvStats{}
+	return telemetry.RankCounters{}
 }
-
-// RecordRecvStats hands RecvStats to the rank's recorder (a no-op without
-// one). The engines call it as they close, before the rank's engine
-// counters are harvested, so the receives of the epilogue are not in it.
-func (c *Comm) RecordRecvStats() { c.rec.SetRecv(c.RecvStats()) }
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }

@@ -93,8 +93,9 @@ type chanTransport struct {
 	// they park.
 	poll bool
 	host *threadpool.Host
-	// recv counts how this rank's receives were served.
-	recv telemetry.RecvStats
+	// counts counts how this rank's receives were served
+	// (telemetry.RankRecvPolled, RankRecvParked).
+	counts telemetry.RankCounters
 }
 
 // Send copies the payload (the in-process sender may mutate its buffers
@@ -118,9 +119,9 @@ func (t *chanTransport) Send(to int, m Message) error {
 func (t *chanTransport) Recv(from int) (Message, error) {
 	ch := t.chans[from][t.rank]
 	if t.poll && threadpool.Poll(func() bool { return len(ch) > 0 }, t.host) {
-		t.recv.Polled++
+		t.counts[telemetry.RankRecvPolled]++
 	} else {
-		t.recv.Parked++
+		t.counts[telemetry.RankRecvParked]++
 	}
 	return <-ch, nil
 }

@@ -45,9 +45,6 @@ type Event struct {
 	Size             int `json:"size"`
 	Epoch            int `json:"epoch"`
 	ResumedIteration int `json:"resumed_iteration"`
-
-	PcacheHits   int64 `json:"pcache_hits"`
-	PcacheMisses int64 `json:"pcache_misses"`
 }
 
 // Source is one parsed trace file before merging.
@@ -78,12 +75,6 @@ type Recovery struct {
 	Rank, Size, Epoch, ResumedIteration int
 }
 
-// PerfStat is the per-rank engine-close P-matrix cache summary.
-type PerfStat struct {
-	Rank                     int
-	PcacheHits, PcacheMisses int64
-}
-
 // JobTrace is every merged event belonging to one job (the empty job ID
 // is the one-shot `examl` run).
 type JobTrace struct {
@@ -91,7 +82,6 @@ type JobTrace struct {
 	Spans      []Span
 	Iters      []IterMark
 	Recoveries []Recovery
-	Perf       []PerfStat
 }
 
 // Merge is the aligned union of all input traces, grouped by job.
@@ -188,9 +178,6 @@ func MergeSources(sources []*Source) *Merge {
 					Rank: rank, Size: ev.Size, Epoch: ev.Epoch,
 					ResumedIteration: ev.ResumedIteration,
 				})
-			case "perf":
-				p := jt.perf(rank)
-				p.PcacheHits, p.PcacheMisses = ev.PcacheHits, ev.PcacheMisses
 			}
 		}
 	}
@@ -212,17 +199,6 @@ func MergeSources(sources []*Source) *Merge {
 	}
 	sort.Slice(m.Jobs, func(i, k int) bool { return m.Jobs[i].Job < m.Jobs[k].Job })
 	return m
-}
-
-// perf finds or creates the per-rank perf slot.
-func (jt *JobTrace) perf(rank int) *PerfStat {
-	for i := range jt.Perf {
-		if jt.Perf[i].Rank == rank {
-			return &jt.Perf[i]
-		}
-	}
-	jt.Perf = append(jt.Perf, PerfStat{Rank: rank})
-	return &jt.Perf[len(jt.Perf)-1]
 }
 
 // RankIDs returns the sorted set of global ranks present in the trace.

@@ -55,9 +55,6 @@ func TestMergeAlignsEpochs(t *testing.T) {
 	if len(jt.Spans) != 8 {
 		t.Fatalf("spans = %d, want 8", len(jt.Spans))
 	}
-	if len(jt.Perf) != 2 {
-		t.Fatalf("perf slots = %d, want 2", len(jt.Perf))
-	}
 }
 
 func TestAnalyzeCriticalPathAndStragglers(t *testing.T) {

@@ -15,8 +15,8 @@ import "repro/internal/traversal"
 
 // Engine is the distributed likelihood backend. Every method corresponds
 // to one (or a fixed number of) parallel regions. Implementations:
-// decentral.Engine, forkjoin.Engine, and the single-process sequential
-// engine used as ground truth in tests.
+// decentral.Engine and forkjoin.Engine; the search's tests check what an
+// engine returns against a twin engine's (twin_test.go).
 type Engine interface {
 	// NPartitions returns the number of dataset partitions.
 	NPartitions() int

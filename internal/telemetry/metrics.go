@@ -30,27 +30,17 @@ var (
 	iterationsTotal = metrics.Default().Counter("examl_search_iterations_total",
 		"Completed outer search iterations, summed over concurrent runs.")
 
-	// poolMetrics are the intra-rank execution counters, added to when a
-	// rank's engine closes (Recorder.SetPool).
-	poolMetrics = struct{ engineCalls, dispatches, wakes, parks *metrics.Counter }{
-		metrics.Default().Counter("examl_engine_calls_total",
-			"Engine calls executed, summed over ranks and finished runs."),
-		metrics.Default().Counter("examl_pool_dispatches_total",
-			"Engine calls dispatched to a rank's worker pool, summed over ranks and finished runs."),
-		metrics.Default().Counter("examl_pool_wakes_total",
-			"Parked pool workers woken by a dispatch, summed over ranks and finished runs."),
-		metrics.Default().Counter("examl_pool_parks_total",
-			"Times a pool worker's poll budget ran out and it parked, summed over ranks and finished runs."),
-	}
-
-	// recvMetrics are the in-process receive counters, added to when a
-	// rank's engine closes (Recorder.SetRecv).
-	recvMetrics = struct{ polled, parked *metrics.Counter }{
-		metrics.Default().Counter("examl_recv_polled_total",
-			"In-process receives served by polling the peer's channel, summed over ranks and finished runs."),
-		metrics.Default().Counter("examl_recv_parked_total",
-			"In-process receives that parked on the peer's channel, summed over ranks and finished runs."),
-	}
+	// rankCounterMetrics is the /metrics series of every summed per-rank
+	// counter, examl_<key>_total, added to by Harvest; nil for the others.
+	rankCounterMetrics = func() [NumRankCounters]*metrics.Counter {
+		var m [NumRankCounters]*metrics.Counter
+		for k, d := range rankCounters {
+			if d.combine == combineSum {
+				m[k] = metrics.Default().Counter("examl_"+d.key+"_total", d.help+", summed over ranks and finished runs.")
+			}
+		}
+		return m
+	}()
 
 	// kernelMetrics pre-resolves the counter pair per kernel class so
 	// EndEngineCall pays no map lookup on the hot path (NewCollector does
@@ -92,5 +82,5 @@ func (r *Report) Publish(reg *metrics.Registry) {
 	reg.Gauge("examl_run_lane_share",
 		"Share of the last completed run's site work computed in vector lanes.").Set(r.LaneShare)
 	reg.Gauge("examl_run_lane_width",
-		"Narrowest Γ site-lane width a rank of the last completed run ran: 8, 4 or 0.").Set(float64(r.LaneWidth))
+		"Narrowest Γ site-lane width a rank of the last completed run ran: 8, 4 or 0.").Set(float64(r.Totals[RankLaneWidth]))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -25,12 +26,26 @@ type RankStats struct {
 	// time inside collectives.
 	ComputeNS int64 `json:"compute_ns"`
 	CommNS    int64 `json:"comm_ns"`
-	// PoolStats are the rank's engine-call and thread-pool counters (zero
-	// when the rank ran serially), RecvStats how its in-process receives
-	// were served, KernelPerf its kernel fast-path counters.
-	PoolStats
-	RecvStats
-	KernelPerf
+	// Counters are the rank's per-rank counters, rendered after the span
+	// aggregates under their keys, those at 0 omitted.
+	Counters RankCounters `json:"-"`
+}
+
+// MarshalJSON renders the span aggregates, then the rank's nonzero
+// per-rank counters in declaration order.
+func (rs RankStats) MarshalJSON() ([]byte, error) {
+	type spans RankStats
+	return marshalWithCounters(spans(rs), &rs.Counters, true)
+}
+
+// marshalWithCounters renders v, a struct, with c's counters appended as
+// its last members (see RankCounters.appendJSON).
+func marshalWithCounters(v any, c *RankCounters, omitZero bool) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(c.appendJSON(b[:len(b)-1], omitZero), '}'), nil
 }
 
 // KernelStat is one kernel class's run-wide aggregate.
@@ -103,33 +118,14 @@ type Report struct {
 	// thread count, capped at 1: how well engine calls fill the §V worker
 	// pool (0 when no pool ran).
 	PoolUtilization float64 `json:"pool_utilization"`
-	// EngineCalls, PoolDispatches, PoolWakes and PoolParks are the
-	// per-rank counters of the same names summed over ranks.
-	EngineCalls    int64 `json:"engine_calls"`
-	PoolDispatches int64 `json:"pool_dispatches"`
-	PoolWakes      int64 `json:"pool_wakes"`
-	PoolParks      int64 `json:"pool_parks"`
-	// RecvPolled and RecvParked are the per-rank receive counters summed
-	// over ranks.
-	RecvPolled int64 `json:"recv_polled"`
-	RecvParked int64 `json:"recv_parked"`
-
 	// PCacheHitRate is P-matrix cache hits over lookups, summed across
 	// ranks (0 when the cache saw no lookups).
 	PCacheHitRate float64 `json:"pcache_hit_rate"`
-	// Sites is the Newview, evaluation and insertion-score site work of
-	// both rate models summed across ranks; LaneShare the share of it
-	// computed in vector lanes (docs/PERFORMANCE.md §6) — 1 under PSR on
-	// an AVX2 CPU and under Γ on an AVX-512 one, 0 when a run fell back to
-	// the Go loops. LaneWidth is the narrowest Γ site-lane width a rank
-	// ran: 8, 4 or 0.
-	Sites     int64   `json:"sites"`
+	// LaneShare is the share of the Newview, evaluation and
+	// insertion-score site work computed in vector lanes
+	// (docs/PERFORMANCE.md §6) — 1 under PSR on an AVX2 CPU and under Γ on
+	// an AVX-512 one, 0 when a run fell back to the Go loops.
 	LaneShare float64 `json:"lane_share"`
-	LaneWidth int64   `json:"lane_width"`
-	// PSetAllocs and PSetDrops are the P-matrix sets allocated and the
-	// idle ones let go as too small, summed across ranks.
-	PSetAllocs int64 `json:"pset_allocs"`
-	PSetDrops  int64 `json:"pset_drops"`
 	// ModelProbesPerRound is model-parameter probes (SetShared + forced
 	// traversal + evaluation) per model-optimization round, from rank 0
 	// (0 when no round ran).
@@ -147,6 +143,17 @@ type Report struct {
 	// Counters holds the search-progress counters (from rank 0 —
 	// identical on every rank under the de-centralized scheme).
 	Counters map[string]int64 `json:"counters"`
+	// Totals are the per-rank counters combined over ranks by their
+	// declared rule (a sum; the widest pool; the narrowest lane width),
+	// rendered last, every one under its key.
+	Totals RankCounters `json:"-"`
+}
+
+// MarshalJSON renders the report's fields, then every total under its
+// counter's key.
+func (r Report) MarshalJSON() ([]byte, error) {
+	type fields Report
+	return marshalWithCounters(fields(r), &r.Totals, false)
 }
 
 // Finalize aggregates the per-rank recorders into a Report.
@@ -164,10 +171,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 		Counters:    map[string]int64{},
 	}
 	var sumCompute, sumComm, maxCompute int64
-	var poolBlocks int64
-	var pcHits, pcMiss, laneSites int64
-	poolThreads := 0
-	for _, r := range c.recs {
+	for i, r := range c.recs {
 		rs := RankStats{
 			Rank:          r.rank,
 			KernelNS:      r.kernelNS,
@@ -176,9 +180,7 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 			CollectiveOps: append([]int64(nil), r.collOps...),
 			ComputeNS:     sum(r.kernelNS[:]),
 			CommNS:        sum(r.collNS),
-			PoolStats:     r.pool,
-			RecvStats:     r.recv,
-			KernelPerf:    r.perf,
+			Counters:      r.counts,
 		}
 		rep.PerRank = append(rep.PerRank, rs)
 		sumCompute += rs.ComputeNS
@@ -186,42 +188,35 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 		if rs.ComputeNS > maxCompute {
 			maxCompute = rs.ComputeNS
 		}
-		rep.EngineCalls += r.pool.EngineCalls
-		rep.PoolDispatches += r.pool.Dispatches
-		rep.PoolWakes += r.pool.Wakes
-		rep.PoolParks += r.pool.Parks
-		rep.RecvPolled += r.recv.Polled
-		rep.RecvParked += r.recv.Parked
-		poolBlocks += r.pool.Blocks
-		poolThreads = max(poolThreads, r.pool.Threads)
-		pcHits += r.perf.PCacheHits
-		pcMiss += r.perf.PCacheMisses
-		rep.Sites += r.perf.Sites
-		laneSites += r.perf.LaneSites
-		if rs.Rank == 0 || r.perf.LaneWidth < rep.LaneWidth {
-			rep.LaneWidth = r.perf.LaneWidth
+		for k, v := range r.counts {
+			switch t := &rep.Totals[k]; rankCounters[k].combine {
+			case combineSum:
+				*t += v
+			case combineMax:
+				*t = max(*t, v)
+			case combineMin:
+				if i == 0 || v < *t {
+					*t = v
+				}
+			}
 		}
-		rep.PSetAllocs += r.perf.PSetAllocs
-		rep.PSetDrops += r.perf.PSetDrops
 	}
-	rep.LaneShare = ratio(laneSites, rep.Sites)
-	if tot := pcHits + pcMiss; tot > 0 {
-		rep.PCacheHitRate = float64(pcHits) / float64(tot)
-	}
+	tot := &rep.Totals
+	rep.LaneShare = ratio(tot[RankLaneSites], tot[RankSites])
+	rep.PCacheHitRate = ratio(tot[RankPCacheHits], tot[RankPCacheHits]+tot[RankPCacheMisses])
 	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
 	rep.ActivePartitionsPerProbe = ratio(c.recs[0].counters[CounterModelPartitionEvals], c.recs[0].counters[CounterModelProbes])
 	rep.CandidatesPerPrunePoint = ratio(c.recs[0].counters[CounterSPRCandidatesScored], c.recs[0].counters[CounterSPRInsertionPlans])
 
 	for k := KernelClass(0); k < NumKernelClasses; k++ {
 		ks := KernelStat{Name: k.String()}
+		if k == KernelSiteRates {
+			ks.TableEvals, ks.ExactEvals = tot[RankSiteRateTableEvals], tot[RankSiteRateExactEvals]
+		}
 		var maxNS int64
 		for _, rs := range rep.PerRank {
 			ks.NS += rs.KernelNS[k]
 			ks.Ops += rs.KernelOps[k]
-			if k == KernelSiteRates {
-				ks.TableEvals += rs.SiteRateTableEvals
-				ks.ExactEvals += rs.SiteRateExactEvals
-			}
 			if rs.KernelNS[k] > maxNS {
 				maxNS = rs.KernelNS[k]
 			}
@@ -267,12 +262,8 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 	if iters := c.recs[0].counters[CounterIterations]; iters > 0 {
 		rep.CollectivesPerIteration = float64(totalMeterOps) / float64(iters)
 	}
-	if rep.PoolDispatches > 0 && poolThreads > 0 {
-		util := float64(poolBlocks) / float64(rep.PoolDispatches) / float64(poolThreads)
-		if util > 1 {
-			util = 1
-		}
-		rep.PoolUtilization = util
+	if tot[RankPoolDispatches] > 0 && tot[RankPoolThreads] > 0 {
+		rep.PoolUtilization = min(1, ratio(tot[RankPoolBlocks], tot[RankPoolDispatches])/float64(tot[RankPoolThreads]))
 	}
 	for ct := Counter(0); ct < NumCounters; ct++ {
 		if v := c.recs[0].counters[ct]; v != 0 || ct == CounterIterations {
@@ -323,25 +314,14 @@ func (r *Report) String() string {
 	if r.CollectivesPerIteration > 0 {
 		fmt.Fprintf(&b, "  collectives / iteration                %8.1f\n", r.CollectivesPerIteration)
 	}
-	if r.EngineCalls > 0 {
-		fmt.Fprintf(&b, "  engine calls / pool dispatches / wakes / parks  %d / %d / %d / %d\n",
-			r.EngineCalls, r.PoolDispatches, r.PoolWakes, r.PoolParks)
-	}
-	if r.RecvPolled+r.RecvParked > 0 {
-		fmt.Fprintf(&b, "  receives polled / parked               %d / %d\n", r.RecvPolled, r.RecvParked)
-	}
 	if r.PoolUtilization > 0 {
 		fmt.Fprintf(&b, "  thread-pool block utilization          %8.3f\n", r.PoolUtilization)
 	}
 	if r.PCacheHitRate > 0 {
 		fmt.Fprintf(&b, "  P-matrix cache hit rate                %8.3f\n", r.PCacheHitRate)
 	}
-	if r.PCacheHitRate > 0 || r.PSetAllocs > 0 {
-		fmt.Fprintf(&b, "  P-matrix sets allocated / dropped      %d / %d\n", r.PSetAllocs, r.PSetDrops)
-	}
-	if r.Sites > 0 {
+	if r.Totals[RankSites] > 0 {
 		fmt.Fprintf(&b, "  site work in vector lanes              %8.3f\n", r.LaneShare)
-		fmt.Fprintf(&b, "  Γ site-lane width                      %8d\n", r.LaneWidth)
 	}
 	if r.ModelProbesPerRound > 0 {
 		fmt.Fprintf(&b, "  model probes / round                   %8.1f\n", r.ModelProbesPerRound)
@@ -352,6 +332,7 @@ func (r *Report) String() string {
 	if r.CandidatesPerPrunePoint > 0 {
 		fmt.Fprintf(&b, "  candidates / prune point               %8.1f\n", r.CandidatesPerPrunePoint)
 	}
+	r.writeCounterLines(&b)
 
 	fmt.Fprintf(&b, "\nper-rank compute vs collective time:\n")
 	fmt.Fprintf(&b, "  %-6s %14s %14s %10s\n", "rank", "compute", "collective", "comm%")
@@ -376,6 +357,38 @@ func (r *Report) String() string {
 		}
 	}
 	return b.String()
+}
+
+// writeCounterLines prints the -stats counter lines: the labels of a
+// line's counters, then their totals, each joined by " / " (a lone total
+// right-aligned like the derived metrics). A line of counts is printed
+// when one of them is nonzero, a line holding a max- or min-combined
+// counter (the lane width) whenever the run made an engine call: there 0
+// is a reading.
+func (r *Report) writeCounterLines(b *strings.Builder) {
+	for head := range rankCounters {
+		if rankCounters[head].label == "" || rankCounters[head].line != RankCounter(head) {
+			continue
+		}
+		var labels, totals []string
+		show := false
+		for k, d := range rankCounters {
+			if d.label == "" || d.line != RankCounter(head) {
+				continue
+			}
+			labels = append(labels, d.label)
+			totals = append(totals, strconv.FormatInt(r.Totals[k], 10))
+			show = show || r.Totals[k] != 0 || d.combine != combineSum && r.Totals[RankEngineCalls] > 0
+		}
+		if !show {
+			continue
+		}
+		value := strings.Join(totals, " / ")
+		if len(totals) == 1 {
+			value = fmt.Sprintf("%8s", value)
+		}
+		fmt.Fprintf(b, "  %-37s  %s\n", strings.Join(labels, " / "), value)
+	}
 }
 
 // fmtNS renders a nanosecond count as a human duration.

@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -324,11 +325,8 @@ type Recorder struct {
 
 	counters [NumCounters]int64
 
-	// Pool, receive and kernel fast-path counters (harvested once, at
-	// engine close).
-	pool PoolStats
-	recv RecvStats
-	perf KernelPerf
+	// counts are the rank's per-rank counters (Harvest).
+	counts RankCounters
 }
 
 // now returns nanoseconds since the collector's start (monotonic).
@@ -438,91 +436,107 @@ func (r *Recorder) Inc(c Counter, n int64) {
 	r.counters[c] += n
 }
 
-// PoolStats is one rank's intra-rank execution summary: how many engine
-// calls it ran, how many of them were dispatched to the worker pool (a
-// call of fewer than two items, and every call of a serial rank, runs
-// inline), the (kernel, block) items those dispatches carried, how many
-// parked workers they had to wake and how often a worker's poll budget
-// ran out and it parked (docs/PERFORMANCE.md §6). The field order is the
-// order of the keys in a -stats-json per_rank entry.
-type PoolStats struct {
-	EngineCalls int64 `json:"engine_calls,omitempty"`
-	Threads     int   `json:"pool_threads,omitempty"`
-	Dispatches  int64 `json:"pool_dispatches,omitempty"`
-	Blocks      int64 `json:"pool_blocks,omitempty"`
-	Wakes       int64 `json:"pool_wakes,omitempty"`
-	Parks       int64 `json:"pool_parks,omitempty"`
-}
+// RankCounter labels a per-rank counter: a count one rank's engine, pool
+// or transport keeps for the whole run, read once, when the rank's body
+// has returned (enginecore's run driver), and handed to Harvest. Each is
+// declared once, by its entry below and its row of rankCounters, and
+// every sink renders it from that declaration: the -stats-json per_rank
+// entry (omitted at 0), the "perf" event (present at 0), the report's
+// Totals, a -stats line and, for a summed counter, the /metrics series
+// examl_<key>_total. docs/OBSERVABILITY.md says what each one means.
+type RankCounter int
 
-// SetPool records the rank's pool counters (harvested once, when the
-// rank's engine closes, before SetKernelPerf).
-func (r *Recorder) SetPool(p PoolStats) {
-	if r == nil {
-		return
+// The per-rank counters, in the order of their keys in every sink.
+const (
+	RankEngineCalls        RankCounter = iota // engine calls: Local methods that stage and flush
+	RankPoolThreads                           // the rank's thread count, 1 when serial
+	RankPoolDispatches                        // engine calls dispatched to the worker pool
+	RankPoolBlocks                            // (kernel, block) items those dispatches carried
+	RankPoolWakes                             // parked workers a dispatch woke
+	RankPoolParks                             // times a worker's poll budget ran out and it parked
+	RankRecvPolled                            // in-process receives served by polling
+	RankRecvParked                            // in-process receives that parked (TCP receives are not counted)
+	RankPCacheHits                            // P-matrix cache hits
+	RankPCacheMisses                          // P-matrix cache misses
+	RankPSetAllocs                            // P-matrix sets a miss allocated: no idle set was large enough
+	RankPSetDrops                             // idle P-matrix sets let go as sized for too few categories
+	RankTipTipNewviews                        // tip-tip Newviews: the cherries recomputed
+	RankTipTableEntries                       // (category, code) tip-table entries plus prep-table codes filled
+	RankSiteRateTableEvals                    // PSR rate-scan single-site evaluations read from the rate table
+	RankSiteRateExactEvals                    // PSR rate-scan single-site evaluations at an off-grid rate
+	RankSites                                 // sites of Newview, evaluation and insertion-score operations
+	RankLaneSites                             // those of them computed in vector lanes
+	RankLaneWidth                             // the rank's Γ site-lane width: 8, 4 or 0 (the Go loops)
+
+	// NumRankCounters is the number of per-rank counters.
+	NumRankCounters
+)
+
+// RankCounters is one reading of every per-rank counter, indexed by
+// RankCounter: the table a rank's engine, kernels and transport count
+// into.
+type RankCounters [NumRankCounters]int64
+
+// Add adds every counter of o to c: how a rank's kernels' tables make
+// its engine's, and how its engine's and its transport's, which fill
+// different counters, make the rank's.
+func (c *RankCounters) Add(o RankCounters) {
+	for k, v := range o {
+		c[k] += v
 	}
-	r.pool = p
-	poolMetrics.engineCalls.Add(float64(p.EngineCalls))
-	poolMetrics.dispatches.Add(float64(p.Dispatches))
-	poolMetrics.wakes.Add(float64(p.Wakes))
-	poolMetrics.parks.Add(float64(p.Parks))
 }
 
-// RecvStats counts how one rank's in-process receives were served
-// (docs/PERFORMANCE.md §6 "Waiting"): by polling the peer's channel under
-// the pool's rule — the message was queued or arrived within the budget —
-// or by parking on it. Every receive of a world whose ranks outnumber
-// GOMAXPROCS parks, and so does one whose peer the host keeps off its CPU
-// for longer than the budget. Both stay zero over TCP, whose receives
-// always park.
-// The field order is the order of the keys in a -stats-json per_rank
-// entry.
-type RecvStats struct {
-	Polled int64 `json:"recv_polled,omitempty"`
-	Parked int64 `json:"recv_parked,omitempty"`
-}
-
-// SetRecv records the rank's receive counters (harvested once, when the
-// rank's engine closes, before SetKernelPerf).
-func (r *Recorder) SetRecv(s RecvStats) {
-	if r == nil {
-		return
+// appendJSON appends `,"key":value` for every counter in declaration
+// order, or only for the nonzero ones with omitZero.
+func (c *RankCounters) appendJSON(b []byte, omitZero bool) []byte {
+	for k, v := range c {
+		if v != 0 || !omitZero {
+			b = fmt.Appendf(b, ",%q:%d", rankCounters[k].key, v)
+		}
 	}
-	r.recv = s
-	recvMetrics.polled.Add(float64(s.Polled))
-	recvMetrics.parked.Add(float64(s.Parked))
+	return b
 }
 
-// KernelPerf is one rank's kernel fast-path summary, summed over its
-// kernels: P-matrix cache activity and how much of the tip lookup tables
-// the fills produced.
-type KernelPerf struct {
-	PCacheHits   int64 `json:"pcache_hits,omitempty"`
-	PCacheMisses int64 `json:"pcache_misses,omitempty"`
-	// PSetAllocs / PSetDrops are the P-matrix sets a miss allocated
-	// because no idle set was large enough, and the idle sets it let go
-	// as sized for fewer categories than the model has now.
-	PSetAllocs int64 `json:"pset_allocs,omitempty"`
-	PSetDrops  int64 `json:"pset_drops,omitempty"`
-	// TipTipNewviews is the number of tip-tip newview calls (cherries);
-	// TipTableEntries the (category, code) entries the tip tables held
-	// plus the codes the prep tables held.
-	TipTipNewviews  int64 `json:"tiptip_newviews,omitempty"`
-	TipTableEntries int64 `json:"tip_table_entries,omitempty"`
-	// SiteRateTableEvals / SiteRateExactEvals are the single-site
-	// likelihood evaluations of the PSR rate scan: those that read their
-	// P matrices from the rate table and those that built them for an
-	// off-grid rate (at most 17 and exactly 2 per local pattern and round;
-	// docs/PERFORMANCE.md §9).
-	SiteRateTableEvals int64 `json:"site_rate_table_evals,omitempty"`
-	SiteRateExactEvals int64 `json:"site_rate_exact_evals,omitempty"`
-	// Sites are the sites of the Newview, evaluation and insertion-score
-	// operations of both rate models, one per site and operation;
-	// LaneSites those of them computed in vector lanes, and LaneWidth the
-	// width of the rank's Γ site lanes: 8 (AVX-512), 4 (AVX2) or 0 (the Go
-	// loops; docs/PERFORMANCE.md §6).
-	Sites     int64 `json:"sites,omitempty"`
-	LaneSites int64 `json:"lane_sites,omitempty"`
-	LaneWidth int64 `json:"lane_width,omitempty"`
+// combine is how the ranks' readings of a counter make the run's total.
+type combine uint8
+
+const (
+	combineSum combine = iota
+	combineMax
+	combineMin
+)
+
+// rankCounters declares every per-rank counter: its JSON key, how ranks
+// combine it, its part of the label of the -stats line it is printed on
+// (none without one) and that line, named by the counter that heads it,
+// and the help of its /metrics series (summed counters only: a thread
+// count or a lane width is no count to add up).
+var rankCounters = [NumRankCounters]struct {
+	key     string
+	combine combine
+	label   string
+	line    RankCounter
+	help    string
+}{
+	RankEngineCalls:        {key: "engine_calls", label: "engine calls", line: RankEngineCalls, help: "Engine calls executed"},
+	RankPoolThreads:        {key: "pool_threads", combine: combineMax},
+	RankPoolDispatches:     {key: "pool_dispatches", label: "pool dispatches", line: RankEngineCalls, help: "Engine calls dispatched to a rank's worker pool"},
+	RankPoolBlocks:         {key: "pool_blocks", help: "(Kernel, block) items the pool dispatches carried"},
+	RankPoolWakes:          {key: "pool_wakes", label: "wakes", line: RankEngineCalls, help: "Parked pool workers woken by a dispatch"},
+	RankPoolParks:          {key: "pool_parks", label: "parks", line: RankEngineCalls, help: "Times a pool worker's poll budget ran out and it parked"},
+	RankRecvPolled:         {key: "recv_polled", label: "receives polled", line: RankRecvPolled, help: "In-process receives served by polling the peer's channel"},
+	RankRecvParked:         {key: "recv_parked", label: "parked", line: RankRecvPolled, help: "In-process receives that parked on the peer's channel"},
+	RankPCacheHits:         {key: "pcache_hits", help: "P-matrix cache hits"},
+	RankPCacheMisses:       {key: "pcache_misses", help: "P-matrix cache misses"},
+	RankPSetAllocs:         {key: "pset_allocs", label: "P-matrix sets allocated", line: RankPSetAllocs, help: "P-matrix sets a cache miss allocated"},
+	RankPSetDrops:          {key: "pset_drops", label: "dropped", line: RankPSetAllocs, help: "Idle P-matrix sets let go as sized for too few categories"},
+	RankTipTipNewviews:     {key: "tiptip_newviews", help: "Newviews of two tips (cherries)"},
+	RankTipTableEntries:    {key: "tip_table_entries", help: "Tip- and prep-table entries filled"},
+	RankSiteRateTableEvals: {key: "site_rate_table_evals", help: "Rate-scan single-site evaluations read from the rate table"},
+	RankSiteRateExactEvals: {key: "site_rate_exact_evals", help: "Rate-scan single-site evaluations at an off-grid rate"},
+	RankSites:              {key: "sites", help: "Sites of Newview, evaluation and insertion-score operations"},
+	RankLaneSites:          {key: "lane_sites", help: "Sites of those operations computed in vector lanes"},
+	RankLaneWidth:          {key: "lane_width", combine: combineMin, label: "Γ site-lane width", line: RankLaneWidth},
 }
 
 // ratio returns a/b, 0 when b is 0.
@@ -542,29 +556,37 @@ func sum(v []int64) int64 {
 	return t
 }
 
-// SetKernelPerf records the rank's kernel fast-path counters (harvested
-// once, when the rank's engine closes) and emits a "perf" JSONL event
-// carrying them, the pool and receive counters SetPool and SetRecv
-// recorded, the rank's
-// model-probe and SPR counters, and the two ratios read first when a run
-// is slow: candidates scored per prune point and this rank's collectives
-// per completed iteration.
-func (r *Recorder) SetKernelPerf(p KernelPerf) {
+// Harvest records the rank's per-rank counters, adds the summed ones to
+// their /metrics series, and emits the rank's "perf" JSONL event: every
+// per-rank counter, the rank's model-probe and SPR counters, and the two
+// ratios read first when a run is slow — candidates scored per prune
+// point and this rank's collectives per completed iteration.
+func (r *Recorder) Harvest(counts RankCounters) {
 	if r == nil {
 		return
 	}
-	r.perf = p
-	if c := r.col; c != nil {
-		collectives := sum(r.collOps)
-		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d,\"pset_allocs\":%d,\"pset_drops\":%d,\"tiptip_newviews\":%d,\"tip_table_entries\":%d,\"site_rate_table_evals\":%d,\"site_rate_exact_evals\":%d,\"sites\":%d,\"lane_sites\":%d,\"lane_width\":%d,\"engine_calls\":%d,\"pool_dispatches\":%d,\"pool_wakes\":%d,\"pool_parks\":%d,\"recv_polled\":%d,\"recv_parked\":%d,\"model_probes\":%d,\"model_partition_evals\":%d,\"spr_insertion_plans\":%d,\"spr_candidates_scored\":%d,\"spr_verifications\":%d,\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
-			r.rank, p.PCacheHits, p.PCacheMisses, p.PSetAllocs, p.PSetDrops,
-			p.TipTipNewviews, p.TipTableEntries, p.SiteRateTableEvals, p.SiteRateExactEvals, p.Sites, p.LaneSites, p.LaneWidth,
-			r.pool.EngineCalls, r.pool.Dispatches, r.pool.Wakes, r.pool.Parks, r.recv.Polled, r.recv.Parked,
-			r.counters[CounterModelProbes], r.counters[CounterModelPartitionEvals],
-			r.counters[CounterSPRInsertionPlans], r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRVerifications],
-			jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
-			jsonFloat(ratio(collectives, r.counters[CounterIterations])), c.jobFrag)
+	r.counts = counts
+	for k, m := range rankCounterMetrics {
+		if m != nil {
+			m.Add(float64(counts[k]))
+		}
 	}
+	c := r.col
+	if c.trace == nil {
+		return
+	}
+	b := fmt.Appendf(nil, "{\"ev\":\"perf\",\"rank\":%d", r.rank)
+	b = counts.appendJSON(b, false)
+	// The search-progress counters a "perf" event carries too, under their
+	// names with '_' for '-'.
+	for _, ct := range []Counter{CounterModelProbes, CounterModelPartitionEvals,
+		CounterSPRInsertionPlans, CounterSPRCandidatesScored, CounterSPRVerifications} {
+		b = fmt.Appendf(b, ",%q:%d", strings.ReplaceAll(ct.String(), "-", "_"), r.counters[ct])
+	}
+	b = fmt.Appendf(b, ",\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
+		jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
+		jsonFloat(ratio(sum(r.collOps), r.counters[CounterIterations])), c.jobFrag)
+	c.emitLine("%s", b)
 }
 
 // jsonFloat renders a float64 as a JSON value ("null" for non-finite

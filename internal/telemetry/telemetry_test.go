@@ -3,10 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestNilSafety exercises every Recorder entry point on a nil receiver
@@ -22,8 +25,7 @@ func TestNilSafety(t *testing.T) {
 	ct := r.BeginCollective()
 	r.EndCollective(0, ct)
 	r.Inc(CounterIterations, 1)
-	r.SetPool(PoolStats{Threads: 4, Dispatches: 10, Blocks: 40})
-	r.SetKernelPerf(KernelPerf{PCacheHits: 3, PCacheMisses: 4})
+	r.Harvest(RankCounters{RankPoolThreads: 4, RankPoolDispatches: 10, RankPoolBlocks: 40, RankPCacheHits: 3, RankPCacheMisses: 4})
 	if rep := c.Finalize(time.Second, 1, nil, nil); rep != nil {
 		t.Fatalf("nil collector produced a report")
 	}
@@ -147,8 +149,8 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, []string{"x"}, &trace)
-	c.Recorder(0).SetKernelPerf(KernelPerf{PCacheHits: 8, PCacheMisses: 2, TipTipNewviews: 2, TipTableEntries: 90, SiteRateTableEvals: 1500, SiteRateExactEvals: 200, Sites: 1000, LaneSites: 996, LaneWidth: 8, PSetAllocs: 2, PSetDrops: 1})
-	c.Recorder(1).SetKernelPerf(KernelPerf{PCacheHits: 12, PCacheMisses: 8, TipTipNewviews: 3, SiteRateTableEvals: 1400, SiteRateExactEvals: 198, Sites: 600, LaneSites: 596, LaneWidth: 4, PSetAllocs: 5})
+	c.Recorder(0).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 8, RankPCacheMisses: 2, RankTipTipNewviews: 2, RankTipTableEntries: 90, RankSiteRateTableEvals: 1500, RankSiteRateExactEvals: 200, RankSites: 1000, RankLaneSites: 996, RankLaneWidth: 8, RankPSetAllocs: 2, RankPSetDrops: 1})
+	c.Recorder(1).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 12, RankPCacheMisses: 8, RankTipTipNewviews: 3, RankSiteRateTableEvals: 1400, RankSiteRateExactEvals: 198, RankSites: 600, RankLaneSites: 596, RankLaneWidth: 4, RankPSetAllocs: 5})
 	endKernel(c.Recorder(0), KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
 	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
@@ -160,16 +162,16 @@ func TestKernelPerfReport(t *testing.T) {
 	c.Recorder(0).Inc(CounterSPRVerifications, 3)
 
 	rep := c.Finalize(time.Millisecond, 1, []int64{0}, []int64{0})
-	if rep.PerRank[0].PCacheHits != 8 {
+	if rep.PerRank[0].Counters[RankPCacheHits] != 8 {
 		t.Fatalf("rank 0 perf fields: %+v", rep.PerRank[0])
 	}
-	if rep.PerRank[1].PCacheMisses != 8 {
+	if rep.PerRank[1].Counters[RankPCacheMisses] != 8 {
 		t.Fatalf("rank 1 perf fields: %+v", rep.PerRank[1])
 	}
 	if want := 20.0 / 30.0; rep.PCacheHitRate != want {
 		t.Fatalf("P-cache hit rate %v, want %v", rep.PCacheHitRate, want)
 	}
-	if rep.PerRank[0].TipTipNewviews != 2 || rep.PerRank[1].TipTipNewviews != 3 || rep.PerRank[0].TipTableEntries != 90 {
+	if rep.PerRank[0].Counters[RankTipTipNewviews] != 2 || rep.PerRank[1].Counters[RankTipTipNewviews] != 3 || rep.PerRank[0].Counters[RankTipTableEntries] != 90 {
 		t.Fatalf("tip operand fields: rank 0 %+v, rank 1 %+v", rep.PerRank[0], rep.PerRank[1])
 	}
 	if rep.ModelProbesPerRound != 90 || rep.Counters["model-probes"] != 180 {
@@ -185,14 +187,14 @@ func TestKernelPerfReport(t *testing.T) {
 		t.Fatalf("traversal counters: %v", rep.Counters)
 	}
 
-	if sr := rep.Kernels[KernelSiteRates]; sr.TableEvals != 2900 || sr.ExactEvals != 398 || rep.PerRank[1].SiteRateExactEvals != 198 {
+	if sr := rep.Kernels[KernelSiteRates]; sr.TableEvals != 2900 || sr.ExactEvals != 398 || rep.PerRank[1].Counters[RankSiteRateExactEvals] != 198 {
 		t.Fatalf("site-rates class %+v, rank 1 %+v", sr, rep.PerRank[1])
 	}
-	if rep.Sites != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].LaneSites != 596 {
-		t.Fatalf("sites %d, lane share %v, rank 1 %+v", rep.Sites, rep.LaneShare, rep.PerRank[1])
+	if rep.Totals[RankSites] != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].Counters[RankLaneSites] != 596 {
+		t.Fatalf("sites %d, lane share %v, rank 1 %+v", rep.Totals[RankSites], rep.LaneShare, rep.PerRank[1])
 	}
-	if rep.LaneWidth != 4 || rep.PSetAllocs != 7 || rep.PSetDrops != 1 {
-		t.Fatalf("lane width %d (want the narrowest rank's, 4), P sets allocated %d, dropped %d", rep.LaneWidth, rep.PSetAllocs, rep.PSetDrops)
+	if rep.Totals[RankLaneWidth] != 4 || rep.Totals[RankPSetAllocs] != 7 || rep.Totals[RankPSetDrops] != 1 {
+		t.Fatalf("lane width %d (want the narrowest rank's, 4), P sets allocated %d, dropped %d", rep.Totals[RankLaneWidth], rep.Totals[RankPSetAllocs], rep.Totals[RankPSetDrops])
 	}
 	if other := rep.Kernels[KernelEvaluate]; other.TableEvals != 0 || other.ExactEvals != 0 {
 		t.Fatalf("single-site evaluations charged to %+v", other)
@@ -256,9 +258,10 @@ func TestPerRankKeys(t *testing.T) {
 	r := c.Recorder(0)
 	endKernel(r, KernelNewview, r.Begin())
 	r.EndCollective(0, r.BeginCollective())
-	r.SetPool(PoolStats{EngineCalls: 1, Threads: 2, Dispatches: 3, Blocks: 4, Wakes: 5, Parks: 6})
-	r.SetRecv(RecvStats{Polled: 7, Parked: 8})
-	r.SetKernelPerf(KernelPerf{PCacheHits: 1, PCacheMisses: 2, PSetAllocs: 9, PSetDrops: 10, TipTipNewviews: 3, TipTableEntries: 4, SiteRateTableEvals: 5, SiteRateExactEvals: 6, Sites: 7, LaneSites: 8, LaneWidth: 8})
+	r.Harvest(RankCounters{RankEngineCalls: 1, RankPoolThreads: 2, RankPoolDispatches: 3, RankPoolBlocks: 4, RankPoolWakes: 5, RankPoolParks: 6,
+		RankRecvPolled: 7, RankRecvParked: 8,
+		RankPCacheHits: 1, RankPCacheMisses: 2, RankPSetAllocs: 9, RankPSetDrops: 10, RankTipTipNewviews: 3, RankTipTableEntries: 4,
+		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankSites: 7, RankLaneSites: 8, RankLaneWidth: 8})
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -295,4 +298,165 @@ func TestPerRankKeys(t *testing.T) {
 	if strings.Join(keys, " ") != strings.Join(want, " ") {
 		t.Errorf("per_rank keys\n got %v\nwant %v", keys, want)
 	}
+}
+
+// TestRankCountersReachEverySink gives every per-rank counter a distinct
+// nonzero value on two ranks and follows each to every sink the
+// declaration promises: its per_rank key, its "perf" key, its report
+// total under its combine rule, and — a summed counter only — its
+// /metrics series. The rows restate the declaration, so a counter wired
+// to another's key, rule or series, or left out of a sink, fails here.
+func TestRankCountersReachEverySink(t *testing.T) {
+	sumOf := func(a, b int64) int64 { return a + b }
+	maxOf := func(a, b int64) int64 { return max(a, b) }
+	minOf := func(a, b int64) int64 { return min(a, b) }
+	rows := []struct {
+		c       RankCounter
+		key     string
+		combine func(a, b int64) int64
+		series  bool
+	}{
+		{RankEngineCalls, "engine_calls", sumOf, true},
+		{RankPoolThreads, "pool_threads", maxOf, false},
+		{RankPoolDispatches, "pool_dispatches", sumOf, true},
+		{RankPoolBlocks, "pool_blocks", sumOf, true},
+		{RankPoolWakes, "pool_wakes", sumOf, true},
+		{RankPoolParks, "pool_parks", sumOf, true},
+		{RankRecvPolled, "recv_polled", sumOf, true},
+		{RankRecvParked, "recv_parked", sumOf, true},
+		{RankPCacheHits, "pcache_hits", sumOf, true},
+		{RankPCacheMisses, "pcache_misses", sumOf, true},
+		{RankPSetAllocs, "pset_allocs", sumOf, true},
+		{RankPSetDrops, "pset_drops", sumOf, true},
+		{RankTipTipNewviews, "tiptip_newviews", sumOf, true},
+		{RankTipTableEntries, "tip_table_entries", sumOf, true},
+		{RankSiteRateTableEvals, "site_rate_table_evals", sumOf, true},
+		{RankSiteRateExactEvals, "site_rate_exact_evals", sumOf, true},
+		{RankSites, "sites", sumOf, true},
+		{RankLaneSites, "lane_sites", sumOf, true},
+		{RankLaneWidth, "lane_width", minOf, false},
+	}
+	if len(rows) != int(NumRankCounters) {
+		t.Fatalf("%d rows for %d counters", len(rows), NumRankCounters)
+	}
+	value := func(rank int, c RankCounter) int64 { return int64(1000*(rank+1) + int(c) + 1) }
+
+	before := scrapeMetrics(t)
+	var trace bytes.Buffer
+	c := NewCollector(2, []string{"x"}, &trace)
+	for rank := 0; rank < 2; rank++ {
+		var counts RankCounters
+		for k := range counts {
+			counts[k] = value(rank, RankCounter(k))
+		}
+		c.Recorder(rank).Harvest(counts)
+	}
+	after := scrapeMetrics(t)
+	rep := c.Finalize(time.Millisecond, 1, []int64{0}, []int64{0})
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	perRank := doc["per_rank"].([]any)
+	perf := perfEvents(t, &trace)
+	if len(perf) != 2 {
+		t.Fatalf("%d perf events, want 2", len(perf))
+	}
+
+	for i, row := range rows {
+		if row.c != RankCounter(i) {
+			t.Fatalf("row %d is counter %d: rows must follow declaration order", i, row.c)
+		}
+		v0, v1 := value(0, row.c), value(1, row.c)
+		for rank, v := range []int64{v0, v1} {
+			if got := perRank[rank].(map[string]any)[row.key]; got != float64(v) {
+				t.Errorf("%s: per_rank[%d] holds %v, want %d", row.key, rank, got, v)
+			}
+			if got := perf[rank][row.key]; got != float64(v) {
+				t.Errorf("%s: rank %d's perf event holds %v, want %d", row.key, rank, got, v)
+			}
+		}
+		want := row.combine(v0, v1)
+		if got := rep.Totals[row.c]; got != want {
+			t.Errorf("%s: report total %d, want %d", row.key, got, want)
+		}
+		if got := doc[row.key]; got != float64(want) {
+			t.Errorf("%s: -stats-json total %v, want %d", row.key, got, want)
+		}
+		series := "examl_" + row.key + "_total"
+		_, present := after[series]
+		if present != row.series {
+			t.Errorf("%s: /metrics series %s present %v, want %v", row.key, series, present, row.series)
+		} else if present && after[series]-before[series] != float64(v0+v1) {
+			t.Errorf("%s: %s grew by %v, want %d", row.key, series, after[series]-before[series], v0+v1)
+		}
+	}
+
+	// A rank whose counters all read 0 omits them from its per_rank entry
+	// and still carries every one in its "perf" event.
+	trace.Reset()
+	c = NewCollector(1, []string{"x"}, &trace)
+	c.Recorder(0).Harvest(RankCounters{})
+	buf.Reset()
+	if err := c.Finalize(time.Millisecond, 1, []int64{0}, []int64{0}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var zero struct {
+		PerRank []map[string]any `json:"per_rank"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &zero); err != nil {
+		t.Fatal(err)
+	}
+	perf = perfEvents(t, &trace)
+	for _, row := range rows {
+		if got, ok := zero.PerRank[0][row.key]; ok {
+			t.Errorf("%s: a zero per_rank counter is rendered (%v)", row.key, got)
+		}
+		if got, ok := perf[0][row.key]; got != float64(0) || !ok {
+			t.Errorf("%s: a zero counter's perf key holds %v (present %v), want 0", row.key, got, ok)
+		}
+	}
+}
+
+// perfEvents returns the trace's "perf" events in order.
+func perfEvents(t *testing.T, trace *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var evs []map[string]any
+	for _, ln := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", ln, err)
+		}
+		if ev["ev"] == "perf" {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
+}
+
+// scrapeMetrics returns every unlabelled series of the process-wide
+// registry by name.
+func scrapeMetrics(t *testing.T) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := metrics.Default().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, ln := range strings.Split(buf.String(), "\n") {
+		name, val, ok := strings.Cut(ln, " ")
+		if !ok || strings.HasPrefix(ln, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", ln, err)
+		}
+		series[name] = v
+	}
+	return series
 }

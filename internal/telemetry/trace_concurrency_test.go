@@ -56,7 +56,7 @@ func TestConcurrentJobTraceNoTearing(t *testing.T) {
 						r.EmitIteration(i/10, -1234.5)
 					}
 				}
-				r.SetKernelPerf(KernelPerf{PCacheHits: int64(rank), PCacheMisses: 3})
+				r.Harvest(RankCounters{RankPCacheHits: int64(rank), RankPCacheMisses: 3})
 			}(c, rank)
 		}
 		wg.Add(1)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/likelihood"
+	"repro/internal/telemetry"
 )
 
 // TestTelemetryBitIdentity is the observability contract test: enabling
@@ -79,8 +80,9 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				if rep.CommFraction <= 0 || rep.CommFraction >= 1 {
 					t.Errorf("comm fraction %v outside (0,1)", rep.CommFraction)
 				}
-				if rep.Sites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 || rep.LaneWidth != int64(likelihood.LaneWidth()) {
-					t.Errorf("run reported %d sites, lane share %v, lane width %d (the lanes run %d wide)", rep.Sites, rep.LaneShare, rep.LaneWidth, likelihood.LaneWidth())
+				sites, width := rep.Totals[telemetry.RankSites], rep.Totals[telemetry.RankLaneWidth]
+				if sites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 || width != int64(likelihood.LaneWidth()) {
+					t.Errorf("run reported %d sites, lane share %v, lane width %d (the lanes run %d wide)", sites, rep.LaneShare, width, likelihood.LaneWidth())
 				}
 				if rep.Counters["iterations"] != int64(traced.Iterations) {
 					t.Errorf("iterations counter %d != result %d", rep.Counters["iterations"], traced.Iterations)
@@ -88,8 +90,9 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				if threads > 1 && rep.PoolUtilization <= 0 {
 					t.Error("threaded run reported no pool utilization")
 				}
-				if rep.EngineCalls <= 0 || rep.PoolDispatches > rep.EngineCalls || (threads > 1) != (rep.PoolDispatches > 0) {
-					t.Errorf("T=%d: %d engine calls, %d pool dispatches", threads, rep.EngineCalls, rep.PoolDispatches)
+				calls, disp := rep.Totals[telemetry.RankEngineCalls], rep.Totals[telemetry.RankPoolDispatches]
+				if calls <= 0 || disp > calls || (threads > 1) != (disp > 0) {
+					t.Errorf("T=%d: %d engine calls, %d pool dispatches", threads, calls, disp)
 				}
 			})
 		}
