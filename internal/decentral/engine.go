@@ -138,6 +138,7 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 // pool.
 func (e *Engine) Close() { e.local.Close() }
 
-// Stats reports this rank's kernel work and CLV footprint for the cluster
-// cost model.
-func (e *Engine) Stats() (columns int64, clvBytes float64) { return e.local.Stats() }
+// Work reports what this rank's engine did (enginecore.Local.Work): its
+// kernel work and CLV footprint for the cluster cost model, and its
+// per-rank counters.
+func (e *Engine) Work() enginecore.RankWork { return e.local.Work() }

@@ -18,10 +18,10 @@ func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.
 	defer eng.Close()
 	s, err := search.NewSearcher(eng, d, sc)
 	if err != nil {
-		return nil, eng.local.Work(), err
+		return nil, eng.Work(), err
 	}
 	res, err := s.Run()
-	return res, eng.local.Work(), err
+	return res, eng.Work(), err
 }
 
 // Run executes a full de-centralized inference on cfg.Ranks in-process

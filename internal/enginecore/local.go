@@ -181,7 +181,14 @@ func (l *Local) Close() { l.pool.Close() }
 // between engine calls.
 func (l *Local) Work() RankWork {
 	w := RankWork{Counters: l.counts}
-	w.Columns, w.CLVBytes = l.Stats()
+	cats := 1
+	if l.Het == model.Gamma {
+		cats = model.GammaCategories
+	}
+	for _, k := range l.Kernels {
+		w.Columns += k.Flops().Total()
+		w.CLVBytes += memOverheadFactor * float64(k.NPatterns()*cats*4*8*l.NInner)
+	}
 	ps := l.pool.Stats()
 	c := &w.Counters
 	c[telemetry.RankPoolThreads] = int64(l.pool.Threads())
@@ -436,10 +443,10 @@ func (l *Local) AllBranchDerivativesPerPartition(plan *traversal.GradPlan) []flo
 // [i·NPart+p] (zeros for unowned partitions). One call replaces one
 // EvaluateLocal per candidate (docs/PERFORMANCE.md §8). Per kernel the
 // program is the post-order pass, the subtree's insertion table once,
-// then per candidate its pre-order step — the vector at the candidate's
-// near end — and the fused score of the vertex inserting the subtree
-// there would create (likelihood.ScoreInsertion). The returned slice is
-// reused by the next call.
+// then one operation per candidate (likelihood.ScoreInsertion): its
+// pre-order step — the vector at the candidate's near end — fused into the
+// score of the vertex inserting the subtree there would create. The
+// returned slice is reused by the next call.
 func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
 	t := l.rec.Begin()
 	for i, k := range l.Kernels {
@@ -447,8 +454,7 @@ func (l *Local) ScoreInsertionsLocal(plan *traversal.InsertPlan) []float64 {
 		k.Traverse(plan.Post[cls])
 		k.PrepareInsertion(plan.Sub, plan.SubT[cls])
 		for c, step := range plan.Pre[cls] {
-			k.Newview(step)
-			k.ScoreInsertion(step.Dst, plan.Far[c], plan.Half[cls][c])
+			k.ScoreInsertion(step, plan.Far[c], plan.Half[cls][c])
 		}
 		l.staged(i)
 	}
@@ -866,16 +872,3 @@ func (l *Local) ApplySiteRates(res *SiteRateResolution) {
 // runs exceeded 256 GB on one node and 2×256 GB on two nodes for a
 // ~240 GB raw-CLV dataset, implying roughly this factor in practice.
 const memOverheadFactor = 1.5
-
-// Stats reports kernel work and working-set footprint for the cost model.
-func (l *Local) Stats() (columns int64, clvBytes float64) {
-	for _, k := range l.Kernels {
-		columns += k.Flops().Total()
-		cats := 1
-		if l.Het == model.Gamma {
-			cats = model.GammaCategories
-		}
-		clvBytes += memOverheadFactor * float64(k.NPatterns()*cats*4*8*l.NInner)
-	}
-	return columns, clvBytes
-}

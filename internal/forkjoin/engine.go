@@ -265,8 +265,9 @@ func (e *Engine) Close() {
 	e.local.Close()
 }
 
-// Stats reports the master's local kernel work and CLV footprint.
-func (e *Engine) Stats() (columns int64, clvBytes float64) { return e.local.Stats() }
+// Work reports what the master's engine did (enginecore.Local.Work): its
+// local kernel work and CLV footprint, and its per-rank counters.
+func (e *Engine) Work() enginecore.RankWork { return e.local.Work() }
 
 // RunWorker executes the worker command loop on a non-zero rank until the
 // master sends opShutdown. Workers hold no tree: they decode whatever the

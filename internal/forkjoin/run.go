@@ -27,7 +27,7 @@ func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.
 	if err == nil {
 		res, err = s.Run()
 	}
-	work := eng.local.Work()
+	work := eng.Work()
 	// Always release the workers, even on a failed search — they are
 	// blocked on the next command broadcast. They then reach the
 	// epilogue, so that is where a failure is reported.

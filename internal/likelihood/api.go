@@ -34,12 +34,15 @@ type Step struct {
 // When a child is a tip, the per-site P·tipVec product is a table read
 // (fastpath.go); the table entries are computed by the exact expression
 // of the worker's inner side, so a tip never changes a bit of the result.
-func (k *Kernel) Newview(s Step) {
+func (k *Kernel) Newview(s Step) { k.stageStep(k.stage(opNewview), s) }
+
+// stageStep fills ra with the combine s names — its destination slot,
+// operands, P matrices and tip tables — and counts it as a Newview: the
+// staging of Newview and of an insertion score's pre-order step.
+func (k *Kernel) stageStep(ra *runArgs, s Step) {
 	dclv, dscale := k.slot(s.Dst)
 	oa, ob := k.operand(s.A), k.operand(s.B)
 	pa, pb := k.probMatricesFor(s.TA), k.probMatricesFor(s.TB)
-
-	ra := k.stage(opNewview)
 	if oa.tips != nil && ob.tips != nil {
 		k.counts[telemetry.RankTipTipNewviews]++
 	}

@@ -15,8 +15,10 @@ import (
 // operands, build their P matrices and tip tables on the caller's
 // goroutine, and append one runArgs per block operation to k.prog: one
 // opcode per call, whatever the rate model, RunOp picking the Γ or PSR
-// block worker when the operation runs. The engine then runs the whole
-// program over one pattern block before it moves to the next —
+// block worker when the operation runs. An SPR candidate is one call and
+// one operation, its pre-order step included (ScoreInsertion). The
+// engine then runs the whole program over one pattern block before it
+// moves to the next —
 // RunBlock, one (kernel, block) item of the rank's single dispatch for
 // the call — and Finish combines what the reducing
 // operations left in their per-block slots. Sites are independent, so an
@@ -52,7 +54,8 @@ const (
 // class returns the kernel class a worker that times a program charges a
 // block operation to: every conditional-vector combine, post- or
 // pre-order, is newview; sum-table preparation is derivatives time; the
-// SPR insertion table and the fused scores are insert time.
+// SPR insertion table and the candidates — each with its pre-order step
+// fused in — are insert time.
 func (op runOp) class() telemetry.KernelClass {
 	switch op {
 	case opNewview:
@@ -84,6 +87,13 @@ type runArgs struct {
 	tabA, tabB []float64
 	// catW is the Γ category weight; the PSR workers do not read it.
 	catW float64
+
+	// An insertion score is its candidate's pre-order step — the Newview
+	// fields above — plus its far operand, P(half) and the far tip's
+	// table (ScoreInsertion).
+	far  operand
+	ph   [][ns * ns]float64
+	tabF []float64
 
 	// sumTab is the sum table a contraction fills or a derivative
 	// operation reads; ex and lam are the derivative's per-category
@@ -211,13 +221,17 @@ func (k *Kernel) RunOp(op, blk int) {
 			k.prepareInsertionGammaSoABlock(ra.ob, ra.pa, ra.tabB, lo, hi)
 		}
 
-	// Insertion scores (insertion.go): the inserted vertex's Newview and
-	// the evaluation against the insertion table in one sweep.
+	// Insertion scores (insertion.go): the candidate's pre-order step, the
+	// inserted vertex's Newview and the evaluation against the insertion
+	// table in one operation — per site group under Γ, one worker after
+	// the other under PSR.
 	case opScoreInsertion:
 		if k.psr {
-			part.a, part.rescaled = k.scoreInsertionPSRSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, lo, hi)
+			k.newviewPSRSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
+			near := operand{clv: ra.dclv, scale: ra.dscale}
+			part.a, part.rescaled = k.scoreInsertionPSRSoABlock(near, ra.far, ra.ph, ra.tabF, lo, hi)
 		} else {
-			part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra.oa, ra.ob, ra.pa, ra.tabB, ra.catW, lo, hi)
+			part.a, part.rescaled = k.scoreInsertionGammaSoABlock(ra, lo, hi)
 		}
 	}
 }

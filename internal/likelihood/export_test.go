@@ -56,8 +56,8 @@ func (n Now) PrepareInsertion(sub Ref, t float64) {
 	n.Flush(n.Pool)
 }
 
-func (n Now) ScoreInsertion(near, far Ref, half float64) float64 {
-	n.Kernel.ScoreInsertion(near, far, half)
+func (n Now) ScoreInsertion(s Step, far Ref, half float64) float64 {
+	n.Kernel.ScoreInsertion(s, far, half)
 	n.Flush(n.Pool)
 	return n.LnL(0)
 }
@@ -143,6 +143,25 @@ func (a *ProgramArena) Cap() int { return cap(a.tabs.chunk) }
 
 // TipMask returns the state mask of a taxon's row of the kernel's slice.
 func (k *Kernel) TipMask(taxon int) uint16 { return k.tipMasks[taxon].mask }
+
+// Vector returns copies of the entries and scale counts of the CLV or
+// outer vector r.
+func (k *Kernel) Vector(r Ref) ([]float64, []int32) {
+	o := k.operand(r)
+	return append([]float64(nil), o.clv...), append([]int32(nil), o.scale...)
+}
+
+// PoisonVector sets every entry of the CLV or outer vector r to NaN and
+// every scale count to -1.
+func (k *Kernel) PoisonVector(r Ref) {
+	o := k.operand(r)
+	for i := range o.clv {
+		o.clv[i] = math.NaN()
+	}
+	for i := range o.scale {
+		o.scale[i] = -1
+	}
+}
 
 // ShrinkSites multiplies every entry the CLV or outer vector r holds at
 // the given sites by f, so a test can make a column small enough for the

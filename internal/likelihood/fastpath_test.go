@@ -97,10 +97,11 @@ func (s stager) PrepareInsertion(sub likelihood.Ref, t float64) {
 	s.Kernel.PrepareInsertion(sub, t)
 }
 
-func (s stager) ScoreInsertion(near, far likelihood.Ref, half float64) {
-	near, far = s.ref(near), s.ref(far)
-	s.note("insertion score", isTip(near), isTip(far))
-	s.Kernel.ScoreInsertion(near, far, half)
+func (s stager) ScoreInsertion(st likelihood.Step, far likelihood.Ref, half float64) {
+	st.A, st.B, far = s.ref(st.A), s.ref(st.B), s.ref(far)
+	s.note("insertion step", isTip(st.A), isTip(st.B))
+	s.note("insertion score", isTip(far))
+	s.Kernel.ScoreInsertion(st, far, half)
 }
 
 // tipShapes are the call shapes that reach a tip worker: each pairs a tip
@@ -109,7 +110,8 @@ var tipShapes = []string{
 	"newview tip tip", "newview tip inner", "newview inner tip",
 	"evaluate tip tip", "evaluate tip inner", "evaluate inner tip",
 	"contract tip tip", "contract tip inner", "contract inner tip",
-	"insertion table tip", "insertion score inner tip",
+	"insertion table tip", "insertion score tip",
+	"insertion step tip inner", "insertion step inner tip",
 }
 
 // checkTipReference fails unless the trace on fast reached every tip

@@ -8,27 +8,31 @@ import "repro/internal/threadpool"
 // v = (P_half·near) ∘ (P_half·far), the Newview combine of the edge's two
 // directional vectors across half its length each. The candidate's score
 // is the evaluation of v against the subtree's vector across the
-// subtree's branch. Done with the general kernels that is a whole CLV
-// written (plus its scaling pass) and read back once per candidate, and
-// P(subT)·sub recomputed per candidate although neither factor changes
-// within a prune point. Here the pair is one block operation:
+// subtree's branch. Done with the general kernels that is the near
+// vector's pre-order Newview, a whole CLV for v written (plus its scaling
+// pass) and read back once, and P(subT)·sub recomputed per candidate
+// although neither factor changes within a prune point. Here a candidate
+// is one block operation:
 //
 //   - PrepareInsertion fills, once per prune point, a CLV-shaped table
 //     with P(subT)·sub — the `right` factor of the evaluation workers;
-//   - ScoreInsertion forms v per site in registers, takes the scaling
-//     decision Newview would have taken, and accumulates
+//   - ScoreInsertion takes the candidate's pre-order step. Per site group
+//     it forms the near vector with the Newview workers' expression and
+//     scaling and stores it to the step's slot, then forms v, takes the
+//     scaling decision Newview would have taken, and accumulates
 //     π_x · v_x · table_x · catW in evaluation's ascending (category,
 //     state) order.
 //
 // Every site value is produced by the Newview workers' expression and
 // every term by the evaluation workers', in their order, so a score has
-// the bits of Newview into a free outer slot followed by Evaluate
-// (TestInsertionScoreBitIdentical). π is deliberately not folded into
-// the table: evaluation associates ((π·v)·right)·catW, and a table of
-// π·right would associate (v·(π·right))·catW — a different last bit.
-// The score workers run in vector lanes like the Newview and evaluation
-// workers (lanes.go): Γ sites four at a time, PSR sites one at a time in
-// state lanes; their logs too, and the sums over sites stay in Go.
+// the bits of Newview(step), then Newview into a free outer slot followed
+// by Evaluate (TestInsertionScoreBitIdentical). π is deliberately not
+// folded into the table: evaluation associates ((π·v)·right)·catW, and a
+// table of π·right would associate (v·(π·right))·catW — a different last
+// bit. Under Γ a candidate runs in one lane routine per block (lanes.go:
+// laneCandidate, laneCandidate8); under PSR its worker runs the Newview
+// worker into the slot and then the score worker, both in state lanes.
+// The logs run in lanes too, and the sums over sites stay in Go.
 
 // PrepareInsertion stages the fill of the insertion table for the pruned
 // subtree's vector sub hanging on a branch of length t: table = P(t)·sub,
@@ -46,37 +50,37 @@ func (k *Kernel) PrepareInsertion(sub Ref, t float64) {
 	pm := k.probMatricesFor(t)
 	ra := k.stage(opPrepareInsertion)
 	ra.ob, ra.pa = oq, pm
-	k.stageFarTable(ra, oq)
+	if oq.tips != nil {
+		ra.tabB = k.tipTable(pm, oq)
+	}
 	k.insSubScale = oq.scale
 	k.flops.Evaluate += k.cols()
 }
 
-// ScoreInsertion stages the weighted log likelihood of the tree with the
-// prepared subtree inserted into the edge between near and far, either
-// half of which gets length half: bit for bit what Newview of (near,
-// far) across (half, half) into a free outer slot followed by Evaluate
-// of that slot against the subtree yields, without the slot; the value
-// is the finished program's next result (LnL). near must
-// be a CLV or an outer vector (an insertion plan's near operand is the
-// outer vector its pre-order step computed); far may also be a tip.
-func (k *Kernel) ScoreInsertion(near, far Ref, half float64) {
-	oa, ob := k.operand(near), k.operand(far)
+// ScoreInsertion stages the candidate whose pre-order step is s: the
+// weighted log likelihood of the tree with the prepared subtree inserted
+// into the edge between s.Dst — the vector s computes, the candidate's
+// near end — and far, either half of which gets length half. The value is
+// the finished program's next result (LnL) and has the bits of Newview(s),
+// Newview of (s.Dst, far) across (half, half) into a free outer slot and
+// Evaluate of that slot against the subtree, without the free slot. far
+// may be a tip, a CLV or an outer vector. One operation per candidate: per
+// site group the near vector is formed, scaled, stored to s.Dst — Newview's
+// bits and scale counts, which later candidates read — and scored while it
+// is in registers or L1.
+func (k *Kernel) ScoreInsertion(s Step, far Ref, half float64) {
+	ra := k.stageReducing(opScoreInsertion)
+	k.stageStep(ra, s)
+	ra.far = k.operand(far)
 	// Newview builds P(half) once per operand; one set serves both, being
 	// the same doubles.
-	pm := k.probMatricesFor(half)
-	k.countSites()
-	ra := k.stageReducing(opScoreInsertion)
-	ra.oa, ra.ob, ra.pa, ra.catW = oa, ob, pm, k.par.CatWeight()
-	k.stageFarTable(ra, ob)
-	k.flops.Evaluate += 2 * k.cols()
-}
-
-// stageFarTable gives ra the P·tipVec table of its matrices ra.pa when o
-// — the operand that takes the P product — is a tip.
-func (k *Kernel) stageFarTable(ra *runArgs, o operand) {
-	if o.tips != nil {
-		ra.tabB = k.tipTable(ra.pa, o)
+	ra.ph = k.probMatricesFor(half)
+	if ra.far.tips != nil {
+		ra.tabF = k.tipTable(ra.ph, ra.far)
 	}
+	k.countSites()
+	ra.catW = k.par.CatWeight()
+	k.flops.Evaluate += 2 * k.cols()
 }
 
 // prepareInsertionGammaSoABlock fills the block's range of the Γ
@@ -111,24 +115,42 @@ func (k *Kernel) prepareInsertionGammaSoABlock(oq operand, pm [][ns * ns]float64
 	}
 }
 
-// scoreInsertionGammaSoABlock is the Γ worker for both far operand shapes
-// (tabB the far tip's table, nil for an inner far operand):
-// newviewGammaSoABlock's value per site and category, its scaling
-// predicate, and evaluateGammaSites' accumulation against the insertion
-// table.
-func (k *Kernel) scoreInsertionGammaSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo, hi int) (lnL float64, rescaled int64) {
+// scoreInsertionGammaSoABlock is the Γ candidate worker, every operand
+// shape of the step and the far side (tabF the far tip's table, nil for
+// an inner far operand): newviewGammaSoABlock's near vector, then per site
+// and category its value, scaling predicate and evaluateGammaSites'
+// accumulation against the insertion table.
+func (k *Kernel) scoreInsertionGammaSoABlock(ra *runArgs, lo, hi int) (lnL float64, rescaled int64) {
 	w := hi - lo
 	var noScaleBuf [threadpool.BlockSize]bool
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
-	k.scoreInsertionGammaSites(site, noScale, oa, ob, pm, tabB, catW, lo)
-	k.finishInsertionGamma(site, noScale, oa, ob, pm, tabB, catW, lo)
-	return k.sumInsertionLnl(site, noScale, oa, ob, lo)
+	k.scoreCandidateGammaSites(site, noScale, ra, lo)
+	k.finishInsertionGamma(site, noScale, ra, lo)
+	return k.sumInsertionLnl(site, noScale, ra.dscale, ra.far.scale, lo)
 }
 
-// scoreInsertionGammaSites accumulates the per-site likelihoods of
-// scoreInsertionGammaSoABlock's block into site and its scale decisions
-// into noScale (both zeroed).
+// scoreCandidateGammaSites accumulates the per-site likelihoods of
+// scoreInsertionGammaSoABlock's block into site and the inserted vertex's
+// scale decisions into noScale (zeroed), the near vector stored to the
+// step's slot. The first gammaLaneSites(w) sites run in one lane call
+// (candidateLanes). The rest is the reference the lanes are held to:
+// Newview into the step's slot, then the score over it.
+func (k *Kernel) scoreCandidateGammaSites(site []float64, noScale []bool, ra *runArgs, lo int) {
+	w := len(site)
+	nl := gammaLaneSites(w)
+	candidateLanes(site, noScale, ra, &k.par.Freqs, k.insTab, k.nPat, lo, nl)
+	if nl < w {
+		k.newviewGammaSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo+nl, lo+w)
+		near := operand{clv: ra.dclv, scale: ra.dscale}
+		k.scoreInsertionGammaSites(site, noScale, near, ra.far, ra.ph, ra.tabF, ra.catW, lo)
+	}
+}
+
+// scoreInsertionGammaSites accumulates the per-site likelihoods of the
+// len(site) sites from lo into site and their scale decisions into
+// noScale, the near vector oa a CLV: the Go loop of the candidate worker,
+// from site gammaLaneSites(w) on — the sites the lanes leave.
 func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) {
 	freqs := &k.par.Freqs
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
@@ -145,7 +167,6 @@ func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob
 		b0, b1, b2, b3 := operandPlanes(ob, n, c*ns*n+lo, w)
 		t0, t1, t2, t3 := planes(k.insTab, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		scoreLanes(site, a0, b0, tipsB, tabB, ob.tips != nil, t0, tbase, n, pca, f0, f1, f2, f3, catW, noScale, nl)
 		for j := nl; j < len(site); j++ {
 			var la, lb [ns]float64
 			av0, av1, av2, av3 := a0[j], a1[j], a2[j], a3[j]
@@ -185,11 +206,11 @@ func (k *Kernel) scoreInsertionGammaSites(site []float64, noScale []bool, oa, ob
 // evaluation read them: those no category of which produced an entry at
 // or above ScaleThreshold. sumInsertionLnl adds their extra scaling
 // event.
-func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, lo int) {
+func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, ra *runArgs, lo int) {
 	noScale = noScale[:len(site)]
 	for j, ok := range noScale {
 		if !ok {
-			site[j] = k.rescaledInsertionSiteGamma(oa, ob, pm, tabB, catW, lo+j)
+			site[j] = k.rescaledInsertionSiteGamma(ra, lo+j)
 		}
 	}
 }
@@ -197,21 +218,22 @@ func (k *Kernel) finishInsertionGamma(site []float64, noScale []bool, oa, ob ope
 // rescaledInsertionSiteGamma is site i of a Γ insertion score over the
 // rescaled inserted column: each entry the workers' value times
 // ScaleFactor, as finishNewviewGammaSoA would have stored it, the terms
-// in the workers' order. Rare (one site in thousands on deep trees, none
-// on shallow ones), so it loads its columns with strided reads.
-func (k *Kernel) rescaledInsertionSiteGamma(oa, ob operand, pm [][ns * ns]float64, tabB []float64, catW float64, i int) float64 {
+// in the workers' order, the near column read back from the step's slot.
+// Rare (one site in thousands on deep trees, none on shallow ones), so it
+// loads its columns with strided reads.
+func (k *Kernel) rescaledInsertionSiteGamma(ra *runArgs, i int) float64 {
 	freqs := &k.par.Freqs
 	n := k.nPat
 	site := 0.0
 	for c := 0; c < gammaCats; c++ {
-		pc := &pm[c]
-		va := soaColGamma(oa.clv, n, i, c)
+		pc := &ra.ph[c]
+		va := soaColGamma(ra.dclv, n, i, c)
 		var lb [ns]float64
-		if ob.tips != nil {
-			t := c*16*ns + int(ob.tips[i])*ns
-			lb = [ns]float64(tabB[t : t+ns])
+		if ra.far.tips != nil {
+			t := c*16*ns + int(ra.far.tips[i])*ns
+			lb = [ns]float64(ra.tabF[t : t+ns])
 		} else {
-			vb := soaColGamma(ob.clv, n, i, c)
+			vb := soaColGamma(ra.far.clv, n, i, c)
 			for x := 0; x < ns; x++ {
 				lb[x] = pc[x*ns]*vb[0] + pc[x*ns+1]*vb[1] + pc[x*ns+2]*vb[2] + pc[x*ns+3]*vb[3]
 			}
@@ -220,7 +242,7 @@ func (k *Kernel) rescaledInsertionSiteGamma(oa, ob operand, pm [][ns * ns]float6
 		for x := 0; x < ns; x++ {
 			v := (pc[x*ns]*va[0] + pc[x*ns+1]*va[1] + pc[x*ns+2]*va[2] + pc[x*ns+3]*va[3]) * lb[x]
 			v *= ScaleFactor
-			site += freqs[x] * v * right[x] * catW
+			site += freqs[x] * v * right[x] * ra.catW
 		}
 	}
 	return site
@@ -257,15 +279,16 @@ func (k *Kernel) prepareInsertionPSRSoABlock(oq operand, pm [][ns * ns]float64, 
 	}
 }
 
-// scoreInsertionPSRSoABlock is the PSR worker for both far operand shapes
-// (tabB the far tip's table, nil for an inner far operand).
+// scoreInsertionPSRSoABlock is the score of the PSR candidate worker, both
+// far operand shapes (tabB the far tip's table, nil for an inner far
+// operand), over the near vector oa its Newview stored.
 func (k *Kernel) scoreInsertionPSRSoABlock(oa, ob operand, pm [][ns * ns]float64, tabB []float64, lo, hi int) (lnL float64, rescaled int64) {
 	w := hi - lo
 	var noScaleBuf [threadpool.BlockSize]bool
 	var siteBuf [threadpool.BlockSize]float64
 	noScale, site := noScaleBuf[:w], siteBuf[:w]
 	k.scoreInsertionPSRSites(site, noScale, oa, ob, pm, tabB, lo)
-	return k.sumInsertionLnl(site, noScale, oa, ob, lo)
+	return k.sumInsertionLnl(site, noScale, oa.scale, ob.scale, lo)
 }
 
 // scoreInsertionPSRSites writes the per-site likelihoods of
@@ -333,17 +356,17 @@ func (k *Kernel) scoreInsertionPSRSites(site []float64, noScale []bool, oa, ob o
 
 // sumInsertionLnl is the tail of the insertion-score workers of both
 // models: the block's weighted log likelihood from its per-site
-// likelihoods (replaced by their logs) and the three operands' scale
-// counts, summed in site order, one scaling event more at a site the
-// worker rescaled.
-func (k *Kernel) sumInsertionLnl(site []float64, noScale []bool, oa, ob operand, lo int) (lnL float64, rescaled int64) {
+// likelihoods (replaced by their logs) and the scale counts of the near
+// vector (sn), the far operand (sf) and the subtree, summed in site order,
+// one scaling event more at a site the worker rescaled.
+func (k *Kernel) sumInsertionLnl(site []float64, noScale []bool, sn, sf []int32, lo int) (lnL float64, rescaled int64) {
 	w := len(site)
 	noScale = noScale[:w]
-	sa, sb, ss := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), scaleWindow(k.insSubScale, lo, w)
+	sn, sf, ss := scaleWindow(sn, lo, w), scaleWindow(sf, lo, w), scaleWindow(k.insSubScale, lo, w)
 	weights := k.data.Weights[lo:][:w]
 	logSites(site)
 	for j, l := range site {
-		sc := sa[j] + sb[j] + ss[j]
+		sc := sn[j] + sf[j] + ss[j]
 		if !noScale[j] {
 			sc++
 			rescaled++

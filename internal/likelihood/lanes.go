@@ -18,10 +18,15 @@ import (
 // it. The Go loops are the reference and the path of every other CPU and
 // architecture (lanes_other.go).
 //
-//   - Γ: site lanes. The Newview, evaluation and insertion-score workers
-//     hand the first gammaLaneSites(w) sites of each category's site loop
-//     to a routine that computes several sites per instruction — one
-//     matrix serves them all — and their Go loop continues with the rest.
+//   - Γ: site lanes. The Newview, evaluation and candidate workers hand
+//     the first gammaLaneSites(w) sites of their site loop — the
+//     evaluation one category's, the Newview and the candidate the whole
+//     block's — to a routine that computes several sites per instruction
+//     — one matrix serves them all — and their Go loop continues with the
+//     rest. The Newview routine also takes its sites' scaling decision
+//     and writes their scale counts; the candidate routine forms the
+//     near vector of its pre-order step, scales it, stores it only when
+//     asked, and scores it (insertion.go).
 //     At width 4 (AVX2, lanes_amd64.s) that is w &^ 3 sites, four per
 //     instruction, and the Go loop does the tail of up to three; at width
 //     8 (AVX-512, lanes_avx512_amd64.s) it is every site, eight per
@@ -132,7 +137,7 @@ func lanesFor(w int) (width, mask int) {
 }
 
 // gammaLaneSites is how many of a Γ block's w sites its Newview,
-// evaluation and insertion-score routines compute in lanes: all of them at
+// evaluation and candidate routines compute in lanes: all of them at
 // width 8 (the last 1–7 under a mask), w &^ 3 at width 4 (the Go loop does
 // the tail of up to three), none at width 0. It is w under a mask — all
 // ones at width 8, -(8>>3) = -1 — so the compiler still sees 0 <= result
@@ -142,26 +147,61 @@ func gammaLaneSites(w int) int {
 	return w & (laneMask | -(laneWidth >> 3))
 }
 
-// newviewLanes, scoreLanes and evaluateLanes compute the first n sites of
-// one category of a Γ Newview, insertion score or evaluation in the site
-// lanes of the current width: laneNewview8 and its siblings for any n,
-// laneNewview and its siblings for n a multiple of 4 (gammaLaneSites).
-func newviewLanes(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int) {
+// laneSide returns what a Γ lane routine reads of operand o from site lo
+// on: its planes when it is inner, its tip codes when it is a tip.
+func laneSide(o operand, lo int) ([]float64, []msa.State) {
+	if o.tips != nil {
+		return nil, o.tips[lo:]
+	}
+	return o.clv[lo:], nil
+}
+
+// gammaSet is a Γ matrix set as the lane routines take it.
+func gammaSet(pm [][ns * ns]float64) *[gammaCats][ns * ns]float64 {
+	return (*[gammaCats][ns * ns]float64)(pm)
+}
+
+// newviewLanes computes the first n sites of a Γ Newview block from site
+// lo, all four categories, in the site lanes of the current width
+// (laneNewview8 for any n, laneNewview for n a multiple of 4 —
+// gammaLaneSites): it stores the unscaled values into dclv, ORs each
+// site's scale test into noScale, writes ds = sa + sb plus one at a site
+// that rescales, and reports whether one does.
+func newviewLanes(dclv []float64, noScale []bool, sa, sb, ds []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, stride, lo, n int) bool {
+	a, tipsA := laneSide(oa, lo)
+	b, tipsB := laneSide(ob, lo)
 	if laneWidth == 8 {
-		laneNewview8(d, a, tipsA, tabA, tipA, b, tipsB, tabB, tipB, toff, stride, pa, pb, noScale, n)
+		return laneNewview8(dclv[lo:], a, tipsA, tabA, oa.tips != nil, b, tipsB, tabB, ob.tips != nil, stride, gammaSet(pa), gammaSet(pb), noScale, sa, sb, ds, n)
+	}
+	return laneNewview(dclv[lo:], a, tipsA, tabA, oa.tips != nil, b, tipsB, tabB, ob.tips != nil, stride, gammaSet(pa), gammaSet(pb), noScale, sa, sb, ds, n)
+}
+
+// candidateLanes computes the first n sites of a Γ candidate block from
+// site lo (scoreCandidateGammaSites) in the site lanes of the current
+// width: per site group the near vector of the step in ra, its scaling,
+// its entries and scale counts into the step's slot, then the score
+// against the far operand and the insertion table ins — each site's
+// likelihood added to site, the inserted vertex's scale test ORed into
+// noScale.
+func candidateLanes(site []float64, noScale []bool, ra *runArgs, freqs *[ns]float64, ins []float64, stride, lo, n int) {
+	a, tipsA := laneSide(ra.oa, lo)
+	b, tipsB := laneSide(ra.ob, lo)
+	f, tipsF := laneSide(ra.far, lo)
+	w := len(site)
+	sa, sb := scaleWindow(ra.oa.scale, lo, w), scaleWindow(ra.ob.scale, lo, w)
+	tipA, tipB, tipF := ra.oa.tips != nil, ra.ob.tips != nil, ra.far.tips != nil
+	pa, pb, ph := gammaSet(ra.pa), gammaSet(ra.pb), gammaSet(ra.ph)
+	nds := ra.dscale[lo:]
+	if laneWidth == 8 {
+		laneCandidate8(ra.dclv[lo:], nds, a, tipsA, ra.tabA, tipA, b, tipsB, ra.tabB, tipB, sa, sb, f, tipsF, ra.tabF, tipF, ins[lo:], stride, pa, pb, ph, freqs, ra.catW, site, noScale, n)
 	} else {
-		laneNewview(d, a, tipsA, tabA, tipA, b, tipsB, tabB, tipB, toff, stride, pa, pb, noScale, n)
+		laneCandidate(ra.dclv[lo:], nds, a, tipsA, ra.tabA, tipA, b, tipsB, ra.tabB, tipB, sa, sb, f, tipsF, ra.tabF, tipF, ins[lo:], stride, pa, pb, ph, freqs, ra.catW, site, noScale, n)
 	}
 }
 
-func scoreLanes(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int) {
-	if laneWidth == 8 {
-		laneScore8(site, a, b, tipsB, tabB, tipB, t, toff, stride, pm, f0, f1, f2, f3, catW, noScale, n)
-	} else {
-		laneScore(site, a, b, tipsB, tabB, tipB, t, toff, stride, pm, f0, f1, f2, f3, catW, noScale, n)
-	}
-}
-
+// evaluateLanes computes the first n sites of one category of a Γ
+// evaluation in the site lanes of the current width: laneEvaluate8 for
+// any n, laneEvaluate for n a multiple of 4 (gammaLaneSites).
 func evaluateLanes(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int) {
 	if laneWidth == 8 {
 		laneEvaluate8(site, p, tipsP, tipVec, tipP, q, tipsQ, tab, tipQ, toff, stride, pm, f0, f1, f2, f3, catW, n)

@@ -11,21 +11,11 @@ import "repro/internal/msa"
 // them.
 
 // laneThresh is ScaleThreshold in all four lanes: the scale test's
-// right-hand operand; laneScale is ScaleFactor in all four, a PSR
-// rescale's factor. laneFlags[m] holds, for the 4-bit mask m of a Γ
-// group's scale test (bit i: site i), byte i = bit i — the group's four
-// noScale flags as one 32-bit OR.
+// right-hand operand; laneScale is ScaleFactor in all four, a rescale's
+// factor.
 var (
 	laneThresh = [4]float64{ScaleThreshold, ScaleThreshold, ScaleThreshold, ScaleThreshold}
 	laneScale  = [4]float64{ScaleFactor, ScaleFactor, ScaleFactor, ScaleFactor}
-	laneFlags  = func() (t [16]uint32) {
-		for m := range t {
-			for i := 0; i < 4; i++ {
-				t[m] |= uint32(m>>i&1) << (8 * i)
-			}
-		}
-		return t
-	}()
 )
 
 // haveLanes reports whether the CPU runs AVX2 and the OS saves the YMM
@@ -75,19 +65,19 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 //go:noescape
-func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int)
+func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, pa, pb *[gammaCats][ns * ns]float64, noScale []bool, sa, sb, ds []int32, n int) (rescale bool)
 
 //go:noescape
-func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+func laneCandidate(d []float64, nds []int32, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, sa, sb []int32, f []float64, tipsF []msa.State, tabF []float64, tipF bool, t []float64, stride int, pa, pb, ph *[gammaCats][ns * ns]float64, freqs *[ns]float64, catW float64, site []float64, noScale []bool, n int)
 
 //go:noescape
 func laneEvaluate(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)
 
 //go:noescape
-func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int)
+func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, pa, pb *[gammaCats][ns * ns]float64, noScale []bool, sa, sb, ds []int32, n int) (rescale bool)
 
 //go:noescape
-func laneScore8(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+func laneCandidate8(d []float64, nds []int32, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, sa, sb []int32, f []float64, tipsF []msa.State, tabF []float64, tipF bool, t []float64, stride int, pa, pb, ph *[gammaCats][ns * ns]float64, freqs *[ns]float64, catW float64, site []float64, noScale []bool, n int)
 
 //go:noescape
 func laneEvaluate8(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int)

@@ -2,8 +2,10 @@
 #include "go_asm.h"
 
 // AVX2 lanes of the Γ block workers (lanes.go). Each routine computes the
-// first n sites (n a multiple of 4) of one category's site loop — the
-// derivative's, of every category — four sites per instruction: lane i holds site j+i and evaluates the Go loop's
+// first n sites (n a multiple of 4) of a block's site loop — one
+// category's (the evaluation and the sum-table fill), or every category's
+// (the Newview, the candidate and the derivative) — four sites per
+// instruction: lane i holds site j+i and evaluates the Go loop's
 // expression for that site with the same operands in the same order —
 // products included, no FMA — so every value it writes has the bits the
 // Go loop would have written. n == 0 returns before the first vector
@@ -16,10 +18,9 @@
 // Shared register use: R8 is the plane stride in bytes and R9 three times
 // it, so (B), (B)(R8*1), (B)(R8*2), (B)(R9*1) are the four state planes of
 // a category at site pointer B (the four eigen planes of a category of a
-// sum table); CX counts the 4-site groups left. In the Newview and score
-// routines R13 points at laneFlags and Y13 gathers the scale test of a
-// group; Y12 holds catW and Y14 a group's per-site accumulators where a
-// routine has them.
+// sum table); CX counts the 4-site groups left. In the Newview and
+// candidate routines Y13 gathers the scale test of a group; Y12 holds catW
+// and Y14 a group's per-site accumulators where a routine has them.
 
 // DOT4 sets ACC to ((P[o]·V0 + P[o+1]·V1) + P[o+2]·V2) + P[o+3]·V3 — row
 // o/4 of a P matrix times a column, the workers' four-term sum — and
@@ -77,11 +78,13 @@
 	VORPD  TMP, Y13, Y13
 
 // NOSCALE ORs the group's scale test into noScale[0..3] at NS: the 4-bit
-// lane mask indexes laneFlags, whose entry holds one 0/1 byte per site.
+// lane mask, each bit i multiplied to bit 8i (no two shifted copies of
+// the mask overlap, so nothing carries), is one 0/1 byte per site.
 #define NOSCALE(NS) \
 	VMOVMSKPD Y13, AX; \
-	MOVL      (R13)(AX*4), AX; \
-	ORL       AX, (NS)
+	IMULL     $0x204081, AX; \
+	ANDL      $0x01010101, AX; \
+	ORL       AX, NS
 
 // TERM adds ((F·V)·X)·catW to the accumulators Y14, the order of the
 // workers' `site += freq * v * x * catW`. F is a memory operand; Y9 is
@@ -115,45 +118,58 @@
 	VMOVUPD Y8, DST; \
 	SCALETEST(Y8, Y9)
 
-// func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[16]float64, noScale []bool, n int)
+// func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, pa, pb *[4][16]float64, noScale []bool, sa, sb, ds []int32, n int) (rescale bool)
 //
-// The Γ Newview of one category, every operand shape, for the first n
-// sites (n a multiple of 4) from the category's first plane at d, a and b:
-// plane x of d is la_x·lb_x. A side's row factors la (lb) are GATHER4 of
-// its P·tipVec table rows — the category's rows start at entry toff of
-// tabA (tabB) — if it is a tip, or ROWS4 of pa (pb) over its planes if it
-// is inner. An operand's planes are read only if it is no tip, its tip
-// codes and table only if it is one. SI and DI walk a side's planes (32
-// bytes a group) or its codes (4 bytes), BX and R14 hold the step; R10 and
-// R11 hold pa and pb or the tables.
-TEXT ·laneNewview(SB), NOSPLIT, $0-248
-	MOVQ n+240(FP), CX
+// The Γ Newview of a block, every operand shape, for its first n sites (n
+// a multiple of 4) from the first plane at d, a and b, the four categories
+// in turn: plane x of category c of d is la_x·lb_x. A side's row factors
+// la (lb) are GATHER4 of its P·tipVec table rows — category c's rows start
+// at entry c·64 of tabA (tabB) — if it is a tip, or ROWS4 of matrix c of
+// pa (pb) over its planes if it is inner. An operand's planes are read
+// only if it is no tip, its tip codes and table only if it is one. Each
+// group's scale tests are ORed into noScale per category; then ds = sa +
+// sb + 1 − noScale per site, and rescale reports a site whose flag is 0.
+// SI and DI walk a side's planes (32 bytes a group) or its codes (4
+// bytes), BX and R14 hold the step; R10 and R11 hold matrix c of pa and
+// pb or category c's rows of the tables; R13 is category c's plane offset
+// in bytes.
+TEXT ·laneNewview(SB), NOSPLIT, $0-313
+	MOVB $0, rescale+312(FP)
+	MOVQ n+304(FP), CX
 	SHRQ $2, CX
 	JZ   none
+	STRIDE(stride+184(FP))
+	MOVQ pa+192(FP), R10
+	CMPB tipA+96(FP), $0
+	JEQ  2(PC)
+	MOVQ tabA_base+72(FP), R10
+	MOVQ pb+200(FP), R11
+	CMPB tipB+176(FP), $0
+	JEQ  2(PC)
+	MOVQ tabB_base+152(FP), R11
+	XORQ R13, R13
+
+cat:
+	MOVQ n+304(FP), CX
+	SHRQ $2, CX
 	MOVQ d_base+0(FP), DX
-	STRIDE(stride+192(FP))
-	MOVQ noScale_base+216(FP), R12
-	LEAQ ·laneFlags(SB), R13
-	MOVQ toff+184(FP), AX
+	ADDQ R13, DX
+	MOVQ noScale_base+208(FP), R12
 	MOVQ a_base+24(FP), SI
-	MOVQ pa+200(FP), R10
+	ADDQ R13, SI
 	MOVQ $32, BX
 	CMPB tipA+96(FP), $0
 	JEQ  binit
 	MOVQ tipsA_base+48(FP), SI
-	MOVQ tabA_base+72(FP), R10
-	LEAQ (R10)(AX*8), R10
 	MOVQ $4, BX
 
 binit:
 	MOVQ b_base+104(FP), DI
-	MOVQ pb+208(FP), R11
+	ADDQ R13, DI
 	MOVQ $32, R14
 	CMPB tipB+176(FP), $0
 	JEQ  loop
 	MOVQ tipsB_base+128(FP), DI
-	MOVQ tabB_base+152(FP), R11
-	LEAQ (R11)(AX*8), R11
 	MOVQ $4, R14
 
 loop:
@@ -182,83 +198,262 @@ product:
 	NVROW(Y1, Y5, (DX)(R8*1))
 	NVROW(Y2, Y6, (DX)(R8*2))
 	NVROW(Y3, Y7, (DX)(R9*1))
-	NOSCALE(R12)
+	NOSCALE((R12))
 	ADDQ BX, SI
 	ADDQ R14, DI
 	ADDQ $32, DX
 	ADDQ $4, R12
 	DECQ CX
 	JNZ  loop
+
+	// Next category: a matrix is 128 bytes, a category's table rows 512.
+	MOVQ $128, AX
+	CMPB tipA+96(FP), $0
+	JEQ  2(PC)
+	MOVQ $512, AX
+	ADDQ AX, R10
+	MOVQ $128, AX
+	CMPB tipB+176(FP), $0
+	JEQ  2(PC)
+	MOVQ $512, AX
+	ADDQ AX, R11
+	LEAQ (R13)(R8*4), R13
+	MOVQ R8, AX
+	SHLQ $4, AX
+	CMPQ R13, AX
+	JNE  cat
+
+	// The scale counts, four sites a group: ds = sa + sb + 1 − flag, and
+	// R13 collects the flags' bytes that are not 1.
+	MOVQ         n+304(FP), CX
+	SHRQ         $2, CX
+	MOVQ         noScale_base+208(FP), R12
+	MOVQ         sa_base+232(FP), SI
+	MOVQ         sb_base+256(FP), DI
+	MOVQ         ds_base+280(FP), DX
+	XORL         R13, R13
+	MOVL         $1, AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, X12
+
+counts:
+	MOVL      (R12), AX
+	VMOVD     AX, X8
+	XORL      $0x01010101, AX
+	ORL       AX, R13
+	VPMOVZXBD X8, X8
+	VMOVDQU   (SI), X9
+	VPADDD    (DI), X9, X9
+	VPADDD    X12, X9, X9
+	VPSUBD    X8, X9, X9
+	VMOVDQU   X9, (DX)
+	ADDQ      $4, R12
+	ADDQ      $16, SI
+	ADDQ      $16, DI
+	ADDQ      $16, DX
+	DECQ      CX
+	JNZ       counts
+	TESTL     R13, R13
+	SETNE     rescale+312(FP)
 	VZEROUPPER
 
 none:
 	RET
 
-// SCORE4 is row o/4 of the insertion score: Newview's v = (P·a)·lb with
-// the far side's row factor in LB, scale-tested, then the term
-// ((f·v)·t)·catW with t the insertion table's plane at T.
-#define SCORE4(o, LB, F, T) \
-	DOT4(R10, o, Y0, Y1, Y2, Y3, Y8, Y9); \
+// SCORE4 is row o/4 of the insertion score: Newview's v = (P·near)·lb
+// with the matrix at P, the near column in Y0–Y3 and the far side's row
+// factor in LB, scale-tested, then the term ((f·v)·t)·catW with t the
+// insertion table's plane at T.
+#define SCORE4(P, o, LB, F, T) \
+	DOT4(P, o, Y0, Y1, Y2, Y3, Y8, Y9); \
 	VMULPD LB, Y8, Y8; \
 	SCALETEST(Y8, Y9); \
 	TERM(F, Y8, T)
 
-// func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+// NEARROW stores row x of a group's near vector, la_x·lb_x with the two
+// sides' row factors in LA and LB, to the near buffer at R13 at byte O of
+// category c's rows (BX = c·128: the buffer holds plane (c, x) at
+// c·128 + x·32) and scale-tests it.
+#define NEARROW(LA, LB, O) \
+	VMULPD  LB, LA, LA; \
+	VMOVUPD LA, (O)(R13)(BX*1); \
+	SCALETEST(LA, Y8)
+
+// func laneCandidate(d []float64, nds []int32, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, sa, sb []int32, f []float64, tipsF []msa.State, tabF []float64, tipF bool, t []float64, stride int, pa, pb, ph *[4][16]float64, freqs *[4]float64, catW float64, site []float64, noScale []bool, n int)
 //
-// The Γ insertion score of one category for the first n sites (n a
-// multiple of 4), both far operand shapes: the far row factors lb are
-// GATHER4 of b's table rows (from entry toff of tabB) if tipB, ROWS4 of pm
-// over b's planes otherwise; the near operand a is a CLV. DI walks b's
-// planes or codes, R14 holds the step.
-TEXT ·laneScore(SB), NOSPLIT, $0-248
-	MOVQ n+240(FP), CX
+// One SPR candidate of a Γ block for its first n sites (n a multiple of 4),
+// a group of four sites at a time, j its first:
+//
+//   - the near vector: laneNewview's value of every category from a and b
+//     into the 512-byte frame, its scale tests ORed;
+//   - its scaling: a site none of whose entries passed has every entry
+//     multiplied by ScaleFactor (the others by 1.0, which changes no bit),
+//     and nds[j..j+3] = sa + sb plus one at such a site;
+//   - the score: per category the near column, stored to d's planes, the
+//     far row factors lb from f's planes over ph or, if tipF, GATHER4 of
+//     tabF, and evaluation's four terms against the insertion table t
+//     added to site[j..j+3], the inserted vertex's scale tests ORed into
+//     noScale.
+//
+// BX is category c's matrix offset (c·128: its table rows are at c·512),
+// R11 its plane offset in bytes, DX the group's first site; R10 holds
+// freqs, R13 the frame from its first 32-byte boundary on, so that no
+// store or load of the near buffer splits a cache line.
+TEXT ·laneCandidate(SB), $544-464
+	MOVQ n+456(FP), CX
 	SHRQ $2, CX
 	JZ   none
-	MOVQ site_base+0(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ t_base+128(FP), BX
-	STRIDE(stride+160(FP))
-	MOVQ pm+168(FP), R10
-	VBROADCASTSD catW+208(FP), Y12
-	MOVQ noScale_base+216(FP), R12
-	LEAQ ·laneFlags(SB), R13
-	MOVQ b_base+48(FP), DI
-	MOVQ $32, R14
-	CMPB tipB+120(FP), $0
-	JEQ  loop
-	MOVQ tipsB_base+72(FP), DI
-	MOVQ tabB_base+96(FP), R11
-	MOVQ toff+152(FP), AX
-	LEAQ (R11)(AX*8), R11
-	MOVQ $4, R14
+	LEAQ 31(SP), R13
+	ANDQ $-32, R13
+	STRIDE(stride+360(FP))
+	XORQ DX, DX
 
-loop:
-	VMOVUPD (DX), Y14
-	VXORPD  Y13, Y13, Y13
-	CMPB    tipB+120(FP), $0
-	JNE     tipb
-	LOAD4(DI, Y8, Y9, Y10, Y11)
-	ROWS4(R10, Y8, Y9, Y10, Y11, Y4, Y5, Y6, Y7, Y15)
-	JMP     rows
+group:
+	VXORPD Y13, Y13, Y13
+	XORQ   BX, BX
+	XORQ   R11, R11
 
-tipb:
-	GATHER4(DI, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+near:
+	CMPB tipA+120(FP), $0
+	JNE  neartipa
+	MOVQ a_base+48(FP), SI
+	LEAQ (SI)(DX*8), SI
+	ADDQ R11, SI
+	LOAD4(SI, Y8, Y9, Y10, Y11)
+	MOVQ pa+368(FP), DI
+	ADDQ BX, DI
+	ROWS4(DI, Y8, Y9, Y10, Y11, Y0, Y1, Y2, Y3, Y12)
+	JMP  nearb
 
-rows:
-	LOAD4(SI, Y0, Y1, Y2, Y3)
-	SCORE4(0, Y4, f0+176(FP), (BX))
-	SCORE4(4, Y5, f1+184(FP), (BX)(R8*1))
-	SCORE4(8, Y6, f2+192(FP), (BX)(R8*2))
-	SCORE4(12, Y7, f3+200(FP), (BX)(R9*1))
-	VMOVUPD Y14, (DX)
-	NOSCALE(R12)
-	ADDQ $32, SI
-	ADDQ R14, DI
-	ADDQ $32, BX
-	ADDQ $32, DX
-	ADDQ $4, R12
-	DECQ CX
-	JNZ  loop
+neartipa:
+	MOVQ tipsA_base+72(FP), SI
+	ADDQ DX, SI
+	MOVQ tabA_base+96(FP), DI
+	LEAQ (DI)(BX*4), DI
+	GATHER4(SI, DI, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+
+nearb:
+	CMPB tipB+200(FP), $0
+	JNE  neartipb
+	MOVQ b_base+128(FP), SI
+	LEAQ (SI)(DX*8), SI
+	ADDQ R11, SI
+	LOAD4(SI, Y8, Y9, Y10, Y11)
+	MOVQ pb+376(FP), DI
+	ADDQ BX, DI
+	ROWS4(DI, Y8, Y9, Y10, Y11, Y4, Y5, Y6, Y7, Y12)
+	JMP  nearrows
+
+neartipb:
+	MOVQ tipsB_base+152(FP), SI
+	ADDQ DX, SI
+	MOVQ tabB_base+176(FP), DI
+	LEAQ (DI)(BX*4), DI
+	GATHER4(SI, DI, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+
+nearrows:
+	NEARROW(Y0, Y4, 0)
+	NEARROW(Y1, Y5, 32)
+	NEARROW(Y2, Y6, 64)
+	NEARROW(Y3, Y7, 96)
+	ADDQ $128, BX
+	LEAQ (R11)(R8*4), R11
+	CMPQ BX, $512
+	JNE  near
+
+	// Rescale the sites none of whose entries passed: Y10 is 1.0 in a
+	// lane that passed, ScaleFactor in one that did not.
+	VMOVMSKPD Y13, AX
+	CMPL      AX, $15
+	JEQ       counts
+	MOVQ      $0x3ff0000000000000, AX
+	VMOVQ     AX, X9
+	VBROADCASTSD X9, Y9
+	VMOVUPD   ·laneScale(SB), Y8
+	VBLENDVPD Y13, Y9, Y8, Y10
+	XORQ      AX, AX
+
+rescale:
+	VMULPD  (R13)(AX*1), Y10, Y11
+	VMOVUPD Y11, (R13)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, $512
+	JNE     rescale
+
+counts:
+	VMOVMSKPD Y13, AX
+	XORL      $15, AX
+	IMULL     $0x204081, AX
+	ANDL      $0x01010101, AX
+	VMOVD     AX, X8
+	VPMOVZXBD X8, X8
+	MOVQ      sa_base+208(FP), SI
+	VMOVDQU   (SI)(DX*4), X9
+	MOVQ      sb_base+232(FP), SI
+	VPADDD    (SI)(DX*4), X9, X9
+	VPADDD    X8, X9, X9
+	MOVQ      nds_base+24(FP), SI
+	VMOVDQU   X9, (SI)(DX*4)
+
+	// The score, from the near buffer.
+	MOVQ         site_base+408(FP), SI
+	VMOVUPD      (SI)(DX*8), Y14
+	VXORPD       Y13, Y13, Y13
+	VBROADCASTSD catW+400(FP), Y12
+	MOVQ         freqs+392(FP), R10
+	XORQ         BX, BX
+	XORQ         R11, R11
+
+score:
+	VMOVUPD (R13)(BX*1), Y0
+	VMOVUPD 32(R13)(BX*1), Y1
+	VMOVUPD 64(R13)(BX*1), Y2
+	VMOVUPD 96(R13)(BX*1), Y3
+	MOVQ    d_base+0(FP), SI
+	LEAQ    (SI)(DX*8), SI
+	ADDQ    R11, SI
+	VMOVUPD Y0, (SI)
+	VMOVUPD Y1, (SI)(R8*1)
+	VMOVUPD Y2, (SI)(R8*2)
+	VMOVUPD Y3, (SI)(R9*1)
+	MOVQ    ph+384(FP), DI
+	ADDQ BX, DI
+	CMPB tipF+328(FP), $0
+	JNE  fartip
+	MOVQ f_base+256(FP), SI
+	LEAQ (SI)(DX*8), SI
+	ADDQ R11, SI
+	LOAD4(SI, Y8, Y9, Y10, Y11)
+	ROWS4(DI, Y8, Y9, Y10, Y11, Y4, Y5, Y6, Y7, Y15)
+	JMP  terms
+
+fartip:
+	MOVQ tipsF_base+280(FP), SI
+	ADDQ DX, SI
+	MOVQ tabF_base+304(FP), AX
+	LEAQ (AX)(BX*4), R12
+	GATHER4(SI, R12, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+
+terms:
+	MOVQ t_base+336(FP), SI
+	LEAQ (SI)(DX*8), SI
+	ADDQ R11, SI
+	SCORE4(DI, 0, Y4, 0(R10), (SI))
+	SCORE4(DI, 4, Y5, 8(R10), (SI)(R8*1))
+	SCORE4(DI, 8, Y6, 16(R10), (SI)(R8*2))
+	SCORE4(DI, 12, Y7, 24(R10), (SI)(R9*1))
+	ADDQ $128, BX
+	LEAQ (R11)(R8*4), R11
+	CMPQ BX, $512
+	JNE  score
+
+	MOVQ    site_base+408(FP), SI
+	VMOVUPD Y14, (SI)(DX*8)
+	MOVQ    noScale_base+432(FP), SI
+	NOSCALE((SI)(DX*1))
+	ADDQ    $4, DX
+	DECQ    CX
+	JNZ     group
 	VZEROUPPER
 
 none:

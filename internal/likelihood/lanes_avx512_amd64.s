@@ -1,23 +1,26 @@
 #include "textflag.h"
 
-// AVX-512 lanes of the Γ Newview, insertion-score and evaluation workers
-// (lanes.go): laneNewview, laneScore and laneEvaluate of lanes_amd64.s
-// eight sites wide. Lane i holds site j+i and evaluates the Go loop's
-// expression for that site with the same operands in the same order —
-// products included, no FMA — so every value it writes has the bits the
-// Go loop (and the four-wide routine) would have written. A routine takes
-// every site of a category's block: n need not be a multiple of 8, and
-// the last group of 1–7 sites runs under the tail mask K1, its loads
+// AVX-512 lanes of the Γ Newview, candidate and evaluation workers
+// (lanes.go): laneNewview, laneCandidate and laneEvaluate of
+// lanes_amd64.s eight sites wide. Lane i holds site j+i and evaluates the
+// Go loop's expression for that site with the same operands in the same
+// order — products included, no FMA — so every value it writes has the
+// bits the Go loop (and the four-wide routine) would have written. A
+// routine takes every site of its block: n need not be a multiple of 8,
+// and the last group of 1–7 sites runs under the tail mask K1, its loads
 // masked and zeroing (a masked-off element is never read, so it cannot
-// fault), its stores, tip-code loads and noScale bytes masked. n == 0
-// returns before the first vector instruction.
+// fault), its stores, tip-code loads, scale counts and noScale bytes
+// masked. n == 0 returns before the first vector instruction.
 //
-// A side that may be a tip keeps the category's table in registers for
-// the whole call: TABLE8 loads its 16 codes × 4 states with plain loads
-// and turns them state-major in registers, two zmm per state (codes 0–7
-// and 8–15), and a group's row factor of state x is one VPERMI2PD of the
-// group's codes over the state's two registers — no gather, no
-// transpose per group.
+// A side of a Newview or an evaluation that may be a tip keeps the
+// category's table in registers for the category's sweep: TABLE8 loads
+// its 16 codes × 4 states with plain loads and turns them state-major in
+// registers, two zmm per state (codes 0–7 and 8–15), and a group's row
+// factor of state x is one VPERMI2PD of the group's codes over the state's
+// two registers — no gather, no transpose per group. The candidate
+// routine sweeps every category per group, so it stores the four
+// categories' state-major tables of each tip side in its frame and
+// permutes from there (LOOKUPM).
 //
 // Shared register use: R8 is the plane stride in bytes and R9 three
 // times it, so (B), (B)(R8*1), (B)(R8*2), (B)(R9*1) are the four state
@@ -150,45 +153,56 @@ GLOBL tableIdx23<>(SB), RODATA|NOPTR, $64
 	VMOVUPD Z8, K1, DST; \
 	SCALE8(Z8, K)
 
-// func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[16]float64, noScale []bool, n int)
+// func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, pa, pb *[4][16]float64, noScale []bool, sa, sb, ds []int32, n int) (rescale bool)
 //
-// laneNewview for every site of a category's block: plane x of d is
+// laneNewview for every site of a block: per category c, plane x of d is
 // la_x·lb_x. A side's row factors la (lb) are LOOKUP8 of its P·tipVec
-// table (the category's rows start at entry toff of tabA, tabB) if it is a
-// tip, ROWS8 of pa (pb) over its planes if it is inner. The group's scale
-// tests, ORed, store a 1 byte into noScale at each lane that passed (Z14
-// holds 1 bytes). SI and DI walk a side's planes (64 bytes a group) or its
-// codes (8 bytes), BX and R14 hold the step; R10 and R11 hold pa and pb.
-TEXT ·laneNewview8(SB), NOSPLIT, $0-248
-	MOVQ  n+240(FP), CX
+// table (category c's rows start at entry c·64 of tabA, tabB) if it is a
+// tip, ROWS8 of matrix c of pa (pb) over its planes if it is inner. The
+// group's scale tests, ORed, store a 1 byte into noScale at each lane
+// that passed (Z14 holds 1 bytes). Then ds = sa + sb + 1 − noScale per
+// site, and rescale reports a site whose flag is 0. SI and DI walk a
+// side's planes (64 bytes a group) or its codes (8 bytes), BX and R14 hold
+// the step; R10 and R11 hold matrix c of pa and pb or category c's rows of
+// the tables; R13 is category c's plane offset in bytes.
+TEXT ·laneNewview8(SB), NOSPLIT, $0-313
+	MOVB  $0, rescale+312(FP)
+	MOVQ  n+304(FP), CX
 	TESTQ CX, CX
 	JZ    none
-	MOVQ  d_base+0(FP), DX
-	STRIDE(stride+192(FP))
-	MOVQ  noScale_base+216(FP), R12
-	MOVQ  a_base+24(FP), SI
-	MOVQ  pa+200(FP), R10
-	MOVQ  $64, BX
+	STRIDE(stride+184(FP))
+	MOVQ  pa+192(FP), R10
 	CMPB  tipA+96(FP), $0
-	JEQ   binit
-	MOVQ  tipsA_base+48(FP), SI
-	MOVQ  tabA_base+72(FP), AX
-	MOVQ  toff+184(FP), R13
-	LEAQ  (AX)(R13*8), AX
-	TABLE8(AX, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
-	MOVQ  $8, BX
+	JEQ   2(PC)
+	MOVQ  tabA_base+72(FP), R10
+	MOVQ  pb+200(FP), R11
+	CMPB  tipB+176(FP), $0
+	JEQ   2(PC)
+	MOVQ  tabB_base+152(FP), R11
+	XORQ  R13, R13
+
+cat:
+	MOVQ n+304(FP), CX
+	MOVQ d_base+0(FP), DX
+	ADDQ R13, DX
+	MOVQ noScale_base+208(FP), R12
+	MOVQ a_base+24(FP), SI
+	ADDQ R13, SI
+	MOVQ $64, BX
+	CMPB tipA+96(FP), $0
+	JEQ  binit
+	MOVQ tipsA_base+48(FP), SI
+	TABLE8(R10, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	MOVQ $8, BX
 
 binit:
 	MOVQ b_base+104(FP), DI
-	MOVQ pb+208(FP), R11
+	ADDQ R13, DI
 	MOVQ $64, R14
 	CMPB tipB+176(FP), $0
 	JEQ  consts
 	MOVQ tipsB_base+128(FP), DI
-	MOVQ tabB_base+152(FP), AX
-	MOVQ toff+184(FP), R13
-	LEAQ (AX)(R13*8), AX
-	TABLE8(AX, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
+	TABLE8(R11, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
 	MOVQ $8, R14
 
 consts:
@@ -234,95 +248,336 @@ product:
 	ADDQ     $8, R12
 	SUBQ     $8, CX
 	JG       loop
+
+	// Next category: a matrix is 128 bytes, a category's table rows 512.
+	MOVQ $128, AX
+	CMPB tipA+96(FP), $0
+	JEQ  2(PC)
+	MOVQ $512, AX
+	ADDQ AX, R10
+	MOVQ $128, AX
+	CMPB tipB+176(FP), $0
+	JEQ  2(PC)
+	MOVQ $512, AX
+	ADDQ AX, R11
+	LEAQ (R13)(R8*4), R13
+	MOVQ R8, AX
+	SHLQ $4, AX
+	CMPQ R13, AX
+	JNE  cat
+
+	// The scale counts, eight sites a group: ds = sa + sb + 1 − flag, and
+	// K3 collects the sites whose flag is 0.
+	MOVQ       n+304(FP), CX
+	MOVQ       noScale_base+208(FP), R12
+	MOVQ       sa_base+232(FP), SI
+	MOVQ       sb_base+256(FP), DI
+	MOVQ       ds_base+280(FP), DX
+	KXORQ      K3, K3, K3
+	VPTERNLOGD $0xff, Z12, Z12, Z12
+	MOVL       $0xff, AX
+	KMOVB      AX, K1
+
+counts:
+	TAILMASK
+	VMOVDQU8.Z  (R12), K1, Z8
+	VPTESTNMB   Z8, Z8, K1, K2
+	KORQ        K2, K3, K3
+	VPMOVZXBD   X8, Z8
+	VMOVDQU32.Z (SI), K1, Z9
+	VMOVDQU32.Z (DI), K1, Z10
+	VPADDD      Z10, Z9, Z9
+	VPSUBD      Z12, Z9, Z9
+	VPSUBD      Z8, Z9, Z9
+	VMOVDQU32   Z9, K1, (DX)
+	ADDQ        $8, R12
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	ADDQ        $32, DX
+	SUBQ        $8, CX
+	JG          counts
+	KORTESTQ    K3, K3
+	SETNE       rescale+312(FP)
 	VZEROUPPER
 
 none:
 	RET
 
-// SCORE8 is row o/4 of the insertion score: Newview's v = (P·a)·lb with
-// the far side's row factor in LB, its scale test into K, then the term
+// The candidate routine's frame, from its first 64-byte boundary on (R12):
+// the near buffer (16 planes × 8 sites, plane (c, x) at c·256 + x·64) at
+// 0, and the state-major tables of the step's two sides and of the far
+// side, each 4 categories × 4 states × 16 codes (category c's state x at
+// c·512 + x·128, codes 8–15 64 bytes on), at nearTabA, nearTabB and
+// farTab. Aligned, no 64-byte store or load of it splits a cache line.
+#define nearTabA 1024
+#define nearTabB 3072
+#define farTab 5120
+
+// STORETAB stores the state-major table TABLE8 left in Z16–Z23 as
+// category BX/128 of the frame's table at O.
+#define STORETAB(O) \
+	VMOVUPD Z16, (O)(R12)(BX*4); \
+	VMOVUPD Z17, (O+64)(R12)(BX*4); \
+	VMOVUPD Z18, (O+128)(R12)(BX*4); \
+	VMOVUPD Z19, (O+192)(R12)(BX*4); \
+	VMOVUPD Z20, (O+256)(R12)(BX*4); \
+	VMOVUPD Z21, (O+320)(R12)(BX*4); \
+	VMOVUPD Z22, (O+384)(R12)(BX*4); \
+	VMOVUPD Z23, (O+448)(R12)(BX*4)
+
+// LOOKUPM sets X0–X3 to the entries of the group's codes at TIPS in the
+// frame's state-major table at byte O (a category's: the table's base
+// plus c·512): the codes, masked by K1, widen to eight indices in Z12,
+// and per state VPERMT2PD selects code c's entry from the state's two
+// halves. A masked-off lane reads code 0.
+#define LOOKUPM(TIPS, O, X0, X1, X2, X3) \
+	VMOVDQU8.Z (TIPS), K1, Z12; \
+	VPMOVZXBQ  X12, Z12; \
+	VMOVUPD    (O)(R12), X0; \
+	VPERMT2PD  (O+64)(R12), Z12, X0; \
+	VMOVUPD    (O+128)(R12), X1; \
+	VPERMT2PD  (O+192)(R12), Z12, X1; \
+	VMOVUPD    (O+256)(R12), X2; \
+	VPERMT2PD  (O+320)(R12), Z12, X2; \
+	VMOVUPD    (O+384)(R12), X3; \
+	VPERMT2PD  (O+448)(R12), Z12, X3
+
+// BELOW8 clears the lanes of K whose V is at or above ScaleThreshold or
+// NaN: predicate LT_OQ (0x11), the scale test's negation, against the
+// threshold in Z15, under K itself. A chain of them from K1 leaves the
+// lanes none of whose values passed — the sites to rescale.
+#define BELOW8(V, K) \
+	VCMPPD $0x11, Z15, V, K, K
+
+// ROWSC8 is ROWS8 with matrix c of the set at P.
+#define ROWSC8(P, c, V0, V1, V2, V3, A0, A1, A2, A3, TMP) \
+	DOT8(P, (16*c), V0, V1, V2, V3, A0, TMP); \
+	DOT8(P, (16*c+4), V0, V1, V2, V3, A1, TMP); \
+	DOT8(P, (16*c+8), V0, V1, V2, V3, A2, TMP); \
+	DOT8(P, (16*c+12), V0, V1, V2, V3, A3, TMP)
+
+// NEARSIDE8 sets A0–A3 to one side's row factors of category c of a
+// group: LOOKUPM of the side's frame table at TAB + c·512 for the codes at
+// the side's tips (TIPS(FP) + DX) if its flag at TIP(FP) is set, else
+// ROWSC8 of its matrix set at MAT(FP) over its planes at B. LTIP and LEND
+// are the macro's labels.
+#define NEARSIDE8(c, TIP, TIPS, TAB, MAT, B, A0, A1, A2, A3, LTIP, LEND) \
+	CMPB TIP, $0; \
+	JNE  LTIP; \
+	LOAD8(B, Z8, Z9, Z10, Z11); \
+	MOVQ MAT, AX; \
+	ROWSC8(AX, c, Z8, Z9, Z10, Z11, A0, A1, A2, A3, Z12); \
+	JMP  LEND; \
+LTIP: \
+	MOVQ TIPS, AX; \
+	ADDQ DX, AX; \
+	LOOKUPM(AX, TAB+c*512, A0, A1, A2, A3); \
+LEND: \
+	NOP
+
+// NEARROW8 stores row x of category c of a group's near vector, la_x·lb_x
+// with the two sides' row factors in LA and LB, to the near buffer (plane
+// (c, x) at c·256 + x·64) and chains its scale test into K2.
+#define NEARROW8(LA, LB, c, x) \
+	VMULPD  LB, LA, LA; \
+	VMOVUPD LA, (c*256+x*64)(R12); \
+	BELOW8(LA, K2)
+
+// SCORE8 is row x of category c of the score: Newview's v = (P·near)·lb
+// with matrix c of the set at P, the near column in Z0–Z3 and the far
+// side's row factor in LB, its scale test chained into K4, then the term
 // ((f·v)·t)·catW with f in F and t the insertion table's plane at T added
 // to the accumulators Z16. Z8–Z10 are clobbered.
-#define SCORE8(o, LB, F, T, K) \
-	DOT8(R10, o, Z0, Z1, Z2, Z3, Z8, Z9); \
+#define SCORE8(P, c, x, LB, F, T) \
+	DOT8(P, (16*c+4*x), Z0, Z1, Z2, Z3, Z8, Z9); \
 	VMULPD    LB, Z8, Z8; \
-	SCALE8(Z8, K); \
+	BELOW8(Z8, K4); \
 	VMOVUPD.Z T, K1, Z10; \
 	VMULPD    Z8, F, Z9; \
 	VMULPD    Z10, Z9, Z9; \
 	VMULPD    Z17, Z9, Z9; \
 	VADDPD    Z9, Z16, Z16
 
-// func laneScore8(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[16]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int)
+// func laneCandidate8(d []float64, nds []int32, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, sa, sb []int32, f []float64, tipsF []msa.State, tabF []float64, tipF bool, t []float64, stride int, pa, pb, ph *[4][16]float64, freqs *[4]float64, catW float64, site []float64, noScale []bool, n int)
 //
-// laneScore for every site of a category's block, both far operand
-// shapes: the far row factors lb are LOOKUP8 of b's table (from entry
-// toff of tabB) if tipB, ROWS8 of pm over b's planes otherwise; the near
-// operand a is a CLV. f0–f3 are in Z18–Z21 and catW in Z17. DI walks b's
-// planes or codes, R14 holds the step.
-TEXT ·laneScore8(SB), NOSPLIT, $0-248
-	MOVQ  n+240(FP), CX
+// laneCandidate for every site of a block, eight a group, the four
+// categories written out so that each load walks one plane: the near
+// vector of every category into the frame's near buffer, K2 chained down
+// to the sites none of whose entries passed; those sites multiplied by
+// ScaleFactor and nds = sa + sb (+1 in K2); then per category the near
+// column, stored to d under K1, and the score against the far
+// side (ROWS8 of ph over f's planes, or LOOKUPM of its table) and the
+// insertion table t, K4 chained down to the sites the inserted vertex
+// rescales and the others stored as noScale bytes. A tip side's four
+// tables go to the frame first. Z15 holds the threshold, Z14 1 bytes,
+// Z17 catW, Z18–Z21 f0–f3; DX is the group's first site, SI, DI, R10, R11
+// and R13 the planes of a, b, f, t and d at it (R14 steps them a category,
+// BX back to the next group), R12 the aligned frame.
+TEXT ·laneCandidate8(SB), $7232-464
+	MOVQ  n+456(FP), CX
 	TESTQ CX, CX
 	JZ    none
-	MOVQ  site_base+0(FP), DX
-	MOVQ  a_base+24(FP), SI
-	MOVQ  t_base+128(FP), BX
-	STRIDE(stride+160(FP))
-	MOVQ  pm+168(FP), R10
-	MOVQ  noScale_base+216(FP), R12
-	MOVQ  b_base+48(FP), DI
-	MOVQ  $64, R14
-	CMPB  tipB+120(FP), $0
-	JEQ   consts
-	MOVQ  tipsB_base+72(FP), DI
-	MOVQ  tabB_base+96(FP), AX
-	MOVQ  toff+152(FP), R13
-	LEAQ  (AX)(R13*8), AX
-	TABLE8(AX, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
-	MOVQ  $8, R14
+	LEAQ  63(SP), R12
+	ANDQ  $-64, R12
+	CMPB  tipA+120(FP), $0
+	JEQ   tabb
+	MOVQ  tabA_base+96(FP), SI
+	XORQ  BX, BX
+
+taba:
+	LEAQ (SI)(BX*4), AX
+	TABLE8(AX, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	STORETAB(nearTabA)
+	ADDQ $128, BX
+	CMPQ BX, $512
+	JNE  taba
+
+tabb:
+	CMPB tipB+200(FP), $0
+	JEQ  tabf
+	MOVQ tabB_base+176(FP), SI
+	XORQ BX, BX
+
+tabbcat:
+	LEAQ (SI)(BX*4), AX
+	TABLE8(AX, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	STORETAB(nearTabB)
+	ADDQ $128, BX
+	CMPQ BX, $512
+	JNE  tabbcat
+
+tabf:
+	CMPB tipF+328(FP), $0
+	JEQ  consts
+	MOVQ tabF_base+304(FP), SI
+	XORQ BX, BX
+
+tabfcat:
+	LEAQ (SI)(BX*4), AX
+	TABLE8(AX, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	STORETAB(farTab)
+	ADDQ $128, BX
+	CMPQ BX, $512
+	JNE  tabfcat
 
 consts:
+	STRIDE(stride+360(FP))
+	LEAQ         (R8*4), R14
+	MOVQ         R14, BX
+	SHLQ         $2, BX
+	SUBQ         $64, BX
 	VBROADCASTSD ·laneThresh(SB), Z15
 	MOVL         $0x01010101, AX
 	VPBROADCASTD AX, Z14
-	VBROADCASTSD catW+208(FP), Z17
-	VBROADCASTSD f0+176(FP), Z18
-	VBROADCASTSD f1+184(FP), Z19
-	VBROADCASTSD f2+192(FP), Z20
-	VBROADCASTSD f3+200(FP), Z21
+	VBROADCASTSD catW+400(FP), Z17
+	MOVQ         freqs+392(FP), AX
+	VBROADCASTSD 0(AX), Z18
+	VBROADCASTSD 8(AX), Z19
+	VBROADCASTSD 16(AX), Z20
+	VBROADCASTSD 24(AX), Z21
 	MOVL         $0xff, AX
 	KMOVB        AX, K1
+	XORQ         DX, DX
+	MOVQ         a_base+48(FP), SI
+	MOVQ         b_base+128(FP), DI
+	MOVQ         f_base+256(FP), R10
+	MOVQ         t_base+336(FP), R11
+	MOVQ         d_base+0(FP), R13
 
-loop:
+// The two macros below name the routine's arguments, so they are defined
+// inside it, where go vet's asmdecl checks those names against its frame.
+
+// NEARCAT8 is category c of a group's near vector: the two sides' row
+// factors, SI and DI the category's planes of a and b, and the four rows;
+// then SI and DI step to the next category.
+#define NEARCAT8(c, LTA, LEA, LTB, LEB) \
+	NEARSIDE8(c, tipA+120(FP), tipsA_base+72(FP), nearTabA, pa+368(FP), SI, Z0, Z1, Z2, Z3, LTA, LEA); \
+	NEARSIDE8(c, tipB+200(FP), tipsB_base+152(FP), nearTabB, pb+376(FP), DI, Z4, Z5, Z6, Z7, LTB, LEB); \
+	NEARROW8(Z0, Z4, c, 0); \
+	NEARROW8(Z1, Z5, c, 1); \
+	NEARROW8(Z2, Z6, c, 2); \
+	NEARROW8(Z3, Z7, c, 3); \
+	ADDQ R14, SI; \
+	ADDQ R14, DI
+
+// SCORECAT8 is category c of a group's score: the near column from the
+// buffer, stored to d's planes at R13 under K1, the far row
+// factors (R10 its planes), and the four rows against the insertion
+// table's planes at R11; then R10, R11 and R13 step to the next category.
+#define SCORECAT8(c, LTIP, LEND) \
+	VMOVUPD (c*256)(R12), Z0; \
+	VMOVUPD (c*256+64)(R12), Z1; \
+	VMOVUPD (c*256+128)(R12), Z2; \
+	VMOVUPD (c*256+192)(R12), Z3; \
+	VMOVUPD Z0, K1, (R13); \
+	VMOVUPD Z1, K1, (R13)(R8*1); \
+	VMOVUPD Z2, K1, (R13)(R8*2); \
+	VMOVUPD Z3, K1, (R13)(R9*1); \
+	NEARSIDE8(c, tipF+328(FP), tipsF_base+280(FP), farTab, ph+384(FP), R10, Z4, Z5, Z6, Z7, LTIP, LEND); \
+	MOVQ ph+384(FP), AX; \
+	SCORE8(AX, c, 0, Z4, Z18, (R11)); \
+	SCORE8(AX, c, 1, Z5, Z19, (R11)(R8*1)); \
+	SCORE8(AX, c, 2, Z6, Z20, (R11)(R8*2)); \
+	SCORE8(AX, c, 3, Z7, Z21, (R11)(R9*1)); \
+	ADDQ R14, R10; \
+	ADDQ R14, R11; \
+	ADDQ R14, R13
+
+group:
 	TAILMASK
-	VMOVUPD.Z (DX), K1, Z16
-	CMPB      tipB+120(FP), $0
-	JNE       tipb
-	LOAD8(DI, Z8, Z9, Z10, Z11)
-	ROWS8(R10, Z8, Z9, Z10, Z11, Z4, Z5, Z6, Z7, Z12)
-	JMP       rows
+	KMOVB K1, K2
+	NEARCAT8(0, neartipa0, nearb0, neartipb0, nearrows0)
+	NEARCAT8(1, neartipa1, nearb1, neartipb1, nearrows1)
+	NEARCAT8(2, neartipa2, nearb2, neartipb2, nearrows2)
+	NEARCAT8(3, neartipa3, nearb3, neartipb3, nearrows3)
 
-tipb:
-	LOOKUP8(DI, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31, Z4, Z5, Z6, Z7)
+	// Rescale the sites of K2, none of whose entries passed.
+	KORTESTB K2, K2
+	JZ       counts
+	VBROADCASTSD ·laneScale(SB), Z12
+	XORQ     AX, AX
 
-rows:
-	LOAD8(SI, Z0, Z1, Z2, Z3)
-	SCORE8(0, Z4, Z18, (BX), K2)
-	SCORE8(4, Z5, Z19, (BX)(R8*1), K3)
-	KORB     K3, K2, K2
-	SCORE8(8, Z6, Z20, (BX)(R8*2), K3)
-	KORB     K3, K2, K2
-	SCORE8(12, Z7, Z21, (BX)(R9*1), K3)
-	KORB     K3, K2, K2
-	VMOVUPD  Z16, K1, (DX)
-	VMOVDQU8 Z14, K2, (R12)
-	ADDQ     $64, SI
-	ADDQ     R14, DI
-	ADDQ     $64, BX
-	ADDQ     $64, DX
-	ADDQ     $8, R12
+rescale:
+	VMOVUPD (R12)(AX*1), Z8
+	VMULPD  Z12, Z8, K2, Z8
+	VMOVUPD Z8, (R12)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, $1024
+	JNE     rescale
+
+counts:
+	MOVQ        sa_base+208(FP), AX
+	VMOVDQU32.Z (AX)(DX*4), K1, Z8
+	MOVQ        sb_base+232(FP), AX
+	VMOVDQU32.Z (AX)(DX*4), K1, Z9
+	VPADDD      Z9, Z8, Z8
+	VPTERNLOGD  $0xff, Z9, Z9, Z9
+	VPSUBD      Z9, Z8, K2, Z8
+	MOVQ        nds_base+24(FP), AX
+	VMOVDQU32   Z8, K1, (AX)(DX*4)
+
+	// The score, from the near buffer.
+	MOVQ      site_base+408(FP), AX
+	VMOVUPD.Z (AX)(DX*8), K1, Z16
+	KMOVB     K1, K4
+	SCORECAT8(0, fartip0, terms0)
+	SCORECAT8(1, fartip1, terms1)
+	SCORECAT8(2, fartip2, terms2)
+	SCORECAT8(3, fartip3, terms3)
+
+	MOVQ     site_base+408(FP), AX
+	VMOVUPD  Z16, K1, (AX)(DX*8)
+	MOVQ     noScale_base+432(FP), AX
+	KANDNB   K1, K4, K4
+	VMOVDQU8 Z14, K4, (AX)(DX*1)
+	SUBQ     BX, SI
+	SUBQ     BX, DI
+	SUBQ     BX, R10
+	SUBQ     BX, R11
+	SUBQ     BX, R13
+	ADDQ     $8, DX
 	SUBQ     $8, CX
-	JG       loop
+	JG       group
 	VZEROUPPER
 
 none:

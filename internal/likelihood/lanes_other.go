@@ -12,19 +12,21 @@ import "repro/internal/msa"
 
 const haveLanes, haveLanes8, haveExpLanes = false, false, false
 
-func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int) {
+func laneNewview(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, pa, pb *[gammaCats][ns * ns]float64, noScale []bool, sa, sb, ds []int32, n int) (rescale bool) {
+	return false
 }
 
-func laneScore(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int) {
+func laneCandidate(d []float64, nds []int32, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, sa, sb []int32, f []float64, tipsF []msa.State, tabF []float64, tipF bool, t []float64, stride int, pa, pb, ph *[gammaCats][ns * ns]float64, freqs *[ns]float64, catW float64, site []float64, noScale []bool, n int) {
 }
 
 func laneEvaluate(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int) {
 }
 
-func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, toff, stride int, pa, pb *[ns * ns]float64, noScale []bool, n int) {
+func laneNewview8(d, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, stride int, pa, pb *[gammaCats][ns * ns]float64, noScale []bool, sa, sb, ds []int32, n int) (rescale bool) {
+	return false
 }
 
-func laneScore8(site, a, b []float64, tipsB []msa.State, tabB []float64, tipB bool, t []float64, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, noScale []bool, n int) {
+func laneCandidate8(d []float64, nds []int32, a []float64, tipsA []msa.State, tabA []float64, tipA bool, b []float64, tipsB []msa.State, tabB []float64, tipB bool, sa, sb []int32, f []float64, tipsF []msa.State, tabF []float64, tipF bool, t []float64, stride int, pa, pb, ph *[gammaCats][ns * ns]float64, freqs *[ns]float64, catW float64, site []float64, noScale []bool, n int) {
 }
 
 func laneEvaluate8(site, p []float64, tipsP []msa.State, tipVec *[16][ns]float64, tipP bool, q []float64, tipsQ []msa.State, tab []float64, tipQ bool, toff, stride int, pm *[ns * ns]float64, f0, f1, f2, f3, catW float64, n int) {

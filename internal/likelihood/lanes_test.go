@@ -186,11 +186,15 @@ func TestLanesMatchGoLoop(t *testing.T) {
 				return sites(func(site []float64, _ []bool) { k.evaluateGammaSites(site, op, oq, pa, tables(oq, tabA), catW, lo) })
 			}
 		}
-		score := func(ob operand) func() []uint64 {
+		// candidate runs a whole candidate block: its score, rescaled
+		// sites and the step's slot.
+		candidate := func(oa, ob, far operand) func() []uint64 {
 			return func() []uint64 {
-				return sites(func(site []float64, noScale []bool) {
-					k.scoreInsertionGammaSites(site, noScale, a, ob, pa, tables(ob, tabA), catW, lo)
-				})
+				d, ds := append([]float64(nil), d0...), make([]int32, nPat)
+				ra := &runArgs{dclv: d, dscale: ds, oa: oa, ob: ob, pa: pa, pb: pb, tabA: tables(oa, tabA), tabB: tables(ob, tabB),
+					far: far, ph: pa, tabF: tables(far, tabA), catW: catW}
+				lnL, rescaled := k.scoreInsertionGammaSoABlock(ra, lo, hi)
+				return laneBits(laneBits(laneBits(nil, []float64{lnL, float64(rescaled)}), d), ds)
 			}
 		}
 		prepare := func(op, oq operand) func() []uint64 {
@@ -224,8 +228,11 @@ func TestLanesMatchGoLoop(t *testing.T) {
 			{"evaluate tip near, inner far", evaluate(tip, b)},
 			{"evaluate inner near, tip far", evaluate(a, tip)},
 			{"evaluate tip-tip", evaluate(tip, tip2)},
-			{"insertion score", score(b)},
-			{"insertion score tip", score(tip)},
+			{"candidate inner-inner step, inner far", candidate(a, b, b)},
+			{"candidate inner-inner step, tip far", candidate(a, b, tip)},
+			{"candidate tip-inner step, inner far", candidate(tip, b, a)},
+			{"candidate inner-tip step, tip far", candidate(a, tip, tip2)},
+			{"candidate tip-tip step, inner far", candidate(tip, tip2, b)},
 		}
 		for _, c := range cases {
 			SetLanes(0)
@@ -995,7 +1002,7 @@ func BenchmarkGammaLanes(b *testing.B) {
 	k.fillTipTable(tab, pm, 0xffff, nil)
 	k.insTab = planes()
 	d, ds := make([]float64, nPat*gammaCats*ns), make([]int32, nPat)
-	site, noScale := make([]float64, nPat), make([]bool, nPat)
+	site := make([]float64, nPat)
 	for i := range pd.Weights {
 		pd.Weights[i] = 1
 	}
@@ -1006,6 +1013,16 @@ func BenchmarkGammaLanes(b *testing.B) {
 	var ra runArgs
 	k.exponentials(&ra, 0.1)
 	ex, lam := (*[gammaCats][ns]float64)(ra.ex), (*[gammaCats][ns]float64)(ra.lam)
+	// candidate times one candidate block, its step a-c and the given far
+	// side.
+	candidate := func(far operand) func() {
+		var tabF []float64
+		if far.tips != nil {
+			tabF = tab
+		}
+		cand := &runArgs{dclv: d, dscale: ds, oa: a, ob: c, pa: pm, pb: pm, far: far, ph: pm, tabF: tabF, catW: 0.25}
+		return func() { k.scoreInsertionGammaSoABlock(cand, 0, nPat) }
+	}
 	workers := []struct {
 		name string
 		run  func()
@@ -1019,8 +1036,8 @@ func BenchmarkGammaLanes(b *testing.B) {
 		{"evaluate", func() { k.evaluateGammaSites(site, a, c, pm, nil, 0.25, 0) }},
 		{"evaluate-tip-near", func() { k.evaluateGammaSites(site, tip, c, pm, nil, 0.25, 0) }},
 		{"evaluate-tip-far", func() { k.evaluateGammaSites(site, a, tip, pm, tab, 0.25, 0) }},
-		{"score", func() { k.scoreInsertionGammaSites(site, noScale, a, c, pm, nil, 0.25, 0) }},
-		{"score-tip", func() { k.scoreInsertionGammaSites(site, noScale, a, tip, pm, tab, 0.25, 0) }},
+		{"candidate", candidate(c)},
+		{"candidate-tip-far", candidate(tip)},
 		{"p-set", func() { benchPSet(par.Eigen, false) }},
 		{"tip-table", func() { k.fillTipTable(tab, pm, 0xffff, nil) }},
 	}

@@ -137,8 +137,7 @@ func maskTrace(t *testing.T, tr *tree.Tree, k stager, before func()) []uint64 {
 		}
 		run(func() { k.PrepareInsertion(ins.Sub, ins.SubT[0]) })
 		for c, s := range ins.Pre[0] {
-			run(func() { k.Newview(s) })
-			run(func() { k.ScoreInsertion(s.Dst, ins.Far[c], ins.Half[0][c]) })
+			run(func() { k.ScoreInsertion(s, ins.Far[c], ins.Half[0][c]) })
 			result()
 		}
 	}

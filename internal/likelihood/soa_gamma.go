@@ -18,14 +18,18 @@ const gammaCats = model.GammaCategories
 // the vectorizable shape of BEAGLE's CPU kernels.
 //
 // Vector lanes (lanes.go): on a CPU with AVX2 the Newview, evaluation,
-// insertion-score and sum-table fill workers hand the first nl sites of
-// each category's site loop to a routine that computes four sites per
-// instruction (eight for the first three workers on a CPU with AVX-512),
-// and their Go loop continues at nl — the tail, and every site where the
-// lanes do not run. nl is w & laneMask for the fill and gammaLaneSites(w)
-// for the other three: w &^ 3 at width 4, w at width 8. The Go loop is the
-// single statement of each expression; a lane evaluates it for its site
-// with the same operands in the same order.
+// candidate (insertion.go) and sum-table fill workers hand the first nl
+// sites of their site loop — each category's for the evaluation and the
+// fill, the whole block for the Newview and the candidate — to a routine
+// that computes four sites per instruction (eight for the first three
+// workers on a CPU with AVX-512), and their Go loop continues at nl — the
+// tail, and every site where the lanes do not run. nl is w & laneMask for
+// the fill and gammaLaneSites(w) for the other three: w &^ 3 at width 4,
+// w at width 8. The Go loop is the single statement of each expression; a
+// lane evaluates it for its site with the same operands in the same
+// order. The Newview and candidate routines take their sites' scaling
+// decisions and write their scale counts themselves, so the Go scaling
+// pass runs only for a block with a site to rescale.
 //
 // Expression order (docs/DETERMINISM.md §8): a site's value is one fixed
 // expression (operands and association order) whichever worker computes
@@ -78,21 +82,48 @@ func scaleWindow(s []int32, lo, w int) []int32 {
 // newviewGammaSoABlock is the Newview worker under Γ, every operand shape:
 // a tip side reads its P·tipVec table row (tabA/tabB), an inner side
 // computes the product from its planes, and the value is la·lb. A cherry
-// is the case of two tips.
+// is the case of two tips. The first nl sites, all four categories, run in
+// one lane call (newviewLanes) that also takes their scaling decision and
+// writes their scale counts; the Go loop does the rest, and the scaling
+// pass runs only for a block with a site to rescale.
 func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	// noScale[j] records that site lo+j produced at least one entry at
 	// or above ScaleThreshold (or a NaN) — an order-independent OR over
 	// the column's entries; a site with none is rescaled. Stack scratch:
 	// per-goroutine, so concurrent blocks never share it.
 	var noScaleBuf [threadpool.BlockSize]bool
-	noScale := noScaleBuf[:hi-lo]
-	k.newviewGammaSites(dclv, noScale, oa, ob, tabA, tabB, pa, pb, lo)
-	k.finishNewviewGammaSoA(dclv, dscale, oa.scale, ob.scale, noScale, lo)
+	k.newviewGammaBlock(dclv, dscale, noScaleBuf[:hi-lo], oa, ob, tabA, tabB, pa, pb, lo)
+}
+
+// newviewGammaBlock is newviewGammaSoABlock over the len(noScale) sites
+// from lo, noScale (zeroed) its scratch.
+func (k *Kernel) newviewGammaBlock(dclv []float64, dscale []int32, noScale []bool, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo int) {
+	w := len(noScale)
+	sa, sb, ds := scaleWindow(oa.scale, lo, w), scaleWindow(ob.scale, lo, w), dscale[lo:][:w]
+	nl := gammaLaneSites(w)
+	rescale := newviewLanes(dclv, noScale, sa, sb, ds, oa, ob, tabA, tabB, pa, pb, k.nPat, lo, nl)
+	if nl < w {
+		k.newviewGammaSites(dclv, noScale, oa, ob, tabA, tabB, pa, pb, lo)
+	}
+	// The scale counts of the sites the lanes leave: ds = sa + sb, plus one
+	// at a site that rescales.
+	for j := nl; j < w; j++ {
+		sc := sa[j] + sb[j]
+		if !noScale[j] {
+			sc++
+			rescale = true
+		}
+		ds[j] = sc
+	}
+	if rescale {
+		k.finishNewviewGammaSoA(dclv, noScale, lo)
+	}
 }
 
 // newviewGammaSites stores the unscaled values of newviewGammaSoABlock's
-// block, the len(noScale) sites from lo, into dclv and ORs each site's
-// scale test into noScale (zeroed).
+// block, the len(noScale) sites from lo, from site gammaLaneSites(w) on —
+// the sites the lanes leave — into dclv and ORs each site's scale test
+// into noScale.
 func (k *Kernel) newviewGammaSites(dclv []float64, noScale []bool, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo int) {
 	n := k.nPat
 	w := len(noScale)
@@ -104,12 +135,11 @@ func (k *Kernel) newviewGammaSites(dclv []float64, noScale []bool, oa, ob operan
 		// One fused sweep per category: each site's four child values per
 		// operand load once, and the four state outputs store to their
 		// planes in the same pass — the loop-order freedom the plane-major
-		// layout buys. The first nl sites run in vector lanes (lanes.go).
+		// layout buys.
 		a0, a1, a2, a3 := operandPlanes(oa, n, c*ns*n+lo, w)
 		b0, b1, b2, b3 := operandPlanes(ob, n, c*ns*n+lo, w)
 		d0, d1, d2, d3 := planes(dclv, c*ns, n, lo, w)
 		tbase := c * 16 * ns
-		newviewLanes(d0, a0, tipsA, tabA, oa.tips != nil, b0, tipsB, tabB, ob.tips != nil, tbase, n, pca, pcb, noScale, nl)
 		for j := nl; j < len(noScale); j++ {
 			var la, lb [ns]float64
 			if oa.tips != nil {
@@ -144,38 +174,23 @@ func (k *Kernel) newviewGammaSites(dclv []float64, noScale []bool, oa, ob operan
 	}
 }
 
-// finishNewviewGammaSoA applies the per-site scaling decision and writes
-// the scale counts — the tail of newviewGammaSoABlock. The conditional
-// ScaleFactor multiply is per-entry independent, so applying it in a
-// separate plane pass yields the same bits as a per-site column loop.
-func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []int32, noScale []bool, lo int) {
+// finishNewviewGammaSoA is the scaling pass of a Γ Newview block with a
+// site to rescale: every entry of such a site times ScaleFactor. The
+// multiply is per-entry independent, so applying it in a separate plane
+// pass yields the same bits as a per-site column loop. Rare, so kept out
+// of line.
+//
+//go:noinline
+func (k *Kernel) finishNewviewGammaSoA(dclv []float64, noScale []bool, lo int) {
 	n := k.nPat
 	w := len(noScale)
-	anyScale := false
-	for _, ok := range noScale {
-		if !ok {
-			anyScale = true
-			break
-		}
-	}
-	if anyScale {
-		for p := 0; p < gammaCats*ns; p++ {
-			d := window(dclv, p*n+lo, w)
-			for j, ok := range noScale {
-				if !ok {
-					d[j] *= ScaleFactor
-				}
+	for p := 0; p < gammaCats*ns; p++ {
+		d := window(dclv, p*n+lo, w)
+		for j, ok := range noScale {
+			if !ok {
+				d[j] *= ScaleFactor
 			}
 		}
-	}
-	sa, sb = scaleWindow(sa, lo, w), scaleWindow(sb, lo, w)
-	ds := dscale[lo:][:w]
-	for j, ok := range noScale {
-		sc := sa[j] + sb[j]
-		if !ok {
-			sc++
-		}
-		ds[j] = sc
 	}
 }
 

@@ -100,8 +100,7 @@ func programTrace(t *testing.T, tr *tree.Tree, k stager, flush func(*likelihood.
 		k.Traverse(ins.Post[0])
 		k.PrepareInsertion(ins.Sub, ins.SubT[0])
 		for c, step := range ins.Pre[0] {
-			k.Newview(step)
-			k.ScoreInsertion(step.Dst, ins.Far[c], ins.Half[0][c])
+			k.ScoreInsertion(step, ins.Far[c], ins.Half[0][c])
 		}
 		flush(k.Kernel)
 		lnL(ins.NCandidates())

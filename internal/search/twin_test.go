@@ -105,9 +105,10 @@ func (e *twinEngine) errorf(format string, args ...any) {
 	}
 }
 
+// columns returns the kernel columns eng's rank has scheduled so far: the
+// Columns of the work its rank body reports to the run driver.
 func columns(eng search.Engine) int64 {
-	cols, _ := eng.(interface{ Stats() (int64, float64) }).Stats()
-	return cols
+	return eng.(interface{ Work() enginecore.RankWork }).Work().Columns
 }
 
 // SetShared and OptimizeSiteRates check what is pending first: the twin
