@@ -160,7 +160,8 @@ kernel-bce:
 
 # fuzz-smoke gives every native fuzz target a short pass over its seed
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
-# sent must fail with an error, never a panic, and the Γ site lanes of
+# sent (the traversal plans, a TCP data frame, a rendezvous welcome) must
+# fail with an error, never a panic, and the Γ site lanes of
 # every width the CPU runs must match the Go loops bit for bit with every
 # slice they touch against a PROT_NONE page (FuzzGammaLanes, linux/amd64).
 fuzz-smoke:
@@ -170,6 +171,8 @@ fuzz-smoke:
 	$(GO) test ./internal/enginecore -run '^$$' -fuzz '^FuzzDecodeSiteRateResolution$$' -fuzztime 10s
 	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/likelihood -run '^$$' -fuzz '^FuzzGammaLanes$$' -fuzztime 10s
+	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s
+	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzWelcome$$' -fuzztime 10s
 
 # smoke-net runs real multi-process inferences over loopback TCP
 # (docs/NETWORKING.md). First a decentralized one: simulate a tiny

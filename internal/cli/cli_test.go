@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/mpinet"
 	"repro/internal/msa"
 	"repro/internal/seqgen"
 )
@@ -128,7 +129,7 @@ func TestStartObservability(t *testing.T) {
 // freeAddr reserves a currently-free loopback host:port.
 func freeAddr(t *testing.T) string {
 	t.Helper()
-	addr, err := freeLoopbackAddr()
+	addr, err := mpinet.ReserveLoopbackAddr()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package cli
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strconv"
 	"time"
 
 	"repro"
+	"repro/internal/mpinet"
 )
 
 // RunNet executes this process as one rank of a multi-process TCP world
@@ -105,7 +105,7 @@ func Launch(a Args) error {
 	addr := a.NetAddr
 	if addr == "" {
 		var err error
-		if addr, err = freeLoopbackAddr(); err != nil {
+		if addr, err = mpinet.ReserveLoopbackAddr(); err != nil {
 			return fmt.Errorf("reserving a rendezvous port: %w", err)
 		}
 	}
@@ -172,15 +172,4 @@ func killAll(procs []*exec.Cmd) {
 			cmd.Process.Kill()
 		}
 	}
-}
-
-// freeLoopbackAddr reserves a currently-free loopback port.
-func freeLoopbackAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
 }

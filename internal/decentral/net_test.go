@@ -2,7 +2,6 @@ package decentral
 
 import (
 	"math"
-	"net"
 	"sync"
 	"testing"
 
@@ -16,12 +15,10 @@ import (
 // reserveLoopbackAddr picks a free loopback port for a rendezvous.
 func reserveLoopbackAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := mpinet.ReserveLoopbackAddr()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
 	return addr
 }
 

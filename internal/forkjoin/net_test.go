@@ -2,7 +2,6 @@ package forkjoin
 
 import (
 	"math"
-	"net"
 	"sync"
 	"testing"
 
@@ -15,12 +14,10 @@ import (
 
 func reserveLoopbackAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := mpinet.ReserveLoopbackAddr()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
 	return addr
 }
 

@@ -258,7 +258,7 @@ func (k *Kernel) Finish() {
 			p := &k.parts[b*k.redStride+red]
 			r[0] += p.a
 			r[1] += p.b
-			k.insRescales += p.rescaled
+			k.counts[telemetry.RankInsertionRescales] += p.rescaled
 			*p = blockPartial{}
 		}
 		k.res = append(k.res, r)

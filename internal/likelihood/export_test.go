@@ -8,13 +8,6 @@ import (
 	"repro/internal/threadpool"
 )
 
-// PCacheResets is how often the kernel's P-matrix cache was reset.
-func (k *Kernel) PCacheResets() int64 { return k.pcResets }
-
-// InsertionRescales is the sites ScoreInsertion scored over a rescaled
-// inserted column.
-func (k *Kernel) InsertionRescales() int64 { return k.insRescales }
-
 // Now is a kernel driven one call at a time, the way the tests that check
 // a single operation's value read best: every call stages its operations
 // as a program of its own, flushes it on Pool (nil: serially) and returns

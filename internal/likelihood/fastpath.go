@@ -94,7 +94,7 @@ func (k *Kernel) probMatricesFor(t float64) [][ns * ns]float64 {
 		k.pcGen = g
 		if len(k.pcache) > 0 {
 			k.dropPCache()
-			k.pcResets++
+			k.counts[telemetry.RankPCacheResets]++
 		}
 	}
 	if m, ok := k.pcache[math.Float64bits(t)]; ok {

@@ -213,18 +213,18 @@ func TestPCacheInvalidatedByModelChange(t *testing.T) {
 func TestPCacheSurvivesNoOpParameterPush(t *testing.T) {
 	f, _ := threadedFixture(t, model.Gamma, 0)
 	want := math.Float64bits(f.evalAt(f.tree.Tip(0)))
-	warm, warmResets := f.kern.Counters(), f.kern.PCacheResets()
+	warm := f.kern.Counters()
 
 	if err := f.par.DecodeShared(f.par.EncodeShared()); err != nil {
 		t.Fatal(err)
 	}
 	got := math.Float64bits(f.evalAt(f.tree.Tip(0)))
-	fp, resets := f.kern.Counters(), f.kern.PCacheResets()
+	fp := f.kern.Counters()
 	if got != want {
 		t.Errorf("replay after a no-op push: lnL bits %x != %x", got, want)
 	}
-	if resets != warmResets || fp[telemetry.RankPCacheMisses] != warm[telemetry.RankPCacheMisses] || fp[telemetry.RankPCacheHits] == warm[telemetry.RankPCacheHits] {
-		t.Errorf("no-op push disturbed the P-matrix cache: %d resets, %v -> %d resets, %v", warmResets, warm, resets, fp)
+	if fp[telemetry.RankPCacheResets] != warm[telemetry.RankPCacheResets] || fp[telemetry.RankPCacheMisses] != warm[telemetry.RankPCacheMisses] || fp[telemetry.RankPCacheHits] == warm[telemetry.RankPCacheHits] {
+		t.Errorf("no-op push disturbed the P-matrix cache: %v -> %v", warm, fp)
 	}
 
 	shared := f.par.EncodeShared()
@@ -233,7 +233,7 @@ func TestPCacheSurvivesNoOpParameterPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.evalAt(f.tree.Tip(0))
-	if after := f.kern.PCacheResets(); after != resets+1 {
-		t.Errorf("α change reset the cache %d times, want 1", after-resets)
+	if after := f.kern.Counters()[telemetry.RankPCacheResets]; after != fp[telemetry.RankPCacheResets]+1 {
+		t.Errorf("α change reset the cache %d times, want 1", after-fp[telemetry.RankPCacheResets])
 	}
 }

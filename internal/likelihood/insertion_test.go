@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/likelihood"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 )
 
@@ -120,10 +121,10 @@ func TestInsertionScoreBitIdentical(t *testing.T) {
 							for _, sub := range []likelihood.Ref{tips[1], clvs[2]} {
 								name := fmt.Sprintf("%v width=%d T=%d step=%v far=%v shrunk column/near=%v sub=%v", het, width, threads, step, far, shrink, sub)
 								k.PoisonVector(near)
-								before := k.InsertionRescales()
+								before := k.Counters()[telemetry.RankInsertionRescales]
 								k.PrepareInsertion(sub, subT)
 								score := k.ScoreInsertion(step, far, half)
-								rescaled := k.InsertionRescales() - before
+								rescaled := k.Counters()[telemetry.RankInsertionRescales] - before
 								gotCLV, gotScale := k.Vector(near)
 
 								k.Newview(step)

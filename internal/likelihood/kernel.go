@@ -164,12 +164,8 @@ type Kernel struct {
 	pmFree [][][ns * ns]float64
 	pmLent [][][ns * ns]float64
 	// counts are the kernel's per-rank counters (Counters), out-of-band:
-	// no computed value reads them. pcResets counts P-matrix cache resets,
-	// each after a parameter change, and insRescales the sites
-	// ScoreInsertion scored over a rescaled inserted column — the ones
-	// Newview would have rescaled; only tests read them.
-	counts                telemetry.RankCounters
-	pcResets, insRescales int64
+	// no computed value reads them.
+	counts telemetry.RankCounters
 
 	// The program (dispatch.go): the staged block operations of the engine
 	// call in flight, the per-block rows of partials its reducing

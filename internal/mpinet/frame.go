@@ -11,12 +11,14 @@
 //     on the wire, so reductions stay bit-identical across
 //     byte-ordered boundaries — the §III-B replica-consistency
 //     property now holds across real machines, not just goroutines.
-//   - Rendezvous: rank 0 listens; every other rank dials it, presents
-//     the run nonce + its rank, and learns the address book; the full
-//     mesh is then built by the "higher rank dials lower rank" rule.
-//     All dials and handshakes carry explicit timeouts and bounded
-//     retry with exponential backoff — a missing peer fails the launch
-//     with a diagnostic instead of hanging.
+//   - Rendezvous: one protocol forms the first world and every
+//     recovered one. A coordinator (rank 0 at launch) listens; every
+//     other process dials it, presents the run nonce, its rank and its
+//     input digest, and learns the address book; the full mesh is then
+//     built by the "higher rank dials lower rank" rule. All dials and
+//     handshakes carry explicit timeouts and bounded retry with
+//     exponential backoff — a missing peer fails the launch with a
+//     diagnostic instead of hanging.
 //   - Failure detection: every connection is heartbeated; a silent or
 //     disconnected peer surfaces as *PeerDownError from Send/Recv,
 //     which internal/mpi wraps in *mpi.CommError and the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,16 +14,13 @@ import (
 	"repro/internal/mpi"
 )
 
-// reserveAddr picks a free loopback port. The tiny close-to-rebind race
-// is acceptable in tests.
+// reserveAddr picks a free loopback rendezvous address.
 func reserveAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := ReserveLoopbackAddr()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
 	return addr
 }
 
@@ -384,5 +382,330 @@ func TestRecoverReformsSurvivorWorld(t *testing.T) {
 		if len(res) != 1 || res[0] != 3 {
 			t.Fatalf("survivor %d: allreduce over recovered world = %v, want [3]", i, res)
 		}
+	}
+}
+
+// welcomeCases are welcomes a coordinator might answer rank 1 of a
+// two-rank world with, and whether the joiner takes its place in the
+// world they describe. TestRendezvousOutcomes sends them, and they seed
+// FuzzWelcome.
+var welcomeCases = []struct {
+	name string
+	w    welcome
+	ok   bool
+}{
+	{"well formed", welcome{2, 1, []string{"a", "b"}, []uint64{3, 4}, []int{0, 1}}, true},
+	{"metas longer than the world", welcome{2, 1, []string{"a", "b"}, []uint64{3, 4, 9}, []int{0, 1}}, false},
+	{"metas missing", welcome{2, 1, []string{"a", "b"}, nil, []int{0, 1}}, false},
+	{"old ranks short", welcome{2, 1, []string{"a", "b"}, []uint64{3, 4}, []int{0}}, false},
+	{"book short", welcome{2, 1, []string{"a"}, []uint64{3, 4}, []int{0, 1}}, false},
+	{"rank 0", welcome{2, 0, []string{"a", "b"}, []uint64{3, 4}, []int{0, 1}}, false},
+	{"rank at size", welcome{2, 2, []string{"a", "b"}, []uint64{3, 4}, []int{0, 1}}, false},
+}
+
+// TestRendezvousOutcomes drives each way a rendezvous can end besides a
+// clean world, at launch (Connect) and in recovery (Recover), and holds
+// every side to its outcome. Deadlines are generous and no case times
+// anything: a case that cannot end fails at its deadline, not on a slow
+// host. Raw registrations (register) stand in for a process where a case
+// needs one that says something a real rank would not.
+func TestRendezvousOutcomes(t *testing.T) {
+	const long = 20 * time.Second
+	cfg := func(addr string, rank, size int) Config {
+		return Config{Rank: rank, Size: size, Addr: addr, Nonce: 5,
+			RendezvousTimeout: long, RecoveryWindow: long}
+	}
+	// listening waits until addr accepts a connection. A joiner's mesh
+	// listener binds an ephemeral port, which can be the one the test
+	// just reserved for rank 0: the joiners start once rank 0 holds it.
+	// The probe sends nothing, and rank 0 drops it.
+	listening := func(t *testing.T, addr string) {
+		t.Helper()
+		c, err := dialRetry(addr, Config{}, time.Now().Add(long), "rank 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	// connect runs Connect for every config, rank 0's ahead of the rest,
+	// and returns their errors, closing every transport
+	// that formed.
+	connect := func(t *testing.T, cfgs ...Config) []error {
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, c := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr, err := Connect(c)
+				if tr != nil {
+					tr.Close()
+				}
+				errs[i] = err
+			}()
+			if c.Rank == 0 {
+				listening(t, c.Addr)
+			}
+		}
+		wg.Wait()
+		return errs
+	}
+	// recoverAll runs Recover at epoch 1 for every config at once.
+	recoverAll := func(cfgs ...Config) ([]*RecoveredWorld, []error) {
+		worlds, errs := make([]*RecoveredWorld, len(cfgs)), make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, c := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worlds[i], errs[i] = Recover(c, 1, uint64(10+c.Rank))
+			}()
+		}
+		wg.Wait()
+		t.Cleanup(func() {
+			for _, w := range worlds {
+				if w != nil {
+					w.Transport.Close()
+				}
+			}
+		})
+		return worlds, errs
+	}
+	// epochAddr is the address epoch 1's rendezvous listens on.
+	epochAddr := func(addr string) string {
+		host, port, _ := net.SplitHostPort(addr)
+		p, _ := strconv.Atoi(port)
+		return net.JoinHostPort(host, strconv.Itoa(p+1))
+	}
+	// recoveryAddr reserves a rendezvous address whose epoch-1 port is
+	// free as well: any socket of this process may hold the port above a
+	// reserved one.
+	recoveryAddr := func(t *testing.T) string {
+		t.Helper()
+		for range 100 {
+			addr := reserveAddr(t)
+			if ln, err := net.Listen("tcp", epochAddr(addr)); err == nil {
+				ln.Close()
+				return addr
+			}
+		}
+		t.Fatal("no free pair of loopback ports")
+		return ""
+	}
+	// register dials addr and sends h, as a joiner's registration does.
+	register := func(t *testing.T, addr string, h hello) net.Conn {
+		t.Helper()
+		c, err := dialRetry(addr, Config{}, time.Now().Add(long), "the coordinator")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := sendJSONFrame(c, time.Now().Add(long), frameHello, &h); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	wantErr := func(t *testing.T, who string, err error, text string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), text) {
+			t.Errorf("%s: got %v, want an error containing %q", who, err, text)
+		}
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"launch peer with another size", func(t *testing.T) {
+			addr := reserveAddr(t)
+			errs := connect(t, cfg(addr, 0, 2), cfg(addr, 1, 3))
+			wantErr(t, "rank 0", errs[0], "mismatched -net-size?")
+			if errs[1] == nil {
+				t.Error("the peer of another size joined a world")
+			}
+		}},
+		{"launch duplicate rank", func(t *testing.T) {
+			addr := reserveAddr(t)
+			errs := connect(t, cfg(addr, 0, 3), cfg(addr, 1, 3), cfg(addr, 1, 3))
+			wantErr(t, "rank 0", errs[0], "duplicate -net-rank?")
+			for i := 1; i < 3; i++ {
+				if errs[i] == nil {
+					t.Errorf("peer %d claiming rank 1 joined a world", i)
+				}
+			}
+		}},
+		{"launch stale nonce turned away", func(t *testing.T) {
+			addr := reserveAddr(t)
+			root := make(chan error, 1)
+			go func() {
+				tr, err := Connect(cfg(addr, 0, 2))
+				if tr != nil {
+					tr.Close()
+				}
+				root <- err
+			}()
+			listening(t, addr)
+			stale := cfg(addr, 1, 2)
+			stale.Nonce++
+			if tr, err := Connect(stale); err == nil {
+				tr.Close()
+				t.Error("a dialer with a stale nonce joined the world")
+			}
+			if errs := connect(t, cfg(addr, 1, 2)); errs[0] != nil {
+				t.Errorf("rank 1 after the stale dialer: %v", errs[0])
+			}
+			if err := <-root; err != nil {
+				t.Errorf("rank 0 with a stale dialer turned away: %v", err)
+			}
+		}},
+		{"recovery digest refused on both sides", func(t *testing.T) {
+			addr := recoveryAddr(t)
+			a, b := cfg(addr, 0, 2), cfg(addr, 1, 2)
+			a.Digest, b.Digest = 1, 2
+			_, errs := recoverAll(a, b)
+			for i, err := range errs {
+				wantErr(t, fmt.Sprintf("survivor %d", i), err, "inputs differ from the recovery coordinator's")
+			}
+		}},
+		{"recovery duplicate old rank skipped", func(t *testing.T) {
+			addr := recoveryAddr(t)
+			raddr := epochAddr(addr)
+			type formed struct {
+				w   *RecoveredWorld
+				err error
+			}
+			coord := make(chan formed, 1)
+			go func() {
+				w, err := Recover(cfg(addr, 0, 3), 1, 10)
+				coord <- formed{w, err}
+			}()
+			h := func(rank int) hello {
+				return hello{Nonce: 6, Rank: rank, Size: 3, Addr: "127.0.0.1:1", Meta: uint64(10 + rank)}
+			}
+			first := register(t, raddr, h(1))
+			dup := register(t, raddr, h(1))
+			if err := readJSONFrame(dup, time.Now().Add(long), frameWelcome, nil); err == nil {
+				t.Fatal("a second registration of old rank 1 was welcomed")
+			}
+			last := register(t, raddr, h(2))
+			for i, c := range []net.Conn{first, last} {
+				var w welcome
+				if err := readJSONFrame(c, time.Now().Add(long), frameWelcome, &w); err != nil {
+					t.Fatalf("member %d: %v", i+1, err)
+				}
+				if w.Size != 3 || w.Rank != i+1 || fmt.Sprint(w.OldRanks) != "[0 1 2]" || fmt.Sprint(w.Metas) != "[10 11 12]" {
+					t.Errorf("member %d welcomed as %+v, want rank %d of 3, old ranks [0 1 2], metas [10 11 12]", i+1, w, i+1)
+				}
+			}
+			f := <-coord
+			if f.err != nil {
+				t.Fatalf("coordinator: %v", f.err)
+			}
+			f.w.Transport.Close()
+			if f.w.Size != 3 || fmt.Sprint(f.w.OldRanks) != "[0 1 2]" {
+				t.Errorf("coordinator sealed size %d, old ranks %v; want 3, [0 1 2]", f.w.Size, f.w.OldRanks)
+			}
+		}},
+		{"recovery replacement from the launch world joins", func(t *testing.T) {
+			// A world of four shrank to three; now its rank 2 is lost
+			// and a replacement registers as rank 2 of the launch size.
+			addr := recoveryAddr(t)
+			coord := make(chan *RecoveredWorld, 1)
+			go func() {
+				w, err := Recover(cfg(addr, 0, 3), 1, 10)
+				if err != nil {
+					t.Errorf("coordinator: %v", err)
+				}
+				coord <- w
+			}()
+			listening(t, epochAddr(addr))
+			worlds, errs := recoverAll(cfg(addr, 1, 3), cfg(addr, 2, 4))
+			worlds = append([]*RecoveredWorld{<-coord}, worlds...)
+			errs = append([]error{nil}, errs...)
+			for i, w := range worlds {
+				if errs[i] != nil {
+					t.Errorf("member %d: %v", i, errs[i])
+					continue
+				}
+				if w == nil {
+					continue
+				}
+				if i == 0 {
+					w.Transport.Close()
+				}
+				if w.Rank != i || w.Size != 3 || fmt.Sprint(w.OldRanks) != "[0 1 2]" {
+					t.Errorf("member %d formed rank %d of %d, old ranks %v; want rank %d of 3, [0 1 2]", i, w.Rank, w.Size, w.OldRanks, i)
+				}
+			}
+		}},
+		{"recovery survivor after the seal", func(t *testing.T) {
+			addr := recoveryAddr(t)
+			_, errs := recoverAll(cfg(addr, 0, 2), cfg(addr, 1, 2))
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("survivor %d: %v", i, err)
+				}
+			}
+			// The sealed world holds the epoch's port and answers no one:
+			// the late survivor waits out its own (short) deadlines.
+			late := cfg(addr, 1, 2)
+			late.RendezvousTimeout, late.RecoveryWindow = 100*time.Millisecond, 100*time.Millisecond
+			_, err := Recover(late, 1, 0)
+			wantErr(t, "late survivor", err, "missed the membership window")
+		}},
+		{"joiner checks the whole welcome", func(t *testing.T) {
+			// answer stands in for a coordinator on addr: it answers the
+			// first registration with w.
+			answer := func(t *testing.T, addr string, w welcome) {
+				ln, err := net.Listen("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ln.Close() })
+				go func() {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					t.Cleanup(func() { c.Close() })
+					if readJSONFrame(c, time.Now().Add(long), frameHello, nil) == nil {
+						sendJSONFrame(c, time.Now().Add(long), frameWelcome, &w)
+					}
+				}()
+			}
+			for _, tc := range welcomeCases {
+				t.Run("recovery "+tc.name, func(t *testing.T) {
+					addr := recoveryAddr(t)
+					answer(t, epochAddr(addr), tc.w)
+					w, err := Recover(cfg(addr, 1, 2), 1, 0)
+					if w != nil {
+						w.Transport.Close()
+					}
+					if tc.ok && err != nil {
+						t.Errorf("a well-formed welcome was refused: %v", err)
+					}
+					if !tc.ok {
+						wantErr(t, "joiner", err, "malformed world announcement")
+					}
+				})
+				t.Run("launch "+tc.name, func(t *testing.T) {
+					addr := reserveAddr(t)
+					answer(t, addr, tc.w)
+					tr, err := Connect(cfg(addr, 1, 2))
+					if tr != nil {
+						tr.Close()
+					}
+					if tc.ok && err != nil {
+						t.Errorf("a well-formed welcome was refused: %v", err)
+					}
+					if !tc.ok {
+						wantErr(t, "rank 1", err, "mismatched launch configuration")
+					}
+				})
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -109,6 +108,19 @@ func (c Config) check() error {
 	return nil
 }
 
+// ReserveLoopbackAddr picks a free loopback rendezvous address by
+// binding port 0 and releasing it. Another process can take the port
+// before rank 0 binds it again: a launcher that starts processes
+// cannot hand them an open listener (docs/NETWORKING.md).
+func ReserveLoopbackAddr() (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	defer ln.Close()
+	return ln.Addr().String(), nil
+}
+
 // hello is the JSON payload of a frameHello.
 type hello struct {
 	// Nonce must match the run nonce (recovery epochs mix the epoch in).
@@ -145,8 +157,9 @@ type welcome struct {
 	// Book maps rank → advertised address (rank 0's entry is the
 	// rendezvous address itself).
 	Book []string `json:"book,omitempty"`
-	// Metas and OldRanks carry every member's hello.Meta and
-	// pre-failure rank on recovery (indexed by new rank).
+	// Metas and OldRanks carry every member's hello.Meta and the rank
+	// it registered as — at launch its own, in recovery its
+	// pre-failure rank (indexed by new rank).
 	Metas    []uint64 `json:"metas,omitempty"`
 	OldRanks []int    `json:"old_ranks,omitempty"`
 }
@@ -166,6 +179,13 @@ func readJSONFrame(c net.Conn, deadline time.Time, wantTyp byte, v any) error {
 	if err != nil {
 		return err
 	}
+	return decodeFrame(typ, payload, wantTyp, v)
+}
+
+// decodeFrame decodes a handshake frame's JSON payload into v (nil
+// skips it). A frame of another type is an error; a bye carrying a
+// reason is errRefused with that reason.
+func decodeFrame(typ byte, payload []byte, wantTyp byte, v any) error {
 	if typ != wantTyp {
 		var r refusal
 		if typ == frameBye && json.Unmarshal(payload, &r) == nil && r.Reason != "" {
@@ -229,146 +249,289 @@ func dialRetry(addr string, cfg Config, deadline time.Time, what string) (net.Co
 }
 
 // Connect performs the initial rendezvous and returns this rank's
-// transport. Rank 0 listens on cfg.Addr and collects a registration
-// (rank ID + run nonce + advertised mesh address) from every other
-// rank, then publishes the address book; the remaining mesh edges are
-// built by the deterministic "higher rank dials lower rank" rule. All
-// phases respect cfg.RendezvousTimeout, so a missing or misconfigured
-// peer produces an error naming what was being waited for.
+// transport: rank 0 coordinates on cfg.Addr and every other rank joins
+// (see rendezvous). All phases respect cfg.RendezvousTimeout, so a
+// missing or misconfigured peer produces an error naming what was being
+// waited for.
 func Connect(cfg Config) (*Transport, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(cfg.rendezvousTimeout())
 	if cfg.Size == 1 {
 		return newTransport(0, 1, cfg.Nonce, nil, cfg), nil
 	}
+	rv := newRendezvous(cfg, cfg.Addr, 0, 0)
+	var w *RecoveredWorld
+	var err error
 	if cfg.Rank == 0 {
-		return connectRoot(cfg, deadline)
+		ln, lerr := net.Listen("tcp", cfg.Addr)
+		if lerr != nil {
+			return nil, fmt.Errorf("mpinet: rank 0: listening on %s: %w", cfg.Addr, lerr)
+		}
+		w, err = rv.coordinate(ln)
+	} else {
+		w, err = rv.join()
 	}
-	return connectPeer(cfg, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return w.Transport, nil
 }
 
-// connectRoot is rank 0: accept a registration from every peer, then
-// publish the book.
-func connectRoot(cfg Config, deadline time.Time) (*Transport, error) {
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("mpinet: rank 0: listening on %s: %w", cfg.Addr, err)
-	}
-	defer ln.Close()
+// A rendezvous forms one world, the first at launch (epoch 0) or the
+// survivors' after a failure (epoch ≥ 1), by one protocol: a
+// coordinator takes a hello from each joiner, checks its nonce, rank
+// and input digest, seals the membership and publishes the world in a
+// welcome; the joiners then complete the mesh. Launch and recovery
+// differ in who coordinates (rank 0; the first survivor to bind the
+// epoch's port), when registration seals (once every rank has
+// registered, the deadline being an error; once every rank has or the
+// recovery window ends) and what becomes of a registration that does
+// not fit (an error; skipped, its size unchecked) — docs/NETWORKING.md
+// §Rendezvous.
+type rendezvous struct {
+	// cfg is this process's view of the world being formed or
+	// replaced: its Rank and Size are the ones its hello presents.
+	cfg   Config
+	addr  string // the coordinator's listen address
+	epoch int
+	nonce uint64
+	meta  uint64 // this process's hello.Meta
+	words *rendezvousText
+	// deadline bounds dials, handshakes and the mesh; seal ends
+	// registration; helloBy bounds reading one registration; answerBy
+	// bounds a joiner's wait for the welcome.
+	deadline, seal, helloBy, answerBy time.Time
+}
 
-	conns := make([]net.Conn, cfg.Size)
-	book := make([]string, cfg.Size)
-	book[0] = cfg.Addr
-	got := 0
-	cleanup := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
+func newRendezvous(cfg Config, addr string, epoch int, meta uint64) *rendezvous {
+	rv := &rendezvous{cfg: cfg, addr: addr, epoch: epoch, nonce: cfg.Nonce + uint64(epoch), meta: meta,
+		words: &rendezvousWords[min(epoch, 1)]}
+	now := time.Now()
+	rv.deadline = now.Add(cfg.rendezvousTimeout())
+	rv.seal, rv.helloBy, rv.answerBy = rv.deadline, rv.deadline, rv.deadline
+	if epoch > 0 {
+		// Survivors detect a failure at most one heartbeat timeout
+		// apart: the window waits for them, and a joiner waits a window
+		// more for the coordinator's.
+		window := cfg.recoveryWindow()
+		rv.seal = now.Add(window)
+		rv.deadline = rv.seal.Add(cfg.rendezvousTimeout())
+		rv.helloBy = rv.seal.Add(cfg.dialTimeout())
+		rv.answerBy = rv.deadline.Add(window)
 	}
-	for got < cfg.Size-1 {
-		ln.(*net.TCPListener).SetDeadline(deadline)
+	return rv
+}
+
+// coordinate is the coordinator's side, on a listener bound to rv.addr:
+// take registrations until every other rank of cfg's world has
+// registered or the seal, then publish the world. The coordinator is
+// its rank 0 and the members follow in the order of their registered
+// ranks, so every member derives the same layout; at launch, where
+// every rank registers, that is each rank's own.
+func (rv *rendezvous) coordinate(ln net.Listener) (*RecoveredWorld, error) {
+	cfg, recovery := rv.cfg, rv.epoch > 0
+	conns := make([]net.Conn, cfg.Size) // by registered rank
+	hellos := make([]hello, cfg.Size)
+	hellos[cfg.Rank] = hello{Addr: rv.addr, Meta: rv.meta}
+	fail := func(err error) (*RecoveredWorld, error) {
+		ln.Close()
+		closeAll(conns)
+		return nil, err
+	}
+	for got := 1; got < cfg.Size; {
+		ln.(*net.TCPListener).SetDeadline(rv.seal)
 		c, err := ln.Accept()
 		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("mpinet: rank 0: rendezvous timed out with %d of %d ranks registered (missing: %v): %w",
-				got+1, cfg.Size, missingRanks(conns, cfg.Size), err)
+			if recovery {
+				break // the window sealed
+			}
+			return fail(fmt.Errorf("mpinet: rank 0: rendezvous timed out with %d of %d ranks registered (missing: %v): %w",
+				got, cfg.Size, missingRanks(conns, cfg.Size), err))
 		}
 		var h hello
-		if err := readJSONFrame(c, deadline, frameHello, &h); err != nil {
-			c.Close() // not a worker of ours; keep waiting
+		if err := readJSONFrame(c, rv.helloBy, frameHello, &h); err != nil {
+			c.Close() // not a process of ours; keep waiting
 			continue
 		}
+		var misfit string
 		switch {
-		case h.Nonce != cfg.Nonce:
-			sendJSONFrame(c, deadline, frameBye, nil)
+		case h.Nonce != rv.nonce:
+			sendJSONFrame(c, rv.helloBy, frameBye, nil)
 			c.Close()
-			continue // stale worker from another run
-		case h.Rank < 1 || h.Rank >= cfg.Size || h.Size != cfg.Size:
-			cleanup()
-			c.Close()
-			return nil, fmt.Errorf("mpinet: rank 0: peer registered as rank %d of %d, want a rank in [1,%d) of %d (mismatched -net-size?)",
+			continue // a stale process from another run or epoch
+		case h.Rank < 0 || h.Rank >= cfg.Size || h.Rank == cfg.Rank || !recovery && h.Size != cfg.Size:
+			// A recovery registration's size is not checked: a
+			// replacement rank registers with the job's launch size,
+			// which a shrunken world is smaller than.
+			misfit = fmt.Sprintf("peer registered as rank %d of %d, want a rank in [1,%d) of %d (mismatched -net-size?)",
 				h.Rank, h.Size, cfg.Size, cfg.Size)
-		case h.Digest != cfg.Digest:
-			cleanup()
-			return nil, refuseInputs(c, deadline, "rank 0", h, cfg.Digest)
 		case conns[h.Rank] != nil:
-			cleanup()
-			c.Close()
-			return nil, fmt.Errorf("mpinet: rank 0: two peers registered as rank %d (duplicate -net-rank?)", h.Rank)
+			misfit = fmt.Sprintf("two peers registered as rank %d (duplicate -net-rank?)", h.Rank)
+		case h.Digest != cfg.Digest:
+			return fail(refuseInputs(c, rv.helloBy, rv.words.self, h, cfg.Digest))
 		}
-		conns[h.Rank] = c
-		book[h.Rank] = h.Addr
+		if misfit != "" {
+			c.Close()
+			if recovery {
+				continue
+			}
+			return fail(fmt.Errorf("mpinet: rank 0: %s", misfit))
+		}
+		conns[h.Rank], hellos[h.Rank] = c, h
 		got++
 	}
-	for r := 1; r < cfg.Size; r++ {
-		w := welcome{Size: cfg.Size, Rank: r, Book: book}
-		if err := sendJSONFrame(conns[r], deadline, frameWelcome, &w); err != nil {
-			cleanup()
-			return nil, fmt.Errorf("mpinet: rank 0: sending address book to rank %d: %w", r, err)
+
+	// Seal.
+	old := []int{cfg.Rank}
+	for r, c := range conns {
+		if c != nil {
+			old = append(old, r)
 		}
 	}
-	clearDeadlines(conns)
-	return newTransport(0, cfg.Size, cfg.Nonce, conns, cfg), nil
+	size := len(old)
+	w := welcome{Size: size, Book: make([]string, size), Metas: make([]uint64, size), OldRanks: old}
+	members := make([]net.Conn, size)
+	for i, r := range old {
+		w.Book[i], w.Metas[i], members[i] = hellos[r].Addr, hellos[r].Meta, conns[r]
+	}
+	for w.Rank = 1; w.Rank < size; w.Rank++ {
+		if err := sendJSONFrame(members[w.Rank], rv.deadline, frameWelcome, &w); err != nil {
+			return fail(fmt.Errorf(rv.words.publishFailed, w.Rank, old[w.Rank], err))
+		}
+	}
+	clearDeadlines(members)
+	wcfg := cfg
+	wcfg.Rank, wcfg.Size = 0, size
+	t := newTransport(0, size, rv.nonce, members, wcfg)
+	if recovery {
+		// Keep the recovery port bound for the epoch's lifetime so a
+		// survivor that missed the window cannot rebind it and
+		// split-brain.
+		t.held = ln
+	} else {
+		ln.Close()
+	}
+	return &RecoveredWorld{Transport: t, Rank: 0, Size: size, OldRanks: old, Metas: w.Metas}, nil
 }
 
-// connectPeer is every rank > 0: register with rank 0, learn the book,
-// dial every lower rank, accept every higher rank.
-func connectPeer(cfg Config, deadline time.Time) (*Transport, error) {
+// rendezvousText is every error text that differs between launch and
+// recovery: the coordinator's name for itself (self) and a joiner's
+// for it (coordinator; dialing as it dials), a joiner's name for
+// itself, and the formats of a failed welcome send (the member's new
+// rank, its registered rank, the error), of a missing welcome and of
+// one that does not seat its joiner (size, rank).
+type rendezvousText struct {
+	self, publishFailed, coordinator, dialing, noWelcome, badWelcome string
+	joiner                                                           func(rank int) string
+}
+
+// rendezvousWords holds every rendezvous text, at launch ([0]) and in
+// recovery ([1]).
+var rendezvousWords = [2]rendezvousText{{
+	self:          "rank 0",
+	publishFailed: "mpinet: rank 0: sending address book to rank %[1]d: %[3]w",
+	joiner:        func(rank int) string { return fmt.Sprintf("rank %d", rank) },
+	coordinator:   "rank 0",
+	dialing:       "rank 0 (rendezvous)",
+	noWelcome:     "waiting for the address book from rank 0 (is every rank launched?)",
+	badWelcome:    "rank 0 answered with size %d / rank %d (mismatched launch configuration)",
+}, {
+	self:          "the recovery coordinator",
+	publishFailed: "mpinet: recovery coordinator: publishing the new world to survivor %[1]d (old rank %[2]d): %[3]w",
+	joiner:        func(int) string { return "recovery" },
+	coordinator:   "the coordinator",
+	dialing:       "recovery coordinator",
+	noWelcome:     "missed the membership window (the survivors may have re-formed without this rank)",
+	badWelcome:    "malformed world announcement (size %d, rank %d)",
+}}
+
+// join is a joiner's side: register with the coordinator at rv.addr,
+// read and check the welcome, then dial every lower-ranked member and
+// accept every higher-ranked one.
+func (rv *rendezvous) join() (*RecoveredWorld, error) {
+	cfg, words := rv.cfg, rv.words
+	who := words.joiner(cfg.Rank)
 	// The mesh listener comes up before registration so that any peer
 	// dialing us after reading the book always finds an open socket.
 	ln, err := net.Listen("tcp", ":0")
 	if err != nil {
-		return nil, fmt.Errorf("mpinet: rank %d: opening mesh listener: %w", cfg.Rank, err)
+		return nil, fmt.Errorf("mpinet: %s: opening mesh listener: %w", who, err)
 	}
 	defer ln.Close()
 
-	root, err := dialRetry(cfg.Addr, cfg, deadline, "rank 0 (rendezvous)")
+	coord, err := dialRetry(rv.addr, cfg, rv.deadline, words.dialing)
 	if err != nil {
 		return nil, err
 	}
-	// Advertise the address this host is reachable at on the route to
-	// rank 0, with the mesh listener's port.
-	localIP := root.LocalAddr().(*net.TCPAddr).IP
-	meshPort := ln.Addr().(*net.TCPAddr).Port
-	advertise := net.JoinHostPort(localIP.String(), strconv.Itoa(meshPort))
-
-	h := hello{Nonce: cfg.Nonce, Rank: cfg.Rank, Size: cfg.Size, Addr: advertise, Digest: cfg.Digest}
-	if err := sendJSONFrame(root, deadline, frameHello, &h); err != nil {
-		root.Close()
-		return nil, fmt.Errorf("mpinet: rank %d: registering with rank 0: %w", cfg.Rank, err)
-	}
-	var w welcome
-	if err := readJSONFrame(root, deadline, frameWelcome, &w); err != nil {
-		root.Close()
-		if errors.Is(err, errRefused) {
-			return nil, fmt.Errorf("mpinet: rank %d: %w", cfg.Rank, err)
-		}
-		return nil, fmt.Errorf("mpinet: rank %d: waiting for the address book from rank 0 (is every rank launched?): %w", cfg.Rank, err)
-	}
-	if w.Size != cfg.Size || w.Rank != cfg.Rank || len(w.Book) != cfg.Size {
-		root.Close()
-		return nil, fmt.Errorf("mpinet: rank %d: rank 0 answered with size %d / rank %d (mismatched launch configuration)", cfg.Rank, w.Size, w.Rank)
-	}
-
-	conns := make([]net.Conn, cfg.Size)
-	conns[0] = root
-	cleanup := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
-	if err := meshConnect(conns, ln, cfg.Rank, cfg.Nonce, w.Book, cfg, deadline); err != nil {
-		cleanup()
+	conns := []net.Conn{coord}
+	fail := func(err error) (*RecoveredWorld, error) {
+		closeAll(conns)
 		return nil, err
 	}
+	// Advertise the address this host is reachable at on the route to
+	// the coordinator, with the mesh listener's port.
+	localIP := coord.LocalAddr().(*net.TCPAddr).IP
+	advertise := net.JoinHostPort(localIP.String(), strconv.Itoa(ln.Addr().(*net.TCPAddr).Port))
+	h := hello{Nonce: rv.nonce, Rank: cfg.Rank, Size: cfg.Size, Addr: advertise, Meta: rv.meta, Digest: cfg.Digest}
+	if err := sendJSONFrame(coord, rv.deadline, frameHello, &h); err != nil {
+		return fail(fmt.Errorf("mpinet: %s: registering with %s: %w", who, words.coordinator, err))
+	}
+	// The coordinator answers once registration seals.
+	coord.SetReadDeadline(rv.answerBy)
+	typ, payload, err := readFrame(coord)
+	var w welcome
+	if err == nil {
+		w, err = rv.decodeWelcome(typ, payload)
+	}
+	switch {
+	case errors.Is(err, errRefused):
+		return fail(fmt.Errorf("mpinet: %s: %w", who, err))
+	case errors.Is(err, errMalformed):
+		return fail(fmt.Errorf("mpinet: %s: "+words.badWelcome, who, w.Size, w.Rank))
+	case err != nil:
+		return fail(fmt.Errorf("mpinet: %s: %s: %w", who, words.noWelcome, err))
+	}
+
+	conns = append(conns, make([]net.Conn, w.Size-1)...)
+	if err := meshConnect(conns, ln, w.Rank, rv.nonce, w.Book, cfg, rv.deadline); err != nil {
+		return fail(err)
+	}
 	clearDeadlines(conns)
-	return newTransport(cfg.Rank, cfg.Size, cfg.Nonce, conns, cfg), nil
+	wcfg := cfg
+	wcfg.Rank, wcfg.Size = w.Rank, w.Size
+	return &RecoveredWorld{
+		Transport: newTransport(w.Rank, w.Size, rv.nonce, conns, wcfg),
+		Rank:      w.Rank,
+		Size:      w.Size,
+		OldRanks:  w.OldRanks,
+		Metas:     w.Metas,
+	}, nil
+}
+
+// errMalformed marks a welcome that does not describe a world its
+// joiner can take its place in.
+var errMalformed = errors.New("malformed welcome")
+
+// decodeWelcome decodes the frame a joiner reads after registering: a
+// welcome, or a refusal (errRefused with the coordinator's reason). A
+// welcome must seat the joiner in a world no larger than the one it
+// registered for: Book, Metas and OldRanks hold one entry per member,
+// the joiner's rank is in [1, Size) and its OldRanks entry is the rank
+// it registered as. At launch the world must be the registered one and
+// the rank the joiner's own. Anything else is errMalformed.
+func (rv *rendezvous) decodeWelcome(typ byte, payload []byte) (welcome, error) {
+	var w welcome
+	if err := decodeFrame(typ, payload, frameWelcome, &w); err != nil {
+		return w, err
+	}
+	cfg := rv.cfg
+	if w.Rank < 1 || w.Rank >= w.Size || w.Size > cfg.Size ||
+		len(w.Book) != w.Size || len(w.Metas) != w.Size || len(w.OldRanks) != w.Size ||
+		w.OldRanks[w.Rank] != cfg.Rank || rv.epoch == 0 && (w.Size != cfg.Size || w.Rank != cfg.Rank) {
+		return w, errMalformed
+	}
+	return w, nil
 }
 
 // meshConnect completes the full mesh for a non-coordinator rank:
@@ -428,6 +591,14 @@ func missingRanks(conns []net.Conn, size int) []int {
 	return missing
 }
 
+func closeAll(conns []net.Conn) {
+	for _, c := range conns {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
 func clearDeadlines(conns []net.Conn) {
 	for _, c := range conns {
 		if c != nil {
@@ -436,7 +607,8 @@ func clearDeadlines(conns []net.Conn) {
 	}
 }
 
-// RecoveredWorld is the outcome of a post-failure re-rendezvous.
+// RecoveredWorld is the outcome of a post-failure re-rendezvous (and,
+// inside the package, of Connect's, which keeps only the Transport).
 type RecoveredWorld struct {
 	// Transport is the survivor mesh.
 	Transport *Transport
@@ -452,13 +624,13 @@ type RecoveredWorld struct {
 }
 
 // Recover re-forms the world among the survivors of a peer failure.
-// Every survivor calls it with the original rendezvous config, the
+// Every survivor calls it with its config in the failed world, the
 // recovery epoch (1 for the first failure, incrementing), and its meta
 // value. The recovery rendezvous listens on the base port + epoch: the
-// first survivor to bind becomes the coordinator (new rank 0) and
-// seals the membership after cfg.RecoveryWindow; the rest register
-// exactly as in Connect. Survivors that miss the window get an error —
-// the sealed world continues without them.
+// first survivor to bind it coordinates (new rank 0) and seals the
+// membership once every other rank has registered or after
+// cfg.RecoveryWindow; the rest join as in Connect. Survivors that miss
+// the window get an error — the sealed world continues without them.
 func Recover(base Config, epoch int, meta uint64) (*RecoveredWorld, error) {
 	if err := base.check(); err != nil {
 		return nil, err
@@ -474,169 +646,9 @@ func Recover(base Config, epoch int, meta uint64) (*RecoveredWorld, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpinet: rendezvous address %q needs a numeric port for recovery: %w", base.Addr, err)
 	}
-	addr := net.JoinHostPort(host, strconv.Itoa(port+epoch))
-	nonce := base.Nonce + uint64(epoch)
-	window := base.recoveryWindow()
-	deadline := time.Now().Add(window + base.rendezvousTimeout())
-
-	if ln, lerr := net.Listen("tcp", addr); lerr == nil {
-		return recoverCoordinate(base, ln, nonce, meta, window)
+	rv := newRendezvous(base, net.JoinHostPort(host, strconv.Itoa(port+epoch)), epoch, meta)
+	if ln, err := net.Listen("tcp", rv.addr); err == nil {
+		return rv.coordinate(ln)
 	}
-	return recoverJoin(base, addr, nonce, meta, window, deadline)
-}
-
-// member is one registered survivor during recovery coordination.
-type member struct {
-	oldRank int
-	meta    uint64
-	addr    string
-	conn    net.Conn
-}
-
-// recoverCoordinate runs the coordinator side: collect survivors for
-// the window, seal, assign dense new ranks, publish the book.
-func recoverCoordinate(base Config, ln net.Listener, nonce, meta uint64, window time.Duration) (*RecoveredWorld, error) {
-	ok := false
-	defer func() {
-		if !ok {
-			ln.Close()
-		}
-	}()
-	seal := time.Now().Add(window)
-	var members []member
-	cleanup := func() {
-		for _, m := range members {
-			m.conn.Close()
-		}
-	}
-	for len(members) < base.Size-1 {
-		ln.(*net.TCPListener).SetDeadline(seal)
-		c, err := ln.Accept()
-		if err != nil {
-			break // window sealed
-		}
-		var h hello
-		if err := readJSONFrame(c, seal.Add(base.dialTimeout()), frameHello, &h); err != nil {
-			c.Close()
-			continue
-		}
-		if h.Nonce != nonce || h.Rank < 0 || h.Rank >= base.Size || h.Rank == base.Rank {
-			c.Close()
-			continue
-		}
-		dup := false
-		for _, m := range members {
-			if m.oldRank == h.Rank {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			c.Close()
-			continue
-		}
-		if h.Digest != base.Digest {
-			cleanup()
-			return nil, refuseInputs(c, seal.Add(base.dialTimeout()), "the recovery coordinator", h, base.Digest)
-		}
-		members = append(members, member{oldRank: h.Rank, meta: h.Meta, addr: h.Addr, conn: c})
-	}
-	// Seal: the coordinator is new rank 0; survivors follow in old-rank
-	// order, giving every member the identical, deterministic layout.
-	sort.Slice(members, func(i, j int) bool { return members[i].oldRank < members[j].oldRank })
-	size := len(members) + 1
-	book := make([]string, size)
-	metas := make([]uint64, size)
-	oldRanks := make([]int, size)
-	book[0] = ln.Addr().String()
-	metas[0] = meta
-	oldRanks[0] = base.Rank
-	conns := make([]net.Conn, size)
-	for i, m := range members {
-		book[i+1] = m.addr
-		metas[i+1] = m.meta
-		oldRanks[i+1] = m.oldRank
-		conns[i+1] = m.conn
-	}
-	sendDeadline := time.Now().Add(base.rendezvousTimeout())
-	for r := 1; r < size; r++ {
-		w := welcome{Size: size, Rank: r, Book: book, Metas: metas, OldRanks: oldRanks}
-		if err := sendJSONFrame(conns[r], sendDeadline, frameWelcome, &w); err != nil {
-			cleanup()
-			return nil, fmt.Errorf("mpinet: recovery coordinator: publishing the new world to survivor %d (old rank %d): %w", r, oldRanks[r], err)
-		}
-	}
-	clearDeadlines(conns)
-	cfg := base
-	cfg.Rank, cfg.Size = 0, size
-	t := newTransport(0, size, nonce, conns, cfg)
-	// Keep the recovery port bound for the epoch's lifetime so a
-	// survivor that missed the window cannot rebind it and split-brain.
-	t.held = ln
-	ok = true
-	return &RecoveredWorld{
-		Transport: t,
-		Rank:      0,
-		Size:      size,
-		OldRanks:  oldRanks,
-		Metas:     metas,
-	}, nil
-}
-
-// recoverJoin runs the non-coordinator side: register, learn the new
-// world, build the survivor mesh.
-func recoverJoin(base Config, addr string, nonce, meta uint64, window time.Duration, deadline time.Time) (*RecoveredWorld, error) {
-	ln, err := net.Listen("tcp", ":0")
-	if err != nil {
-		return nil, fmt.Errorf("mpinet: recovery: opening mesh listener: %w", err)
-	}
-	defer ln.Close()
-
-	coord, err := dialRetry(addr, base, deadline, "recovery coordinator")
-	if err != nil {
-		return nil, err
-	}
-	localIP := coord.LocalAddr().(*net.TCPAddr).IP
-	meshPort := ln.Addr().(*net.TCPAddr).Port
-	advertise := net.JoinHostPort(localIP.String(), strconv.Itoa(meshPort))
-
-	h := hello{Nonce: nonce, Rank: base.Rank, Size: base.Size, Addr: advertise, Meta: meta, Digest: base.Digest}
-	if err := sendJSONFrame(coord, deadline, frameHello, &h); err != nil {
-		coord.Close()
-		return nil, fmt.Errorf("mpinet: recovery: registering with the coordinator: %w", err)
-	}
-	// The coordinator answers only after the membership window seals.
-	var w welcome
-	if err := readJSONFrame(coord, deadline.Add(window), frameWelcome, &w); err != nil {
-		coord.Close()
-		if errors.Is(err, errRefused) {
-			return nil, fmt.Errorf("mpinet: recovery: %w", err)
-		}
-		return nil, fmt.Errorf("mpinet: recovery: missed the membership window (the survivors may have re-formed without this rank): %w", err)
-	}
-	if w.Rank < 1 || w.Rank >= w.Size || len(w.Book) != w.Size {
-		coord.Close()
-		return nil, fmt.Errorf("mpinet: recovery: malformed world announcement (size %d, rank %d)", w.Size, w.Rank)
-	}
-
-	conns := make([]net.Conn, w.Size)
-	conns[0] = coord
-	if err := meshConnect(conns, ln, w.Rank, nonce, w.Book, base, deadline); err != nil {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		return nil, err
-	}
-	clearDeadlines(conns)
-	cfg := base
-	cfg.Rank, cfg.Size = w.Rank, w.Size
-	return &RecoveredWorld{
-		Transport: newTransport(w.Rank, w.Size, nonce, conns, cfg),
-		Rank:      w.Rank,
-		Size:      w.Size,
-		OldRanks:  w.OldRanks,
-		Metas:     w.Metas,
-	}, nil
+	return rv.join()
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/mpinet"
 )
 
 // submit validates a spec, stores the job, and tries to place it.
@@ -83,7 +85,7 @@ func (s *Server) kickLocked() {
 // startJobLocked places a queued job on the given idle workers and
 // sends every rank its run order.
 func (s *Server) startJobLocked(j *job, ws []*worker) {
-	addr, err := reserveLoopback()
+	addr, err := mpinet.ReserveLoopbackAddr()
 	if err != nil {
 		// No port to rendezvous on; the job stays queued and the next
 		// kick retries.

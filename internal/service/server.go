@@ -184,16 +184,3 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return nil
 }
-
-// reserveLoopback picks a free loopback port by binding and releasing
-// it — the same trick `examl -net-launch` uses. The tiny race against
-// another process grabbing the port before rank 0 re-binds is accepted.
-func reserveLoopback() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
-}

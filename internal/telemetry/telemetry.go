@@ -458,6 +458,7 @@ const (
 	RankRecvParked                            // in-process receives that parked (TCP receives are not counted)
 	RankPCacheHits                            // P-matrix cache hits
 	RankPCacheMisses                          // P-matrix cache misses
+	RankPCacheResets                          // P-matrix cache resets, each after a parameter change
 	RankPSetAllocs                            // P-matrix sets a miss allocated: no idle set was large enough
 	RankPSetDrops                             // idle P-matrix sets let go as sized for too few categories
 	RankTipTipNewviews                        // tip-tip Newviews: the cherries recomputed
@@ -466,6 +467,7 @@ const (
 	RankSiteRateExactEvals                    // PSR rate-scan single-site evaluations at an off-grid rate
 	RankSites                                 // sites of Newview, evaluation and insertion-score operations
 	RankLaneSites                             // those of them computed in vector lanes
+	RankInsertionRescales                     // insertion-score sites over a rescaled inserted column
 	RankLaneWidth                             // the rank's Γ site-lane width: 8, 4 or 0 (the Go loops)
 
 	// NumRankCounters is the number of per-rank counters.
@@ -528,6 +530,7 @@ var rankCounters = [NumRankCounters]struct {
 	RankRecvParked:         {key: "recv_parked", label: "parked", line: RankRecvPolled, help: "In-process receives that parked on the peer's channel"},
 	RankPCacheHits:         {key: "pcache_hits", help: "P-matrix cache hits"},
 	RankPCacheMisses:       {key: "pcache_misses", help: "P-matrix cache misses"},
+	RankPCacheResets:       {key: "pcache_resets", help: "P-matrix cache resets, each after a parameter change"},
 	RankPSetAllocs:         {key: "pset_allocs", label: "P-matrix sets allocated", line: RankPSetAllocs, help: "P-matrix sets a cache miss allocated"},
 	RankPSetDrops:          {key: "pset_drops", label: "dropped", line: RankPSetAllocs, help: "Idle P-matrix sets let go as sized for too few categories"},
 	RankTipTipNewviews:     {key: "tiptip_newviews", help: "Newviews of two tips (cherries)"},
@@ -536,6 +539,7 @@ var rankCounters = [NumRankCounters]struct {
 	RankSiteRateExactEvals: {key: "site_rate_exact_evals", help: "Rate-scan single-site evaluations at an off-grid rate"},
 	RankSites:              {key: "sites", help: "Sites of Newview, evaluation and insertion-score operations"},
 	RankLaneSites:          {key: "lane_sites", help: "Sites of those operations computed in vector lanes"},
+	RankInsertionRescales:  {key: "insertion_rescales", help: "Insertion-score sites computed over a rescaled inserted column"},
 	RankLaneWidth:          {key: "lane_width", combine: combineMin, label: "Γ site-lane width", line: RankLaneWidth},
 }
 

@@ -260,8 +260,8 @@ func TestPerRankKeys(t *testing.T) {
 	r.EndCollective(0, r.BeginCollective())
 	r.Harvest(RankCounters{RankEngineCalls: 1, RankPoolThreads: 2, RankPoolDispatches: 3, RankPoolBlocks: 4, RankPoolWakes: 5, RankPoolParks: 6,
 		RankRecvPolled: 7, RankRecvParked: 8,
-		RankPCacheHits: 1, RankPCacheMisses: 2, RankPSetAllocs: 9, RankPSetDrops: 10, RankTipTipNewviews: 3, RankTipTableEntries: 4,
-		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankSites: 7, RankLaneSites: 8, RankLaneWidth: 8})
+		RankPCacheHits: 1, RankPCacheMisses: 2, RankPCacheResets: 11, RankPSetAllocs: 9, RankPSetDrops: 10, RankTipTipNewviews: 3, RankTipTableEntries: 4,
+		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankSites: 7, RankLaneSites: 8, RankInsertionRescales: 12, RankLaneWidth: 8})
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -292,8 +292,8 @@ func TestPerRankKeys(t *testing.T) {
 		"rank", "kernel_ns", "kernel_ops", "collective_ns", "collective_ops", "compute_ns", "comm_ns",
 		"engine_calls", "pool_threads", "pool_dispatches", "pool_blocks", "pool_wakes", "pool_parks",
 		"recv_polled", "recv_parked",
-		"pcache_hits", "pcache_misses", "pset_allocs", "pset_drops", "tiptip_newviews", "tip_table_entries",
-		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "lane_width",
+		"pcache_hits", "pcache_misses", "pcache_resets", "pset_allocs", "pset_drops", "tiptip_newviews", "tip_table_entries",
+		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "insertion_rescales", "lane_width",
 	}
 	if strings.Join(keys, " ") != strings.Join(want, " ") {
 		t.Errorf("per_rank keys\n got %v\nwant %v", keys, want)
@@ -326,6 +326,7 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		{RankRecvParked, "recv_parked", sumOf, true},
 		{RankPCacheHits, "pcache_hits", sumOf, true},
 		{RankPCacheMisses, "pcache_misses", sumOf, true},
+		{RankPCacheResets, "pcache_resets", sumOf, true},
 		{RankPSetAllocs, "pset_allocs", sumOf, true},
 		{RankPSetDrops, "pset_drops", sumOf, true},
 		{RankTipTipNewviews, "tiptip_newviews", sumOf, true},
@@ -334,6 +335,7 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		{RankSiteRateExactEvals, "site_rate_exact_evals", sumOf, true},
 		{RankSites, "sites", sumOf, true},
 		{RankLaneSites, "lane_sites", sumOf, true},
+		{RankInsertionRescales, "insertion_rescales", sumOf, true},
 		{RankLaneWidth, "lane_width", minOf, false},
 	}
 	if len(rows) != int(NumRankCounters) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -194,12 +193,10 @@ func netTestSpawn(role string, rank, size int, addr string, nonce uint64) *exec.
 
 func reserveLoopbackAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := mpinet.ReserveLoopbackAddr()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
 	return addr
 }
 
