@@ -26,7 +26,7 @@ RACE_PKGS = ./internal/threadpool/... \
             ./internal/phyrun/... \
             .
 
-.PHONY: all fmt vet build test race bench bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test race bench bench-e2e-smoke kernel-bce fuzz-smoke smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun smoke-alloc ci clean
 
 all: ci
 
@@ -160,8 +160,9 @@ kernel-bce:
 
 # fuzz-smoke gives every native fuzz target a short pass over its seed
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
-# sent (the traversal plans, a TCP data frame, a rendezvous welcome) must
-# fail with an error, never a panic, and the Γ site lanes of
+# sent (the traversal plans, a TCP data frame, a rendezvous welcome) and
+# of files a user hands in (PHYLIP, partition files, Newick, checkpoints)
+# must fail with an error, never a panic, and the Γ site lanes of
 # every width the CPU runs must match the Go loops bit for bit with every
 # slice they touch against a PROT_NONE page (FuzzGammaLanes, linux/amd64).
 fuzz-smoke:
@@ -173,6 +174,33 @@ fuzz-smoke:
 	$(GO) test ./internal/likelihood -run '^$$' -fuzz '^FuzzGammaLanes$$' -fuzztime 10s
 	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s
 	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzWelcome$$' -fuzztime 10s
+	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzParsePhylip$$' -fuzztime 10s
+	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzParsePartitionFile$$' -fuzztime 10s
+	$(GO) test ./internal/tree -run '^$$' -fuzz '^FuzzParseNewick$$' -fuzztime 10s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s
+
+# smoke-alloc runs the parts-m-psr-fj shape through the fork-join binary
+# (seqgen 16 taxa × 20 genes × 100 bp, seed 5; raxml-light -m PSR -M -np 2
+# -iter 2) and fails when the P-matrix sets its kernels carved from new
+# storage, pset_allocs summed over the ranks, exceed SMOKE_MAX_PSET_ALLOCS.
+# The count repeats exactly: 2392. The bound comes from the store's
+# (internal/likelihood/pstore.go): each of the 20 kernels keeps at most 3
+# sets per edge (3 × 29 = 87), carves storage 8 sets at a time, and may
+# carve that much once more as site-rate resolutions raise its category
+# count (a chunk made for fewer categories holds fewer sets of more) —
+# 20 × 2 × (87 + 8) = 3800. A miss that allocates its own set again reads
+# about 17 700.
+SMOKE_MAX_PSET_ALLOCS = 3800
+smoke-alloc:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/ ./cmd/raxml-light ./cmd/seqgen && \
+	$$tmp/seqgen -taxa 16 -partitions 20 -genelen 100 -seed 5 -o $$tmp/data >/dev/null && \
+	$$tmp/raxml-light -s $$tmp/data.phy -q $$tmp/data.parts.txt -m PSR -M -np 2 -iter 2 -p 5 \
+		-stats-json $$tmp/stats.json -n $$tmp/run >/dev/null && \
+	sets=$$(awk '/^      "pset_allocs":/ { s += $$2 } END { print s + 0 }' $$tmp/stats.json) && \
+	{ test "$$sets" -gt 0 && test "$$sets" -le $(SMOKE_MAX_PSET_ALLOCS) || \
+		{ echo "smoke-alloc: pset_allocs = '$$sets' per inference, want 1..$(SMOKE_MAX_PSET_ALLOCS)"; exit 1; }; } && \
+	echo "smoke-alloc: $$sets P-matrix sets carved per inference OK"
 
 # smoke-net runs real multi-process inferences over loopback TCP
 # (docs/NETWORKING.md). First a decentralized one: simulate a tiny
@@ -333,7 +361,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun
+ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun smoke-alloc
 
 clean:
 	$(GO) clean ./...

@@ -155,7 +155,11 @@ func writeBody(w io.Writer, s *State) error {
 }
 
 // readBody parses the versioned payload.
-func readBody(r io.Reader) (*State, error) {
+//
+// Every count is held to what the remaining bytes can encode before
+// anything is sized from it, so a body of arbitrary bytes costs at most
+// its own length in memory and an error.
+func readBody(r *bytes.Reader) (*State, error) {
 	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
 	rdU32 := func() (uint32, error) {
 		var v uint32
@@ -192,7 +196,7 @@ func readBody(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nTaxa < 3 || nTaxa > 1<<24 {
+	if nTaxa < 3 || nTaxa > 1<<24 || int(nTaxa) > r.Len()/4 {
 		return nil, fmt.Errorf("checkpoint: implausible taxon count %d", nTaxa)
 	}
 	s.Taxa = make([]string, nTaxa)
@@ -216,6 +220,9 @@ func readBody(r io.Reader) (*State, error) {
 	if int(nEdges) != 2*int(nTaxa)-3 {
 		return nil, fmt.Errorf("checkpoint: %d edges for %d taxa", nEdges, nTaxa)
 	}
+	if uint64(nEdges)*(8+8*uint64(cls)) > uint64(r.Len()) {
+		return nil, fmt.Errorf("checkpoint: %d edges of %d lengths in %d bytes", nEdges, cls, r.Len())
+	}
 	s.Edges = make([]EdgeRecord, nEdges)
 	for i := range s.Edges {
 		if err := rd(&s.Edges[i].A); err != nil {
@@ -235,7 +242,7 @@ func readBody(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nShared > 1<<20 {
+	if nShared > 1<<20 || int(nShared) > r.Len()/4 {
 		return nil, fmt.Errorf("checkpoint: implausible partition count %d", nShared)
 	}
 	s.Shared = make([][]float64, nShared)
@@ -244,7 +251,7 @@ func readBody(r io.Reader) (*State, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rowLen > 1<<10 {
+		if rowLen > 1<<10 || int(rowLen) > r.Len()/8 {
 			return nil, fmt.Errorf("checkpoint: implausible row length %d", rowLen)
 		}
 		s.Shared[i] = make([]float64, rowLen)
@@ -323,9 +330,13 @@ func Read(r io.Reader) (*State, error) {
 	if bodyLen > maxBodyLen {
 		return nil, fmt.Errorf("checkpoint: implausible body length %d", bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	n, err := io.ReadFull(br, body)
+	// Read what arrives, up to the declared length: a header claiming
+	// more than the file holds costs no more memory than the file.
+	body, err := io.ReadAll(io.LimitReader(br, int64(bodyLen)))
 	if err != nil {
+		return nil, fmt.Errorf("checkpoint: reading body: %w", err)
+	}
+	if n := len(body); n != int(bodyLen) {
 		return nil, fmt.Errorf("checkpoint: truncated: header declares %d body bytes, file has %d (interrupted write?)", bodyLen, n)
 	}
 	if extra, _ := br.Peek(1); len(extra) != 0 {

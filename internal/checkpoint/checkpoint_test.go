@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func taxa(n int) []string {
 	return out
 }
 
-func sampleState(t *testing.T, nTaxa, classes int) (*State, *tree.Tree) {
+func sampleState(t testing.TB, nTaxa, classes int) (*State, *tree.Tree) {
 	t.Helper()
 	tr := tree.NewRandom(taxa(nTaxa), classes, rand.New(rand.NewSource(int64(nTaxa))))
 	for i, e := range tr.Edges() {
@@ -172,5 +173,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if back.Iteration != s.Iteration || back.LnL != s.LnL || len(back.Edges) != len(s.Edges) {
 		t.Fatalf("Encode/Decode round trip changed state: %+v", back)
+	}
+}
+
+// TestHugeClaimsAreErrors: a header declaring a 2 GiB body, and a body
+// declaring 2^24 taxa, in a few bytes, are errors that allocate no more
+// than the input (the reader used to size both from the claim first).
+func TestHugeClaimsAreErrors(t *testing.T) {
+	huge := append([]byte(stateMagic), 2, 0, 0, 0, 0, 0, 0, 0x7f, 0, 0, 0, 0)
+	body := binary.LittleEndian.AppendUint64(nil, 1)
+	body = binary.LittleEndian.AppendUint64(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, 1<<24)
+	for name, file := range map[string][]byte{"body length": huge, "taxon count": frame(body)} {
+		if _, err := Decode(file); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Decode(huge)
+	Decode(frame(body))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("decoding two huge claims allocated %d bytes", got)
 	}
 }

@@ -129,7 +129,7 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 		e.comm.Meter().AddRegion(mpi.ClassModelParams)
 	}
 	stats = e.comm.Allreduce(stats, mpi.OpSum, mpi.ClassModelParams)
-	res := enginecore.ResolveSiteRates(stats, e.local.NPart, e.local.PerPartBranches)
+	res := e.local.ResolveSiteRates(stats)
 	e.local.ApplySiteRates(res)
 	return res.Scale
 }

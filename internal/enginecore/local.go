@@ -62,6 +62,9 @@ type Local struct {
 	// steady-state optimization loops allocation-free
 	// (docs/PERFORMANCE.md; asserted by alloc tests in both engines).
 	evalScr, gradPPScr, insScr, classScr, srStatsScr []float64
+	// siteRes is the PSR site-rate resolution ResolveSiteRates and
+	// DecodeSiteRates fill, reused round to round.
+	siteRes SiteRateResolution
 
 	// items are the (kernel, block) pairs of the call in flight, in kernel
 	// then block order; runItem and scanItem are the two closures ever
@@ -715,22 +718,35 @@ type SiteRateResolution struct {
 // ResolveSiteRates turns globally summed cell statistics into the shared
 // resolution.
 func ResolveSiteRates(stats []float64, nPart int, perPart bool) *SiteRateResolution {
+	res := new(SiteRateResolution)
+	res.Resolve(stats, nPart, perPart)
+	return res
+}
+
+// ResolveSiteRates is the package's ResolveSiteRates for this rank's
+// partitions into the Local's own resolution, valid until its next
+// ResolveSiteRates or DecodeSiteRates.
+func (l *Local) ResolveSiteRates(stats []float64) *SiteRateResolution {
+	l.siteRes.Resolve(stats, l.NPart, l.PerPartBranches)
+	return &l.siteRes
+}
+
+// Resolve makes r the resolution of the summed cell statistics, reusing
+// its storage.
+func (r *SiteRateResolution) Resolve(stats []float64, nPart int, perPart bool) {
 	const cells = model.MaxPSRCategories
 	classes := 1
 	if perPart {
 		classes = nPart
 	}
-	res := &SiteRateResolution{
-		CatRates:  make([][]float64, nPart),
-		CellToCat: make([][]int, nPart),
-		Scale:     make([]float64, classes),
-	}
+	r.size(nPart, classes)
+	clear(r.Scale)
 	var globalR, globalW float64
 	for p := 0; p < nPart; p++ {
 		base := 2 * cells * p
 		sumR := stats[base : base+cells]
 		sumW := stats[base+cells : base+2*cells]
-		res.CatRates[p], res.CellToCat[p] = model.FinalizeRateCategories(sumR, sumW)
+		r.CatRates[p], r.CellToCat[p] = model.AppendRateCategories(r.CatRates[p], r.CellToCat[p], sumR, sumW)
 		var pr, pw float64
 		for c := 0; c < cells; c++ {
 			pr += sumR[c]
@@ -739,27 +755,42 @@ func ResolveSiteRates(stats []float64, nPart int, perPart bool) *SiteRateResolut
 		globalR += pr
 		globalW += pw
 		if perPart && pw > 0 {
-			res.Scale[p] = pr / pw
+			r.Scale[p] = pr / pw
 		}
 	}
 	if !perPart {
 		if globalW > 0 && globalR > 0 {
-			res.Scale[0] = globalR / globalW
+			r.Scale[0] = globalR / globalW
 		}
 	}
-	for c := range res.Scale {
-		if !(res.Scale[c] > 0) {
-			res.Scale[c] = 1
+	for c := range r.Scale {
+		if !(r.Scale[c] > 0) {
+			r.Scale[c] = 1
 		}
 	}
-	return res
+}
+
+// size gives r nPart partitions' rows and classes scale factors, reusing
+// its storage.
+func (r *SiteRateResolution) size(nPart, classes int) {
+	if cap(r.CatRates) < nPart {
+		r.CatRates = make([][]float64, nPart)
+		r.CellToCat = make([][]int, nPart)
+	}
+	r.CatRates, r.CellToCat = r.CatRates[:nPart], r.CellToCat[:nPart]
+	if cap(r.Scale) < classes {
+		r.Scale = make([]float64, classes)
+	}
+	r.Scale = r.Scale[:classes]
 }
 
 // Encode flattens the resolution for broadcast: per partition a category
 // count, the category rates, the cell map (as floats), then the scale
 // vector.
-func (r *SiteRateResolution) Encode() []float64 {
-	var out []float64
+func (r *SiteRateResolution) Encode() []float64 { return r.Append(nil) }
+
+// Append appends the resolution's encoding (Encode) to out.
+func (r *SiteRateResolution) Append(out []float64) []float64 {
 	for p := range r.CatRates {
 		out = append(out, float64(len(r.CatRates[p])))
 		out = append(out, r.CatRates[p]...)
@@ -767,64 +798,82 @@ func (r *SiteRateResolution) Encode() []float64 {
 			out = append(out, float64(c))
 		}
 	}
-	out = append(out, r.Scale...)
-	return out
+	return append(out, r.Scale...)
 }
 
-// DecodeSiteRateResolution reverses Encode. The frame comes off the
-// wire on a fork-join worker, so every read is bounded: a frame that is
-// short, long, or whose category counts or cell indices fall outside
-// what Encode can produce is an error, not an index panic.
+// DecodeSiteRateResolution reverses Encode into a new resolution.
 func DecodeSiteRateResolution(v []float64, nPart int, perPart bool) (*SiteRateResolution, error) {
+	res := new(SiteRateResolution)
+	if err := res.Decode(v, nPart, perPart); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// DecodeSiteRates is DecodeSiteRateResolution for this rank's partitions
+// into the Local's own resolution, valid until its next ResolveSiteRates
+// or DecodeSiteRates.
+func (l *Local) DecodeSiteRates(v []float64) (*SiteRateResolution, error) {
+	if err := l.siteRes.Decode(v, l.NPart, l.PerPartBranches); err != nil {
+		return nil, err
+	}
+	return &l.siteRes, nil
+}
+
+// Decode reverses Encode into r, reusing its storage. The frame comes
+// off the wire on a fork-join worker, so every read is bounded: a frame
+// that is short, long, or whose category counts or cell indices fall
+// outside what Encode can produce is an error, not an index panic.
+func (r *SiteRateResolution) Decode(v []float64, nPart int, perPart bool) error {
 	const cells = model.MaxPSRCategories
 	classes := 1
 	if perPart {
 		classes = nPart
 	}
-	res := &SiteRateResolution{
-		CatRates:  make([][]float64, nPart),
-		CellToCat: make([][]int, nPart),
-	}
+	r.size(nPart, classes)
 	pos := 0
 	for p := 0; p < nPart; p++ {
 		if pos >= len(v) {
-			return nil, fmt.Errorf("enginecore: site-rate resolution of %d values ends before partition %d of %d", len(v), p, nPart)
+			return fmt.Errorf("enginecore: site-rate resolution of %d values ends before partition %d of %d", len(v), p, nPart)
 		}
 		n, ok := wireInt(v[pos], 0, cells)
 		pos++
 		if !ok {
-			return nil, fmt.Errorf("enginecore: site-rate resolution claims %v categories for partition %d (a whole number, at most %d)", v[pos-1], p, cells)
+			return fmt.Errorf("enginecore: site-rate resolution claims %v categories for partition %d (a whole number, at most %d)", v[pos-1], p, cells)
 		}
 		if need := pos + n + cells; need > len(v) {
-			return nil, fmt.Errorf("enginecore: site-rate resolution of %d values, partition %d needs %d", len(v), p, need)
+			return fmt.Errorf("enginecore: site-rate resolution of %d values, partition %d needs %d", len(v), p, need)
 		}
-		res.CatRates[p] = append([]float64(nil), v[pos:pos+n]...)
-		for c, r := range res.CatRates[p] {
-			if !wirePositive(r) {
-				return nil, fmt.Errorf("enginecore: site-rate resolution gives category %d of partition %d the rate %v", c, p, r)
+		r.CatRates[p] = append(r.CatRates[p][:0], v[pos:pos+n]...)
+		for c, rate := range r.CatRates[p] {
+			if !wirePositive(rate) {
+				return fmt.Errorf("enginecore: site-rate resolution gives category %d of partition %d the rate %v", c, p, rate)
 			}
 		}
 		pos += n
-		res.CellToCat[p] = make([]int, cells)
+		if cap(r.CellToCat[p]) < cells {
+			r.CellToCat[p] = make([]int, cells)
+		}
+		r.CellToCat[p] = r.CellToCat[p][:cells]
 		for c := 0; c < cells; c++ {
 			cat, ok := wireInt(v[pos], -1, n-1)
 			if !ok {
-				return nil, fmt.Errorf("enginecore: site-rate resolution maps a cell of partition %d to category %v of %d", p, v[pos], n)
+				return fmt.Errorf("enginecore: site-rate resolution maps a cell of partition %d to category %v of %d", p, v[pos], n)
 			}
-			res.CellToCat[p][c] = cat
+			r.CellToCat[p][c] = cat
 			pos++
 		}
 	}
 	if len(v) != pos+classes {
-		return nil, fmt.Errorf("enginecore: site-rate resolution of %d values, expected %d", len(v), pos+classes)
+		return fmt.Errorf("enginecore: site-rate resolution of %d values, expected %d", len(v), pos+classes)
 	}
-	res.Scale = append([]float64(nil), v[pos:]...)
-	for c, f := range res.Scale {
+	copy(r.Scale, v[pos:])
+	for c, f := range r.Scale {
 		if !wirePositive(f) {
-			return nil, fmt.Errorf("enginecore: site-rate resolution scales linkage class %d by %v", c, f)
+			return fmt.Errorf("enginecore: site-rate resolution scales linkage class %d by %v", c, f)
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // wireInt converts a float off the wire that must hold a whole number in
@@ -852,13 +901,13 @@ func (l *Local) ApplySiteRates(res *SiteRateResolution) {
 		par := k.Params()
 		// Assignment uses the pre-normalization rates the cells were
 		// accumulated on (the current kernel rates).
-		par.SiteCats = model.AssignRateCategories(par.SiteRates, res.CellToCat[p], cells)
+		par.SiteCats = model.AssignRateCategoriesInto(par.SiteCats, par.SiteRates, res.CellToCat[p], cells)
 		for j := range par.SiteRates {
 			par.SiteRates[j] /= f
 		}
-		par.CatRates = make([]float64, len(res.CatRates[p]))
-		for c := range res.CatRates[p] {
-			par.CatRates[c] = res.CatRates[p][c] / f
+		par.CatRates = par.CatRates[:0]
+		for _, r := range res.CatRates[p] {
+			par.CatRates = append(par.CatRates, r/f)
 		}
 		// Category rates changed without a Rebuild: advance the parameter
 		// generation so the kernel's P-matrix cache self-invalidates.

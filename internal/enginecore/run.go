@@ -259,6 +259,8 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 		}
 		return nil, nil, fmt.Errorf("enginecore: replica divergence detected on a peer of rank %d", c.Rank())
 	}
+	// A collective's result lasts until the next collective.
+	maxColumns := int64(maxima[1])
 
 	// Aggregate the kernel-side stats, then broadcast rank 0's frozen
 	// meter so all ranks return identical accounting.
@@ -273,7 +275,7 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 	stats = &RunStats{
 		Wall:           wall,
 		Ranks:          c.Size(),
-		MaxRankColumns: int64(maxima[1]),
+		MaxRankColumns: maxColumns,
 		TotalColumns:   int64(sums[0]),
 		CLVBytesTotal:  sums[1],
 	}

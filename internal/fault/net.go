@@ -62,7 +62,8 @@ type NetReport struct {
 // Every iteration, each process snapshots its replica in memory (the
 // paper's maximum state redundancy — any replica can seed a restart).
 // When a peer is lost, Send/Recv surface *mpinet.PeerDownError, the
-// survivors re-rendezvous on the recovery port (base + epoch), agree on
+// survivors re-rendezvous on the epoch's recovery port (the epoch-th odd
+// port above the base port, mpinet.Recover), agree on
 // the most advanced replica via the rendezvous meta values (ties broken
 // toward the lowest new rank), broadcast that replica's checkpoint over
 // the new mesh, and resume the search from it on the reduced world. The
@@ -115,7 +116,7 @@ func RunNet(d *msa.Dataset, plan NetPlan) (*search.Result, *enginecore.RunStats,
 			runErr = err
 		}
 
-		// Survivor recovery: re-rendezvous on the next epoch port. The
+		// Survivor recovery: re-rendezvous on the next epoch's port. The
 		// restore exchange can itself observe further failures, in which
 		// case another epoch is attempted until the budget runs out.
 		for {

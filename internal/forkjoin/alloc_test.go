@@ -16,77 +16,133 @@ import (
 	"repro/internal/tree"
 )
 
-// TestEngineSteadyStateAllocFree mirrors the decentral-engine test: on a
-// single rank, serial or with a worker pool, the warm fork-join master
-// must drive a full cycle of the calls the search makes — Evaluate, one
-// branch's Traverse and one-edge plans, the all-edge plan, an insertion
-// plan — without allocating.
-// This is what the cached opcode buffer, the analytic descriptor-size
-// metering (no worker, no encode), and the engine scratch vectors buy;
-// with real workers the transport copies payloads and allocation is
-// expected.
+// TestEngineSteadyStateAllocFree mirrors the decentral-engine test: the
+// warm fork-join master — alone, and with a worker as rank 1 of a 2-rank
+// in-process world — serial or with a worker pool, must drive a full
+// cycle of the calls the search makes without allocating on either rank:
+// SetShared with new parameters, Evaluate, one branch's Traverse and
+// one-edge plans, the all-edge plan, an insertion plan and, under PSR, a
+// site-rate resolution, every cycle at branch lengths no earlier cycle
+// used. This is what the master's reused frames and padded descriptor,
+// the worker's decode buffers, the Comm's accumulator and the world's
+// payload free lists buy; a master alone meters its frames analytically
+// and encodes nothing.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		// Two partitions of one pattern block each, then one of several
-		// blocks; one thread, then two.
-		for _, shape := range [][3]int{{2, 60, 1}, {1, 900, 1}, {2, 60, 2}, {1, 900, 2}} {
-			d := makeDataset(t, 8, shape[0], shape[1], 3)
-			counts := make([]int, d.NPartitions())
-			for i, p := range d.Parts {
-				counts[i] = p.NPatterns()
-			}
-			assign, err := distrib.Compute(distrib.Cyclic, counts, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			world := mpi.NewWorld(1)
-			eng, err := NewMaster(world.Comm(0), d, assign, enginecore.Config{Het: het, Subst: model.GTR, Threads: shape[2]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if nb := eng.local.Kernels[0].NBlocks(); (nb == 1) != (shape[0] == 2) {
-				t.Fatalf("%d x %d bp: partition 0 is %d blocks", shape[0], shape[1], nb)
-			}
+		// blocks; one thread, then two; one rank, then two.
+		for _, shape := range [][4]int{{2, 60, 1, 1}, {1, 900, 1, 1}, {2, 60, 2, 1}, {1, 900, 2, 1}, {2, 60, 1, 2}, {1, 900, 2, 2}} {
+			testSteadyStateAllocFree(t, het, shape)
+		}
+	}
+}
 
-			tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
-			edge := tr.Tip(0)
-			desc := traversal.Build(tr, edge, true)
-			var one, oneReuse traversal.GradPlan
-			one.SetEdge(desc)
-			oneReuse.SetEdge(desc)
-			oneReuse.Reuse, oneReuse.T[0][0] = true, 0.1
-			plan, _ := traversal.BuildGradient(tr, nil)
-			// One SPR prune point's insertion plan, built on a clone so the
-			// descriptors above keep describing tr.
-			pruned := tr.Clone()
-			ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ins traversal.InsertPlan
-			ins.Build(pruned, ps, ps.CandidateEdges(1, 5), allDirty(pruned))
-
-			for i := 0; i < 2; i++ {
-				eng.Evaluate(desc)
-				eng.Traverse(desc)
-				eng.AllBranchDerivatives(&one)
-				eng.AllBranchDerivatives(&oneReuse)
-				eng.AllBranchDerivatives(plan)
-				eng.ScoreInsertions(&ins)
-			}
-
-			if allocs := testing.AllocsPerRun(50, func() {
-				eng.Evaluate(desc)
-				eng.Traverse(desc)
-				eng.AllBranchDerivatives(&one)
-				eng.AllBranchDerivatives(&oneReuse)
-				eng.AllBranchDerivatives(plan)
-				eng.ScoreInsertions(&ins)
-			}); allocs != 0 {
-				t.Errorf("%v, %d x %d bp, T=%d: steady-state master cycle allocates %.1f times per run", het, shape[0], shape[1], shape[2], allocs)
+func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, shape [4]int) {
+	nParts, geneLen, threads, ranks := shape[0], shape[1], shape[2], shape[3]
+	d := makeDataset(t, 8, nParts, geneLen, 3)
+	counts := make([]int, d.NPartitions())
+	for i, p := range d.Parts {
+		counts[i] = p.NPatterns()
+	}
+	assign, err := distrib.Compute(distrib.Cyclic, counts, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := mpi.NewWorld(ranks)
+	cfg := enginecore.Config{Het: het, Subst: model.GTR, Threads: threads}
+	workers := make(chan error, ranks)
+	for r := 1; r < ranks; r++ {
+		go func() { workers <- RunWorker(world.Comm(r), d, assign, cfg) }()
+	}
+	eng, err := NewMaster(world.Comm(0), d, assign, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		eng.Close()
+		for r := 1; r < ranks; r++ {
+			if err := <-workers; err != nil {
+				t.Errorf("worker: %v", err)
 			}
 		}
+	}()
+	if nb := eng.local.Kernels[0].NBlocks(); ranks == 1 && (nb == 1) != (nParts == 2) {
+		t.Fatalf("%d x %d bp: partition 0 is %d blocks", nParts, geneLen, nb)
+	}
+
+	tr := tree.NewRandom(d.Names, 1, rand.New(rand.NewSource(5)))
+	// The insertion plan is built on a pruned clone, so the descriptors
+	// keep describing tr.
+	pruned := tr.Clone()
+	ps, err := pruned.Prune(pruned.Tip(0).Back.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, pEdges := tr.Edges(), pruned.Edges()
+	base := make([]float64, len(edges))
+	for j, e := range edges {
+		base[j] = e.Length(0)
+	}
+	pBase := make([]float64, len(pEdges))
+	for j, e := range pEdges {
+		pBase[j] = e.Length(0)
+	}
+	shared := make([][]float64, nParts)
+	for p := range shared {
+		shared[p] = make([]float64, model.SharedLen)
+	}
+	var (
+		desc          traversal.Descriptor
+		one, oneReuse traversal.GradPlan
+		plan          traversal.GradPlan
+		nodes, cands  []*tree.Node
+		ins           traversal.InsertPlan
+		dirty         = allDirty(pruned)
+		calls         int
+	)
+	cycle := func() {
+		f := 1 + 1e-3*float64(calls)
+		calls++
+		for j, e := range edges {
+			e.SetLength(0, base[j]*f)
+		}
+		for j, e := range pEdges {
+			e.SetLength(0, pBase[j]*f)
+		}
+		for _, row := range shared {
+			row[model.SharedAlpha] = 0.5 * f
+			for r := 0; r < model.NumRates-1; r++ {
+				row[model.SharedRates+r] = 1 + 0.1*float64(r)*f
+			}
+			row[model.SharedRates+model.NumRates-1] = 1
+		}
+		eng.SetShared(shared)
+		desc.Build(tr, tr.Tip(0), true)
+		one.SetEdge(&desc)
+		oneReuse.SetEdge(&desc)
+		oneReuse.Reuse, oneReuse.T[0][0] = true, 0.1*f
+		nodes = plan.Build(tr, nil, nodes)
+		for j := range dirty {
+			dirty[j] = true
+		}
+		cands = ps.AppendCandidateEdges(cands[:0], 1, 5)
+		ins.Build(pruned, ps, cands, dirty)
+
+		eng.Evaluate(&desc)
+		eng.Traverse(&desc)
+		eng.AllBranchDerivatives(&one)
+		eng.AllBranchDerivatives(&oneReuse)
+		eng.AllBranchDerivatives(&plan)
+		eng.ScoreInsertions(&ins)
+		if het == model.PSR {
+			eng.OptimizeSiteRates(&desc)
+		}
+	}
+	for range 4 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(30, cycle); allocs != 0 {
+		t.Errorf("%v, %d x %d bp, T=%d, %d ranks: steady-state cycle allocates %.1f times per run", het, nParts, geneLen, threads, ranks, allocs)
 	}
 }
 

@@ -55,12 +55,15 @@ type Engine struct {
 	comm  *mpi.Comm
 	local *enginecore.Local
 
-	// Steady-state scratch: the command byte and the per-call payload
-	// vectors are staged in reusable buffers so the master's inner loops
-	// stay allocation-free (the transports copy payloads on Send, so
-	// reuse across collectives is safe).
+	// Steady-state scratch: the command byte, the per-call payload
+	// vectors, the padded descriptor and the encoded frames are staged in
+	// reusable buffers so the master's inner loops stay allocation-free
+	// (the transports copy payloads on Send, so reuse across collectives
+	// is safe).
 	opBuf   [1]byte
 	flatScr []float64
+	padded  traversal.Descriptor
+	wire    []byte
 
 	search.PerBranch
 }
@@ -111,27 +114,28 @@ func (e *Engine) bcastDescriptor(d *traversal.Descriptor) {
 		e.comm.MeterOp(mpi.ClassTraversal, d.WireSizeForClasses(classes))
 		return
 	}
-	e.comm.BcastBytes(0, e.padDescriptor(d).Encode(), mpi.ClassTraversal)
+	e.wire = e.padDescriptor(d).Append(e.wire[:0])
+	e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
 }
 
 // padDescriptor replicates class 0 across all partitions when the run
-// uses joint branch lengths.
+// uses joint branch lengths, in the engine's padded descriptor.
 func (e *Engine) padDescriptor(d *traversal.Descriptor) *traversal.Descriptor {
 	if len(d.Steps) >= e.local.NPart {
 		return d
 	}
-	padded := &traversal.Descriptor{
-		P:      d.P,
-		Q:      d.Q,
-		T:      make([]float64, e.local.NPart),
-		Steps:  make([][]likelihood.Step, e.local.NPart),
-		Active: d.Active,
+	p := &e.padded
+	p.P, p.Q, p.Active = d.P, d.Q, d.Active
+	if cap(p.T) < e.local.NPart {
+		p.T = make([]float64, e.local.NPart)
+		p.Steps = make([][]likelihood.Step, e.local.NPart)
 	}
-	for c := 0; c < e.local.NPart; c++ {
-		padded.T[c] = d.T[0]
-		padded.Steps[c] = d.Steps[0]
+	p.T, p.Steps = p.T[:e.local.NPart], p.Steps[:e.local.NPart]
+	for c := range p.T {
+		p.T[c] = d.T[0]
+		p.Steps[c] = d.Steps[0]
 	}
-	return padded
+	return p
 }
 
 // NPartitions implements search.Engine.
@@ -173,7 +177,8 @@ func (e *Engine) bcastGradPlan(p *traversal.GradPlan) {
 		e.comm.MeterOp(mpi.ClassTraversal, p.WireSize())
 		return
 	}
-	e.comm.BcastBytes(0, p.Encode(), mpi.ClassTraversal)
+	e.wire = p.Append(e.wire[:0])
+	e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
 }
 
 // AllBranchDerivatives implements search.Engine: one plan broadcast,
@@ -209,7 +214,8 @@ func (e *Engine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
 		// encoding, keeping the single-rank hot path allocation-free.
 		e.comm.MeterOp(mpi.ClassTraversal, plan.WireSize())
 	} else {
-		e.comm.BcastBytes(0, plan.Encode(), mpi.ClassTraversal)
+		e.wire = plan.Append(e.wire[:0])
+		e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
 	}
 	vec := e.local.ScoreInsertionsLocal(plan)
 	return e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassLikelihoodEval)
@@ -252,8 +258,9 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	e.bcastDescriptor(d)
 	stats := e.local.OptimizeSiteRatesLocal(d)
 	stats = e.comm.Reduce(0, stats, mpi.OpSum, mpi.ClassModelParams)
-	res := enginecore.ResolveSiteRates(stats, e.local.NPart, e.local.PerPartBranches)
-	e.comm.Bcast(0, res.Encode(), mpi.ClassModelParams)
+	res := e.local.ResolveSiteRates(stats)
+	e.flatScr = res.Append(e.flatScr[:0])
+	e.comm.Bcast(0, e.flatScr, mpi.ClassModelParams)
 	e.local.ApplySiteRates(res)
 	return res.Scale
 }
@@ -291,16 +298,27 @@ func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg engine
 
 // runWorkerLoop is the worker's command interpreter. Every frame is
 // checked against what this worker's run expects before anything indexes
-// it: a frame that does not fit ends the loop with an error.
+// it: a frame that does not fit ends the loop with an error. Frames are
+// decoded into the loop's own descriptor and plans, whose slices — the
+// masks' storage too (descMask, planMask) — the next frame reuses.
 func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
+	var (
+		desc               traversal.Descriptor
+		plan               traversal.GradPlan
+		insPlan            traversal.InsertPlan
+		descMask, planMask []bool
+		params             = make([][]float64, local.NPart)
+	)
 	recvDescriptor := func() (*traversal.Descriptor, error) {
-		d, err := traversal.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal))
-		if err != nil {
+		desc.Active = descMask[:0]
+		if err := desc.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal)); err != nil {
 			return nil, err
 		}
-		return d, d.Validate(local.NInner+2, local.NPart)
+		if desc.Active != nil {
+			descMask = desc.Active
+		}
+		return &desc, desc.Validate(local.NInner+2, local.NPart)
 	}
-	var insPlan traversal.InsertPlan // decoded into, slices reused
 	for {
 		op := comm.BcastBytes(0, nil, mpi.ClassControl)
 		if len(op) != 1 {
@@ -327,7 +345,6 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			if len(flat) != local.NPart*model.SharedLen {
 				return fmt.Errorf("forkjoin: worker %d: opSetShared frame of %d values, expected %d", comm.Rank(), len(flat), local.NPart*model.SharedLen)
 			}
-			params := make([][]float64, local.NPart)
 			for p := 0; p < local.NPart; p++ {
 				params[p] = flat[p*model.SharedLen : (p+1)*model.SharedLen]
 			}
@@ -343,24 +360,27 @@ func runWorkerLoop(comm *mpi.Comm, local *enginecore.Local) error {
 			stats := local.OptimizeSiteRatesLocal(desc)
 			comm.Reduce(0, stats, mpi.OpSum, mpi.ClassModelParams)
 			enc := comm.Bcast(0, nil, mpi.ClassModelParams)
-			res, err := enginecore.DecodeSiteRateResolution(enc, local.NPart, local.PerPartBranches)
+			res, err := local.DecodeSiteRates(enc)
 			if err != nil {
 				return fmt.Errorf("forkjoin: worker %d: opSiteRates frame: %w", comm.Rank(), err)
 			}
 			local.ApplySiteRates(res)
 
 		case opAllBranchDerivs:
-			plan, err := traversal.DecodeGradPlan(comm.BcastBytes(0, nil, mpi.ClassTraversal))
-			if err != nil {
+			plan.Active = planMask[:0]
+			if err := plan.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal)); err != nil {
 				return err
+			}
+			if plan.Active != nil {
+				planMask = plan.Active
 			}
 			if err := plan.Validate(local.NInner+2, local.BLClasses()); err != nil {
 				return err
 			}
-			if err := local.AdmitDerivatives(plan); err != nil {
+			if err := local.AdmitDerivatives(&plan); err != nil {
 				return fmt.Errorf("forkjoin: worker %d: opAllBranchDerivs frame: %w", comm.Rank(), err)
 			}
-			comm.Reduce(0, local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)
+			comm.Reduce(0, local.AllBranchDerivativesPerPartition(&plan), mpi.OpSum, mpi.ClassBranchLength)
 
 		case opScoreInsertions:
 			if err := insPlan.Decode(comm.BcastBytes(0, nil, mpi.ClassTraversal)); err != nil {

@@ -266,8 +266,7 @@ func (k *Kernel) Finish() {
 	k.prog = k.prog[:0]
 	k.nRed = 0
 	k.mem.reset()
-	k.pmFree = append(k.pmFree, k.pmLent...)
-	k.pmLent = k.pmLent[:0]
+	k.pm.finish()
 }
 
 // Flush runs the staged program on pool p (nil: on the calling goroutine)

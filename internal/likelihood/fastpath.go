@@ -35,14 +35,6 @@ import (
 // which keeps the repo-wide determinism contract (docs/DETERMINISM.md)
 // intact.
 
-// maxPCacheEntries bounds the per-kernel P-matrix cache. When the bound
-// is reached the cache simply stops inserting (no eviction): a
-// deterministic policy whose behavior cannot depend on iteration order.
-// Matrices it does not keep are lent to the program that asked for them.
-// 1024 entries × up to 25 categories × 16 doubles is a few MB worst
-// case, and the cache resets on every parameter-generation change.
-const maxPCacheEntries = 1024
-
 // Counters returns the kernel's per-rank counters, the table its engine
 // adds up for telemetry. Call it between kernel operations: the
 // single-site evaluation counts are gathered from the pattern blocks'
@@ -56,62 +48,30 @@ func (k *Kernel) Counters() telemetry.RankCounters {
 	return c
 }
 
-// takePMatrices returns an idle P-matrix set sized for the active
-// category count, contents unspecified, allocating only when no idle set
-// is large enough.
-func (k *Kernel) takePMatrices() [][ns * ns]float64 {
-	need := len(k.par.CatRates)
-	for n := len(k.pmFree); n > 0; n = len(k.pmFree) {
-		m := k.pmFree[n-1]
-		k.pmFree = k.pmFree[:n-1]
-		if cap(m) >= need {
-			return m[:need]
-		}
-		// Sized for fewer categories than the model has now: let it go.
-		k.counts[telemetry.RankPSetDrops]++
-	}
-	k.counts[telemetry.RankPSetAllocs]++
-	return make([][ns * ns]float64, need)
-}
-
-// dropPCache empties the P-matrix cache, keeping its matrix sets for the
-// next fills: a model probe misses on every branch length of the tree,
-// and would otherwise allocate a set per miss.
-func (k *Kernel) dropPCache() {
-	for _, m := range k.pcache {
-		k.pmFree = append(k.pmFree, m)
-	}
-	clear(k.pcache)
-}
-
 // probMatricesFor returns the per-category P(t) matrices for branch
-// length t, consulting the cache first. The returned slice is
-// read-only for the caller and good until the program in flight is
-// finished: it is either cache-owned (the cache resets only between
-// programs) or lent to the program and taken back by Finish.
+// length t from the kernel's P-matrix store (pstore.go), filling a set
+// on a miss. The returned slice is read-only for the caller and good
+// until the program in flight is finished: a set the program reads is
+// not recycled before its Finish.
 func (k *Kernel) probMatricesFor(t float64) [][ns * ns]float64 {
-	if g := k.par.Generation(); g != k.pcGen {
-		k.pcGen = g
-		if len(k.pcache) > 0 {
-			k.dropPCache()
+	s := &k.pm
+	if g, cats := k.par.Generation(), len(k.par.CatRates); g != s.gen || cats != s.cats {
+		s.gen = g
+		if s.reset(cats) {
 			k.counts[telemetry.RankPCacheResets]++
 		}
 	}
-	if m, ok := k.pcache[math.Float64bits(t)]; ok {
+	key := math.Float64bits(t)
+	if i := s.find(key); i >= 0 {
 		k.counts[telemetry.RankPCacheHits]++
-		return m
+		return s.read(i, true)
 	}
 	k.counts[telemetry.RankPCacheMisses]++
-	m := k.takePMatrices()
+	i, carved := s.take()
+	k.counts[telemetry.RankPSetAllocs] += int64(carved)
+	s.insert(i, key)
+	m := s.read(i, false)
 	k.probMatrices(t, m)
-	if len(k.pcache) < maxPCacheEntries {
-		if k.pcache == nil {
-			k.pcache = make(map[uint64][][ns * ns]float64)
-		}
-		k.pcache[math.Float64bits(t)] = m
-	} else {
-		k.pmLent = append(k.pmLent, m)
-	}
 	return m
 }
 

@@ -140,6 +140,8 @@ type Kernel struct {
 	// where the site categories change — not a parameter generation, which
 	// moves on every model probe.
 	tipMasks []rowMasks
+	// catMasks is the storage of the PSR tip masks' catMask rows.
+	catMasks []uint16
 
 	// sums is the sum-table store (sumtable.go), addressed by slot: what
 	// Contract fills and Derivatives reads, with the edge and the stamp
@@ -153,16 +155,8 @@ type Kernel struct {
 	insTab      []float64
 	insSubScale []int32
 
-	// P-matrix cache and fast-path counters (fastpath.go).
-	// pcache maps Float64bits(branch length) → per-category P matrices,
-	// valid for parameter generation pcGen only. pmFree are idle matrix
-	// sets — a cache reset puts its sets there, a miss takes one — and
-	// pmLent the sets the program in flight borrowed for matrices the
-	// cache did not keep.
-	pcache map[uint64][][ns * ns]float64
-	pcGen  uint64
-	pmFree [][][ns * ns]float64
-	pmLent [][][ns * ns]float64
+	// pm is the P-matrix store (pstore.go).
+	pm pStore
 	// counts are the kernel's per-rank counters (Counters), out-of-band:
 	// no computed value reads them.
 	counts telemetry.RankCounters
@@ -227,15 +221,22 @@ func (k *Kernel) operand(r Ref) operand {
 // every category.
 func (k *Kernel) buildTipMasks() {
 	cats := len(k.par.CatRates)
-	var flat []uint16
 	if k.psr {
-		flat = make([]uint16, len(k.data.Tips)*cats)
+		n := len(k.data.Tips) * cats
+		if cap(k.catMasks) < n {
+			k.catMasks = make([]uint16, n)
+		}
+		k.catMasks = k.catMasks[:n]
+		clear(k.catMasks)
 	}
-	k.tipMasks = make([]rowMasks, len(k.data.Tips))
+	if k.tipMasks == nil {
+		k.tipMasks = make([]rowMasks, len(k.data.Tips))
+	}
 	for taxon, row := range k.data.Tips {
 		m := &k.tipMasks[taxon]
+		*m = rowMasks{}
 		if k.psr {
-			m.catMask = flat[taxon*cats:][:cats]
+			m.catMask = k.catMasks[taxon*cats:][:cats]
 		}
 		for i, s := range row {
 			m.mask |= 1 << s
@@ -267,6 +268,11 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		clv:    make([][]float64, nInner),
 		scale:  make([][]int32, nInner),
 		mem:    new(ProgramArena),
+		pm:     newPStore(2*nInner + 1),
+		// An all-edge gradient program — a pre-order step, a contraction
+		// and a derivative per edge — is about three operations per edge;
+		// sized for it, the program rarely grows by doubling.
+		prog: make([]runArgs, 0, 3*(2*nInner+1)),
 	}
 	k.siteScr = newSiteScratch(k.nPat, nInner)
 	for s := msa.State(1); s <= 15; s++ {
@@ -304,7 +310,7 @@ func (k *Kernel) cols() int64 {
 	return int64(k.nPat) * gammaCats
 }
 
-// slot returns (allocating on demand) the backing store of the CLV or
+// slot returns (allocating on first use) the backing store of the CLV or
 // outer slot r names. The outer table grows to fit: it is indexed by
 // vertex, not by inner slot.
 func (k *Kernel) slot(r Ref) ([]float64, []int32) {
@@ -316,26 +322,23 @@ func (k *Kernel) slot(r Ref) ([]float64, []int32) {
 		}
 		vecs, scales = k.outer, k.outerScale
 	}
-	if vecs[r.Idx] == nil || len(vecs[r.Idx]) != k.clvLen() {
+	if vecs[r.Idx] == nil {
 		vecs[r.Idx] = make([]float64, k.clvLen())
 		scales[r.Idx] = make([]int32, k.nPat)
 	}
 	return vecs[r.Idx], scales[r.Idx]
 }
 
-// InvalidateAll drops all CLVs and outer vectors (used after model
+// InvalidateAll marks every CLV and outer vector stale (used after model
 // changes that the caller follows with a full traversal, and by
-// fault-recovery redistribution).
-// The P-matrix cache is dropped too: InvalidateAll callers may mutate
-// parameters (site rates) without a Rebuild. The site categories may
-// have changed with them, so the tip masks are rebuilt.
+// fault-recovery redistribution): it moves the stamp, so no sum table
+// counts as current, and keeps the buffers, which the next traversal
+// overwrites. The P-matrix store is emptied too: InvalidateAll callers
+// may mutate parameters (site rates) without a Rebuild. The site
+// categories may have changed with them, so the tip masks are rebuilt.
 func (k *Kernel) InvalidateAll() {
-	clear(k.clv)
-	clear(k.scale)
-	clear(k.outer)
-	clear(k.outerScale)
 	k.stamp++
-	k.dropPCache()
+	k.pm.reset(k.pm.cats)
 	k.buildTipMasks()
 }
 

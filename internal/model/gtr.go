@@ -55,20 +55,30 @@ type Eigen struct {
 // so the decomposition reduces to a symmetric (Jacobi) eigenproblem with an
 // orthonormal eigenbasis; U = D^{-1/2}V and U⁻¹ = VᵀD^{1/2} follow.
 func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, error) {
+	e := new(Eigen)
+	if err := e.Decompose(rates, freqs); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Decompose is NewEigen into e, allocating nothing; on an error e is
+// left as it was.
+func (e *Eigen) Decompose(rates [NumRates]float64, freqs [msa.NumStates]float64) error {
 	for i, r := range rates {
 		if !(r > 0) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("model: rate %d = %g must be positive and finite", i, r)
+			return fmt.Errorf("model: rate %d = %g must be positive and finite", i, r)
 		}
 	}
 	fsum := 0.0
 	for i, f := range freqs {
 		if !(f > 0) {
-			return nil, fmt.Errorf("model: frequency %d = %g must be positive", i, f)
+			return fmt.Errorf("model: frequency %d = %g must be positive", i, f)
 		}
 		fsum += f
 	}
 	if math.Abs(fsum-1) > 1e-8 {
-		return nil, fmt.Errorf("model: frequencies sum to %g, want 1", fsum)
+		return fmt.Errorf("model: frequencies sum to %g, want 1", fsum)
 	}
 
 	const n = msa.NumStates
@@ -95,7 +105,7 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 		meanRate += freqs[i] * row
 	}
 	if meanRate <= 0 {
-		return nil, fmt.Errorf("model: degenerate rate matrix (mean rate %g)", meanRate)
+		return fmt.Errorf("model: degenerate rate matrix (mean rate %g)", meanRate)
 	}
 	for i := range q {
 		q[i] /= meanRate
@@ -107,7 +117,7 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 		sqrtF[i] = math.Sqrt(f)
 		invSqrtF[i] = 1 / sqrtF[i]
 	}
-	b := make([]float64, n*n)
+	var b [n * n]float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			b[i*n+j] = sqrtF[i] * q[i*n+j] * invSqrtF[j]
@@ -120,13 +130,13 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 			b[i*n+j], b[j*n+i] = m, m
 		}
 	}
-	vals, vecs, err := numutil.JacobiEigen(b, n)
-	if err != nil {
-		return nil, fmt.Errorf("model: diagonalizing GTR: %w", err)
+	var vals [n]float64
+	var vecs [n * n]float64
+	if err := numutil.JacobiEigenInto(b[:], n, vals[:], vecs[:]); err != nil {
+		return fmt.Errorf("model: diagonalizing GTR: %w", err)
 	}
 
-	e := &Eigen{}
-	copy(e.Vals[:], vals)
+	*e = Eigen{Vals: vals}
 	// The stationary eigenvalue is 0 up to rounding; pin it exactly so
 	// P(t) rows sum to 1 for arbitrary large t.
 	e.Vals[n-1] = 0
@@ -146,7 +156,7 @@ func NewEigen(rates [NumRates]float64, freqs [msa.NumStates]float64) (*Eigen, er
 			e.UT[j*n+i], e.UInvT[j*n+i], e.StatT[j*n+i] = e.U[i*n+j], e.UInv[i*n+j], e.Stat[i*n+j]
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // ProbMatrix fills p with the transition probability matrix P(t·rate) =

@@ -91,23 +91,33 @@ func NewParams(het Heterogeneity, freqs [msa.NumStates]float64, nLocalPatterns i
 // for. Both derivations are pure functions of those inputs, so skipping
 // one whose inputs are unchanged leaves exactly the doubles a full
 // recomputation would produce. The generation advances (and the kernels'
-// P-matrix caches reset) only when something was re-derived. PSR category
+// P-matrix caches reset) only when something was re-derived. The
+// eigensystem and the Γ category rates are re-derived into the Eigen and
+// the slice the parameters already hold, so a probe allocates nothing. PSR category
 // rates are maintained by the quantization pipeline, not here.
 func (p *Params) Rebuild() error {
 	if p.Eigen == nil || p.Rates != p.eigenRates || p.Freqs != p.eigenFreqs {
-		e, err := NewEigen(p.Rates, p.Freqs)
-		if err != nil {
+		var e Eigen
+		if err := e.Decompose(p.Rates, p.Freqs); err != nil {
 			return err
 		}
-		p.Eigen, p.eigenRates, p.eigenFreqs = e, p.Rates, p.Freqs
+		if p.Eigen == nil {
+			p.Eigen = new(Eigen)
+		}
+		*p.Eigen = e
+		p.eigenRates, p.eigenFreqs = p.Rates, p.Freqs
 		p.gen++
 	}
 	if p.Het == Gamma && (p.CatRates == nil || p.Alpha != p.gammaAlpha) {
-		means, err := DiscreteGammaMeans(p.Alpha, GammaCategories)
-		if err != nil {
+		var means [GammaCategories]float64
+		if err := DiscreteGammaMeansInto(p.Alpha, means[:]); err != nil {
 			return err
 		}
-		p.CatRates, p.gammaAlpha = means, p.Alpha
+		if len(p.CatRates) != GammaCategories {
+			p.CatRates = make([]float64, GammaCategories)
+		}
+		copy(p.CatRates, means[:])
+		p.gammaAlpha = p.Alpha
 		p.gen++
 	}
 	return nil

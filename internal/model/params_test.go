@@ -138,47 +138,52 @@ func TestRebuildIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// α only: same Eigen object, new category rates, new generation.
-	eig, cats, gen := p.Eigen, p.CatRates, p.Generation()
+	// The eigensystem is re-derived in place, into the Eigen the
+	// parameters hold: each re-derivation moves the generation once, so a
+	// step of one tells which derivations ran.
+	// α only: same eigensystem, new category rates, one new generation.
+	eig, cats, gen := *p.Eigen, p.CatRates, p.Generation()
+	cats0 := cats[0]
 	p.Alpha = 0.37
 	if err := p.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Eigen != eig {
-		t.Error("α-only change re-derived the eigensystem")
+	if *p.Eigen != eig {
+		t.Error("α-only change moved the eigensystem")
 	}
-	if &p.CatRates[0] == &cats[0] || p.CatRates[0] == cats[0] {
+	if p.CatRates[0] == cats0 {
 		t.Error("α-only change kept the Γ category rates")
 	}
-	if p.Generation() == gen {
-		t.Error("α-only change kept the generation")
+	if p.Generation() != gen+1 {
+		t.Errorf("α-only change moved the generation by %d, want 1 (category rates only)", p.Generation()-gen)
 	}
 
-	// Rate only: new Eigen, same category-rate slice.
-	eig, cats, gen = p.Eigen, p.CatRates, p.Generation()
+	// Rate only: new eigensystem, same category-rate slice.
+	eig, cats, gen = *p.Eigen, p.CatRates, p.Generation()
 	p.Rates[2] = 2.5
 	if err := p.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Eigen == eig || p.Eigen.Vals == eig.Vals {
+	if p.Eigen.Vals == eig.Vals {
 		t.Error("rate-only change kept the eigensystem")
 	}
 	if &p.CatRates[0] != &cats[0] {
 		t.Error("rate-only change re-derived the Γ category rates")
 	}
-	if p.Generation() == gen {
-		t.Error("rate-only change kept the generation")
+	if p.Generation() != gen+1 {
+		t.Errorf("rate-only change moved the generation by %d, want 1 (eigensystem only)", p.Generation()-gen)
 	}
 
 	// No change: nothing moves, through Rebuild and through DecodeShared.
-	eig, cats, gen = p.Eigen, p.CatRates, p.Generation()
+	eigp := p.Eigen
+	eig, cats, gen = *p.Eigen, p.CatRates, p.Generation()
 	if err := p.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.DecodeShared(p.EncodeShared()); err != nil {
 		t.Fatal(err)
 	}
-	if p.Eigen != eig || &p.CatRates[0] != &cats[0] || p.Generation() != gen {
+	if p.Eigen != eigp || *p.Eigen != eig || &p.CatRates[0] != &cats[0] || p.Generation() != gen {
 		t.Error("no-op Rebuild/DecodeShared touched derived state or the generation")
 	}
 
@@ -188,8 +193,8 @@ func TestRebuildIsIncremental(t *testing.T) {
 	if err := p.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Eigen == eig || p.Generation() == gen {
-		t.Error("changed frequencies kept the eigensystem")
+	if p.Eigen != eigp || *p.Eigen == eig || p.Generation() != gen+1 {
+		t.Error("changed frequencies kept the eigensystem, or moved it out of its Eigen")
 	}
 
 	// The incrementally maintained state is what a fresh Params derives
@@ -216,11 +221,11 @@ func TestRebuildIsIncremental(t *testing.T) {
 	if c.Eigen == p.Eigen {
 		t.Fatal("clone shares the eigensystem")
 	}
-	ceig, cgen := c.Eigen, c.Generation()
+	ceig, cgen := *c.Eigen, c.Generation()
 	if err := c.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Eigen != ceig || c.Generation() != cgen {
+	if *c.Eigen != ceig || c.Generation() != cgen {
 		t.Error("unchanged clone rebuilt")
 	}
 	c.Rates[0] = 3
@@ -228,7 +233,7 @@ func TestRebuildIsIncremental(t *testing.T) {
 	if err := c.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Eigen == ceig || c.Generation() == cgen {
+	if *c.Eigen == ceig || c.Generation() != cgen+2 {
 		t.Error("mutated clone did not rebuild")
 	}
 	if p.Rates[0] == 3 || *p.Eigen == *c.Eigen || p.CatRates[0] == c.CatRates[0] {

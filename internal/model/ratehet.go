@@ -62,27 +62,37 @@ func DiscreteGammaMeans(alpha float64, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("model: need at least 1 gamma category, got %d", k)
 	}
+	rates := make([]float64, k)
+	if err := DiscreteGammaMeansInto(alpha, rates); err != nil {
+		return nil, err
+	}
+	return rates, nil
+}
+
+// DiscreteGammaMeansInto is DiscreteGammaMeans for k = len(rates),
+// written to rates; it allocates nothing.
+func DiscreteGammaMeansInto(alpha float64, rates []float64) error {
+	k := len(rates)
+	if k < 1 {
+		return fmt.Errorf("model: need at least 1 gamma category, got %d", k)
+	}
 	if !(alpha > 0) {
-		return nil, fmt.Errorf("model: alpha = %g must be positive", alpha)
+		return fmt.Errorf("model: alpha = %g must be positive", alpha)
 	}
 	if k == 1 {
-		return []float64{1}, nil
+		rates[0] = 1
+		return nil
 	}
-	// Boundaries at the i/k quantiles of Gamma(α, α).
-	bounds := make([]float64, k+1)
-	bounds[0], bounds[k] = 0, math.Inf(1)
-	for i := 1; i < k; i++ {
-		bounds[i] = numutil.GammaQuantile(float64(i)/float64(k), alpha, alpha)
-	}
-	// Mean of slice [a,b): k·(P(α+1, αb) − P(α+1, αa)) for Gamma(α, α).
-	rates := make([]float64, k)
+	// Mean of slice [a,b) between the i/k quantiles of Gamma(α, α):
+	// k·(P(α+1, αb) − P(α+1, αa)).
 	prev := 0.0
 	for i := 0; i < k; i++ {
 		var next float64
 		if i == k-1 {
 			next = 1
 		} else {
-			next = numutil.GammaIncP(alpha+1, alpha*bounds[i+1])
+			bound := numutil.GammaQuantile(float64(i+1)/float64(k), alpha, alpha)
+			next = numutil.GammaIncP(alpha+1, alpha*bound)
 		}
 		rates[i] = float64(k) * (next - prev)
 		prev = next
@@ -99,7 +109,7 @@ func DiscreteGammaMeans(alpha float64, k int) ([]float64, error) {
 			rates[i] = 1e-10 // guard against α so extreme a category underflows
 		}
 	}
-	return rates, nil
+	return nil
 }
 
 // PSR rate quantization groups per-site rates onto a fixed geometric grid
@@ -196,7 +206,18 @@ func AccumulateRateCells(rates []float64, weights []int, sumR, sumW []float64) {
 // dense category rate list and a cell→category index map (-1 for empty
 // cells).
 func FinalizeRateCategories(sumR, sumW []float64) (catRates []float64, cellToCat []int) {
-	cellToCat = make([]int, len(sumW))
+	return AppendRateCategories(nil, nil, sumR, sumW)
+}
+
+// AppendRateCategories is FinalizeRateCategories appending the category
+// rates to catRates[:0] and writing the cell map to cellToCat's storage,
+// grown to len(sumW) if it must be.
+func AppendRateCategories(catRates []float64, cellToCat []int, sumR, sumW []float64) ([]float64, []int) {
+	catRates = catRates[:0]
+	if cap(cellToCat) < len(sumW) {
+		cellToCat = make([]int, len(sumW))
+	}
+	cellToCat = cellToCat[:len(sumW)]
 	for c := range sumW {
 		if sumW[c] > 0 {
 			cellToCat[c] = len(catRates)
@@ -210,7 +231,13 @@ func FinalizeRateCategories(sumR, sumW []float64) (catRates []float64, cellToCat
 
 // AssignRateCategories maps each local site rate to its category index.
 func AssignRateCategories(rates []float64, cellToCat []int, maxCats int) []int {
-	siteCats := make([]int, len(rates))
+	return AssignRateCategoriesInto(make([]int, len(rates)), rates, cellToCat, maxCats)
+}
+
+// AssignRateCategoriesInto is AssignRateCategories writing to siteCats
+// (len(rates) entries), which it returns.
+func AssignRateCategoriesInto(siteCats []int, rates []float64, cellToCat []int, maxCats int) []int {
+	siteCats = siteCats[:len(rates)]
 	for i, r := range rates {
 		siteCats[i] = cellToCat[RateCellOf(r, maxCats)]
 	}

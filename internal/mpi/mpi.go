@@ -117,7 +117,10 @@ func (o Op) apply(acc, v float64) float64 {
 type World struct {
 	size  int
 	chans [][]chan Message // chans[from][to]
-	meter *Meter
+	// f64Free/rawFree are the payload free lists (chanTransport).
+	f64Free [][]chan []float64
+	rawFree [][]chan []byte
+	meter   *Meter
 	// poll is the world's waiting rule: its receives poll before they
 	// park (threadpool.Poll) when every rank can hold a processor, and
 	// park at once when the ranks outnumber GOMAXPROCS — a rank polling
@@ -137,14 +140,25 @@ func NewWorld(size int) *World {
 	}
 	w := &World{size: size, meter: NewMeter(), poll: size <= runtime.GOMAXPROCS(0)}
 	w.chans = make([][]chan Message, size)
+	w.f64Free = make([][]chan []float64, size)
+	w.rawFree = make([][]chan []byte, size)
 	for i := range w.chans {
 		w.chans[i] = make([]chan Message, size)
+		w.f64Free[i] = make([]chan []float64, size)
+		w.rawFree[i] = make([]chan []byte, size)
 		for j := range w.chans[i] {
 			w.chans[i][j] = make(chan Message, 4)
+			w.f64Free[i][j] = make(chan []float64, payloadFreeList)
+			w.rawFree[i][j] = make(chan []byte, payloadFreeList)
 		}
 	}
 	return w
 }
+
+// payloadFreeList is how many idle payload buffers of each kind a rank
+// pair keeps: a collective leaves at most a few messages per pair in
+// flight or held.
+const payloadFreeList = 8
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
@@ -184,17 +198,28 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, w.size))
 	}
-	return NewComm(&chanTransport{chans: w.chans, rank: rank, poll: w.poll, host: &w.host}, rank, w.size, w.meter)
+	t := &chanTransport{chans: w.chans, f64Free: w.f64Free, rawFree: w.rawFree, rank: rank, poll: w.poll, host: &w.host}
+	c := NewComm(t, rank, w.size, w.meter)
+	c.ch = t
+	return c
 }
 
 // Comm is one rank's endpoint. It must be used by a single goroutine.
+//
+// A collective's result — the slice Bcast, BcastBytes, Reduce or
+// Allreduce returns — is valid until the Comm's next collective: a
+// reduction accumulates into a buffer the Comm owns, and an in-process
+// world recycles received payloads when the receiver's next collective
+// starts. Callers copy what must survive.
 type Comm struct {
 	tr    Transport
+	ch    *chanTransport // tr, when it is an in-process world's
 	rank  int
 	size  int
 	meter *Meter
 	seq   uint64
 	rec   *telemetry.Recorder
+	acc   []float64 // Reduce's accumulator
 }
 
 // SetRecorder attaches a telemetry recorder; every subsequent collective
@@ -209,8 +234,8 @@ func (c *Comm) SetRecorder(r *telemetry.Recorder) { c.rec = r }
 // Zero over a transport that does not count them — internal/mpinet's
 // always parks.
 func (c *Comm) Counters() telemetry.RankCounters {
-	if t, ok := c.tr.(*chanTransport); ok {
-		return t.counts
+	if c.ch != nil {
+		return c.ch.counts
 	}
 	return telemetry.RankCounters{}
 }
@@ -263,8 +288,13 @@ func (c *Comm) protocolError(peer int, format string, args ...any) *CommError {
 }
 
 // nextSeq advances this rank's collective counter. All ranks execute the
-// same collective sequence, so counters stay aligned.
+// same collective sequence, so counters stay aligned. It starts a
+// collective, so the payloads the last one received go back to their
+// senders.
 func (c *Comm) nextSeq() uint64 {
+	if c.ch != nil {
+		c.ch.release()
+	}
 	c.seq++
 	return c.seq
 }
@@ -362,9 +392,9 @@ func (c *Comm) BcastBytes(root int, data []byte, class CommClass) []byte {
 	return out.Raw
 }
 
-// Reduce element-wise reduces data to root; root receives the result,
-// other ranks receive nil. The combination order is the fixed binomial
-// tree order — independent of goroutine scheduling.
+// Reduce element-wise reduces data to root; root receives the result (in
+// the Comm's accumulator), other ranks receive nil. The combination order
+// is the fixed binomial tree order — independent of goroutine scheduling.
 func (c *Comm) Reduce(root int, data []float64, op Op, class CommClass) []float64 {
 	t := c.rec.BeginCollective()
 	defer c.rec.EndCollective(int(class), t)
@@ -379,7 +409,8 @@ func (c *Comm) Reduce(root int, data []float64, op Op, class CommClass) []float6
 		// serial path stays allocation-free.
 		return data
 	}
-	acc := append([]float64(nil), data...)
+	acc := append(c.acc[:0], data...)
+	c.acc = acc
 	v := vrank(c.rank, root, size)
 	for mask := 1; mask < size; mask <<= 1 {
 		if v&mask != 0 {

@@ -88,7 +88,8 @@ func TestReduceMinMax(t *testing.T) {
 	var minRes, maxRes []float64
 	w.Run(func(c *Comm) {
 		v := []float64{float64(c.Rank()*c.Rank() - 3)}
-		mn := c.Reduce(0, v, OpMin, ClassControl)
+		// A result is valid until the Comm's next collective: keep a copy.
+		mn := append([]float64(nil), c.Reduce(0, v, OpMin, ClassControl)...)
 		mx := c.Reduce(0, v, OpMax, ClassControl)
 		if c.Rank() == 0 {
 			minRes, maxRes = mn, mx

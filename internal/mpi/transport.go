@@ -88,6 +88,14 @@ func (e *ProtocolError) Error() string { return "collective protocol mismatch: "
 type chanTransport struct {
 	chans [][]chan Message // chans[from][to]
 	rank  int
+	// f64Free/rawFree are the world's payload free lists, one per ordered
+	// rank pair ([from][to]): a Send copies its payload into a buffer
+	// from its pair's list, and the receiver hands the buffers it
+	// received back when its Comm starts the next collective (release) —
+	// a received payload is valid until then.
+	f64Free [][]chan []float64
+	rawFree [][]chan []byte
+	held    []heldPayload
 	// poll is the world's waiting rule (World.poll): receives poll their
 	// peer's channel under threadpool.Poll, with the world's Host, before
 	// they park.
@@ -98,17 +106,60 @@ type chanTransport struct {
 	counts telemetry.RankCounters
 }
 
+// heldPayload is a received message's payload and its sender.
+type heldPayload struct {
+	from int
+	f64  []float64
+	raw  []byte
+}
+
 // Send copies the payload (the in-process sender may mutate its buffers
-// after the call) and enqueues it.
+// after the call) into recycled buffers and enqueues it.
 func (t *chanTransport) Send(to int, m Message) error {
-	if m.F64 != nil {
-		m.F64 = append([]float64(nil), m.F64...)
-	}
-	if m.Raw != nil {
-		m.Raw = append([]byte(nil), m.Raw...)
-	}
+	m.F64 = recycledCopy(t.f64Free[t.rank][to], m.F64)
+	m.Raw = recycledCopy(t.rawFree[t.rank][to], m.Raw)
 	t.chans[t.rank][to] <- m
 	return nil
+}
+
+// recycledCopy returns a copy of src in a buffer from free when one is
+// large enough, else in a new one; nil stays nil and empty stays empty.
+func recycledCopy[T any](free chan []T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	var b []T
+	select {
+	case b = <-free:
+	default:
+	}
+	if cap(b) < len(src) {
+		b = make([]T, len(src))
+	}
+	b = b[:len(src)]
+	copy(b, src)
+	return b
+}
+
+// release hands every payload received since the last release back to
+// its sender's free list (dropping it when the list is full).
+func (t *chanTransport) release() {
+	for _, h := range t.held {
+		if h.f64 != nil {
+			select {
+			case t.f64Free[h.from][t.rank] <- h.f64:
+			default:
+			}
+		}
+		if h.raw != nil {
+			select {
+			case t.rawFree[h.from][t.rank] <- h.raw:
+			default:
+			}
+		}
+	}
+	clear(t.held)
+	t.held = t.held[:0]
 }
 
 // Recv takes the next message from the peer's channel. In a polling
@@ -123,7 +174,11 @@ func (t *chanTransport) Recv(from int) (Message, error) {
 	} else {
 		t.counts[telemetry.RankRecvParked]++
 	}
-	return <-ch, nil
+	m := <-ch
+	if m.F64 != nil || m.Raw != nil {
+		t.held = append(t.held, heldPayload{from: from, f64: m.F64, raw: m.Raw})
+	}
+	return m, nil
 }
 
 // Close is a no-op: the channels are shared by the whole world and are

@@ -77,12 +77,15 @@ func collectiveScript(c *mpi.Comm) map[string][]float64 {
 		}
 		return v
 	}
+	// A collective's result is valid until the Comm's next collective:
+	// keep copies.
+	keep := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	out := map[string][]float64{}
 	c.Barrier(mpi.ClassControl)
-	out["bcast"] = c.Bcast(0, vec(5, 1), mpi.ClassModelParams)
-	out["allreduce"] = c.Allreduce(vec(7, 1.5), mpi.OpSum, mpi.ClassLikelihoodEval)
-	out["allreduce-min"] = c.Allreduce(vec(3, -2), mpi.OpMin, mpi.ClassBranchLength)
-	red := c.Reduce(0, vec(4, 0.25), mpi.OpSum, mpi.ClassBranchLength)
+	out["bcast"] = keep(c.Bcast(0, vec(5, 1), mpi.ClassModelParams))
+	out["allreduce"] = keep(c.Allreduce(vec(7, 1.5), mpi.OpSum, mpi.ClassLikelihoodEval))
+	out["allreduce-min"] = keep(c.Allreduce(vec(3, -2), mpi.OpMin, mpi.ClassBranchLength))
+	red := keep(c.Reduce(0, vec(4, 0.25), mpi.OpSum, mpi.ClassBranchLength))
 	if rank == 0 {
 		out["reduce"] = red
 	}
@@ -475,11 +478,10 @@ func TestRendezvousOutcomes(t *testing.T) {
 	epochAddr := func(addr string) string {
 		host, port, _ := net.SplitHostPort(addr)
 		p, _ := strconv.Atoi(port)
-		return net.JoinHostPort(host, strconv.Itoa(p+1))
+		return net.JoinHostPort(host, strconv.Itoa(recoveryPort(p, 1)))
 	}
 	// recoveryAddr reserves a rendezvous address whose epoch-1 port is
-	// free as well: any socket of this process may hold the port above a
-	// reserved one.
+	// free as well: another socket may hold that port.
 	recoveryAddr := func(t *testing.T) string {
 		t.Helper()
 		for range 100 {

@@ -623,11 +623,24 @@ type RecoveredWorld struct {
 	Metas []uint64
 }
 
+// recoveryPort is the port epoch e's recovery rendezvous listens on: the
+// e-th odd port above base — base + 2e for an odd base, base + 2e − 1 for
+// an even one. Linux hands out ephemeral ports by parity: bind(0) (how
+// ReserveLoopbackAddr picks a base) gets the odd ones, and connect()
+// takes its source ports from the even ones, so base + 1 is where a
+// process's outgoing connections land and a survivor could find it held.
+// Odd ports keep the recovery rendezvous off connect()'s half. This is a
+// Linux mitigation: another process's bind(0) may still hold the port.
+func recoveryPort(base, epoch int) int {
+	return base + 2*epoch - (base+1)%2
+}
+
 // Recover re-forms the world among the survivors of a peer failure.
 // Every survivor calls it with its config in the failed world, the
 // recovery epoch (1 for the first failure, incrementing), and its meta
-// value. The recovery rendezvous listens on the base port + epoch: the
-// first survivor to bind it coordinates (new rank 0) and seals the
+// value. The recovery rendezvous listens on the epoch's odd port above
+// the base port (recoveryPort): the first survivor to bind it
+// coordinates (new rank 0) and seals the
 // membership once every other rank has registered or after
 // cfg.RecoveryWindow; the rest join as in Connect. Survivors that miss
 // the window get an error — the sealed world continues without them.
@@ -646,7 +659,7 @@ func Recover(base Config, epoch int, meta uint64) (*RecoveredWorld, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpinet: rendezvous address %q needs a numeric port for recovery: %w", base.Addr, err)
 	}
-	rv := newRendezvous(base, net.JoinHostPort(host, strconv.Itoa(port+epoch)), epoch, meta)
+	rv := newRendezvous(base, net.JoinHostPort(host, strconv.Itoa(recoveryPort(port, epoch))), epoch, meta)
 	if ln, err := net.Listen("tcp", rv.addr); err == nil {
 		return rv.coordinate(ln)
 	}

@@ -336,6 +336,20 @@ func TestPhylipErrors(t *testing.T) {
 	}
 }
 
+// TestPhylipHugeHeaderIsAnError: a header claiming more taxa or sites
+// than memory holds used to size the rows before any arrived (a
+// makeslice panic); it is an error now, sized by the rows that come.
+func TestPhylipHugeHeaderIsAnError(t *testing.T) {
+	for _, s := range []string{
+		"3 4000000000000\naa ACGT\nbb ACGT\ncc ACGT\n",
+		"4000000000000 4\naa ACGT\nbb ACGT\ncc ACGT\n",
+	} {
+		if _, err := ParsePhylip(strings.NewReader(s)); err == nil {
+			t.Errorf("ParsePhylip(%q) succeeded", s)
+		}
+	}
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	a := randomAlignment(9, 400, 23)
 	parts, _ := UniformPartitions(400, 4)

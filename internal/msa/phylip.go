@@ -32,8 +32,8 @@ func ParsePhylip(r io.Reader) (*Alignment, error) {
 	}
 
 	a := &Alignment{
-		Names: make([]string, 0, nTaxa),
-		Seqs:  make([][]State, 0, nTaxa),
+		Names: make([]string, 0, min(nTaxa, 1<<16)),
+		Seqs:  make([][]State, 0, min(nTaxa, 1<<16)),
 	}
 	// First pass block: every taxon introduced by name.
 	for len(a.Names) < nTaxa {
@@ -46,7 +46,9 @@ func ParsePhylip(r io.Reader) (*Alignment, error) {
 		}
 		fields := strings.Fields(line)
 		name := fields[0]
-		seq := make([]State, 0, nSites)
+		// The header's site count sizes nothing before the rows arrive: a
+		// row grows with what the file holds.
+		seq := make([]State, 0, min(nSites, 1<<16))
 		var err error
 		if seq, err = appendStates(seq, strings.Join(fields[1:], "")); err != nil {
 			return nil, fmt.Errorf("msa: taxon %q: %v", name, err)

@@ -26,18 +26,41 @@ func JacobiEigen(a []float64, n int) (values []float64, vectors []float64, err e
 	if len(a) != n*n {
 		return nil, nil, fmt.Errorf("numutil: JacobiEigen: matrix length %d != n*n with n=%d", len(a), n)
 	}
+	values, vectors = make([]float64, n), make([]float64, n*n)
+	if err := JacobiEigenInto(a, n, values, vectors); err != nil {
+		return nil, nil, err
+	}
+	return values, vectors, nil
+}
+
+// maxJacobiN is the largest order JacobiEigenInto decomposes in stack
+// memory.
+const maxJacobiN = 20
+
+// JacobiEigenInto is JacobiEigen writing the eigenvalues to values (n
+// entries) and the eigenvectors to vectors (n·n); up to maxJacobiN it
+// allocates nothing.
+func JacobiEigenInto(a []float64, n int, values, vectors []float64) error {
+	if len(a) != n*n || len(values) != n || len(vectors) != n*n {
+		return fmt.Errorf("numutil: JacobiEigen: matrix length %d, %d values, %d vector entries for n=%d", len(a), len(values), len(vectors), n)
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if d := math.Abs(a[i*n+j] - a[j*n+i]); d > 1e-9*(1+math.Abs(a[i*n+j])) {
-				return nil, nil, fmt.Errorf("numutil: JacobiEigen: matrix not symmetric at (%d,%d): %g vs %g", i, j, a[i*n+j], a[j*n+i])
+				return fmt.Errorf("numutil: JacobiEigen: matrix not symmetric at (%d,%d): %g vs %g", i, j, a[i*n+j], a[j*n+i])
 			}
 		}
 	}
 
 	// Work on a copy; accumulate rotations in v.
-	m := make([]float64, n*n)
+	var mBuf, vBuf [maxJacobiN * maxJacobiN]float64
+	var m, v []float64
+	if n <= maxJacobiN {
+		m, v = mBuf[:n*n], vBuf[:n*n]
+	} else {
+		m, v = make([]float64, n*n), make([]float64, n*n)
+	}
 	copy(m, a)
-	v := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		v[i*n+i] = 1
 	}
@@ -51,7 +74,8 @@ func JacobiEigen(a []float64, n int) (values []float64, vectors []float64, err e
 			}
 		}
 		if off < 1e-28 {
-			return sortEigen(m, v, n)
+			sortEigen(m, v, n, values, vectors)
+			return nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -97,33 +121,27 @@ func JacobiEigen(a []float64, n int) (values []float64, vectors []float64, err e
 			}
 		}
 	}
-	return nil, nil, fmt.Errorf("JacobiEigen after %d sweeps: %w", 64, ErrNoConvergence)
+	return fmt.Errorf("JacobiEigen after %d sweeps: %w", 64, ErrNoConvergence)
 }
 
-// sortEigen extracts the diagonal of m as eigenvalues and reorders the
-// eigenvector columns of v so eigenvalues ascend.
-func sortEigen(m, v []float64, n int) ([]float64, []float64, error) {
-	values := make([]float64, n)
-	for i := range values {
-		values[i] = m[i*n+i]
+// sortEigen extracts the diagonal of m as eigenvalues, ascending, into
+// values and the matching eigenvector columns of v into vectors.
+func sortEigen(m, v []float64, n int, values, vectors []float64) {
+	var orderBuf [maxJacobiN]int
+	order := orderBuf[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, i)
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort: n ≤ 20, keep it allocation-free and stable.
+	// Insertion sort: n ≤ 20, keep it stable.
 	for i := 1; i < n; i++ {
-		for j := i; j > 0 && values[order[j-1]] > values[order[j]]; j-- {
+		for j := i; j > 0 && m[order[j-1]*(n+1)] > m[order[j]*(n+1)]; j-- {
 			order[j-1], order[j] = order[j], order[j-1]
 		}
 	}
-	sv := make([]float64, n)
-	vec := make([]float64, n*n)
 	for j, oj := range order {
-		sv[j] = values[oj]
+		values[j] = m[oj*(n+1)]
 		for i := 0; i < n; i++ {
-			vec[i*n+j] = v[i*n+oj]
+			vectors[i*n+j] = v[i*n+oj]
 		}
 	}
-	return sv, vec, nil
 }

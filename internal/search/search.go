@@ -158,19 +158,26 @@ type Searcher struct {
 	optSearch []scalarSearch
 	optCols   []int
 	optMask   []bool
-	probeDesc *traversal.Descriptor
+	probeDesc traversal.Descriptor
+
+	// Descriptor state: the full-tree descriptor buildFull rebuilds and
+	// the edge descriptor updateBranch rebuilds, reused call to call.
+	fullDesc, edgeDesc traversal.Descriptor
 
 	// Newton-loop state (newton): per-(class, branch) brackets, done
 	// flags and convergence mask, per-branch change flags, and the Reuse
 	// plan of every iteration after a plan's first; updateBranch's
-	// one-edge plan; the smoother's half-node-ID → plan-edge-index map
-	// for the staleness walk.
-	gradLo, gradHi        []float64
-	gradDone, gradChanged []bool
-	gradActive            []bool
-	gradEmptyPre          [][]likelihood.Step
-	gradReuse, edgePlan   traversal.GradPlan
-	gradEdgeIdx           []int32
+	// one-edge plan and its one half-node; the smoother's plan, its
+	// half-nodes and its half-node-ID → plan-edge-index map for the
+	// staleness walk.
+	gradLo, gradHi                []float64
+	gradDone, gradChanged         []bool
+	gradActive                    []bool
+	gradEmptyPre                  [][]likelihood.Step
+	gradReuse, edgePlan, gradPlan traversal.GradPlan
+	edgeNode                      [1]*tree.Node
+	gradNodes                     []*tree.Node
+	gradEdgeIdx                   []int32
 
 	// SPR prune-point state (tryPrunePoint): the prune record, the
 	// candidate edges, their insertion plan, and the attachment-branch
@@ -337,17 +344,17 @@ func (s *Searcher) evaluateFullAt(p *tree.Node) float64 {
 // arrays byte-identical to Build(p, force=true): forced when a model
 // change invalidated everything, otherwise the dirty-overlay descriptor
 // that recomputes only dirty and misoriented slots (and clears the flags
-// it refreshes).
+// it refreshes). The descriptor is s.fullDesc, rebuilt by the next call.
 func (s *Searcher) buildFull(p *tree.Node) *traversal.Descriptor {
 	var d *traversal.Descriptor
 	if s.modelDirty {
-		d = traversal.Build(s.Tree, p, true)
+		d = s.fullDesc.Build(s.Tree, p, true)
 		s.modelDirty = false
 		for i := range s.dirty {
 			s.dirty[i] = false
 		}
 	} else {
-		d = traversal.BuildReuse(s.Tree, p, s.dirty)
+		d = s.fullDesc.BuildReuse(s.Tree, p, s.dirty)
 	}
 	s.noteSteps(d)
 	scheduled := int64(len(d.Steps[0]))
@@ -424,11 +431,12 @@ func (s *Searcher) Close() { s.eng.Close() }
 // doubles per iteration, the coordinated-proposal pattern the paper
 // requires for partitioned analyses.
 func (s *Searcher) updateBranch(p *tree.Node) {
-	d := traversal.Build(s.Tree, p, false)
+	d := s.edgeDesc.Build(s.Tree, p, false)
 	s.noteSteps(d)
 	s.eng.Traverse(d)
 	s.edgePlan.SetEdge(d)
-	s.newton(&s.edgePlan, []*tree.Node{p})
+	s.edgeNode[0] = p
+	s.newton(&s.edgePlan, s.edgeNode[:])
 }
 
 func clampBL(t float64) float64 {
@@ -503,7 +511,8 @@ func (s *Searcher) smoothSweep() bool {
 	// Every outer vector is recomputed. One of the previous sweep's is
 	// still valid only when every edge that sweep moved lies below its
 	// vertex, and a sweep moves edges all over the tree.
-	plan, nodes := traversal.BuildGradient(s.Tree, nil)
+	s.gradNodes = s.gradPlan.Build(s.Tree, nil, s.gradNodes)
+	plan, nodes := &s.gradPlan, s.gradNodes
 	s.cfg.Telemetry.Inc(telemetry.CounterPreorderSteps, int64(len(plan.Pre[0])))
 	converged, changed := s.newton(plan, nodes)
 
@@ -739,8 +748,7 @@ func (q *scalarSearch) best() (x, lnL float64) {
 func (s *Searcher) optimizeModel() error {
 	groups := s.cfg.Subst.FreeRateGroups()
 	if s.cfg.Het != model.Gamma {
-		d := traversal.Build(s.Tree, s.Tree.Tip(0), true)
-		scales := s.eng.OptimizeSiteRates(d)
+		scales := s.eng.OptimizeSiteRates(s.probeDesc.Build(s.Tree, s.Tree.Tip(0), true))
 		for c, f := range scales {
 			if f > 0 && f != 1 {
 				for _, e := range s.Tree.Edges() {
@@ -756,7 +764,7 @@ func (s *Searcher) optimizeModel() error {
 		}
 	}
 	s.evaluateFull()
-	s.probeDesc = traversal.Build(s.Tree, s.Tree.Tip(0), true)
+	s.probeDesc.Build(s.Tree, s.Tree.Tip(0), true)
 	if s.cfg.Het == model.Gamma {
 		s.optCols = append(s.optCols[:0], model.SharedAlpha)
 		if err := s.optimizeSharedScalar(s.optCols, model.MinAlpha, model.MaxAlpha); err != nil {
@@ -866,7 +874,7 @@ func (s *Searcher) probeShared(cols []int, mask []bool, n int) ([]float64, error
 	s.cfg.Telemetry.Inc(telemetry.CounterModelPartitionEvals, int64(n))
 	s.eng.SetShared(s.sharedRows)
 	s.probeDesc.Active = mask
-	out := s.eng.Evaluate(s.probeDesc)
+	out := s.eng.Evaluate(&s.probeDesc)
 	for i, v := range out {
 		if mask[i] && v != v {
 			return nil, fmt.Errorf("search: partition %d: log likelihood is NaN with shared-parameter columns %v set to %g", i, cols, s.sharedRows[i][cols[0]])

@@ -459,8 +459,7 @@ const (
 	RankPCacheHits                            // P-matrix cache hits
 	RankPCacheMisses                          // P-matrix cache misses
 	RankPCacheResets                          // P-matrix cache resets, each after a parameter change
-	RankPSetAllocs                            // P-matrix sets a miss allocated: no idle set was large enough
-	RankPSetDrops                             // idle P-matrix sets let go as sized for too few categories
+	RankPSetAllocs                            // P-matrix sets carved from new store storage
 	RankTipTipNewviews                        // tip-tip Newviews: the cherries recomputed
 	RankTipTableEntries                       // (category, code) tip-table entries plus prep-table codes filled
 	RankSiteRateTableEvals                    // PSR rate-scan single-site evaluations read from the rate table
@@ -531,8 +530,7 @@ var rankCounters = [NumRankCounters]struct {
 	RankPCacheHits:         {key: "pcache_hits", help: "P-matrix cache hits"},
 	RankPCacheMisses:       {key: "pcache_misses", help: "P-matrix cache misses"},
 	RankPCacheResets:       {key: "pcache_resets", help: "P-matrix cache resets, each after a parameter change"},
-	RankPSetAllocs:         {key: "pset_allocs", label: "P-matrix sets allocated", line: RankPSetAllocs, help: "P-matrix sets a cache miss allocated"},
-	RankPSetDrops:          {key: "pset_drops", label: "dropped", line: RankPSetAllocs, help: "Idle P-matrix sets let go as sized for too few categories"},
+	RankPSetAllocs:         {key: "pset_allocs", label: "P-matrix sets allocated", line: RankPSetAllocs, help: "P-matrix sets carved from new P-matrix store storage"},
 	RankTipTipNewviews:     {key: "tiptip_newviews", help: "Newviews of two tips (cherries)"},
 	RankTipTableEntries:    {key: "tip_table_entries", help: "Tip- and prep-table entries filled"},
 	RankSiteRateTableEvals: {key: "site_rate_table_evals", help: "Rate-scan single-site evaluations read from the rate table"},

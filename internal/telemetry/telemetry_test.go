@@ -149,7 +149,7 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, []string{"x"}, &trace)
-	c.Recorder(0).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 8, RankPCacheMisses: 2, RankTipTipNewviews: 2, RankTipTableEntries: 90, RankSiteRateTableEvals: 1500, RankSiteRateExactEvals: 200, RankSites: 1000, RankLaneSites: 996, RankLaneWidth: 8, RankPSetAllocs: 2, RankPSetDrops: 1})
+	c.Recorder(0).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 8, RankPCacheMisses: 2, RankTipTipNewviews: 2, RankTipTableEntries: 90, RankSiteRateTableEvals: 1500, RankSiteRateExactEvals: 200, RankSites: 1000, RankLaneSites: 996, RankLaneWidth: 8, RankPSetAllocs: 2})
 	c.Recorder(1).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 12, RankPCacheMisses: 8, RankTipTipNewviews: 3, RankSiteRateTableEvals: 1400, RankSiteRateExactEvals: 198, RankSites: 600, RankLaneSites: 596, RankLaneWidth: 4, RankPSetAllocs: 5})
 	endKernel(c.Recorder(0), KernelSiteRates, c.Recorder(0).Begin())
 	c.Recorder(0).Inc(CounterTraversalSteps, 40)
@@ -193,15 +193,15 @@ func TestKernelPerfReport(t *testing.T) {
 	if rep.Totals[RankSites] != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].Counters[RankLaneSites] != 596 {
 		t.Fatalf("sites %d, lane share %v, rank 1 %+v", rep.Totals[RankSites], rep.LaneShare, rep.PerRank[1])
 	}
-	if rep.Totals[RankLaneWidth] != 4 || rep.Totals[RankPSetAllocs] != 7 || rep.Totals[RankPSetDrops] != 1 {
-		t.Fatalf("lane width %d (want the narrowest rank's, 4), P sets allocated %d, dropped %d", rep.Totals[RankLaneWidth], rep.Totals[RankPSetAllocs], rep.Totals[RankPSetDrops])
+	if rep.Totals[RankLaneWidth] != 4 || rep.Totals[RankPSetAllocs] != 7 {
+		t.Fatalf("lane width %d (want the narrowest rank's, 4), P sets allocated %d", rep.Totals[RankLaneWidth], rep.Totals[RankPSetAllocs])
 	}
 	if other := rep.Kernels[KernelEvaluate]; other.TableEvals != 0 || other.ExactEvals != 0 {
 		t.Fatalf("single-site evaluations charged to %+v", other)
 	}
 
 	text := rep.String()
-	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995", "Γ site-lane width                             4", "P-matrix sets allocated / dropped      7 / 1"} {
+	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995", "Γ site-lane width                             4", "P-matrix sets allocated                       7"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -218,7 +218,7 @@ func TestKernelPerfReport(t *testing.T) {
 			if _, ok := ev["pair_table_entries"]; ok {
 				t.Fatalf("perf event has pair_table_entries, but no pair table is built: %v", ev)
 			}
-			for _, field := range []string{"pcache_hits", "tiptip_newviews", "tip_table_entries", "site_rate_table_evals", "site_rate_exact_evals", "pset_allocs", "pset_drops", "sites", "lane_sites", "lane_width", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
+			for _, field := range []string{"pcache_hits", "tiptip_newviews", "tip_table_entries", "site_rate_table_evals", "site_rate_exact_evals", "pset_allocs", "sites", "lane_sites", "lane_width", "model_partition_evals", "spr_insertion_plans", "candidates_per_prune_point", "collectives_per_iteration"} {
 				if _, ok := ev[field]; !ok {
 					t.Fatalf("perf event missing %s: %v", field, ev)
 				}
@@ -260,7 +260,7 @@ func TestPerRankKeys(t *testing.T) {
 	r.EndCollective(0, r.BeginCollective())
 	r.Harvest(RankCounters{RankEngineCalls: 1, RankPoolThreads: 2, RankPoolDispatches: 3, RankPoolBlocks: 4, RankPoolWakes: 5, RankPoolParks: 6,
 		RankRecvPolled: 7, RankRecvParked: 8,
-		RankPCacheHits: 1, RankPCacheMisses: 2, RankPCacheResets: 11, RankPSetAllocs: 9, RankPSetDrops: 10, RankTipTipNewviews: 3, RankTipTableEntries: 4,
+		RankPCacheHits: 1, RankPCacheMisses: 2, RankPCacheResets: 11, RankPSetAllocs: 9, RankTipTipNewviews: 3, RankTipTableEntries: 4,
 		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankSites: 7, RankLaneSites: 8, RankInsertionRescales: 12, RankLaneWidth: 8})
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
@@ -292,7 +292,7 @@ func TestPerRankKeys(t *testing.T) {
 		"rank", "kernel_ns", "kernel_ops", "collective_ns", "collective_ops", "compute_ns", "comm_ns",
 		"engine_calls", "pool_threads", "pool_dispatches", "pool_blocks", "pool_wakes", "pool_parks",
 		"recv_polled", "recv_parked",
-		"pcache_hits", "pcache_misses", "pcache_resets", "pset_allocs", "pset_drops", "tiptip_newviews", "tip_table_entries",
+		"pcache_hits", "pcache_misses", "pcache_resets", "pset_allocs", "tiptip_newviews", "tip_table_entries",
 		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "insertion_rescales", "lane_width",
 	}
 	if strings.Join(keys, " ") != strings.Join(want, " ") {
@@ -328,7 +328,6 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		{RankPCacheMisses, "pcache_misses", sumOf, true},
 		{RankPCacheResets, "pcache_resets", sumOf, true},
 		{RankPSetAllocs, "pset_allocs", sumOf, true},
-		{RankPSetDrops, "pset_drops", sumOf, true},
 		{RankTipTipNewviews, "tiptip_newviews", sumOf, true},
 		{RankTipTableEntries, "tip_table_entries", sumOf, true},
 		{RankSiteRateTableEvals, "site_rate_table_evals", sumOf, true},

@@ -147,8 +147,10 @@ func insertWireSize(classes, nPost, nCands int) int {
 
 // Encode serializes the plan (little-endian, structure shared across
 // classes, lengths per class — the Descriptor wire idiom).
-func (pl *InsertPlan) Encode() []byte {
-	buf := make([]byte, 0, pl.WireSize())
+func (pl *InsertPlan) Encode() []byte { return pl.Append(make([]byte, 0, pl.WireSize())) }
+
+// Append appends the plan's encoding (Encode) to buf.
+func (pl *InsertPlan) Append(buf []byte) []byte {
 	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	putF := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
 	put32(uint32(len(pl.SubT)))

@@ -102,88 +102,83 @@ func (p *GradPlan) SetEdge(d *Descriptor) {
 // reproduces the plan's (P, Q) operand roles exactly — what the search's
 // twin-engine test compares every gradient against.
 func BuildGradient(t *tree.Tree, skip []bool) (*GradPlan, []*tree.Node) {
-	nB := t.NBranches()
+	plan := new(GradPlan)
+	return plan, plan.Build(t, skip, nil)
+}
+
+// Build is BuildGradient into p, reusing its slices, with the
+// representative half-nodes appended to nodes[:0]. It leaves Active nil
+// and Reuse false.
+func (p *GradPlan) Build(t *tree.Tree, skip []bool, nodes []*tree.Node) []*tree.Node {
 	classes := t.BLClasses
 	tip0 := t.Tip(0)
 	rb := tip0.Back
-
-	plan := &GradPlan{
-		Pre:   make([][]likelihood.Step, classes),
-		Edges: make([]GradEdge, 0, nB),
-		T:     make([][]float64, classes),
+	resize(&p.Pre, classes)
+	resize(&p.T, classes)
+	for c := range p.Pre {
+		p.Pre[c] = p.Pre[c][:0]
 	}
-	nodes := make([]*tree.Node, 0, nB)
-	// stepNodes[i] is the parent-ring half-node of step i (the one whose
-	// Back is the step's destination), for per-class length re-reads.
-	stepNodes := make([]*tree.Node, 0, nB-1)
-	var steps []likelihood.Step
+	p.Active, p.Reuse = nil, false
 
 	// Root edge: P is tip 0 itself, Q the post-order CLV at rb — the
 	// vector a full traversal rooted on this edge computes. No pre-order
 	// step is needed.
-	plan.Edges = append(plan.Edges, GradEdge{P: Ref(t, tip0), Q: Ref(t, rb)})
-	nodes = append(nodes, tip0)
+	p.Edges = append(p.Edges[:0], GradEdge{P: Ref(t, tip0), Q: Ref(t, rb)})
+	g := gradBuilder{t: t, skip: skip, plan: p, nodes: append(nodes[:0], tip0)}
+	g.walk(rb.Next, rb)
+	g.walk(rb.Next.Next, rb)
 
-	// gradRef resolves one parent-ring half-node to a step operand: the
-	// rootward member (h == up) contributes the parent's own outer
-	// vector (or the root tip), a sibling member contributes the
-	// post-order CLV (or tip) at its far end.
-	gradRef := func(h, up *tree.Node) likelihood.Ref {
-		if h == up && !h.Back.IsTip() {
-			return likelihood.OuterAt(h.VertexID)
-		}
-		return Ref(t, h.Back)
-	}
-
-	var walk func(u, up *tree.Node)
-	walk = func(u, up *tree.Node) {
-		child := u.Back
-		if skip == nil || !skip[child.VertexID] {
-			// The A/B operand order matches Orient's (u.Next then
-			// u.Next.Next): re-rooting the post-order traversal on the
-			// child edge would compute the parent's CLV from exactly
-			// these operands in exactly this order, which is the
-			// operation-for-operation half of the bit-identity argument.
-			steps = append(steps, likelihood.Step{
-				Dst: likelihood.OuterAt(child.VertexID),
-				A:   gradRef(u.Next, up),
-				B:   gradRef(u.Next.Next, up),
-				TA:  u.Next.Length(0),
-				TB:  u.Next.Next.Length(0),
-			})
-			stepNodes = append(stepNodes, u)
-		}
-		plan.Edges = append(plan.Edges, GradEdge{P: Ref(t, child), Q: likelihood.OuterAt(child.VertexID)})
-		nodes = append(nodes, child)
-		if child.IsTip() {
-			return
-		}
-		walk(child.Next, child)
-		walk(child.Next.Next, child)
-	}
-	walk(rb.Next, rb)
-	walk(rb.Next.Next, rb)
-
-	plan.Pre[0] = steps
-	plan.T[0] = make([]float64, len(nodes))
-	for b, nd := range nodes {
-		plan.T[0][b] = nd.Length(0)
-	}
-	for c := 1; c < classes; c++ {
-		cs := make([]likelihood.Step, len(steps))
-		copy(cs, steps)
-		for i := range cs {
-			cs[i].TA = stepNodes[i].Next.Length(c)
-			cs[i].TB = stepNodes[i].Next.Next.Length(c)
-		}
-		plan.Pre[c] = cs
-		ts := make([]float64, len(nodes))
-		for b, nd := range nodes {
+	for c := range p.T {
+		ts := resize(&p.T[c], len(g.nodes))
+		for b, nd := range g.nodes {
 			ts[b] = nd.Length(c)
 		}
-		plan.T[c] = ts
 	}
-	return plan, nodes
+	return g.nodes
+}
+
+// gradBuilder is the state of one gradient plan's depth-first walk.
+type gradBuilder struct {
+	t     *tree.Tree
+	skip  []bool
+	plan  *GradPlan
+	nodes []*tree.Node
+}
+
+// ref resolves one parent-ring half-node to a step operand: the
+// rootward member (h == up) contributes the parent's own outer vector
+// (or the root tip), a sibling member contributes the post-order CLV (or
+// tip) at its far end.
+func (g *gradBuilder) ref(h, up *tree.Node) likelihood.Ref {
+	if h == up && !h.Back.IsTip() {
+		return likelihood.OuterAt(h.VertexID)
+	}
+	return Ref(g.t, h.Back)
+}
+
+// walk adds the edge below u (u.Back is the child), its pre-order step
+// unless skip marks the child, and then the child's subtree.
+func (g *gradBuilder) walk(u, up *tree.Node) {
+	child := u.Back
+	if g.skip == nil || !g.skip[child.VertexID] {
+		// The A/B operand order matches Orient's (u.Next then
+		// u.Next.Next): re-rooting the post-order traversal on the child
+		// edge would compute the parent's CLV from exactly these operands
+		// in exactly this order, which is the operation-for-operation half
+		// of the bit-identity argument.
+		s := likelihood.Step{Dst: likelihood.OuterAt(child.VertexID), A: g.ref(u.Next, up), B: g.ref(u.Next.Next, up)}
+		for c, pre := range g.plan.Pre {
+			s.TA, s.TB = u.Next.Length(c), u.Next.Next.Length(c)
+			g.plan.Pre[c] = append(pre, s)
+		}
+	}
+	g.plan.Edges = append(g.plan.Edges, GradEdge{P: Ref(g.t, child), Q: likelihood.OuterAt(child.VertexID)})
+	g.nodes = append(g.nodes, child)
+	if child.IsTip() {
+		return
+	}
+	g.walk(child.Next, child)
+	g.walk(child.Next.Next, child)
 }
 
 // WireSize returns the number of bytes Encode produces.
@@ -211,8 +206,10 @@ func gradWireSize(classes, nSteps, nEdges int, masked bool) int {
 
 // Encode serializes the plan (little-endian, structure shared across
 // classes, lengths per class — the Descriptor wire idiom).
-func (p *GradPlan) Encode() []byte {
-	buf := make([]byte, 0, p.WireSize())
+func (p *GradPlan) Encode() []byte { return p.Append(make([]byte, 0, p.WireSize())) }
+
+// Append appends the plan's encoding (Encode) to buf.
+func (p *GradPlan) Append(buf []byte) []byte {
 	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	nSteps := 0
@@ -242,13 +239,7 @@ func (p *GradPlan) Encode() []byte {
 		buf = putRef(buf, e.Q)
 	}
 	if p.Active != nil {
-		bits := len(buf)
-		buf = append(buf, make([]byte, (len(p.Active)+7)/8)...)
-		for i, on := range p.Active {
-			if on {
-				buf[bits+i/8] |= 1 << (i % 8)
-			}
-		}
+		buf = appendMask(buf, p.Active)
 	}
 	for c := range p.Pre {
 		for _, s := range p.Pre[c] {
@@ -300,67 +291,75 @@ func (p *GradPlan) Validate(nTaxa, classes int) error {
 	return nil
 }
 
-// DecodeGradPlan reverses Encode. The header is checked against the
-// buffer length before anything is sized from it, so arbitrary bytes
-// cost at most an error. Follow it with Validate before executing the
-// plan.
+// DecodeGradPlan reverses Encode into a new plan.
 func DecodeGradPlan(buf []byte) (*GradPlan, error) {
+	p := new(GradPlan)
+	if err := p.Decode(buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Decode reverses Encode into p, reusing its slices — Active's storage
+// too, for a frame with a mask; a frame without one leaves Active nil.
+// The header is checked against the buffer length before anything is
+// sized from it, so arbitrary bytes cost at most an error. Follow it
+// with Validate before executing the plan.
+func (p *GradPlan) Decode(buf []byte) error {
 	if len(buf) < 13 {
-		return nil, fmt.Errorf("traversal: truncated gradient plan")
+		return fmt.Errorf("traversal: truncated gradient plan")
 	}
 	nClasses := int(binary.LittleEndian.Uint32(buf[0:]))
 	nSteps := int(binary.LittleEndian.Uint32(buf[4:]))
 	nEdges := int(binary.LittleEndian.Uint32(buf[8:]))
 	flags := buf[12]
 	if nClasses > 1<<20 || nSteps > 1<<24 || nEdges > 1<<24 {
-		return nil, fmt.Errorf("traversal: implausible gradient-plan header (%d classes, %d steps, %d edges)", nClasses, nSteps, nEdges)
+		return fmt.Errorf("traversal: implausible gradient-plan header (%d classes, %d steps, %d edges)", nClasses, nSteps, nEdges)
 	}
 	// Counts this small cannot overflow the size on a 64-bit int.
 	if want := gradWireSize(nClasses, nSteps, nEdges, flags&1 != 0); len(buf) != want {
-		return nil, fmt.Errorf("traversal: gradient plan is %d bytes, its header says %d", len(buf), want)
+		return fmt.Errorf("traversal: gradient plan is %d bytes, its header says %d", len(buf), want)
 	}
 	r := planReader{buf: buf, pos: 13, what: "gradient plan"}
-	p := &GradPlan{
-		Pre:   make([][]likelihood.Step, nClasses),
-		Edges: make([]GradEdge, nEdges),
-		T:     make([][]float64, nClasses),
-		Reuse: flags&2 != 0,
+	p.Reuse = flags&2 != 0
+	resize(&p.Pre, nClasses)
+	resize(&p.T, nClasses)
+	for c := range p.Pre {
+		resize(&p.Pre[c], nSteps)
+		resize(&p.T[c], nEdges)
 	}
-	structure := make([]likelihood.Step, nSteps)
-	for i := range structure {
-		structure[i] = likelihood.Step{Dst: r.slot(likelihood.Outer), A: r.ref(), B: r.ref()}
+	for i := range nSteps {
+		s := likelihood.Step{Dst: r.slot(likelihood.Outer), A: r.ref(), B: r.ref()}
+		if nClasses > 0 {
+			p.Pre[0][i] = s
+		}
 	}
-	for i := range p.Edges {
+	for i := range resize(&p.Edges, nEdges) {
 		p.Edges[i].P = r.ref()
 		p.Edges[i].Q = r.ref()
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if flags&1 != 0 {
-		nMask := nClasses * nEdges
-		p.Active = make([]bool, nMask)
-		for i := range p.Active {
-			p.Active[i] = buf[r.pos+i/8]&(1<<(i%8)) != 0
+		r.readMask(resize(&p.Active, nClasses*nEdges))
+		if r.err != nil {
+			return r.err
 		}
-		if nMask%8 != 0 && buf[r.pos+nMask/8]>>(nMask%8) != 0 {
-			return nil, fmt.Errorf("traversal: gradient plan mask has bits beyond its %d slots", nMask)
-		}
-		r.pos += (nMask + 7) / 8
+	} else {
+		p.Active = nil
 	}
-	for c := range p.Pre {
-		cs := make([]likelihood.Step, nSteps)
-		copy(cs, structure)
+	for c, cs := range p.Pre {
+		if c > 0 {
+			copy(cs, p.Pre[0])
+		}
 		for i := range cs {
 			cs[i].TA = r.f64()
 			cs[i].TB = r.f64()
 		}
-		p.Pre[c] = cs
-		ts := make([]float64, nEdges)
-		for i := range ts {
-			ts[i] = r.f64()
+		for i := range p.T[c] {
+			p.T[c][i] = r.f64()
 		}
-		p.T[c] = ts
 	}
-	return p, nil
+	return nil
 }

@@ -170,7 +170,7 @@ type Descriptor struct {
 // structural schedule is computed once (classes share topology and X
 // bits); per-class branch lengths are then filled in.
 func Build(t *tree.Tree, p *tree.Node, force bool) *Descriptor {
-	return fillClasses(t, p, ForEdge(t, p, 0, force))
+	return new(Descriptor).Build(t, p, force)
 }
 
 // BuildReuse computes the multi-class descriptor for the edge at p with
@@ -179,22 +179,42 @@ func Build(t *tree.Tree, p *tree.Node, force bool) *Descriptor {
 // the flags it refreshed. Executing the descriptor leaves the CLV arrays
 // byte-identical to what Build(force=true) would have produced.
 func BuildReuse(t *tree.Tree, p *tree.Node, dirty []bool) *Descriptor {
-	return fillClasses(t, p, ForEdgeReuse(t, p, 0, dirty))
+	return new(Descriptor).BuildReuse(t, p, dirty)
 }
 
-// fillClasses wraps a class-0 schedule into a full multi-class
-// descriptor by re-reading per-class branch lengths from the tree.
-func fillClasses(t *tree.Tree, p *tree.Node, base []likelihood.Step) *Descriptor {
-	d := &Descriptor{
-		P: Ref(t, p),
-		Q: Ref(t, p.Back),
-		T: make([]float64, t.BLClasses),
+// Build is the package's Build into d, reusing its slices, and returns
+// d. It leaves Active nil.
+func (d *Descriptor) Build(t *tree.Tree, p *tree.Node, force bool) *Descriptor {
+	steps := Orient(t, p, 0, force, d.base())
+	return d.fill(t, p, Orient(t, p.Back, 0, force, steps))
+}
+
+// BuildReuse is the package's BuildReuse into d, reusing its slices, and
+// returns d. It leaves Active nil.
+func (d *Descriptor) BuildReuse(t *tree.Tree, p *tree.Node, dirty []bool) *Descriptor {
+	steps := OrientReuse(t, p, 0, dirty, d.base())
+	return d.fill(t, p, OrientReuse(t, p.Back, 0, dirty, steps))
+}
+
+// base returns d's class-0 schedule emptied, for a build to append to.
+func (d *Descriptor) base() []likelihood.Step {
+	if len(d.Steps) == 0 {
+		return nil
 	}
-	d.Steps = make([][]likelihood.Step, t.BLClasses)
+	return d.Steps[0][:0]
+}
+
+// fill makes d the multi-class descriptor of the edge at p from its
+// class-0 schedule base, re-reading per-class branch lengths from the
+// tree.
+func (d *Descriptor) fill(t *tree.Tree, p *tree.Node, base []likelihood.Step) *Descriptor {
+	d.P, d.Q, d.Active = Ref(t, p), Ref(t, p.Back), nil
+	resize(&d.T, t.BLClasses)
+	resize(&d.Steps, t.BLClasses)
 	d.Steps[0] = base
 	d.T[0] = p.Length(0)
 	for c := 1; c < t.BLClasses; c++ {
-		d.Steps[c] = classSteps(t, base, c, nil)
+		d.Steps[c] = classSteps(t, base, c, d.Steps[c][:0])
 		d.T[c] = p.Length(c)
 	}
 	return d
@@ -253,8 +273,10 @@ func descriptorWireSize(classes, steps int, masked bool, nMask int) int {
 // Encode serializes the descriptor (little-endian, structure shared across
 // classes, lengths per class; the active-partition mask, when there is
 // one, as a bit set between the header and the structure).
-func (d *Descriptor) Encode() []byte {
-	buf := make([]byte, 0, d.WireSize())
+func (d *Descriptor) Encode() []byte { return d.Append(make([]byte, 0, d.WireSize())) }
+
+// Append appends the descriptor's encoding (Encode) to buf.
+func (d *Descriptor) Append(buf []byte) []byte {
 	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	classes := uint32(len(d.Steps))
@@ -274,13 +296,7 @@ func (d *Descriptor) Encode() []byte {
 	}
 	if d.Active != nil {
 		put32(uint32(len(d.Active)))
-		bits := len(buf)
-		buf = append(buf, make([]byte, (len(d.Active)+7)/8)...)
-		for i, on := range d.Active {
-			if on {
-				buf[bits+i/8] |= 1 << (i % 8)
-			}
-		}
+		buf = appendMask(buf, d.Active)
 	}
 	if n > 0 {
 		for _, s := range d.Steps[0] {
@@ -298,77 +314,111 @@ func (d *Descriptor) Encode() []byte {
 	return buf
 }
 
-// Decode reverses Encode. The header is checked against the buffer length
-// before anything is sized from it, so arbitrary bytes cost at most an
-// error, and a frame that decodes re-encodes to the same bytes. Follow it
-// with Validate before executing the descriptor.
+// appendMask appends mask as a bit set, bit i%8 of byte i/8.
+func appendMask(buf []byte, mask []bool) []byte {
+	bits := len(buf)
+	for range (len(mask) + 7) / 8 {
+		buf = append(buf, 0)
+	}
+	for i, on := range mask {
+		if on {
+			buf[bits+i/8] |= 1 << (i % 8)
+		}
+	}
+	return buf
+}
+
+// readMask reads n mask bits at r's position into mask and moves past
+// them, refusing bits set beyond the n.
+func (r *planReader) readMask(mask []bool) {
+	n := len(mask)
+	for i := range mask {
+		mask[i] = r.buf[r.pos+i/8]&(1<<(i%8)) != 0
+	}
+	if n%8 != 0 && r.buf[r.pos+n/8]>>(n%8) != 0 {
+		r.err = fmt.Errorf("traversal: %s mask has bits beyond its %d entries", r.what, n)
+	}
+	r.pos += (n + 7) / 8
+}
+
+// Decode reverses Encode into a new descriptor.
 func Decode(buf []byte) (*Descriptor, error) {
+	d := new(Descriptor)
+	if err := d.Decode(buf); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Decode reverses Encode into d, reusing its slices — Active's storage
+// too, for a frame with a mask; a frame without one leaves Active nil.
+// The header is checked against the buffer length before anything is
+// sized from it, so arbitrary bytes cost at most an error, and a frame
+// that decodes re-encodes to the same bytes. Follow it with Validate
+// before executing the descriptor.
+func (d *Descriptor) Decode(buf []byte) error {
 	const fixed = 4 + 4 + 2*9
 	if len(buf) < fixed {
-		return nil, fmt.Errorf("traversal: truncated descriptor")
+		return fmt.Errorf("traversal: truncated descriptor")
 	}
 	word := binary.LittleEndian.Uint32(buf[0:])
 	masked := word&maskFlag != 0
 	classes := int(word &^ maskFlag)
 	steps := int(binary.LittleEndian.Uint32(buf[4:]))
 	if classes > 1<<20 || steps > 1<<24 {
-		return nil, fmt.Errorf("traversal: implausible descriptor header (%d classes, %d steps)", classes, steps)
+		return fmt.Errorf("traversal: implausible descriptor header (%d classes, %d steps)", classes, steps)
 	}
 	nMask := 0
 	if masked {
 		at := fixed + 8*classes
 		if len(buf) < at+4 {
-			return nil, fmt.Errorf("traversal: truncated descriptor")
+			return fmt.Errorf("traversal: truncated descriptor")
 		}
 		n := binary.LittleEndian.Uint32(buf[at:])
 		if n > 1<<20 {
-			return nil, fmt.Errorf("traversal: implausible descriptor mask (%d partitions)", n)
+			return fmt.Errorf("traversal: implausible descriptor mask (%d partitions)", n)
 		}
 		nMask = int(n)
 	}
 	// Counts this small cannot overflow the size on a 64-bit int.
 	if want := descriptorWireSize(classes, steps, masked, nMask); len(buf) != want {
-		return nil, fmt.Errorf("traversal: descriptor is %d bytes, its header says %d", len(buf), want)
+		return fmt.Errorf("traversal: descriptor is %d bytes, its header says %d", len(buf), want)
 	}
 	r := planReader{buf: buf, pos: 8, what: "descriptor"}
-	d := &Descriptor{T: make([]float64, classes), Steps: make([][]likelihood.Step, classes)}
 	d.P = r.ref()
 	d.Q = r.ref()
+	resize(&d.T, classes)
 	for c := range d.T {
 		d.T[c] = r.f64()
 	}
 	if masked {
 		r.pos += 4
-		d.Active = make([]bool, nMask)
-		for i := range d.Active {
-			d.Active[i] = buf[r.pos+i/8]&(1<<(i%8)) != 0
-		}
-		if nMask%8 != 0 && buf[r.pos+nMask/8]>>(nMask%8) != 0 {
-			r.err = fmt.Errorf("traversal: descriptor mask has bits beyond its %d partitions", nMask)
-		}
-		r.pos += (nMask + 7) / 8
+		r.readMask(resize(&d.Active, nMask))
+	} else {
+		d.Active = nil
 	}
-	var structure []likelihood.Step
-	if steps > 0 {
-		structure = make([]likelihood.Step, steps)
+	resize(&d.Steps, classes)
+	for c := range d.Steps {
+		resize(&d.Steps[c], steps)
 	}
-	for i := range structure {
-		structure[i] = likelihood.Step{Dst: r.slot(likelihood.Inner), A: r.ref(), B: r.ref()}
+	for i := range steps {
+		s := likelihood.Step{Dst: r.slot(likelihood.Inner), A: r.ref(), B: r.ref()}
+		if classes > 0 {
+			d.Steps[0][i] = s
+		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	for c := range d.Steps {
-		cs := structure
+	for c, cs := range d.Steps {
 		if c > 0 {
-			cs = append([]likelihood.Step(nil), structure...)
+			copy(cs, d.Steps[0])
 		}
 		for i := range cs {
 			cs[i].TA, cs[i].TB = r.f64(), r.f64()
 		}
-		d.Steps[c] = cs
 	}
-	return d, nil
+	return nil
 }
 
 // Validate checks that a rank holding nPart partitions of an nTaxa-taxon

@@ -23,6 +23,12 @@ type PrunedSubtree struct {
 	// insertBranch is the original branch record of the edge split by the
 	// most recent Regraft, so RemoveRegraft can reinstate it exactly.
 	insertBranch *Branch
+	// halves are the two branch records of the edges a Regraft makes.
+	// RemoveRegraft unwires them and sets halvesFree, so the next Regraft
+	// — of this prune point or of a later PruneInto — may write them
+	// again; a kept move leaves them to the tree.
+	halves     [2]*Branch
+	halvesFree bool
 }
 
 // Prune removes the subtree hanging at p's Back edge. p must be an inner
@@ -66,6 +72,8 @@ func (t *Tree) PruneInto(ps *PrunedSubtree, p *Node) error {
 		leftBranch:   p.Next.Branch,
 		rightBranch:  p.Next.Next.Branch,
 		mergedBranch: merged,
+		halves:       ps.halves,
+		halvesFree:   ps.halvesFree,
 	}
 	for c := 0; c < t.BLClasses; c++ {
 		v := ps.leftBranch.Lengths[c] + ps.rightBranch.Lengths[c]
@@ -99,17 +107,20 @@ func (t *Tree) Regraft(ps *PrunedSubtree, e *Node) error {
 	}
 	old := Disconnect(e)
 	ps.insertBranch = old
-	left := make([]float64, t.BLClasses)
-	right := make([]float64, t.BLClasses)
+	if !ps.halvesFree || len(ps.halves[0].Lengths) != t.BLClasses {
+		ps.halves = [2]*Branch{{Lengths: make([]float64, t.BLClasses)}, {Lengths: make([]float64, t.BLClasses)}}
+	}
+	ps.halvesFree = false
+	left, right := ps.halves[0], ps.halves[1]
 	for c := range old.Lengths {
 		h := old.Lengths[c] / 2
 		if h < MinBranchLength {
 			h = MinBranchLength
 		}
-		left[c], right[c] = h, h
+		left.Lengths[c], right.Lengths[c] = h, h
 	}
-	t.ConnectBranch(e, p.Next, &Branch{Lengths: left})
-	t.ConnectBranch(f, p.Next.Next, &Branch{Lengths: right})
+	t.ConnectBranch(e, p.Next, left)
+	t.ConnectBranch(f, p.Next.Next, right)
 	return nil
 }
 
@@ -150,6 +161,7 @@ func (t *Tree) RemoveRegraft(ps *PrunedSubtree) error {
 	Disconnect(p.Next.Next)
 	t.ConnectBranch(q, r, ps.insertBranch)
 	ps.insertBranch = nil
+	ps.halvesFree = true
 	return nil
 }
 
