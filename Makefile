@@ -162,7 +162,8 @@ kernel-bce:
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
 # sent (the traversal plans, a TCP data frame, a rendezvous welcome) and
 # of files a user hands in (PHYLIP, partition files, Newick, checkpoints)
-# must fail with an error, never a panic, and the Γ site lanes of
+# must fail with an error, never a panic, a submitted JobSpec the daemon
+# accepts must meet every bound a worker relies on, and the Γ site lanes of
 # every width the CPU runs must match the Go loops bit for bit with every
 # slice they touch against a PROT_NONE page (FuzzGammaLanes, linux/amd64).
 fuzz-smoke:
@@ -178,6 +179,7 @@ fuzz-smoke:
 	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzParsePartitionFile$$' -fuzztime 10s
 	$(GO) test ./internal/tree -run '^$$' -fuzz '^FuzzParseNewick$$' -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s
+	$(GO) test ./internal/service/client -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
 
 # smoke-alloc runs the parts-m-psr-fj shape through the fork-join binary
 # (seqgen 16 taxa × 20 genes × 100 bp, seed 5; raxml-light -m PSR -M -np 2

@@ -467,9 +467,9 @@ func newResult(res *search.Result, stats *enginecore.RunStats, rc enginecore.Run
 		Iterations:                res.Iterations,
 		Comm:                      makeCommReport(stats.Comm),
 		WallSeconds:               stats.Wall.Seconds(),
-		Ranks:                     stats.Ranks,
+		Ranks:                     stats.MeasuredRanks,
 		Telemetry:                 rep,
-		trace:                     stats.Trace(),
+		trace:                     stats.Trace,
 	}
 }
 

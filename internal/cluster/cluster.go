@@ -69,6 +69,22 @@ type Trace struct {
 	CLVBytesTotal float64
 }
 
+// Scaled is the trace of the same run on a dataset with computeF times
+// its compute volume (patterns × inner vertices) and edgeF times its
+// edges: the column counts and the CLV footprint grow with the first,
+// every class's collectives and payload bytes with the second (regions
+// per sweep ∝ 2n−3).
+func (t Trace) Scaled(computeF, edgeF float64) Trace {
+	t.TotalColumns = int64(float64(t.TotalColumns) * computeF)
+	t.MaxRankColumns = int64(float64(t.MaxRankColumns) * computeF)
+	t.CLVBytesTotal *= computeF
+	for c := range t.Comm.Ops {
+		t.Comm.Ops[c] = int64(float64(t.Comm.Ops[c]) * edgeF)
+		t.Comm.Bytes[c] = int64(float64(t.Comm.Bytes[c]) * edgeF)
+	}
+	return t
+}
+
 // Projection is the modeled execution breakdown at a target scale.
 type Projection struct {
 	// Ranks is the projected rank count.
@@ -136,4 +152,18 @@ func Speedup(base, p Projection) float64 {
 		return math.Inf(1)
 	}
 	return base.TotalSec / p.TotalSec
+}
+
+// memOverheadFactor accounts for the working-set beyond raw CLVs (sum
+// tables, scratch buffers, tip data, allocator overhead). The paper's Γ
+// runs exceeded 256 GB on one node and 2×256 GB on two nodes for a
+// ~240 GB raw-CLV dataset, implying roughly this factor in practice.
+const memOverheadFactor = 1.5
+
+// CLVBytes is a run's CLV working set summed over its ranks, the memory
+// the swap model weighs: one vector of 4 states × categories doubles per
+// pattern and inner vertex, times memOverheadFactor. It depends on the
+// dataset alone, not on how the ranks share it.
+func CLVBytes(patterns, categories, inner int) float64 {
+	return memOverheadFactor * float64(patterns*categories*4*8*inner)
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 )
 
@@ -138,7 +139,6 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 // pool.
 func (e *Engine) Close() { e.local.Close() }
 
-// Work reports what this rank's engine did (enginecore.Local.Work): its
-// kernel work and CLV footprint for the cluster cost model, and its
-// per-rank counters.
-func (e *Engine) Work() enginecore.RankWork { return e.local.Work() }
+// Work reports this rank's engine's per-rank counters
+// (enginecore.Local.Work), its kernel column counts among them.
+func (e *Engine) Work() telemetry.RankCounters { return e.local.Work() }

@@ -84,8 +84,8 @@ func TestRunOnCommMatchesInProcess(t *testing.T) {
 			o.stats.CLVBytesTotal != refStats.CLVBytesTotal {
 			t.Errorf("rank %d: kernel stats differ: %+v vs %+v", r, o.stats, refStats)
 		}
-		if o.stats.Ranks != ranks {
-			t.Errorf("rank %d: stats.Ranks = %d", r, o.stats.Ranks)
+		if o.stats.MeasuredRanks != ranks {
+			t.Errorf("rank %d: stats.MeasuredRanks = %d", r, o.stats.MeasuredRanks)
 		}
 	}
 }

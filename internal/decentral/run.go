@@ -6,14 +6,15 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 )
 
 // rankBody is what a rank of the de-centralized scheme does: build its
 // engine replica and run the identical search on it.
-func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, enginecore.RankWork, error) {
+func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, telemetry.RankCounters, error) {
 	eng, err := NewEngine(c, d, a, ec)
 	if err != nil {
-		return nil, enginecore.RankWork{}, err
+		return nil, telemetry.RankCounters{}, err
 	}
 	defer eng.Close()
 	s, err := search.NewSearcher(eng, d, sc)

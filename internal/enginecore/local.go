@@ -178,22 +178,13 @@ func (l *Local) Threads() int { return l.pool.Threads() }
 // Idempotent; the kernels must not be run afterwards.
 func (l *Local) Close() { l.pool.Close() }
 
-// Work reports what the rank's engine did (see RankWork): its kernel work
-// and footprint, and its per-rank counters — its own, its pool's, the
-// sum of its kernels' tables and the lane width they ran at. Call it
-// between engine calls.
-func (l *Local) Work() RankWork {
-	w := RankWork{Counters: l.counts}
-	cats := 1
-	if l.Het == model.Gamma {
-		cats = model.GammaCategories
-	}
-	for _, k := range l.Kernels {
-		w.Columns += k.Flops().Total()
-		w.CLVBytes += memOverheadFactor * float64(k.NPatterns()*cats*4*8*l.NInner)
-	}
+// Work reports the rank's engine's per-rank counters: its own, its
+// pool's, the sum of its kernels' tables — their column counts, the cost
+// model's compute volume, among them — and the lane width they ran at.
+// Call it between engine calls.
+func (l *Local) Work() telemetry.RankCounters {
+	c := l.counts
 	ps := l.pool.Stats()
-	c := &w.Counters
 	c[telemetry.RankPoolThreads] = int64(l.pool.Threads())
 	c[telemetry.RankPoolDispatches] = ps.Dispatches
 	c[telemetry.RankPoolBlocks] = ps.Items
@@ -203,7 +194,7 @@ func (l *Local) Work() RankWork {
 		c.Add(k.Counters())
 	}
 	c[telemetry.RankLaneWidth] = int64(likelihood.LaneWidth())
-	return w
+	return c
 }
 
 // BLClasses returns the linkage-class count.
@@ -915,9 +906,3 @@ func (l *Local) ApplySiteRates(res *SiteRateResolution) {
 		k.InvalidateAll()
 	}
 }
-
-// memOverheadFactor accounts for the working-set beyond raw CLVs (sum
-// tables, scratch buffers, tip data, allocator overhead). The paper's Γ
-// runs exceeded 256 GB on one node and 2×256 GB on two nodes for a
-// ~240 GB raw-CLV dataset, implying roughly this factor in practice.
-const memOverheadFactor = 1.5

@@ -3,7 +3,6 @@ package enginecore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -59,28 +58,13 @@ type RunConfig struct {
 // RunStats captures the measured execution profile for the cost model
 // and the benchmark harness. It is bit-identical on every rank of a run.
 type RunStats struct {
-	// Comm is rank 0's metered collective trace of the search, frozen
-	// before the epilogue's own traffic.
-	Comm mpi.Snapshot
-	// MaxRankColumns and TotalColumns are kernel column-update counts.
-	MaxRankColumns, TotalColumns int64
-	// CLVBytesTotal is the summed CLV footprint.
-	CLVBytesTotal float64
+	// Trace is the run as the cluster cost model reads it: rank 0's
+	// metered collective trace of the search, frozen before the
+	// epilogue's own traffic, the ranks' kernel column counts, the CLV
+	// footprint and the rank count.
+	cluster.Trace
 	// Wall is the measured wall-clock time of this rank's body.
 	Wall time.Duration
-	// Ranks echoes the rank count.
-	Ranks int
-}
-
-// Trace is the run as the cluster cost model reads it.
-func (s *RunStats) Trace() cluster.Trace {
-	return cluster.Trace{
-		Comm:           s.Comm,
-		MaxRankColumns: s.MaxRankColumns,
-		TotalColumns:   s.TotalColumns,
-		MeasuredRanks:  s.Ranks,
-		CLVBytesTotal:  s.CLVBytesTotal,
-	}
 }
 
 // TelemetryReport joins the run's span collector with its byte/op meters
@@ -96,25 +80,16 @@ func (s *RunStats) TelemetryReport(c *telemetry.Collector, threads int) *telemet
 // RankBody is the only thing the two schemes' runs differ in: what one
 // rank does between building its engine and closing it. It returns the
 // rank's search result (nil on a rank that holds no tree — a fork-join
-// worker) and its engine's work (Local.Work; zero when the engine was not
-// built). ec.Recorder and sc.Telemetry are already set to the rank's
-// recorder.
+// worker) and its engine's per-rank counters (Local.Work; zero when the
+// engine was not built), which the driver completes with its transport's.
+// ec.Recorder and sc.Telemetry are already set to the rank's recorder.
 //
 // An error means the rank left the collective sequence where its peers
 // cannot follow — a failed engine build, a frame a worker rejected — so
 // the driver returns it without further communication and the caller's
 // closing of the transport is what the peers observe. The exception is
 // an error wrapped with InStep.
-type RankBody func(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec Config, sc search.Config) (res *search.Result, work RankWork, err error)
-
-// RankWork is what a rank body reports of its engine: kernel column
-// updates and CLV footprint for the cost model, and the rank's per-rank
-// counters but for its transport's, which the driver adds.
-type RankWork struct {
-	Columns  int64
-	CLVBytes float64
-	Counters telemetry.RankCounters
-}
+type RankBody func(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec Config, sc search.Config) (res *search.Result, counts telemetry.RankCounters, err error)
 
 type inStepError struct{ error }
 
@@ -209,12 +184,12 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 	sc.Telemetry = rec
 
 	start := time.Now()
-	res, work, bodyErr := body(c, d, assign, ec, sc)
+	res, counts, bodyErr := body(c, d, assign, ec, sc)
 	wall := time.Since(start)
 	// The one harvest of the rank's counters — its engine's and its
 	// transport's — before the epilogue's receives.
-	work.Counters.Add(c.Counters())
-	rec.Harvest(work.Counters)
+	counts.Add(c.Counters())
+	rec.Harvest(counts)
 	if bodyErr != nil {
 		bodyErr = fmt.Errorf("enginecore: rank %d: %w", c.Rank(), bodyErr)
 		if !errors.As(bodyErr, new(inStepError)) {
@@ -239,9 +214,7 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 	}
 
 	// §III-B replica consistency: every rank that holds a result must
-	// hold rank 0's, byte for byte — (lnL bits | Newick). The flag rides
-	// the OpMax reduction of the column counts, so every rank learns of
-	// a divergence anywhere.
+	// hold rank 0's, byte for byte — (lnL bits | Newick).
 	var mine []byte
 	if res != nil {
 		mine = binary.LittleEndian.AppendUint64(nil, math.Float64bits(res.LnL))
@@ -252,35 +225,54 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 	if res != nil && !bytes.Equal(ref, mine) {
 		diverged = 1
 	}
-	maxima := c.Allreduce([]float64{diverged, float64(work.Columns)}, mpi.OpMax, mpi.ClassControl)
-	if maxima[0] != 0 {
+
+	// One sum agrees on the rest: the divergence flags, each rank's
+	// columns in its own slot and rank 0's frozen meter after them. No
+	// slot but the flags' has two nonzero addends, so every sum is exact
+	// and the same on every rank (docs/DETERMINISM.md).
+	const nc = int(mpi.NumCommClasses)
+	n := c.Size()
+	v := make([]float64, 1+n+3*nc)
+	v[0] = diverged
+	v[1+c.Rank()] = float64(counts[telemetry.RankColumns])
+	if c.Rank() == 0 {
+		for i, row := range meterRows(&frozen) {
+			for k, x := range row {
+				v[1+n+i*nc+k] = float64(x)
+			}
+		}
+	}
+	v = c.Allreduce(v, mpi.OpSum, mpi.ClassControl)
+	if v[0] != 0 {
 		if diverged != 0 {
 			return nil, nil, fmt.Errorf("enginecore: replica divergence: rank %d holds lnL %v and a tree that are not rank 0's", c.Rank(), res.LnL)
 		}
 		return nil, nil, fmt.Errorf("enginecore: replica divergence detected on a peer of rank %d", c.Rank())
 	}
-	// A collective's result lasts until the next collective.
-	maxColumns := int64(maxima[1])
 
-	// Aggregate the kernel-side stats, then broadcast rank 0's frozen
-	// meter so all ranks return identical accounting.
-	sums := c.Allreduce([]float64{float64(work.Columns), work.CLVBytes}, mpi.OpSum, mpi.ClassControl)
-	var meterJSON []byte
-	if c.Rank() == 0 {
-		if meterJSON, err = json.Marshal(frozen); err != nil {
-			return nil, nil, err
+	cats := 1
+	if cfg.Search.Het == model.Gamma {
+		cats = model.GammaCategories
+	}
+	stats = &RunStats{Wall: wall}
+	tr := &stats.Trace
+	tr.MeasuredRanks = n
+	// The CLV footprint is the dataset's, however the ranks share it.
+	tr.CLVBytesTotal = cluster.CLVBytes(d.TotalPatterns(), cats, d.NTaxa()-2)
+	for _, x := range v[1 : 1+n] {
+		tr.TotalColumns += int64(x)
+		tr.MaxRankColumns = max(tr.MaxRankColumns, int64(x))
+	}
+	for i, row := range meterRows(&tr.Comm) {
+		for k := range row {
+			row[k] = int64(v[1+n+i*nc+k])
 		}
 	}
-	meterJSON = c.BcastBytes(0, meterJSON, mpi.ClassControl)
-	stats = &RunStats{
-		Wall:           wall,
-		Ranks:          c.Size(),
-		MaxRankColumns: maxColumns,
-		TotalColumns:   int64(sums[0]),
-		CLVBytesTotal:  sums[1],
-	}
-	if err := json.Unmarshal(meterJSON, &stats.Comm); err != nil {
-		return nil, nil, fmt.Errorf("enginecore: decoding rank 0 meter: %w", err)
-	}
 	return res, stats, nil
+}
+
+// meterRows are a snapshot's three per-class rows, in the order the
+// epilogue sends them.
+func meterRows(s *mpi.Snapshot) [3]*[mpi.NumCommClasses]int64 {
+	return [3]*[mpi.NumCommClasses]int64{&s.Ops, &s.Bytes, &s.Regions}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/decentral"
 	"repro/internal/distrib"
 	"repro/internal/enginecore"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/msa"
 	"repro/internal/search"
 	"repro/internal/seqgen"
+	"repro/internal/telemetry"
 	"repro/internal/tree"
 )
 
@@ -92,11 +94,11 @@ func onEveryRank(t *testing.T, transport string, size int, f func(c *mpi.Comm) r
 }
 
 // bodyOf is a rank body that skips the engine and the search: rank r
-// returns what result(r) gives it.
+// returns what result(r) gives it, and 10·(r+1) kernel columns.
 func bodyOf(result func(rank int) (*search.Result, error)) enginecore.RankBody {
-	return func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, enginecore.RankWork, error) {
+	return func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, telemetry.RankCounters, error) {
 		res, err := result(c.Rank())
-		return res, enginecore.RankWork{Columns: int64(10 * (c.Rank() + 1)), CLVBytes: 1}, err
+		return res, telemetry.RankCounters{telemetry.RankColumns: int64(10 * (c.Rank() + 1))}, err
 	}
 }
 
@@ -105,7 +107,10 @@ func bodyOf(result func(rank int) (*search.Result, error)) enginecore.RankBody {
 // one lnL bit, or by its tree — is a "replica divergence" error on EVERY
 // rank (§III-B), a failure the master carried in step is an error on
 // every rank rather than a hang, and ranks that agree (or hold no
-// result, like fork-join workers) return identical stats.
+// result, like fork-join workers) return identical stats: each rank's
+// columns summed and their maximum, the dataset's CLV footprint and rank
+// 0's meter as it stood before the epilogue, whose three collectives
+// (the failure flag, the reference result, the one sum) come after it.
 func TestEpilogueOnEveryRank(t *testing.T) {
 	d := runDataset(t)
 	resultOf := func(treeSeed int64, lnL float64) *search.Result {
@@ -113,6 +118,7 @@ func TestEpilogueOnEveryRank(t *testing.T) {
 	}
 	const lnL = -1234.5678
 	errBoom := errors.New("boom")
+	clvBytes := cluster.CLVBytes(d.TotalPatterns(), model.GammaCategories, d.NTaxa()-2)
 
 	cases := []struct {
 		name    string
@@ -153,8 +159,12 @@ func TestEpilogueOnEveryRank(t *testing.T) {
 	for _, w := range worlds {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s%d/%s", w.transport, w.size, tc.name), func(t *testing.T) {
+				var epilogueOps int64
 				outs := onEveryRank(t, w.transport, w.size, func(c *mpi.Comm) rankOut {
 					res, stats, err := enginecore.RunOnComm(c, d, enginecore.RunConfig{}, bodyOf(tc.result))
+					if c.Rank() == 0 && err == nil {
+						epilogueOps = c.Meter().Snapshot().TotalOps() - stats.Comm.TotalOps()
+					}
 					return rankOut{res, stats, err}
 				})
 				for r, o := range outs {
@@ -163,12 +173,14 @@ func TestEpilogueOnEveryRank(t *testing.T) {
 							t.Fatalf("rank %d: %v", r, o.err)
 						}
 						want := enginecore.RunStats{
-							Comm:           outs[0].stats.Comm,
-							MaxRankColumns: int64(10 * w.size),
-							TotalColumns:   int64(10 * w.size * (w.size + 1) / 2),
-							CLVBytesTotal:  float64(w.size),
-							Wall:           o.stats.Wall,
-							Ranks:          w.size,
+							Trace: cluster.Trace{
+								Comm:           outs[0].stats.Comm,
+								MaxRankColumns: int64(10 * w.size),
+								TotalColumns:   int64(10 * w.size * (w.size + 1) / 2),
+								MeasuredRanks:  w.size,
+								CLVBytesTotal:  clvBytes,
+							},
+							Wall: o.stats.Wall,
 						}
 						if *o.stats != want {
 							t.Errorf("rank %d: stats %+v, want %+v", r, *o.stats, want)
@@ -181,6 +193,9 @@ func TestEpilogueOnEveryRank(t *testing.T) {
 					if o.res != nil || o.stats != nil {
 						t.Errorf("rank %d: a failed run returned a result or stats", r)
 					}
+				}
+				if tc.wantErr == "" && epilogueOps != 3 {
+					t.Errorf("the epilogue ran %d collectives after the freeze, want 3", epilogueOps)
 				}
 				if tc.name == "rank 0 failed in step" && !errors.Is(outs[0].err, errBoom) {
 					t.Errorf("rank 0: error %v does not wrap the body's", outs[0].err)
@@ -227,8 +242,7 @@ func TestInProcessRunIsTheDriverOnEveryRank(t *testing.T) {
 				if o.stats.Comm != refStats.Comm {
 					t.Errorf("rank %d: metered traffic differs from Run's:\n%v\nRun:\n%v", r, o.stats.Comm, refStats.Comm)
 				}
-				if o.stats.TotalColumns != refStats.TotalColumns || o.stats.MaxRankColumns != refStats.MaxRankColumns ||
-					o.stats.CLVBytesTotal != refStats.CLVBytesTotal || o.stats.Ranks != ranks {
+				if o.stats.Trace != refStats.Trace || o.stats.MeasuredRanks != ranks {
 					t.Errorf("rank %d: stats %+v differ from Run's %+v", r, o.stats, refStats)
 				}
 				if o.res != nil && (math.Float64bits(o.res.LnL) != math.Float64bits(ref.LnL) || o.res.Tree.Newick() != ref.Tree.Newick()) {
@@ -262,9 +276,9 @@ func TestPeerProtocolMismatchIsAnError(t *testing.T) {
 	d := runDataset(t)
 	// The body's first collective is a 32-value Allreduce: its Reduce
 	// leg is rank 0's collective number 1 and receives from rank 1.
-	body := func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, enginecore.RankWork, error) {
+	body := func(c *mpi.Comm, _ *msa.Dataset, _ *distrib.Assignment, _ enginecore.Config, _ search.Config) (*search.Result, telemetry.RankCounters, error) {
 		c.Allreduce(make([]float64, 32), mpi.OpSum, mpi.ClassLikelihoodEval)
-		return nil, enginecore.RankWork{}, nil
+		return nil, telemetry.RankCounters{}, nil
 	}
 	cases := []struct {
 		name string

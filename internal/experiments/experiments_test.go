@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -152,5 +153,37 @@ func TestFig4PerPartitionSmallScale(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 4(b)") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestTable1CountsArePinned holds the metered traffic of Table I at the
+// small scale to fixed counts: for each of the four configurations the
+// regions, the bytes of the four likelihood classes and each class's
+// share of them, by bits. The run driver freezes the meter before its
+// epilogue and the fork-join master puts every frame on the wire through
+// one path; neither may move a byte.
+func TestTable1CountsArePinned(t *testing.T) {
+	res, err := Table1(Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct {
+		Regions, TotalBytes int64
+		Shares              [4]uint64
+	}
+	want := []counts{
+		{279, 382153, [4]uint64{0x40400080f62d13aa, 0x400b1041ed827db1, 0x400c9ab022f3bde0, 0x404e84cfe8cb889d}},
+		{237, 196570, [4]uint64{0x403d026f742e6a4c, 0x401a5f4e0c87495c, 0x401bce0adc899424, 0x404cb91d28c6af2a}},
+		{275, 358142, [4]uint64{0x40404e6f00b528b3, 0x400a4dfd8cb6d2b3, 0x400f212a514e9e37, 0x404e1a9e816a803e}},
+		{216, 174651, [4]uint64{0x403cfc5dc7d7104e, 0x401a87d6f849dd15, 0x401fdcc63ced374d, 0x404c353d756d954d}},
+	}
+	for i, c := range res.Columns {
+		got := counts{Regions: c.Regions, TotalBytes: c.TotalBytes}
+		for k, s := range c.SharePercent {
+			got.Shares[k] = math.Float64bits(s)
+		}
+		if got != want[i] {
+			t.Errorf("%s: %#v, want %#v", c.Name, got, want[i])
+		}
 	}
 }

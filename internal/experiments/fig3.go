@@ -115,17 +115,8 @@ func Fig3(sc Scale) (*Fig3Result, error) {
 			return nil, fmt.Errorf("fig3 forkjoin psr=%v: %w", psr, err)
 		}
 
-		dtr := dstats.Trace()
-		ftr := fstats.Trace()
-		for _, tr := range []*cluster.Trace{&dtr, &ftr} {
-			tr.TotalColumns = int64(float64(tr.TotalColumns) * computeF)
-			tr.MaxRankColumns = int64(float64(tr.MaxRankColumns) * computeF)
-			tr.CLVBytesTotal *= patF * innerF
-			for c := range tr.Comm.Ops {
-				tr.Comm.Ops[c] = int64(float64(tr.Comm.Ops[c]) * edgeF)
-				tr.Comm.Bytes[c] = int64(float64(tr.Comm.Bytes[c]) * edgeF)
-			}
-		}
+		dtr := dstats.Trace.Scaled(computeF, edgeF)
+		ftr := fstats.Trace.Scaled(computeF, edgeF)
 
 		var points []Fig3Point
 		var base float64

@@ -82,17 +82,8 @@ func Fig4(sc Scale, perPartition bool) (*Fig4Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4 p=%d psr=%v: %w", p, psr, err)
 			}
-			dtr := runs.Dec.Trace()
-			ftr := runs.Fj.Trace()
-			for _, tr := range []*cluster.Trace{&dtr, &ftr} {
-				tr.TotalColumns = int64(float64(tr.TotalColumns) * computeF)
-				tr.MaxRankColumns = int64(float64(tr.MaxRankColumns) * computeF)
-				tr.CLVBytesTotal *= patF * innerF
-				for c := range tr.Comm.Ops {
-					tr.Comm.Ops[c] = int64(float64(tr.Comm.Ops[c]) * edgeF)
-					tr.Comm.Bytes[c] = int64(float64(tr.Comm.Bytes[c]) * edgeF)
-				}
-			}
+			dtr := runs.Dec.Trace.Scaled(computeF, edgeF)
+			ftr := runs.Fj.Trace.Scaled(computeF, edgeF)
 			pd, err := cluster.Project(dtr, sc.ProjectRanks, hw)
 			if err != nil {
 				return nil, err

@@ -25,6 +25,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 )
 
@@ -91,7 +92,29 @@ func (e *Engine) command(op byte) {
 	e.comm.BcastBytes(0, e.opBuf[:], mpi.ClassControl)
 }
 
-// bcastDescriptor ships the traversal descriptor — the traffic class the
+// frame is a master→worker plan: a descriptor, a gradient plan or an
+// insertion plan, each with its encoded size and its encoder.
+type frame interface {
+	WireSize() int
+	Append([]byte) []byte
+}
+
+// bcastFrame ships f to the workers, the traversal class of Table I. On
+// a 1-rank world no worker would receive it: the master meters its size
+// and skips the encoding, keeping the single-rank hot path
+// allocation-free.
+func (e *Engine) bcastFrame(f frame) {
+	if e.comm.Size() == 1 {
+		e.comm.MeterOp(mpi.ClassTraversal, f.WireSize())
+		return
+	}
+	e.wire = f.Append(e.wire[:0])
+	e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
+}
+
+// padDescriptor replicates class 0 across all partitions when the run
+// uses joint branch lengths, in the engine's padded descriptor: the
+// traversal descriptor a fork-join region ships, the traffic class the
 // paper's Table I shows dominating fork-join volume.
 //
 // Wire-format fidelity note: RAxML-Light's traversalInfo records carry
@@ -102,24 +125,6 @@ func (e *Engine) command(op byte) {
 // the partition count before encoding; workers execute the class their
 // partition maps to, so semantics are unchanged — only the metered (and
 // historically real) bytes grow.
-func (e *Engine) bcastDescriptor(d *traversal.Descriptor) {
-	if e.comm.Size() == 1 {
-		// No worker would receive the frame: meter the padded wire size
-		// (identical to what Encode would produce) and skip the
-		// encoding, keeping the single-rank hot path allocation-free.
-		classes := len(d.Steps)
-		if classes < e.local.NPart {
-			classes = e.local.NPart
-		}
-		e.comm.MeterOp(mpi.ClassTraversal, d.WireSizeForClasses(classes))
-		return
-	}
-	e.wire = e.padDescriptor(d).Append(e.wire[:0])
-	e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
-}
-
-// padDescriptor replicates class 0 across all partitions when the run
-// uses joint branch lengths, in the engine's padded descriptor.
 func (e *Engine) padDescriptor(d *traversal.Descriptor) *traversal.Descriptor {
 	if len(d.Steps) >= e.local.NPart {
 		return d
@@ -150,7 +155,7 @@ func (e *Engine) BLClasses() int { return e.local.BLClasses() }
 func (e *Engine) Traverse(d *traversal.Descriptor) {
 	e.comm.Meter().AddRegion(mpi.ClassTraversal)
 	e.command(opTraverse)
-	e.bcastDescriptor(d)
+	e.bcastFrame(e.padDescriptor(d))
 	e.local.Traverse(d)
 	e.comm.Barrier(mpi.ClassControl)
 }
@@ -160,25 +165,9 @@ func (e *Engine) Traverse(d *traversal.Descriptor) {
 func (e *Engine) Evaluate(d *traversal.Descriptor) []float64 {
 	e.comm.Meter().AddRegion(mpi.ClassLikelihoodEval)
 	e.command(opEvaluate)
-	e.bcastDescriptor(d)
+	e.bcastFrame(e.padDescriptor(d))
 	vec := e.local.EvaluateLocal(d)
 	return e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassLikelihoodEval)
-}
-
-// bcastGradPlan ships the all-branch gradient plan. Unlike
-// bcastDescriptor there is no RAxML-Light wire format to stay faithful
-// to — the batched gradient is a new protocol — so the plan is encoded
-// exactly once per class with no partition-count padding.
-func (e *Engine) bcastGradPlan(p *traversal.GradPlan) {
-	if e.comm.Size() == 1 {
-		// No worker would receive the frame: meter the actual wire size
-		// and skip the encoding, keeping the single-rank hot path
-		// allocation-free.
-		e.comm.MeterOp(mpi.ClassTraversal, p.WireSize())
-		return
-	}
-	e.wire = p.Append(e.wire[:0])
-	e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
 }
 
 // AllBranchDerivatives implements search.Engine: one plan broadcast,
@@ -189,12 +178,13 @@ func (e *Engine) bcastGradPlan(p *traversal.GradPlan) {
 // plan one branch's iteration. The sums go over the wire per partition,
 // as RAxML-Light communicates branch-length derivatives whatever the
 // linkage setting, which is why this class of fork-join traffic scales
-// with the partition count. The returned slice is reused by the next
-// call.
+// with the partition count. The plan itself is a new protocol, with no
+// RAxML-Light wire format to stay faithful to, so it goes unpadded. The
+// returned slice is reused by the next call.
 func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 	e.comm.Meter().AddRegion(mpi.ClassBranchLength)
 	e.command(opAllBranchDerivs)
-	e.bcastGradPlan(plan)
+	e.bcastFrame(plan)
 	out := e.comm.Reduce(0, e.local.AllBranchDerivativesPerPartition(plan), mpi.OpSum, mpi.ClassBranchLength)
 	return e.local.ByClass(out, plan.NBranches())
 }
@@ -209,14 +199,7 @@ func (e *Engine) AllBranchDerivatives(plan *traversal.GradPlan) []float64 {
 func (e *Engine) ScoreInsertions(plan *traversal.InsertPlan) []float64 {
 	e.comm.Meter().AddRegion(mpi.ClassLikelihoodEval)
 	e.command(opScoreInsertions)
-	if e.comm.Size() == 1 {
-		// No worker would receive the frame: meter its size and skip the
-		// encoding, keeping the single-rank hot path allocation-free.
-		e.comm.MeterOp(mpi.ClassTraversal, plan.WireSize())
-	} else {
-		e.wire = plan.Append(e.wire[:0])
-		e.comm.BcastBytes(0, e.wire, mpi.ClassTraversal)
-	}
+	e.bcastFrame(plan)
 	vec := e.local.ScoreInsertionsLocal(plan)
 	return e.comm.Reduce(0, vec, mpi.OpSum, mpi.ClassLikelihoodEval)
 }
@@ -255,7 +238,7 @@ func (e *Engine) OptimizeSiteRates(d *traversal.Descriptor) []float64 {
 	}
 	e.comm.Meter().AddRegion(mpi.ClassModelParams)
 	e.command(opSiteRates)
-	e.bcastDescriptor(d)
+	e.bcastFrame(e.padDescriptor(d))
 	stats := e.local.OptimizeSiteRatesLocal(d)
 	stats = e.comm.Reduce(0, stats, mpi.OpSum, mpi.ClassModelParams)
 	res := e.local.ResolveSiteRates(stats)
@@ -272,9 +255,9 @@ func (e *Engine) Close() {
 	e.local.Close()
 }
 
-// Work reports what the master's engine did (enginecore.Local.Work): its
-// local kernel work and CLV footprint, and its per-rank counters.
-func (e *Engine) Work() enginecore.RankWork { return e.local.Work() }
+// Work reports the master's engine's per-rank counters
+// (enginecore.Local.Work), its kernel column counts among them.
+func (e *Engine) Work() telemetry.RankCounters { return e.local.Work() }
 
 // RunWorker executes the worker command loop on a non-zero rank until the
 // master sends opShutdown. Workers hold no tree: they decode whatever the
@@ -284,11 +267,11 @@ func RunWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg engine
 	return err
 }
 
-// runWorker is RunWorker plus the work the rank body reports.
-func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) (enginecore.RankWork, error) {
+// runWorker is RunWorker plus the counters the rank body reports.
+func runWorker(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg enginecore.Config) (telemetry.RankCounters, error) {
 	local, err := enginecore.NewLocal(d, a, comm.Rank(), cfg)
 	if err != nil {
-		return enginecore.RankWork{}, err
+		return telemetry.RankCounters{}, err
 	}
 	comm.SetRecorder(cfg.Recorder)
 	defer local.Close()

@@ -6,12 +6,13 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 )
 
 // rankBody is what a rank of the fork-join scheme does: rank 0 runs the
 // search and steers, every other rank runs the worker command loop and
 // holds no result.
-func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, enginecore.RankWork, error) {
+func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, telemetry.RankCounters, error) {
 	if c.Rank() != 0 {
 		work, err := runWorker(c, d, a, ec)
 		return nil, work, err
@@ -20,7 +21,7 @@ func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.
 	if err != nil {
 		// The workers are still waiting for their first command; the
 		// caller closes the transport, which they observe as peer loss.
-		return nil, enginecore.RankWork{}, err
+		return nil, telemetry.RankCounters{}, err
 	}
 	var res *search.Result
 	s, err := search.NewSearcher(eng, d, sc)

@@ -54,7 +54,7 @@ func (k *Kernel) stageStep(ra *runArgs, s Step) {
 	}
 	k.countSites()
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
-	k.flops.Newview += k.cols()
+	k.counts[telemetry.RankColumns] += k.cols()
 	k.stamp++
 }
 
@@ -83,7 +83,7 @@ func (k *Kernel) Evaluate(p, q Ref, t float64) {
 	}
 	k.countSites()
 	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, pm, k.par.CatWeight()
-	k.flops.Evaluate += k.cols()
+	k.counts[telemetry.RankColumns] += k.cols()
 }
 
 // CLVDigest returns a cheap order-sensitive hash of an inner slot's CLV

@@ -1,6 +1,9 @@
 package likelihood
 
-import "repro/internal/threadpool"
+import (
+	"repro/internal/telemetry"
+	"repro/internal/threadpool"
+)
 
 // SPR insertion scoring (docs/PERFORMANCE.md §8).
 //
@@ -54,7 +57,7 @@ func (k *Kernel) PrepareInsertion(sub Ref, t float64) {
 		ra.tabB = k.tipTable(pm, oq)
 	}
 	k.insSubScale = oq.scale
-	k.flops.Evaluate += k.cols()
+	k.counts[telemetry.RankColumns] += k.cols()
 }
 
 // ScoreInsertion stages the candidate whose pre-order step is s: the
@@ -80,7 +83,7 @@ func (k *Kernel) ScoreInsertion(s Step, far Ref, half float64) {
 	}
 	k.countSites()
 	ra.catW = k.par.CatWeight()
-	k.flops.Evaluate += 2 * k.cols()
+	k.counts[telemetry.RankColumns] += 2 * k.cols()
 }
 
 // prepareInsertionGammaSoABlock fills the block's range of the Γ

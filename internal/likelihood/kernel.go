@@ -178,8 +178,6 @@ type Kernel struct {
 	// siteScr are the per-pattern-block working sets of the single-site
 	// evaluations (siterate.go: the PSR site-rate inner loop).
 	siteScr []siteScratch
-
-	flops FlopCount
 }
 
 // rowMasks describe which tip-table entries a tip's row can read. The
@@ -343,8 +341,9 @@ func (k *Kernel) InvalidateAll() {
 }
 
 // probMatrices fills one P matrix per rate category for branch length t.
-// The per-partition setup cost (spectral recombination + exponentials) is
-// metered separately: it is paid once per partition per operation
+// Its setup cost (spectral recombination + exponentials) counts into the
+// columns row in column-update equivalents, a quarter of a matrix's
+// entries per category: it is paid once per partition per operation
 // regardless of how few of its patterns the rank holds — the effect of
 // the paper's reference [24]. A rank pays it only for the partitions it
 // holds, which is why the distribution (internal/distrib) keeps
@@ -360,7 +359,7 @@ func (k *Kernel) probMatrices(t float64, dst [][ns * ns]float64) {
 		set.add(t, r)
 	}
 	set.flush()
-	k.flops.Setup += int64(len(k.par.CatRates) * ns * ns / 4)
+	k.counts[telemetry.RankColumns] += int64(len(k.par.CatRates) * ns * ns / 4)
 }
 
 // pSetBatch is how many P matrices share one expAll call.
@@ -414,20 +413,3 @@ func (s *pSet) flush() {
 	s.dst = s.dst[s.n:]
 	s.n = 0
 }
-
-// FlopCount is a rough per-call floating-point operation estimate
-// maintained for the cluster cost model; incremented by the kernels.
-type FlopCount struct {
-	// Newview, Evaluate, Derivative count pattern×category column
-	// updates executed by the respective kernel.
-	Newview, Evaluate, Derivative int64
-	// Setup counts P(t)-matrix construction work in column-update
-	// equivalents — the per-partition fixed cost of every operation.
-	Setup int64
-}
-
-// Total returns all counters summed.
-func (f FlopCount) Total() int64 { return f.Newview + f.Evaluate + f.Derivative + f.Setup }
-
-// Flops aggregates the kernel's column-update counters.
-func (k *Kernel) Flops() FlopCount { return k.flops }

@@ -680,14 +680,22 @@ func TestKernelErrors(t *testing.T) {
 	f.kern.Derivatives(0, 0.1)
 }
 
-func TestFlopsAccumulate(t *testing.T) {
+// TestColumnsAccumulate: a kernel counts its column updates into the
+// columns row of its counters — none when fresh, and one pass over its
+// patterns × categories for an evaluation whose P matrices are cached.
+func TestColumnsAccumulate(t *testing.T) {
 	f := makeFixture(t, 8, 40, model.Gamma, 79)
-	if f.kern.Flops().Newview != 0 {
-		t.Fatal("fresh kernel has nonzero flop count")
+	if c := f.kern.Counters()[telemetry.RankColumns]; c != 0 {
+		t.Fatalf("a fresh kernel counted %d columns", c)
 	}
-	f.evalAt(f.tree.Tip(0))
-	fl := f.kern.Flops()
-	if fl.Newview == 0 || fl.Evaluate == 0 {
-		t.Fatalf("flops not counted: %+v", fl)
+	p := f.tree.Tip(0)
+	f.evalAt(p)
+	before := f.kern.Counters()[telemetry.RankColumns]
+	if before == 0 {
+		t.Fatal("a traversal and an evaluation counted no columns")
+	}
+	f.kern.Evaluate(traversal.Ref(f.tree, p), traversal.Ref(f.tree, p.Back), p.Length(0))
+	if got, want := f.kern.Counters()[telemetry.RankColumns]-before, int64(f.kern.NPatterns()*model.GammaCategories); got != want {
+		t.Errorf("an evaluation with its P matrices cached counted %d columns, want %d", got, want)
 	}
 }

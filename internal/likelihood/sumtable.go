@@ -32,6 +32,8 @@ package likelihood
 // of derivative frames it did not order admits them
 // (enginecore.Local.AdmitDerivatives).
 
+import "repro/internal/telemetry"
+
 // sumSlot is one slot of the sum-table store.
 type sumSlot struct {
 	tab  []float64
@@ -63,7 +65,7 @@ func (k *Kernel) Contract(s int, p, q Ref) {
 		ra.tabA, ra.tabB = k.prepTables(op, oq)
 	}
 	ra.sumTab, ra.oa, ra.ob = sl.tab, op, oq
-	k.flops.Derivative += k.cols()
+	k.counts[telemetry.RankColumns] += k.cols()
 }
 
 // Derivatives stages (d lnL/dt, d² lnL/dt²) at branch length t from slot
@@ -81,7 +83,7 @@ func (k *Kernel) Derivatives(s int, t float64) {
 	ra := k.stageReducing(opDerivatives)
 	ra.sumTab = k.sums[s].tab
 	k.exponentials(ra, t)
-	k.flops.Derivative += k.cols()
+	k.counts[telemetry.RankColumns] += k.cols()
 }
 
 // Contracted reports the edge slot s's sum table was contracted from and

@@ -60,10 +60,9 @@ func FuzzParsePhylip(f *testing.F) {
 }
 
 // FuzzParsePartitionFile: accepted partitions are what the loader
-// assumes of them — sorted, each a non-empty range inside [0, nSites),
-// no two overlapping — and they format back to a file that parses to the
-// same partitions. Sites outside every partition are allowed: the loader
-// leaves them out.
+// assumes of them — sorted non-empty ranges that tile [0, nSites), every
+// site in exactly one — and they format back to a file that parses to
+// the same partitions.
 func FuzzParsePartitionFile(f *testing.F) {
 	f.Add("\n# comment\nDNA, geneB = 1001-2000\nDNA, geneA = 1-1000\n", 2000)
 	for _, s := range []string{
@@ -87,10 +86,13 @@ func FuzzParsePartitionFile(f *testing.F) {
 		}
 		prev := 0
 		for i, p := range parts {
-			if p.Lo < prev || p.Lo >= p.Hi || p.Hi > nSites {
-				t.Fatalf("partition %d [%d, %d) after %d does not fit [0, %d) in order", i, p.Lo, p.Hi, prev, nSites)
+			if p.Lo != prev || p.Lo >= p.Hi {
+				t.Fatalf("partition %d [%d, %d) does not start the untiled rest [%d, %d)", i, p.Lo, p.Hi, prev, nSites)
 			}
 			prev = p.Hi
+		}
+		if prev != nSites {
+			t.Fatalf("the partitions tile [0, %d), not [0, %d)", prev, nSites)
 		}
 		back, err := ParsePartitionFile(FormatPartitionFile(parts), nSites)
 		if err != nil {

@@ -164,11 +164,17 @@ func TestParsePartitionFileErrors(t *testing.T) {
 		"DNA, = 1-10",
 		"",
 		"DNA, a = 1-10\nDNA, b = 5-20",
+		"DNA, a = 1-40\nDNA, b = 61-100",
 	}
 	for _, text := range bad {
 		if _, err := ParsePartitionFile(text, 100); err == nil {
 			t.Errorf("ParsePartitionFile(%q) succeeded", text)
 		}
+	}
+	// Sites no partition covers would leave the analysis without a word:
+	// the error names the first such range.
+	if _, err := ParsePartitionFile("DNA, a = 1-40\nDNA, b = 61-100", 100); err == nil || !strings.Contains(err.Error(), "41-60") {
+		t.Errorf("a gap at sites 41-60 gives error %v", err)
 	}
 }
 

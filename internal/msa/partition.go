@@ -1,7 +1,9 @@
 package msa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -47,8 +49,8 @@ func UniformPartitions(nSites, p int) ([]Partition, error) {
 //
 // Positions are 1-based and inclusive, as in RAxML. Only the DNA data type
 // is supported; blank lines and lines starting with '#' are ignored.
-// Partitions must not overlap and must jointly fit inside nSites; they are
-// returned sorted by Lo.
+// The partitions must tile the nSites columns — no overlap and no column
+// left out, as RAxML demands; they are returned sorted by Lo.
 func ParsePartitionFile(text string, nSites int) ([]Partition, error) {
 	var parts []Partition
 	for lineNo, raw := range strings.Split(text, "\n") {
@@ -94,18 +96,21 @@ func ParsePartitionFile(text string, nSites int) ([]Partition, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("msa: no partitions defined")
 	}
-	sorted := append([]Partition(nil), parts...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].Lo > sorted[j].Lo; j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
+	slices.SortStableFunc(parts, func(a, b Partition) int { return cmp.Compare(a.Lo, b.Lo) })
+	covered := 0 // sites [0, covered) lie in the partitions before parts[i]
+	for i, p := range parts {
+		if p.Lo < covered {
+			return nil, fmt.Errorf("msa: partitions %q and %q overlap", parts[i-1].Name, p.Name)
 		}
-	}
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].Lo < sorted[i-1].Hi {
-			return nil, fmt.Errorf("msa: partitions %q and %q overlap", sorted[i-1].Name, sorted[i].Name)
+		if p.Lo > covered {
+			return nil, fmt.Errorf("msa: sites %d-%d lie in no partition", covered+1, p.Lo)
 		}
+		covered = p.Hi
 	}
-	return sorted, nil
+	if covered < nSites {
+		return nil, fmt.Errorf("msa: sites %d-%d lie in no partition", covered+1, nSites)
+	}
+	return parts, nil
 }
 
 // FormatPartitionFile renders partitions back into the RAxML format.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 	"repro/internal/traversal"
 	"repro/internal/tree"
 )
@@ -106,9 +107,9 @@ func (e *twinEngine) errorf(format string, args ...any) {
 }
 
 // columns returns the kernel columns eng's rank has scheduled so far: the
-// Columns of the work its rank body reports to the run driver.
+// columns row of the counters its rank body reports to the run driver.
 func columns(eng search.Engine) int64 {
-	return eng.(interface{ Work() enginecore.RankWork }).Work().Columns
+	return eng.(interface{ Work() telemetry.RankCounters }).Work()[telemetry.RankColumns]
 }
 
 // SetShared and OptimizeSiteRates check what is pending first: the twin

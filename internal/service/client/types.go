@@ -116,6 +116,15 @@ type JobSpec struct {
 // cannot wedge the queue behind an unsatisfiable request.
 const MaxRanksPerJob = 64
 
+// MaxThreadsPerRank bounds a job's threads: a worker starts one
+// goroutine per thread for the whole run.
+const MaxThreadsPerRank = 256
+
+// MaxSimulateCells bounds a simulated alignment's taxa × partitions ×
+// gene_length, the cells every worker generates before the run: no more
+// than the 64 MiB a submitted alignment may carry.
+const MaxSimulateCells = 64 << 20
+
 // maxCampaignLabel bounds the free-form campaign label.
 const maxCampaignLabel = 200
 
@@ -137,9 +146,16 @@ func (s *JobSpec) Normalize() error {
 		if sim.Taxa < 4 || sim.Partitions < 1 || sim.GeneLength < 1 {
 			return fmt.Errorf("simulate needs taxa ≥ 4, partitions ≥ 1, gene_length ≥ 1")
 		}
+		// Dividing, not multiplying: the product may overflow.
+		if sim.Taxa > MaxSimulateCells/sim.Partitions/sim.GeneLength {
+			return fmt.Errorf("simulate of %d taxa × %d partitions × %d sites exceeds %d cells", sim.Taxa, sim.Partitions, sim.GeneLength, MaxSimulateCells)
+		}
 	}
 	if s.MaxIterations < 0 || s.Epsilon < 0 || s.SPRRadius < 0 || s.Threads < 0 {
 		return fmt.Errorf("max_iterations, epsilon, spr_radius, and threads must be non-negative")
+	}
+	if s.Threads > MaxThreadsPerRank {
+		return fmt.Errorf("threads must be at most %d, got %d", MaxThreadsPerRank, s.Threads)
 	}
 	if len(s.Campaign) > maxCampaignLabel {
 		return fmt.Errorf("campaign label longer than %d bytes", maxCampaignLabel)

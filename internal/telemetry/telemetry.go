@@ -464,6 +464,7 @@ const (
 	RankTipTableEntries                       // (category, code) tip-table entries plus prep-table codes filled
 	RankSiteRateTableEvals                    // PSR rate-scan single-site evaluations read from the rate table
 	RankSiteRateExactEvals                    // PSR rate-scan single-site evaluations at an off-grid rate
+	RankColumns                               // kernel column updates (pattern × category), P-matrix set-up included
 	RankSites                                 // sites of Newview, evaluation and insertion-score operations
 	RankLaneSites                             // those of them computed in vector lanes
 	RankInsertionRescales                     // insertion-score sites over a rescaled inserted column
@@ -535,6 +536,7 @@ var rankCounters = [NumRankCounters]struct {
 	RankTipTableEntries:    {key: "tip_table_entries", help: "Tip- and prep-table entries filled"},
 	RankSiteRateTableEvals: {key: "site_rate_table_evals", help: "Rate-scan single-site evaluations read from the rate table"},
 	RankSiteRateExactEvals: {key: "site_rate_exact_evals", help: "Rate-scan single-site evaluations at an off-grid rate"},
+	RankColumns:            {key: "columns", help: "Kernel column updates (pattern × category), P-matrix set-up included: the cost model's compute volume"},
 	RankSites:              {key: "sites", help: "Sites of Newview, evaluation and insertion-score operations"},
 	RankLaneSites:          {key: "lane_sites", help: "Sites of those operations computed in vector lanes"},
 	RankInsertionRescales:  {key: "insertion_rescales", help: "Insertion-score sites computed over a rescaled inserted column"},

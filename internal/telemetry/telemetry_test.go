@@ -261,7 +261,7 @@ func TestPerRankKeys(t *testing.T) {
 	r.Harvest(RankCounters{RankEngineCalls: 1, RankPoolThreads: 2, RankPoolDispatches: 3, RankPoolBlocks: 4, RankPoolWakes: 5, RankPoolParks: 6,
 		RankRecvPolled: 7, RankRecvParked: 8,
 		RankPCacheHits: 1, RankPCacheMisses: 2, RankPCacheResets: 11, RankPSetAllocs: 9, RankTipTipNewviews: 3, RankTipTableEntries: 4,
-		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankSites: 7, RankLaneSites: 8, RankInsertionRescales: 12, RankLaneWidth: 8})
+		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankColumns: 13, RankSites: 7, RankLaneSites: 8, RankInsertionRescales: 12, RankLaneWidth: 8})
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestPerRankKeys(t *testing.T) {
 		"engine_calls", "pool_threads", "pool_dispatches", "pool_blocks", "pool_wakes", "pool_parks",
 		"recv_polled", "recv_parked",
 		"pcache_hits", "pcache_misses", "pcache_resets", "pset_allocs", "tiptip_newviews", "tip_table_entries",
-		"site_rate_table_evals", "site_rate_exact_evals", "sites", "lane_sites", "insertion_rescales", "lane_width",
+		"site_rate_table_evals", "site_rate_exact_evals", "columns", "sites", "lane_sites", "insertion_rescales", "lane_width",
 	}
 	if strings.Join(keys, " ") != strings.Join(want, " ") {
 		t.Errorf("per_rank keys\n got %v\nwant %v", keys, want)
@@ -332,6 +332,7 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		{RankTipTableEntries, "tip_table_entries", sumOf, true},
 		{RankSiteRateTableEvals, "site_rate_table_evals", sumOf, true},
 		{RankSiteRateExactEvals, "site_rate_exact_evals", sumOf, true},
+		{RankColumns, "columns", sumOf, true},
 		{RankSites, "sites", sumOf, true},
 		{RankLaneSites, "lane_sites", sumOf, true},
 		{RankInsertionRescales, "insertion_rescales", sumOf, true},

@@ -243,20 +243,11 @@ const maskFlag = 1 << 31
 // WireSize returns the number of bytes Encode produces — the quantity the
 // fork-join engine's Table I metering charges per descriptor broadcast.
 func (d *Descriptor) WireSize() int {
-	return d.WireSizeForClasses(len(d.T))
-}
-
-// WireSizeForClasses returns the encoded size this descriptor would have
-// after replicating its single class across `classes` branch-length
-// classes (the fork-join engine's padDescriptor). It lets a single-rank
-// master meter the historically faithful byte count without building and
-// encoding the padded copy.
-func (d *Descriptor) WireSizeForClasses(classes int) int {
 	n := 0
 	if len(d.Steps) > 0 {
 		n = len(d.Steps[0])
 	}
-	return descriptorWireSize(classes, n, d.Active != nil, len(d.Active))
+	return descriptorWireSize(len(d.T), n, d.Active != nil, len(d.Active))
 }
 
 // descriptorWireSize is the frame size of a descriptor of the given shape.

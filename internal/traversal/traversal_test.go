@@ -169,8 +169,9 @@ func oldDescriptorFrame(d *Descriptor) []byte {
 // TestDescriptorEncodeDecode pins the wire format: a descriptor without a
 // mask encodes to the byte-identical frame it always had (so the bytes of
 // every unmasked region in Table I are unchanged), a mask costs 4 bytes
-// plus one bit per partition, WireSize and WireSizeForClasses are exact
-// either way, and decoding reproduces the descriptor — nil mask as nil.
+// plus one bit per partition, WireSize is exact either way (padded to
+// one class per partition too), and decoding reproduces the descriptor —
+// nil mask as nil.
 func TestDescriptorEncodeDecode(t *testing.T) {
 	masked := 0
 	realDescriptors(t, func(_ *tree.Tree, nParts int, d *Descriptor) {
@@ -205,8 +206,8 @@ func TestDescriptorEncodeDecode(t *testing.T) {
 				padded.T = append(padded.T, d.T[0])
 				padded.Steps = append(padded.Steps, d.Steps[0])
 			}
-			if got, want := d.WireSizeForClasses(nParts), len(padded.Encode()); got != want {
-				t.Fatalf("WireSizeForClasses(%d) = %d, the padded frame is %d bytes", nParts, got, want)
+			if got, want := padded.WireSize(), len(padded.Encode()); got != want {
+				t.Fatalf("the padded descriptor's WireSize is %d, its frame %d bytes", got, want)
 			}
 		}
 	})
