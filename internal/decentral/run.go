@@ -10,7 +10,8 @@ import (
 )
 
 // rankBody is what a rank of the de-centralized scheme does: build its
-// engine replica and run the identical search on it.
+// engine replica and run the identical search on it. Its counters are
+// the engine's and the search's.
 func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, telemetry.RankCounters, error) {
 	eng, err := NewEngine(c, d, a, ec)
 	if err != nil {
@@ -22,7 +23,9 @@ func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.
 		return nil, eng.Work(), err
 	}
 	res, err := s.Run()
-	return res, eng.Work(), err
+	work := eng.Work()
+	work.Add(s.Counters())
+	return res, work, err
 }
 
 // Run executes a full de-centralized inference on cfg.Ranks in-process

@@ -47,7 +47,7 @@ type RunConfig struct {
 	// Threads is copied into every rank's Config (see there).
 	Threads int
 	// Telemetry, when non-nil, supplies the recorders for
-	// kernel/collective span timing and search-progress counters
+	// kernel/collective span timing and the per-rank counters
 	// (docs/OBSERVABILITY.md): one per rank under Run, so it must have
 	// been built for at least Ranks ranks; recorder 0 alone under
 	// RunOnComm, where it describes this process. nil disables
@@ -80,9 +80,11 @@ func (s *RunStats) TelemetryReport(c *telemetry.Collector, threads int) *telemet
 // RankBody is the only thing the two schemes' runs differ in: what one
 // rank does between building its engine and closing it. It returns the
 // rank's search result (nil on a rank that holds no tree — a fork-join
-// worker) and its engine's per-rank counters (Local.Work; zero when the
-// engine was not built), which the driver completes with its transport's.
-// ec.Recorder and sc.Telemetry are already set to the rank's recorder.
+// worker) and its engine's and search's per-rank counters (Local.Work
+// plus Searcher.Counters; zero when the engine was not built), which the
+// driver completes with its transport's. ec.Recorder is already set to
+// the rank's recorder, and sc.OnIteration emits the recorder's "iter"
+// events.
 //
 // An error means the rank left the collective sequence where its peers
 // cannot follow — a failed engine build, a frame a worker rejected — so
@@ -181,7 +183,13 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 		Recorder:             rec,
 	}
 	sc := cfg.Search
-	sc.Telemetry = rec
+	on := sc.OnIteration
+	sc.OnIteration = func(s *search.Searcher, iteration int, lnL float64) {
+		if on != nil {
+			on(s, iteration, lnL)
+		}
+		rec.EmitIteration(iteration, lnL)
+	}
 
 	start := time.Now()
 	res, counts, bodyErr := body(c, d, assign, ec, sc)

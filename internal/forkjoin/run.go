@@ -11,7 +11,8 @@ import (
 
 // rankBody is what a rank of the fork-join scheme does: rank 0 runs the
 // search and steers, every other rank runs the worker command loop and
-// holds no result.
+// holds no result. The master's counters are its engine's and the
+// search's.
 func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.Config, sc search.Config) (*search.Result, telemetry.RankCounters, error) {
 	if c.Rank() != 0 {
 		work, err := runWorker(c, d, a, ec)
@@ -24,11 +25,13 @@ func rankBody(c *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, ec enginecore.
 		return nil, telemetry.RankCounters{}, err
 	}
 	var res *search.Result
+	var work telemetry.RankCounters
 	s, err := search.NewSearcher(eng, d, sc)
 	if err == nil {
 		res, err = s.Run()
+		work = s.Counters()
 	}
-	work := eng.Work()
+	work.Add(eng.Work())
 	// Always release the workers, even on a failed search — they are
 	// blocked on the next command broadcast. They then reach the
 	// epilogue, so that is where a failure is reported.

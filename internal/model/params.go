@@ -123,9 +123,6 @@ func (p *Params) Rebuild() error {
 	return nil
 }
 
-// NCats returns the number of active rate categories.
-func (p *Params) NCats() int { return len(p.CatRates) }
-
 // CatWeight returns the probability mass of category c: 1/4 under Γ; under
 // PSR the categories partition the sites, so each site uses exactly one
 // category with weight 1 (the weighting happens through site membership).

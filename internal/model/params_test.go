@@ -13,8 +13,8 @@ func TestNewParamsGamma(t *testing.T) {
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if p.NCats() != GammaCategories {
-		t.Fatalf("cats = %d", p.NCats())
+	if len(p.CatRates) != GammaCategories {
+		t.Fatalf("cats = %d", len(p.CatRates))
 	}
 	if p.CatWeight() != 0.25 {
 		t.Fatalf("weight = %g", p.CatWeight())
@@ -29,8 +29,8 @@ func TestNewParamsPSR(t *testing.T) {
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if p.NCats() != 1 || len(p.SiteRates) != 10 {
-		t.Fatalf("cats=%d siteRates=%d", p.NCats(), len(p.SiteRates))
+	if len(p.CatRates) != 1 || len(p.SiteRates) != 10 {
+		t.Fatalf("cats=%d siteRates=%d", len(p.CatRates), len(p.SiteRates))
 	}
 	if p.CatWeight() != 1 {
 		t.Fatalf("weight = %g", p.CatWeight())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net"
 	"testing"
 
 	"repro/internal/mpi"
@@ -86,3 +87,69 @@ func FuzzWelcome(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHello feeds a coordinator's admission of one registration (admit)
+// arbitrary frames, at launch and in recovery, as any rank of a world of
+// up to eight of which any ranks have registered: it must never panic,
+// and a hello it admits must take a seat that is free — a rank in
+// [0, Size), not the coordinator's, not yet registered — and carry the
+// run's nonce and input digest and, at launch, the world's size. Seeds:
+// TestRendezvousOutcomes's registrations (another size, a duplicate rank,
+// a stale nonce, other inputs, a replacement from the launch world), a
+// welcome, a bare bye and cut JSON.
+func FuzzHello(f *testing.F) {
+	type seed struct {
+		h                        hello
+		epoch, rank, size, taken uint8
+		digest                   uint64
+	}
+	// size is the world's size less one, as the target reads it.
+	for _, s := range []seed{
+		{h: hello{Nonce: 5, Rank: 1, Size: 2, Addr: "127.0.0.1:1"}, size: 1},
+		{h: hello{Nonce: 5, Rank: 1, Size: 3}, size: 1},
+		{h: hello{Nonce: 5, Rank: 1, Size: 3}, size: 2, taken: 1 << 1},
+		{h: hello{Nonce: 6, Rank: 1, Size: 2}, size: 1},
+		{h: hello{Nonce: 6, Rank: 1, Size: 2, Meta: 11, Digest: 2}, epoch: 1, size: 1, digest: 1},
+		{h: hello{Nonce: 6, Rank: 1, Size: 3, Addr: "127.0.0.1:1", Meta: 11}, epoch: 1, size: 2},
+		{h: hello{Nonce: 6, Rank: 1, Size: 3, Addr: "127.0.0.1:1", Meta: 11}, epoch: 1, size: 2, taken: 1 << 1},
+		{h: hello{Nonce: 6, Rank: 2, Size: 4, Meta: 12}, epoch: 1, size: 2, taken: 1 << 1},
+		{h: hello{Nonce: 6, Rank: 0, Size: 2, Meta: 10}, epoch: 1, rank: 1, size: 1},
+	} {
+		payload, err := json.Marshal(&s.h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frameHello, payload, s.epoch, s.rank, s.size, s.taken, s.digest)
+		f.Add(frameHello, payload[:len(payload)/2], s.epoch, s.rank, s.size, s.taken, s.digest)
+	}
+	welcome, _ := json.Marshal(&welcome{Size: 2, Rank: 1, Book: []string{"a", "b"}})
+	f.Add(frameWelcome, welcome, uint8(0), uint8(0), uint8(1), uint8(0), uint64(0))
+	f.Add(frameBye, []byte(nil), uint8(1), uint8(0), uint8(1), uint8(0), uint64(0))
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte, epoch, rank, size, taken uint8, digest uint64) {
+		cfg := Config{Size: 1 + int(size)%8, Nonce: 5, Digest: digest}
+		cfg.Rank = int(rank) % cfg.Size
+		rv := newRendezvous(cfg, "127.0.0.1:1", int(epoch)%2, 0)
+		conns := make([]net.Conn, cfg.Size)
+		for r := range conns {
+			if taken>>r&1 != 0 {
+				conns[r] = registered{}
+			}
+		}
+		h, verdict, _ := rv.admit(typ, payload, conns)
+		if verdict != admitted {
+			return
+		}
+		if h.Rank < 0 || h.Rank >= cfg.Size || h.Rank == cfg.Rank || conns[h.Rank] != nil {
+			t.Fatalf("admitted rank %d to a world of %d coordinated by rank %d, registered %08b", h.Rank, cfg.Size, cfg.Rank, taken)
+		}
+		if h.Nonce != rv.nonce || h.Digest != cfg.Digest {
+			t.Fatalf("admitted nonce %d, digest %x; the run's are %d, %x", h.Nonce, h.Digest, rv.nonce, cfg.Digest)
+		}
+		if rv.epoch == 0 && h.Size != cfg.Size {
+			t.Fatalf("admitted a rank of a world of %d at the launch of one of %d", h.Size, cfg.Size)
+		}
+	})
+}
+
+// registered stands in for a registered joiner's connection.
+type registered struct{ net.Conn }

@@ -349,34 +349,26 @@ func (rv *rendezvous) coordinate(ln net.Listener) (*RecoveredWorld, error) {
 			return fail(fmt.Errorf("mpinet: rank 0: rendezvous timed out with %d of %d ranks registered (missing: %v): %w",
 				got, cfg.Size, missingRanks(conns, cfg.Size), err))
 		}
-		var h hello
-		if err := readJSONFrame(c, rv.helloBy, frameHello, &h); err != nil {
-			c.Close() // not a process of ours; keep waiting
-			continue
+		h, verdict, why := hello{}, dropped, ""
+		c.SetReadDeadline(rv.helloBy)
+		if typ, payload, err := readFrame(c); err == nil {
+			h, verdict, why = rv.admit(typ, payload, conns)
 		}
-		var misfit string
-		switch {
-		case h.Nonce != rv.nonce:
+		switch verdict {
+		case stale:
 			sendJSONFrame(c, rv.helloBy, frameBye, nil)
+			fallthrough
+		case dropped:
 			c.Close()
-			continue // a stale process from another run or epoch
-		case h.Rank < 0 || h.Rank >= cfg.Size || h.Rank == cfg.Rank || !recovery && h.Size != cfg.Size:
-			// A recovery registration's size is not checked: a
-			// replacement rank registers with the job's launch size,
-			// which a shrunken world is smaller than.
-			misfit = fmt.Sprintf("peer registered as rank %d of %d, want a rank in [1,%d) of %d (mismatched -net-size?)",
-				h.Rank, h.Size, cfg.Size, cfg.Size)
-		case conns[h.Rank] != nil:
-			misfit = fmt.Sprintf("two peers registered as rank %d (duplicate -net-rank?)", h.Rank)
-		case h.Digest != cfg.Digest:
+			continue
+		case foreign:
 			return fail(refuseInputs(c, rv.helloBy, rv.words.self, h, cfg.Digest))
-		}
-		if misfit != "" {
+		case unseated:
 			c.Close()
 			if recovery {
 				continue
 			}
-			return fail(fmt.Errorf("mpinet: rank 0: %s", misfit))
+			return fail(fmt.Errorf("mpinet: rank 0: %s", why))
 		}
 		conns[h.Rank], hellos[h.Rank] = c, h
 		got++
@@ -413,6 +405,43 @@ func (rv *rendezvous) coordinate(ln net.Listener) (*RecoveredWorld, error) {
 		ln.Close()
 	}
 	return &RecoveredWorld{Transport: t, Rank: 0, Size: size, OldRanks: old, Metas: w.Metas}, nil
+}
+
+// An admission is what a coordinator does with one registration.
+type admission int
+
+const (
+	admitted admission = iota // seat the hello's rank
+	dropped                   // not a process of ours: close, keep waiting
+	stale                     // another run's or epoch's: bye, close, keep waiting
+	unseated                  // no seat for its rank: an error at launch, skipped in recovery
+	foreign                   // other inputs: refuse it, fail the rendezvous
+)
+
+// admit decides the registration a joiner's connection opened with, a
+// frame of type typ, given conns, the registrations so far by rank: a
+// hello of the run's nonce and inputs, for a rank in [0, Size) that is
+// neither the coordinator's nor registered yet, and at launch for a
+// world of Size, is admitted. A recovery registration's size is not
+// checked: a replacement rank registers with the job's launch size,
+// which a shrunken world is smaller than. why says why an unseated
+// registration has no seat.
+func (rv *rendezvous) admit(typ byte, payload []byte, conns []net.Conn) (h hello, a admission, why string) {
+	cfg := rv.cfg
+	switch {
+	case decodeFrame(typ, payload, frameHello, &h) != nil:
+		return h, dropped, ""
+	case h.Nonce != rv.nonce:
+		return h, stale, ""
+	case h.Rank < 0 || h.Rank >= cfg.Size || h.Rank == cfg.Rank || rv.epoch == 0 && h.Size != cfg.Size:
+		return h, unseated, fmt.Sprintf("peer registered as rank %d of %d, want a rank in [1,%d) of %d (mismatched -net-size?)",
+			h.Rank, h.Size, cfg.Size, cfg.Size)
+	case conns[h.Rank] != nil:
+		return h, unseated, fmt.Sprintf("two peers registered as rank %d (duplicate -net-rank?)", h.Rank)
+	case h.Digest != cfg.Digest:
+		return h, foreign, ""
+	}
+	return h, admitted, ""
 }
 
 // rendezvousText is every error text that differs between launch and

@@ -59,15 +59,6 @@ func (a *Alignment) Validate() error {
 	return nil
 }
 
-// Column returns alignment column j as a fresh slice of states.
-func (a *Alignment) Column(j int) []State {
-	col := make([]State, a.NTaxa())
-	for i := range a.Seqs {
-		col[i] = a.Seqs[i][j]
-	}
-	return col
-}
-
 // SortTaxa reorders the rows so names are in lexicographic order. The tree
 // package assigns taxon IDs in sorted-label order, so sorting the alignment
 // aligns the two numbering schemes.

@@ -59,11 +59,6 @@ func (s State) Char() byte {
 	return stateToChar[s]
 }
 
-// IsConcrete reports whether s is one of the four unambiguous nucleotides.
-func (s State) IsConcrete() bool {
-	return s == StateA || s == StateC || s == StateG || s == StateT
-}
-
 // Index returns 0..3 for a concrete state and -1 otherwise.
 func (s State) Index() int {
 	switch s {

@@ -72,15 +72,3 @@ func TestTipVectorMatchesBits(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestIsConcrete(t *testing.T) {
-	concrete := 0
-	for s := State(1); s <= 15; s++ {
-		if s.IsConcrete() {
-			concrete++
-		}
-	}
-	if concrete != 4 {
-		t.Errorf("%d concrete states, want 4", concrete)
-	}
-}

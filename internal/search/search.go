@@ -56,11 +56,6 @@ type Config struct {
 	// replica under the de-centralized scheme; callers that write files
 	// must restrict themselves to one rank.
 	OnIteration func(s *Searcher, iteration int, lnL float64)
-	// Telemetry, when non-nil, receives search-progress counters
-	// (iterations, model-opt rounds, Newton steps, SPR activity;
-	// docs/OBSERVABILITY.md). Counting is out-of-band: it never affects
-	// the search trajectory or any likelihood bit.
-	Telemetry *telemetry.Recorder
 }
 
 // The search's fixed effort per iteration.
@@ -190,7 +185,17 @@ type Searcher struct {
 	// insertionHook, when set, sees every prune point's candidates and
 	// their scores while the subtree is still pruned (the oracle tests).
 	insertionHook func(ps *tree.PrunedSubtree, cands []*tree.Node, scores []float64)
+
+	// counts are the search's per-rank counters (Counters), out-of-band:
+	// nothing the search computes reads them.
+	counts telemetry.RankCounters
 }
+
+// Counters returns the search's per-rank counters: its iterations,
+// model-parameter probes, Newton steps, SPR activity and the CLV and
+// pre-order steps its evaluations scheduled and skipped
+// (docs/OBSERVABILITY.md).
+func (s *Searcher) Counters() telemetry.RankCounters { return s.counts }
 
 // grow returns *buf resized to n, reallocating only on growth. Contents
 // are unspecified; callers overwrite every element.
@@ -358,8 +363,8 @@ func (s *Searcher) buildFull(p *tree.Node) *traversal.Descriptor {
 	}
 	s.noteSteps(d)
 	scheduled := int64(len(d.Steps[0]))
-	s.cfg.Telemetry.Inc(telemetry.CounterTraversalSteps, scheduled)
-	s.cfg.Telemetry.Inc(telemetry.CounterTraversalStepsSkipped, int64(s.Tree.NInner())-scheduled)
+	s.counts[telemetry.RankTraversalSteps] += scheduled
+	s.counts[telemetry.RankTraversalStepsSkipped] += int64(s.Tree.NInner()) - scheduled
 	return d
 }
 
@@ -379,10 +384,10 @@ func (s *Searcher) Run() (*Result, error) {
 	iterations := s.startIteration
 	for iterations < s.cfg.MaxIterations {
 		iterations++
-		s.cfg.Telemetry.Inc(telemetry.CounterIterations, 1)
+		s.counts[telemetry.RankIterations]++
 
 		for r := 0; r < modelOptRounds; r++ {
-			s.cfg.Telemetry.Inc(telemetry.CounterModelOptRounds, 1)
+			s.counts[telemetry.RankModelOptRounds]++
 			if err := s.optimizeModel(); err != nil {
 				return nil, err
 			}
@@ -400,7 +405,6 @@ func (s *Searcher) Run() (*Result, error) {
 		if s.cfg.OnIteration != nil {
 			s.cfg.OnIteration(s, iterations, cur)
 		}
-		s.cfg.Telemetry.EmitIteration(iterations, cur)
 		if cur < best+s.cfg.Epsilon {
 			best = math.Max(best, cur)
 			break
@@ -501,7 +505,7 @@ func (s *Searcher) smoothAll(passes int) {
 // (branch, class) converged within the Newton budget; smoothAll keeps
 // sweeping (bounded) while any branch was truncated at the cap.
 func (s *Searcher) smoothSweep() bool {
-	s.cfg.Telemetry.Inc(telemetry.CounterBatchedGradientSweeps, 1)
+	s.counts[telemetry.RankGradientSweeps]++
 
 	// Refresh the post-order CLVs (dirty-overlay reuse), rooted at
 	// tip 0 — the orientation BuildGradient assumes.
@@ -513,7 +517,7 @@ func (s *Searcher) smoothSweep() bool {
 	// vertex, and a sweep moves edges all over the tree.
 	s.gradNodes = s.gradPlan.Build(s.Tree, nil, s.gradNodes)
 	plan, nodes := &s.gradPlan, s.gradNodes
-	s.cfg.Telemetry.Inc(telemetry.CounterPreorderSteps, int64(len(plan.Pre[0])))
+	s.counts[telemetry.RankPreorderSteps] += int64(len(plan.Pre[0]))
 	converged, changed := s.newton(plan, nodes)
 
 	// Propagate the sweep's changed edges into the dirty overlay:
@@ -564,12 +568,12 @@ func (s *Searcher) newton(plan *traversal.GradPlan, nodes []*tree.Node) (converg
 	s.gradReuse = traversal.GradPlan{Pre: s.gradEmptyPre[:classes], Edges: plan.Edges, T: plan.T, Active: active, Reuse: true}
 	skipped := 0
 	for iter := 0; iter < newtonIterations; iter++ {
-		s.cfg.Telemetry.Inc(telemetry.CounterNewtonIters, 1)
+		s.counts[telemetry.RankNewtonIters]++
 		p := plan
 		if iter > 0 {
 			p = &s.gradReuse
-			s.cfg.Telemetry.Inc(telemetry.CounterPreorderStepsSkipped, int64(nB-1))
-			s.cfg.Telemetry.Inc(telemetry.CounterGradientSlotsSkipped, int64(skipped))
+			s.counts[telemetry.RankPreorderStepsSkipped] += int64(nB - 1)
+			s.counts[telemetry.RankGradientSlotsSkipped] += int64(skipped)
 		}
 		vec := s.eng.AllBranchDerivatives(p)
 		allDone := true
@@ -870,8 +874,8 @@ func (s *Searcher) optimizeSharedScalar(cols []int, lo, hi float64) error {
 // everything, so Brent's bracket update would otherwise walk on silently
 // in an arbitrary direction.
 func (s *Searcher) probeShared(cols []int, mask []bool, n int) ([]float64, error) {
-	s.cfg.Telemetry.Inc(telemetry.CounterModelProbes, 1)
-	s.cfg.Telemetry.Inc(telemetry.CounterModelPartitionEvals, int64(n))
+	s.counts[telemetry.RankModelProbes]++
+	s.counts[telemetry.RankModelPartitionEvals] += int64(n)
 	s.eng.SetShared(s.sharedRows)
 	s.probeDesc.Active = mask
 	out := s.eng.Evaluate(&s.probeDesc)
@@ -891,7 +895,7 @@ func (s *Searcher) probeShared(cols []int, mask []bool, n int) ([]float64, error
 // exactly (local branch optimization + full evaluation) and kept if it
 // improves the current score. Returns the final lnL.
 func (s *Searcher) sprRound(radius int) (float64, error) {
-	s.cfg.Telemetry.Inc(telemetry.CounterSPRRounds, 1)
+	s.counts[telemetry.RankSPRRounds]++
 	cur := s.evaluateFull()
 	for v := 0; v < s.Tree.NInner(); v++ {
 		pruneAt := s.Tree.InnerRing(v)
@@ -920,7 +924,7 @@ func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 	if err := s.Tree.PruneInto(ps, p); err != nil {
 		return false, cur, nil
 	}
-	s.cfg.Telemetry.Inc(telemetry.CounterSPRPrunes, 1)
+	s.counts[telemetry.RankSPRPrunes]++
 	s.sprCands = ps.AppendCandidateEdges(s.sprCands[:0], 1, radius)
 	candidates := s.sprCands
 	if len(candidates) == 0 {
@@ -930,8 +934,8 @@ func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 		return false, cur, nil
 	}
 	s.insPlan.Build(s.Tree, ps, candidates, s.dirty)
-	s.cfg.Telemetry.Inc(telemetry.CounterSPRInsertionPlans, 1)
-	s.cfg.Telemetry.Inc(telemetry.CounterSPRCandidatesScored, int64(len(candidates)))
+	s.counts[telemetry.RankSPRInsertionPlans]++
+	s.counts[telemetry.RankSPRCandidatesScored] += int64(len(candidates))
 	scores := s.eng.ScoreInsertions(&s.insPlan)
 	if s.insertionHook != nil {
 		s.insertionHook(ps, candidates, scores)
@@ -961,7 +965,7 @@ func (s *Searcher) tryPrunePoint(p *tree.Node, radius int, cur float64) (bool, f
 // insertion that does not beat cur is taken out again, leaving the tree
 // pruned.
 func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e *tree.Node, cur float64) (bool, float64, error) {
-	s.cfg.Telemetry.Inc(telemetry.CounterSPRVerifications, 1)
+	s.counts[telemetry.RankSPRVerifications]++
 	p := ps.Root
 	if err := s.Tree.Regraft(ps, e); err != nil {
 		return false, cur, fmt.Errorf("search: regraft best: %w", err)
@@ -990,7 +994,7 @@ func (s *Searcher) verifyInsertion(ps *tree.PrunedSubtree, e *tree.Node, cur flo
 	s.markTouchedDirty()
 	exact := s.evaluateFullAt(p)
 	if exact > cur+1e-9 {
-		s.cfg.Telemetry.Inc(telemetry.CounterSPRImprovements, 1)
+		s.counts[telemetry.RankSPRImprovements]++
 		return true, exact, nil
 	}
 	copy(p.Branch.Lengths, s.savedAttach)

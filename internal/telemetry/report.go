@@ -58,10 +58,6 @@ type KernelStat struct {
 	// MaxRankNS and MeanRankNS support per-class imbalance reading.
 	MaxRankNS  int64   `json:"max_rank_ns"`
 	MeanRankNS float64 `json:"mean_rank_ns"`
-	// TableEvals and ExactEvals are set on the site-rates class only:
-	// the single-site evaluations its spans covered, summed over ranks.
-	TableEvals int64 `json:"table_evals,omitempty"`
-	ExactEvals int64 `json:"exact_evals,omitempty"`
 }
 
 // CommClassStat is one traffic class's run-wide aggregate, joining the
@@ -127,25 +123,20 @@ type Report struct {
 	// an AVX-512 one, 0 when a run fell back to the Go loops.
 	LaneShare float64 `json:"lane_share"`
 	// ModelProbesPerRound is model-parameter probes (SetShared + forced
-	// traversal + evaluation) per model-optimization round, from rank 0
-	// (0 when no round ran).
+	// traversal + evaluation) per model-optimization round (0 when no
+	// round ran).
 	ModelProbesPerRound float64 `json:"model_probes_per_round"`
 	// ActivePartitionsPerProbe is the mean number of partitions a
-	// model-parameter probe evaluated, from rank 0: converged partitions
-	// drop out of the probes (docs/PERFORMANCE.md §9; 0 when no probe
-	// ran).
+	// model-parameter probe evaluated: converged partitions drop out of
+	// the probes (docs/PERFORMANCE.md §9; 0 when no probe ran).
 	ActivePartitionsPerProbe float64 `json:"active_partitions_per_probe"`
 	// CandidatesPerPrunePoint is SPR regraft candidates scored per
-	// insertion plan, from rank 0: what one engine call and one
-	// collective of the topology search carry (docs/PERFORMANCE.md §8;
-	// 0 when no plan ran).
+	// insertion plan: what one engine call and one collective of the
+	// topology search carry (docs/PERFORMANCE.md §8; 0 when no plan ran).
 	CandidatesPerPrunePoint float64 `json:"candidates_per_prune_point"`
-	// Counters holds the search-progress counters (from rank 0 —
-	// identical on every rank under the de-centralized scheme).
-	Counters map[string]int64 `json:"counters"`
 	// Totals are the per-rank counters combined over ranks by their
-	// declared rule (a sum; the widest pool; the narrowest lane width),
-	// rendered last, every one under its key.
+	// declared rule (a sum; the widest pool or the search's count; the
+	// narrowest lane width), rendered last, every one under its key.
 	Totals RankCounters `json:"-"`
 }
 
@@ -168,7 +159,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 		Ranks:       len(c.recs),
 		Threads:     threads,
 		WallSeconds: wall.Seconds(),
-		Counters:    map[string]int64{},
 	}
 	var sumCompute, sumComm, maxCompute int64
 	for i, r := range c.recs {
@@ -204,15 +194,12 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 	tot := &rep.Totals
 	rep.LaneShare = ratio(tot[RankLaneSites], tot[RankSites])
 	rep.PCacheHitRate = ratio(tot[RankPCacheHits], tot[RankPCacheHits]+tot[RankPCacheMisses])
-	rep.ModelProbesPerRound = ratio(c.recs[0].counters[CounterModelProbes], c.recs[0].counters[CounterModelOptRounds])
-	rep.ActivePartitionsPerProbe = ratio(c.recs[0].counters[CounterModelPartitionEvals], c.recs[0].counters[CounterModelProbes])
-	rep.CandidatesPerPrunePoint = ratio(c.recs[0].counters[CounterSPRCandidatesScored], c.recs[0].counters[CounterSPRInsertionPlans])
+	rep.ModelProbesPerRound = ratio(tot[RankModelProbes], tot[RankModelOptRounds])
+	rep.ActivePartitionsPerProbe = ratio(tot[RankModelPartitionEvals], tot[RankModelProbes])
+	rep.CandidatesPerPrunePoint = ratio(tot[RankSPRCandidatesScored], tot[RankSPRInsertionPlans])
 
 	for k := KernelClass(0); k < NumKernelClasses; k++ {
 		ks := KernelStat{Name: k.String()}
-		if k == KernelSiteRates {
-			ks.TableEvals, ks.ExactEvals = tot[RankSiteRateTableEvals], tot[RankSiteRateExactEvals]
-		}
 		var maxNS int64
 		for _, rs := range rep.PerRank {
 			ks.NS += rs.KernelNS[k]
@@ -259,16 +246,11 @@ func (c *Collector) Finalize(wall time.Duration, threads int, meterOps, meterByt
 	if rep.WallSeconds > 0 {
 		rep.CollectivesPerSec = float64(totalMeterOps) / rep.WallSeconds
 	}
-	if iters := c.recs[0].counters[CounterIterations]; iters > 0 {
+	if iters := tot[RankIterations]; iters > 0 {
 		rep.CollectivesPerIteration = float64(totalMeterOps) / float64(iters)
 	}
 	if tot[RankPoolDispatches] > 0 && tot[RankPoolThreads] > 0 {
 		rep.PoolUtilization = min(1, ratio(tot[RankPoolBlocks], tot[RankPoolDispatches])/float64(tot[RankPoolThreads]))
-	}
-	for ct := Counter(0); ct < NumCounters; ct++ {
-		if v := c.recs[0].counters[ct]; v != 0 || ct == CounterIterations {
-			rep.Counters[ct.String()] = v
-		}
 	}
 	return rep
 }
@@ -295,9 +277,6 @@ func (r *Report) String() string {
 		}
 		fmt.Fprintf(&b, "  %-14s %12d %14s %16s\n",
 			k.Name, k.Ops, fmtNS(k.NS), fmtNS(k.MaxRankNS))
-		if k.TableEvals != 0 || k.ExactEvals != 0 {
-			fmt.Fprintf(&b, "  %-14s %12d table + %d exact single-site evaluations\n", "", k.TableEvals, k.ExactEvals)
-		}
 	}
 
 	fmt.Fprintf(&b, "\ncollectives (time summed over ranks; bytes counted once per logical op):\n")
@@ -344,18 +323,6 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  %-6d %14s %14s %9.1f%%\n",
 			rs.Rank, fmtNS(rs.ComputeNS), fmtNS(rs.CommNS), pct)
 	}
-
-	if len(r.Counters) > 0 {
-		fmt.Fprintf(&b, "\nsearch progress:\n")
-		names := make([]string, 0, len(r.Counters))
-		for n := range r.Counters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "  %-22s %12d\n", n, r.Counters[n])
-		}
-	}
 	return b.String()
 }
 
@@ -363,8 +330,8 @@ func (r *Report) String() string {
 // line's counters, then their totals, each joined by " / " (a lone total
 // right-aligned like the derived metrics). A line of counts is printed
 // when one of them is nonzero, a line holding a max- or min-combined
-// counter (the lane width) whenever the run made an engine call: there 0
-// is a reading.
+// counter (the lane width, the search's counts) whenever the run made an
+// engine call: there 0 is a reading.
 func (r *Report) writeCounterLines(b *strings.Builder) {
 	for head := range rankCounters {
 		if rankCounters[head].label == "" || rankCounters[head].line != RankCounter(head) {

@@ -32,7 +32,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -77,108 +76,6 @@ func (k KernelClass) String() string {
 		return "insert"
 	}
 	return fmt.Sprintf("KernelClass(%d)", int(k))
-}
-
-// Counter labels a search-progress counter.
-type Counter int
-
-// Search-phase progress counters, bumped by internal/search.
-const (
-	// CounterIterations is completed outer search iterations.
-	CounterIterations Counter = iota
-	// CounterModelOptRounds is model-parameter optimization rounds.
-	CounterModelOptRounds
-	// CounterModelProbes is model-parameter probes: SetShared + forced
-	// traversal + evaluation regions issued by the lockstep Brent search.
-	CounterModelProbes
-	// CounterModelPartitionEvals is the partitions those probes evaluated:
-	// a probe covers only the partitions whose candidate changed
-	// (docs/PERFORMANCE.md §9), so this over model-probes is the mean
-	// probe width.
-	CounterModelPartitionEvals
-	// CounterNewtonIters is Newton steps over all branch visits.
-	CounterNewtonIters
-	// CounterSPRRounds is completed lazy-SPR sweeps.
-	CounterSPRRounds
-	// CounterSPRPrunes is subtree prune attempts.
-	CounterSPRPrunes
-	// CounterSPRInsertionPlans is insertion plans executed: prune points
-	// that had candidates, one engine call and one collective each.
-	CounterSPRInsertionPlans
-	// CounterSPRCandidatesScored is regraft candidates scored by those
-	// plans.
-	CounterSPRCandidatesScored
-	// CounterSPRVerifications is best candidates verified exactly (three
-	// branch optimizations + one full evaluation each).
-	CounterSPRVerifications
-	// CounterSPRImprovements is accepted (verified) SPR moves.
-	CounterSPRImprovements
-	// CounterTraversalSteps is CLV recomputation steps actually scheduled
-	// by the search's full-tree evaluations.
-	CounterTraversalSteps
-	// CounterTraversalStepsSkipped is CLV recomputations those
-	// evaluations avoided by reusing valid clean CLVs (incremental
-	// traversal, docs/PERFORMANCE.md).
-	CounterTraversalStepsSkipped
-	// CounterBatchedGradientSweeps is branch-length smoothing sweeps run
-	// by the batched all-branch gradient smoother (docs/PERFORMANCE.md).
-	CounterBatchedGradientSweeps
-	// CounterPreorderSteps is pre-order (outer-vector) recomputation
-	// steps actually scheduled by batched-gradient iterations.
-	CounterPreorderSteps
-	// CounterPreorderStepsSkipped is pre-order steps those iterations
-	// avoided: a sweep's inner Newton iterations read the outer vectors
-	// its first iteration computed.
-	CounterPreorderStepsSkipped
-	// CounterGradientSlotsSkipped is (edge, class) derivative slots the
-	// inner iterations of a Newton loop — a sweep's, or a verified
-	// branch's one-edge plan — did not compute because the slot had
-	// converged (traversal.GradPlan.Active).
-	CounterGradientSlotsSkipped
-
-	// NumCounters is the number of distinct counters.
-	NumCounters
-)
-
-// String implements fmt.Stringer.
-func (c Counter) String() string {
-	switch c {
-	case CounterIterations:
-		return "iterations"
-	case CounterModelOptRounds:
-		return "model-opt-rounds"
-	case CounterModelProbes:
-		return "model-probes"
-	case CounterModelPartitionEvals:
-		return "model-partition-evals"
-	case CounterNewtonIters:
-		return "newton-iterations"
-	case CounterSPRRounds:
-		return "spr-rounds"
-	case CounterSPRPrunes:
-		return "spr-prunes"
-	case CounterSPRInsertionPlans:
-		return "spr-insertion-plans"
-	case CounterSPRCandidatesScored:
-		return "spr-candidates-scored"
-	case CounterSPRVerifications:
-		return "spr-verifications"
-	case CounterSPRImprovements:
-		return "spr-improvements"
-	case CounterTraversalSteps:
-		return "traversal-steps"
-	case CounterTraversalStepsSkipped:
-		return "traversal-steps-skipped"
-	case CounterBatchedGradientSweeps:
-		return "batched-gradient-sweeps"
-	case CounterPreorderSteps:
-		return "preorder-steps"
-	case CounterPreorderStepsSkipped:
-		return "preorder-steps-skipped"
-	case CounterGradientSlotsSkipped:
-		return "gradient-slots-skipped"
-	}
-	return fmt.Sprintf("Counter(%d)", int(c))
 }
 
 // Collector owns the per-rank recorders of one run and the optional
@@ -323,8 +220,6 @@ type Recorder struct {
 	collOps   []int64
 	collDepth int
 
-	counters [NumCounters]int64
-
 	// counts are the rank's per-rank counters (Harvest).
 	counts RankCounters
 }
@@ -416,30 +311,27 @@ func (r *Recorder) EndCollective(class int, start int64) {
 // EmitIteration appends a JSONL "iter" event marking the completion of
 // one outer search iteration at the current log-likelihood. cmd/phytrace
 // uses these markers to cut each rank's span stream into per-iteration
-// windows for critical-path and straggler attribution. Nil-safe no-op.
+// windows for critical-path and straggler attribution. Recorder 0 alone
+// — rank 0 in process, the one recorder of a TCP process — adds it to
+// examl_search_iterations_total, so an iteration counts once however many
+// replicas ran it. Nil-safe no-op.
 func (r *Recorder) EmitIteration(iter int, lnl float64) {
 	if r == nil {
 		return
 	}
-	iterationsTotal.Inc()
+	if r.rank == 0 {
+		iterationsTotal.Inc()
+	}
 	if c := r.col; c != nil && c.trace != nil {
 		c.emitLine("{\"ev\":\"iter\",\"rank\":%d,\"iter\":%d,\"lnl\":%s,\"t_ns\":%d%s}",
 			r.rank, iter, jsonFloat(lnl), r.now(), c.jobFrag)
 	}
 }
 
-// Inc bumps a search-progress counter by n.
-func (r *Recorder) Inc(c Counter, n int64) {
-	if r == nil {
-		return
-	}
-	r.counters[c] += n
-}
-
-// RankCounter labels a per-rank counter: a count one rank's engine, pool
-// or transport keeps for the whole run, read once, when the rank's body
-// has returned (enginecore's run driver), and handed to Harvest. Each is
-// declared once, by its entry below and its row of rankCounters, and
+// RankCounter labels a per-rank counter: a count one rank's engine, pool,
+// transport or search keeps for the whole run, read once, when the rank's
+// body has returned (enginecore's run driver), and handed to Harvest. Each
+// is declared once, by its entry below and its row of rankCounters, and
 // every sink renders it from that declaration: the -stats-json per_rank
 // entry (omitted at 0), the "perf" event (present at 0), the report's
 // Totals, a -stats line and, for a summed counter, the /metrics series
@@ -469,6 +361,26 @@ const (
 	RankLaneSites                             // those of them computed in vector lanes
 	RankInsertionRescales                     // insertion-score sites over a rescaled inserted column
 	RankLaneWidth                             // the rank's Γ site-lane width: 8, 4 or 0 (the Go loops)
+
+	// The search's counters: every replica of the decentralized scheme
+	// counts the same, a fork-join worker 0, so their max is the search's.
+	RankIterations            // completed outer search iterations
+	RankModelOptRounds        // model-parameter optimization rounds
+	RankModelProbes           // model-parameter probes: SetShared + forced traversal + evaluation
+	RankModelPartitionEvals   // partitions those probes evaluated, only those whose candidate changed
+	RankNewtonIters           // Newton steps over all branch visits
+	RankSPRRounds             // completed lazy-SPR sweeps
+	RankSPRPrunes             // subtree prune attempts
+	RankSPRInsertionPlans     // insertion plans: prune points that had candidates, one engine call each
+	RankSPRCandidatesScored   // regraft candidates those plans scored
+	RankSPRVerifications      // best candidates verified exactly
+	RankSPRImprovements       // accepted (verified) SPR moves
+	RankTraversalSteps        // CLV steps the search's full-tree evaluations scheduled
+	RankTraversalStepsSkipped // CLV steps those evaluations skipped, reusing clean CLVs
+	RankGradientSweeps        // branch-length smoothing sweeps
+	RankPreorderSteps         // pre-order steps those sweeps scheduled
+	RankPreorderStepsSkipped  // pre-order steps a Newton loop's later iterations skipped
+	RankGradientSlotsSkipped  // (edge, class) derivative slots skipped as converged
 
 	// NumRankCounters is the number of per-rank counters.
 	NumRankCounters
@@ -512,7 +424,8 @@ const (
 // combine it, its part of the label of the -stats line it is printed on
 // (none without one) and that line, named by the counter that heads it,
 // and the help of its /metrics series (summed counters only: a thread
-// count or a lane width is no count to add up).
+// count or a lane width is no count to add up, and a replica's search
+// counts repeat another's).
 var rankCounters = [NumRankCounters]struct {
 	key     string
 	combine combine
@@ -534,13 +447,31 @@ var rankCounters = [NumRankCounters]struct {
 	RankPSetAllocs:         {key: "pset_allocs", label: "P-matrix sets allocated", line: RankPSetAllocs, help: "P-matrix sets carved from new P-matrix store storage"},
 	RankTipTipNewviews:     {key: "tiptip_newviews", help: "Newviews of two tips (cherries)"},
 	RankTipTableEntries:    {key: "tip_table_entries", help: "Tip- and prep-table entries filled"},
-	RankSiteRateTableEvals: {key: "site_rate_table_evals", help: "Rate-scan single-site evaluations read from the rate table"},
-	RankSiteRateExactEvals: {key: "site_rate_exact_evals", help: "Rate-scan single-site evaluations at an off-grid rate"},
+	RankSiteRateTableEvals: {key: "site_rate_table_evals", label: "site-rate table evaluations", line: RankSiteRateTableEvals, help: "Rate-scan single-site evaluations read from the rate table"},
+	RankSiteRateExactEvals: {key: "site_rate_exact_evals", label: "exact", line: RankSiteRateTableEvals, help: "Rate-scan single-site evaluations at an off-grid rate"},
 	RankColumns:            {key: "columns", help: "Kernel column updates (pattern × category), P-matrix set-up included: the cost model's compute volume"},
 	RankSites:              {key: "sites", help: "Sites of Newview, evaluation and insertion-score operations"},
 	RankLaneSites:          {key: "lane_sites", help: "Sites of those operations computed in vector lanes"},
 	RankInsertionRescales:  {key: "insertion_rescales", help: "Insertion-score sites computed over a rescaled inserted column"},
 	RankLaneWidth:          {key: "lane_width", combine: combineMin, label: "Γ site-lane width", line: RankLaneWidth},
+
+	RankIterations:            {key: "iterations", combine: combineMax, label: "search iterations", line: RankIterations},
+	RankModelOptRounds:        {key: "model_opt_rounds", combine: combineMax, label: "model rounds", line: RankIterations},
+	RankModelProbes:           {key: "model_probes", combine: combineMax, label: "model probes", line: RankModelProbes},
+	RankModelPartitionEvals:   {key: "model_partition_evals", combine: combineMax, label: "partition evaluations", line: RankModelProbes},
+	RankNewtonIters:           {key: "newton_iterations", combine: combineMax, label: "Newton steps", line: RankNewtonIters},
+	RankSPRRounds:             {key: "spr_rounds", combine: combineMax, label: "SPR rounds", line: RankSPRRounds},
+	RankSPRPrunes:             {key: "spr_prunes", combine: combineMax, label: "prunes", line: RankSPRRounds},
+	RankSPRInsertionPlans:     {key: "spr_insertion_plans", combine: combineMax, label: "insertion plans", line: RankSPRRounds},
+	RankSPRCandidatesScored:   {key: "spr_candidates_scored", combine: combineMax, label: "SPR candidates", line: RankSPRCandidatesScored},
+	RankSPRVerifications:      {key: "spr_verifications", combine: combineMax, label: "verified", line: RankSPRCandidatesScored},
+	RankSPRImprovements:       {key: "spr_improvements", combine: combineMax, label: "accepted", line: RankSPRCandidatesScored},
+	RankTraversalSteps:        {key: "traversal_steps", combine: combineMax, label: "traversal steps", line: RankTraversalSteps},
+	RankTraversalStepsSkipped: {key: "traversal_steps_skipped", combine: combineMax, label: "skipped", line: RankTraversalSteps},
+	RankGradientSweeps:        {key: "batched_gradient_sweeps", combine: combineMax, label: "smoothing sweeps", line: RankNewtonIters},
+	RankPreorderSteps:         {key: "preorder_steps", combine: combineMax, label: "pre-order steps", line: RankPreorderSteps},
+	RankPreorderStepsSkipped:  {key: "preorder_steps_skipped", combine: combineMax, label: "skipped", line: RankPreorderSteps},
+	RankGradientSlotsSkipped:  {key: "gradient_slots_skipped", combine: combineMax, label: "gradient slots skipped", line: RankGradientSlotsSkipped},
 }
 
 // ratio returns a/b, 0 when b is 0.
@@ -562,9 +493,9 @@ func sum(v []int64) int64 {
 
 // Harvest records the rank's per-rank counters, adds the summed ones to
 // their /metrics series, and emits the rank's "perf" JSONL event: every
-// per-rank counter, the rank's model-probe and SPR counters, and the two
-// ratios read first when a run is slow — candidates scored per prune
-// point and this rank's collectives per completed iteration.
+// per-rank counter and the two ratios read first when a run is slow —
+// candidates scored per prune point and this rank's collectives per
+// completed iteration.
 func (r *Recorder) Harvest(counts RankCounters) {
 	if r == nil {
 		return
@@ -581,15 +512,9 @@ func (r *Recorder) Harvest(counts RankCounters) {
 	}
 	b := fmt.Appendf(nil, "{\"ev\":\"perf\",\"rank\":%d", r.rank)
 	b = counts.appendJSON(b, false)
-	// The search-progress counters a "perf" event carries too, under their
-	// names with '_' for '-'.
-	for _, ct := range []Counter{CounterModelProbes, CounterModelPartitionEvals,
-		CounterSPRInsertionPlans, CounterSPRCandidatesScored, CounterSPRVerifications} {
-		b = fmt.Appendf(b, ",%q:%d", strings.ReplaceAll(ct.String(), "-", "_"), r.counters[ct])
-	}
 	b = fmt.Appendf(b, ",\"candidates_per_prune_point\":%s,\"collectives_per_iteration\":%s%s}",
-		jsonFloat(ratio(r.counters[CounterSPRCandidatesScored], r.counters[CounterSPRInsertionPlans])),
-		jsonFloat(ratio(sum(r.collOps), r.counters[CounterIterations])), c.jobFrag)
+		jsonFloat(ratio(counts[RankSPRCandidatesScored], counts[RankSPRInsertionPlans])),
+		jsonFloat(ratio(sum(r.collOps), counts[RankIterations])), c.jobFrag)
 	c.emitLine("%s", b)
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,7 +25,7 @@ func TestNilSafety(t *testing.T) {
 	endKernel(r, KernelNewview, tok)
 	ct := r.BeginCollective()
 	r.EndCollective(0, ct)
-	r.Inc(CounterIterations, 1)
+	r.EmitIteration(1, -1)
 	r.Harvest(RankCounters{RankPoolThreads: 4, RankPoolDispatches: 10, RankPoolBlocks: 40, RankPCacheHits: 3, RankPCacheMisses: 4})
 	if rep := c.Finalize(time.Second, 1, nil, nil); rep != nil {
 		t.Fatalf("nil collector produced a report")
@@ -62,7 +63,7 @@ func TestSpansAndReport(t *testing.T) {
 			ct := r.BeginCollective()
 			time.Sleep(time.Millisecond)
 			r.EndCollective(1, ct)
-			r.Inc(CounterIterations, 1)
+			r.Harvest(RankCounters{RankIterations: 1})
 		}(rank)
 	}
 	wg.Wait()
@@ -86,12 +87,12 @@ func TestSpansAndReport(t *testing.T) {
 	if len(rep.Classes) != 1 || rep.Classes[0].Name != "b" || rep.Classes[0].Bytes != 1024 {
 		t.Fatalf("classes = %+v", rep.Classes)
 	}
-	if rep.Counters["iterations"] != 1 {
-		t.Fatalf("counters = %v", rep.Counters)
+	if rep.Totals[RankIterations] != 1 {
+		t.Fatalf("iterations total %d, want the replicas' 1", rep.Totals[RankIterations])
 	}
 
 	// The trace must be valid JSONL: one "meta" header first, then one
-	// event per span.
+	// event per span and one "perf" event per rank.
 	lines := strings.Split(strings.TrimSpace(trace.String()), "\n")
 	spans, metas := 0, 0
 	for i, ln := range lines {
@@ -105,6 +106,7 @@ func TestSpansAndReport(t *testing.T) {
 			if ev["kind"] == "collective" && ev["class"] != "b" {
 				t.Fatalf("collective span of class 1 labelled %v, want b", ev["class"])
 			}
+		case "perf":
 		case "meta":
 			metas++
 			if i != 0 {
@@ -126,7 +128,7 @@ func TestSpansAndReport(t *testing.T) {
 
 	// Text and JSON renderings must carry the headline metrics.
 	text := rep.String()
-	for _, want := range []string{"load imbalance", "comm fraction", "newview", "iterations"} {
+	for _, want := range []string{"load imbalance", "comm fraction", "newview", "search iterations"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -149,17 +151,11 @@ func TestSpansAndReport(t *testing.T) {
 func TestKernelPerfReport(t *testing.T) {
 	var trace bytes.Buffer
 	c := NewCollector(2, []string{"x"}, &trace)
-	c.Recorder(0).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 8, RankPCacheMisses: 2, RankTipTipNewviews: 2, RankTipTableEntries: 90, RankSiteRateTableEvals: 1500, RankSiteRateExactEvals: 200, RankSites: 1000, RankLaneSites: 996, RankLaneWidth: 8, RankPSetAllocs: 2})
+	c.Recorder(0).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 8, RankPCacheMisses: 2, RankTipTipNewviews: 2, RankTipTableEntries: 90, RankSiteRateTableEvals: 1500, RankSiteRateExactEvals: 200, RankSites: 1000, RankLaneSites: 996, RankLaneWidth: 8, RankPSetAllocs: 2,
+		RankTraversalSteps: 40, RankTraversalStepsSkipped: 25, RankModelOptRounds: 2, RankModelProbes: 180, RankModelPartitionEvals: 450,
+		RankSPRInsertionPlans: 10, RankSPRCandidatesScored: 175, RankSPRVerifications: 3})
 	c.Recorder(1).Harvest(RankCounters{RankEngineCalls: 30, RankPCacheHits: 12, RankPCacheMisses: 8, RankTipTipNewviews: 3, RankSiteRateTableEvals: 1400, RankSiteRateExactEvals: 198, RankSites: 600, RankLaneSites: 596, RankLaneWidth: 4, RankPSetAllocs: 5})
 	endKernel(c.Recorder(0), KernelSiteRates, c.Recorder(0).Begin())
-	c.Recorder(0).Inc(CounterTraversalSteps, 40)
-	c.Recorder(0).Inc(CounterTraversalStepsSkipped, 25)
-	c.Recorder(0).Inc(CounterModelOptRounds, 2)
-	c.Recorder(0).Inc(CounterModelProbes, 180)
-	c.Recorder(0).Inc(CounterModelPartitionEvals, 450)
-	c.Recorder(0).Inc(CounterSPRInsertionPlans, 10)
-	c.Recorder(0).Inc(CounterSPRCandidatesScored, 175)
-	c.Recorder(0).Inc(CounterSPRVerifications, 3)
 
 	rep := c.Finalize(time.Millisecond, 1, []int64{0}, []int64{0})
 	if rep.PerRank[0].Counters[RankPCacheHits] != 8 {
@@ -174,21 +170,21 @@ func TestKernelPerfReport(t *testing.T) {
 	if rep.PerRank[0].Counters[RankTipTipNewviews] != 2 || rep.PerRank[1].Counters[RankTipTipNewviews] != 3 || rep.PerRank[0].Counters[RankTipTableEntries] != 90 {
 		t.Fatalf("tip operand fields: rank 0 %+v, rank 1 %+v", rep.PerRank[0], rep.PerRank[1])
 	}
-	if rep.ModelProbesPerRound != 90 || rep.Counters["model-probes"] != 180 {
-		t.Fatalf("model probes per round %v, counters %v", rep.ModelProbesPerRound, rep.Counters)
+	if rep.ModelProbesPerRound != 90 || rep.Totals[RankModelProbes] != 180 {
+		t.Fatalf("model probes per round %v, totals %v", rep.ModelProbesPerRound, rep.Totals)
 	}
-	if rep.ActivePartitionsPerProbe != 2.5 || rep.Counters["model-partition-evals"] != 450 {
-		t.Fatalf("active partitions per probe %v, counters %v", rep.ActivePartitionsPerProbe, rep.Counters)
+	if rep.ActivePartitionsPerProbe != 2.5 || rep.Totals[RankModelPartitionEvals] != 450 {
+		t.Fatalf("active partitions per probe %v, totals %v", rep.ActivePartitionsPerProbe, rep.Totals)
 	}
-	if rep.CandidatesPerPrunePoint != 17.5 || rep.Counters["spr-candidates-scored"] != 175 || rep.Counters["spr-verifications"] != 3 {
-		t.Fatalf("candidates per prune point %v, counters %v", rep.CandidatesPerPrunePoint, rep.Counters)
+	if rep.CandidatesPerPrunePoint != 17.5 || rep.Totals[RankSPRCandidatesScored] != 175 || rep.Totals[RankSPRVerifications] != 3 {
+		t.Fatalf("candidates per prune point %v, totals %v", rep.CandidatesPerPrunePoint, rep.Totals)
 	}
-	if rep.Counters["traversal-steps"] != 40 || rep.Counters["traversal-steps-skipped"] != 25 {
-		t.Fatalf("traversal counters: %v", rep.Counters)
+	if rep.Totals[RankTraversalSteps] != 40 || rep.Totals[RankTraversalStepsSkipped] != 25 {
+		t.Fatalf("traversal totals: %v", rep.Totals)
 	}
 
-	if sr := rep.Kernels[KernelSiteRates]; sr.TableEvals != 2900 || sr.ExactEvals != 398 || rep.PerRank[1].Counters[RankSiteRateExactEvals] != 198 {
-		t.Fatalf("site-rates class %+v, rank 1 %+v", sr, rep.PerRank[1])
+	if tab, exact := rep.Totals[RankSiteRateTableEvals], rep.Totals[RankSiteRateExactEvals]; tab != 2900 || exact != 398 || rep.PerRank[1].Counters[RankSiteRateExactEvals] != 198 {
+		t.Fatalf("site-rate evaluations %d table, %d exact, rank 1 %+v", tab, exact, rep.PerRank[1])
 	}
 	if rep.Totals[RankSites] != 1600 || rep.LaneShare != 1592.0/1600.0 || rep.PerRank[1].Counters[RankLaneSites] != 596 {
 		t.Fatalf("sites %d, lane share %v, rank 1 %+v", rep.Totals[RankSites], rep.LaneShare, rep.PerRank[1])
@@ -196,12 +192,9 @@ func TestKernelPerfReport(t *testing.T) {
 	if rep.Totals[RankLaneWidth] != 4 || rep.Totals[RankPSetAllocs] != 7 {
 		t.Fatalf("lane width %d (want the narrowest rank's, 4), P sets allocated %d", rep.Totals[RankLaneWidth], rep.Totals[RankPSetAllocs])
 	}
-	if other := rep.Kernels[KernelEvaluate]; other.TableEvals != 0 || other.ExactEvals != 0 {
-		t.Fatalf("single-site evaluations charged to %+v", other)
-	}
 
 	text := rep.String()
-	for _, want := range []string{"2900 table + 398 exact single-site evaluations", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal-steps-skipped", "site work in vector lanes                 0.995", "Γ site-lane width                             4", "P-matrix sets allocated                       7"} {
+	for _, want := range []string{"site-rate table evaluations / exact    2900 / 398", "cache hit rate", "model probes / round", "active partitions / probe", "candidates / prune point", "traversal steps / skipped              40 / 25", "site work in vector lanes                 0.995", "Γ site-lane width                             4", "P-matrix sets allocated                       7"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
@@ -258,10 +251,11 @@ func TestPerRankKeys(t *testing.T) {
 	r := c.Recorder(0)
 	endKernel(r, KernelNewview, r.Begin())
 	r.EndCollective(0, r.BeginCollective())
-	r.Harvest(RankCounters{RankEngineCalls: 1, RankPoolThreads: 2, RankPoolDispatches: 3, RankPoolBlocks: 4, RankPoolWakes: 5, RankPoolParks: 6,
-		RankRecvPolled: 7, RankRecvParked: 8,
-		RankPCacheHits: 1, RankPCacheMisses: 2, RankPCacheResets: 11, RankPSetAllocs: 9, RankTipTipNewviews: 3, RankTipTableEntries: 4,
-		RankSiteRateTableEvals: 5, RankSiteRateExactEvals: 6, RankColumns: 13, RankSites: 7, RankLaneSites: 8, RankInsertionRescales: 12, RankLaneWidth: 8})
+	var counts RankCounters
+	for k := range counts {
+		counts[k] = int64(k) + 1
+	}
+	r.Harvest(counts)
 	var buf bytes.Buffer
 	if err := c.Finalize(time.Millisecond, 2, []int64{1}, []int64{8}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -294,6 +288,9 @@ func TestPerRankKeys(t *testing.T) {
 		"recv_polled", "recv_parked",
 		"pcache_hits", "pcache_misses", "pcache_resets", "pset_allocs", "tiptip_newviews", "tip_table_entries",
 		"site_rate_table_evals", "site_rate_exact_evals", "columns", "sites", "lane_sites", "insertion_rescales", "lane_width",
+		"iterations", "model_opt_rounds", "model_probes", "model_partition_evals", "newton_iterations",
+		"spr_rounds", "spr_prunes", "spr_insertion_plans", "spr_candidates_scored", "spr_verifications", "spr_improvements",
+		"traversal_steps", "traversal_steps_skipped", "batched_gradient_sweeps", "preorder_steps", "preorder_steps_skipped", "gradient_slots_skipped",
 	}
 	if strings.Join(keys, " ") != strings.Join(want, " ") {
 		t.Errorf("per_rank keys\n got %v\nwant %v", keys, want)
@@ -301,11 +298,13 @@ func TestPerRankKeys(t *testing.T) {
 }
 
 // TestRankCountersReachEverySink gives every per-rank counter a distinct
-// nonzero value on two ranks and follows each to every sink the
-// declaration promises: its per_rank key, its "perf" key, its report
-// total under its combine rule, and — a summed counter only — its
-// /metrics series. The rows restate the declaration, so a counter wired
-// to another's key, rule or series, or left out of a sink, fails here.
+// nonzero value on two ranks, the larger on rank 0 for every other
+// counter, and follows each to every sink the declaration promises: its
+// per_rank key, its "perf" key, its report total under its combine rule,
+// a -stats line holding its label and total where it has one, and — a
+// summed counter only — its /metrics series. The rows restate the
+// declaration, so a counter wired to another's key, rule or series, or
+// left out of a sink, fails here.
 func TestRankCountersReachEverySink(t *testing.T) {
 	sumOf := func(a, b int64) int64 { return a + b }
 	maxOf := func(a, b int64) int64 { return max(a, b) }
@@ -314,34 +313,52 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		c       RankCounter
 		key     string
 		combine func(a, b int64) int64
+		shown   bool // on a -stats line
 		series  bool
 	}{
-		{RankEngineCalls, "engine_calls", sumOf, true},
-		{RankPoolThreads, "pool_threads", maxOf, false},
-		{RankPoolDispatches, "pool_dispatches", sumOf, true},
-		{RankPoolBlocks, "pool_blocks", sumOf, true},
-		{RankPoolWakes, "pool_wakes", sumOf, true},
-		{RankPoolParks, "pool_parks", sumOf, true},
-		{RankRecvPolled, "recv_polled", sumOf, true},
-		{RankRecvParked, "recv_parked", sumOf, true},
-		{RankPCacheHits, "pcache_hits", sumOf, true},
-		{RankPCacheMisses, "pcache_misses", sumOf, true},
-		{RankPCacheResets, "pcache_resets", sumOf, true},
-		{RankPSetAllocs, "pset_allocs", sumOf, true},
-		{RankTipTipNewviews, "tiptip_newviews", sumOf, true},
-		{RankTipTableEntries, "tip_table_entries", sumOf, true},
-		{RankSiteRateTableEvals, "site_rate_table_evals", sumOf, true},
-		{RankSiteRateExactEvals, "site_rate_exact_evals", sumOf, true},
-		{RankColumns, "columns", sumOf, true},
-		{RankSites, "sites", sumOf, true},
-		{RankLaneSites, "lane_sites", sumOf, true},
-		{RankInsertionRescales, "insertion_rescales", sumOf, true},
-		{RankLaneWidth, "lane_width", minOf, false},
+		{RankEngineCalls, "engine_calls", sumOf, true, true},
+		{RankPoolThreads, "pool_threads", maxOf, false, false},
+		{RankPoolDispatches, "pool_dispatches", sumOf, true, true},
+		{RankPoolBlocks, "pool_blocks", sumOf, false, true},
+		{RankPoolWakes, "pool_wakes", sumOf, true, true},
+		{RankPoolParks, "pool_parks", sumOf, true, true},
+		{RankRecvPolled, "recv_polled", sumOf, true, true},
+		{RankRecvParked, "recv_parked", sumOf, true, true},
+		{RankPCacheHits, "pcache_hits", sumOf, false, true},
+		{RankPCacheMisses, "pcache_misses", sumOf, false, true},
+		{RankPCacheResets, "pcache_resets", sumOf, false, true},
+		{RankPSetAllocs, "pset_allocs", sumOf, true, true},
+		{RankTipTipNewviews, "tiptip_newviews", sumOf, false, true},
+		{RankTipTableEntries, "tip_table_entries", sumOf, false, true},
+		{RankSiteRateTableEvals, "site_rate_table_evals", sumOf, true, true},
+		{RankSiteRateExactEvals, "site_rate_exact_evals", sumOf, true, true},
+		{RankColumns, "columns", sumOf, false, true},
+		{RankSites, "sites", sumOf, false, true},
+		{RankLaneSites, "lane_sites", sumOf, false, true},
+		{RankInsertionRescales, "insertion_rescales", sumOf, false, true},
+		{RankLaneWidth, "lane_width", minOf, true, false},
+		{RankIterations, "iterations", maxOf, true, false},
+		{RankModelOptRounds, "model_opt_rounds", maxOf, true, false},
+		{RankModelProbes, "model_probes", maxOf, true, false},
+		{RankModelPartitionEvals, "model_partition_evals", maxOf, true, false},
+		{RankNewtonIters, "newton_iterations", maxOf, true, false},
+		{RankSPRRounds, "spr_rounds", maxOf, true, false},
+		{RankSPRPrunes, "spr_prunes", maxOf, true, false},
+		{RankSPRInsertionPlans, "spr_insertion_plans", maxOf, true, false},
+		{RankSPRCandidatesScored, "spr_candidates_scored", maxOf, true, false},
+		{RankSPRVerifications, "spr_verifications", maxOf, true, false},
+		{RankSPRImprovements, "spr_improvements", maxOf, true, false},
+		{RankTraversalSteps, "traversal_steps", maxOf, true, false},
+		{RankTraversalStepsSkipped, "traversal_steps_skipped", maxOf, true, false},
+		{RankGradientSweeps, "batched_gradient_sweeps", maxOf, true, false},
+		{RankPreorderSteps, "preorder_steps", maxOf, true, false},
+		{RankPreorderStepsSkipped, "preorder_steps_skipped", maxOf, true, false},
+		{RankGradientSlotsSkipped, "gradient_slots_skipped", maxOf, true, false},
 	}
 	if len(rows) != int(NumRankCounters) {
 		t.Fatalf("%d rows for %d counters", len(rows), NumRankCounters)
 	}
-	value := func(rank int, c RankCounter) int64 { return int64(1000*(rank+1) + int(c) + 1) }
+	value := func(rank int, c RankCounter) int64 { return int64(1000*(1+(rank+int(c))%2) + int(c) + 1) }
 
 	before := scrapeMetrics(t)
 	var trace bytes.Buffer
@@ -364,6 +381,7 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRank := doc["per_rank"].([]any)
+	stats := strings.Split(rep.String(), "\n")
 	perf := perfEvents(t, &trace)
 	if len(perf) != 2 {
 		t.Fatalf("%d perf events, want 2", len(perf))
@@ -388,6 +406,13 @@ func TestRankCountersReachEverySink(t *testing.T) {
 		}
 		if got := doc[row.key]; got != float64(want) {
 			t.Errorf("%s: -stats-json total %v, want %d", row.key, got, want)
+		}
+		if label := rankCounters[row.c].label; (label != "") != row.shown {
+			t.Errorf("%s: labelled %q, want a -stats line %v", row.key, label, row.shown)
+		} else if row.shown && !slices.ContainsFunc(stats, func(ln string) bool {
+			return strings.Contains(ln, label) && strings.Contains(ln, strconv.FormatInt(want, 10))
+		}) {
+			t.Errorf("%s: no -stats line holds %q and the total %d:\n%s", row.key, label, want, rep)
 		}
 		series := "examl_" + row.key + "_total"
 		_, present := after[series]

@@ -342,7 +342,7 @@ func (p *GradPlan) Decode(buf []byte) error {
 		return r.err
 	}
 	if flags&1 != 0 {
-		r.readMask(resize(&p.Active, nClasses*nEdges))
+		r.readMask(&p.Active, nClasses*nEdges)
 		if r.err != nil {
 			return r.err
 		}

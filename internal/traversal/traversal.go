@@ -137,12 +137,6 @@ func sweepDirty(t *tree.Tree, v *tree.Node, blClass int, dirty []bool, steps []l
 	return steps
 }
 
-// ForEdgeReuse is ForEdge with the dirty-slot overlay of OrientReuse.
-func ForEdgeReuse(t *tree.Tree, p *tree.Node, blClass int, dirty []bool) []likelihood.Step {
-	steps := OrientReuse(t, p, blClass, dirty, nil)
-	return OrientReuse(t, p.Back, blClass, dirty, steps)
-}
-
 // Descriptor bundles the CLV schedule for every branch-length class with
 // the evaluation edge, ready for execution or (in the fork-join engine)
 // for broadcast. Steps[c] is the schedule with class-c branch lengths;
@@ -319,10 +313,15 @@ func appendMask(buf []byte, mask []bool) []byte {
 	return buf
 }
 
-// readMask reads n mask bits at r's position into mask and moves past
-// them, refusing bits set beyond the n.
-func (r *planReader) readMask(mask []bool) {
-	n := len(mask)
+// readMask reads n mask bits at r's position into *mask, reusing its
+// storage, and moves past them, refusing bits set beyond the n. The mask
+// it leaves is non-nil even at n = 0: a frame's mask, however short, is a
+// mask, and re-encodes as one.
+func (r *planReader) readMask(buf *[]bool, n int) {
+	if *buf == nil {
+		*buf = []bool{}
+	}
+	mask := resize(buf, n)
 	for i := range mask {
 		mask[i] = r.buf[r.pos+i/8]&(1<<(i%8)) != 0
 	}
@@ -384,7 +383,7 @@ func (d *Descriptor) Decode(buf []byte) error {
 	}
 	if masked {
 		r.pos += 4
-		r.readMask(resize(&d.Active, nMask))
+		r.readMask(&d.Active, nMask)
 	} else {
 		d.Active = nil
 	}

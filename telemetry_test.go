@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/likelihood"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -17,8 +18,11 @@ import (
 // telemetry (spans, counters, even the JSONL trace) must not change a
 // single bit of the inference — same final log likelihood, same tree —
 // for both schemes and across intra-rank thread counts. Timing is read
-// out-of-band; nothing it touches feeds a likelihood or a reduction.
+// out-of-band; nothing it touches feeds a likelihood or a reduction. The
+// process's examl_search_iterations_total series rises by the run's
+// iterations, once however many replicas ran them.
 func TestTelemetryBitIdentity(t *testing.T) {
+	iterSeries := metrics.Default().Counter("examl_search_iterations_total", "")
 	d, err := Simulate(10, 3, 80, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +49,13 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				instrumented.Telemetry = true
 				var trace bytes.Buffer
 				instrumented.TraceWriter = &trace
+				before := iterSeries.Value()
 				traced, err := Infer(d, instrumented)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if rose := iterSeries.Value() - before; rose != float64(traced.Iterations) {
+					t.Errorf("examl_search_iterations_total rose by %v over a run of %d iterations", rose, traced.Iterations)
 				}
 
 				if math.Float64bits(traced.LogLikelihood) != math.Float64bits(plain.LogLikelihood) {
@@ -84,8 +92,8 @@ func TestTelemetryBitIdentity(t *testing.T) {
 				if sites <= 0 || rep.LaneShare < 0 || rep.LaneShare > 1 || width != int64(likelihood.LaneWidth()) {
 					t.Errorf("run reported %d sites, lane share %v, lane width %d (the lanes run %d wide)", sites, rep.LaneShare, width, likelihood.LaneWidth())
 				}
-				if rep.Counters["iterations"] != int64(traced.Iterations) {
-					t.Errorf("iterations counter %d != result %d", rep.Counters["iterations"], traced.Iterations)
+				if rep.Totals[telemetry.RankIterations] != int64(traced.Iterations) {
+					t.Errorf("iterations counter %d != result %d", rep.Totals[telemetry.RankIterations], traced.Iterations)
 				}
 				if threads > 1 && rep.PoolUtilization <= 0 {
 					t.Error("threaded run reported no pool utilization")
@@ -221,10 +229,10 @@ func TestModelSearchCostGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Telemetry
-	rounds := float64(rep.Counters["model-opt-rounds"])
-	probes, evals := float64(rep.Counters["model-probes"]), float64(rep.Counters["model-partition-evals"])
+	rounds := float64(rep.Totals[telemetry.RankModelOptRounds])
+	probes, evals := float64(rep.Totals[telemetry.RankModelProbes]), float64(rep.Totals[telemetry.RankModelPartitionEvals])
 	if rounds == 0 || probes == 0 {
-		t.Fatalf("counters not filled: %v", rep.Counters)
+		t.Fatalf("counters not filled: %v", rep.Totals)
 	}
 	t.Logf("%v rounds, %v probes, %v partition evaluations", rounds, probes, evals)
 	if probes/rounds > 6*14 {
