@@ -160,9 +160,11 @@ kernel-bce:
 
 # fuzz-smoke gives every native fuzz target a short pass over its seed
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
-# sent (the traversal plans, a TCP data frame, a rendezvous hello and
-# welcome) and of files a user hands in (PHYLIP, partition files, Newick,
-# checkpoints) must fail with an error, never a panic, a hello the
+# sent (the traversal plans, a TCP data frame and a stream of frames, a
+# rendezvous hello and welcome) and of files a user hands in (PHYLIP,
+# partition files, Newick, checkpoints) must fail with an error, never a
+# panic, the frame parser must read the same frames however its bytes
+# arrive, a hello the
 # rendezvous coordinator admits must take a free seat of its world, a
 # submitted JobSpec the daemon accepts must meet every bound a worker
 # relies on, and the Γ site lanes of
@@ -176,6 +178,7 @@ fuzz-smoke:
 	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/likelihood -run '^$$' -fuzz '^FuzzGammaLanes$$' -fuzztime 10s
 	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s
+	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime 10s
 	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzWelcome$$' -fuzztime 10s
 	$(GO) test ./internal/mpinet -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 10s
 	$(GO) test ./internal/msa -run '^$$' -fuzz '^FuzzParsePhylip$$' -fuzztime 10s
@@ -221,7 +224,8 @@ smoke-alloc:
 # run's trace must hold one "perf" event per rank, three, each with engine
 # calls and receives counted: the master's and the workers' counters are
 # harvested where the run driver harvests every rank's, after the rank's
-# body.
+# body. So must the -net-launch run's per-process traces, each with
+# receives counted: TCP receives count as polled or parked too.
 smoke-net:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/raxml-light ./cmd/seqgen && \
@@ -241,10 +245,13 @@ smoke-net:
 	perf=$$(sed -n 's/.*"ev":"perf","rank":\([0-9]*\),.*"engine_calls":\([0-9]*\),.*"recv_polled":\([0-9]*\),"recv_parked":\([0-9]*\),.*/\1:\2:\3:\4/p' $$tmp/ip.jsonl | paste -sd ' ' -) && \
 	{ echo "$$perf" | awk '{ for (i = 1; i <= NF; i++) { split($$i, f, ":"); if (f[2] > 0 && f[3] + f[4] > 0) n++ } } END { exit !(NF == 3 && n == 3) }' || \
 		{ echo "smoke-net: in-process fork-join perf events (rank:engine_calls:recv_polled:recv_parked) '$$perf': want 3, each with engine calls and receives"; exit 1; }; } && \
+	netperf=$$(for f in $$tmp/net.jsonl.rank*; do sed -n 's/.*"ev":"perf",.*"recv_polled":\([0-9]*\),"recv_parked":\([0-9]*\),.*/\1:\2/p' $$f; done | paste -sd ' ' -) && \
+	{ echo "$$netperf" | awk '{ for (i = 1; i <= NF; i++) { split($$i, f, ":"); if (f[1] + f[2] > 0) n++ } } END { exit !(NF == 3 && n == 3) }' || \
+		{ echo "smoke-net: -net-launch fork-join perf events (recv_polled:recv_parked) '$$netperf': want 3, each with receives"; exit 1; }; } && \
 	verif=$$(sed -n 's/^  "spr_verifications": \([0-9]*\),*$$/\1/p' $$tmp/net.json) && \
 	{ test -n "$$verif" && test "$$verif" -gt 0 || \
 		{ echo "smoke-net: fork-join spr_verifications='$$verif', want some"; exit 1; }; } && \
-	echo "smoke-net: 4-process decentralized run OK; 3-process fork-join run same lnL bits after every iteration and same tree as in-process, $$verif verifications; in-process perf events $$perf OK"
+	echo "smoke-net: 4-process decentralized run OK; 3-process fork-join run same lnL bits after every iteration and same tree as in-process, $$verif verifications; in-process perf events $$perf and -net-launch receives $$netperf OK"
 
 # smoke-threads is the §V hybrid drill at the CLI (docs/PERFORMANCE.md §6,
 # docs/DETERMINISM.md §2): the same PSR inference of a 16 × 1500 bp

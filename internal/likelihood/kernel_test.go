@@ -522,7 +522,14 @@ func TestEvaluateSiteAtRateConsistency(t *testing.T) {
 			// weight 1 whose only category is the rate under test.
 			one := f.pd.Select([]int{i})
 			one.Weights[0] = 1
-			par := f.par.Clone()
+			par, err := model.NewParams(model.PSR, f.par.Freqs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par.Rates = f.par.Rates
+			if err := par.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
 			par.SiteRates, par.SiteCats = []float64{1}, []int{0}
 			kern, err := likelihood.NewNow(one, par, f.tree.NInner())
 			if err != nil {

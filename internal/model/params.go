@@ -133,19 +133,6 @@ func (p *Params) CatWeight() float64 {
 	return 1.0
 }
 
-// Clone deep-copies the parameters.
-func (p *Params) Clone() *Params {
-	c := *p
-	c.CatRates = append([]float64(nil), p.CatRates...)
-	c.SiteRates = append([]float64(nil), p.SiteRates...)
-	c.SiteCats = append([]int(nil), p.SiteCats...)
-	if p.Eigen != nil {
-		e := *p.Eigen
-		c.Eigen = &e
-	}
-	return &c
-}
-
 // Check validates internal consistency.
 func (p *Params) Check() error {
 	if p.Eigen == nil {

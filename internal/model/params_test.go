@@ -93,20 +93,6 @@ func TestParamsSharedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParamsCloneIndependence(t *testing.T) {
-	p, err := NewParams(PSR, UniformFreqs(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := p.Clone()
-	c.SiteRates[0] = 9
-	c.CatRates[0] = 9
-	c.Alpha = 9
-	if p.SiteRates[0] == 9 || p.CatRates[0] == 9 || p.Alpha == 9 {
-		t.Fatal("clone shares storage")
-	}
-}
-
 func TestParamsCheckCatchesCorruption(t *testing.T) {
 	p, err := NewParams(PSR, UniformFreqs(), 3)
 	if err != nil {
@@ -215,29 +201,25 @@ func TestRebuildIsIncremental(t *testing.T) {
 		}
 	}
 
-	// A clone owns its derived state: mutating and rebuilding it leaves
-	// the original alone, and an unchanged clone has nothing to rebuild.
-	c := p.Clone()
-	if c.Eigen == p.Eigen {
-		t.Fatal("clone shares the eigensystem")
-	}
-	ceig, cgen := *c.Eigen, c.Generation()
-	if err := c.Rebuild(); err != nil {
+	// An unchanged Params has nothing to rebuild, and a changed one
+	// rebuilds its own derived state, leaving other Params alone.
+	ceig, cgen := *fresh.Eigen, fresh.Generation()
+	if err := fresh.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if *c.Eigen != ceig || c.Generation() != cgen {
-		t.Error("unchanged clone rebuilt")
+	if *fresh.Eigen != ceig || fresh.Generation() != cgen {
+		t.Error("unchanged Params rebuilt")
 	}
-	c.Rates[0] = 3
-	c.Alpha = 2
-	if err := c.Rebuild(); err != nil {
+	fresh.Rates[0] = 3
+	fresh.Alpha = 2
+	if err := fresh.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if *c.Eigen == ceig || c.Generation() != cgen+2 {
-		t.Error("mutated clone did not rebuild")
+	if *fresh.Eigen == ceig || fresh.Generation() != cgen+2 {
+		t.Error("changed Params did not rebuild")
 	}
-	if p.Rates[0] == 3 || *p.Eigen == *c.Eigen || p.CatRates[0] == c.CatRates[0] {
-		t.Error("rebuilding the clone changed the original")
+	if p.Rates[0] == 3 || *p.Eigen == *fresh.Eigen || p.CatRates[0] == fresh.CatRates[0] {
+		t.Error("rebuilding one Params changed another")
 	}
 
 	// A rejected value reports an error and stays pending: the next

@@ -231,13 +231,19 @@ func (c *Comm) SetRecorder(r *telemetry.Recorder) { c.rec = r }
 
 // Counters returns this rank's per-rank counters: how its receives were
 // served, by polling or by parking (docs/PERFORMANCE.md §6 "Waiting").
-// Zero over a transport that does not count them — internal/mpinet's
-// always parks.
+// Zero over a transport that does not count them.
 func (c *Comm) Counters() telemetry.RankCounters {
-	if c.ch != nil {
-		return c.ch.counts
+	if ct, ok := c.tr.(countingTransport); ok {
+		return ct.Counters()
 	}
 	return telemetry.RankCounters{}
+}
+
+// countingTransport is a Transport that counts how its receives were
+// served (telemetry.RankRecvPolled, RankRecvParked): the in-process one
+// and internal/mpinet's.
+type countingTransport interface {
+	Counters() telemetry.RankCounters
 }
 
 // Rank returns this endpoint's rank.

@@ -20,9 +20,11 @@
 //     exponential backoff — a missing peer fails the launch with a
 //     diagnostic instead of hanging.
 //   - Failure detection: every connection is heartbeated; a silent or
-//     disconnected peer surfaces as *PeerDownError from Send/Recv,
-//     which internal/mpi wraps in *mpi.CommError and the
-//     internal/fault survivor-recovery path unwraps.
+//     disconnected peer surfaces as *PeerDownError from Send/Recv — a
+//     silent one from the receive that waits on it, which reads its
+//     peer's socket itself — which internal/mpi wraps in
+//     *mpi.CommError and the internal/fault survivor-recovery path
+//     unwraps.
 package mpinet
 
 import (
@@ -139,37 +141,181 @@ func decodeMessage(b []byte) (mpi.Message, error) {
 	return m, nil
 }
 
+// frameHeader is the length of a frame's header: the uint32 payload
+// length and the type byte.
+const frameHeader = 5
+
+// appendDataFrame appends m to dst as one whole data frame, header
+// included, so a send is one Write of a buffer it reuses.
+func appendDataFrame(dst []byte, m mpi.Message) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameData)
+	dst = appendMessage(dst, m)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader))
+	return dst
+}
+
 // writeFrame writes one frame. The header and payload go out in a
 // single Write so small frames (opcodes, heartbeats) are one segment.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, 0, 5+len(payload))
+	buf := make([]byte, 0, frameHeader+len(payload))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, typ)
 	buf = append(buf, payload...)
-	_, err := w.Write(buf)
+	return sendFrame(w, buf)
+}
+
+// sendFrame writes one encoded frame, header included, in one Write.
+func sendFrame(w io.Writer, frame []byte) error {
+	_, err := w.Write(frame)
 	if err == nil {
-		sentCounters.count(typ, len(buf))
+		sentCounters.count(frame[4], len(frame))
 	}
 	return err
 }
 
-// readFrame reads one frame, enforcing the payload bound.
+// errFrameTooLarge is the error of a frame header whose payload length
+// exceeds maxFramePayload.
+func errFrameTooLarge(n uint32) error {
+	return fmt.Errorf("mpinet: frame payload of %d bytes exceeds the %d limit (corrupt stream?)", n, maxFramePayload)
+}
+
+// readFrame reads one frame from r, enforcing the payload bound: the
+// handshakes' reads, before a transport's receives parse their frames in
+// a frameBuf of their own. It parses in a frameBuf too, and reads no
+// byte past the frame, so the connection's next reader loses nothing. Its
+// buffer grows with the bytes that arrive, not with the length the
+// header declares: a dialer's hello is read before anything is known of
+// it.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+	b := frameBuf{buf: make([]byte, handshakeBufMin)}
+	var rerr error
+	for {
+		typ, payload, ok, err := b.next()
+		if ok || err != nil {
+			return typ, payload, err
+		}
+		if rerr != nil {
+			return 0, nil, b.streamErr(rerr)
+		}
+		space := b.space()
+		var n int
+		n, rerr = r.Read(space[:min(len(space), b.missing())])
+		b.filled(n)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+}
+
+// handshakeBufMin is readFrame's first buffer size: a handshake's JSON
+// fits.
+const handshakeBufMin = 1 << 10
+
+// frameBuf is a receive buffer. Reads fill its free tail (space, then
+// filled), and next parses whole frames out of the unparsed bytes
+// buf[r:w] in place, under the payload bound. The buffer is reused: it
+// starts at its first size (frameBufMin for a connection's) and grows, by
+// doubling, only while one frame does not fit, never past that frame's
+// size, so a hostile length prefix costs at most twice the bytes that
+// really came.
+type frameBuf struct {
+	buf  []byte
+	r, w int
+}
+
+// frameBufMin is a connection's receive buffer's first size, bufio's
+// default reader size times 16: a read takes all of a typical
+// collective's frames.
+const frameBufMin = 64 << 10
+
+// next returns the next whole frame in the buffer, or ok false when the
+// buffer holds only part of one. A payload aliases the buffer and stays
+// valid until the next call of space; an empty payload is nil. An error
+// is a header whose length exceeds maxFramePayload.
+func (b *frameBuf) next() (typ byte, payload []byte, ok bool, err error) {
+	if b.w-b.r < frameHeader {
+		return 0, nil, false, nil
+	}
+	n := binary.LittleEndian.Uint32(b.buf[b.r:])
 	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("mpinet: frame payload of %d bytes exceeds the %d limit (corrupt stream?)", n, maxFramePayload)
+		return 0, nil, false, errFrameTooLarge(n)
 	}
-	typ = hdr[4]
+	end := b.r + frameHeader + int(n)
+	if end > b.w {
+		return 0, nil, false, nil
+	}
+	typ = b.buf[b.r+4]
 	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, fmt.Errorf("mpinet: frame truncated: %w", err)
+		payload = b.buf[b.r+frameHeader : end : end]
+	}
+	b.r = end
+	recvCounters.count(typ, frameHeader+int(n))
+	return typ, payload, true, nil
+}
+
+// front returns the type of the frame at the front of the buffer and
+// whether next has an answer for it: the whole frame, or the refusal of
+// its header.
+func (b *frameBuf) front() (typ byte, whole bool) {
+	if b.w-b.r < frameHeader {
+		return 0, false
+	}
+	n := binary.LittleEndian.Uint32(b.buf[b.r:])
+	return b.buf[b.r+4], n > maxFramePayload || b.r+frameHeader+int(n) <= b.w
+}
+
+// missing is how many more bytes the frame at the front needs: the rest
+// of its header, or of its payload. Call it when next returned ok false
+// and no error.
+func (b *frameBuf) missing() int {
+	if have := b.w - b.r; have < frameHeader {
+		return frameHeader - have
+	}
+	return b.r + frameHeader + int(binary.LittleEndian.Uint32(b.buf[b.r:])) - b.w
+}
+
+// space returns the free tail the next read fills, never empty. When the
+// tail is used up it moves the unparsed bytes to the front; when they
+// fill the whole buffer — one unfinished frame — it doubles the buffer,
+// up to that frame's size. Call next until it returns ok false before
+// space, so a frame in progress has a valid header.
+func (b *frameBuf) space() []byte {
+	if b.r == b.w {
+		b.r, b.w = 0, 0
+	}
+	if b.w < len(b.buf) {
+		return b.buf[b.w:]
+	}
+	if b.r > 0 {
+		b.w = copy(b.buf, b.buf[b.r:b.w])
+		b.r = 0
+		return b.buf[b.w:]
+	}
+	size := 2 * len(b.buf)
+	if size == 0 {
+		size = frameBufMin
+	}
+	if b.w >= frameHeader {
+		if f := frameHeader + int(binary.LittleEndian.Uint32(b.buf)); f > b.w {
+			size = min(size, f)
 		}
 	}
-	recvCounters.count(typ, 5+len(payload))
-	return typ, payload, nil
+	buf := make([]byte, size)
+	copy(buf, b.buf[:b.w])
+	b.buf = buf
+	return b.buf[b.w:]
+}
+
+// filled records that the last read put n bytes at the start of space.
+func (b *frameBuf) filled(n int) { b.w += n }
+
+// streamErr is what the read error err means where the stream stands:
+// between frames it is err itself (a clean end is io.EOF); inside a
+// frame it is a truncated frame, and an EOF there is unexpected.
+func (b *frameBuf) streamErr(err error) error {
+	if b.r == b.w {
+		return err
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("mpinet: frame truncated: %w", err)
 }

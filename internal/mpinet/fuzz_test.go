@@ -2,7 +2,9 @@ package mpinet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"net"
 	"testing"
@@ -43,6 +45,119 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("decoded %d bytes re-encode to %d different bytes", len(b), len(enc))
 		}
 	})
+}
+
+// FuzzFrameStream feeds the frame parser (frameBuf) an arbitrary byte
+// stream two ways: frame by frame through readFrame, as a handshake
+// reads, and in chunks the fuzzer sizes through a buffer that starts at a
+// size the fuzzer picks, as a receive reads. It must never panic; the
+// frames, encoded again, must be the stream's start (all of it when the
+// stream ends cleanly); the stream must end in a refused header exactly
+// when the header after the frames declares more than maxFramePayload;
+// both ways must yield the same frames and end; and the buffer must grow
+// only for a frame that does not fit, to no more than twice the bytes it
+// holds and one header plus maxFramePayload. Seeds: frame_test.go's
+// messages as data frames among heartbeats and a bye (the long one cut to
+// 40 values: the fuzzer minimizes every new input, exec by exec), its
+// corruptions, and headers at the payload bound and one past it.
+func FuzzFrameStream(f *testing.F) {
+	var stream []byte
+	for _, m := range []mpi.Message{
+		{Seq: 0},
+		{Seq: 1, F64: []float64{}},
+		{Seq: 2, Raw: []byte{}},
+		{Seq: 3, F64: []float64{1.5, -0.0, math.Inf(1), math.Inf(-1), math.Pi, 1e-308}},
+		{Seq: 4, Raw: []byte{0, 1, 2, 255}},
+		{Seq: 5, F64: []float64{math.NaN()}, Raw: []byte("both payloads")},
+		{Seq: math.MaxUint64, F64: make([]float64, 40)},
+	} {
+		stream = appendDataFrame(stream, m)
+		stream = append(stream, heartbeatFrame[:]...)
+	}
+	stream = append(stream, 0, 0, 0, 0, frameBye)
+	header := func(n uint32, typ byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, n), typ)
+	}
+	for _, b := range [][]byte{
+		stream,
+		stream[:len(stream)/2],
+		stream[:3],
+		header(0xFFFFFFFF, frameData),
+		header(maxFramePayload, frameData),
+		header(maxFramePayload+1, frameData),
+		append(header(1, frameData), 7),
+		append(header(2, frameData), 7),
+	} {
+		f.Add(b, []byte{0}, uint8(0))
+		f.Add(b, []byte{3, 250, 17}, uint8(7))
+	}
+	f.Fuzz(func(t *testing.T, stream, chunks []byte, size uint8) {
+		var want []byte
+		var wantErr error
+		for r := bytes.NewReader(stream); wantErr == nil; {
+			typ, payload, err := readFrame(r)
+			if err == nil && payload != nil && len(payload) == 0 {
+				t.Fatal("readFrame returned an empty payload that is not nil")
+			}
+			want = appendFrame(want, typ, payload, err)
+			wantErr = err
+		}
+		if !bytes.HasPrefix(stream, want) {
+			t.Fatalf("the %d bytes of frames read are not the stream's start", len(want))
+		}
+		rest := stream[len(want):]
+		if wantErr == io.EOF && len(rest) != 0 {
+			t.Fatalf("a clean end with %d bytes unread", len(rest))
+		}
+		var declared uint32
+		if len(rest) >= frameHeader {
+			declared = binary.LittleEndian.Uint32(rest)
+		}
+		if refused := declared > maxFramePayload; refused != (wantErr.Error() == errFrameTooLarge(declared).Error()) {
+			t.Fatalf("the stream ends in %q before %d bytes", wantErr, len(rest))
+		}
+
+		b := frameBuf{buf: make([]byte, 1+int(size)%64)}
+		var got []byte
+		var gotErr error
+		for i := 0; gotErr == nil; i++ {
+			typ, payload, ok, err := b.next()
+			if ok || err != nil {
+				got = appendFrame(got, typ, payload, err)
+				gotErr = err
+				continue
+			}
+			if len(stream) == 0 {
+				gotErr = b.streamErr(io.EOF)
+				break
+			}
+			n := len(b.buf)
+			space := b.space()
+			if len(b.buf) != n && (len(b.buf) > 2*(b.w-b.r) || len(b.buf) > frameHeader+maxFramePayload) {
+				t.Fatalf("the buffer grew from %d to %d bytes holding %d", n, len(b.buf), b.w-b.r)
+			}
+			chunk := 1
+			if len(chunks) > 0 {
+				chunk += int(chunks[i%len(chunks)])
+			}
+			n = copy(space, stream[:min(chunk, len(stream))])
+			b.filled(n)
+			stream = stream[n:]
+		}
+		if !bytes.Equal(got, want) || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("read in chunks: %d bytes of frames ending in %q; frame by frame: %d ending in %q", len(got), gotErr, len(want), wantErr)
+		}
+	})
+}
+
+// appendFrame appends one parsed frame to dst, encoded again, unless
+// its parse failed.
+func appendFrame(dst []byte, typ byte, payload []byte, err error) []byte {
+	if err != nil {
+		return dst
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(append(dst, typ), payload...)
 }
 
 // FuzzWelcome feeds a joiner's decode-and-check step (decodeWelcome)

@@ -2,9 +2,9 @@ package mpinet
 
 import "repro/internal/metrics"
 
-// Wire-level metrics on the process-wide registry. writeFrame/readFrame
-// are the single choke points every byte of transport traffic passes
-// through (data, heartbeats, rendezvous handshakes alike), so counting
+// Wire-level metrics on the process-wide registry. sendFrame and
+// frameBuf.next are the choke points every byte of transport traffic
+// passes through (data, heartbeats, rendezvous handshakes alike), so counting
 // there covers the whole wire without touching any per-call site. The
 // counters are pre-resolved per frame type into arrays indexed by the
 // frame-type byte, so the hot path pays two atomic adds and no map or

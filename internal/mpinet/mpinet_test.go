@@ -5,17 +5,21 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
+	"repro/internal/threadpool"
 )
 
 // reserveAddr picks a free loopback rendezvous address.
-func reserveAddr(t *testing.T) string {
+func reserveAddr(t testing.TB) string {
 	t.Helper()
 	addr, err := ReserveLoopbackAddr()
 	if err != nil {
@@ -26,7 +30,7 @@ func reserveAddr(t *testing.T) string {
 
 // makeWorld forms a size-rank TCP world over loopback, one Transport
 // per "process" (goroutine here).
-func makeWorld(t *testing.T, size int, mut func(cfg *Config)) []*Transport {
+func makeWorld(t testing.TB, size int, mut func(cfg *Config)) []*Transport {
 	t.Helper()
 	addr := reserveAddr(t)
 	ts := make([]*Transport, size)
@@ -333,6 +337,7 @@ func TestRecoverReformsSurvivorWorld(t *testing.T) {
 			p.c.Close()
 		}
 	}
+	t.Cleanup(func() { ts[1].Close() })
 
 	worlds := make([]*RecoveredWorld, 3)
 	recErrs := make([]error, 3)
@@ -710,4 +715,329 @@ func TestRendezvousOutcomes(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, c.run)
 	}
+}
+
+// BenchmarkRecvPollBudget times a whole polling budget of a TCP receive
+// that nothing reaches: threadpool.Poll of the receive's condition on a
+// live connection whose peer sends nothing, not even heartbeats, with a
+// fresh Host each time, as threadpool's BenchmarkPollBudget times the
+// in-process receive's. On an idle machine this is how long a receive
+// polls before it parks.
+func BenchmarkRecvPollBudget(b *testing.B) {
+	ts := makeWorld(b, 2, func(cfg *Config) {
+		cfg.HeartbeatInterval = time.Hour
+		cfg.HeartbeatTimeout = 2 * time.Hour
+	})
+	p := ts[0].conns[1]
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
+	for i := 0; i < b.N; i++ {
+		p.skip = 0
+		if threadpool.Poll(p.ready, new(threadpool.Host)) {
+			b.Fatalf("a poll of a silent peer returned: %v", p.readFail)
+		}
+	}
+}
+
+// TestLargeAllreduceCompletes: an Allreduce of 8 MB, more than the
+// loopback socket buffers hold, completes on 2- and 3-rank worlds. No
+// goroutine reads ahead of the receive, so a send that outgrows the
+// buffers waits for the peer's receive; no collective has two ranks
+// write to each other at once, so that receive comes
+// (docs/NETWORKING.md "Failure semantics").
+func TestLargeAllreduceCompletes(t *testing.T) {
+	const n = 1 << 20 // float64s: 8 MB
+	for _, size := range []int{2, 3} {
+		ts := makeWorld(t, size, nil)
+		results := make([][]float64, size)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var wg sync.WaitGroup
+			for r := 0; r < size; r++ {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					v := make([]float64, n)
+					for i := range v {
+						v[i] = float64(rank + 1)
+					}
+					c := mpi.NewComm(ts[rank], rank, size, nil)
+					results[rank] = c.Allreduce(v, mpi.OpSum, mpi.ClassControl)
+				}(r)
+			}
+			wg.Wait()
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%d ranks: an 8 MB Allreduce did not complete", size)
+		}
+		want := float64(size * (size + 1) / 2)
+		for r, res := range results {
+			if len(res) != n || res[0] != want || res[n/2] != want || res[n-1] != want {
+				t.Fatalf("%d ranks: rank %d's result has %d values, want %d, each %v", size, r, len(res), n, want)
+			}
+		}
+	}
+}
+
+// TestSilentPeerDetectedWhilePolling: a peer that goes silent while the
+// receive polls for it is declared down by the poll itself, with
+// "heartbeat timeout", within the timeout plus a small slack — no parked
+// read's deadline involved. The timeout is shorter than the polling
+// budget, and the poll passes no Host, so nothing makes it park.
+func TestSilentPeerDetectedWhilePolling(t *testing.T) {
+	const timeout, slack = 5 * time.Millisecond, 25 * time.Millisecond
+	ts := makeWorld(t, 2, func(cfg *Config) {
+		cfg.HeartbeatInterval = time.Millisecond
+		cfg.HeartbeatTimeout = timeout
+	})
+	ts[1].heartbeatsSuspended.Store(true)
+	p := ts[0].conns[1]
+	p.rmu.Lock()
+	for p.readFail == nil {
+		// A return with no error read heartbeats sent before the
+		// suspension: the peer was heard, and the poll starts over.
+		if !threadpool.Poll(p.ready, nil) {
+			t.Fatal("the polling budget ran out before the silent peer was declared down")
+		}
+	}
+	silent, end := time.Since(p.lastHeard), p.readFail
+	p.rmu.Unlock()
+	if end != errSilent || silent > timeout+slack {
+		t.Fatalf("the poll ended %v after the peer was last heard with %v, want the peer found silent within %v", silent, end, timeout+slack)
+	}
+	_, err := ts[0].Recv(1)
+	var pd *PeerDownError
+	if !errors.As(err, &pd) || pd.Peer != 1 || !strings.Contains(pd.Reason, "heartbeat timeout") {
+		t.Fatalf("want a heartbeat-timeout failure for peer 1, got %v", err)
+	}
+}
+
+// TestTCPReceivesAreCounted: every TCP receive counts as polled or
+// parked, and the counts reach mpi.Comm.Counters. Two transports under
+// GOMAXPROCS ≥ 2 poll, but a peer the host keeps off its CPU makes a
+// receive park, so the test wants the receives counted, not how.
+func TestTCPReceivesAreCounted(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const rounds = 200
+	ts := makeWorld(t, 2, nil)
+	if live := liveTransports.Load(); live > ts[0].procs {
+		t.Fatalf("%d live transports under GOMAXPROCS(%d): the world does not poll", live, ts[0].procs)
+	}
+	for r, n := range exchangeTCP(ts, rounds) {
+		polled, parked := n[telemetry.RankRecvPolled], n[telemetry.RankRecvParked]
+		if polled+parked != rounds {
+			t.Errorf("rank %d: %d polled + %d parked receives, want %d", r, polled, parked, rounds)
+		}
+		if parked != 0 {
+			t.Logf("rank %d: %d of %d receives parked (host load)", r, parked, rounds)
+		}
+	}
+}
+
+// TestOversubscribedTransportsNeverPoll: when a process's TCP
+// transports outnumber GOMAXPROCS, a receive polling for its peer would
+// hold a processor the peer's rank needs, so every receive parks at once,
+// as in an oversubscribed in-process world. Under GOMAXPROCS(1) two
+// transports are enough, whatever the machine's CPU count.
+func TestOversubscribedTransportsNeverPoll(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 50
+	ts := makeWorld(t, 2, nil)
+	var parked int64
+	for r, n := range exchangeTCP(ts, rounds) {
+		if n[telemetry.RankRecvPolled] != 0 {
+			t.Errorf("rank %d: %d receives polled, want none", r, n[telemetry.RankRecvPolled])
+		}
+		parked += n[telemetry.RankRecvParked]
+	}
+	if parked == 0 {
+		t.Error("no receive was counted")
+	}
+}
+
+// TestHostRanksCountPeersOnTheHost: the gate counts the ranks of a
+// transport's world that share the host's CPUs, not only the process's
+// transports, so the processes of `examl -np 4 -net-launch` on a 2-CPU
+// host, one transport each, park. Over loopback every peer is on the
+// host: a 3-rank world counts 3 on every rank.
+func TestHostRanksCountPeersOnTheHost(t *testing.T) {
+	for r, tr := range makeWorld(t, 3, nil) {
+		if tr.hostRanks != 3 {
+			t.Errorf("rank %d counts %d ranks on the host, want 3", r, tr.hostRanks)
+		}
+	}
+}
+
+// exchangeTCP runs rounds Allreduces on the world ts and returns every
+// rank's counters, read through its Comm.
+func exchangeTCP(ts []*Transport, rounds int) []telemetry.RankCounters {
+	counts := make([]telemetry.RankCounters, len(ts))
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c := mpi.NewComm(ts[rank], rank, len(ts), nil)
+			for i := 0; i < rounds; i++ {
+				c.Allreduce([]float64{float64(rank + i)}, mpi.OpSum, mpi.ClassLikelihoodEval)
+			}
+			counts[rank] = c.Counters()
+		}(r)
+	}
+	wg.Wait()
+	return counts
+}
+
+// TestSendAllocatesNothing: a steady-state Send encodes into its peer's
+// reused buffer and allocates nothing. The messages stay unread until
+// the measurement is over (a receive allocates its payload); they fit in
+// the socket buffers, and then arrive intact.
+func TestSendAllocatesNothing(t *testing.T) {
+	ts := makeWorld(t, 2, func(cfg *Config) {
+		cfg.HeartbeatInterval = time.Hour
+		cfg.HeartbeatTimeout = 2 * time.Hour
+	})
+	m := mpi.Message{Seq: 3, F64: []float64{1, 2, 3, 4}, Raw: []byte("descriptor")}
+	if err := ts[0].Send(1, m); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := ts[0].Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a send allocates %v times", n)
+	}
+	for i := 0; i < runs+2; i++ {
+		got, err := ts[1].Recv(0)
+		if err != nil || got.Seq != m.Seq || len(got.F64) != len(m.F64) || got.F64[3] != 4 || string(got.Raw) != string(m.Raw) {
+			t.Fatalf("message %d arrived as %+v, %v", i, got, err)
+		}
+	}
+}
+
+// TestIdlePairsStayDrained: no collective has every pair of ranks talk
+// (an Allreduce on 3 ranks runs down a tree rooted at 0, so ranks 1 and 2
+// exchange nothing), yet every rank probes every peer. The heartbeat
+// goroutine drains the socket of a peer no receive is reading from, so
+// probes never fill the socket buffers and block a probe's write past
+// its deadline: over a thousand intervals with the smallest buffers the
+// kernel allows and no receive at all, no connection fails, and the
+// world then still reduces.
+func TestIdlePairsStayDrained(t *testing.T) {
+	const interval = time.Millisecond
+	ts := makeWorld(t, 3, func(cfg *Config) {
+		cfg.HeartbeatInterval = interval
+		cfg.HeartbeatTimeout = 50 * interval
+	})
+	for _, tr := range ts {
+		for _, p := range tr.conns {
+			if p != nil {
+				c := p.c.(*net.TCPConn)
+				c.SetReadBuffer(1)
+				c.SetWriteBuffer(1)
+			}
+		}
+	}
+	time.Sleep(1000 * interval)
+	for r, tr := range ts {
+		for _, p := range tr.conns {
+			if p != nil && p.failed.Load() {
+				t.Fatalf("rank %d: the idle connection to rank %d failed: %v", r, p.peer, p.failure())
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c := mpi.NewComm(ts[rank], rank, len(ts), nil)
+			if got := c.Allreduce([]float64{1}, mpi.OpSum, mpi.ClassControl); got[0] != 3 {
+				t.Errorf("rank %d: the Allreduce gave %v, want 3", rank, got[0])
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+// TestFramesBeforeAFailedWriteArrive: a peer sends more than a receive
+// buffer holds and closes while nobody receives; our next probes fail to
+// write. A failed write closes only the write half, so every message the
+// peer sent still arrives, then its bye.
+func TestFramesBeforeAFailedWriteArrive(t *testing.T) {
+	const interval, n = 10 * time.Millisecond, 12
+	ts := makeWorld(t, 2, func(cfg *Config) {
+		cfg.HeartbeatInterval = interval
+		cfg.HeartbeatTimeout = time.Second
+	})
+	v := make([]float64, 1000) // 8 kB a message, 96 kB in all
+	for i := 0; i < n; i++ {
+		if err := ts[1].Send(0, mpi.Message{Seq: uint64(i), F64: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts[1].Close()
+	p := ts[0].conns[1]
+	for deadline := time.Now().Add(5 * time.Second); !p.failed.Load(); time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			t.Fatal("no probe to the closed peer failed")
+		}
+	}
+	for i := 0; i < n; i++ {
+		m, err := ts[0].Recv(1)
+		if err != nil || m.Seq != uint64(i) || len(m.F64) != len(v) {
+			t.Fatalf("message %d arrived as seq %d with %d values, %v", i, m.Seq, len(m.F64), err)
+		}
+	}
+	_, err := ts[0].Recv(1)
+	var pd *PeerDownError
+	if !errors.As(err, &pd) || pd.Peer != 1 || pd.Reason != "connection closed by peer" {
+		t.Fatalf("after the messages: %v, want the peer's bye", err)
+	}
+}
+
+// TestParkedReceiveStaysParked: a receive that parked is not woken into
+// a new polling budget by the heartbeats that arrive: it stays parked
+// until its message comes and counts as parked, and the wait costs the
+// process under half the CPU time it lasts, the budget included (which
+// the race detector stretches). Re-polling at each of the heartbeats
+// here, which come far faster than a budget runs out, would spin for all
+// of it.
+func TestParkedReceiveStaysParked(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const wait = 600 * time.Millisecond
+	ts := makeWorld(t, 2, func(cfg *Config) {
+		cfg.HeartbeatInterval = 2 * time.Millisecond
+		cfg.HeartbeatTimeout = time.Second
+	})
+	go func() {
+		time.Sleep(wait)
+		ts[1].Send(0, mpi.Message{Seq: 1})
+	}()
+	before := cpuTime(t)
+	m, err := ts[0].Recv(1)
+	used := cpuTime(t) - before
+	if err != nil || m.Seq != 1 {
+		t.Fatalf("received %+v, %v", m, err)
+	}
+	if parked := ts[0].Counters()[telemetry.RankRecvParked]; parked != 1 {
+		t.Errorf("%d receives counted as parked, want 1", parked)
+	}
+	if used > wait/2 {
+		t.Errorf("a receive that waited %v cost %v of CPU time", wait, used)
+	}
+}
+
+// cpuTime is the CPU time the process has used.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

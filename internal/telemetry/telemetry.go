@@ -346,8 +346,8 @@ const (
 	RankPoolBlocks                            // (kernel, block) items those dispatches carried
 	RankPoolWakes                             // parked workers a dispatch woke
 	RankPoolParks                             // times a worker's poll budget ran out and it parked
-	RankRecvPolled                            // in-process receives served by polling
-	RankRecvParked                            // in-process receives that parked (TCP receives are not counted)
+	RankRecvPolled                            // receives served by polling, in-process or over TCP
+	RankRecvParked                            // receives that parked, in-process or over TCP
 	RankPCacheHits                            // P-matrix cache hits
 	RankPCacheMisses                          // P-matrix cache misses
 	RankPCacheResets                          // P-matrix cache resets, each after a parameter change
@@ -439,8 +439,8 @@ var rankCounters = [NumRankCounters]struct {
 	RankPoolBlocks:         {key: "pool_blocks", help: "(Kernel, block) items the pool dispatches carried"},
 	RankPoolWakes:          {key: "pool_wakes", label: "wakes", line: RankEngineCalls, help: "Parked pool workers woken by a dispatch"},
 	RankPoolParks:          {key: "pool_parks", label: "parks", line: RankEngineCalls, help: "Times a pool worker's poll budget ran out and it parked"},
-	RankRecvPolled:         {key: "recv_polled", label: "receives polled", line: RankRecvPolled, help: "In-process receives served by polling the peer's channel"},
-	RankRecvParked:         {key: "recv_parked", label: "parked", line: RankRecvPolled, help: "In-process receives that parked on the peer's channel"},
+	RankRecvPolled:         {key: "recv_polled", label: "receives polled", line: RankRecvPolled, help: "Receives served by polling the peer's channel or socket"},
+	RankRecvParked:         {key: "recv_parked", label: "parked", line: RankRecvPolled, help: "Receives that parked on the peer's channel or socket"},
 	RankPCacheHits:         {key: "pcache_hits", help: "P-matrix cache hits"},
 	RankPCacheMisses:       {key: "pcache_misses", help: "P-matrix cache misses"},
 	RankPCacheResets:       {key: "pcache_resets", help: "P-matrix cache resets, each after a parameter change"},

@@ -59,14 +59,16 @@ func BlockBounds(b, n int) (lo, hi int) {
 }
 
 // Waiting. Every wait of an inference's hot path — an idle worker's for
-// the next job, the dispatcher's for the last item, an in-process rank's
-// for its peer's message (internal/mpi) — goes through Poll: it polls a
-// condition that costs about a nanosecond to read and touches only a
-// shared cache line, so a hand-off to a polling goroutine takes a cache
-// miss, where a parked one costs a futex round trip and a scheduler pass
-// on both sides, and on the 2-vCPU guest the repo is measured on often
-// much more: the kernel likes to put the woken thread on the waker's CPU,
-// and the two then share it until the next load balance
+// the next job, the dispatcher's for the last item, a rank's for its
+// peer's message (internal/mpi in-process, internal/mpinet over TCP) —
+// goes through Poll: it polls a condition that costs about a nanosecond
+// to read and touches only a shared cache line (a TCP receive reads its
+// socket on a few of its polls only), so a hand-off to a polling
+// goroutine takes a cache miss, where a parked one costs a futex round
+// trip and a scheduler pass on both sides, and on the 2-vCPU guest the
+// repo is measured on often much more: the kernel likes to put the
+// woken thread on the waker's CPU, and the two then share it until the
+// next load balance
 // (BenchmarkDispatch: parked against polling; docs/PERFORMANCE.md §6
 // "Waiting" has the rank-to-rank numbers). Two rules keep polling from
 // costing anybody else a processor, and a third keeps ranks from
@@ -123,8 +125,10 @@ func (h *Host) busy(now time.Duration) bool { return int64(now) < h.busyUntil.Lo
 // did. With a Host it also yields the CPU, gives up when that yield is
 // taken and opens a busy window, and inside a busy window calls ready
 // once. A false return means the caller should park: block on whatever
-// ready watches until someone wakes it. ready must be cheap and free of
-// side effects; Poll allocates nothing.
+// ready watches until someone wakes it. ready must be cheap, and Poll
+// may call it any number of times: a condition with a side effect (a TCP
+// receive's read of its socket) must report true once it has had one.
+// Poll allocates nothing.
 func Poll(ready func() bool, h *Host) bool {
 	if h != nil && h.busy(time.Since(epoch)) {
 		return ready()
