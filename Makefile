@@ -162,14 +162,15 @@ kernel-bce:
 # corpus and 10 s of mutation (ROADMAP 3c): the decoders of bytes a peer
 # sent (the traversal plans, a TCP data frame and a stream of frames, a
 # rendezvous hello and welcome) and of files a user hands in (PHYLIP,
-# partition files, Newick, checkpoints) must fail with an error, never a
-# panic, the frame parser must read the same frames however its bytes
-# arrive, a hello the
-# rendezvous coordinator admits must take a free seat of its world, a
-# submitted JobSpec the daemon accepts must meet every bound a worker
-# relies on, and the Γ site lanes of
-# every width the CPU runs must match the Go loops bit for bit with every
-# slice they touch against a PROT_NONE page (FuzzGammaLanes, linux/amd64).
+# partition files, Newick, checkpoints, a campaign manifest, JSONL
+# traces) must fail with an error, never a panic, a loaded manifest must
+# save and load back to itself, the frame parser must read the same
+# frames however its bytes arrive, a hello the rendezvous coordinator
+# admits must take a free seat of its world, a submitted JobSpec the
+# daemon accepts must meet every bound a worker relies on, and the Γ
+# site lanes of every width the CPU runs must match the Go loops bit for
+# bit with every slice they touch against a PROT_NONE page
+# (FuzzGammaLanes, linux/amd64).
 fuzz-smoke:
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeInsertPlan$$' -fuzztime 10s
 	$(GO) test ./internal/traversal -run '^$$' -fuzz '^FuzzDecodeDescriptor$$' -fuzztime 10s
@@ -186,6 +187,8 @@ fuzz-smoke:
 	$(GO) test ./internal/tree -run '^$$' -fuzz '^FuzzParseNewick$$' -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s
 	$(GO) test ./internal/service/client -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
+	$(GO) test ./internal/phyrun -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 10s
+	$(GO) test ./internal/phytrace -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s
 
 # smoke-alloc runs the parts-m-psr-fj shape through the fork-join binary
 # (seqgen 16 taxa × 20 genes × 100 bp, seed 5; raxml-light -m PSR -M -np 2

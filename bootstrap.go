@@ -152,15 +152,17 @@ func (r *LocalCampaignRunner) Run(ctx context.Context, t phyrun.Task) (*phyrun.T
 // of Newick trees over the same taxa, returning the consensus Newick and
 // the per-bipartition support fractions.
 func MajorityConsensus(newicks []string, minFraction float64) (string, []float64, error) {
-	var trees []*tree.Tree
+	splits := bootstrap.NewSplitCounter()
 	for i, nw := range newicks {
 		t, err := tree.ParseNewick(nw, 1)
 		if err != nil {
 			return "", nil, fmt.Errorf("examl: tree %d: %w", i, err)
 		}
-		trees = append(trees, t)
+		if _, err := splits.Add(t); err != nil {
+			return "", nil, err
+		}
 	}
-	cons, sup, err := bootstrap.Consensus(trees, minFraction)
+	cons, sup, err := splits.Consensus(len(newicks), minFraction)
 	if err != nil {
 		return "", nil, err
 	}

@@ -67,25 +67,6 @@ func Resample(d *msa.Dataset, rng *rand.Rand) (*msa.Dataset, error) {
 	return out, nil
 }
 
-// SupportValues returns, for every non-trivial bipartition of the
-// reference tree (in tree.Bipartitions order), the fraction of replicate
-// trees that contain it. It is the batch form of SplitCounter.
-func SupportValues(ref *tree.Tree, replicates []*tree.Tree) ([]float64, error) {
-	if len(replicates) == 0 {
-		return nil, fmt.Errorf("bootstrap: no replicate trees")
-	}
-	c := NewSplitCounter()
-	// Seed the taxon count from the reference so replicate mismatches
-	// are reported against it, as before.
-	c.nTaxa = ref.NTaxa()
-	for ri, r := range replicates {
-		if _, err := c.Add(r); err != nil {
-			return nil, fmt.Errorf("bootstrap: replicate %d has %d taxa, reference %d", ri, r.NTaxa(), ref.NTaxa())
-		}
-	}
-	return c.Support(ref)
-}
-
 // AnnotatedNewick renders the reference tree with integer percent support
 // values as inner-node labels — the standard "bestTree with support"
 // output format ((A,B)95:0.1, ...).

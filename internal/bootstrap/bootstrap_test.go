@@ -76,12 +76,10 @@ func TestResampleVaries(t *testing.T) {
 }
 
 func TestSupportValues(t *testing.T) {
-	taxa := []string{"A", "B", "C", "D", "E"}
 	ref, err := tree.ParseNewick("((A:1,B:1):1,(C:1,D:1):1,E:1);", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = taxa
 	same, err := tree.ParseNewick("((A:1,B:1):1,(C:1,D:1):1,E:1);", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +89,7 @@ func TestSupportValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := SupportValues(ref, []*tree.Tree{same, half})
+	sup, err := tableOf(t, same, half).Support(ref, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +108,16 @@ func TestSupportValues(t *testing.T) {
 
 func TestSupportValuesErrors(t *testing.T) {
 	ref, _ := tree.ParseNewick("((A:1,B:1):1,C:1,D:1);", 1)
-	if _, err := SupportValues(ref, nil); err == nil {
+	if _, err := NewSplitCounter().Support(ref, 0); err == nil {
 		t.Error("empty replicate set accepted")
 	}
 	small, _ := tree.ParseNewick("(A:1,B:1,C:1);", 1)
-	if _, err := SupportValues(ref, []*tree.Tree{small}); err == nil {
+	if _, err := tableOf(t, small).Support(ref, 1); err == nil {
 		t.Error("taxon-count mismatch accepted")
+	}
+	renamed, _ := tree.ParseNewick("((A:1,B:1):1,C:1,X:1);", 1)
+	if _, err := tableOf(t, renamed).Support(ref, 1); err == nil {
+		t.Error("taxon-name mismatch accepted")
 	}
 }
 

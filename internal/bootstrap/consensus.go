@@ -2,137 +2,91 @@ package bootstrap
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/tree"
 )
 
-// split is a counted bipartition during consensus construction.
-type split struct {
-	key   string
-	words []uint64
-	count int
-}
-
-// Consensus builds the majority-rule (extended) consensus of a set of
-// trees over the same taxa: bipartitions are ranked by frequency, and
+// Consensus builds the majority-rule (extended) consensus of the first
+// n replicates: their splits are ranked by frequency (ties by key), and
 // greedily added when compatible with everything accepted so far —
 // splits above 50% are always mutually compatible, so the plain
 // majority-rule consensus is a prefix of the greedy one. Branch lengths
 // carry no meaning and are set to tree.DefaultBranchLength; the returned
 // supports are the per-accepted-split frequencies aligned with the
 // consensus tree's Bipartitions order.
-func Consensus(trees []*tree.Tree, minFraction float64) (*tree.Tree, []float64, error) {
-	if len(trees) == 0 {
-		return nil, nil, fmt.Errorf("bootstrap: no trees for consensus")
-	}
-	ref := trees[0]
-	n := ref.NTaxa()
-	for i, t := range trees[1:] {
-		if t.NTaxa() != n {
-			return nil, nil, fmt.Errorf("bootstrap: tree %d has %d taxa, want %d", i+1, t.NTaxa(), n)
-		}
-		for j := range t.Taxa {
-			if t.Taxa[j] != ref.Taxa[j] {
-				return nil, nil, fmt.Errorf("bootstrap: tree %d taxon %d is %q, want %q", i+1, j, t.Taxa[j], ref.Taxa[j])
-			}
-		}
+func (c *SplitCounter) Consensus(n int, minFraction float64) (*tree.Tree, []float64, error) {
+	counts, err := c.counts(n)
+	if err != nil {
+		return nil, nil, err
 	}
 	if minFraction <= 0 {
 		minFraction = 0.5
 	}
-
-	seen := map[string]*split{}
-	for _, t := range trees {
-		for _, bp := range t.Bipartitions() {
-			k := bp.Key()
-			if s, ok := seen[k]; ok {
-				s.count++
-			} else {
-				seen[k] = &split{key: k, words: bipWords(bp, n), count: 1}
-			}
-		}
-	}
-	var candidates []*split
-	for _, s := range seen {
-		if float64(s.count) >= minFraction*float64(len(trees)) {
-			candidates = append(candidates, s)
+	var candidates []int
+	for id, k := range counts {
+		if float64(k) >= minFraction*float64(n) {
+			candidates = append(candidates, id)
 		}
 	}
 	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].count != candidates[j].count {
-			return candidates[i].count > candidates[j].count
+		a, b := candidates[i], candidates[j]
+		if counts[a] != counts[b] {
+			return counts[a] > counts[b]
 		}
-		return candidates[i].key < candidates[j].key // deterministic ties
+		return c.splits[a].Key() < c.splits[b].Key() // deterministic ties
 	})
 
 	// Greedy compatibility filter.
-	var accepted []*split
-	for _, c := range candidates {
+	var accepted []int
+	for _, id := range candidates {
 		ok := true
 		for _, a := range accepted {
-			if !compatible(c.words, a.words, n) {
+			if !compatible(c.splits[id].Words(), c.splits[a].Words()) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			accepted = append(accepted, c)
+			accepted = append(accepted, id)
 		}
 	}
 
 	// Build the consensus tree by refining a star tree: cluster taxa by
 	// accepted splits, largest splits first (so nesting works).
 	sort.Slice(accepted, func(i, j int) bool {
-		pi, pj := popcount(accepted[i].words), popcount(accepted[j].words)
-		if pi != pj {
-			return pi > pj
+		a, b := c.splits[accepted[i]], c.splits[accepted[j]]
+		if a.Size() != b.Size() {
+			return a.Size() > b.Size()
 		}
-		return accepted[i].key < accepted[j].key
+		return a.Key() < b.Key()
 	})
-	cons := buildFromSplits(ref.Taxa, accepted)
+	words := make([][]uint64, len(accepted))
+	isAccepted := make([]bool, len(c.splits))
+	for i, id := range accepted {
+		words[i] = c.splits[id].Words()
+		isAccepted[id] = true
+	}
+	cons := buildFromSplits(c.taxa, words)
 	if err := cons.Check(); err != nil {
 		return nil, nil, fmt.Errorf("bootstrap: consensus construction: %w", err)
 	}
 
-	// Align supports with the consensus tree's bipartition order.
-	freq := make(map[string]float64, len(accepted))
-	for _, a := range accepted {
-		freq[a.key] = float64(a.count) / float64(len(trees))
-	}
-	var supports []float64
-	for _, bp := range cons.Bipartitions() {
-		supports = append(supports, freq[bp.Key()])
+	// Align supports with the consensus tree's bipartition order; the
+	// arbitrary resolutions of multifurcations carry 0.
+	bips := cons.Bipartitions()
+	supports := make([]float64, len(bips))
+	for i, bp := range bips {
+		if id, ok := c.ids[bp.Key()]; ok && isAccepted[id] {
+			supports[i] = float64(counts[id]) / float64(n)
+		}
 	}
 	return cons, supports, nil
 }
 
-func bipWords(bp tree.Bipartition, n int) []uint64 {
-	// Re-derive the word representation from the key string.
-	key := bp.Key()
-	words := make([]uint64, (n+63)/64)
-	for i := range words {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w |= uint64(key[i*8+j]) << (8 * j)
-		}
-		words[i] = w
-	}
-	return words
-}
-
-func popcount(words []uint64) int {
-	t := 0
-	for _, w := range words {
-		t += bits.OnesCount64(w)
-	}
-	return t
-}
-
 // compatible reports whether two splits (both normalized to exclude taxon
 // 0) can coexist in one tree: A⊆B, B⊆A, or A∩B=∅.
-func compatible(a, b []uint64, n int) bool {
+func compatible(a, b []uint64) bool {
 	subAB, subBA, disjoint := true, true, true
 	for i := range a {
 		if a[i]&^b[i] != 0 {
@@ -155,14 +109,14 @@ func compatible(a, b []uint64, n int) bool {
 // binary tree type, multifurcations are resolved arbitrarily as
 // caterpillars of zero-support splits — callers must treat splits absent
 // from `accepted` as unsupported (support 0 in the returned alignment).
-func buildFromSplits(taxa []string, accepted []*split) *tree.Tree {
+func buildFromSplits(taxa []string, accepted [][]uint64) *tree.Tree {
 	n := len(taxa)
 	t := tree.New(taxa, 1)
 
 	// cluster is a set of taxa plus the splits scoped inside it.
 	type item struct {
-		members []int    // taxon ids
-		splits  []*split // splits whose 1-side is a strict subset of members
+		members []int      // taxon ids
+		splits  [][]uint64 // splits whose 1-side is a strict subset of members
 	}
 
 	nextInner := 0
@@ -178,19 +132,13 @@ func buildFromSplits(taxa []string, accepted []*split) *tree.Tree {
 		used := make(map[int]bool)
 		var groups []item
 		for si, s := range it.splits {
-			if s == nil {
-				continue
-			}
-			inside := membersOf(s.words, it.members)
+			inside := membersOf(s, it.members)
 			if len(inside) == 0 || used[inside[0]] {
 				continue
 			}
 			maximal := true
 			for sj, o := range it.splits {
-				if sj == si || o == nil {
-					continue
-				}
-				if strictSubset(s.words, o.words) {
+				if sj != si && strictSubset(s, o) {
 					maximal = false
 					break
 				}
@@ -199,9 +147,9 @@ func buildFromSplits(taxa []string, accepted []*split) *tree.Tree {
 				continue
 			}
 			// Collect the child splits scoped inside s.
-			var childSplits []*split
+			var childSplits [][]uint64
 			for sj, o := range it.splits {
-				if sj != si && o != nil && strictSubset(o.words, s.words) {
+				if sj != si && strictSubset(o, s) {
 					childSplits = append(childSplits, o)
 				}
 			}
@@ -238,10 +186,7 @@ func buildFromSplits(taxa []string, accepted []*split) *tree.Tree {
 	for i := 1; i < n; i++ {
 		rest = append(rest, i)
 	}
-	top := item{members: rest}
-	for _, s := range accepted {
-		top.splits = append(top.splits, s)
-	}
+	top := item{members: rest, splits: accepted}
 	sub := attach(top)
 	// sub's vertex chain root joins taxon 0 — but an unrooted binary tree
 	// needs the top join to be an inner vertex with 3 neighbors. `attach`

@@ -6,94 +6,106 @@ import (
 	"repro/internal/tree"
 )
 
-// SplitCounter incrementally accumulates bipartition occurrences across
-// replicate trees. It is the split-frequency machinery behind support
-// mapping and adaptive bootstopping: replicates are added one at a time
-// as they finish (in any order), each tree is walked exactly once, and
-// both whole-set frequencies and per-replicate membership stay
-// available for pseudo-half agreement tests.
+// SplitCounter is the one split table of a bootstrap analysis. It holds
+// every distinct non-trivial bipartition of the added replicate trees
+// once, under a dense id in first-seen order, and each replicate's list
+// of ids. Supports, the consensus and the bootstop statistic all read
+// it, each over a prefix of the replicates (the converged prefix of a
+// bootstopped campaign), so they count splits by id in slices and no
+// decision depends on a map's iteration order.
 type SplitCounter struct {
-	nTaxa   int
-	counts  map[string]int
-	perTree [][]string
+	taxa    []string
+	ids     map[string]int // Bipartition.Key → id; looked up, never ranged
+	splits  []tree.Bipartition
+	perTree [][]int
 }
 
-// NewSplitCounter returns an empty counter.
+// NewSplitCounter returns an empty table.
 func NewSplitCounter() *SplitCounter {
-	return &SplitCounter{counts: map[string]int{}}
+	return &SplitCounter{ids: map[string]int{}}
 }
 
 // Add records one replicate tree's non-trivial bipartitions and returns
-// the replicate's index. All trees must share a taxon count.
+// the replicate's index. Every tree must name the first tree's taxa in
+// the same order, since a split is a bit set over taxon indices.
 func (c *SplitCounter) Add(t *tree.Tree) (int, error) {
-	if c.nTaxa == 0 {
-		c.nTaxa = t.NTaxa()
-	} else if t.NTaxa() != c.nTaxa {
-		return 0, fmt.Errorf("bootstrap: replicate %d has %d taxa, want %d", len(c.perTree), t.NTaxa(), c.nTaxa)
+	if len(c.perTree) == 0 {
+		c.taxa = t.Taxa
+	} else if err := c.checkTaxa(t); err != nil {
+		return 0, fmt.Errorf("bootstrap: replicate %d has %w", len(c.perTree), err)
 	}
 	bps := t.Bipartitions()
-	keys := make([]string, 0, len(bps))
-	for _, bp := range bps {
+	ids := make([]int, len(bps))
+	for i, bp := range bps {
 		k := bp.Key()
-		keys = append(keys, k)
-		c.counts[k]++
+		id, ok := c.ids[k]
+		if !ok {
+			id = len(c.splits)
+			c.ids[k] = id
+			c.splits = append(c.splits, bp)
+		}
+		ids[i] = id
 	}
-	c.perTree = append(c.perTree, keys)
+	c.perTree = append(c.perTree, ids)
 	return len(c.perTree) - 1, nil
+}
+
+// checkTaxa reports how t's taxa differ from the table's.
+func (c *SplitCounter) checkTaxa(t *tree.Tree) error {
+	if t.NTaxa() != len(c.taxa) {
+		return fmt.Errorf("%d taxa, want %d", t.NTaxa(), len(c.taxa))
+	}
+	for i, name := range t.Taxa {
+		if name != c.taxa[i] {
+			return fmt.Errorf("taxon %d %q, want %q", i, name, c.taxa[i])
+		}
+	}
+	return nil
 }
 
 // Trees returns the number of replicates added.
 func (c *SplitCounter) Trees() int { return len(c.perTree) }
 
-// Count returns how many added replicates contain the split.
-func (c *SplitCounter) Count(key string) int { return c.counts[key] }
+// Splits returns the number of distinct splits: ids run 0..Splits()-1.
+func (c *SplitCounter) Splits() int { return len(c.splits) }
 
-// TreeSplits returns replicate i's split keys (shared slice — callers
+// TreeSplits returns replicate i's split ids (shared slice — callers
 // must not mutate it).
-func (c *SplitCounter) TreeSplits(i int) []string { return c.perTree[i] }
+func (c *SplitCounter) TreeSplits(i int) []int { return c.perTree[i] }
 
-// Support maps the accumulated frequencies onto the reference tree: for
-// every non-trivial bipartition of ref (in tree.Bipartitions order), the
-// fraction of added replicates containing it.
-func (c *SplitCounter) Support(ref *tree.Tree) ([]float64, error) {
-	if len(c.perTree) == 0 {
-		return nil, fmt.Errorf("bootstrap: no replicate trees")
-	}
-	if ref.NTaxa() != c.nTaxa {
-		return nil, fmt.Errorf("bootstrap: reference has %d taxa, replicates %d", ref.NTaxa(), c.nTaxa)
-	}
-	refBips := ref.Bipartitions()
-	out := make([]float64, len(refBips))
-	for i, bp := range refBips {
-		out[i] = float64(c.counts[bp.Key()]) / float64(len(c.perTree))
-	}
-	return out, nil
-}
-
-// PrefixSupport is Support restricted to the first n added replicates —
-// the converged prefix of a bootstopped campaign. It recounts from the
-// per-replicate membership lists, so supports over a prefix are exact
-// regardless of how many further replicates were added speculatively.
-func (c *SplitCounter) PrefixSupport(ref *tree.Tree, n int) ([]float64, error) {
+// counts returns, by split id, how many of the first n replicates hold
+// each split.
+func (c *SplitCounter) counts(n int) ([]int, error) {
 	if n <= 0 || n > len(c.perTree) {
-		return nil, fmt.Errorf("bootstrap: prefix %d of %d replicates", n, len(c.perTree))
+		return nil, fmt.Errorf("bootstrap: %d of %d replicate trees", n, len(c.perTree))
 	}
-	if n == len(c.perTree) {
-		return c.Support(ref)
-	}
-	if ref.NTaxa() != c.nTaxa {
-		return nil, fmt.Errorf("bootstrap: reference has %d taxa, replicates %d", ref.NTaxa(), c.nTaxa)
-	}
-	counts := map[string]int{}
-	for i := 0; i < n; i++ {
-		for _, k := range c.perTree[i] {
-			counts[k]++
+	counts := make([]int, len(c.splits))
+	for _, ids := range c.perTree[:n] {
+		for _, id := range ids {
+			counts[id]++
 		}
 	}
+	return counts, nil
+}
+
+// Support maps the first n replicates' split frequencies onto the
+// reference tree: for every non-trivial bipartition of ref (in
+// tree.Bipartitions order), the fraction of those replicates holding it.
+// Replicates added beyond n do not reach the result.
+func (c *SplitCounter) Support(ref *tree.Tree, n int) ([]float64, error) {
+	counts, err := c.counts(n)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.checkTaxa(ref); err != nil {
+		return nil, fmt.Errorf("bootstrap: reference has %w", err)
+	}
 	refBips := ref.Bipartitions()
 	out := make([]float64, len(refBips))
 	for i, bp := range refBips {
-		out[i] = float64(counts[bp.Key()]) / float64(n)
+		if id, ok := c.ids[bp.Key()]; ok {
+			out[i] = float64(counts[id]) / float64(n)
+		}
 	}
 	return out, nil
 }

@@ -31,7 +31,7 @@ func TestFourTaxonSupport(t *testing.T) {
 		t.Fatalf("4-taxon tree has %d non-trivial bipartitions, want 1", n)
 	}
 	// Reference AB|CD against replicates {AB, AB, AC, AD}: support 2/4.
-	sup, err := SupportValues(ab, []*tree.Tree{ab.Clone(), ab.Clone(), ac, ad})
+	sup, err := tableOf(t, ab.Clone(), ab.Clone(), ac, ad).Support(ab, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestFourTaxonConsensusIdenticalReplicates(t *testing.T) {
 		t.Fatalf("supports = %v, want [1]", sup)
 	}
 	// And the support mapping agrees.
-	sv, err := SupportValues(ab, trees)
+	sv, err := tableOf(t, trees...).Support(ab, len(trees))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sv[0] != 1.0 {
-		t.Fatalf("SupportValues = %v, want [1]", sv)
+		t.Fatalf("Support = %v, want [1]", sv)
 	}
 }
 
@@ -151,17 +151,12 @@ func TestConsensusResolutionTieDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitCounterMatchesSupportValues(t *testing.T) {
-	// Incremental accumulation must agree exactly with the batch form.
-	taxa := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
-	ref := tree.NewRandom(taxa, 1, rand.New(rand.NewSource(41)))
+func TestSplitCounterPrefixSupport(t *testing.T) {
+	taxa := []string{"A", "B", "C", "D", "E", "F"}
+	ref := tree.NewRandom(taxa, 1, rand.New(rand.NewSource(7)))
 	var reps []*tree.Tree
-	for i := int64(0); i < 9; i++ {
-		reps = append(reps, tree.NewRandom(taxa, 1, rand.New(rand.NewSource(100+i))))
-	}
-	batch, err := SupportValues(ref, reps)
-	if err != nil {
-		t.Fatal(err)
+	for i := int64(0); i < 8; i++ {
+		reps = append(reps, tree.NewRandom(taxa, 1, rand.New(rand.NewSource(200+i))))
 	}
 	c := NewSplitCounter()
 	for i, r := range reps {
@@ -176,41 +171,11 @@ func TestSplitCounterMatchesSupportValues(t *testing.T) {
 	if c.Trees() != len(reps) {
 		t.Fatalf("Trees() = %d, want %d", c.Trees(), len(reps))
 	}
-	inc, err := c.Support(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inc) != len(batch) {
-		t.Fatalf("support lengths differ: %d vs %d", len(inc), len(batch))
-	}
-	for i := range inc {
-		if inc[i] != batch[i] {
-			t.Fatalf("support %d differs: incremental %g, batch %g", i, inc[i], batch[i])
-		}
-	}
-}
-
-func TestSplitCounterPrefixSupport(t *testing.T) {
-	taxa := []string{"A", "B", "C", "D", "E", "F"}
-	ref := tree.NewRandom(taxa, 1, rand.New(rand.NewSource(7)))
-	var reps []*tree.Tree
-	for i := int64(0); i < 8; i++ {
-		reps = append(reps, tree.NewRandom(taxa, 1, rand.New(rand.NewSource(200+i))))
-	}
-	c := NewSplitCounter()
-	for _, r := range reps {
-		if _, err := c.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Prefix supports must equal batch supports over exactly that prefix,
-	// untouched by the speculative tail.
+	// Supports over a prefix must equal the brute-force count over
+	// exactly that prefix, untouched by the speculative tail.
 	for n := 1; n <= len(reps); n++ {
-		want, err := SupportValues(ref, reps[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.PrefixSupport(ref, n)
+		want := supportOracle(ref, reps[:n])
+		got, err := c.Support(ref, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +185,26 @@ func TestSplitCounterPrefixSupport(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.PrefixSupport(ref, 0); err == nil {
+	if _, err := c.Support(ref, 0); err == nil {
 		t.Error("prefix 0 accepted")
 	}
-	if _, err := c.PrefixSupport(ref, len(reps)+1); err == nil {
+	if _, err := c.Support(ref, len(reps)+1); err == nil {
 		t.Error("prefix beyond the added replicates accepted")
+	}
+}
+
+// TestSplitCounterIDs: each distinct split has one id, dense in
+// first-seen order, and a replicate's ids name its own splits.
+func TestSplitCounterIDs(t *testing.T) {
+	ab, ac, _ := fourTaxonTrees(t)
+	c := tableOf(t, ab, ac, ab.Clone())
+	if c.Splits() != 2 {
+		t.Fatalf("Splits() = %d, want 2", c.Splits())
+	}
+	for i, want := range []int{0, 1, 0} {
+		if got := c.TreeSplits(i); len(got) != 1 || got[0] != want {
+			t.Fatalf("replicate %d has ids %v, want [%d]", i, got, want)
+		}
 	}
 }
 
@@ -241,11 +221,24 @@ func TestSplitCounterErrors(t *testing.T) {
 	if _, err := c.Add(small); err == nil {
 		t.Error("taxon-count mismatch accepted")
 	}
-	if _, err := c.Support(small); err == nil {
+	renamed, err := tree.ParseNewick("((A:1,B:1):1,C:1,X:1);", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Add(renamed); err == nil {
+		t.Error("taxon-name mismatch accepted")
+	}
+	if c.Trees() != 1 {
+		t.Errorf("refused replicates were counted: Trees() = %d", c.Trees())
+	}
+	if _, err := c.Support(small, 1); err == nil {
 		t.Error("reference taxon mismatch accepted")
 	}
 	empty := NewSplitCounter()
-	if _, err := empty.Support(a); err == nil {
+	if _, err := empty.Support(a, 0); err == nil {
 		t.Error("empty counter produced supports")
+	}
+	if _, _, err := empty.Consensus(0, 0.5); err == nil {
+		t.Error("empty counter produced a consensus")
 	}
 }

@@ -1,7 +1,7 @@
 // Package mpi is an in-process message-passing runtime standing in for MPI:
 // ranks are goroutines, point-to-point transport is Go channels, and the
-// collectives the two parallelization schemes need (Barrier, Bcast, Reduce,
-// Allreduce, Gatherv, Scatterv) are implemented with deterministic binomial
+// collectives the two parallelization schemes need (Barrier, Bcast and
+// BcastBytes, Reduce, Allreduce) are implemented with deterministic binomial
 // trees.
 //
 // Two properties are load-bearing for the reproduction:

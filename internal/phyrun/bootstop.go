@@ -56,49 +56,48 @@ func (c BootstopConfig) converged(sc *bootstrap.SplitCounter, n int, campaignSee
 	if n < 2 {
 		return false // a pseudo-half needs at least one replicate
 	}
+	return c.statistic(sc, n, campaignSeed) <= c.Cutoff
+}
+
+// statistic is the pseudo-halves' mean absolute split-frequency
+// difference over the union of splits either half holds, averaged over
+// the permutations. Each permutation counts its halves by split id and
+// sums |c1 − c2| as an integer, then divides once, so its term is exact
+// up to that one rounding; the terms are added in permutation order, and
+// the value depends on no map's iteration order.
+func (c BootstopConfig) statistic(sc *bootstrap.SplitCounter, n int, campaignSeed int64) float64 {
 	half := n / 2
 	checkSeed := DeriveSeed(campaignSeed, streamBootstopPerm, n)
+	c1 := make([]int, sc.Splits())
+	c2 := make([]int, sc.Splits())
 	var total float64
 	for p := 0; p < c.Permutations; p++ {
 		rng := rand.New(rand.NewSource(DeriveSeed(checkSeed, streamBootstopPerm, p)))
 		idx := rng.Perm(n)
-		// Count split occurrences per pseudo-half (odd n: the leftover
-		// replicate joins neither half, keeping the halves comparable).
-		f1 := map[string]int{}
-		f2 := map[string]int{}
-		for i := 0; i < half; i++ {
-			for _, k := range sc.TreeSplits(idx[i]) {
-				f1[k]++
+		clear(c1)
+		clear(c2)
+		// Odd n: the leftover replicate joins neither half, keeping the
+		// halves comparable.
+		for i, r := range idx[:2*half] {
+			h := c1
+			if i >= half {
+				h = c2
+			}
+			for _, id := range sc.TreeSplits(r) {
+				h[id]++
 			}
 		}
-		for i := half; i < 2*half; i++ {
-			for _, k := range sc.TreeSplits(idx[i]) {
-				f2[k]++
+		sum, union := 0, 0
+		for id := range c1 {
+			if c1[id]+c2[id] > 0 {
+				union++
+				sum += max(c1[id]-c2[id], c2[id]-c1[id])
 			}
 		}
-		// Mean |f1−f2| over the union of splits seen in either half.
-		union := map[string]struct{}{}
-		for k := range f1 {
-			union[k] = struct{}{}
-		}
-		for k := range f2 {
-			union[k] = struct{}{}
-		}
-		if len(union) == 0 {
+		if union == 0 {
 			continue // star trees only; nothing to disagree on
 		}
-		var d float64
-		for k := range union {
-			d += abs(float64(f1[k])/float64(half) - float64(f2[k])/float64(half))
-		}
-		total += d / float64(len(union))
+		total += float64(sum) / float64(half*union)
 	}
-	return total/float64(c.Permutations) <= c.Cutoff
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return total / float64(c.Permutations)
 }

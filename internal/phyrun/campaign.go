@@ -81,7 +81,6 @@ type run struct {
 	reps     []Task
 	startRes []*TaskResult
 	repRes   []*TaskResult
-	repTrees []*tree.Tree
 
 	nextStart int // claim pointer over starts
 	nextRep   int // claim pointer over replicates
@@ -89,8 +88,9 @@ type run struct {
 	// convergedAt is the verdict (0 = none yet).
 	nextCk      int
 	convergedAt int
-	counter     *bootstrap.SplitCounter
-	fed         int // replicates fed to counter (contiguous index prefix)
+	// counter is the split table of the contiguous index prefix of
+	// finished replicates.
+	counter *bootstrap.SplitCounter
 
 	inFlight int
 	err      error
@@ -138,26 +138,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	r := &run{
-		cfg:      cfg,
-		man:      man,
-		startRes: make([]*TaskResult, plan.Starts()),
-		repRes:   make([]*TaskResult, plan.Replicates),
-		repTrees: make([]*tree.Tree, plan.Replicates),
-		counter:  bootstrap.NewSplitCounter(),
-	}
-	r.cond = sync.NewCond(&r.mu)
-	for _, t := range plan.Tasks() {
-		if t.Kind == TaskStart {
-			r.starts = append(r.starts, t)
-		} else {
-			r.reps = append(r.reps, t)
-		}
-	}
-	if plan.Bootstop != nil {
-		r.bs = plan.Bootstop.withDefaults()
-		r.nextCk = r.bs.CheckEvery
-	}
+	r := newRun(cfg, man)
 
 	// Prefill finished tasks from the manifest and re-evaluate the
 	// bootstop checkpoints they cover, so a resumed campaign claims
@@ -233,6 +214,31 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return r.assemble(logf)
 }
 
+// newRun returns the scheduling state of a campaign with nothing done.
+func newRun(cfg Config, man *Manifest) *run {
+	plan := cfg.Plan
+	r := &run{
+		cfg:      cfg,
+		man:      man,
+		startRes: make([]*TaskResult, plan.Starts()),
+		repRes:   make([]*TaskResult, plan.Replicates),
+		counter:  bootstrap.NewSplitCounter(),
+	}
+	r.cond = sync.NewCond(&r.mu)
+	for _, t := range plan.Tasks() {
+		if t.Kind == TaskStart {
+			r.starts = append(r.starts, t)
+		} else {
+			r.reps = append(r.reps, t)
+		}
+	}
+	if plan.Bootstop != nil {
+		r.bs = plan.Bootstop.withDefaults()
+		r.nextCk = r.bs.CheckEvery
+	}
+	return r
+}
+
 // claimLocked hands out the next eligible task: starts in index order,
 // then replicates inside the current dispatch window.
 func (r *run) claimLocked() (Task, bool) {
@@ -275,21 +281,25 @@ func (r *run) windowLocked() int {
 	return w
 }
 
-// feedLocked advances the split counter over the contiguous prefix of
-// finished replicates and evaluates every checkpoint the prefix now
-// covers. Checkpoints consume replicates strictly in index order, so
-// the verdict is identical at any concurrency.
+// feedLocked parses the finished replicates that extend the contiguous
+// index prefix into the split table and evaluates every checkpoint the
+// prefix now covers. Checkpoints consume replicates strictly in index
+// order, so the verdict is identical at any concurrency.
 func (r *run) feedLocked() error {
-	for r.fed < len(r.repTrees) && r.repTrees[r.fed] != nil {
-		if _, err := r.counter.Add(r.repTrees[r.fed]); err != nil {
+	for i := r.counter.Trees(); i < len(r.repRes) && r.repRes[i] != nil; i++ {
+		t, err := tree.ParseNewick(r.repRes[i].Tree, 1)
+		if err != nil {
+			return fmt.Errorf("phyrun: task %s holds an unparsable tree: %w", r.reps[i].ID(), err)
+		}
+		if _, err := r.counter.Add(t); err != nil {
 			return err
 		}
-		r.fed++
 	}
+	fed := r.counter.Trees()
 	if r.cfg.Plan.Bootstop == nil || r.convergedAt > 0 {
 		return nil
 	}
-	for r.nextCk <= len(r.reps) && r.fed >= r.nextCk {
+	for r.nextCk <= len(r.reps) && fed >= r.nextCk {
 		if r.bs.converged(r.counter, r.nextCk, r.cfg.Plan.Seed) {
 			r.convergedAt = r.nextCk
 			r.cfg.Metrics.bootstopConverged(r.nextCk)
@@ -304,33 +314,16 @@ func (r *run) feedLocked() error {
 func (r *run) prefill() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	restore := func(t Task) error {
-		rec := r.man.Tasks[t.ID()]
-		if rec == nil || rec.State != "done" || rec.Result == nil {
-			return nil // missing or failed: re-run
-		}
-		if t.Kind == TaskStart {
-			r.startRes[t.Index] = rec.Result
-			return nil
-		}
-		parsed, err := tree.ParseNewick(rec.Result.Tree, 1)
-		if err != nil {
-			return fmt.Errorf("phyrun: manifest task %s holds an unparsable tree: %w", t.ID(), err)
-		}
-		r.repRes[t.Index] = rec.Result
-		r.repTrees[t.Index] = parsed
-		return nil
-	}
-	for _, t := range r.starts {
-		if err := restore(t); err != nil {
-			return err
+	restore := func(tasks []Task, results []*TaskResult) {
+		for _, t := range tasks {
+			// A missing or failed task is left to run again.
+			if rec := r.man.Tasks[t.ID()]; rec != nil && rec.State == "done" && rec.Result != nil {
+				results[t.Index] = rec.Result
+			}
 		}
 	}
-	for _, t := range r.reps {
-		if err := restore(t); err != nil {
-			return err
-		}
-	}
+	restore(r.starts, r.startRes)
+	restore(r.reps, r.repRes)
 	return r.feedLocked()
 }
 
@@ -354,12 +347,7 @@ func (r *run) execute(ctx context.Context, t Task) {
 		if t.Kind == TaskStart {
 			r.startRes[t.Index] = res
 		} else {
-			parsed, perr := tree.ParseNewick(res.Tree, 1)
-			if perr != nil && r.err == nil {
-				r.err = fmt.Errorf("phyrun: task %s returned an unparsable tree: %w", t.ID(), perr)
-			}
 			r.repRes[t.Index] = res
-			r.repTrees[t.Index] = parsed
 			if ferr := r.feedLocked(); ferr != nil && r.err == nil {
 				r.err = ferr
 			}
@@ -429,7 +417,7 @@ func (r *run) assemble(logf func(string, ...any)) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("phyrun: best tree unparsable: %w", err)
 	}
-	supports, err := r.counter.PrefixSupport(ref, nUsed)
+	supports, err := r.counter.Support(ref, nUsed)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +425,7 @@ func (r *run) assemble(logf func(string, ...any)) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cons, consSup, err := bootstrap.Consensus(r.repTrees[:nUsed], 0.5)
+	cons, consSup, err := r.counter.Consensus(nUsed, 0.5)
 	if err != nil {
 		return nil, err
 	}

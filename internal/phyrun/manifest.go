@@ -92,7 +92,7 @@ func (m *Manifest) verify(plan Plan, datasetDigest string) error {
 // save writes the manifest atomically (temp file + rename in the target
 // directory), so a crash mid-write never corrupts the resume state.
 func (m *Manifest) save(path string) error {
-	raw, err := json.MarshalIndent(m.sorted(), "", "  ")
+	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("phyrun: encoding manifest: %w", err)
 	}
@@ -117,16 +117,12 @@ func (m *Manifest) save(path string) error {
 	return nil
 }
 
-// sorted returns a shallow copy whose JSON encodes deterministically.
-// (Map keys are already sorted by encoding/json; this exists so future
-// slice-valued fields have one place to normalize.)
-func (m *Manifest) sorted() *Manifest { return m }
-
-// doneTasks lists the IDs of completed tasks, sorted, for logging.
+// doneTasks lists the IDs of completed tasks, sorted, for logging. A
+// null record (an edited file) is a missing one.
 func (m *Manifest) doneTasks() []string {
 	var ids []string
 	for id, rec := range m.Tasks {
-		if rec.State == "done" {
+		if rec != nil && rec.State == "done" {
 			ids = append(ids, id)
 		}
 	}

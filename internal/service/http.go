@@ -328,8 +328,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if len(evs) > 0 {
 			fl.Flush()
 		}
-		if state.Terminal() && len(evs) == 0 {
-			return
+		if state.Terminal() {
+			if len(evs) == 0 {
+				return
+			}
+			// Read again rather than wait: a job that sent its terminal
+			// event in this snapshot may never notify again.
+			continue
 		}
 		select {
 		case <-notify:

@@ -3,9 +3,11 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,80 @@ func TestSubmitStatusCancelLifecycle(t *testing.T) {
 	if code != http.StatusConflict || res["error"].(map[string]any)["code"] != "job_canceled" {
 		t.Fatalf("result after cancel: %d %v", code, res)
 	}
+
+	// The SSE feed of the terminal job ends once it has sent every event,
+	// and sends what /events returns: the same sequence numbers as SSE
+	// ids, the same payloads.
+	code, evs = doJSON(t, "GET", hs.URL+"/api/v1/jobs/"+id+"/events", "")
+	if code != http.StatusOK {
+		t.Fatalf("events: %d", code)
+	}
+	events, _ = evs["events"].([]any)
+	if len(events) < 2 || events[len(events)-1].(map[string]any)["type"] != "canceled" {
+		t.Fatalf("events of a canceled job: %v", evs)
+	}
+	stream := readStream(t, hs.URL+"/api/v1/jobs/"+id+"/stream", "")
+	if len(stream) != len(events) {
+		t.Fatalf("stream sent %d events, /events returns %d", len(stream), len(events))
+	}
+	for i, fr := range stream {
+		ev := events[i].(map[string]any)
+		if fr.id != fmt.Sprint(ev["seq"]) || !reflect.DeepEqual(fr.data, ev) {
+			t.Fatalf("stream event %d is id %s %v, /events has %v", i, fr.id, fr.data, ev)
+		}
+	}
+	// A Last-Event-ID resume starts after that id.
+	resumed := readStream(t, hs.URL+"/api/v1/jobs/"+id+"/stream", stream[0].id)
+	if !reflect.DeepEqual(resumed, stream[1:]) {
+		t.Fatalf("resume after id %s sent %v, want %v", stream[0].id, resumed, stream[1:])
+	}
+}
+
+// sseFrame is one event of a job's SSE feed: its id and decoded data.
+type sseFrame struct {
+	id   string
+	data map[string]any
+}
+
+// readStream reads a job's SSE feed to its end, resuming after lastID
+// when it is set.
+func readStream(t *testing.T, url, lastID string) []sseFrame {
+	t.Helper()
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+		t.Fatalf("stream: %d %s", resp.StatusCode, ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []sseFrame
+	for _, block := range strings.Split(strings.TrimSuffix(string(body), "\n\n"), "\n\n") {
+		if block == "" {
+			continue
+		}
+		id, data, ok := strings.Cut(block, "\n")
+		if !ok || !strings.HasPrefix(id, "id: ") || !strings.HasPrefix(data, "data: ") {
+			t.Fatalf("malformed SSE frame %q", block)
+		}
+		fr := sseFrame{id: strings.TrimPrefix(id, "id: ")}
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(data, "data: ")), &fr.data); err != nil {
+			t.Fatalf("SSE data %q: %v", data, err)
+		}
+		frames = append(frames, fr)
+	}
+	return frames
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 // splits compare equal as byte strings).
 type Bipartition struct {
 	words []uint64
-	n     int
 }
 
 // Key returns a comparable string key for map lookups.
@@ -23,6 +22,11 @@ func (b Bipartition) Key() string {
 	}
 	return string(buf)
 }
+
+// Words returns the one side (the side not containing taxon 0) as a bit
+// set over taxon indices, 64 taxa a word. The slice is shared: callers
+// must not mutate it.
+func (b Bipartition) Words() []uint64 { return b.words }
 
 // Size returns the number of taxa on the one side (the side not containing
 // taxon 0).
@@ -44,7 +48,7 @@ func (t *Tree) Bipartitions() []Bipartition {
 		if e.IsTip() || e.Back.IsTip() {
 			continue
 		}
-		bp := Bipartition{words: make([]uint64, words), n: n}
+		bp := Bipartition{words: make([]uint64, words)}
 		for _, taxon := range SubtreeTaxa(e) {
 			bp.words[taxon/64] |= 1 << (taxon % 64)
 		}
