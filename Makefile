@@ -354,10 +354,12 @@ smoke-trace:
 # smoke-phyrun exercises the campaign orchestrator's resume contract
 # (docs/ORCHESTRATOR.md): run a small multi-start + bootstrap campaign
 # to completion, run the same campaign again but kill the process after
-# 3 durable tasks (-die-after-tasks exits 7), resume it from the
-# manifest at a different worker count, and require every tree output
-# (best tree, supports, consensus, replicates) byte-identical between
-# the interrupted-and-resumed run and the uninterrupted one.
+# 3 durable tasks (-die-after-tasks exits 7), try to resume it with
+# another -iter (refused: the manifest pins the inputs digest, and stays
+# byte-unchanged), resume it from the manifest at a different worker
+# count, and require every output (best tree, supports, consensus,
+# replicates, campaign.json) byte-identical between the
+# interrupted-and-resumed run and the uninterrupted one.
 smoke-phyrun:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/ ./cmd/phyrun && \
@@ -369,13 +371,18 @@ smoke-phyrun:
 		-n $$tmp/res -campaign $$tmp/res.campaign.manifest \
 		-die-after-tasks 3 >/dev/null 2>&1; \
 	  test $$? -eq 7; } && \
+	cp $$tmp/res.campaign.manifest $$tmp/killed.manifest && \
+	! $$tmp/phyrun -sim-taxa 8 -sim-genelen 60 -sim-seed 33 -p 7 \
+		-starts 2 -parsimony-starts 1 -bootstrap 4 -iter 3 -workers 2 \
+		-n $$tmp/res -campaign $$tmp/res.campaign.manifest >/dev/null 2>&1 && \
+	cmp $$tmp/killed.manifest $$tmp/res.campaign.manifest && \
 	$$tmp/phyrun -sim-taxa 8 -sim-genelen 60 -sim-seed 33 -p 7 \
 		-starts 2 -parsimony-starts 1 -bootstrap 4 -iter 2 -workers 4 \
 		-n $$tmp/res -campaign $$tmp/res.campaign.manifest >/dev/null 2>&1 && \
-	for f in bestTree support consensus bootstraps; do \
-		cmp $$tmp/full.$$f.nwk $$tmp/res.$$f.nwk || exit 1; \
+	for f in bestTree.nwk support.nwk consensus.nwk bootstraps.nwk campaign.json; do \
+		cmp $$tmp/full.$$f $$tmp/res.$$f || exit 1; \
 	done && \
-	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
+	echo "smoke-phyrun: kill-and-resume campaign bit-identical, resume with other inputs refused OK"
 
 ci: fmt vet build test bench-e2e-smoke kernel-bce fuzz-smoke race smoke-net smoke-threads smoke-ranks smoke-trace smoke-phyrun smoke-alloc
 

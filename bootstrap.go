@@ -48,7 +48,9 @@ type BootstrapOptions struct {
 	AutoStop       bool
 	AutoStopEvery  int
 	AutoStopCutoff float64
-	// ManifestPath makes the run resumable (docs/ORCHESTRATOR.md).
+	// ManifestPath makes the run resumable (docs/ORCHESTRATOR.md). The
+	// manifest pins CampaignDigest(d, cfg): a resume with other data or
+	// another search configuration is refused.
 	ManifestPath string
 }
 
@@ -92,6 +94,7 @@ func BootstrapWithOptions(d *Dataset, cfg Config, replicates int, opts Bootstrap
 		Runner:       &LocalCampaignRunner{Dataset: d, Config: cfg},
 		Workers:      opts.Workers,
 		ManifestPath: opts.ManifestPath,
+		InputsDigest: CampaignDigest(d, cfg),
 	})
 	if err != nil {
 		return nil, err

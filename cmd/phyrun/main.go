@@ -16,7 +16,8 @@
 //	-autostop       stop bootstrapping at the frequency criterion
 //	-backend        local (in-process pool) or service (examld daemon)
 //	-campaign FILE  resumable manifest: a killed run re-runs only
-//	                missing tasks
+//	                missing tasks; a resume with other inputs (data,
+//	                -np, -iter, …) is refused
 //	-n PREFIX       outputs: PREFIX.bestTree.nwk, PREFIX.support.nwk,
 //	                PREFIX.consensus.nwk, PREFIX.bootstraps.nwk,
 //	                PREFIX.campaign.json
@@ -29,7 +30,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,6 +42,7 @@ import (
 	examl "repro"
 	"repro/internal/metrics"
 	"repro/internal/phyrun"
+	"repro/internal/service"
 	"repro/internal/service/client"
 )
 
@@ -141,17 +142,22 @@ func run(a runArgs) error {
 		return err
 	}
 
-	// Materialize the dataset description once: both backends and the
-	// manifest digest derive from the same bytes.
-	var (
-		phylip, partitions string
-		sim                *client.SimulateSpec
-	)
+	// The task template, described once: the service backend submits
+	// it per task, and the local backend and the manifest's inputs
+	// digest take their dataset and Config from the translation the
+	// service workers run on it.
+	spec := client.JobSpec{
+		Ranks:         a.ranks,
+		Threads:       a.threads,
+		MaxIterations: a.iters,
+		Epsilon:       a.epsilon,
+		SPRRadius:     a.radius,
+	}
 	if a.simTaxa > 0 {
 		if a.alignPath != "" {
 			return fmt.Errorf("use either -s or -sim-taxa, not both")
 		}
-		sim = &client.SimulateSpec{Taxa: a.simTaxa, Partitions: a.simParts, GeneLength: a.simLen, Seed: a.simSeed}
+		spec.Simulate = &client.SimulateSpec{Taxa: a.simTaxa, Partitions: a.simParts, GeneLength: a.simLen, Seed: a.simSeed}
 	} else {
 		if a.alignPath == "" {
 			return fmt.Errorf("an alignment is required (-s, or -sim-taxa to simulate)")
@@ -160,20 +166,44 @@ func run(a runArgs) error {
 		if err != nil {
 			return err
 		}
-		phylip = string(raw)
+		spec.Phylip = string(raw)
 		if a.partPath != "" {
 			raw, err := os.ReadFile(a.partPath)
 			if err != nil {
 				return err
 			}
-			partitions = string(raw)
+			spec.Partitions = string(raw)
 		}
 	}
-	datasetDigest := digestDataset(phylip, partitions, sim)
 
-	runner, err := buildRunner(a, phylip, partitions, sim)
-	if err != nil {
-		return err
+	var runner phyrun.Runner
+	switch a.backend {
+	case "local":
+		// Built below, over the translated inputs.
+	case "service":
+		if a.serviceURL == "" {
+			return fmt.Errorf("-backend service needs -service URL")
+		}
+		label := a.label
+		if label == "" {
+			label = fmt.Sprintf("phyrun-%d", a.seed)
+		}
+		runner = &phyrun.ServiceRunner{Client: client.New(a.serviceURL), Base: spec, Campaign: label}
+	default:
+		return fmt.Errorf("unknown backend %q (want local or service)", a.backend)
+	}
+	var inputsDigest string
+	if runner == nil || a.manifestPath != "" {
+		d, cfg, err := service.JobInputs(&spec)
+		if err != nil {
+			return err
+		}
+		if runner == nil {
+			runner = &examl.LocalCampaignRunner{Dataset: d, Config: cfg}
+		}
+		if a.manifestPath != "" {
+			inputsDigest = examl.CampaignDigest(d, cfg)
+		}
 	}
 
 	reg := metrics.NewRegistry()
@@ -201,86 +231,19 @@ func run(a runArgs) error {
 	}
 
 	res, err := phyrun.Run(context.Background(), phyrun.Config{
-		Plan:          plan,
-		Runner:        runner,
-		Workers:       a.workers,
-		ManifestPath:  a.manifestPath,
-		DatasetDigest: datasetDigest,
-		Logf:          log.Printf,
-		Metrics:       m,
-		OnTaskDone:    onDone,
+		Plan:         plan,
+		Runner:       runner,
+		Workers:      a.workers,
+		ManifestPath: a.manifestPath,
+		InputsDigest: inputsDigest,
+		Logf:         log.Printf,
+		Metrics:      m,
+		OnTaskDone:   onDone,
 	})
 	if err != nil {
 		return err
 	}
 	return report(a.name, plan, res)
-}
-
-// buildRunner picks the task backend.
-func buildRunner(a runArgs, phylip, partitions string, sim *client.SimulateSpec) (phyrun.Runner, error) {
-	switch a.backend {
-	case "local":
-		var (
-			d   *examl.Dataset
-			err error
-		)
-		if sim != nil {
-			d, err = examl.Simulate(sim.Taxa, sim.Partitions, sim.GeneLength, sim.Seed)
-		} else {
-			d, err = examl.LoadPhylip(strings.NewReader(phylip), partitions)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &examl.LocalCampaignRunner{
-			Dataset: d,
-			Config: examl.Config{
-				Scheme:        examl.Decentralized,
-				Ranks:         a.ranks,
-				Threads:       a.threads,
-				MaxIterations: a.iters,
-				Epsilon:       a.epsilon,
-				SPRRadius:     a.radius,
-			},
-		}, nil
-	case "service":
-		if a.serviceURL == "" {
-			return nil, fmt.Errorf("-backend service needs -service URL")
-		}
-		label := a.label
-		if label == "" {
-			label = fmt.Sprintf("phyrun-%d", a.seed)
-		}
-		return &phyrun.ServiceRunner{
-			Client: client.New(a.serviceURL),
-			Base: client.JobSpec{
-				Phylip:        phylip,
-				Partitions:    partitions,
-				Simulate:      sim,
-				Ranks:         a.ranks,
-				Threads:       a.threads,
-				MaxIterations: a.iters,
-				Epsilon:       a.epsilon,
-				SPRRadius:     a.radius,
-			},
-			Campaign: label,
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown backend %q (want local or service)", a.backend)
-	}
-}
-
-// digestDataset pins the campaign's input data in the manifest.
-func digestDataset(phylip, partitions string, sim *client.SimulateSpec) string {
-	h := sha256.New()
-	if sim != nil {
-		fmt.Fprintf(h, "sim:%d:%d:%d:%d", sim.Taxa, sim.Partitions, sim.GeneLength, sim.Seed)
-	} else {
-		fmt.Fprintf(h, "phylip:%d:", len(phylip))
-		h.Write([]byte(phylip))
-		h.Write([]byte(partitions))
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func metricsMux(reg *metrics.Registry) http.Handler {

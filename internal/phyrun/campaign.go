@@ -22,9 +22,10 @@ type Config struct {
 	// ManifestPath, when set, makes the campaign resumable: task
 	// outcomes are journaled there and a re-run skips finished tasks.
 	ManifestPath string
-	// DatasetDigest optionally pins the input data in the manifest so a
-	// resume against different data is rejected.
-	DatasetDigest string
+	// InputsDigest pins everything besides the plan that moves a task's
+	// bits — the data and the search configuration, examl.CampaignDigest
+	// — in the manifest; a resume with another digest is refused.
+	InputsDigest string
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives task gauges and counters.
@@ -34,9 +35,11 @@ type Config struct {
 	OnTaskDone func(task Task, rec *TaskRecord)
 }
 
-// Result is a finished campaign's outcome. All tree strings and
-// LnLBits are bit-stable: equal campaigns (same plan, same data)
-// produce byte-identical Results on any backend at any concurrency.
+// Result is a finished campaign's outcome. Its JSON encoding
+// (PREFIX.campaign.json) is a pure function of plan and inputs: equal
+// campaigns produce byte-identical encodings on any backend, at any
+// concurrency, across kill and resume. ReplicatesRun and each start's
+// WallSeconds vary from run to run and stay out of it.
 type Result struct {
 	// BestTree is the highest-scoring ML search's tree; ties break to
 	// the lowest start index. BestStart identifies it.
@@ -52,7 +55,7 @@ type Result struct {
 	ReplicateTrees []string `json:"replicate_trees,omitempty"`
 	// ReplicatesRun counts replicate tasks executed, including
 	// speculative ones beyond the convergence point.
-	ReplicatesRun int `json:"replicates_run,omitempty"`
+	ReplicatesRun int `json:"-"`
 	// Converged reports whether the bootstop criterion fired;
 	// ConvergedAt is the replicate count it fired at.
 	Converged   bool `json:"converged,omitempty"`
@@ -123,12 +126,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		if m == nil {
-			man = newManifest(plan, cfg.DatasetDigest)
+			man = newManifest(plan, cfg.InputsDigest)
 			if err := man.save(cfg.ManifestPath); err != nil {
 				return nil, err
 			}
 		} else {
-			if err := m.verify(plan, cfg.DatasetDigest); err != nil {
+			if err := m.verify(plan, cfg.InputsDigest); err != nil {
 				return nil, err
 			}
 			man = m

@@ -1,10 +1,13 @@
 package phyrun
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -256,10 +259,29 @@ func TestCampaignManifestRejectsMismatch(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Plan: other, Runner: &fakeRunner{}, ManifestPath: manifest}); err == nil {
 		t.Fatal("manifest from a different plan accepted")
 	}
-	if _, err := Run(context.Background(), Config{Plan: plan, Runner: &fakeRunner{}, ManifestPath: manifest, DatasetDigest: "deadbeef"}); err != nil {
-		// The original manifest carries no dataset digest, so any digest
-		// is accepted — the check only fires when both sides pin one.
-		t.Fatalf("one-sided dataset digest rejected: %v", err)
+	// Inputs digests compare strictly: a manifest written without one
+	// refuses a resume that pins one, and the other way round.
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), Config{Plan: plan, Runner: &fakeRunner{}, ManifestPath: manifest, InputsDigest: "deadbeef"}); err == nil || !strings.Contains(err.Error(), "inputs digest") {
+		t.Fatalf("one-sided inputs digest: got %v, want a refusal naming the inputs digest", err)
+	}
+	if after, err := os.ReadFile(manifest); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a refused resume rewrote the manifest (%v)", err)
+	}
+	pinned := filepath.Join(dir, "pinned.json")
+	if _, err := Run(context.Background(), Config{Plan: plan, Runner: &fakeRunner{}, ManifestPath: pinned, InputsDigest: "deadbeef"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, digest := range []string{"", "feedface"} {
+		if _, err := Run(context.Background(), Config{Plan: plan, Runner: &fakeRunner{}, ManifestPath: pinned, InputsDigest: digest}); err == nil {
+			t.Fatalf("manifest pinning deadbeef accepted inputs digest %q", digest)
+		}
+	}
+	if _, err := Run(context.Background(), Config{Plan: plan, Runner: &fakeRunner{}, ManifestPath: pinned, InputsDigest: "deadbeef"}); err != nil {
+		t.Fatalf("resume with the pinned inputs digest refused: %v", err)
 	}
 }
 

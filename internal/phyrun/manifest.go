@@ -9,8 +9,10 @@ import (
 	"time"
 )
 
-// manifestVersion guards the on-disk format.
-const manifestVersion = 1
+// manifestVersion guards the on-disk format. Version 2 pins the
+// inputs digest strictly; a version-1 manifest, whose digest covered
+// the data alone, is refused.
+const manifestVersion = 2
 
 // TaskRecord is one task's persisted outcome.
 type TaskRecord struct {
@@ -26,32 +28,32 @@ type TaskRecord struct {
 	Error    string      `json:"error,omitempty"`
 }
 
-// Manifest is a campaign's durable state: the plan, a digest pinning
-// it, and the per-task outcomes recorded as they complete. A campaign
-// killed at any point resumes from its manifest by re-running only the
-// missing tasks — per-task determinism guarantees the resumed campaign
-// is bit-identical to an uninterrupted one.
+// Manifest is a campaign's durable state: the plan and the inputs,
+// each pinned by a digest, and the per-task outcomes recorded as they
+// complete. A campaign killed at any point resumes from its manifest by
+// re-running only the missing tasks — per-task determinism guarantees
+// the resumed campaign is bit-identical to an uninterrupted one.
 type Manifest struct {
 	Version    int    `json:"version"`
 	PlanDigest string `json:"plan_digest"`
-	// DatasetDigest pins the input data (optional — the orchestrator
-	// checks it only when both sides supply one).
-	DatasetDigest string                 `json:"dataset_digest,omitempty"`
-	Plan          Plan                   `json:"plan"`
-	Tasks         map[string]*TaskRecord `json:"tasks"`
+	// InputsDigest pins the data and search configuration
+	// (Config.InputsDigest).
+	InputsDigest string                 `json:"inputs_digest"`
+	Plan         Plan                   `json:"plan"`
+	Tasks        map[string]*TaskRecord `json:"tasks"`
 	// ConvergedAt is the bootstop verdict once known: the replicate
 	// count of the converged prefix (0 = not yet / not applicable).
 	ConvergedAt int `json:"converged_at,omitempty"`
 }
 
 // newManifest returns an empty manifest for the plan.
-func newManifest(plan Plan, datasetDigest string) *Manifest {
+func newManifest(plan Plan, inputsDigest string) *Manifest {
 	return &Manifest{
-		Version:       manifestVersion,
-		PlanDigest:    plan.Digest(),
-		DatasetDigest: datasetDigest,
-		Plan:          plan,
-		Tasks:         map[string]*TaskRecord{},
+		Version:      manifestVersion,
+		PlanDigest:   plan.Digest(),
+		InputsDigest: inputsDigest,
+		Plan:         plan,
+		Tasks:        map[string]*TaskRecord{},
 	}
 }
 
@@ -79,12 +81,12 @@ func LoadManifest(path string) (*Manifest, error) {
 }
 
 // verify checks a loaded manifest belongs to this campaign.
-func (m *Manifest) verify(plan Plan, datasetDigest string) error {
+func (m *Manifest) verify(plan Plan, inputsDigest string) error {
 	if got, want := m.PlanDigest, plan.Digest(); got != want {
 		return fmt.Errorf("phyrun: manifest plan digest %.12s… does not match the requested plan %.12s… — refusing to mix campaigns", got, want)
 	}
-	if m.DatasetDigest != "" && datasetDigest != "" && m.DatasetDigest != datasetDigest {
-		return fmt.Errorf("phyrun: manifest dataset digest %.12s… does not match the input data %.12s…", m.DatasetDigest, datasetDigest)
+	if m.InputsDigest != inputsDigest {
+		return fmt.Errorf("phyrun: manifest inputs digest %q does not match this run's inputs digest %q — refusing to mix campaigns", m.InputsDigest, inputsDigest)
 	}
 	return nil
 }

@@ -32,8 +32,8 @@ func FuzzLoadManifest(f *testing.F) {
 	f.Add(raw[:len(raw)/2])
 	f.Add(bytes.ReplaceAll(raw, []byte(`"done"`), []byte(`"failed"`)))
 	f.Add(bytes.Replace(raw, []byte("(A:1,"), []byte("(A:1;"), 1))
-	f.Add([]byte(`{"version":1,"tasks":{"s0":null,"r0":null}}`))
-	f.Add([]byte(`{"version":1,"tasks":{"r0":{"state":"done","result":{"tree":"((A:1,B:1):1,C:1,D:1);"}},` +
+	f.Add([]byte(`{"version":2,"tasks":{"s0":null,"r0":null}}`))
+	f.Add([]byte(`{"version":2,"tasks":{"r0":{"state":"done","result":{"tree":"((A:1,B:1):1,C:1,D:1);"}},` +
 		`"r1":{"state":"done","result":{"tree":"((A:1,B:1):1,C:1,X:1);"}}}}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {

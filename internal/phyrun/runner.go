@@ -16,7 +16,8 @@ type TaskResult struct {
 	LogLikelihood float64 `json:"log_likelihood"`
 	LnLBits       string  `json:"lnl_bits"`
 	Iterations    int     `json:"iterations"`
-	WallSeconds   float64 `json:"wall_seconds"`
+	// WallSeconds is timing, not outcome: no written file carries it.
+	WallSeconds float64 `json:"-"`
 }
 
 // Runner executes one task and returns its result. Implementations must
@@ -41,9 +42,6 @@ type ServiceRunner struct {
 	// Campaign labels the submitted jobs (shows up in job listings and
 	// the daemon's campaign-task counters).
 	Campaign string
-	// OnEvent, when non-nil, observes every job event (progress lines,
-	// migrations) tagged with the originating task.
-	OnEvent func(task Task, ev client.Event)
 }
 
 // Run submits the task as a job and long-polls it to completion.
@@ -60,11 +58,7 @@ func (r *ServiceRunner) Run(ctx context.Context, task Task) (*TaskResult, error)
 	if err != nil {
 		return nil, fmt.Errorf("phyrun: submitting task %s: %w", task.ID(), err)
 	}
-	var onEvent func(client.Event)
-	if r.OnEvent != nil {
-		onEvent = func(ev client.Event) { r.OnEvent(task, ev) }
-	}
-	res, err := r.Client.Wait(ctx, view.ID, onEvent)
+	res, err := r.Client.Wait(ctx, view.ID, nil)
 	if err != nil {
 		return nil, fmt.Errorf("phyrun: task %s (job %s): %w", task.ID(), view.ID, err)
 	}

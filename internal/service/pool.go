@@ -248,10 +248,8 @@ func (s *Server) migrateLocked(j *job, deadRank int, deadWorker string) {
 		return
 	}
 	r := rw[0]
-	r.state = workerBusy
-	r.job = j.id
-	r.rank = deadRank
-	j.workers[r.id] = deadRank
+	m := s.runOrderLocked(j, r, deadRank)
+	m.JoinEpoch = j.epoch
 	j.migrations++
 	s.metrics.migrations.Inc()
 	j.appendEvent(now, Event{
@@ -259,14 +257,5 @@ func (s *Server) migrateLocked(j *job, deadRank int, deadWorker string) {
 		Message: fmt.Sprintf("rank %d migrated from %s to %s", deadRank, deadWorker, r.id),
 	})
 	s.logf("service: job %s rank %d migrating from %s to %s (epoch %d)", j.id, deadRank, deadWorker, r.id, j.epoch)
-	spec := j.spec
-	r.sendAsync(wireMsg{
-		Type: msgRun, Job: j.id,
-		Rank: deadRank, Size: j.spec.Ranks, Addr: j.addr, Nonce: j.nonce,
-		JoinEpoch: j.epoch, MaxRecoveries: j.spec.MaxRecoveries,
-		HbIntervalMS:     int(s.opts.HeartbeatInterval.Milliseconds()),
-		HbTimeoutMS:      int(s.opts.HeartbeatTimeout.Milliseconds()),
-		RecoveryWindowMS: int(s.opts.RecoveryWindow.Milliseconds()),
-		Spec:             &spec,
-	})
+	r.sendAsync(m)
 }

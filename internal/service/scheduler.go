@@ -104,25 +104,33 @@ func (s *Server) startJobLocked(j *job, ws []*worker) {
 	j.appendEvent(now, Event{Type: "started", WorldSize: j.spec.Ranks, Message: "rendezvous at " + addr})
 	s.logf("service: job %s starting on %d worker(s) at %s", j.id, len(ws), addr)
 
-	spec := j.spec
 	for rank, w := range ws {
-		w.state = workerBusy
-		w.job = j.id
-		w.rank = rank
-		j.workers[w.id] = rank
-		m := wireMsg{
-			Type: msgRun, Job: j.id,
-			Rank: rank, Size: spec.Ranks, Addr: addr, Nonce: j.nonce,
-			MaxRecoveries:    spec.MaxRecoveries,
-			HbIntervalMS:     int(s.opts.HeartbeatInterval.Milliseconds()),
-			HbTimeoutMS:      int(s.opts.HeartbeatTimeout.Milliseconds()),
-			RecoveryWindowMS: int(s.opts.RecoveryWindow.Milliseconds()),
-			Spec:             &spec,
-		}
-		if inj := spec.InjectFailure; inj != nil && inj.Rank == rank {
+		m := s.runOrderLocked(j, w, rank)
+		if inj := j.spec.InjectFailure; inj != nil && inj.Rank == rank {
 			m.DieAfter = inj.AfterIteration
 		}
 		w.sendAsync(m)
+	}
+}
+
+// runOrderLocked assigns rank of running job j to worker w and returns
+// the run order that tells w so: the one place a job's placement and
+// the daemon's failure-detection tuning become a msgRun, for a start
+// and for a migration alike.
+func (s *Server) runOrderLocked(j *job, w *worker, rank int) wireMsg {
+	w.state = workerBusy
+	w.job = j.id
+	w.rank = rank
+	j.workers[w.id] = rank
+	spec := j.spec
+	return wireMsg{
+		Type: msgRun, Job: j.id,
+		Rank: rank, Size: spec.Ranks, Addr: j.addr, Nonce: j.nonce,
+		MaxRecoveries:    spec.MaxRecoveries,
+		HbIntervalMS:     int(s.opts.HeartbeatInterval.Milliseconds()),
+		HbTimeoutMS:      int(s.opts.HeartbeatTimeout.Milliseconds()),
+		RecoveryWindowMS: int(s.opts.RecoveryWindow.Milliseconds()),
+		Spec:             &spec,
 	}
 }
 

@@ -119,22 +119,12 @@ func (w *workerProc) execute(m wireMsg) {
 		w.send(wireMsg{Type: msgFailed, Job: m.Job, Error: "run order without a job spec"})
 		return
 	}
-	d, err := buildDataset(m.Spec)
+	d, cfg, err := JobInputs(m.Spec)
 	if err != nil {
 		w.send(wireMsg{Type: msgFailed, Job: m.Job, Error: err.Error()})
 		return
 	}
-
-	cfg := examl.Config{
-		Scheme:             examl.Decentralized,
-		Threads:            m.Spec.Threads,
-		Seed:               m.Spec.Seed,
-		ParsimonyStartTree: m.Spec.ParsimonyStart,
-		MaxIterations:      m.Spec.MaxIterations,
-		Epsilon:            m.Spec.Epsilon,
-		SPRRadius:          m.Spec.SPRRadius,
-		TraceLabel:         m.Job,
-	}
+	cfg.TraceLabel = m.Job
 	if m.Spec.Trace {
 		cfg.TraceWriter = &traceForwarder{w: w, job: m.Job}
 	}
@@ -185,13 +175,24 @@ func (w *workerProc) execute(m wireMsg) {
 	}})
 }
 
-// buildDataset materializes the job's alignment on this rank. Every
-// rank rebuilds the identical dataset (simulation is seeded; inline
-// data is shared verbatim; bootstrap resampling is a pure function of
-// dataset and seed), which is what bit-identity requires — and what
-// makes a service-run bootstrap replicate bit-identical to the same
-// replicate resampled in-process by the phyrun orchestrator.
-func buildDataset(spec *JobSpec) (*examl.Dataset, error) {
+// JobInputs is the one translation of a job spec into the dataset and
+// decentralized-scheme Config a run infers with. Every rank rebuilds
+// the identical dataset (simulation is seeded; inline data is shared
+// verbatim; bootstrap resampling is a pure function of dataset and
+// seed), which is what bit-identity requires. cmd/phyrun runs the same
+// translation for its local backend and its manifest's inputs digest,
+// so a task run by a service worker is bit-identical to the same task
+// run in-process.
+func JobInputs(spec *JobSpec) (*examl.Dataset, examl.Config, error) {
+	cfg := examl.Config{
+		Ranks:              spec.Ranks,
+		Threads:            spec.Threads,
+		Seed:               spec.Seed,
+		ParsimonyStartTree: spec.ParsimonyStart,
+		MaxIterations:      spec.MaxIterations,
+		Epsilon:            spec.Epsilon,
+		SPRRadius:          spec.SPRRadius,
+	}
 	var (
 		d   *examl.Dataset
 		err error
@@ -202,15 +203,14 @@ func buildDataset(spec *JobSpec) (*examl.Dataset, error) {
 		d, err = examl.LoadPhylip(strings.NewReader(spec.Phylip), spec.Partitions)
 	}
 	if err != nil {
-		return nil, err
+		return nil, cfg, err
 	}
 	if bs := spec.Bootstrap; bs != nil {
-		d, err = examl.ResampleDataset(d, bs.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("bootstrap resample: %w", err)
+		if d, err = examl.ResampleDataset(d, bs.Seed); err != nil {
+			return nil, cfg, fmt.Errorf("bootstrap resample: %w", err)
 		}
 	}
-	return d, nil
+	return d, cfg, nil
 }
 
 // traceForwarder turns the telemetry collector's JSONL writes into

@@ -164,11 +164,14 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 	}
 }
 
-// inputDigest hashes everything the ranks of one run must share: per
-// partition the pattern count, weights and tip states, and the Config
-// fields that decide the search. Threads, telemetry and checkpoint
-// paths are left out; they move no bit. FNV-1a is the same function in
-// every process, so equal inputs give equal digests.
+// inputDigest is the one place that says which inputs move a result's
+// bits: per partition the pattern count, weights and tip states, the
+// taxon names the trees are written with, and the Config fields that
+// decide the search. The rendezvous refuses ranks whose digests differ,
+// and campaign manifests pin it through CampaignDigest. Threads,
+// telemetry and checkpoint paths are left out; they move no bit
+// (TestInputDigestCoversConfig keeps the list). FNV-1a is the same
+// function in every process, so equal inputs give equal digests.
 func inputDigest(d *Dataset, cfg Config) uint64 {
 	h := fnv.New64a()
 	var buf []byte
@@ -176,6 +179,10 @@ func inputDigest(d *Dataset, cfg Config) uint64 {
 		for _, v := range vs {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
+	}
+	for _, name := range d.d.Names {
+		put(uint64(len(name)))
+		buf = append(buf, name...)
 	}
 	for _, p := range d.d.Parts {
 		put(uint64(len(p.Weights)), uint64(len(p.Tips)))
@@ -203,4 +210,12 @@ func inputDigest(d *Dataset, cfg Config) uint64 {
 	buf = append(buf, cfg.StartTree...)
 	h.Write(buf)
 	return h.Sum64()
+}
+
+// CampaignDigest is the inputs digest a campaign manifest pins: the
+// rendezvous digest plus the rank count, which moves bits
+// (docs/DETERMINISM.md §1) and which a rendezvous pins as its world
+// size instead. A resume whose digest differs is refused.
+func CampaignDigest(d *Dataset, cfg Config) string {
+	return fmt.Sprintf("%016x-np%d", inputDigest(d, cfg), max(cfg.Ranks, 1))
 }
