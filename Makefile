@@ -359,13 +359,15 @@ smoke-trace:
 # byte-unchanged), resume it from the manifest at a different worker
 # count, and require every output (best tree, supports, consensus,
 # replicates, campaign.json) byte-identical between the
-# interrupted-and-resumed run and the uninterrupted one.
+# interrupted-and-resumed run and the uninterrupted one. The full run's
+# log must carry the phyrun: prefix once per line.
 smoke-phyrun:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/ ./cmd/phyrun && \
 	$$tmp/phyrun -sim-taxa 8 -sim-genelen 60 -sim-seed 33 -p 7 \
 		-starts 2 -parsimony-starts 1 -bootstrap 4 -iter 2 -workers 3 \
-		-n $$tmp/full >/dev/null 2>&1 && \
+		-n $$tmp/full >$$tmp/full.log 2>&1 && \
+	! grep '^phyrun: phyrun:' $$tmp/full.log && \
 	{ $$tmp/phyrun -sim-taxa 8 -sim-genelen 60 -sim-seed 33 -p 7 \
 		-starts 2 -parsimony-starts 1 -bootstrap 4 -iter 2 -workers 2 \
 		-n $$tmp/res -campaign $$tmp/res.campaign.manifest \

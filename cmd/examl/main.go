@@ -44,36 +44,8 @@
 package main
 
 import (
-	"flag"
-	"log"
-
 	"repro"
 	"repro/internal/cli"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("examl: ")
-	var args cli.Args
-	cli.Register(&args)
-	flag.Parse()
-	args.Scheme = examl.Decentralized
-	switch {
-	case args.NetLaunch:
-		if err := cli.Launch(args); err != nil {
-			log.Fatal(err)
-		}
-	case args.NetRank >= 0:
-		nr, err := cli.RunNet(args)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cli.ReportNet(args, nr)
-	default:
-		res, err := cli.Run(args)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cli.Report(args, res)
-	}
-}
+func main() { cli.Main("examl", examl.Decentralized) }

@@ -16,11 +16,12 @@
 //
 // The daemon also serves a live observability plane (on by default):
 // GET /metrics exposes Prometheus text-format metrics — scheduler queue
-// depth, pool strength, job latency histograms, migration counters,
-// plus the process-wide mpinet frame and kernel span totals — and
-// /debug/pprof/ serves the standard Go profiles of the daemon process.
-// Worker processes are profiled through the control protocol:
-// GET /api/v1/pool/{id}/profile?name=heap. See docs/OBSERVABILITY.md.
+// depth, pool strength, job latency histograms, migration counters —
+// and /debug/pprof/ serves the standard Go profiles of the daemon
+// process. Inference runs in the worker processes, so the daemon's page
+// holds no kernel or transport series; workers are profiled through the
+// control protocol: GET /api/v1/pool/{id}/profile?name=heap. See
+// docs/OBSERVABILITY.md.
 //
 // See docs/SERVICE.md for the API and operational behavior.
 package main
@@ -31,11 +32,9 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/service"
@@ -49,8 +48,8 @@ func main() {
 		worker   = flag.Bool("worker", false, "run as a pool worker instead of the daemon")
 		addrFile = flag.String("addr-file", "", "write the bound HTTP address to this file (for scripts; useful with -http :0)")
 
-		hbInterval  = flag.Duration("hb-interval", 100*time.Millisecond, "rank-mesh heartbeat interval")
-		hbTimeout   = flag.Duration("hb-timeout", 2*time.Second, "rank-mesh heartbeat timeout (failure detection latency)")
+		hbInterval  = flag.Duration("hb-interval", 0, fmt.Sprintf("rank-mesh heartbeat interval (0 = %v)", service.DefaultHeartbeatInterval))
+		hbTimeout   = flag.Duration("hb-timeout", 0, fmt.Sprintf("rank-mesh heartbeat timeout, the failure detection latency (0 = %v)", service.DefaultHeartbeatTimeout))
 		recoveryWin = flag.Duration("recovery-window", 0, "recovery membership window (default 2x hb-timeout)")
 		withMetrics = flag.Bool("metrics", true, "serve Prometheus metrics at /metrics")
 		withPprof   = flag.Bool("pprof", true, "serve net/http/pprof at /debug/pprof/")
@@ -111,26 +110,7 @@ func main() {
 	logf("examld: API on http://%s, worker pool on %s (%d warm workers)",
 		ln.Addr(), srv.PoolAddr(), *workers)
 
-	// The API mounts under a top-level mux so the observability plane
-	// (docs/OBSERVABILITY.md) can ride alongside: /metrics merges the
-	// server's registry (queue, pool, job latency) with the process one
-	// (mpinet frames, kernel spans), and /debug/pprof profiles the
-	// daemon itself — worker processes are profiled through
-	// GET /api/v1/pool/{id}/profile instead.
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	if *withMetrics {
-		mux.Handle("GET /metrics", metrics.Handler(srv.Metrics(), metrics.Default()))
-	}
-	if *withPprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: newMux(srv, *withMetrics, *withPprof)}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -141,4 +121,21 @@ func main() {
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
+}
+
+// newMux mounts the API and, beside it, the observability plane
+// (docs/OBSERVABILITY.md): /metrics serves the server's own registry
+// (queue, pool, job latency) and nothing else, because inference runs
+// in the worker processes and no kernel or transport series moves in
+// this one; /debug/pprof profiles the daemon itself — worker processes
+// are profiled through GET /api/v1/pool/{id}/profile instead.
+func newMux(srv *service.Server, withMetrics, withPprof bool) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	var regs []*metrics.Registry
+	if withMetrics {
+		regs = []*metrics.Registry{srv.Metrics()}
+	}
+	metrics.Mount(mux, regs, withPprof)
+	return mux
 }

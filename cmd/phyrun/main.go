@@ -34,8 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
@@ -199,6 +197,9 @@ func run(a runArgs) error {
 			return err
 		}
 		if runner == nil {
+			// A live page implies telemetry collection, as in cmd/examl:
+			// the spans feed its kernel series. It moves no bit.
+			cfg.Telemetry = a.metricsAddr != ""
 			runner = &examl.LocalCampaignRunner{Dataset: d, Config: cfg}
 		}
 		if a.manifestPath != "" {
@@ -209,14 +210,18 @@ func run(a runArgs) error {
 	reg := metrics.NewRegistry()
 	m := phyrun.NewMetrics(reg)
 	if a.metricsAddr != "" {
-		ln, err := net.Listen("tcp", a.metricsAddr)
+		// The page lists only what moves in this process: inference
+		// series do only when the local backend runs the tasks here.
+		regs := []*metrics.Registry{reg}
+		if a.backend == "local" {
+			regs = append(regs, metrics.Default())
+		}
+		bound, stop, err := metrics.Serve(a.metricsAddr, regs, false)
 		if err != nil {
 			return fmt.Errorf("binding -metrics-addr %s: %w", a.metricsAddr, err)
 		}
-		hs := &http.Server{Handler: metricsMux(reg)}
-		go hs.Serve(ln)
-		defer hs.Close()
-		log.Printf("observability: /metrics on http://%s", ln.Addr())
+		defer stop()
+		log.Printf("observability: /metrics on http://%s", bound)
 	}
 
 	var onDone func(phyrun.Task, *phyrun.TaskRecord)
@@ -244,12 +249,6 @@ func run(a runArgs) error {
 		return err
 	}
 	return report(a.name, plan, res)
-}
-
-func metricsMux(reg *metrics.Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", metrics.Handler(reg, metrics.Default()))
-	return mux
 }
 
 // report writes the campaign outputs and a summary line.

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // smallCampaign is a campaign of two starts and four replicates on a
@@ -93,5 +97,74 @@ func TestResumeRefusesOtherInputs(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s of the resumed campaign differs from the uninterrupted one", suffix)
 		}
+	}
+}
+
+// TestLogCarriesOnePrefix: under main's log settings, every line run()
+// logs and the error it returns carry the command's "phyrun: " prefix
+// once — the library adds none of its own.
+func TestLogCarriesOnePrefix(t *testing.T) {
+	var buf bytes.Buffer
+	flags, prefix, out := log.Flags(), log.Prefix(), log.Writer()
+	log.SetFlags(0)
+	log.SetPrefix("phyrun: ")
+	log.SetOutput(&buf)
+	defer func() {
+		log.SetFlags(flags)
+		log.SetPrefix(prefix)
+		log.SetOutput(out)
+	}()
+
+	a := smallCampaign(t.TempDir(), "run")
+	if err := run(a); err != nil {
+		t.Fatal(err)
+	}
+	a.starts, a.boots = 0, 0
+	err := run(a)
+	if err == nil {
+		t.Fatal("an empty campaign was accepted")
+	}
+	log.Print(err)
+
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("run logged %d line(s):\n%s", len(lines), buf.String())
+	}
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "phyrun: ") || strings.HasPrefix(line, "phyrun: phyrun:") {
+			t.Errorf("want one phyrun: prefix: %q", line)
+		}
+	}
+}
+
+// TestLocalBackendMetricsMove: with -metrics-addr, the local backend
+// runs its tasks with telemetry on, so the kernel series its page
+// serves from the process registry move.
+func TestLocalBackendMetricsMove(t *testing.T) {
+	kernelSeconds := func() float64 {
+		var page strings.Builder
+		if err := metrics.Default().WriteText(&page); err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, line := range strings.Split(page.String(), "\n") {
+			if strings.HasPrefix(line, "examl_kernel_seconds_total{") {
+				v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += v
+			}
+		}
+		return sum
+	}
+	before := kernelSeconds()
+	a := smallCampaign(t.TempDir(), "run")
+	a.manifestPath, a.metricsAddr = "", "127.0.0.1:0"
+	if err := run(a); err != nil {
+		t.Fatal(err)
+	}
+	if after := kernelSeconds(); after <= before {
+		t.Fatalf("examl_kernel_seconds_total stayed at %g over a local campaign", after)
 	}
 }

@@ -412,7 +412,7 @@ func searchConfig(cfg Config) (search.Config, *checkpointWriter, error) {
 			return scfg, nil, err
 		}
 		scfg.OnIteration = func(s *search.Searcher, iter int, lnL float64) {
-			ckpt.write(s.Snapshot(iter))
+			ckpt.write(iter, s.Snapshot)
 		}
 	}
 	if cfg.OnProgress != nil {
@@ -508,6 +508,7 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 type checkpointWriter struct {
 	path string
 	mu   sync.Mutex
+	last int // the newest iteration written
 	err  error
 }
 
@@ -526,16 +527,18 @@ func (w *checkpointWriter) probe() error {
 	return nil
 }
 
-// write is the iteration hook. Every replica calls it with identical
-// state; writes are serialized and idempotent, and stop at the first
-// failure.
-func (w *checkpointWriter) write(state *checkpoint.State) {
+// write is the iteration hook. Every replica of an in-process world
+// calls it with identical state, so only the first call of a newer
+// iteration takes the snapshot and writes it; writes are serialized and
+// stop at the first failure.
+func (w *checkpointWriter) write(iter int, snapshot func(iter int) *checkpoint.State) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
+	if w.err != nil || iter <= w.last {
 		return
 	}
-	if err := writeCheckpoint(w.path, state); err != nil {
+	w.last = iter
+	if err := writeCheckpoint(w.path, snapshot(iter)); err != nil {
 		w.err = fmt.Errorf("examl: checkpoint %s: %w", w.path, err)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -244,6 +246,39 @@ func TestUnwritableCheckpointFailsTheJob(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "examl: checkpoint "+ckpt) {
 			t.Errorf("%s: directory gone after iteration 1: got %v, want an error naming the checkpoint path", name, err)
 		}
+	}
+}
+
+// TestCheckpointWrittenOncePerIteration: every replica of an in-process
+// world calls the iteration hook, but the writer snapshots and writes
+// only the first call of a newer iteration. Three writes of one
+// iteration leave the first file in place; the next iteration replaces
+// it.
+func TestCheckpointWrittenOncePerIteration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	w := &checkpointWriter{path: path}
+	snapshots := 0
+	snapshot := func(iter int) *checkpoint.State {
+		snapshots++
+		return &checkpoint.State{Iteration: iter}
+	}
+	w.write(1, snapshot)
+	first, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		w.write(1, snapshot)
+	}
+	if again, err := os.Stat(path); err != nil || !os.SameFile(first, again) {
+		t.Fatalf("repeated writes of iteration 1 replaced the file (%v)", err)
+	}
+	w.write(2, snapshot)
+	if next, err := os.Stat(path); err != nil || os.SameFile(first, next) {
+		t.Fatalf("the write of iteration 2 left iteration 1's file in place (%v)", err)
+	}
+	if snapshots != 2 || w.failure() != nil {
+		t.Fatalf("%d snapshots taken for 2 iterations (failure %v)", snapshots, w.failure())
 	}
 }
 

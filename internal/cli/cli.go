@@ -1,7 +1,7 @@
-// Package cli holds the inference plumbing shared by the examl and
-// raxml-light command-line tools: flag wiring, dataset loading, and the
-// result report. The two binaries differ only in the parallelization
-// scheme they select — mirroring how the paper's two codes relate.
+// Package cli is the examl and raxml-light command-line tools: flag
+// wiring, dataset loading, the run itself and the result report. The two
+// binaries are one Main that differs only in the parallelization scheme
+// it selects — mirroring how the paper's two codes relate.
 package cli
 
 import (
@@ -9,15 +9,42 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 
 	"repro"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
+
+// Main is the whole of the examl and raxml-light commands: parse the
+// flags, then launch a local network world, run one rank of one, or run
+// in process, and report. name prefixes the log lines.
+func Main(name string, scheme examl.Scheme) {
+	log.SetFlags(0)
+	log.SetPrefix(name + ": ")
+	var args Args
+	Register(&args)
+	flag.Parse()
+	args.Scheme = scheme
+	switch {
+	case args.NetLaunch:
+		if err := Launch(args); err != nil {
+			log.Fatal(err)
+		}
+	case args.NetRank >= 0:
+		nr, err := RunNet(args)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ReportNet(args, nr)
+	default:
+		res, err := Run(args)
+		if err != nil {
+			log.Fatal(err)
+		}
+		Report(args, res)
+	}
+}
 
 // Args carries every inference flag.
 type Args struct {
@@ -56,10 +83,6 @@ type Args struct {
 	NetLaunch     bool
 	NetRecoveries int
 }
-
-// NetMode reports whether the args select the TCP transport (either as
-// a single rank or as the local launcher).
-func (a Args) NetMode() bool { return a.NetLaunch || a.NetRank >= 0 }
 
 // Register installs the shared flags on the default FlagSet.
 func Register(a *Args) {
@@ -147,23 +170,12 @@ func startObservability(a Args) (shutdown func(), err error) {
 	if a.MetricsAddr == "" {
 		return func() {}, nil
 	}
-	ln, err := net.Listen("tcp", a.MetricsAddr)
+	bound, stop, err := metrics.Serve(a.MetricsAddr, []*metrics.Registry{metrics.Default()}, a.Pprof)
 	if err != nil {
 		return nil, fmt.Errorf("binding -metrics-addr %s: %w", a.MetricsAddr, err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", metrics.Handler())
-	if a.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	hs := &http.Server{Handler: mux}
-	go hs.Serve(ln)
-	fmt.Printf("observability: /metrics on http://%s\n", ln.Addr())
-	return func() { hs.Close() }, nil
+	fmt.Printf("observability: /metrics on http://%s\n", bound)
+	return stop, nil
 }
 
 // loadDataset opens and parses the alignment named by the args.
@@ -251,50 +263,81 @@ func banner(a Args, d *examl.Dataset, cfg examl.Config) (string, error) {
 }
 
 // Run loads the dataset per the args and executes the inference.
-func Run(a Args) (*examl.Result, error) {
+func Run(a Args) (res *examl.Result, err error) {
+	err = prelude(a, func(d *examl.Dataset, cfg examl.Config) (err error) {
+		res, err = examl.Infer(d, cfg)
+		return err
+	})
+	return res, err
+}
+
+// prelude is what Run and RunNet share around their inference call:
+// validate the args, load the dataset and build the config; open the
+// trace file (one per rank in network mode, as is the checkpoint) and
+// report its flush or close error; on rank 0, or the only process,
+// serve -metrics-addr and print the banner. infer runs last, on the
+// finished config.
+func prelude(a Args, infer func(*examl.Dataset, examl.Config) error) (err error) {
 	if err := Validate(a); err != nil {
-		return nil, err
+		return err
 	}
 	d, err := loadDataset(a)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg, err := inferConfig(a)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var traceBuf *bufio.Writer
-	if a.TracePath != "" {
-		tf, err := os.Create(a.TracePath)
+	tracePath := a.TracePath
+	if a.NetRank >= 0 {
+		// Per-process output files must not collide across ranks.
+		if tracePath != "" {
+			tracePath = rankPath(tracePath, a.NetRank)
+		}
+		if cfg.CheckpointPath != "" {
+			cfg.CheckpointPath = rankPath(cfg.CheckpointPath, a.NetRank)
+		}
+	}
+	if tracePath != "" {
+		tf, cerr := os.Create(tracePath)
+		if cerr != nil {
+			return fmt.Errorf("creating trace file: %w", cerr)
+		}
+		trace := bufio.NewWriter(tf)
+		cfg.TraceWriter = trace
+		defer func() {
+			werr := trace.Flush()
+			if cerr := tf.Close(); werr == nil {
+				werr = cerr
+			}
+			if err == nil && werr != nil {
+				err = fmt.Errorf("writing trace file: %w", werr)
+			}
+			if err == nil {
+				fmt.Printf("telemetry trace written to %s\n", tracePath)
+			}
+		}()
+	}
+	if a.NetRank <= 0 {
+		// Only the initial rank 0 binds -metrics-addr: a locally
+		// launched world re-execs this binary with identical flags, and
+		// every rank racing for one port would fail all but one of them.
+		stopObs, err := startObservability(a)
 		if err != nil {
-			return nil, fmt.Errorf("creating trace file: %w", err)
+			return err
 		}
-		defer tf.Close()
-		traceBuf = bufio.NewWriter(tf)
-		defer traceBuf.Flush()
-		cfg.TraceWriter = traceBuf
-	}
-	stopObs, err := startObservability(a)
-	if err != nil {
-		return nil, err
-	}
-	defer stopObs()
-	b, err := banner(a, d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Print(b)
-	res, err := examl.Infer(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if traceBuf != nil {
-		if err := traceBuf.Flush(); err != nil {
-			return nil, fmt.Errorf("writing trace file: %w", err)
+		defer stopObs()
+		b, err := banner(a, d, cfg)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("telemetry trace written to %s\n", a.TracePath)
+		fmt.Print(b)
+		if a.NetRank == 0 {
+			fmt.Printf("transport: tcp, world of %d processes at %s\n", a.NetSize, a.NetAddr)
+		}
 	}
-	return res, nil
+	return infer(d, cfg)
 }
 
 // Report prints the result summary and writes the best tree, plus the

@@ -220,7 +220,27 @@ func TestRunFromFilesMatchesInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gen, err := seqgen.Generate(seqgen.PartitionedGenes(taxa, parts, geneLen, dataSeed))
+	phy, partPath := writeSimulated(t, taxa, parts, geneLen, dataSeed)
+	res, err := Run(Args{
+		AlignPath: phy, PartPath: partPath, ModelName: "GAMMA", SubstName: "GTR",
+		Ranks: 2, Threads: 1, Seed: seed, MaxIter: iters, NetRank: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(res.LogLikelihood), math.Float64bits(ref.LogLikelihood); got != want {
+		t.Errorf("lnL bits %016x, want examl.Infer's %016x", got, want)
+	}
+	if res.Tree != ref.Tree {
+		t.Errorf("tree differs from examl.Infer's:\n got %s\nwant %s", res.Tree, ref.Tree)
+	}
+}
+
+// writeSimulated writes seqgen's partitioned-genes alignment as a
+// PHYLIP file and a partition file, and returns their paths.
+func writeSimulated(t *testing.T, taxa, parts, geneLen int, seed int64) (phyPath, partPath string) {
+	t.Helper()
+	gen, err := seqgen.Generate(seqgen.PartitionedGenes(taxa, parts, geneLen, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,23 +255,32 @@ func TestRunFromFilesMatchesInfer(t *testing.T) {
 	if err := phy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	partPath := filepath.Join(dir, "d.parts.txt")
+	partPath = filepath.Join(dir, "d.parts.txt")
 	if err := os.WriteFile(partPath, []byte(msa.FormatPartitionFile(gen.Partitions)), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return phy.Name(), partPath
+}
 
-	res, err := Run(Args{
-		AlignPath: phy.Name(), PartPath: partPath, ModelName: "GAMMA", SubstName: "GTR",
-		Ranks: 2, Threads: 1, Seed: seed, MaxIter: iters, NetRank: -1,
-	})
-	if err != nil {
+// TestRunNetReportsUnwritableTrace: a network rank whose trace file
+// cannot be written fails with an error naming the file, as the
+// in-process run does, instead of exiting 0 without its trace.
+func TestRunNetReportsUnwritableTrace(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	phy, partPath := writeSimulated(t, 8, 1, 60, 5)
+	trace := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.Symlink("/dev/full", rankPath(trace, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := math.Float64bits(res.LogLikelihood), math.Float64bits(ref.LogLikelihood); got != want {
-		t.Errorf("lnL bits %016x, want examl.Infer's %016x", got, want)
-	}
-	if res.Tree != ref.Tree {
-		t.Errorf("tree differs from examl.Infer's:\n got %s\nwant %s", res.Tree, ref.Tree)
+	_, err := RunNet(Args{
+		AlignPath: phy, PartPath: partPath, ModelName: "GAMMA", SubstName: "GTR",
+		Ranks: 1, Threads: 1, MaxIter: 1, TracePath: trace,
+		NetRank: 0, NetSize: 1, NetAddr: freeAddr(t), NetNonce: 7,
+	})
+	if err == nil || !strings.Contains(err.Error(), rankPath(trace, 0)) {
+		t.Fatalf("got %v, want an error naming the trace file %s", err, rankPath(trace, 0))
 	}
 }
 

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
@@ -15,56 +14,18 @@ import (
 // RunNet executes this process as one rank of a multi-process TCP world
 // (-net-rank/-net-size/-net-addr). Only the process holding final
 // rank 0 prints the banner and should report; other ranks run quietly.
-func RunNet(a Args) (*examl.NetResult, error) {
-	if err := Validate(a); err != nil {
-		return nil, err
-	}
-	d, err := loadDataset(a)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := inferConfig(a)
-	if err != nil {
-		return nil, err
-	}
-	// Per-process output files must not collide across ranks.
-	var traceBuf *bufio.Writer
-	if a.TracePath != "" {
-		tf, err := os.Create(rankPath(a.TracePath, a.NetRank))
-		if err != nil {
-			return nil, fmt.Errorf("creating trace file: %w", err)
-		}
-		defer tf.Close()
-		traceBuf = bufio.NewWriter(tf)
-		defer traceBuf.Flush()
-		cfg.TraceWriter = traceBuf
-	}
-	if cfg.CheckpointPath != "" {
-		cfg.CheckpointPath = rankPath(cfg.CheckpointPath, a.NetRank)
-	}
-	if a.NetRank == 0 {
-		// Only the initial rank 0 binds -metrics-addr: a locally
-		// launched world re-execs this binary with identical flags, and
-		// every rank racing for one port would fail all but one of them.
-		stopObs, err := startObservability(a)
-		if err != nil {
-			return nil, err
-		}
-		defer stopObs()
-		b, err := banner(a, d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(b)
-		fmt.Printf("transport: tcp, world of %d processes at %s\n", a.NetSize, a.NetAddr)
-	}
-	return examl.InferNet(d, cfg, examl.NetConfig{
-		Rank:          a.NetRank,
-		Size:          a.NetSize,
-		Addr:          a.NetAddr,
-		Nonce:         a.NetNonce,
-		MaxRecoveries: a.NetRecoveries,
+func RunNet(a Args) (nr *examl.NetResult, err error) {
+	err = prelude(a, func(d *examl.Dataset, cfg examl.Config) (err error) {
+		nr, err = examl.InferNet(d, cfg, examl.NetConfig{
+			Rank:          a.NetRank,
+			Size:          a.NetSize,
+			Addr:          a.NetAddr,
+			Nonce:         a.NetNonce,
+			MaxRecoveries: a.NetRecoveries,
+		})
+		return err
 	})
+	return nr, err
 }
 
 // rankPath makes a per-rank variant of an output path.

@@ -22,14 +22,19 @@
 // frame accounting, internal/telemetry kernel totals) register on the
 // package Default registry; per-instance subsystems (one service.Server)
 // own a private registry so two servers in one process never collide.
-// Handler serves any number of registries merged into one page.
+// Handler serves any number of registries merged into one page; Mount
+// and Serve put that page, and optionally the Go profiles, on a mux or
+// a listener of their own, the one observability plane every front end
+// uses.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -401,4 +406,35 @@ func Handler(regs ...*Registry) http.Handler {
 			}
 		}
 	})
+}
+
+// Mount routes GET /metrics on mux to regs merged into one page (nil
+// regs mounts no page) and, with profiles, the five net/http/pprof
+// routes under /debug/pprof/. A page should list only the registries
+// its own process updates: a registry nothing updates reads 0 forever.
+func Mount(mux *http.ServeMux, regs []*Registry, profiles bool) {
+	if len(regs) > 0 {
+		mux.Handle("GET /metrics", Handler(regs...))
+	}
+	if profiles {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+}
+
+// Serve binds addr and serves Mount's routes on it until stop is
+// called. It returns the bound address, so addr may name port 0.
+func Serve(addr string, regs []*Registry, profiles bool) (bound string, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	mux := http.NewServeMux()
+	Mount(mux, regs, profiles)
+	hs := &http.Server{Handler: mux}
+	go hs.Serve(ln)
+	return ln.Addr().String(), func() { hs.Close() }, nil
 }

@@ -29,7 +29,7 @@ type BootstopConfig struct {
 
 func (c *BootstopConfig) validate() error {
 	if c.CheckEvery < 0 || c.Cutoff < 0 || c.Permutations < 0 {
-		return fmt.Errorf("phyrun: negative bootstop parameters")
+		return fmt.Errorf("negative bootstop parameters")
 	}
 	return nil
 }

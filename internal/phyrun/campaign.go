@@ -104,7 +104,7 @@ type run struct {
 // finished up to that point is durable in the manifest.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Runner == nil {
-		return nil, fmt.Errorf("phyrun: no runner configured")
+		return nil, fmt.Errorf("no runner configured")
 	}
 	if err := cfg.Plan.Validate(); err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			man = m
 			if done := m.doneTasks(); len(done) > 0 {
-				logf("phyrun: resuming campaign: %d of %d task(s) already done", len(done), plan.Starts()+plan.Replicates)
+				logf("resuming campaign: %d of %d task(s) already done", len(done), plan.Starts()+plan.Replicates)
 			}
 		}
 	}
@@ -164,7 +164,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	cfg.Metrics.setPending(pending)
 
-	logf("phyrun: campaign seed %d: %d start(s) (%d parsimony), %d replicate(s), %d worker(s)",
+	logf("campaign seed %d: %d start(s) (%d parsimony), %d replicate(s), %d worker(s)",
 		plan.Seed, plan.Starts(), plan.ParsimonyStarts, plan.Replicates, workers)
 
 	var wg sync.WaitGroup
@@ -292,7 +292,7 @@ func (r *run) feedLocked() error {
 	for i := r.counter.Trees(); i < len(r.repRes) && r.repRes[i] != nil; i++ {
 		t, err := tree.ParseNewick(r.repRes[i].Tree, 1)
 		if err != nil {
-			return fmt.Errorf("phyrun: task %s holds an unparsable tree: %w", r.reps[i].ID(), err)
+			return fmt.Errorf("task %s holds an unparsable tree: %w", r.reps[i].ID(), err)
 		}
 		if _, err := r.counter.Add(t); err != nil {
 			return err
@@ -342,7 +342,7 @@ func (r *run) execute(ctx context.Context, t Task) {
 		rec.State = "failed"
 		rec.Error = err.Error()
 		if r.err == nil && ctx.Err() == nil {
-			r.err = fmt.Errorf("phyrun: task %s: %w", t.ID(), err)
+			r.err = fmt.Errorf("task %s: %w", t.ID(), err)
 		}
 	} else {
 		rec.State = "done"
@@ -379,7 +379,7 @@ func (r *run) assemble(logf func(string, ...any)) (*Result, error) {
 	best := -1
 	for i, res := range r.startRes {
 		if res == nil {
-			return nil, fmt.Errorf("phyrun: start %d never completed", i)
+			return nil, fmt.Errorf("start %d never completed", i)
 		}
 		if best < 0 || res.LogLikelihood > r.startRes[best].LogLikelihood {
 			best = i
@@ -402,11 +402,11 @@ func (r *run) assemble(logf func(string, ...any)) (*Result, error) {
 		nUsed = r.convergedAt
 		out.Converged = true
 		out.ConvergedAt = r.convergedAt
-		logf("phyrun: bootstop converged at %d of %d replicate(s)", nUsed, b)
+		logf("bootstop converged at %d of %d replicate(s)", nUsed, b)
 	}
 	for i := 0; i < nUsed; i++ {
 		if r.repRes[i] == nil {
-			return nil, fmt.Errorf("phyrun: replicate %d never completed", i)
+			return nil, fmt.Errorf("replicate %d never completed", i)
 		}
 		out.ReplicateTrees = append(out.ReplicateTrees, r.repRes[i].Tree)
 	}
@@ -418,7 +418,7 @@ func (r *run) assemble(logf func(string, ...any)) (*Result, error) {
 
 	ref, err := tree.ParseNewick(out.BestTree, 1)
 	if err != nil {
-		return nil, fmt.Errorf("phyrun: best tree unparsable: %w", err)
+		return nil, fmt.Errorf("best tree unparsable: %w", err)
 	}
 	supports, err := r.counter.Support(ref, nUsed)
 	if err != nil {

@@ -65,14 +65,14 @@ func LoadManifest(path string) (*Manifest, error) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("phyrun: reading manifest: %w", err)
+		return nil, fmt.Errorf("reading manifest: %w", err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("phyrun: parsing manifest %s: %w", path, err)
+		return nil, fmt.Errorf("parsing manifest %s: %w", path, err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("phyrun: manifest %s has version %d, want %d", path, m.Version, manifestVersion)
+		return nil, fmt.Errorf("manifest %s has version %d, want %d", path, m.Version, manifestVersion)
 	}
 	if m.Tasks == nil {
 		m.Tasks = map[string]*TaskRecord{}
@@ -83,10 +83,10 @@ func LoadManifest(path string) (*Manifest, error) {
 // verify checks a loaded manifest belongs to this campaign.
 func (m *Manifest) verify(plan Plan, inputsDigest string) error {
 	if got, want := m.PlanDigest, plan.Digest(); got != want {
-		return fmt.Errorf("phyrun: manifest plan digest %.12s… does not match the requested plan %.12s… — refusing to mix campaigns", got, want)
+		return fmt.Errorf("manifest plan digest %.12s… does not match the requested plan %.12s… — refusing to mix campaigns", got, want)
 	}
 	if m.InputsDigest != inputsDigest {
-		return fmt.Errorf("phyrun: manifest inputs digest %q does not match this run's inputs digest %q — refusing to mix campaigns", m.InputsDigest, inputsDigest)
+		return fmt.Errorf("manifest inputs digest %q does not match this run's inputs digest %q — refusing to mix campaigns", m.InputsDigest, inputsDigest)
 	}
 	return nil
 }
@@ -96,12 +96,12 @@ func (m *Manifest) verify(plan Plan, inputsDigest string) error {
 func (m *Manifest) save(path string) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("phyrun: encoding manifest: %w", err)
+		return fmt.Errorf("encoding manifest: %w", err)
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".phyrun-manifest-*")
 	if err != nil {
-		return fmt.Errorf("phyrun: writing manifest: %w", err)
+		return fmt.Errorf("writing manifest: %w", err)
 	}
 	_, werr := tmp.Write(append(raw, '\n'))
 	cerr := tmp.Close()
@@ -110,11 +110,11 @@ func (m *Manifest) save(path string) error {
 		if werr == nil {
 			werr = cerr
 		}
-		return fmt.Errorf("phyrun: writing manifest: %w", werr)
+		return fmt.Errorf("writing manifest: %w", werr)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("phyrun: writing manifest: %w", err)
+		return fmt.Errorf("writing manifest: %w", err)
 	}
 	return nil
 }

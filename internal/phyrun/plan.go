@@ -68,16 +68,16 @@ func (p *Plan) Starts() int { return p.RandomStarts + p.ParsimonyStarts }
 // Validate checks the plan is runnable.
 func (p *Plan) Validate() error {
 	if p.RandomStarts < 0 || p.ParsimonyStarts < 0 || p.Replicates < 0 {
-		return fmt.Errorf("phyrun: negative task counts")
+		return fmt.Errorf("negative task counts")
 	}
 	if p.Starts() == 0 && p.Replicates == 0 {
-		return fmt.Errorf("phyrun: empty campaign (no starts, no replicates)")
+		return fmt.Errorf("empty campaign (no starts, no replicates)")
 	}
 	if p.Replicates > 0 && p.Starts() == 0 {
-		return fmt.Errorf("phyrun: replicates need at least one ML start for the reference tree")
+		return fmt.Errorf("replicates need at least one ML start for the reference tree")
 	}
 	if len(p.StartSeeds) > p.Starts() {
-		return fmt.Errorf("phyrun: %d start-seed overrides for %d starts", len(p.StartSeeds), p.Starts())
+		return fmt.Errorf("%d start-seed overrides for %d starts", len(p.StartSeeds), p.Starts())
 	}
 	if p.Bootstop != nil {
 		if err := p.Bootstop.validate(); err != nil {

@@ -56,11 +56,11 @@ func (r *ServiceRunner) Run(ctx context.Context, task Task) (*TaskResult, error)
 	}
 	view, err := r.Client.Submit(ctx, spec)
 	if err != nil {
-		return nil, fmt.Errorf("phyrun: submitting task %s: %w", task.ID(), err)
+		return nil, fmt.Errorf("submitting task %s: %w", task.ID(), err)
 	}
 	res, err := r.Client.Wait(ctx, view.ID, nil)
 	if err != nil {
-		return nil, fmt.Errorf("phyrun: task %s (job %s): %w", task.ID(), view.ID, err)
+		return nil, fmt.Errorf("task %s (job %s): %w", task.ID(), view.ID, err)
 	}
 	return &TaskResult{
 		Tree:          res.Tree,

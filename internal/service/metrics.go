@@ -9,8 +9,9 @@ import (
 // serverMetrics is one Server's metrics surface. Each Server owns a
 // private registry (rather than the process Default) so two servers in
 // one process — the daemon plus a test harness, or several tests —
-// never collide on gauge callbacks; cmd/examld merges the server
-// registry with the process-wide one (mpinet, telemetry) at /metrics.
+// never collide on gauge callbacks. cmd/examld serves this registry
+// alone at /metrics: the process-wide one (mpinet, telemetry) moves only
+// in the worker processes, where the inference runs.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -124,7 +125,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // Metrics returns the server's private metrics registry, for mounting
-// at /metrics (cmd/examld merges it with metrics.Default()).
+// at /metrics.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics.reg }
 
 // finishLocked records a job's terminal state on the metrics surface.

@@ -26,9 +26,10 @@ type Options struct {
 	// workers.
 	WorkerEnv []string
 	// HeartbeatInterval, HeartbeatTimeout, and RecoveryWindow tune
-	// failure detection for every job's rank mesh. The defaults
-	// (100ms / 2s / 4s) favor fast migration on a LAN; raise them on
-	// lossy links.
+	// failure detection for every job's rank mesh; zero takes the
+	// default. The defaults (DefaultHeartbeatInterval,
+	// DefaultHeartbeatTimeout, and twice the timeout) favor fast
+	// migration on a LAN; raise them on lossy links.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	RecoveryWindow    time.Duration
@@ -36,15 +37,21 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// The heartbeat defaults Options takes for a zero value.
+const (
+	DefaultHeartbeatInterval = 100 * time.Millisecond
+	DefaultHeartbeatTimeout  = 2 * time.Second
+)
+
 func (o *Options) fill() {
 	if o.PoolAddr == "" {
 		o.PoolAddr = "127.0.0.1:0"
 	}
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 100 * time.Millisecond
+		o.HeartbeatInterval = DefaultHeartbeatInterval
 	}
 	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 2 * time.Second
+		o.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}
 	if o.RecoveryWindow <= 0 {
 		o.RecoveryWindow = 2 * o.HeartbeatTimeout
